@@ -2,7 +2,11 @@
 //! within noise of the buffered path in throughput. Sweeps page sizes
 //! from 4KB to 4MB, comparing `build_page` (one buffered pass) against
 //! `begin_stream` fed 16KB chunks — the shape the front door delivers —
-//! and reports the peak-buffered gauge alongside the MB/s rows.
+//! and reports the peak-buffered gauge alongside the MB/s rows. That
+//! sweep runs with asset proxying on; the `inject_only` rows run the
+//! configuration `botwall-serve` ships (asset proxying off: the
+//! injection scanner alone) over a text-dominated and a markup-dense
+//! 64KB page.
 
 use botwall_http::Uri;
 use botwall_instrument::{AssetProxyConfig, InstrumentConfig, RewriteEngine, MAX_HELD_BYTES};
@@ -20,9 +24,9 @@ fn page_uri() -> Uri {
     "http://bench.example/page.html".parse().unwrap()
 }
 
-fn engine() -> RewriteEngine {
+fn engine(asset_proxy: bool) -> RewriteEngine {
     let config = InstrumentConfig {
-        asset_proxy: Some(AssetProxyConfig::new("/assets/fetch")),
+        asset_proxy: asset_proxy.then(|| AssetProxyConfig::new("/assets/fetch")),
         ..InstrumentConfig::default()
     };
     RewriteEngine::new(config, 42)
@@ -45,9 +49,59 @@ fn page(size: usize) -> String {
     html
 }
 
+/// A 64KB page that is either running text (a `<` every few hundred
+/// bytes) or link-and-image markup (a `<` every twenty).
+fn plain_page(dense: bool) -> String {
+    let size = 64 * 1024;
+    let mut html = String::with_capacity(size + 256);
+    html.push_str("<html><head><title>bench</title></head><body>");
+    let item = if dense {
+        "<div class=\"c7\"><a href=\"/page/7.html\">fox</a><img src=\"/asset/3.bin\" alt=\"dog\"></div>\n"
+            .to_string()
+    } else {
+        format!(
+            "<p>{}</p>\n",
+            "the quick brown fox jumps over the lazy dog ".repeat(12)
+        )
+    };
+    while html.len() < size {
+        html.push_str(&item);
+    }
+    html.push_str("</body></html>");
+    html
+}
+
+/// One streamed rewrite of `html` in [`CHUNK`]-byte writes into `out`
+/// (cleared first, and reused across iterations as the front door
+/// reuses its buffers — a fresh 64KB+ allocation per iteration costs as
+/// much as the scan and varies with the heap's mood).
+fn stream_once(eng: &RewriteEngine, html: &str, rng: &mut ChaCha8Rng, out: &mut Vec<u8>) -> usize {
+    out.clear();
+    let mut stream = eng.begin_stream(&page_uri(), SimTime::ZERO, rng);
+    for piece in html.as_bytes().chunks(CHUNK) {
+        stream.write(piece, out);
+    }
+    black_box(stream.finish(out));
+    out.len()
+}
+
 fn bench_rewrite_stream(c: &mut Criterion) {
     let mut group = c.benchmark_group("rewrite_stream");
-    let eng = engine();
+    let inject_only = engine(false);
+    for (label, dense) in [("text", false), ("markup", true)] {
+        let html = plain_page(dense);
+        group.throughput(Throughput::Bytes(html.len() as u64));
+        group.bench_with_input(
+            BenchmarkId::new(format!("inject_only/{label}"), "64KB"),
+            &html,
+            |b, html| {
+                let mut rng = ChaCha8Rng::seed_from_u64(5);
+                let mut out = Vec::with_capacity(html.len() + 4096);
+                b.iter(|| black_box(stream_once(&inject_only, html, &mut rng, &mut out)))
+            },
+        );
+    }
+    let eng = engine(true);
     for (label, size) in [
         ("4KB", 4 * 1024),
         ("64KB", 64 * 1024),
@@ -65,15 +119,8 @@ fn bench_rewrite_stream(c: &mut Criterion) {
             &html,
             |b, html| {
                 let mut rng = ChaCha8Rng::seed_from_u64(5);
-                b.iter(|| {
-                    let mut stream = eng.begin_stream(&page_uri(), SimTime::ZERO, &mut rng);
-                    let mut out = Vec::with_capacity(html.len() + 4096);
-                    for piece in html.as_bytes().chunks(CHUNK) {
-                        stream.write(piece, &mut out);
-                    }
-                    black_box(stream.finish(&mut out));
-                    black_box(out.len())
-                })
+                let mut out = Vec::with_capacity(html.len() + 4096);
+                b.iter(|| black_box(stream_once(&eng, html, &mut rng, &mut out)))
             },
         );
         // The memory half of the claim, measured once per size outside

@@ -1,10 +1,12 @@
 //! HTTP/1.x wire codec.
 //!
-//! The proxy substrate frames messages the classic way: start line, header
-//! block terminated by an empty line, and a body sized by `Content-Length`.
-//! Chunked transfer is deliberately out of scope (period-accurate CoDeeN
-//! traffic was overwhelmingly 1.0-style), and malformed framing is reported
-//! precisely so failure-injection tests can assert on it.
+//! This codec parses and serializes *complete* messages framed the classic
+//! way: start line, header block terminated by an empty line, and a body
+//! sized by `Content-Length`. Chunked transfer is handled one layer up, in
+//! `botwall-serve`'s `frame` module, which measures and de-chunks messages
+//! off a socket (handing this codec an identity-framed message) and
+//! streams chunked page bodies without buffering them. Malformed framing
+//! is reported precisely so failure-injection tests can assert on it.
 
 use crate::error::HttpError;
 use crate::headers::Headers;

@@ -54,6 +54,7 @@ pub mod engine;
 pub mod jsgen;
 pub mod probe;
 pub mod rewrite;
+mod scan;
 pub mod stream;
 pub mod token;
 

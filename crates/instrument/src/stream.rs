@@ -29,6 +29,17 @@
 //! independent of page size ([`StreamingRewrite::peak_buffered`] is the
 //! gauge the benches and tests assert on).
 //!
+//! A hold is the only time the injection scanner owns a copy of page
+//! bytes. With nothing held, a chunk is scanned where the caller put it
+//! (word-at-a-time, `scan.rs`): the resolved prefix is appended to the
+//! output straight from the caller's slice, and only the unresolved
+//! suffix — a few bytes of a possible anchor, or the tail from a
+//! `</body>` candidate on — is copied into the hold buffer for the next
+//! chunk to extend. The scan cursors count from the start
+//! of that unresolved window either way, so no byte is compared against
+//! an anchor twice. [`StreamingRewrite::peak_buffered`] counts a chunk
+//! under scan on top of the bytes held before it, copied or not.
+//!
 //! # Equivalence with the buffered path
 //!
 //! For any document that resolves its injection points within the hold
@@ -54,6 +65,7 @@
 
 use crate::engine::IssuedPageToken;
 use crate::rewrite::ProbeManifest;
+use crate::scan::{find_byte, find_ci, partial_suffix};
 use serde::{Deserialize, Serialize};
 
 /// Cap on every hold buffer in the streaming rewriter. A document that
@@ -88,27 +100,6 @@ pub struct FinishedStream {
     pub manifest: ProbeManifest,
     /// The issued beacon token, when the mouse beacon is deployed.
     pub token: Option<IssuedPageToken>,
-}
-
-/// ASCII-case-insensitive substring search (`needle` must be lowercase
-/// ASCII, which every HTML anchor here is).
-fn find_ci(hay: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
-    if hay.len() < needle.len() {
-        return None;
-    }
-    (from..=hay.len() - needle.len())
-        .find(|&i| hay[i..i + needle.len()].eq_ignore_ascii_case(needle))
-}
-
-/// Length of the longest *proper* prefix of `needle` that ends `hay` —
-/// the bytes that must be held back because the next chunk might
-/// complete the token.
-fn partial_suffix(hay: &[u8], needle: &[u8]) -> usize {
-    let max = (needle.len() - 1).min(hay.len());
-    (1..=max)
-        .rev()
-        .find(|&k| hay[hay.len() - k..].eq_ignore_ascii_case(&needle[..k]))
-        .unwrap_or(0)
 }
 
 const HEAD_END: &[u8] = b"</head>";
@@ -176,9 +167,18 @@ impl Injector {
             out.extend_from_slice(data);
             return;
         }
-        self.held.extend_from_slice(data);
-        self.peak_held = self.peak_held.max(self.held.len());
-        self.drain(out, false);
+        // The gauge counts the chunk under scan on top of what was held
+        // before it, whether or not the chunk is ever copied into `held`.
+        self.peak_held = self.peak_held.max(self.held.len() + data.len());
+        if self.held.is_empty() {
+            // Nothing carried over: scan the caller's bytes where they
+            // lie and keep only the unresolved suffix.
+            let resolved = self.scan(data, out, false);
+            self.held.extend_from_slice(&data[resolved..]);
+        } else {
+            self.held.extend_from_slice(data);
+            self.scan_held(out, false);
+        }
     }
 
     /// Every injection point resolved and nothing held back: `push` is
@@ -188,7 +188,14 @@ impl Injector {
     }
 
     fn finish(&mut self, out: &mut Vec<u8>) {
-        self.drain(out, true);
+        self.scan_held(out, true);
+    }
+
+    fn scan_held(&mut self, out: &mut Vec<u8>, eof: bool) {
+        let held = std::mem::take(&mut self.held);
+        let resolved = self.scan(&held, out, eof);
+        self.held = held;
+        self.held.drain(..resolved);
     }
 
     fn emit_injection(&mut self, which: Which, out: &mut Vec<u8>) {
@@ -201,109 +208,115 @@ impl Injector {
         self.injected += markup.len();
     }
 
-    fn drain(&mut self, out: &mut Vec<u8>, eof: bool) {
+    /// Runs the state machine over `buf` — everything unresolved so far,
+    /// carried-over bytes first — and appends what resolves to `out`.
+    /// Returns how many leading bytes of `buf` were resolved; the caller
+    /// keeps the rest for the next call. The scan cursors index into
+    /// that unresolved window (`buf[resolved..]`), which is what `held`
+    /// will hold between calls.
+    fn scan(&mut self, buf: &[u8], out: &mut Vec<u8>, eof: bool) -> usize {
+        let mut resolved = 0;
         loop {
+            let win = &buf[resolved..];
             match self.phase {
                 Phase::Head => {
-                    if let Some(i) = find_ci(&self.held, self.head_scan, HEAD_END) {
-                        out.extend_from_slice(&self.held[..i]);
+                    if let Some(i) = find_ci(win, self.head_scan, HEAD_END) {
+                        out.extend_from_slice(&win[..i]);
                         self.emit_injection(Which::Head, out);
-                        self.held.drain(..i);
+                        resolved += i;
                         self.scan = 0;
                         self.phase = Phase::SeekBody;
                         continue;
                     }
-                    self.head_scan = self.held.len().saturating_sub(HEAD_END.len() - 1);
+                    self.head_scan = win.len().saturating_sub(HEAD_END.len() - 1);
                     if self.body_at.is_none() {
-                        self.body_at = find_ci(&self.held, self.body_scan, BODY_OPEN);
+                        self.body_at = find_ci(win, self.body_scan, BODY_OPEN);
                         if self.body_at.is_none() {
-                            self.body_scan = self.held.len().saturating_sub(BODY_OPEN.len() - 1);
+                            self.body_scan = win.len().saturating_sub(BODY_OPEN.len() - 1);
                         }
                     }
-                    if !eof && self.held.len() < MAX_HELD_BYTES {
-                        return; // keep holding for `</head>`
+                    if !eof && win.len() < MAX_HELD_BYTES {
+                        return resolved; // keep holding for `</head>`
                     }
                     // Resolve without a `</head>`: before the first
                     // `<body` when one was seen, else at the start of
                     // the unflushed stream (document start, unless the
                     // hold cap already forced an earlier flush).
-                    if let Some(j) = self.body_at {
-                        out.extend_from_slice(&self.held[..j]);
-                        self.held.drain(..j);
+                    match self.body_at {
+                        Some(j) => {
+                            out.extend_from_slice(&win[..j]);
+                            resolved += j;
+                            self.scan = 0;
+                        }
+                        // No `<body` up to `body_scan`: the body hunt
+                        // resumes there instead of rescanning the hold.
+                        None => self.scan = self.body_scan,
                     }
                     self.emit_injection(Which::Head, out);
-                    self.scan = 0;
                     self.phase = Phase::SeekBody;
                 }
                 Phase::SeekBody => {
-                    if let Some(j) = find_ci(&self.held, self.scan, BODY_OPEN) {
+                    if let Some(j) = find_ci(win, self.scan, BODY_OPEN) {
                         let after = j + BODY_OPEN.len();
-                        out.extend_from_slice(&self.held[..after]);
+                        out.extend_from_slice(&win[..after]);
                         self.emit_injection(Which::BodyAttr, out);
-                        self.held.drain(..after);
+                        resolved += after;
                         self.scan = 0;
                         self.phase = Phase::SeekBodyEnd;
                         continue;
                     }
                     if eof {
-                        out.extend_from_slice(&self.held);
-                        self.held.clear();
+                        out.extend_from_slice(win);
                         self.emit_injection(Which::BodyEnd, out);
                         self.phase = Phase::Passthrough;
-                        return;
+                        return buf.len();
                     }
-                    let keep = partial_suffix(&self.held, BODY_OPEN);
-                    let flush = self.held.len() - keep;
-                    out.extend_from_slice(&self.held[..flush]);
-                    self.held.drain(..flush);
+                    let flush = win.len() - partial_suffix(win, BODY_OPEN);
+                    out.extend_from_slice(&win[..flush]);
                     self.scan = 0;
-                    return;
+                    return resolved + flush;
                 }
                 Phase::SeekBodyEnd => {
-                    if let Some(i) = find_ci(&self.held, self.scan, BODY_END) {
-                        out.extend_from_slice(&self.held[..i]);
-                        self.held.drain(..i);
+                    if let Some(i) = find_ci(win, self.scan, BODY_END) {
+                        out.extend_from_slice(&win[..i]);
+                        resolved += i;
                         self.scan = 1; // the candidate itself sits at 0
                         self.phase = Phase::HoldTail;
                         continue;
                     }
                     if eof {
-                        out.extend_from_slice(&self.held);
-                        self.held.clear();
+                        out.extend_from_slice(win);
                         self.emit_injection(Which::BodyEnd, out);
                         self.phase = Phase::Passthrough;
-                        return;
+                        return buf.len();
                     }
-                    let keep = partial_suffix(&self.held, BODY_END);
-                    let flush = self.held.len() - keep;
-                    out.extend_from_slice(&self.held[..flush]);
-                    self.held.drain(..flush);
+                    let flush = win.len() - partial_suffix(win, BODY_END);
+                    out.extend_from_slice(&win[..flush]);
                     self.scan = 0;
-                    return;
+                    return resolved + flush;
                 }
                 Phase::HoldTail => {
-                    if let Some(i) = find_ci(&self.held, self.scan.max(1), BODY_END) {
-                        out.extend_from_slice(&self.held[..i]);
-                        self.held.drain(..i);
+                    if let Some(i) = find_ci(win, self.scan.max(1), BODY_END) {
+                        out.extend_from_slice(&win[..i]);
+                        resolved += i;
                         self.scan = 1;
                         continue; // later candidate supersedes this one
                     }
-                    self.scan = self.held.len().saturating_sub(BODY_END.len() - 1).max(1);
-                    if eof || self.held.len() >= MAX_HELD_BYTES {
+                    self.scan = win.len().saturating_sub(BODY_END.len() - 1).max(1);
+                    if eof || win.len() >= MAX_HELD_BYTES {
                         // Inject before the held candidate — at EOF this
                         // IS the last `</body>`; at the cap we stop
                         // waiting for a later one.
                         self.emit_injection(Which::BodyEnd, out);
-                        out.extend_from_slice(&self.held);
-                        self.held.clear();
+                        out.extend_from_slice(win);
                         self.phase = Phase::Passthrough;
+                        return buf.len();
                     }
-                    return;
+                    return resolved;
                 }
                 Phase::Passthrough => {
-                    out.extend_from_slice(&self.held);
-                    self.held.clear();
-                    return;
+                    out.extend_from_slice(win);
+                    return buf.len();
                 }
             }
         }
@@ -491,7 +504,7 @@ impl AssetRewriter {
     fn scan(&mut self, out: &mut Vec<u8>, eof: bool) {
         loop {
             match self.state {
-                AState::Text => match self.pending[self.start..].iter().position(|&b| b == b'<') {
+                AState::Text => match find_byte(&self.pending, self.start, b'<') {
                     None => {
                         out.extend_from_slice(&self.pending[self.start..]);
                         self.pending.clear();
@@ -499,8 +512,7 @@ impl AssetRewriter {
                         self.cursor = 0;
                         return;
                     }
-                    Some(p) => {
-                        let lt = self.start + p;
+                    Some(lt) => {
                         out.extend_from_slice(&self.pending[self.start..lt]);
                         self.start = lt;
                         self.state = AState::Tag;
@@ -954,6 +966,9 @@ impl StreamingRewrite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::FULL_COMPARES;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     // ---- asset-proxy surface -------------------------------------------
 
@@ -1132,16 +1147,26 @@ mod tests {
 
     // ---- injection placement -------------------------------------------
 
-    /// Runs the injector alone with visible markers, in `chunk`-byte
-    /// pieces.
-    fn inject_chunked(html: &str, chunk: usize) -> String {
+    /// Runs the injector alone with visible markers over `html` cut
+    /// into pieces of the given sizes, cycled.
+    fn inject_pieces(html: &[u8], sizes: &[usize]) -> (Vec<u8>, Injector) {
         let mut inj = Injector::new("[H]".into(), "[A]".into(), "[B]".into());
         let mut out = Vec::new();
-        for piece in html.as_bytes().chunks(chunk.max(1)) {
+        let mut rest = html;
+        for &size in sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (piece, tail) = rest.split_at(size.clamp(1, rest.len()));
             inj.push(piece, &mut out);
+            rest = tail;
         }
         inj.finish(&mut out);
-        String::from_utf8(out).unwrap()
+        (out, inj)
+    }
+
+    fn inject_chunked(html: &str, chunk: usize) -> String {
+        String::from_utf8(inject_pieces(html.as_bytes(), &[chunk]).0).unwrap()
     }
 
     fn inject(html: &str) -> String {
@@ -1207,5 +1232,74 @@ mod tests {
         // scanning 192KB ahead — but it is injected exactly once.
         assert_eq!(text.matches("[B]").count(), 1);
         assert!(text.contains("[B]</body>"));
+    }
+
+    /// Anchors whole, shouted, and pre-cut, so random piece sizes land
+    /// boundaries inside `</bo│dy>` and between an anchor's halves.
+    fn anchor_fragment() -> impl Strategy<Value = String> {
+        prop_oneof![
+            Just("<head><title>t</title>".to_string()),
+            Just("</head>".to_string()),
+            Just("</HEAD>".to_string()),
+            Just("<body class=\"c\">".to_string()),
+            Just("<BoDy>".to_string()),
+            Just("</body>".to_string()),
+            Just("</BODY>".to_string()),
+            Just("</bo".to_string()),
+            Just("dy>".to_string()),
+            Just("<".to_string()),
+            Just("</".to_string()),
+            Just("<b".to_string()),
+            Just("<p>héllo ☃</p>".to_string()),
+            "[ -~]{0,30}",
+        ]
+    }
+
+    proptest! {
+        /// Any split of the input — through the in-place path when
+        /// nothing is held, through `held` when something is — injects
+        /// exactly what the one-shot push does.
+        #[test]
+        fn any_split_of_the_input_injects_identically(
+            parts in vec(anchor_fragment(), 0..12),
+            sizes in vec(1usize..48, 1..10),
+        ) {
+            let html = parts.concat();
+            let (whole, _) = inject_pieces(html.as_bytes(), &[html.len().max(1)]);
+            let (split, _) = inject_pieces(html.as_bytes(), &sizes);
+            prop_assert_eq!(
+                String::from_utf8_lossy(&split),
+                String::from_utf8_lossy(&whole),
+                "piece sizes {:?}", sizes
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_origins_are_scanned_in_linear_time() {
+        // A megabyte of nothing but candidates: bare `<`, the longest
+        // prefix of `</body>` that never completes, and `<B` (passes
+        // the second-byte filter for `<body` every time).
+        for unit in ["<", "</bod", "<B"] {
+            let html = unit.repeat((1 << 20) / unit.len());
+            let candidates = html.bytes().filter(|&b| b == b'<').count();
+            let expected = format!("[H]{html}[B]");
+            for write in [1, 16 * 1024] {
+                FULL_COMPARES.with(|n| n.set(0));
+                let (out, inj) = inject_pieces(html.as_bytes(), &[write]);
+                assert!(
+                    out == expected.as_bytes(),
+                    "{unit:?} in {write}-byte writes"
+                );
+                assert!(inj.peak_held <= MAX_HELD_BYTES + write);
+                // No candidate is compared twice: not after it failed,
+                // not when a hold resolves, not across a chunk boundary.
+                let compares = FULL_COMPARES.with(|n| n.get());
+                assert!(
+                    compares <= candidates,
+                    "{unit:?} in {write}-byte writes: {compares} compares for {candidates} `<`"
+                );
+            }
+        }
     }
 }

@@ -314,9 +314,9 @@ enum DecodeState {
     Done,
 }
 
-/// Incremental body decoder: feed it raw socket bytes, it appends the
-/// decoded body and tells you when the message ends. Holds no body
-/// bytes itself — memory is bounded by whatever the caller buffers.
+/// Incremental body decoder: show it raw socket bytes, it points out
+/// which of them are body and tells you when the message ends. Holds no
+/// body bytes itself — memory is bounded by whatever the caller buffers.
 #[derive(Debug)]
 pub struct BodyDecoder {
     state: DecodeState,
@@ -334,24 +334,30 @@ impl BodyDecoder {
         BodyDecoder { state }
     }
 
-    /// Consumes decodable bytes from the front of `buf` (draining them)
-    /// and appends the decoded body bytes to `out`. Returns `Ok(true)`
-    /// once the body is complete; further bytes in `buf` belong to the
-    /// next message (or are a framing error the caller may ignore at
-    /// EOF). `Err` means garbage chunk framing: answer 400 / close.
-    pub fn push(&mut self, buf: &mut Vec<u8>, out: &mut Vec<u8>) -> Result<bool, HttpError> {
+    /// Walks the framing at the front of `buf` and hands each run of
+    /// body bytes to `body`, in order, as a slice of `buf` — nothing is
+    /// copied. Returns how many bytes of `buf` were consumed (framing
+    /// included; an unfinished chunk-size or trailer line is left for
+    /// the next call) and whether the body is complete, after which the
+    /// rest of `buf` belongs to the next message. `Err` means garbage
+    /// chunk framing; runs handed over before it was met were good.
+    pub fn decode(
+        &mut self,
+        buf: &[u8],
+        mut body: impl FnMut(&[u8]),
+    ) -> Result<(usize, bool), HttpError> {
         let mut pos = 0usize;
         let done = loop {
             match self.state {
                 DecodeState::Done => break true,
                 DecodeState::Close => {
-                    out.extend_from_slice(&buf[pos..]);
+                    body(&buf[pos..]);
                     pos = buf.len();
                     break false;
                 }
                 DecodeState::Length { remaining } => {
                     let take = remaining.min(buf.len() - pos);
-                    out.extend_from_slice(&buf[pos..pos + take]);
+                    body(&buf[pos..pos + take]);
                     pos += take;
                     if take == remaining {
                         self.state = DecodeState::Done;
@@ -375,7 +381,7 @@ impl BodyDecoder {
                 },
                 DecodeState::ChunkData { remaining } => {
                     let take = remaining.min(buf.len() - pos);
-                    out.extend_from_slice(&buf[pos..pos + take]);
+                    body(&buf[pos..pos + take]);
                     pos += take;
                     if take == remaining {
                         self.state = DecodeState::ChunkEnd;
@@ -410,7 +416,15 @@ impl BodyDecoder {
                 }
             }
         };
-        buf.drain(..pos);
+        Ok((pos, done))
+    }
+
+    /// [`BodyDecoder::decode`] for callers that want the body copied
+    /// out: appends it to `out` and drains the consumed bytes from the
+    /// front of `buf`. Returns `Ok(true)` once the body is complete.
+    pub fn push(&mut self, buf: &mut Vec<u8>, out: &mut Vec<u8>) -> Result<bool, HttpError> {
+        let (used, done) = self.decode(buf, |run| out.extend_from_slice(run))?;
+        buf.drain(..used);
         Ok(done)
     }
 
@@ -439,10 +453,10 @@ pub fn dechunk(raw: &[u8]) -> Result<std::borrow::Cow<'_, [u8]>, HttpError> {
     if head_framing(head, BodyFraming::Length(0))? != BodyFraming::Chunked {
         return Ok(std::borrow::Cow::Borrowed(raw));
     }
-    let mut decoder = BodyDecoder::new(BodyFraming::Chunked);
-    let mut rest = raw[end + 4..].to_vec();
     let mut body = Vec::new();
-    if !decoder.push(&mut rest, &mut body)? {
+    let (_, done) = BodyDecoder::new(BodyFraming::Chunked)
+        .decode(&raw[end + 4..], |run| body.extend_from_slice(run))?;
+    if !done {
         return Err(HttpError::TruncatedBody {
             expected: body.len() + 1,
             actual: body.len(),

@@ -19,6 +19,8 @@ use std::time::Duration;
 #[derive(Debug, Default)]
 pub struct MockOrigin {
     pages: HashMap<String, String>,
+    /// Non-HTML bodies, served as `application/octet-stream`.
+    assets: HashMap<String, Vec<u8>>,
     latency: HashMap<String, Duration>,
     /// Pages served with `Transfer-Encoding: chunked`, in slices of the
     /// mapped size.
@@ -48,6 +50,13 @@ impl MockOrigin {
     /// Registers an HTML page at `path`.
     pub fn page(mut self, path: impl Into<String>, html: impl Into<String>) -> MockOrigin {
         self.pages.insert(path.into(), html.into());
+        self
+    }
+
+    /// Registers a non-HTML body at `path` (`application/octet-stream`)
+    /// — what the front door relays whole instead of instrumenting.
+    pub fn asset(mut self, path: impl Into<String>, bytes: impl Into<Vec<u8>>) -> MockOrigin {
+        self.assets.insert(path.into(), bytes.into());
         self
     }
 
@@ -199,9 +208,15 @@ impl MockOrigin {
                         .body_bytes(html.clone().into_bytes())
                         .build()
                 }
-                None => Response::builder(StatusCode::NOT_FOUND)
-                    .header("Content-Length", "0")
-                    .build(),
+                None => match self.assets.get(&path) {
+                    Some(bytes) => Response::builder(StatusCode::OK)
+                        .header("Content-Type", "application/octet-stream")
+                        .body_bytes(bytes.clone())
+                        .build(),
+                    None => Response::builder(StatusCode::NOT_FOUND)
+                        .header("Content-Length", "0")
+                        .build(),
+                },
             };
             if conn
                 .write_all(&wire::serialize_response(&response))

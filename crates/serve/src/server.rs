@@ -57,10 +57,11 @@
 //! serialized head-first straight into the slot's pooled write buffer
 //! with the body appended once — the whole message leaves in one
 //! `write` when the socket accepts it. Origin-side connections draw
-//! from the same pool, and the streaming relay reuses per-worker
-//! scratch for its decode → rewrite → chunk-encode hops. The epoll
-//! interest of every descriptor is cached on its slot, so a request
-//! that completes within one readiness batch re-arms nothing.
+//! from the same pool. Reads land directly in the slot's buffer — 8KB
+//! at first, 64KB at a time once a read fills what it was offered — so
+//! no byte crosses a bounce buffer on the way in. The epoll interest of
+//! every descriptor is cached on its slot, so a request that completes
+//! within one readiness batch re-arms nothing.
 //!
 //! # Streaming pages
 //!
@@ -69,6 +70,11 @@
 //! with `Transfer-Encoding: chunked`, then pipes origin body bytes
 //! through the gateway's [`PageStream`] rewriter as they arrive —
 //! decode one origin chunk, rewrite it, chunk-encode it to the client.
+//! Between the origin's `read` and the client's `write` a body byte is
+//! copied twice: the body decoder hands the rewriter slices of the
+//! origin's read buffer, the rewriter scans them in place and appends
+//! what it resolves to one per-worker scratch buffer, and the chunk
+//! encoder appends that to the client's write buffer.
 //! Memory per streamed page is bounded by the rewriter's constant
 //! hold-back plus the client's write backlog, never the page size, so a
 //! multi-MB page flows through in O(chunk). Backpressure is explicit: a
@@ -407,11 +413,9 @@ struct Worker {
     /// per-worker: a connection registered with this reactor can only
     /// ever be driven by this reactor.
     idle_pool: Vec<usize>,
-    /// Streaming-relay scratch: decoded origin payload, rewritten
-    /// output, and the chunk-encoded client payload — reused per step.
-    decode_scratch: Vec<u8>,
+    /// Streaming-relay scratch: one step's rewritten output, on its way
+    /// from the origin's read buffer to the client's write buffer.
     rewrite_scratch: Vec<u8>,
-    payload_scratch: Vec<u8>,
 }
 
 impl Server {
@@ -465,9 +469,7 @@ impl Server {
                 draining: false,
                 pool: Vec::new(),
                 idle_pool: Vec::new(),
-                decode_scratch: Vec::new(),
                 rewrite_scratch: Vec::new(),
-                payload_scratch: Vec::new(),
             });
         }
         for worker in &mut workers {
@@ -1261,7 +1263,7 @@ impl Worker {
         }
         if let OriginState::Streaming(fetch) = &mut o.state {
             fetch.wire_bytes += (o.buf.len() - before) as u64;
-            self.origin_stream_step(slot, o, eof);
+            self.origin_stream_step(slot, o, 0, eof);
         } else {
             self.origin_buffer_step(slot, o, eof);
         }
@@ -1324,7 +1326,7 @@ impl Worker {
 
     /// An origin fetch whose response head is not yet decided (or is a
     /// non-page response buffering whole).
-    fn origin_buffer_step(&mut self, slot: usize, o: OriginConn, eof: bool) {
+    fn origin_buffer_step(&mut self, slot: usize, mut o: OriginConn, eof: bool) {
         // A reused connection the origin closed without a single
         // response byte was stale in the pool: retry once, fresh.
         if eof && o.reused && !o.saw_byte && o.buf.is_empty() {
@@ -1359,6 +1361,9 @@ impl Worker {
                 // past the message's end.
                 let reusable = head.as_ref().is_some_and(reuse_allowed) && o.buf.len() == len;
                 let origin = classify_origin(&o.buf[..len]);
+                // The message is consumed; whatever is left is what
+                // `park_or_free` refuses to park over.
+                o.buf.drain(..len);
                 self.finish_origin(slot, o, origin, reusable);
             }
             Ok(_) if eof => {
@@ -1387,7 +1392,8 @@ impl Worker {
 
     /// Upgrades a fetch to the streaming path: lease the rewriter,
     /// answer the parked client's head with chunked framing, and run the
-    /// first stream step over whatever body bytes arrived with the head.
+    /// first stream step over whatever body bytes arrived with the head
+    /// (in place, behind it — the head is skipped, not shifted out).
     fn begin_stream(
         &mut self,
         slot: usize,
@@ -1402,8 +1408,7 @@ impl Worker {
         };
         let decoder = BodyDecoder::new(head.framing);
         let reusable = reuse_allowed(&head);
-        o.buf.drain(..head.len);
-        let wire_bytes = (head.len + o.buf.len()) as u64;
+        let wire_bytes = o.buf.len() as u64;
         o.state = OriginState::Streaming(Box::new(StreamingFetch {
             decoder,
             page,
@@ -1436,34 +1441,34 @@ impl Worker {
             Interest::WRITABLE,
         );
         self.slots[o.client_slot] = Some(Slot::Client(c));
-        self.origin_stream_step(slot, o, eof);
+        self.origin_stream_step(slot, o, head.len, eof);
     }
 
     /// One step of an active stream: decode what arrived, rewrite it,
     /// chunk-encode it to the client, and settle the fetch's fate
-    /// (finished, truncated, or waiting for more). All three hops run
-    /// through per-worker scratch buffers — nothing allocates per step.
-    fn origin_stream_step(&mut self, slot: usize, mut o: OriginConn, eof: bool) {
+    /// (finished, truncated, or waiting for more). A body byte is copied
+    /// twice on the way through: the decoder points at body runs inside
+    /// the origin's read buffer (past the `skip` bytes of response head
+    /// on the first step), the rewriter scans them there and appends
+    /// what resolves to the per-worker scratch, and the chunk encoder
+    /// appends that to the buffer the client's `write` drains.
+    fn origin_stream_step(&mut self, slot: usize, mut o: OriginConn, skip: usize, eof: bool) {
         let OriginState::Streaming(fetch) = &mut o.state else {
             unreachable!("caller checked the state");
         };
-        self.decode_scratch.clear();
-        let done = match fetch.decoder.push(&mut o.buf, &mut self.decode_scratch) {
-            Ok(done) => done,
-            Err(_) => {
-                // Garbage chunk framing mid-stream.
-                self.truncate_stream(slot, o);
-                return;
-            }
+        let StreamingFetch { decoder, page, .. } = &mut **fetch;
+        let mut rewritten = std::mem::take(&mut self.rewrite_scratch);
+        rewritten.clear();
+        let decoded = decoder.decode(&o.buf[skip..], |run| page.write(run, &mut rewritten));
+        let Ok((used, done)) = decoded else {
+            // Garbage chunk framing mid-stream; what decoded cleanly
+            // ahead of it still goes out.
+            self.truncate_stream_with(slot, o, rewritten);
+            return;
         };
-        self.rewrite_scratch.clear();
-        fetch
-            .page
-            .write(&self.decode_scratch, &mut self.rewrite_scratch);
-        let mut payload = std::mem::take(&mut self.payload_scratch);
-        payload.clear();
-        chunk_encode(&self.rewrite_scratch, &mut payload);
-        if done || (eof && fetch.decoder.eof_ok()) {
+        // Usually the whole buffer: nothing is left to shift down.
+        o.buf.drain(..skip + used);
+        if done || (eof && decoder.eof_ok()) {
             // Clean end of body: flush the rewriter's tail, commit the
             // lease, and stage the terminal chunk.
             let OriginState::Streaming(fetch) =
@@ -1472,37 +1477,35 @@ impl Worker {
                 unreachable!("matched above");
             };
             let pending = o.pending.take().expect("finish runs once per fetch");
-            // The rewritten bytes are already chunk-encoded into
-            // `payload`; the rewrite scratch is free to hold the tail.
-            self.rewrite_scratch.clear();
+            // The tail lands behind this step's output and leaves as a
+            // chunk of its own.
+            let tail_at = rewritten.len();
             let now = self.now();
             let _served = self.gateway.finish_page_stream(
                 pending,
                 fetch.page,
-                &mut self.rewrite_scratch,
+                &mut rewritten,
                 fetch.wire_bytes,
                 now,
             );
-            chunk_encode(&self.rewrite_scratch, &mut payload);
-            payload.extend_from_slice(b"0\r\n\r\n");
             self.reactor.cancel_deadline(token_of(slot));
             let client_slot = o.client_slot;
             // A stream that ended by EOF closed its connection; one
             // that ended by framing with a reuse-friendly head parks.
             let reusable = fetch.reusable && !eof;
             self.park_or_free(slot, o, reusable);
-            self.deliver_stream(client_slot, &payload, StreamEnd::Clean);
-            self.payload_scratch = payload;
+            self.deliver_stream(client_slot, rewritten.split_at(tail_at), StreamEnd::Clean);
+            self.rewrite_scratch = rewritten;
             return;
         }
         if eof {
             // The origin closed mid-body: truncation, not completion.
-            self.truncate_stream_with(slot, o, payload);
+            self.truncate_stream_with(slot, o, rewritten);
             return;
         }
         let client_slot = o.client_slot;
-        let delivered = self.deliver_stream(client_slot, &payload, StreamEnd::More);
-        self.payload_scratch = payload;
+        let delivered = self.deliver_stream(client_slot, (&rewritten, &[]), StreamEnd::More);
+        self.rewrite_scratch = rewritten;
         let Some(backlog) = delivered else {
             // Client gone mid-stream: commit the lease, drop the fetch.
             self.abandon_origin(slot, o);
@@ -1545,13 +1548,15 @@ impl Worker {
         self.recycle(out);
     }
 
-    /// Appends `payload` to a streaming client's backlog, records how
-    /// the stream ends, and pumps the write. Returns the remaining
-    /// backlog in bytes, or `None` when the client is gone.
+    /// Chunk-encodes a step's output and (when the stream is ending) the
+    /// rewriter's tail, each a chunk of its own, straight onto a
+    /// streaming client's backlog, records how the stream ends, and
+    /// pumps the write. Returns the remaining backlog in bytes, or
+    /// `None` when the client is gone.
     fn deliver_stream(
         &mut self,
         client_slot: usize,
-        payload: &[u8],
+        (output, tail): (&[u8], &[u8]),
         new_end: StreamEnd,
     ) -> Option<usize> {
         let Some(Slot::Client(mut c)) = self.slots.get_mut(client_slot).and_then(Option::take)
@@ -1571,7 +1576,11 @@ impl Worker {
         if new_end != StreamEnd::More {
             *origin_slot = None;
         }
-        c.out.extend_from_slice(payload);
+        chunk_encode(output, &mut c.out);
+        chunk_encode(tail, &mut c.out);
+        if new_end == StreamEnd::Clean {
+            c.out.extend_from_slice(b"0\r\n\r\n");
+        }
         if self.pump(client_slot, &mut c, false) {
             let backlog = match &c.state {
                 ClientState::Streaming { .. } => c.out.len() - c.pos,
@@ -1590,30 +1599,38 @@ impl Worker {
     /// the session's in-flight count — and the client's stream ends
     /// without a terminal chunk so the truncation stays visible.
     fn truncate_stream(&mut self, slot: usize, o: OriginConn) {
-        self.truncate_stream_with(slot, o, Vec::new());
+        let mut rewritten = std::mem::take(&mut self.rewrite_scratch);
+        rewritten.clear();
+        self.truncate_stream_with(slot, o, rewritten);
     }
 
-    fn truncate_stream_with(&mut self, slot: usize, mut o: OriginConn, mut payload: Vec<u8>) {
+    /// [`Worker::truncate_stream`] with this step's output (`rewritten`,
+    /// the worker's scratch on loan) still to deliver ahead of the tail.
+    fn truncate_stream_with(&mut self, slot: usize, mut o: OriginConn, mut rewritten: Vec<u8>) {
         self.reactor.cancel_deadline(token_of(slot));
         self.pending_free.push(slot);
         let client_slot = o.client_slot;
+        let tail_at = rewritten.len();
         if let (Some(pending), OriginState::Streaming(fetch)) = (
             o.pending.take(),
             std::mem::replace(&mut o.state, OriginState::Buffering),
         ) {
-            let mut tail = Vec::new();
             let now = self.now();
             let _ = self.gateway.finish_page_stream(
                 pending,
                 fetch.page,
-                &mut tail,
+                &mut rewritten,
                 fetch.wire_bytes,
                 now,
             );
-            chunk_encode(&tail, &mut payload);
         }
         self.retire_origin(o);
-        self.deliver_stream(client_slot, &payload, StreamEnd::Truncated);
+        self.deliver_stream(
+            client_slot,
+            rewritten.split_at(tail_at),
+            StreamEnd::Truncated,
+        );
+        self.rewrite_scratch = rewritten;
     }
 
     /// After a client write drained some backlog, resume a paused
@@ -1710,18 +1727,33 @@ fn wants_keep_alive(request: &Request) -> bool {
     }
 }
 
-/// Reads until the socket would block. Returns `true` at EOF/reset.
+/// Landing area a read starts with: room for any request and most
+/// response heads, and all the zero-filling a small message costs.
+const READ_FIRST: usize = 8 * 1024;
+
+/// Landing area added once a read has filled what it was given — the
+/// peer is sending a body, so ask for it in body-sized pieces.
+const READ_MORE: usize = 64 * 1024;
+
+/// Reads until the socket would block, straight into the tail of `buf`
+/// (no bounce buffer). Returns `true` at EOF/reset.
 fn read_available(stream: &mut TcpStream, buf: &mut Vec<u8>) -> bool {
-    let mut chunk = [0u8; 8192];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return true,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return true,
+    let mut filled = buf.len();
+    buf.resize(filled + READ_FIRST, 0);
+    let eof = loop {
+        if filled == buf.len() {
+            buf.resize(filled + READ_MORE, 0);
         }
-    }
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) => break true,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break false,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => break true,
+        }
+    };
+    buf.truncate(filled);
+    eof
 }
 
 /// Writes until done or the socket would block.

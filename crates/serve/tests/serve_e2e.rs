@@ -610,6 +610,83 @@ fn origin_pool_reuses_one_connection_across_a_burst() {
     assert_eq!(report.origin_retries, 0);
 }
 
+/// Non-HTML responses take the buffered path, and their connection
+/// goes back to the pool just like a streamed page's: ten asset fetches
+/// cost one connect.
+#[test]
+fn asset_fetches_return_their_connection_to_the_pool() {
+    let asset = vec![0xA5u8; 4096];
+    let origin = MockOrigin::new()
+        .asset("/pixel.bin", asset.clone())
+        .keep_alive()
+        .start()
+        .unwrap();
+    let origin_addr = origin.addr();
+    let fx = Fixture::with(
+        Gateway::builder().seed(33).build(),
+        |config| config.origin = Some(origin_addr),
+        Some(origin),
+    );
+    let ua = "Mozilla/5.0 e2e-pool-assets";
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    for _ in 0..10 {
+        let response = get_on(&mut conn, "/pixel.bin", ua);
+        assert_eq!(response.status(), StatusCode::OK);
+        assert_eq!(response.body(), asset.as_slice());
+    }
+    drop(conn);
+    let report = fx.finish();
+    assert_eq!(report.origin_connects, 1, "one socket fed every fetch");
+    assert_eq!(report.origin_reuses, 9);
+    assert_eq!(report.origin_retries, 0);
+}
+
+/// An origin that writes past the end of its own message has a
+/// connection nobody can trust: the surplus is neither served nor
+/// parked over.
+#[test]
+fn bytes_past_the_frame_keep_a_connection_out_of_the_pool() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let origin_addr = listener.local_addr().unwrap();
+    // Two connections, one exchange each: answer with the message and
+    // its surplus in a single write, then wait for the peer to hang up.
+    let origin = std::thread::spawn(move || {
+        for _ in 0..2 {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut request = Vec::new();
+            let mut byte = [0u8; 1];
+            while !request.ends_with(b"\r\n\r\n") {
+                assert_eq!(std::io::Read::read(&mut conn, &mut byte).unwrap(), 1);
+                request.push(byte[0]);
+            }
+            conn.write_all(
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n\
+                  Content-Length: 5\r\n\r\nhelloSURPLUS",
+            )
+            .unwrap();
+            let mut rest = Vec::new();
+            let _ = std::io::Read::read_to_end(&mut conn, &mut rest);
+        }
+    });
+    let fx = Fixture::with(
+        Gateway::builder().seed(34).build(),
+        |config| config.origin = Some(origin_addr),
+        None,
+    );
+    let ua = "Mozilla/5.0 e2e-pool-surplus";
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    for _ in 0..2 {
+        let response = get_on(&mut conn, "/blob.bin", ua);
+        assert_eq!(response.status(), StatusCode::OK);
+        assert_eq!(response.body(), b"hello");
+    }
+    drop(conn);
+    let report = fx.finish();
+    origin.join().unwrap();
+    assert_eq!(report.origin_connects, 2, "each fetch dialed afresh");
+    assert_eq!(report.origin_reuses, 0);
+}
+
 /// A parked connection the origin kills on reuse costs exactly one
 /// transparent retry — never a user-visible error, never a leaked
 /// lease. `close_after_responses(1)` makes the race deterministic: the
