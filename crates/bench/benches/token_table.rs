@@ -67,7 +67,12 @@ fn bench_token_table(c: &mut Criterion) {
     group.bench_function("issue_and_classify", |b| {
         let engine = RewriteEngine::new(InstrumentConfig::default(), 7);
         let mut tokens = TokenState::default();
-        let page: botwall_http::Uri = "http://h.example/index.html".parse().unwrap();
+        let page = botwall_http::Request::builder(
+            botwall_http::Method::Get,
+            "http://h.example/index.html",
+        )
+        .build()
+        .unwrap();
         let (_, manifest) =
             engine.instrument_session_page("<html></html>", &page, &mut tokens, 1, SimTime::ZERO);
         let css = manifest.css_probe.unwrap();

@@ -176,7 +176,8 @@ pub struct KeyState {
     pub verdict: Verdict,
     /// Rate-bucket and block state for the policy engine.
     pub policy: PolicyState,
-    /// Outstanding beacon keys and stored scripts for this session.
+    /// Outstanding beacon keys and their scripts (seeds until fetched)
+    /// for this session.
     pub tokens: TokenState,
     /// The CAPTCHA challenge this session must answer, if one is
     /// outstanding.

@@ -26,9 +26,9 @@
 //! Everything the request touches is one of three kinds:
 //!
 //! * **shard-local** — the session record and its colocated `KeyState`
-//!   (evidence, verdict, rate bucket, block flag, beacon tokens +
-//!   stored scripts, outstanding CAPTCHA challenge), all inside the one
-//!   shard entry;
+//!   (evidence, verdict, rate bucket, block flag, beacon tokens + their
+//!   scripts — generated by the first fetch, not by the page serve —
+//!   outstanding CAPTCHA challenge), all inside the one shard entry;
 //! * **immutable-shared** — the config, thresholds, the boundary model,
 //!   and the [`RewriteEngine`] (page rewriting and probe classification
 //!   with no interior mutability at all — probe URLs authenticate
@@ -480,9 +480,11 @@ impl Gateway {
     /// Phase two, **streaming** variant — begin. Called when the origin
     /// response head reveals an HTML page: one short critical section
     /// re-binds the lease to mint this page's instrumentation — the RNG
-    /// draw, probe URLs, generated script, and the beacon token *issued
-    /// into the session immediately*, so a fast browser redeeming a
-    /// probe mid-stream already hits live state — and returns a
+    /// draw, probe URLs (on the request's `Host` when its target names
+    /// none), and the beacon token *issued into the session
+    /// immediately*, its script a seed until somebody fetches it, so a
+    /// fast browser redeeming a probe mid-stream already hits live
+    /// state — and returns a
     /// [`PageStream`] to pump origin body chunks through. The rewrite
     /// is byte-identical to the buffered path ([`Origin::Page`] via
     /// [`Gateway::complete`]) for the same session state.
@@ -501,16 +503,14 @@ impl Gateway {
                 let seed = self
                     .engine
                     .session_stream_seed(session.key().shard_hash(), session.started());
-                let stream = {
+                let mut stream = {
                     let rng = state.tokens.rng_seeded(seed);
-                    self.engine.begin_stream(pending.request.uri(), now, rng)
+                    self.engine.begin_request_stream(&pending.request, now, rng)
                 };
-                if let Some(tok) = stream.token() {
-                    state.tokens.issue(
+                if let Some(token) = stream.take_token() {
+                    state.tokens.issue_page(
                         pending.request.uri().path(),
-                        tok.key,
-                        tok.decoys.clone(),
-                        Some((tok.js_nonce, tok.js.source.clone())),
+                        token,
                         now,
                         self.engine.config().token_table.max_entries_per_ip,
                     );
@@ -633,12 +633,13 @@ impl Gateway {
                         // gateway itself — it must flow even under
                         // mandatory-challenge mode, because it is the
                         // channel through which humans prove themselves.
-                        // The generated script comes out of this
-                        // session's own token state.
+                        // The script comes out of this session's own
+                        // token state, generated there by the first
+                        // fetch and borrowed by every later one.
                         let js = match classified {
-                            Classified::Probe(hit) if hit.kind == ProbeKind::JsFile => {
-                                state.tokens.script_for(hit.nonce)
-                            }
+                            Classified::Probe(hit) if hit.kind == ProbeKind::JsFile => self
+                                .engine
+                                .session_script(&mut state.tokens, hit.nonce, request),
                             _ => None,
                         };
                         if let Some(response) = self.engine.respond(classified, js) {
@@ -742,7 +743,7 @@ impl Gateway {
                         .session_stream_seed(session.key().shard_hash(), session.started());
                     let (rewritten, manifest) = self.engine.instrument_session_page(
                         &html,
-                        request.uri(),
+                        request,
                         &mut state.tokens,
                         seed,
                         now,

@@ -5,6 +5,7 @@ use crate::headers::Headers;
 use crate::method::Method;
 use crate::uri::Uri;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// An IPv4-style client address used to key sessions.
 ///
@@ -121,6 +122,16 @@ impl Request {
         self.client = ip;
     }
 
+    /// The authority (`host[:port]`) this request was addressed to: the
+    /// target's own when it is absolute-form (a proxy-style request
+    /// line), else the `Host` header (what a browser talking to a
+    /// reverse proxy sends). Unvalidated client input.
+    pub fn authority(&self) -> Option<Cow<'_, str>> {
+        self.uri
+            .authority()
+            .or_else(|| self.headers.get("Host").map(Cow::Borrowed))
+    }
+
     /// The `User-Agent` header value, if present.
     pub fn user_agent(&self) -> Option<&str> {
         self.headers.get("User-Agent")
@@ -219,6 +230,22 @@ mod tests {
         assert_eq!(r.uri().path(), "/cgi-bin/login");
         assert_eq!(r.client().as_u32(), 7);
         assert_eq!(r.headers().content_length(), Some(13));
+    }
+
+    #[test]
+    fn authority_prefers_the_target_then_the_host_header() {
+        let get = |uri: &str, host: Option<&str>| {
+            let mut b = Request::builder(Method::Get, uri);
+            if let Some(host) = host {
+                b = b.header("host", host);
+            }
+            b.build().unwrap()
+        };
+        let r = get("http://proxied.example:81/x", Some("other.example"));
+        assert_eq!(r.authority().as_deref(), Some("proxied.example:81"));
+        let r = get("/x", Some("shop.example.org:8080"));
+        assert_eq!(r.authority().as_deref(), Some("shop.example.org:8080"));
+        assert_eq!(get("/x", None).authority(), None);
     }
 
     #[test]

@@ -7,8 +7,26 @@
 
 use crate::error::HttpError;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
+
+/// The two schemes the parser accepts — an enum, so building a URI does
+/// not allocate for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+enum Scheme {
+    Http,
+    Https,
+}
+
+impl Scheme {
+    fn as_str(self) -> &'static str {
+        match self {
+            Scheme::Http => "http",
+            Scheme::Https => "https",
+        }
+    }
+}
 
 /// A parsed URI: optional scheme/host/port plus path and optional query.
 ///
@@ -30,7 +48,7 @@ use std::str::FromStr;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Uri {
-    scheme: Option<String>,
+    scheme: Option<Scheme>,
     host: Option<String>,
     port: Option<u16>,
     path: String,
@@ -52,8 +70,8 @@ impl Uri {
         }
         if let Some(rest) = s
             .strip_prefix("http://")
-            .map(|r| ("http", r))
-            .or_else(|| s.strip_prefix("https://").map(|r| ("https", r)))
+            .map(|r| (Scheme::Http, r))
+            .or_else(|| s.strip_prefix("https://").map(|r| (Scheme::Https, r)))
         {
             let (scheme, rest) = rest;
             let (authority, path_and_query) = match rest.find('/') {
@@ -77,7 +95,7 @@ impl Uri {
             };
             let (path, query) = split_query(path_and_query);
             Ok(Uri {
-                scheme: Some(scheme.to_string()),
+                scheme: Some(scheme),
                 host: Some(host),
                 port,
                 path,
@@ -106,7 +124,8 @@ impl Uri {
         }
     }
 
-    /// Builds an absolute `http` URI from parts.
+    /// Builds an absolute `http` URI from parts; `host` may carry a
+    /// `:port`, as a `Host` header does.
     ///
     /// # Examples
     ///
@@ -114,14 +133,27 @@ impl Uri {
     /// use botwall_http::Uri;
     /// let u = Uri::absolute("example.com", "/x.css");
     /// assert_eq!(u.to_string(), "http://example.com/x.css");
+    /// let u = Uri::absolute("127.0.0.1:8080", "/x.css");
+    /// assert_eq!((u.host(), u.port()), (Some("127.0.0.1"), Some(8080)));
     /// ```
     pub fn absolute(host: impl Into<String>, path: impl Into<String>) -> Uri {
-        let path = path.into();
-        let (path, query) = split_query(&path);
+        let mut host = host.into();
+        let port = host.rfind(':').and_then(|colon| {
+            let port = host[colon + 1..].parse::<u16>().ok()?;
+            host.truncate(colon);
+            Some(port)
+        });
+        // The path's own buffer is kept: a probe URL is built per page.
+        let mut path = path.into();
+        let query = path.find('?').map(|at| {
+            let query = path[at + 1..].to_string();
+            path.truncate(at);
+            query
+        });
         Uri {
-            scheme: Some("http".to_string()),
-            host: Some(host.into()),
-            port: None,
+            scheme: Some(Scheme::Http),
+            host: Some(host),
+            port,
             path,
             query,
         }
@@ -129,7 +161,7 @@ impl Uri {
 
     /// The scheme (`http`/`https`), if absolute-form.
     pub fn scheme(&self) -> Option<&str> {
-        self.scheme.as_deref()
+        self.scheme.map(Scheme::as_str)
     }
 
     /// The host, if absolute-form.
@@ -142,10 +174,20 @@ impl Uri {
         self.port
     }
 
+    /// `host[:port]` as it appeared in the URI, if absolute-form —
+    /// borrowed unless a port has to be spliced back on.
+    pub fn authority(&self) -> Option<Cow<'_, str>> {
+        let host = self.host.as_deref()?;
+        Some(match self.port {
+            Some(port) => Cow::Owned(format!("{host}:{port}")),
+            None => Cow::Borrowed(host),
+        })
+    }
+
     /// The effective port: explicit, or the scheme default.
     pub fn effective_port(&self) -> u16 {
-        self.port.unwrap_or(match self.scheme.as_deref() {
-            Some("https") => 443,
+        self.port.unwrap_or(match self.scheme {
+            Some(Scheme::Https) => 443,
             _ => 80,
         })
     }
@@ -227,8 +269,8 @@ fn split_query(s: &str) -> (String, Option<String>) {
 
 impl fmt::Display for Uri {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if let (Some(scheme), Some(host)) = (&self.scheme, &self.host) {
-            write!(f, "{scheme}://{host}")?;
+        if let (Some(scheme), Some(host)) = (self.scheme, &self.host) {
+            write!(f, "{}://{host}", scheme.as_str())?;
             if let Some(p) = self.port {
                 write!(f, ":{p}")?;
             }
@@ -290,6 +332,20 @@ mod tests {
         assert_eq!(u.host(), None);
         assert_eq!(u.path(), "/a/b");
         assert_eq!(u.query(), Some("x=1"));
+    }
+
+    #[test]
+    fn authority_splices_the_port_back_on() {
+        let u: Uri = "http://h:8080/x".parse().unwrap();
+        assert_eq!(u.authority().as_deref(), Some("h:8080"));
+        let u: Uri = "http://h/x".parse().unwrap();
+        assert_eq!(u.authority().as_deref(), Some("h"));
+        let u: Uri = "/x".parse().unwrap();
+        assert_eq!(u.authority(), None);
+        assert_eq!(
+            Uri::absolute("h:8080", "/x?q=1"),
+            "http://h:8080/x?q=1".parse().unwrap()
+        );
     }
 
     #[test]

@@ -28,7 +28,17 @@ pub const BEACON_EXT: &str = "jpg";
 /// assert_eq!(beacon::decode(&url), Some(BeaconKey::from_raw(0xabc)));
 /// ```
 pub fn encode(host: &str, key: BeaconKey) -> Uri {
-    Uri::absolute(host, format!("/{}.{}", key.to_hex(), BEACON_EXT))
+    Uri::absolute(host, path(key))
+}
+
+/// The path of `key`'s beacon URL: `/<32 hex digits>.jpg`.
+pub fn path(key: BeaconKey) -> String {
+    let mut path = String::with_capacity(34 + BEACON_EXT.len());
+    path.push('/');
+    key.push_hex(&mut path);
+    path.push('.');
+    path.push_str(BEACON_EXT);
+    path
 }
 
 /// Extracts a candidate beacon key from a URL, if its shape matches.

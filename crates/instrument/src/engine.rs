@@ -23,18 +23,27 @@
 //!   simulation-grade double splitmix64, not cryptographic — a real
 //!   deployment would swap in SipHash/HMAC, same construction.)
 //! * **Per-session mutable state.** Issued beacon keys, their decoys,
-//!   and the generated scripts belong to exactly one session, so they
-//!   live in that session's [`TokenState`] — colocated with the rest of
-//!   the per-key detection state in its tracker shard entry. The engine
+//!   and the scripts belong to exactly one session, so they live in
+//!   that session's [`TokenState`] — colocated with the rest of the
+//!   per-key detection state in its tracker shard entry. The engine
 //!   only *produces* them ([`RewriteEngine::build_page`]); the caller
 //!   stores them under whatever lock it already holds.
+//! * **Scripts are generated when fetched.** A page rewrite mints the
+//!   probe URLs and the token but not the ~1 KB obfuscated script: it
+//!   draws one 64-bit script seed from the session's stream, wires the
+//!   handler name that seed implies into `<body onmousemove>`, and the
+//!   token entry keeps the seed (a [`ScriptSeed`], 16 bytes).
+//!   [`RewriteEngine::session_script`] builds the source from the
+//!   entry's own key, decoys and seed on the first fetch of the
+//!   `<script src>` URL and leaves it in the entry; a page whose script
+//!   is never fetched never pays for one, in time or in memory.
 
 use crate::beacon;
 use crate::jsgen::{self, GeneratedJs, JsSpec};
 use crate::probe::{AutomationReport, ProbeHit, ProbeKind};
 use crate::rewrite::{Classified, InstrumentConfig, ProbeManifest};
 use crate::stream::StreamingRewrite;
-use crate::token::{BeaconKey, TokenState};
+use crate::token::{BeaconKey, ScriptSeed, TokenState};
 use botwall_http::{Request, Response, StatusCode, Uri};
 use botwall_sessions::SimTime;
 use rand::Rng;
@@ -118,8 +127,8 @@ pub enum Sighting {
 
 /// Everything one page rewrite produced: the rewritten HTML, the probe
 /// manifest, and — when the mouse beacon is deployed — the issued token
-/// (key + decoys) and generated script for the caller to store in the
-/// session's [`TokenState`].
+/// (key, decoys, script seed) for the caller to store in the session's
+/// [`TokenState`].
 #[derive(Debug, Clone)]
 pub struct BuiltPage {
     /// The rewritten HTML.
@@ -131,8 +140,8 @@ pub struct BuiltPage {
 }
 
 /// The per-page beacon token a rewrite issues: the real key, its decoys,
-/// and the generated script (keyed by its probe nonce) that references
-/// them.
+/// and what the script that references them (served under its probe
+/// nonce) will be generated from.
 #[derive(Debug, Clone)]
 pub struct IssuedPageToken {
     /// The real 128-bit beacon key.
@@ -141,8 +150,64 @@ pub struct IssuedPageToken {
     pub decoys: Vec<BeaconKey>,
     /// The nonce of the `<script src>` probe URL.
     pub js_nonce: u64,
-    /// The generated script served under that nonce.
-    pub js: GeneratedJs,
+    /// The seed of the script served under that nonce; see
+    /// [`RewriteEngine::generate_script`].
+    pub script: ScriptSeed,
+}
+
+/// Where one page's probe URLs point: `http://authority` in front of
+/// every path, or nothing — path-only URLs — when the request named no
+/// usable authority.
+#[derive(Debug, Clone, Copy)]
+struct Site<'a>(Option<&'a str>);
+
+impl<'a> Site<'a> {
+    /// The authority arrives in a request line or a `Host` header and
+    /// leaves inside an HTML attribute: anything but a plain
+    /// `host[:port]` is dropped.
+    fn of(authority: Option<&'a str>) -> Site<'a> {
+        Site(authority.filter(|a| {
+            !a.is_empty()
+                && a.len() <= 255
+                && a.bytes().all(|b| {
+                    b.is_ascii_alphanumeric()
+                        || matches!(b, b'.' | b'-' | b'_' | b':' | b'[' | b']')
+                })
+        }))
+    }
+
+    fn uri(self, path: String) -> Uri {
+        match self.0 {
+            Some(authority) => Uri::absolute(authority, path),
+            None => path.parse().expect("probe paths are origin-form"),
+        }
+    }
+
+    /// Appends `uri` — one of this site's — as it goes into markup.
+    fn push_url(self, out: &mut String, uri: &Uri) {
+        if let Some(authority) = self.0 {
+            out.push_str("http://");
+            out.push_str(authority);
+        }
+        out.push_str(uri.path());
+    }
+}
+
+/// `/<nonce as 20 digits>.<ext>`, formatted on the stack.
+fn probe_path(nonce: u64, kind: ProbeKind) -> String {
+    let mut digits = [b'0'; 20];
+    let mut rest = nonce;
+    for digit in digits.iter_mut().rev() {
+        *digit = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    let ext = kind.extension();
+    let mut path = String::with_capacity(22 + ext.len());
+    path.push('/');
+    path.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
+    path.push('.');
+    path.push_str(ext);
+    path
 }
 
 /// A 1×1 transparent GIF (the classic 43-byte pixel).
@@ -164,12 +229,15 @@ const FAKE_JPEG: &[u8] = &[
 /// # Examples
 ///
 /// ```
-/// use botwall_http::Uri;
+/// use botwall_http::{Method, Request};
 /// use botwall_instrument::{InstrumentConfig, RewriteEngine, TokenState};
 /// use botwall_sessions::SimTime;
 ///
 /// let engine = RewriteEngine::new(InstrumentConfig::default(), 7);
-/// let page: Uri = "http://site.example/index.html".parse().unwrap();
+/// let page = Request::builder(Method::Get, "/index.html")
+///     .header("Host", "site.example")
+///     .build()
+///     .unwrap();
 /// let mut tokens = TokenState::default();
 /// let (html, manifest) = engine.instrument_session_page(
 ///     "<html><head></head><body></body></html>",
@@ -179,6 +247,7 @@ const FAKE_JPEG: &[u8] = &[
 ///     SimTime::ZERO,
 /// );
 /// assert!(html.contains("onmousemove"));
+/// assert!(html.contains("href=\"http://site.example/"));
 /// assert!(manifest.mouse_beacon.is_some());
 /// assert_eq!(tokens.len(), 1);
 /// ```
@@ -262,15 +331,12 @@ impl RewriteEngine {
     fn probe_url<R: Rng>(
         &self,
         kind: ProbeKind,
-        host: &str,
+        site: Site<'_>,
         now: SimTime,
         rng: &mut R,
     ) -> (Uri, u64) {
         let nonce = self.probe_nonce(kind, now, rng);
-        (
-            Uri::absolute(host, format!("/{nonce:020}.{}", kind.extension())),
-            nonce,
-        )
+        (site.uri(probe_path(nonce, kind)), nonce)
     }
 
     /// Classifies a request against the instrumentation scheme without
@@ -333,16 +399,40 @@ impl RewriteEngine {
         })
     }
 
-    /// Begins a streaming page rewrite: mints this page's probes,
-    /// beacon token, and generated script up front (drawing all
-    /// randomness from `rng`, in the same order as the buffered path
-    /// always has), and returns a [`StreamingRewrite`] to feed origin
-    /// chunks through. The issued token is available immediately via
+    /// Begins a streaming page rewrite: mints this page's probes, beacon
+    /// token and script seed up front (drawing all randomness from
+    /// `rng`, in the same order as the buffered path always has), and
+    /// returns a [`StreamingRewrite`] to feed origin chunks through. The
+    /// issued token is available immediately via
     /// [`StreamingRewrite::token`] — streaming callers store it in the
     /// session *before* the body has streamed, so a probe fetched by a
-    /// fast browser mid-stream already redeems.
+    /// fast browser mid-stream already redeems. Probe URLs point at
+    /// `page`'s authority (path-only when it has none).
     pub fn begin_stream<R: Rng>(&self, page: &Uri, now: SimTime, rng: &mut R) -> StreamingRewrite {
-        let host = page.host().unwrap_or("unknown.example");
+        self.mint(page.authority().as_deref(), page, now, rng)
+    }
+
+    /// [`RewriteEngine::begin_stream`] for the page `request` asked for,
+    /// with the probe URLs pointed at [`Request::authority`]: a browser
+    /// talking to a reverse proxy names the site in its `Host` header,
+    /// not in the request target.
+    pub fn begin_request_stream<R: Rng>(
+        &self,
+        request: &Request,
+        now: SimTime,
+        rng: &mut R,
+    ) -> StreamingRewrite {
+        self.mint(request.authority().as_deref(), request.uri(), now, rng)
+    }
+
+    fn mint<R: Rng>(
+        &self,
+        authority: Option<&str>,
+        page: &Uri,
+        now: SimTime,
+        rng: &mut R,
+    ) -> StreamingRewrite {
+        let site = Site::of(authority);
         let mut manifest = ProbeManifest {
             page: page.clone(),
             js_file: None,
@@ -355,15 +445,15 @@ impl RewriteEngine {
             html_overhead: 0,
         };
         let mut token = None;
-        let mut head_inject = String::new();
+        let mut head_inject = String::with_capacity(256);
         let mut body_attr = String::new();
         let mut body_inject = String::new();
 
         if self.config.css_probe {
-            let (url, _) = self.probe_url(ProbeKind::CssProbe, host, now, rng);
-            head_inject.push_str(&format!(
-                "<link rel=\"stylesheet\" type=\"text/css\" href=\"{url}\">\n"
-            ));
+            let (url, _) = self.probe_url(ProbeKind::CssProbe, site, now, rng);
+            head_inject.push_str("<link rel=\"stylesheet\" type=\"text/css\" href=\"");
+            site.push_url(&mut head_inject, &url);
+            head_inject.push_str("\">\n");
             manifest.css_probe = Some(url);
         }
         if self.config.mouse_beacon {
@@ -371,39 +461,41 @@ impl RewriteEngine {
             let decoys: Vec<BeaconKey> = (0..self.config.decoys)
                 .map(|_| BeaconKey::random(rng))
                 .collect();
-            let mouse_url = beacon::encode(host, key);
-            let decoy_urls: Vec<Uri> = decoys.iter().map(|d| beacon::encode(host, *d)).collect();
-            let (agent_url, _) = self.probe_url(ProbeKind::AgentBeacon, host, now, rng);
-            let (js_url, js_nonce) = self.probe_url(ProbeKind::JsFile, host, now, rng);
-            let spec = JsSpec {
-                mouse_beacon: mouse_url.clone(),
-                decoys: decoy_urls.clone(),
-                agent_beacon: agent_url.clone(),
-                obfuscation: self.config.obfuscation,
-                target_size: self.config.js_target_size,
+            let (agent_url, agent_nonce) = self.probe_url(ProbeKind::AgentBeacon, site, now, rng);
+            let (js_url, js_nonce) = self.probe_url(ProbeKind::JsFile, site, now, rng);
+            // The script itself waits for its first fetch; the page only
+            // needs the name of the handler it will define.
+            let script = ScriptSeed {
+                seed: rng.gen(),
+                agent_nonce,
             };
-            let js = jsgen::generate(&spec, rng);
-            head_inject.push_str(&format!(
-                "<script language=\"javascript\" src=\"{js_url}\"></script>\n"
-            ));
-            body_attr = format!(" onmousemove=\"return {}();\"", js.handler_name);
+            head_inject.push_str("<script language=\"javascript\" src=\"");
+            site.push_url(&mut head_inject, &js_url);
+            head_inject.push_str("\"></script>\n");
+            body_attr = format!(
+                " onmousemove=\"return {}();\"",
+                jsgen::handler_name(script.seed, self.config.obfuscation)
+            );
+            manifest.mouse_beacon = Some(site.uri(beacon::path(key)));
+            manifest.decoy_beacons = decoys.iter().map(|d| site.uri(beacon::path(*d))).collect();
+            manifest.agent_beacon = Some(agent_url);
+            manifest.js_file = Some(js_url);
             token = Some(IssuedPageToken {
                 key,
                 decoys,
                 js_nonce,
-                js,
+                script,
             });
-            manifest.mouse_beacon = Some(mouse_url);
-            manifest.decoy_beacons = decoy_urls;
-            manifest.agent_beacon = Some(agent_url);
-            manifest.js_file = Some(js_url);
         }
         if self.config.hidden_link {
-            let (link, _) = self.probe_url(ProbeKind::HiddenLink, host, now, rng);
-            let (pixel, _) = self.probe_url(ProbeKind::TransparentPixel, host, now, rng);
-            body_inject.push_str(&format!(
-                "<a href=\"{link}\"><img src=\"{pixel}\" width=\"1\" height=\"1\" border=\"0\"></a>\n"
-            ));
+            let (link, _) = self.probe_url(ProbeKind::HiddenLink, site, now, rng);
+            let (pixel, _) = self.probe_url(ProbeKind::TransparentPixel, site, now, rng);
+            body_inject.reserve(160);
+            body_inject.push_str("<a href=\"");
+            site.push_url(&mut body_inject, &link);
+            body_inject.push_str("\"><img src=\"");
+            site.push_url(&mut body_inject, &pixel);
+            body_inject.push_str("\" width=\"1\" height=\"1\" border=\"0\"></a>\n");
             manifest.hidden_link = Some(link);
             manifest.transparent_pixel = Some(pixel);
         }
@@ -416,6 +508,48 @@ impl RewriteEngine {
             token,
             self.config.asset_proxy.as_ref(),
         )
+    }
+
+    /// Generates the script a page token stands for: the same
+    /// [`jsgen::generate`] the page rewrite used to run, over the stream
+    /// `script.seed` stands for, fetching this engine's URLs for `key`,
+    /// `decoys` and the agent beacon on `authority` (as
+    /// [`RewriteEngine::begin_stream`] spells them). Its handler is the
+    /// one the page's `<body onmousemove>` names.
+    pub fn generate_script(
+        &self,
+        authority: Option<&str>,
+        key: BeaconKey,
+        decoys: &[BeaconKey],
+        script: ScriptSeed,
+    ) -> GeneratedJs {
+        let site = Site::of(authority);
+        let spec = JsSpec {
+            mouse_beacon: site.uri(beacon::path(key)),
+            decoys: decoys.iter().map(|d| site.uri(beacon::path(*d))).collect(),
+            agent_beacon: site.uri(probe_path(script.agent_nonce, ProbeKind::AgentBeacon)),
+            obfuscation: self.config.obfuscation,
+            target_size: self.config.js_target_size,
+        };
+        jsgen::generate_seeded(&spec, script.seed)
+    }
+
+    /// The script behind a verified JS-file probe hit on `nonce`, out of
+    /// the session's own token state: generated on the first fetch (its
+    /// URLs on the authority `request` was addressed to — the one the
+    /// page's `<script src>` sent the browser to) and kept there, a
+    /// borrow on every later one. `None` when the session holds no token
+    /// for that nonce.
+    pub fn session_script<'t>(
+        &self,
+        tokens: &'t mut TokenState,
+        nonce: u64,
+        request: &Request,
+    ) -> Option<&'t str> {
+        tokens.script_for(nonce, |key, decoys, script| {
+            self.generate_script(request.authority().as_deref(), key, decoys, script)
+                .source
+        })
     }
 
     /// Rewrites one HTML page, drawing all randomness from `rng` and
@@ -432,7 +566,11 @@ impl RewriteEngine {
         now: SimTime,
         rng: &mut R,
     ) -> BuiltPage {
-        let mut stream = self.begin_stream(page, now, rng);
+        Self::run_buffered(self.begin_stream(page, now, rng), html)
+    }
+
+    /// One chunk in, everything out.
+    fn run_buffered(mut stream: StreamingRewrite, html: &str) -> BuiltPage {
         let mut out = Vec::with_capacity(html.len() + 512);
         stream.write(html.as_bytes(), &mut out);
         let finished = stream.finish(&mut out);
@@ -443,29 +581,27 @@ impl RewriteEngine {
         }
     }
 
-    /// Rewrites one HTML page for a session, drawing randomness from the
-    /// session's own RNG stream and storing the issued token (and its
-    /// script) directly in the session's [`TokenState`] — designed to
-    /// run inside the session's shard critical section, touching nothing
-    /// shared.
+    /// Rewrites the HTML page `request` asked for, drawing randomness
+    /// from the session's own RNG stream and storing the issued token
+    /// (its script still a seed) directly in the session's
+    /// [`TokenState`] — designed to run inside the session's shard
+    /// critical section, touching nothing shared.
     pub fn instrument_session_page(
         &self,
         html: &str,
-        page: &Uri,
+        request: &Request,
         tokens: &mut TokenState,
         stream_seed: u64,
         now: SimTime,
     ) -> (String, ProbeManifest) {
         let built = {
             let rng = tokens.rng_seeded(stream_seed);
-            self.build_page(html, page, now, rng)
+            Self::run_buffered(self.begin_request_stream(request, now, rng), html)
         };
-        if let Some(tok) = built.token {
-            tokens.issue(
-                page.path(),
-                tok.key,
-                tok.decoys,
-                Some((tok.js_nonce, tok.js.source)),
+        if let Some(token) = built.token {
+            tokens.issue_page(
+                request.uri().path(),
+                token,
                 now,
                 self.config.token_table.max_entries_per_ip,
             );
@@ -474,8 +610,9 @@ impl RewriteEngine {
     }
 
     /// Serves the response for instrumentation traffic: the generated
-    /// script for JS-file hits (looked up by the caller in the owning
-    /// session's [`TokenState`] and passed as `js_source`), an empty
+    /// script for JS-file hits (taken by the caller out of the owning
+    /// session's [`TokenState`] — [`RewriteEngine::session_script`] —
+    /// and passed as `js_source`), an empty
     /// style sheet for CSS probes, tiny images for beacons, a stub page
     /// for hidden links.
     ///
@@ -521,8 +658,10 @@ impl RewriteEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Obfuscation;
     use botwall_http::request::ClientIp;
     use botwall_http::Method;
+    use proptest::prelude::*;
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -532,8 +671,8 @@ mod tests {
         RewriteEngine::new(InstrumentConfig::default(), 77)
     }
 
-    fn page_uri() -> Uri {
-        "http://site.example/index.html".parse().unwrap()
+    fn page_request() -> Request {
+        get("http://site.example/index.html")
     }
 
     fn get(uri: &str) -> Request {
@@ -573,7 +712,7 @@ mod tests {
             ProbeKind::HiddenLink,
             ProbeKind::TransparentPixel,
         ] {
-            let (url, nonce) = e.probe_url(kind, "h.example", SimTime::ZERO, &mut rng);
+            let (url, nonce) = e.probe_url(kind, Site(Some("h.example")), SimTime::ZERO, &mut rng);
             match e.classify(&get(&url.to_string()), SimTime::ZERO) {
                 Sighting::Probe(hit) => {
                     assert_eq!(hit.kind, kind);
@@ -600,7 +739,12 @@ mod tests {
         }
         // Another engine's genuine nonces do not verify here.
         let other = RewriteEngine::new(InstrumentConfig::default(), 78);
-        let (url, _) = other.probe_url(ProbeKind::CssProbe, "h", SimTime::ZERO, &mut rng);
+        let (url, _) = other.probe_url(
+            ProbeKind::CssProbe,
+            Site(Some("h")),
+            SimTime::ZERO,
+            &mut rng,
+        );
         assert_eq!(
             e.classify(&get(&url.to_string()), SimTime::ZERO),
             Sighting::Ordinary
@@ -623,7 +767,12 @@ mod tests {
     fn wrong_extension_is_rejected() {
         let e = engine();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let (url, _) = e.probe_url(ProbeKind::CssProbe, "h", SimTime::ZERO, &mut rng);
+        let (url, _) = e.probe_url(
+            ProbeKind::CssProbe,
+            Site(Some("h")),
+            SimTime::ZERO,
+            &mut rng,
+        );
         let forged = url.to_string().replace(".css", ".html");
         assert_eq!(e.classify(&get(&forged), SimTime::ZERO), Sighting::Ordinary);
     }
@@ -636,7 +785,7 @@ mod tests {
         let e = engine();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let issued_at = SimTime::from_hours(5);
-        let (url, _) = e.probe_url(ProbeKind::CssProbe, "h", issued_at, &mut rng);
+        let (url, _) = e.probe_url(ProbeKind::CssProbe, Site(Some("h")), issued_at, &mut rng);
         let req = get(&url.to_string());
         // Fresh (same hour) and grace (next hour): classifies.
         assert!(matches!(
@@ -662,7 +811,12 @@ mod tests {
     fn agent_beacon_carries_reported_agent() {
         let e = engine();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let (url, _) = e.probe_url(ProbeKind::AgentBeacon, "h", SimTime::ZERO, &mut rng);
+        let (url, _) = e.probe_url(
+            ProbeKind::AgentBeacon,
+            Site(Some("h")),
+            SimTime::ZERO,
+            &mut rng,
+        );
         let with_agent = format!("{url}?agent=mozilla/4.0(compatible;msie6.0)");
         match e.classify(&get(&with_agent), SimTime::ZERO) {
             Sighting::Probe(hit) => assert_eq!(
@@ -681,7 +835,12 @@ mod tests {
     fn agent_beacon_carries_automation_report() {
         let e = engine();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let (url, _) = e.probe_url(ProbeKind::AgentBeacon, "h", SimTime::ZERO, &mut rng);
+        let (url, _) = e.probe_url(
+            ProbeKind::AgentBeacon,
+            Site(Some("h")),
+            SimTime::ZERO,
+            &mut rng,
+        );
         // A leaky automation framework: webdriver on, empty plugin list.
         let leaky = format!("{url}?agent=mozilla/5.0&wd=1&pl=0");
         match e.classify(&get(&leaky), SimTime::ZERO) {
@@ -734,12 +893,8 @@ mod tests {
     fn probe_urls_look_ordinary() {
         let e = engine();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let (url, _) = e.probe_url(
-            ProbeKind::CssProbe,
-            "www.example.com",
-            SimTime::ZERO,
-            &mut rng,
-        );
+        let site = Site(Some("www.example.com"));
+        let (url, _) = e.probe_url(ProbeKind::CssProbe, site, SimTime::ZERO, &mut rng);
         let s = url.to_string();
         assert!(s.starts_with("http://www.example.com/"));
         assert!(s.ends_with(".css"));
@@ -752,7 +907,7 @@ mod tests {
         let e = engine();
         let mut tokens = TokenState::default();
         let (html, m) =
-            e.instrument_session_page(HTML, &page_uri(), &mut tokens, 99, SimTime::ZERO);
+            e.instrument_session_page(HTML, &page_request(), &mut tokens, 99, SimTime::ZERO);
         assert!(html.contains("onmousemove=\"return "));
         assert_eq!(tokens.len(), 1);
         // The beacon key redeems against the session state.
@@ -761,11 +916,200 @@ mod tests {
             tokens.redeem(key, SimTime::from_secs(1)),
             crate::KeyOutcome::Valid
         );
-        // The generated script is retrievable by its nonce.
-        let js_name = m.js_file.as_ref().unwrap().file_name();
-        let nonce: u64 = js_name.rsplit_once('.').unwrap().0.parse().unwrap();
-        let src = tokens.script_for(nonce).expect("script stored");
+        // The script is retrievable by its nonce.
+        let fetch = get(&m.js_file.as_ref().unwrap().to_string());
+        let src = e
+            .session_script(&mut tokens, js_nonce(&m), &fetch)
+            .expect("script seeded");
         assert!(src.contains("new Image()"));
+        assert_eq!(
+            e.session_script(&mut tokens, js_nonce(&m) ^ 1, &fetch),
+            None
+        );
+    }
+
+    fn js_nonce(m: &ProbeManifest) -> u64 {
+        let name = m.js_file.as_ref().unwrap().file_name();
+        name.rsplit_once('.').unwrap().0.parse().unwrap()
+    }
+
+    /// A page request as a browser behind a reverse proxy sends it.
+    fn origin_form(path: &str, host: Option<&str>) -> Request {
+        let mut b = Request::builder(Method::Get, path).client(ClientIp::new(1));
+        if let Some(host) = host {
+            b = b.header("Host", host);
+        }
+        b.build().unwrap()
+    }
+
+    proptest! {
+        #[test]
+        fn the_script_served_on_fetch_is_the_one_eager_generation_built(
+            engine_seed in any::<u64>(),
+            stream_seed in any::<u64>(),
+            obfuscation in prop_oneof![
+                Just(Obfuscation::None),
+                Just(Obfuscation::Lexical),
+                Just(Obfuscation::SplitStrings),
+            ],
+            decoys in 0usize..=8,
+        ) {
+            let config = InstrumentConfig { obfuscation, decoys, ..InstrumentConfig::default() };
+            let e = RewriteEngine::new(config, engine_seed);
+            let page = origin_form("/index.html", Some("shop.example.org"));
+            let mut tokens = TokenState::default();
+            let (html, m) = e.instrument_session_page(HTML, &page, &mut tokens, stream_seed, SimTime::ZERO);
+
+            // What the page rewrite used to do on the spot: `generate`
+            // over the same URLs and an rng on the same seed (read off
+            // a second mint from the same session stream).
+            let token = e
+                .begin_request_stream(&page, SimTime::ZERO, &mut ChaCha8Rng::seed_from_u64(stream_seed))
+                .take_token()
+                .unwrap();
+            let spec = JsSpec {
+                mouse_beacon: m.mouse_beacon.clone().unwrap(),
+                decoys: m.decoy_beacons.clone(),
+                agent_beacon: m.agent_beacon.clone().unwrap(),
+                obfuscation,
+                target_size: e.config().js_target_size,
+            };
+            let eager = jsgen::generate(&spec, &mut ChaCha8Rng::seed_from_u64(token.script.seed));
+
+            let fetch = origin_form(m.js_file.as_ref().unwrap().path(), Some("shop.example.org"));
+            let served = e.session_script(&mut tokens, js_nonce(&m), &fetch).unwrap().to_string();
+            prop_assert_eq!(&served, &eager.source);
+            // The page wired the handler this script defines.
+            prop_assert!(html.contains(&format!(" onmousemove=\"return {}();\"", eager.handler_name)));
+            prop_assert!(served.contains(&format!("function {}()", eager.handler_name)));
+            // Every URL the manifest promises is in it (whole, unless
+            // the obfuscation level splits literals).
+            if obfuscation != Obfuscation::SplitStrings {
+                let urls = m.decoy_beacons.iter().chain(&m.mouse_beacon).chain(&m.agent_beacon);
+                for url in urls {
+                    prop_assert!(served.contains(&format!("'{url}'")), "{url} missing");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_refetch_borrows_the_script_the_first_fetch_generated() {
+        let e = engine();
+        let mut tokens = TokenState::default();
+        jsgen::GENERATED.with(|n| n.set(0));
+        let (_, m) =
+            e.instrument_session_page(HTML, &page_request(), &mut tokens, 3, SimTime::ZERO);
+        assert_eq!(
+            jsgen::GENERATED.with(|n| n.get()),
+            0,
+            "no script at page time"
+        );
+        let fetch = get(&m.js_file.as_ref().unwrap().to_string());
+        let first = e
+            .session_script(&mut tokens, js_nonce(&m), &fetch)
+            .unwrap()
+            .to_string();
+        assert_eq!(jsgen::GENERATED.with(|n| n.get()), 1);
+        // A refetch under another Host still gets the memo: the script's
+        // URLs were settled by the first fetch.
+        let again = origin_form(m.js_file.as_ref().unwrap().path(), Some("other.example"));
+        assert_eq!(
+            e.session_script(&mut tokens, js_nonce(&m), &again),
+            Some(first.as_str())
+        );
+        assert_eq!(
+            jsgen::GENERATED.with(|n| n.get()),
+            1,
+            "served from the entry"
+        );
+    }
+
+    #[test]
+    fn a_session_that_fetches_no_script_holds_no_script_bytes() {
+        let e = engine();
+        let mut tokens = TokenState::default();
+        let page = origin_form("/catalogue/page.html", Some("shop.example.org"));
+        let mut last = None;
+        for i in 0..64 {
+            let (_, m) =
+                e.instrument_session_page(HTML, &page, &mut tokens, 3, SimTime::from_secs(i));
+            last = Some(m);
+        }
+        assert_eq!(tokens.len(), 64);
+        let seeded = tokens.heap_bytes();
+        assert!(seeded < 16 * 1024, "64 seeded entries weigh {seeded} B");
+        // One fetch grows exactly one entry by one script.
+        let m = last.unwrap();
+        let fetch = origin_form(m.js_file.as_ref().unwrap().path(), Some("shop.example.org"));
+        let script = e
+            .session_script(&mut tokens, js_nonce(&m), &fetch)
+            .unwrap()
+            .len();
+        assert!(tokens.heap_bytes() >= seeded + script);
+        assert!(tokens.heap_bytes() < seeded + 2 * script);
+    }
+
+    #[test]
+    fn probe_urls_follow_the_host_header_or_go_path_only() {
+        let e = engine();
+        // Every double-quoted URL whose file name is a 20-digit nonce.
+        let urls_of = |html: &str| -> Vec<String> {
+            html.split('"')
+                .filter(|quoted| {
+                    let name = quoted.rsplit('/').next().unwrap_or("");
+                    name.split_once('.').is_some_and(|(stem, _)| {
+                        stem.len() == 20 && stem.bytes().all(|b| b.is_ascii_digit())
+                    })
+                })
+                .map(str::to_string)
+                .collect()
+        };
+        let mut tokens = TokenState::default();
+        let page = origin_form("/index.html", Some("shop.example.org:8080"));
+        let (html, m) = e.instrument_session_page(HTML, &page, &mut tokens, 1, SimTime::ZERO);
+        let urls = urls_of(&html);
+        assert_eq!(urls.len(), 4, "{html}");
+        assert!(
+            urls.iter()
+                .all(|u| u.starts_with("http://shop.example.org:8080/")),
+            "{urls:?}"
+        );
+        let css = m.css_probe.as_ref().unwrap();
+        assert_eq!(
+            (css.host(), css.port()),
+            (Some("shop.example.org"), Some(8080))
+        );
+        assert!(html.contains(&format!("href=\"{css}\"")));
+        let fetch = origin_form(
+            m.js_file.as_ref().unwrap().path(),
+            Some("shop.example.org:8080"),
+        );
+        let script = e.session_script(&mut tokens, js_nonce(&m), &fetch).unwrap();
+        assert!(script.contains(&format!("'{}'", m.mouse_beacon.as_ref().unwrap())));
+        assert!(!script.contains("unknown.example"));
+
+        // No authority anywhere (HTTP/1.0 without Host), or one that is
+        // not a plain host[:port]: path-only URLs, which a browser
+        // resolves against whatever it did connect to.
+        for host in [None, Some("evil\"><script>alert(1)</script>"), Some("")] {
+            let mut tokens = TokenState::default();
+            let page = origin_form("/index.html", host);
+            let (html, m) = e.instrument_session_page(HTML, &page, &mut tokens, 1, SimTime::ZERO);
+            assert!(!html.contains("alert(1)"), "{html}");
+            let urls = urls_of(&html);
+            assert_eq!(urls.len(), 4, "{html}");
+            assert!(urls.iter().all(|u| u.starts_with('/')), "{urls:?}");
+            assert_eq!(m.css_probe.as_ref().unwrap().host(), None);
+            let fetch = origin_form(m.js_file.as_ref().unwrap().path(), host);
+            assert!(matches!(
+                e.classify(&fetch, SimTime::ZERO),
+                Sighting::Probe(_)
+            ));
+            let script = e.session_script(&mut tokens, js_nonce(&m), &fetch).unwrap();
+            assert!(script.contains(&format!("'{}'", m.mouse_beacon.as_ref().unwrap().path())));
+            assert!(!script.contains("alert(1)"));
+        }
     }
 
     #[test]
@@ -773,7 +1117,7 @@ mod tests {
         let e = engine();
         let run = |seed| {
             let mut tokens = TokenState::default();
-            e.instrument_session_page(HTML, &page_uri(), &mut tokens, seed, SimTime::ZERO)
+            e.instrument_session_page(HTML, &page_request(), &mut tokens, seed, SimTime::ZERO)
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5).1.mouse_beacon, run(6).1.mouse_beacon);
@@ -783,7 +1127,12 @@ mod tests {
     fn respond_serves_probe_payloads() {
         let e = engine();
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let (url, _) = e.probe_url(ProbeKind::CssProbe, "h", SimTime::ZERO, &mut rng);
+        let (url, _) = e.probe_url(
+            ProbeKind::CssProbe,
+            Site(Some("h")),
+            SimTime::ZERO,
+            &mut rng,
+        );
         let Sighting::Probe(hit) = e.classify(&get(&url.to_string()), SimTime::ZERO) else {
             panic!("probe expected");
         };

@@ -14,12 +14,19 @@
 //! Lexical obfuscation (identifier renaming, junk statements, string
 //! noise) raises the cost of distinguishing the real function statically.
 //! The paper measures generation cost at 144 µs per ~1 KB script on a
-//! 2 GHz Pentium 4 — our Criterion bench (`benches/jsgen.rs`) checks we
-//! are in the same class.
+//! 2 GHz Pentium 4 and pays it on every page; here it is ~6 µs (the
+//! Criterion bench `benches/jsgen.rs` keeps us in that class) and is
+//! paid per *fetched* script. A page serve only draws a 64-bit script
+//! seed and wires [`handler_name`] of it into `<body onmousemove>`; the
+//! source is [`generate_seeded`] from that seed the first time the
+//! `<script src>` URL is actually requested — which, by the paper's own
+//! premise, most robots never do.
 
 use botwall_http::Uri;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use rand_chacha::rand_core::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -91,7 +98,9 @@ pub struct GeneratedJs {
 /// assert!(js.source.contains(&spec.mouse_beacon.to_string()));
 /// ```
 pub fn generate<R: Rng>(spec: &JsSpec, rng: &mut R) -> GeneratedJs {
-    let mut namer = Namer::new(spec.obfuscation, rng);
+    #[cfg(test)]
+    GENERATED.with(|n| n.set(n.get() + 1));
+    let mut namer = Namer::new(spec.obfuscation);
     // One function per URL; the real one is guarded by a do-once flag
     // exactly as in Figure 1.
     let mut functions: Vec<(String, &Uri, bool)> = Vec::with_capacity(spec.decoys.len() + 1);
@@ -165,6 +174,44 @@ pub fn generate<R: Rng>(spec: &JsSpec, rng: &mut R) -> GeneratedJs {
     }
 }
 
+/// [`generate`] over the stream a script seed stands for. A page stores
+/// the seed; whoever serves the script calls this, and gets the handler
+/// [`handler_name`] promised the page.
+pub fn generate_seeded(spec: &JsSpec, seed: u64) -> GeneratedJs {
+    generate(spec, &mut ChaCha8Rng::seed_from_u64(seed))
+}
+
+/// The entry-point name of the script [`generate_seeded`] builds from
+/// `seed` — the first identifier [`generate`] draws — without building
+/// the script.
+///
+/// # Examples
+///
+/// ```
+/// use botwall_http::Uri;
+/// use botwall_instrument::jsgen::{generate_seeded, handler_name, JsSpec, Obfuscation};
+///
+/// let spec = JsSpec {
+///     mouse_beacon: Uri::absolute("h", "/real.jpg"),
+///     decoys: vec![Uri::absolute("h", "/decoy.jpg")],
+///     agent_beacon: Uri::absolute("h", "/agent.gif"),
+///     obfuscation: Obfuscation::Lexical,
+///     target_size: 1024,
+/// };
+/// let name = handler_name(7, spec.obfuscation);
+/// assert_eq!(generate_seeded(&spec, 7).handler_name, name);
+/// ```
+pub fn handler_name(seed: u64, obfuscation: Obfuscation) -> String {
+    Namer::new(obfuscation).next(&mut ChaCha8Rng::seed_from_u64(seed), "f")
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many scripts [`generate`] built on this thread — the lazy
+    /// script tests' witness that a refetch is served from the memo.
+    pub(crate) static GENERATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Renders a URL as a JS expression, split into concatenated fragments
 /// when [`Obfuscation::SplitStrings`] is on.
 fn url_literal<R: Rng>(url: &Uri, obf: Obfuscation, rng: &mut R) -> String {
@@ -190,7 +237,7 @@ struct Namer {
 }
 
 impl Namer {
-    fn new<R: Rng>(obf: Obfuscation, _rng: &mut R) -> Namer {
+    fn new(obf: Obfuscation) -> Namer {
         Namer {
             obfuscate: obf != Obfuscation::None,
             counter: 0,

@@ -20,8 +20,9 @@
 //! Two top-level types split the work along the mutability boundary:
 //! the immutable, freely shareable [`RewriteEngine`] (rewriting,
 //! stateless MAC-nonce probe classification, script generation) and the
-//! per-session [`TokenState`] (outstanding beacon keys + stored
-//! scripts), which callers colocate with their other per-session state.
+//! per-session [`TokenState`] (outstanding beacon keys + their scripts,
+//! a 16-byte seed each until first fetched), which callers colocate
+//! with their other per-session state.
 //! [`Instrumenter`] composes both into a self-contained single-owner
 //! endpoint; `botwall-core` builds the detector on top of the
 //! [`Classified`] stream either produces.
@@ -63,4 +64,4 @@ pub use jsgen::Obfuscation;
 pub use probe::{AutomationReport, ProbeHit, ProbeKind};
 pub use rewrite::{Classified, InstrumentConfig, Instrumenter, InstrumenterStats, ProbeManifest};
 pub use stream::{AssetProxyConfig, FinishedStream, StreamingRewrite, MAX_HELD_BYTES};
-pub use token::{BeaconKey, KeyOutcome, TokenState, TokenTable, TokenTableConfig};
+pub use token::{BeaconKey, KeyOutcome, ScriptSeed, TokenState, TokenTable, TokenTableConfig};

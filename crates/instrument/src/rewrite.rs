@@ -233,6 +233,15 @@ impl Instrumenter {
     ) -> (String, ProbeManifest) {
         let built = self.engine.build_page(html, page, now, &mut self.rng);
         if let Some(token) = built.token {
+            // This harness serves scripts through `&self` from a plain
+            // store, so it generates at page time what the gateway
+            // generates on the first fetch.
+            let js = self.engine.generate_script(
+                page.authority().as_deref(),
+                token.key,
+                &token.decoys,
+                token.script,
+            );
             self.tokens
                 .issue(client, page.path(), token.key, token.decoys, now);
             if self.scripts.len() >= self.config().max_stored_scripts {
@@ -241,7 +250,7 @@ impl Instrumenter {
                     self.scripts.remove(&old);
                 }
             }
-            self.scripts.insert(token.js_nonce, token.js.source);
+            self.scripts.insert(token.js_nonce, js.source);
             self.script_order.push(token.js_nonce);
         }
         self.stats

@@ -914,6 +914,12 @@ impl StreamingRewrite {
         self.token.as_ref()
     }
 
+    /// Moves the issued token out, for a caller that stores it in the
+    /// session up front ([`StreamingRewrite::finish`] then yields none).
+    pub fn take_token(&mut self) -> Option<IssuedPageToken> {
+        self.token.take()
+    }
+
     /// Feeds one origin chunk in; rewritten bytes are appended to `out`
     /// as soon as they are resolved.
     pub fn write(&mut self, chunk: &[u8], out: &mut Vec<u8>) {

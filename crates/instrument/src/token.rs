@@ -12,10 +12,23 @@
 //!   be colocated with the session's other per-key state inside its
 //!   tracker shard entry, so issuing and redeeming share the session's
 //!   shard lock (no global token table, no global lock).
+//!
+//!   Each entry also answers for its page's `<script src>`, and that
+//!   script is one value in one of two states. A page serve leaves it
+//!   **seeded**: the [`ScriptSeed`] (16 bytes) from which the source can
+//!   be rebuilt, given the entry's own key and decoys. The first fetch
+//!   of the script URL makes it **generated**: the ~1 KB source, built
+//!   once by the caller of [`TokenState::script_for`] and kept in the
+//!   entry, so a refetch is a borrow. An entry that is never asked for
+//!   its script — every page-only scraper's — weighs ~210 bytes (112
+//!   for the entry, then its page path and five 16-byte decoys) instead
+//!   of ~1.25 KB; what clients can pin by fetching pages alone, 64
+//!   entries in each of 100k sessions, is ~1.4 GB, was ~8 GB.
 //! * [`TokenTable`] — the paper's literal per-IP table, a map of
 //!   [`TokenState`]s. The standalone [`crate::Instrumenter`] harness
 //!   uses it; the concurrent gateway does not.
 
+use crate::engine::IssuedPageToken;
 use botwall_http::request::ClientIp;
 use botwall_sessions::SimTime;
 use rand::Rng;
@@ -47,7 +60,19 @@ impl BeaconKey {
 
     /// Renders the key as 32 lowercase hex digits (the URL form).
     pub fn to_hex(self) -> String {
-        format!("{:032x}", self.0)
+        let mut hex = String::with_capacity(32);
+        self.push_hex(&mut hex);
+        hex
+    }
+
+    /// Appends [`BeaconKey::to_hex`] to `out`, formatted on the stack.
+    pub fn push_hex(self, out: &mut String) {
+        let mut digits = [0u8; 32];
+        for (i, digit) in digits.iter_mut().enumerate() {
+            let nibble = (self.0 >> (4 * (31 - i))) as usize & 0xf;
+            *digit = b"0123456789abcdef"[nibble];
+        }
+        out.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
     }
 
     /// Parses the 32-hex-digit URL form.
@@ -79,6 +104,27 @@ pub enum KeyOutcome {
     Unknown,
 }
 
+/// What a page's script is generated from, besides the key and decoys
+/// its token entry already holds: the stream seed `jsgen` runs over and
+/// the nonce of the agent-beacon URL the script reports to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScriptSeed {
+    /// Seeds the generator's stream (see
+    /// [`crate::jsgen::generate_seeded`]).
+    pub seed: u64,
+    /// The nonce of the agent-beacon probe URL.
+    pub agent_nonce: u64,
+}
+
+/// The script behind one entry's `<script src>` URL.
+#[derive(Debug, Clone)]
+enum Script {
+    /// Not asked for yet.
+    Seeded(ScriptSeed),
+    /// Built on the first fetch (or supplied by the issuer) and kept.
+    Generated(String),
+}
+
 #[derive(Debug, Clone)]
 struct Entry {
     page: String,
@@ -86,21 +132,20 @@ struct Entry {
     decoys: Vec<BeaconKey>,
     issued: SimTime,
     redeemed: bool,
-    /// The generated script served for this page's `<script src>` probe,
-    /// keyed by its URL nonce — stored with the session so script
-    /// serving needs no global store.
-    js: Option<(u64, String)>,
+    /// This page's script, under the nonce of its `<script src>` URL —
+    /// stored with the session so script serving needs no global store.
+    js: Option<(u64, Script)>,
 }
 
-/// The outstanding beacon keys (and their generated scripts) of one
-/// session.
+/// The outstanding beacon keys (and their scripts, seeded or generated)
+/// of one session.
 ///
 /// This is the per-session half of the PR-4 instrumenter split: it lives
 /// inside the session's tracker shard entry, so every operation on it —
 /// issuing keys at page-rewrite time, redeeming them when a beacon
-/// fires, serving the stored script — happens under the shard lock the
-/// request already holds. It also owns the session's deterministic RNG
-/// stream (seeded by the engine's secret and the session identity), so
+/// fires, generating and serving the script — happens under the shard
+/// lock the request already holds. It also owns the session's
+/// deterministic RNG stream (seeded by the engine's secret and the session identity), so
 /// instrumentation randomness needs no shared generator.
 ///
 /// # Examples
@@ -123,8 +168,9 @@ pub struct TokenState {
 
 impl TokenState {
     /// Records a freshly issued `<page, key>` tuple plus the decoys (and
-    /// optionally the generated script) served alongside it, dropping
-    /// the oldest entry beyond `max_entries`.
+    /// optionally an already generated script, under its URL nonce)
+    /// served alongside it, dropping the oldest entry beyond
+    /// `max_entries`.
     pub fn issue(
         &mut self,
         page: impl Into<String>,
@@ -134,14 +180,40 @@ impl TokenState {
         now: SimTime,
         max_entries: usize,
     ) {
+        let js = js.map(|(nonce, source)| (nonce, Script::Generated(source)));
+        self.push(page.into(), key, decoys, js, now, max_entries);
+    }
+
+    /// Records the token a page rewrite issued; its script stays a seed
+    /// until [`TokenState::script_for`] is asked for it.
+    pub fn issue_page(
+        &mut self,
+        page: impl Into<String>,
+        token: IssuedPageToken,
+        now: SimTime,
+        max_entries: usize,
+    ) {
+        let js = Some((token.js_nonce, Script::Seeded(token.script)));
+        self.push(page.into(), token.key, token.decoys, js, now, max_entries);
+    }
+
+    fn push(
+        &mut self,
+        page: String,
+        key: BeaconKey,
+        decoys: Vec<BeaconKey>,
+        js: Option<(u64, Script)>,
+        issued: SimTime,
+        max_entries: usize,
+    ) {
         if self.entries.len() >= max_entries.max(1) {
             self.entries.remove(0);
         }
         self.entries.push(Entry {
-            page: page.into(),
+            page,
             key,
             decoys,
-            issued: now,
+            issued,
             redeemed: false,
             js,
         });
@@ -165,13 +237,46 @@ impl TokenState {
         KeyOutcome::Unknown
     }
 
-    /// The stored script for a JS-file probe nonce, if this session was
-    /// served it.
-    pub fn script_for(&self, nonce: u64) -> Option<&str> {
-        self.entries.iter().rev().find_map(|e| match &e.js {
-            Some((n, src)) if *n == nonce => Some(src.as_str()),
-            _ => None,
-        })
+    /// The script for a JS-file probe nonce, if this session was served
+    /// the page that references it. The first call for a seeded entry
+    /// runs `generate` over the entry's key, decoys and seed and keeps
+    /// the source; later calls borrow it.
+    pub fn script_for(
+        &mut self,
+        nonce: u64,
+        generate: impl FnOnce(BeaconKey, &[BeaconKey], ScriptSeed) -> String,
+    ) -> Option<&str> {
+        let entry = self
+            .entries
+            .iter_mut()
+            .rev()
+            .find(|e| matches!(&e.js, Some((n, _)) if *n == nonce))?;
+        let (_, script) = entry.js.as_mut().expect("matched on its nonce");
+        if let Script::Seeded(seed) = *script {
+            *script = Script::Generated(generate(entry.key, &entry.decoys, seed));
+        }
+        let Script::Generated(source) = script else {
+            unreachable!("generated just above");
+        };
+        Some(source)
+    }
+
+    /// Heap bytes the outstanding entries hold — what a session's tokens
+    /// cost beyond the `TokenState` value itself.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<Entry>()
+            + self
+                .entries
+                .iter()
+                .map(|e| {
+                    let script = match &e.js {
+                        Some((_, Script::Generated(source))) => source.capacity(),
+                        _ => 0,
+                    };
+                    e.page.capacity() + e.decoys.capacity() * 16 + script
+                })
+                .sum::<usize>()
     }
 
     /// The page associated with an outstanding key, if any (diagnostics).

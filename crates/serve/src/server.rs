@@ -174,6 +174,9 @@ pub struct ServeReport {
     /// Pooled fetches that died before any response byte and were
     /// transparently retried on a fresh connection.
     pub origin_retries: u64,
+    /// `epoll_ctl` calls that changed the interest of an open socket,
+    /// across all reactors — what the cached-interest design keeps low.
+    pub interest_changes: u64,
 }
 
 /// Counters shared by every reactor thread. The live-connection count
@@ -524,8 +527,13 @@ impl Server {
             })
         };
         result?;
+        let interest_changes = workers
+            .iter()
+            .map(|worker| worker.reactor.interest_changes())
+            .sum();
         let drained_sessions = self.gateway.drain().len();
         Ok(ServeReport {
+            interest_changes,
             connections: self.shared.connections_total.load(Ordering::SeqCst),
             requests: self.shared.requests_total.load(Ordering::SeqCst),
             drained_sessions,
@@ -1431,15 +1439,10 @@ impl Worker {
             close_after: o.close_after,
             end: StreamEnd::More,
         };
+        // No WRITABLE interest yet: the first step's write is attempted
+        // straight away, and `pump` asks for it only if that blocks.
         self.reactor
             .deadline(token_of(o.client_slot), self.config.read_timeout);
-        set_interest(
-            &mut self.reactor,
-            &c.stream,
-            token_of(o.client_slot),
-            &mut c.interest,
-            Interest::WRITABLE,
-        );
         self.slots[o.client_slot] = Some(Slot::Client(c));
         self.origin_stream_step(slot, o, head.len, eof);
     }

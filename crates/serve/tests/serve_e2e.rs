@@ -884,3 +884,118 @@ fn shutdown_drains_every_observed_session_exactly_once() {
         "the drained server must not accept new work"
     );
 }
+
+/// A browser talking to a reverse proxy sends an origin-form target and
+/// names the site in `Host`. Every probe URL the page injects, and every
+/// URL in the script it links, must point back at that host — or no real
+/// browser can ever fetch a probe — and each must resolve as a probe hit.
+#[test]
+fn probe_urls_carry_the_requests_host_and_resolve_as_probe_hits() {
+    let fx = Fixture::standard();
+    let ua = "Mozilla/5.0 e2e-host";
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut fetch = |target: &str| {
+        let request = Request::builder(Method::Get, target)
+            .header("User-Agent", ua)
+            .header("Host", "shop.example.org")
+            .build()
+            .unwrap();
+        client::roundtrip(&mut conn, &request).unwrap()
+    };
+    let absolute_urls = |text: &str, quote: char| -> Vec<String> {
+        text.split(quote)
+            .skip(1)
+            .step_by(2)
+            .filter(|quoted| quoted.contains("://"))
+            .map(str::to_string)
+            .collect()
+    };
+    let on_host = |urls: &[String]| {
+        for url in urls {
+            assert!(url.starts_with("http://shop.example.org/"), "{url}");
+        }
+    };
+
+    let page = body_str(&fetch("/index.html"));
+    let injected = absolute_urls(&page, '"');
+    assert_eq!(injected.len(), 4, "css, script, hidden link, pixel: {page}");
+    on_host(&injected);
+
+    let js_path = quoted_paths(&page, '"')
+        .into_iter()
+        .find(|p| p.ends_with(".js"))
+        .unwrap();
+    let script = body_str(&fetch(&js_path));
+    let in_script = absolute_urls(&script, '\'');
+    let decoys = fx.gateway.config().instrument.decoys;
+    assert_eq!(in_script.len(), decoys + 2, "real, decoys, agent: {script}");
+    on_host(&in_script);
+
+    // One hit so far (the script). The other three injected URLs, the
+    // agent beacon the script reports to and the handler's mouse beacon
+    // are all answered by the gateway itself, none by the origin. The
+    // hidden link goes last: following it is what a human never does.
+    assert_eq!(fx.gateway.stats().probe_requests, 1);
+    let agent = quoted_paths(&script, '\'')
+        .into_iter()
+        .find(|p| p.ends_with(".gif"))
+        .unwrap();
+    let (hidden, visible): (Vec<String>, Vec<String>) = quoted_paths(&page, '"')
+        .into_iter()
+        .filter(|p| *p != js_path)
+        .partition(|p| p.ends_with(".html"));
+    let mut hits = 1;
+    for path in visible
+        .into_iter()
+        .chain([
+            format!("{agent}?agent=mozilla/5.0e2e-host&wd=0&pl=3"),
+            mouse_beacon_path(&page, &script),
+        ])
+        .chain(hidden)
+    {
+        assert_eq!(fetch(&path).status(), StatusCode::OK, "{path}");
+        hits += 1;
+        assert_eq!(fx.gateway.stats().probe_requests, hits, "{path}");
+    }
+    assert_eq!(hits, 6);
+    fx.finish();
+}
+
+/// A streamed page changes the client socket's epoll interest twice:
+/// parked while the origin is fetched, readable again once the last
+/// byte is written. Nothing asks for WRITABLE unless a write blocks.
+#[test]
+fn a_streamed_page_changes_epoll_interest_at_most_twice() {
+    let mut page = String::from("<html><head><title>t</title></head><body>\n");
+    while page.len() < 64 * 1024 {
+        page.push_str("<p>the quick brown fox jumps over the lazy dog</p>\n");
+    }
+    page.push_str("</body></html>");
+    let origin = MockOrigin::new()
+        .page("/big.html", page)
+        .keep_alive()
+        .start()
+        .unwrap();
+    let origin_addr = origin.addr();
+    let fx = Fixture::with(
+        Gateway::builder().seed(31).build(),
+        |config| config.origin = Some(origin_addr),
+        Some(origin),
+    );
+    let ua = "Mozilla/5.0 e2e-epoll";
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    const PAGES: u64 = 10;
+    for _ in 0..PAGES {
+        let response = get_on(&mut conn, "/big.html", ua);
+        assert_eq!(response.status(), StatusCode::OK);
+        assert!(response.body().len() > 64 * 1024);
+    }
+    drop(conn);
+    let report = fx.finish();
+    assert_eq!(report.requests, PAGES);
+    assert!(
+        report.interest_changes <= 2 * PAGES,
+        "{} interest changes for {PAGES} pages",
+        report.interest_changes
+    );
+}

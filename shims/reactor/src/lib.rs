@@ -353,6 +353,8 @@ pub struct Reactor {
     armed: HashMap<Token, u64>,
     /// Scratch buffer for epoll_wait.
     scratch: Vec<ffi::EpollEvent>,
+    /// [`Reactor::reregister`] calls so far.
+    interest_changes: u64,
 }
 
 impl fmt::Debug for Reactor {
@@ -388,6 +390,7 @@ impl Reactor {
             wheel: BTreeMap::new(),
             armed: HashMap::new(),
             scratch: vec![ffi::EpollEvent { events: 0, data: 0 }; 256],
+            interest_changes: 0,
         };
         r.ctl(
             ffi::EPOLL_CTL_ADD,
@@ -461,7 +464,15 @@ impl Reactor {
             token.0, WAKER,
             "Token(usize::MAX) is reserved for the waker"
         );
+        self.interest_changes += 1;
         self.ctl(ffi::EPOLL_CTL_MOD, fd.as_raw_fd(), Some((token, interest)))
+    }
+
+    /// How many times [`Reactor::reregister`] has been called: one
+    /// `epoll_ctl(EPOLL_CTL_MOD)` each, the syscall a caller that caches
+    /// its interest is trying not to make.
+    pub fn interest_changes(&self) -> u64 {
+        self.interest_changes
     }
 
     /// Removes a registration. The kernel drops it automatically when

@@ -136,6 +136,82 @@ fn beacon_redemptions_interleaved_across_shards_byte_lock() {
     assert_ne!(render_gateway_beacon_run(1), a, "seed must matter");
 }
 
+/// The beacon run's counterpart for generated scripts: pages are
+/// served across many sessions, and only afterwards — in reverse order,
+/// interleaved across shards, some twice — are their `<script src>` URLs
+/// fetched. A script is generated by its first fetch, from a seed the
+/// page serve drew out of the session's stream, so the bytes a fetch
+/// returns must depend on neither fetch order nor how often it is asked.
+fn render_gateway_script_run(seed: u64) -> Vec<u8> {
+    use botwall::gateway::{Decision, Gateway, Origin};
+    use botwall::http::request::ClientIp;
+    use botwall::http::{Method, Request};
+    use botwall::sessions::SimTime;
+
+    const HTML: &str = "<html><head><title>d</title></head><body><p>x</p></body></html>";
+    let req = |ip: u32, uri: &str| {
+        Request::builder(Method::Get, uri)
+            .header("User-Agent", "Mozilla/5.0 (determinism)")
+            .client(ClientIp::new(ip))
+            .build()
+            .unwrap()
+    };
+
+    let gw = Gateway::builder().seed(seed).build();
+    let mut log = Vec::new();
+    let mut clock = SimTime::ZERO;
+    let mut scripts = Vec::new();
+    for round in 0..2u32 {
+        for ip in 0..24u32 {
+            clock += 40;
+            let d = gw.handle_with(
+                &req(ip, &format!("http://det.example/p{round}.html")),
+                clock,
+                |_| Origin::Page(HTML.into()),
+            );
+            let Decision::Serve { body, manifest, .. } = d else {
+                panic!("a fresh session's page is served");
+            };
+            log.extend_from_slice(body.expect("a page body").as_bytes());
+            scripts.push((ip, manifest.expect("a manifest").js_file.expect("a script")));
+        }
+    }
+    let mut generated = Vec::new();
+    for (nth, (ip, script)) in scripts.iter().rev().enumerate() {
+        // Every third page's script is never fetched at all.
+        if nth % 3 == 2 {
+            continue;
+        }
+        clock += 15;
+        let Decision::Serve { response, .. } = gw.handle(&req(*ip, &script.to_string()), clock)
+        else {
+            panic!("script fetches are served");
+        };
+        assert!(response.body().len() > 900, "a ~1 KB script, not a stub");
+        log.extend_from_slice(response.body());
+        generated.push((*ip, script, response.body().to_vec()));
+    }
+    // A refetch is the same bytes.
+    for (ip, script, first) in generated.iter().step_by(2) {
+        clock += 15;
+        let Decision::Serve { response, .. } = gw.handle(&req(*ip, &script.to_string()), clock)
+        else {
+            panic!("script refetches are served");
+        };
+        assert_eq!(response.body(), &first[..]);
+    }
+    log.extend_from_slice(format!("{:#?}", gw.stats()).as_bytes());
+    log
+}
+
+#[test]
+fn scripts_generated_on_fetch_byte_lock() {
+    let a = render_gateway_script_run(20_060_530);
+    let b = render_gateway_script_run(20_060_530);
+    assert!(a == b, "identical runs must serve identical script bytes");
+    assert!(render_gateway_script_run(1) != a, "seed must matter");
+}
+
 /// The adversary-escalation eval report is a pure function of
 /// `(sessions, seed)`: the whole rendered report — every per-kind
 /// detection percentage, the human FPR, the session counts — byte-locks
