@@ -1,10 +1,12 @@
 //! Population-scale capacity rows: what a gateway costs when it is
 //! *full*. Occupancy is prefilled outside every measured region; the
 //! rows then isolate (a) handle latency under Zipf traffic at
-//! million-session occupancy, (b) sweep cost scanning the full live
-//! set, (c) eviction pressure once the session cap is hit (each insert
-//! pays the per-shard idle scan), and (d) carry-channel stash cost at
-//! the per-shard carry bound (the min-key drop path).
+//! million-session occupancy, (b) sweep cost with the full live set
+//! and nothing idle, (c) eviction pressure once the session cap is hit
+//! (each insert finalizes the idlest session first), (d) one sweep
+//! slice of the live server's tick, with nothing idle and with
+//! everything idle, and (e) carry-channel stash cost at the per-shard
+//! carry bound (the min-key drop path).
 //!
 //! Passing `--quick` (the CI smoke mode) scales the populations down;
 //! the benchmark IDs carry the scale, so quick rows never collide with
@@ -81,7 +83,8 @@ fn bench_occupancy(c: &mut Criterion) {
             let mut elapsed = Duration::ZERO;
             for _ in 0..iters {
                 let start = Instant::now();
-                // Nothing is idle past the timeout: a pure full scan.
+                // Nothing is idle past the timeout: the token purge and
+                // sixteen looks at a cold end.
                 black_box(gw.sweep(now));
                 elapsed += start.elapsed();
             }
@@ -97,7 +100,7 @@ fn bench_occupancy(c: &mut Criterion) {
 }
 
 /// Eviction pressure: the session cap is hit, and every further insert
-/// pays the per-shard most-idle scan to make room.
+/// first finalizes the session at the cold end of the idlest shard.
 fn bench_eviction_pressure(c: &mut Criterion) {
     let cap: u32 = if quick() { 2_000 } else { 50_000 };
     let gw = gateway_with_cap(cap as usize, 73);
@@ -113,6 +116,53 @@ fn bench_eviction_pressure(c: &mut Criterion) {
             b.iter(|| {
                 ip = ip.wrapping_add(1);
                 touch(&gw, black_box(ip), now);
+            })
+        },
+    );
+    group.finish();
+}
+
+/// What `botwall-serve` gives one sweep slice (its `SWEEP_BUDGET`).
+const TICK_BUDGET: usize = 128;
+
+/// One sweep slice at 100k live sessions: the stall a reactor takes per
+/// tick. With nothing idle it is one shard's lock, one look at its cold
+/// end and `TICK_BUDGET` token-TTL visits; with every session idle it
+/// also finalizes, classifies and frees `TICK_BUDGET` sessions.
+fn bench_sweep_slice(c: &mut Criterion) {
+    let n: u32 = if quick() { 10_000 } else { 100_000 };
+    let gw = gateway_with_cap(n as usize + n as usize / 8, 74);
+    let now = botwall_bench::prefill(&gw, n, SimTime::ZERO, 60_000);
+
+    let mut group = c.benchmark_group("capacity");
+    group.throughput(Throughput::Elements(1));
+    group.bench_with_input(
+        BenchmarkId::new("sweep_slice_nothing_idle", n),
+        &n,
+        |b, _| b.iter(|| black_box(gw.sweep_slice(now, TICK_BUDGET))),
+    );
+    assert_eq!(gw.stats().live_sessions, n as usize, "nothing was idle");
+
+    let later = now + 2 * 3_600_000;
+    group.throughput(Throughput::Elements(TICK_BUDGET as u64));
+    group.bench_with_input(
+        BenchmarkId::new("sweep_slice_all_expired", n),
+        &n,
+        |b, &n| {
+            b.iter_custom(|iters| {
+                let mut elapsed = Duration::ZERO;
+                for _ in 0..iters {
+                    // Untimed: keep every shard's cold end expired.
+                    if gw.stats().live_sessions < n as usize / 2 {
+                        botwall_bench::prefill(&gw, n, SimTime::ZERO, 60_000);
+                    }
+                    let start = Instant::now();
+                    let done = gw.sweep_slice(later, TICK_BUDGET);
+                    assert_eq!(done.len(), TICK_BUDGET);
+                    drop(black_box(done));
+                    elapsed += start.elapsed();
+                }
+                elapsed
             })
         },
     );
@@ -163,6 +213,7 @@ criterion_group!(
     benches,
     bench_occupancy,
     bench_eviction_pressure,
+    bench_sweep_slice,
     bench_carry_saturation
 );
 criterion_main!(benches);

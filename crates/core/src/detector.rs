@@ -255,6 +255,18 @@ impl SessionExt for KeyState {
 }
 
 impl KeyState {
+    /// Drops beacon tokens older than `token_ttl_ms` and a challenge
+    /// record older than `challenge_ttl_ms` as of `now`.
+    fn expire(&mut self, now: SimTime, token_ttl_ms: u64, challenge_ttl_ms: u64) {
+        self.tokens.sweep(now, token_ttl_ms);
+        if self
+            .challenge
+            .is_some_and(|ch| now.since(ch.issued) > challenge_ttl_ms)
+        {
+            self.challenge = None;
+        }
+    }
+
     /// Records a ground-truth CAPTCHA pass directly on this state (hard
     /// human evidence; the fast-path verdict updates immediately). For
     /// callers already holding the session's shard lock — the detector's
@@ -794,13 +806,7 @@ impl Detector {
     /// issue-table sweeps.
     pub fn expire_key_state(&self, now: SimTime, token_ttl_ms: u64, challenge_ttl_ms: u64) {
         self.tracker.visit_entries_mut(|_, state| {
-            state.tokens.sweep(now, token_ttl_ms);
-            if state
-                .challenge
-                .is_some_and(|ch| now.since(ch.issued) > challenge_ttl_ms)
-            {
-                state.challenge = None;
-            }
+            state.expire(now, token_ttl_ms, challenge_ttl_ms);
         });
     }
 
@@ -808,6 +814,23 @@ impl Detector {
     /// classification to each and finalizing their labels.
     pub fn sweep(&self, now: SimTime) -> Vec<CompletedSession> {
         let finished = self.tracker.sweep(now);
+        self.complete(finished)
+    }
+
+    /// One bounded step of [`Detector::expire_key_state`] and
+    /// [`Detector::sweep`] together, on the next tracker shard in
+    /// rotation (see [`ShardedTracker::sweep_slice`]): what a serving
+    /// thread can afford between two poll batches.
+    pub fn sweep_slice(
+        &self,
+        now: SimTime,
+        budget: usize,
+        token_ttl_ms: u64,
+        challenge_ttl_ms: u64,
+    ) -> Vec<CompletedSession> {
+        let finished = self.tracker.sweep_slice(now, budget, |_, state| {
+            state.expire(now, token_ttl_ms, challenge_ttl_ms);
+        });
         self.complete(finished)
     }
 

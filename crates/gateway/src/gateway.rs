@@ -86,6 +86,9 @@ pub struct GatewayStats {
     pub ml_overrides: u64,
     /// Live sessions at snapshot time.
     pub live_sessions: usize,
+    /// Sessions finalized early to hold the tracker's `max_sessions`
+    /// since start: when this moves, the cap is biting.
+    pub evicted_sessions: u64,
     /// Tracker shards at snapshot time.
     pub shard_count: usize,
     /// Total bytes moved (requests + responses).
@@ -905,6 +908,19 @@ impl Gateway {
         self.finish(completed)
     }
 
+    /// One bounded step of [`Gateway::sweep`]: the next tracker shard in
+    /// rotation gives up its eviction and rollover casualties and up to
+    /// `budget` idle sessions, and `budget` of its live sessions have
+    /// their expired tokens and challenges purged (see
+    /// [`botwall_sessions::ShardedTracker::sweep_slice`]). Microseconds
+    /// with nothing idle, so a serving thread can call it on a timer;
+    /// concurrent callers take different shards.
+    pub fn sweep_slice(&self, now: SimTime, budget: usize) -> Vec<CompletedSession> {
+        let ttl = self.config.instrument.token_table.entry_ttl_ms;
+        let completed = self.detector.sweep_slice(now, budget, ttl, ttl);
+        self.finish(completed)
+    }
+
     /// Flushes every session unconditionally (end of deployment).
     pub fn drain(&self) -> Vec<CompletedSession> {
         let completed = self.detector.drain();
@@ -958,6 +974,7 @@ impl Gateway {
             completed_sessions: self.completed_sessions.load(Ordering::Relaxed),
             ml_overrides: self.ml_overrides.load(Ordering::Relaxed),
             live_sessions: tracker.live_count(),
+            evicted_sessions: tracker.evicted_total(),
             shard_count: tracker.shard_count(),
             total_bytes: self.counters.sum(|c| &c.total_bytes),
             instrumentation_bytes: self.counters.sum(|c| &c.instrumentation_bytes),

@@ -235,6 +235,19 @@ const POOL_BUF_CAP: usize = 64 * 1024;
 /// Cap on pooled buffers per worker (each is at most [`POOL_BUF_CAP`]).
 const POOL_MAX: usize = 128;
 
+/// How often each reactor gives the gateway one
+/// [`Gateway::sweep_slice`]. A slice takes one tracker shard, so a
+/// full rotation of the default sixteen takes under a second on one
+/// reactor; eviction casualties wait at most that long to be classified
+/// and freed.
+const SWEEP_TICK_MS: u64 = 50;
+
+/// Sessions one slice may finalize, and live sessions it may check for
+/// expired tokens: microseconds of work, so the reactor never stalls on
+/// a sweep, while one reactor still walks 100k live sessions in ~40 s
+/// (the TTLs it enforces are an hour).
+const SWEEP_BUDGET: usize = 128;
+
 /// The listener's reserved token; connection slots start at 1.
 const LISTENER: Token = Token(0);
 
@@ -419,6 +432,8 @@ struct Worker {
     /// Streaming-relay scratch: one step's rewritten output, on its way
     /// from the origin's read buffer to the client's write buffer.
     rewrite_scratch: Vec<u8>,
+    /// When (on this reactor's clock) the next sweep slice is due.
+    next_sweep_ms: u64,
 }
 
 impl Server {
@@ -473,6 +488,7 @@ impl Server {
                 pool: Vec::new(),
                 idle_pool: Vec::new(),
                 rewrite_scratch: Vec::new(),
+                next_sweep_ms: SWEEP_TICK_MS,
             });
         }
         for worker in &mut workers {
@@ -580,6 +596,22 @@ impl Worker {
                 self.on_event(event);
             }
             self.free.append(&mut self.pending_free);
+            self.sweep_tick();
+        }
+    }
+
+    /// The live server's sweep: once per [`SWEEP_TICK_MS`], one bounded
+    /// slice. The gateway classifies and counts what the slice
+    /// finalized (`completed_sessions`); nothing here reads the
+    /// sessions, so they are dropped. Every reactor ticks and the
+    /// tracker's cursor hands each call a different shard, so reactors
+    /// need no coordinator.
+    fn sweep_tick(&mut self) {
+        let now_ms = self.reactor.now_ms();
+        if now_ms >= self.next_sweep_ms {
+            self.next_sweep_ms = now_ms + SWEEP_TICK_MS;
+            self.gateway
+                .sweep_slice(SimTime::from_millis(now_ms), SWEEP_BUDGET);
         }
     }
 

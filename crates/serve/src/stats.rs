@@ -37,10 +37,10 @@ pub fn stats_json(s: &GatewayStats) -> String {
         concat!(
             "{{\"requests\":{},\"served\":{},\"throttled\":{},\"blocked\":{},",
             "\"challenged\":{},\"probe_requests\":{},\"completed_sessions\":{},",
-            "\"ml_overrides\":{},\"live_sessions\":{},\"shard_count\":{},",
-            "\"total_bytes\":{},\"instrumentation_bytes\":{},\"captcha_issued\":{},",
-            "\"captcha_passed\":{},\"captcha_failed\":{},\"pending_challenges\":{},",
-            "\"token_entries\":{}}}"
+            "\"ml_overrides\":{},\"live_sessions\":{},\"evicted_sessions\":{},",
+            "\"shard_count\":{},\"total_bytes\":{},\"instrumentation_bytes\":{},",
+            "\"captcha_issued\":{},\"captcha_passed\":{},\"captcha_failed\":{},",
+            "\"pending_challenges\":{},\"token_entries\":{}}}"
         ),
         s.requests,
         s.served,
@@ -51,6 +51,7 @@ pub fn stats_json(s: &GatewayStats) -> String {
         s.completed_sessions,
         s.ml_overrides,
         s.live_sessions,
+        s.evicted_sessions,
         s.shard_count,
         s.total_bytes,
         s.instrumentation_bytes,
@@ -78,6 +79,7 @@ mod tests {
             completed_sessions: 7,
             ml_overrides: 8,
             live_sessions: 9,
+            evicted_sessions: 18,
             shard_count: 10,
             total_bytes: 11,
             instrumentation_bytes: 12,
@@ -100,6 +102,7 @@ mod tests {
             ("completed_sessions", 7),
             ("ml_overrides", 8),
             ("live_sessions", 9),
+            ("evicted_sessions", 18),
             ("shard_count", 10),
             ("total_bytes", 11),
             ("instrumentation_bytes", 12),

@@ -999,3 +999,130 @@ fn a_streamed_page_changes_epoll_interest_at_most_twice() {
         report.interest_changes
     );
 }
+
+/// A number out of the `/admin/stats` object.
+fn stat(body: &str, field: &str) -> u64 {
+    body.split(&format!("\"{field}\":"))
+        .nth(1)
+        .and_then(|rest| rest.split([',', '}']).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("{field} missing from {body}"))
+}
+
+/// The live server sweeps: with a one-second idle timeout and a
+/// 24-session cap, forty one-request clients come and go while one
+/// client never stops asking. Nobody calls `sweep`; the reactors' own
+/// ticks must classify the evicted and the idle while traffic flows.
+fn the_live_server_sweeps_under_load(threads: usize) {
+    use botwall_core::DetectorConfig;
+    use botwall_sessions::TrackerConfig;
+    const CAP: u64 = 24;
+    const VISITORS: u64 = 40;
+    let origin = MockOrigin::new()
+        .page("/index.html", PAGE)
+        .keep_alive()
+        .start()
+        .unwrap();
+    let origin_addr = origin.addr();
+    let fx = Fixture::with(
+        Gateway::builder()
+            .seed(16)
+            .detector(DetectorConfig {
+                tracker: TrackerConfig {
+                    idle_timeout_ms: 1_000,
+                    max_sessions: CAP as usize,
+                    ..TrackerConfig::default()
+                },
+            })
+            .build(),
+        |config| {
+            config.origin = Some(origin_addr);
+            config.threads = threads;
+        },
+        Some(origin),
+    );
+    let resident = "Mozilla/5.0 e2e-sweep-resident";
+    let sent = std::cell::Cell::new(0u64);
+    // Served at first, refused once the detector has seen enough of a
+    // client that never fetches a probe: traffic and ledger either way.
+    let ask = |conn: &mut TcpStream| {
+        get_on(conn, "/index.html", resident);
+        sent.set(sent.get() + 1);
+    };
+    let admin_stats = || {
+        sent.set(sent.get() + 1);
+        body_str(&get(fx.addr, "/admin/stats", resident))
+    };
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    ask(&mut conn);
+    for n in 0..VISITORS {
+        let visitor = format!("Mozilla/5.0 e2e-sweep-visitor/{n}");
+        assert_eq!(
+            get(fx.addr, "/index.html", &visitor).status(),
+            StatusCode::OK
+        );
+        sent.set(sent.get() + 1);
+        ask(&mut conn);
+    }
+    let stats = admin_stats();
+    assert_eq!(stat(&stats, "evicted_sessions"), VISITORS + 1 - CAP);
+    assert!(stat(&stats, "live_sessions") <= CAP);
+
+    // The resident keeps the server busy; the visitors go idle, and the
+    // ticks finalize them, a shard a slice.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut seen_live = Vec::new();
+    let stats = loop {
+        ask(&mut conn);
+        let stats = admin_stats();
+        seen_live.push(stat(&stats, "live_sessions"));
+        if stat(&stats, "completed_sessions") == VISITORS {
+            break stats;
+        }
+        assert!(Instant::now() < deadline, "never swept: {stats}");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(
+        stat(&stats, "live_sessions"),
+        1,
+        "only the resident is live"
+    );
+    assert!(
+        seen_live.windows(2).all(|w| w[0] >= w[1]),
+        "live sessions only fall once arrivals stop: {seen_live:?}"
+    );
+    assert_eq!(
+        stat(&stats, "requests"),
+        ["served", "throttled", "blocked", "challenged"]
+            .iter()
+            .map(|column| stat(&stats, column))
+            .sum::<u64>(),
+        "the ledger balances while sessions finalize"
+    );
+    let in_flight = fx
+        .gateway
+        .detector()
+        .with_key_state(&loopback_key(resident), |_, state| state.in_flight)
+        .expect("the resident's session was never idle");
+    assert_eq!(in_flight, 0);
+
+    drop(conn);
+    let sent = sent.get();
+    let report = fx.finish();
+    assert_eq!(report.requests, sent);
+    assert_eq!(
+        stat(&stats, "completed_sessions") + report.drained_sessions as u64,
+        VISITORS + 1,
+        "every key is classified exactly once: by a tick, or by the drain"
+    );
+}
+
+#[test]
+fn the_live_server_sweeps_under_load_on_one_reactor() {
+    the_live_server_sweeps_under_load(1);
+}
+
+#[test]
+fn the_live_server_sweeps_under_load_on_two_reactors() {
+    the_live_server_sweeps_under_load(2);
+}

@@ -42,6 +42,6 @@ pub use record::RequestRecord;
 pub use stats::SessionCounters;
 pub use time::SimTime;
 pub use tracker::{
-    Begun, EntryGuard, ExchangeLease, Finalized, Gate, Session, SessionExt, SessionTracker,
+    Begun, Census, EntryGuard, ExchangeLease, Finalized, Gate, Session, SessionExt, SessionTracker,
     ShardedTracker, TrackerConfig, EXT_GAUGES,
 };

@@ -1,15 +1,61 @@
 //! The streaming session store.
 //!
-//! Since PR 3 the store is *concurrently* sharded: every shard is an
-//! independent `key → entry` map behind its own [`std::sync::Mutex`], so
-//! the whole API is `&self` and ingest scales across cores (requests for
-//! different keys hit different shards and never contend). Each entry
-//! colocates the [`Session`] record with a caller-supplied *extension*
-//! state (`E`) — the detection core stores its per-key evidence and
-//! policy state there, giving the hot path one lock acquisition instead
-//! of one per subsystem.
+//! The store is *concurrently* sharded: every shard is an independent
+//! piece of state behind its own [`std::sync::Mutex`], so the whole API
+//! is `&self` and ingest scales across cores (requests for different
+//! keys hit different shards and never contend). Each entry colocates
+//! the [`Session`] record with a caller-supplied *extension* state
+//! (`E`) — the detection core stores its per-key evidence and policy
+//! state there, giving the hot path one lock acquisition instead of one
+//! per subsystem.
 //!
-//! Since PR 5 the store also speaks a *two-phase* exchange protocol:
+//! # One idle order per shard
+//!
+//! A shard keeps its entries in a slab (`key → slot` through one hash
+//! map) and threads them onto one doubly linked list by slot index,
+//! ordered by **last touch**: wherever an exchange is recorded (the only
+//! place `last_seen` is written) the entry is relinked to the warm end,
+//! under the shard lock that path already holds. Everything that asks
+//! "who has been idle longest" reads the cold end of that list instead
+//! of scanning:
+//!
+//! * **Capacity eviction** compares the cold ends of the shards — one
+//!   `(last_seen, key)` each, one lock at a time — and finalizes the
+//!   idlest. Within a shard a run of sessions sharing the cold end's
+//!   `last_seen` is resolved toward the smallest key by a walk of at
+//!   most eight entries (`TIE_WALK_BOUND`), cached until the run
+//!   changes.
+//! * **Idle expiry** pops cold ends until the first one still inside
+//!   the idle timeout; [`ShardedTracker::sweep_slice`] does a bounded
+//!   amount of that per call so a live server can afford to sweep.
+//!
+//! **What is exact.** With a clock that never runs backwards within a
+//! shard (a reactor's clock, every simulated harness) touch order *is*
+//! `last_seen` order, so a single-threaded caller evicts exactly the
+//! globally idlest session (ties of up to `TIE_WALK_BOUND` toward the
+//! smaller key) and a sweep finalizes exactly the expired ones. The
+//! order is a function of the operation history alone, never of
+//! `HashMap` iteration, so identical runs pick identical victims.
+//!
+//! **What is best-effort.** Under concurrent ingest the shards are
+//! peeked one lock at a time: a session touched between the peek and
+//! the pop survives and the shard's next-coldest goes instead, and
+//! racing inserts may briefly overshoot [`TrackerConfig::max_sessions`].
+//! Threads that hand in clocks out of step with each other get
+//! least-recently-*touched* eviction, and an expired session can sit
+//! behind a younger cold end until that one expires too (at most one
+//! idle timeout late).
+//!
+//! **Why `finalized` has no cap.** Eviction and rollover casualties wait
+//! in their shard until a sweep or drain collects them, and
+//! [`ShardedTracker::drain`] promises every key exactly once
+//! (`tests/saturation.rs`), so the list is never silently truncated.
+//! Its bound is the caller's: `botwall-serve` ticks
+//! [`ShardedTracker::sweep_slice`] from every reactor; a library caller
+//! that evicts but never sweeps holds every casualty until it drains.
+//!
+//! # Two-phase exchanges
+//!
 //! [`ShardedTracker::begin_exchange`] runs the caller's gate inside the
 //! shard critical section and can hand back an [`ExchangeLease`]
 //! (stamped with the entry's incarnation) instead of finishing, so the
@@ -24,13 +70,10 @@ use crate::stats::SessionCounters;
 use crate::time::SimTime;
 use botwall_http::{Request, Response};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
 /// Configuration for [`ShardedTracker`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrackerConfig {
@@ -248,63 +291,223 @@ struct Entry<E> {
     incarnation: u64,
 }
 
-/// One shard: an independent live map, the finalized sessions (rollover
-/// and eviction casualties) not yet collected by sweep/drain, the
-/// deferred carries awaiting their key's next incarnation, and the
-/// eviction candidate queue (keys in creation order — see
-/// [`ShardedTracker::evict_most_idle`]).
+/// "No slot": the end of a shard's idle order, or an unset link.
+const NIL: u32 = u32::MAX;
+
+/// How many entries an eviction may walk through a run of sessions that
+/// share the cold end's `last_seen` to find the smallest key. Simulated
+/// clocks put thousands of sessions on one instant; neither a touch nor
+/// an eviction may cost more than a fixed number of entries there.
+const TIE_WALK_BOUND: usize = 8;
+
+/// One slab slot's occupant: the entry plus its neighbours in the
+/// shard's idle order, as slot indices.
+#[derive(Debug)]
+struct Node<E> {
+    entry: Entry<E>,
+    /// The next colder entry ([`NIL`] at the cold end).
+    prev: u32,
+    /// The next warmer entry ([`NIL`] at the warm end).
+    next: u32,
+}
+
+/// One shard: its live entries in a slab, indexed by key and linked in
+/// idle order (see the module docs); the finalized sessions (rollover
+/// and eviction casualties) not yet collected by a sweep or drain; and
+/// the deferred carries awaiting their key's next incarnation.
 #[derive(Debug)]
 struct Shard<E: SessionExt> {
-    live: HashMap<SessionKey, Entry<E>>,
+    live: HashMap<SessionKey, u32>,
+    slab: Vec<Option<Node<E>>>,
+    /// Vacant slab slots, reused before the slab grows.
+    free: Vec<u32>,
+    /// The least recently touched entry.
+    cold: u32,
+    /// The most recently touched entry.
+    warm: u32,
+    /// The eviction victim [`Shard::coldest`] last worked out (the
+    /// smallest key of the cold end's run), or [`NIL`] once the run
+    /// changed under it.
+    victim: u32,
+    /// Where the maintenance walk of [`ShardedTracker::sweep_slice`]
+    /// resumes, in slot order.
+    hand: usize,
     finalized: Vec<Finalized<E>>,
-    carry: HashMap<SessionKey, E::Carry>,
-    /// Eviction candidates in creation order. Every live key appears at
-    /// least once (pushed when its entry is created); keys whose entry
-    /// is gone are dropped lazily when an eviction pops them, and the
-    /// queue is compacted (dead keys and duplicates removed) when it
-    /// outgrows the live map. Order never depends on `HashMap`
-    /// iteration, so sampling from it is deterministic.
-    cands: VecDeque<SessionKey>,
+    /// Ordered, so the bound's victim (the smallest key) is one step.
+    carry: BTreeMap<SessionKey, E::Carry>,
 }
 
 impl<E: SessionExt> Default for Shard<E> {
     fn default() -> Self {
         Shard {
             live: HashMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            cold: NIL,
+            warm: NIL,
+            victim: NIL,
+            hand: 0,
             finalized: Vec::new(),
-            carry: HashMap::new(),
-            cands: VecDeque::new(),
+            carry: BTreeMap::new(),
         }
     }
 }
 
 impl<E: SessionExt> Shard<E> {
-    /// Drops dead keys and duplicate occurrences from the candidate
-    /// queue, preserving first-occurrence order. Amortized against the
-    /// creations that grew the queue past its bound.
-    fn compact_cands(&mut self) {
-        let mut seen: std::collections::HashSet<SessionKey> =
-            std::collections::HashSet::with_capacity(self.live.len());
-        self.cands
-            .retain(|k| self.live.contains_key(k) && seen.insert(k.clone()));
+    fn node(&self, slot: u32) -> &Node<E> {
+        self.slab[slot as usize]
+            .as_ref()
+            .expect("a linked slot holds an entry")
+    }
+
+    fn node_mut(&mut self, slot: u32) -> &mut Node<E> {
+        self.slab[slot as usize]
+            .as_mut()
+            .expect("a linked slot holds an entry")
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = *self.node(slot);
+        match prev {
+            NIL => self.cold = next,
+            colder => self.node_mut(colder).next = next,
+        }
+        match next {
+            NIL => self.warm = prev,
+            warmer => self.node_mut(warmer).prev = prev,
+        }
+    }
+
+    fn link_warm(&mut self, slot: u32) {
+        let colder = self.warm;
+        let node = self.node_mut(slot);
+        node.prev = colder;
+        node.next = NIL;
+        match colder {
+            NIL => self.cold = slot,
+            colder => self.node_mut(colder).next = slot,
+        }
+        self.warm = slot;
+        // Only a list this short can see its warm end inside the tie
+        // walk of its cold end.
+        if self.live.len() <= TIE_WALK_BOUND {
+            self.victim = NIL;
+        }
+    }
+
+    /// Moves an entry whose `last_seen` was just written to the warm end.
+    fn touch(&mut self, slot: u32) {
+        if self.victim == slot {
+            self.victim = NIL;
+        }
+        if self.warm != slot {
+            self.unlink(slot);
+            self.link_warm(slot);
+        }
+    }
+
+    fn insert(&mut self, entry: Entry<E>) -> u32 {
+        let key = entry.session.key.clone();
+        let node = Some(Node {
+            entry,
+            prev: NIL,
+            next: NIL,
+        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = node;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len())
+                    .ok()
+                    .filter(|&slot| slot != NIL)
+                    .expect("a shard holds fewer than 2^32 - 1 entries");
+                self.slab.push(node);
+                slot
+            }
+        };
+        self.live.insert(key, slot);
+        self.link_warm(slot);
+        slot
+    }
+
+    fn remove(&mut self, slot: u32) -> Entry<E> {
+        if self.victim == slot {
+            self.victim = NIL;
+        }
+        self.unlink(slot);
+        let node = self.slab[slot as usize]
+            .take()
+            .expect("a linked slot holds an entry");
+        self.free.push(slot);
+        self.live.remove(&node.entry.session.key);
+        node.entry
+    }
+
+    /// Empties the live set and hands back its slab; the parked carries
+    /// and the uncollected casualties stay.
+    fn take_live(&mut self) -> Vec<Option<Node<E>>> {
+        let carry = std::mem::take(&mut self.carry);
+        let finalized = std::mem::take(&mut self.finalized);
+        let fresh = Shard {
+            carry,
+            finalized,
+            ..Shard::default()
+        };
+        std::mem::replace(self, fresh).slab
+    }
+
+    /// The slot capacity eviction would take from this shard: the cold
+    /// end, or the smallest key among the (at most [`TIE_WALK_BOUND`])
+    /// entries that follow it with the same `last_seen`.
+    fn coldest(&mut self) -> Option<u32> {
+        if self.victim == NIL && self.cold != NIL {
+            let mut best = self.node(self.cold);
+            let mut victim = self.cold;
+            let mut at = best.next;
+            for _ in 1..TIE_WALK_BOUND {
+                if at == NIL {
+                    break;
+                }
+                let node = self.node(at);
+                if node.entry.session.last_seen != best.entry.session.last_seen {
+                    break;
+                }
+                if node.entry.session.key < best.entry.session.key {
+                    (best, victim) = (node, at);
+                }
+                at = node.next;
+            }
+            self.victim = victim;
+        }
+        (self.victim != NIL).then_some(self.victim)
     }
 }
 
-/// Exact-scan bound: shards at or below this many live entries are
-/// scanned in full, so small trackers keep the globally-most-idle
-/// victim choice (see [`ShardedTracker`]'s `evict_most_idle`).
-const EVICT_EXACT_BOUND: usize = 32;
+/// The idlest eviction candidate seen so far: its `last_seen`, key and
+/// shard.
+type Idlest = Option<(SimTime, SessionKey, usize)>;
 
-/// Per-shard candidate sample for shards past the exact bound: each
-/// eviction examines this many live keys popped from the shard's
-/// creation-order queue. Small enough that an insert at the session cap
-/// costs O(shards × sample) instead of O(live); rotation (survivors are
-/// pushed to the back) still reaches every entry across successive
-/// evictions.
-const EVICT_SAMPLE_PER_SHARD: usize = 8;
+/// Offers a locked shard's [`Shard::coldest`] entry as the eviction
+/// victim: it replaces `idlest` if it has been idle longer (ties toward
+/// the smaller key).
+fn nominate<E: SessionExt>(shard: &mut Shard<E>, idx: usize, idlest: &mut Idlest) {
+    let Some(slot) = shard.coldest() else {
+        return;
+    };
+    let session = &shard.node(slot).entry.session;
+    let idler = match idlest {
+        None => true,
+        Some((t, k, _)) => (session.last_seen, &session.key) < (*t, k),
+    };
+    if idler {
+        *idlest = Some((session.last_seen, session.key.clone(), idx));
+    }
+}
 
 fn insert_carry_bounded<C>(
-    carries: &mut HashMap<SessionKey, C>,
+    carries: &mut BTreeMap<SessionKey, C>,
     key: &SessionKey,
     carry: C,
     bound: usize,
@@ -313,9 +516,7 @@ fn insert_carry_bounded<C>(
         return;
     }
     if carries.len() >= bound && !carries.contains_key(key) {
-        if let Some(min) = carries.keys().min().cloned() {
-            carries.remove(&min);
-        }
+        carries.pop_first();
     }
     carries.insert(key.clone(), carry);
 }
@@ -367,15 +568,14 @@ impl<E> EntryGuard<'_, E> {
 /// Streaming `<IP, User-Agent>` session store with idle-timeout
 /// finalization, sharded for concurrent ingest.
 ///
-/// The live map is split into [`TrackerConfig::shards`] key-hash shards
+/// The live set is split into [`TrackerConfig::shards`] key-hash shards
 /// (stable FNV-1a via [`SessionKey::shard_hash`], so a key lands on the
 /// same shard in every run), each behind its own mutex — the entire API
 /// is `&self` and the tracker is `Send + Sync` whenever `E` is. All
 /// cross-shard walks — [`sweep`], [`drain`], capacity eviction — visit
-/// shards in index order and order keys within a shard, keeping batch
-/// output deterministic regardless of `HashMap` iteration order; no call
-/// ever holds two shard locks at once, so the tracker cannot deadlock
-/// against itself.
+/// shards in index order and never depend on `HashMap` iteration order,
+/// keeping batch output deterministic; no call ever holds two shard
+/// locks at once, so the tracker cannot deadlock against itself.
 ///
 /// [`sweep`]: ShardedTracker::sweep
 /// [`drain`]: ShardedTracker::drain
@@ -401,26 +601,39 @@ impl<E> EntryGuard<'_, E> {
 pub struct ShardedTracker<E: SessionExt> {
     config: TrackerConfig,
     shards: Vec<Mutex<Shard<E>>>,
-    gauges: Vec<GaugeCell>,
+    cells: Vec<ShardCell>,
     live_total: AtomicUsize,
+    /// The shard the next [`ShardedTracker::sweep_slice`] call takes.
+    sweep_cursor: AtomicUsize,
     tracker_id: u64,
     next_incarnation: AtomicU64,
 }
 
-/// One shard's extension-occupancy gauge columns, cache-line padded like
-/// the gateway's counter cells. Updated only while the owning shard's
-/// lock is held, so each cell is internally consistent; summing across
-/// cells without locks is the usual relaxed snapshot.
-#[derive(Debug)]
+/// One shard's lock-free readouts — the extension-occupancy gauge
+/// columns and the capacity-eviction count — cache-line padded like the
+/// gateway's counter cells. Updated only while the owning shard's lock
+/// is held, so each cell is internally consistent; summing across cells
+/// without locks is the usual relaxed snapshot.
+#[derive(Debug, Default)]
 #[repr(align(128))]
-struct GaugeCell([AtomicI64; EXT_GAUGES]);
-
-impl Default for GaugeCell {
-    fn default() -> Self {
-        GaugeCell(std::array::from_fn(|_| AtomicI64::new(0)))
-    }
+struct ShardCell {
+    gauges: [AtomicI64; EXT_GAUGES],
+    evicted: AtomicU64,
 }
 
+/// What [`ShardedTracker::census`] counted across all shards.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Census {
+    /// Live sessions: entries linked into a shard's idle order.
+    pub live: usize,
+    /// Slab slots ever allocated, occupied or vacant. Vacant slots are
+    /// reused before a slab grows, so this is the high-water mark of
+    /// live sessions per shard, summed.
+    pub slots: usize,
+    /// Finalized sessions (eviction and rollover casualties) waiting
+    /// for a sweep or drain to collect them.
+    pub pending: usize,
+}
 /// Process-wide source of tracker identities: incarnation stamps are
 /// only unique *within* one tracker, so every lease also carries the
 /// identity of the tracker that minted it and
@@ -491,8 +704,9 @@ impl<E: SessionExt> ShardedTracker<E> {
         ShardedTracker {
             config,
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            gauges: (0..shards).map(|_| GaugeCell::default()).collect(),
+            cells: (0..shards).map(|_| ShardCell::default()).collect(),
             live_total: AtomicUsize::new(0),
+            sweep_cursor: AtomicUsize::new(0),
             tracker_id: NEXT_TRACKER_ID.fetch_add(1, Ordering::Relaxed),
             next_incarnation: AtomicU64::new(0),
         }
@@ -503,7 +717,7 @@ impl<E: SessionExt> ShardedTracker<E> {
         &self.config
     }
 
-    /// Number of shards the live map is split into.
+    /// Number of shards the live set is split into.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -603,65 +817,66 @@ impl<E: SessionExt> ShardedTracker<E> {
     ) -> (SessionKey, Begun<R>) {
         let key = SessionKey::of(request);
         let idx = self.shard_index(&key);
-        // Best-effort capacity bound, resolved BEFORE the entry's
-        // critical section: when the store is full and this key is not
-        // already live, evict the most-idle session of a bounded,
-        // deterministically-ordered candidate sample first (the
-        // eviction walk takes shard locks one at a time — never two at
-        // once, so lock order cannot deadlock). Exactly one attempt,
-        // then the insert proceeds regardless: the bound is a memory
-        // guard, and a state with no evictable victim (max_sessions of
-        // 0, or every candidate racing away) must not stall ingest.
-        if self.live_total.load(Ordering::Relaxed) >= self.config.max_sessions {
-            let key_is_live = self.lock_shard(idx).live.contains_key(&key);
-            if !key_is_live {
-                self.evict_most_idle();
-            }
+        // The key is resolved once, inside the critical section the
+        // exchange runs in: a known key pays one lock and one hash even
+        // when the store is full.
+        let mut locked = self.lock_shard(idx);
+        let mut found = locked.live.get(&key).copied();
+        if found.is_none() && self.live_total.load(Ordering::Relaxed) >= self.config.max_sessions {
+            // A never-seen key at the cap: let go of the shard, evict
+            // (shard locks one at a time — never two at once, so lock
+            // order cannot deadlock) and come back. Exactly one
+            // attempt, then the insert proceeds regardless: the bound
+            // is a memory guard, and a state with no evictable victim
+            // (max_sessions of 0, or every candidate racing away) must
+            // not stall ingest.
+            let mut idlest = None;
+            nominate(&mut locked, idx, &mut idlest);
+            drop(locked);
+            self.evict_most_idle(idx, idlest);
+            locked = self.lock_shard(idx);
+            found = locked.live.get(&key).copied();
         }
         // From here the shard stays locked through rollover AND insert,
         // so a racing same-key request can never slip a fresh entry in
         // between and discard the rollover carry-over state.
-        let mut shard = self.lock_shard(idx);
-        let shard = &mut *shard;
-        // Idle rollover: finalize the previous incarnation with the
-        // state it accumulated; the successor starts from its rollover
-        // carry-over.
-        let mut carried: Option<E> = None;
+        let shard = &mut *locked;
+        let mut created = false;
         // Gauge census as of section entry: whatever entry is live under
         // the key right now (the one a rollover would finalize).
-        let gauge_before = shard
-            .live
-            .get(&key)
-            .map(|e| e.ext.gauge())
-            .unwrap_or([0; EXT_GAUGES]);
-        let stale = shard
-            .live
-            .get(&key)
-            .is_some_and(|e| now.since(e.session.last_seen()) > self.config.idle_timeout_ms);
-        if stale {
-            let Entry { session, ext, .. } = shard.live.remove(&key).expect("checked live");
-            carried = Some(ext.on_rollover());
-            self.live_total.fetch_sub(1, Ordering::Relaxed);
-            shard.finalized.push(Finalized { session, ext });
-        }
-        let mut created = false;
-        let entry = shard.live.entry(key.clone()).or_insert_with(|| {
-            created = true;
-            self.live_total.fetch_add(1, Ordering::Relaxed);
-            Entry {
-                session: Session::new(key.clone(), now),
-                ext: carried.take().unwrap_or_default(),
-                incarnation: self.next_incarnation.fetch_add(1, Ordering::Relaxed),
+        let mut gauge_before = [0; EXT_GAUGES];
+        let slot = match found {
+            Some(slot) => {
+                let entry = &mut shard.node_mut(slot).entry;
+                gauge_before = entry.ext.gauge();
+                if now.since(entry.session.last_seen) > self.config.idle_timeout_ms {
+                    // Idle rollover, in the predecessor's slot: it is
+                    // finalized with the state it accumulated and the
+                    // successor starts from its rollover carry-over.
+                    created = true;
+                    let successor = self.incarnate(key.clone(), now, entry.ext.on_rollover());
+                    let Entry { session, ext, .. } = std::mem::replace(entry, successor);
+                    shard.finalized.push(Finalized { session, ext });
+                    shard.touch(slot);
+                }
+                slot
             }
-        });
+            None => {
+                created = true;
+                self.live_total.fetch_add(1, Ordering::Relaxed);
+                shard.insert(self.incarnate(key.clone(), now, E::default()))
+            }
+        };
         // A deferred carry (state that arrived while the key had no live
         // session) lands in the incarnation that starts now — before the
         // callback, so gates already see its effect.
         if created && !shard.carry.is_empty() {
             if let Some(carry) = shard.carry.remove(&key) {
+                let entry = &mut shard.node_mut(slot).entry;
                 entry.ext.absorb(carry, &entry.session);
             }
         }
+        let entry = &mut shard.node_mut(slot).entry;
         let incarnation = entry.incarnation;
         let mut guard = EntryGuard {
             session: &mut entry.session,
@@ -693,18 +908,22 @@ impl<E: SessionExt> ShardedTracker<E> {
                 )
             }
         };
+        let recorded = guard.recorded;
         let gauge_after = entry.ext.gauge();
-        // A freshly created entry joins the eviction candidate queue;
-        // compaction (amortized against the creations that grew the
-        // queue) keeps it within a constant factor of the live map.
-        if created {
-            shard.cands.push_back(key.clone());
-            if shard.cands.len() > shard.live.len() * 2 + 64 {
-                shard.compact_cands();
-            }
+        if recorded {
+            shard.touch(slot);
         }
         self.gauge_apply(idx, gauge_before, gauge_after);
         (key, begun)
+    }
+
+    /// A fresh incarnation of `key`, first seen `now`.
+    fn incarnate(&self, key: SessionKey, now: SimTime, ext: E) -> Entry<E> {
+        Entry {
+            session: Session::new(key, now),
+            ext,
+            incarnation: self.next_incarnation.fetch_add(1, Ordering::Relaxed),
+        }
     }
 
     /// Phase two: re-acquires the leased session's shard, re-binds the
@@ -745,43 +964,46 @@ impl<E: SessionExt> ShardedTracker<E> {
         );
         let mut shard = self.lock_shard(idx);
         let shard = &mut *shard;
-        // One map lookup: the gauge before/after snapshots read off the
-        // same entry borrow the callback mutates through.
-        let (r, gauges) = match shard.live.get_mut(&key) {
-            Some(entry) if entry.incarnation == incarnation => {
-                let before = entry.ext.gauge();
-                let mut guard = EntryGuard {
-                    session: &mut entry.session,
-                    ext: &mut entry.ext,
-                    cap: self.config.max_records_per_session,
-                    recorded: false,
-                };
-                let r = fold(&mut guard);
-                if !guard.recorded {
-                    guard.record(request, None, now);
-                }
-                (r, Some((before, entry.ext.gauge())))
+        // One map lookup serves both paths: the leased incarnation if it
+        // still holds the key, else whatever succeeded it.
+        let successor = shard.live.get(&key).copied();
+        let leased = successor.filter(|&slot| shard.node(slot).entry.incarnation == incarnation);
+        let (r, gauges) = if let Some(slot) = leased {
+            let entry = &mut shard.node_mut(slot).entry;
+            let before = entry.ext.gauge();
+            let mut guard = EntryGuard {
+                session: &mut entry.session,
+                ext: &mut entry.ext,
+                cap: self.config.max_records_per_session,
+                recorded: false,
+            };
+            let r = fold(&mut guard);
+            if !guard.recorded {
+                guard.record(request, None, now);
             }
-            successor => {
-                let mut slot = shard.carry.remove(&key);
-                let (r, gauges) = match successor {
-                    Some(entry) => {
-                        let before = entry.ext.gauge();
-                        let r = lost(Some((&entry.session, &mut entry.ext)), &mut slot);
-                        (r, Some((before, entry.ext.gauge())))
-                    }
-                    None => (lost(None, &mut slot), None),
-                };
-                if let Some(carry) = slot {
-                    insert_carry_bounded(
-                        &mut shard.carry,
-                        &key,
-                        carry,
-                        self.config.max_carries_per_shard,
-                    );
+            let gauges = (before, entry.ext.gauge());
+            shard.touch(slot);
+            (r, Some(gauges))
+        } else {
+            let mut parked = shard.carry.remove(&key);
+            let (r, gauges) = match successor {
+                Some(slot) => {
+                    let entry = &mut shard.node_mut(slot).entry;
+                    let before = entry.ext.gauge();
+                    let r = lost(Some((&entry.session, &mut entry.ext)), &mut parked);
+                    (r, Some((before, entry.ext.gauge())))
                 }
-                (r, gauges)
+                None => (lost(None, &mut parked), None),
+            };
+            if let Some(carry) = parked {
+                insert_carry_bounded(
+                    &mut shard.carry,
+                    &key,
+                    carry,
+                    self.config.max_carries_per_shard,
+                );
             }
+            (r, gauges)
         };
         if let Some((before, after)) = gauges {
             self.gauge_apply(idx, before, after);
@@ -810,11 +1032,11 @@ impl<E: SessionExt> ShardedTracker<E> {
             "ExchangeLease inspected against a tracker that did not mint it"
         );
         let mut shard = self.lock_shard(lease.shard);
-        let shard = &mut *shard;
-        let entry = shard
-            .live
-            .get_mut(&lease.key)
-            .filter(|entry| entry.incarnation == lease.incarnation)?;
+        let slot = *shard.live.get(&lease.key)?;
+        let entry = &mut shard.node_mut(slot).entry;
+        if entry.incarnation != lease.incarnation {
+            return None;
+        }
         let before = entry.ext.gauge();
         let r = f(&entry.session, &mut entry.ext);
         let after = entry.ext.gauge();
@@ -828,19 +1050,19 @@ impl<E: SessionExt> ShardedTracker<E> {
         for col in 0..EXT_GAUGES {
             let delta = after[col] as i64 - before[col] as i64;
             if delta != 0 {
-                self.gauges[idx].0[col].fetch_add(delta, Ordering::Relaxed);
+                self.cells[idx].gauges[col].fetch_add(delta, Ordering::Relaxed);
             }
         }
     }
 
-    /// Subtracts a removed entry's gauge contribution (rollover via
-    /// [`gauge_apply`], eviction, sweep expiry, drain).
+    /// Subtracts a removed entry's gauge contribution (eviction, sweep
+    /// expiry, drain; a rollover goes through [`gauge_apply`]).
     ///
     /// [`gauge_apply`]: ShardedTracker::gauge_apply
     fn gauge_remove(&self, idx: usize, gauge: [u64; EXT_GAUGES]) {
         for (col, &count) in gauge.iter().enumerate() {
             if count != 0 {
-                self.gauges[idx].0[col].fetch_sub(count as i64, Ordering::Relaxed);
+                self.cells[idx].gauges[col].fetch_sub(count as i64, Ordering::Relaxed);
             }
         }
     }
@@ -854,20 +1076,31 @@ impl<E: SessionExt> ShardedTracker<E> {
         let mut out = [0u64; EXT_GAUGES];
         for (col, total) in out.iter_mut().enumerate() {
             let sum: i64 = self
-                .gauges
+                .cells
                 .iter()
-                .map(|cell| cell.0[col].load(Ordering::Relaxed))
+                .map(|cell| cell.gauges[col].load(Ordering::Relaxed))
                 .sum();
             *total = sum.max(0) as u64;
         }
         out
     }
 
+    /// Sessions finalized early to hold [`TrackerConfig::max_sessions`]
+    /// since the tracker was created (a lock-free sum of per-shard
+    /// counters). Moving means the cap is biting.
+    pub fn evicted_total(&self) -> u64 {
+        self.cells
+            .iter()
+            .map(|cell| cell.evicted.load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Looks up a live session, returning a clone of its record (the
     /// original lives behind the shard lock).
     pub fn get(&self, key: &SessionKey) -> Option<Session> {
         let shard = self.lock_shard(self.shard_index(key));
-        shard.live.get(key).map(|e| e.session.clone())
+        let slot = *shard.live.get(key)?;
+        Some(shard.node(slot).entry.session.clone())
     }
 
     /// Runs `f` against a live session and its extension state under the
@@ -879,15 +1112,13 @@ impl<E: SessionExt> ShardedTracker<E> {
     ) -> Option<R> {
         let idx = self.shard_index(key);
         let mut shard = self.lock_shard(idx);
-        let r = shard.live.get_mut(key).map(|e| {
-            let before = e.ext.gauge();
-            let r = f(&e.session, &mut e.ext);
-            (r, before, e.ext.gauge())
-        });
-        r.map(|(r, before, after)| {
-            self.gauge_apply(idx, before, after);
-            r
-        })
+        let slot = *shard.live.get(key)?;
+        let entry = &mut shard.node_mut(slot).entry;
+        let before = entry.ext.gauge();
+        let r = f(&entry.session, &mut entry.ext);
+        let after = entry.ext.gauge();
+        self.gauge_apply(idx, before, after);
+        Some(r)
     }
 
     /// Runs `f` against the key's live entry (if any) *and* its
@@ -905,17 +1136,18 @@ impl<E: SessionExt> ShardedTracker<E> {
         let idx = self.shard_index(key);
         let mut shard = self.lock_shard(idx);
         let shard = &mut *shard;
-        let mut slot = shard.carry.remove(key);
+        let mut parked = shard.carry.remove(key);
         // One map lookup; gauge snapshots read off the same entry borrow.
-        let (r, gauges) = match shard.live.get_mut(key) {
-            Some(entry) => {
+        let (r, gauges) = match shard.live.get(key).copied() {
+            Some(slot) => {
+                let entry = &mut shard.node_mut(slot).entry;
                 let before = entry.ext.gauge();
-                let r = f(Some((&entry.session, &mut entry.ext)), &mut slot);
+                let r = f(Some((&entry.session, &mut entry.ext)), &mut parked);
                 (r, Some((before, entry.ext.gauge())))
             }
-            None => (f(None, &mut slot), None),
+            None => (f(None, &mut parked), None),
         };
-        if let Some(carry) = slot {
+        if let Some(carry) = parked {
             insert_carry_bounded(
                 &mut shard.carry,
                 key,
@@ -936,31 +1168,32 @@ impl<E: SessionExt> ShardedTracker<E> {
         let mut acc = init;
         for idx in 0..self.shards.len() {
             let shard = self.lock_shard(idx);
-            for e in shard.live.values() {
-                acc = f(acc, &e.session, &e.ext);
+            for node in shard.slab.iter().flatten() {
+                acc = f(acc, &node.entry.session, &node.entry.ext);
             }
         }
         acc
     }
 
-    /// Visits every live entry mutably, shards in index order and keys
-    /// sorted within each shard (deterministic, like sweep). Maintenance
-    /// walks — expiring per-key tokens and stale challenge records —
-    /// ride this instead of any global registry sweep.
+    /// Visits every live entry mutably, shards in index order and slab
+    /// slots in order within each shard — an order fixed by the
+    /// operation history, and nothing a visitor sees depends on it.
+    /// Maintenance walks — expiring per-key tokens and stale challenge
+    /// records — ride this instead of any global registry sweep.
     pub fn visit_entries_mut(&self, mut f: impl FnMut(&Session, &mut E)) {
         for idx in 0..self.shards.len() {
             let mut shard = self.lock_shard(idx);
-            let mut keys: Vec<SessionKey> = shard.live.keys().cloned().collect();
-            keys.sort_unstable();
-            for k in keys {
-                if let Some(e) = shard.live.get_mut(&k) {
-                    let before = e.ext.gauge();
-                    f(&e.session, &mut e.ext);
-                    let after = e.ext.gauge();
-                    self.gauge_apply(idx, before, after);
-                }
+            for node in shard.slab.iter_mut().flatten() {
+                self.visit(idx, node, &mut f);
             }
         }
+    }
+
+    /// One maintenance visit, with the gauges kept in step.
+    fn visit(&self, idx: usize, node: &mut Node<E>, f: &mut impl FnMut(&Session, &mut E)) {
+        let before = node.entry.ext.gauge();
+        f(&node.entry.session, &mut node.entry.ext);
+        self.gauge_apply(idx, before, node.entry.ext.gauge());
     }
 
     /// Deferred carries currently stashed across all shards.
@@ -980,26 +1213,80 @@ impl<E: SessionExt> ShardedTracker<E> {
     /// (including rollover and eviction casualties). Shards are visited
     /// in index order — each yielding its casualties then its expired
     /// keys in key order — so the batch is deterministically ordered.
+    ///
+    /// The expired are popped off the cold end of each shard's idle
+    /// order, so a sweep that finds nothing idle costs one lock and one
+    /// comparison per shard.
     pub fn sweep(&self, now: SimTime) -> Vec<Finalized<E>> {
         let mut out = Vec::new();
         for idx in 0..self.shards.len() {
             let mut shard = self.lock_shard(idx);
             out.append(&mut shard.finalized);
-            let mut expired: Vec<SessionKey> = shard
-                .live
-                .iter()
-                .filter(|(_, e)| now.since(e.session.last_seen()) > self.config.idle_timeout_ms)
-                .map(|(k, _)| k.clone())
-                .collect();
-            expired.sort_unstable();
-            for k in expired {
-                let Entry { session, ext, .. } = shard.live.remove(&k).expect("listed as live");
-                self.live_total.fetch_sub(1, Ordering::Relaxed);
-                self.gauge_remove(idx, ext.gauge());
-                out.push(Finalized { session, ext });
-            }
+            let casualties = out.len();
+            self.pop_expired(idx, &mut shard, now, usize::MAX, &mut out);
+            drop(shard);
+            out[casualties..].sort_unstable_by(|a, b| a.session.key.cmp(&b.session.key));
         }
         out
+    }
+
+    /// One bounded step of a sweep, cheap enough for a serving thread:
+    /// takes the next shard in rotation and, under its one lock,
+    /// collects its eviction and rollover casualties, finalizes up to
+    /// `budget` sessions idle past the timeout as of `now` (idlest
+    /// first), and runs `visit` over the next `budget` slab slots of the
+    /// shard's maintenance walk (the same visit
+    /// [`ShardedTracker::visit_entries_mut`] makes, resumed where the
+    /// shard's previous slice stopped). Returns the casualties, then the
+    /// expired.
+    ///
+    /// [`ShardedTracker::shard_count`] consecutive calls that all come
+    /// back empty mean nothing is left to collect as of `now` — the
+    /// state one [`ShardedTracker::sweep`] leaves. Concurrent callers
+    /// share the rotation and land on different shards.
+    pub fn sweep_slice(
+        &self,
+        now: SimTime,
+        budget: usize,
+        mut visit: impl FnMut(&Session, &mut E),
+    ) -> Vec<Finalized<E>> {
+        let idx = self.sweep_cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        let mut shard = self.lock_shard(idx);
+        let shard = &mut *shard;
+        let mut out = std::mem::take(&mut shard.finalized);
+        self.pop_expired(idx, shard, now, budget, &mut out);
+        for _ in 0..budget.min(shard.slab.len()) {
+            if shard.hand >= shard.slab.len() {
+                shard.hand = 0;
+            }
+            if let Some(node) = &mut shard.slab[shard.hand] {
+                self.visit(idx, node, &mut visit);
+            }
+            shard.hand += 1;
+        }
+        out
+    }
+
+    /// Finalizes up to `budget` entries off the cold end of a locked
+    /// shard, stopping at the first one still inside the idle timeout.
+    fn pop_expired(
+        &self,
+        idx: usize,
+        shard: &mut Shard<E>,
+        now: SimTime,
+        budget: usize,
+        out: &mut Vec<Finalized<E>>,
+    ) {
+        for _ in 0..budget {
+            let slot = shard.cold;
+            if slot == NIL
+                || now.since(shard.node(slot).entry.session.last_seen)
+                    <= self.config.idle_timeout_ms
+            {
+                break;
+            }
+            out.push(self.retire(idx, shard, slot));
+        }
     }
 
     /// Finalizes everything unconditionally (end of experiment) and
@@ -1008,24 +1295,25 @@ impl<E: SessionExt> ShardedTracker<E> {
     pub fn drain(&self) -> Vec<Finalized<E>> {
         let mut out = Vec::new();
         for idx in 0..self.shards.len() {
-            self.lock_shard(idx).cands.clear();
+            out.append(&mut self.lock_shard(idx).finalized);
         }
         for idx in 0..self.shards.len() {
             let mut shard = self.lock_shard(idx);
-            out.append(&mut shard.finalized);
-        }
-        for idx in 0..self.shards.len() {
-            let mut shard = self.lock_shard(idx);
-            let mut live: Vec<Finalized<E>> = shard
-                .live
-                .drain()
-                .map(|(_, Entry { session, ext, .. })| Finalized { session, ext })
+            let slab = shard.take_live();
+            drop(shard);
+            let mut live: Vec<Finalized<E>> = slab
+                .into_iter()
+                .flatten()
+                .map(|Node { entry, .. }| Finalized {
+                    session: entry.session,
+                    ext: entry.ext,
+                })
                 .collect();
             self.live_total.fetch_sub(live.len(), Ordering::Relaxed);
             for f in &live {
                 self.gauge_remove(idx, f.ext.gauge());
             }
-            live.sort_unstable_by(|a, b| a.session.key().cmp(b.session.key()));
+            live.sort_unstable_by(|a, b| a.session.key.cmp(&b.session.key));
             out.append(&mut live);
         }
         out
@@ -1037,132 +1325,105 @@ impl<E: SessionExt> ShardedTracker<E> {
         session.request_count() > self.config.min_requests_to_classify
     }
 
-    /// Finalizes the most-idle session among a bounded candidate set
-    /// (ties broken by key so eviction does not depend on map iteration
-    /// order). Scans shards one lock at a time; under concurrent ingest
-    /// the choice is best-effort.
+    /// Makes room for one never-seen key: finalizes the session that has
+    /// been idle longest across all shards (ties toward the smaller
+    /// key, see [`Shard::coldest`]) as an eviction casualty.
     ///
-    /// Shards holding at most [`EVICT_EXACT_BOUND`] entries are
-    /// scanned exactly — small trackers keep the seed's globally-most-
-    /// idle victim choice bit for bit. Larger shards examine up to
-    /// [`EVICT_SAMPLE_PER_SHARD`] *live* candidates popped from the front of the shard's
-    /// creation-order queue, pushing each examined survivor to the back:
-    /// successive evictions round-robin through the whole shard, so no
-    /// entry is ever unreachable, while the per-insert cost at the cap
-    /// drops from O(live) to O(shards × sample). Dead keys (evicted,
-    /// swept, rolled over) are dropped as they surface. The queue order
-    /// is a deterministic function of the operation history, so repeated
-    /// runs pick identical victims.
-    fn evict_most_idle(&self) {
-        fn better(best: &Option<(SimTime, SessionKey)>, t: SimTime, k: &SessionKey) -> bool {
-            match best {
-                None => true,
-                Some((bt, bk)) => t < *bt || (t == *bt && *k < *bk),
-            }
+    /// `idlest` arrives holding the candidate of shard `own`, nominated
+    /// while the caller still held that lock for its lookup. The other
+    /// shards are peeked one short lock at a time — each offers the one
+    /// `(last_seen, key)` at its cold end — and the winner's shard is
+    /// locked once more to pop it: `shards` acquisitions in all and a
+    /// constant number of entries read, however many are live.
+    ///
+    /// Between the peek and the pop the winner may have been touched or
+    /// taken by a racing evictor. Whatever is coldest in its shard by
+    /// then goes instead: under concurrent ingest the bound matters
+    /// more than the exact victim, and a pop cannot race away while the
+    /// lock is held.
+    fn evict_most_idle(&self, own: usize, mut idlest: Idlest) {
+        for idx in (0..self.shards.len()).filter(|&idx| idx != own) {
+            nominate(&mut self.lock_shard(idx), idx, &mut idlest);
         }
-        let mut best: Option<(SimTime, SessionKey)> = None;
-        for idx in 0..self.shards.len() {
-            let mut shard = self.lock_shard(idx);
-            let shard = &mut *shard;
-            if shard.live.len() <= EVICT_EXACT_BOUND {
-                for (k, e) in shard.live.iter() {
-                    let t = e.session.last_seen();
-                    if better(&best, t, k) {
-                        best = Some((t, k.clone()));
-                    }
-                }
-            } else {
-                let mut examined = 0;
-                let mut budget = shard.cands.len();
-                while examined < EVICT_SAMPLE_PER_SHARD && budget > 0 {
-                    budget -= 1;
-                    let Some(k) = shard.cands.pop_front() else {
-                        break;
-                    };
-                    if let Some(e) = shard.live.get(&k) {
-                        let t = e.session.last_seen();
-                        if better(&best, t, &k) {
-                            best = Some((t, k.clone()));
-                        }
-                        shard.cands.push_back(k);
-                        examined += 1;
-                    }
-                }
-            }
-        }
-        if let Some((last_seen, key)) = best {
-            let idx = self.shard_index(&key);
-            let mut shard = self.lock_shard(idx);
-            let shard = &mut *shard;
-            // Re-check under the lock: the victim may have been touched
-            // (or evicted by a racing thread) since the scan.
-            let still_victim = shard
-                .live
-                .get(&key)
-                .is_some_and(|e| e.session.last_seen() == last_seen);
-            if still_victim {
-                self.remove_locked(idx, shard, &key);
-            } else {
-                // A racing evictor beat us to the victim (or the victim
-                // was touched mid-flight). Rather than let the pending
-                // insert overshoot the bound, fall back to the best
-                // candidate of this shard, chosen and removed under the
-                // lock we already hold — this cannot race away.
-                self.evict_locked(idx, shard);
-            }
+        let Some((_, _, idx)) = idlest else {
+            return;
+        };
+        let mut shard = self.lock_shard(idx);
+        if let Some(slot) = shard.coldest() {
+            let casualty = self.retire(idx, &mut shard, slot);
+            shard.finalized.push(casualty);
+            self.cells[idx].evicted.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Picks and removes the most-idle candidate of one *locked* shard
-    /// (bounded sample, exact below the sample bound — same selection
-    /// rule as the cross-shard scan). No-op on an empty shard.
-    fn evict_locked(&self, idx: usize, shard: &mut Shard<E>) {
-        let mut best: Option<(SimTime, SessionKey)> = None;
-        if shard.live.len() <= EVICT_EXACT_BOUND {
-            for (k, e) in shard.live.iter() {
-                let t = e.session.last_seen();
-                let beats = match &best {
-                    None => true,
-                    Some((bt, bk)) => t < *bt || (t == *bt && *k < *bk),
-                };
-                if beats {
-                    best = Some((t, k.clone()));
-                }
-            }
-        } else {
-            let mut examined = 0;
-            let mut budget = shard.cands.len();
-            while examined < EVICT_SAMPLE_PER_SHARD && budget > 0 {
-                budget -= 1;
-                let Some(k) = shard.cands.pop_front() else {
-                    break;
-                };
-                if shard.live.contains_key(&k) {
-                    let t = shard.live[&k].session.last_seen();
-                    let beats = match &best {
-                        None => true,
-                        Some((bt, bk)) => t < *bt || (t == *bt && k < *bk),
-                    };
-                    if beats {
-                        best = Some((t, k.clone()));
-                    }
-                    shard.cands.push_back(k);
-                    examined += 1;
-                }
-            }
-        }
-        if let Some((_, key)) = best {
-            self.remove_locked(idx, shard, &key);
-        }
-    }
-
-    /// Finalizes one live entry of a *locked* shard as an eviction
-    /// casualty.
-    fn remove_locked(&self, idx: usize, shard: &mut Shard<E>, key: &SessionKey) {
-        let Entry { session, ext, .. } = shard.live.remove(key).expect("checked live");
+    /// Takes one live entry out of a *locked* shard, finalized; the live
+    /// count and the gauges follow.
+    fn retire(&self, idx: usize, shard: &mut Shard<E>, slot: u32) -> Finalized<E> {
+        let Entry { session, ext, .. } = shard.remove(slot);
         self.live_total.fetch_sub(1, Ordering::Relaxed);
         self.gauge_remove(idx, ext.gauge());
-        shard.finalized.push(Finalized { session, ext });
+        Finalized { session, ext }
+    }
+
+    /// Counts what the tracker holds (one shard lock at a time) and
+    /// checks that each shard's structures agree: every indexed key
+    /// sits in the slot the index names, the idle order links exactly
+    /// the indexed entries, both ways, and the free list names exactly
+    /// the vacant slab slots, once each. A soak or model test calls
+    /// this after the operations it distrusts.
+    ///
+    /// # Panics
+    ///
+    /// If a shard's index, slab, idle order and free list disagree.
+    pub fn census(&self) -> Census {
+        let mut census = Census::default();
+        for idx in 0..self.shards.len() {
+            let shard = self.lock_shard(idx);
+            for (key, &slot) in &shard.live {
+                assert_eq!(&shard.node(slot).entry.session.key, key, "shard {idx}");
+            }
+            let (mut linked, mut colder, mut at) = (0, NIL, shard.cold);
+            while at != NIL {
+                assert_eq!(shard.node(at).prev, colder, "shard {idx} slot {at}");
+                linked += 1;
+                assert!(linked <= shard.live.len(), "shard {idx}: a cycle");
+                (colder, at) = (at, shard.node(at).next);
+            }
+            assert_eq!(shard.warm, colder, "shard {idx}: warm end");
+            assert_eq!(linked, shard.live.len(), "shard {idx}: linked vs indexed");
+            let vacant: Vec<u32> = (0..shard.slab.len() as u32)
+                .filter(|&slot| shard.slab[slot as usize].is_none())
+                .collect();
+            let mut free = shard.free.clone();
+            free.sort_unstable();
+            assert_eq!(free, vacant, "shard {idx}: free list vs vacant slots");
+            assert_eq!(linked + vacant.len(), shard.slab.len(), "shard {idx}");
+            assert!(
+                !vacant.contains(&shard.victim),
+                "shard {idx}: a stale victim"
+            );
+            census.live += linked;
+            census.slots += shard.slab.len();
+            census.pending += shard.finalized.len();
+        }
+        census
+    }
+
+    /// Each shard's idle order, coldest first, as `(last_seen, key)`.
+    pub fn idle_order(&self) -> Vec<Vec<(SimTime, SessionKey)>> {
+        (0..self.shards.len())
+            .map(|idx| {
+                let shard = self.lock_shard(idx);
+                let mut order = Vec::with_capacity(shard.live.len());
+                let mut at = shard.cold;
+                while at != NIL {
+                    let node = shard.node(at);
+                    order.push((node.entry.session.last_seen, node.entry.session.key.clone()));
+                    at = node.next;
+                }
+                order
+            })
+            .collect()
     }
 }
 
@@ -1947,6 +2208,186 @@ mod tests {
         let key = SessionKey::of(&req(50, "A", "http://h/1", None));
         t.with_entry_and_carry(&key, |_, slot| *slot = Some(1));
         assert_eq!(t.carry_count(), 0);
+    }
+
+    #[test]
+    fn a_touch_moves_a_session_off_the_cold_end() {
+        let cfg = TrackerConfig {
+            max_sessions: 3,
+            ..TrackerConfig::default()
+        };
+        let t = SessionTracker::new(cfg);
+        for ip in 1..=3 {
+            t.observe(
+                &req(ip, "A", "http://h/1", None),
+                &ok(),
+                SimTime::from_secs(u64::from(ip)),
+            );
+        }
+        // The oldest arrival comes back: the second-oldest is now idlest.
+        t.observe(
+            &req(1, "A", "http://h/2", None),
+            &ok(),
+            SimTime::from_secs(4),
+        );
+        t.observe(
+            &req(9, "A", "http://h/1", None),
+            &ok(),
+            SimTime::from_secs(5),
+        );
+        assert_eq!(t.evicted_total(), 1);
+        let casualties = t.sweep(SimTime::from_secs(5));
+        assert_eq!(casualties.len(), 1);
+        assert_eq!(casualties[0].key().ip(), ClientIp::new(2));
+        t.census();
+    }
+
+    #[test]
+    fn one_shared_instant_costs_a_bounded_walk_and_a_repeatable_victim() {
+        // A simulated clock that never moves: the whole shard is one run
+        // of equally idle sessions, far longer than the tie walk. The
+        // bound must hold anyway, and the victims must repeat.
+        let run = || {
+            let t = SessionTracker::new(TrackerConfig {
+                max_sessions: 200,
+                shards: 1,
+                ..TrackerConfig::default()
+            });
+            // Descending keys, so the smallest key is never at the cold
+            // end: only the walk can find a smaller one.
+            for ip in (0..400u32).rev() {
+                t.observe(&req(ip, "A", "http://h/1", None), &ok(), SimTime::ZERO);
+                assert!(t.live_count() <= 200);
+            }
+            t.census();
+            t.sweep(SimTime::ZERO)
+                .iter()
+                .map(|c| c.key().ip())
+                .collect::<Vec<_>>()
+        };
+        let victims = run();
+        assert_eq!(victims.len(), 200);
+        // The first eviction looks TIE_WALK_BOUND entries in from the
+        // cold end (ips 399, 398, …) and takes the smallest of those.
+        assert_eq!(victims[0], ClientIp::new(400 - TIE_WALK_BOUND as u32));
+        assert_eq!(victims, run());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_known_key_pays_one_lock_at_the_cap_and_a_stranger_one_per_shard_more() {
+        use crate::sync::counters;
+        let cfg = TrackerConfig {
+            max_sessions: 4,
+            shards: 8,
+            ..TrackerConfig::default()
+        };
+        let t = SessionTracker::new(cfg);
+        for ip in 0..4 {
+            t.observe(&req(ip, "A", "http://h/1", None), &ok(), SimTime::ZERO);
+        }
+        counters::reset();
+        t.observe(
+            &req(2, "A", "http://h/2", None),
+            &ok(),
+            SimTime::from_secs(1),
+        );
+        assert_eq!(counters::snapshot(), (1, 0), "known key, full tracker");
+        counters::reset();
+        t.observe(
+            &req(77, "A", "http://h/1", None),
+            &ok(),
+            SimTime::from_secs(2),
+        );
+        // The miss, seven other shards peeked, the pop, the insert.
+        assert_eq!(counters::snapshot(), (8 + 2, 0), "stranger, full tracker");
+        assert_eq!(t.live_count(), 4);
+    }
+
+    #[test]
+    fn slices_rotate_through_the_shards_within_their_budget() {
+        let cfg = TrackerConfig {
+            shards: 2,
+            max_sessions: 12,
+            ..TrackerConfig::default()
+        };
+        let t: ShardedTracker<Tally> = ShardedTracker::new(cfg);
+        for ip in 0..12 {
+            t.observe_with(
+                &req(ip, "A", "http://h/1", None),
+                Some(&ok()),
+                SimTime::from_secs(u64::from(ip)),
+                |_, _| (),
+            );
+        }
+        let sizes = t.shard_sizes();
+        // Nothing idle: a slice finalizes nothing and visits `budget`
+        // live entries of one shard, resuming where the last one stopped.
+        let mut visited = 0;
+        for _ in 0..4 {
+            let done = t.sweep_slice(SimTime::from_secs(20), 2, |_, e| {
+                e.touched += 1;
+                visited += 1;
+            });
+            assert!(done.is_empty());
+        }
+        assert_eq!(visited, 8, "four slices, two visits each");
+        let once = t.fold_entries(0, |n, _, e| n + usize::from(e.touched == 1));
+        assert_eq!(once, 8, "no entry visited twice before the rest had a turn");
+        // Everything idle: each slice finalizes at most `budget`, idlest
+        // first, from the shard whose turn it is.
+        let later = SimTime::from_hours(2);
+        let first = t.sweep_slice(later, 3, |_, _| ());
+        let second = t.sweep_slice(later, 3, |_, _| ());
+        assert_eq!(first.len(), 3.min(sizes[0]));
+        assert_eq!(second.len(), 3.min(sizes[1]));
+        assert!(first
+            .windows(2)
+            .all(|w| w[0].last_seen() <= w[1].last_seen()));
+        let mut left = 12 - first.len() - second.len();
+        assert_eq!(t.live_count(), left);
+        let mut quiet = 0;
+        while quiet < t.shard_count() {
+            let n = t.sweep_slice(later, 3, |_, _| ()).len();
+            assert!(n <= 3);
+            left -= n;
+            quiet = if n == 0 { quiet + 1 } else { 0 };
+        }
+        assert_eq!((left, t.live_count()), (0, 0));
+        assert_eq!(
+            t.census(),
+            Census {
+                live: 0,
+                slots: 12,
+                pending: 0
+            }
+        );
+    }
+
+    #[test]
+    fn a_slice_collects_casualties_and_keeps_the_gauges_in_step() {
+        let cfg = TrackerConfig {
+            shards: 1,
+            max_sessions: 2,
+            ..TrackerConfig::default()
+        };
+        let t: ShardedTracker<Gauged> = ShardedTracker::new(cfg);
+        for ip in 0..4 {
+            t.observe_with(
+                &req(ip, "A", "http://h/1", None),
+                Some(&ok()),
+                SimTime::from_secs(u64::from(ip)),
+                |_, e| e.touched = 5,
+            );
+        }
+        assert_eq!(t.census().pending, 2, "two evictions wait in the shard");
+        assert_eq!(t.gauge_totals(), [10, 0]);
+        // The visit is the TTL closure's stand-in: it empties the state.
+        let done = t.sweep_slice(SimTime::from_secs(4), 8, |_, e| e.touched = 0);
+        assert_eq!(done.len(), 2);
+        assert_eq!(t.census().pending, 0);
+        assert_eq!(t.gauge_totals(), [0, 0]);
+        assert_eq!(t.evicted_total(), 2);
     }
 
     /// Extension whose gauge reports its `touched` count in column 0 and

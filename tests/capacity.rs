@@ -100,7 +100,7 @@ fn million_session_occupancy_traffic_sweep_and_drain() {
     assert_eq!(stats.live_sessions, n as usize, "revisits create nothing");
     assert_eq!(stats.requests, u64::from(n) + extra);
 
-    // Sweep with nothing idle past the timeout: a pure full scan that
+    // Sweep with nothing idle past the timeout: a full token purge that
     // must finalize nothing and leave occupancy untouched.
     let swept = gw.sweep(now);
     assert!(
@@ -126,4 +126,86 @@ fn million_session_occupancy_traffic_sweep_and_drain() {
         "request ledger conserved through drain"
     );
     assert_eq!(gw.stats().live_sessions, 0, "drain empties the tracker");
+}
+
+/// Ten caps' worth of never-seen keys through a full tracker, from four
+/// threads that each give the gateway a sweep slice every 64 requests
+/// (what a reactor's tick does): the uncollected casualties stay within
+/// a rotation's worth however long the churn runs, the slabs stop
+/// growing once the tracker is full, and every key is classified
+/// exactly once, by a slice or by the drain.
+#[test]
+fn key_churn_at_the_cap_is_collected_by_slices_and_reuses_its_slots() {
+    const CAP: u32 = 4_000;
+    const THREADS: u32 = 4;
+    const TICK: u32 = 64;
+    const BUDGET: usize = 128;
+    let keys = 10 * CAP;
+    let gw = Arc::new(
+        Gateway::builder()
+            .seed(2006)
+            .detector(DetectorConfig {
+                tracker: TrackerConfig {
+                    max_sessions: CAP as usize,
+                    ..TrackerConfig::default()
+                },
+            })
+            .build(),
+    );
+    let shards = gw.stats().shard_count;
+    // A shard's casualties wait for its turn: one rotation of slices,
+    // during which every thread sends TICK requests per slice. Twice
+    // that, for threads that are between ticks.
+    let pending_bound = 2 * shards * TICK as usize;
+    // The slabs' total is the sum of each shard's own high-water mark,
+    // so it runs past the cap by the shards' imbalance (each holds a
+    // binomial share of the live set, peaking at different times) plus
+    // the documented concurrent overshoot of the cap itself.
+    let slot_bound = (CAP + CAP / 4) as usize;
+
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let gw = &gw;
+            s.spawn(move || {
+                let per = keys / THREADS;
+                for i in 0..per {
+                    // Disjoint key ranges; one clock per thread, a
+                    // millisecond per request.
+                    let now = SimTime::from_millis(u64::from(i));
+                    touch(gw, t * per + i, now);
+                    if i % TICK == TICK - 1 {
+                        let done = gw.sweep_slice(now, BUDGET);
+                        assert!(done.len() <= pending_bound + BUDGET);
+                        let census = gw.detector().tracker().census();
+                        assert!(
+                            census.pending <= pending_bound,
+                            "{} casualties uncollected",
+                            census.pending
+                        );
+                        assert!(census.slots <= slot_bound, "{} slots", census.slots);
+                    }
+                }
+            });
+        }
+    });
+
+    let stats = gw.stats();
+    let live = stats.live_sessions;
+    assert!(live >= CAP as usize && live <= (CAP + CAP / 8) as usize);
+    assert_eq!(stats.evicted_sessions, u64::from(keys) - live as u64);
+    assert!(
+        stats.completed_sessions >= stats.evicted_sessions - pending_bound as u64,
+        "slices classified {} of {} evictions",
+        stats.completed_sessions,
+        stats.evicted_sessions
+    );
+    let drained = gw.drain().len() as u64;
+    assert_eq!(
+        stats.completed_sessions + drained,
+        u64::from(keys),
+        "every key classified exactly once"
+    );
+    assert_eq!(gw.stats().completed_sessions, u64::from(keys));
+    let census = gw.detector().tracker().census();
+    assert_eq!((census.live, census.pending, census.slots), (0, 0, 0));
 }

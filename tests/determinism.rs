@@ -264,3 +264,144 @@ proptest::proptest! {
         );
     }
 }
+
+/// FNV-1a over `bytes`: a golden digest short enough to keep in source.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Drives one small gateway (48-session cap, 30 s idle timeout) through
+/// arrivals that tie on the clock four at a time and overflow the cap,
+/// returning keys, a quiet spell that expires most of the rest and
+/// rolls a few over, then hands it to `collect` at the final instant.
+/// Renders what `collect` finalized, one line a session, in the order
+/// it came back.
+///
+/// No shard ever holds more than 32 sessions here, so the sampling
+/// eviction this history was first recorded against was exact too: the
+/// victims are the same sessions before and after the idle order.
+fn render_sweep_history(
+    collect: impl Fn(
+        &botwall::gateway::Gateway,
+        botwall::sessions::SimTime,
+    ) -> Vec<botwall::detect::CompletedSession>,
+) -> (Vec<String>, botwall::gateway::GatewayStats) {
+    use botwall::detect::DetectorConfig;
+    use botwall::gateway::{Gateway, Origin};
+    use botwall::http::request::ClientIp;
+    use botwall::http::{Method, Request};
+    use botwall::sessions::{SimTime, TrackerConfig};
+
+    const HTML: &str = "<html><head><title>d</title></head><body><p>x</p></body></html>";
+    let req = |ip: u32, path: &str| {
+        Request::builder(Method::Get, format!("http://det.example{path}"))
+            .header("User-Agent", "Mozilla/5.0 (determinism)")
+            .client(ClientIp::new(ip))
+            .build()
+            .unwrap()
+    };
+    let gw = Gateway::builder()
+        .seed(20_060_530)
+        .detector(DetectorConfig {
+            tracker: TrackerConfig {
+                max_sessions: 48,
+                idle_timeout_ms: 30_000,
+                ..TrackerConfig::default()
+            },
+        })
+        .build();
+    let page = |ip: u32, path: &str, at: SimTime| {
+        gw.handle_with(&req(ip, path), at, |_| Origin::Page(HTML.into()));
+    };
+    let mut clock = SimTime::ZERO;
+    // 72 keys through a 48-session cap, four to an instant: 24 evictions,
+    // every one of them out of a tie.
+    for ip in 0..72u32 {
+        if ip % 4 == 0 {
+            clock += 25;
+        }
+        page(ip, "/p0.html", clock);
+    }
+    // Every third survivor comes back: the idle order is no longer the
+    // arrival order.
+    for ip in (30..72u32).step_by(3) {
+        clock += 10;
+        page(ip, "/p1.html", clock);
+    }
+    // Twenty quiet seconds, then a few keys stay warm...
+    clock += 20_000;
+    for ip in 40..60u32 {
+        clock += 5;
+        page(ip, "/p2.html", clock);
+    }
+    // ...and fifteen more: whoever was last seen before the quiet spell
+    // is past the timeout. Four of them return (rollover casualties),
+    // four strangers arrive (evictions again).
+    clock += 15_000;
+    for ip in [31u32, 33, 36, 39, 100, 101, 102, 103] {
+        clock += 5;
+        page(ip, "/p3.html", clock);
+    }
+    let lines = collect(&gw, clock)
+        .iter()
+        .map(|cs| {
+            format!(
+                "{} n={} seen={} {:?} {:?}",
+                cs.session.key(),
+                cs.session.request_count(),
+                cs.session.last_seen(),
+                cs.label,
+                cs.reason
+            )
+        })
+        .collect();
+    (lines, gw.stats())
+}
+
+/// The monolithic sweep returns what it returned before the per-shard
+/// idle order existed, in the same order (shards in index order;
+/// casualties, then the expired by key), and a rotation of bounded
+/// slices finalizes exactly the same sessions.
+#[test]
+fn sweep_slices_finalize_what_the_monolithic_sweep_did_byte_lock() {
+    let (swept, swept_stats) = render_sweep_history(|gw, now| gw.sweep(now));
+    let rendered = swept.join("\n");
+    // Recorded at 02ef7af, the last commit whose sweep scanned every
+    // live entry and whose eviction sampled a candidate queue.
+    assert_eq!(
+        (rendered.len(), fnv1a(rendered.as_bytes())),
+        (GOLDEN_SWEEP_LEN, GOLDEN_SWEEP_FNV),
+        "the sweep's output changed:\n{rendered}"
+    );
+    let (again, _) = render_sweep_history(|gw, now| gw.sweep(now));
+    assert_eq!(swept, again, "two runs, two victim sequences");
+
+    // Two sessions a slice, so every shard's expired leave over several
+    // rotations; done when a whole rotation comes back empty.
+    let (mut sliced, sliced_stats) = render_sweep_history(|gw, now| {
+        let mut done = Vec::new();
+        let mut quiet = 0;
+        while quiet < gw.stats().shard_count {
+            let slice = gw.sweep_slice(now, 2);
+            quiet = if slice.is_empty() { quiet + 1 } else { 0 };
+            done.extend(slice);
+        }
+        done
+    });
+    let mut swept_sorted = swept.clone();
+    swept_sorted.sort();
+    sliced.sort();
+    assert_eq!(swept_sorted, sliced, "slices and sweep disagree");
+    assert_eq!(sliced_stats.live_sessions, swept_stats.live_sessions);
+    assert_eq!(
+        sliced_stats.completed_sessions,
+        swept_stats.completed_sessions
+    );
+    assert_eq!(sliced_stats.evicted_sessions, 28);
+    assert_eq!(swept_stats.evicted_sessions, 28);
+}
+
+const GOLDEN_SWEEP_LEN: usize = 4513;
+const GOLDEN_SWEEP_FNV: u64 = 0x8ea6_b5e9_cf94_027e;
