@@ -15,15 +15,23 @@
 //! against a keep-alive origin (after the first iteration every fetch
 //! rides the parked connection). The gap between the rows is the price
 //! of an origin connect on this loopback.
+//!
+//! The `reactor` group prices the event loop's own fixed costs, the
+//! part of every request that is neither kernel nor library: re-arming
+//! a deadline (a connection does it two or three times a request) and
+//! one `poll` that finds one descriptor ready.
 
 use botwall_gateway::Gateway;
 use botwall_http::{Method, Request};
 use botwall_serve::{client, MockOrigin, ServeConfig, Server};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use std::net::TcpStream;
+use reactor::{Interest, Reactor, Token};
+use std::hint::black_box;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const PAGE: &str = "<html><head><title>bench</title></head>\
 <body><p>loopback page</p><a href=\"/about.html\">about</a></body></html>";
@@ -137,5 +145,54 @@ fn bench_parallel_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_loopback_roundtrip, bench_parallel_roundtrip);
+/// The event loop's fixed costs. `deadline_rearm` refreshes one live
+/// token's timeout, `deadline_rearm_1k_tokens` does the same round-robin
+/// over a thousand (the per-token table's cache behaviour), and
+/// `poll_ready` is one `poll` with one descriptor ready and one deadline
+/// armed: the `epoll_wait`, the clock read and the look at the wheel.
+fn bench_reactor(c: &mut Criterion) {
+    const TIMEOUT: Duration = Duration::from_secs(10);
+    let mut group = c.benchmark_group("reactor");
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("deadline_rearm", |b| {
+        let mut reactor = Reactor::new().unwrap();
+        b.iter(|| reactor.deadline(black_box(Token(1)), black_box(TIMEOUT)))
+    });
+    group.bench_function("deadline_rearm_1k_tokens", |b| {
+        let mut reactor = Reactor::new().unwrap();
+        let mut next = 0usize;
+        b.iter(|| {
+            next = (next + 1) % 1000;
+            reactor.deadline(black_box(Token(next)), black_box(TIMEOUT))
+        })
+    });
+    group.bench_function("poll_ready", |b| {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let mut reactor = Reactor::new().unwrap();
+        reactor
+            .register(&server, Token(1), Interest::READABLE)
+            .unwrap();
+        reactor.deadline(Token(1), TIMEOUT);
+        // Never read: level-triggered, so every poll reports it again.
+        client.write_all(b"x").unwrap();
+        let mut events = Vec::new();
+        b.iter(|| {
+            reactor
+                .poll(&mut events, Some(Duration::from_millis(500)))
+                .unwrap();
+            assert_eq!(events.len(), 1);
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_loopback_roundtrip,
+    bench_parallel_roundtrip,
+    bench_reactor
+);
 criterion_main!(benches);

@@ -41,4 +41,4 @@ pub mod server;
 pub mod stats;
 
 pub use mock::{MockOrigin, MockOriginHandle};
-pub use server::{ServeConfig, ServeReport, Server, ShutdownHandle};
+pub use server::{ServeConfig, ServeReport, Server, ShutdownHandle, SysCalls};

@@ -239,6 +239,24 @@ fn main() -> ExitCode {
         report.origin_reuses,
         report.origin_retries,
     );
+    let sys = report.sys;
+    eprintln!(
+        "botwall-serve: system calls — {:.2} per request: {} reads ({} EAGAIN), \
+         {} writes ({} blocked), {} epoll_waits ({} events), {} interest changes, \
+         {} accepts; {} epoll_ctls in all, {} connects, {} timer entries left",
+        report.calls_per_request(),
+        sys.reads,
+        sys.reads_eagain,
+        sys.writes,
+        sys.writes_blocked,
+        sys.epoll_waits,
+        sys.epoll_events,
+        report.interest_changes,
+        sys.accepts,
+        sys.epoll_ctls,
+        sys.connects,
+        sys.timer_entries,
+    );
     if let Some(join) = smoke {
         match join.join() {
             Ok(Ok(())) => eprintln!("botwall-serve: smoke OK"),

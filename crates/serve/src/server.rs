@@ -22,11 +22,15 @@
 //! framing, no `Connection: close`) parks its connection in a
 //! per-worker idle pool instead of closing it; the next lease pops the
 //! warmest parked socket and writes its request without a connect, a
-//! register, or (usually) any `epoll_ctl` at all. Parked connections
-//! stay registered readable so a FIN or stray byte while idle retires
-//! them immediately, each carries an idle deadline on the reactor's
-//! timer wheel, and takeout probes liveness with one non-blocking read
-//! — a poisoned socket is never handed to a lease. Reuse still races
+//! register, or any `epoll_ctl` at all: a connection is registered
+//! readable while it fetches and while it is parked, so the cached
+//! interest never has to move. A FIN or stray byte while idle therefore
+//! retires a parked connection immediately, each carries an idle
+//! deadline on the reactor's timer wheel (one wheel entry per
+//! connection however often it is parked and taken), and takeout probes
+//! liveness with one non-blocking read — the only read this file makes
+//! in order to be told `EAGAIN`, and the price of never handing a
+//! poisoned socket to a lease. Reuse still races
 //! the origin's own close: a reused fetch that dies **before any
 //! response byte** transparently retries exactly once on a fresh
 //! connection, while a failure after the first byte takes the ordinary
@@ -53,15 +57,34 @@
 //!
 //! A connection slot's read buffer and write buffer live on the slot,
 //! not the request: keep-alive requests reuse them, and released slots
-//! return them to a per-worker pool for the next accept. A response is
+//! return them to per-worker pools for the next accept. A response is
 //! serialized head-first straight into the slot's pooled write buffer
 //! with the body appended once — the whole message leaves in one
 //! `write` when the socket accepts it. Origin-side connections draw
-//! from the same pool. Reads land directly in the slot's buffer — 8KB
-//! at first, 64KB at a time once a read fills what it was offered — so
-//! no byte crosses a bounce buffer on the way in. The epoll interest of
-//! every descriptor is cached on its slot, so a request that completes
-//! within one readiness batch re-arms nothing.
+//! from the same pools. Reads land directly in the slot's read buffer,
+//! which stays initialised from one request (and one connection) to the
+//! next with a fill cursor beside it, so a read is offered the whole
+//! spare area — at least 8KB, 64KB more once a read fills what it was
+//! offered — and costs the bytes it moved: no bounce buffer, no
+//! zero-fill per request. A read that comes back short has drained the
+//! socket, so the loop stops there instead of calling again to be told
+//! `EAGAIN`; only a hang-up event is read through to EOF.
+//!
+//! # System calls per request
+//!
+//! The epoll interest of every descriptor is cached on its slot and
+//! changes only when an event proves it must: a write blocked (ask for
+//! `WRITABLE`, and take it back once drained), a streaming origin
+//! outran its client (pause, resume), or a client sent its next request
+//! while parked on an origin fetch (drop read interest on the event
+//! that delivers those bytes, restore it on the return to reading). A
+//! keep-alive request the gate answers alone is therefore one
+//! `epoll_wait`, one `read`, one `write`; a buffered origin fetch on a
+//! pooled connection adds the takeout probe and one `write`, `read` and
+//! `epoll_wait` for the upstream hop; neither touches `epoll_ctl`. Every
+//! call is counted where it is made ([`SysCalls`]), in per-reactor
+//! cells that cost a load and a store, and `/admin/stats` serves the
+//! totals as `sys_*`.
 //!
 //! # Streaming pages
 //!
@@ -92,6 +115,11 @@
 //! origin fetch carries its own deadline that completes the lease with a
 //! synthesized 504 — completing rather than dropping, so the session's
 //! in-flight lease count comes back down and enforcement stays exact.
+//! Deadlines are refreshed freely (two or three times a request):
+//! re-arming is a store into the reactor's per-token table, and the
+//! wheel holds one entry per live descriptor, not one per arm. Time is
+//! the reactor's per-wakeup stamp, so everything one event batch does,
+//! deadlines and gateway clock alike, happens at one instant.
 //! On shutdown (SIGTERM in the binary, [`ShutdownHandle`] anywhere) the
 //! first reactor to notice fans the signal out through every sibling's
 //! waker; each closes its listener, drops idle connections, and finishes
@@ -105,7 +133,7 @@ use botwall_gateway::{Gateway, Origin, PageStream, PendingServe};
 use botwall_http::request::ClientIp;
 use botwall_http::{wire, Request, Response, StatusCode};
 use botwall_sessions::SimTime;
-use reactor::{net, signals, Event, Interest, Reactor, Token, Waker};
+use reactor::{net, signals, Counter, Event, Interest, Reactor, ReactorCounters, Token, Waker};
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -177,6 +205,66 @@ pub struct ServeReport {
     /// `epoll_ctl` calls that changed the interest of an open socket,
     /// across all reactors — what the cached-interest design keeps low.
     pub interest_changes: u64,
+    /// Every system call the front door made, by class.
+    pub sys: SysCalls,
+}
+
+impl ServeReport {
+    /// System calls per request: reads, writes, `epoll_wait`s, interest
+    /// changes and accept calls over the requests served (the per-class
+    /// numbers are in [`ServeReport::sys`]). A keep-alive request the
+    /// gate answers alone needs three.
+    pub fn calls_per_request(&self) -> f64 {
+        let sys = &self.sys;
+        let calls = sys.reads + sys.writes + sys.epoll_waits + self.interest_changes + sys.accepts;
+        calls as f64 / self.requests.max(1) as f64
+    }
+}
+
+/// System calls and kernel events by class, summed over every reactor:
+/// each is counted where it is made, into a cell only its own reactor
+/// writes, so counting costs the request path no atomic
+/// read-modify-write. `/admin/stats` serves the same totals live, as
+/// `sys_*` and `timer_entries`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SysCalls {
+    /// `read` calls on client and origin sockets.
+    pub reads: u64,
+    /// Reads that moved nothing and returned `EAGAIN`: the pool's
+    /// takeout probe, ideally nothing else.
+    pub reads_eagain: u64,
+    /// `write` calls on client and origin sockets.
+    pub writes: u64,
+    /// Writes the socket refused (`EAGAIN`), each followed by a wait for
+    /// writability.
+    pub writes_blocked: u64,
+    /// `epoll_wait` calls.
+    pub epoll_waits: u64,
+    /// Readiness events those calls returned.
+    pub epoll_events: u64,
+    /// `epoll_ctl` calls of any kind (add, modify, delete).
+    pub epoll_ctls: u64,
+    /// `accept4` calls, the one per backlog drain that finds it empty
+    /// included.
+    pub accepts: u64,
+    /// Non-blocking origin connects started.
+    pub connects: u64,
+    /// Entries on the reactors' timer wheels right now: bounded by the
+    /// descriptors alive, not by the requests of the last timeout period.
+    pub timer_entries: u64,
+}
+
+/// One reactor's share of [`SysCalls`]: the shim's own tallies plus the
+/// socket calls this file makes. Written by that reactor's thread only.
+#[derive(Debug, Default)]
+pub(crate) struct WorkerCounters {
+    pub(crate) reactor: Arc<ReactorCounters>,
+    pub(crate) reads: Counter,
+    pub(crate) reads_eagain: Counter,
+    pub(crate) writes: Counter,
+    pub(crate) writes_blocked: Counter,
+    pub(crate) accepts: Counter,
+    pub(crate) connects: Counter,
 }
 
 /// Counters shared by every reactor thread. The live-connection count
@@ -190,7 +278,39 @@ pub(crate) struct SharedCounters {
     pub(crate) origin_connects: AtomicU64,
     pub(crate) origin_reuses: AtomicU64,
     pub(crate) origin_retries: AtomicU64,
+    /// Per-reactor call tallies, merged on read.
+    pub(crate) workers: Vec<Arc<WorkerCounters>>,
     shutdown: AtomicBool,
+}
+
+impl SharedCounters {
+    /// Zeroed counters over the given reactors' cells.
+    pub(crate) fn over(workers: Vec<Arc<WorkerCounters>>) -> SharedCounters {
+        SharedCounters {
+            workers,
+            ..SharedCounters::default()
+        }
+    }
+
+    /// The call tallies of every reactor, summed.
+    pub(crate) fn sys_calls(&self) -> SysCalls {
+        let mut sum = SysCalls::default();
+        for worker in &self.workers {
+            let reactor = &worker.reactor;
+            sum.reads += worker.reads.get();
+            sum.reads_eagain += worker.reads_eagain.get();
+            sum.writes += worker.writes.get();
+            sum.writes_blocked += worker.writes_blocked.get();
+            sum.epoll_waits += reactor.waits.get();
+            sum.epoll_events += reactor.io_events.get();
+            sum.epoll_ctls +=
+                reactor.ctl_adds.get() + reactor.ctl_mods.get() + reactor.ctl_dels.get();
+            sum.accepts += worker.accepts.get();
+            sum.connects += worker.connects.get();
+            sum.timer_entries += reactor.timer_entries.get();
+        }
+        sum
+    }
 }
 
 /// Requests a running server stop: close every listener, finish
@@ -227,12 +347,14 @@ pub const STREAM_HIGH_WATER: usize = 64 * 1024;
 /// Backlog below which a parked streaming origin resumes reading.
 pub const STREAM_LOW_WATER: usize = 16 * 1024;
 
-/// Recycled buffers above this capacity are dropped instead of pooled,
-/// so one multi-megabyte streamed page cannot pin its backlog buffer
-/// forever.
-const POOL_BUF_CAP: usize = 64 * 1024;
+/// Recycled buffers above this size are dropped instead of pooled, so
+/// one multi-megabyte streamed page cannot pin its backlog buffer
+/// forever. A read buffer that grew once, for one page-sized body, is
+/// the largest kept.
+const POOL_BUF_CAP: usize = READ_FIRST + READ_MORE;
 
-/// Cap on pooled buffers per worker (each is at most [`POOL_BUF_CAP`]).
+/// Cap on pooled buffers of each kind per worker (each is at most
+/// [`POOL_BUF_CAP`]).
 const POOL_MAX: usize = 128;
 
 /// How often each reactor gives the gateway one
@@ -263,12 +385,59 @@ enum Slot {
     IdleOrigin(IdleOrigin),
 }
 
+/// A connection's read accumulation. `bytes` stays initialised to its
+/// whole length, across requests and across trips through the pool, and
+/// `filled` says how much of it is data (what the buffer derefs to): a
+/// read costs the bytes it moved, never a memset of the landing area.
+#[derive(Default)]
+struct ReadBuf {
+    bytes: Vec<u8>,
+    filled: usize,
+}
+
+impl std::ops::Deref for ReadBuf {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.filled]
+    }
+}
+
+impl ReadBuf {
+    /// The landing area for the next read: everything past the data,
+    /// never less than [`READ_FIRST`]. A buffer that came back full
+    /// grows by [`READ_MORE`] — the peer is sending a body, so ask for
+    /// it in body-sized pieces.
+    fn spare(&mut self) -> &mut [u8] {
+        let spare = self.bytes.len() - self.filled;
+        if spare < READ_FIRST {
+            let grow = if spare == 0 && self.filled > 0 {
+                READ_MORE
+            } else {
+                READ_FIRST
+            };
+            self.bytes.resize(self.filled + grow, 0);
+        }
+        &mut self.bytes[self.filled..]
+    }
+
+    /// Drops the first `n` bytes of data; what follows shifts down.
+    fn consume(&mut self, n: usize) {
+        self.bytes.copy_within(n..self.filled, 0);
+        self.filled -= n;
+    }
+
+    fn clear(&mut self) {
+        self.filled = 0;
+    }
+}
+
 struct ClientConn {
     stream: TcpStream,
     peer: ClientIp,
     /// Read accumulation; survives keep-alive requests and is pooled
     /// across connections.
-    buf: Vec<u8>,
+    buf: ReadBuf,
     /// Response / stream-backlog staging (`out[pos..]` unsent); same
     /// lifetime as `buf`.
     out: Vec<u8>,
@@ -316,7 +485,7 @@ struct OriginConn {
     /// Serialized upstream request, then how much of it has gone out.
     out: Vec<u8>,
     pos: usize,
-    buf: Vec<u8>,
+    buf: ReadBuf,
     client_slot: usize,
     /// Whether to close the *client* connection after this response.
     close_after: bool,
@@ -422,8 +591,12 @@ struct Worker {
     /// cap reads the global atomic).
     clients: usize,
     draining: bool,
-    /// Recycled connection buffers.
+    /// Recycled write buffers.
     pool: Vec<Vec<u8>>,
+    /// Recycled read buffers, still initialised.
+    read_pool: Vec<ReadBuf>,
+    /// This reactor's call tallies (its cell of `shared.workers`).
+    sys: Arc<WorkerCounters>,
     /// Slots holding parked origin connections, most recently parked
     /// last — takeout pops the warmest socket first. Strictly
     /// per-worker: a connection registered with this reactor can only
@@ -462,13 +635,23 @@ impl Server {
                 listeners.push(net::tcp_listen_reuseport(local_addr)?);
             }
         }
-        let shared = Arc::new(SharedCounters::default());
-        let mut workers = Vec::with_capacity(threads);
-        let mut wakers = Vec::with_capacity(threads);
-        let mut waker_fd = -1;
+        let mut reactors = Vec::with_capacity(threads);
         for listener in listeners {
             let mut reactor = Reactor::new()?;
             reactor.register(&listener, LISTENER, Interest::READABLE)?;
+            reactors.push((reactor, listener));
+        }
+        let cells = reactors.iter().map(|(reactor, _)| {
+            Arc::new(WorkerCounters {
+                reactor: Arc::clone(reactor.counters()),
+                ..WorkerCounters::default()
+            })
+        });
+        let shared = Arc::new(SharedCounters::over(cells.collect()));
+        let mut workers = Vec::with_capacity(threads);
+        let mut wakers = Vec::with_capacity(threads);
+        let mut waker_fd = -1;
+        for (n, (reactor, listener)) in reactors.into_iter().enumerate() {
             if waker_fd < 0 {
                 waker_fd = reactor.waker_fd();
             }
@@ -486,6 +669,8 @@ impl Server {
                 clients: 0,
                 draining: false,
                 pool: Vec::new(),
+                read_pool: Vec::new(),
+                sys: Arc::clone(&shared.workers[n]),
                 idle_pool: Vec::new(),
                 rewrite_scratch: Vec::new(),
                 next_sweep_ms: SWEEP_TICK_MS,
@@ -550,6 +735,7 @@ impl Server {
         let drained_sessions = self.gateway.drain().len();
         Ok(ServeReport {
             interest_changes,
+            sys: self.shared.sys_calls(),
             connections: self.shared.connections_total.load(Ordering::SeqCst),
             requests: self.shared.requests_total.load(Ordering::SeqCst),
             drained_sessions,
@@ -561,8 +747,9 @@ impl Server {
 }
 
 impl Worker {
-    /// The wall-clock of this worker's reactor as the workspace's
-    /// simulated-time type: milliseconds since the reactor started.
+    /// The clock of this worker's reactor as the workspace's
+    /// simulated-time type: milliseconds from the reactor's start to
+    /// its last wakeup (no clock read; one batch, one instant).
     fn now(&self) -> SimTime {
         SimTime::from_millis(self.reactor.now_ms())
     }
@@ -688,14 +875,14 @@ impl Worker {
                 continue;
             };
             self.reactor.cancel_deadline(token_of(slot));
-            let mut probe = [0u8; 1];
-            if idle.addr == addr
-                && matches!(
-                    idle.stream.read(&mut probe),
-                    Err(ref e) if e.kind() == io::ErrorKind::WouldBlock
-                )
-            {
-                return Some((slot, idle.stream, idle.interest));
+            if idle.addr == addr {
+                // The one read made in order to be told `EAGAIN`.
+                self.sys.reads.add(1);
+                let probe = idle.stream.read(&mut [0u8; 1]);
+                if matches!(probe, Err(ref e) if e.kind() == io::ErrorKind::WouldBlock) {
+                    self.sys.reads_eagain.add(1);
+                    return Some((slot, idle.stream, idle.interest));
+                }
             }
             // Dropping the stream closes the fd (the kernel deregisters
             // it); the slot is reusable after this batch.
@@ -738,7 +925,7 @@ impl Worker {
         self.reactor
             .deadline(token_of(slot), self.config.origin_pool_idle);
         self.recycle(out);
-        self.recycle(buf);
+        self.recycle_read(buf);
         self.slots[slot] = Some(Slot::IdleOrigin(IdleOrigin {
             stream,
             addr,
@@ -756,17 +943,32 @@ impl Worker {
         }
     }
 
-    /// A pooled buffer (empty, capacity warm from its last connection).
+    /// A pooled write buffer (empty, capacity warm from its last
+    /// connection).
     fn take_buf(&mut self) -> Vec<u8> {
         self.pool.pop().unwrap_or_default()
     }
 
-    /// Returns a buffer to the pool unless it grew past the retention
-    /// cap.
+    /// Returns a write buffer to the pool unless it grew past the
+    /// retention cap.
     fn recycle(&mut self, mut buf: Vec<u8>) {
         if buf.capacity() <= POOL_BUF_CAP && self.pool.len() < POOL_MAX {
             buf.clear();
             self.pool.push(buf);
+        }
+    }
+
+    /// A pooled read buffer (no data, landing area still initialised).
+    fn take_read_buf(&mut self) -> ReadBuf {
+        self.read_pool.pop().unwrap_or_default()
+    }
+
+    /// Returns a read buffer to its pool unless it grew past the
+    /// retention cap.
+    fn recycle_read(&mut self, mut buf: ReadBuf) {
+        if buf.bytes.capacity() <= POOL_BUF_CAP && self.read_pool.len() < POOL_MAX {
+            buf.clear();
+            self.read_pool.push(buf);
         }
     }
 
@@ -775,15 +977,15 @@ impl Worker {
             let Some(listener) = &self.listener else {
                 return;
             };
-            let (stream, peer) = match listener.accept() {
+            // Born non-blocking (`accept4`); the call that finds the
+            // backlog empty ends the drain.
+            self.sys.accepts.add(1);
+            let (stream, peer) = match net::accept_nonblocking(listener) {
                 Ok(pair) => pair,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
             // Reserve against the *global* cap, backing out on
             // overshoot, so concurrent reactors can never admit more
             // than the cap together.
@@ -811,7 +1013,7 @@ impl Worker {
             }
             self.reactor
                 .deadline(token_of(slot), self.config.read_timeout);
-            let buf = self.take_buf();
+            let buf = self.take_read_buf();
             let out = self.take_buf();
             self.slots[slot] = Some(Slot::Client(ClientConn {
                 stream,
@@ -867,12 +1069,25 @@ impl Worker {
         }
         let mut eof = false;
         if matches!(c.state, ClientState::Reading) && (ev.readable || ev.closed) {
-            eof = read_available(&mut c.stream, &mut c.buf);
+            eof = read_available(&mut c.stream, &mut c.buf, ev.closed, &self.sys);
         } else if ev.closed {
             // Peer hung up while parked or mid-write: nothing sensible
             // left to send them.
             self.release_client(slot, c);
             return;
+        } else if ev.readable {
+            // A pipelining client: bytes of its next request while this
+            // one is parked on an origin. Level-triggered epoll would
+            // report them on every poll, so this one event (and no
+            // earlier guess) drops read interest; the return to
+            // `Reading` restores it. Hang-ups arrive regardless.
+            set_interest(
+                &mut self.reactor,
+                &c.stream,
+                token_of(slot),
+                &mut c.interest,
+                Interest::NONE,
+            );
         }
         if self.pump(slot, &mut c, eof) {
             self.slots[slot] = Some(Slot::Client(c));
@@ -896,7 +1111,7 @@ impl Worker {
                         // framing answers 400 like any parse failure.
                         let parsed = frame::dechunk(&c.buf[..len])
                             .and_then(|raw| wire::parse_request(&raw, c.peer));
-                        c.buf.drain(..len);
+                        c.buf.consume(len);
                         match parsed {
                             Ok(request) => self.dispatch(slot, c, request),
                             Err(_) => self.set_response(
@@ -930,7 +1145,7 @@ impl Worker {
                 ClientState::Awaiting { .. } => return !eof,
                 ClientState::Writing { close_after } => {
                     let close_after = *close_after;
-                    match write_available(&mut c.stream, &c.out, &mut c.pos) {
+                    match write_available(&mut c.stream, &c.out, &mut c.pos, &self.sys) {
                         WriteStep::Done => {
                             if close_after || self.draining {
                                 return false;
@@ -964,24 +1179,28 @@ impl Worker {
                     let fetch_done = origin_slot.is_none();
                     let close_after = *close_after;
                     let end = *end;
-                    match write_available(&mut c.stream, &c.out, &mut c.pos) {
+                    match write_available(&mut c.stream, &c.out, &mut c.pos, &self.sys) {
                         WriteStep::Done => match end {
                             StreamEnd::More => {
                                 // Fully drained; the origin will push
                                 // more. Reclaim the backlog buffer and
-                                // park until then (hang-up detection
-                                // only).
+                                // wait for it. The registration stays as
+                                // it is unless a blocked write left
+                                // WRITABLE armed, which a drained socket
+                                // would report on every poll.
                                 c.out.clear();
                                 c.pos = 0;
                                 self.reactor
                                     .deadline(token_of(slot), self.config.read_timeout);
-                                set_interest(
-                                    &mut self.reactor,
-                                    &c.stream,
-                                    token_of(slot),
-                                    &mut c.interest,
-                                    Interest::NONE,
-                                );
+                                if c.interest == Interest::WRITABLE {
+                                    set_interest(
+                                        &mut self.reactor,
+                                        &c.stream,
+                                        token_of(slot),
+                                        &mut c.interest,
+                                        Interest::READABLE,
+                                    );
+                                }
                                 return true;
                             }
                             StreamEnd::Truncated => return false,
@@ -1052,7 +1271,7 @@ impl Worker {
                 {
                     self.shared.origin_reuses.fetch_add(1, Ordering::Relaxed);
                     let mut pos = 0;
-                    match write_available(&mut stream, &out, &mut pos) {
+                    match write_available(&mut stream, &out, &mut pos, &self.sys) {
                         WriteStep::Dead => {
                             // The parked socket died between the probe
                             // and the write: retry on a fresh connection
@@ -1082,6 +1301,7 @@ impl Worker {
                 let (origin_slot, stream, pos, interest, connected) = match prepared {
                     Some(prepared) => prepared,
                     None => {
+                        self.sys.connects.add(1);
                         let mut stream = match net::tcp_connect_nonblocking(origin_addr) {
                             Ok(stream) => stream,
                             Err(_) => {
@@ -1104,7 +1324,7 @@ impl Worker {
                         // `WouldBlock` and takes the writable-event path.
                         let mut pos = 0;
                         let (connected, interest) =
-                            match write_available(&mut stream, &out, &mut pos) {
+                            match write_available(&mut stream, &out, &mut pos, &self.sys) {
                                 WriteStep::Done => (true, Interest::READABLE),
                                 WriteStep::Blocked if pos > 0 => (true, Interest::WRITABLE),
                                 _ => (false, Interest::WRITABLE),
@@ -1128,7 +1348,7 @@ impl Worker {
                 };
                 self.reactor
                     .deadline(token_of(origin_slot), self.config.origin_timeout);
-                let buf = self.take_buf();
+                let buf = self.take_read_buf();
                 self.slots[origin_slot] = Some(Slot::OriginFetch(Box::new(OriginConn {
                     stream,
                     out,
@@ -1143,17 +1363,14 @@ impl Worker {
                     saw_byte: false,
                     state: OriginState::Buffering,
                 })));
-                // Park the client: no read interest (level-triggered
-                // epoll would spin on pipelined bytes), hang-up only.
+                // Park the client with the registration it has: a
+                // hang-up is reported whatever the mask, and a client
+                // that sends nothing until it is answered (nearly all of
+                // them) never makes read interest matter. The one that
+                // pipelines loses it on the event that proves it, in
+                // `drive_client`, not here on a guess.
                 c.state = ClientState::Awaiting { origin_slot };
                 self.reactor.cancel_deadline(token_of(slot));
-                set_interest(
-                    &mut self.reactor,
-                    &c.stream,
-                    token_of(slot),
-                    &mut c.interest,
-                    Interest::NONE,
-                );
             }
         }
     }
@@ -1212,7 +1429,7 @@ impl Worker {
         self.shared.live.fetch_sub(1, Ordering::AcqRel);
         let ClientConn { buf, out, .. } = c;
         // Dropping the stream closed the fd; the kernel deregistered it.
-        self.recycle(buf);
+        self.recycle_read(buf);
         self.recycle(out);
     }
 
@@ -1228,7 +1445,7 @@ impl Worker {
             let _ = self.gateway.complete(pending, gone, now);
         }
         let OriginConn { buf, out, .. } = o;
-        self.recycle(buf);
+        self.recycle_read(buf);
         self.recycle(out);
     }
 
@@ -1264,7 +1481,7 @@ impl Worker {
             }
         }
         if o.pos < o.out.len() && (ev.writable || ev.closed) {
-            match write_available(&mut o.stream, &o.out, &mut o.pos) {
+            match write_available(&mut o.stream, &o.out, &mut o.pos, &self.sys) {
                 WriteStep::Done => {
                     set_interest(
                         &mut self.reactor,
@@ -1296,7 +1513,7 @@ impl Worker {
         let mut eof = false;
         let before = o.buf.len();
         if ev.readable || ev.closed {
-            eof = read_available(&mut o.stream, &mut o.buf);
+            eof = read_available(&mut o.stream, &mut o.buf, ev.closed, &self.sys);
         }
         if o.buf.len() > before {
             o.saw_byte = true;
@@ -1319,6 +1536,7 @@ impl Worker {
             .config
             .origin
             .expect("a fetch exists only with an origin configured");
+        self.sys.connects.add(1);
         let mut stream = match net::tcp_connect_nonblocking(addr) {
             Ok(stream) => stream,
             Err(_) => {
@@ -1333,11 +1551,12 @@ impl Worker {
         };
         o.pos = 0;
         o.buf.clear();
-        let (connected, interest) = match write_available(&mut stream, &o.out, &mut o.pos) {
-            WriteStep::Done => (true, Interest::READABLE),
-            WriteStep::Blocked if o.pos > 0 => (true, Interest::WRITABLE),
-            _ => (false, Interest::WRITABLE),
-        };
+        let (connected, interest) =
+            match write_available(&mut stream, &o.out, &mut o.pos, &self.sys) {
+                WriteStep::Done => (true, Interest::READABLE),
+                WriteStep::Blocked if o.pos > 0 => (true, Interest::WRITABLE),
+                _ => (false, Interest::WRITABLE),
+            };
         // Dropping the dead socket closes it (the kernel deregisters);
         // the fresh one takes over the same token.
         drop(std::mem::replace(&mut o.stream, stream));
@@ -1403,7 +1622,7 @@ impl Worker {
                 let origin = classify_origin(&o.buf[..len]);
                 // The message is consumed; whatever is left is what
                 // `park_or_free` refuses to park over.
-                o.buf.drain(..len);
+                o.buf.consume(len);
                 self.finish_origin(slot, o, origin, reusable);
             }
             Ok(_) if eof => {
@@ -1502,7 +1721,7 @@ impl Worker {
             return;
         };
         // Usually the whole buffer: nothing is left to shift down.
-        o.buf.drain(..skip + used);
+        o.buf.consume(skip + used);
         if done || (eof && decoder.eof_ok()) {
             // Clean end of body: flush the rewriter's tail, commit the
             // lease, and stage the terminal chunk.
@@ -1579,7 +1798,7 @@ impl Worker {
     /// pool.
     fn retire_origin(&mut self, o: OriginConn) {
         let OriginConn { buf, out, .. } = o;
-        self.recycle(buf);
+        self.recycle_read(buf);
         self.recycle(out);
     }
 
@@ -1693,10 +1912,13 @@ impl Worker {
         };
         if fetch.paused {
             fetch.paused = false;
-            let _ = self
-                .reactor
-                .reregister(&o.stream, token_of(origin_slot), Interest::READABLE);
-            o.interest = Interest::READABLE;
+            set_interest(
+                &mut self.reactor,
+                &o.stream,
+                token_of(origin_slot),
+                &mut o.interest,
+                Interest::READABLE,
+            );
         }
     }
 
@@ -1762,43 +1984,66 @@ fn wants_keep_alive(request: &Request) -> bool {
     }
 }
 
-/// Landing area a read starts with: room for any request and most
-/// response heads, and all the zero-filling a small message costs.
+/// The least landing area a read is offered: room for any request and
+/// most response heads.
 const READ_FIRST: usize = 8 * 1024;
 
-/// Landing area added once a read has filled what it was given — the
-/// peer is sending a body, so ask for it in body-sized pieces.
+/// Landing area added once a read has filled what it was offered.
 const READ_MORE: usize = 64 * 1024;
 
-/// Reads until the socket would block, straight into the tail of `buf`
-/// (no bounce buffer). Returns `true` at EOF/reset.
-fn read_available(stream: &mut TcpStream, buf: &mut Vec<u8>) -> bool {
-    let mut filled = buf.len();
-    buf.resize(filled + READ_FIRST, 0);
-    let eof = loop {
-        if filled == buf.len() {
-            buf.resize(filled + READ_MORE, 0);
+/// Reads what the socket holds, straight into the tail of `buf` (no
+/// bounce buffer), and returns `true` at EOF/reset. A read that comes
+/// back short has drained a stream socket (epoll(7)), and the
+/// registration is level-triggered, so whatever arrives a moment later
+/// is reported again: only a buffer that came back full is worth a
+/// second call. When the event said `closed` (the peer hung up or
+/// half-closed) the reads go on to EOF, so a close-delimited response
+/// or a client's last request ends in the wakeup that delivered it.
+fn read_available(
+    stream: &mut TcpStream,
+    buf: &mut ReadBuf,
+    closed: bool,
+    sys: &WorkerCounters,
+) -> bool {
+    loop {
+        let spare = buf.spare();
+        let offered = spare.len();
+        sys.reads.add(1);
+        match stream.read(spare) {
+            Ok(0) => return true,
+            Ok(n) => {
+                buf.filled += n;
+                if n < offered && !closed {
+                    return false;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                sys.reads_eagain.add(1);
+                return false;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return true,
         }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => break true,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break false,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => break true,
-        }
-    };
-    buf.truncate(filled);
-    eof
+    }
 }
 
 /// Writes until done or the socket would block.
-fn write_available(stream: &mut TcpStream, out: &[u8], pos: &mut usize) -> WriteStep {
+fn write_available(
+    stream: &mut TcpStream,
+    out: &[u8],
+    pos: &mut usize,
+    sys: &WorkerCounters,
+) -> WriteStep {
     while *pos < out.len() {
+        sys.writes.add(1);
         match stream.write(&out[*pos..]) {
             Ok(0) => return WriteStep::Dead,
             Ok(n) => *pos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return WriteStep::Blocked,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                sys.writes_blocked.add(1);
+                return WriteStep::Blocked;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => return WriteStep::Dead,
         }
     }

@@ -9,16 +9,22 @@ use botwall_gateway::GatewayStats;
 use std::sync::atomic::Ordering;
 
 /// Renders the gateway snapshot plus the front door's own merged
-/// counters (connections/requests/origin-pool traffic across every
-/// reactor thread) as one JSON object — the `/admin/stats` body.
+/// counters (connections/requests/origin-pool traffic, then the system
+/// calls by class, across every reactor thread) as one JSON object —
+/// the `/admin/stats` body. New fields go at the end: readers take the
+/// first occurrence of a key.
 pub(crate) fn serve_stats_json(s: &GatewayStats, serve: &SharedCounters, threads: usize) -> String {
+    let sys = serve.sys_calls();
     let mut json = stats_json(s);
     json.pop();
     json.push_str(&format!(
         concat!(
             ",\"serve_connections\":{},\"serve_requests\":{},\"serve_live\":{},",
             "\"serve_threads\":{},\"origin_connects\":{},\"origin_reuses\":{},",
-            "\"origin_retries\":{}}}"
+            "\"origin_retries\":{},\"sys_reads\":{},\"sys_reads_eagain\":{},",
+            "\"sys_writes\":{},\"sys_writes_blocked\":{},\"sys_epoll_waits\":{},",
+            "\"sys_epoll_events\":{},\"sys_epoll_ctls\":{},\"sys_accepts\":{},",
+            "\"sys_connects\":{},\"timer_entries\":{}}}"
         ),
         serve.connections_total.load(Ordering::Relaxed),
         serve.requests_total.load(Ordering::Relaxed),
@@ -27,6 +33,16 @@ pub(crate) fn serve_stats_json(s: &GatewayStats, serve: &SharedCounters, threads
         serve.origin_connects.load(Ordering::Relaxed),
         serve.origin_reuses.load(Ordering::Relaxed),
         serve.origin_retries.load(Ordering::Relaxed),
+        sys.reads,
+        sys.reads_eagain,
+        sys.writes,
+        sys.writes_blocked,
+        sys.epoll_waits,
+        sys.epoll_events,
+        sys.epoll_ctls,
+        sys.accepts,
+        sys.connects,
+        sys.timer_entries,
     ));
     json
 }
@@ -66,6 +82,8 @@ pub fn stats_json(s: &GatewayStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::WorkerCounters;
+    use std::sync::Arc;
 
     #[test]
     fn renders_every_gateway_stats_field() {
@@ -122,7 +140,24 @@ mod tests {
 
     #[test]
     fn renders_every_serve_counter() {
-        let serve = SharedCounters::default();
+        // Two reactors' cells: the rendering is their sum.
+        let cells = |base: u64| {
+            let worker = WorkerCounters::default();
+            worker.reads.set(base + 1);
+            worker.reads_eagain.set(base + 2);
+            worker.writes.set(base + 3);
+            worker.writes_blocked.set(base + 4);
+            worker.reactor.waits.set(base + 5);
+            worker.reactor.io_events.set(base + 6);
+            worker.reactor.ctl_adds.set(base + 7);
+            worker.reactor.ctl_mods.set(100);
+            worker.reactor.ctl_dels.set(1000);
+            worker.accepts.set(base + 8);
+            worker.connects.set(base + 9);
+            worker.reactor.timer_entries.set(base + 10);
+            Arc::new(worker)
+        };
+        let serve = SharedCounters::over(vec![cells(30), cells(0)]);
         serve.connections_total.store(21, Ordering::Relaxed);
         serve.requests_total.store(22, Ordering::Relaxed);
         serve.live.store(23, Ordering::Relaxed);
@@ -138,6 +173,16 @@ mod tests {
             ("origin_connects", 24),
             ("origin_reuses", 25),
             ("origin_retries", 26),
+            ("sys_reads", 32),
+            ("sys_reads_eagain", 34),
+            ("sys_writes", 36),
+            ("sys_writes_blocked", 38),
+            ("sys_epoll_waits", 40),
+            ("sys_epoll_events", 42),
+            ("sys_epoll_ctls", 44 + 200 + 2000),
+            ("sys_accepts", 46),
+            ("sys_connects", 48),
+            ("timer_entries", 50),
         ] {
             assert!(
                 json.contains(&format!("\"{field}\":{value}")),
@@ -145,5 +190,10 @@ mod tests {
             );
         }
         assert!(json.starts_with('{') && json.ends_with('}'));
+        // The call counts come last: a reader that takes the first
+        // occurrence of a key still finds every older field.
+        let sys_at = json.find("\"sys_reads\"").unwrap();
+        assert!(json.find("\"origin_retries\"").unwrap() < sys_at);
+        assert_eq!(json.matches("\"requests\":").count(), 1);
     }
 }

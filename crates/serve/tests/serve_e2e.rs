@@ -961,9 +961,10 @@ fn probe_urls_carry_the_requests_host_and_resolve_as_probe_hits() {
     fx.finish();
 }
 
-/// A streamed page changes the client socket's epoll interest twice:
-/// parked while the origin is fetched, readable again once the last
-/// byte is written. Nothing asks for WRITABLE unless a write blocks.
+/// A streamed page changes no socket's epoll interest unless a write
+/// blocks: the client keeps the registration it has while the origin is
+/// fetched, and the pooled origin connection keeps its own. A write that
+/// blocks costs two changes, WRITABLE and back.
 #[test]
 fn a_streamed_page_changes_epoll_interest_at_most_twice() {
     let mut page = String::from("<html><head><title>t</title></head><body>\n");
@@ -994,9 +995,10 @@ fn a_streamed_page_changes_epoll_interest_at_most_twice() {
     let report = fx.finish();
     assert_eq!(report.requests, PAGES);
     assert!(
-        report.interest_changes <= 2 * PAGES,
-        "{} interest changes for {PAGES} pages",
-        report.interest_changes
+        report.interest_changes <= 2 * report.sys.writes_blocked,
+        "{} interest changes for {PAGES} pages, {} writes blocked",
+        report.interest_changes,
+        report.sys.writes_blocked
     );
 }
 
@@ -1007,6 +1009,304 @@ fn stat(body: &str, field: &str) -> u64 {
         .and_then(|rest| rest.split([',', '}']).next())
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("{field} missing from {body}"))
+}
+
+/// `/admin/stats` fetched on `conn` itself, so the snapshot costs no
+/// accept and no registration. Between two of them on one connection
+/// lie the first one's `write`, the second one's `read` (and wait), and
+/// whatever was sent in between.
+fn stats_on(conn: &mut TcpStream) -> String {
+    body_str(&get_on(conn, "/admin/stats", "ops/1.0 e2e-stats"))
+}
+
+/// How far each listed counter moved between two snapshots.
+fn moved<const N: usize>(before: &str, after: &str, fields: [&str; N]) -> [u64; N] {
+    fields.map(|field| stat(after, field) - stat(before, field))
+}
+
+/// The fixed price of a request the gate answers alone, on a warm
+/// keep-alive connection: the kernel is crossed three times (the wait,
+/// the read, the write) and never to be told `EAGAIN` or to change a
+/// registration.
+#[test]
+fn syscall_budget_a_gate_answered_request_is_one_read_and_one_write() {
+    let fx = Fixture::standard();
+    let ua = "scraper/1.0 e2e-budget-gate";
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    assert_eq!(
+        get_on(&mut conn, "/index.html", ua).status(),
+        StatusCode::OK
+    );
+    fx.gateway
+        .detector()
+        .with_key_state(&loopback_key(ua), |_, state| state.policy.block());
+    const REQUESTS: u64 = 50;
+    let before = stats_on(&mut conn);
+    for _ in 0..REQUESTS {
+        let refused = get_on(&mut conn, "/index.html", ua);
+        assert_eq!(refused.status(), StatusCode::FORBIDDEN);
+    }
+    let after = stats_on(&mut conn);
+    let [reads, eagain, writes, blocked, ctls, accepts, connects] = moved(
+        &before,
+        &after,
+        [
+            "sys_reads",
+            "sys_reads_eagain",
+            "sys_writes",
+            "sys_writes_blocked",
+            "sys_epoll_ctls",
+            "sys_accepts",
+            "sys_connects",
+        ],
+    );
+    // One more of each than the requests: the snapshots' own halves.
+    assert_eq!(reads, REQUESTS + 1, "{after}");
+    assert_eq!(writes, REQUESTS + 1, "{after}");
+    assert_eq!(
+        (eagain, blocked, ctls, accepts, connects),
+        (0, 0, 0, 0, 0),
+        "{after}"
+    );
+    drop(conn);
+    fx.finish();
+}
+
+/// A buffered asset through a warm pooled origin connection: the
+/// client's request, the takeout probe (the one read made to hear
+/// `EAGAIN`) and the origin's response are the reads, the upstream
+/// request and the answer are the writes, and no registration changes.
+#[test]
+fn syscall_budget_a_pooled_asset_fetch_is_three_reads_and_two_writes() {
+    let asset = vec![0x5Au8; 4096];
+    let origin = MockOrigin::new()
+        .asset("/pixel.bin", asset.clone())
+        .keep_alive()
+        .start()
+        .unwrap();
+    let origin_addr = origin.addr();
+    let fx = Fixture::with(
+        Gateway::builder().seed(35).build(),
+        |config| config.origin = Some(origin_addr),
+        Some(origin),
+    );
+    let ua = "Mozilla/5.0 e2e-budget-asset";
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    assert_eq!(get_on(&mut conn, "/pixel.bin", ua).body(), asset.as_slice());
+    // Few enough that the gate never rations this session.
+    const FETCHES: u64 = 8;
+    let before = stats_on(&mut conn);
+    for _ in 0..FETCHES {
+        assert_eq!(get_on(&mut conn, "/pixel.bin", ua).body(), asset.as_slice());
+    }
+    let after = stats_on(&mut conn);
+    let [reads, eagain, writes, ctls, connects] = moved(
+        &before,
+        &after,
+        [
+            "sys_reads",
+            "sys_reads_eagain",
+            "sys_writes",
+            "sys_epoll_ctls",
+            "sys_connects",
+        ],
+    );
+    assert!(reads <= 3 * FETCHES + 1, "{reads} reads: {after}");
+    assert!(writes <= 2 * FETCHES + 1, "{writes} writes: {after}");
+    assert!(eagain <= FETCHES, "{eagain} EAGAIN reads: {after}");
+    assert_eq!((ctls, connects), (0, 0), "{after}");
+    assert_eq!(stat(&after, "origin_reuses"), FETCHES);
+    drop(conn);
+    fx.finish();
+}
+
+/// A client that sends its next request while the first still waits on
+/// a slow origin is the one client whose read interest has to go: the
+/// event that delivers those bytes drops it (one `EPOLL_CTL_MOD`), the
+/// return to reading restores it (one more), and in between the
+/// level-triggered loop does not spin on the unread bytes.
+#[test]
+fn syscall_budget_a_pipelining_client_costs_one_interest_change_down_and_one_up() {
+    let origin = MockOrigin::new()
+        .asset("/slow.bin", b"slow".to_vec())
+        .asset("/fast.bin", b"fast".to_vec())
+        .latency("/slow.bin", Duration::from_millis(200))
+        .keep_alive()
+        .start()
+        .unwrap();
+    let origin_addr = origin.addr();
+    let fx = Fixture::with(
+        Gateway::builder().seed(36).build(),
+        |config| config.origin = Some(origin_addr),
+        Some(origin),
+    );
+    let ua = "Mozilla/5.0 e2e-budget-pipeline";
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    conn.set_nodelay(true).unwrap();
+    // Warm the client connection and park one origin connection.
+    assert_eq!(get_on(&mut conn, "/fast.bin", ua).body(), b"fast");
+    let before = stats_on(&mut conn);
+    client::send_request(&mut conn, &request("/slow.bin", ua)).unwrap();
+    // The second request lands while the first is parked on the origin.
+    std::thread::sleep(Duration::from_millis(50));
+    client::send_request(&mut conn, &request("/fast.bin", ua)).unwrap();
+    assert_eq!(client::read_response(&mut conn).unwrap().body(), b"slow");
+    assert_eq!(client::read_response(&mut conn).unwrap().body(), b"fast");
+    let after = stats_on(&mut conn);
+    let [ctls, waits, connects] = moved(
+        &before,
+        &after,
+        ["sys_epoll_ctls", "sys_epoll_waits", "sys_connects"],
+    );
+    assert_eq!(ctls, 2, "one change down, one up: {after}");
+    assert_eq!(connects, 0, "both fetches rode the parked connection");
+    // Two requests, two origin answers, the parked bytes, a snapshot and
+    // a few timer ticks; a spin would be thousands in 200 ms.
+    assert!(waits <= 24, "{waits} epoll_waits: {after}");
+    drop(conn);
+    fx.finish();
+}
+
+/// After ten thousand requests on one keep-alive connection, each
+/// re-arming the client's deadline and its pooled origin connection's,
+/// the timer wheel holds an entry per descriptor that is alive, not one
+/// per arm of the last `read_timeout`.
+#[test]
+fn syscall_budget_the_timer_wheel_is_bounded_by_live_descriptors() {
+    let origin = MockOrigin::new()
+        .asset("/pixel.bin", vec![1u8; 64])
+        .keep_alive()
+        .start()
+        .unwrap();
+    let origin_addr = origin.addr();
+    let fx = Fixture::with(
+        Gateway::builder().seed(37).build(),
+        |config| config.origin = Some(origin_addr),
+        Some(origin),
+    );
+    let ua = "Mozilla/5.0 e2e-budget-wheel";
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    for _ in 0..10_000 {
+        let response = get_on(&mut conn, "/pixel.bin", ua);
+        assert!(matches!(
+            response.status(),
+            StatusCode::OK | StatusCode::TOO_MANY_REQUESTS | StatusCode::FORBIDDEN
+        ));
+    }
+    let stats = stats_on(&mut conn);
+    let parked_origins = 1;
+    assert!(
+        stat(&stats, "timer_entries") <= stat(&stats, "serve_live") + parked_origins + 2,
+        "{stats}"
+    );
+    drop(conn);
+    let report = fx.finish();
+    assert_eq!(report.requests, 10_001);
+}
+
+/// An origin that frames its page by closing the connection: the
+/// hang-up event reads to EOF in the wakeup that delivered it, whether
+/// the FIN rode with the body or came later, so the page's terminal
+/// chunk never waits for `origin_timeout`.
+#[test]
+fn a_close_delimited_origin_response_completes_at_the_fin() {
+    for fin_after in [Duration::ZERO, Duration::from_millis(150)] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let origin_addr = listener.local_addr().unwrap();
+        let origin = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut request = Vec::new();
+            let mut byte = [0u8; 1];
+            while !request.ends_with(b"\r\n\r\n") {
+                assert_eq!(std::io::Read::read(&mut conn, &mut byte).unwrap(), 1);
+                request.push(byte[0]);
+            }
+            conn.write_all(b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n")
+                .unwrap();
+            conn.write_all(PAGE.as_bytes()).unwrap();
+            std::thread::sleep(fin_after);
+        });
+        let fx = Fixture::with(
+            Gateway::builder().seed(38).build(),
+            |config| {
+                config.origin = Some(origin_addr);
+                config.origin_timeout = Duration::from_secs(8);
+            },
+            None,
+        );
+        let started = Instant::now();
+        let response = get(fx.addr, "/page.html", "Mozilla/5.0 e2e-close-delimited");
+        assert_eq!(response.status(), StatusCode::OK);
+        let body = body_str(&response);
+        assert!(
+            body.contains("content") && body.ends_with("</html>"),
+            "{body}"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(3),
+            "the FIN ({fin_after:?} after the body), not the deadline, ended the fetch: {:?}",
+            started.elapsed()
+        );
+        origin.join().unwrap();
+        fx.finish();
+    }
+}
+
+/// A head bigger than the first landing area, then a body that trickles
+/// in: every read lands behind the last, the buffer grows under the
+/// data, and the message parses whole.
+#[test]
+fn a_large_head_and_a_body_in_three_segments_parse() {
+    let fx = Fixture::standard();
+    let body = vec![b'b'; 3000];
+    let post = Request::builder(Method::Post, "/index.html")
+        .header("User-Agent", "Mozilla/5.0 e2e-segments")
+        .header("Host", "site.example")
+        .header("X-Padding", "p".repeat(10 * 1024))
+        .header("Content-Length", body.len().to_string())
+        .body_bytes(body)
+        .build()
+        .unwrap();
+    let raw = botwall_http::wire::serialize_request(&post);
+    let head_len = raw.len() - 3000;
+    assert!(head_len > 8 * 1024, "the head outgrows the first read");
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    conn.set_nodelay(true).unwrap();
+    for piece in [
+        &raw[..head_len + 1000],
+        &raw[head_len + 1000..head_len + 2000],
+        &raw[head_len + 2000..],
+    ] {
+        conn.write_all(piece).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+    }
+    let response = client::read_response(&mut conn).unwrap();
+    assert_eq!(response.status(), StatusCode::OK);
+    assert!(body_str(&response).contains("content"));
+    assert_eq!(fx.gateway.stats().requests, 1);
+    fx.finish();
+}
+
+/// A client that sends its request and half-closes is still answered:
+/// the hang-up event reads the request to EOF, the answer goes out, and
+/// only then does the connection end.
+#[test]
+fn a_client_that_half_closes_after_its_request_is_still_answered() {
+    let fx = Fixture::standard();
+    let ua = "scraper/1.0 e2e-half-close";
+    get(fx.addr, "/index.html", ua);
+    fx.gateway
+        .detector()
+        .with_key_state(&loopback_key(ua), |_, state| state.policy.block());
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    client::send_request(&mut conn, &request("/index.html", ua)).unwrap();
+    conn.shutdown(std::net::Shutdown::Write).unwrap();
+    let response = client::read_response(&mut conn).unwrap();
+    assert_eq!(response.status(), StatusCode::FORBIDDEN);
+    let mut rest = Vec::new();
+    std::io::Read::read_to_end(&mut conn, &mut rest).unwrap();
+    assert!(rest.is_empty(), "then the server closes its half");
+    fx.finish();
 }
 
 /// The live server sweeps: with a one-second idle timeout and a

@@ -10,15 +10,43 @@
 //! poll through a [`Waker`] pipe, never through shared locked state, so
 //! there is no mutex to poison.
 //!
+//! # Deadlines
+//!
+//! A token's due tick lives in a table indexed by the token's value, so
+//! tokens that carry deadlines are expected to be **dense** (slab
+//! indices): the table grows to the largest one armed. Arming is a
+//! store into that table; the wheel itself gets an entry only when the
+//! token has none at or before the new due tick, and an entry that comes
+//! up before its token's due tick moves itself there instead of firing.
+//! However often a token is re-armed it owns one live wheel entry (plus
+//! at most one superseded later entry per re-arm to an *earlier*
+//! instant, dropped when its tick comes up), so the wheel is bounded by
+//! the tokens alive, not by the arms of the last timeout period.
+//!
+//! # The clock
+//!
+//! The reactor reads the monotonic clock once per wakeup, when
+//! `epoll_wait` returns. [`Reactor::now_ms`] and [`Reactor::deadline`]
+//! use that stamp: everything done while handling one batch of events
+//! happens at the batch's instant, and a deadline counts from it.
+//!
+//! # Counting
+//!
+//! Every system call the reactor makes and every event it delivers is
+//! tallied in [`ReactorCounters`]: single-writer [`Counter`] cells that
+//! cost the event loop a plain load and store, and that any thread may
+//! read through [`Reactor::counters`].
+//!
 //! The syscall surface is declared directly against the system libc
 //! (`epoll_create1` / `epoll_ctl` / `epoll_wait` / `close`), which every
 //! Linux Rust binary already links — no external crate required.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Write};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,18 +88,20 @@ mod ffi {
 }
 
 pub mod net {
-    //! Non-blocking TCP connect, the one socket operation `std` cannot
-    //! start without blocking. The returned stream is already
-    //! non-blocking and mid-handshake: register it for write interest
-    //! and check [`std::net::TcpStream::take_error`] when writability
-    //! arrives to learn whether the connect succeeded.
+    //! The socket operations `std` cannot do without blocking or without
+    //! a second system call: a TCP connect that returns mid-handshake
+    //! (register the stream for write interest and check
+    //! [`std::net::TcpStream::take_error`] when writability arrives to
+    //! learn whether it succeeded), a `SO_REUSEPORT` listener, and an
+    //! accept whose stream is born non-blocking.
 
     use std::io;
-    use std::net::{SocketAddr, TcpListener, TcpStream};
-    use std::os::fd::FromRawFd;
+    use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+    use std::os::fd::{AsRawFd, FromRawFd};
     use std::os::raw::c_int;
 
     const AF_INET: c_int = 2;
+    const AF_INET6: c_int = 10;
     const SOCK_STREAM: c_int = 1;
     const SOCK_NONBLOCK: c_int = 0o4000;
     const SOCK_CLOEXEC: c_int = 0o2000000;
@@ -90,8 +120,20 @@ pub mod net {
         zero: [u8; 8],
     }
 
+    /// Room for a `sockaddr_in` or a `sockaddr_in6`: the family and the
+    /// port (network byte order) sit first in both, then the IPv4
+    /// address at `body[..4]`, or flow label, IPv6 address at
+    /// `body[4..20]` and scope.
+    #[repr(C)]
+    struct SockaddrAny {
+        family: u16,
+        port: u16,
+        body: [u8; 24],
+    }
+
     extern "C" {
         fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+        fn accept4(fd: c_int, addr: *mut SockaddrAny, len: *mut u32, flags: c_int) -> c_int;
         fn connect(fd: c_int, addr: *const SockaddrIn, len: u32) -> c_int;
         fn bind(fd: c_int, addr: *const SockaddrIn, len: u32) -> c_int;
         fn listen(fd: c_int, backlog: c_int) -> c_int;
@@ -130,6 +172,47 @@ pub mod net {
             }
         }
         Ok(unsafe { TcpStream::from_raw_fd(fd) })
+    }
+
+    /// Accepts one pending connection, already non-blocking and
+    /// close-on-exec (`accept4`): one system call where `accept` plus
+    /// `set_nonblocking` is two. The listener must be non-blocking; an
+    /// empty backlog is [`io::ErrorKind::WouldBlock`].
+    pub fn accept_nonblocking(listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
+        let mut sa = SockaddrAny {
+            family: 0,
+            port: 0,
+            body: [0; 24],
+        };
+        let mut len = std::mem::size_of::<SockaddrAny>() as u32;
+        let fd = unsafe {
+            accept4(
+                listener.as_raw_fd(),
+                &mut sa,
+                &mut len,
+                SOCK_NONBLOCK | SOCK_CLOEXEC,
+            )
+        };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // Owned from here on: an undecodable peer closes the socket.
+        let stream = unsafe { TcpStream::from_raw_fd(fd) };
+        let ip = match c_int::from(sa.family) {
+            AF_INET => IpAddr::from([sa.body[0], sa.body[1], sa.body[2], sa.body[3]]),
+            AF_INET6 => {
+                let mut octets = [0u8; 16];
+                octets.copy_from_slice(&sa.body[4..20]);
+                IpAddr::from(octets)
+            }
+            _ => {
+                return Err(io::Error::new(
+                    io::ErrorKind::Unsupported,
+                    "peer is neither IPv4 nor IPv6",
+                ))
+            }
+        };
+        Ok((stream, SocketAddr::new(ip, u16::from_be(sa.port))))
     }
 
     /// Binds a non-blocking `SO_REUSEPORT` listener on `addr`. Several
@@ -316,9 +399,75 @@ impl Waker {
     }
 }
 
+/// A statistic with one writer: the owning thread bumps it with a plain
+/// load and store (no locked read-modify-write on the request path),
+/// any thread may read it. Two writers would lose counts, nothing worse.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds `n`. Only the owning thread may call this.
+    pub fn add(&self, n: u64) {
+        self.set(self.get() + n);
+    }
+
+    /// Overwrites the value (a gauge). Only the owning thread may call
+    /// this.
+    pub fn set(&self, value: u64) {
+        self.0.store(value, Ordering::Relaxed);
+    }
+
+    /// The current value, from any thread.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// What one [`Reactor`] has asked of the kernel and delivered to its
+/// caller, counted where each call is made.
+#[derive(Debug, Default)]
+pub struct ReactorCounters {
+    /// `epoll_wait` calls.
+    pub waits: Counter,
+    /// I/O readiness events delivered (waker wakeups not included).
+    pub io_events: Counter,
+    /// Deadline expiries delivered.
+    pub timer_events: Counter,
+    /// `epoll_ctl(EPOLL_CTL_ADD)` calls ([`Reactor::register`]).
+    pub ctl_adds: Counter,
+    /// `epoll_ctl(EPOLL_CTL_MOD)` calls ([`Reactor::reregister`]).
+    pub ctl_mods: Counter,
+    /// `epoll_ctl(EPOLL_CTL_DEL)` calls ([`Reactor::deregister`]).
+    pub ctl_dels: Counter,
+    /// Entries on the timer wheel right now (a gauge).
+    pub timer_entries: Counter,
+}
+
 /// Granularity of the timer wheel: deadlines fire on 10 ms ticks —
 /// coarse on purpose, connection timeouts are hundreds of milliseconds.
 const TICK_MS: u64 = 10;
+
+/// "No tick": a token with no deadline, or with no wheel entry. Later
+/// than any real tick, so comparisons need no special case.
+const NEVER: u64 = u64::MAX;
+
+/// One token's timer state.
+#[derive(Debug, Clone, Copy)]
+struct Timer {
+    /// The tick the deadline is due, or [`NEVER`].
+    due: u64,
+    /// The tick of the token's live wheel entry, or [`NEVER`]. Never
+    /// later than `due`, so the entry always comes up in time to fire
+    /// or to move itself.
+    queued: u64,
+}
+
+impl Timer {
+    const IDLE: Timer = Timer {
+        due: NEVER,
+        queued: NEVER,
+    };
+}
 
 // Not `derive(Debug)`: the scratch buffer holds raw kernel events with
 // no useful rendering (and a packed struct cannot derive Debug anyway).
@@ -346,22 +495,22 @@ pub struct Reactor {
     waker_rx: UnixStream,
     waker_tx: Arc<UnixStream>,
     origin: Instant,
-    /// Timer wheel: tick → tokens due that tick.
+    /// Milliseconds from `origin` to the last wakeup.
+    now_ms: u64,
+    /// Timer wheel: tick → tokens with an entry that tick.
     wheel: BTreeMap<u64, Vec<Token>>,
-    /// The authoritative deadline per token (re-arming moves it; a
-    /// stale wheel slot whose token no longer maps to it is skipped).
-    armed: HashMap<Token, u64>,
+    /// Timer state per token, indexed by the token's value.
+    timers: Vec<Timer>,
     /// Scratch buffer for epoll_wait.
     scratch: Vec<ffi::EpollEvent>,
-    /// [`Reactor::reregister`] calls so far.
-    interest_changes: u64,
+    counters: Arc<ReactorCounters>,
 }
 
 impl fmt::Debug for Reactor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Reactor")
             .field("epfd", &self.epfd)
-            .field("armed", &self.armed)
+            .field("counters", &self.counters)
             .finish_non_exhaustive()
     }
 }
@@ -387,10 +536,11 @@ impl Reactor {
             waker_rx,
             waker_tx: Arc::new(waker_tx),
             origin: Instant::now(),
+            now_ms: 0,
             wheel: BTreeMap::new(),
-            armed: HashMap::new(),
+            timers: Vec::new(),
             scratch: vec![ffi::EpollEvent { events: 0, data: 0 }; 256],
-            interest_changes: 0,
+            counters: Arc::default(),
         };
         r.ctl(
             ffi::EPOLL_CTL_ADD,
@@ -400,11 +550,19 @@ impl Reactor {
         Ok(r)
     }
 
-    /// Milliseconds since this reactor was created — the monotonic clock
-    /// the timer wheel runs on, exposed so callers can stamp their own
-    /// state on the same time base.
+    /// Milliseconds from this reactor's creation to its last wakeup (the
+    /// moment [`Reactor::poll`] last came back from the kernel) — the
+    /// monotonic clock the timer wheel runs on, exposed so callers can
+    /// stamp their own state on the same time base. It does not advance
+    /// between polls: the clock is read once per wakeup, not per call.
     pub fn now_ms(&self) -> u64 {
-        self.origin.elapsed().as_millis() as u64
+        self.now_ms
+    }
+
+    /// This reactor's call and event tallies; clone the handle to read
+    /// them from another thread.
+    pub fn counters(&self) -> &Arc<ReactorCounters> {
+        &self.counters
     }
 
     /// A handle that wakes a blocked [`Reactor::poll`] from any thread.
@@ -430,6 +588,11 @@ impl Reactor {
             .as_mut()
             .map(|e| e as *mut ffi::EpollEvent)
             .unwrap_or(std::ptr::null_mut());
+        match op {
+            ffi::EPOLL_CTL_ADD => self.counters.ctl_adds.add(1),
+            ffi::EPOLL_CTL_MOD => self.counters.ctl_mods.add(1),
+            _ => self.counters.ctl_dels.add(1),
+        }
         if unsafe { ffi::epoll_ctl(self.epfd, op, fd, ptr) } < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -464,7 +627,6 @@ impl Reactor {
             token.0, WAKER,
             "Token(usize::MAX) is reserved for the waker"
         );
-        self.interest_changes += 1;
         self.ctl(ffi::EPOLL_CTL_MOD, fd.as_raw_fd(), Some((token, interest)))
     }
 
@@ -472,7 +634,7 @@ impl Reactor {
     /// `epoll_ctl(EPOLL_CTL_MOD)` each, the syscall a caller that caches
     /// its interest is trying not to make.
     pub fn interest_changes(&self) -> u64 {
-        self.interest_changes
+        self.counters.ctl_mods.get()
     }
 
     /// Removes a registration. The kernel drops it automatically when
@@ -482,19 +644,39 @@ impl Reactor {
         self.ctl(ffi::EPOLL_CTL_DEL, fd.as_raw_fd(), None)
     }
 
-    /// Arms (or re-arms) a deadline for `token`, `after` from now. One
-    /// deadline per token: re-arming supersedes the previous one. The
-    /// wheel is coarse — expiry is delivered on the next 10 ms tick at
-    /// or after the requested instant.
+    /// Arms (or re-arms) a deadline for `token`, `after` from the last
+    /// wakeup ([`Reactor::now_ms`]). One deadline per token: re-arming
+    /// supersedes the previous one. The wheel is coarse — expiry is
+    /// delivered on the first 10 ms tick at or after the requested
+    /// instant, never before it. Re-arming is the cheap operation (a
+    /// store, when the new instant is no earlier than the old one), so
+    /// a caller may refresh a timeout on every request. `token` indexes
+    /// a table: keep deadline tokens dense.
     pub fn deadline(&mut self, token: Token, after: Duration) {
-        let tick = (self.now_ms() + after.as_millis() as u64).div_ceil(TICK_MS);
-        self.armed.insert(token, tick);
-        self.wheel.entry(tick).or_default().push(token);
+        assert_ne!(
+            token.0, WAKER,
+            "Token(usize::MAX) is reserved for the waker"
+        );
+        let tick = (self.now_ms + after.as_millis() as u64).div_ceil(TICK_MS);
+        if token.0 >= self.timers.len() {
+            self.timers.resize(token.0 + 1, Timer::IDLE);
+        }
+        let timer = &mut self.timers[token.0];
+        timer.due = tick;
+        // An entry at or before the new tick will find its way there.
+        if timer.queued > tick {
+            timer.queued = tick;
+            self.wheel.entry(tick).or_default().push(token);
+            self.counters.timer_entries.add(1);
+        }
     }
 
-    /// Disarms `token`'s deadline, if any.
+    /// Disarms `token`'s deadline, if any. Its wheel entry stays until
+    /// its tick comes up (or a new deadline for the token adopts it).
     pub fn cancel_deadline(&mut self, token: Token) {
-        self.armed.remove(&token);
+        if let Some(timer) = self.timers.get_mut(token.0) {
+            timer.due = NEVER;
+        }
     }
 
     /// Blocks until I/O readiness, a deadline expiry, a wakeup, or
@@ -504,32 +686,29 @@ impl Reactor {
     /// interrupting the wait is treated as a wakeup, not an error.
     pub fn poll(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         events.clear();
-        // The wait is bounded by the nearest armed deadline.
-        let now = self.now_ms();
+        // The wait is bounded by the nearest wheel entry, measured from
+        // the last wakeup: time spent handling that batch delays an
+        // expiry by as much, and never hastens one.
         let next_tick_ms = self
             .wheel
-            .keys()
-            .next()
-            .map(|t| (t * TICK_MS).saturating_sub(now));
+            .first_key_value()
+            .map(|(tick, _)| (tick * TICK_MS).saturating_sub(self.now_ms));
         let wait_ms = match (timeout.map(|d| d.as_millis() as u64), next_tick_ms) {
-            (Some(a), Some(b)) => a.min(b) as i64,
-            (Some(a), None) => a as i64,
-            (None, Some(b)) => b as i64,
+            (Some(a), Some(b)) => a.min(b).min(i32::MAX as u64) as i32,
+            (Some(a), None) | (None, Some(a)) => a.min(i32::MAX as u64) as i32,
             (None, None) => -1,
         };
-        let wait_ms = if wait_ms < 0 {
-            -1
-        } else {
-            wait_ms.min(i32::MAX as i64) as i32 as i64
-        };
+        self.counters.waits.add(1);
         let n = unsafe {
             ffi::epoll_wait(
                 self.epfd,
                 self.scratch.as_mut_ptr(),
                 self.scratch.len() as i32,
-                wait_ms as i32,
+                wait_ms,
             )
         };
+        // The one clock read of this wakeup.
+        self.now_ms = self.origin.elapsed().as_millis() as u64;
         if n < 0 {
             let err = io::Error::last_os_error();
             if err.kind() != io::ErrorKind::Interrupted {
@@ -550,15 +729,33 @@ impl Reactor {
                     timer: false,
                 });
             }
+            self.counters.io_events.add(events.len() as u64);
         }
-        // Expired wheel slots fire after I/O: a token whose armed tick
-        // moved (re-armed) or vanished (cancelled) is skipped.
-        let now_tick = self.now_ms() / TICK_MS;
-        let due: Vec<u64> = self.wheel.range(..=now_tick).map(|(t, _)| *t).collect();
-        for tick in due {
-            for token in self.wheel.remove(&tick).unwrap_or_default() {
-                if self.armed.get(&token) == Some(&tick) {
-                    self.armed.remove(&token);
+        self.expire(events);
+        Ok(())
+    }
+
+    /// Pops every wheel tick that has come up, after I/O. An entry
+    /// fires when its token is due that very tick; one whose token was
+    /// re-armed later moves to the new tick (and fires in this same
+    /// call if that has come up too); one whose token was cancelled, or
+    /// re-armed earlier through a newer entry, is dropped.
+    fn expire(&mut self, events: &mut Vec<Event>) {
+        let now_tick = self.now_ms / TICK_MS;
+        while let Some(slot) = self.wheel.first_entry() {
+            if *slot.key() > now_tick {
+                break;
+            }
+            let (tick, tokens) = slot.remove_entry();
+            let mut entries = self.counters.timer_entries.get() - tokens.len() as u64;
+            for token in tokens {
+                let timer = &mut self.timers[token.0];
+                if timer.queued != tick {
+                    continue;
+                }
+                if timer.due == tick {
+                    timer.due = NEVER;
+                    self.counters.timer_events.add(1);
                     events.push(Event {
                         token,
                         readable: false,
@@ -567,9 +764,14 @@ impl Reactor {
                         timer: true,
                     });
                 }
+                timer.queued = timer.due;
+                if timer.due != NEVER {
+                    self.wheel.entry(timer.due).or_default().push(token);
+                    entries += 1;
+                }
             }
+            self.counters.timer_entries.set(entries);
         }
-        Ok(())
     }
 
     fn drain_waker(&self) {
@@ -699,6 +901,181 @@ mod tests {
             events.iter().all(|e| !e.timer),
             "cancelled deadline must not fire: {events:?}"
         );
+    }
+
+    /// Polls until `want` deadlines have fired (or five seconds pass),
+    /// returning each with the time since `start` at which it came back.
+    fn fired(r: &mut Reactor, want: usize, start: Instant) -> Vec<(Token, Duration)> {
+        let mut events = Vec::new();
+        let mut fired = Vec::new();
+        while fired.len() < want && start.elapsed() < Duration::from_secs(5) {
+            r.poll(&mut events, Some(Duration::from_millis(500)))
+                .unwrap();
+            let at = start.elapsed();
+            fired.extend(events.iter().filter(|e| e.timer).map(|e| (e.token, at)));
+        }
+        fired
+    }
+
+    /// Nothing more fires within `quiet`.
+    fn assert_quiet(r: &mut Reactor, quiet: Duration) {
+        let mut events = Vec::new();
+        let until = Instant::now() + quiet;
+        while Instant::now() < until {
+            r.poll(&mut events, Some(Duration::from_millis(20)))
+                .unwrap();
+            assert!(events.iter().all(|e| !e.timer), "late extra: {events:?}");
+        }
+    }
+
+    /// A reactor whose clock stamp is fresh, and an instant no later
+    /// than that stamp to measure "not early" from.
+    fn stamped() -> (Reactor, Instant) {
+        let mut r = reactor();
+        let start = Instant::now();
+        r.poll(&mut Vec::new(), Some(Duration::ZERO)).unwrap();
+        (r, start)
+    }
+
+    #[test]
+    fn a_token_rearmed_100k_times_owns_one_entry_and_fires_once_at_the_last_instant() {
+        let (mut r, start) = stamped();
+        let mut last = Duration::ZERO;
+        for i in 0..100_000u64 {
+            // Each arm a little later than the one before, as a
+            // connection's requests are: 60 ms rising to 160 ms.
+            last = Duration::from_millis(60 + i / 1000);
+            r.deadline(Token(3), last);
+            assert!(r.counters().timer_entries.get() <= 2);
+        }
+        let fired = fired(&mut r, 1, start);
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].0, Token(3));
+        assert!(
+            fired[0].1 >= last,
+            "fired at {:?}, the first arm's instant rather than the last ({last:?})",
+            fired[0].1
+        );
+        assert!(fired[0].1 < last + Duration::from_millis(100), "{fired:?}");
+        assert_quiet(&mut r, Duration::from_millis(60));
+        assert_eq!(r.counters().timer_entries.get(), 0);
+        assert_eq!(r.counters().timer_events.get(), 1);
+    }
+
+    #[test]
+    fn rearming_to_an_earlier_instant_fires_at_the_earlier_one() {
+        let (mut r, start) = stamped();
+        r.deadline(Token(4), Duration::from_millis(400));
+        r.deadline(Token(4), Duration::from_millis(50));
+        let fired = fired(&mut r, 1, start);
+        assert_eq!(fired.len(), 1);
+        assert!(
+            fired[0].1 >= Duration::from_millis(50) && fired[0].1 < Duration::from_millis(300),
+            "{fired:?}"
+        );
+        // The superseded entry comes up at 400 ms and delivers nothing.
+        assert_quiet(&mut r, Duration::from_millis(450));
+        assert_eq!(r.counters().timer_entries.get(), 0);
+    }
+
+    #[test]
+    fn cancel_then_rearm_fires_once() {
+        let (mut r, start) = stamped();
+        r.deadline(Token(6), Duration::from_millis(30));
+        r.cancel_deadline(Token(6));
+        r.deadline(Token(6), Duration::from_millis(80));
+        let fired = fired(&mut r, 1, start);
+        assert_eq!(fired.len(), 1);
+        assert!(fired[0].1 >= Duration::from_millis(80), "{fired:?}");
+        assert_quiet(&mut r, Duration::from_millis(60));
+    }
+
+    #[test]
+    fn a_reused_token_does_not_inherit_a_cancelled_expiry() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (mut r, start) = stamped();
+        // The slot's first tenant arms and is torn down...
+        r.deadline(Token(8), Duration::from_millis(30));
+        r.cancel_deadline(Token(8));
+        // ...and the next registration under the same index, with no
+        // deadline of its own yet, hears nothing at the old instant.
+        r.register(&listener, Token(8), Interest::READABLE).unwrap();
+        assert_quiet(&mut r, Duration::from_millis(80));
+        // Its own deadline then fires on its own schedule.
+        r.deadline(Token(8), Duration::from_millis(40));
+        let armed_at = start.elapsed();
+        let fired = fired(&mut r, 1, start);
+        assert_eq!(fired.len(), 1);
+        assert!(fired[0].1 >= armed_at + Duration::from_millis(30));
+    }
+
+    #[test]
+    fn a_thousand_staggered_deadlines_fire_in_tick_order() {
+        let (mut r, start) = stamped();
+        // Armed out of order: token i is due 20 + (i % 50) * 10 ms in.
+        for i in (0..1000usize).rev() {
+            r.deadline(Token(i), Duration::from_millis(20 + (i % 50) as u64 * 10));
+        }
+        assert_eq!(r.counters().timer_entries.get(), 1000);
+        let fired = fired(&mut r, 1000, start);
+        assert_eq!(fired.len(), 1000);
+        let due = |token: Token| Duration::from_millis(20 + (token.0 % 50) as u64 * 10);
+        assert!(
+            fired.windows(2).all(|w| due(w[0].0) <= due(w[1].0)),
+            "deliveries must come in tick order"
+        );
+        assert!(fired.iter().all(|(token, at)| *at >= due(*token)));
+        assert_eq!(r.counters().timer_entries.get(), 0);
+    }
+
+    #[test]
+    fn accepted_streams_are_nonblocking_and_carry_their_peer() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let empty = net::accept_nonblocking(&listener).unwrap_err();
+        assert_eq!(empty.kind(), io::ErrorKind::WouldBlock);
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut r = reactor();
+        r.register(&listener, Token(0), Interest::READABLE).unwrap();
+        r.poll(&mut Vec::new(), Some(Duration::from_secs(5)))
+            .unwrap();
+        let (mut server, peer) = net::accept_nonblocking(&listener).unwrap();
+        assert_eq!(peer, client.local_addr().unwrap());
+        // Born non-blocking: an empty socket answers at once.
+        let err = server.read(&mut [0u8; 8]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+    }
+
+    #[test]
+    fn every_call_and_delivery_is_counted() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let mut r = reactor();
+        let counters = Arc::clone(r.counters());
+        // The waker's own registration is the first ADD.
+        assert_eq!(counters.ctl_adds.get(), 1);
+        r.register(&server, Token(1), Interest::READABLE).unwrap();
+        r.reregister(&server, Token(1), Interest::BOTH).unwrap();
+        r.deadline(Token(1), Duration::ZERO);
+        drop(client);
+        let mut events = Vec::new();
+        r.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
+        r.deregister(&server).unwrap();
+        assert_eq!(events.len(), 2, "one readiness, one expiry: {events:?}");
+        assert_eq!(counters.waits.get(), 1);
+        assert_eq!(counters.io_events.get(), 1);
+        assert_eq!(counters.timer_events.get(), 1);
+        assert_eq!(
+            (
+                counters.ctl_adds.get(),
+                counters.ctl_mods.get(),
+                counters.ctl_dels.get()
+            ),
+            (2, 1, 1)
+        );
+        assert_eq!(r.interest_changes(), 1);
     }
 
     #[test]
