@@ -1,15 +1,18 @@
 //! A self-contained [`ClientWorld`] for unit tests and examples.
 //!
 //! `MockWorld` wires a single generated site through a real
-//! [`Instrumenter`], classifies every fetch the way a proxy node would,
-//! and tallies probe hits — so agent models can be tested end to end
-//! without the full network simulation.
+//! [`RewriteEngine`] and its one client's [`TokenState`], classifies
+//! every fetch the way a proxy node would, and tallies probe hits — so
+//! agent models can be tested end to end without the full network
+//! simulation.
 
 use crate::world::{ClientWorld, FetchOutcome, FetchSpec, PageView};
 use botwall_captcha::{CaptchaService, Challenge, ServingPolicy};
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request, StatusCode, Uri};
-use botwall_instrument::{Classified, InstrumentConfig, Instrumenter, KeyOutcome, ProbeKind};
+use botwall_instrument::{
+    Classified, InstrumentConfig, KeyOutcome, ProbeKind, RewriteEngine, TokenState,
+};
 use botwall_sessions::SimTime;
 use botwall_webgraph::{render, Site, SiteConfig};
 
@@ -17,7 +20,9 @@ use botwall_webgraph::{render, Site, SiteConfig};
 #[derive(Debug)]
 pub struct MockWorld {
     site: Site,
-    instrumenter: Instrumenter,
+    engine: RewriteEngine,
+    /// The one client's session state.
+    tokens: TokenState,
     captcha: CaptchaService,
     captcha_offered: bool,
     now: SimTime,
@@ -62,11 +67,12 @@ pub struct MockWorld {
 }
 
 impl MockWorld {
-    /// Creates a world with a deterministic site and instrumenter.
+    /// Creates a world with a deterministic site and instrumentation.
     pub fn new(seed: u64) -> MockWorld {
         MockWorld {
             site: Site::generate("mock.example.com", &SiteConfig::default(), seed),
-            instrumenter: Instrumenter::new(InstrumentConfig::default(), seed ^ 0x5eed),
+            engine: RewriteEngine::new(InstrumentConfig::default(), seed ^ 0x5eed),
+            tokens: TokenState::default(),
             captcha: CaptchaService::new(ServingPolicy::OptionalWithIncentive, seed ^ 0xcafe),
             captcha_offered: false,
             now: SimTime::ZERO,
@@ -121,38 +127,35 @@ impl ClientWorld for MockWorld {
         }
         let request = self.build_request(&spec);
         // Instrumentation traffic first, exactly like a proxy node.
-        let classified = self.instrumenter.classify(&request, self.now);
+        let classified = self
+            .engine
+            .classify(&request, self.now)
+            .resolve(&mut self.tokens, self.now);
         match &classified {
-            Classified::MouseBeacon { outcome, .. } => {
-                match outcome {
-                    KeyOutcome::Valid => self.mouse_beacon_hits += 1,
-                    KeyOutcome::Decoy => self.decoy_hits += 1,
-                    KeyOutcome::Replay => self.replay_hits += 1,
-                    KeyOutcome::Unknown => self.unknown_beacon_hits += 1,
-                }
-                let resp = self.instrumenter.respond(&classified).expect("beacon");
-                return FetchOutcome {
-                    status: resp.status(),
-                    page: None,
-                    body_len: resp.body().len(),
-                };
-            }
-            Classified::Probe(hit) => {
-                match hit.kind {
-                    ProbeKind::CssProbe => self.css_probe_hits += 1,
-                    ProbeKind::JsFile => self.js_file_hits += 1,
-                    ProbeKind::AgentBeacon => self.agent_beacon_hits += 1,
-                    ProbeKind::HiddenLink => self.hidden_link_hits += 1,
-                    ProbeKind::TransparentPixel | ProbeKind::MouseBeacon => {}
-                }
-                let resp = self.instrumenter.respond(&classified).expect("probe");
-                return FetchOutcome {
-                    status: resp.status(),
-                    page: None,
-                    body_len: resp.body().len(),
-                };
-            }
+            Classified::MouseBeacon { outcome, .. } => match outcome {
+                KeyOutcome::Valid => self.mouse_beacon_hits += 1,
+                KeyOutcome::Decoy => self.decoy_hits += 1,
+                KeyOutcome::Replay => self.replay_hits += 1,
+                KeyOutcome::Unknown => self.unknown_beacon_hits += 1,
+            },
+            Classified::Probe(hit) => match hit.kind {
+                ProbeKind::CssProbe => self.css_probe_hits += 1,
+                ProbeKind::JsFile => self.js_file_hits += 1,
+                ProbeKind::AgentBeacon => self.agent_beacon_hits += 1,
+                ProbeKind::HiddenLink => self.hidden_link_hits += 1,
+                ProbeKind::TransparentPixel | ProbeKind::MouseBeacon => {}
+            },
             Classified::Ordinary => {}
+        }
+        if let Some(resp) = self
+            .engine
+            .respond_in_session(&classified, &mut self.tokens, &request)
+        {
+            return FetchOutcome {
+                status: resp.status(),
+                page: None,
+                body_len: resp.body().len(),
+            };
         }
         // Origin content.
         let path = spec.uri.path().to_string();
@@ -187,9 +190,18 @@ impl ClientWorld for MockWorld {
             }
             let host = self.site.host().to_string();
             let html = render::render_page(&self.site, page);
-            let (html, manifest) = self
-                .instrumenter
-                .instrument_page(&html, &spec.uri, self.ip, self.now);
+            // One client, one session: the stream the engine derives
+            // for it at time zero.
+            let stream = self
+                .engine
+                .session_stream_seed(u64::from(self.ip.as_u32()), SimTime::ZERO);
+            let (html, manifest) = self.engine.instrument_session_page(
+                &html,
+                &request,
+                &mut self.tokens,
+                stream,
+                self.now,
+            );
             let links = page
                 .links
                 .iter()
@@ -258,7 +270,7 @@ impl ClientWorld for MockWorld {
     }
 
     fn answer_captcha(&mut self, id: u64, answer: &str) -> bool {
-        let ok = self.captcha.verify(id, answer);
+        let ok = self.captcha.verify_once(id, answer);
         if ok {
             self.captcha_passes += 1;
         }

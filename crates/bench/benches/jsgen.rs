@@ -14,7 +14,7 @@
 
 use botwall_gateway::{Gateway, PendingServe};
 use botwall_http::request::ClientIp;
-use botwall_http::{Method, Request};
+use botwall_http::{Method, Request, Uri};
 use botwall_instrument::beacon;
 use botwall_instrument::jsgen::{generate, JsSpec, Obfuscation};
 use botwall_instrument::token::{BeaconKey, ScriptSeed};
@@ -79,7 +79,8 @@ fn bench_page_setup(c: &mut Criterion) {
 
     group.bench_function("mint_probes", |b| {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        b.iter(|| black_box(engine.begin_request_stream(black_box(&page), now, &mut rng)))
+        let uri = Uri::absolute("site.example", page.uri().path().to_string());
+        b.iter(|| black_box(engine.begin_stream(black_box(&uri), now, &mut rng)))
     });
 
     // A session at its 64-entry cap: every issue also drops the oldest.

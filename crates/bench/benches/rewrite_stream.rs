@@ -2,14 +2,12 @@
 //! within noise of the buffered path in throughput. Sweeps page sizes
 //! from 4KB to 4MB, comparing `build_page` (one buffered pass) against
 //! `begin_stream` fed 16KB chunks — the shape the front door delivers —
-//! and reports the peak-buffered gauge alongside the MB/s rows. That
-//! sweep runs with asset proxying on; the `inject_only` rows run the
-//! configuration `botwall-serve` ships (asset proxying off: the
-//! injection scanner alone) over a text-dominated and a markup-dense
-//! 64KB page.
+//! and reports the peak-buffered gauge alongside the MB/s rows. The
+//! `inject_only` rows run the same rewriter over a text-dominated and a
+//! markup-dense 64KB page.
 
 use botwall_http::Uri;
-use botwall_instrument::{AssetProxyConfig, InstrumentConfig, RewriteEngine, MAX_HELD_BYTES};
+use botwall_instrument::{InstrumentConfig, RewriteEngine, MAX_HELD_BYTES};
 use botwall_sessions::SimTime;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand_chacha::rand_core::SeedableRng;
@@ -24,16 +22,8 @@ fn page_uri() -> Uri {
     "http://bench.example/page.html".parse().unwrap()
 }
 
-fn engine(asset_proxy: bool) -> RewriteEngine {
-    let config = InstrumentConfig {
-        asset_proxy: asset_proxy.then(|| AssetProxyConfig::new("/assets/fetch")),
-        ..InstrumentConfig::default()
-    };
-    RewriteEngine::new(config, 42)
-}
-
 /// A realistic page of roughly `size` bytes: head, text, and a spread of
-/// rewritable asset references.
+/// asset references.
 fn page(size: usize) -> String {
     let mut html = String::with_capacity(size + 256);
     html.push_str(
@@ -87,7 +77,7 @@ fn stream_once(eng: &RewriteEngine, html: &str, rng: &mut ChaCha8Rng, out: &mut 
 
 fn bench_rewrite_stream(c: &mut Criterion) {
     let mut group = c.benchmark_group("rewrite_stream");
-    let inject_only = engine(false);
+    let eng = RewriteEngine::new(InstrumentConfig::default(), 42);
     for (label, dense) in [("text", false), ("markup", true)] {
         let html = plain_page(dense);
         group.throughput(Throughput::Bytes(html.len() as u64));
@@ -97,11 +87,10 @@ fn bench_rewrite_stream(c: &mut Criterion) {
             |b, html| {
                 let mut rng = ChaCha8Rng::seed_from_u64(5);
                 let mut out = Vec::with_capacity(html.len() + 4096);
-                b.iter(|| black_box(stream_once(&inject_only, html, &mut rng, &mut out)))
+                b.iter(|| black_box(stream_once(&eng, html, &mut rng, &mut out)))
             },
         );
     }
-    let eng = engine(true);
     for (label, size) in [
         ("4KB", 4 * 1024),
         ("64KB", 64 * 1024),

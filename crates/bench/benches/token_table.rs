@@ -4,8 +4,7 @@
 //! and since PR 4 probe classification is a *stateless* keyed-hash
 //! recomputation (no registry lookup at all).
 
-use botwall_http::request::ClientIp;
-use botwall_instrument::token::{BeaconKey, TokenState, TokenTable, TokenTableConfig};
+use botwall_instrument::token::{BeaconKey, TokenState};
 use botwall_instrument::{InstrumentConfig, RewriteEngine, Sighting};
 use botwall_sessions::SimTime;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -16,37 +15,8 @@ use std::hint::black_box;
 fn bench_token_table(c: &mut Criterion) {
     let mut group = c.benchmark_group("token_table");
     group.throughput(Throughput::Elements(1));
-    group.bench_function("issue", |b| {
-        let mut table = TokenTable::new(TokenTableConfig::default());
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut i = 0u32;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            let key = BeaconKey::random(&mut rng);
-            table.issue(
-                ClientIp::new(i % 10_000),
-                "/index.html",
-                key,
-                vec![BeaconKey::random(&mut rng); 5],
-                SimTime::from_millis(i as u64),
-            );
-            black_box(&table);
-        })
-    });
-    group.bench_function("issue_then_redeem", |b| {
-        let mut table = TokenTable::new(TokenTableConfig::default());
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut i = 0u32;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            let ip = ClientIp::new(i % 10_000);
-            let key = BeaconKey::random(&mut rng);
-            table.issue(ip, "/p", key, Vec::new(), SimTime::from_millis(i as u64));
-            black_box(table.redeem(ip, key, SimTime::from_millis(i as u64 + 1)))
-        })
-    });
-    // The shard-colocated per-session state the gateway actually uses:
-    // issue + redeem with no table indirection at all.
+    // The shard-colocated per-session state the gateway uses: issue +
+    // redeem with no table indirection at all.
     group.bench_function("session_state_issue_then_redeem", |b| {
         let mut state = TokenState::default();
         let mut rng = ChaCha8Rng::seed_from_u64(3);

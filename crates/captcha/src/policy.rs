@@ -35,13 +35,11 @@ const DEFAULT_DIFFICULTY: f64 = 0.5;
 /// its tracker shard entry. Everything on the request path (issue,
 /// policy reads, `check`) is an atomic or immutable — never a lock.
 ///
-/// Single-use is enforced here, globally: a successfully [`verify`]ed id
-/// lands in a redeemed set (sharded by id, touched only on the rare
+/// Single-use is enforced here, globally: a successfully
+/// [verified](CaptchaService::verify_once) id lands in a redeemed set (sharded by id, touched only on the rare
 /// answer-submission path, never by request handling), so one solved
 /// `(id, answer)` pair cannot be replayed — the property the old issue
 /// table provided by deleting entries.
-///
-/// [`verify`]: CaptchaService::verify
 #[derive(Debug)]
 pub struct CaptchaService {
     policy: ServingPolicy,
@@ -51,8 +49,8 @@ pub struct CaptchaService {
     issued: AtomicU64,
     passed: AtomicU64,
     failed: AtomicU64,
-    /// Ids already redeemed, sharded by id. Only [`CaptchaService::verify`]
-    /// (the human-answers-a-challenge path) ever locks a shard; the
+    /// Ids already redeemed, sharded by id. Only the `verify_*` calls
+    /// (the human-answers-a-challenge path) ever lock a shard; the
     /// request path never touches this.
     redeemed: Vec<Mutex<HashSet<u64>>>,
     /// Monotone validity floor: ids below it are rejected outright.
@@ -164,25 +162,6 @@ impl CaptchaService {
         Challenge::derive(self.seed, id, DEFAULT_DIFFICULTY).check(answer)
     }
 
-    /// Verifies an answer with strict one-attempt-per-id semantics: the
-    /// id is consumed by the attempt itself, right or wrong — exactly
-    /// what the old issue table did by removing the entry before
-    /// checking. The single-owner harness semantics; the gateway's
-    /// keyed flows use [`CaptchaService::verify_attempt`] /
-    /// [`CaptchaService::verify_once`] instead, because strict
-    /// consume-on-attempt would let anyone pre-burn the sequentially
-    /// predictable ids other sessions still need. Outcomes land in the
-    /// pass/fail counters.
-    pub fn verify(&self, id: u64, answer: &str) -> bool {
-        let ok = self.in_issued_range(id) && self.redeem_once(id) && self.check(id, answer);
-        if ok {
-            self.passed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
-    }
-
     /// Verifies an answer against the global single-use gate, consuming
     /// the id **only on success**: a wrong answer neither passes nor
     /// burns anything (so an attacker spraying garbage at predictable
@@ -208,10 +187,10 @@ impl CaptchaService {
     /// answered, so a correct answer is accepted on the record's say-so
     /// — the global redeemed set is only *marked* (best-effort, to lock
     /// out record-less replays of the same pair), never consulted. That
-    /// asymmetry matters: without it, anyone could deny a session its
-    /// pass by pre-burning the sequentially predictable id through the
-    /// record-less [`CaptchaService::verify`] path. A wrong answer does
-    /// not consume the id. Outcomes land in the pass/fail counters.
+    /// asymmetry matters: without it, whoever solves a session's
+    /// sequentially predictable id first through the record-less
+    /// [`CaptchaService::verify_once`] path would deny that session its
+    /// pass. A wrong answer does not consume the id. Outcomes land in the pass/fail counters.
     pub fn verify_attempt(&self, id: u64, answer: &str) -> bool {
         let ok = self.check(id, answer);
         if ok {
@@ -289,12 +268,12 @@ mod tests {
         let s = CaptchaService::new(ServingPolicy::OptionalWithIncentive, 2);
         let ch = s.issue();
         let answer = ch.answer().to_string();
-        assert!(s.verify(ch.id, &answer));
+        assert!(s.verify_once(ch.id, &answer));
         // Single-use: replaying the same correct pair fails, for this or
         // any other caller.
-        assert!(!s.verify(ch.id, &answer));
+        assert!(!s.verify_once(ch.id, &answer));
         let ch2 = s.issue();
-        assert!(!s.verify(ch2.id, "nope"));
+        assert!(!s.verify_once(ch2.id, "nope"));
         assert_eq!(s.stats(), (2, 1, 2));
         assert!((s.pass_rate() - 1.0 / 3.0).abs() < 1e-12);
         // `check` re-derives without moving counters or consuming ids.
@@ -312,7 +291,7 @@ mod tests {
             .map(|_| {
                 let s = Arc::clone(&s);
                 let answer = answer.clone();
-                std::thread::spawn(move || u32::from(s.verify(ch.id, &answer)))
+                std::thread::spawn(move || u32::from(s.verify_once(ch.id, &answer)))
             })
             .collect::<Vec<_>>()
             .into_iter()
@@ -326,9 +305,9 @@ mod tests {
     fn never_issued_ids_are_rejected() {
         let s = CaptchaService::new(ServingPolicy::OptionalWithIncentive, 3);
         // Nothing issued yet: every id is out of range, even id 1.
-        assert!(!s.verify(1, "anything"));
-        assert!(!s.verify(999, "anything"));
-        assert!(!s.verify(0, "anything"));
+        assert!(!s.verify_once(1, "anything"));
+        assert!(!s.verify_once(999, "anything"));
+        assert!(!s.verify_once(0, "anything"));
         let ch = s.issue();
         // Ids at or beyond the counter still fail.
         assert!(!s.check(ch.id + 1, ch.answer()));
@@ -342,20 +321,20 @@ mod tests {
         let s = CaptchaService::new(ServingPolicy::OptionalWithIncentive, 6).with_redeemed_cap(4);
         let first = s.issue();
         let first_answer = first.answer().to_string();
-        assert!(s.verify(first.id, &first_answer));
+        assert!(s.verify_once(first.id, &first_answer));
         // Overflow the shard holding `first.id` until it evicts it.
         let mut spilled = 0usize;
         while spilled <= 4 {
             let ch = s.issue();
             if ch.id % REDEEMED_SHARDS as u64 == first.id % REDEEMED_SHARDS as u64 {
                 let answer = ch.answer().to_string();
-                assert!(s.verify(ch.id, &answer));
+                assert!(s.verify_once(ch.id, &answer));
                 spilled += 1;
             }
         }
         // The evicted first id is retired: even its correct answer is
         // rejected (validity floor), not replayable.
-        assert!(!s.verify(first.id, &first_answer));
+        assert!(!s.verify_once(first.id, &first_answer));
         assert!(!s.check(first.id, &first_answer));
     }
 

@@ -423,8 +423,9 @@ impl Detector {
 
     /// Feeds one exchange plus its instrumentation classification.
     ///
-    /// `classified` should come from
-    /// [`botwall_instrument::Instrumenter::classify`] on the same request.
+    /// `classified` should be the same request's
+    /// [`botwall_instrument::RewriteEngine::classify`] sighting,
+    /// [resolved](Sighting::resolve) against the session's tokens.
     ///
     /// This is the fast path: evidence is accumulated, but only hard
     /// evidence updates the verdict here. Soft browser-test signals are
@@ -554,14 +555,7 @@ impl Detector {
                 }
             };
             // 2. Resolve the sighting against session token state.
-            let classified = match sighting {
-                Sighting::MouseBeacon(key) => {
-                    let outcome = entry.ext().tokens.redeem(*key, now);
-                    Classified::MouseBeacon { key: *key, outcome }
-                }
-                Sighting::Probe(hit) => Classified::Probe(hit.clone()),
-                Sighting::Ordinary => Classified::Ordinary,
-            };
+            let classified = sighting.resolve(&mut entry.ext().tokens, now);
             // 3. Respond here (fused) or lease for an origin fetch.
             let decided = {
                 let (session, state) = entry.parts();
@@ -915,7 +909,8 @@ fn classified_kinds(classified: &Classified, request: &Request) -> EvidenceKinds
 
 /// Folds one recorded exchange's evidence into the key state and updates
 /// the fast-path verdict. Runs under the session's shard lock (called
-/// from both [`Detector::observe`] and [`Detector::gate_and_observe`]);
+/// from [`Detector::observe`], [`Detector::gate`] and
+/// [`Detector::commit_exchange`]);
 /// the session's counters already include the exchange. Returns
 /// `(verdict, transitioned, request_index)`.
 fn fold_exchange(
@@ -973,8 +968,8 @@ fn fold_exchange(
 mod tests {
     use super::*;
     use botwall_http::request::ClientIp;
-    use botwall_http::{Method, StatusCode, Uri};
-    use botwall_instrument::{InstrumentConfig, Instrumenter};
+    use botwall_http::{Method, StatusCode};
+    use botwall_instrument::{InstrumentConfig, ProbeManifest, RewriteEngine};
 
     fn req(ip: u32, uri: &str, ua: &str) -> Request {
         Request::builder(Method::Get, uri)
@@ -990,25 +985,43 @@ mod tests {
             .build()
     }
 
-    /// Drives a full instrument → classify → detect loop for one client.
-    fn pipeline() -> (Instrumenter, Detector) {
-        (
-            Instrumenter::new(InstrumentConfig::default(), 5),
-            Detector::new(DetectorConfig::default()),
-        )
+    /// The server side of an instrument → classify → detect loop for one
+    /// client: the engine, and the token state that client's session
+    /// holds.
+    struct Instrumented {
+        engine: RewriteEngine,
+        tokens: TokenState,
+    }
+
+    impl Instrumented {
+        /// Serves `http://h/index.html` at `now`; what was injected.
+        fn page(&mut self, now: SimTime) -> ProbeManifest {
+            let page = req(0, "http://h/index.html", "");
+            let html = "<html><head></head><body></body></html>";
+            self.engine
+                .instrument_session_page(html, &page, &mut self.tokens, 5, now)
+                .1
+        }
+
+        fn classify(&mut self, request: &Request, now: SimTime) -> Classified {
+            self.engine
+                .classify(request, now)
+                .resolve(&mut self.tokens, now)
+        }
+    }
+
+    fn pipeline() -> (Instrumented, Detector) {
+        let ins = Instrumented {
+            engine: RewriteEngine::new(InstrumentConfig::default(), 5),
+            tokens: TokenState::default(),
+        };
+        (ins, Detector::new(DetectorConfig::default()))
     }
 
     #[test]
     fn mouse_beacon_yields_human_verdict() {
         let (mut ins, det) = pipeline();
-        let client = ClientIp::new(1);
-        let page: Uri = "http://h/index.html".parse().unwrap();
-        let (_, manifest) = ins.instrument_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            client,
-            SimTime::ZERO,
-        );
+        let manifest = ins.page(SimTime::ZERO);
         // Page fetch.
         let r0 = req(1, "http://h/index.html", "Mozilla/5.0 Firefox/1.5");
         let c0 = ins.classify(&r0, SimTime::ZERO);
@@ -1026,14 +1039,7 @@ mod tests {
     #[test]
     fn decoy_fetch_yields_robot_verdict() {
         let (mut ins, det) = pipeline();
-        let client = ClientIp::new(2);
-        let page: Uri = "http://h/index.html".parse().unwrap();
-        let (_, manifest) = ins.instrument_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            client,
-            SimTime::ZERO,
-        );
+        let manifest = ins.page(SimTime::ZERO);
         let decoy = manifest.decoy_beacons[0].clone();
         let r = req(2, &decoy.to_string(), "Mozilla/5.0");
         let c = ins.classify(&r, SimTime::ZERO);
@@ -1044,14 +1050,7 @@ mod tests {
     #[test]
     fn ua_mismatch_detected_via_agent_beacon() {
         let (mut ins, det) = pipeline();
-        let client = ClientIp::new(3);
-        let page: Uri = "http://h/index.html".parse().unwrap();
-        let (_, manifest) = ins.instrument_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            client,
-            SimTime::ZERO,
-        );
+        let manifest = ins.page(SimTime::ZERO);
         // The robot's JS engine reports its true agent, but the header
         // claims IE.
         let agent_url = manifest.agent_beacon.unwrap();
@@ -1067,14 +1066,8 @@ mod tests {
     fn automation_leak_detected_via_agent_beacon() {
         let (mut ins, det) = pipeline();
         let ua = "Mozilla/5.0 (Windows) Firefox/1.5";
-        let page: Uri = "http://h/index.html".parse().unwrap();
         // Webdriver flag admitted: hard robot even with a matching agent.
-        let (_, manifest) = ins.instrument_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            ClientIp::new(31),
-            SimTime::ZERO,
-        );
+        let manifest = ins.page(SimTime::ZERO);
         let agent_url = manifest.agent_beacon.unwrap();
         let fetch = format!(
             "{agent_url}?agent={}&wd=1&pl=3",
@@ -1086,12 +1079,7 @@ mod tests {
         assert_eq!(out.verdict, Verdict::Robot(Reason::AutomationLeak));
 
         // Empty plugin list: the headless fingerprint also decides alone.
-        let (_, manifest) = ins.instrument_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            ClientIp::new(32),
-            SimTime::ZERO,
-        );
+        let manifest = ins.page(SimTime::ZERO);
         let agent_url = manifest.agent_beacon.unwrap();
         let fetch = format!(
             "{agent_url}?agent={}&wd=0&pl=0",
@@ -1103,12 +1091,7 @@ mod tests {
         assert_eq!(out.verdict, Verdict::Robot(Reason::AutomationLeak));
 
         // A clean report (webdriver off, plugins present) stays soft.
-        let (_, manifest) = ins.instrument_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            ClientIp::new(33),
-            SimTime::ZERO,
-        );
+        let manifest = ins.page(SimTime::ZERO);
         let agent_url = manifest.agent_beacon.unwrap();
         let fetch = format!(
             "{agent_url}?agent={}&wd=0&pl=3",
@@ -1123,15 +1106,8 @@ mod tests {
     #[test]
     fn matching_agent_accumulates_js_without_deciding_online() {
         let (mut ins, det) = pipeline();
-        let client = ClientIp::new(4);
-        let page: Uri = "http://h/index.html".parse().unwrap();
         let ua = "Mozilla/5.0 (Windows) Firefox/1.5";
-        let (_, manifest) = ins.instrument_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            client,
-            SimTime::ZERO,
-        );
+        let manifest = ins.page(SimTime::ZERO);
         let agent_url = manifest.agent_beacon.unwrap();
         let fetch = format!("{agent_url}?agent={}", UserAgent::canonicalize(ua));
         let r = req(4, &fetch, ua);
@@ -1152,14 +1128,7 @@ mod tests {
     #[test]
     fn css_probe_accumulates_and_flushes_human() {
         let (mut ins, det) = pipeline();
-        let client = ClientIp::new(5);
-        let page: Uri = "http://h/index.html".parse().unwrap();
-        let (_, manifest) = ins.instrument_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            client,
-            SimTime::ZERO,
-        );
+        let manifest = ins.page(SimTime::ZERO);
         let css = manifest.css_probe.unwrap();
         let r = req(5, &css.to_string(), "Mozilla/5.0");
         let c = ins.classify(&r, SimTime::ZERO);
@@ -1182,14 +1151,7 @@ mod tests {
         // undecided online (a no-JS human), not get promoted to
         // provisional robot.
         let (mut ins, det) = pipeline();
-        let client = ClientIp::new(14);
-        let page: Uri = "http://h/index.html".parse().unwrap();
-        let (_, manifest) = ins.instrument_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            client,
-            SimTime::ZERO,
-        );
+        let manifest = ins.page(SimTime::ZERO);
         let css = manifest.css_probe.unwrap();
         let r = req(14, &css.to_string(), "Mozilla/5.0");
         let c = ins.classify(&r, SimTime::ZERO);
@@ -1209,14 +1171,7 @@ mod tests {
     #[test]
     fn hidden_link_is_robot() {
         let (mut ins, det) = pipeline();
-        let client = ClientIp::new(6);
-        let page: Uri = "http://h/index.html".parse().unwrap();
-        let (_, manifest) = ins.instrument_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            client,
-            SimTime::ZERO,
-        );
+        let manifest = ins.page(SimTime::ZERO);
         let hidden = manifest.hidden_link.unwrap();
         let r = req(6, &hidden.to_string(), "crawler/2.0");
         let c = ins.classify(&r, SimTime::ZERO);
@@ -1279,15 +1234,8 @@ mod tests {
         // minimum the fast path must lean robot so enforcement applies
         // while the bot is live.
         let (mut ins, det) = pipeline();
-        let client = ClientIp::new(17);
-        let page: Uri = "http://h/index.html".parse().unwrap();
         let ua = "Mozilla/5.0 Firefox/1.5";
-        let (_, manifest) = ins.instrument_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            client,
-            SimTime::ZERO,
-        );
+        let manifest = ins.page(SimTime::ZERO);
         let agent_url = manifest.agent_beacon.unwrap();
         let fetch = format!("{agent_url}?agent={}", UserAgent::canonicalize(ua));
         let r = req(17, &fetch, ua);
@@ -1314,14 +1262,7 @@ mod tests {
         // so the no-signal promotion must still fire and keep the
         // crawler under robot-class enforcement while it is live.
         let (mut ins, det) = pipeline();
-        let client = ClientIp::new(18);
-        let page: Uri = "http://h/index.html".parse().unwrap();
-        let (_, manifest) = ins.instrument_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            client,
-            SimTime::ZERO,
-        );
+        let manifest = ins.page(SimTime::ZERO);
         let js = manifest.js_file.unwrap();
         let r = req(18, &js.to_string(), "crawler/1.0");
         let c = ins.classify(&r, SimTime::ZERO);
@@ -1349,14 +1290,7 @@ mod tests {
         // robot, but the probe download must demote it back to Undecided
         // (and the flush must label it Human).
         let (mut ins, det) = pipeline();
-        let client = ClientIp::new(15);
-        let page: Uri = "http://h/index.html".parse().unwrap();
-        let (_, manifest) = ins.instrument_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            client,
-            SimTime::ZERO,
-        );
+        let manifest = ins.page(SimTime::ZERO);
         let mut last = Verdict::Undecided;
         for i in 0..12 {
             let r = req(15, &format!("http://h/asset{i}.png"), "Mozilla/5.0");
@@ -1382,19 +1316,12 @@ mod tests {
         // with *its* (empty) evidence, and the new incarnation must keep
         // the robot verdict instead of having its state stolen.
         let (mut ins, det) = pipeline();
-        let client = ClientIp::new(16);
-        let page: Uri = "http://h/index.html".parse().unwrap();
         let r0 = req(16, "http://h/index.html", "Mozilla/5.0");
         det.observe(&r0, &ok(), &Classified::Ordinary, SimTime::ZERO);
         // Two hours later the key returns — a fresh incarnation — and
         // fetches a decoy beacon.
         let later = SimTime::from_hours(2);
-        let (_, manifest) = ins.instrument_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            client,
-            later,
-        );
+        let manifest = ins.page(later);
         let decoy = manifest.decoy_beacons[0].clone();
         let r1 = req(16, &decoy.to_string(), "Mozilla/5.0");
         let c1 = ins.classify(&r1, later);

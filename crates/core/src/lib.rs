@@ -32,36 +32,35 @@
 //! use botwall_core::{Detector, DetectorConfig};
 //! use botwall_core::classifier::{Reason, Verdict};
 //! use botwall_http::request::ClientIp;
-//! use botwall_http::{Method, Request, Response, StatusCode, Uri};
-//! use botwall_instrument::{InstrumentConfig, Instrumenter};
+//! use botwall_http::{Method, Request, Response, StatusCode};
+//! use botwall_instrument::{InstrumentConfig, RewriteEngine, TokenState};
 //! use botwall_sessions::SimTime;
 //!
-//! let mut ins = Instrumenter::new(InstrumentConfig::default(), 7);
-//! let mut det = Detector::new(DetectorConfig::default());
+//! let engine = RewriteEngine::new(InstrumentConfig::default(), 7);
+//! let mut tokens = TokenState::default(); // client 1's session
+//! let det = Detector::new(DetectorConfig::default());
+//! let get = |uri: &str| {
+//!     Request::builder(Method::Get, uri)
+//!         .header("User-Agent", "Mozilla/5.0 Firefox/1.5")
+//!         .client(ClientIp::new(1))
+//!         .build()
+//!         .unwrap()
+//! };
 //!
 //! // Server side: instrument a page for client 1.
-//! let page: Uri = "http://site.example/index.html".parse().unwrap();
-//! let (_html, manifest) = ins.instrument_page(
+//! let (_html, manifest) = engine.instrument_session_page(
 //!     "<html><head></head><body></body></html>",
-//!     &page,
-//!     ClientIp::new(1),
+//!     &get("http://site.example/index.html"),
+//!     &mut tokens,
+//!     1, // the session's RNG stream
 //!     SimTime::ZERO,
 //! );
 //!
 //! // Client side: a human moves the mouse, firing the beacon.
-//! let beacon = manifest.mouse_beacon.unwrap();
-//! let req = Request::builder(Method::Get, beacon.to_string())
-//!     .header("User-Agent", "Mozilla/5.0 Firefox/1.5")
-//!     .client(ClientIp::new(1))
-//!     .build()
-//!     .unwrap();
-//! let classified = ins.classify(&req, SimTime::from_secs(3));
-//! let out = det.observe(
-//!     &req,
-//!     &Response::empty(StatusCode::OK),
-//!     &classified,
-//!     SimTime::from_secs(3),
-//! );
+//! let req = get(&manifest.mouse_beacon.unwrap().to_string());
+//! let now = SimTime::from_secs(3);
+//! let classified = engine.classify(&req, now).resolve(&mut tokens, now);
+//! let out = det.observe(&req, &Response::empty(StatusCode::OK), &classified, now);
 //! assert_eq!(out.verdict, Verdict::Human(Reason::MouseActivity));
 //! ```
 

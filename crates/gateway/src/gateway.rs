@@ -54,7 +54,7 @@ use botwall_core::{
     KeyCarry, KeyState, OriginLease, PendingCaptchaPass, PolicyEngine,
 };
 use botwall_http::{Request, Response, StatusCode};
-use botwall_instrument::{Classified, ProbeKind, ProbeManifest, RewriteEngine, StreamingRewrite};
+use botwall_instrument::{ProbeManifest, RewriteEngine, StreamingRewrite};
 use botwall_sessions::{Session, SessionKey, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -312,11 +312,13 @@ pub struct Gateway {
     ml_overrides: AtomicU64,
 }
 
-/// Builds the uncacheable HTML response a page serve puts on the wire.
-fn page_response(html: String) -> Response {
+/// The uncacheable `200 text/html` a page serve answers with: `body`
+/// whole on the buffered path, empty when the body was streamed and
+/// only the head is left to record.
+fn page_response(body: Vec<u8>) -> Response {
     let mut response = Response::builder(StatusCode::OK)
         .header("Content-Type", "text/html")
-        .body_bytes(html.into_bytes())
+        .body_bytes(body)
         .build();
     RewriteEngine::mark_uncacheable(&mut response);
     response
@@ -503,22 +505,12 @@ impl Gateway {
         let rewrite = self
             .detector
             .with_lease_state(&pending.lease, |session, state| {
-                let seed = self
-                    .engine
-                    .session_stream_seed(session.key().shard_hash(), session.started());
-                let mut stream = {
-                    let rng = state.tokens.rng_seeded(seed);
-                    self.engine.begin_request_stream(&pending.request, now, rng)
-                };
-                if let Some(token) = stream.take_token() {
-                    state.tokens.issue_page(
-                        pending.request.uri().path(),
-                        token,
-                        now,
-                        self.engine.config().token_table.max_entries_per_ip,
-                    );
-                }
-                stream
+                self.engine.begin_session_page(
+                    &pending.request,
+                    &mut state.tokens,
+                    self.stream_seed(session),
+                    now,
+                )
             });
         PageStream { rewrite }
     }
@@ -556,26 +548,13 @@ impl Gateway {
             }
             None => None,
         };
-        let respond = || {
-            let mut response = Response::builder(StatusCode::OK)
-                .header("Content-Type", "text/html")
-                .build();
-            RewriteEngine::mark_uncacheable(&mut response);
-            response
-        };
-        let (outcome, _, ()) = self.detector.commit_exchange(
-            lease,
-            &request,
-            now,
-            |_, state| {
-                // Mirrors the buffered serve closure minus the page
-                // (already streamed); in_flight bookkeeping and
-                // recording happen inside commit_exchange.
-                let _ = state;
-                (respond(), ())
-            },
-            || (respond(), ()),
-        );
+        // The page is already with the client; live or lost, what is
+        // left to record is its head (in_flight bookkeeping and the
+        // recording itself happen inside commit_exchange).
+        let respond = || (page_response(Vec::new()), ());
+        let (outcome, _, ()) =
+            self.detector
+                .commit_exchange(lease, &request, now, |_, _| respond(), respond);
         let bytes = request.wire_len() as u64 + wire_bytes + (out.len() - tail_start) as u64;
         cell.total_bytes.fetch_add(bytes, Ordering::Relaxed);
         cell.served.fetch_add(1, Ordering::Relaxed);
@@ -584,6 +563,12 @@ impl Gateway {
             verdict: outcome.verdict,
             manifest,
         }
+    }
+
+    /// The instrumentation RNG stream of one session incarnation.
+    fn stream_seed(&self, session: &Session) -> u64 {
+        self.engine
+            .session_stream_seed(session.key().shard_hash(), session.started())
     }
 
     /// Phase one: one shard critical section covering the policy gate,
@@ -636,16 +621,12 @@ impl Gateway {
                         // gateway itself — it must flow even under
                         // mandatory-challenge mode, because it is the
                         // channel through which humans prove themselves.
-                        // The script comes out of this session's own
-                        // token state, generated there by the first
-                        // fetch and borrowed by every later one.
-                        let js = match classified {
-                            Classified::Probe(hit) if hit.kind == ProbeKind::JsFile => self
-                                .engine
-                                .session_script(&mut state.tokens, hit.nonce, request),
-                            _ => None,
-                        };
-                        if let Some(response) = self.engine.respond(classified, js) {
+                        // A script comes out of this session's own
+                        // token state.
+                        if let Some(response) =
+                            self.engine
+                                .respond_in_session(classified, &mut state.tokens, request)
+                        {
                             return GateRespond::Respond(response, ProducedGate::Probe);
                         }
 
@@ -741,14 +722,11 @@ impl Gateway {
         let serve = |fetched: Origin, live: Option<(&Session, &mut KeyState)>| match fetched {
             Origin::Page(html) => match live {
                 Some((session, state)) => {
-                    let seed = self
-                        .engine
-                        .session_stream_seed(session.key().shard_hash(), session.started());
                     let (rewritten, manifest) = self.engine.instrument_session_page(
                         &html,
                         request,
                         &mut state.tokens,
-                        seed,
+                        self.stream_seed(session),
                         now,
                     );
                     // The page's wire bytes are tallied below; only the
@@ -756,11 +734,11 @@ impl Gateway {
                     cell.instrumentation_bytes
                         .fetch_add(manifest.html_overhead as u64, Ordering::Relaxed);
                     (
-                        page_response(rewritten.clone()),
+                        page_response(rewritten.as_bytes().to_vec()),
                         (Some(rewritten), Some(manifest)),
                     )
                 }
-                None => (page_response(html.clone()), (Some(html), None)),
+                None => (page_response(html.as_bytes().to_vec()), (Some(html), None)),
             },
             Origin::Response(response) => (response, (None, None)),
             Origin::NotFound => (Response::empty(StatusCode::NOT_FOUND), (None, None)),
@@ -902,7 +880,7 @@ impl Gateway {
     /// shard walk — so long runs cannot grow an unbounded table
     /// anywhere.
     pub fn sweep(&self, now: SimTime) -> Vec<CompletedSession> {
-        let ttl = self.config.instrument.token_table.entry_ttl_ms;
+        let ttl = self.config.instrument.session_tokens.entry_ttl_ms;
         self.detector.expire_key_state(now, ttl, ttl);
         let completed = self.detector.sweep(now);
         self.finish(completed)
@@ -916,7 +894,7 @@ impl Gateway {
     /// with nothing idle, so a serving thread can call it on a timer;
     /// concurrent callers take different shards.
     pub fn sweep_slice(&self, now: SimTime, budget: usize) -> Vec<CompletedSession> {
-        let ttl = self.config.instrument.token_table.entry_ttl_ms;
+        let ttl = self.config.instrument.session_tokens.entry_ttl_ms;
         let completed = self.detector.sweep_slice(now, budget, ttl, ttl);
         self.finish(completed)
     }

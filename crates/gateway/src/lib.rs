@@ -6,7 +6,7 @@
 //! "on-line at data request rates". This crate packages that composition
 //! — instrumentation, sessionized detection, policy enforcement, and
 //! CAPTCHA serving — behind one entry point so embedders never hand-wire
-//! `Instrumenter` → `Detector` → `PolicyEngine` → `CaptchaService`
+//! `RewriteEngine` → `Detector` → `PolicyEngine` → `CaptchaService`
 //! themselves:
 //!
 //! * [`Gateway::handle`] / [`Gateway::handle_with`] take a request and

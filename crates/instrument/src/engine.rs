@@ -125,6 +125,23 @@ pub enum Sighting {
     Ordinary,
 }
 
+impl Sighting {
+    /// Resolves the sighting against the session it arrived in: a
+    /// beacon-shaped fetch redeems its key in the session's `tokens`
+    /// (the one stateful step of classification, made under the lock
+    /// that guards them); probe hits and ordinary traffic carry over.
+    pub fn resolve(&self, tokens: &mut TokenState, now: SimTime) -> Classified {
+        match self {
+            Sighting::MouseBeacon(key) => Classified::MouseBeacon {
+                key: *key,
+                outcome: tokens.redeem(*key, now),
+            },
+            Sighting::Probe(hit) => Classified::Probe(hit.clone()),
+            Sighting::Ordinary => Classified::Ordinary,
+        }
+    }
+}
+
 /// Everything one page rewrite produced: the rewritten HTML, the probe
 /// manifest, and — when the mouse beacon is deployed — the issued token
 /// (key, decoys, script seed) for the caller to store in the session's
@@ -413,16 +430,32 @@ impl RewriteEngine {
     }
 
     /// [`RewriteEngine::begin_stream`] for the page `request` asked for,
-    /// with the probe URLs pointed at [`Request::authority`]: a browser
-    /// talking to a reverse proxy names the site in its `Host` header,
-    /// not in the request target.
-    pub fn begin_request_stream<R: Rng>(
+    /// into the session it was asked in: the randomness comes from the
+    /// session's own stream (seeded from `stream_seed` on first use), the
+    /// probe URLs point at [`Request::authority`] (a browser talking to a
+    /// reverse proxy names the site in its `Host` header, not in the
+    /// request target), and the issued token — its script still a seed —
+    /// is in `tokens` before a body byte has gone through, so a probe
+    /// fetched mid-stream already redeems. Designed to run inside the
+    /// session's shard critical section, touching nothing shared.
+    pub fn begin_session_page(
         &self,
         request: &Request,
+        tokens: &mut TokenState,
+        stream_seed: u64,
         now: SimTime,
-        rng: &mut R,
     ) -> StreamingRewrite {
-        self.mint(request.authority().as_deref(), request.uri(), now, rng)
+        let rng = tokens.rng_seeded(stream_seed);
+        let mut stream = self.mint(request.authority().as_deref(), request.uri(), now, rng);
+        if let Some(token) = stream.take_token() {
+            tokens.issue_page(
+                request.uri().path(),
+                token,
+                now,
+                self.config.session_tokens.max_entries,
+            );
+        }
+        stream
     }
 
     fn mint<R: Rng>(
@@ -500,14 +533,7 @@ impl RewriteEngine {
             manifest.transparent_pixel = Some(pixel);
         }
 
-        StreamingRewrite::new(
-            head_inject,
-            body_attr,
-            body_inject,
-            manifest,
-            token,
-            self.config.asset_proxy.as_ref(),
-        )
+        StreamingRewrite::new(head_inject, body_attr, body_inject, manifest, token)
     }
 
     /// Generates the script a page token stands for: the same
@@ -581,11 +607,9 @@ impl RewriteEngine {
         }
     }
 
-    /// Rewrites the HTML page `request` asked for, drawing randomness
-    /// from the session's own RNG stream and storing the issued token
-    /// (its script still a seed) directly in the session's
-    /// [`TokenState`] — designed to run inside the session's shard
-    /// critical section, touching nothing shared.
+    /// Rewrites the HTML page `request` asked for into its session:
+    /// [`RewriteEngine::begin_session_page`] with the whole body as its
+    /// one chunk.
     pub fn instrument_session_page(
         &self,
         html: &str,
@@ -594,19 +618,28 @@ impl RewriteEngine {
         stream_seed: u64,
         now: SimTime,
     ) -> (String, ProbeManifest) {
-        let built = {
-            let rng = tokens.rng_seeded(stream_seed);
-            Self::run_buffered(self.begin_request_stream(request, now, rng), html)
-        };
-        if let Some(token) = built.token {
-            tokens.issue_page(
-                request.uri().path(),
-                token,
-                now,
-                self.config.token_table.max_entries_per_ip,
-            );
-        }
+        let stream = self.begin_session_page(request, tokens, stream_seed, now);
+        let built = Self::run_buffered(stream, html);
         (built.html, built.manifest)
+    }
+
+    /// [`RewriteEngine::respond`] inside the session `request` arrived
+    /// in: a JS-file hit is answered with the script out of the
+    /// session's own `tokens` ([`RewriteEngine::session_script`]:
+    /// generated there by the first fetch, borrowed by every later one).
+    pub fn respond_in_session(
+        &self,
+        classified: &Classified,
+        tokens: &mut TokenState,
+        request: &Request,
+    ) -> Option<Response> {
+        let js = match classified {
+            Classified::Probe(hit) if hit.kind == ProbeKind::JsFile => {
+                self.session_script(tokens, hit.nonce, request)
+            }
+            _ => None,
+        };
+        self.respond(classified, js)
     }
 
     /// Serves the response for instrumentation traffic: the generated
@@ -964,7 +997,7 @@ mod tests {
             // over the same URLs and an rng on the same seed (read off
             // a second mint from the same session stream).
             let token = e
-                .begin_request_stream(&page, SimTime::ZERO, &mut ChaCha8Rng::seed_from_u64(stream_seed))
+                .begin_stream(page.uri(), SimTime::ZERO, &mut ChaCha8Rng::seed_from_u64(stream_seed))
                 .take_token()
                 .unwrap();
             let spec = JsSpec {

@@ -2,14 +2,14 @@
 //! Park et al., *Securing Web Service by Automatic Robot Detection*
 //! (USENIX 2006).
 //!
-//! The instrumenter rewrites HTML pages on their way to the client,
+//! The instrumentation rewrites HTML pages on their way to the client,
 //! planting four kinds of evidence sources:
 //!
 //! * a **mouse-event beacon**: injected JavaScript whose event handler
 //!   fetches a fake image URL carrying a per-client 128-bit key, recorded
-//!   in per-session [`token::TokenState`] (or the paper's literal per-IP
-//!   [`token::TokenTable`]); `m` decoy functions catch robots that
-//!   blindly fetch script-referenced URLs with probability `m/(m+1)`;
+//!   in per-session [`token::TokenState`]; `m` decoy functions catch
+//!   robots that blindly fetch script-referenced URLs with probability
+//!   `m/(m+1)`;
 //! * an **agent-string beacon** proving JavaScript execution and reporting
 //!   `navigator.userAgent` for mismatch checks;
 //! * an **empty CSS probe** that standard browsers fetch and goal-oriented
@@ -22,29 +22,42 @@
 //! stateless MAC-nonce probe classification, script generation) and the
 //! per-session [`TokenState`] (outstanding beacon keys + their scripts,
 //! a 16-byte seed each until first fetched), which callers colocate
-//! with their other per-session state.
-//! [`Instrumenter`] composes both into a self-contained single-owner
-//! endpoint; `botwall-core` builds the detector on top of the
-//! [`Classified`] stream either produces.
+//! with their other per-session state. The engine's stateless
+//! [`Sighting`] of a request resolves against that state into the
+//! [`Classified`] stream `botwall-core` builds the detector on.
 //!
 //! # Examples
 //!
 //! ```
-//! use botwall_http::request::ClientIp;
-//! use botwall_http::Uri;
-//! use botwall_instrument::{InstrumentConfig, Instrumenter};
+//! use botwall_http::{Method, Request};
+//! use botwall_instrument::{Classified, InstrumentConfig, KeyOutcome, RewriteEngine, TokenState};
 //! use botwall_sessions::SimTime;
 //!
-//! let mut ins = Instrumenter::new(InstrumentConfig::default(), 42);
-//! let page: Uri = "http://www.example.com/foo.html".parse().unwrap();
-//! let (html, manifest) = ins.instrument_page(
+//! let engine = RewriteEngine::new(InstrumentConfig::default(), 42);
+//! let mut tokens = TokenState::default(); // one session's
+//! let page = Request::builder(Method::Get, "http://www.example.com/foo.html")
+//!     .build()
+//!     .unwrap();
+//! let (html, manifest) = engine.instrument_session_page(
 //!     "<html><head></head><body></body></html>",
 //!     &page,
-//!     ClientIp::new(1),
+//!     &mut tokens,
+//!     7, // the session's RNG stream
 //!     SimTime::ZERO,
 //! );
 //! assert!(html.contains("<script"));
-//! assert_eq!(manifest.decoy_beacons.len(), ins.config().decoys);
+//! assert_eq!(manifest.decoy_beacons.len(), engine.config().decoys);
+//!
+//! // The mouse moves: the beacon fetch redeems the page's key, once.
+//! let beacon = Request::builder(Method::Get, manifest.mouse_beacon.unwrap().to_string())
+//!     .build()
+//!     .unwrap();
+//! let now = SimTime::from_secs(3);
+//! let classified = engine.classify(&beacon, now).resolve(&mut tokens, now);
+//! assert!(matches!(
+//!     classified,
+//!     Classified::MouseBeacon { outcome: KeyOutcome::Valid, .. }
+//! ));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,6 +75,6 @@ pub mod token;
 pub use engine::{BuiltPage, IssuedPageToken, RewriteEngine, Sighting};
 pub use jsgen::Obfuscation;
 pub use probe::{AutomationReport, ProbeHit, ProbeKind};
-pub use rewrite::{Classified, InstrumentConfig, Instrumenter, InstrumenterStats, ProbeManifest};
-pub use stream::{AssetProxyConfig, FinishedStream, StreamingRewrite, MAX_HELD_BYTES};
-pub use token::{BeaconKey, KeyOutcome, ScriptSeed, TokenState, TokenTable, TokenTableConfig};
+pub use rewrite::{Classified, InstrumentConfig, ProbeManifest};
+pub use stream::{FinishedStream, StreamingRewrite, MAX_HELD_BYTES};
+pub use token::{BeaconKey, KeyOutcome, ScriptSeed, SessionTokenConfig, TokenState};

@@ -1,9 +1,9 @@
 //! Word-at-a-time byte search: the one primitive under the streaming
 //! rewriter's anchor hunts.
 //!
-//! Every anchor the rewriter looks for (`</head>`, `<body`, `</body>`,
-//! `</style`, `</script`, `-->`, `url(`) starts with a byte that is rare
-//! in page text, so the search is three filters of rising cost:
+//! Every anchor the rewriter looks for (`</head>`, `<body`, `</body>`)
+//! starts with a byte that is rare in page text, so the search is three
+//! filters of rising cost:
 //!
 //! 1. [`each_match`] skips 32 bytes at a time through four `u64` words
 //!    (SWAR: a zero-byte test on `word ^ pattern`, plain integer
@@ -87,11 +87,6 @@ fn each_match<T>(
     None
 }
 
-/// Position of the first `byte` at or after `from`.
-pub(crate) fn find_byte(hay: &[u8], from: usize, byte: u8) -> Option<usize> {
-    each_match(hay, from, byte, Some)
-}
-
 /// ASCII-case-insensitive substring search from `from` (`needle` must
 /// be lowercase ASCII and at least two bytes, which every anchor is).
 pub(crate) fn find_ci(hay: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
@@ -137,7 +132,8 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
-    /// Every needle the rewriter searches for.
+    /// The rewriter's three anchors, and needles that start with other
+    /// bytes (a letter folds its case into the first-byte filter).
     const NEEDLES: [&[u8]; 7] = [
         b"</head>",
         b"<body",
@@ -212,10 +208,6 @@ mod tests {
                 );
                 prop_assert_eq!(partial_suffix(&hay, needle), naive_partial_suffix(&hay, needle));
             }
-            prop_assert_eq!(
-                find_byte(&hay, from, b'<'),
-                hay.iter().skip(from).position(|&b| b == b'<').map(|p| from + p)
-            );
         }
     }
 

@@ -17,10 +17,9 @@
 //!   capped at [`MAX_HELD_BYTES`]; a page whose first 64KB contain
 //!   neither tag gets its head markup at the resolution point (start of
 //!   the unflushed stream) and flows on.
-//! * **Tag hold** — mid-token chunk boundaries (`<bo│dy`, a tag split
-//!   across reads, an attribute value split mid-URL) park at most one
-//!   unfinished token, again capped at [`MAX_HELD_BYTES`] (an attacker
-//!   origin streaming an endless tag gets it flushed raw).
+//! * **Anchor hold** — a chunk that ends inside a possible anchor
+//!   (`<bo│dy`, `</bod│y>`) parks those few bytes, fewer than the
+//!   anchor is long, for the next chunk to complete or refute.
 //! * **Tail hold** — `body_inject` goes before the *last* `</body>`,
 //!   so from a `</body>` sighting to the next one (or EOF) the candidate
 //!   tail is held, capped like the rest.
@@ -49,47 +48,15 @@
 //! `streaming_equivalence` proptest suite. Beyond the cap the streaming
 //! path degrades by injecting at the cap boundary instead of scanning
 //! the whole page; the byte-lock corpora never get there.
-//!
-//! # Asset-proxy rewriting
-//!
-//! With [`AssetProxyConfig`] set, the scanner additionally rewrites the
-//! full trusted-server attribute surface to route external asset fetches
-//! through a first-party endpoint: `src`/`href`-style URL attributes,
-//! descriptor-preserving `srcset`/`imagesrcset` splitting (a `data:`
-//! candidate's mediatype comma does not end the candidate), CSS
-//! `url(...)` in `<style>` blocks and inline `style=` attributes, and
-//! SVG `href`/`xlink:href`. Absolute `http(s)://` and protocol-relative
-//! URLs are proxied; relative URLs (already same-origin) and
-//! non-fetchable schemes (`data:`, `javascript:`, `mailto:`, …) pass
-//! through untouched.
 
 use crate::engine::IssuedPageToken;
 use crate::rewrite::ProbeManifest;
-use crate::scan::{find_byte, find_ci, partial_suffix};
-use serde::{Deserialize, Serialize};
+use crate::scan::{find_ci, partial_suffix};
 
 /// Cap on every hold buffer in the streaming rewriter. A document that
 /// keeps an injection decision open past this many bytes gets the
 /// decision forced at the cap instead of buffering the page.
 pub const MAX_HELD_BYTES: usize = 64 * 1024;
-
-/// First-party asset-proxy rewriting: when set, every external asset
-/// URL on the trusted-server attribute surface is rewritten to
-/// `{endpoint}?u=<percent-encoded original>`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AssetProxyConfig {
-    /// Path (or absolute URL) of the first-party proxy endpoint.
-    pub endpoint: String,
-}
-
-impl AssetProxyConfig {
-    /// Proxy through `endpoint` (e.g. `/assets/fetch`).
-    pub fn new(endpoint: impl Into<String>) -> AssetProxyConfig {
-        AssetProxyConfig {
-            endpoint: endpoint.into(),
-        }
-    }
-}
 
 /// What [`StreamingRewrite::finish`] yields once the last chunk is out:
 /// the completed manifest (with `html_overhead` counted at the injection
@@ -123,9 +90,9 @@ enum Phase {
     Passthrough,
 }
 
-/// The injection half of the scanner: places `head_inject`, `body_attr`,
-/// and `body_inject` with exactly the buffered `inject()` semantics,
-/// holding only what is still unresolved.
+/// The injection scanner: places `head_inject`, `body_attr`, and
+/// `body_inject` with exactly the buffered `inject()` semantics, holding
+/// only what is still unresolved.
 #[derive(Debug)]
 struct Injector {
     head_inject: Vec<u8>,
@@ -140,7 +107,7 @@ struct Injector {
     scan: usize,
     /// First `<body` seen during the head hold, if any.
     body_at: Option<usize>,
-    /// Bytes this layer injected (the manifest overhead contribution).
+    /// Bytes injected so far (the manifest's `html_overhead`).
     injected: usize,
     peak_held: usize,
 }
@@ -330,552 +297,6 @@ enum Which {
     BodyEnd,
 }
 
-/// What kind of rewriting an attribute's value gets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ValueKind {
-    /// A single URL (`src`, `href`, `data`, …).
-    Url,
-    /// A `srcset`/`imagesrcset` candidate list.
-    Srcset,
-    /// Inline CSS (`style=`) — rewrite `url(...)` tokens.
-    Css,
-}
-
-/// The attribute catalogue: which attributes of which elements carry
-/// fetchable URLs (the trusted-server surface).
-fn attr_kind(tag: &[u8], attr: &[u8]) -> Option<ValueKind> {
-    let is = |name: &[u8]| attr.eq_ignore_ascii_case(name);
-    if is(b"style") {
-        return Some(ValueKind::Css); // inline CSS on any element
-    }
-    let tag_is = |name: &[u8]| tag.eq_ignore_ascii_case(name);
-    if tag_is(b"img") {
-        if is(b"src") || is(b"data-src") {
-            return Some(ValueKind::Url);
-        }
-        if is(b"srcset") {
-            return Some(ValueKind::Srcset);
-        }
-    } else if tag_is(b"source") {
-        if is(b"src") {
-            return Some(ValueKind::Url);
-        }
-        if is(b"srcset") {
-            return Some(ValueKind::Srcset);
-        }
-    } else if tag_is(b"link") {
-        if is(b"href") {
-            return Some(ValueKind::Url);
-        }
-        if is(b"imagesrcset") {
-            return Some(ValueKind::Srcset);
-        }
-    } else if tag_is(b"script")
-        || tag_is(b"video")
-        || tag_is(b"audio")
-        || tag_is(b"embed")
-        || tag_is(b"input")
-        || tag_is(b"iframe")
-    {
-        if is(b"src") {
-            return Some(ValueKind::Url);
-        }
-    } else if tag_is(b"object") {
-        if is(b"data") {
-            return Some(ValueKind::Url);
-        }
-    } else if (tag_is(b"image") || tag_is(b"use")) && (is(b"href") || is(b"xlink:href")) {
-        return Some(ValueKind::Url);
-    }
-    None
-}
-
-/// Percent-encodes everything outside the RFC 3986 unreserved set.
-fn percent_encode(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + raw.len() / 2);
-    for &b in raw.as_bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
-/// Internal slice size for [`AssetRewriter::push`]: large writes are
-/// processed in pieces this big so the working buffer (and with it the
-/// `peak_held` gauge) stays chunk-sized even when the caller hands over
-/// a whole page at once.
-const PUSH_SLICE: usize = 16 * 1024;
-
-/// Scanner state of the asset-rewriting layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AState {
-    /// Between tags.
-    Text,
-    /// Buffering a tag from `<` to its quote-aware `>`.
-    Tag,
-    /// An oversized tag being streamed raw; still scanning for its `>`.
-    TagOverflow,
-    /// Raw text to the closing token: `<style>` content (buffered so its
-    /// CSS can be rewritten) or `<script>`/comment content (streamed).
-    RawText,
-}
-
-/// The asset-proxy half of the scanner: a tag/attribute state machine
-/// that tolerates tokens split across arbitrary chunk boundaries and
-/// rewrites the catalogued URL attributes as each element completes.
-#[derive(Debug)]
-struct AssetRewriter {
-    endpoint: String,
-    state: AState,
-    /// Working buffer; `pending[start..]` is the unconsumed input (only
-    /// ever one unfinished token deep).
-    pending: Vec<u8>,
-    /// Consumed offset into `pending`. Emitting a token advances this
-    /// instead of `drain`ing the tail down — one memmove per processed
-    /// chunk instead of one per token. Zero between calls.
-    start: usize,
-    /// Quote state while scanning a tag for its terminator.
-    quote: Option<u8>,
-    /// Absolute scan cursor into `pending` for the current token
-    /// (always `>= start`).
-    cursor: usize,
-    /// Raw-text terminator (`</style`, `</script`, `-->`) and whether the
-    /// content is CSS to rewrite (style) or opaque (script, comment).
-    raw_end: &'static [u8],
-    raw_css: bool,
-    /// Bytes grown by URL rewrites (overhead contribution).
-    grown: usize,
-    peak_held: usize,
-}
-
-impl AssetRewriter {
-    fn new(config: &AssetProxyConfig) -> AssetRewriter {
-        AssetRewriter {
-            endpoint: config.endpoint.clone(),
-            state: AState::Text,
-            pending: Vec::new(),
-            start: 0,
-            quote: None,
-            cursor: 0,
-            raw_end: b"",
-            raw_css: false,
-            grown: 0,
-            peak_held: 0,
-        }
-    }
-
-    fn push(&mut self, data: &[u8], out: &mut Vec<u8>) {
-        // The working buffer stays chunk-sized regardless of how the
-        // caller batches its writes, so `peak_held` keeps measuring
-        // held-back bytes (not caller batch size) even when the
-        // buffered `build_page` path hands a whole page over at once.
-        for piece in data.chunks(PUSH_SLICE.max(1)) {
-            self.pending.extend_from_slice(piece);
-            self.peak_held = self.peak_held.max(self.pending.len());
-            self.process(out, false);
-        }
-    }
-
-    fn finish(&mut self, out: &mut Vec<u8>) {
-        self.process(out, true);
-        // Unfinished token at EOF (unclosed tag, unterminated style or
-        // script): flush raw — never swallow origin bytes.
-        out.extend_from_slice(&self.pending);
-        self.pending.clear();
-    }
-
-    fn process(&mut self, out: &mut Vec<u8>, eof: bool) {
-        self.scan(out, eof);
-        // Tokens advanced `start` through the buffer without touching
-        // the tail; shift the unconsumed remainder down once per call —
-        // O(chunk) total, instead of the former O(pending) `drain`
-        // memmove on every emitted token.
-        if self.start > 0 {
-            self.pending.drain(..self.start);
-            self.cursor = self.cursor.saturating_sub(self.start);
-            self.start = 0;
-        }
-    }
-
-    fn scan(&mut self, out: &mut Vec<u8>, eof: bool) {
-        loop {
-            match self.state {
-                AState::Text => match find_byte(&self.pending, self.start, b'<') {
-                    None => {
-                        out.extend_from_slice(&self.pending[self.start..]);
-                        self.pending.clear();
-                        self.start = 0;
-                        self.cursor = 0;
-                        return;
-                    }
-                    Some(lt) => {
-                        out.extend_from_slice(&self.pending[self.start..lt]);
-                        self.start = lt;
-                        self.state = AState::Tag;
-                        self.quote = None;
-                        self.cursor = lt + 1;
-                    }
-                },
-                AState::Tag => {
-                    let held = self.pending.len() - self.start;
-                    // A comment is not a tag: `<!--` opens raw text that
-                    // a quote-blind `>` scan would mis-terminate.
-                    if held >= 4 && self.pending[self.start..].starts_with(b"<!--") {
-                        out.extend_from_slice(b"<!--");
-                        self.start += 4;
-                        self.state = AState::RawText;
-                        self.raw_end = b"-->";
-                        self.raw_css = false;
-                        self.cursor = self.start;
-                        continue;
-                    }
-                    if held < 4 && !eof {
-                        return; // could still become `<!--`
-                    }
-                    match self.tag_terminator() {
-                        Some(end) => {
-                            self.emit_tag(end, out);
-                            continue;
-                        }
-                        None => {
-                            if self.pending.len() - self.start >= MAX_HELD_BYTES {
-                                out.extend_from_slice(&self.pending[self.start..]);
-                                self.pending.clear();
-                                self.start = 0;
-                                self.cursor = 0;
-                                self.state = AState::TagOverflow;
-                                continue;
-                            }
-                            return;
-                        }
-                    }
-                }
-                AState::TagOverflow => match self.tag_terminator() {
-                    Some(end) => {
-                        out.extend_from_slice(&self.pending[self.start..end]);
-                        self.start = end;
-                        self.cursor = end;
-                        self.state = AState::Text;
-                    }
-                    None => {
-                        out.extend_from_slice(&self.pending[self.start..]);
-                        self.pending.clear();
-                        self.start = 0;
-                        self.cursor = 0;
-                        return;
-                    }
-                },
-                AState::RawText => {
-                    if let Some(p) = find_ci(&self.pending, self.cursor, self.raw_end) {
-                        if self.raw_css {
-                            let content = std::str::from_utf8(&self.pending[self.start..p])
-                                .ok()
-                                .and_then(|css| self.rewrite_css(css));
-                            match content {
-                                Some(rewritten) => {
-                                    self.grown += rewritten.len() - (p - self.start);
-                                    out.extend_from_slice(rewritten.as_bytes());
-                                }
-                                None => out.extend_from_slice(&self.pending[self.start..p]),
-                            }
-                        } else {
-                            out.extend_from_slice(&self.pending[self.start..p]);
-                        }
-                        self.start = p;
-                        self.cursor = p;
-                        // The terminator re-enters through Text: `</style`
-                        // and `</script` parse as ordinary closing tags,
-                        // `-->` is plain text.
-                        self.state = AState::Text;
-                        continue;
-                    }
-                    self.cursor = self
-                        .pending
-                        .len()
-                        .saturating_sub(self.raw_end.len() - 1)
-                        .max(self.start);
-                    if self.raw_css {
-                        if self.pending.len() - self.start >= MAX_HELD_BYTES {
-                            // Oversized style block: stream it raw.
-                            out.extend_from_slice(&self.pending[self.start..]);
-                            self.pending.clear();
-                            self.start = 0;
-                            self.cursor = 0;
-                            self.raw_css = false;
-                        }
-                        return;
-                    }
-                    // Opaque raw text streams, holding back only a
-                    // possible terminator prefix.
-                    out.extend_from_slice(&self.pending[self.start..self.cursor]);
-                    self.start = self.cursor;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Quote-aware scan for the `>` ending the tag at `pending[start..]`;
-    /// returns the end offset (one past `>`). Persists progress in
-    /// `cursor`/`quote` across chunks.
-    fn tag_terminator(&mut self) -> Option<usize> {
-        while self.cursor < self.pending.len() {
-            let b = self.pending[self.cursor];
-            self.cursor += 1;
-            match self.quote {
-                Some(q) => {
-                    if b == q {
-                        self.quote = None;
-                    }
-                }
-                None => match b {
-                    b'"' | b'\'' => self.quote = Some(b),
-                    b'>' => return Some(self.cursor),
-                    _ => {}
-                },
-            }
-        }
-        None
-    }
-
-    /// A complete tag sits in `pending[start..end]`: rewrite its catalogued
-    /// attributes, emit it, and transition (style/script open raw text).
-    fn emit_tag(&mut self, end: usize, out: &mut Vec<u8>) {
-        let tag_len = end - self.start;
-        let (name, closing) = tag_name(&self.pending[self.start..end]);
-        let name = name.to_vec();
-        let self_closing = tag_len >= 2 && self.pending[end - 2] == b'/';
-        if !closing {
-            if let Some(rewritten) = self.rewrite_tag(&name, &self.pending[self.start..end]) {
-                self.grown += rewritten.len() - tag_len;
-                out.extend_from_slice(&rewritten);
-            } else {
-                out.extend_from_slice(&self.pending[self.start..end]);
-            }
-        } else {
-            out.extend_from_slice(&self.pending[self.start..end]);
-        }
-        self.start = end;
-        self.cursor = end;
-        self.quote = None;
-        if !closing && !self_closing && name.eq_ignore_ascii_case(b"style") {
-            self.state = AState::RawText;
-            self.raw_end = b"</style";
-            self.raw_css = true;
-        } else if !closing && !self_closing && name.eq_ignore_ascii_case(b"script") {
-            self.state = AState::RawText;
-            self.raw_end = b"</script";
-            self.raw_css = false;
-        } else {
-            self.state = AState::Text;
-        }
-    }
-
-    /// Rewrites the catalogued URL attributes of one complete tag.
-    /// `None` means the tag is unchanged.
-    fn rewrite_tag(&self, name: &[u8], tag: &[u8]) -> Option<Vec<u8>> {
-        let mut out: Option<Vec<u8>> = None;
-        let mut copied = 0; // how much of `tag` is already in `out`
-        let mut i = 1 + name.len();
-        while i < tag.len() {
-            // Skip to the next attribute name.
-            while i < tag.len() && (tag[i].is_ascii_whitespace() || tag[i] == b'/') {
-                i += 1;
-            }
-            if i >= tag.len() || tag[i] == b'>' {
-                break;
-            }
-            let attr_start = i;
-            while i < tag.len() && !tag[i].is_ascii_whitespace() && tag[i] != b'=' && tag[i] != b'>'
-            {
-                i += 1;
-            }
-            let attr = &tag[attr_start..i];
-            while i < tag.len() && tag[i].is_ascii_whitespace() {
-                i += 1;
-            }
-            if i >= tag.len() || tag[i] != b'=' {
-                continue; // valueless attribute
-            }
-            i += 1;
-            while i < tag.len() && tag[i].is_ascii_whitespace() {
-                i += 1;
-            }
-            if i >= tag.len() {
-                break;
-            }
-            let (value_start, value_end) = match tag[i] {
-                q @ (b'"' | b'\'') => {
-                    let start = i + 1;
-                    let end = tag[start..]
-                        .iter()
-                        .position(|&b| b == q)
-                        .map(|p| start + p)
-                        .unwrap_or(tag.len());
-                    i = (end + 1).min(tag.len());
-                    (start, end)
-                }
-                _ => {
-                    let start = i;
-                    while i < tag.len() && !tag[i].is_ascii_whitespace() && tag[i] != b'>' {
-                        i += 1;
-                    }
-                    (start, i)
-                }
-            };
-            let Some(kind) = attr_kind(name, attr) else {
-                continue;
-            };
-            let Ok(value) = std::str::from_utf8(&tag[value_start..value_end]) else {
-                continue;
-            };
-            let replaced = match kind {
-                ValueKind::Url => self.rewrite_url(value.trim()),
-                ValueKind::Srcset => self.rewrite_srcset(value),
-                ValueKind::Css => self.rewrite_css(value),
-            };
-            if let Some(new_value) = replaced {
-                let buf = out.get_or_insert_with(|| Vec::with_capacity(tag.len() + 64));
-                buf.extend_from_slice(&tag[copied..value_start]);
-                buf.extend_from_slice(new_value.as_bytes());
-                copied = value_end;
-            }
-        }
-        let mut buf = out?;
-        buf.extend_from_slice(&tag[copied..]);
-        Some(buf)
-    }
-
-    /// Proxies one URL, or `None` when it should pass through (relative,
-    /// fragment-only, or a non-fetchable scheme).
-    fn rewrite_url(&self, url: &str) -> Option<String> {
-        if url.is_empty() || url.starts_with('#') {
-            return None;
-        }
-        // Proxy protocol-relative and http(s) URLs; leave relative URLs
-        // (already same-origin) and non-fetchable schemes (data:,
-        // javascript:, mailto:, tel:, blob:, about:, …) untouched.
-        let scheme = url
-            .split(['/', '?', '#'])
-            .next()
-            .and_then(|first| first.split_once(':'))
-            .map(|(scheme, _)| scheme.to_ascii_lowercase());
-        let absolute = url.starts_with("//") || matches!(scheme.as_deref(), Some("http" | "https"));
-        absolute.then(|| format!("{}?u={}", self.endpoint, percent_encode(url)))
-    }
-
-    /// Rewrites a `srcset`/`imagesrcset` candidate list, preserving
-    /// descriptors and separators byte-for-byte. A `data:` candidate
-    /// extends to the next *whitespace* — its mediatype/payload commas
-    /// do not end it.
-    fn rewrite_srcset(&self, value: &str) -> Option<String> {
-        let bytes = value.as_bytes();
-        let mut out = String::with_capacity(value.len() + 64);
-        let mut changed = false;
-        let mut i = 0;
-        while i < bytes.len() {
-            // Separators (whitespace and commas) copy verbatim.
-            while i < bytes.len() && (bytes[i].is_ascii_whitespace() || bytes[i] == b',') {
-                out.push(bytes[i] as char);
-                i += 1;
-            }
-            if i >= bytes.len() {
-                break;
-            }
-            let start = i;
-            let is_data = value[i..].len() >= 5 && value[i..i + 5].eq_ignore_ascii_case("data:");
-            while i < bytes.len()
-                && !bytes[i].is_ascii_whitespace()
-                && (is_data || bytes[i] != b',')
-            {
-                i += 1;
-            }
-            let url = &value[start..i];
-            match self.rewrite_url(url) {
-                Some(proxied) => {
-                    out.push_str(&proxied);
-                    changed = true;
-                }
-                None => out.push_str(url),
-            }
-            // Descriptor (e.g. ` 2x`, ` 640w`): verbatim to the comma.
-            let desc_start = i;
-            while i < bytes.len() && bytes[i] != b',' {
-                i += 1;
-            }
-            out.push_str(&value[desc_start..i]);
-        }
-        changed.then_some(out)
-    }
-
-    /// Rewrites `url(...)` tokens in CSS (a `<style>` block or an inline
-    /// `style=` value). Quoting inside the token is preserved.
-    fn rewrite_css(&self, css: &str) -> Option<String> {
-        let bytes = css.as_bytes();
-        let mut out = String::with_capacity(css.len() + 64);
-        let mut changed = false;
-        let mut copied = 0;
-        let mut i = 0;
-        while let Some(p) = find_ci(bytes, i, b"url(") {
-            let mut j = p + 4;
-            while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                j += 1;
-            }
-            let quote = match bytes.get(j) {
-                Some(&q @ (b'"' | b'\'')) => {
-                    j += 1;
-                    Some(q)
-                }
-                _ => None,
-            };
-            let url_start = j;
-            while j < bytes.len() {
-                let b = bytes[j];
-                let ends = match quote {
-                    Some(q) => b == q,
-                    None => b == b')' || b.is_ascii_whitespace(),
-                };
-                if ends {
-                    break;
-                }
-                j += 1;
-            }
-            if let Some(proxied) = std::str::from_utf8(&bytes[url_start..j])
-                .ok()
-                .and_then(|url| self.rewrite_url(url.trim()))
-            {
-                out.push_str(&css[copied..url_start]);
-                out.push_str(&proxied);
-                copied = j;
-                changed = true;
-            }
-            i = j.max(p + 4);
-        }
-        if !changed {
-            return None;
-        }
-        out.push_str(&css[copied..]);
-        Some(out)
-    }
-}
-
-/// The element name of a complete tag (lowercase comparison is the
-/// caller's job) and whether it is a closing tag.
-fn tag_name(tag: &[u8]) -> (&[u8], bool) {
-    let closing = tag.len() > 1 && tag[1] == b'/';
-    let start = if closing { 2 } else { 1 };
-    let end = tag[start..]
-        .iter()
-        .position(|&b| b.is_ascii_whitespace() || b == b'>' || b == b'/')
-        .map(|p| start + p)
-        .unwrap_or(tag.len());
-    (&tag[start..end], closing)
-}
-
 /// One in-flight streaming page rewrite, produced by
 /// [`crate::RewriteEngine::begin_stream`]: chunk in → chunk out →
 /// [`StreamingRewrite::finish`] yields the manifest and issued token.
@@ -884,10 +305,8 @@ fn tag_name(tag: &[u8]) -> (&[u8], bool) {
 #[derive(Debug)]
 pub struct StreamingRewrite {
     injector: Injector,
-    assets: Option<AssetRewriter>,
     manifest: ProbeManifest,
     token: Option<IssuedPageToken>,
-    scratch: Vec<u8>,
 }
 
 impl StreamingRewrite {
@@ -897,14 +316,11 @@ impl StreamingRewrite {
         body_inject: String,
         manifest: ProbeManifest,
         token: Option<IssuedPageToken>,
-        asset_proxy: Option<&AssetProxyConfig>,
     ) -> StreamingRewrite {
         StreamingRewrite {
             injector: Injector::new(head_inject, body_attr, body_inject),
-            assets: asset_proxy.map(AssetRewriter::new),
             manifest,
             token,
-            scratch: Vec::new(),
         }
     }
 
@@ -923,30 +339,19 @@ impl StreamingRewrite {
     /// Feeds one origin chunk in; rewritten bytes are appended to `out`
     /// as soon as they are resolved.
     pub fn write(&mut self, chunk: &[u8], out: &mut Vec<u8>) {
-        match &mut self.assets {
-            // Once the injector has placed everything and holds nothing,
-            // its `push` is a pure copy — let the asset layer write
-            // straight into `out` and skip the scratch hop.
-            Some(assets) if self.injector.is_passthrough() => assets.push(chunk, out),
-            Some(assets) => {
-                self.scratch.clear();
-                assets.push(chunk, &mut self.scratch);
-                self.injector.push(&self.scratch, out);
-            }
-            None => self.injector.push(chunk, out),
-        }
+        self.injector.push(chunk, out);
     }
 
-    /// Bytes currently held back waiting for an unresolved token or
-    /// injection point.
+    /// Bytes currently held back waiting for an unresolved injection
+    /// point.
     pub fn buffered(&self) -> usize {
-        self.injector.held.len() + self.assets.as_ref().map_or(0, |a| a.pending.len())
+        self.injector.held.len()
     }
 
     /// High-water mark of [`StreamingRewrite::buffered`] — the gauge the
     /// O(chunk) memory claim is asserted on.
     pub fn peak_buffered(&self) -> usize {
-        self.injector.peak_held + self.assets.as_ref().map_or(0, |a| a.peak_held)
+        self.injector.peak_held
     }
 
     /// Ends the stream: emits everything still held (placing any
@@ -954,14 +359,8 @@ impl StreamingRewrite {
     /// with `html_overhead` counted at the injection sites — plus the
     /// issued token.
     pub fn finish(mut self, out: &mut Vec<u8>) -> FinishedStream {
-        if let Some(assets) = &mut self.assets {
-            self.scratch.clear();
-            assets.finish(&mut self.scratch);
-            self.injector.push(&self.scratch, out);
-        }
         self.injector.finish(out);
-        self.manifest.html_overhead =
-            self.injector.injected + self.assets.as_ref().map_or(0, |a| a.grown);
+        self.manifest.html_overhead = self.injector.injected;
         FinishedStream {
             manifest: self.manifest,
             token: self.token,
@@ -975,183 +374,6 @@ mod tests {
     use crate::scan::FULL_COMPARES;
     use proptest::collection::vec;
     use proptest::prelude::*;
-
-    // ---- asset-proxy surface -------------------------------------------
-
-    /// Runs the asset rewriter alone over `html` in `chunk`-byte pieces.
-    fn proxy_chunked(html: &str, chunk: usize) -> String {
-        let config = AssetProxyConfig::new("/assets/fetch");
-        let mut rw = AssetRewriter::new(&config);
-        let mut out = Vec::new();
-        for piece in html.as_bytes().chunks(chunk.max(1)) {
-            rw.push(piece, &mut out);
-        }
-        rw.finish(&mut out);
-        String::from_utf8(out).unwrap()
-    }
-
-    /// One-shot rewrite, cross-checked against every small chunking —
-    /// a boundary inside a tag name, an attribute value, a srcset
-    /// candidate, or a UTF-8 sequence must not change the output.
-    fn proxy(html: &str) -> String {
-        let whole = proxy_chunked(html, html.len().max(1));
-        for chunk in 1..=7 {
-            assert_eq!(
-                proxy_chunked(html, chunk),
-                whole,
-                "chunk size {chunk} diverged from one-shot rewrite"
-            );
-        }
-        whole
-    }
-
-    fn proxied(url: &str) -> String {
-        format!("/assets/fetch?u={}", percent_encode(url))
-    }
-
-    #[test]
-    fn img_src_is_proxied_descriptors_preserved_in_srcset() {
-        let out = proxy(
-            "<img src=\"http://cdn.example/a.png\" \
-             srcset=\"http://cdn.example/a.png 1x, pics/b.png 2x,\thttps://cdn.example/c.png 640w\">",
-        );
-        assert!(out.contains(&proxied("http://cdn.example/a.png")));
-        // Relative candidate passes through; descriptors and separators
-        // are byte-identical.
-        assert!(out.contains(" 1x, pics/b.png 2x,\t"));
-        assert!(out.contains(&format!("{} 640w", proxied("https://cdn.example/c.png"))));
-    }
-
-    #[test]
-    fn data_uri_comma_does_not_end_a_srcset_candidate() {
-        let data = "data:image/png;base64,iVBORw0KGgo=";
-        let out = proxy(&format!(
-            "<img srcset=\"{data} 1x, http://cdn.example/big.png 2x\">"
-        ));
-        // The data: candidate survives untouched, comma and all, and the
-        // *next* candidate is still found and proxied.
-        assert!(out.contains(&format!("{data} 1x, ")));
-        assert!(out.contains(&format!("{} 2x", proxied("http://cdn.example/big.png"))));
-    }
-
-    #[test]
-    fn css_urls_rewritten_in_style_blocks_and_inline_style() {
-        let out = proxy(
-            "<style>p { background: url( \"http://cdn.example/bg.png\" ); }</style>\
-             <div style='background: url(\"https://cdn.example/i.png\"); color: red'>x</div>",
-        );
-        assert!(out.contains(&format!(
-            "url( \"{}\" )",
-            proxied("http://cdn.example/bg.png")
-        )));
-        // Inline style= with nested double quotes inside single quotes.
-        assert!(out.contains(&format!(
-            "style='background: url(\"{}\"); color: red'",
-            proxied("https://cdn.example/i.png")
-        )));
-    }
-
-    #[test]
-    fn svg_href_and_xlink_href_are_proxied() {
-        let out = proxy(
-            "<svg><use xlink:href=\"http://cdn.example/s.svg#icon\"/>\
-             <image href=\"//cdn.example/pic.jpg\"/></svg>",
-        );
-        assert!(out.contains(&proxied("http://cdn.example/s.svg#icon")));
-        assert!(out.contains(&proxied("//cdn.example/pic.jpg")));
-        // The bare <svg> and <use>/<image> structure is otherwise intact.
-        assert!(out.starts_with("<svg><use xlink:href="));
-    }
-
-    #[test]
-    fn source_object_link_and_media_elements_are_covered() {
-        let out = proxy(
-            "<source src=\"http://m.example/v.mp4\" srcset=\"http://m.example/v.webp 1x\">\
-             <object data=\"http://m.example/o.swf\"></object>\
-             <link href=\"http://m.example/l.css\" imagesrcset=\"http://m.example/p.png 2x\">\
-             <video src=\"http://m.example/w.mp4\"></video>\
-             <iframe src=\"http://m.example/f.html\"></iframe>",
-        );
-        for url in [
-            "http://m.example/v.mp4",
-            "http://m.example/v.webp",
-            "http://m.example/o.swf",
-            "http://m.example/l.css",
-            "http://m.example/p.png",
-            "http://m.example/w.mp4",
-            "http://m.example/f.html",
-        ] {
-            assert!(out.contains(&proxied(url)), "missing proxied {url}");
-        }
-    }
-
-    #[test]
-    fn script_bodies_and_comments_are_opaque() {
-        let html = "<script src=\"http://cdn.example/app.js\">\
-                    var a = '<img src=\"http://cdn.example/in-js.png\">';</script>\
-                    <!-- <img src=\"http://cdn.example/in-comment.png\"> -->";
-        let out = proxy(html);
-        // The script *attribute* is proxied; the script *content* and the
-        // comment content are untouched.
-        assert!(out.contains(&proxied("http://cdn.example/app.js")));
-        assert!(out.contains("var a = '<img src=\"http://cdn.example/in-js.png\">';"));
-        assert!(out.contains("<!-- <img src=\"http://cdn.example/in-comment.png\"> -->"));
-    }
-
-    #[test]
-    fn relative_urls_and_nonfetchable_schemes_pass_through() {
-        let html = "<img src=\"pics/local.png\">\
-                    <img src=\"data:image/gif;base64,R0lGOD==\">\
-                    <a href=\"javascript:void(0)\">x</a>\
-                    <img src=\"#frag\">\
-                    <img src=\"mailto:a@b.example\">";
-        assert_eq!(proxy(html), html);
-    }
-
-    #[test]
-    fn unclosed_tag_at_eof_is_flushed_raw() {
-        // EOF mid-tag, mid-style, and mid-comment: the rewriter never
-        // swallows origin bytes.
-        for html in [
-            "text <img src=\"http://cdn.example/a.png",
-            "<style>p { background: url(http://cdn.example/bg.png",
-            "<!-- never closed",
-            "<",
-        ] {
-            assert_eq!(proxy(html), html, "EOF flush changed {html:?}");
-        }
-    }
-
-    #[test]
-    fn grown_matches_output_growth() {
-        let html = "<img src=\"http://cdn.example/a.png\"> plain \
-                    <style>q{background:url(http://cdn.example/b.png)}</style>";
-        let config = AssetProxyConfig::new("/assets/fetch");
-        let mut rw = AssetRewriter::new(&config);
-        let mut out = Vec::new();
-        rw.push(html.as_bytes(), &mut out);
-        rw.finish(&mut out);
-        assert_eq!(rw.grown, out.len() - html.len());
-    }
-
-    #[test]
-    fn oversized_tag_streams_without_unbounded_buffering() {
-        // A "tag" whose terminator never comes within the cap: the
-        // rewriter overflows to raw streaming instead of buffering it.
-        let mut html = String::from("<img src=\"http://cdn.example/a.png\" alt=\"");
-        html.push_str(&"x".repeat(2 * MAX_HELD_BYTES));
-        let config = AssetProxyConfig::new("/assets/fetch");
-        let mut rw = AssetRewriter::new(&config);
-        let mut out = Vec::new();
-        for piece in html.as_bytes().chunks(1024) {
-            rw.push(piece, &mut out);
-        }
-        rw.finish(&mut out);
-        assert!(rw.peak_held <= MAX_HELD_BYTES + 1024);
-        assert_eq!(String::from_utf8(out).unwrap(), html);
-    }
-
-    // ---- injection placement -------------------------------------------
 
     /// Runs the injector alone with visible markers over `html` cut
     /// into pieces of the given sizes, cycled.

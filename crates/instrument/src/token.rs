@@ -6,36 +6,30 @@
 //! IP address." A matching key in a later beacon fetch proves a mouse or
 //! keyboard event; the random key prevents replay across clients and pages.
 //!
-//! Two containers implement that record:
+//! Here the record is [`TokenState`]: the outstanding keys of *one*
+//! session (the paper's IP, narrowed by the User-Agent), designed to be
+//! colocated with the session's other per-key state inside its tracker
+//! shard entry, so issuing and redeeming share the session's shard lock
+//! (no global token table, no global lock).
 //!
-//! * [`TokenState`] — the outstanding keys of *one* session, designed to
-//!   be colocated with the session's other per-key state inside its
-//!   tracker shard entry, so issuing and redeeming share the session's
-//!   shard lock (no global token table, no global lock).
-//!
-//!   Each entry also answers for its page's `<script src>`, and that
-//!   script is one value in one of two states. A page serve leaves it
-//!   **seeded**: the [`ScriptSeed`] (16 bytes) from which the source can
-//!   be rebuilt, given the entry's own key and decoys. The first fetch
-//!   of the script URL makes it **generated**: the ~1 KB source, built
-//!   once by the caller of [`TokenState::script_for`] and kept in the
-//!   entry, so a refetch is a borrow. An entry that is never asked for
-//!   its script — every page-only scraper's — weighs ~210 bytes (112
-//!   for the entry, then its page path and five 16-byte decoys) instead
-//!   of ~1.25 KB; what clients can pin by fetching pages alone, 64
-//!   entries in each of 100k sessions, is ~1.4 GB, was ~8 GB.
-//! * [`TokenTable`] — the paper's literal per-IP table, a map of
-//!   [`TokenState`]s. The standalone [`crate::Instrumenter`] harness
-//!   uses it; the concurrent gateway does not.
+//! Each entry also answers for its page's `<script src>`, and that
+//! script is one value in one of two states. A page serve leaves it
+//! **seeded**: the [`ScriptSeed`] (16 bytes) from which the source can
+//! be rebuilt, given the entry's own key and decoys. The first fetch of
+//! the script URL makes it **generated**: the ~1 KB source, built once
+//! by the caller of [`TokenState::script_for`] and kept in the entry, so
+//! a refetch is a borrow. An entry that is never asked for its script —
+//! every page-only scraper's — weighs ~210 bytes (112 for the entry,
+//! then its page path and five 16-byte decoys) instead of ~1.25 KB; what
+//! clients can pin by fetching pages alone, 64 entries in each of 100k
+//! sessions, is ~1.4 GB, was ~8 GB.
 
 use crate::engine::IssuedPageToken;
-use botwall_http::request::ClientIp;
 use botwall_sessions::SimTime;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A 128-bit beacon key.
@@ -304,11 +298,6 @@ impl TokenState {
         self.entries.is_empty()
     }
 
-    /// Issue time of the most recent entry.
-    pub fn last_issued(&self) -> Option<SimTime> {
-        self.entries.last().map(|e| e.issued)
-    }
-
     /// The session's instrumentation RNG, seeded on first use from
     /// `stream_seed` (derived by the engine from its secret and the
     /// session identity, so streams never collide across sessions and
@@ -319,142 +308,22 @@ impl TokenState {
     }
 }
 
-/// Configuration for [`TokenTable`].
+/// Bounds on one session's [`TokenState`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TokenTableConfig {
-    /// Maximum outstanding entries per client IP; the oldest is dropped
+pub struct SessionTokenConfig {
+    /// Maximum outstanding entries per session; the oldest is dropped
     /// beyond this (the paper's table "holds multiple entries per IP").
-    pub max_entries_per_ip: usize,
-    /// Maximum distinct client IPs tracked; least-recently-issued evicted.
-    pub max_clients: usize,
+    pub max_entries: usize,
     /// Entries older than this are purged on sweep (keys are one-shot and
     /// short-lived by design).
     pub entry_ttl_ms: u64,
 }
 
-impl Default for TokenTableConfig {
+impl Default for SessionTokenConfig {
     fn default() -> Self {
-        TokenTableConfig {
-            max_entries_per_ip: 64,
-            max_clients: 100_000,
+        SessionTokenConfig {
+            max_entries: 64,
             entry_ttl_ms: 3_600_000,
-        }
-    }
-}
-
-/// The server-side table of issued beacon keys, indexed by client IP.
-///
-/// # Examples
-///
-/// ```
-/// use botwall_http::request::ClientIp;
-/// use botwall_instrument::token::{BeaconKey, KeyOutcome, TokenTable, TokenTableConfig};
-/// use botwall_sessions::SimTime;
-///
-/// let mut table = TokenTable::new(TokenTableConfig::default());
-/// let ip = ClientIp::new(1);
-/// let key = BeaconKey::from_raw(42);
-/// table.issue(ip, "/index.html", key, vec![BeaconKey::from_raw(43)], SimTime::ZERO);
-/// assert_eq!(table.redeem(ip, key, SimTime::from_secs(1)), KeyOutcome::Valid);
-/// assert_eq!(table.redeem(ip, key, SimTime::from_secs(2)), KeyOutcome::Replay);
-/// assert_eq!(
-///     table.redeem(ip, BeaconKey::from_raw(43), SimTime::from_secs(3)),
-///     KeyOutcome::Decoy
-/// );
-/// ```
-#[derive(Debug)]
-pub struct TokenTable {
-    config: TokenTableConfig,
-    by_ip: HashMap<ClientIp, TokenState>,
-    issued_total: u64,
-    redeemed_total: u64,
-}
-
-impl TokenTable {
-    /// Creates an empty table.
-    pub fn new(config: TokenTableConfig) -> TokenTable {
-        TokenTable {
-            config,
-            by_ip: HashMap::new(),
-            issued_total: 0,
-            redeemed_total: 0,
-        }
-    }
-
-    /// Records a freshly issued `<page, key>` tuple (plus the decoys served
-    /// alongside it) for `ip`.
-    pub fn issue(
-        &mut self,
-        ip: ClientIp,
-        page: impl Into<String>,
-        key: BeaconKey,
-        decoys: Vec<BeaconKey>,
-        now: SimTime,
-    ) {
-        if !self.by_ip.contains_key(&ip) && self.by_ip.len() >= self.config.max_clients {
-            self.evict_oldest_client();
-        }
-        let state = self.by_ip.entry(ip).or_default();
-        state.issue(page, key, decoys, None, now, self.config.max_entries_per_ip);
-        self.issued_total += 1;
-    }
-
-    /// Checks a presented key for `ip`, marking it redeemed when valid.
-    pub fn redeem(&mut self, ip: ClientIp, key: BeaconKey, now: SimTime) -> KeyOutcome {
-        let Some(state) = self.by_ip.get_mut(&ip) else {
-            return KeyOutcome::Unknown;
-        };
-        let outcome = state.redeem(key, now);
-        if outcome == KeyOutcome::Valid {
-            self.redeemed_total += 1;
-        }
-        outcome
-    }
-
-    /// Purges entries older than the TTL. Returns how many were removed.
-    pub fn sweep(&mut self, now: SimTime) -> usize {
-        let ttl = self.config.entry_ttl_ms;
-        let mut removed = 0;
-        self.by_ip.retain(|_, state| {
-            removed += state.sweep(now, ttl);
-            !state.is_empty()
-        });
-        removed
-    }
-
-    /// The page associated with an outstanding key, if any (diagnostics).
-    pub fn page_for(&self, ip: ClientIp, key: BeaconKey) -> Option<&str> {
-        self.by_ip.get(&ip)?.page_for(key)
-    }
-
-    /// Outstanding entries for `ip`.
-    pub fn entries_for(&self, ip: ClientIp) -> usize {
-        self.by_ip.get(&ip).map(|s| s.len()).unwrap_or(0)
-    }
-
-    /// Number of tracked client IPs.
-    pub fn client_count(&self) -> usize {
-        self.by_ip.len()
-    }
-
-    /// Total keys ever issued.
-    pub fn issued_total(&self) -> u64 {
-        self.issued_total
-    }
-
-    /// Total keys successfully redeemed.
-    pub fn redeemed_total(&self) -> u64 {
-        self.redeemed_total
-    }
-
-    fn evict_oldest_client(&mut self) {
-        if let Some(ip) = self
-            .by_ip
-            .iter()
-            .min_by_key(|(_, s)| s.last_issued().unwrap_or(SimTime::ZERO))
-            .map(|(ip, _)| *ip)
-        {
-            self.by_ip.remove(&ip);
         }
     }
 }
@@ -465,8 +334,15 @@ mod tests {
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn table() -> TokenTable {
-        TokenTable::new(TokenTableConfig::default())
+    /// Issues `<page, key>` with `decoys` at `at`, under a bound of
+    /// `max` entries.
+    fn issue(t: &mut TokenState, page: &str, key: u128, decoys: &[u128], at: SimTime, max: usize) {
+        let decoys = decoys.iter().map(|&d| BeaconKey::from_raw(d)).collect();
+        t.issue(page, BeaconKey::from_raw(key), decoys, None, at, max);
+    }
+
+    fn redeem(t: &mut TokenState, key: u128) -> KeyOutcome {
+        t.redeem(BeaconKey::from_raw(key), SimTime::ZERO)
     }
 
     #[test]
@@ -490,150 +366,67 @@ mod tests {
 
     #[test]
     fn valid_then_replay() {
-        let mut t = table();
-        let ip = ClientIp::new(1);
-        let k = BeaconKey::from_raw(7);
-        t.issue(ip, "/p", k, vec![], SimTime::ZERO);
-        assert_eq!(t.redeem(ip, k, SimTime::ZERO), KeyOutcome::Valid);
-        assert_eq!(t.redeem(ip, k, SimTime::ZERO), KeyOutcome::Replay);
-        assert_eq!(t.redeemed_total(), 1);
+        let mut t = TokenState::default();
+        issue(&mut t, "/p", 7, &[], SimTime::ZERO, 64);
+        assert_eq!(redeem(&mut t, 7), KeyOutcome::Valid);
+        assert_eq!(redeem(&mut t, 7), KeyOutcome::Replay);
     }
 
     #[test]
     fn key_is_per_client() {
-        let mut t = table();
-        let k = BeaconKey::from_raw(7);
-        t.issue(ClientIp::new(1), "/p", k, vec![], SimTime::ZERO);
-        // Another client presenting the stolen key gets Unknown.
-        assert_eq!(
-            t.redeem(ClientIp::new(2), k, SimTime::ZERO),
-            KeyOutcome::Unknown
-        );
+        let (mut owner, mut thief) = (TokenState::default(), TokenState::default());
+        issue(&mut owner, "/p", 7, &[], SimTime::ZERO, 64);
+        issue(&mut thief, "/p", 8, &[], SimTime::ZERO, 64);
+        // Another session presenting the stolen key gets Unknown, and
+        // the theft does not spend it.
+        assert_eq!(redeem(&mut thief, 7), KeyOutcome::Unknown);
+        assert_eq!(redeem(&mut owner, 7), KeyOutcome::Valid);
     }
 
     #[test]
     fn decoy_detection() {
-        let mut t = table();
-        let ip = ClientIp::new(1);
-        t.issue(
-            ip,
-            "/p",
-            BeaconKey::from_raw(1),
-            vec![BeaconKey::from_raw(2), BeaconKey::from_raw(3)],
-            SimTime::ZERO,
-        );
-        assert_eq!(
-            t.redeem(ip, BeaconKey::from_raw(3), SimTime::ZERO),
-            KeyOutcome::Decoy
-        );
-        assert_eq!(
-            t.redeem(ip, BeaconKey::from_raw(99), SimTime::ZERO),
-            KeyOutcome::Unknown
-        );
+        let mut t = TokenState::default();
+        issue(&mut t, "/p", 1, &[2, 3], SimTime::ZERO, 64);
+        assert_eq!(redeem(&mut t, 3), KeyOutcome::Decoy);
+        assert_eq!(redeem(&mut t, 99), KeyOutcome::Unknown);
     }
 
     #[test]
     fn multiple_entries_per_ip() {
-        let mut t = table();
-        let ip = ClientIp::new(1);
-        let k1 = BeaconKey::from_raw(1);
-        let k2 = BeaconKey::from_raw(2);
-        t.issue(ip, "/a", k1, vec![], SimTime::ZERO);
-        t.issue(ip, "/b", k2, vec![], SimTime::ZERO);
-        assert_eq!(t.entries_for(ip), 2);
-        assert_eq!(t.page_for(ip, k2), Some("/b"));
-        assert_eq!(t.redeem(ip, k1, SimTime::ZERO), KeyOutcome::Valid);
-        assert_eq!(t.redeem(ip, k2, SimTime::ZERO), KeyOutcome::Valid);
+        let mut t = TokenState::default();
+        issue(&mut t, "/a", 1, &[], SimTime::ZERO, 64);
+        issue(&mut t, "/b", 2, &[], SimTime::ZERO, 64);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.page_for(BeaconKey::from_raw(2)), Some("/b"));
+        assert_eq!(redeem(&mut t, 1), KeyOutcome::Valid);
+        assert_eq!(redeem(&mut t, 2), KeyOutcome::Valid);
     }
 
     #[test]
     fn per_ip_bound_drops_oldest() {
-        let mut t = TokenTable::new(TokenTableConfig {
-            max_entries_per_ip: 2,
-            ..TokenTableConfig::default()
-        });
-        let ip = ClientIp::new(1);
+        let mut t = TokenState::default();
         for i in 0..3 {
-            t.issue(
-                ip,
-                format!("/{i}"),
-                BeaconKey::from_raw(i),
-                vec![],
-                SimTime::ZERO,
-            );
+            issue(&mut t, &format!("/{i}"), i, &[], SimTime::ZERO, 2);
         }
-        assert_eq!(t.entries_for(ip), 2);
+        assert_eq!(t.len(), 2);
         // Key 0 was dropped.
-        assert_eq!(
-            t.redeem(ip, BeaconKey::from_raw(0), SimTime::ZERO),
-            KeyOutcome::Unknown
-        );
-        assert_eq!(
-            t.redeem(ip, BeaconKey::from_raw(2), SimTime::ZERO),
-            KeyOutcome::Valid
-        );
-    }
-
-    #[test]
-    fn client_bound_evicts_oldest_client() {
-        let mut t = TokenTable::new(TokenTableConfig {
-            max_clients: 2,
-            ..TokenTableConfig::default()
-        });
-        t.issue(
-            ClientIp::new(1),
-            "/a",
-            BeaconKey::from_raw(1),
-            vec![],
-            SimTime::ZERO,
-        );
-        t.issue(
-            ClientIp::new(2),
-            "/b",
-            BeaconKey::from_raw(2),
-            vec![],
-            SimTime::from_secs(10),
-        );
-        t.issue(
-            ClientIp::new(3),
-            "/c",
-            BeaconKey::from_raw(3),
-            vec![],
-            SimTime::from_secs(20),
-        );
-        assert_eq!(t.client_count(), 2);
-        assert_eq!(
-            t.redeem(
-                ClientIp::new(1),
-                BeaconKey::from_raw(1),
-                SimTime::from_secs(21)
-            ),
-            KeyOutcome::Unknown,
-            "oldest client evicted"
-        );
+        assert_eq!(redeem(&mut t, 0), KeyOutcome::Unknown);
+        assert_eq!(redeem(&mut t, 2), KeyOutcome::Valid);
     }
 
     #[test]
     fn sweep_purges_expired_entries() {
-        let mut t = TokenTable::new(TokenTableConfig {
-            entry_ttl_ms: 1000,
-            ..TokenTableConfig::default()
-        });
-        let ip = ClientIp::new(1);
-        t.issue(ip, "/a", BeaconKey::from_raw(1), vec![], SimTime::ZERO);
-        t.issue(
-            ip,
-            "/b",
-            BeaconKey::from_raw(2),
-            vec![],
-            SimTime::from_secs(5),
+        let mut t = TokenState::default();
+        issue(&mut t, "/a", 1, &[], SimTime::ZERO, 64);
+        issue(&mut t, "/b", 2, &[], SimTime::from_secs(5), 64);
+        assert_eq!(t.sweep(SimTime::from_secs(5) + 500, 1000), 1);
+        assert_eq!(t.len(), 1);
+        assert_eq!(
+            redeem(&mut t, 1),
+            KeyOutcome::Unknown,
+            "the older entry went"
         );
-        let removed = t.sweep(SimTime::from_secs(5) + 500);
-        assert_eq!(removed, 1);
-        assert_eq!(t.entries_for(ip), 1);
-        // Fully expiring the client removes the IP bucket.
-        let removed = t.sweep(SimTime::from_secs(10));
-        assert_eq!(removed, 1);
-        assert_eq!(t.client_count(), 0);
+        assert_eq!(t.sweep(SimTime::from_secs(10), 1000), 1);
+        assert!(t.is_empty());
     }
 }

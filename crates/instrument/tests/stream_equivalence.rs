@@ -1,12 +1,12 @@
 //! The streaming contract: for any document and ANY chunking of it, the
 //! streaming rewriter produces byte-identical output to the buffered
-//! `build_page` under the same RNG seed — chunk boundaries in tag names,
-//! attribute values, srcset candidates, and multi-byte UTF-8 sequences
+//! `build_page` under the same RNG seed — chunk boundaries in anchors,
+//! tag names, attribute values, and multi-byte UTF-8 sequences
 //! included. Plus the O(chunk) memory claim: a 4MB page fed one byte at
 //! a time never buffers more than `MAX_HELD_BYTES`.
 
 use botwall_http::Uri;
-use botwall_instrument::{AssetProxyConfig, InstrumentConfig, RewriteEngine, MAX_HELD_BYTES};
+use botwall_instrument::{InstrumentConfig, RewriteEngine, MAX_HELD_BYTES};
 use botwall_sessions::SimTime;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -17,18 +17,13 @@ fn page_uri() -> Uri {
     "http://prop.example/page.html".parse().unwrap()
 }
 
-fn engine(asset_proxy: bool) -> RewriteEngine {
-    let mut config = InstrumentConfig::default();
-    if asset_proxy {
-        config.asset_proxy = Some(AssetProxyConfig::new("/assets/fetch"));
-    }
-    RewriteEngine::new(config, 77)
+fn engine() -> RewriteEngine {
+    RewriteEngine::new(InstrumentConfig::default(), 77)
 }
 
 /// Document fragments chosen to put chunk boundaries somewhere
-/// interesting: injection anchors, the attribute catalogue, srcset
-/// descriptor lists, `data:` commas, raw-text elements, comments, and
-/// multi-byte UTF-8.
+/// interesting: injection anchors (bare, inside comments and scripts),
+/// quoted attribute values, raw-text elements, and multi-byte UTF-8.
 fn fragment() -> impl Strategy<Value = String> {
     prop_oneof![
         Just("<head><title>t</title>".to_string()),
@@ -49,8 +44,8 @@ fn fragment() -> impl Strategy<Value = String> {
 }
 
 proptest! {
-    /// Streaming == buffered for every chunking, with and without the
-    /// asset proxy; manifest, token, and overhead accounting agree.
+    /// Streaming == buffered for every chunking; manifest, token, and
+    /// overhead accounting agree.
     #[test]
     fn streaming_matches_buffered_for_any_chunking(
         parts in vec(fragment(), 0..12),
@@ -58,39 +53,37 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let html: String = parts.concat();
-        for proxied in [false, true] {
-            let eng = engine(proxied);
-            let buffered = eng.build_page(
-                &html,
-                &page_uri(),
-                SimTime::ZERO,
-                &mut ChaCha8Rng::seed_from_u64(seed),
-            );
-            // The generated chunk size, plus 1-byte chunks always.
-            for size in [chunk, 1] {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let mut stream = eng.begin_stream(&page_uri(), SimTime::ZERO, &mut rng);
-                let token_up_front =
-                    stream.token().map(|t| (t.key, t.js_nonce));
-                let mut out = Vec::new();
-                for piece in html.as_bytes().chunks(size) {
-                    stream.write(piece, &mut out);
-                }
-                let finished = stream.finish(&mut out);
-                prop_assert_eq!(
-                    String::from_utf8(out.clone()).unwrap(),
-                    buffered.html.clone(),
-                    "chunk size {} diverged (proxy: {})", size, proxied
-                );
-                prop_assert_eq!(&finished.manifest, &buffered.manifest);
-                prop_assert_eq!(finished.manifest.html_overhead, out.len() - html.len());
-                // The token is available before any body bytes stream,
-                // and matches what the buffered path issued.
-                prop_assert_eq!(
-                    token_up_front,
-                    buffered.token.as_ref().map(|t| (t.key, t.js_nonce))
-                );
+        let eng = engine();
+        let buffered = eng.build_page(
+            &html,
+            &page_uri(),
+            SimTime::ZERO,
+            &mut ChaCha8Rng::seed_from_u64(seed),
+        );
+        // The generated chunk size, plus 1-byte chunks always.
+        for size in [chunk, 1] {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut stream = eng.begin_stream(&page_uri(), SimTime::ZERO, &mut rng);
+            let token_up_front =
+                stream.token().map(|t| (t.key, t.js_nonce));
+            let mut out = Vec::new();
+            for piece in html.as_bytes().chunks(size) {
+                stream.write(piece, &mut out);
             }
+            let finished = stream.finish(&mut out);
+            prop_assert_eq!(
+                String::from_utf8(out.clone()).unwrap(),
+                buffered.html.clone(),
+                "chunk size {} diverged", size
+            );
+            prop_assert_eq!(&finished.manifest, &buffered.manifest);
+            prop_assert_eq!(finished.manifest.html_overhead, out.len() - html.len());
+            // The token is available before any body bytes stream,
+            // and matches what the buffered path issued.
+            prop_assert_eq!(
+                token_up_front,
+                buffered.token.as_ref().map(|t| (t.key, t.js_nonce))
+            );
         }
     }
 }
@@ -106,7 +99,7 @@ fn four_megabyte_page_in_one_byte_chunks_stays_under_the_hold_cap() {
     }
     html.push_str("</body></html>");
 
-    let eng = engine(true);
+    let eng = engine();
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let mut stream = eng.begin_stream(&page_uri(), SimTime::ZERO, &mut rng);
     let mut out = Vec::new();
@@ -123,6 +116,6 @@ fn four_megabyte_page_in_one_byte_chunks_stays_under_the_hold_cap() {
     assert!(out.len() > html.len());
     assert_eq!(finished.manifest.html_overhead, out.len() - html.len());
     let text = String::from_utf8(out).unwrap();
-    assert!(text.contains("/assets/fetch?u=http%3A%2F%2Fcdn.example%2Fp.png"));
+    assert!(text.contains("<img src=\"http://cdn.example/p.png\" srcset=\"q.png 1x\">"));
     assert!(text.ends_with("</body></html>"));
 }

@@ -1301,48 +1301,21 @@ impl Worker {
                 let (origin_slot, stream, pos, interest, connected) = match prepared {
                     Some(prepared) => prepared,
                     None => {
-                        self.sys.connects.add(1);
-                        let mut stream = match net::tcp_connect_nonblocking(origin_addr) {
-                            Ok(stream) => stream,
-                            Err(_) => {
-                                // Origin unreachable before the fetch
-                                // even started: complete (never drop)
-                                // the lease so enforcement's in-flight
-                                // count stays exact.
-                                self.recycle(out);
-                                let gone =
-                                    Origin::Response(Response::empty(StatusCode::BAD_GATEWAY));
-                                let d = self.gateway.complete(pending, gone, now);
-                                self.set_response(slot, c, d.into_response(), close_after);
-                                return;
-                            }
-                        };
-                        // A loopback connect often completes
-                        // synchronously; writing optimistically skips a
-                        // whole poll round trip when it did. A
-                        // still-connecting socket just reports
-                        // `WouldBlock` and takes the writable-event path.
-                        let mut pos = 0;
-                        let (connected, interest) =
-                            match write_available(&mut stream, &out, &mut pos, &self.sys) {
-                                WriteStep::Done => (true, Interest::READABLE),
-                                WriteStep::Blocked if pos > 0 => (true, Interest::WRITABLE),
-                                _ => (false, Interest::WRITABLE),
-                            };
                         let origin_slot = self.alloc_slot();
-                        if self
-                            .reactor
-                            .register(&stream, token_of(origin_slot), interest)
-                            .is_err()
-                        {
+                        let Some((stream, pos, interest, connected)) =
+                            self.connect_origin(origin_addr, origin_slot, &out)
+                        else {
+                            // Origin unreachable before the fetch even
+                            // started: complete (never drop) the lease
+                            // so enforcement's in-flight count stays
+                            // exact.
                             self.free.push(origin_slot);
                             self.recycle(out);
                             let gone = Origin::Response(Response::empty(StatusCode::BAD_GATEWAY));
                             let d = self.gateway.complete(pending, gone, now);
                             self.set_response(slot, c, d.into_response(), close_after);
                             return;
-                        }
-                        self.shared.origin_connects.fetch_add(1, Ordering::Relaxed);
+                        };
                         (origin_slot, stream, pos, interest, connected)
                     }
                 };
@@ -1457,12 +1430,7 @@ impl Worker {
                 OriginState::Streaming(_) => self.truncate_stream(slot, o),
                 // Origin took too long: the lease completes with a 504
                 // and the client learns the truth.
-                OriginState::Buffering => self.finish_origin(
-                    slot,
-                    o,
-                    Origin::Response(Response::empty(StatusCode::GATEWAY_TIMEOUT)),
-                    false,
-                ),
+                OriginState::Buffering => self.fail_origin(slot, o, StatusCode::GATEWAY_TIMEOUT),
             }
             return;
         }
@@ -1470,12 +1438,7 @@ impl Worker {
             match o.stream.take_error() {
                 Ok(None) => o.connected = true,
                 _ => {
-                    self.finish_origin(
-                        slot,
-                        o,
-                        Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-                        false,
-                    );
+                    self.fail_origin(slot, o, StatusCode::BAD_GATEWAY);
                     return;
                 }
             }
@@ -1499,12 +1462,7 @@ impl Worker {
                     if o.reused && !o.saw_byte {
                         self.retry_origin(slot, o);
                     } else {
-                        self.finish_origin(
-                            slot,
-                            o,
-                            Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-                            false,
-                        );
+                        self.fail_origin(slot, o, StatusCode::BAD_GATEWAY);
                     }
                     return;
                 }
@@ -1526,6 +1484,36 @@ impl Worker {
         }
     }
 
+    /// Opens a fresh connection to the origin for the fetch in `slot`:
+    /// connect, write `out` optimistically, register under the slot's
+    /// token. A loopback connect often completes synchronously, and
+    /// writing straight away skips a whole poll round trip when it did;
+    /// a still-connecting socket just reports `WouldBlock` and takes the
+    /// writable-event path. Yields the stream, how much of `out` it
+    /// took, the interest it was registered with, and whether the
+    /// connect is known to be complete; `None` when the connect or the
+    /// registration failed.
+    fn connect_origin(
+        &mut self,
+        addr: SocketAddr,
+        slot: usize,
+        out: &[u8],
+    ) -> Option<(TcpStream, usize, Interest, bool)> {
+        self.sys.connects.add(1);
+        let mut stream = net::tcp_connect_nonblocking(addr).ok()?;
+        let mut pos = 0;
+        let (connected, interest) = match write_available(&mut stream, out, &mut pos, &self.sys) {
+            WriteStep::Done => (true, Interest::READABLE),
+            WriteStep::Blocked if pos > 0 => (true, Interest::WRITABLE),
+            _ => (false, Interest::WRITABLE),
+        };
+        self.reactor
+            .register(&stream, token_of(slot), interest)
+            .ok()?;
+        self.shared.origin_connects.fetch_add(1, Ordering::Relaxed);
+        Some((stream, pos, interest, connected))
+    }
+
     /// A reused fetch died before the origin said anything: swap in a
     /// fresh connection under the same slot and replay the request.
     /// Runs at most once per fetch — the replacement is not `reused`,
@@ -1536,44 +1524,17 @@ impl Worker {
             .config
             .origin
             .expect("a fetch exists only with an origin configured");
-        self.sys.connects.add(1);
-        let mut stream = match net::tcp_connect_nonblocking(addr) {
-            Ok(stream) => stream,
-            Err(_) => {
-                self.finish_origin(
-                    slot,
-                    o,
-                    Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-                    false,
-                );
-                return;
-            }
-        };
         o.pos = 0;
         o.buf.clear();
-        let (connected, interest) =
-            match write_available(&mut stream, &o.out, &mut o.pos, &self.sys) {
-                WriteStep::Done => (true, Interest::READABLE),
-                WriteStep::Blocked if o.pos > 0 => (true, Interest::WRITABLE),
-                _ => (false, Interest::WRITABLE),
-            };
-        // Dropping the dead socket closes it (the kernel deregisters);
-        // the fresh one takes over the same token.
-        drop(std::mem::replace(&mut o.stream, stream));
-        if self
-            .reactor
-            .register(&o.stream, token_of(slot), interest)
-            .is_err()
-        {
-            self.finish_origin(
-                slot,
-                o,
-                Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-                false,
-            );
+        let Some((stream, pos, interest, connected)) = self.connect_origin(addr, slot, &o.out)
+        else {
+            self.fail_origin(slot, o, StatusCode::BAD_GATEWAY);
             return;
-        }
-        self.shared.origin_connects.fetch_add(1, Ordering::Relaxed);
+        };
+        // Dropping the dead socket closes it (the kernel deregisters);
+        // the fresh one has taken over the same token.
+        o.stream = stream;
+        o.pos = pos;
         o.interest = interest;
         o.connected = connected;
         o.reused = false;
@@ -1597,12 +1558,7 @@ impl Worker {
         let head = match frame::response_head(&o.buf) {
             Ok(head) => head,
             Err(_) => {
-                self.finish_origin(
-                    slot,
-                    o,
-                    Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-                    false,
-                );
+                self.fail_origin(slot, o, StatusCode::BAD_GATEWAY);
                 return;
             }
         };
@@ -1638,14 +1594,7 @@ impl Worker {
             Ok(_) => {
                 self.slots[slot] = Some(Slot::OriginFetch(Box::new(o)));
             }
-            Err(_) => {
-                self.finish_origin(
-                    slot,
-                    o,
-                    Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-                    false,
-                );
-            }
+            Err(_) => self.fail_origin(slot, o, StatusCode::BAD_GATEWAY),
         }
     }
 
@@ -1922,6 +1871,12 @@ impl Worker {
         }
     }
 
+    /// The fetch in `slot` failed on the origin's side: the lease
+    /// completes with an empty `status` and the connection is retired.
+    fn fail_origin(&mut self, slot: usize, o: OriginConn, status: StatusCode) {
+        self.finish_origin(slot, o, Origin::Response(Response::empty(status)), false);
+    }
+
     /// Commits an origin outcome into the leased exchange and wakes the
     /// waiting client with the final decision. `reusable` parks the
     /// origin connection for the next fetch when the pool has room.
@@ -2103,29 +2058,18 @@ fn reuse_allowed(head: &frame::ResponseHead) -> bool {
     !head.connection_close && !matches!(head.framing, BodyFraming::Close)
 }
 
-/// Maps a parsed origin response to the gateway's [`Origin`] taxonomy:
-/// HTML pages get instrumented, 404s map to `NotFound`, everything else
-/// passes through untouched (chunked bodies reframed as identity first —
-/// the wire codec only parses `Content-Length`).
+/// Maps a buffered origin response to the gateway's [`Origin`] taxonomy:
+/// 404s map to `NotFound`, everything else passes through untouched
+/// (chunked bodies reframed as identity first — the wire codec only
+/// parses `Content-Length`). Pages never get here: a `200 text/html`
+/// head takes the streaming path before its body is buffered.
 fn classify_origin(raw: &[u8]) -> Origin {
     let Ok(identity) = frame::dechunk(raw) else {
         return Origin::Response(Response::empty(StatusCode::BAD_GATEWAY));
     };
-    let Ok(response) = wire::parse_response(&identity) else {
-        return Origin::Response(Response::empty(StatusCode::BAD_GATEWAY));
-    };
-    if response.status() == StatusCode::NOT_FOUND {
-        return Origin::NotFound;
-    }
-    let is_html = response
-        .content_type()
-        .is_some_and(|ct| ct.starts_with("text/html"));
-    if response.status() == StatusCode::OK && is_html {
-        match String::from_utf8(response.body().to_vec()) {
-            Ok(html) => Origin::Page(html),
-            Err(_) => Origin::Response(response),
-        }
-    } else {
-        Origin::Response(response)
+    match wire::parse_response(&identity) {
+        Ok(response) if response.status() == StatusCode::NOT_FOUND => Origin::NotFound,
+        Ok(response) => Origin::Response(response),
+        Err(_) => Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
     }
 }

@@ -1252,6 +1252,50 @@ fn a_close_delimited_origin_response_completes_at_the_fin() {
     }
 }
 
+/// Only `text/html` itself is a page. A type that merely starts with
+/// the string is somebody else's format: it is relayed as it came, not
+/// buffered and instrumented as HTML.
+#[test]
+fn a_type_that_only_starts_with_text_html_passes_through_untouched() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let origin_addr = listener.local_addr().unwrap();
+    let origin = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut request = Vec::new();
+        let mut byte = [0u8; 1];
+        while !request.ends_with(b"\r\n\r\n") {
+            assert_eq!(std::io::Read::read(&mut conn, &mut byte).unwrap(), 1);
+            request.push(byte[0]);
+        }
+        let head = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: text/htmlx\r\nContent-Length: {}\r\n\r\n",
+            PAGE.len()
+        );
+        conn.write_all(head.as_bytes()).unwrap();
+        conn.write_all(PAGE.as_bytes()).unwrap();
+    });
+    let fx = Fixture::with(
+        Gateway::builder().seed(39).build(),
+        |config| config.origin = Some(origin_addr),
+        None,
+    );
+    let response = get(fx.addr, "/page.htmlx", "Mozilla/5.0 e2e-htmlx");
+    assert_eq!(response.status(), StatusCode::OK);
+    assert_eq!(response.content_type(), Some("text/htmlx"));
+    assert_eq!(response.headers().content_length(), Some(PAGE.len()));
+    assert_eq!(body_str(&response), PAGE, "not a byte injected");
+    assert!(response.headers().get("Transfer-Encoding").is_none());
+    origin.join().unwrap();
+    let stats = fx.gateway.stats();
+    assert_eq!((stats.requests, stats.served), (1, 1));
+    assert_eq!(
+        stats.requests,
+        stats.served + stats.throttled + stats.blocked + stats.challenged
+    );
+    assert_eq!(stats.token_entries, 0, "no page, no token");
+    fx.finish();
+}
+
 /// A head bigger than the first landing area, then a body that trickles
 /// in: every read lands behind the last, the buffer grows under the
 /// data, and the message parses whole.

@@ -1,18 +1,47 @@
 //! Failure injection: malformed wire input, replayed and forged beacons,
-//! token-table pressure, and hostile HTML — the detector must degrade
-//! safely, never panic, and keep robots classified as robots.
+//! token pressure, and hostile HTML — the gateway must degrade safely,
+//! never panic, and keep robots classified as robots.
 
-use botwall::detect::{Detector, DetectorConfig, Reason, Verdict};
+use botwall::detect::{DetectorConfig, EvidenceKind, Reason, Verdict};
+use botwall::gateway::{Decision, Gateway, Origin};
 use botwall::http::request::ClientIp;
-use botwall::http::{wire, HttpError, Method, Request, Response, StatusCode, Uri};
-use botwall::instrument::{Classified, InstrumentConfig, Instrumenter, KeyOutcome};
-use botwall::sessions::SimTime;
-
-fn page() -> Uri {
-    "http://victim.example/index.html".parse().unwrap()
-}
+use botwall::http::{wire, HttpError, Method, Request, Uri};
+use botwall::instrument::{InstrumentConfig, ProbeManifest};
+use botwall::sessions::{SessionKey, SimTime, TrackerConfig};
 
 const HTML: &str = "<html><head></head><body><p>x</p></body></html>";
+
+fn get(client: u32, uri: &str) -> Request {
+    Request::builder(Method::Get, uri)
+        .header("User-Agent", "x")
+        .client(ClientIp::new(client))
+        .build()
+        .unwrap()
+}
+
+/// Serves `html` to `client` as the victim site's index page.
+fn serve_page(gw: &Gateway, client: u32, html: &str, at: SimTime) -> (String, ProbeManifest) {
+    let page = get(client, "http://victim.example/index.html");
+    match gw.handle_with(&page, at, |_| Origin::Page(html.into())) {
+        Decision::Serve {
+            body: Some(body),
+            manifest: Some(manifest),
+            ..
+        } => (body, manifest),
+        other => panic!("expected an instrumented page, got {other:?}"),
+    }
+}
+
+/// `client` fetches `uri` (a beacon); its session's key.
+fn fetch(gw: &Gateway, client: u32, uri: &Uri, at: SimTime) -> SessionKey {
+    let request = get(client, &uri.to_string());
+    let _ = gw.handle(&request, at);
+    SessionKey::of(&request)
+}
+
+fn has(gw: &Gateway, key: &SessionKey, kind: EvidenceKind) -> bool {
+    gw.detector().evidence(key).expect("live session").has(kind)
+}
 
 #[test]
 fn malformed_wire_input_is_rejected_not_panicked() {
@@ -41,86 +70,71 @@ fn malformed_wire_input_is_rejected_not_panicked() {
 
 #[test]
 fn replayed_beacon_is_robot_evidence() {
-    let mut ins = Instrumenter::new(InstrumentConfig::default(), 3);
-    let det = Detector::new(DetectorConfig::default());
-    let client = ClientIp::new(10);
-    let (_, m) = ins.instrument_page(HTML, &page(), client, SimTime::ZERO);
+    let gw = Gateway::builder().seed(3).build();
+    let (_, m) = serve_page(&gw, 10, HTML, SimTime::ZERO);
     let beacon = m.mouse_beacon.unwrap();
-    let req = Request::builder(Method::Get, beacon.to_string())
-        .header("User-Agent", "x")
-        .client(client)
-        .build()
-        .unwrap();
     // First redemption: human.
-    let c1 = ins.classify(&req, SimTime::from_secs(1));
-    det.observe(
-        &req,
-        &Response::empty(StatusCode::OK),
-        &c1,
-        SimTime::from_secs(1),
-    );
+    let key = fetch(&gw, 10, &beacon, SimTime::from_secs(1));
+    assert_eq!(gw.verdict(&key), Verdict::Human(Reason::MouseActivity));
+    assert!(!has(&gw, &key, EvidenceKind::ReplayedBeacon));
     // Replay: the verdict flips to robot and stays there.
-    let c2 = ins.classify(&req, SimTime::from_secs(2));
-    assert!(matches!(
-        c2,
-        Classified::MouseBeacon {
-            outcome: KeyOutcome::Replay,
-            ..
-        }
-    ));
-    let out = det.observe(
-        &req,
-        &Response::empty(StatusCode::OK),
-        &c2,
-        SimTime::from_secs(2),
-    );
-    assert_eq!(out.verdict, Verdict::Robot(Reason::BeaconAbuse));
+    fetch(&gw, 10, &beacon, SimTime::from_secs(2));
+    assert!(has(&gw, &key, EvidenceKind::ReplayedBeacon));
+    assert_eq!(gw.verdict(&key), Verdict::Robot(Reason::BeaconAbuse));
+    fetch(&gw, 10, &beacon, SimTime::from_secs(3));
+    assert_eq!(gw.verdict(&key), Verdict::Robot(Reason::BeaconAbuse));
 }
 
 #[test]
 fn guessed_keys_never_validate() {
-    let mut ins = Instrumenter::new(InstrumentConfig::default(), 4);
-    let client = ClientIp::new(11);
-    ins.instrument_page(HTML, &page(), client, SimTime::ZERO);
+    let gw = Gateway::builder().seed(4).build();
+    serve_page(&gw, 11, HTML, SimTime::ZERO);
     // An attacker fabricates beacon-shaped URLs with random keys.
     for i in 0..100u128 {
         let forged = format!("http://victim.example/{:032x}.jpg", 0xDEAD_0000 + i);
-        let req = Request::builder(Method::Get, forged)
-            .client(client)
-            .build()
-            .unwrap();
-        match ins.classify(&req, SimTime::from_secs(1)) {
-            Classified::MouseBeacon { outcome, .. } => {
-                assert_ne!(outcome, KeyOutcome::Valid, "guessed key validated")
-            }
-            other => panic!("beacon-shaped URL misclassified: {other:?}"),
-        }
+        let key = fetch(&gw, 11, &forged.parse().unwrap(), SimTime::from_secs(1));
+        assert!(
+            has(&gw, &key, EvidenceKind::ForgedBeacon),
+            "beacon-shaped URL misclassified"
+        );
+        assert!(
+            !has(&gw, &key, EvidenceKind::MouseEvent),
+            "guessed key validated"
+        );
+        assert_eq!(gw.verdict(&key), Verdict::Robot(Reason::BeaconAbuse));
     }
 }
 
+/// Far more clients and pages than the gateway is sized for: what it
+/// holds for them stays inside `max_sessions` × `max_entries`.
 #[test]
 fn token_table_pressure_stays_bounded() {
-    let mut config = InstrumentConfig::default();
-    config.token_table.max_clients = 100;
-    config.token_table.max_entries_per_ip = 4;
-    let mut ins = Instrumenter::new(config, 5);
+    let mut instrument = InstrumentConfig::default();
+    instrument.session_tokens.max_entries = 4;
+    let gw = Gateway::builder()
+        .instrument(instrument)
+        .detector(DetectorConfig {
+            tracker: TrackerConfig {
+                max_sessions: 100,
+                ..TrackerConfig::default()
+            },
+        })
+        .seed(5)
+        .build();
     // 10,000 clients × 8 pages each: far beyond capacity.
     for c in 0..10_000u32 {
         for _ in 0..8 {
-            ins.instrument_page(
-                HTML,
-                &page(),
-                ClientIp::new(c),
-                SimTime::from_secs(c as u64),
-            );
+            serve_page(&gw, c, HTML, SimTime::from_secs(c as u64));
         }
     }
-    assert!(ins.tokens().client_count() <= 100);
+    let stats = gw.stats();
+    assert!(stats.live_sessions <= 100, "{stats:?}");
+    assert!(stats.token_entries <= 400, "{stats:?}");
 }
 
 #[test]
 fn hostile_html_does_not_break_rewriting() {
-    let mut ins = Instrumenter::new(InstrumentConfig::default(), 6);
+    let gw = Gateway::builder().seed(6).build();
     let cases = [
         "",
         "<",
@@ -132,7 +146,7 @@ fn hostile_html_does_not_break_rewriting() {
         &"<p>x</p>".repeat(10_000),
     ];
     for html in cases {
-        let (out, manifest) = ins.instrument_page(html, &page(), ClientIp::new(1), SimTime::ZERO);
+        let (out, manifest) = serve_page(&gw, 1, html, SimTime::ZERO);
         // Whatever the input, the probes must be present in the output.
         assert!(out.contains("stylesheet"), "css probe missing for {html:?}");
         assert!(manifest.mouse_beacon.is_some());
@@ -141,7 +155,7 @@ fn hostile_html_does_not_break_rewriting() {
 
 #[test]
 fn detector_tolerates_responseless_exchanges() {
-    use botwall::sessions::{SessionTracker, TrackerConfig};
+    use botwall::sessions::SessionTracker;
     let t = SessionTracker::new(TrackerConfig::default());
     let req = Request::builder(Method::Get, "http://h/x")
         .client(ClientIp::new(1))
@@ -154,19 +168,17 @@ fn detector_tolerates_responseless_exchanges() {
 
 #[test]
 fn cross_client_beacon_theft_fails() {
-    let mut ins = Instrumenter::new(InstrumentConfig::default(), 7);
-    let victim = ClientIp::new(20);
-    let thief = ClientIp::new(21);
-    let (_, m) = ins.instrument_page(HTML, &page(), victim, SimTime::ZERO);
+    let gw = Gateway::builder().seed(7).build();
+    let (victim, thief) = (20, 21);
+    let (_, m) = serve_page(&gw, victim, HTML, SimTime::ZERO);
+    serve_page(&gw, thief, HTML, SimTime::ZERO);
     let stolen = m.mouse_beacon.unwrap();
-    let req = Request::builder(Method::Get, stolen.to_string())
-        .client(thief)
-        .build()
-        .unwrap();
-    match ins.classify(&req, SimTime::from_secs(1)) {
-        Classified::MouseBeacon { outcome, .. } => {
-            assert_eq!(outcome, KeyOutcome::Unknown)
-        }
-        other => panic!("{other:?}"),
-    }
+    // The thief's session never held that key: a forgery, on the thief.
+    let key = fetch(&gw, thief, &stolen, SimTime::from_secs(1));
+    assert!(has(&gw, &key, EvidenceKind::ForgedBeacon));
+    assert!(!has(&gw, &key, EvidenceKind::MouseEvent));
+    assert_eq!(gw.verdict(&key), Verdict::Robot(Reason::BeaconAbuse));
+    // And it spent nothing: the victim's own mouse still redeems it.
+    let key = fetch(&gw, victim, &stolen, SimTime::from_secs(2));
+    assert_eq!(gw.verdict(&key), Verdict::Human(Reason::MouseActivity));
 }

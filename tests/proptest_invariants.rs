@@ -3,9 +3,8 @@
 use botwall::detect::classifier::{classify_final, classify_online, finalize, Label};
 use botwall::detect::report::RequestCdf;
 use botwall::detect::{EvidenceKind, EvidenceSet};
-use botwall::http::request::ClientIp;
 use botwall::instrument::beacon;
-use botwall::instrument::token::{BeaconKey, KeyOutcome, TokenTable, TokenTableConfig};
+use botwall::instrument::token::{BeaconKey, KeyOutcome, TokenState};
 use botwall::sessions::SimTime;
 use proptest::prelude::*;
 
@@ -65,22 +64,20 @@ proptest! {
         prop_assert_eq!(classify_final(&e), Label::Robot);
     }
 
-    /// A token table never validates a key it did not issue, and never
-    /// validates the same key twice.
+    /// A session's token state never validates a key it did not issue,
+    /// and never validates the same key twice.
     #[test]
     fn token_table_soundness(
         issued in proptest::collection::vec(any::<u128>(), 1..20),
         probes in proptest::collection::vec(any::<u128>(), 0..40),
-        ip in any::<u32>(),
     ) {
-        let mut table = TokenTable::new(TokenTableConfig::default());
-        let client = ClientIp::new(ip);
+        let mut tokens = TokenState::default();
         for (i, k) in issued.iter().enumerate() {
-            table.issue(client, format!("/p{i}"), BeaconKey::from_raw(*k), vec![], SimTime::ZERO);
+            tokens.issue(format!("/p{i}"), BeaconKey::from_raw(*k), vec![], None, SimTime::ZERO, 64);
         }
         let mut redeemed = std::collections::HashSet::new();
         for p in &probes {
-            let outcome = table.redeem(client, BeaconKey::from_raw(*p), SimTime::ZERO);
+            let outcome = tokens.redeem(BeaconKey::from_raw(*p), SimTime::ZERO);
             match outcome {
                 KeyOutcome::Valid => {
                     prop_assert!(issued.contains(p), "validated unissued key");
