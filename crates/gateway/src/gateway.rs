@@ -54,7 +54,7 @@ use botwall_core::{
     KeyCarry, KeyState, OriginLease, PendingCaptchaPass, PolicyEngine,
 };
 use botwall_http::{Request, Response, StatusCode};
-use botwall_instrument::{ProbeManifest, RewriteEngine, StreamingRewrite};
+use botwall_instrument::{ProbeManifest, RewriteEngine, StreamSink, StreamingRewrite};
 use botwall_sessions::{Session, SessionKey, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -239,12 +239,12 @@ impl PageStream {
         self.rewrite.is_some()
     }
 
-    /// Feeds one origin body chunk; rewritten output is appended to
-    /// `out` as soon as it resolves.
-    pub fn write(&mut self, chunk: &[u8], out: &mut Vec<u8>) {
+    /// Feeds one origin body chunk; rewritten output goes to `out` (a
+    /// `Vec<u8>` appends it) as soon as it resolves.
+    pub fn write(&mut self, chunk: &[u8], out: &mut impl StreamSink) {
         match &mut self.rewrite {
             Some(rewrite) => rewrite.write(chunk, out),
-            None => out.extend_from_slice(chunk),
+            None => out.run(chunk, 0..chunk.len()),
         }
     }
 

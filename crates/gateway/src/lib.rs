@@ -56,6 +56,9 @@ pub mod decision;
 pub mod gateway;
 
 pub use botwall_core::{BoundaryClassifier, CompletedSession};
+/// What [`PageStream::write`] writes to; re-exported for callers that
+/// implement their own.
+pub use botwall_instrument::StreamSink;
 pub use config::{GatewayBuilder, GatewayConfig};
 pub use decision::{Decision, Origin};
 pub use gateway::{Gateway, GatewayStats, PageStream, PendingOrigin, PendingServe, StreamedServe};

@@ -76,5 +76,5 @@ pub use engine::{BuiltPage, IssuedPageToken, RewriteEngine, Sighting};
 pub use jsgen::Obfuscation;
 pub use probe::{AutomationReport, ProbeHit, ProbeKind};
 pub use rewrite::{Classified, InstrumentConfig, ProbeManifest};
-pub use stream::{FinishedStream, StreamingRewrite, MAX_HELD_BYTES};
+pub use stream::{FinishedStream, StreamSink, StreamingRewrite, MAX_HELD_BYTES};
 pub use token::{BeaconKey, KeyOutcome, ScriptSeed, SessionTokenConfig, TokenState};

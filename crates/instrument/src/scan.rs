@@ -1,24 +1,26 @@
-//! Word-at-a-time byte search: the one primitive under the streaming
+//! Block-at-a-time byte search: the one primitive under the streaming
 //! rewriter's anchor hunts.
 //!
 //! Every anchor the rewriter looks for (`</head>`, `<body`, `</body>`)
-//! starts with a byte that is rare in page text, so the search is three
-//! filters of rising cost:
+//! opens with three bytes that almost never occur together in a page
+//! (`</h`, `<bo`, `</b`), so the search is three filters of rising cost:
 //!
-//! 1. [`each_match`] skips 32 bytes at a time through four `u64` words
-//!    (SWAR: a zero-byte test on `word ^ pattern`, plain integer
-//!    arithmetic, no `unsafe`) and touches only the lanes that hold the
-//!    first byte;
-//! 2. [`find_ci`] rejects a candidate on its second byte (`<d`, `<a`,
-//!    `<p` never reach a compare while hunting `</body>`);
+//! 1. [`find_ci`] tests the needle's first three bytes at all
+//!    [`BLOCK`] starts of a block at once, OR-ing the outcomes into one
+//!    byte. The loop is fixed-size, branch-free integer code that the
+//!    compiler turns into vector compares (no `unsafe`, no intrinsics),
+//!    so a block without a hit costs a handful of instructions however
+//!    many `<` it holds: a tag every twenty bytes scans like plain text;
+//! 2. a block with a hit is walked start by start through the same
+//!    three-byte test;
 //! 3. only survivors pay the case-insensitive compare of the rest.
 //!
 //! Letters match in either case by folding the ASCII case bit into the
-//! word before the test, so the filters never miss and never admit a
-//! byte the compare would not also accept in that position.
+//! haystack byte before the test, so the filters never miss and never
+//! admit a byte the compare would not also accept in that position.
 
-const LO: u64 = 0x0101_0101_0101_0101;
-const HI: u64 = 0x8080_8080_8080_8080;
+/// Starts tested per step of [`find_ci`]'s block filter.
+const BLOCK: usize = 64;
 
 /// `0x20` when `byte` is a letter (OR-ing it in folds both cases onto
 /// the lowercase one), `0` otherwise (the byte must match exactly).
@@ -30,79 +32,47 @@ fn case_bit(byte: u8) -> u8 {
     }
 }
 
-/// The high bit of every byte lane of `word` that equals the searched
-/// byte (`pat` is that byte in all eight lanes, `fold` its case bit
-/// likewise). `x` is zero exactly in matching lanes; adding `0x7f` to
-/// its low seven bits carries into the lane's high bit unless they are
-/// all zero, and never out of the lane — so the test is exact per lane.
-fn lanes(word: u64, fold: u64, pat: u64) -> u64 {
-    let x = (word | fold) ^ pat;
-    !(((x & !HI) + !HI) | x) & HI
-}
-
-/// Calls `visit(i)` for each `i >= from` with `hay[i] == first` (either
-/// case when `first` is a letter, given lowercase), in order, until
-/// `visit` yields. Forced inline so each caller's `visit` fuses into the
-/// lane loop (a fifth faster on markup-dense pages than a call per `<`).
-#[inline(always)]
-fn each_match<T>(
-    hay: &[u8],
-    from: usize,
-    first: u8,
-    mut visit: impl FnMut(usize) -> Option<T>,
-) -> Option<T> {
-    let fold = case_bit(first);
-    let (pat_w, fold_w) = (LO * u64::from(first), LO * u64::from(fold));
-    let mut pos = from.min(hay.len());
-    let blocks = hay[pos..].chunks_exact(32);
-    let tail = blocks.remainder();
-    for block in blocks {
-        let mut hits = [0u64; 4];
-        let mut any = 0;
-        for (hit, word) in hits.iter_mut().zip(block.chunks_exact(8)) {
-            let word = word.try_into().expect("chunks_exact(8) yields 8 bytes");
-            *hit = lanes(u64::from_le_bytes(word), fold_w, pat_w);
-            any |= *hit;
-        }
-        if any != 0 {
-            for (w, mut hit) in hits.into_iter().enumerate() {
-                while hit != 0 {
-                    let lane = (hit.trailing_zeros() / 8) as usize;
-                    if let Some(found) = visit(pos + w * 8 + lane) {
-                        return Some(found);
-                    }
-                    hit &= hit - 1;
-                }
-            }
-        }
-        pos += 32;
-    }
-    for (k, &byte) in tail.iter().enumerate() {
-        if byte | fold == first {
-            if let Some(found) = visit(pos + k) {
-                return Some(found);
-            }
-        }
-    }
-    None
-}
-
 /// ASCII-case-insensitive substring search from `from` (`needle` must
-/// be lowercase ASCII and at least two bytes, which every anchor is).
+/// be lowercase ASCII and at least three bytes, which every anchor is).
 pub(crate) fn find_ci(hay: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
-    debug_assert!(needle.len() >= 2 && !needle.iter().any(u8::is_ascii_uppercase));
+    debug_assert!(needle.len() >= 3 && !needle.iter().any(u8::is_ascii_uppercase));
+    // The last start a match could have.
     let last = hay.len().checked_sub(needle.len())?;
-    let second_fold = case_bit(needle[1]);
-    each_match(&hay[..=last], from, needle[0], |i| {
-        if hay[i + 1] | second_fold != needle[1] {
-            return None;
+    // Scalars, not arrays: the block loop keeps them in registers.
+    let (n0, n1, n2) = (needle[0], needle[1], needle[2]);
+    let (f0, f1, f2) = (case_bit(n0), case_bit(n1), case_bit(n2));
+    let matches_at = |i: usize| {
+        if hay[i] | f0 != n0 || hay[i + 1] | f1 != n1 || hay[i + 2] | f2 != n2 {
+            return false;
         }
         #[cfg(test)]
         FULL_COMPARES.with(|n| n.set(n.get() + 1));
-        hay[i + 2..i + needle.len()]
-            .eq_ignore_ascii_case(&needle[2..])
-            .then_some(i)
-    })
+        hay[i + 3..i + needle.len()].eq_ignore_ascii_case(&needle[3..])
+    };
+    let mut pos = from;
+    // Whole blocks of starts, none past `last` (so `hay[i + 2]` exists
+    // for every start `i` in the block).
+    while pos + BLOCK <= last + 1 {
+        let lane = |k: usize| -> &[u8; BLOCK] {
+            hay[pos + k..pos + k + BLOCK]
+                .try_into()
+                .expect("a slice of BLOCK bytes")
+        };
+        let (first, second, third) = (lane(0), lane(1), lane(2));
+        let mut any = 0u8;
+        for i in 0..BLOCK {
+            any |= u8::from(first[i] | f0 == n0)
+                & u8::from(second[i] | f1 == n1)
+                & u8::from(third[i] | f2 == n2);
+        }
+        if any != 0 {
+            if let Some(found) = (pos..pos + BLOCK).find(|&i| matches_at(i)) {
+                return Some(found);
+            }
+        }
+        pos += BLOCK;
+    }
+    (pos..=last).find(|&i| matches_at(i))
 }
 
 /// Length of the longest *proper* prefix of `needle` that ends `hay` —
@@ -111,11 +81,9 @@ pub(crate) fn find_ci(hay: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
 pub(crate) fn partial_suffix(hay: &[u8], needle: &[u8]) -> usize {
     let max = (needle.len() - 1).min(hay.len());
     // The earliest start in the window is the longest prefix.
-    each_match(hay, hay.len() - max, needle[0], |i| {
-        let k = hay.len() - i;
-        hay[i..].eq_ignore_ascii_case(&needle[..k]).then_some(k)
-    })
-    .unwrap_or(0)
+    (hay.len() - max..hay.len())
+        .find(|&i| hay[i..].eq_ignore_ascii_case(&needle[..hay.len() - i]))
+        .map_or(0, |i| hay.len() - i)
 }
 
 #[cfg(test)]
@@ -133,7 +101,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// The rewriter's three anchors, and needles that start with other
-    /// bytes (a letter folds its case into the first-byte filter).
+    /// bytes (a letter folds its case into the prefix filter).
     const NEEDLES: [&[u8]; 7] = [
         b"</head>",
         b"<body",
@@ -185,9 +153,9 @@ mod tests {
     proptest! {
         #[test]
         fn find_ci_and_partial_suffix_match_the_naive_search(
-            hay in vec(tricky_byte(), 0..200),
-            plant in vec((0usize..7, 0usize..200, any::<bool>()), 0..4),
-            from in 0usize..210,
+            hay in vec(tricky_byte(), 0..4 * BLOCK + 40),
+            plant in vec((0usize..7, 0usize..4 * BLOCK + 40, any::<bool>()), 0..4),
+            from in 0usize..4 * BLOCK + 50,
         ) {
             // Plant whole and cut-short needles (some uppercased) so
             // matches actually occur, including flush against the end.
@@ -215,7 +183,7 @@ mod tests {
     fn matches_straddling_every_word_and_block_boundary_are_found() {
         for needle in NEEDLES {
             let shouted = needle.to_ascii_uppercase();
-            for offset in 0..=72 {
+            for offset in 0..=2 * BLOCK + 8 {
                 for pad in 0..=9 {
                     for planted in [needle, shouted.as_slice()] {
                         let mut hay = vec![b'.'; offset];
@@ -246,11 +214,30 @@ mod tests {
 
     #[test]
     fn second_byte_filter_spares_the_compare() {
-        // 64 tags, none of which can be `</body>`: only the two closing
-        // tags (second byte `/`) are compared at all.
-        let hay = "<div><a><p><img>".repeat(15) + "</div></a> and text";
+        // 63 tags, none of which can be `</body>`: the opening tags fail
+        // the prefix filter on their second byte, `</div>` and `</a>` on
+        // their third, and only `</b>` is compared at all.
+        let hay = "<div><a><p><img>".repeat(15) + "</div></a></b> and text";
         FULL_COMPARES.with(|n| n.set(0));
         assert_eq!(find_ci(hay.as_bytes(), 0, b"</body>"), None);
-        assert_eq!(FULL_COMPARES.with(|n| n.get()), 2);
+        assert_eq!(FULL_COMPARES.with(|n| n.get()), 1);
+    }
+
+    #[test]
+    fn a_prefix_stuffed_haystack_is_compared_once_per_candidate() {
+        // Every block holds `</b` several times over, so every block
+        // falls to the per-start walk: still one compare per candidate,
+        // in one call and when the search resumes from a cursor.
+        let hay = "</b</B<".repeat(10_000);
+        // Two a unit, less the last one: too near the end to match.
+        let candidates = hay.len() / 7 * 2 - 1;
+        FULL_COMPARES.with(|n| n.set(0));
+        assert_eq!(find_ci(hay.as_bytes(), 0, b"</body>"), None);
+        assert_eq!(FULL_COMPARES.with(|n| n.get()), candidates);
+        FULL_COMPARES.with(|n| n.set(0));
+        for (from, upto) in [(0, 30_000), (30_000 - 6, 70_000)] {
+            assert_eq!(find_ci(&hay.as_bytes()[..upto], from, b"</body>"), None);
+        }
+        assert!(FULL_COMPARES.with(|n| n.get()) <= hay.len());
     }
 }

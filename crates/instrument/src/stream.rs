@@ -30,14 +30,20 @@
 //!
 //! A hold is the only time the injection scanner owns a copy of page
 //! bytes. With nothing held, a chunk is scanned where the caller put it
-//! (word-at-a-time, `scan.rs`): the resolved prefix is appended to the
-//! output straight from the caller's slice, and only the unresolved
+//! (a block at a time, `scan.rs`): the resolved prefix goes to the
+//! output as runs *of the caller's slice*, and only the unresolved
 //! suffix — a few bytes of a possible anchor, or the tail from a
 //! `</body>` candidate on — is copied into the hold buffer for the next
 //! chunk to extend. The scan cursors count from the start
 //! of that unresolved window either way, so no byte is compared against
 //! an anchor twice. [`StreamingRewrite::peak_buffered`] counts a chunk
 //! under scan on top of the bytes held before it, copied or not.
+//!
+//! The output is a [`StreamSink`], which is told which of the two it is
+//! getting: a run of the chunk just handed in (by offset), or bytes that
+//! lie nowhere the caller can see (injected markup, a released hold). A
+//! `Vec<u8>` appends both; the front door keeps the runs as ranges of
+//! its read buffer and writes them to the client from there.
 //!
 //! # Equivalence with the buffered path
 //!
@@ -52,6 +58,7 @@
 use crate::engine::IssuedPageToken;
 use crate::rewrite::ProbeManifest;
 use crate::scan::{find_ci, partial_suffix};
+use std::ops::Range;
 
 /// Cap on every hold buffer in the streaming rewriter. A document that
 /// keeps an injection decision open past this many bytes gets the
@@ -67,6 +74,43 @@ pub struct FinishedStream {
     pub manifest: ProbeManifest,
     /// The issued beacon token, when the mouse beacon is deployed.
     pub token: Option<IssuedPageToken>,
+}
+
+/// Where a [`StreamingRewrite`] puts its output. Nearly all of a page
+/// leaves the rewriter as it came in, so a sink that can reach the
+/// caller's chunk itself need not copy those bytes.
+pub trait StreamSink {
+    /// The next output is `chunk[range]`, where `chunk` is the slice the
+    /// [`StreamingRewrite::write`] call in progress was given.
+    fn run(&mut self, chunk: &[u8], range: Range<usize>);
+
+    /// The next output is bytes of no chunk the caller still holds:
+    /// injected markup, or a hold released.
+    fn bytes(&mut self, bytes: &[u8]);
+}
+
+impl StreamSink for Vec<u8> {
+    fn run(&mut self, chunk: &[u8], range: Range<usize>) {
+        self.extend_from_slice(&chunk[range]);
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// The sink of a scan over the hold buffer: what resolves there is a
+/// run of the hold, not of the caller's chunk.
+struct Released<'a, S>(&'a mut S);
+
+impl<S: StreamSink> StreamSink for Released<'_, S> {
+    fn run(&mut self, held: &[u8], range: Range<usize>) {
+        self.0.bytes(&held[range]);
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.0.bytes(bytes);
+    }
 }
 
 const HEAD_END: &[u8] = b"</head>";
@@ -129,9 +173,9 @@ impl Injector {
         }
     }
 
-    fn push(&mut self, data: &[u8], out: &mut Vec<u8>) {
+    fn push(&mut self, data: &[u8], out: &mut impl StreamSink) {
         if self.is_passthrough() {
-            out.extend_from_slice(data);
+            out.run(data, 0..data.len());
             return;
         }
         // The gauge counts the chunk under scan on top of what was held
@@ -149,46 +193,46 @@ impl Injector {
     }
 
     /// Every injection point resolved and nothing held back: `push` is
-    /// a pure copy.
+    /// a pure hand-over.
     fn is_passthrough(&self) -> bool {
         self.phase == Phase::Passthrough && self.held.is_empty()
     }
 
-    fn finish(&mut self, out: &mut Vec<u8>) {
+    fn finish(&mut self, out: &mut impl StreamSink) {
         self.scan_held(out, true);
     }
 
-    fn scan_held(&mut self, out: &mut Vec<u8>, eof: bool) {
+    fn scan_held(&mut self, out: &mut impl StreamSink, eof: bool) {
         let held = std::mem::take(&mut self.held);
-        let resolved = self.scan(&held, out, eof);
+        let resolved = self.scan(&held, &mut Released(out), eof);
         self.held = held;
         self.held.drain(..resolved);
     }
 
-    fn emit_injection(&mut self, which: Which, out: &mut Vec<u8>) {
+    fn emit_injection(&mut self, which: Which, out: &mut impl StreamSink) {
         let markup = match which {
             Which::Head => &self.head_inject,
             Which::BodyAttr => &self.body_attr,
             Which::BodyEnd => &self.body_inject,
         };
-        out.extend_from_slice(markup);
+        out.bytes(markup);
         self.injected += markup.len();
     }
 
     /// Runs the state machine over `buf` — everything unresolved so far,
-    /// carried-over bytes first — and appends what resolves to `out`.
-    /// Returns how many leading bytes of `buf` were resolved; the caller
-    /// keeps the rest for the next call. The scan cursors index into
-    /// that unresolved window (`buf[resolved..]`), which is what `held`
-    /// will hold between calls.
-    fn scan(&mut self, buf: &[u8], out: &mut Vec<u8>, eof: bool) -> usize {
+    /// carried-over bytes first — and hands what resolves to `out` as
+    /// runs of `buf`. Returns how many leading bytes of `buf` were
+    /// resolved; the caller keeps the rest for the next call. The scan
+    /// cursors index into that unresolved window (`buf[resolved..]`),
+    /// which is what `held` will hold between calls.
+    fn scan(&mut self, buf: &[u8], out: &mut impl StreamSink, eof: bool) -> usize {
         let mut resolved = 0;
         loop {
             let win = &buf[resolved..];
             match self.phase {
                 Phase::Head => {
                     if let Some(i) = find_ci(win, self.head_scan, HEAD_END) {
-                        out.extend_from_slice(&win[..i]);
+                        out.run(buf, resolved..resolved + i);
                         self.emit_injection(Which::Head, out);
                         resolved += i;
                         self.scan = 0;
@@ -211,7 +255,7 @@ impl Injector {
                     // hold cap already forced an earlier flush).
                     match self.body_at {
                         Some(j) => {
-                            out.extend_from_slice(&win[..j]);
+                            out.run(buf, resolved..resolved + j);
                             resolved += j;
                             self.scan = 0;
                         }
@@ -225,7 +269,7 @@ impl Injector {
                 Phase::SeekBody => {
                     if let Some(j) = find_ci(win, self.scan, BODY_OPEN) {
                         let after = j + BODY_OPEN.len();
-                        out.extend_from_slice(&win[..after]);
+                        out.run(buf, resolved..resolved + after);
                         self.emit_injection(Which::BodyAttr, out);
                         resolved += after;
                         self.scan = 0;
@@ -233,38 +277,38 @@ impl Injector {
                         continue;
                     }
                     if eof {
-                        out.extend_from_slice(win);
+                        out.run(buf, resolved..buf.len());
                         self.emit_injection(Which::BodyEnd, out);
                         self.phase = Phase::Passthrough;
                         return buf.len();
                     }
                     let flush = win.len() - partial_suffix(win, BODY_OPEN);
-                    out.extend_from_slice(&win[..flush]);
+                    out.run(buf, resolved..resolved + flush);
                     self.scan = 0;
                     return resolved + flush;
                 }
                 Phase::SeekBodyEnd => {
                     if let Some(i) = find_ci(win, self.scan, BODY_END) {
-                        out.extend_from_slice(&win[..i]);
+                        out.run(buf, resolved..resolved + i);
                         resolved += i;
                         self.scan = 1; // the candidate itself sits at 0
                         self.phase = Phase::HoldTail;
                         continue;
                     }
                     if eof {
-                        out.extend_from_slice(win);
+                        out.run(buf, resolved..buf.len());
                         self.emit_injection(Which::BodyEnd, out);
                         self.phase = Phase::Passthrough;
                         return buf.len();
                     }
                     let flush = win.len() - partial_suffix(win, BODY_END);
-                    out.extend_from_slice(&win[..flush]);
+                    out.run(buf, resolved..resolved + flush);
                     self.scan = 0;
                     return resolved + flush;
                 }
                 Phase::HoldTail => {
                     if let Some(i) = find_ci(win, self.scan.max(1), BODY_END) {
-                        out.extend_from_slice(&win[..i]);
+                        out.run(buf, resolved..resolved + i);
                         resolved += i;
                         self.scan = 1;
                         continue; // later candidate supersedes this one
@@ -275,14 +319,14 @@ impl Injector {
                         // IS the last `</body>`; at the cap we stop
                         // waiting for a later one.
                         self.emit_injection(Which::BodyEnd, out);
-                        out.extend_from_slice(win);
+                        out.run(buf, resolved..buf.len());
                         self.phase = Phase::Passthrough;
                         return buf.len();
                     }
                     return resolved;
                 }
                 Phase::Passthrough => {
-                    out.extend_from_slice(win);
+                    out.run(buf, resolved..buf.len());
                     return buf.len();
                 }
             }
@@ -336,9 +380,9 @@ impl StreamingRewrite {
         self.token.take()
     }
 
-    /// Feeds one origin chunk in; rewritten bytes are appended to `out`
-    /// as soon as they are resolved.
-    pub fn write(&mut self, chunk: &[u8], out: &mut Vec<u8>) {
+    /// Feeds one origin chunk in; rewritten bytes go to `out` (a
+    /// `Vec<u8>` appends them) as soon as they are resolved.
+    pub fn write(&mut self, chunk: &[u8], out: &mut impl StreamSink) {
         self.injector.push(chunk, out);
     }
 

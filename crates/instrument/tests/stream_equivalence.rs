@@ -3,10 +3,12 @@
 //! `build_page` under the same RNG seed — chunk boundaries in anchors,
 //! tag names, attribute values, and multi-byte UTF-8 sequences
 //! included. Plus the O(chunk) memory claim: a 4MB page fed one byte at
-//! a time never buffers more than `MAX_HELD_BYTES`.
+//! a time never buffers more than `MAX_HELD_BYTES`. And the sink
+//! contract: a sink that keeps runs of the caller's chunk as offsets
+//! and copies only the rest sees the same bytes a `Vec<u8>` is sent.
 
 use botwall_http::Uri;
-use botwall_instrument::{InstrumentConfig, RewriteEngine, MAX_HELD_BYTES};
+use botwall_instrument::{InstrumentConfig, RewriteEngine, StreamSink, MAX_HELD_BYTES};
 use botwall_sessions::SimTime;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -84,6 +86,83 @@ proptest! {
                 token_up_front,
                 buffered.token.as_ref().map(|t| (t.key, t.js_nonce))
             );
+        }
+    }
+}
+
+/// What the front door's sink keeps: where each piece of output lies,
+/// in the chunk being written (`true`) or in a side buffer of its own.
+#[derive(Default)]
+struct Ranges {
+    parts: Vec<(bool, std::ops::Range<usize>)>,
+    side: Vec<u8>,
+}
+
+impl StreamSink for Ranges {
+    fn run(&mut self, chunk: &[u8], range: std::ops::Range<usize>) {
+        assert!(range.start <= range.end && range.end <= chunk.len());
+        self.parts.push((true, range));
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        let start = self.side.len();
+        self.side.extend_from_slice(bytes);
+        self.parts.push((false, start..self.side.len()));
+    }
+}
+
+impl Ranges {
+    /// Appends what one `write(chunk, ..)` produced to `out`, reading
+    /// the runs out of `chunk` itself, and forgets it.
+    fn flatten(&mut self, chunk: &[u8], out: &mut Vec<u8>) {
+        for (in_chunk, range) in self.parts.drain(..) {
+            out.extend_from_slice(if in_chunk {
+                &chunk[range]
+            } else {
+                &self.side[range]
+            });
+        }
+        self.side.clear();
+    }
+}
+
+proptest! {
+    /// Ranges of the chunk plus a side buffer, flattened after every
+    /// write, are the bytes a `Vec<u8>` collects, for any chunking; the
+    /// hold gauge does not depend on the sink; and a run never names
+    /// bytes outside the chunk just handed in.
+    #[test]
+    fn a_sink_of_ranges_sees_what_a_vec_sees(
+        parts in vec(fragment(), 0..12),
+        chunk in 2usize..33,
+        seed in 0u64..1000,
+    ) {
+        let html: String = parts.concat();
+        let eng = engine();
+        for size in [chunk, 1, html.len().max(1)] {
+            let mut plain = eng.begin_stream(
+                &page_uri(),
+                SimTime::ZERO,
+                &mut ChaCha8Rng::seed_from_u64(seed),
+            );
+            let mut ranged = eng.begin_stream(
+                &page_uri(),
+                SimTime::ZERO,
+                &mut ChaCha8Rng::seed_from_u64(seed),
+            );
+            let (mut vec_out, mut flat, mut sink) = (Vec::new(), Vec::new(), Ranges::default());
+            for piece in html.as_bytes().chunks(size) {
+                plain.write(piece, &mut vec_out);
+                ranged.write(piece, &mut sink);
+                sink.flatten(piece, &mut flat);
+                prop_assert_eq!(&flat, &vec_out, "after a {}-byte write", piece.len());
+                prop_assert_eq!(ranged.buffered(), plain.buffered());
+            }
+            prop_assert_eq!(ranged.peak_buffered(), plain.peak_buffered());
+            // The tail is a released hold and markup: never a run.
+            plain.finish(&mut vec_out);
+            ranged.finish(&mut flat);
+            prop_assert_eq!(&flat, &vec_out, "chunk size {}", size);
         }
     }
 }

@@ -335,29 +335,31 @@ impl BodyDecoder {
     }
 
     /// Walks the framing at the front of `buf` and hands each run of
-    /// body bytes to `body`, in order, as a slice of `buf` — nothing is
-    /// copied. Returns how many bytes of `buf` were consumed (framing
-    /// included; an unfinished chunk-size or trailer line is left for
-    /// the next call) and whether the body is complete, after which the
-    /// rest of `buf` belongs to the next message. `Err` means garbage
-    /// chunk framing; runs handed over before it was met were good.
+    /// body bytes to `body`, in order, as its offset in `buf` and the
+    /// slice there — nothing is copied, and a caller that keeps `buf`
+    /// can keep the offset instead of the bytes. Returns how many bytes
+    /// of `buf` were consumed (framing included; an unfinished
+    /// chunk-size or trailer line is left for the next call) and whether
+    /// the body is complete, after which the rest of `buf` belongs to
+    /// the next message. `Err` means garbage chunk framing; runs handed
+    /// over before it was met were good.
     pub fn decode(
         &mut self,
         buf: &[u8],
-        mut body: impl FnMut(&[u8]),
+        mut body: impl FnMut(usize, &[u8]),
     ) -> Result<(usize, bool), HttpError> {
         let mut pos = 0usize;
         let done = loop {
             match self.state {
                 DecodeState::Done => break true,
                 DecodeState::Close => {
-                    body(&buf[pos..]);
+                    body(pos, &buf[pos..]);
                     pos = buf.len();
                     break false;
                 }
                 DecodeState::Length { remaining } => {
                     let take = remaining.min(buf.len() - pos);
-                    body(&buf[pos..pos + take]);
+                    body(pos, &buf[pos..pos + take]);
                     pos += take;
                     if take == remaining {
                         self.state = DecodeState::Done;
@@ -381,7 +383,7 @@ impl BodyDecoder {
                 },
                 DecodeState::ChunkData { remaining } => {
                     let take = remaining.min(buf.len() - pos);
-                    body(&buf[pos..pos + take]);
+                    body(pos, &buf[pos..pos + take]);
                     pos += take;
                     if take == remaining {
                         self.state = DecodeState::ChunkEnd;
@@ -423,7 +425,7 @@ impl BodyDecoder {
     /// out: appends it to `out` and drains the consumed bytes from the
     /// front of `buf`. Returns `Ok(true)` once the body is complete.
     pub fn push(&mut self, buf: &mut Vec<u8>, out: &mut Vec<u8>) -> Result<bool, HttpError> {
-        let (used, done) = self.decode(buf, |run| out.extend_from_slice(run))?;
+        let (used, done) = self.decode(buf, |_, run| out.extend_from_slice(run))?;
         buf.drain(..used);
         Ok(done)
     }
@@ -455,7 +457,7 @@ pub fn dechunk(raw: &[u8]) -> Result<std::borrow::Cow<'_, [u8]>, HttpError> {
     }
     let mut body = Vec::new();
     let (_, done) = BodyDecoder::new(BodyFraming::Chunked)
-        .decode(&raw[end + 4..], |run| body.extend_from_slice(run))?;
+        .decode(&raw[end + 4..], |_, run| body.extend_from_slice(run))?;
     if !done {
         return Err(HttpError::TruncatedBody {
             expected: body.len() + 1,
@@ -704,6 +706,18 @@ mod tests {
             assert!(buf.is_empty());
             assert_eq!(out, b"Wikipedia");
         }
+    }
+
+    #[test]
+    fn decode_says_where_in_the_buffer_each_run_lies() {
+        let body = &CHUNKED[CHUNKED.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4..];
+        let mut runs = Vec::new();
+        let decoded = BodyDecoder::new(BodyFraming::Chunked).decode(body, |at, run| {
+            assert_eq!(&body[at..at + run.len()], run);
+            runs.push(at);
+        });
+        assert_eq!(decoded, Ok((body.len(), true)));
+        assert_eq!(runs, [3, 12], "one run per chunk, past its size line");
     }
 
     #[test]

@@ -81,10 +81,11 @@
 //! keep-alive request the gate answers alone is therefore one
 //! `epoll_wait`, one `read`, one `write`; a buffered origin fetch on a
 //! pooled connection adds the takeout probe and one `write`, `read` and
-//! `epoll_wait` for the upstream hop; neither touches `epoll_ctl`. Every
-//! call is counted where it is made ([`SysCalls`]), in per-reactor
-//! cells that cost a load and a store, and `/admin/stats` serves the
-//! totals as `sys_*`.
+//! `epoll_wait` for the upstream hop, and so does a streamed page whose
+//! body arrives in one read (head, chunk framing, body and markup leave
+//! in one `writev`); none touches `epoll_ctl`. Every call is counted
+//! where it is made ([`SysCalls`]), in per-reactor cells that cost a
+//! load and a store, and `/admin/stats` serves the totals as `sys_*`.
 //!
 //! # Streaming pages
 //!
@@ -94,10 +95,12 @@
 //! through the gateway's [`PageStream`] rewriter as they arrive —
 //! decode one origin chunk, rewrite it, chunk-encode it to the client.
 //! Between the origin's `read` and the client's `write` a body byte is
-//! copied twice: the body decoder hands the rewriter slices of the
-//! origin's read buffer, the rewriter scans them in place and appends
-//! what it resolves to one per-worker scratch buffer, and the chunk
-//! encoder appends that to the client's write buffer.
+//! not copied at all: the body decoder hands the rewriter slices of the
+//! origin's read buffer, the rewriter scans them in place and names
+//! what it resolves by offset, and the client's write is a `writev`
+//! over those ranges with the chunk framing and the injected markup
+//! (a few hundred bytes in a per-worker side buffer) between them. Only
+//! what the client's socket refuses is copied, behind its backlog.
 //! Memory per streamed page is bounded by the rewriter's constant
 //! hold-back plus the client's write backlog, never the page size, so a
 //! multi-MB page flows through in O(chunk). Backpressure is explicit: a
@@ -129,12 +132,12 @@
 
 use crate::frame::{self, BodyDecoder, BodyFraming, Framing};
 use crate::stats::serve_stats_json;
-use botwall_gateway::{Gateway, Origin, PageStream, PendingServe};
+use botwall_gateway::{Gateway, Origin, PageStream, PendingServe, StreamSink};
 use botwall_http::request::ClientIp;
 use botwall_http::{wire, Request, Response, StatusCode};
 use botwall_sessions::SimTime;
 use reactor::{net, signals, Counter, Event, Interest, Reactor, ReactorCounters, Token, Waker};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -454,28 +457,29 @@ enum ClientState {
     Reading,
     /// Parked while slot `origin_slot` fetches this request's origin.
     Awaiting { origin_slot: usize },
-    /// Flushing the staged response in `out`.
+    /// Flushing the staged response in `out`: a whole buffered one, or
+    /// what is left of a page stream the origin has finished with
+    /// (`close_after` when it was cut short, so the missing terminal
+    /// chunk is followed by a close).
     Writing { close_after: bool },
-    /// Relaying a chunk-encoded instrumented page as the origin streams
-    /// it into `out`.
+    /// Relaying a chunk-encoded instrumented page as the fetch in
+    /// `origin_slot` streams it in; `out` is what the socket has not
+    /// taken yet.
     Streaming {
-        /// The fetch feeding this stream; `None` once the origin side
-        /// has finished (cleanly or not) and only the flush remains.
-        origin_slot: Option<usize>,
+        origin_slot: usize,
         close_after: bool,
-        end: StreamEnd,
     },
 }
 
-/// How a client-side page stream ends.
+/// How a step leaves a page stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StreamEnd {
     /// The origin is still producing body bytes.
     More,
-    /// The terminal chunk is staged; the message is complete.
+    /// The body is complete; the terminal chunk follows it.
     Clean,
-    /// The origin died mid-body. Flush what is staged, then close the
-    /// connection without a terminal chunk so the client sees the
+    /// The origin died mid-body. What is staged goes out, then the
+    /// connection closes without a terminal chunk so the client sees the
     /// truncation.
     Truncated,
 }
@@ -527,7 +531,8 @@ enum OriginState {
 struct StreamingFetch {
     decoder: BodyDecoder,
     page: PageStream,
-    /// Origin-side wire bytes observed so far, for the byte ledger.
+    /// What this response has put on the client's wire so far (head
+    /// and encoded chunks), for the byte ledger.
     wire_bytes: u64,
     /// Read interest parked by client backpressure.
     paused: bool,
@@ -555,6 +560,29 @@ fn set_interest(
 ) {
     if *cached != want && reactor.reregister(stream, token, want).is_ok() {
         *cached = want;
+    }
+}
+
+/// Backpressure: a streaming origin stops being read once its client
+/// owes the socket more than [`STREAM_HIGH_WATER`], and is read again
+/// once that is back under [`STREAM_LOW_WATER`].
+fn throttle(reactor: &mut Reactor, slot: usize, o: &mut OriginConn, backlog: usize) {
+    let OriginState::Streaming(fetch) = &mut o.state else {
+        return;
+    };
+    let pause = if fetch.paused {
+        backlog >= STREAM_LOW_WATER
+    } else {
+        backlog > STREAM_HIGH_WATER
+    };
+    if pause != fetch.paused {
+        fetch.paused = pause;
+        let want = if pause {
+            Interest::NONE
+        } else {
+            Interest::READABLE
+        };
+        set_interest(reactor, &o.stream, token_of(slot), &mut o.interest, want);
     }
 }
 
@@ -602,9 +630,9 @@ struct Worker {
     /// per-worker: a connection registered with this reactor can only
     /// ever be driven by this reactor.
     idle_pool: Vec<usize>,
-    /// Streaming-relay scratch: one step's rewritten output, on its way
-    /// from the origin's read buffer to the client's write buffer.
-    rewrite_scratch: Vec<u8>,
+    /// Streaming-relay scratch: where one step's output lies, on its
+    /// way from the origin's read buffer to the client's socket.
+    staged: Staged,
     /// When (on this reactor's clock) the next sweep slice is due.
     next_sweep_ms: u64,
 }
@@ -672,7 +700,7 @@ impl Server {
                 read_pool: Vec::new(),
                 sys: Arc::clone(&shared.workers[n]),
                 idle_pool: Vec::new(),
-                rewrite_scratch: Vec::new(),
+                staged: Staged::default(),
                 next_sweep_ms: SWEEP_TICK_MS,
             });
         }
@@ -998,6 +1026,7 @@ impl Worker {
                     .header("Connection", "close")
                     .header("Content-Length", "0")
                     .build();
+                self.sys.writes.add(1);
                 let _ = (&stream).write(&wire::serialize_response(&resp));
                 continue;
             }
@@ -1143,19 +1172,9 @@ impl Worker {
                     }
                 },
                 ClientState::Awaiting { .. } => return !eof,
-                ClientState::Writing { close_after } => {
-                    let close_after = *close_after;
+                ClientState::Writing { .. } | ClientState::Streaming { .. } => {
                     match write_available(&mut c.stream, &c.out, &mut c.pos, &self.sys) {
-                        WriteStep::Done => {
-                            if close_after || self.draining {
-                                return false;
-                            }
-                            c.out.clear();
-                            c.pos = 0;
-                            c.state = ClientState::Reading;
-                            // Loop again: pipelined bytes may already
-                            // hold the next complete request.
-                        }
+                        WriteStep::Done => {}
                         WriteStep::Blocked => {
                             self.reactor
                                 .deadline(token_of(slot), self.config.read_timeout);
@@ -1170,66 +1189,34 @@ impl Worker {
                         }
                         WriteStep::Dead => return false,
                     }
-                }
-                ClientState::Streaming {
-                    origin_slot,
-                    close_after,
-                    end,
-                } => {
-                    let fetch_done = origin_slot.is_none();
-                    let close_after = *close_after;
-                    let end = *end;
-                    match write_available(&mut c.stream, &c.out, &mut c.pos, &self.sys) {
-                        WriteStep::Done => match end {
-                            StreamEnd::More => {
-                                // Fully drained; the origin will push
-                                // more. Reclaim the backlog buffer and
-                                // wait for it. The registration stays as
-                                // it is unless a blocked write left
-                                // WRITABLE armed, which a drained socket
-                                // would report on every poll.
-                                c.out.clear();
-                                c.pos = 0;
-                                self.reactor
-                                    .deadline(token_of(slot), self.config.read_timeout);
-                                if c.interest == Interest::WRITABLE {
-                                    set_interest(
-                                        &mut self.reactor,
-                                        &c.stream,
-                                        token_of(slot),
-                                        &mut c.interest,
-                                        Interest::READABLE,
-                                    );
-                                }
-                                return true;
-                            }
-                            StreamEnd::Truncated => return false,
-                            StreamEnd::Clean => {
-                                debug_assert!(fetch_done, "clean end frees the fetch");
-                                if close_after || self.draining {
-                                    return false;
-                                }
-                                c.out.clear();
-                                c.pos = 0;
-                                c.state = ClientState::Reading;
-                                // Loop: pipelined bytes may already hold
-                                // the next complete request.
-                            }
-                        },
-                        WriteStep::Blocked => {
-                            self.reactor
-                                .deadline(token_of(slot), self.config.read_timeout);
-                            set_interest(
-                                &mut self.reactor,
-                                &c.stream,
-                                token_of(slot),
-                                &mut c.interest,
-                                Interest::WRITABLE,
-                            );
-                            return true;
+                    // Fully drained: reclaim the buffer.
+                    c.out.clear();
+                    c.pos = 0;
+                    if let ClientState::Writing { close_after } = c.state {
+                        if close_after || self.draining {
+                            return false;
                         }
-                        WriteStep::Dead => return false,
+                        c.state = ClientState::Reading;
+                        // Loop again: pipelined bytes may already hold
+                        // the next complete request.
+                        continue;
                     }
+                    // A stream: the origin will push more; wait for it.
+                    // The registration stays as it is unless a blocked
+                    // write left WRITABLE armed, which a drained socket
+                    // would report on every poll.
+                    self.reactor
+                        .deadline(token_of(slot), self.config.read_timeout);
+                    if c.interest == Interest::WRITABLE {
+                        set_interest(
+                            &mut self.reactor,
+                            &c.stream,
+                            token_of(slot),
+                            &mut c.interest,
+                            Interest::READABLE,
+                        );
+                    }
+                    return true;
                 }
             }
         }
@@ -1383,7 +1370,7 @@ impl Worker {
     fn release_client(&mut self, slot: usize, c: ClientConn) {
         let fetch_slot = match c.state {
             ClientState::Awaiting { origin_slot } => Some(origin_slot),
-            ClientState::Streaming { origin_slot, .. } => origin_slot,
+            ClientState::Streaming { origin_slot, .. } => Some(origin_slot),
             _ => None,
         };
         if let Some(origin_slot) = fetch_slot {
@@ -1427,7 +1414,10 @@ impl Worker {
             match o.state {
                 // A stalled stream cannot 504 — the head already went
                 // out. Commit the lease, truncate the client.
-                OriginState::Streaming(_) => self.truncate_stream(slot, o),
+                OriginState::Streaming(_) => {
+                    self.staged.clear();
+                    self.relay_stream(slot, o, 0, StreamEnd::Truncated);
+                }
                 // Origin took too long: the lease completes with a 504
                 // and the client learns the truth.
                 OriginState::Buffering => self.fail_origin(slot, o, StatusCode::GATEWAY_TIMEOUT),
@@ -1476,8 +1466,7 @@ impl Worker {
         if o.buf.len() > before {
             o.saw_byte = true;
         }
-        if let OriginState::Streaming(fetch) = &mut o.state {
-            fetch.wire_bytes += (o.buf.len() - before) as u64;
+        if matches!(o.state, OriginState::Streaming(_)) {
             self.origin_stream_step(slot, o, 0, eof);
         } else {
             self.origin_buffer_step(slot, o, eof);
@@ -1614,16 +1603,6 @@ impl Worker {
             let pending = o.pending.as_ref().expect("lease pending until finish");
             self.gateway.begin_page_stream(pending, now)
         };
-        let decoder = BodyDecoder::new(head.framing);
-        let reusable = reuse_allowed(&head);
-        let wire_bytes = o.buf.len() as u64;
-        o.state = OriginState::Streaming(Box::new(StreamingFetch {
-            decoder,
-            page,
-            wire_bytes,
-            paused: false,
-            reusable,
-        }));
         let Some(Slot::Client(mut c)) = self.slots.get_mut(o.client_slot).and_then(Option::take)
         else {
             // The client died earlier in this batch; the lease still
@@ -1634,10 +1613,16 @@ impl Worker {
         c.out.clear();
         c.pos = 0;
         streaming_head(o.close_after, &mut c.out);
+        o.state = OriginState::Streaming(Box::new(StreamingFetch {
+            decoder: BodyDecoder::new(head.framing),
+            page,
+            wire_bytes: c.out.len() as u64,
+            paused: false,
+            reusable: reuse_allowed(&head),
+        }));
         c.state = ClientState::Streaming {
-            origin_slot: Some(slot),
+            origin_slot: slot,
             close_after: o.close_after,
-            end: StreamEnd::More,
         };
         // No WRITABLE interest yet: the first step's write is attempted
         // straight away, and `pump` asks for it only if that blocks.
@@ -1647,69 +1632,97 @@ impl Worker {
         self.origin_stream_step(slot, o, head.len, eof);
     }
 
-    /// One step of an active stream: decode what arrived, rewrite it,
-    /// chunk-encode it to the client, and settle the fetch's fate
-    /// (finished, truncated, or waiting for more). A body byte is copied
-    /// twice on the way through: the decoder points at body runs inside
-    /// the origin's read buffer (past the `skip` bytes of response head
-    /// on the first step), the rewriter scans them there and appends
-    /// what resolves to the per-worker scratch, and the chunk encoder
-    /// appends that to the buffer the client's `write` drains.
+    /// One step of an active stream: decode what arrived and rewrite it
+    /// where it lies. The decoder points at body runs inside the
+    /// origin's read buffer (past the `skip` bytes of response head on
+    /// the first step), the rewriter scans them there, and what it
+    /// resolves is staged as ranges of that buffer plus the few hundred
+    /// bytes that are not in it; [`Worker::relay_stream`] sends that on.
     fn origin_stream_step(&mut self, slot: usize, mut o: OriginConn, skip: usize, eof: bool) {
         let OriginState::Streaming(fetch) = &mut o.state else {
             unreachable!("caller checked the state");
         };
         let StreamingFetch { decoder, page, .. } = &mut **fetch;
-        let mut rewritten = std::mem::take(&mut self.rewrite_scratch);
-        rewritten.clear();
-        let decoded = decoder.decode(&o.buf[skip..], |run| page.write(run, &mut rewritten));
-        let Ok((used, done)) = decoded else {
-            // Garbage chunk framing mid-stream; what decoded cleanly
-            // ahead of it still goes out.
-            self.truncate_stream_with(slot, o, rewritten);
-            return;
+        let staged = &mut self.staged;
+        staged.clear();
+        let decoded = decoder.decode(&o.buf[skip..], |at, run| {
+            staged.base = skip + at;
+            page.write(run, staged);
+        });
+        let (consumed, end) = match decoded {
+            Ok((used, done)) if done || (eof && decoder.eof_ok()) => {
+                (skip + used, StreamEnd::Clean)
+            }
+            Ok((used, _)) if !eof => (skip + used, StreamEnd::More),
+            // The origin closed mid-body or sent garbage chunk framing:
+            // what decoded cleanly ahead of it still goes out.
+            _ => (0, StreamEnd::Truncated),
         };
-        // Usually the whole buffer: nothing is left to shift down.
-        o.buf.consume(skip + used);
-        if done || (eof && decoder.eof_ok()) {
-            // Clean end of body: flush the rewriter's tail, commit the
-            // lease, and stage the terminal chunk.
+        // A stream that ended by EOF closed its connection; one that
+        // ended by framing with a reuse-friendly head parks.
+        fetch.reusable &= !eof;
+        self.relay_stream(slot, o, consumed, end);
+    }
+
+    /// Sends the step staged in `self.staged` (nothing, when the origin
+    /// stalled) to the client, chunk-framed, and settles the fetch's
+    /// fate: waiting for more (`consumed` bytes of its read buffer are
+    /// done with), finished, or truncated. A stream that ends, either
+    /// way, flushes the rewriter's tail as a chunk of its own and commits
+    /// its lease (dropping it would leak the session's in-flight count);
+    /// only a clean end gets the terminal chunk, so a truncation stays
+    /// visible.
+    fn relay_stream(&mut self, slot: usize, mut o: OriginConn, consumed: usize, end: StreamEnd) {
+        let OriginState::Streaming(fetch) = &mut o.state else {
+            unreachable!("only a streaming fetch is relayed");
+        };
+        let mut staged = std::mem::take(&mut self.staged);
+        fetch.wire_bytes += chunk_frame(&mut staged.wire, &mut staged.side, &staged.runs) as u64;
+        let mut reusable = false;
+        if end != StreamEnd::More {
             let OriginState::Streaming(fetch) =
                 std::mem::replace(&mut o.state, OriginState::Buffering)
             else {
                 unreachable!("matched above");
             };
+            reusable = fetch.reusable;
             let pending = o.pending.take().expect("finish runs once per fetch");
-            // The tail lands behind this step's output and leaves as a
-            // chunk of its own.
-            let tail_at = rewritten.len();
-            let now = self.now();
-            let _served = self.gateway.finish_page_stream(
-                pending,
-                fetch.page,
-                &mut rewritten,
-                fetch.wire_bytes,
-                now,
-            );
+            let start = staged.side.len();
+            let (page, sent, now) = (fetch.page, fetch.wire_bytes, self.now());
+            self.gateway
+                .finish_page_stream(pending, page, &mut staged.side, sent, now);
+            let tail = [Part::new(false, start, staged.side.len())];
+            chunk_frame(&mut staged.wire, &mut staged.side, &tail);
             self.reactor.cancel_deadline(token_of(slot));
-            let client_slot = o.client_slot;
-            // A stream that ended by EOF closed its connection; one
-            // that ended by framing with a reuse-friendly head parks.
-            let reusable = fetch.reusable && !eof;
-            self.park_or_free(slot, o, reusable);
-            self.deliver_stream(client_slot, rewritten.split_at(tail_at), StreamEnd::Clean);
-            self.rewrite_scratch = rewritten;
-            return;
         }
-        if eof {
-            // The origin closed mid-body: truncation, not completion.
-            self.truncate_stream_with(slot, o, rewritten);
-            return;
+        if end == StreamEnd::Clean {
+            push_side(&mut staged.wire, &mut staged.side, b"0\r\n\r\n");
         }
         let client_slot = o.client_slot;
-        let delivered = self.deliver_stream(client_slot, (&rewritten, &[]), StreamEnd::More);
-        self.rewrite_scratch = rewritten;
-        let Some(backlog) = delivered else {
+        let wrote = self.write_stream(client_slot, &staged, &o.buf, end);
+        // Only now: the staged ranges point into the buffer. Usually all
+        // of it goes, and nothing is left to shift down.
+        o.buf.consume(consumed);
+        self.staged = staged;
+        // The fetch is settled before the client moves on, so a
+        // pipelined next request finds the connection already parked.
+        let waiting = match end {
+            StreamEnd::More => Some(o),
+            StreamEnd::Clean => {
+                self.park_or_free(slot, o, reusable);
+                None
+            }
+            StreamEnd::Truncated => {
+                self.pending_free.push(slot);
+                self.retire_origin(o);
+                None
+            }
+        };
+        let backlog = wrote.and_then(|c| self.settle_stream(client_slot, c));
+        let Some(mut o) = waiting else {
+            return;
+        };
+        let Some(backlog) = backlog else {
             // Client gone mid-stream: commit the lease, drop the fetch.
             self.abandon_origin(slot, o);
             return;
@@ -1718,28 +1731,7 @@ impl Worker {
         // backpressure against the client's unsent backlog.
         self.reactor
             .deadline(token_of(slot), self.config.origin_timeout);
-        let OriginState::Streaming(fetch) = &mut o.state else {
-            unreachable!("state unchanged on the waiting path");
-        };
-        if backlog > STREAM_HIGH_WATER && !fetch.paused {
-            fetch.paused = true;
-            set_interest(
-                &mut self.reactor,
-                &o.stream,
-                token_of(slot),
-                &mut o.interest,
-                Interest::NONE,
-            );
-        } else if fetch.paused && backlog < STREAM_LOW_WATER {
-            fetch.paused = false;
-            set_interest(
-                &mut self.reactor,
-                &o.stream,
-                token_of(slot),
-                &mut o.interest,
-                Interest::READABLE,
-            );
-        }
+        throttle(&mut self.reactor, slot, &mut o, backlog);
         self.slots[slot] = Some(Slot::OriginFetch(Box::new(o)));
     }
 
@@ -1751,89 +1743,64 @@ impl Worker {
         self.recycle(out);
     }
 
-    /// Chunk-encodes a step's output and (when the stream is ending) the
-    /// rewriter's tail, each a chunk of its own, straight onto a
-    /// streaming client's backlog, records how the stream ends, and
-    /// pumps the write. Returns the remaining backlog in bytes, or
-    /// `None` when the client is gone.
-    fn deliver_stream(
+    /// Takes the streaming client out of its slot and sends it the
+    /// staged step behind whatever it has not been sent yet, in one
+    /// vectored write, from where the bytes lie (`origin` is the fetch's
+    /// read buffer). A client an earlier write blocked on gets an append
+    /// to its backlog instead of a system call that would only hear
+    /// `EAGAIN` again. A stream that has ended is a response being
+    /// written like any other. `None` when the client is gone.
+    fn write_stream(
         &mut self,
         client_slot: usize,
-        (output, tail): (&[u8], &[u8]),
-        new_end: StreamEnd,
-    ) -> Option<usize> {
+        staged: &Staged,
+        origin: &[u8],
+        end: StreamEnd,
+    ) -> Option<ClientConn> {
         let Some(Slot::Client(mut c)) = self.slots.get_mut(client_slot).and_then(Option::take)
         else {
             return None;
         };
-        let ClientState::Streaming {
-            origin_slot, end, ..
-        } = &mut c.state
-        else {
+        let ClientState::Streaming { close_after, .. } = c.state else {
             // Only reachable if the client rotated states underneath the
             // fetch, which the protocol never does; keep it intact.
             self.slots[client_slot] = Some(Slot::Client(c));
             return None;
         };
-        *end = new_end;
-        if new_end != StreamEnd::More {
-            *origin_slot = None;
+        if end != StreamEnd::More {
+            let close_after = close_after || end == StreamEnd::Truncated;
+            c.state = ClientState::Writing { close_after };
         }
-        chunk_encode(output, &mut c.out);
-        chunk_encode(tail, &mut c.out);
-        if new_end == StreamEnd::Clean {
-            c.out.extend_from_slice(b"0\r\n\r\n");
-        }
-        if self.pump(client_slot, &mut c, false) {
-            let backlog = match &c.state {
-                ClientState::Streaming { .. } => c.out.len() - c.pos,
-                _ => 0,
-            };
-            self.slots[client_slot] = Some(Slot::Client(c));
-            Some(backlog)
+        if c.interest == Interest::WRITABLE {
+            staged.queue(&mut c.out, origin, 0);
         } else {
-            self.release_client(client_slot, c);
-            None
-        }
-    }
-
-    /// The origin died mid-stream (stall, reset, garbage framing, EOF
-    /// inside a chunk). The lease still commits — dropping it would leak
-    /// the session's in-flight count — and the client's stream ends
-    /// without a terminal chunk so the truncation stays visible.
-    fn truncate_stream(&mut self, slot: usize, o: OriginConn) {
-        let mut rewritten = std::mem::take(&mut self.rewrite_scratch);
-        rewritten.clear();
-        self.truncate_stream_with(slot, o, rewritten);
-    }
-
-    /// [`Worker::truncate_stream`] with this step's output (`rewritten`,
-    /// the worker's scratch on loan) still to deliver ahead of the tail.
-    fn truncate_stream_with(&mut self, slot: usize, mut o: OriginConn, mut rewritten: Vec<u8>) {
-        self.reactor.cancel_deadline(token_of(slot));
-        self.pending_free.push(slot);
-        let client_slot = o.client_slot;
-        let tail_at = rewritten.len();
-        if let (Some(pending), OriginState::Streaming(fetch)) = (
-            o.pending.take(),
-            std::mem::replace(&mut o.state, OriginState::Buffering),
-        ) {
-            let now = self.now();
-            let _ = self.gateway.finish_page_stream(
-                pending,
-                fetch.page,
-                &mut rewritten,
-                fetch.wire_bytes,
-                now,
+            write_staged(
+                &mut c.stream,
+                &mut c.out,
+                &mut c.pos,
+                staged,
+                origin,
+                &self.sys,
             );
         }
-        self.retire_origin(o);
-        self.deliver_stream(
-            client_slot,
-            rewritten.split_at(tail_at),
-            StreamEnd::Truncated,
-        );
-        self.rewrite_scratch = rewritten;
+        Some(c)
+    }
+
+    /// Carries a client on from [`Worker::write_stream`] and puts it
+    /// back in its slot. Returns the backlog its stream still owes the
+    /// socket, or `None` when the connection is finished.
+    fn settle_stream(&mut self, client_slot: usize, mut c: ClientConn) -> Option<usize> {
+        // Still waiting for room: the event that reports it pumps.
+        if c.interest != Interest::WRITABLE && !self.pump(client_slot, &mut c, false) {
+            self.release_client(client_slot, c);
+            return None;
+        }
+        let backlog = match &c.state {
+            ClientState::Streaming { .. } => c.out.len() - c.pos,
+            _ => 0,
+        };
+        self.slots[client_slot] = Some(Slot::Client(c));
+        Some(backlog)
     }
 
     /// After a client write drained some backlog, resume a paused
@@ -1842,32 +1809,12 @@ impl Worker {
         let Some(Some(Slot::Client(c))) = self.slots.get(client_slot) else {
             return;
         };
-        let ClientState::Streaming {
-            origin_slot: Some(origin_slot),
-            ..
-        } = &c.state
-        else {
+        let ClientState::Streaming { origin_slot, .. } = c.state else {
             return;
         };
-        let origin_slot = *origin_slot;
-        if c.out.len() - c.pos >= STREAM_LOW_WATER {
-            return;
-        }
-        let Some(Some(Slot::OriginFetch(o))) = self.slots.get_mut(origin_slot) else {
-            return;
-        };
-        let OriginState::Streaming(fetch) = &mut o.state else {
-            return;
-        };
-        if fetch.paused {
-            fetch.paused = false;
-            set_interest(
-                &mut self.reactor,
-                &o.stream,
-                token_of(origin_slot),
-                &mut o.interest,
-                Interest::READABLE,
-            );
+        let backlog = c.out.len() - c.pos;
+        if let Some(Some(Slot::OriginFetch(o))) = self.slots.get_mut(origin_slot) {
+            throttle(&mut self.reactor, origin_slot, o, backlog);
         }
     }
 
@@ -1984,7 +1931,7 @@ fn read_available(
 
 /// Writes until done or the socket would block.
 fn write_available(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     out: &[u8],
     pos: &mut usize,
     sys: &WorkerCounters,
@@ -2005,6 +1952,42 @@ fn write_available(
     WriteStep::Done
 }
 
+/// Offers the socket the unsent backlog `out[*pos..]` and, behind it,
+/// the staged step in one vectored write: head, chunk framing, page
+/// runs and markup are one system call, and a socket that takes it all
+/// has cost no copy of a page byte. Whatever it does not take is copied
+/// behind `out`, for the plain write path to carry on with (or to meet
+/// the error this call met).
+fn write_staged(
+    stream: &mut impl Write,
+    out: &mut Vec<u8>,
+    pos: &mut usize,
+    staged: &Staged,
+    origin: &[u8],
+    sys: &WorkerCounters,
+) {
+    let backlog = out.len() - *pos;
+    if backlog == 0 && staged.wire.is_empty() {
+        return;
+    }
+    // About a dozen buffers for a page that arrived in one read; a list
+    // past the kernel's limit is a short write like any other.
+    let wire = staged.wire.iter().map(|part| staged.bytes_of(part, origin));
+    let iov: Vec<IoSlice<'_>> = std::iter::once(&out[*pos..])
+        .chain(wire)
+        .map(IoSlice::new)
+        .collect();
+    sys.writes.add(1);
+    let wrote = stream.write_vectored(&iov).unwrap_or_else(|e| {
+        if e.kind() == io::ErrorKind::WouldBlock {
+            sys.writes_blocked.add(1);
+        }
+        0
+    });
+    *pos += wrote.min(backlog);
+    staged.queue(out, origin, wrote.saturating_sub(backlog));
+}
+
 /// Appends the client-side response head for a streamed page: the
 /// buffered path's headers (200, `text/html`, uncacheable) with chunked
 /// framing in place of a `Content-Length`. The head is invariant per
@@ -2021,33 +2004,137 @@ fn streaming_head(close_after: bool, out: &mut Vec<u8>) {
     });
 }
 
-/// Chunk-encodes `data` onto `out` in slices of at most
-/// [`STREAM_HIGH_WATER`] bytes (a fast origin can land far more than
-/// that in one event batch; unbounded chunk declarations are hostile to
-/// any receiver with a per-chunk sanity cap). Empty data encodes
-/// nothing — a zero-size chunk would terminate the stream early.
-fn chunk_encode(data: &[u8], out: &mut Vec<u8>) {
-    for piece in data.chunks(STREAM_HIGH_WATER) {
-        let mut hex = [0u8; 16];
-        out.extend_from_slice(format_hex(piece.len(), &mut hex));
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(piece);
-        out.extend_from_slice(b"\r\n");
+/// The most pieces of output one step stages by reference (a page that
+/// arrives in one read makes five). An origin that sends one-byte
+/// chunks makes a run a byte; past the cap a step's output is copied,
+/// as all of it once was, so the list stays small whatever it does.
+const MAX_RUNS: usize = 32;
+
+/// Where a piece of a stream step's output lies: a range of the
+/// origin's read buffer, or of [`Staged::side`].
+#[derive(Debug, Clone, Copy)]
+struct Part {
+    origin: bool,
+    start: usize,
+    end: usize,
+}
+
+impl Part {
+    fn new(origin: bool, start: usize, end: usize) -> Part {
+        Part { origin, start, end }
+    }
+
+    fn len(&self) -> usize {
+        self.end - self.start
     }
 }
 
-/// Renders a lowercase hex length without allocating.
-fn format_hex(mut n: usize, buf: &mut [u8; 16]) -> &[u8] {
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b"0123456789abcdef"[n & 0xf];
-        n >>= 4;
-        if n == 0 {
-            break;
+/// One stream step's output, by reference: the rewriter's sink while
+/// the step is decoded, then the chunk-framed list the client's write
+/// is built from. Per worker, reused from step to step.
+#[derive(Debug, Default)]
+struct Staged {
+    /// The rewriter's output in order, unframed.
+    runs: Vec<Part>,
+    /// What goes on the wire: the same with chunk framing around it, and
+    /// the rewriter's tail and the terminal chunk when the stream ends.
+    wire: Vec<Part>,
+    /// Everything that is not in the origin's read buffer: injected
+    /// markup, released holds, the tail, chunk framing.
+    side: Vec<u8>,
+    /// Where in that buffer the chunk being rewritten starts.
+    base: usize,
+}
+
+impl StreamSink for Staged {
+    fn run(&mut self, chunk: &[u8], range: std::ops::Range<usize>) {
+        if self.runs.len() >= MAX_RUNS {
+            return self.bytes(&chunk[range]);
+        }
+        let (start, end) = (self.base + range.start, self.base + range.end);
+        push_part(&mut self.runs, Part::new(true, start, end));
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        push_side(&mut self.runs, &mut self.side, bytes);
+    }
+}
+
+impl Staged {
+    fn clear(&mut self) {
+        self.runs.clear();
+        self.wire.clear();
+        self.side.clear();
+    }
+
+    fn bytes_of<'a>(&'a self, part: &Part, origin: &'a [u8]) -> &'a [u8] {
+        let buf = if part.origin { origin } else { &self.side };
+        &buf[part.start..part.end]
+    }
+
+    /// Copies what lies past the first `skip` bytes of `wire` behind
+    /// `out`.
+    fn queue(&self, out: &mut Vec<u8>, origin: &[u8], mut skip: usize) {
+        for part in &self.wire {
+            let bytes = self.bytes_of(part, origin);
+            let cut = skip.min(bytes.len());
+            out.extend_from_slice(&bytes[cut..]);
+            skip -= cut;
         }
     }
-    &buf[i..]
+}
+
+/// Appends `part` to `list`, growing the last entry instead when the
+/// two are neighbours in the same buffer.
+fn push_part(list: &mut Vec<Part>, part: Part) {
+    match list.last_mut() {
+        Some(last) if last.origin == part.origin && last.end == part.start => last.end = part.end,
+        _ if part.len() > 0 => list.push(part),
+        _ => {}
+    }
+}
+
+/// Appends `bytes` to the side buffer and their place there to `list`.
+fn push_side(list: &mut Vec<Part>, side: &mut Vec<u8>, bytes: &[u8]) {
+    let start = side.len();
+    side.extend_from_slice(bytes);
+    push_part(list, Part::new(false, start, side.len()));
+}
+
+/// Chunk-frames `data` onto `wire` in pieces of at most
+/// [`STREAM_HIGH_WATER`] bytes (a fast origin can land far more than
+/// that in one event batch; unbounded chunk declarations are hostile to
+/// any receiver with a per-chunk sanity cap). Only the framing is
+/// written (to `side`); the data stays where it lies. Empty data frames
+/// to nothing — a zero-size chunk would terminate the stream early.
+/// Returns the framed length.
+fn chunk_frame(wire: &mut Vec<Part>, side: &mut Vec<u8>, data: &[Part]) -> usize {
+    let total: usize = data.iter().map(Part::len).sum();
+    let framing_at = side.len();
+    // Bytes of `data` not yet framed, and room left in the open piece.
+    let (mut left, mut room) = (total, 0);
+    for part in data {
+        let mut part = *part;
+        while part.len() > 0 {
+            if room == 0 {
+                // Close the piece before this one, declare this one.
+                room = left.min(STREAM_HIGH_WATER);
+                let closing = if left < total { "\r\n" } else { "" };
+                let start = side.len();
+                write!(side, "{closing}{room:x}\r\n").expect("a Vec takes any write");
+                push_part(wire, Part::new(false, start, side.len()));
+            }
+            let end = part.end.min(part.start + room);
+            push_part(wire, Part { end, ..part });
+            room -= end - part.start;
+            left -= end - part.start;
+            part.start = end;
+        }
+    }
+    if total > 0 {
+        push_side(wire, side, b"\r\n");
+    }
+    total + side.len() - framing_at
 }
 
 /// Whether a response head permits reusing its connection for another
@@ -2071,5 +2158,153 @@ fn classify_origin(raw: &[u8]) -> Origin {
         Ok(response) if response.status() == StatusCode::NOT_FOUND => Origin::NotFound,
         Ok(response) => Origin::Response(response),
         Err(_) => Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A socket that takes `room` more bytes and then would block.
+    struct Takes {
+        room: usize,
+        got: Vec<u8>,
+    }
+
+    impl Write for Takes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let before = self.got.len();
+            for buf in bufs {
+                let take = buf.len().min(self.room);
+                self.got.extend_from_slice(&buf[..take]);
+                self.room -= take;
+            }
+            Ok(self.got.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The encoding this file used to build in the client's write
+    /// buffer before writing it: each non-empty `data` as chunks of at
+    /// most [`STREAM_HIGH_WATER`] bytes.
+    fn flat_chunks(data: &[u8], out: &mut Vec<u8>) {
+        for piece in data.chunks(STREAM_HIGH_WATER) {
+            out.extend_from_slice(format!("{:x}\r\n", piece.len()).as_bytes());
+            out.extend_from_slice(piece);
+            out.extend_from_slice(b"\r\n");
+        }
+    }
+
+    /// Stages a clean last step the way `origin_stream_step` does: the
+    /// origin buffer's `runs` (as one-run chunks) with `markup` between
+    /// them, then a tail. Returns the staged step and the flat encoding
+    /// it must come to on the wire.
+    fn staged_step(
+        origin: &[u8],
+        runs: &[std::ops::Range<usize>],
+        markup: &[u8],
+    ) -> (Staged, Vec<u8>) {
+        let mut staged = Staged::default();
+        let mut output = Vec::new();
+        for run in runs {
+            // The rewriter is handed `origin[run]` and resolves all of it.
+            staged.base = run.start;
+            staged.run(&origin[run.clone()], 0..run.len());
+            staged.bytes(markup);
+            output.extend_from_slice(&origin[run.clone()]);
+            output.extend_from_slice(markup);
+        }
+        let framed = chunk_frame(&mut staged.wire, &mut staged.side, &staged.runs);
+        let start = staged.side.len();
+        staged.side.extend_from_slice(b"[B]</body></html>");
+        let tail = [Part::new(false, start, staged.side.len())];
+        chunk_frame(&mut staged.wire, &mut staged.side, &tail);
+        push_side(&mut staged.wire, &mut staged.side, b"0\r\n\r\n");
+        let mut flat = Vec::new();
+        flat_chunks(&output, &mut flat);
+        assert_eq!(framed, flat.len(), "the ledger's share of this step");
+        flat_chunks(b"[B]</body></html>", &mut flat);
+        flat.extend_from_slice(b"0\r\n\r\n");
+        (staged, flat)
+    }
+
+    /// Cuts the vectored write short after `room` bytes and checks that
+    /// what the socket took plus what is left in the backlog is the
+    /// staged head followed by the flat encoding, in order, once.
+    fn check_cut(staged: &Staged, origin: &[u8], flat: &[u8], room: usize) {
+        let sys = WorkerCounters::default();
+        let mut socket = Takes {
+            room,
+            got: Vec::new(),
+        };
+        let mut out = b"HEAD\r\n\r\n".to_vec();
+        let expected = [out.as_slice(), flat].concat();
+        let mut pos = 0;
+        write_staged(&mut socket, &mut out, &mut pos, staged, origin, &sys);
+        assert_eq!(sys.writes.get(), 1, "cut at {room}");
+        assert_eq!(sys.writes_blocked.get(), u64::from(room == 0));
+        assert_eq!(socket.got.len(), room.min(expected.len()), "cut at {room}");
+        assert!(
+            [&socket.got, &out[pos..]].concat() == expected,
+            "cut at {room}"
+        );
+        // The pump carries on from there with plain writes: none when
+        // the socket took everything, else the one that hears `EAGAIN`,
+        // as after any short write.
+        let step = write_available(&mut socket, &out, &mut pos, &sys);
+        let whole = room >= expected.len();
+        assert_eq!(matches!(step, WriteStep::Done), whole, "cut at {room}");
+        assert_eq!(matches!(step, WriteStep::Blocked), !whole, "cut at {room}");
+        assert_eq!(sys.writes.get(), 1 + u64::from(!whole), "cut at {room}");
+    }
+
+    #[test]
+    fn a_vectored_write_cut_short_at_any_byte_leaves_the_rest_in_the_backlog() {
+        let origin: Vec<u8> = (0..=255u8).cycle().take(600).collect();
+        let (staged, flat) = staged_step(&origin, &[5..200, 200..201, 230..599], b"[markup]");
+        for room in 0..=flat.len() + 12 {
+            check_cut(&staged, &origin, &flat, room);
+        }
+    }
+
+    #[test]
+    fn a_step_over_the_chunk_cap_is_cut_at_the_same_boundaries() {
+        // 150 KB in two runs: three chunks, the boundaries inside runs.
+        let origin: Vec<u8> = (0..=250u8).cycle().take(150 * 1024 + 40).collect();
+        let (staged, flat) = staged_step(&origin, &[40..100_000, 100_000..origin.len()], b"");
+        let boundaries = [0, 8, STREAM_HIGH_WATER + 15, 2 * STREAM_HIGH_WATER + 30];
+        for near in boundaries {
+            for room in near.saturating_sub(3)..near + 24 {
+                check_cut(&staged, &origin, &flat, room);
+            }
+        }
+        for room in (0..flat.len() + 9).step_by(4093) {
+            check_cut(&staged, &origin, &flat, room);
+        }
+    }
+
+    #[test]
+    fn a_step_of_more_runs_than_the_cap_is_copied_past_it() {
+        // A hostile origin's one-byte chunks: a run a byte, six bytes
+        // apart. The list of ranges stops growing at the cap and the
+        // rest is copied.
+        let origin: Vec<u8> = (0..=255u8).cycle().take(6 * 400).collect();
+        let runs: Vec<_> = (0..400).map(|k| 6 * k + 3..6 * k + 4).collect();
+        let (staged, flat) = staged_step(&origin, &runs, b"|");
+        assert!(staged.runs.len() <= MAX_RUNS + 1);
+        assert!(staged.wire.len() <= MAX_RUNS + 5);
+        for room in 0..=flat.len() + 12 {
+            check_cut(&staged, &origin, &flat, room);
+        }
     }
 }

@@ -7,7 +7,9 @@ use botwall_core::classifier::{Reason, Verdict};
 use botwall_gateway::Gateway;
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request, Response, StatusCode};
-use botwall_serve::{client, MockOrigin, MockOriginHandle, ServeConfig, Server, ShutdownHandle};
+use botwall_serve::{
+    client, frame, MockOrigin, MockOriginHandle, ServeConfig, Server, ShutdownHandle,
+};
 use botwall_sessions::SessionKey;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -267,6 +269,281 @@ fn truncated_origin_stream_is_not_reframed_as_complete() {
         .with_key_state(&loopback_key(ua), |_, state| state.in_flight)
         .expect("session exists");
     assert_eq!(in_flight, 0);
+    fx.finish();
+}
+
+/// A well-formed page of at least `size` bytes with a tag every fifty.
+fn page_of(size: usize) -> String {
+    let mut page = String::from("<html><head><title>t</title></head><body>\n");
+    while page.len() < size {
+        page.push_str("<p>the quick brown fox jumps over the lazy dog</p>\n");
+    }
+    page.push_str("</body></html>");
+    page
+}
+
+/// One `Connection: close` fetch of `path` with the socket in hand:
+/// sends the request on `conn`, hands it to `read` to drain however it
+/// likes, and returns the request's length on the wire, the raw
+/// response bytes `read` collected, and the decoded body.
+fn raw_fetch(
+    mut conn: TcpStream,
+    path: &str,
+    ua: &str,
+    read: impl FnOnce(&mut TcpStream, &mut Vec<u8>),
+) -> (usize, Vec<u8>, Vec<u8>) {
+    let req = Request::builder(Method::Get, path)
+        .header("User-Agent", ua)
+        .header("Host", "site.example")
+        .header("Connection", "close")
+        .build()
+        .unwrap();
+    let sent = botwall_http::wire::serialize_request(&req);
+    conn.write_all(&sent).unwrap();
+    let mut raw = Vec::new();
+    read(&mut conn, &mut raw);
+    let head = frame::response_head(&raw).unwrap().expect("a whole head");
+    assert_eq!(head.framing, frame::BodyFraming::Chunked);
+    let mut body = Vec::new();
+    let decoded = frame::BodyDecoder::new(head.framing)
+        .decode(&raw[head.len..], |_, run| body.extend_from_slice(run));
+    assert_eq!(
+        decoded,
+        Ok((raw.len() - head.len, true)),
+        "the stream is whole and nothing follows it"
+    );
+    (sent.len(), raw, body)
+}
+
+fn read_to_end(conn: &mut TcpStream, raw: &mut Vec<u8>) {
+    std::io::Read::read_to_end(conn, raw).unwrap();
+}
+
+/// The front door over an origin that serves `page` at /page.html,
+/// `Content-Length`-framed or in `chunked`-byte chunks.
+fn page_fixture(page: &str, chunked: Option<usize>) -> Fixture {
+    let mut origin = MockOrigin::new().page("/page.html", page);
+    if let Some(size) = chunked {
+        origin = origin.chunked("/page.html", size);
+    }
+    let origin = origin.start().unwrap();
+    let origin_addr = origin.addr();
+    Fixture::with(
+        Gateway::builder().seed(77).build(),
+        |config| config.origin = Some(origin_addr),
+        Some(origin),
+    )
+}
+
+/// The byte ledger counts what a streamed page put on the client's
+/// wire (the client's head, its chunk framing, the injected markup),
+/// not what the origin's side of the exchange weighed. The one part the
+/// server cannot know when it commits the exchange is the framing of
+/// the rewriter's tail chunk and the terminal chunk behind it.
+#[test]
+fn a_streamed_page_is_ledgered_as_the_bytes_the_client_was_sent() {
+    for (page, chunked) in [
+        (PAGE.to_string(), None),
+        (PAGE.to_string(), Some(7)),
+        (page_of(200 * 1024), None),
+        (page_of(200 * 1024), Some(8 * 1024)),
+    ] {
+        let fx = page_fixture(&page, chunked);
+        let conn = TcpStream::connect(fx.addr).unwrap();
+        let (sent, raw, body) =
+            raw_fetch(conn, "/page.html", "Mozilla/5.0 e2e-ledger", read_to_end);
+        let stats = fx.gateway.stats();
+        assert_eq!(
+            stats.instrumentation_bytes as usize,
+            body.len() - page.len()
+        );
+        let on_the_wire = (sent + raw.len()) as u64;
+        assert!(
+            stats.total_bytes <= on_the_wire && on_the_wire - stats.total_bytes <= 16,
+            "ledger {} for {on_the_wire} bytes on the wire (chunked: {chunked:?})",
+            stats.total_bytes
+        );
+        fx.finish();
+    }
+}
+
+/// An origin for one fetch that answers with `pieces`, one `write` each
+/// and `gap` apart, and closes: framing and pacing are the test's.
+fn scripted_origin(pieces: Vec<Vec<u8>>, gap: Duration) -> (SocketAddr, JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let origin = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut request = Vec::new();
+        let mut byte = [0u8; 1];
+        while !request.ends_with(b"\r\n\r\n") {
+            std::io::Read::read_exact(&mut conn, &mut byte).unwrap();
+            request.push(byte[0]);
+        }
+        for piece in pieces {
+            conn.write_all(&piece).unwrap();
+            std::thread::sleep(gap);
+        }
+    });
+    (addr, origin)
+}
+
+/// `page` as a `200 text/html` response in pieces of `size` body bytes,
+/// each a chunk of its own when `chunked`, under a `Content-Length`
+/// otherwise.
+fn page_response(page: &str, size: usize, chunked: bool) -> Vec<Vec<u8>> {
+    let framing = if chunked {
+        "Transfer-Encoding: chunked".to_string()
+    } else {
+        format!("Content-Length: {}", page.len())
+    };
+    let head = format!("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n{framing}\r\n\r\n");
+    let mut pieces = vec![head.into_bytes()];
+    for piece in page.as_bytes().chunks(size) {
+        pieces.push(if chunked {
+            [format!("{:x}\r\n", piece.len()).as_bytes(), piece, b"\r\n"].concat()
+        } else {
+            piece.to_vec()
+        });
+    }
+    if chunked {
+        pieces.push(b"0\r\n\r\n".to_vec());
+    }
+    pieces
+}
+
+/// Checks that `body` is `page`, every byte in order, with markup at
+/// the three injection sites (before `</head>`, inside `<body`, before
+/// the last `</body>`) and nowhere else. Returns the markup's length.
+fn markup_in(page: &str, body: &[u8]) -> usize {
+    let head_end = page.find("</head>").unwrap();
+    let body_open = page.find("<body").unwrap() + "<body".len();
+    let body_end = page.rfind("</body>").unwrap();
+    let page = page.as_bytes();
+    let (mut at, mut markup) = (0, 0);
+    for run in [
+        &page[..head_end],
+        &page[head_end..body_open],
+        &page[body_open..body_end],
+        &page[body_end..],
+    ] {
+        let skipped = body[at..]
+            .windows(run.len())
+            .position(|window| window == run)
+            .expect("the origin's bytes, in order");
+        markup += skipped;
+        at += skipped + run.len();
+    }
+    assert_eq!(at, body.len(), "nothing after the page");
+    assert_eq!(body.len() - page.len(), markup);
+    markup
+}
+
+/// A client whose receive buffer is fixed (a few loopback segments; the
+/// kernel would grow it to tens of megabytes otherwise) lets the page
+/// pile up against it until the server's write blocks, and then reads
+/// it in 1 KB sips, while the origin keeps sending 64 KB every few
+/// milliseconds: the vectored write is cut short, the rest queues behind
+/// it, the origin is paused and resumed around the backlog's water
+/// marks, and the page arrives whole, byte for byte and in order, over
+/// both origin framings, with the ledger balanced.
+#[test]
+fn a_slow_reader_gets_the_same_page_through_backpressure() {
+    // With the client's buffer fixed, what the kernel can still take
+    // off the server's hands is the server's own send buffer, which
+    // grows to the host's ceiling on loopback. The page is 2 MB more.
+    let send_buffer_max = std::fs::read_to_string("/proc/sys/net/ipv4/tcp_wmem")
+        .ok()
+        .and_then(|wmem| wmem.split_whitespace().nth(2)?.parse().ok())
+        .unwrap_or(4 * 1024 * 1024);
+    let page = page_of(send_buffer_max + 2 * 1024 * 1024);
+    let ua = "Mozilla/5.0 e2e-sips";
+    for chunked in [false, true] {
+        // Slowly enough that the server is never a piece behind: when
+        // its write blocks, most of the last 2 MB is still to come.
+        let (origin_addr, origin) = scripted_origin(
+            page_response(&page, 64 * 1024, chunked),
+            Duration::from_millis(3),
+        );
+        let fx = Fixture::with(
+            Gateway::builder().seed(77).build(),
+            |config| config.origin = Some(origin_addr),
+            None,
+        );
+        let addr = fx.addr;
+        let conn = TcpStream::connect(addr).unwrap();
+        reactor::net::set_recv_buffer(&conn, 256 * 1024).unwrap();
+        let (sent, raw, body) = raw_fetch(conn, "/page.html", ua, |conn, raw| {
+            // Not a byte is read until the server's write has blocked
+            // and the origin has had time to run into the pause.
+            let patience = Instant::now() + Duration::from_secs(30);
+            while stat(
+                &body_str(&get(addr, "/admin/stats", ua)),
+                "sys_writes_blocked",
+            ) == 0
+            {
+                assert!(Instant::now() < patience, "the write never blocked");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            let mut sip = [0u8; 1024];
+            loop {
+                match std::io::Read::read(conn, &mut sip).unwrap() {
+                    0 => break,
+                    n => raw.extend_from_slice(&sip[..n]),
+                }
+            }
+        });
+        origin.join().unwrap();
+        let stats = fx.gateway.stats();
+        assert_eq!((stats.requests, stats.served), (1, 1));
+        assert_eq!(
+            markup_in(&page, &body) as u64,
+            stats.instrumentation_bytes,
+            "chunked: {chunked}"
+        );
+        let on_the_wire = (sent + raw.len()) as u64;
+        assert!(
+            stats.total_bytes <= on_the_wire && on_the_wire - stats.total_bytes <= 16,
+            "ledger {} for {on_the_wire} bytes on the wire",
+            stats.total_bytes
+        );
+        let in_flight = fx
+            .gateway
+            .detector()
+            .with_key_state(&loopback_key(ua), |_, state| state.in_flight);
+        assert_eq!(in_flight, Some(0));
+        let report = fx.finish();
+        assert!(report.sys.writes_blocked > 0, "the client's socket filled");
+        assert!(
+            report.interest_changes >= 3,
+            "WRITABLE, pause, resume: {}",
+            report.interest_changes
+        );
+    }
+}
+
+/// A hostile origin's framing: the page in 4 000 and some chunks of one
+/// byte, sent in one piece, so a single step decodes thousands of runs.
+/// The list of ranges is capped and the rest copied; the client gets
+/// the page, every byte in order.
+#[test]
+fn a_page_in_one_byte_chunks_comes_out_the_same() {
+    let page = page_of(4000);
+    let response = page_response(&page, 1, true).concat();
+    let (origin_addr, origin) = scripted_origin(vec![response], Duration::ZERO);
+    let fx = Fixture::with(
+        Gateway::builder().seed(77).build(),
+        |config| config.origin = Some(origin_addr),
+        None,
+    );
+    let conn = TcpStream::connect(fx.addr).unwrap();
+    let (_, _, body) = raw_fetch(conn, "/page.html", "Mozilla/5.0 e2e-one-byte", read_to_end);
+    assert_eq!(
+        markup_in(&page, &body) as u64,
+        fx.gateway.stats().instrumentation_bytes
+    );
+    origin.join().unwrap();
     fx.finish();
 }
 
@@ -1116,6 +1393,66 @@ fn syscall_budget_a_pooled_asset_fetch_is_three_reads_and_two_writes() {
     assert!(eagain <= FETCHES, "{eagain} EAGAIN reads: {after}");
     assert_eq!((ctls, connects), (0, 0), "{after}");
     assert_eq!(stat(&after, "origin_reuses"), FETCHES);
+    drop(conn);
+    fx.finish();
+}
+
+/// A 64 KB page streamed through a warm pooled origin connection costs
+/// what a buffered asset does: the client's request, the takeout probe
+/// and the body are the reads, the upstream request and one vectored
+/// write (head, chunk framing, body where it was read, markup, terminal
+/// chunk) are the writes. A write the client's socket cuts short costs
+/// one more, and the two interest changes that wait for room. The
+/// origin's thread writes the page in one call, but nothing stops the
+/// kernel delivering it in two; each such split is one more read and
+/// one more (vectored) write, and the budget allows two in ten pages.
+#[test]
+fn syscall_budget_a_streamed_page_is_one_vectored_write() {
+    let origin = MockOrigin::new()
+        .page("/big.html", page_of(64 * 1024))
+        .keep_alive()
+        .start()
+        .unwrap();
+    let origin_addr = origin.addr();
+    let fx = Fixture::with(
+        Gateway::builder().seed(38).build(),
+        |config| config.origin = Some(origin_addr),
+        Some(origin),
+    );
+    let ua = "Mozilla/5.0 e2e-budget-page";
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    // Warm the client connection, the pool and the buffers.
+    assert!(get_on(&mut conn, "/big.html", ua).body().len() > 64 * 1024);
+    const PAGES: u64 = 10;
+    const SPLITS: u64 = 2;
+    let before = stats_on(&mut conn);
+    for _ in 0..PAGES {
+        assert!(get_on(&mut conn, "/big.html", ua).body().len() > 64 * 1024);
+    }
+    let after = stats_on(&mut conn);
+    let [reads, eagain, writes, blocked, ctls, connects] = moved(
+        &before,
+        &after,
+        [
+            "sys_reads",
+            "sys_reads_eagain",
+            "sys_writes",
+            "sys_writes_blocked",
+            "sys_epoll_ctls",
+            "sys_connects",
+        ],
+    );
+    assert!(reads <= 3 * PAGES + 1 + SPLITS, "{reads} reads: {after}");
+    assert_eq!(eagain, PAGES, "the takeout probes: {after}");
+    // One write per body read, however the body arrived.
+    let body_reads = reads - 1 - eagain - PAGES;
+    assert!(
+        writes <= PAGES + body_reads + blocked + 1,
+        "{writes} writes for {body_reads} body reads: {after}"
+    );
+    assert!(ctls <= 2 * blocked, "{ctls} epoll_ctls: {after}");
+    assert_eq!(connects, 0, "{after}");
+    assert_eq!(stat(&after, "origin_reuses"), PAGES);
     drop(conn);
     fx.finish();
 }

@@ -92,8 +92,9 @@ pub mod net {
     //! a second system call: a TCP connect that returns mid-handshake
     //! (register the stream for write interest and check
     //! [`std::net::TcpStream::take_error`] when writability arrives to
-    //! learn whether it succeeded), a `SO_REUSEPORT` listener, and an
-    //! accept whose stream is born non-blocking.
+    //! learn whether it succeeded), a `SO_REUSEPORT` listener, an accept
+    //! whose stream is born non-blocking, and a receive buffer of a
+    //! chosen size (what a test of backpressure needs its client to have).
 
     use std::io;
     use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
@@ -108,6 +109,7 @@ pub mod net {
     const EINPROGRESS: i32 = 115;
     const SOL_SOCKET: c_int = 1;
     const SO_REUSEADDR: c_int = 2;
+    const SO_RCVBUF: c_int = 8;
     const SO_REUSEPORT: c_int = 15;
     const SOMAXCONN_BACKLOG: c_int = 1024;
 
@@ -140,6 +142,25 @@ pub mod net {
         fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_int, len: u32)
             -> c_int;
         fn close(fd: c_int) -> c_int;
+    }
+
+    /// Sets one integer `SOL_SOCKET` option.
+    fn set_socket_option(fd: c_int, name: c_int, value: c_int) -> io::Result<()> {
+        let len = std::mem::size_of::<c_int>() as u32;
+        if unsafe { setsockopt(fd, SOL_SOCKET, name, &value, len) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    /// Fixes a socket's receive buffer at about `bytes` (`SO_RCVBUF`:
+    /// the kernel doubles the figure for its own bookkeeping and stops
+    /// auto-tuning the buffer), so a peer that writes more than the
+    /// reader takes finds its own socket full after kilobytes instead of
+    /// megabytes.
+    pub fn set_recv_buffer(stream: &TcpStream, bytes: usize) -> io::Result<()> {
+        let bytes = c_int::try_from(bytes).unwrap_or(c_int::MAX);
+        set_socket_option(stream.as_raw_fd(), SO_RCVBUF, bytes)
     }
 
     /// Starts a TCP connect without blocking. IPv4 only — the workspace
@@ -238,18 +259,8 @@ pub mod net {
             unsafe { close(fd) };
             Err(err)
         };
-        let one: c_int = 1;
         for opt in [SO_REUSEADDR, SO_REUSEPORT] {
-            let rc = unsafe {
-                setsockopt(
-                    fd,
-                    SOL_SOCKET,
-                    opt,
-                    &one,
-                    std::mem::size_of::<c_int>() as u32,
-                )
-            };
-            if rc < 0 {
+            if set_socket_option(fd, opt, 1).is_err() {
                 return fail(fd);
             }
         }
