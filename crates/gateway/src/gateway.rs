@@ -218,21 +218,38 @@ impl PendingOrigin {
     }
 }
 
-/// An HTML page serve streaming through the rewriter, produced by
-/// [`Gateway::begin_page_stream`] once the origin response head turns
-/// out to be a page: origin body chunks go in via [`PageStream::write`],
-/// rewritten bytes come out as they resolve, and
+/// An origin response on its way to the client as a stream. An HTML
+/// page goes through the rewriter: [`Gateway::begin_page_stream`] makes
+/// the stream once the origin response head turns out to be a page,
+/// origin body chunks go in via [`PageStream::write`] and rewritten
+/// bytes come out as they resolve. Anything else is a
+/// [`PageStream::relay`], whose bytes pass untouched. Either way
 /// [`Gateway::finish_page_stream`] commits the exchange when the body
 /// ends. Holds no lock and no engine borrow — it rides inside a
 /// connection slot across event-loop turns.
 #[derive(Debug)]
 pub struct PageStream {
-    /// `None` when the lease died before the stream began: the page
-    /// passes through uninstrumented, like the buffered lost path.
+    /// `None` for a relay, and when the lease died before a page's
+    /// stream began: the page passes through uninstrumented, like the
+    /// buffered lost path.
     rewrite: Option<StreamingRewrite>,
+    /// What the commit records as the response: the body is long gone
+    /// to the client by then, so this is a head.
+    head: Response,
 }
 
 impl PageStream {
+    /// A stream that passes its bytes through and records `head` (the
+    /// origin's status and the headers evidence folding reads) when it
+    /// is committed: how a caller streams an origin response that is
+    /// not a page through the same [`Gateway::finish_page_stream`].
+    pub fn relay(head: Response) -> PageStream {
+        PageStream {
+            rewrite: None,
+            head,
+        }
+    }
+
     /// Whether this stream is actually instrumenting (false on the
     /// lost-lease passthrough).
     pub fn instrumented(&self) -> bool {
@@ -512,7 +529,10 @@ impl Gateway {
                     now,
                 )
             });
-        PageStream { rewrite }
+        PageStream {
+            rewrite,
+            head: page_response(Vec::new()),
+        }
     }
 
     /// Phase two, **streaming** variant — commit. The origin body has
@@ -522,11 +542,13 @@ impl Gateway {
     /// put on the wire for this response (head + encoded chunks); the
     /// tail flushed here is added to the byte ledger on top.
     ///
-    /// The recorded response is a synthesized `200 text/html` head —
-    /// the body bytes are long gone to the client, which is the point
-    /// of streaming. Evidence folding only reads the status line and
-    /// headers, so detection is unaffected; the per-page byte ledger is
-    /// kept by the `wire_bytes` tally instead of `Response::wire_len`.
+    /// The recorded response is the head the stream carries (a page's
+    /// uncacheable `200 text/html`, a relay's origin status and
+    /// `Content-Type`) — the body bytes are long gone to the client,
+    /// which is the point of streaming. Evidence folding only reads the
+    /// status line and headers, so detection is unaffected; the byte
+    /// ledger is kept by the `wire_bytes` tally instead of
+    /// `Response::wire_len`.
     pub fn finish_page_stream(
         &self,
         pending: PendingOrigin,
@@ -548,10 +570,12 @@ impl Gateway {
             }
             None => None,
         };
-        // The page is already with the client; live or lost, what is
+        // The body is already with the client; live or lost, what is
         // left to record is its head (in_flight bookkeeping and the
-        // recording itself happen inside commit_exchange).
-        let respond = || (page_response(Vec::new()), ());
+        // recording itself happen inside commit_exchange). Exactly one
+        // of the two commit closures runs and takes it.
+        let head = Cell::new(Some(stream.head));
+        let respond = || (head.take().expect("head recorded once"), ());
         let (outcome, _, ()) =
             self.detector
                 .commit_exchange(lease, &request, now, |_, _| respond(), respond);
@@ -1091,6 +1115,41 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn a_relay_stream_passes_bytes_through_and_records_the_origins_head() {
+        let gw = Gateway::builder().seed(13).build();
+        let r = req(11, "http://site.example/style", "Mozilla/5.0");
+        let PendingServe::AwaitingOrigin(pending) = gw.handle_deferred(&r, SimTime::ZERO) else {
+            panic!("ordinary request leases");
+        };
+        let key = pending.key().clone();
+        let head = Response::builder(StatusCode::NOT_FOUND)
+            .header("Content-Type", "text/css")
+            .build();
+        let mut stream = PageStream::relay(head);
+        assert!(!stream.instrumented());
+        let mut out = Vec::new();
+        stream.write(b"<html><body>not a page to us</body></html>", &mut out);
+        let sent = out.len() as u64;
+        let streamed = gw.finish_page_stream(pending, stream, &mut out, sent, SimTime::ZERO);
+        assert_eq!(out, b"<html><body>not a page to us</body></html>");
+        assert!(streamed.manifest.is_none());
+        // The exchange is on the session's record as the origin answered
+        // it, not as a synthesized page.
+        let (errors, stylesheets, in_flight) = gw
+            .detector()
+            .with_key_state(&key, |session, state| {
+                let counters = session.counters();
+                (counters.resp_4xx, counters.css, state.in_flight)
+            })
+            .unwrap();
+        assert_eq!((errors, stylesheets, in_flight), (1, 1, 0));
+        let stats = gw.stats();
+        assert_eq!((stats.served, stats.token_entries), (1, 0));
+        assert_eq!(stats.instrumentation_bytes, 0);
+        assert_eq!(stats.total_bytes, r.wire_len() as u64 + sent);
     }
 
     #[test]

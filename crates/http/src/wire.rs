@@ -3,9 +3,12 @@
 //! This codec parses and serializes *complete* messages framed the classic
 //! way: start line, header block terminated by an empty line, and a body
 //! sized by `Content-Length`. Chunked transfer is handled one layer up, in
-//! `botwall-serve`'s `frame` module, which measures and de-chunks messages
-//! off a socket (handing this codec an identity-framed message) and
-//! streams chunked page bodies without buffering them. Malformed framing
+//! `botwall-serve`'s `frame` module, which measures and de-chunks requests
+//! off a socket (handing this codec an identity-framed message). In the
+//! server that is what this codec sees: requests in, and the responses
+//! the gate or the server makes out. An origin's response never comes
+//! here: it is relayed as a stream off its parsed head, whatever its
+//! framing, and is never a complete message anywhere. Malformed framing
 //! is reported precisely so failure-injection tests can assert on it.
 
 use crate::error::HttpError;

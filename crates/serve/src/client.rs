@@ -4,7 +4,7 @@
 //!
 //! The reader understands all three response framings — `Content-Length`,
 //! `Transfer-Encoding: chunked` (decoded incrementally, so a multi-MB
-//! streamed page is not subject to the buffered-frame cap), and
+//! streamed response is not subject to the request-frame cap), and
 //! close-delimited.
 
 use crate::frame::{self, BodyDecoder};

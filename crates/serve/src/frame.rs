@@ -1,18 +1,22 @@
 //! Incremental HTTP/1.x framing over a byte stream.
 //!
 //! [`botwall_http::wire`] parses complete messages; a socket delivers
-//! fragments. This module answers the one question the codec cannot:
-//! *how many buffered bytes make up the next complete message?* A frame
-//! is the header block (terminated by the blank line) plus a body of
-//! exactly `Content-Length` bytes, or — since PR 8 — a chunked
-//! (`Transfer-Encoding: chunked`) body, measured chunk by chunk to its
-//! terminal `0\r\n\r\n`. Responses without either are delimited by
-//! connection close, which the server handles at its EOF path.
+//! fragments. This module answers the two questions the codec cannot.
 //!
-//! Buffered callers use [`measure`] (whole frame) and [`dechunk`]
-//! (rebuild a chunked message as identity-framed for the codec); the
-//! streaming path uses [`response_head`] + [`BodyDecoder`] to consume a
-//! body incrementally in O(chunk) memory.
+//! For a **request**, which the server holds whole before the gate sees
+//! it: *how many buffered bytes make up the next complete message?*
+//! [`measure`] says (the header block, terminated by the blank line,
+//! plus a body of exactly `Content-Length` bytes or a chunked body
+//! measured chunk by chunk to its terminal `0\r\n\r\n`; no length
+//! means no body, which for a request is the rule), and [`dechunk`]
+//! rebuilds a chunked one as identity-framed for the codec.
+//!
+//! For a **response**, which the server never holds whole: *what does
+//! the head say, and which of the bytes behind it are body?*
+//! [`response_head`] parses the header block the moment it is buffered
+//! (no length there means the body runs to the connection's close), and
+//! [`BodyDecoder`] walks a body of any of the three framings
+//! incrementally, in O(chunk) memory.
 
 use botwall_http::HttpError;
 
@@ -20,7 +24,9 @@ use botwall_http::HttpError;
 /// header bytes without ever finishing the block is attacking, not slow.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
-/// Cap on one whole message (head + declared body).
+/// Cap on one whole request (head + declared body), and on the size
+/// any one chunk may declare. A response has no cap: it is relayed as
+/// it arrives, never held.
 pub const MAX_FRAME_BYTES: usize = 1024 * 1024;
 
 /// Cap on one chunk-size line (hex size + extensions + CRLF). Real
@@ -64,7 +70,7 @@ pub enum BodyFraming {
 pub struct ResponseHead {
     /// Header block length in bytes, including the blank line.
     pub len: usize,
-    /// The status code.
+    /// The status code, in `100..=599`.
     pub status: u16,
     /// The `Content-Type` value, if present (lowercased, parameters
     /// stripped: `text/html; charset=utf-8` reads as `text/html`).
@@ -199,9 +205,12 @@ fn crlf_at(buf: &[u8], pos: usize, cap: usize) -> Result<Option<usize>, HttpErro
     }
 }
 
-/// Measures the next message in `buf`. `Err` means the peer is framing
-/// garbage (oversized head, unparseable or oversized `Content-Length`,
-/// garbage chunk headers) and the connection should answer 400 / close.
+/// Measures the next request in `buf` (a message with neither
+/// `Content-Length` nor chunking has no body: true of requests, not of
+/// responses, which go through [`response_head`]). `Err` means the peer
+/// is framing garbage (oversized head, unparseable or oversized
+/// `Content-Length`, garbage chunk headers) and the connection should
+/// answer 400 / close.
 ///
 /// Chunked messages measure to their terminal chunk; an incomplete
 /// chunked body reads as [`Framing::Partial`] (the total length is
@@ -255,7 +264,8 @@ pub fn measure(buf: &[u8]) -> Result<Framing, HttpError> {
 /// Parses the header block of a response if it is fully buffered.
 /// `Ok(None)` means keep reading; `Err` means the peer is framing
 /// garbage. Unlike [`measure`] this never waits for the body — it is
-/// the streaming path's first step, taken before any body byte exists.
+/// the first step of every origin response, taken before any body byte
+/// exists.
 pub fn response_head(buf: &[u8]) -> Result<Option<ResponseHead>, HttpError> {
     let Some(end) = head_end(buf)? else {
         return Ok(None);
@@ -267,6 +277,7 @@ pub fn response_head(buf: &[u8]) -> Result<Option<ResponseHead>, HttpError> {
         .split_whitespace()
         .nth(1)
         .and_then(|code| code.parse().ok())
+        .filter(|code| (100..=599).contains(code))
         .ok_or_else(|| HttpError::InvalidHeader(format!("bad status line {status_line:?}")))?;
     let mut content_type = None;
     let mut connection_close = false;
@@ -443,7 +454,8 @@ impl BodyDecoder {
 /// stale `Content-Length` lines dropped). Non-chunked messages pass
 /// through unchanged — borrowed, not copied, so the identity-framed
 /// common case costs nothing. `raw` must hold exactly one complete
-/// message — callers get that guarantee from [`measure`].
+/// message — callers get that guarantee from [`measure`], so in the
+/// server this only ever sees a request.
 pub fn dechunk(raw: &[u8]) -> Result<std::borrow::Cow<'_, [u8]>, HttpError> {
     let Some(end) = head_end(raw)? else {
         return Err(HttpError::InvalidHeader(
@@ -667,6 +679,8 @@ mod tests {
 
         assert_eq!(response_head(b"HTTP/1.1 200 OK\r\n"), Ok(None));
         assert!(response_head(b"garbage\r\n\r\n").is_err());
+        assert!(response_head(b"HTTP/1.1 99 Too Low\r\n\r\n").is_err());
+        assert!(response_head(b"HTTP/1.1 600 Too High\r\n\r\n").is_err());
     }
 
     #[test]

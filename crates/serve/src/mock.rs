@@ -54,7 +54,7 @@ impl MockOrigin {
     }
 
     /// Registers a non-HTML body at `path` (`application/octet-stream`)
-    /// — what the front door relays whole instead of instrumenting.
+    /// — what the front door relays as it came instead of instrumenting.
     pub fn asset(mut self, path: impl Into<String>, bytes: impl Into<Vec<u8>>) -> MockOrigin {
         self.assets.insert(path.into(), bytes.into());
         self

@@ -9,12 +9,15 @@
 //! ([`PendingServe::Ready`]) serialize straight back. An allowed
 //! ordinary request comes back as a [`PendingServe::AwaitingOrigin`]
 //! lease: the server opens a **second non-blocking connection** to the
-//! origin through the same reactor, parks the client, and only when the
-//! origin's response (or its deadline) arrives does
-//! [`Gateway::complete`] commit the exchange and wake the client with
-//! the final bytes. No gateway lock and no event-loop stall spans the
-//! fetch — one slow origin delays exactly the connections waiting on
-//! *that* fetch, never their neighbors.
+//! origin through the same reactor and parks the client. Once the
+//! origin's response head has parsed, every response is a stream (see
+//! "Streaming responses"): a page through the rewriter, anything else
+//! as it came, and the end of the body commits the exchange
+//! ([`Gateway::finish_page_stream`]). Only a fetch that dies before its
+//! head is answered by the server itself, with a `502` or `504`
+//! committed through [`Gateway::complete`]. No gateway lock and no
+//! event-loop stall spans the fetch — one slow origin delays exactly
+//! the connections waiting on *that* fetch, never their neighbors.
 //!
 //! # Origin connection pool
 //!
@@ -30,12 +33,13 @@
 //! connection however often it is parked and taken), and takeout probes
 //! liveness with one non-blocking read — the only read this file makes
 //! in order to be told `EAGAIN`, and the price of never handing a
-//! poisoned socket to a lease. Reuse still races
-//! the origin's own close: a reused fetch that dies **before any
-//! response byte** transparently retries exactly once on a fresh
-//! connection, while a failure after the first byte takes the ordinary
-//! 502/504-through-[`Gateway::complete`] path, so the session's
-//! in-flight lease gauge returns to zero either way. `origin_pool: 0`
+//! poisoned socket to a lease. Reuse still races the origin's own
+//! close: a reused fetch that dies **before any response byte**
+//! transparently retries exactly once on a fresh connection. A failure
+//! after the first byte is never retried: inside the head it is the
+//! `502`/`504`, and after the head (which has gone out by then) a
+//! truncation the client can see. The lease is committed either way, so
+//! the session's in-flight gauge returns to zero. `origin_pool: 0`
 //! disables parking and restores the one-connection-per-fetch behavior
 //! byte for byte.
 //!
@@ -57,18 +61,21 @@
 //!
 //! A connection slot's read buffer and write buffer live on the slot,
 //! not the request: keep-alive requests reuse them, and released slots
-//! return them to per-worker pools for the next accept. A response is
-//! serialized head-first straight into the slot's pooled write buffer
-//! with the body appended once — the whole message leaves in one
-//! `write` when the socket accepts it. Origin-side connections draw
-//! from the same pools. Reads land directly in the slot's read buffer,
-//! which stays initialised from one request (and one connection) to the
-//! next with a fill cursor beside it, so a read is offered the whole
-//! spare area — at least 8KB, 64KB more once a read fills what it was
-//! offered — and costs the bytes it moved: no bounce buffer, no
-//! zero-fill per request. A read that comes back short has drained the
-//! socket, so the loop stops there instead of calling again to be told
-//! `EAGAIN`; only a hang-up event is read through to EOF.
+//! return them to per-worker pools for the next accept. A response the
+//! gate or the server makes is serialized head-first straight into the
+//! slot's pooled write buffer with the body appended once — the whole
+//! message leaves in one `write` when the socket accepts it. An origin
+//! response is never held whole: only its head is written there, and
+//! its body leaves from the buffer it was read into. Origin-side
+//! connections draw from the same pools. Reads land directly in the
+//! slot's read buffer, which stays initialised from one request (and
+//! one connection) to the next with a fill cursor beside it, so a read
+//! is offered the whole spare area — at least 8KB, 64KB more once a
+//! read fills what it was offered — and costs the bytes it moved: no
+//! bounce buffer, no zero-fill per request. A read that comes back
+//! short has drained the socket, so the loop stops there instead of
+//! calling again to be told `EAGAIN`; only a hang-up event is read
+//! through to EOF.
 //!
 //! # System calls per request
 //!
@@ -79,45 +86,55 @@
 //! while parked on an origin fetch (drop read interest on the event
 //! that delivers those bytes, restore it on the return to reading). A
 //! keep-alive request the gate answers alone is therefore one
-//! `epoll_wait`, one `read`, one `write`; a buffered origin fetch on a
-//! pooled connection adds the takeout probe and one `write`, `read` and
-//! `epoll_wait` for the upstream hop, and so does a streamed page whose
-//! body arrives in one read (head, chunk framing, body and markup leave
-//! in one `writev`); none touches `epoll_ctl`. Every call is counted
-//! where it is made ([`SysCalls`]), in per-reactor cells that cost a
-//! load and a store, and `/admin/stats` serves the totals as `sys_*`.
+//! `epoll_wait`, one `read`, one `write`; an origin response relayed
+//! from a pooled connection adds the takeout probe and one `write`,
+//! `read` and `epoll_wait` for the upstream hop when its body arrives
+//! in one read (head and body, and a page's chunk framing and markup,
+//! leave in one `writev`); none touches `epoll_ctl`. Every call is
+//! counted where it is made ([`SysCalls`]), in per-reactor cells that
+//! cost a load and a store, and `/admin/stats` serves the totals as
+//! `sys_*`.
 //!
-//! # Streaming pages
+//! # Streaming responses
 //!
-//! An origin response whose head reads `200` + `text/html` is not
-//! buffered at all: the server answers the client's head immediately
-//! with `Transfer-Encoding: chunked`, then pipes origin body bytes
-//! through the gateway's [`PageStream`] rewriter as they arrive —
-//! decode one origin chunk, rewrite it, chunk-encode it to the client.
-//! Between the origin's `read` and the client's `write` a body byte is
-//! not copied at all: the body decoder hands the rewriter slices of the
-//! origin's read buffer, the rewriter scans them in place and names
-//! what it resolves by offset, and the client's write is a `writev`
-//! over those ranges with the chunk framing and the injected markup
-//! (a few hundred bytes in a per-worker side buffer) between them. Only
-//! what the client's socket refuses is copied, behind its backlog.
-//! Memory per streamed page is bounded by the rewriter's constant
-//! hold-back plus the client's write backlog, never the page size, so a
-//! multi-MB page flows through in O(chunk). Backpressure is explicit: a
-//! client backlog over [`STREAM_HIGH_WATER`] parks the origin's read
-//! interest until the backlog drains below [`STREAM_LOW_WATER`]. A
-//! truncated origin (mid-body EOF, garbage chunk framing, stall past the
-//! origin timeout) still commits its lease, and the client's stream ends
-//! *without* the terminal chunk — truncation stays visible, never
-//! silently reframed as a complete page.
+//! No origin response is buffered whole. When its head has parsed, how
+//! the body travels is decided once (`BodyPlan`: nothing follows a
+//! response to `HEAD`, a 1xx, a 204 or a 304) and the client's head
+//! goes out at once. A `200` + `text/html` answers with a head of the
+//! server's own and pipes body bytes through the gateway's
+//! [`PageStream`] rewriter as they arrive; anything else answers with
+//! the origin's own status line and headers, only the hop-by-hop and
+//! framing lines replaced, and its bytes pass untouched. A length the
+//! origin declared is relayed under one `Content-Length`, unframed; a
+//! body whose length nobody knows yet (a page, a chunked or
+//! close-delimited origin) is chunk-encoded to an HTTP/1.1 client and
+//! ended by the close for an HTTP/1.0 one. Between the origin's `read`
+//! and the client's `write` a body byte is not copied at all: the body
+//! decoder hands the rewriter slices of the origin's read buffer, the
+//! rewriter scans them in place and names what it resolves by offset,
+//! and the client's write is a `writev` over those ranges with the
+//! chunk framing and the injected markup (a few hundred bytes in a
+//! per-worker side buffer) between them. Only what the client's socket
+//! refuses is copied, behind its backlog. Memory per response is
+//! bounded by the rewriter's constant hold-back plus the client's write
+//! backlog, never the body's size, so a multi-MB page or asset flows
+//! through in O(chunk). Backpressure is explicit: a client backlog over
+//! [`STREAM_HIGH_WATER`] parks the origin's read interest until the
+//! backlog drains below [`STREAM_LOW_WATER`]. A truncated origin
+//! (mid-body EOF, garbage chunk framing, stall past the origin timeout)
+//! still commits its lease, and the client's stream ends with a close
+//! and *without* the terminal chunk, or short of the length declared —
+//! truncation stays visible, never silently reframed as a complete
+//! message.
 //!
 //! # Timeouts and shutdown
 //!
 //! Each client connection carries a read deadline (idle keep-alive
 //! connections close quietly; half-sent requests answer 408) and each
-//! origin fetch carries its own deadline that completes the lease with a
-//! synthesized 504 — completing rather than dropping, so the session's
-//! in-flight lease count comes back down and enforcement stays exact.
+//! origin fetch carries its own deadline that completes the lease (with
+//! a synthesized 504 before the head, as a truncation after it) —
+//! completing rather than dropping, so the session's in-flight lease
+//! count comes back down and enforcement stays exact.
 //! Deadlines are refreshed freely (two or three times a request):
 //! re-arming is a store into the reactor's per-token table, and the
 //! wheel holds one entry per live descriptor, not one per arm. Time is
@@ -134,7 +151,7 @@ use crate::frame::{self, BodyDecoder, BodyFraming, Framing};
 use crate::stats::serve_stats_json;
 use botwall_gateway::{Gateway, Origin, PageStream, PendingServe, StreamSink};
 use botwall_http::request::ClientIp;
-use botwall_http::{wire, Request, Response, StatusCode};
+use botwall_http::{wire, Method, Request, Response, StatusCode};
 use botwall_sessions::SimTime;
 use reactor::{net, signals, Counter, Event, Interest, Reactor, ReactorCounters, Token, Waker};
 use std::io::{self, IoSlice, Read, Write};
@@ -351,7 +368,7 @@ pub const STREAM_HIGH_WATER: usize = 64 * 1024;
 pub const STREAM_LOW_WATER: usize = 16 * 1024;
 
 /// Recycled buffers above this size are dropped instead of pooled, so
-/// one multi-megabyte streamed page cannot pin its backlog buffer
+/// one multi-megabyte streamed response cannot pin its backlog buffer
 /// forever. A read buffer that grew once, for one page-sized body, is
 /// the largest kept.
 const POOL_BUF_CAP: usize = READ_FIRST + READ_MORE;
@@ -457,30 +474,30 @@ enum ClientState {
     Reading,
     /// Parked while slot `origin_slot` fetches this request's origin.
     Awaiting { origin_slot: usize },
-    /// Flushing the staged response in `out`: a whole buffered one, or
-    /// what is left of a page stream the origin has finished with
-    /// (`close_after` when it was cut short, so the missing terminal
-    /// chunk is followed by a close).
+    /// Flushing the staged response in `out`: one the gate or the server
+    /// made itself, or what is left of an origin response the origin has
+    /// finished with (`close_after` when it was cut short, so the
+    /// missing rest is followed by a close).
     Writing { close_after: bool },
-    /// Relaying a chunk-encoded instrumented page as the fetch in
-    /// `origin_slot` streams it in; `out` is what the socket has not
-    /// taken yet.
+    /// Relaying an origin response (a page through the rewriter, anything
+    /// else as it came) as the fetch in `origin_slot` streams it in;
+    /// `out` is what the socket has not taken yet.
     Streaming {
         origin_slot: usize,
         close_after: bool,
     },
 }
 
-/// How a step leaves a page stream.
+/// How a step leaves a response stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StreamEnd {
     /// The origin is still producing body bytes.
     More,
-    /// The body is complete; the terminal chunk follows it.
+    /// The body is complete; a chunked one gets its terminal chunk.
     Clean,
     /// The origin died mid-body. What is staged goes out, then the
-    /// connection closes without a terminal chunk so the client sees the
-    /// truncation.
+    /// connection closes with no terminal chunk and short of any
+    /// declared length, so the client sees the truncation.
     Truncated,
 }
 
@@ -505,7 +522,8 @@ struct OriginConn {
     /// Whether any response byte has arrived — the retry window closes
     /// the moment one does.
     saw_byte: bool,
-    state: OriginState,
+    /// The response on its way to the client, once its head has parsed.
+    relay: Option<Box<StreamingFetch>>,
 }
 
 /// A parked origin connection awaiting reuse. It stays registered
@@ -521,16 +539,14 @@ struct IdleOrigin {
     interest: Interest,
 }
 
-enum OriginState {
-    /// Head not yet decided, or a non-page response buffering whole.
-    Buffering,
-    /// A `200 text/html` response streaming through the rewriter.
-    Streaming(Box<StreamingFetch>),
-}
-
 struct StreamingFetch {
     decoder: BodyDecoder,
+    /// The rewriter for a page, a pass-through for anything else.
     page: PageStream,
+    /// Whether the client is sent the body in chunks (a length nobody
+    /// knows yet, an HTTP/1.1 client) or as it is (under the origin's
+    /// `Content-Length`, or to an HTTP/1.0 client until the close).
+    chunked: bool,
     /// What this response has put on the client's wire so far (head
     /// and encoded chunks), for the byte ledger.
     wire_bytes: u64,
@@ -567,7 +583,7 @@ fn set_interest(
 /// owes the socket more than [`STREAM_HIGH_WATER`], and is read again
 /// once that is back under [`STREAM_LOW_WATER`].
 fn throttle(reactor: &mut Reactor, slot: usize, o: &mut OriginConn, backlog: usize) {
-    let OriginState::Streaming(fetch) = &mut o.state else {
+    let Some(fetch) = &mut o.relay else {
         return;
     };
     let pause = if fetch.paused {
@@ -1247,7 +1263,7 @@ impl Worker {
                     return;
                 };
                 let mut out = self.take_buf();
-                wire::serialize_request_into(pending.request(), &mut out);
+                upstream_request(pending.request(), &mut out);
                 // Pool first: a parked connection skips connect and
                 // register outright, and its cached READABLE interest is
                 // already what a written-out fetch wants — the common
@@ -1321,7 +1337,7 @@ impl Worker {
                     interest,
                     reused,
                     saw_byte: false,
-                    state: OriginState::Buffering,
+                    relay: None,
                 })));
                 // Park the client with the registration it has: a
                 // hang-up is reported whatever the mask, and a client
@@ -1411,16 +1427,15 @@ impl Worker {
 
     fn drive_origin(&mut self, slot: usize, mut o: OriginConn, ev: Event) {
         if ev.timer {
-            match o.state {
+            if o.relay.is_some() {
                 // A stalled stream cannot 504 — the head already went
                 // out. Commit the lease, truncate the client.
-                OriginState::Streaming(_) => {
-                    self.staged.clear();
-                    self.relay_stream(slot, o, 0, StreamEnd::Truncated);
-                }
-                // Origin took too long: the lease completes with a 504
-                // and the client learns the truth.
-                OriginState::Buffering => self.fail_origin(slot, o, StatusCode::GATEWAY_TIMEOUT),
+                self.staged.clear();
+                self.relay_stream(slot, o, 0, StreamEnd::Truncated);
+            } else {
+                // Origin took too long to say anything: the lease
+                // completes with a 504 and the client learns the truth.
+                self.fail_origin(slot, o, StatusCode::GATEWAY_TIMEOUT);
             }
             return;
         }
@@ -1466,10 +1481,10 @@ impl Worker {
         if o.buf.len() > before {
             o.saw_byte = true;
         }
-        if matches!(o.state, OriginState::Streaming(_)) {
+        if o.relay.is_some() {
             self.origin_stream_step(slot, o, 0, eof);
         } else {
-            self.origin_buffer_step(slot, o, eof);
+            self.origin_head_step(slot, o, eof);
         }
     }
 
@@ -1533,64 +1548,31 @@ impl Worker {
         self.slots[slot] = Some(Slot::OriginFetch(Box::new(o)));
     }
 
-    /// An origin fetch whose response head is not yet decided (or is a
-    /// non-page response buffering whole).
-    fn origin_buffer_step(&mut self, slot: usize, mut o: OriginConn, eof: bool) {
+    /// An origin fetch whose response head has not parsed yet: retry if
+    /// the pooled connection turned out stale, wait for the rest of the
+    /// head, or hand the response over to the stream. An origin that
+    /// closes or sends garbage inside its head is the `502`.
+    fn origin_head_step(&mut self, slot: usize, o: OriginConn, eof: bool) {
         // A reused connection the origin closed without a single
         // response byte was stale in the pool: retry once, fresh.
         if eof && o.reused && !o.saw_byte && o.buf.is_empty() {
             self.retry_origin(slot, o);
             return;
         }
-        // A `200 text/html` head upgrades to the streaming path the
-        // moment it is complete — the body is never buffered.
-        let head = match frame::response_head(&o.buf) {
-            Ok(head) => head,
-            Err(_) => {
-                self.fail_origin(slot, o, StatusCode::BAD_GATEWAY);
-                return;
-            }
-        };
-        if let Some(head) = &head {
-            if head.status == 200 && head.content_type.as_deref() == Some("text/html") {
-                let head = head.clone();
-                self.begin_stream(slot, o, head, eof);
-                return;
-            }
-        }
-        match frame::measure(&o.buf) {
-            Ok(Framing::Complete { len }) => {
-                // Reuse eligibility comes from the head: self-delimited
-                // framing, no `Connection: close`, and nothing buffered
-                // past the message's end.
-                let reusable = head.as_ref().is_some_and(reuse_allowed) && o.buf.len() == len;
-                let origin = classify_origin(&o.buf[..len]);
-                // The message is consumed; whatever is left is what
-                // `park_or_free` refuses to park over.
-                o.buf.consume(len);
-                self.finish_origin(slot, o, origin, reusable);
-            }
-            Ok(_) if eof => {
-                // Close-delimited response (no Content-Length): the
-                // connection's end is the frame's end.
-                let origin = if o.buf.is_empty() {
-                    Origin::Response(Response::empty(StatusCode::BAD_GATEWAY))
-                } else {
-                    classify_origin(&o.buf)
-                };
-                self.finish_origin(slot, o, origin, false);
-            }
-            Ok(_) => {
-                self.slots[slot] = Some(Slot::OriginFetch(Box::new(o)));
-            }
-            Err(_) => self.fail_origin(slot, o, StatusCode::BAD_GATEWAY),
+        match frame::response_head(&o.buf) {
+            Ok(Some(head)) => self.begin_stream(slot, o, head, eof),
+            Ok(None) if !eof => self.slots[slot] = Some(Slot::OriginFetch(Box::new(o))),
+            _ => self.fail_origin(slot, o, StatusCode::BAD_GATEWAY),
         }
     }
 
-    /// Upgrades a fetch to the streaming path: lease the rewriter,
-    /// answer the parked client's head with chunked framing, and run the
-    /// first stream step over whatever body bytes arrived with the head
-    /// (in place, behind it — the head is skipped, not shifted out).
+    /// Hands a fetch whose head has parsed over to the stream: decide
+    /// how the body travels ([`BodyPlan`]), lease the rewriter for a
+    /// page or a pass-through that records the origin's status and
+    /// `Content-Type` for anything else, answer the parked client's
+    /// head, and run the first stream step over whatever body bytes
+    /// arrived with the origin's head (in place, behind it — the head is
+    /// skipped, not shifted out).
     fn begin_stream(
         &mut self,
         slot: usize,
@@ -1598,10 +1580,22 @@ impl Worker {
         head: frame::ResponseHead,
         eof: bool,
     ) {
-        let now = self.now();
-        let page = {
-            let pending = o.pending.as_ref().expect("lease pending until finish");
-            self.gateway.begin_page_stream(pending, now)
+        let pending = o.pending.as_ref().expect("lease pending until finish");
+        let request = pending.request();
+        let plan = BodyPlan::of(
+            &head,
+            *request.method() == Method::Head,
+            request.version() == "HTTP/1.1",
+        );
+        let page = if plan.page {
+            self.gateway.begin_page_stream(pending, self.now())
+        } else {
+            let status = StatusCode::new(head.status).expect("response_head checked the range");
+            let mut recorded = Response::builder(status);
+            if let Some(content_type) = &head.content_type {
+                recorded = recorded.header("Content-Type", content_type.as_str());
+            }
+            PageStream::relay(recorded.build())
         };
         let Some(Slot::Client(mut c)) = self.slots.get_mut(o.client_slot).and_then(Option::take)
         else {
@@ -1610,19 +1604,29 @@ impl Worker {
             self.abandon_origin(slot, o);
             return;
         };
+        let close_after = o.close_after || plan.to_close;
         c.out.clear();
         c.pos = 0;
-        streaming_head(o.close_after, &mut c.out);
-        o.state = OriginState::Streaming(Box::new(StreamingFetch {
-            decoder: BodyDecoder::new(head.framing),
+        if plan.page {
+            streaming_head(&plan, close_after, &mut c.out);
+        } else {
+            relay_head(&o.buf[..head.len], &plan, close_after, &mut c.out);
+        }
+        o.relay = Some(Box::new(StreamingFetch {
+            decoder: BodyDecoder::new(plan.origin),
             page,
+            chunked: plan.chunked,
             wire_bytes: c.out.len() as u64,
             paused: false,
-            reusable: reuse_allowed(&head),
+            // The connection can carry another request when the body is
+            // self-delimiting (a close-delimited one *is* the
+            // connection's end) and the origin has not announced
+            // `Connection: close`.
+            reusable: !head.connection_close && plan.origin != BodyFraming::Close,
         }));
         c.state = ClientState::Streaming {
             origin_slot: slot,
-            close_after: o.close_after,
+            close_after,
         };
         // No WRITABLE interest yet: the first step's write is attempted
         // straight away, and `pump` asks for it only if that blocks.
@@ -1635,12 +1639,13 @@ impl Worker {
     /// One step of an active stream: decode what arrived and rewrite it
     /// where it lies. The decoder points at body runs inside the
     /// origin's read buffer (past the `skip` bytes of response head on
-    /// the first step), the rewriter scans them there, and what it
-    /// resolves is staged as ranges of that buffer plus the few hundred
-    /// bytes that are not in it; [`Worker::relay_stream`] sends that on.
+    /// the first step), a page's rewriter scans them there (a relay
+    /// names each run whole), and what resolves is staged as ranges of
+    /// that buffer plus the few hundred bytes that are not in it;
+    /// [`Worker::relay_stream`] sends that on.
     fn origin_stream_step(&mut self, slot: usize, mut o: OriginConn, skip: usize, eof: bool) {
-        let OriginState::Streaming(fetch) = &mut o.state else {
-            unreachable!("caller checked the state");
+        let Some(fetch) = &mut o.relay else {
+            unreachable!("caller checked for the stream");
         };
         let StreamingFetch { decoder, page, .. } = &mut **fetch;
         let staged = &mut self.staged;
@@ -1665,26 +1670,24 @@ impl Worker {
     }
 
     /// Sends the step staged in `self.staged` (nothing, when the origin
-    /// stalled) to the client, chunk-framed, and settles the fetch's
-    /// fate: waiting for more (`consumed` bytes of its read buffer are
-    /// done with), finished, or truncated. A stream that ends, either
-    /// way, flushes the rewriter's tail as a chunk of its own and commits
-    /// its lease (dropping it would leak the session's in-flight count);
-    /// only a clean end gets the terminal chunk, so a truncation stays
-    /// visible.
+    /// stalled) to the client, chunk-framed or as it is, and settles the
+    /// fetch's fate: waiting for more (`consumed` bytes of its read
+    /// buffer are done with), finished, or truncated. A stream that
+    /// ends, either way, flushes the rewriter's tail (a chunk of its
+    /// own) and commits its lease (dropping it would leak the session's
+    /// in-flight count); only a clean end gets the terminal chunk, so a
+    /// truncation stays visible.
     fn relay_stream(&mut self, slot: usize, mut o: OriginConn, consumed: usize, end: StreamEnd) {
-        let OriginState::Streaming(fetch) = &mut o.state else {
+        let Some(fetch) = &mut o.relay else {
             unreachable!("only a streaming fetch is relayed");
         };
         let mut staged = std::mem::take(&mut self.staged);
-        fetch.wire_bytes += chunk_frame(&mut staged.wire, &mut staged.side, &staged.runs) as u64;
+        let chunked = fetch.chunked;
+        fetch.wire_bytes +=
+            frame_body(chunked, &mut staged.wire, &mut staged.side, &staged.runs) as u64;
         let mut reusable = false;
         if end != StreamEnd::More {
-            let OriginState::Streaming(fetch) =
-                std::mem::replace(&mut o.state, OriginState::Buffering)
-            else {
-                unreachable!("matched above");
-            };
+            let fetch = o.relay.take().expect("matched above");
             reusable = fetch.reusable;
             let pending = o.pending.take().expect("finish runs once per fetch");
             let start = staged.side.len();
@@ -1692,10 +1695,10 @@ impl Worker {
             self.gateway
                 .finish_page_stream(pending, page, &mut staged.side, sent, now);
             let tail = [Part::new(false, start, staged.side.len())];
-            chunk_frame(&mut staged.wire, &mut staged.side, &tail);
+            frame_body(chunked, &mut staged.wire, &mut staged.side, &tail);
             self.reactor.cancel_deadline(token_of(slot));
         }
-        if end == StreamEnd::Clean {
+        if end == StreamEnd::Clean && chunked {
             push_side(&mut staged.wire, &mut staged.side, b"0\r\n\r\n");
         }
         let client_slot = o.client_slot;
@@ -1818,29 +1821,20 @@ impl Worker {
         }
     }
 
-    /// The fetch in `slot` failed on the origin's side: the lease
-    /// completes with an empty `status` and the connection is retired.
-    fn fail_origin(&mut self, slot: usize, o: OriginConn, status: StatusCode) {
-        self.finish_origin(slot, o, Origin::Response(Response::empty(status)), false);
-    }
-
-    /// Commits an origin outcome into the leased exchange and wakes the
-    /// waiting client with the final decision. `reusable` parks the
-    /// origin connection for the next fetch when the pool has room.
-    fn finish_origin(
-        &mut self,
-        origin_slot: usize,
-        mut o: OriginConn,
-        origin: Origin,
-        reusable: bool,
-    ) {
-        self.reactor.cancel_deadline(token_of(origin_slot));
-        let pending = o.pending.take().expect("finish runs once per fetch");
+    /// The fetch in `slot` died before its response head: the lease
+    /// completes with an empty `status` of the server's own making (the
+    /// `502` or the `504`), the connection is retired, and the waiting
+    /// client is woken with the answer.
+    fn fail_origin(&mut self, slot: usize, mut o: OriginConn, status: StatusCode) {
+        self.reactor.cancel_deadline(token_of(slot));
+        let pending = o.pending.take().expect("a fetch fails once");
+        let failed = Origin::Response(Response::empty(status));
         let now = self.now();
-        let decision = self.gateway.complete(pending, origin, now);
+        let decision = self.gateway.complete(pending, failed, now);
         let client_slot = o.client_slot;
         let close_after = o.close_after;
-        self.park_or_free(origin_slot, o, reusable);
+        self.pending_free.push(slot);
+        self.retire_origin(o);
         // The client may have died in this same batch; its teardown
         // already completed the lease path above, so just drop the
         // decision if nobody is waiting.
@@ -1988,20 +1982,153 @@ fn write_staged(
     staged.queue(out, origin, wrote.saturating_sub(backlog));
 }
 
-/// Appends the client-side response head for a streamed page: the
-/// buffered path's headers (200, `text/html`, uncacheable) with chunked
-/// framing in place of a `Content-Length`. The head is invariant per
-/// connection mode, so it lives as wire bytes — nothing builds or
-/// serializes a `Response` on the streaming hot path.
-fn streaming_head(close_after: bool, out: &mut Vec<u8>) {
-    const HEAD: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\
-        Cache-Control: no-cache, no-store\r\nTransfer-Encoding: chunked\r\nConnection: ";
-    out.extend_from_slice(HEAD);
+/// How one origin response's body travels, decided once, when its head
+/// has parsed, from the request's method and version and the origin's
+/// status and headers. Everything downstream (the decoder, the head the
+/// client is sent, the framing of each step, whether either connection
+/// survives) follows this and looks at no header again.
+#[derive(Debug, PartialEq, Eq)]
+struct BodyPlan {
+    /// A `200 text/html` answer to anything but a `HEAD`: the body goes
+    /// through the rewriter. Anything else passes as it came.
+    page: bool,
+    /// How the origin delimits the body it sends; `Length(0)` when none
+    /// follows.
+    origin: BodyFraming,
+    /// The `Content-Length` the client's head declares: the origin's,
+    /// unless the rewriter is about to change it.
+    length: Option<usize>,
+    /// A body of a length nobody knows yet, to an HTTP/1.1 client: sent
+    /// in chunks.
+    chunked: bool,
+    /// The same to an HTTP/1.0 client, which was never taught chunks:
+    /// sent as it is, and the close is its end.
+    to_close: bool,
+}
+
+impl BodyPlan {
+    fn of(head: &frame::ResponseHead, head_request: bool, http11: bool) -> BodyPlan {
+        // RFC 9112 §6.3: nothing follows a response to `HEAD`, a 1xx, a
+        // 204 or a 304, whatever its headers declare.
+        let bodiless = head_request || matches!(head.status, 100..=199 | 204 | 304);
+        let page =
+            !bodiless && head.status == 200 && head.content_type.as_deref() == Some("text/html");
+        let length = match head.framing {
+            BodyFraming::Length(n) if !page => Some(n),
+            _ => None,
+        };
+        let unknown = !bodiless && length.is_none();
+        BodyPlan {
+            page,
+            origin: if bodiless {
+                BodyFraming::Length(0)
+            } else {
+                head.framing
+            },
+            length,
+            chunked: unknown && http11,
+            to_close: unknown && !http11,
+        }
+    }
+}
+
+/// Whether a header line is about one connection, not about the message:
+/// neither hop passes the other's on.
+fn hop_by_hop(name: &[u8]) -> bool {
+    const NAMES: [&str; 5] = [
+        "connection",
+        "keep-alive",
+        "proxy-connection",
+        "trailer",
+        "upgrade",
+    ];
+    NAMES
+        .iter()
+        .any(|hop| name.eq_ignore_ascii_case(hop.as_bytes()))
+}
+
+/// Serializes the request the origin is sent: the client's, as this
+/// hop's own HTTP/1.1 message. The client's hop-by-hop lines stay
+/// behind, so a `Connection: close` (or an HTTP/1.0 request line) ends
+/// the client's connection and not a pooled origin one.
+fn upstream_request(request: &Request, out: &mut Vec<u8>) {
+    out.reserve(request.wire_len());
+    write!(out, "{} {} HTTP/1.1\r\n", request.method(), request.uri())
+        .expect("a Vec takes any write");
+    for (name, value) in request.headers().iter() {
+        if !hop_by_hop(name.as_bytes()) {
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(value.as_bytes());
+            out.extend_from_slice(b"\r\n");
+        }
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(request.body());
+}
+
+/// Ends a streamed response's head with the only framing and
+/// `Connection` lines it carries, which are this hop's: the length when
+/// one is declared, `chunked` when the body goes out in chunks, neither
+/// when no body follows or the close delimits it.
+fn end_head(plan: &BodyPlan, close_after: bool, out: &mut Vec<u8>) {
+    if let Some(length) = plan.length {
+        write!(out, "Content-Length: {length}\r\n").expect("a Vec takes any write");
+    }
+    if plan.chunked {
+        out.extend_from_slice(b"Transfer-Encoding: chunked\r\n");
+    }
     out.extend_from_slice(if close_after {
-        b"close\r\n\r\n".as_slice()
+        b"Connection: close\r\n\r\n".as_slice()
     } else {
-        b"keep-alive\r\n\r\n".as_slice()
+        b"Connection: keep-alive\r\n\r\n".as_slice()
     });
+}
+
+/// Appends the client-side response head for a streamed page: 200,
+/// `text/html`, uncacheable, and never a `Content-Length` (the rewriter
+/// is about to change it). The head is invariant per connection mode,
+/// so it lives as wire bytes — nothing builds or serializes a
+/// `Response` on the streaming hot path.
+fn streaming_head(plan: &BodyPlan, close_after: bool, out: &mut Vec<u8>) {
+    out.extend_from_slice(
+        b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\
+        Cache-Control: no-cache, no-store\r\n",
+    );
+    end_head(plan, close_after, out);
+}
+
+/// Appends the client-side head for a response that is relayed as it
+/// came: the origin's own head block (`origin`, blank line included)
+/// under this hop's protocol version, every line byte for byte and in
+/// the origin's order except the hop-by-hop lines and every
+/// `Content-Length` and `Transfer-Encoding`, however many there are;
+/// [`end_head`] writes the one framing line the relay follows. Two
+/// different lengths from an origin therefore never reach a client
+/// together.
+fn relay_head(origin: &[u8], plan: &BodyPlan, close_after: bool, out: &mut Vec<u8>) {
+    let mut lines = origin.split_inclusive(|&b| b == b'\n');
+    let status_line = lines.next().unwrap_or_default();
+    let code_at = status_line
+        .iter()
+        .position(u8::is_ascii_whitespace)
+        .unwrap_or(0);
+    out.extend_from_slice(b"HTTP/1.1");
+    out.extend_from_slice(&status_line[code_at..]);
+    let mut dropped = false;
+    for line in lines.take_while(|line| *line != b"\r\n") {
+        // A folded line shares the fate of the one it continues.
+        if !line.starts_with(b" ") && !line.starts_with(b"\t") {
+            let name = line.split(|&b| b == b':').next().unwrap_or_default();
+            dropped = hop_by_hop(name)
+                || name.eq_ignore_ascii_case(b"content-length")
+                || name.eq_ignore_ascii_case(b"transfer-encoding");
+        }
+        if !dropped {
+            out.extend_from_slice(line);
+        }
+    }
+    end_head(plan, close_after, out);
 }
 
 /// The most pieces of output one step stages by reference (a page that
@@ -2101,6 +2228,17 @@ fn push_side(list: &mut Vec<Part>, side: &mut Vec<u8>, bytes: &[u8]) {
     push_part(list, Part::new(false, start, side.len()));
 }
 
+/// Lays `data` onto `wire` as the client is sent it: chunk-framed, or as
+/// it is for a body that travels under a `Content-Length` or to the
+/// close. Returns its length on the wire.
+fn frame_body(chunked: bool, wire: &mut Vec<Part>, side: &mut Vec<u8>, data: &[Part]) -> usize {
+    if chunked {
+        return chunk_frame(wire, side, data);
+    }
+    data.iter().for_each(|part| push_part(wire, *part));
+    data.iter().map(Part::len).sum()
+}
+
 /// Chunk-frames `data` onto `wire` in pieces of at most
 /// [`STREAM_HIGH_WATER`] bytes (a fast origin can land far more than
 /// that in one event batch; unbounded chunk declarations are hostile to
@@ -2135,30 +2273,6 @@ fn chunk_frame(wire: &mut Vec<Part>, side: &mut Vec<u8>, data: &[Part]) -> usize
         push_side(wire, side, b"\r\n");
     }
     total + side.len() - framing_at
-}
-
-/// Whether a response head permits reusing its connection for another
-/// request: the body must be self-delimiting (`Content-Length` or
-/// chunked — a close-delimited body *is* the connection's end) and the
-/// origin must not have announced `Connection: close`.
-fn reuse_allowed(head: &frame::ResponseHead) -> bool {
-    !head.connection_close && !matches!(head.framing, BodyFraming::Close)
-}
-
-/// Maps a buffered origin response to the gateway's [`Origin`] taxonomy:
-/// 404s map to `NotFound`, everything else passes through untouched
-/// (chunked bodies reframed as identity first — the wire codec only
-/// parses `Content-Length`). Pages never get here: a `200 text/html`
-/// head takes the streaming path before its body is buffered.
-fn classify_origin(raw: &[u8]) -> Origin {
-    let Ok(identity) = frame::dechunk(raw) else {
-        return Origin::Response(Response::empty(StatusCode::BAD_GATEWAY));
-    };
-    match wire::parse_response(&identity) {
-        Ok(response) if response.status() == StatusCode::NOT_FOUND => Origin::NotFound,
-        Ok(response) => Origin::Response(response),
-        Err(_) => Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-    }
 }
 
 #[cfg(test)]
@@ -2266,6 +2380,194 @@ mod tests {
         assert_eq!(matches!(step, WriteStep::Done), whole, "cut at {room}");
         assert_eq!(matches!(step, WriteStep::Blocked), !whole, "cut at {room}");
         assert_eq!(sys.writes.get(), 1 + u64::from(!whole), "cut at {room}");
+    }
+
+    fn head_of(raw: &str) -> frame::ResponseHead {
+        frame::response_head(raw.as_bytes()).unwrap().unwrap()
+    }
+
+    /// The head a client is sent for `origin`, a response head nothing
+    /// follows, in answer to a `GET` (or a `HEAD`) of its protocol
+    /// version: the decision and the builder together, as
+    /// `begin_stream` runs them.
+    fn relayed(origin: &str, head_request: bool, http11: bool) -> String {
+        let plan = BodyPlan::of(&head_of(origin), head_request, http11);
+        assert!(!plan.page);
+        let mut out = Vec::new();
+        relay_head(origin.as_bytes(), &plan, plan.to_close, &mut out);
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn a_relayed_head_carries_one_framing_line_and_it_is_ours() {
+        // Defect (4): two different lengths from one origin. The body is
+        // sized by the first, and the first is the one line that leaves.
+        let two_lengths = "HTTP/1.1 200 OK\r\nContent-Length: 5\r\nX-Between: 1\r\n\
+            content-length: 7\r\n\r\n";
+        assert_eq!(
+            relayed(two_lengths, false, true),
+            "HTTP/1.1 200 OK\r\nX-Between: 1\r\nContent-Length: 5\r\n\
+             Connection: keep-alive\r\n\r\n"
+        );
+        // A chunked claim beside them wins (RFC 9112 §6.3), and then no
+        // length leaves at all: chunks for a client that reads them, the
+        // close for one that does not.
+        let and_chunked = "HTTP/1.1 200 OK\r\nContent-Length: 5\r\ncontent-length: 7\r\n\
+            Transfer-Encoding: chunked\r\nX-After: 1\r\n\r\n";
+        assert_eq!(
+            relayed(and_chunked, false, true),
+            "HTTP/1.1 200 OK\r\nX-After: 1\r\nTransfer-Encoding: chunked\r\n\
+             Connection: keep-alive\r\n\r\n"
+        );
+        assert_eq!(
+            relayed(and_chunked, false, false),
+            "HTTP/1.1 200 OK\r\nX-After: 1\r\nConnection: close\r\n\r\n"
+        );
+        // Nothing follows a response to `HEAD`: it keeps the origin's
+        // first length, gets no `Transfer-Encoding`, and no length is
+        // invented where the origin declared none (a 304).
+        assert_eq!(
+            relayed(two_lengths, true, true),
+            "HTTP/1.1 200 OK\r\nX-Between: 1\r\nContent-Length: 5\r\n\
+             Connection: keep-alive\r\n\r\n"
+        );
+        assert_eq!(
+            relayed(and_chunked, true, true),
+            "HTTP/1.1 200 OK\r\nX-After: 1\r\nConnection: keep-alive\r\n\r\n"
+        );
+        assert_eq!(
+            relayed(
+                "HTTP/1.1 304 Not Modified\r\nETag: \"v1\"\r\n\r\n",
+                false,
+                false
+            ),
+            "HTTP/1.1 304 Not Modified\r\nETag: \"v1\"\r\nConnection: keep-alive\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn a_relayed_head_is_the_origins_but_for_the_hop_by_hop_lines() {
+        // The origin's 404 page passes like any response: its status
+        // line, reason phrase and headers, in its order, byte for byte
+        // (odd spacing and case included), `Set-Cookie` twice.
+        let origin = "HTTP/1.0 404 Nothing Here\r\nServer:  odd  spacing \r\n\
+            Set-Cookie: a=1\r\nconnection: Keep-Alive, Upgrade\r\nKeep-Alive: timeout=5\r\n\
+            Set-Cookie: b=2\r\nProxy-Connection: keep-alive\r\nTrailer: Expires\r\n\
+            UPGRADE: h2c\r\nX-Folded: one\r\n\ttwo\r\nKeep-Alive: folded\r\n too\r\n\
+            content-type: text/html\r\nContent-Length: 9\r\n\r\n";
+        assert_eq!(
+            relayed(origin, false, true),
+            "HTTP/1.1 404 Nothing Here\r\nServer:  odd  spacing \r\n\
+             Set-Cookie: a=1\r\nSet-Cookie: b=2\r\nX-Folded: one\r\n\ttwo\r\n\
+             content-type: text/html\r\nContent-Length: 9\r\nConnection: keep-alive\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn body_framing_is_decided_from_method_status_version_and_headers() {
+        let asset =
+            head_of("HTTP/1.1 200 OK\r\nContent-Type: image/gif\r\nContent-Length: 5\r\n\r\n");
+        let plan = BodyPlan::of(&asset, false, true);
+        assert_eq!(
+            plan,
+            BodyPlan {
+                page: false,
+                origin: BodyFraming::Length(5),
+                length: Some(5),
+                chunked: false,
+                to_close: false,
+            }
+        );
+        // An HTTP/1.0 client changes nothing when the length is known.
+        assert_eq!(BodyPlan::of(&asset, false, false), plan);
+        // A response to `HEAD` keeps the length it declares and has no
+        // body to wait for.
+        let to_head = BodyPlan::of(&asset, true, true);
+        assert_eq!(
+            (to_head.origin, to_head.length),
+            (BodyFraming::Length(0), Some(5))
+        );
+
+        // A page's length changes under the rewriter: chunks, or the
+        // close for a client that predates them. `HEAD` for one is a
+        // relay, not a page.
+        let page =
+            head_of("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 90\r\n\r\n");
+        let plan = BodyPlan::of(&page, false, true);
+        assert!(plan.page && plan.chunked && !plan.to_close);
+        assert_eq!((plan.origin, plan.length), (BodyFraming::Length(90), None));
+        let plan = BodyPlan::of(&page, false, false);
+        assert!(plan.page && !plan.chunked && plan.to_close);
+        let plan = BodyPlan::of(&page, true, true);
+        assert!(!plan.page && !plan.chunked && !plan.to_close);
+        assert_eq!(plan.length, Some(90));
+
+        // No declared length: re-chunked, or close-delimited for 1.0.
+        for raw in [
+            "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\n",
+        ] {
+            let head = head_of(raw);
+            let plan = BodyPlan::of(&head, false, true);
+            assert!(plan.chunked && !plan.to_close && !plan.page);
+            assert_eq!((plan.origin, plan.length), (head.framing, None));
+            let plan = BodyPlan::of(&head, false, false);
+            assert!(!plan.chunked && plan.to_close);
+        }
+
+        // RFC 9112 §6.3: nothing follows a 1xx, a 204 or a 304, and a
+        // missing length is not a body that runs to the close.
+        for status in ["100 Continue", "204 No Content", "304 Not Modified"] {
+            let head = head_of(&format!(
+                "HTTP/1.1 {status}\r\nContent-Type: text/html\r\n\r\n"
+            ));
+            assert_eq!(head.framing, BodyFraming::Close);
+            for http11 in [true, false] {
+                assert_eq!(
+                    BodyPlan::of(&head, false, http11),
+                    BodyPlan {
+                        page: false,
+                        origin: BodyFraming::Length(0),
+                        length: None,
+                        chunked: false,
+                        to_close: false,
+                    }
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_upstream_request_leaves_the_clients_hop_by_hop_lines_behind() {
+        let request = Request::builder(Method::Post, "/form?x=1")
+            .version("HTTP/1.0")
+            .header("Host", "site.example")
+            .header("Connection", "close")
+            .header("Cookie", "a=1")
+            .header("keep-alive", "timeout=5")
+            .header("Proxy-Connection", "keep-alive")
+            .header("Upgrade", "websocket")
+            .header("Cookie", "b=2")
+            .header("Content-Length", "3")
+            .body_bytes(b"a=b".to_vec())
+            .build()
+            .unwrap();
+        let mut out = Vec::new();
+        upstream_request(&request, &mut out);
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "POST /form?x=1 HTTP/1.1\r\nHost: site.example\r\nCookie: a=1\r\n\
+             Cookie: b=2\r\nContent-Length: 3\r\n\r\na=b"
+        );
+        // Nothing to leave behind: the bytes the codec writes.
+        let request = Request::builder(Method::Get, "/index.html")
+            .header("Host", "site.example")
+            .header("User-Agent", "Mozilla/5.0")
+            .build()
+            .unwrap();
+        let mut out = Vec::new();
+        upstream_request(&request, &mut out);
+        assert_eq!(out, wire::serialize_request(&request));
     }
 
     #[test]

@@ -158,9 +158,11 @@ fn serves_an_instrumented_page_end_to_end() {
     fx.finish();
 }
 
-/// A page well past the buffered-frame cap (1 MB), chunk-fed by the
+/// A page well past the request-frame cap (1 MB), chunk-fed by the
 /// origin, must flow through instrumented end to end — the streaming
-/// path never buffers the page whole on either hop.
+/// path never buffers the page whole on either hop. Neither does it an
+/// asset of the same size: that one arrives byte for byte under the
+/// `Content-Length` the origin declared.
 #[test]
 fn streams_a_multi_megabyte_page_chunked_end_to_end() {
     let paragraph = "<p>the quick brown fox jumps over the lazy dog</p>\n";
@@ -170,9 +172,11 @@ fn streams_a_multi_megabyte_page_chunked_end_to_end() {
         big.push_str(paragraph);
     }
     big.push_str("<p>the-last-paragraph</p></body></html>");
+    let asset: Vec<u8> = (0..3 * 1024 * 1024u32).map(|i| (i % 251) as u8).collect();
     let origin = MockOrigin::new()
         .page("/big.html", big.clone())
         .chunked("/big.html", 8 * 1024)
+        .asset("/big.bin", asset.clone())
         .start()
         .unwrap();
     let origin_addr = origin.addr();
@@ -193,10 +197,24 @@ fn streams_a_multi_megabyte_page_chunked_end_to_end() {
     let stats = fx.gateway.stats();
     assert_eq!(stats.served, 1);
     assert!(stats.instrumentation_bytes > 0);
+    let page_overhead = body.len() - big.len();
     assert_eq!(
-        stats.instrumentation_bytes as usize,
-        body.len() - big.len(),
+        stats.instrumentation_bytes as usize, page_overhead,
         "overhead accounting matches the observed growth exactly"
+    );
+
+    let conn = TcpStream::connect(fx.addr).unwrap();
+    let (_, raw, head, body) = raw_exchange(conn, "/big.bin", "Mozilla/5.0 e2e-big", read_to_end);
+    assert_eq!(head.status, 200);
+    assert_eq!(head.framing, frame::BodyFraming::Length(asset.len()));
+    let head_text = String::from_utf8_lossy(&raw[..head.len]).to_ascii_lowercase();
+    assert!(!head_text.contains("transfer-encoding"), "{head_text}");
+    assert!(body == asset, "the asset, byte for byte");
+    let stats = fx.gateway.stats();
+    assert_eq!(stats.served, 2);
+    assert_eq!(
+        stats.instrumentation_bytes as usize, page_overhead,
+        "not a byte of it counted as markup"
     );
     fx.finish();
 }
@@ -270,6 +288,69 @@ fn truncated_origin_stream_is_not_reframed_as_complete() {
         .expect("session exists");
     assert_eq!(in_flight, 0);
     fx.finish();
+
+    // An asset under a `Content-Length` the origin never honours: cut
+    // by a close mid-body, or by a stall past `origin_timeout`. The
+    // client reads the head as declared, fewer bytes than it declares,
+    // and then a close; what it was sent is what the ledger says; and
+    // the origin connection is dropped on the spot, not parked.
+    const DECLARED: usize = 100_000;
+    const SENT: usize = 40_000;
+    for stall in [Duration::ZERO, Duration::from_secs(3)] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let origin_addr = listener.local_addr().unwrap();
+        let origin = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            read_request(&mut conn).expect("a request");
+            let head = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n\
+                 Content-Length: {DECLARED}\r\n\r\n"
+            );
+            conn.write_all(head.as_bytes()).unwrap();
+            conn.write_all(&[0x5A; SENT]).unwrap();
+            if stall.is_zero() {
+                return true;
+            }
+            // Whether the server hangs up before the origin gives up.
+            conn.set_read_timeout(Some(stall)).unwrap();
+            matches!(std::io::Read::read(&mut conn, &mut [0u8; 1]), Ok(0))
+        });
+        let fx = Fixture::with(
+            Gateway::builder().seed(10).build(),
+            |config| {
+                config.origin = Some(origin_addr);
+                config.origin_timeout = Duration::from_millis(300);
+            },
+            None,
+        );
+        let ua = "Mozilla/5.0 e2e-truncated-asset";
+        let req = request("/dying.bin", ua);
+        let mut conn = TcpStream::connect(fx.addr).unwrap();
+        client::send_request(&mut conn, &req).unwrap();
+        let started = Instant::now();
+        let mut raw = Vec::new();
+        read_to_end(&mut conn, &mut raw);
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "the close follows the cut, or the stall deadline: {:?}",
+            started.elapsed()
+        );
+        let head = frame::response_head(&raw).unwrap().expect("a whole head");
+        assert_eq!(head.framing, frame::BodyFraming::Length(DECLARED));
+        assert!(raw[head.len..] == [0x5A; SENT], "what arrived, and no more");
+        assert!(origin.join().unwrap(), "the origin connection was dropped");
+        let stats = fx.gateway.stats();
+        assert_eq!((stats.requests, stats.served), (1, 1));
+        let sent = botwall_http::wire::serialize_request(&req).len();
+        assert_eq!(stats.total_bytes, (sent + raw.len()) as u64);
+        let in_flight = fx
+            .gateway
+            .detector()
+            .with_key_state(&loopback_key(ua), |_, state| state.in_flight);
+        assert_eq!(in_flight, Some(0));
+        let report = fx.finish();
+        assert_eq!((report.origin_connects, report.origin_reuses), (1, 0));
+    }
 }
 
 /// A well-formed page of at least `size` bytes with a tag every fifty.
@@ -282,16 +363,30 @@ fn page_of(size: usize) -> String {
     page
 }
 
-/// One `Connection: close` fetch of `path` with the socket in hand:
-/// sends the request on `conn`, hands it to `read` to drain however it
-/// likes, and returns the request's length on the wire, the raw
-/// response bytes `read` collected, and the decoded body.
+/// One `Connection: close` fetch of a page at `path`: [`raw_exchange`]
+/// for a response that is chunked on the wire.
 fn raw_fetch(
-    mut conn: TcpStream,
+    conn: TcpStream,
     path: &str,
     ua: &str,
     read: impl FnOnce(&mut TcpStream, &mut Vec<u8>),
 ) -> (usize, Vec<u8>, Vec<u8>) {
+    let (sent, raw, head, body) = raw_exchange(conn, path, ua, read);
+    assert_eq!(head.framing, frame::BodyFraming::Chunked);
+    (sent, raw, body)
+}
+
+/// One `Connection: close` fetch of `path` with the socket in hand:
+/// sends the request on `conn`, hands it to `read` to drain however it
+/// likes, and returns the request's length on the wire, the raw
+/// response bytes `read` collected, the response head as parsed, and
+/// the decoded body, which must be whole with nothing after it.
+fn raw_exchange(
+    mut conn: TcpStream,
+    path: &str,
+    ua: &str,
+    read: impl FnOnce(&mut TcpStream, &mut Vec<u8>),
+) -> (usize, Vec<u8>, frame::ResponseHead, Vec<u8>) {
     let req = Request::builder(Method::Get, path)
         .header("User-Agent", ua)
         .header("Host", "site.example")
@@ -303,7 +398,6 @@ fn raw_fetch(
     let mut raw = Vec::new();
     read(&mut conn, &mut raw);
     let head = frame::response_head(&raw).unwrap().expect("a whole head");
-    assert_eq!(head.framing, frame::BodyFraming::Chunked);
     let mut body = Vec::new();
     let decoded = frame::BodyDecoder::new(head.framing)
         .decode(&raw[head.len..], |_, run| body.extend_from_slice(run));
@@ -312,7 +406,7 @@ fn raw_fetch(
         Ok((raw.len() - head.len, true)),
         "the stream is whole and nothing follows it"
     );
-    (sent.len(), raw, body)
+    (sent.len(), raw, head, body)
 }
 
 fn read_to_end(conn: &mut TcpStream, raw: &mut Vec<u8>) {
@@ -365,6 +459,46 @@ fn a_streamed_page_is_ledgered_as_the_bytes_the_client_was_sent() {
         );
         fx.finish();
     }
+    // A relayed asset is ledgered the same way: to the byte under a
+    // `Content-Length`, short of the terminal chunk when re-chunked.
+    let asset: Vec<u8> = (0..40_000u32).map(|i| (i % 253) as u8).collect();
+    for chunked in [false, true] {
+        let response = body_response("application/octet-stream", &asset, 7000, chunked);
+        let (origin_addr, origin) = scripted_origin(vec![response.concat()], Duration::ZERO);
+        let fx = Fixture::with(
+            Gateway::builder().seed(77).build(),
+            |config| config.origin = Some(origin_addr),
+            None,
+        );
+        let conn = TcpStream::connect(fx.addr).unwrap();
+        let (sent, raw, head, body) =
+            raw_exchange(conn, "/asset.bin", "Mozilla/5.0 e2e-ledger", read_to_end);
+        origin.join().unwrap();
+        let expected = if chunked {
+            frame::BodyFraming::Chunked
+        } else {
+            frame::BodyFraming::Length(asset.len())
+        };
+        assert_eq!(head.framing, expected);
+        assert!(
+            body == asset,
+            "the asset, byte for byte (chunked: {chunked})"
+        );
+        let stats = fx.gateway.stats();
+        assert_eq!(stats.instrumentation_bytes, 0);
+        let on_the_wire = (sent + raw.len()) as u64;
+        let unledgered = if chunked {
+            b"0\r\n\r\n".len() as u64
+        } else {
+            0
+        };
+        assert_eq!(
+            stats.total_bytes + unledgered,
+            on_the_wire,
+            "chunked: {chunked}"
+        );
+        fx.finish();
+    }
 }
 
 /// An origin for one fetch that answers with `pieces`, one `write` each
@@ -392,14 +526,19 @@ fn scripted_origin(pieces: Vec<Vec<u8>>, gap: Duration) -> (SocketAddr, JoinHand
 /// each a chunk of its own when `chunked`, under a `Content-Length`
 /// otherwise.
 fn page_response(page: &str, size: usize, chunked: bool) -> Vec<Vec<u8>> {
+    body_response("text/html", page.as_bytes(), size, chunked)
+}
+
+/// The same for any body and type.
+fn body_response(content_type: &str, body: &[u8], size: usize, chunked: bool) -> Vec<Vec<u8>> {
     let framing = if chunked {
         "Transfer-Encoding: chunked".to_string()
     } else {
-        format!("Content-Length: {}", page.len())
+        format!("Content-Length: {}", body.len())
     };
-    let head = format!("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n{framing}\r\n\r\n");
+    let head = format!("HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\n{framing}\r\n\r\n");
     let mut pieces = vec![head.into_bytes()];
-    for piece in page.as_bytes().chunks(size) {
+    for piece in body.chunks(size) {
         pieces.push(if chunked {
             [format!("{:x}\r\n", piece.len()).as_bytes(), piece, b"\r\n"].concat()
         } else {
@@ -458,11 +597,19 @@ fn a_slow_reader_gets_the_same_page_through_backpressure() {
         .unwrap_or(4 * 1024 * 1024);
     let page = page_of(send_buffer_max + 2 * 1024 * 1024);
     let ua = "Mozilla/5.0 e2e-sips";
-    for chunked in [false, true] {
+    // The third pass sends the same bytes as somebody else's format,
+    // under a `Content-Length`: relayed through the same backpressure,
+    // unframed and untouched.
+    for (content_type, chunked) in [
+        ("text/html", false),
+        ("text/html", true),
+        ("application/octet-stream", false),
+    ] {
+        let is_page = content_type == "text/html";
         // Slowly enough that the server is never a piece behind: when
         // its write blocks, most of the last 2 MB is still to come.
         let (origin_addr, origin) = scripted_origin(
-            page_response(&page, 64 * 1024, chunked),
+            body_response(content_type, page.as_bytes(), 64 * 1024, chunked),
             Duration::from_millis(3),
         );
         let fx = Fixture::with(
@@ -473,7 +620,7 @@ fn a_slow_reader_gets_the_same_page_through_backpressure() {
         let addr = fx.addr;
         let conn = TcpStream::connect(addr).unwrap();
         reactor::net::set_recv_buffer(&conn, 256 * 1024).unwrap();
-        let (sent, raw, body) = raw_fetch(conn, "/page.html", ua, |conn, raw| {
+        let (sent, raw, head, body) = raw_exchange(conn, "/page.html", ua, |conn, raw| {
             // Not a byte is read until the server's write has blocked
             // and the origin has had time to run into the pause.
             let patience = Instant::now() + Duration::from_secs(30);
@@ -497,11 +644,18 @@ fn a_slow_reader_gets_the_same_page_through_backpressure() {
         origin.join().unwrap();
         let stats = fx.gateway.stats();
         assert_eq!((stats.requests, stats.served), (1, 1));
-        assert_eq!(
-            markup_in(&page, &body) as u64,
-            stats.instrumentation_bytes,
-            "chunked: {chunked}"
-        );
+        if is_page {
+            assert_eq!(head.framing, frame::BodyFraming::Chunked);
+            assert_eq!(
+                markup_in(&page, &body) as u64,
+                stats.instrumentation_bytes,
+                "chunked: {chunked}"
+            );
+        } else {
+            assert_eq!(head.framing, frame::BodyFraming::Length(page.len()));
+            assert!(body == page.as_bytes(), "byte for byte");
+            assert_eq!(stats.instrumentation_bytes, 0);
+        }
         let on_the_wire = (sent + raw.len()) as u64;
         assert!(
             stats.total_bytes <= on_the_wire && on_the_wire - stats.total_bytes <= 16,
@@ -1547,7 +1701,11 @@ fn syscall_budget_the_timer_wheel_is_bounded_by_live_descriptors() {
 /// chunk never waits for `origin_timeout`.
 #[test]
 fn a_close_delimited_origin_response_completes_at_the_fin() {
-    for fin_after in [Duration::ZERO, Duration::from_millis(150)] {
+    let fin_timings = [Duration::ZERO, Duration::from_millis(150)];
+    let cases = ["text/html", "text/plain"]
+        .into_iter()
+        .flat_map(|content_type| fin_timings.map(|fin_after| (content_type, fin_after)));
+    for (content_type, fin_after) in cases {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let origin_addr = listener.local_addr().unwrap();
         let origin = std::thread::spawn(move || {
@@ -1558,8 +1716,8 @@ fn a_close_delimited_origin_response_completes_at_the_fin() {
                 assert_eq!(std::io::Read::read(&mut conn, &mut byte).unwrap(), 1);
                 request.push(byte[0]);
             }
-            conn.write_all(b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n")
-                .unwrap();
+            let head = format!("HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\n\r\n");
+            conn.write_all(head.as_bytes()).unwrap();
             conn.write_all(PAGE.as_bytes()).unwrap();
             std::thread::sleep(fin_after);
         });
@@ -1579,6 +1737,10 @@ fn a_close_delimited_origin_response_completes_at_the_fin() {
             body.contains("content") && body.ends_with("</html>"),
             "{body}"
         );
+        // Anything but a page keeps its type and every byte of its
+        // body: a response without a length has one all the same.
+        assert_eq!(response.content_type(), Some(content_type));
+        assert_eq!(body == PAGE, content_type == "text/plain", "{body}");
         assert!(
             started.elapsed() < Duration::from_secs(3),
             "the FIN ({fin_after:?} after the body), not the deadline, ended the fetch: {:?}",
@@ -1631,6 +1793,251 @@ fn a_type_that_only_starts_with_text_html_passes_through_untouched() {
     );
     assert_eq!(stats.token_entries, 0, "no page, no token");
     fx.finish();
+}
+
+/// Reads one bodiless request or one response head off `conn`, a byte
+/// at a time so that nothing past the blank line is taken. `None` when
+/// the peer closed first.
+fn read_request(conn: &mut TcpStream) -> Option<Vec<u8>> {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        if std::io::Read::read(conn, &mut byte).unwrap_or(0) == 0 {
+            return None;
+        }
+        head.push(byte[0]);
+    }
+    Some(head)
+}
+
+fn read_head(conn: &mut TcpStream) -> String {
+    String::from_utf8(read_request(conn).expect("a head")).unwrap()
+}
+
+/// RFC 9112 §6.3: nothing follows a response to `HEAD`, a 204 or a 304,
+/// whatever length it declares or fails to. Each is answered the moment
+/// its head arrives, with the origin's head; the client's connection
+/// carries the next request, and so does the origin's. (Before the relay
+/// knew this, `HEAD` for an asset waited out `origin_timeout` for five
+/// bytes that were never coming and answered 504, and `HEAD` for a page
+/// minted a token and opened a chunked stream only the deadline ended.)
+/// That next request is for a page the origin does not have, and its
+/// own 404 page, headers and all, is what the client gets: a 404 is an
+/// origin response like any other, not a cue to make one up.
+#[test]
+fn a_response_without_a_body_is_answered_at_once_with_the_origins_head() {
+    let page_length = format!("Content-Length: {}", PAGE.len());
+    let answers = [
+        (
+            "HEAD /pixel.bin ",
+            "HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n\
+             Content-Length: 5\r\n\r\n"
+                .to_string(),
+        ),
+        (
+            "HEAD /index.html ",
+            format!("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n{page_length}\r\n\r\n"),
+        ),
+        (
+            "GET /empty ",
+            "HTTP/1.1 204 No Content\r\nX-Origin: yes\r\n\r\n".to_string(),
+        ),
+        (
+            "GET /cached.css ",
+            "HTTP/1.1 304 Not Modified\r\nETag: \"v1\"\r\n\r\n".to_string(),
+        ),
+        // The next request on both connections: the origin's own 404
+        // page, which reaches the client as the origin sent it.
+        (
+            "GET /gone.html ",
+            "HTTP/1.1 404 Not Found\r\nContent-Type: text/html\r\nSet-Cookie: a=1\r\n\
+             Set-Cookie: b=2\r\nContent-Length: 24\r\n\r\n<html>long gone</html>\r\n"
+                .to_string(),
+        ),
+    ];
+    // One connection, every request on it: the origin side of "parked".
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let origin_addr = listener.local_addr().unwrap();
+    let script = answers.clone();
+    let origin = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut answered = 0;
+        while let Some(request) = read_request(&mut conn) {
+            let (_, answer) = script
+                .iter()
+                .find(|(line, _)| request.starts_with(line.as_bytes()))
+                .expect("a scripted request");
+            conn.write_all(answer.as_bytes()).unwrap();
+            answered += 1;
+        }
+        answered
+    });
+    let fx = Fixture::with(
+        Gateway::builder().seed(40).build(),
+        |config| {
+            config.origin = Some(origin_addr);
+            config.origin_timeout = Duration::from_secs(5);
+        },
+        None,
+    );
+    let ua = "Mozilla/5.0 e2e-bodiless";
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let started = Instant::now();
+    let mut heads = Vec::new();
+    for (line, _) in &answers {
+        let (method, path) = line.trim_end().split_once(' ').unwrap();
+        let request = Request::builder(method.parse().unwrap(), path)
+            .header("User-Agent", ua)
+            .header("Host", "site.example")
+            .build()
+            .unwrap();
+        client::send_request(&mut conn, &request).unwrap();
+        // Had the last response carried a body, or chunk framing, it
+        // would be in front of this head.
+        heads.push(read_head(&mut conn));
+    }
+    let mut body = [0u8; 24];
+    std::io::Read::read_exact(&mut conn, &mut body).unwrap();
+    assert_eq!(
+        &body, b"<html>long gone</html>\r\n",
+        "the one that has a body"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "nobody waited for a body: {:?}",
+        started.elapsed()
+    );
+    let expected = [
+        "HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n\
+         Content-Length: 5\r\nConnection: keep-alive\r\n\r\n"
+            .to_string(),
+        format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n{page_length}\r\n\
+             Connection: keep-alive\r\n\r\n"
+        ),
+        "HTTP/1.1 204 No Content\r\nX-Origin: yes\r\nConnection: keep-alive\r\n\r\n".to_string(),
+        "HTTP/1.1 304 Not Modified\r\nETag: \"v1\"\r\nConnection: keep-alive\r\n\r\n".to_string(),
+        "HTTP/1.1 404 Not Found\r\nContent-Type: text/html\r\nSet-Cookie: a=1\r\n\
+         Set-Cookie: b=2\r\nContent-Length: 24\r\nConnection: keep-alive\r\n\r\n"
+            .to_string(),
+    ];
+    assert_eq!(heads, expected);
+    let stats = fx.gateway.stats();
+    assert_eq!((stats.requests, stats.served), (5, 5));
+    assert_eq!(stats.token_entries, 0, "HEAD for a page mints nothing");
+    assert_eq!(stats.instrumentation_bytes, 0);
+    let in_flight = fx
+        .gateway
+        .detector()
+        .with_key_state(&loopback_key(ua), |_, state| state.in_flight);
+    assert_eq!(in_flight, Some(0));
+    drop(conn);
+    let report = fx.finish();
+    assert_eq!(origin.join().unwrap(), 5);
+    assert_eq!(
+        (report.origin_connects, report.origin_reuses),
+        (1, 4),
+        "every fetch after the first rode the parked connection"
+    );
+}
+
+/// `Connection` is about one hop. A client that asks for its own
+/// connection to be closed is not asking for the origin's: the upstream
+/// request goes out without the line, and the fetch parks its origin
+/// connection like any other. (The mock origin closes when it reads
+/// `Connection: close`, as origins do.)
+#[test]
+fn a_connection_close_client_still_parks_its_origin_connection() {
+    let asset = vec![0xC3u8; 2048];
+    let origin = MockOrigin::new()
+        .asset("/pixel.bin", asset.clone())
+        .keep_alive()
+        .start()
+        .unwrap();
+    let origin_addr = origin.addr();
+    let fx = Fixture::with(
+        Gateway::builder().seed(41).build(),
+        |config| config.origin = Some(origin_addr),
+        Some(origin),
+    );
+    for _ in 0..3 {
+        let conn = TcpStream::connect(fx.addr).unwrap();
+        let (_, raw, head, body) = raw_exchange(
+            conn,
+            "/pixel.bin",
+            "Mozilla/5.0 e2e-hop-by-hop",
+            read_to_end,
+        );
+        assert!(body == asset);
+        assert!(head.connection_close, "the client's own hop does close");
+        assert_eq!(head.framing, frame::BodyFraming::Length(asset.len()));
+        assert_eq!(raw.len(), head.len + asset.len());
+    }
+    let report = fx.finish();
+    assert_eq!(
+        (report.origin_connects, report.origin_reuses),
+        (1, 2),
+        "one origin connection fed all three"
+    );
+}
+
+/// An HTTP/1.0 client was never taught chunks. A body whose length
+/// nobody knows when its head is written (a page under the rewriter, an
+/// asset the origin chunked) reaches it as HTTP/1.0 bodies always have:
+/// as it is, ended by the close. One whose length the origin declared
+/// keeps it.
+#[test]
+fn an_http_1_0_client_is_never_sent_chunks() {
+    let asset: Vec<u8> = (0..30_000u32).map(|i| (i % 241) as u8).collect();
+    let fetch = |addr: SocketAddr, path: &str| {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let request = format!(
+            "GET {path} HTTP/1.0\r\nHost: site.example\r\nUser-Agent: Mozilla/5.0 e2e-http10\r\n\r\n"
+        );
+        conn.write_all(request.as_bytes()).unwrap();
+        let started = Instant::now();
+        let mut raw = Vec::new();
+        read_to_end(&mut conn, &mut raw);
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "the close, not a deadline, ends the body: {:?}",
+            started.elapsed()
+        );
+        let head_len = raw.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+        let head = String::from_utf8(raw[..head_len].to_vec()).unwrap();
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+        assert!(!head.contains("Transfer-Encoding"), "{head}");
+        assert!(head.ends_with("Connection: close\r\n\r\n"), "{head}");
+        (head, raw.split_off(head_len))
+    };
+
+    let fx = Fixture::standard();
+    let (head, body) = fetch(fx.addr, "/index.html");
+    assert!(!head.contains("Content-Length"), "{head}");
+    assert!(markup_in(PAGE, &body) > 0, "the whole page, instrumented");
+    assert_eq!(fx.gateway.stats().token_entries, 1);
+    fx.finish();
+
+    for chunked in [true, false] {
+        let response = body_response("application/octet-stream", &asset, 4096, chunked);
+        let (origin_addr, origin) = scripted_origin(vec![response.concat()], Duration::ZERO);
+        let fx = Fixture::with(
+            Gateway::builder().seed(42).build(),
+            |config| config.origin = Some(origin_addr),
+            None,
+        );
+        let (head, body) = fetch(fx.addr, "/asset.bin");
+        origin.join().unwrap();
+        assert_eq!(
+            head.contains(&format!("Content-Length: {}\r\n", asset.len())),
+            !chunked,
+            "{head}"
+        );
+        assert!(body == asset, "no chunk framing in it (chunked: {chunked})");
+        let stats = fx.gateway.stats();
+        assert_eq!((stats.requests, stats.served), (1, 1));
+        fx.finish();
+    }
 }
 
 /// A head bigger than the first landing area, then a body that trickles

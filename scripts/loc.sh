@@ -5,6 +5,9 @@
 # `benchmark/` crate listed apart), and the five largest files. These
 # are the numbers ROADMAP's aim 2 and its re-anchors quote. Plain `wc -l`
 # over `*.rs`: blank lines, comments and in-file test modules all count.
+# The `non-test` column is the part of `src` that is not an in-file test
+# module: each file up to its first `#[cfg(test)]` line (all of it when
+# it has none), so "non-test lines" is a printed number too.
 # Informational: nothing here fails a build.
 #
 # Usage: scripts/loc.sh
@@ -23,7 +26,21 @@ lines() {
     echo "$total"
 }
 
-printf '%-22s %8s %8s %8s %8s\n' crate src tests benches total
+# Counts the lines of its input files that come before each file's first
+# `#[cfg(test)]` line.
+before_tests='FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests { n++ }
+    END { print n + 0 }'
+
+# Non-test lines of every *.rs file under one directory.
+non_test() {
+    [[ -d $1 ]] || { echo 0; return; }
+    find "$1" -name '*.rs' -not -path '*/target/*' -print0 \
+        | xargs -0 -r awk "$before_tests" | awk '{ sum += $1 } END { print sum + 0 }'
+}
+
+printf '%-22s %8s %8s %8s %8s %8s\n' crate src non-test tests benches total
 sum=0
 for crate in crates/*/; do
     crate=${crate%/}
@@ -32,15 +49,19 @@ for crate in crates/*/; do
     benches=$(lines "$crate/benches")
     total=$((src + tests + benches))
     sum=$((sum + total))
-    printf '%-22s %8d %8d %8d %8d\n' "$crate" "$src" "$tests" "$benches" "$total"
+    printf '%-22s %8d %8d %8d %8d %8d\n' "$crate" "$src" "$(non_test "$crate/src")" \
+        "$tests" "$benches" "$total"
 done
 root=$(lines src tests examples)
-printf '%-22s %8d %8d %8s %8d\n' "(root)" "$(lines src examples)" "$(lines tests)" - "$root"
-printf '%-22s %35d\n' "crates + root" $((sum + root))
-printf '%-22s %35d\n' "shims" "$(lines shims)"
-printf '%-22s %35d\n' "benchmark" "$(lines benchmark)"
+printf '%-22s %8d %8d %8d %8s %8d\n' "(root)" "$(lines src examples)" \
+    $(($(non_test src) + $(non_test examples))) "$(lines tests)" - "$root"
+printf '%-22s %44d\n' "crates + root" $((sum + root))
+printf '%-22s %44d\n' "shims" "$(lines shims)"
+printf '%-22s %44d\n' "benchmark" "$(lines benchmark)"
 
 echo
-echo "largest files:"
+echo "largest files (lines, non-test lines):"
 find crates src tests examples -name '*.rs' -print0 | xargs -0 wc -l | grep -v ' total$' \
-    | sort -rn | head -5
+    | sort -rn | head -5 | while read -r n file; do
+        printf '%7d %7d %s\n' "$n" "$(awk "$before_tests" "$file")" "$file"
+    done
