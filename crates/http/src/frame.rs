@@ -1,24 +1,18 @@
-//! Incremental HTTP/1.x framing over a byte stream.
+//! HTTP/1.x framing over a byte stream: which buffered bytes are the
+//! next message, and which of them are body.
 //!
-//! [`botwall_http::wire`] parses complete messages; a socket delivers
-//! fragments. This module answers the two questions the codec cannot.
-//!
-//! For a **request**, which the server holds whole before the gate sees
-//! it: *how many buffered bytes make up the next complete message?*
-//! [`measure`] says (the header block, terminated by the blank line,
-//! plus a body of exactly `Content-Length` bytes or a chunked body
-//! measured chunk by chunk to its terminal `0\r\n\r\n`; no length
-//! means no body, which for a request is the rule), and [`dechunk`]
-//! rebuilds a chunked one as identity-framed for the codec.
-//!
-//! For a **response**, which the server never holds whole: *what does
-//! the head say, and which of the bytes behind it are body?*
-//! [`response_head`] parses the header block the moment it is buffered
-//! (no length there means the body runs to the connection's close), and
-//! [`BodyDecoder`] walks a body of any of the three framings
-//! incrementally, in O(chunk) memory.
+//! [`measure`] says how many buffered bytes make up the next complete
+//! message when no length means no body, the rule for a request
+//! ([`crate::wire::read_request`] is the same walk, handing back the
+//! owned request). [`response_head`] parses a response's head the moment
+//! it is buffered; no length there means the body runs to the close.
+//! [`BodyDecoder`] is the one walker of a body in any of the three
+//! framings, incremental and in O(chunk) memory. Every head is read
+//! through [`crate::head::Head`].
 
-use botwall_http::HttpError;
+use crate::head::Head;
+use crate::{wire, Headers, HttpError};
+use std::borrow::Cow;
 
 /// Cap on the header block of one message. A peer that streams more
 /// header bytes without ever finishing the block is attacking, not slow.
@@ -83,87 +77,6 @@ pub struct ResponseHead {
     pub connection_close: bool,
 }
 
-/// Scans one header block for the three framing-relevant headers.
-/// `Transfer-Encoding: chunked` wins over `Content-Length` (RFC 9112
-/// §6.3); absent both, `fallback` decides (close-delimited responses,
-/// zero-length requests).
-fn head_framing(head: &str, fallback: BodyFraming) -> Result<BodyFraming, HttpError> {
-    let mut framing = fallback;
-    let mut saw_length = false;
-    let mut chunked = false;
-    for line in head.split("\r\n").skip(1) {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("Transfer-Encoding") {
-                if value.to_ascii_lowercase().contains("chunked") {
-                    chunked = true;
-                }
-            } else if name.eq_ignore_ascii_case("Content-Length") && !saw_length {
-                let value = value.trim();
-                let n = value
-                    .parse()
-                    .map_err(|_| HttpError::InvalidContentLength(value.to_string()))?;
-                framing = BodyFraming::Length(n); // first Content-Length wins
-                saw_length = true;
-            }
-        }
-    }
-    Ok(if chunked {
-        BodyFraming::Chunked
-    } else {
-        framing
-    })
-}
-
-/// Finds the end of the header block, enforcing [`MAX_HEAD_BYTES`].
-/// `Ok(None)` means keep reading.
-fn head_end(buf: &[u8]) -> Result<Option<usize>, HttpError> {
-    match buf.windows(4).position(|w| w == b"\r\n\r\n") {
-        Some(end) if end <= MAX_HEAD_BYTES => Ok(Some(end)),
-        None if buf.len() <= MAX_HEAD_BYTES => Ok(None),
-        _ => Err(HttpError::InvalidHeader(format!(
-            "header block exceeds {MAX_HEAD_BYTES} bytes"
-        ))),
-    }
-}
-
-/// Walks the chunk framing of `buf[from..]`: `Ok(Some(end))` when the
-/// terminal chunk (and its trailer section) is fully buffered, `Ok(None)`
-/// when more bytes are needed, `Err` on garbage or oversize chunk
-/// headers.
-fn measure_chunks(buf: &[u8], from: usize) -> Result<Option<usize>, HttpError> {
-    let mut pos = from;
-    loop {
-        let Some((size, data_start)) = chunk_size_at(buf, pos)? else {
-            return Ok(None);
-        };
-        if size == 0 {
-            // Trailer section: lines until the blank line.
-            let mut t = data_start;
-            loop {
-                let Some(line_end) = crlf_at(buf, t, MAX_HEAD_BYTES)? else {
-                    return Ok(None);
-                };
-                if line_end == t {
-                    return Ok(Some(line_end + 2));
-                }
-                t = line_end + 2;
-            }
-        }
-        let data_end = data_start
-            .checked_add(size)
-            .ok_or_else(|| HttpError::InvalidContentLength(format!("chunk of {size} bytes")))?;
-        if buf.len() < data_end + 2 {
-            return Ok(None);
-        }
-        if &buf[data_end..data_end + 2] != b"\r\n" {
-            return Err(HttpError::InvalidHeader(
-                "chunk data not terminated by CRLF".to_string(),
-            ));
-        }
-        pos = data_end + 2;
-    }
-}
-
 /// Parses the chunk-size line at `buf[pos..]`: `Ok(Some((size, data
 /// start)))`, `Ok(None)` when the line is still incomplete, `Err` on a
 /// garbage or oversized size line.
@@ -171,25 +84,20 @@ fn chunk_size_at(buf: &[u8], pos: usize) -> Result<Option<(usize, usize)>, HttpE
     let Some(line_end) = crlf_at(buf, pos, MAX_CHUNK_LINE)? else {
         return Ok(None);
     };
-    let line = &buf[pos..line_end];
     // Chunk extensions (`;name=value`) are tolerated and ignored.
-    let hex = line.split(|&b| b == b';').next().unwrap_or(b"");
-    let hex = std::str::from_utf8(hex)
-        .map_err(|_| HttpError::InvalidHeader("non-UTF8 chunk-size line".to_string()))?
-        .trim();
+    let hex = buf[pos..line_end].split(|&b| b == b';').next();
+    let hex = String::from_utf8_lossy(hex.unwrap_or_default().trim_ascii());
     if hex.is_empty() || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
         return Err(HttpError::InvalidHeader(format!(
             "bad chunk-size line {hex:?}"
         )));
     }
-    let size = usize::from_str_radix(hex, 16)
-        .map_err(|_| HttpError::InvalidContentLength(format!("chunk size {hex:?}")))?;
-    if size > MAX_FRAME_BYTES {
-        return Err(HttpError::InvalidContentLength(format!(
-            "chunk of {size} bytes exceeds {MAX_FRAME_BYTES}"
-        )));
+    match usize::from_str_radix(&hex, 16) {
+        Ok(size) if size <= MAX_FRAME_BYTES => Ok(Some((size, line_end + 2))),
+        _ => Err(HttpError::InvalidContentLength(format!(
+            "chunk size {hex:?} exceeds {MAX_FRAME_BYTES} bytes"
+        ))),
     }
-    Ok(Some((size, line_end + 2)))
 }
 
 /// Finds the CRLF ending the line at `buf[pos..]` within `cap` bytes;
@@ -205,60 +113,54 @@ fn crlf_at(buf: &[u8], pos: usize, cap: usize) -> Result<Option<usize>, HttpErro
     }
 }
 
-/// Measures the next request in `buf` (a message with neither
-/// `Content-Length` nor chunking has no body: true of requests, not of
-/// responses, which go through [`response_head`]). `Err` means the peer
-/// is framing garbage (oversized head, unparseable or oversized
-/// `Content-Length`, garbage chunk headers) and the connection should
-/// answer 400 / close.
-///
-/// Chunked messages measure to their terminal chunk; an incomplete
-/// chunked body reads as [`Framing::Partial`] (the total length is
-/// unknowable until the terminal chunk arrives).
+/// Measures the next message in `buf` as a request is framed: neither
+/// `Content-Length` nor chunking means no body (responses go through
+/// [`response_head`]). A chunked body measures to its terminal chunk
+/// and reads as [`Framing::Partial`] until that arrives. `Err` means
+/// the peer is framing garbage (an oversized head, a line no head may
+/// hold, lengths that disagree, garbage chunk headers, more than
+/// [`MAX_FRAME_BYTES`]) and the connection should answer 400 / close.
 pub fn measure(buf: &[u8]) -> Result<Framing, HttpError> {
-    let Some(head_end) = head_end(buf)? else {
+    let Some(head) = Head::parse(buf, MAX_HEAD_BYTES)? else {
         return Ok(Framing::Partial);
     };
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| HttpError::InvalidHeader("non-UTF8 header block".to_string()))?;
-    let body_start = head_end + 4;
-    match head_framing(head, BodyFraming::Length(0))? {
-        BodyFraming::Chunked => match measure_chunks(buf, body_start)? {
-            Some(end) => {
-                if end > MAX_FRAME_BYTES {
-                    return Err(HttpError::InvalidContentLength(format!(
-                        "message of {end} bytes exceeds {MAX_FRAME_BYTES}"
-                    )));
-                }
-                Ok(Framing::Complete { len: end })
-            }
-            None => {
-                if buf.len() > MAX_FRAME_BYTES {
-                    return Err(HttpError::InvalidContentLength(format!(
-                        "chunked message exceeds {MAX_FRAME_BYTES} bytes"
-                    )));
-                }
-                Ok(Framing::Partial)
-            }
+    let framing = head.lines().framing(BodyFraming::Length(0))?;
+    extent(buf, head.len, framing, MAX_FRAME_BYTES, |_, _| {})
+}
+
+/// How far the message in `buf` reaches, its head being `head_len`
+/// bytes and its body framed as `framing`. The one [`BodyDecoder`]
+/// walks the body and hands its runs to `body`; a declared length that
+/// has not all arrived is [`Framing::NeedsBody`], unwalked. A message
+/// that is, or already promises to be, over `cap` bytes is an error.
+pub(crate) fn extent(
+    buf: &[u8],
+    head_len: usize,
+    framing: BodyFraming,
+    cap: usize,
+    body: impl FnMut(usize, &[u8]),
+) -> Result<Framing, HttpError> {
+    let extent = match framing {
+        BodyFraming::Length(n) if buf.len() - head_len < n => Framing::NeedsBody {
+            len: head_len.saturating_add(n),
         },
-        framing => {
-            let content_length = match framing {
-                BodyFraming::Length(n) => n,
-                _ => 0,
-            };
-            let len = body_start + content_length;
-            if len > MAX_FRAME_BYTES {
-                return Err(HttpError::InvalidContentLength(format!(
-                    "message of {len} bytes exceeds {MAX_FRAME_BYTES}"
-                )));
-            }
-            if buf.len() >= len {
-                Ok(Framing::Complete { len })
-            } else {
-                Ok(Framing::NeedsBody { len })
-            }
-        }
+        _ => match BodyDecoder::new(framing).decode(&buf[head_len..], body)? {
+            (used, true) => Framing::Complete {
+                len: head_len + used,
+            },
+            (_, false) => Framing::Partial,
+        },
+    };
+    let len = match extent {
+        Framing::Complete { len } | Framing::NeedsBody { len } => len,
+        Framing::Partial => buf.len(),
+    };
+    if len > cap {
+        return Err(HttpError::InvalidContentLength(format!(
+            "message of {len} bytes exceeds {cap}"
+        )));
     }
+    Ok(extent)
 }
 
 /// Parses the header block of a response if it is fully buffered.
@@ -267,41 +169,28 @@ pub fn measure(buf: &[u8]) -> Result<Framing, HttpError> {
 /// the first step of every origin response, taken before any body byte
 /// exists.
 pub fn response_head(buf: &[u8]) -> Result<Option<ResponseHead>, HttpError> {
-    let Some(end) = head_end(buf)? else {
+    let Some(head) = Head::parse(buf, MAX_HEAD_BYTES)? else {
         return Ok(None);
     };
-    let head = std::str::from_utf8(&buf[..end])
-        .map_err(|_| HttpError::InvalidHeader("non-UTF8 header block".to_string()))?;
-    let status_line = head.split("\r\n").next().unwrap_or("");
-    let status = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|code| code.parse().ok())
-        .filter(|code| (100..=599).contains(code))
-        .ok_or_else(|| HttpError::InvalidHeader(format!("bad status line {status_line:?}")))?;
+    let (_, status) = head.status_line()?;
     let mut content_type = None;
     let mut connection_close = false;
-    for line in head.split("\r\n").skip(1) {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("Content-Type") && content_type.is_none() {
-                let value = value.split(';').next().unwrap_or("").trim();
-                content_type = Some(value.to_ascii_lowercase());
-            } else if name.eq_ignore_ascii_case("Connection")
-                && value
-                    .split(',')
-                    .any(|token| token.trim().eq_ignore_ascii_case("close"))
-            {
-                connection_close = true;
-            }
+    let mut lines = head.lines();
+    for line in &mut lines {
+        let line = line?;
+        if line.name.eq_ignore_ascii_case("Content-Type") && content_type.is_none() {
+            let value = line.value.split(';').next().unwrap_or("").trim();
+            content_type = Some(value.to_ascii_lowercase());
+        } else if line.name.eq_ignore_ascii_case("Connection") {
+            connection_close |= Headers::list_has(line.value, "close");
         }
     }
-    // Responses without a declared length run to connection close.
-    let framing = head_framing(head, BodyFraming::Close)?;
     Ok(Some(ResponseHead {
-        len: end + 4,
-        status,
+        len: head.len,
+        status: status.as_u16(),
         content_type,
-        framing,
+        // Responses without a declared length run to connection close.
+        framing: lines.framing(BodyFraming::Close)?,
         connection_close,
     }))
 }
@@ -309,14 +198,13 @@ pub fn response_head(buf: &[u8]) -> Result<Option<ResponseHead>, HttpError> {
 /// Where an incremental body decode currently stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DecodeState {
-    /// Identity body: `remaining` bytes still owed.
-    Length { remaining: usize },
+    /// This many body bytes still owed: a declared length's, or (when
+    /// the flag is set) the data of the current chunk.
+    Data(usize, bool),
     /// Close-delimited body: everything until EOF is body.
     Close,
     /// Chunked: waiting for the next chunk-size line.
     ChunkSize,
-    /// Chunked: `remaining` data bytes of the current chunk still owed.
-    ChunkData { remaining: usize },
     /// Chunked: the CRLF after a chunk's data.
     ChunkEnd,
     /// Chunked: trailer lines after the terminal chunk.
@@ -338,7 +226,7 @@ impl BodyDecoder {
     pub fn new(framing: BodyFraming) -> Self {
         let state = match framing {
             BodyFraming::Length(0) => DecodeState::Done,
-            BodyFraming::Length(n) => DecodeState::Length { remaining: n },
+            BodyFraming::Length(n) => DecodeState::Data(n, false),
             BodyFraming::Chunked => DecodeState::ChunkSize,
             BodyFraming::Close => DecodeState::Close,
         };
@@ -368,42 +256,28 @@ impl BodyDecoder {
                     pos = buf.len();
                     break false;
                 }
-                DecodeState::Length { remaining } => {
+                DecodeState::Data(remaining, chunk) => {
                     let take = remaining.min(buf.len() - pos);
                     body(pos, &buf[pos..pos + take]);
                     pos += take;
-                    if take == remaining {
-                        self.state = DecodeState::Done;
-                    } else {
-                        self.state = DecodeState::Length {
-                            remaining: remaining - take,
-                        };
+                    self.state = match remaining - take {
+                        0 if chunk => DecodeState::ChunkEnd,
+                        0 => DecodeState::Done,
+                        left => DecodeState::Data(left, chunk),
+                    };
+                    if take < remaining {
                         break false;
                     }
                 }
-                DecodeState::ChunkSize => match chunk_size_at(buf, pos)? {
-                    None => break false,
-                    Some((0, data_start)) => {
-                        pos = data_start;
-                        self.state = DecodeState::Trailers;
-                    }
-                    Some((size, data_start)) => {
-                        pos = data_start;
-                        self.state = DecodeState::ChunkData { remaining: size };
-                    }
-                },
-                DecodeState::ChunkData { remaining } => {
-                    let take = remaining.min(buf.len() - pos);
-                    body(pos, &buf[pos..pos + take]);
-                    pos += take;
-                    if take == remaining {
-                        self.state = DecodeState::ChunkEnd;
-                    } else {
-                        self.state = DecodeState::ChunkData {
-                            remaining: remaining - take,
-                        };
+                DecodeState::ChunkSize => {
+                    let Some((size, data_start)) = chunk_size_at(buf, pos)? else {
                         break false;
-                    }
+                    };
+                    pos = data_start;
+                    self.state = match size {
+                        0 => DecodeState::Trailers,
+                        size => DecodeState::Data(size, true),
+                    };
                 }
                 DecodeState::ChunkEnd => {
                     if buf.len() - pos < 2 {
@@ -421,11 +295,10 @@ impl BodyDecoder {
                     let Some(line_end) = crlf_at(buf, pos, MAX_HEAD_BYTES)? else {
                         break false;
                     };
-                    let blank = line_end == pos;
-                    pos = line_end + 2;
-                    if blank {
+                    if line_end == pos {
                         self.state = DecodeState::Done;
                     }
+                    pos = line_end + 2;
                 }
             }
         };
@@ -448,62 +321,30 @@ impl BodyDecoder {
     }
 }
 
-/// Rebuilds one complete chunked message as an identity-framed one the
-/// codec can parse: the body is de-chunked and the header block
-/// rewritten with its real `Content-Length` (any `Transfer-Encoding` /
-/// stale `Content-Length` lines dropped). Non-chunked messages pass
-/// through unchanged — borrowed, not copied, so the identity-framed
-/// common case costs nothing. `raw` must hold exactly one complete
-/// message — callers get that guarantee from [`measure`], so in the
-/// server this only ever sees a request.
-pub fn dechunk(raw: &[u8]) -> Result<std::borrow::Cow<'_, [u8]>, HttpError> {
-    let Some(end) = head_end(raw)? else {
-        return Err(HttpError::InvalidHeader(
-            "dechunk on incomplete header block".to_string(),
-        ));
-    };
-    let head = std::str::from_utf8(&raw[..end])
-        .map_err(|_| HttpError::InvalidHeader("non-UTF8 header block".to_string()))?;
-    if head_framing(head, BodyFraming::Length(0))? != BodyFraming::Chunked {
-        return Ok(std::borrow::Cow::Borrowed(raw));
+/// Rebuilds one complete chunked message as an identity-framed one:
+/// the body de-chunked under its real `Content-Length`. Non-chunked
+/// messages pass through unchanged and borrowed. Nothing in the server
+/// needs this (the codec decodes a chunked body as it builds the
+/// message); it stays for callers that want the bytes.
+pub fn dechunk(raw: &[u8]) -> Result<Cow<'_, [u8]>, HttpError> {
+    let head = Head::parse(raw, MAX_HEAD_BYTES)?.ok_or(HttpError::UnexpectedEof)?;
+    if head.lines().framing(BodyFraming::Length(0))? != BodyFraming::Chunked {
+        return Ok(Cow::Borrowed(raw));
     }
-    let mut body = Vec::new();
-    let (_, done) = BodyDecoder::new(BodyFraming::Chunked)
-        .decode(&raw[end + 4..], |_, run| body.extend_from_slice(run))?;
-    if !done {
-        return Err(HttpError::TruncatedBody {
-            expected: body.len() + 1,
-            actual: body.len(),
-        });
-    }
-    Ok(std::borrow::Cow::Owned(identity_message(head, &body)))
-}
-
-/// Serializes `head` (one header block, no blank line) and `body` as an
-/// identity-framed message: any `Transfer-Encoding` / stale
-/// `Content-Length` lines are dropped and the body's real
-/// `Content-Length` written in their place.
-pub(crate) fn identity_message(head: &str, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(head.len() + 64 + body.len());
-    for (i, line) in head.split("\r\n").enumerate() {
-        let drop = i > 0
-            && line.split_once(':').is_some_and(|(name, _)| {
-                name.eq_ignore_ascii_case("Transfer-Encoding")
-                    || name.eq_ignore_ascii_case("Content-Length")
-            });
-        if !drop {
-            out.extend_from_slice(line.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-    }
-    out.extend_from_slice(format!("Content-Length: {}\r\n\r\n", body.len()).as_bytes());
-    out.extend_from_slice(body);
-    out
+    let (mut headers, framing) = wire::fields(&head, BodyFraming::Length(0))?;
+    let (body, _) = wire::body(raw, head.len, framing, usize::MAX)?;
+    headers.insert("Content-Length", body.len().to_string());
+    let mut out = format!("{}\r\n", head.start_line).into_bytes();
+    wire::put_headers(&mut out, headers.iter());
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(&body);
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::ClientIp;
 
     #[test]
     fn partial_until_blank_line() {
@@ -588,6 +429,43 @@ mod tests {
         assert_eq!(measure(raw), Ok(Framing::Complete { len: raw.len() }));
     }
 
+    /// What `measure` → `dechunk` → `parse_request` → re-serialize once
+    /// took between them and sent on to an origin.
+    #[test]
+    fn the_heads_three_splitters_disagreed_about_are_refused() {
+        let cases = [
+            (
+                "cl_cl",
+                "Content-Length: 5\r\nContent-Length: 0\r\n",
+                "hello",
+            ),
+            ("signed_length", "Content-Length: +5\r\n", "hello"),
+            (
+                "bare_lf_hides_a_header",
+                "X: a\nTransfer-Encoding: chunked\r\n",
+                "",
+            ),
+            (
+                "chunked_as_a_substring",
+                "Transfer-Encoding: xchunkedy\r\n",
+                "5\r\nhello\r\n0\r\n\r\n",
+            ),
+            ("bare_cr_and_nul_in_a_value", "X: a\rb\0c\r\n", ""),
+        ];
+        for (name, lines, body) in cases {
+            let raw = format!("POST /form HTTP/1.1\r\nHost: h\r\n{lines}\r\n{body}");
+            assert!(measure(raw.as_bytes()).is_err(), "{name}");
+            assert!(
+                wire::parse_request(raw.as_bytes(), ClientIp::new(1)).is_err(),
+                "{name}"
+            );
+            assert!(
+                wire::read_request(raw.as_bytes(), ClientIp::new(1)).is_err(),
+                "{name}"
+            );
+        }
+    }
+
     #[test]
     fn garbage_chunk_size_line_is_rejected() {
         let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nnope\r\n";
@@ -637,7 +515,7 @@ mod tests {
             &*out,
             b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nWikipedia"
         );
-        let parsed = botwall_http::wire::parse_response(&out).unwrap();
+        let parsed = wire::parse_response(&out).unwrap();
         assert_eq!(parsed.body(), b"Wikipedia");
     }
 

@@ -104,8 +104,30 @@ impl Headers {
 
     /// Parses the `Content-Length` header if present and well-formed.
     pub fn content_length(&self) -> Option<usize> {
-        self.get("Content-Length")?.trim().parse().ok()
+        decimal(self.get("Content-Length")?.trim())
     }
+
+    /// Whether any line named `name` lists `token`: the lines are
+    /// comma-separated token lists, matched case-insensitively, as
+    /// `Connection` is.
+    pub fn has_token(&self, name: &str, token: &str) -> bool {
+        self.get_all(name)
+            .any(|value| Headers::list_has(value, token))
+    }
+
+    /// [`Headers::has_token`] over one value.
+    pub fn list_has(value: &str, token: &str) -> bool {
+        value
+            .split(',')
+            .any(|item| item.trim().eq_ignore_ascii_case(token))
+    }
+}
+
+/// A `Content-Length` value: `1*DIGIT` and nothing else (`parse` alone
+/// would take a sign).
+pub(crate) fn decimal(value: &str) -> Option<usize> {
+    let digits = !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit());
+    digits.then(|| value.parse().ok())?
 }
 
 impl fmt::Display for Headers {
@@ -189,6 +211,19 @@ mod tests {
         assert_eq!(h.content_length(), Some(42));
         h.set("Content-Length", "nope");
         assert_eq!(h.content_length(), None);
+        h.set("Content-Length", "+5");
+        assert_eq!(h.content_length(), None, "digits only");
+    }
+
+    #[test]
+    fn token_lists_match_token_by_token() {
+        let mut h = Headers::new();
+        h.insert("Connection", "Keep-Alive, TE");
+        assert!(h.has_token("connection", "te"));
+        assert!(!h.has_token("Connection", "close"));
+        h.insert("connection", " CLOSE ");
+        assert!(h.has_token("Connection", "close"));
+        assert!(!Headers::list_has("closed, unclose", "close"));
     }
 
     #[test]

@@ -44,6 +44,8 @@
 
 pub mod content;
 pub mod error;
+pub mod frame;
+pub mod head;
 pub mod headers;
 pub mod method;
 pub mod request;
@@ -55,6 +57,7 @@ pub mod wire;
 
 pub use content::ContentClass;
 pub use error::HttpError;
+pub use head::Head;
 pub use headers::Headers;
 pub use method::Method;
 pub use request::{Request, RequestBuilder};

@@ -163,7 +163,7 @@ pub struct RequestBuilder {
     method: Method,
     uri: String,
     version: String,
-    headers: Headers,
+    pub(crate) headers: Headers,
     body: Vec<u8>,
     client: ClientIp,
 }

@@ -105,7 +105,7 @@ impl Response {
 pub struct ResponseBuilder {
     status: StatusCode,
     version: String,
-    headers: Headers,
+    pub(crate) headers: Headers,
     body: Vec<u8>,
 }
 

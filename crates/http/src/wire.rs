@@ -1,22 +1,24 @@
-//! HTTP/1.x wire codec.
+//! HTTP/1.x wire codec: owned messages to bytes and back.
 //!
-//! This codec parses and serializes *complete* messages framed the classic
-//! way: start line, header block terminated by an empty line, and a body
-//! sized by `Content-Length`. Chunked transfer is handled one layer up, in
-//! `botwall-serve`'s `frame` module, which measures and de-chunks requests
-//! off a socket (handing this codec an identity-framed message). In the
-//! server that is what this codec sees: requests in, and the responses
-//! the gate or the server makes out. An origin's response never comes
-//! here: it is relayed as a stream off its parsed head, whatever its
-//! framing, and is never a complete message anywhere. Malformed framing
-//! is reported precisely so failure-injection tests can assert on it.
+//! Parsing reads a head through [`crate::head::Head`], the one scanner
+//! [`crate::frame`] stands on too, and decodes the body behind it with
+//! [`crate::frame::BodyDecoder`] whatever its framing: a chunked message
+//! comes back with its decoded body, no `Transfer-Encoding` and its real
+//! `Content-Length`. [`parse_request`] and [`parse_response`] take a
+//! whole message in hand, uncapped, and a body with no declared length
+//! runs to the end of the input. [`read_request`] takes the next request
+//! off a connection's read buffer under the front door's caps: the
+//! server's one call into the codec per request. (An origin's response
+//! is never an owned message there; it is relayed off its parsed head.)
+//! Malformed framing is reported precisely so failure-injection tests
+//! can assert on it.
 
 use crate::error::HttpError;
+use crate::frame::{self, BodyFraming, Framing, MAX_FRAME_BYTES, MAX_HEAD_BYTES};
+use crate::head::Head;
 use crate::headers::Headers;
-use crate::method::Method;
 use crate::request::{ClientIp, Request};
-use crate::response::Response;
-use crate::status::StatusCode;
+use crate::response::{Response, ResponseBuilder};
 
 /// Serializes a request to HTTP/1.x wire format.
 ///
@@ -29,15 +31,20 @@ use crate::status::StatusCode;
 /// assert!(bytes.starts_with(b"GET http://h/x HTTP/1.1\r\n"));
 /// ```
 pub fn serialize_request(req: &Request) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(req.wire_len());
-    serialize_request_into(req, &mut buf);
+    let mut buf = Vec::new();
+    serialize_request_as(req, req.version(), |_| true, &mut buf);
     buf
 }
 
-/// Appends a request's wire bytes to `out` without an intermediate
-/// buffer — the zero-copy sibling of [`serialize_request`] for callers
-/// that serialize into a pooled buffer.
-pub fn serialize_request_into(req: &Request, out: &mut Vec<u8>) {
+/// Appends a request's wire bytes to `out` as a proxy sends it on:
+/// under this hop's protocol `version`, with the header lines whose
+/// names `keep` takes and no others.
+pub fn serialize_request_as(
+    req: &Request,
+    version: &str,
+    keep: impl Fn(&str) -> bool,
+    out: &mut Vec<u8>,
+) {
     out.reserve(req.wire_len());
     out.extend_from_slice(req.method().as_str().as_bytes());
     out.push(b' ');
@@ -46,9 +53,9 @@ pub fn serialize_request_into(req: &Request, out: &mut Vec<u8>) {
     use std::io::Write;
     let _ = write!(out, "{}", req.uri());
     out.push(b' ');
-    out.extend_from_slice(req.version().as_bytes());
+    out.extend_from_slice(version.as_bytes());
     out.extend_from_slice(b"\r\n");
-    put_headers(out, req.headers());
+    put_headers(out, req.headers().iter().filter(|(name, _)| keep(name)));
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(req.body());
 }
@@ -74,7 +81,7 @@ pub fn serialize_response_into(resp: &Response, out: &mut Vec<u8>) {
     out.push(b' ');
     out.extend_from_slice(resp.status().reason().as_bytes());
     out.extend_from_slice(b"\r\n");
-    put_headers(out, resp.headers());
+    put_headers(out, resp.headers().iter());
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(resp.body());
 }
@@ -88,11 +95,11 @@ fn format_u16(mut n: u16, buf: &mut [u8; 3]) -> &[u8] {
     &buf[..]
 }
 
-fn put_headers(buf: &mut Vec<u8>, headers: &Headers) {
-    for (n, v) in headers.iter() {
-        buf.extend_from_slice(n.as_bytes());
+pub(crate) fn put_headers<'a>(buf: &mut Vec<u8>, lines: impl Iterator<Item = (&'a str, &'a str)>) {
+    for (name, value) in lines {
+        buf.extend_from_slice(name.as_bytes());
         buf.extend_from_slice(b": ");
-        buf.extend_from_slice(v.as_bytes());
+        buf.extend_from_slice(value.as_bytes());
         buf.extend_from_slice(b"\r\n");
     }
 }
@@ -110,118 +117,105 @@ fn put_headers(buf: &mut Vec<u8>, headers: &Headers) {
 /// assert_eq!(req.headers().get("Host"), Some("h"));
 /// ```
 pub fn parse_request(input: &[u8], client: ClientIp) -> Result<Request, HttpError> {
-    let (start, headers, body) = split_message(input)?;
-    let mut parts = start.split(' ');
-    let method: Method = parts
-        .next()
-        .ok_or_else(|| HttpError::InvalidStartLine(start.to_string()))?
-        .parse()?;
-    let target = parts
-        .next()
-        .ok_or_else(|| HttpError::InvalidStartLine(start.to_string()))?;
-    let version = parts
-        .next()
-        .ok_or_else(|| HttpError::InvalidStartLine(start.to_string()))?;
-    if parts.next().is_some() || !version.starts_with("HTTP/") {
-        return Err(HttpError::InvalidStartLine(start.to_string()));
+    request(input, client, false).map(|(request, _)| request)
+}
+
+/// Takes the next request off the front of a connection's read buffer:
+/// the owned request and how many bytes it was, `Ok(None)` until it has
+/// all arrived. No declared length means no body, the head is at most
+/// [`MAX_HEAD_BYTES`] and the whole at most [`MAX_FRAME_BYTES`]; `Err`
+/// is the `400`.
+pub fn read_request(buf: &[u8], client: ClientIp) -> Result<Option<(Request, usize)>, HttpError> {
+    match request(buf, client, true) {
+        // The two errors more bytes can cure: no blank line, short body.
+        Err(HttpError::UnexpectedEof | HttpError::TruncatedBody { .. }) => Ok(None),
+        read => read.map(Some),
     }
+}
+
+/// The request at the front of `input` and its length there, `bounded`
+/// as the front door reads one or not as [`parse_request`] does.
+fn request(input: &[u8], client: ClientIp, bounded: bool) -> Result<(Request, usize), HttpError> {
+    let (head_cap, cap, fallback) = match bounded {
+        true => (MAX_HEAD_BYTES, MAX_FRAME_BYTES, BodyFraming::Length(0)),
+        false => (usize::MAX, usize::MAX, BodyFraming::Close),
+    };
+    let head = Head::parse(input, head_cap)?.ok_or(HttpError::UnexpectedEof)?;
+    let (headers, framing) = fields(&head, fallback)?;
+    let (body, len) = body(input, head.len, framing, cap)?;
+    let (method, target, version) = head.request_line()?;
     let mut builder = Request::builder(method, target)
         .version(version)
-        .client(client);
-    for (n, v) in headers {
-        builder = builder.header(n, v);
-    }
-    builder.body_bytes(body.to_vec()).build()
+        .client(client)
+        .body_bytes(body);
+    builder.headers = headers;
+    Ok((builder.build()?, len))
 }
 
 /// Parses a response from wire bytes.
 pub fn parse_response(input: &[u8]) -> Result<Response, HttpError> {
-    let (start, headers, body) = split_message(input)?;
-    let mut parts = start.splitn(3, ' ');
-    let version = parts
-        .next()
-        .filter(|v| v.starts_with("HTTP/"))
-        .ok_or_else(|| HttpError::InvalidStartLine(start.to_string()))?;
-    let code: u16 = parts
-        .next()
-        .and_then(|c| c.parse().ok())
-        .ok_or_else(|| HttpError::InvalidStartLine(start.to_string()))?;
-    let status = StatusCode::new(code)?;
-    let mut b = Response::builder(status).version(version);
-    for (n, v) in headers {
-        b = b.header(n, v);
-    }
-    Ok(b.body_bytes(body.to_vec()).build())
+    let head = Head::parse(input, usize::MAX)?.ok_or(HttpError::UnexpectedEof)?;
+    let (builder, framing) = response_builder(&head)?;
+    let (body, _) = body(input, head.len, framing, usize::MAX)?;
+    Ok(builder.body_bytes(body).build())
 }
 
-/// A parsed message before any allocation: start line, header
-/// name/value pairs, and body, all borrowed from the input buffer.
-type BorrowedMessage<'a> = (&'a str, Vec<(&'a str, &'a str)>, &'a [u8]);
+/// The response `head` starts, short of its body, and how that body is
+/// framed on the wire: for a caller that decodes it as it arrives.
+pub fn response_builder(head: &Head<'_>) -> Result<(ResponseBuilder, BodyFraming), HttpError> {
+    let (version, status) = head.status_line()?;
+    let (headers, framing) = fields(head, BodyFraming::Close)?;
+    let mut builder = Response::builder(status).version(version);
+    builder.headers = headers;
+    Ok((builder, framing))
+}
 
-/// Splits raw bytes into (start line, headers, body), enforcing
-/// `Content-Length` when present.
-///
-/// Zero-copy: the start line, header names/values, and body are slices
-/// borrowed straight from `input` — nothing allocates until the caller
-/// builds the owned message (one `String` per header there, instead of
-/// the former intermediate-`Headers`-then-rebuild double allocation).
-/// Error paths still allocate their diagnostic strings; they are off the
-/// hot path by definition.
-fn split_message(input: &[u8]) -> Result<BorrowedMessage<'_>, HttpError> {
-    let head_end = find_header_end(input).ok_or(HttpError::UnexpectedEof)?;
-    let head = std::str::from_utf8(&input[..head_end])
-        .map_err(|_| HttpError::InvalidHeader("non-UTF8 header block".to_string()))?;
-    let mut lines = head.split("\r\n");
-    let start = lines
-        .next()
-        .filter(|l| !l.is_empty())
-        .ok_or(HttpError::UnexpectedEof)?;
-    let mut headers: Vec<(&str, &str)> = Vec::new();
-    let mut content_length: Option<&str> = None;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::InvalidHeader(line.to_string()))?;
-        if name.is_empty() || !name.bytes().all(Method::is_token_byte) {
-            return Err(HttpError::InvalidHeader(line.to_string()));
-        }
-        let value = value.trim();
-        // First Content-Length line wins, matching `Headers::get`.
-        if content_length.is_none() && name.eq_ignore_ascii_case("Content-Length") {
-            content_length = Some(value);
-        }
-        headers.push((name, value));
+/// A head's lines as owned [`Headers`], and how the body behind them is
+/// framed. A chunked body is about to be decoded: `Transfer-Encoding`
+/// and any `Content-Length` beside it describe bytes the owned message
+/// will not have, so both are left out (a builder writes the real one).
+pub(crate) fn fields(
+    head: &Head<'_>,
+    fallback: BodyFraming,
+) -> Result<(Headers, BodyFraming), HttpError> {
+    let mut lines = head.lines();
+    let mut headers = Headers::new();
+    for line in &mut lines {
+        let line = line?;
+        headers.insert(line.name, line.value);
     }
-    let body_start = head_end + 4;
-    let available = &input[body_start.min(input.len())..];
-    let body = match content_length {
-        Some(raw) => {
-            let n: usize = raw
-                .parse()
-                .map_err(|_| HttpError::InvalidContentLength(raw.to_string()))?;
-            if available.len() < n {
-                return Err(HttpError::TruncatedBody {
-                    expected: n,
-                    actual: available.len(),
-                });
-            }
-            &available[..n]
-        }
-        None => available,
+    let framing = lines.framing(fallback)?;
+    if framing == BodyFraming::Chunked {
+        headers.remove("Transfer-Encoding");
+        headers.remove("Content-Length");
+    }
+    Ok((headers, framing))
+}
+
+/// The decoded body behind a head of `head_len` bytes, and where in
+/// `input` the message ends, which is at most `cap`. A body that is not
+/// all there is [`HttpError::TruncatedBody`].
+pub(crate) fn body(
+    input: &[u8],
+    head_len: usize,
+    framing: BodyFraming,
+    cap: usize,
+) -> Result<(Vec<u8>, usize), HttpError> {
+    let mut body = Vec::new();
+    let copy = |_, run: &[u8]| body.extend_from_slice(run);
+    let (expected, actual) = match frame::extent(input, head_len, framing, cap, copy)? {
+        Framing::Complete { len } => return Ok((body, len)),
+        Framing::Partial if framing == BodyFraming::Close => return Ok((body, input.len())),
+        Framing::NeedsBody { len } => (len - head_len, input.len() - head_len),
+        Framing::Partial => (body.len() + 1, body.len()),
     };
-    Ok((start, headers, body))
-}
-
-fn find_header_end(input: &[u8]) -> Option<usize> {
-    input.windows(4).position(|w| w == b"\r\n\r\n")
+    Err(HttpError::TruncatedBody { expected, actual })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Method, StatusCode};
 
     #[test]
     fn request_roundtrip() {

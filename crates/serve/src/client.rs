@@ -7,8 +7,8 @@
 //! streamed response is not subject to the request-frame cap), and
 //! close-delimited.
 
-use crate::frame::{self, BodyDecoder};
-use botwall_http::{wire, HttpError, Request, Response};
+use crate::frame::{BodyDecoder, MAX_HEAD_BYTES};
+use botwall_http::{wire, Head, HttpError, Request, Response};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
@@ -25,11 +25,10 @@ pub fn send_request(conn: &mut TcpStream, request: &Request) -> io::Result<()> {
 pub fn read_response(conn: &mut TcpStream) -> io::Result<Response> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 8192];
-    let head = loop {
-        match frame::response_head(&buf) {
-            Ok(Some(head)) => break head,
-            Ok(None) => {}
-            Err(e) => return Err(invalid(e)),
+    let (builder, framing, head_len) = loop {
+        if let Some(head) = Head::parse(&buf, MAX_HEAD_BYTES).map_err(invalid)? {
+            let (builder, framing) = wire::response_builder(&head).map_err(invalid)?;
+            break (builder, framing, head.len);
         }
         match conn.read(&mut chunk)? {
             0 => {
@@ -45,10 +44,8 @@ pub fn read_response(conn: &mut TcpStream) -> io::Result<Response> {
             n => buf.extend_from_slice(&chunk[..n]),
         }
     };
-    let head_text = String::from_utf8(buf[..head.len - 4].to_vec())
-        .expect("response_head validated the block as UTF-8");
-    let mut rest = buf.split_off(head.len);
-    let mut decoder = BodyDecoder::new(head.framing);
+    let mut rest = buf.split_off(head_len);
+    let mut decoder = BodyDecoder::new(framing);
     let mut body = Vec::new();
     let mut done = decoder.push(&mut rest, &mut body).map_err(invalid)?;
     while !done {
@@ -68,9 +65,7 @@ pub fn read_response(conn: &mut TcpStream) -> io::Result<Response> {
             }
         }
     }
-    // The codec only parses identity framing; hand it the decoded body
-    // under its real Content-Length.
-    parse(&frame::identity_message(&head_text, &body))
+    Ok(builder.body_bytes(body).build())
 }
 
 /// One request/response round trip on an existing connection.
@@ -81,8 +76,4 @@ pub fn roundtrip(conn: &mut TcpStream, request: &Request) -> io::Result<Response
 
 fn invalid(e: HttpError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-}
-
-fn parse(raw: &[u8]) -> io::Result<Response> {
-    wire::parse_response(raw).map_err(invalid)
 }

@@ -35,10 +35,11 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod frame;
 pub mod mock;
 pub mod server;
 pub mod stats;
 
+// Lives in `botwall-http` with the rest of the codec; found here as ever.
+pub use botwall_http::frame;
 pub use mock::{MockOrigin, MockOriginHandle};
 pub use server::{ServeConfig, ServeReport, Server, ShutdownHandle, SysCalls};

@@ -4,7 +4,6 @@
 //! fixture — the front door must keep other connections moving while
 //! this origin sits on one.
 
-use crate::frame::{measure, Framing};
 use botwall_http::request::ClientIp;
 use botwall_http::{wire, Response, StatusCode};
 use std::collections::HashMap;
@@ -166,10 +165,10 @@ impl MockOrigin {
         let mut chunk = [0u8; 4096];
         let mut served = 0usize;
         loop {
-            let frame = loop {
-                match measure(&buf) {
-                    Ok(Framing::Complete { len }) => break len,
-                    Ok(_) => {}
+            let (request, frame) = loop {
+                match wire::read_request(&buf, ClientIp::new(0)) {
+                    Ok(Some(read)) => break read,
+                    Ok(None) => {}
                     Err(_) => return,
                 }
                 match conn.read(&mut chunk) {
@@ -184,9 +183,6 @@ impl MockOrigin {
             if self.close_after.is_some_and(|cap| served >= cap) {
                 return;
             }
-            let Ok(request) = wire::parse_request(&buf[..frame], ClientIp::new(0)) else {
-                return;
-            };
             buf.drain(..frame);
             let path = request.uri().path().to_string();
             if let Some(by) = self.latency.get(&path) {
@@ -224,11 +220,7 @@ impl MockOrigin {
             {
                 return;
             }
-            let close_requested = request
-                .headers()
-                .get("Connection")
-                .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-            if !self.keep_alive || close_requested {
+            if !self.keep_alive || request.headers().has_token("Connection", "close") {
                 return;
             }
             if let Some(garbage) = &self.garbage_after {

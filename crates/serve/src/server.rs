@@ -3,8 +3,9 @@
 //!
 //! # How a request flows
 //!
-//! A client connection reads until [`crate::frame`] reports a complete
-//! message, parses it with the wire codec, and hands it to
+//! A client connection reads until [`wire::read_request`], the codec's
+//! one call per request, hands back an owned request (its body decoded,
+//! chunked or not) and gives that to
 //! [`Gateway::handle_deferred`]. Decisions that need no origin
 //! ([`PendingServe::Ready`]) serialize straight back. An allowed
 //! ordinary request comes back as a [`PendingServe::AwaitingOrigin`]
@@ -147,11 +148,11 @@
 //! once, after every worker has stopped, so every observed session
 //! reaches its final classification no matter which reactor carried it.
 
-use crate::frame::{self, BodyDecoder, BodyFraming, Framing};
+use crate::frame::{self, BodyDecoder, BodyFraming};
 use crate::stats::serve_stats_json;
 use botwall_gateway::{Gateway, Origin, PageStream, PendingServe, StreamSink};
 use botwall_http::request::ClientIp;
-use botwall_http::{wire, Method, Request, Response, StatusCode};
+use botwall_http::{wire, Head, Method, Request, Response, StatusCode};
 use botwall_sessions::SimTime;
 use reactor::{net, signals, Counter, Event, Interest, Reactor, ReactorCounters, Token, Waker};
 use std::io::{self, IoSlice, Read, Write};
@@ -1147,27 +1148,13 @@ impl Worker {
     fn pump(&mut self, slot: usize, c: &mut ClientConn, eof: bool) -> bool {
         loop {
             match &mut c.state {
-                ClientState::Reading => match frame::measure(&c.buf) {
-                    Ok(Framing::Complete { len }) => {
+                ClientState::Reading => match wire::read_request(&c.buf, c.peer) {
+                    Ok(Some((request, len))) => {
                         self.shared.requests_total.fetch_add(1, Ordering::Relaxed);
-                        // A chunked request body is reframed as identity
-                        // before the codec sees it (identity requests
-                        // parse in place, zero-copy); garbage chunk
-                        // framing answers 400 like any parse failure.
-                        let parsed = frame::dechunk(&c.buf[..len])
-                            .and_then(|raw| wire::parse_request(&raw, c.peer));
                         c.buf.consume(len);
-                        match parsed {
-                            Ok(request) => self.dispatch(slot, c, request),
-                            Err(_) => self.set_response(
-                                slot,
-                                c,
-                                Response::empty(StatusCode::BAD_REQUEST),
-                                true,
-                            ),
-                        }
+                        self.dispatch(slot, c, request);
                     }
-                    Ok(_) => {
+                    Ok(None) => {
                         if eof {
                             return false;
                         }
@@ -1610,7 +1597,11 @@ impl Worker {
         if plan.page {
             streaming_head(&plan, close_after, &mut c.out);
         } else {
-            relay_head(&o.buf[..head.len], &plan, close_after, &mut c.out);
+            let origin = Head::parse(&o.buf[..head.len], head.len)
+                .ok()
+                .flatten()
+                .expect("response_head parsed this block");
+            relay_head(&origin, &plan, close_after, &mut c.out);
         }
         o.relay = Some(Box::new(StreamingFetch {
             decoder: BodyDecoder::new(plan.origin),
@@ -1869,15 +1860,8 @@ fn client_ip(peer: SocketAddr) -> ClientIp {
 /// HTTP/1.1 defaults to keep-alive unless `Connection: close`; HTTP/1.0
 /// opts in with `Connection: keep-alive`.
 fn wants_keep_alive(request: &Request) -> bool {
-    let connection = request
-        .headers()
-        .get("Connection")
-        .map(|v| v.to_ascii_lowercase());
-    if request.version() == "HTTP/1.1" {
-        connection.as_deref() != Some("close")
-    } else {
-        connection.as_deref() == Some("keep-alive")
-    }
+    let connection = |token| request.headers().has_token("Connection", token);
+    !connection("close") && (request.version() == "HTTP/1.1" || connection("keep-alive"))
 }
 
 /// The least landing area a read is offered: room for any request and
@@ -2034,7 +2018,7 @@ impl BodyPlan {
 
 /// Whether a header line is about one connection, not about the message:
 /// neither hop passes the other's on.
-fn hop_by_hop(name: &[u8]) -> bool {
+fn hop_by_hop(name: &str) -> bool {
     const NAMES: [&str; 5] = [
         "connection",
         "keep-alive",
@@ -2042,9 +2026,7 @@ fn hop_by_hop(name: &[u8]) -> bool {
         "trailer",
         "upgrade",
     ];
-    NAMES
-        .iter()
-        .any(|hop| name.eq_ignore_ascii_case(hop.as_bytes()))
+    NAMES.iter().any(|hop| name.eq_ignore_ascii_case(hop))
 }
 
 /// Serializes the request the origin is sent: the client's, as this
@@ -2052,19 +2034,7 @@ fn hop_by_hop(name: &[u8]) -> bool {
 /// behind, so a `Connection: close` (or an HTTP/1.0 request line) ends
 /// the client's connection and not a pooled origin one.
 fn upstream_request(request: &Request, out: &mut Vec<u8>) {
-    out.reserve(request.wire_len());
-    write!(out, "{} {} HTTP/1.1\r\n", request.method(), request.uri())
-        .expect("a Vec takes any write");
-    for (name, value) in request.headers().iter() {
-        if !hop_by_hop(name.as_bytes()) {
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(b": ");
-            out.extend_from_slice(value.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-    }
-    out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(request.body());
+    wire::serialize_request_as(request, "HTTP/1.1", |name| !hop_by_hop(name), out);
 }
 
 /// Ends a streamed response's head with the only framing and
@@ -2099,33 +2069,18 @@ fn streaming_head(plan: &BodyPlan, close_after: bool, out: &mut Vec<u8>) {
 }
 
 /// Appends the client-side head for a response that is relayed as it
-/// came: the origin's own head block (`origin`, blank line included)
-/// under this hop's protocol version, every line byte for byte and in
-/// the origin's order except the hop-by-hop lines and every
-/// `Content-Length` and `Transfer-Encoding`, however many there are;
-/// [`end_head`] writes the one framing line the relay follows. Two
-/// different lengths from an origin therefore never reach a client
-/// together.
-fn relay_head(origin: &[u8], plan: &BodyPlan, close_after: bool, out: &mut Vec<u8>) {
-    let mut lines = origin.split_inclusive(|&b| b == b'\n');
-    let status_line = lines.next().unwrap_or_default();
-    let code_at = status_line
-        .iter()
-        .position(u8::is_ascii_whitespace)
-        .unwrap_or(0);
-    out.extend_from_slice(b"HTTP/1.1");
-    out.extend_from_slice(&status_line[code_at..]);
-    let mut dropped = false;
-    for line in lines.take_while(|line| *line != b"\r\n") {
-        // A folded line shares the fate of the one it continues.
-        if !line.starts_with(b" ") && !line.starts_with(b"\t") {
-            let name = line.split(|&b| b == b':').next().unwrap_or_default();
-            dropped = hop_by_hop(name)
-                || name.eq_ignore_ascii_case(b"content-length")
-                || name.eq_ignore_ascii_case(b"transfer-encoding");
-        }
-        if !dropped {
-            out.extend_from_slice(line);
+/// came: the origin's own head under this hop's protocol version, every
+/// line byte for byte and in the origin's order (a folded line is one
+/// line here, continuation and all) except the hop-by-hop lines and
+/// every `Content-Length` and `Transfer-Encoding`; [`end_head`] writes
+/// the one framing line the relay follows.
+fn relay_head(origin: &Head<'_>, plan: &BodyPlan, close_after: bool, out: &mut Vec<u8>) {
+    let (_, status) = origin.start_line.split_once(' ').unwrap_or_default();
+    write!(out, "HTTP/1.1 {status}\r\n").expect("a Vec takes any write");
+    for line in origin.lines().flatten() {
+        let framing = ["content-length", "transfer-encoding"];
+        if !hop_by_hop(line.name) && !framing.iter().any(|f| line.name.eq_ignore_ascii_case(f)) {
+            out.extend_from_slice(line.raw.as_bytes());
         }
     }
     end_head(plan, close_after, out);
@@ -2394,25 +2349,31 @@ mod tests {
         let plan = BodyPlan::of(&head_of(origin), head_request, http11);
         assert!(!plan.page);
         let mut out = Vec::new();
-        relay_head(origin.as_bytes(), &plan, plan.to_close, &mut out);
+        let head = Head::parse(origin.as_bytes(), origin.len())
+            .unwrap()
+            .unwrap();
+        relay_head(&head, &plan, plan.to_close, &mut out);
         String::from_utf8(out).unwrap()
     }
 
     #[test]
     fn a_relayed_head_carries_one_framing_line_and_it_is_ours() {
-        // Defect (4): two different lengths from one origin. The body is
-        // sized by the first, and the first is the one line that leaves.
+        // Two lengths that agree are one length, and one line leaves.
+        // Two that disagree never get this far: no head parses from
+        // them, which is the 502.
         let two_lengths = "HTTP/1.1 200 OK\r\nContent-Length: 5\r\nX-Between: 1\r\n\
-            content-length: 7\r\n\r\n";
+            content-length: 5\r\n\r\n";
         assert_eq!(
             relayed(two_lengths, false, true),
             "HTTP/1.1 200 OK\r\nX-Between: 1\r\nContent-Length: 5\r\n\
              Connection: keep-alive\r\n\r\n"
         );
-        // A chunked claim beside them wins (RFC 9112 §6.3), and then no
-        // length leaves at all: chunks for a client that reads them, the
-        // close for one that does not.
-        let and_chunked = "HTTP/1.1 200 OK\r\nContent-Length: 5\r\ncontent-length: 7\r\n\
+        let disagree = two_lengths.replace("content-length: 5", "content-length: 7");
+        assert!(frame::response_head(disagree.as_bytes()).is_err());
+        // A chunked claim beside a length wins (RFC 9112 §6.3), and then
+        // no length leaves at all: chunks for a client that reads them,
+        // the close for one that does not.
+        let and_chunked = "HTTP/1.1 200 OK\r\nContent-Length: 5\r\ncontent-length: 5\r\n\
             Transfer-Encoding: chunked\r\nX-After: 1\r\n\r\n";
         assert_eq!(
             relayed(and_chunked, false, true),
@@ -2424,7 +2385,7 @@ mod tests {
             "HTTP/1.1 200 OK\r\nX-After: 1\r\nConnection: close\r\n\r\n"
         );
         // Nothing follows a response to `HEAD`: it keeps the origin's
-        // first length, gets no `Transfer-Encoding`, and no length is
+        // length, gets no `Transfer-Encoding`, and no length is
         // invented where the origin declared none (a 304).
         assert_eq!(
             relayed(two_lengths, true, true),
@@ -2568,6 +2529,78 @@ mod tests {
         let mut out = Vec::new();
         upstream_request(&request, &mut out);
         assert_eq!(out, wire::serialize_request(&request));
+    }
+
+    /// The codec's message generator, shared with `botwall-http`'s
+    /// own property tests.
+    #[allow(dead_code)]
+    mod messages {
+        include!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../http/tests/support/messages.rs"
+        ));
+    }
+
+    proptest::proptest! {
+        /// The differential one: whatever bytes the front door takes
+        /// for a request, what it sends upstream reads back under the
+        /// same codec as exactly one message with the same method,
+        /// target and decoded body, framed by at most one
+        /// `Content-Length` and nothing else, with no stray CR or LF
+        /// for a laxer origin to split a line at.
+        #[test]
+        fn the_origin_is_sent_the_request_the_front_door_read(raw in messages::message()) {
+            let peer = ClientIp::new(7);
+            if let Ok(Some((request, len))) = wire::read_request(&raw, peer) {
+                assert!(len <= raw.len());
+                let mut sent = Vec::new();
+                upstream_request(&request, &mut sent);
+                let (again, used) = wire::read_request(&sent, peer)
+                    .unwrap_or_else(|e| panic!("{e} in {:?}", String::from_utf8_lossy(&sent)))
+                    .expect("a whole message");
+                assert_eq!(used, sent.len(), "one message and nothing after it");
+                assert_eq!(
+                    (again.method(), again.uri(), again.body()),
+                    (request.method(), request.uri(), request.body())
+                );
+                let head = &sent[..sent.len() - request.body().len()];
+                let head = std::str::from_utf8(head).unwrap().to_ascii_lowercase();
+                let lines: Vec<&str> = head.split("\r\n").collect();
+                assert!(!lines.iter().any(|line| line.contains(['\r', '\n'])), "{head:?}");
+                let named = |name| lines.iter().filter(|line| line.starts_with(name)).count();
+                assert!(named("content-length:") <= 1, "{head:?}");
+                assert_eq!(named("transfer-encoding:"), 0, "{head:?}");
+            }
+        }
+
+        /// Whatever head `response_head` takes from an origin, the head
+        /// relayed to the client reads back as one head framed the way
+        /// the plan says and by nothing else; no input panics either.
+        #[test]
+        fn a_relayed_head_says_what_the_plan_says(
+            raw in messages::message(),
+            head_request in proptest::bool::ANY,
+            http11 in proptest::bool::ANY,
+        ) {
+            if let Ok(Some(head)) = frame::response_head(&raw) {
+                let plan = BodyPlan::of(&head, head_request, http11);
+                let origin = Head::parse(&raw[..head.len], head.len).unwrap().unwrap();
+                let mut out = Vec::new();
+                relay_head(&origin, &plan, plan.to_close, &mut out);
+                let relayed = frame::response_head(&out)
+                    .unwrap_or_else(|e| panic!("{e} in {:?}", String::from_utf8_lossy(&out)))
+                    .expect("a whole head");
+                assert_eq!(relayed.len, out.len());
+                assert_eq!((relayed.status, &relayed.content_type), (head.status, &head.content_type));
+                assert_eq!(relayed.connection_close, plan.to_close);
+                let framing = match plan.length {
+                    Some(n) => BodyFraming::Length(n),
+                    None if plan.chunked => BodyFraming::Chunked,
+                    None => BodyFraming::Close,
+                };
+                assert_eq!(relayed.framing, framing);
+            }
+        }
     }
 
     #[test]

@@ -1981,6 +1981,176 @@ fn a_connection_close_client_still_parks_its_origin_connection() {
     );
 }
 
+/// `Connection` is a token list. A client that lists `close` among
+/// other tokens has asked for its connection to be closed: the answer
+/// says so and the close follows it. (The whole value used to be
+/// compared to `close`, so these kept the connection open and a client
+/// reading to the close waited out the idle timeout.)
+#[test]
+fn a_close_token_anywhere_in_the_connection_list_closes_the_clients_connection() {
+    let fx = Fixture::standard();
+    for listed in ["keep-alive, close", "TE, Close"] {
+        let mut conn = TcpStream::connect(fx.addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+        let request = format!(
+            "GET /missing HTTP/1.1\r\nHost: site.example\r\n\
+             User-Agent: Mozilla/5.0 e2e-close-token\r\nConnection: {listed}\r\n\r\n"
+        );
+        conn.write_all(request.as_bytes()).unwrap();
+        let mut raw = Vec::new();
+        std::io::Read::read_to_end(&mut conn, &mut raw)
+            .unwrap_or_else(|e| panic!("`Connection: {listed}` left the connection open: {e}"));
+        let head = frame::response_head(&raw).unwrap().expect("a whole head");
+        assert!(head.connection_close, "`Connection: {listed}`");
+    }
+    fx.finish();
+}
+
+/// An origin that keeps every byte it is sent, answers each request
+/// with `answer` and closes, for `connections` connections and no more.
+/// The bytes are the test's to read once the thread is joined.
+fn recording_origin(answer: &'static str, connections: usize) -> (SocketAddr, JoinHandle<Vec<u8>>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let origin = std::thread::spawn(move || {
+        let mut seen = Vec::new();
+        for conn in listener.incoming().take(connections) {
+            let mut conn = conn.unwrap();
+            let mut request = Vec::new();
+            let mut piece = [0u8; 4096];
+            while !matches!(
+                frame::measure(&request),
+                Ok(frame::Framing::Complete { .. }) | Err(_)
+            ) {
+                match std::io::Read::read(&mut conn, &mut piece) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => request.extend_from_slice(&piece[..n]),
+                }
+            }
+            seen.extend_from_slice(&request);
+            let _ = conn.write_all(answer.as_bytes());
+        }
+        seen
+    });
+    (addr, origin)
+}
+
+const PLAIN_OK: &str = "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\
+    Content-Length: 2\r\nConnection: close\r\n\r\nok";
+
+/// One request of `lines` and `body` behind a `POST /form` request line
+/// and a `Host`, on a connection of its own.
+fn post(addr: SocketAddr, ua: &str, lines: &str, body: &str) -> Response {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let request = format!(
+        "POST /form HTTP/1.1\r\nHost: site.example\r\nUser-Agent: {ua}\r\n{lines}\r\n{body}"
+    );
+    conn.write_all(request.as_bytes()).unwrap();
+    client::read_response(&mut conn).unwrap()
+}
+
+/// The heads `measure` → `dechunk` → `parse_request` → re-serialize
+/// took between them and sent on: two lengths that disagree (both
+/// lines went upstream), a signed length, a bare LF that hides a
+/// `Transfer-Encoding` from this hop inside a value, a coding that only
+/// contains `chunked`, and a value holding a bare CR and a NUL. Each is
+/// a `400` and a close at the front door, the gate never hears of it,
+/// and not one byte of it reaches the origin.
+#[test]
+fn a_head_no_two_parsers_would_read_alike_never_reaches_the_origin() {
+    let (origin_addr, origin) = recording_origin(PLAIN_OK, 2);
+    let fx = Fixture::with(
+        Gateway::builder().seed(43).build(),
+        |config| config.origin = Some(origin_addr),
+        None,
+    );
+    let ua = "Mozilla/5.0 e2e-one-scanner";
+    let refused = [
+        (
+            "cl_cl",
+            "Content-Length: 5\r\nContent-Length: 0\r\n",
+            "hello",
+        ),
+        ("signed_length", "Content-Length: +5\r\n", "hello"),
+        (
+            "bare_lf_hides_a_header",
+            "X: a\nTransfer-Encoding: chunked\r\n",
+            "",
+        ),
+        (
+            "chunked_as_a_substring",
+            "Transfer-Encoding: xchunkedy\r\n",
+            "5\r\nhello\r\n0\r\n\r\n",
+        ),
+        ("bare_cr_and_nul_in_a_value", "X: a\rb\0c\r\n", ""),
+        ("folded_line", "X: a\r\n b\r\n", ""),
+        ("another_coding", "Transfer-Encoding: gzip\r\n", ""),
+    ];
+    for (name, lines, body) in refused {
+        let response = post(fx.addr, ua, lines, body);
+        assert_eq!(response.status(), StatusCode::BAD_REQUEST, "{name}");
+        assert_eq!(
+            response.headers().get("Connection"),
+            Some("close"),
+            "{name}"
+        );
+    }
+    assert_eq!(fx.gateway.stats().requests, 0, "the gate saw none of them");
+
+    // Lengths that agree are one length, and reach the origin as one
+    // line; a chunked body reaches it decoded, under its real length.
+    let response = post(
+        fx.addr,
+        ua,
+        "Content-Length: 5\r\ncontent-length: 5\r\n",
+        "hello",
+    );
+    assert_eq!(
+        (response.status(), response.body()),
+        (StatusCode::OK, &b"ok"[..])
+    );
+    let chunked = "Content-Length: 99\r\nTransfer-Encoding: gzip, chunked\r\n";
+    let response = post(fx.addr, ua, chunked, "2\r\nhe\r\n3\r\nllo\r\n0\r\n\r\n");
+    assert_eq!(response.status(), StatusCode::OK);
+    // Everything the origin was ever sent is these two requests: no
+    // byte of the seven refused ones is in front of them.
+    let sent = String::from_utf8(origin.join().unwrap()).unwrap();
+    let expected = format!(
+        "POST /form HTTP/1.1\r\nHost: site.example\r\nUser-Agent: {ua}\r\n\
+         Content-Length: 5\r\n\r\nhello"
+    );
+    assert_eq!(sent, expected.repeat(2));
+    assert_eq!(fx.gateway.stats().requests, 2);
+    fx.finish();
+}
+
+/// The same disagreement from the other side: an origin whose response
+/// declares two different lengths has sent no head this hop can relay.
+/// That is the `502`, not a response framed by whichever came first.
+#[test]
+fn an_origin_whose_lengths_disagree_is_a_bad_gateway() {
+    let (origin_addr, origin) = recording_origin(
+        "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\
+         Content-Length: 7\r\n\r\nok?????",
+        1,
+    );
+    let fx = Fixture::with(
+        Gateway::builder().seed(44).build(),
+        |config| config.origin = Some(origin_addr),
+        None,
+    );
+    let response = get(fx.addr, "/asset.txt", "Mozilla/5.0 e2e-origin-cl-cl");
+    assert_eq!(response.status(), StatusCode::BAD_GATEWAY);
+    let stats = fx.gateway.stats();
+    assert_eq!(
+        (stats.requests, stats.served),
+        (1, 1),
+        "the lease committed"
+    );
+    origin.join().unwrap();
+    fx.finish();
+}
+
 /// An HTTP/1.0 client was never taught chunks. A body whose length
 /// nobody knows when its head is written (a page under the rewriter, an
 /// asset the origin chunked) reaches it as HTTP/1.0 bodies always have:
