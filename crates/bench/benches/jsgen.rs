@@ -131,7 +131,10 @@ fn bench_page_setup(c: &mut Criterion) {
     });
 
     let script_fetch = |tokens: &mut TokenState| {
-        let (_, manifest) = engine.instrument_session_page("<html></html>", &page, tokens, 7, now);
+        let manifest = engine
+            .begin_session_page(&page, tokens, 7, now)
+            .rewrite_whole("<html></html>")
+            .manifest;
         let script = manifest
             .js_file
             .expect("the default config deploys the script");

@@ -43,8 +43,10 @@ fn bench_token_table(c: &mut Criterion) {
         )
         .build()
         .unwrap();
-        let (_, manifest) =
-            engine.instrument_session_page("<html></html>", &page, &mut tokens, 1, SimTime::ZERO);
+        let manifest = engine
+            .begin_session_page(&page, &mut tokens, 1, SimTime::ZERO)
+            .rewrite_whole("<html></html>")
+            .manifest;
         let css = manifest.css_probe.unwrap();
         let req = botwall_http::Request::builder(botwall_http::Method::Get, css.to_string())
             .build()

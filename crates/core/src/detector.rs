@@ -627,28 +627,28 @@ impl Detector {
 
     /// Phase two: folds an origin fetch back into the leased session —
     /// one more shard acquisition, re-bound **by incarnation**. The
-    /// `respond` callback builds the response with full access to the
-    /// session's state (this is where origin HTML is instrumented, its
-    /// beacon token landing in the session's [`TokenState`]); the
-    /// exchange is then recorded and its evidence folded exactly as the
-    /// fused path does.
+    /// exchange is recorded and its evidence folded exactly as the fused
+    /// path does. `head` is the response as far as a record reads it
+    /// (status and headers; a page's instrumentation was minted into
+    /// the session earlier, through [`Detector::with_lease_state`]) and
+    /// `sent` what it came to on the wire, body included: the session's
+    /// record counts that, since a body that was streamed to the client
+    /// is not in `head` to be measured.
     ///
     /// If the leased incarnation is gone — evicted for capacity, or
     /// rolled over because the key returned after the idle timeout
-    /// mid-fetch — `lost` builds the response without session state
-    /// (the client still gets its answer), and the exchange commits
-    /// through the deferred-carry channel instead: a live successor
-    /// absorbs it immediately, otherwise a [`KeyCarry`] parks in the
-    /// key's shard for the next incarnation. Evidence is redirected,
-    /// never dropped.
-    pub fn commit_exchange<T>(
+    /// mid-fetch — the exchange commits through the deferred-carry
+    /// channel instead: a live successor absorbs it immediately,
+    /// otherwise a [`KeyCarry`] parks in the key's shard for the next
+    /// incarnation. Evidence is redirected, never dropped.
+    pub fn commit_exchange(
         &self,
         lease: OriginLease,
         request: &Request,
+        head: &Response,
+        sent: u64,
         now: SimTime,
-        respond: impl FnOnce(&Session, &mut KeyState) -> (Response, T),
-        lost: impl FnOnce() -> (Response, T),
-    ) -> (ObserveOutcome, Response, T) {
+    ) -> ObserveOutcome {
         let min_to_classify = self.tracker.config().min_requests_to_classify;
         let OriginLease {
             lease,
@@ -658,30 +658,24 @@ impl Detector {
             ..
         } = lease;
         let key = lease.key().clone();
-        let (response, value, verdict, transitioned, request_index) = self.tracker.commit(
+        let (verdict, transitioned, request_index) = self.tracker.commit(
             lease,
             request,
             now,
             |entry| {
-                let (response, value) = {
-                    let (session, state) = entry.parts();
-                    // The fetch is back: this lease no longer counts
-                    // toward the in-flight burst. Saturating because a
-                    // rollover mid-fetch resets the counter to zero and
-                    // this commit would then land on the lost path —
-                    // but a racing same-key re-gate between those two
-                    // steps must never underflow.
-                    state.in_flight = state.in_flight.saturating_sub(1);
-                    respond(session, state)
-                };
-                entry.record(request, Some(&response), now);
+                // The fetch is back: this lease no longer counts toward
+                // the in-flight burst. Saturating because a rollover
+                // mid-fetch resets the counter to zero and this commit
+                // would then land on the lost path — but a racing
+                // same-key re-gate between those two steps must never
+                // underflow.
+                let state = entry.ext();
+                state.in_flight = state.in_flight.saturating_sub(1);
+                entry.record_streamed(request, head, sent, now);
                 let (session, state) = entry.parts();
-                let (verdict, transitioned, index) =
-                    fold_exchange(state, session, &classified, request, min_to_classify, now);
-                (response, value, verdict, transitioned, index)
+                fold_exchange(state, session, &classified, request, min_to_classify, now)
             },
             |successor, slot| {
-                let (response, value) = lost();
                 // The classified evidence survives the eviction: a live
                 // successor absorbs it now, otherwise it parks in the
                 // carry for the next incarnation. Either way a decoy
@@ -701,19 +695,15 @@ impl Detector {
                     }
                 }
                 // Best available observation: the pre-exchange snapshot.
-                (response, value, verdict, false, request_count as u32 + 1)
+                (verdict, false, request_count as u32 + 1)
             },
         );
-        (
-            ObserveOutcome {
-                key,
-                verdict,
-                transitioned,
-                request_index,
-            },
-            response,
-            value,
-        )
+        ObserveOutcome {
+            key,
+            verdict,
+            transitioned,
+            request_index,
+        }
     }
 
     /// Runs `f` against a leased session's live state **without
@@ -999,8 +989,9 @@ mod tests {
             let page = req(0, "http://h/index.html", "");
             let html = "<html><head></head><body></body></html>";
             self.engine
-                .instrument_session_page(html, &page, &mut self.tokens, 5, now)
-                .1
+                .begin_session_page(&page, &mut self.tokens, 5, now)
+                .rewrite_whole(html)
+                .manifest
         }
 
         fn classify(&mut self, request: &Request, now: SimTime) -> Classified {
@@ -1429,18 +1420,9 @@ mod tests {
         // the same key.
         assert_eq!(det.tracker().get(lease.key()).unwrap().request_count(), 0);
         det.observe(&r, &ok(), &Classified::Ordinary, SimTime::from_secs(1));
-        let (out, response, served) = det.commit_exchange(
-            lease,
-            &r,
-            SimTime::from_secs(2),
-            |session, _state| {
-                assert_eq!(session.request_count(), 1, "the interleaved exchange");
-                (ok(), true)
-            },
-            || (Response::empty(StatusCode::BAD_GATEWAY), false),
-        );
-        assert!(served, "live lease commits through the fold path");
-        assert_eq!(response.status(), StatusCode::OK);
+        let out = det.commit_exchange(lease, &r, &ok(), 0, SimTime::from_secs(2));
+        // The live lease commits through the fold path, behind the
+        // interleaved exchange.
         assert_eq!(out.request_index, 2);
         assert_eq!(det.tracker().get(&out.key).unwrap().request_count(), 2);
     }
@@ -1519,9 +1501,7 @@ mod tests {
         // The hanging origins answer: every commit folds its lease back
         // in and the in-flight census drains to zero.
         for lease in leases {
-            let (_, response, ()) =
-                det.commit_exchange(lease, &r, now + 100, |_, _| (ok(), ()), || (ok(), ()));
-            assert_eq!(response.status(), StatusCode::OK);
+            det.commit_exchange(lease, &r, &ok(), 0, now + 100);
         }
         assert_eq!(
             det.with_key_state(&key, |_, state| state.in_flight),
@@ -1553,16 +1533,17 @@ mod tests {
         // Another key evicts the leased session while the fetch runs.
         let other = req(42, "http://h/b.html", "Mozilla/5.0");
         det.observe(&other, &ok(), &Classified::Ordinary, SimTime::from_secs(1));
-        let (out, response, ()) = det.commit_exchange(
-            lease,
-            &r,
-            SimTime::from_secs(2),
-            |_, _| panic!("evicted lease must not fold"),
-            || (ok(), ()),
-        );
-        // The client still got its answer...
-        assert_eq!(response.status(), StatusCode::OK);
+        let out = det.commit_exchange(lease, &r, &ok(), 0, SimTime::from_secs(2));
+        // The evicted lease folds into nobody: the stranger's record is
+        // untouched...
         assert_eq!(out.verdict, Verdict::Undecided);
+        assert_eq!(
+            det.tracker()
+                .get(&SessionKey::of(&other))
+                .unwrap()
+                .request_count(),
+            1
+        );
         // ...and the key's next incarnation absorbs the lost exchange.
         let next = det.observe(&r, &ok(), &Classified::Ordinary, SimTime::from_secs(3));
         assert_eq!(
@@ -1600,13 +1581,7 @@ mod tests {
         // Another key evicts the leased session while the fetch runs.
         let other = req(46, "http://h/b.html", "Mozilla/5.0");
         det.observe(&other, &ok(), &Classified::Ordinary, SimTime::from_secs(1));
-        let (out, _, ()) = det.commit_exchange(
-            lease,
-            &r,
-            SimTime::from_secs(2),
-            |_, _| panic!("evicted lease must not fold"),
-            || (ok(), ()),
-        );
+        let out = det.commit_exchange(lease, &r, &ok(), 0, SimTime::from_secs(2));
         assert_eq!(out.verdict, Verdict::Undecided);
         // The eviction must not launder the evidence: the key's next
         // incarnation inherits the hidden-link signal, not just a
@@ -1643,16 +1618,12 @@ mod tests {
         // incarnation is live when the commit finally lands.
         let later = SimTime::from_hours(2);
         let successor = det.observe(&r, &ok(), &Classified::Ordinary, later);
-        det.commit_exchange(
-            lease,
-            &r,
-            later + 1,
-            |_, _| panic!("rolled-over lease must not fold into the successor"),
-            || (ok(), ()),
-        );
+        det.commit_exchange(lease, &r, &ok(), 0, later + 1);
         // The successor takes the evidence directly at commit time — no
-        // further request needed to convict it.
-        det.with_key_state(&successor.key, |_, state| {
+        // further request needed to convict it — and the rolled-over
+        // lease's exchange is not folded into its record.
+        det.with_key_state(&successor.key, |session, state| {
+            assert_eq!(session.request_count(), 1);
             assert_eq!(state.lost_commits, 1);
             assert!(state.evidence.has(EvidenceKind::HiddenLinkFollowed));
             assert_eq!(state.verdict, Verdict::Robot(Reason::HiddenLink));
@@ -1681,14 +1652,7 @@ mod tests {
         // The key returns after the idle timeout mid-fetch: rollover.
         let later = SimTime::from_hours(2);
         det.observe(&r, &ok(), &Classified::Ordinary, later);
-        let (_, response, ()) = det.commit_exchange(
-            lease,
-            &r,
-            later + 1,
-            |_, _| panic!("rolled-over lease must not fold into the successor"),
-            || (ok(), ()),
-        );
-        assert_eq!(response.status(), StatusCode::OK);
+        det.commit_exchange(lease, &r, &ok(), 0, later + 1);
         // The successor took the lost commit directly — and its
         // rollover-carried block flag is untouched.
         det.with_key_state(&out.key, |session, state| {
@@ -1707,7 +1671,7 @@ mod tests {
         let policy = PolicyEngine::new(PolicyConfig::default());
         let r0 = req(31, "http://h/index.html", "Mozilla/5.0");
         let out = det.observe(&r0, &ok(), &Classified::Ordinary, SimTime::ZERO);
-        // A page rewrite (normally the gateway's respond closure) parked
+        // A page rewrite (normally the gateway's `begin_page_stream`) parked
         // a beacon key in the session's colocated token state.
         let key = BeaconKey::from_raw(0xfeed);
         det.with_key_state(&out.key, |_, state| {

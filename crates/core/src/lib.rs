@@ -48,13 +48,11 @@
 //! };
 //!
 //! // Server side: instrument a page for client 1.
-//! let (_html, manifest) = engine.instrument_session_page(
-//!     "<html><head></head><body></body></html>",
-//!     &get("http://site.example/index.html"),
-//!     &mut tokens,
-//!     1, // the session's RNG stream
-//!     SimTime::ZERO,
-//! );
+//! let page = get("http://site.example/index.html");
+//! let manifest = engine
+//!     .begin_session_page(&page, &mut tokens, 1, SimTime::ZERO) // 1: the session's RNG stream
+//!     .rewrite_whole("<html><head></head><body></body></html>")
+//!     .manifest;
 //!
 //! // Client side: a human moves the mouse, firing the beacon.
 //! let req = get(&manifest.mouse_beacon.unwrap().to_string());

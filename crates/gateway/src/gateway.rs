@@ -9,19 +9,35 @@
 //! Since PR 5 the request path is a **two-phase lease/commit protocol**
 //! with an exact lock taxonomy:
 //!
-//! * **Non-origin decisions — one shard lock.** Blocks, throttles,
+//! * **Non-origin decisions: one shard lock.** Blocks, throttles,
 //!   challenges, probe objects, and beacon redemptions are produced
 //!   inside the gate's single fused critical section
 //!   ([`botwall_core::Detector::gate`]), exactly as in PR 4.
-//! * **Origin serves — two shard locks, zero held during the fetch.**
-//!   The gate resolves policy and sighting under the first acquisition
-//!   and returns a lease; the origin callback then runs with **no lock
-//!   held** — one slow origin never stalls the other sessions on its
-//!   shard — and [`botwall_core::Detector::commit_exchange`] re-binds
-//!   the entry *by incarnation* under the second acquisition to record
-//!   the exchange and fold its evidence. A session evicted or rolled
-//!   over mid-fetch commits through the deferred-carry channel instead
-//!   of dropping evidence.
+//! * **Origin serves: two shard locks, three for a page, none held
+//!   during the fetch.** The gate resolves policy and sighting under
+//!   the first acquisition and returns a lease; the origin is fetched
+//!   with **no lock held** (one slow origin never stalls the other
+//!   sessions on its shard); a page takes one more to mint its
+//!   instrumentation into the session before its first byte leaves
+//!   ([`Gateway::begin_page_stream`]); and the commit re-binds the
+//!   entry *by incarnation* to record the exchange and fold its
+//!   evidence. A session evicted or rolled over mid-fetch commits
+//!   through the deferred-carry channel instead of dropping evidence.
+//!
+//! # One commit
+//!
+//! Every origin serve is committed by [`Gateway::finish_page_stream`],
+//! the one caller of [`botwall_core::Detector::commit_exchange`]: an
+//! origin response is a [`PageStream`] (a page through the rewriter,
+//! anything else a [`PageStream::relay`]) and the commit records its
+//! head and what it came to on the wire when its body has ended. The
+//! TCP front door drives that directly, chunk by chunk. A caller that
+//! holds the origin's answer whole ([`Gateway::handle_with`]'s closure,
+//! [`Gateway::complete`]) goes through the same code as a stream of one
+//! chunk: [`Origin::Page`] is begin, one [`PageStream::write`], finish;
+//! [`Origin::Response`] and [`Origin::NotFound`] are relays. So an eval,
+//! an example or a test that never opens a socket commits through what
+//! the socket path commits through.
 //!
 //! Everything the request touches is one of three kinds:
 //!
@@ -39,7 +55,7 @@
 //!
 //! There is no `RwLock`, no global mutex, and no cross-shard anything on
 //! the request path; a debug-build regression test asserts the exact
-//! lock counts for both taxonomy classes. Because no lock spans the
+//! shard-lock counts for each taxonomy class. Because no lock spans the
 //! origin fetch, the callback may even reenter the gateway, and
 //! executor-driven callers can split the phases across tasks with
 //! [`Gateway::handle_deferred`] / [`Gateway::complete`].
@@ -51,13 +67,12 @@ use botwall_core::classifier::{Reason, Verdict};
 use botwall_core::staged::{Stage, StagedPipeline};
 use botwall_core::{
     Action, BoundaryClassifier, ChallengeState, CompletedSession, Detector, GateRespond, Gated,
-    KeyCarry, KeyState, OriginLease, PendingCaptchaPass, PolicyEngine,
+    KeyCarry, OriginLease, PendingCaptchaPass, PolicyEngine,
 };
 use botwall_http::{Request, Response, StatusCode};
 use botwall_instrument::{ProbeManifest, RewriteEngine, StreamSink, StreamingRewrite};
 use botwall_sessions::{Session, SessionKey, SimTime};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -230,8 +245,7 @@ impl PendingOrigin {
 #[derive(Debug)]
 pub struct PageStream {
     /// `None` for a relay, and when the lease died before a page's
-    /// stream began: the page passes through uninstrumented, like the
-    /// buffered lost path.
+    /// stream began: the page passes through uninstrumented.
     rewrite: Option<StreamingRewrite>,
     /// What the commit records as the response: the body is long gone
     /// to the client by then, so this is a head.
@@ -329,9 +343,9 @@ pub struct Gateway {
     ml_overrides: AtomicU64,
 }
 
-/// The uncacheable `200 text/html` a page serve answers with: `body`
-/// whole on the buffered path, empty when the body was streamed and
-/// only the head is left to record.
+/// The uncacheable `200 text/html` a page serve answers with: empty
+/// for the head a stream records, `body` whole for the response a
+/// caller that wants one is handed.
 fn page_response(body: Vec<u8>) -> Response {
     let mut response = Response::builder(StatusCode::OK)
         .header("Content-Type", "text/html")
@@ -430,9 +444,9 @@ impl Gateway {
     /// section. When origin content is needed, the session is *leased*:
     /// the `origin` callback runs with **no lock held** (it may block,
     /// sleep, or even reenter this gateway without stalling any other
-    /// session), and a second, short critical section commits the
-    /// finished exchange. To run the fetch elsewhere entirely (thread
-    /// pool, async task), use [`Gateway::handle_deferred`].
+    /// session), and what it returns is committed as a stream of one
+    /// chunk (see the module docs). To run the fetch elsewhere entirely
+    /// (thread pool, async task), use [`Gateway::handle_deferred`].
     pub fn handle_with<F>(&self, request: &Request, now: SimTime, origin: F) -> Decision
     where
         F: FnOnce(&Request) -> Origin,
@@ -443,7 +457,7 @@ impl Gateway {
                 // No lock is held here: a slow origin stalls only this
                 // request, never its shard.
                 let fetched = origin(request);
-                self.commit_phase(lease, request, fetched, now)
+                self.serve_whole(lease, request, fetched, now)
             }
         }
     }
@@ -493,62 +507,104 @@ impl Gateway {
         }
     }
 
-    /// Commits a deferred origin fetch (see [`Gateway::handle_deferred`]).
+    /// Commits a deferred origin fetch the caller holds whole (see
+    /// [`Gateway::handle_deferred`]), as a stream of one chunk.
     pub fn complete(&self, pending: PendingOrigin, fetched: Origin, now: SimTime) -> Decision {
         let PendingOrigin { lease, request } = pending;
-        self.commit_phase(lease, &request, fetched, now)
+        self.serve_whole(lease, &request, fetched, now)
     }
 
-    /// Phase two, **streaming** variant — begin. Called when the origin
-    /// response head reveals an HTML page: one short critical section
-    /// re-binds the lease to mint this page's instrumentation — the RNG
-    /// draw, probe URLs (on the request's `Host` when its target names
-    /// none), and the beacon token *issued into the session
-    /// immediately*, its script a seed until somebody fetches it, so a
-    /// fast browser redeeming a probe mid-stream already hits live
-    /// state — and returns a
+    /// The adapter from an origin answer held whole to the streaming
+    /// commit: a page is begun, written as its one chunk and finished; a
+    /// response (the 404 for no answer at all) is a relay that has
+    /// nothing left to write.
+    fn serve_whole(
+        &self,
+        lease: OriginLease,
+        request: &Request,
+        fetched: Origin,
+        now: SimTime,
+    ) -> Decision {
+        let mut out = Vec::new();
+        let (stream, page) = match fetched {
+            Origin::Page(html) => {
+                let mut stream = self.begin_stream(&lease, request, now);
+                out.reserve(html.len() + 512);
+                stream.write(html.as_bytes(), &mut out);
+                (stream, true)
+            }
+            Origin::Response(response) => (PageStream::relay(response), false),
+            Origin::NotFound => (
+                PageStream::relay(Response::empty(StatusCode::NOT_FOUND)),
+                false,
+            ),
+        };
+        let sent = (stream.head.wire_len() + out.len()) as u64;
+        let (served, head) = self.finish_stream(lease, request, stream, &mut out, sent, now);
+        let (response, body) = if page {
+            let body = String::from_utf8(out).expect("a str with ASCII markup at ASCII anchors");
+            (page_response(body.as_bytes().to_vec()), Some(body))
+        } else {
+            (head, None)
+        };
+        Decision::Serve {
+            response,
+            body,
+            manifest: served.manifest,
+            verdict: served.verdict,
+            key: served.key,
+            probe: false,
+        }
+    }
+
+    /// Phase two, begin. Called when the origin response head reveals
+    /// an HTML page: one short critical section re-binds the lease to
+    /// mint this page's instrumentation — the RNG draw, probe URLs (on
+    /// the request's `Host` when its target names none), and the beacon
+    /// token *issued into the session immediately*, its script a seed
+    /// until somebody fetches it, so a fast browser redeeming a probe
+    /// mid-stream already hits live state — and returns a
     /// [`PageStream`] to pump origin body chunks through. The rewrite
-    /// is byte-identical to the buffered path ([`Origin::Page`] via
-    /// [`Gateway::complete`]) for the same session state.
+    /// is byte-identical for every chunking of the body, the one chunk
+    /// of [`Origin::Page`] via [`Gateway::complete`] included.
     ///
     /// A lease whose incarnation died mid-fetch degrades to a
-    /// passthrough stream (the page goes out uninstrumented, exactly
-    /// like the buffered lost-lease path); the eventual
-    /// [`Gateway::finish_page_stream`] then commits through the
-    /// deferred-carry channel. Streaming costs three shard acquisitions
-    /// per serve (gate, begin, commit) against the buffered path's two
-    /// — the price of never materializing the page.
+    /// passthrough stream: the page goes out uninstrumented (there is
+    /// no session state to hold its beacon token) and the eventual
+    /// [`Gateway::finish_page_stream`] commits through the
+    /// deferred-carry channel.
     pub fn begin_page_stream(&self, pending: &PendingOrigin, now: SimTime) -> PageStream {
-        let rewrite = self
-            .detector
-            .with_lease_state(&pending.lease, |session, state| {
-                self.engine.begin_session_page(
-                    &pending.request,
-                    &mut state.tokens,
-                    self.stream_seed(session),
-                    now,
-                )
-            });
+        self.begin_stream(&pending.lease, &pending.request, now)
+    }
+
+    fn begin_stream(&self, lease: &OriginLease, request: &Request, now: SimTime) -> PageStream {
+        let rewrite = self.detector.with_lease_state(lease, |session, state| {
+            self.engine.begin_session_page(
+                request,
+                &mut state.tokens,
+                self.stream_seed(session),
+                now,
+            )
+        });
         PageStream {
             rewrite,
             head: page_response(Vec::new()),
         }
     }
 
-    /// Phase two, **streaming** variant — commit. The origin body has
-    /// finished (or died): flush the rewriter's held tail into `out`,
-    /// record the exchange, and fold its evidence exactly as the
-    /// buffered commit does. `wire_bytes` is what the caller already
-    /// put on the wire for this response (head + encoded chunks); the
-    /// tail flushed here is added to the byte ledger on top.
+    /// Phase two, commit: the one every origin serve ends in. The
+    /// origin body has finished (or died): flush the rewriter's held
+    /// tail into `out`, record the exchange, and fold its evidence.
+    /// `wire_bytes` is what the caller already put on the wire for this
+    /// response (head + encoded chunks); the tail flushed here is added
+    /// on top, and the sum is what the byte ledger and the session's
+    /// record of the exchange both count.
     ///
     /// The recorded response is the head the stream carries (a page's
     /// uncacheable `200 text/html`, a relay's origin status and
     /// `Content-Type`) — the body bytes are long gone to the client,
     /// which is the point of streaming. Evidence folding only reads the
-    /// status line and headers, so detection is unaffected; the byte
-    /// ledger is kept by the `wire_bytes` tally instead of
-    /// `Response::wire_len`.
+    /// status line and headers, so detection is unaffected.
     pub fn finish_page_stream(
         &self,
         pending: PendingOrigin,
@@ -558,35 +614,47 @@ impl Gateway {
         now: SimTime,
     ) -> StreamedServe {
         let PendingOrigin { lease, request } = pending;
-        let key = lease.key().clone();
-        let cell = self.counters.cell(&key);
+        self.finish_stream(lease, &request, stream, out, wire_bytes, now)
+            .0
+    }
+
+    /// [`Gateway::finish_page_stream`] over a borrowed request, handing
+    /// the recorded head back as well.
+    fn finish_stream(
+        &self,
+        lease: OriginLease,
+        request: &Request,
+        stream: PageStream,
+        out: &mut Vec<u8>,
+        wire_bytes: u64,
+        now: SimTime,
+    ) -> (StreamedServe, Response) {
+        let cell = self.counters.cell(lease.key());
         let tail_start = out.len();
-        let manifest = match stream.rewrite {
-            Some(rewrite) => {
-                let finished = rewrite.finish(out);
-                cell.instrumentation_bytes
-                    .fetch_add(finished.manifest.html_overhead as u64, Ordering::Relaxed);
-                Some(finished.manifest)
-            }
-            None => None,
-        };
+        let manifest = stream.rewrite.map(|rewrite| {
+            let manifest = rewrite.finish(out).manifest;
+            // The page's wire bytes are tallied below; only the
+            // injected share moves into the overhead column.
+            cell.instrumentation_bytes
+                .fetch_add(manifest.html_overhead as u64, Ordering::Relaxed);
+            manifest
+        });
+        let sent = wire_bytes + (out.len() - tail_start) as u64;
         // The body is already with the client; live or lost, what is
         // left to record is its head (in_flight bookkeeping and the
-        // recording itself happen inside commit_exchange). Exactly one
-        // of the two commit closures runs and takes it.
-        let head = Cell::new(Some(stream.head));
-        let respond = || (head.take().expect("head recorded once"), ());
-        let (outcome, _, ()) =
-            self.detector
-                .commit_exchange(lease, &request, now, |_, _| respond(), respond);
-        let bytes = request.wire_len() as u64 + wire_bytes + (out.len() - tail_start) as u64;
-        cell.total_bytes.fetch_add(bytes, Ordering::Relaxed);
+        // recording itself happen inside commit_exchange).
+        let outcome = self
+            .detector
+            .commit_exchange(lease, request, &stream.head, sent, now);
+        cell.total_bytes
+            .fetch_add(request.wire_len() as u64 + sent, Ordering::Relaxed);
         cell.served.fetch_add(1, Ordering::Relaxed);
-        StreamedServe {
-            key,
+        let served = StreamedServe {
+            key: outcome.key,
             verdict: outcome.verdict,
             manifest,
-        }
+        };
+        (served, stream.head)
     }
 
     /// The instrumentation RNG stream of one session incarnation.
@@ -721,77 +789,6 @@ impl Gateway {
                 })
             }
             Gated::NeedsOrigin(lease) => GatePhase::Leased(lease),
-        }
-    }
-
-    /// Phase two: commits fetched origin content into the leased
-    /// session — the second (short) critical section, where pages are
-    /// instrumented into the session's token state and the exchange is
-    /// recorded. A lease whose incarnation was evicted or rolled over
-    /// mid-fetch still answers the client (the page goes out
-    /// uninstrumented — there is no session state to hold its beacon
-    /// token) and commits through the deferred-carry channel.
-    fn commit_phase(
-        &self,
-        lease: OriginLease,
-        request: &Request,
-        fetched: Origin,
-        now: SimTime,
-    ) -> Decision {
-        let key = lease.key().clone();
-        let cell = self.counters.cell(&key);
-        // One mapping from fetched content to the wire, shared by both
-        // commit outcomes; only pages differ (instrumented into live
-        // session state vs. served plain when the lease was lost).
-        let serve = |fetched: Origin, live: Option<(&Session, &mut KeyState)>| match fetched {
-            Origin::Page(html) => match live {
-                Some((session, state)) => {
-                    let (rewritten, manifest) = self.engine.instrument_session_page(
-                        &html,
-                        request,
-                        &mut state.tokens,
-                        self.stream_seed(session),
-                        now,
-                    );
-                    // The page's wire bytes are tallied below; only the
-                    // injected share moves into the overhead column.
-                    cell.instrumentation_bytes
-                        .fetch_add(manifest.html_overhead as u64, Ordering::Relaxed);
-                    (
-                        page_response(rewritten.as_bytes().to_vec()),
-                        (Some(rewritten), Some(manifest)),
-                    )
-                }
-                None => (page_response(html.as_bytes().to_vec()), (Some(html), None)),
-            },
-            Origin::Response(response) => (response, (None, None)),
-            Origin::NotFound => (Response::empty(StatusCode::NOT_FOUND), (None, None)),
-        };
-        // Exactly one of the two commit closures runs; the fetched
-        // content moves into whichever does.
-        let fetched = Cell::new(Some(fetched));
-        let (outcome, response, (body, manifest)) = self.detector.commit_exchange(
-            lease,
-            request,
-            now,
-            |session, state| {
-                serve(
-                    fetched.take().expect("origin consumed once"),
-                    Some((session, state)),
-                )
-            },
-            || serve(fetched.take().expect("origin consumed once"), None),
-        );
-        let bytes = (request.wire_len() + response.wire_len()) as u64;
-        cell.total_bytes.fetch_add(bytes, Ordering::Relaxed);
-        cell.served.fetch_add(1, Ordering::Relaxed);
-        Decision::Serve {
-            response,
-            body,
-            manifest,
-            verdict: outcome.verdict,
-            key,
-            probe: false,
         }
     }
 
@@ -1044,41 +1041,175 @@ mod tests {
         assert!(stats.total_bytes > stats.instrumentation_bytes);
     }
 
-    #[test]
-    fn streamed_page_is_byte_identical_to_buffered_serve() {
-        // Two gateways with the same seed, one fresh equivalent session
-        // each: the buffered commit and the streaming commit must put
-        // the exact same bytes on the wire.
-        let buffered = match page_decision(
-            &Gateway::builder().seed(11).build(),
-            9,
-            "Mozilla/5.0",
-            SimTime::ZERO,
-        ) {
-            Decision::Serve { body, .. } => body.unwrap(),
-            other => panic!("{other:?}"),
-        };
+    /// A page big enough that a 4 096-byte chunk is not all of it, with
+    /// every injection anchor somewhere a cut can land.
+    fn long_page() -> String {
+        format!(
+            "<html><head><title>t</title></head><body class=\"x\">{}<p>end</p></body></html>",
+            "<p>filler &amp; more filler</p>".repeat(200)
+        )
+    }
 
+    /// Everything one page serve to a fresh session leaves behind: the
+    /// body the client got, the manifest, the gateway's whole snapshot
+    /// and the session's counters.
+    type Observed = (
+        Vec<u8>,
+        Option<ProbeManifest>,
+        GatewayStats,
+        botwall_sessions::SessionCounters,
+    );
+
+    /// Gates a page request at a fresh gateway, hands the lease to
+    /// `serve`, and collects what the serve left behind.
+    fn observe_serve(
+        serve: impl FnOnce(&Gateway, PendingOrigin) -> (Vec<u8>, Option<ProbeManifest>),
+    ) -> Observed {
         let gw = Gateway::builder().seed(11).build();
         let r = req(9, "http://site.example/index.html", "Mozilla/5.0");
         let PendingServe::AwaitingOrigin(pending) = gw.handle_deferred(&r, SimTime::ZERO) else {
             panic!("ordinary request leases");
         };
+        let (body, manifest) = serve(&gw, pending);
+        let counters = gw
+            .detector()
+            .with_key_state(&SessionKey::of(&r), |session, state| {
+                assert_eq!(state.in_flight, 0, "the lease came back");
+                session.counters().clone()
+            })
+            .expect("the session is live");
+        (body, manifest, gw.stats(), counters)
+    }
+
+    /// Streams `page` the way the front door does, in pieces of the
+    /// lengths `next_len` hands out, tallying the head it would have
+    /// written and every body byte on its way past.
+    fn stream_in_pieces(
+        gw: &Gateway,
+        pending: PendingOrigin,
+        page: &str,
+        mut next_len: impl FnMut() -> usize,
+    ) -> (Vec<u8>, Option<ProbeManifest>) {
         let mut stream = gw.begin_page_stream(&pending, SimTime::ZERO);
         assert!(stream.instrumented());
+        let head = stream.head.wire_len();
         let mut out = Vec::new();
-        // Arbitrary small chunks, boundaries inside tags.
-        for chunk in HTML.as_bytes().chunks(3) {
-            stream.write(chunk, &mut out);
+        let mut rest = page.as_bytes();
+        while !rest.is_empty() {
+            let (piece, tail) = rest.split_at(next_len().clamp(1, rest.len()));
+            stream.write(piece, &mut out);
+            rest = tail;
         }
-        let streamed = gw.finish_page_stream(pending, stream, &mut out, 0, SimTime::ZERO);
-        assert_eq!(String::from_utf8(out).unwrap(), buffered);
-        let manifest = streamed.manifest.unwrap();
+        let sent = (head + out.len()) as u64;
+        let served = gw.finish_page_stream(pending, stream, &mut out, sent, SimTime::ZERO);
+        (out, served.manifest)
+    }
+
+    #[test]
+    fn streamed_page_is_byte_identical_to_buffered_serve() {
+        use rand::{Rng, SeedableRng};
+        // The same page to the same fresh session, held whole
+        // (`complete` with `Origin::Page`: the one-chunk adapter) and
+        // streamed in pieces: one commit, so the same bytes on the wire,
+        // the same manifest, the same ledger to the byte and the same
+        // session record, whatever the chunking.
+        let page = long_page();
+        let whole = observe_serve(|gw, pending| {
+            match gw.complete(pending, Origin::Page(page.clone()), SimTime::ZERO) {
+                Decision::Serve {
+                    response,
+                    body,
+                    manifest,
+                    ..
+                } => {
+                    let body = body.unwrap().into_bytes();
+                    assert_eq!(response.body(), body);
+                    (body, manifest)
+                }
+                other => panic!("{other:?}"),
+            }
+        });
+        let (body, manifest, stats, counters) = &whole;
+        let manifest = manifest.as_ref().unwrap();
         assert!(manifest.mouse_beacon.is_some());
-        assert!(manifest.html_overhead > 0);
-        let stats = gw.stats();
+        assert_eq!(manifest.html_overhead, body.len() - page.len());
         assert_eq!(stats.served, 1);
-        assert!(stats.instrumentation_bytes > 0);
+        assert_eq!(stats.instrumentation_bytes, manifest.html_overhead as u64);
+        assert!(
+            counters.bytes >= body.len() as u64 && counters.bytes == stats.total_bytes,
+            "the record counts the body: {counters:?}"
+        );
+        for size in [1, 7, 4096] {
+            let streamed =
+                observe_serve(|gw, pending| stream_in_pieces(gw, pending, &page, || size));
+            assert!(streamed == whole, "{size}-byte chunks diverged");
+        }
+        for seed in 0..24 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let streamed = observe_serve(|gw, pending| {
+                stream_in_pieces(gw, pending, &page, || rng.gen_range(1..600))
+            });
+            assert!(streamed == whole, "split seed {seed} diverged");
+        }
+    }
+
+    #[test]
+    fn a_lease_lost_before_complete_still_serves_and_commits_through_the_carry() {
+        // One session fits; a stranger arrives between the gate and
+        // `complete`, so the leased incarnation is evicted mid-fetch.
+        let gw = Gateway::builder()
+            .seed(14)
+            .detector(botwall_core::DetectorConfig {
+                tracker: botwall_sessions::TrackerConfig {
+                    max_sessions: 1,
+                    ..Default::default()
+                },
+            })
+            .build();
+        let r = req(12, "http://site.example/index.html", "Mozilla/5.0");
+        let key = SessionKey::of(&r);
+        let PendingServe::AwaitingOrigin(pending) = gw.handle_deferred(&r, SimTime::ZERO) else {
+            panic!("ordinary request leases");
+        };
+        gw.handle(
+            &req(13, "http://site.example/x", "Mozilla/5.0"),
+            SimTime::from_secs(1),
+        );
+        assert!(gw.detector().tracker().get(&key).is_none(), "evicted");
+        // The adapter takes the passthrough stream: the page goes out as
+        // the origin sent it, nothing is minted...
+        match gw.complete(pending, Origin::Page(HTML.into()), SimTime::from_secs(2)) {
+            Decision::Serve {
+                response,
+                body,
+                manifest,
+                ..
+            } => {
+                assert_eq!(body.as_deref(), Some(HTML));
+                assert_eq!(response.body(), HTML.as_bytes());
+                assert!(response.is_uncacheable());
+                assert!(manifest.is_none());
+            }
+            other => panic!("{other:?}"),
+        }
+        let stats = gw.stats();
+        assert_eq!(
+            (stats.requests, stats.served),
+            (2, 2),
+            "the ledger balances"
+        );
+        assert_eq!((stats.token_entries, stats.instrumentation_bytes), (0, 0));
+        // ...and the exchange commits through the carry channel: parked,
+        // then absorbed by the key's next incarnation, whose in-flight
+        // count starts from nothing.
+        assert_eq!(gw.detector().tracker().carry_count(), 1);
+        gw.handle(&r, SimTime::from_secs(3));
+        assert_eq!(gw.detector().tracker().carry_count(), 0);
+        let (lost, in_flight) = gw
+            .detector()
+            .with_key_state(&key, |_, state| (state.lost_commits, state.in_flight))
+            .unwrap();
+        assert_eq!((lost, in_flight), (1, 0));
     }
 
     #[test]
@@ -1150,6 +1281,49 @@ mod tests {
         assert_eq!((stats.served, stats.token_entries), (1, 0));
         assert_eq!(stats.instrumentation_bytes, 0);
         assert_eq!(stats.total_bytes, r.wire_len() as u64 + sent);
+    }
+
+    #[test]
+    fn a_relayed_assets_record_counts_its_body() {
+        // A 10 KB asset relayed the way the front door relays one: the
+        // recorded response is a head, and the record still counts what
+        // went past on the wire.
+        let gw = Gateway::builder().seed(15).build();
+        let r = req(16, "http://site.example/logo.png", "Mozilla/5.0");
+        let PendingServe::AwaitingOrigin(pending) = gw.handle_deferred(&r, SimTime::ZERO) else {
+            panic!("ordinary request leases");
+        };
+        let key = pending.key().clone();
+        let head = Response::builder(StatusCode::OK)
+            .header("Content-Type", "image/png")
+            .build();
+        let mut stream = PageStream::relay(head.clone());
+        let mut out = Vec::new();
+        for piece in vec![7u8; 10 * 1024].chunks(1500) {
+            stream.write(piece, &mut out);
+        }
+        let sent = (head.wire_len() + out.len()) as u64;
+        gw.finish_page_stream(pending, stream, &mut out, sent, SimTime::ZERO);
+        let recorded = gw
+            .detector()
+            .with_key_state(&key, |session, _| session.counters().bytes)
+            .unwrap();
+        assert!(recorded >= 10 * 1024, "head only: {recorded}");
+        assert_eq!(recorded, gw.stats().total_bytes);
+        // The same asset held whole records the same.
+        let whole = Gateway::builder().seed(15).build();
+        let asset = Response::builder(StatusCode::OK)
+            .header("Content-Type", "image/png")
+            .header("Content-Length", "10240")
+            .body_bytes(vec![7u8; 10 * 1024])
+            .build();
+        whole.handle_with(&r, SimTime::ZERO, |_| Origin::Response(asset.clone()));
+        let held = whole
+            .detector()
+            .with_key_state(&key, |session, _| session.counters().bytes)
+            .unwrap();
+        assert_eq!(held, (r.wire_len() + asset.wire_len()) as u64);
+        assert_eq!(held, whole.stats().total_bytes);
     }
 
     #[test]
@@ -1651,8 +1825,9 @@ mod tests {
         use botwall_sessions::sync::counters;
         // The PR-5 taxonomy: decisions that need no origin cost exactly
         // one shard lock (the fused gate section); origin serves cost
-        // exactly two (gate + commit), with NONE held during the fetch.
-        // Zero global locks everywhere.
+        // exactly two (gate + commit) and a page a third (begin), with
+        // NONE held during the fetch: in process, the numbers the
+        // server path has always paid.
         let gw = Gateway::builder().seed(38).build();
         let manifest = match page_decision(&gw, 60, "Mozilla/5.0", SimTime::ZERO) {
             Decision::Serve { manifest, .. } => manifest.unwrap(),
@@ -1665,8 +1840,9 @@ mod tests {
         );
         assert_eq!(d.verdict(), Some(Verdict::Human(Reason::MouseActivity)));
 
-        // Origin serves: steady-state ordinary pass-through and a fully
-        // instrumented page serve both take gate + commit.
+        // Origin serves: a steady-state ordinary pass-through takes gate
+        // + commit, a fully instrumented page serve gate + begin +
+        // commit.
         let r = req(60, "http://site.example/steady.html", "Mozilla/5.0");
         counters::reset();
         let d = gw.handle_with(&r, SimTime::from_secs(2), |_| {
@@ -1675,13 +1851,13 @@ mod tests {
         assert!(d.is_serve(), "{d:?}");
         assert_eq!(
             counters::snapshot(),
-            (2, 0),
-            "origin serve = exactly (gate, commit) shard locks, no globals"
+            2,
+            "non-page origin serve = exactly (gate, commit) shard locks"
         );
         counters::reset();
         let d = page_decision(&gw, 60, "Mozilla/5.0", SimTime::from_secs(3));
         assert!(d.is_serve());
-        assert_eq!(counters::snapshot(), (2, 0), "page serve");
+        assert_eq!(counters::snapshot(), 3, "page serve");
 
         // Proof that no lock spans the fetch: the origin callback can
         // itself drive a full request through the SAME session's shard.
@@ -1700,7 +1876,7 @@ mod tests {
             },
         );
         assert!(d.is_serve(), "{d:?}");
-        assert_eq!(counters::snapshot(), (4, 0), "outer (2) + nested (2)");
+        assert_eq!(counters::snapshot(), 4, "outer (2) + nested (2)");
 
         // Non-origin decisions stay single-lock: beacon redemption...
         let Decision::Serve { manifest, .. } =
@@ -1714,7 +1890,7 @@ mod tests {
             &req(60, &beacon.to_string(), "Mozilla/5.0"),
             SimTime::from_secs(6),
         );
-        assert_eq!(counters::snapshot(), (1, 0), "beacon redemption");
+        assert_eq!(counters::snapshot(), 1, "beacon redemption");
         // ...probe objects...
         let Decision::Serve { manifest, .. } =
             page_decision(&gw, 60, "Mozilla/5.0", SimTime::from_secs(7))
@@ -1728,7 +1904,7 @@ mod tests {
             SimTime::from_secs(8),
         );
         assert!(d.is_serve());
-        assert_eq!(counters::snapshot(), (1, 0), "probe serve");
+        assert_eq!(counters::snapshot(), 1, "probe serve");
         // ...and challenges (the origin is never consulted).
         let mandatory = Gateway::builder()
             .seed(39)
@@ -1741,7 +1917,7 @@ mod tests {
             panic!("challenged requests must not touch the origin")
         });
         assert!(matches!(d, Decision::Challenge(_)), "{d:?}");
-        assert_eq!(counters::snapshot(), (1, 0), "challenge");
+        assert_eq!(counters::snapshot(), 1, "challenge");
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //!   return a typed [`Decision`]: `Serve` (with the rewritten HTML when
 //!   the origin produced a page), `Throttle`, `Block`, or
 //!   `Challenge`.
+//! * [`Gateway::handle_deferred`] gates now and hands back a lease for
+//!   an origin fetched elsewhere; [`Gateway::begin_page_stream`],
+//!   [`PageStream`] and [`Gateway::finish_page_stream`] relay its
+//!   response as it arrives and commit it, which is what the TCP front
+//!   door does. That is the only commit there is: `handle_with` and
+//!   [`Gateway::complete`] reach it as a stream of one chunk.
 //! * [`Gateway::sweep`] / [`Gateway::drain`] flush idle / all sessions,
 //!   applying the batch set-algebra classification and returning
 //!   [`CompletedSession`]s.

@@ -256,16 +256,12 @@ const FAKE_JPEG: &[u8] = &[
 ///     .build()
 ///     .unwrap();
 /// let mut tokens = TokenState::default();
-/// let (html, manifest) = engine.instrument_session_page(
-///     "<html><head></head><body></body></html>",
-///     &page,
-///     &mut tokens,
-///     1234, // per-session stream seed
-///     SimTime::ZERO,
-/// );
-/// assert!(html.contains("onmousemove"));
-/// assert!(html.contains("href=\"http://site.example/"));
-/// assert!(manifest.mouse_beacon.is_some());
+/// let built = engine
+///     .begin_session_page(&page, &mut tokens, 1234, SimTime::ZERO) // 1234: per-session stream seed
+///     .rewrite_whole("<html><head></head><body></body></html>");
+/// assert!(built.html.contains("onmousemove"));
+/// assert!(built.html.contains("href=\"http://site.example/"));
+/// assert!(built.manifest.mouse_beacon.is_some());
 /// assert_eq!(tokens.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -578,13 +574,12 @@ impl RewriteEngine {
         })
     }
 
-    /// Rewrites one HTML page, drawing all randomness from `rng` and
-    /// returning the issued token for the caller to store (`now` stamps
-    /// the probe nonces' freshness window). A thin buffered wrapper over
-    /// [`RewriteEngine::begin_stream`] — one chunk in, everything out —
-    /// so the two paths are byte-identical by construction. This is the
-    /// storage-agnostic core; most callers want
-    /// [`RewriteEngine::instrument_session_page`].
+    /// Rewrites one HTML page held whole, drawing all randomness from
+    /// `rng` and returning the issued token for the caller to store
+    /// (`now` stamps the probe nonces' freshness window):
+    /// [`RewriteEngine::begin_stream`] with `html` as its one chunk, so
+    /// the two are byte-identical by construction. A page served into a
+    /// session is the same over [`RewriteEngine::begin_session_page`].
     pub fn build_page<R: Rng>(
         &self,
         html: &str,
@@ -592,35 +587,7 @@ impl RewriteEngine {
         now: SimTime,
         rng: &mut R,
     ) -> BuiltPage {
-        Self::run_buffered(self.begin_stream(page, now, rng), html)
-    }
-
-    /// One chunk in, everything out.
-    fn run_buffered(mut stream: StreamingRewrite, html: &str) -> BuiltPage {
-        let mut out = Vec::with_capacity(html.len() + 512);
-        stream.write(html.as_bytes(), &mut out);
-        let finished = stream.finish(&mut out);
-        BuiltPage {
-            html: String::from_utf8(out).expect("the rewriter only injects ASCII at ASCII anchors"),
-            manifest: finished.manifest,
-            token: finished.token,
-        }
-    }
-
-    /// Rewrites the HTML page `request` asked for into its session:
-    /// [`RewriteEngine::begin_session_page`] with the whole body as its
-    /// one chunk.
-    pub fn instrument_session_page(
-        &self,
-        html: &str,
-        request: &Request,
-        tokens: &mut TokenState,
-        stream_seed: u64,
-        now: SimTime,
-    ) -> (String, ProbeManifest) {
-        let stream = self.begin_session_page(request, tokens, stream_seed, now);
-        let built = Self::run_buffered(stream, html);
-        (built.html, built.manifest)
+        self.begin_stream(page, now, rng).rewrite_whole(html)
     }
 
     /// [`RewriteEngine::respond`] inside the session `request` arrived
@@ -706,6 +673,21 @@ mod tests {
 
     fn page_request() -> Request {
         get("http://site.example/index.html")
+    }
+
+    /// `html`, held whole, served into the session that owns `tokens`.
+    fn session_page(
+        e: &RewriteEngine,
+        html: &str,
+        page: &Request,
+        tokens: &mut TokenState,
+        stream_seed: u64,
+        now: SimTime,
+    ) -> (String, ProbeManifest) {
+        let built = e
+            .begin_session_page(page, tokens, stream_seed, now)
+            .rewrite_whole(html);
+        (built.html, built.manifest)
     }
 
     fn get(uri: &str) -> Request {
@@ -939,8 +921,7 @@ mod tests {
     fn session_page_stores_token_and_script_in_the_session() {
         let e = engine();
         let mut tokens = TokenState::default();
-        let (html, m) =
-            e.instrument_session_page(HTML, &page_request(), &mut tokens, 99, SimTime::ZERO);
+        let (html, m) = session_page(&e, HTML, &page_request(), &mut tokens, 99, SimTime::ZERO);
         assert!(html.contains("onmousemove=\"return "));
         assert_eq!(tokens.len(), 1);
         // The beacon key redeems against the session state.
@@ -991,7 +972,7 @@ mod tests {
             let e = RewriteEngine::new(config, engine_seed);
             let page = origin_form("/index.html", Some("shop.example.org"));
             let mut tokens = TokenState::default();
-            let (html, m) = e.instrument_session_page(HTML, &page, &mut tokens, stream_seed, SimTime::ZERO);
+            let (html, m) = session_page(&e, HTML, &page, &mut tokens, stream_seed, SimTime::ZERO);
 
             // What the page rewrite used to do on the spot: `generate`
             // over the same URLs and an rng on the same seed (read off
@@ -1031,8 +1012,7 @@ mod tests {
         let e = engine();
         let mut tokens = TokenState::default();
         jsgen::GENERATED.with(|n| n.set(0));
-        let (_, m) =
-            e.instrument_session_page(HTML, &page_request(), &mut tokens, 3, SimTime::ZERO);
+        let (_, m) = session_page(&e, HTML, &page_request(), &mut tokens, 3, SimTime::ZERO);
         assert_eq!(
             jsgen::GENERATED.with(|n| n.get()),
             0,
@@ -1065,8 +1045,7 @@ mod tests {
         let page = origin_form("/catalogue/page.html", Some("shop.example.org"));
         let mut last = None;
         for i in 0..64 {
-            let (_, m) =
-                e.instrument_session_page(HTML, &page, &mut tokens, 3, SimTime::from_secs(i));
+            let (_, m) = session_page(&e, HTML, &page, &mut tokens, 3, SimTime::from_secs(i));
             last = Some(m);
         }
         assert_eq!(tokens.len(), 64);
@@ -1100,7 +1079,7 @@ mod tests {
         };
         let mut tokens = TokenState::default();
         let page = origin_form("/index.html", Some("shop.example.org:8080"));
-        let (html, m) = e.instrument_session_page(HTML, &page, &mut tokens, 1, SimTime::ZERO);
+        let (html, m) = session_page(&e, HTML, &page, &mut tokens, 1, SimTime::ZERO);
         let urls = urls_of(&html);
         assert_eq!(urls.len(), 4, "{html}");
         assert!(
@@ -1128,7 +1107,7 @@ mod tests {
         for host in [None, Some("evil\"><script>alert(1)</script>"), Some("")] {
             let mut tokens = TokenState::default();
             let page = origin_form("/index.html", host);
-            let (html, m) = e.instrument_session_page(HTML, &page, &mut tokens, 1, SimTime::ZERO);
+            let (html, m) = session_page(&e, HTML, &page, &mut tokens, 1, SimTime::ZERO);
             assert!(!html.contains("alert(1)"), "{html}");
             let urls = urls_of(&html);
             assert_eq!(urls.len(), 4, "{html}");
@@ -1150,7 +1129,7 @@ mod tests {
         let e = engine();
         let run = |seed| {
             let mut tokens = TokenState::default();
-            e.instrument_session_page(HTML, &page_request(), &mut tokens, seed, SimTime::ZERO)
+            session_page(&e, HTML, &page_request(), &mut tokens, seed, SimTime::ZERO)
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5).1.mouse_beacon, run(6).1.mouse_beacon);

@@ -38,14 +38,11 @@
 //! let page = Request::builder(Method::Get, "http://www.example.com/foo.html")
 //!     .build()
 //!     .unwrap();
-//! let (html, manifest) = engine.instrument_session_page(
-//!     "<html><head></head><body></body></html>",
-//!     &page,
-//!     &mut tokens,
-//!     7, // the session's RNG stream
-//!     SimTime::ZERO,
-//! );
-//! assert!(html.contains("<script"));
+//! let built = engine
+//!     .begin_session_page(&page, &mut tokens, 7, SimTime::ZERO) // 7: the session's RNG stream
+//!     .rewrite_whole("<html><head></head><body></body></html>");
+//! assert!(built.html.contains("<script"));
+//! let manifest = built.manifest;
 //! assert_eq!(manifest.decoy_beacons.len(), engine.config().decoys);
 //!
 //! // The mouse moves: the beacon fetch redeems the page's key, once.

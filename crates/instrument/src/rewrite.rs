@@ -136,13 +136,11 @@ mod tests {
     impl OneSession {
         fn page(&mut self, html: &str) -> (String, ProbeManifest) {
             let request = get(&"http://site.example/index.html".parse().unwrap());
-            self.engine.instrument_session_page(
-                html,
-                &request,
-                &mut self.tokens,
-                self.stream_seed,
-                SimTime::ZERO,
-            )
+            let built = self
+                .engine
+                .begin_session_page(&request, &mut self.tokens, self.stream_seed, SimTime::ZERO)
+                .rewrite_whole(html);
+            (built.html, built.manifest)
         }
 
         fn classify(&mut self, uri: &Uri, now: SimTime) -> Classified {

@@ -4,8 +4,9 @@
 //! around an incremental scanner: origin bytes go in chunk by chunk,
 //! rewritten bytes come out as soon as they are resolved, and the only
 //! buffering is the *unresolved* part of the document — never the page.
-//! [`crate::RewriteEngine::build_page`] is now a thin buffered wrapper
-//! over this module, so the buffered and streaming paths cannot drift.
+//! A caller that holds the whole page hands it over as the one chunk
+//! ([`StreamingRewrite::rewrite_whole`]), so there is no buffered
+//! rewriter to drift from this one.
 //!
 //! # Memory model
 //!
@@ -55,7 +56,7 @@
 //! path degrades by injecting at the cap boundary instead of scanning
 //! the whole page; the byte-lock corpora never get there.
 
-use crate::engine::IssuedPageToken;
+use crate::engine::{BuiltPage, IssuedPageToken};
 use crate::rewrite::ProbeManifest;
 use crate::scan::{find_ci, partial_suffix};
 use std::ops::Range;
@@ -408,6 +409,20 @@ impl StreamingRewrite {
         FinishedStream {
             manifest: self.manifest,
             token: self.token,
+        }
+    }
+
+    /// The whole page at once: `html` in as the one chunk, everything
+    /// out. What tests, benches and in-process callers that hold a page
+    /// whole use; byte for byte what any chunking of `html` comes to.
+    pub fn rewrite_whole(mut self, html: &str) -> BuiltPage {
+        let mut out = Vec::with_capacity(html.len() + 512);
+        self.write(html.as_bytes(), &mut out);
+        let finished = self.finish(&mut out);
+        BuiltPage {
+            html: String::from_utf8(out).expect("the rewriter only injects ASCII at ASCII anchors"),
+            manifest: finished.manifest,
+            token: finished.token,
         }
     }
 }

@@ -26,7 +26,10 @@ fn serve(
 ) -> (String, ProbeManifest) {
     let page = get("http://prop.example/page.html", client);
     let stream = engine.session_stream_seed(u64::from(client), SimTime::ZERO);
-    engine.instrument_session_page(html, &page, tokens, stream, SimTime::ZERO)
+    let built = engine
+        .begin_session_page(&page, tokens, stream, SimTime::ZERO)
+        .rewrite_whole(html);
+    (built.html, built.manifest)
 }
 
 proptest! {

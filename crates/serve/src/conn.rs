@@ -1,0 +1,474 @@
+//! The client side: one connection's state machine, from the bytes of
+//! a request to the last byte of its response.
+//!
+//! # How a request flows
+//!
+//! A client connection reads until [`wire::read_request`], the codec's
+//! one call per request, hands back an owned request (its body decoded,
+//! chunked or not) and gives that to
+//! [`Gateway::handle_deferred`]. Decisions that need no origin
+//! ([`PendingServe::Ready`]) serialize straight back. An allowed
+//! ordinary request comes back as a [`PendingServe::AwaitingOrigin`]
+//! lease: the server opens a **second non-blocking connection** to the
+//! origin through the same reactor and parks the client. Once the
+//! origin's response head has parsed, every response is a stream (see
+//! `origin.rs`): a page through the rewriter, anything else
+//! as it came, and the end of the body commits the exchange
+//! ([`Gateway::finish_page_stream`]). Only a fetch that dies before its
+//! head is answered by the server itself, with a `502` or `504`
+//! committed through [`Gateway::complete`]. No gateway lock and no
+//! event-loop stall spans the fetch — one slow origin delays exactly
+//! the connections waiting on *that* fetch, never their neighbors.
+//!
+//! # System calls per request
+//!
+//! The epoll interest of every descriptor is cached on its slot and
+//! changes only when an event proves it must: a write blocked (ask for
+//! `WRITABLE`, and take it back once drained), a streaming origin
+//! outran its client (pause, resume), or a client sent its next request
+//! while parked on an origin fetch (drop read interest on the event
+//! that delivers those bytes, restore it on the return to reading). A
+//! keep-alive request the gate answers alone is therefore one
+//! `epoll_wait`, one `read`, one `write`; an origin response relayed
+//! from a pooled connection adds the takeout probe and one `write`,
+//! `read` and `epoll_wait` for the upstream hop when its body arrives
+//! in one read (head and body, and a page's chunk framing and markup,
+//! leave in one `writev`); none touches `epoll_ctl`. Every call is
+//! counted where it is made ([`SysCalls`]), in per-reactor cells that
+//! cost a load and a store, and `/admin/stats` serves the totals as
+//! `sys_*`.
+
+use crate::origin::{upstream_request, OriginConn};
+use crate::pool::{read_available, ReadBuf, Slot};
+use crate::server::{token_of, Worker, WorkerCounters};
+use crate::stats::serve_stats_json;
+use botwall_gateway::{Origin, PendingServe};
+use botwall_http::request::ClientIp;
+use botwall_http::{wire, Request, Response, StatusCode};
+use reactor::{Event, Interest, Reactor, Token};
+use std::io::{self, Write};
+use std::net::{IpAddr, SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
+
+pub(crate) struct ClientConn {
+    pub(crate) stream: TcpStream,
+    pub(crate) peer: ClientIp,
+    /// Read accumulation; survives keep-alive requests and is pooled
+    /// across connections.
+    pub(crate) buf: ReadBuf,
+    /// Response / stream-backlog staging (`out[pos..]` unsent); same
+    /// lifetime as `buf`.
+    pub(crate) out: Vec<u8>,
+    pub(crate) pos: usize,
+    /// The interest currently armed in epoll — writes to the reactor go
+    /// through [`set_interest`], which skips the syscall when nothing
+    /// changes.
+    pub(crate) interest: Interest,
+    pub(crate) state: ClientState,
+}
+
+pub(crate) enum ClientState {
+    /// Accumulating the next request.
+    Reading,
+    /// Parked while slot `origin_slot` fetches this request's origin.
+    Awaiting { origin_slot: usize },
+    /// Flushing the staged response in `out`: one the gate or the server
+    /// made itself, or what is left of an origin response the origin has
+    /// finished with (`close_after` when it was cut short, so the
+    /// missing rest is followed by a close).
+    Writing { close_after: bool },
+    /// Relaying an origin response (a page through the rewriter, anything
+    /// else as it came) as the fetch in `origin_slot` streams it in;
+    /// `out` is what the socket has not taken yet.
+    Streaming {
+        origin_slot: usize,
+        close_after: bool,
+    },
+}
+
+pub(crate) enum WriteStep {
+    Done,
+    Blocked,
+    Dead,
+}
+
+/// Re-arms a descriptor's epoll interest only when it actually changed;
+/// the cached state makes the common completes-in-one-batch request
+/// cost zero `epoll_ctl` calls.
+pub(crate) fn set_interest(
+    reactor: &mut Reactor,
+    stream: &TcpStream,
+    token: Token,
+    cached: &mut Interest,
+    want: Interest,
+) {
+    if *cached != want && reactor.reregister(stream, token, want).is_ok() {
+        *cached = want;
+    }
+}
+
+impl Worker {
+    pub(crate) fn drive_client(&mut self, slot: usize, mut c: ClientConn, ev: Event) {
+        if ev.timer {
+            match &c.state {
+                // Idle keep-alive: close quietly. Half a request: 408.
+                ClientState::Reading if c.buf.is_empty() => {
+                    self.release_client(slot, c);
+                    return;
+                }
+                ClientState::Reading => {
+                    self.set_response(
+                        slot,
+                        &mut c,
+                        Response::empty(StatusCode::REQUEST_TIMEOUT),
+                        true,
+                    );
+                    if self.pump(slot, &mut c, false) {
+                        self.slots[slot] = Some(Slot::Client(c));
+                    } else {
+                        self.release_client(slot, c);
+                    }
+                    return;
+                }
+                // A write that outlives the read timeout is a stuck
+                // client; the origin deadline covers `Awaiting`. The
+                // streaming deadline refreshes on every flushed byte, so
+                // firing here means the client stopped draining.
+                ClientState::Writing { .. } | ClientState::Streaming { .. } => {
+                    self.release_client(slot, c);
+                    return;
+                }
+                ClientState::Awaiting { .. } => {
+                    self.slots[slot] = Some(Slot::Client(c));
+                    return;
+                }
+            }
+        }
+        let mut eof = false;
+        if matches!(c.state, ClientState::Reading) && (ev.readable || ev.closed) {
+            eof = read_available(&mut c.stream, &mut c.buf, ev.closed, &self.sys);
+        } else if ev.closed {
+            // Peer hung up while parked or mid-write: nothing sensible
+            // left to send them.
+            self.release_client(slot, c);
+            return;
+        } else if ev.readable {
+            // A pipelining client: bytes of its next request while this
+            // one is parked on an origin. Level-triggered epoll would
+            // report them on every poll, so this one event (and no
+            // earlier guess) drops read interest; the return to
+            // `Reading` restores it. Hang-ups arrive regardless.
+            set_interest(
+                &mut self.reactor,
+                &c.stream,
+                token_of(slot),
+                &mut c.interest,
+                Interest::NONE,
+            );
+        }
+        if self.pump(slot, &mut c, eof) {
+            self.slots[slot] = Some(Slot::Client(c));
+            self.maybe_resume_origin(slot);
+        } else {
+            self.release_client(slot, c);
+        }
+    }
+
+    /// Advances a client's state machine until it blocks. Returns
+    /// `false` when the connection is finished (caller releases it).
+    pub(crate) fn pump(&mut self, slot: usize, c: &mut ClientConn, eof: bool) -> bool {
+        loop {
+            match &mut c.state {
+                ClientState::Reading => match wire::read_request(&c.buf, c.peer) {
+                    Ok(Some((request, len))) => {
+                        self.shared.requests_total.fetch_add(1, Ordering::Relaxed);
+                        c.buf.consume(len);
+                        self.dispatch(slot, c, request);
+                    }
+                    Ok(None) => {
+                        if eof {
+                            return false;
+                        }
+                        // Waiting for more bytes: refresh the idle clock.
+                        self.reactor
+                            .deadline(token_of(slot), self.config.read_timeout);
+                        set_interest(
+                            &mut self.reactor,
+                            &c.stream,
+                            token_of(slot),
+                            &mut c.interest,
+                            Interest::READABLE,
+                        );
+                        return true;
+                    }
+                    Err(_) => {
+                        self.set_response(slot, c, Response::empty(StatusCode::BAD_REQUEST), true)
+                    }
+                },
+                ClientState::Awaiting { .. } => return !eof,
+                ClientState::Writing { .. } | ClientState::Streaming { .. } => {
+                    match write_available(&mut c.stream, &c.out, &mut c.pos, &self.sys) {
+                        WriteStep::Done => {}
+                        WriteStep::Blocked => {
+                            self.reactor
+                                .deadline(token_of(slot), self.config.read_timeout);
+                            set_interest(
+                                &mut self.reactor,
+                                &c.stream,
+                                token_of(slot),
+                                &mut c.interest,
+                                Interest::WRITABLE,
+                            );
+                            return true;
+                        }
+                        WriteStep::Dead => return false,
+                    }
+                    // Fully drained: reclaim the buffer.
+                    c.out.clear();
+                    c.pos = 0;
+                    if let ClientState::Writing { close_after } = c.state {
+                        if close_after || self.draining {
+                            return false;
+                        }
+                        c.state = ClientState::Reading;
+                        // Loop again: pipelined bytes may already hold
+                        // the next complete request.
+                        continue;
+                    }
+                    // A stream: the origin will push more; wait for it.
+                    // The registration stays as it is unless a blocked
+                    // write left WRITABLE armed, which a drained socket
+                    // would report on every poll.
+                    self.reactor
+                        .deadline(token_of(slot), self.config.read_timeout);
+                    if c.interest == Interest::WRITABLE {
+                        set_interest(
+                            &mut self.reactor,
+                            &c.stream,
+                            token_of(slot),
+                            &mut c.interest,
+                            Interest::READABLE,
+                        );
+                    }
+                    return true;
+                }
+            }
+        }
+    }
+
+    /// Routes one parsed request: the admin plane answers directly,
+    /// everything else goes through the gateway's two-phase protocol.
+    fn dispatch(&mut self, slot: usize, c: &mut ClientConn, request: Request) {
+        let close_after = !(self.config.keep_alive && !self.draining && wants_keep_alive(&request));
+        if request.uri().path() == "/admin/stats" {
+            let body = serve_stats_json(&self.gateway.stats(), &self.shared, self.config.threads);
+            let resp = Response::builder(StatusCode::OK)
+                .header("Content-Type", "application/json")
+                .body_bytes(body.into_bytes())
+                .build();
+            self.set_response(slot, c, resp, close_after);
+            return;
+        }
+        let now = self.now();
+        match self.gateway.handle_deferred(&request, now) {
+            PendingServe::Ready(decision) => {
+                self.set_response(slot, c, decision.into_response(), close_after)
+            }
+            PendingServe::AwaitingOrigin(pending) => {
+                let Some(origin_addr) = self.config.origin else {
+                    let d = self.gateway.complete(pending, Origin::NotFound, now);
+                    self.set_response(slot, c, d.into_response(), close_after);
+                    return;
+                };
+                let mut out = self.take_buf();
+                upstream_request(pending.request(), &mut out);
+                // Pool first: a parked connection skips connect and
+                // register outright, and its cached READABLE interest is
+                // already what a written-out fetch wants — the common
+                // warm takeout costs one `write` and nothing else.
+                let mut reused = false;
+                let mut prepared = None;
+                if let Some((pooled_slot, mut stream, mut interest)) = self.take_pooled(origin_addr)
+                {
+                    self.shared.origin_reuses.fetch_add(1, Ordering::Relaxed);
+                    let mut pos = 0;
+                    match write_available(&mut stream, &out, &mut pos, &self.sys) {
+                        WriteStep::Dead => {
+                            // The parked socket died between the probe
+                            // and the write: retry on a fresh connection
+                            // right here — this *is* the one retry, so
+                            // the fresh fetch below is not `reused`.
+                            self.shared.origin_retries.fetch_add(1, Ordering::Relaxed);
+                            self.pending_free.push(pooled_slot);
+                            drop(stream);
+                        }
+                        step => {
+                            let want = match step {
+                                WriteStep::Done => Interest::READABLE,
+                                _ => Interest::WRITABLE,
+                            };
+                            set_interest(
+                                &mut self.reactor,
+                                &stream,
+                                token_of(pooled_slot),
+                                &mut interest,
+                                want,
+                            );
+                            reused = true;
+                            prepared = Some((pooled_slot, stream, pos, interest, true));
+                        }
+                    }
+                }
+                let (origin_slot, stream, pos, interest, connected) = match prepared {
+                    Some(prepared) => prepared,
+                    None => {
+                        let origin_slot = self.alloc_slot();
+                        let Some((stream, pos, interest, connected)) =
+                            self.connect_origin(origin_addr, origin_slot, &out)
+                        else {
+                            // Origin unreachable before the fetch even
+                            // started: complete (never drop) the lease
+                            // so enforcement's in-flight count stays
+                            // exact.
+                            self.free.push(origin_slot);
+                            self.recycle(out);
+                            let gone = Origin::Response(Response::empty(StatusCode::BAD_GATEWAY));
+                            let d = self.gateway.complete(pending, gone, now);
+                            self.set_response(slot, c, d.into_response(), close_after);
+                            return;
+                        };
+                        (origin_slot, stream, pos, interest, connected)
+                    }
+                };
+                self.reactor
+                    .deadline(token_of(origin_slot), self.config.origin_timeout);
+                let buf = self.take_read_buf();
+                self.slots[origin_slot] = Some(Slot::OriginFetch(Box::new(OriginConn {
+                    stream,
+                    out,
+                    pos,
+                    buf,
+                    client_slot: slot,
+                    close_after,
+                    pending: Some(pending),
+                    connected,
+                    interest,
+                    reused,
+                    saw_byte: false,
+                    relay: None,
+                })));
+                // Park the client with the registration it has: a
+                // hang-up is reported whatever the mask, and a client
+                // that sends nothing until it is answered (nearly all of
+                // them) never makes read interest matter. The one that
+                // pipelines loses it on the event that proves it, in
+                // `drive_client`, not here on a guess.
+                c.state = ClientState::Awaiting { origin_slot };
+                self.reactor.cancel_deadline(token_of(slot));
+            }
+        }
+    }
+
+    /// Stages a response for writing: framing made explicit so
+    /// keep-alive clients always know where the message ends, head
+    /// serialized straight into the slot's pooled write buffer with the
+    /// body behind it — one buffer, one `write` when the socket takes
+    /// it whole.
+    pub(crate) fn set_response(
+        &mut self,
+        slot: usize,
+        c: &mut ClientConn,
+        mut response: Response,
+        close_after: bool,
+    ) {
+        if !response.headers().contains("Content-Length") {
+            let len = response.body().len();
+            response
+                .headers_mut()
+                .set("Content-Length", len.to_string());
+        }
+        response.headers_mut().set(
+            "Connection",
+            if close_after { "close" } else { "keep-alive" },
+        );
+        c.out.clear();
+        c.pos = 0;
+        wire::serialize_response_into(&response, &mut c.out);
+        c.state = ClientState::Writing { close_after };
+        self.reactor
+            .deadline(token_of(slot), self.config.read_timeout);
+    }
+
+    /// Tears a client down, aborting (by *completing*) any origin fetch
+    /// it was waiting on or streaming from.
+    pub(crate) fn release_client(&mut self, slot: usize, c: ClientConn) {
+        let fetch_slot = match c.state {
+            ClientState::Awaiting { origin_slot } => Some(origin_slot),
+            ClientState::Streaming { origin_slot, .. } => Some(origin_slot),
+            _ => None,
+        };
+        if let Some(origin_slot) = fetch_slot {
+            // The fetch slot can be empty when the origin itself is
+            // mid-drive in this same batch; it notices the dead client
+            // when its delivery bounces and abandons itself.
+            if let Some(Slot::OriginFetch(o)) =
+                self.slots.get_mut(origin_slot).and_then(Option::take)
+            {
+                self.abandon_origin(origin_slot, *o);
+            }
+        }
+        self.reactor.cancel_deadline(token_of(slot));
+        self.pending_free.push(slot);
+        self.clients -= 1;
+        self.shared.live.fetch_sub(1, Ordering::AcqRel);
+        let ClientConn { buf, out, .. } = c;
+        // Dropping the stream closed the fd; the kernel deregistered it.
+        self.recycle_read(buf);
+        self.recycle(out);
+    }
+}
+
+/// Maps a peer socket address to the session-key [`ClientIp`]. IPv4
+/// octets pack big-endian; loopback tests therefore share one IP and
+/// distinguish sessions by User-Agent (exactly the paper's session key).
+pub(crate) fn client_ip(peer: SocketAddr) -> ClientIp {
+    match peer.ip() {
+        IpAddr::V4(v4) => ClientIp::new(u32::from(v4)),
+        IpAddr::V6(v6) => {
+            let octets = v6.octets();
+            ClientIp::new(u32::from_be_bytes([
+                octets[12], octets[13], octets[14], octets[15],
+            ]))
+        }
+    }
+}
+
+/// HTTP/1.1 defaults to keep-alive unless `Connection: close`; HTTP/1.0
+/// opts in with `Connection: keep-alive`.
+fn wants_keep_alive(request: &Request) -> bool {
+    let connection = |token| request.headers().has_token("Connection", token);
+    !connection("close") && (request.version() == "HTTP/1.1" || connection("keep-alive"))
+}
+
+/// Writes until done or the socket would block.
+pub(crate) fn write_available(
+    stream: &mut impl Write,
+    out: &[u8],
+    pos: &mut usize,
+    sys: &WorkerCounters,
+) -> WriteStep {
+    while *pos < out.len() {
+        sys.writes.add(1);
+        match stream.write(&out[*pos..]) {
+            Ok(0) => return WriteStep::Dead,
+            Ok(n) => *pos += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                sys.writes_blocked.add(1);
+                return WriteStep::Blocked;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return WriteStep::Dead,
+        }
+    }
+    WriteStep::Done
+}

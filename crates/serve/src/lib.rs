@@ -35,8 +35,12 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod conn;
 pub mod mock;
+mod origin;
+mod pool;
 pub mod server;
+mod staged;
 pub mod stats;
 
 // Lives in `botwall-http` with the rest of the codec; found here as ever.

@@ -2151,6 +2151,70 @@ fn an_origin_whose_lengths_disagree_is_a_bad_gateway() {
     fx.finish();
 }
 
+/// RFC 9110 §15.2: an interim response is not the answer, and any number
+/// of them may come first. `upstream_request` passes a client's
+/// `Expect: 100-continue` on, so an origin that honours it says `100
+/// Continue` before its response. (That `100` used to be relayed as the
+/// response, bodiless and final; the page behind it was left in the
+/// fetch's buffer and thrown away with the connection.) Each is skipped
+/// and the final head waited for, whether they arrive together or
+/// apart. A `101` is an origin changing protocols on a hop that never
+/// asked it to: the `502`.
+#[test]
+fn an_interim_response_from_the_origin_is_skipped_not_relayed() {
+    let interim = [
+        "HTTP/1.1 100 Continue\r\n\r\n",
+        "HTTP/1.1 102 Processing\r\n\r\n",
+        "HTTP/1.1 103 Early Hints\r\nLink: </style.css>; rel=preload\r\n\r\n",
+    ];
+    let page = page_response(PAGE, PAGE.len(), false).concat();
+    let apart: Vec<Vec<u8>> = interim
+        .iter()
+        .map(|head| head.as_bytes().to_vec())
+        .collect();
+    let together = [interim.concat().as_bytes(), &page].concat();
+    for (case, pieces) in [[apart, vec![page]].concat(), vec![together]]
+        .into_iter()
+        .enumerate()
+    {
+        let (origin_addr, origin) = scripted_origin(pieces, Duration::from_millis(20));
+        let fx = Fixture::with(
+            Gateway::builder().seed(46).build(),
+            |config| config.origin = Some(origin_addr),
+            None,
+        );
+        let response = get(fx.addr, "/index.html", "Mozilla/5.0 e2e-interim");
+        assert_eq!(response.status(), StatusCode::OK, "case {case}");
+        assert_eq!(response.content_type(), Some("text/html"), "case {case}");
+        assert!(markup_in(PAGE, response.body()) > 0, "case {case}");
+        let stats = fx.gateway.stats();
+        assert_eq!((stats.requests, stats.served), (1, 1), "case {case}");
+        assert_eq!(stats.token_entries, 1, "the page behind the 100 was served");
+        origin.join().unwrap();
+        fx.finish();
+    }
+
+    let (origin_addr, origin) = scripted_origin(
+        vec![b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: h2c\r\n\r\n".to_vec()],
+        Duration::ZERO,
+    );
+    let fx = Fixture::with(
+        Gateway::builder().seed(46).build(),
+        |config| config.origin = Some(origin_addr),
+        None,
+    );
+    let response = get(fx.addr, "/index.html", "Mozilla/5.0 e2e-upgrade");
+    assert_eq!(response.status(), StatusCode::BAD_GATEWAY);
+    let stats = fx.gateway.stats();
+    assert_eq!(
+        (stats.requests, stats.served),
+        (1, 1),
+        "the lease committed"
+    );
+    origin.join().unwrap();
+    fx.finish();
+}
+
 /// An HTTP/1.0 client was never taught chunks. A body whose length
 /// nobody knows when its head is written (a page under the rewriter, an
 /// asset the origin chunked) reaches it as HTTP/1.0 bodies always have:

@@ -1,6 +1,6 @@
-//! Poison-tolerant lock acquisition, shared by every crate that guards
-//! state with `std::sync` primitives — plus a debug-only lock-traffic
-//! ledger that lets tests prove how many locks a code path takes.
+//! Poison-tolerant acquisition of the tracker's shard locks, plus a
+//! debug-only ledger that lets tests prove how many of them a code path
+//! takes.
 //!
 //! Lock poisoning cannot leave our guarded state half-updated: every
 //! critical section in this workspace either completes or the process is
@@ -11,87 +11,48 @@
 //!
 //! # Lock accounting (debug builds only)
 //!
-//! Two thread-local counters distinguish *shard* locks (the session
-//! tracker's per-shard mutexes — the one lock class the hot path is
-//! allowed to touch) from *global* locks (everything else going through
-//! this module). [`lock_shard_or_recover`] counts into the shard column;
-//! [`lock_or_recover`], [`read_or_recover`], and [`write_or_recover`]
-//! count into the global column. The counters are thread-local, so a
-//! test measuring its own thread is exact even while other test threads
-//! hammer their own locks. In release builds the counters compile away.
+//! The ledger counts shard locks, because that is what it can see:
+//! every acquisition of a tracker shard mutex goes through
+//! [`lock_shard_or_recover`] and nothing else does. A lock taken any
+//! other way (the CAPTCHA service's redeemed-id set is the one other
+//! mutex on a request path, and recovers its poison by hand) is not in
+//! it. The counter is thread-local, so a test measuring its own thread
+//! is exact even while other test threads hammer their own locks. In
+//! release builds it compiles away.
 
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard};
 
-/// Debug-only, thread-local lock-acquisition counters.
+/// Debug-only, thread-local shard-lock counter.
 #[cfg(debug_assertions)]
 pub mod counters {
     use std::cell::Cell;
 
     thread_local! {
         static SHARD_LOCKS: Cell<u64> = const { Cell::new(0) };
-        static GLOBAL_LOCKS: Cell<u64> = const { Cell::new(0) };
     }
 
     pub(super) fn count_shard() {
         SHARD_LOCKS.with(|c| c.set(c.get() + 1));
     }
 
-    pub(super) fn count_global() {
-        GLOBAL_LOCKS.with(|c| c.set(c.get() + 1));
-    }
-
-    /// Zeroes this thread's counters.
+    /// Zeroes this thread's counter.
     pub fn reset() {
         SHARD_LOCKS.with(|c| c.set(0));
-        GLOBAL_LOCKS.with(|c| c.set(0));
     }
 
-    /// `(shard, global)` lock acquisitions on this thread since the last
-    /// [`reset`].
-    pub fn snapshot() -> (u64, u64) {
-        (SHARD_LOCKS.with(Cell::get), GLOBAL_LOCKS.with(Cell::get))
+    /// Shard locks this thread has taken since the last [`reset`].
+    pub fn snapshot() -> u64 {
+        SHARD_LOCKS.with(Cell::get)
     }
 }
 
 /// Locks a tracker *shard* mutex, recovering the guard if a panicking
-/// thread poisoned it. Identical to [`lock_or_recover`] except that in
-/// debug builds the acquisition lands in the shard column of the lock
-/// ledger — the class of lock the steady-state request path is allowed
-/// exactly one of.
+/// thread poisoned it. In debug builds the acquisition lands in the
+/// lock ledger.
 pub fn lock_shard_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     #[cfg(debug_assertions)]
     counters::count_shard();
     match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Locks a mutex, recovering the guard if a panicking thread poisoned it.
-pub fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    #[cfg(debug_assertions)]
-    counters::count_global();
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Read-locks an `RwLock`, recovering the guard if poisoned.
-pub fn read_or_recover<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    #[cfg(debug_assertions)]
-    counters::count_global();
-    match lock.read() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Write-locks an `RwLock`, recovering the guard if poisoned.
-pub fn write_or_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    #[cfg(debug_assertions)]
-    counters::count_global();
-    match lock.write() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
@@ -112,36 +73,19 @@ mod tests {
         })
         .join();
         assert!(m.lock().is_err(), "mutex must actually be poisoned");
-        assert_eq!(*lock_or_recover(&m), 7);
         assert_eq!(*lock_shard_or_recover(&m), 7);
-    }
-
-    #[test]
-    fn rwlock_guards_recover_after_a_panicked_writer() {
-        let l = Arc::new(RwLock::new(1));
-        let l2 = Arc::clone(&l);
-        let _ = std::thread::spawn(move || {
-            let _guard = l2.write().unwrap();
-            panic!("poison it");
-        })
-        .join();
-        assert_eq!(*read_or_recover(&l), 1);
-        *write_or_recover(&l) = 2;
-        assert_eq!(*read_or_recover(&l), 2);
     }
 
     #[cfg(debug_assertions)]
     #[test]
-    fn counters_split_shard_from_global_and_are_thread_local() {
+    fn counters_count_shard_locks_and_are_thread_local() {
         let m = Mutex::new(0);
-        let l = RwLock::new(0);
         counters::reset();
         drop(lock_shard_or_recover(&m));
         drop(lock_shard_or_recover(&m));
-        drop(lock_or_recover(&m));
-        drop(read_or_recover(&l));
-        drop(write_or_recover(&l));
-        assert_eq!(counters::snapshot(), (2, 3));
+        // A lock taken any other way is not in the ledger.
+        drop(m.lock().unwrap());
+        assert_eq!(counters::snapshot(), 2);
         // Another thread's acquisitions never leak into this ledger.
         std::thread::spawn(|| {
             let m = Mutex::new(0);
@@ -149,8 +93,8 @@ mod tests {
         })
         .join()
         .unwrap();
-        assert_eq!(counters::snapshot(), (2, 3));
+        assert_eq!(counters::snapshot(), 2);
         counters::reset();
-        assert_eq!(counters::snapshot(), (0, 0));
+        assert_eq!(counters::snapshot(), 0);
     }
 }

@@ -187,10 +187,14 @@ impl Session {
         }
     }
 
+    /// `sent`, when given, is what the response came to on the wire:
+    /// a body that was streamed past is not in `response` to be
+    /// measured.
     fn observe(
         &mut self,
         request: &Request,
         response: Option<&Response>,
+        sent: Option<u64>,
         now: SimTime,
         cap: usize,
     ) {
@@ -199,7 +203,10 @@ impl Session {
             .map(|r| self.seen_urls.contains(&RequestRecord::hash_url(r)))
             .unwrap_or(false);
         let index = (self.counters.total + 1) as u32;
-        let rec = RequestRecord::from_exchange(index, now, request, response, referer_seen);
+        let mut rec = RequestRecord::from_exchange(index, now, request, response, referer_seen);
+        if let Some(sent) = sent {
+            rec.bytes = request.wire_len() as u64 + sent;
+        }
         self.seen_urls.insert(rec.url_hash);
         self.counters.update(&rec);
         if self.records.len() < cap {
@@ -559,8 +566,26 @@ impl<E> EntryGuard<'_, E> {
     /// [`ShardedTracker::with_exchange`]; a callback that never records
     /// has the exchange recorded for it (responseless) on exit.
     pub fn record(&mut self, request: &Request, response: Option<&Response>, now: SimTime) {
+        self.record_as(request, response, None, now);
+    }
+
+    /// [`EntryGuard::record`] for a response whose body went past as a
+    /// stream: `head` is what is left of it to look at, and `sent` what
+    /// it came to on the wire, which is what the record's `bytes`
+    /// counts.
+    pub fn record_streamed(&mut self, request: &Request, head: &Response, sent: u64, now: SimTime) {
+        self.record_as(request, Some(head), Some(sent), now);
+    }
+
+    fn record_as(
+        &mut self,
+        request: &Request,
+        response: Option<&Response>,
+        sent: Option<u64>,
+        now: SimTime,
+    ) {
         debug_assert!(!self.recorded, "one exchange, one record");
-        self.session.observe(request, response, now, self.cap);
+        self.session.observe(request, response, sent, now, self.cap);
         self.recorded = true;
     }
 }
@@ -2292,7 +2317,7 @@ mod tests {
             &ok(),
             SimTime::from_secs(1),
         );
-        assert_eq!(counters::snapshot(), (1, 0), "known key, full tracker");
+        assert_eq!(counters::snapshot(), 1, "known key, full tracker");
         counters::reset();
         t.observe(
             &req(77, "A", "http://h/1", None),
@@ -2300,7 +2325,7 @@ mod tests {
             SimTime::from_secs(2),
         );
         // The miss, seven other shards peeked, the pop, the insert.
-        assert_eq!(counters::snapshot(), (8 + 2, 0), "stranger, full tracker");
+        assert_eq!(counters::snapshot(), 8 + 2, "stranger, full tracker");
         assert_eq!(t.live_count(), 4);
     }
 

@@ -7,7 +7,10 @@
 # over `*.rs`: blank lines, comments and in-file test modules all count.
 # The `non-test` column is the part of `src` that is not an in-file test
 # module: each file up to its first `#[cfg(test)]` line (all of it when
-# it has none), so "non-test lines" is a printed number too.
+# it has none), so "non-test lines" is a printed number too, and the
+# front door's sum of it (`serve` + `gateway` + `instrument` + `http`,
+# the code a request through `botwall-serve` runs) is printed under the
+# totals instead of being added up by hand.
 # Informational: nothing here fails a build.
 #
 # Usage: scripts/loc.sh
@@ -58,6 +61,11 @@ printf '%-22s %8d %8d %8d %8s %8d\n' "(root)" "$(lines src examples)" \
 printf '%-22s %44d\n' "crates + root" $((sum + root))
 printf '%-22s %44d\n' "shims" "$(lines shims)"
 printf '%-22s %44d\n' "benchmark" "$(lines benchmark)"
+front=0
+for crate in serve gateway instrument http; do
+    front=$((front + $(non_test "crates/$crate/src")))
+done
+printf '%-22s %17d\n' "front door, non-test" "$front"
 
 echo
 echo "largest files (lines, non-test lines):"
