@@ -49,7 +49,7 @@
 use crate::classifier::{self, Label, Reason, Verdict};
 use crate::evidence::{EvidenceKind, EvidenceKinds, EvidenceSet};
 use crate::policy::{Action, PolicyEngine, PolicyState};
-use botwall_http::{Request, Response, UserAgent};
+use botwall_http::{Request, RequestView, Response, ResponseSummary, UserAgent};
 use botwall_instrument::{Classified, KeyOutcome, ProbeKind, Sighting, TokenState};
 use botwall_sessions::{
     Finalized, Session, SessionExt, SessionKey, ShardedTracker, SimTime, TrackerConfig,
@@ -319,8 +319,10 @@ impl KeyState {
 pub enum GateRespond<T> {
     /// The response is produced here, inside the gate's one critical
     /// section (rejections, challenges, probe objects — everything that
-    /// needs no origin).
-    Respond(Response, T),
+    /// needs no origin): what the session's record keeps of it, and the
+    /// caller's payload (the answer itself, in whatever form the caller
+    /// writes it).
+    Respond(ResponseSummary, T),
     /// The request needs the origin: release the shard and lease the
     /// session ([`Gated::NeedsOrigin`]); the caller fetches outside any
     /// lock and folds the result in at [`Detector::commit_exchange`].
@@ -336,10 +338,10 @@ pub enum Gated<T> {
         outcome: ObserveOutcome,
         /// The policy gate's decision.
         action: Action,
-        /// The response produced by the respond callback.
-        response: Response,
         /// The respond callback's payload.
         value: T,
+        /// The tracker shard the session lives in.
+        shard: usize,
     },
     /// The session is leased for an origin fetch; no lock is held.
     NeedsOrigin(OriginLease),
@@ -380,6 +382,11 @@ impl OriginLease {
     /// How many requests the session had recorded when the gate ran.
     pub fn request_count(&self) -> u64 {
         self.request_count
+    }
+
+    /// The tracker shard the leased session lives in.
+    pub fn shard(&self) -> usize {
+        self.lease.shard()
     }
 }
 
@@ -442,7 +449,8 @@ impl Detector {
         let (key, (verdict, transitioned, request_index)) =
             self.tracker
                 .observe_with(request, Some(response), now, |session, state| {
-                    fold_exchange(state, session, classified, request, min_to_classify, now)
+                    let agent = request.user_agent();
+                    fold_exchange(state, session, classified, agent, min_to_classify, now)
                 });
         ObserveOutcome {
             key,
@@ -497,7 +505,7 @@ impl Detector {
     /// exist until the origin answers.
     pub fn gate<T>(
         &self,
-        request: &Request,
+        request: &RequestView<'_>,
         sighting: &Sighting,
         now: SimTime,
         enforce: bool,
@@ -507,11 +515,12 @@ impl Detector {
         use botwall_sessions::{Begun, Gate};
         /// The two payload shapes the gate's critical section produces.
         enum Phase1<T> {
-            Done(Action, Response, T, Verdict, bool, u32),
+            Done(Action, T, Verdict, bool, u32),
             Lease(Action, Classified, Verdict, u64),
         }
         let min_to_classify = self.tracker.config().min_requests_to_classify;
-        let (key, begun) = self.tracker.begin_exchange(request, now, |entry| {
+        let agent = request.user_agent();
+        let (key, shard, begun) = self.tracker.begin_exchange(request, now, |entry| {
             // 1. Policy gate on pre-exchange state.
             let action = {
                 let (session, state) = entry.parts();
@@ -564,18 +573,11 @@ impl Detector {
             match decided {
                 GateRespond::Respond(response, value) => {
                     // 4. Record the exchange and fold its evidence.
-                    entry.record(request, Some(&response), now);
+                    entry.record(request, Some(response), now);
                     let (session, state) = entry.parts();
                     let (verdict, transitioned, index) =
-                        fold_exchange(state, session, &classified, request, min_to_classify, now);
-                    Gate::Finish(Phase1::Done(
-                        action,
-                        response,
-                        value,
-                        verdict,
-                        transitioned,
-                        index,
-                    ))
+                        fold_exchange(state, session, &classified, agent, min_to_classify, now);
+                    Gate::Finish(Phase1::Done(action, value, verdict, transitioned, index))
                 }
                 GateRespond::NeedsOrigin => {
                     let (session, state) = entry.parts();
@@ -594,24 +596,19 @@ impl Detector {
             }
         });
         match begun {
-            Begun::Finished(Phase1::Done(
-                action,
-                response,
-                value,
-                verdict,
-                transitioned,
-                index,
-            )) => Gated::Done {
-                outcome: ObserveOutcome {
-                    key,
-                    verdict,
-                    transitioned,
-                    request_index: index,
-                },
-                action,
-                response,
-                value,
-            },
+            Begun::Finished(Phase1::Done(action, value, verdict, transitioned, index)) => {
+                Gated::Done {
+                    outcome: ObserveOutcome {
+                        key,
+                        verdict,
+                        transitioned,
+                        request_index: index,
+                    },
+                    action,
+                    value,
+                    shard,
+                }
+            }
             Begun::Leased(Phase1::Lease(action, classified, verdict, request_count), lease) => {
                 Gated::NeedsOrigin(OriginLease {
                     lease,
@@ -658,9 +655,11 @@ impl Detector {
             ..
         } = lease;
         let key = lease.key().clone();
+        let view = request.view();
+        let agent = request.user_agent();
         let (verdict, transitioned, request_index) = self.tracker.commit(
             lease,
-            request,
+            &view,
             now,
             |entry| {
                 // The fetch is back: this lease no longer counts toward
@@ -671,9 +670,9 @@ impl Detector {
                 // underflow.
                 let state = entry.ext();
                 state.in_flight = state.in_flight.saturating_sub(1);
-                entry.record_streamed(request, head, sent, now);
+                entry.record_streamed(&view, head.summary(), sent, now);
                 let (session, state) = entry.parts();
-                fold_exchange(state, session, &classified, request, min_to_classify, now)
+                fold_exchange(state, session, &classified, agent, min_to_classify, now)
             },
             |successor, slot| {
                 // The classified evidence survives the eviction: a live
@@ -681,7 +680,7 @@ impl Detector {
                 // carry for the next incarnation. Either way a decoy
                 // fetch or forged beacon still enforces — losing the
                 // incarnation mid-fetch is not an evidence laundry.
-                let kinds = classified_kinds(&classified, request);
+                let kinds = classified_kinds(&classified, agent);
                 match successor {
                     Some((session, state)) => {
                         state.lost_commits += 1;
@@ -855,7 +854,7 @@ impl Detector {
 /// incarnation's eviction yields exactly the kinds it would have
 /// recorded live. Declaration order of [`EvidenceKind::ALL`] matches
 /// the recording order the live path always used.
-fn classified_kinds(classified: &Classified, request: &Request) -> EvidenceKinds {
+fn classified_kinds(classified: &Classified, user_agent: Option<&str>) -> EvidenceKinds {
     let mut kinds = EvidenceKinds::EMPTY;
     match classified {
         Classified::MouseBeacon { outcome, .. } => {
@@ -872,7 +871,7 @@ fn classified_kinds(classified: &Classified, request: &Request) -> EvidenceKinds
             ProbeKind::AgentBeacon => {
                 kinds.insert(EvidenceKind::ExecutedJs);
                 if let Some(reported) = &hit.reported_agent {
-                    let header = request.user_agent().unwrap_or("");
+                    let header = user_agent.unwrap_or("");
                     if !reported.is_empty() && UserAgent::canonicalize(header) != *reported {
                         kinds.insert(EvidenceKind::UaMismatch);
                     }
@@ -907,7 +906,7 @@ fn fold_exchange(
     state: &mut KeyState,
     session: &Session,
     classified: &Classified,
-    request: &Request,
+    user_agent: Option<&str>,
     min_to_classify: u64,
     now: SimTime,
 ) -> (Verdict, bool, u32) {
@@ -916,7 +915,7 @@ fn fold_exchange(
     let prev = state.verdict;
 
     let mut hard = false;
-    for kind in classified_kinds(classified, request).iter() {
+    for kind in classified_kinds(classified, user_agent).iter() {
         hard |= state.accumulate(kind, index, now);
     }
 
@@ -1344,14 +1343,14 @@ mod tests {
     }
 
     /// Unwraps a fused gate result.
-    fn done<T>(gated: Gated<T>) -> (ObserveOutcome, Action, Response, T) {
+    fn done<T>(gated: Gated<T>) -> (ObserveOutcome, Action, T) {
         match gated {
             Gated::Done {
                 outcome,
                 action,
-                response,
                 value,
-            } => (outcome, action, response, value),
+                ..
+            } => (outcome, action, value),
             Gated::NeedsOrigin(lease) => panic!("unexpected lease for {:?}", lease.key()),
         }
     }
@@ -1371,7 +1370,7 @@ mod tests {
         let policy = PolicyEngine::new(PolicyConfig::default());
         let r = req(30, "http://h/a.html", "wget/1.0");
         let gated = det.gate(
-            &r,
+            &r.view(),
             &Sighting::Ordinary,
             SimTime::ZERO,
             true,
@@ -1384,14 +1383,15 @@ mod tests {
                 );
                 assert_eq!(action, Action::Allow, "first exchange passes");
                 assert_eq!(classified, &Classified::Ordinary);
-                GateRespond::Respond(ok(), 7u32)
+                GateRespond::Respond(ok().summary(), 7u32)
             },
         );
-        let (out, action, response, seen) = done(gated);
+        let (out, action, seen) = done(gated);
         assert_eq!(seen, 7);
         assert_eq!(action, Action::Allow);
         assert_eq!(out.request_index, 1, "the exchange was recorded");
-        assert_eq!(response.status(), StatusCode::OK);
+        let recorded = det.tracker().get(&out.key).unwrap().records()[0].clone();
+        assert_eq!(recorded.status_class, 2, "with what it was answered");
         assert_eq!(det.tracker().get(&out.key).unwrap().request_count(), 1);
     }
 
@@ -1402,7 +1402,7 @@ mod tests {
         let policy = PolicyEngine::new(PolicyConfig::default());
         let r = req(40, "http://h/a.html", "Mozilla/5.0");
         let lease = leased(det.gate(
-            &r,
+            &r.view(),
             &Sighting::Ordinary,
             SimTime::ZERO,
             true,
@@ -1466,7 +1466,7 @@ mod tests {
         let mut blocked_at = None;
         for i in 0..30u32 {
             let gated = det.gate(
-                &r,
+                &r.view(),
                 &Sighting::Ordinary,
                 now,
                 true,
@@ -1475,7 +1475,7 @@ mod tests {
                     if action == Action::Allow {
                         GateRespond::<()>::NeedsOrigin
                     } else {
-                        GateRespond::Respond(Response::empty(StatusCode::FORBIDDEN), ())
+                        GateRespond::Respond(Response::empty(StatusCode::FORBIDDEN).summary(), ())
                     }
                 },
             );
@@ -1523,7 +1523,7 @@ mod tests {
         let policy = PolicyEngine::new(PolicyConfig::default());
         let r = req(41, "http://h/a.html", "Mozilla/5.0");
         let lease = leased(det.gate(
-            &r,
+            &r.view(),
             &Sighting::Ordinary,
             SimTime::ZERO,
             true,
@@ -1573,11 +1573,14 @@ mod tests {
             reported_agent: None,
             automation: None,
         });
-        let lease = leased(
-            det.gate(&r, &hit, SimTime::ZERO, true, &policy, |_, _, _, _| {
-                GateRespond::<()>::NeedsOrigin
-            }),
-        );
+        let lease = leased(det.gate(
+            &r.view(),
+            &hit,
+            SimTime::ZERO,
+            true,
+            &policy,
+            |_, _, _, _| GateRespond::<()>::NeedsOrigin,
+        ));
         // Another key evicts the leased session while the fetch runs.
         let other = req(46, "http://h/b.html", "Mozilla/5.0");
         det.observe(&other, &ok(), &Classified::Ordinary, SimTime::from_secs(1));
@@ -1609,11 +1612,14 @@ mod tests {
             reported_agent: None,
             automation: None,
         });
-        let lease = leased(
-            det.gate(&r, &hit, SimTime::ZERO, true, &policy, |_, _, _, _| {
-                GateRespond::<()>::NeedsOrigin
-            }),
-        );
+        let lease = leased(det.gate(
+            &r.view(),
+            &hit,
+            SimTime::ZERO,
+            true,
+            &policy,
+            |_, _, _, _| GateRespond::<()>::NeedsOrigin,
+        ));
         // The key returns after the idle timeout mid-fetch: a successor
         // incarnation is live when the commit finally lands.
         let later = SimTime::from_hours(2);
@@ -1642,7 +1648,7 @@ mod tests {
         // Lease while blocked? No — enforcement off for the lease so the
         // gate allows it; the point is the successor's carried state.
         let lease = leased(det.gate(
-            &r,
+            &r.view(),
             &Sighting::Ordinary,
             SimTime::from_secs(1),
             false,
@@ -1683,8 +1689,8 @@ mod tests {
         // the fused single-lock path, never leased.
         let beacon = botwall_instrument::beacon::encode("h", key);
         let r1 = req(31, &beacon.to_string(), "Mozilla/5.0");
-        let (out, _, _, ()) = done(det.gate(
-            &r1,
+        let (out, _, ()) = done(det.gate(
+            &r1.view(),
             &Sighting::MouseBeacon(key),
             SimTime::from_secs(1),
             true,
@@ -1697,7 +1703,7 @@ mod tests {
                         ..
                     }
                 ));
-                GateRespond::Respond(ok(), ())
+                GateRespond::Respond(ok().summary(), ())
             },
         ));
         assert_eq!(out.verdict, Verdict::Human(Reason::MouseActivity));
@@ -1714,19 +1720,20 @@ mod tests {
         // Two hours idle: the return request starts a new incarnation,
         // but the carried block must gate it immediately.
         let later = SimTime::from_hours(2);
-        let (_, action, response, ()) = done(det.gate(
-            &r,
+        let (out, action, ()) = done(det.gate(
+            &r.view(),
             &Sighting::Ordinary,
             later,
             true,
             &policy,
             |action, _, _, _| {
                 assert_eq!(action, Action::Block);
-                GateRespond::Respond(Response::empty(StatusCode::FORBIDDEN), ())
+                GateRespond::Respond(Response::empty(StatusCode::FORBIDDEN).summary(), ())
             },
         ));
         assert_eq!(action, Action::Block);
-        assert_eq!(response.status(), StatusCode::FORBIDDEN);
+        let records = det.tracker().get(&out.key).unwrap().records().to_vec();
+        assert_eq!(records.last().unwrap().status_class, 4);
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! The gateway's typed request decision.
+//! The gateway's typed request decision, and the answers the gate
+//! gives on its own.
 
 use botwall_captcha::Challenge;
 use botwall_core::classifier::Verdict;
-use botwall_http::{Response, StatusCode};
-use botwall_instrument::ProbeManifest;
+use botwall_http::{wire, Response, ResponseSummary, StatusCode};
+use botwall_instrument::{ProbeManifest, ProbeObject};
 use botwall_sessions::SessionKey;
 use serde::{Deserialize, Serialize};
 
@@ -100,6 +101,83 @@ impl Decision {
     }
 }
 
+/// An answer the gate gives without the origin, as the front door writes
+/// it: a refusal or a probe object is fixed bytes and a `Connection`
+/// line ([`Answer::write`]), nothing built. [`Answer::to_response`] is the
+/// same answer as a [`Response`], for a caller that wants one, and
+/// [`Answer::summary`] what the session's record keeps of it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Answer {
+    /// `403`: the session is blocked.
+    Block,
+    /// `429`: the session is over its rate allowance.
+    Throttle,
+    /// The CAPTCHA interstitial (a `403` with a page).
+    Challenge(Challenge),
+    /// Instrumentation traffic: a probe object, or a beacon's image.
+    Probe(ProbeObject),
+}
+
+impl Answer {
+    /// The answer's status.
+    pub fn status(&self) -> StatusCode {
+        match self {
+            Answer::Block | Answer::Challenge(_) => StatusCode::FORBIDDEN,
+            Answer::Throttle => StatusCode::TOO_MANY_REQUESTS,
+            Answer::Probe(_) => StatusCode::OK,
+        }
+    }
+
+    /// What the session's record keeps of the answer.
+    pub fn summary(&self) -> ResponseSummary {
+        match self {
+            Answer::Block | Answer::Throttle => ResponseSummary::empty(self.status()),
+            Answer::Challenge(challenge) => challenge_response(challenge).summary(),
+            Answer::Probe(object) => object.summary(),
+        }
+    }
+
+    /// Appends the answer as the front door sends it, `close` deciding
+    /// its `Connection` line: what [`wire::write_response`] makes of
+    /// [`Answer::to_response`].
+    pub fn write(&self, close: bool, out: &mut Vec<u8>) {
+        match self {
+            Answer::Block | Answer::Throttle => wire::write_empty(self.status(), close, out),
+            Answer::Challenge(challenge) => {
+                wire::write_response(&challenge_response(challenge), close, out)
+            }
+            Answer::Probe(object) => object.write(close, out),
+        }
+    }
+
+    /// The answer as a [`Response`].
+    pub fn to_response(&self) -> Response {
+        match self {
+            Answer::Block | Answer::Throttle => Response::empty(self.status()),
+            Answer::Challenge(challenge) => challenge_response(challenge),
+            Answer::Probe(object) => object.to_response(),
+        }
+    }
+
+    /// The [`Decision`] this answer is, for the session `key` whose
+    /// verdict it left at `verdict`.
+    pub(crate) fn into_decision(self, key: SessionKey, verdict: Verdict) -> Decision {
+        match self {
+            Answer::Block => Decision::Block,
+            Answer::Throttle => Decision::Throttle,
+            Answer::Challenge(challenge) => Decision::Challenge(challenge),
+            Answer::Probe(object) => Decision::Serve {
+                response: object.to_response(),
+                body: None,
+                manifest: None,
+                verdict,
+                key,
+                probe: true,
+            },
+        }
+    }
+}
+
 /// The interstitial served with a [`Decision::Challenge`]: a 403 carrying
 /// the distorted challenge text, so robots that keep hammering keep
 /// feeding the error-ratio blocking threshold.
@@ -144,6 +222,35 @@ mod tests {
         assert_eq!(resp.status(), StatusCode::FORBIDDEN);
         let body = String::from_utf8_lossy(resp.body()).into_owned();
         assert!(body.contains(&ch.distorted));
+    }
+
+    /// Refusals and the interstitial written as they are sent are the
+    /// responses they stand for, with this hop's framing; the record's
+    /// summary is the response's. (Probe objects: `botwall-instrument`.)
+    #[test]
+    fn an_answer_written_is_its_response_written() {
+        let challenge = ChallengeGenerator::new(4).issue();
+        for answer in [
+            Answer::Block,
+            Answer::Throttle,
+            Answer::Challenge(challenge),
+        ] {
+            let response = answer.to_response();
+            assert_eq!(answer.status(), response.status());
+            assert_eq!(answer.summary(), response.summary());
+            for close in [false, true] {
+                let (mut fixed, mut whole) = (Vec::new(), Vec::new());
+                answer.write(close, &mut fixed);
+                wire::write_response(&response, close, &mut whole);
+                assert_eq!(fixed, whole, "{answer:?}");
+            }
+        }
+        let mut refused = Vec::new();
+        Answer::Throttle.write(false, &mut refused);
+        assert_eq!(
+            refused,
+            b"HTTP/1.1 429 Too Many Requests\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n"
+        );
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! * **Non-origin decisions: one shard lock.** Blocks, throttles,
 //!   challenges, probe objects, and beacon redemptions are produced
 //!   inside the gate's single fused critical section
-//!   ([`botwall_core::Detector::gate`]), exactly as in PR 4.
+//!   ([`botwall_core::Detector::gate`]), exactly as in PR 4. The gate
+//!   ([`Gateway::gate`]) reads a request view, not an owned request,
+//!   and gives back an [`Answer`] a front door writes as fixed bytes:
+//!   an answered request is never made owned at all.
 //! * **Origin serves: two shard locks, three for a page, none held
 //!   during the fetch.** The gate resolves policy and sighting under
 //!   the first acquisition and returns a lease; the origin is fetched
@@ -61,7 +64,7 @@
 //! [`Gateway::handle_deferred`] / [`Gateway::complete`].
 
 use crate::config::{GatewayBuilder, GatewayConfig};
-use crate::decision::{challenge_response, Decision, Origin};
+use crate::decision::{Answer, Decision, Origin};
 use botwall_captcha::{CaptchaService, Challenge};
 use botwall_core::classifier::{Reason, Verdict};
 use botwall_core::staged::{Stage, StagedPipeline};
@@ -69,7 +72,7 @@ use botwall_core::{
     Action, BoundaryClassifier, ChallengeState, CompletedSession, Detector, GateRespond, Gated,
     KeyCarry, OriginLease, PendingCaptchaPass, PolicyEngine,
 };
-use botwall_http::{Request, Response, StatusCode};
+use botwall_http::{Request, RequestView, Response, StatusCode};
 use botwall_instrument::{ProbeManifest, RewriteEngine, StreamSink, StreamingRewrite};
 use botwall_sessions::{Session, SessionKey, SimTime};
 use serde::{Deserialize, Serialize};
@@ -159,8 +162,10 @@ impl ShardedCounters {
         }
     }
 
-    fn cell(&self, key: &SessionKey) -> &CounterCell {
-        &self.cells[(key.shard_hash() % self.cells.len() as u64) as usize]
+    /// The cell of tracker shard `shard`: one per shard, so a session's
+    /// requests land where its entry lives.
+    fn cell(&self, shard: usize) -> &CounterCell {
+        &self.cells[shard]
     }
 
     fn sum(&self, f: impl Fn(&CounterCell) -> &AtomicU64) -> u64 {
@@ -171,24 +176,24 @@ impl ShardedCounters {
     }
 }
 
-/// What the gate phase produced inside its critical section — the
-/// decision classes that never need the origin.
-enum ProducedGate {
-    Blocked,
-    Throttled,
-    Challenged(Challenge),
-    /// Instrumentation traffic answered by the gateway itself.
-    Probe,
-}
-
-/// The gate phase's outcome: a finished decision, or a leased session
-/// awaiting its origin fetch.
-// Like `Decision`, the `Done` payload dwarfs the lease, but a
-// `GatePhase` lives for one request and is matched immediately — boxing
-// would only add an allocation to the hot path.
-#[allow(clippy::large_enum_variant)]
-enum GatePhase {
-    Done(Decision),
+/// What [`Gateway::gate`] made of a request. No lock is held in either
+/// variant.
+#[derive(Debug)]
+#[must_use = "write the answer, or fetch the origin for the lease and commit it"]
+pub enum Gate {
+    /// The gate answered without the origin (a refusal, a challenge, a
+    /// probe object, a beacon's image): final, recorded and counted.
+    Answered {
+        /// What to send.
+        answer: Answer,
+        /// The session the exchange belongs to.
+        key: SessionKey,
+        /// The session's verdict after folding the exchange.
+        verdict: Verdict,
+    },
+    /// The session is leased for an origin fetch: pair it with the
+    /// request it was taken for ([`PendingOrigin::new`]), fetch, then
+    /// commit ([`Gateway::complete`] or the page stream).
     Leased(OriginLease),
 }
 
@@ -222,6 +227,13 @@ pub struct PendingOrigin {
 }
 
 impl PendingOrigin {
+    /// A lease [`Gateway::gate`] handed out, with the request it was
+    /// taken for: the owned request a front door builds only now that
+    /// the origin is to be asked.
+    pub fn new(lease: OriginLease, request: Request) -> PendingOrigin {
+        PendingOrigin { lease, request }
+    }
+
     /// The request awaiting its origin content.
     pub fn request(&self) -> &Request {
         &self.request
@@ -377,14 +389,14 @@ impl Gateway {
         config: GatewayConfig,
         boundary: Option<Box<dyn BoundaryClassifier + Send + Sync>>,
     ) -> Gateway {
-        let counter_shards = config.detector.tracker.shards;
+        let detector = Detector::new(config.detector.clone());
         Gateway {
             engine: RewriteEngine::new(config.instrument.clone(), config.seed),
-            detector: Detector::new(config.detector.clone()),
+            counters: ShardedCounters::new(detector.tracker().shard_count()),
+            detector,
             policy: PolicyEngine::new(config.policy.clone()),
             captcha: CaptchaService::new(config.captcha, config.seed ^ CAPTCHA_SEED_SALT),
             boundary,
-            counters: ShardedCounters::new(counter_shards),
             completed_sessions: AtomicU64::new(0),
             ml_overrides: AtomicU64::new(0),
             config,
@@ -451,9 +463,13 @@ impl Gateway {
     where
         F: FnOnce(&Request) -> Origin,
     {
-        match self.gate_phase(request, now) {
-            GatePhase::Done(decision) => decision,
-            GatePhase::Leased(lease) => {
+        match self.gate(&request.view(), now) {
+            Gate::Answered {
+                answer,
+                key,
+                verdict,
+            } => answer.into_decision(key, verdict),
+            Gate::Leased(lease) => {
                 // No lock is held here: a slow origin stalls only this
                 // request, never its shard.
                 let fetched = origin(request);
@@ -498,12 +514,15 @@ impl Gateway {
     /// assert!(decision.is_serve());
     /// ```
     pub fn handle_deferred(&self, request: &Request, now: SimTime) -> PendingServe {
-        match self.gate_phase(request, now) {
-            GatePhase::Done(decision) => PendingServe::Ready(decision),
-            GatePhase::Leased(lease) => PendingServe::AwaitingOrigin(PendingOrigin {
-                lease,
-                request: request.clone(),
-            }),
+        match self.gate(&request.view(), now) {
+            Gate::Answered {
+                answer,
+                key,
+                verdict,
+            } => PendingServe::Ready(answer.into_decision(key, verdict)),
+            Gate::Leased(lease) => {
+                PendingServe::AwaitingOrigin(PendingOrigin::new(lease, request.clone()))
+            }
         }
     }
 
@@ -629,7 +648,7 @@ impl Gateway {
         wire_bytes: u64,
         now: SimTime,
     ) -> (StreamedServe, Response) {
-        let cell = self.counters.cell(lease.key());
+        let cell = self.counters.cell(lease.shard());
         let tail_start = out.len();
         let manifest = stream.rewrite.map(|rewrite| {
             let manifest = rewrite.finish(out).manifest;
@@ -663,20 +682,25 @@ impl Gateway {
             .session_stream_seed(session.key().shard_hash(), session.started())
     }
 
-    /// Phase one: one shard critical section covering the policy gate,
-    /// sighting resolution, and — for every decision that needs no
-    /// origin — the response itself.
-    fn gate_phase(&self, request: &Request, now: SimTime) -> GatePhase {
-        let key = SessionKey::of(request);
-        let cell = self.counters.cell(&key);
-        cell.requests.fetch_add(1, Ordering::Relaxed);
-
+    /// Phase one, the one gate path: the request as the gate reads it
+    /// (read in place off a connection by a front door, or lent by an
+    /// owned [`Request`] through [`Request::view`] in
+    /// [`Gateway::handle_with`] and [`Gateway::handle_deferred`]) goes
+    /// through one shard critical section covering the policy gate,
+    /// sighting resolution and — for every answer that needs no origin —
+    /// the answer itself, recorded and counted before the lock is let go.
+    pub fn gate(&self, request: &RequestView<'_>, now: SimTime) -> Gate {
         // Stateless pre-classification: probe URLs authenticate
         // themselves against the engine's keyed-hash scheme, beacon
         // URLs are recognized by shape. No state is touched until the
         // session's own critical section resolves the rest.
-        let sighting = self.engine.classify(request, now);
+        let sighting = self.engine.classify_view(request, now);
 
+        let challenge = |state: &mut botwall_core::KeyState| {
+            let challenge = self.captcha.issue();
+            state.challenge = Some(ChallengeState::new(challenge.id, now));
+            Answer::Challenge(challenge)
+        };
         let gated = self.detector.gate(
             request,
             &sighting,
@@ -684,111 +708,89 @@ impl Gateway {
             self.config.enforcement,
             &self.policy,
             |action, _session, state, classified| {
-                match action {
-                    Action::Block => GateRespond::Respond(
-                        Response::empty(StatusCode::FORBIDDEN),
-                        ProducedGate::Blocked,
-                    ),
-                    Action::Throttle => {
-                        // §4.2 escape hatch: a throttled session can be
-                        // offered a CAPTCHA instead of a bare 429 —
-                        // solving it makes the session ground-truth
-                        // human and sheds the rate limit.
-                        if self.config.challenge_on_throttle && self.captcha.is_enabled() {
-                            let challenge = self.captcha.issue();
-                            state.challenge = Some(ChallengeState::new(challenge.id, now));
-                            GateRespond::Respond(
-                                challenge_response(&challenge),
-                                ProducedGate::Challenged(challenge),
-                            )
-                        } else {
-                            GateRespond::Respond(
-                                Response::empty(StatusCode::TOO_MANY_REQUESTS),
-                                ProducedGate::Throttled,
-                            )
-                        }
+                let answer = match action {
+                    Action::Block => Answer::Block,
+                    // §4.2 escape hatch: a throttled session can be
+                    // offered a CAPTCHA instead of a bare 429 — solving
+                    // it makes the session ground-truth human and sheds
+                    // the rate limit.
+                    Action::Throttle
+                        if self.config.challenge_on_throttle && self.captcha.is_enabled() =>
+                    {
+                        challenge(state)
                     }
+                    Action::Throttle => Answer::Throttle,
                     Action::Allow => {
                         // Instrumentation traffic is answered by the
                         // gateway itself — it must flow even under
                         // mandatory-challenge mode, because it is the
                         // channel through which humans prove themselves.
-                        // A script comes out of this session's own
-                        // token state.
-                        if let Some(response) =
+                        // A script comes out of this session's own token
+                        // state.
+                        if let Some(object) =
                             self.engine
-                                .respond_in_session(classified, &mut state.tokens, request)
+                                .object_in_session(classified, &mut state.tokens, request)
                         {
-                            return GateRespond::Respond(response, ProducedGate::Probe);
-                        }
-
-                        // Kandula-style mandatory challenges gate
-                        // ordinary traffic for every session not yet
-                        // proven human (a deferred pass was already
-                        // absorbed at entry creation, so it reads as
-                        // proven here).
-                        if self.captcha.is_mandatory()
+                            Answer::Probe(object)
+                        } else if self.captcha.is_mandatory()
                             && !matches!(state.verdict, Verdict::Human(_))
                         {
-                            let challenge = self.captcha.issue();
-                            state.challenge = Some(ChallengeState::new(challenge.id, now));
-                            return GateRespond::Respond(
-                                challenge_response(&challenge),
-                                ProducedGate::Challenged(challenge),
-                            );
+                            // Kandula-style mandatory challenges gate
+                            // ordinary traffic for every session not yet
+                            // proven human (a deferred pass was already
+                            // absorbed at entry creation, so it reads as
+                            // proven here).
+                            challenge(state)
+                        } else {
+                            // Ordinary allowed traffic: lease the session
+                            // and fetch the origin outside the lock.
+                            return GateRespond::NeedsOrigin;
                         }
-
-                        // Ordinary allowed traffic: lease the session
-                        // and fetch the origin outside the lock.
-                        GateRespond::NeedsOrigin
                     }
-                }
+                };
+                let summary = answer.summary();
+                GateRespond::Respond(summary, (answer, summary.wire_len))
             },
         );
 
         match gated {
             Gated::Done {
                 outcome,
-                response,
-                value,
+                value: (answer, answer_len),
+                shard,
                 ..
             } => {
-                // Post-section accounting and decision assembly: the
-                // byte ledgers are atomic cells, nothing needs the lock.
-                let bytes = (request.wire_len() + response.wire_len()) as u64;
+                // Post-section accounting: the byte ledgers are atomic
+                // cells, nothing needs the lock.
+                let cell = self.counters.cell(shard);
+                cell.requests.fetch_add(1, Ordering::Relaxed);
+                let bytes = (request.wire_len() + answer_len) as u64;
                 cell.total_bytes.fetch_add(bytes, Ordering::Relaxed);
                 if !matches!(sighting, botwall_instrument::Sighting::Ordinary) {
                     cell.instrumentation_bytes
                         .fetch_add(bytes, Ordering::Relaxed);
                 }
-                GatePhase::Done(match value {
-                    ProducedGate::Blocked => {
-                        cell.blocked.fetch_add(1, Ordering::Relaxed);
-                        Decision::Block
-                    }
-                    ProducedGate::Throttled => {
-                        cell.throttled.fetch_add(1, Ordering::Relaxed);
-                        Decision::Throttle
-                    }
-                    ProducedGate::Challenged(challenge) => {
-                        cell.challenged.fetch_add(1, Ordering::Relaxed);
-                        Decision::Challenge(challenge)
-                    }
-                    ProducedGate::Probe => {
-                        cell.served.fetch_add(1, Ordering::Relaxed);
+                let column = match answer {
+                    Answer::Block => &cell.blocked,
+                    Answer::Throttle => &cell.throttled,
+                    Answer::Challenge(_) => &cell.challenged,
+                    Answer::Probe(_) => {
                         cell.probe_requests.fetch_add(1, Ordering::Relaxed);
-                        Decision::Serve {
-                            response,
-                            body: None,
-                            manifest: None,
-                            verdict: outcome.verdict,
-                            key,
-                            probe: true,
-                        }
+                        &cell.served
                     }
-                })
+                };
+                column.fetch_add(1, Ordering::Relaxed);
+                Gate::Answered {
+                    answer,
+                    key: outcome.key,
+                    verdict: outcome.verdict,
+                }
             }
-            Gated::NeedsOrigin(lease) => GatePhase::Leased(lease),
+            Gated::NeedsOrigin(lease) => {
+                let cell = self.counters.cell(lease.shard());
+                cell.requests.fetch_add(1, Ordering::Relaxed);
+                Gate::Leased(lease)
+            }
         }
     }
 

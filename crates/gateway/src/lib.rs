@@ -13,6 +13,13 @@
 //!   return a typed [`Decision`]: `Serve` (with the rewritten HTML when
 //!   the origin produced a page), `Throttle`, `Block`, or
 //!   `Challenge`.
+//! * [`Gateway::gate`] is the one gate path: it reads a
+//!   [`botwall_http::RequestView`] (what a front door reads in place
+//!   off its socket buffer, or what an owned request lends through
+//!   [`botwall_http::Request::view`]) and answers it alone — a
+//!   refusal, a challenge or a probe object ([`Answer`], written as
+//!   fixed bytes) — or leases the session for the origin. `handle_with`
+//!   and [`Gateway::handle_deferred`] are it over an owned request.
 //! * [`Gateway::handle_deferred`] gates now and hands back a lease for
 //!   an origin fetched elsewhere; [`Gateway::begin_page_stream`],
 //!   [`PageStream`] and [`Gateway::finish_page_stream`] relay its
@@ -66,5 +73,7 @@ pub use botwall_core::{BoundaryClassifier, CompletedSession};
 /// implement their own.
 pub use botwall_instrument::StreamSink;
 pub use config::{GatewayBuilder, GatewayConfig};
-pub use decision::{Decision, Origin};
-pub use gateway::{Gateway, GatewayStats, PageStream, PendingOrigin, PendingServe, StreamedServe};
+pub use decision::{Answer, Decision, Origin};
+pub use gateway::{
+    Gate, Gateway, GatewayStats, PageStream, PendingOrigin, PendingServe, StreamedServe,
+};

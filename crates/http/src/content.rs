@@ -7,9 +7,9 @@
 //! referrer spammers fetch nothing presentation-related, off-line browsers
 //! fetch everything.
 
-use crate::request::Request;
+use crate::request::{Request, RequestView};
 use crate::response::Response;
-use crate::uri::Uri;
+use crate::uri::UriRef;
 use serde::{Deserialize, Serialize};
 
 /// The content class of a requested resource.
@@ -48,76 +48,91 @@ impl ContentClass {
     /// assert_eq!(ContentClass::of(&r, None), ContentClass::Css);
     /// ```
     pub fn of(request: &Request, response: Option<&Response>) -> ContentClass {
+        let typed = response
+            .and_then(Response::content_type)
+            .and_then(Self::from_content_type);
+        Self::of_uri(request.uri().view(), typed)
+    }
+
+    /// [`ContentClass::of`] for a request read in place, `typed` being
+    /// what the response's `Content-Type` names (see
+    /// [`crate::response::ResponseSummary::class`]).
+    pub fn of_view(request: &RequestView<'_>, typed: Option<ContentClass>) -> ContentClass {
+        Self::of_uri(*request.uri(), typed)
+    }
+
+    fn of_uri(uri: UriRef<'_>, typed: Option<ContentClass>) -> ContentClass {
         // Favicon is special-cased by path: browsers fetch it unprompted
         // and Table 2 counts it separately (`FAVICON %`).
-        if request
-            .uri()
-            .file_name()
-            .eq_ignore_ascii_case("favicon.ico")
-        {
-            return ContentClass::Favicon;
-        }
-        if Self::is_cgi_path(request.uri()) {
-            return ContentClass::Cgi;
-        }
-        if let Some(ct) = response.and_then(|r| r.content_type()) {
-            if let Some(c) = Self::from_content_type(ct) {
-                return c;
-            }
-        }
-        Self::from_uri(request.uri())
-    }
-
-    /// Classifies by MIME type alone. Returns `None` for types that need
-    /// URI context.
-    pub fn from_content_type(ct: &str) -> Option<ContentClass> {
-        let ct = ct
-            .split(';')
-            .next()
-            .unwrap_or("")
-            .trim()
-            .to_ascii_lowercase();
-        match ct.as_str() {
-            "text/html" | "application/xhtml+xml" => Some(ContentClass::Html),
-            "text/css" => Some(ContentClass::Css),
-            "text/javascript" | "application/javascript" | "application/x-javascript" => {
-                Some(ContentClass::Script)
-            }
-            _ if ct.starts_with("image/") => Some(ContentClass::Image),
-            _ if ct.starts_with("audio/") => Some(ContentClass::Audio),
-            "" => None,
-            _ => Some(ContentClass::Other),
-        }
-    }
-
-    /// Classifies by URI heuristics (extension, path shape).
-    pub fn from_uri(uri: &Uri) -> ContentClass {
         if uri.file_name().eq_ignore_ascii_case("favicon.ico") {
             return ContentClass::Favicon;
         }
         if Self::is_cgi_path(uri) {
             return ContentClass::Cgi;
         }
-        match uri.extension().as_deref() {
-            Some("html") | Some("htm") | Some("xhtml") => ContentClass::Html,
-            Some("css") => ContentClass::Css,
-            Some("js") => ContentClass::Script,
-            Some("jpg") | Some("jpeg") | Some("gif") | Some("png") | Some("bmp") | Some("ico")
-            | Some("svg") => ContentClass::Image,
-            Some("wav") | Some("mp3") | Some("ogg") | Some("au") => ContentClass::Audio,
-            Some(_) => ContentClass::Other,
+        if let Some(class) = typed {
+            return class;
+        }
+        let Some(ext) = uri.extension() else {
             // Extensionless paths ending in `/` (or bare) are pages.
-            None => ContentClass::Html,
+            return ContentClass::Html;
+        };
+        let is = |names: &[&str]| names.iter().any(|name| ext.eq_ignore_ascii_case(name));
+        if is(&["html", "htm", "xhtml"]) {
+            ContentClass::Html
+        } else if is(&["css"]) {
+            ContentClass::Css
+        } else if is(&["js"]) {
+            ContentClass::Script
+        } else if is(&["jpg", "jpeg", "gif", "png", "bmp", "ico", "svg"]) {
+            ContentClass::Image
+        } else if is(&["wav", "mp3", "ogg", "au"]) {
+            ContentClass::Audio
+        } else {
+            ContentClass::Other
         }
     }
 
-    fn is_cgi_path(uri: &Uri) -> bool {
-        let path = uri.path().to_ascii_lowercase();
-        path.contains("/cgi-bin/")
-            || matches!(
-                uri.extension().as_deref(),
-                Some("cgi") | Some("php") | Some("asp") | Some("jsp") | Some("pl")
-            )
+    /// Classifies by MIME type alone. Returns `None` for types that need
+    /// URI context.
+    pub fn from_content_type(ct: &str) -> Option<ContentClass> {
+        let ct = ct.split(';').next().unwrap_or("").trim();
+        let is = |names: &[&str]| names.iter().any(|name| ct.eq_ignore_ascii_case(name));
+        let under = |top: &str| {
+            ct.get(..top.len())
+                .is_some_and(|prefix| prefix.eq_ignore_ascii_case(top))
+        };
+        Some(if is(&["text/html", "application/xhtml+xml"]) {
+            ContentClass::Html
+        } else if is(&["text/css"]) {
+            ContentClass::Css
+        } else if is(&[
+            "text/javascript",
+            "application/javascript",
+            "application/x-javascript",
+        ]) {
+            ContentClass::Script
+        } else if under("image/") {
+            ContentClass::Image
+        } else if under("audio/") {
+            ContentClass::Audio
+        } else if ct.is_empty() {
+            return None;
+        } else {
+            ContentClass::Other
+        })
+    }
+
+    fn is_cgi_path(uri: UriRef<'_>) -> bool {
+        // `/cgi-bin/` anywhere: a segment named so with another after it.
+        let mut directories = uri.path().split('/');
+        directories.next_back();
+        directories.any(|segment| segment.eq_ignore_ascii_case("cgi-bin"))
+            || uri.extension().is_some_and(|ext| {
+                ["cgi", "php", "asp", "jsp", "pl"]
+                    .iter()
+                    .any(|cgi| ext.eq_ignore_ascii_case(cgi))
+            })
     }
 
     /// Returns `true` for classes that exist only to render a page
@@ -218,6 +233,21 @@ mod tests {
             ContentClass::of(&req("http://h/x.jsp"), None),
             ContentClass::Cgi
         );
+    }
+
+    #[test]
+    fn cgi_bin_is_a_directory_in_any_case() {
+        for (path, cgi) in [
+            ("/cgi-bin/x", true),
+            ("/a/CGI-Bin/x", true),
+            ("/a/cgi-bin/", true),
+            ("/cgi-bin", false),
+            ("/xcgi-bin/y", false),
+            ("/cgi-binx/y", false),
+        ] {
+            let class = ContentClass::of(&req(&format!("http://h{path}")), None);
+            assert_eq!(class == ContentClass::Cgi, cgi, "{path}");
+        }
     }
 
     #[test]

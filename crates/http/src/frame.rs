@@ -3,8 +3,8 @@
 //!
 //! [`measure`] says how many buffered bytes make up the next complete
 //! message when no length means no body, the rule for a request
-//! ([`crate::wire::read_request`] is the same walk, handing back the
-//! owned request). [`response_head`] parses a response's head the moment
+//! ([`crate::wire::read_incoming`] is the same walk, handing back the
+//! request read in place). [`response_head`] parses a response's head the moment
 //! it is buffered; no length there means the body runs to the close.
 //! [`BodyDecoder`] is the one walker of a body in any of the three
 //! framings, incremental and in O(chunk) memory. Every head is read

@@ -32,7 +32,7 @@ impl<'a> Head<'a> {
     /// is an error: no line it could be split into is safe to pass on.
     pub fn parse(buf: &'a [u8], cap: usize) -> Result<Option<Head<'a>>, HttpError> {
         let window = &buf[..buf.len().min(cap.saturating_add(4))];
-        let Some(end) = window.windows(4).position(|w| w == b"\r\n\r\n") else {
+        let Some(end) = blank_line(window) else {
             if buf.len() <= cap {
                 return Ok(None);
             }
@@ -54,7 +54,12 @@ impl<'a> Head<'a> {
                 return Err(HttpError::InvalidHeader(what.to_string()));
             }
         };
-        let (start_line, fields) = text.split_once("\r\n").expect("the block ends in CRLF");
+        // Every CR is half of a CRLF now: the first ends the start line.
+        let cr = text
+            .bytes()
+            .position(|b| b == b'\r')
+            .expect("the block ends in CRLF");
+        let (start_line, fields) = (&text[..cr], &text[cr + 2..]);
         let len = end + 4;
         Ok(Some(Head {
             start_line,
@@ -65,12 +70,23 @@ impl<'a> Head<'a> {
 
     /// The start line read as a request's: method, target, version.
     pub fn request_line(&self) -> Result<(Method, &'a str, &'a str), HttpError> {
-        let mut parts = self.start_line.split(' ');
-        match (parts.next(), parts.next(), parts.next(), parts.next()) {
-            (Some(method), Some(target), Some(version), None) if version.starts_with("HTTP/") => {
-                Ok((method.parse()?, target, version))
+        let line = self.start_line;
+        let space = |from: usize| {
+            let at = line.as_bytes()[from..].iter().position(|&b| b == b' ');
+            at.map(|at| from + at)
+        };
+        // Exactly two spaces, the version last.
+        let split = space(0).and_then(|first| {
+            let second = space(first + 1)?;
+            let version = &line[second + 1..];
+            let ok = version.starts_with("HTTP/") && space(second + 1).is_none();
+            ok.then_some((first, second, version))
+        });
+        match split {
+            Some((first, second, version)) => {
+                Ok((line[..first].parse()?, &line[first + 1..second], version))
             }
-            _ => Err(HttpError::InvalidStartLine(self.start_line.to_string())),
+            None => Err(HttpError::InvalidStartLine(line.to_string())),
         }
     }
 
@@ -94,6 +110,53 @@ impl<'a> Head<'a> {
             length: None,
             chunked: None,
         }
+    }
+}
+
+/// Starts tested per step of [`blank_line`]'s block filter: a request
+/// head is a handful of blocks, and the one that holds the blank line
+/// is walked start by start, so the block is half the rewriter's.
+const BLOCK: usize = 32;
+
+/// Where the first CRLF CRLF in `hay` starts. A block of [`BLOCK`]
+/// starts is tested at once, the outcomes OR-ed into one byte: fixed-size,
+/// branch-free compares the compiler vectorises (as `scan::find_ci` in
+/// the rewriter does), so a head's lines, each ending in a CRLF, cost a
+/// few instructions per block; only the block that holds the blank line
+/// is walked start by start. The last block overlaps the one before it
+/// instead of leaving a tail to walk.
+fn blank_line(hay: &[u8]) -> Option<usize> {
+    const BLANK: &[u8; 4] = b"\r\n\r\n";
+    let starts = (hay.len() + 1).checked_sub(BLANK.len())?;
+    let at = |i: usize| &hay[i..i + BLANK.len()] == BLANK;
+    if starts < BLOCK {
+        return (0..starts).find(|&i| at(i));
+    }
+    let mut next = 0;
+    loop {
+        // Every start before `next` is cleared, so a hit in an overlap
+        // is still the first.
+        let pos = next.min(starts - BLOCK);
+        let lane = |k: usize| -> &[u8; BLOCK] {
+            hay[pos + k..pos + k + BLOCK]
+                .try_into()
+                .expect("a slice of BLOCK bytes")
+        };
+        let (cr, lf, cr2, lf2) = (lane(0), lane(1), lane(2), lane(3));
+        let mut any = 0u8;
+        for i in 0..BLOCK {
+            any |= u8::from(cr[i] == b'\r')
+                & u8::from(lf[i] == b'\n')
+                & u8::from(cr2[i] == b'\r')
+                & u8::from(lf2[i] == b'\n');
+        }
+        if any != 0 {
+            return (pos..pos + BLOCK).find(|&i| at(i));
+        }
+        if pos == starts - BLOCK {
+            return None;
+        }
+        next = pos + BLOCK;
     }
 }
 
@@ -150,11 +213,15 @@ impl<'a> Lines<'a> {
     /// Takes the line at the front of `rest`; `Ok(None)` for a repeated
     /// `Content-Length` that agrees with the first.
     fn take(&mut self) -> Result<Option<Line<'a>>, HttpError> {
+        let bytes = self.rest.as_bytes();
         let (mut end, mut folded) = (0, false);
         loop {
-            let rest = &self.rest[end..];
-            end += rest.find('\n').map_or(rest.len(), |lf| lf + 1);
-            if !self.rest[end..].starts_with([' ', '\t']) {
+            let rest = &bytes[end..];
+            end += rest
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(rest.len(), |lf| lf + 1);
+            if !matches!(bytes.get(end), Some(b' ' | b'\t')) {
                 break;
             }
             folded = true;
@@ -162,12 +229,15 @@ impl<'a> Lines<'a> {
         let (raw, rest) = self.rest.split_at(end);
         self.rest = rest;
         let bad = || HttpError::InvalidHeader(raw.trim_end().to_string());
-        let (name, value) = raw.split_once(':').ok_or_else(bad)?;
-        if name.is_empty() || !name.bytes().all(Method::is_token_byte) || (folded && !self.response)
-        {
+        // The name is the token the line starts with, and a colon must
+        // end it: one pass finds both. (A line always ends in its CRLF,
+        // so a byte that is not a token's is always there.)
+        let colon = raw.bytes().position(|b| !Method::is_token_byte(b));
+        let colon = colon.filter(|&at| at > 0 && raw.as_bytes()[at] == b':');
+        let Some(colon) = colon.filter(|_| !folded || self.response) else {
             return Err(bad());
-        }
-        let value = value.trim();
+        };
+        let (name, value) = (&raw[..colon], raw[colon + 1..].trim());
         if name.eq_ignore_ascii_case("Content-Length") {
             let n = headers::decimal(value)
                 .filter(|n| self.length.is_none_or(|first| first == *n))
@@ -227,6 +297,25 @@ mod tests {
         assert!(Head::parse(&[b'a'; 64], 64).unwrap().is_none());
         assert!(Head::parse(b"\r\n\r\n", 64).is_err());
         assert!(Head::parse(b"GET /\0 HTTP/1.1\r\n\r\n", 64).is_err());
+    }
+
+    #[test]
+    fn the_blank_line_is_found_wherever_it_lies() {
+        for len in 0..3 * BLOCK + 8 {
+            // Lines of CRLFs everywhere, and one blank line, at every
+            // offset and flush against the end.
+            let mut hay: Vec<u8> = (0..len)
+                .map(|i| if i % 5 == 4 { b'\n' } else { b'\r' })
+                .collect();
+            hay.iter_mut().step_by(7).for_each(|b| *b = b'x');
+            let naive = |hay: &[u8]| hay.windows(4).position(|w| w == b"\r\n\r\n");
+            assert_eq!(blank_line(&hay), naive(&hay), "none planted in {len}");
+            for at in 0..len.saturating_sub(3) {
+                let mut planted = hay.clone();
+                planted[at..at + 4].copy_from_slice(b"\r\n\r\n");
+                assert_eq!(blank_line(&planted), naive(&planted), "{len} at {at}");
+            }
+        }
     }
 
     #[test]

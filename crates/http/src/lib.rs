@@ -60,8 +60,8 @@ pub use error::HttpError;
 pub use head::Head;
 pub use headers::Headers;
 pub use method::Method;
-pub use request::{Request, RequestBuilder};
-pub use response::{Response, ResponseBuilder};
+pub use request::{Request, RequestBuilder, RequestView};
+pub use response::{Response, ResponseBuilder, ResponseSummary};
 pub use status::StatusCode;
-pub use uri::Uri;
+pub use uri::{Uri, UriRef};
 pub use useragent::{BrowserFamily, UserAgent};

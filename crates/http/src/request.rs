@@ -1,9 +1,10 @@
-//! Typed HTTP requests.
+//! Typed HTTP requests, owned ([`Request`]) and read in place
+//! ([`RequestView`]).
 
 use crate::error::HttpError;
 use crate::headers::Headers;
 use crate::method::Method;
-use crate::uri::Uri;
+use crate::uri::{Uri, UriRef};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -145,15 +146,135 @@ impl Request {
         self.headers.get("Referer")
     }
 
-    /// Approximate wire size in bytes (request line + headers + body).
+    /// Wire size in bytes (request line + headers + body), counted
+    /// without rendering anything.
     pub fn wire_len(&self) -> usize {
         let line = self.method.as_str().len()
             + 1
-            + self.uri.to_string().len()
+            + self.uri.view().display_len()
             + 1
             + self.version.len()
             + 2;
         line + self.headers.wire_len() + 2 + self.body.len()
+    }
+
+    /// What the gate reads of this request, borrowed: the same view the
+    /// front door reads off a request head, so a caller holding an owned
+    /// request runs the gate the server runs.
+    pub fn view(&self) -> RequestView<'_> {
+        RequestView {
+            client: self.client,
+            method: self.method.as_str(),
+            uri: self.uri.view(),
+            version: &self.version,
+            user_agent: self.user_agent(),
+            referer: self.referer(),
+            host: self.headers.get("Host"),
+            wire_len: self.wire_len(),
+        }
+    }
+
+    /// A request from parts already parsed and checked; a body of its
+    /// own gets a `Content-Length` unless one is set.
+    pub(crate) fn assemble(
+        method: Method,
+        uri: Uri,
+        version: String,
+        mut headers: Headers,
+        body: Vec<u8>,
+        client: ClientIp,
+    ) -> Request {
+        if !body.is_empty() && !headers.contains("Content-Length") {
+            headers.set("Content-Length", body.len().to_string());
+        }
+        Request {
+            method,
+            uri,
+            version,
+            headers,
+            body,
+            client,
+        }
+    }
+}
+
+/// A request as the gate reads it: the client, the request line, the
+/// three headers detection looks at and the size on the wire, borrowed
+/// from wherever the request is. The front door reads one straight off
+/// its read buffer ([`crate::wire::read_incoming`]); [`Request::view`]
+/// lends one from an owned request. Either way its `wire_len` is what
+/// [`Request::wire_len`] of the owned request is.
+///
+/// # Examples
+///
+/// ```
+/// use botwall_http::request::ClientIp;
+/// use botwall_http::{wire, Method, Request};
+///
+/// let raw = b"GET /a.css HTTP/1.1\r\nUser-Agent: ua/1\r\nHost: h\r\n\r\n";
+/// let read = wire::read_incoming(raw, ClientIp::new(1)).unwrap().unwrap();
+/// let view = read.view();
+/// assert_eq!((view.method(), view.uri().path()), (Method::Get, "/a.css"));
+/// assert_eq!((view.user_agent(), view.authority().as_deref()), (Some("ua/1"), Some("h")));
+/// assert_eq!(view.wire_len(), raw.len());
+/// assert_eq!(read.to_request().view(), *view);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestView<'a> {
+    // Set by this crate's readers only, from what they have checked.
+    pub(crate) client: ClientIp,
+    /// The method token.
+    pub(crate) method: &'a str,
+    pub(crate) uri: UriRef<'a>,
+    pub(crate) version: &'a str,
+    pub(crate) user_agent: Option<&'a str>,
+    pub(crate) referer: Option<&'a str>,
+    pub(crate) host: Option<&'a str>,
+    pub(crate) wire_len: usize,
+}
+
+impl<'a> RequestView<'a> {
+    /// The client address the request arrived from.
+    pub fn client(&self) -> ClientIp {
+        self.client
+    }
+
+    /// The request method.
+    pub fn method(&self) -> Method {
+        self.method
+            .parse()
+            .expect("a view holds a checked method token")
+    }
+
+    /// The request target.
+    pub fn uri(&self) -> &UriRef<'a> {
+        &self.uri
+    }
+
+    /// The protocol version string.
+    pub fn version(&self) -> &'a str {
+        self.version
+    }
+
+    /// The first `User-Agent` value, if present.
+    pub fn user_agent(&self) -> Option<&'a str> {
+        self.user_agent
+    }
+
+    /// The first `Referer` value, if present.
+    pub fn referer(&self) -> Option<&'a str> {
+        self.referer
+    }
+
+    /// The authority the request was addressed to, as
+    /// [`Request::authority`] reads it: the target's, else `Host`.
+    pub fn authority(&self) -> Option<Cow<'a, str>> {
+        self.uri.authority().or(self.host.map(Cow::Borrowed))
+    }
+
+    /// What [`Request::wire_len`] says of the owned request.
+    pub fn wire_len(&self) -> usize {
+        self.wire_len
     }
 }
 
@@ -163,7 +284,7 @@ pub struct RequestBuilder {
     method: Method,
     uri: String,
     version: String,
-    pub(crate) headers: Headers,
+    headers: Headers,
     body: Vec<u8>,
     client: ClientIp,
 }
@@ -197,20 +318,16 @@ impl RequestBuilder {
     ///
     /// Adds a `Content-Length` header when a non-empty body is present and
     /// none was set explicitly.
-    pub fn build(mut self) -> Result<Request, HttpError> {
+    pub fn build(self) -> Result<Request, HttpError> {
         let uri = Uri::parse(&self.uri)?;
-        if !self.body.is_empty() && !self.headers.contains("Content-Length") {
-            self.headers
-                .set("Content-Length", self.body.len().to_string());
-        }
-        Ok(Request {
-            method: self.method,
+        Ok(Request::assemble(
+            self.method,
             uri,
-            version: self.version,
-            headers: self.headers,
-            body: self.body,
-            client: self.client,
-        })
+            self.version,
+            self.headers,
+            self.body,
+            self.client,
+        ))
     }
 }
 

@@ -1,8 +1,36 @@
 //! Typed HTTP responses.
 
+use crate::content::ContentClass;
 use crate::headers::Headers;
 use crate::status::StatusCode;
 use serde::{Deserialize, Serialize};
+
+/// What a session record keeps of a response: its status, the class its
+/// `Content-Type` names, and its size as [`Response::wire_len`] counts
+/// it. An answer that is never built as a [`Response`] (a refusal, a
+/// probe object) says the same three things of itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResponseSummary {
+    /// The status code.
+    pub status: StatusCode,
+    /// [`ContentClass::from_content_type`] of its `Content-Type`, if it
+    /// has one that names a class.
+    pub class: Option<ContentClass>,
+    /// Status line, headers and body, in bytes.
+    pub wire_len: usize,
+}
+
+impl ResponseSummary {
+    /// What [`Response::empty`] of `status` summarises to, counted
+    /// without building it.
+    pub fn empty(status: StatusCode) -> ResponseSummary {
+        ResponseSummary {
+            status,
+            class: None,
+            wire_len: "HTTP/1.1 200 \r\n\r\n".len() + status.reason().len(),
+        }
+    }
+}
 
 /// A typed HTTP response.
 ///
@@ -98,6 +126,17 @@ impl Response {
         let line = self.version.len() + 1 + 3 + 1 + self.status.reason().len() + 2;
         line + self.headers.wire_len() + 2 + self.body.len()
     }
+
+    /// What a session record keeps of this response.
+    pub fn summary(&self) -> ResponseSummary {
+        ResponseSummary {
+            status: self.status,
+            class: self
+                .content_type()
+                .and_then(ContentClass::from_content_type),
+            wire_len: self.wire_len(),
+        }
+    }
 }
 
 /// Builder for [`Response`].
@@ -189,6 +228,20 @@ mod tests {
             .header("Location", "/new")
             .build();
         assert_eq!(r.location(), Some("/new"));
+    }
+
+    #[test]
+    fn an_empty_summary_is_the_empty_responses() {
+        for status in [
+            StatusCode::OK,
+            StatusCode::FORBIDDEN,
+            StatusCode::new(599).unwrap(),
+        ] {
+            assert_eq!(
+                ResponseSummary::empty(status),
+                Response::empty(status).summary()
+            );
+        }
     }
 
     #[test]

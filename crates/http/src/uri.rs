@@ -3,7 +3,9 @@
 //! Open-proxy traffic (the paper's CoDeeN substrate) uses absolute-form
 //! request targets (`GET http://host/path HTTP/1.0`); origin servers see
 //! origin-form (`GET /path HTTP/1.0`). This parser handles both plus the
-//! query string, which the beacon/probe URL codec relies on.
+//! query string, which the beacon/probe URL codec relies on. It reads a
+//! target in place ([`UriRef`], what the gate reads off a request head);
+//! [`Uri`] is the same parts owned.
 
 use crate::error::HttpError;
 use serde::{Deserialize, Serialize};
@@ -25,6 +27,171 @@ impl Scheme {
             Scheme::Http => "http",
             Scheme::Https => "https",
         }
+    }
+}
+
+/// A request target read in place: optional scheme/host/port plus path
+/// and optional query, each borrowed from the string it was parsed out
+/// of. [`Uri`] owns the same parts; [`Uri::view`] lends them back.
+///
+/// # Examples
+///
+/// ```
+/// use botwall_http::uri::UriRef;
+///
+/// let u = UriRef::parse("http://h:8080/a/B.JPG?k=1").unwrap();
+/// assert_eq!((u.host(), u.port(), u.path()), (Some("h"), Some(8080), "/a/B.JPG"));
+/// assert_eq!((u.file_name(), u.extension()), ("B.JPG", Some("JPG")));
+/// assert_eq!(u.to_string().len(), u.display_len());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UriRef<'a> {
+    scheme: Option<Scheme>,
+    host: Option<&'a str>,
+    port: Option<u16>,
+    path: &'a str,
+    query: Option<&'a str>,
+}
+
+impl<'a> UriRef<'a> {
+    /// Parses an absolute-form (`http://host[:port]/path[?q]`) or
+    /// origin-form (`/path[?q]`) URI, or `*`.
+    ///
+    /// Returns [`HttpError::InvalidUri`] for empty input, unsupported
+    /// schemes, empty hosts, bad ports, or whitespace in the URI.
+    pub fn parse(s: &'a str) -> Result<UriRef<'a>, HttpError> {
+        let bad = |why: &str| Err(HttpError::InvalidUri(format!("{why} in {s:?}")));
+        if s.is_empty() {
+            return Err(HttpError::InvalidUri("empty".to_string()));
+        }
+        if s.bytes().any(|b| b.is_ascii_whitespace()) {
+            return bad("whitespace");
+        }
+        let absolute = [(Scheme::Http, "http://"), (Scheme::Https, "https://")]
+            .into_iter()
+            .find_map(|(scheme, prefix)| Some((scheme, s.strip_prefix(prefix)?)));
+        let (scheme, host, port, path_and_query) = match absolute {
+            Some((scheme, rest)) => {
+                let (authority, path_and_query) = match rest.find('/') {
+                    Some(i) => rest.split_at(i),
+                    None => (rest, "/"),
+                };
+                let (host, port) = match authority.rsplit_once(':') {
+                    Some((host, port)) => match port.parse::<u16>() {
+                        Ok(port) => (host, Some(port)),
+                        Err(_) if host.is_empty() => return bad("empty host"),
+                        Err(_) => return bad("bad port"),
+                    },
+                    None => (authority, None),
+                };
+                if host.is_empty() {
+                    return bad("empty host");
+                }
+                (Some(scheme), Some(host), port, path_and_query)
+            }
+            None if s.starts_with('/') || s == "*" => (None, None, None, s),
+            None => return Err(HttpError::InvalidUri(format!("unsupported form: {s:?}"))),
+        };
+        let (path, query) = match path_and_query.split_once('?') {
+            Some((path, query)) => (path, Some(query)),
+            None => (path_and_query, None),
+        };
+        Ok(UriRef {
+            scheme,
+            host,
+            port,
+            path,
+            query,
+        })
+    }
+
+    /// The same parts, owned.
+    pub fn to_uri(self) -> Uri {
+        Uri {
+            scheme: self.scheme,
+            host: self.host.map(str::to_string),
+            port: self.port,
+            path: self.path.to_string(),
+            query: self.query.map(str::to_string),
+        }
+    }
+
+    /// The scheme (`http`/`https`), if absolute-form.
+    pub fn scheme(&self) -> Option<&'static str> {
+        self.scheme.map(Scheme::as_str)
+    }
+
+    /// The host, if absolute-form.
+    pub fn host(&self) -> Option<&'a str> {
+        self.host
+    }
+
+    /// The explicit port, if one was given.
+    pub fn port(&self) -> Option<u16> {
+        self.port
+    }
+
+    /// The path component (always starts with `/`, or is `*`).
+    pub fn path(&self) -> &'a str {
+        self.path
+    }
+
+    /// The query string without the leading `?`, if present.
+    pub fn query(&self) -> Option<&'a str> {
+        self.query
+    }
+
+    /// `host[:port]`, if absolute-form — borrowed unless a port has to
+    /// be spliced back on.
+    pub fn authority(&self) -> Option<Cow<'a, str>> {
+        let host = self.host?;
+        Some(match self.port {
+            Some(port) => Cow::Owned(format!("{host}:{port}")),
+            None => Cow::Borrowed(host),
+        })
+    }
+
+    /// The final path segment (after the last `/`), without the query.
+    pub fn file_name(&self) -> &'a str {
+        self.path.rsplit('/').next().unwrap_or("")
+    }
+
+    /// The extension of [`UriRef::file_name`] as written (compare it
+    /// case-insensitively), if any: a dotfile has none.
+    pub fn extension(&self) -> Option<&'a str> {
+        let (stem, ext) = self.file_name().rsplit_once('.')?;
+        (!stem.is_empty() && !ext.is_empty()).then_some(ext)
+    }
+
+    /// How many bytes `Display` writes: what a request line spends on
+    /// the target, counted without rendering it.
+    pub fn display_len(&self) -> usize {
+        let origin = match (self.scheme, self.host) {
+            (Some(scheme), Some(host)) => {
+                let port = self
+                    .port
+                    .map_or(0, |p| 1 + p.checked_ilog10().unwrap_or(0) as usize + 1);
+                scheme.as_str().len() + 3 + host.len() + port
+            }
+            _ => 0,
+        };
+        origin + self.path.len() + self.query.map_or(0, |q| 1 + q.len())
+    }
+}
+
+impl fmt::Display for UriRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let (Some(scheme), Some(host)) = (self.scheme, self.host) {
+            write!(f, "{}://{host}", scheme.as_str())?;
+            if let Some(p) = self.port {
+                write!(f, ":{p}")?;
+            }
+        }
+        f.write_str(self.path)?;
+        if let Some(q) = self.query {
+            write!(f, "?{q}")?;
+        }
+        Ok(())
     }
 }
 
@@ -57,70 +224,19 @@ pub struct Uri {
 
 impl Uri {
     /// Parses an absolute-form (`http://host[:port]/path[?q]`) or
-    /// origin-form (`/path[?q]`) URI.
-    ///
-    /// Returns [`HttpError::InvalidUri`] for empty input, unsupported
-    /// schemes, empty hosts, bad ports, or whitespace in the URI.
+    /// origin-form (`/path[?q]`) URI: [`UriRef::parse`], owned.
     pub fn parse(s: &str) -> Result<Uri, HttpError> {
-        if s.is_empty() {
-            return Err(HttpError::InvalidUri("empty".to_string()));
-        }
-        if s.bytes().any(|b| b.is_ascii_whitespace()) {
-            return Err(HttpError::InvalidUri(format!("whitespace in {s:?}")));
-        }
-        if let Some(rest) = s
-            .strip_prefix("http://")
-            .map(|r| (Scheme::Http, r))
-            .or_else(|| s.strip_prefix("https://").map(|r| (Scheme::Https, r)))
-        {
-            let (scheme, rest) = rest;
-            let (authority, path_and_query) = match rest.find('/') {
-                Some(i) => (&rest[..i], &rest[i..]),
-                None => (rest, "/"),
-            };
-            if authority.is_empty() {
-                return Err(HttpError::InvalidUri(format!("empty host in {s:?}")));
-            }
-            let (host, port) = match authority.rsplit_once(':') {
-                Some((h, p)) => {
-                    if h.is_empty() {
-                        return Err(HttpError::InvalidUri(format!("empty host in {s:?}")));
-                    }
-                    let port: u16 = p
-                        .parse()
-                        .map_err(|_| HttpError::InvalidUri(format!("bad port in {s:?}")))?;
-                    (h.to_string(), Some(port))
-                }
-                None => (authority.to_string(), None),
-            };
-            let (path, query) = split_query(path_and_query);
-            Ok(Uri {
-                scheme: Some(scheme),
-                host: Some(host),
-                port,
-                path,
-                query,
-            })
-        } else if s.starts_with('/') {
-            let (path, query) = split_query(s);
-            Ok(Uri {
-                scheme: None,
-                host: None,
-                port: None,
-                path,
-                query,
-            })
-        } else if s == "*" {
-            // Asterisk-form for OPTIONS.
-            Ok(Uri {
-                scheme: None,
-                host: None,
-                port: None,
-                path: "*".to_string(),
-                query: None,
-            })
-        } else {
-            Err(HttpError::InvalidUri(format!("unsupported form: {s:?}")))
+        UriRef::parse(s).map(UriRef::to_uri)
+    }
+
+    /// The parts, borrowed.
+    pub fn view(&self) -> UriRef<'_> {
+        UriRef {
+            scheme: self.scheme,
+            host: self.host.as_deref(),
+            port: self.port,
+            path: &self.path,
+            query: self.query.as_deref(),
         }
     }
 
@@ -161,27 +277,23 @@ impl Uri {
 
     /// The scheme (`http`/`https`), if absolute-form.
     pub fn scheme(&self) -> Option<&str> {
-        self.scheme.map(Scheme::as_str)
+        self.view().scheme()
     }
 
     /// The host, if absolute-form.
     pub fn host(&self) -> Option<&str> {
-        self.host.as_deref()
+        self.view().host()
     }
 
     /// The explicit port, if one was given.
     pub fn port(&self) -> Option<u16> {
-        self.port
+        self.view().port()
     }
 
     /// `host[:port]` as it appeared in the URI, if absolute-form —
     /// borrowed unless a port has to be spliced back on.
     pub fn authority(&self) -> Option<Cow<'_, str>> {
-        let host = self.host.as_deref()?;
-        Some(match self.port {
-            Some(port) => Cow::Owned(format!("{host}:{port}")),
-            None => Cow::Borrowed(host),
-        })
+        self.view().authority()
     }
 
     /// The effective port: explicit, or the scheme default.
@@ -194,12 +306,12 @@ impl Uri {
 
     /// The path component (always starts with `/`, or is `*`).
     pub fn path(&self) -> &str {
-        &self.path
+        self.view().path()
     }
 
     /// The query string without the leading `?`, if present.
     pub fn query(&self) -> Option<&str> {
-        self.query.as_deref()
+        self.view().query()
     }
 
     /// Path plus query, as it would appear in origin-form.
@@ -220,17 +332,12 @@ impl Uri {
     /// assert_eq!(u.file_name(), "pic.jpg");
     /// ```
     pub fn file_name(&self) -> &str {
-        self.path.rsplit('/').next().unwrap_or("")
+        self.view().file_name()
     }
 
     /// The lowercase extension of [`Uri::file_name`], if any.
     pub fn extension(&self) -> Option<String> {
-        let name = self.file_name();
-        let (stem, ext) = name.rsplit_once('.')?;
-        if stem.is_empty() || ext.is_empty() {
-            return None;
-        }
-        Some(ext.to_ascii_lowercase())
+        self.view().extension().map(str::to_ascii_lowercase)
     }
 
     /// Resolves a (possibly relative) reference against this URI, which
@@ -269,17 +376,7 @@ fn split_query(s: &str) -> (String, Option<String>) {
 
 impl fmt::Display for Uri {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if let (Some(scheme), Some(host)) = (self.scheme, &self.host) {
-            write!(f, "{}://{host}", scheme.as_str())?;
-            if let Some(p) = self.port {
-                write!(f, ":{p}")?;
-            }
-        }
-        write!(f, "{}", self.path)?;
-        if let Some(q) = &self.query {
-            write!(f, "?{q}")?;
-        }
-        Ok(())
+        fmt::Display::fmt(&self.view(), f)
     }
 }
 
@@ -374,6 +471,24 @@ mod tests {
         ] {
             let u: Uri = s.parse().unwrap();
             assert_eq!(u.to_string(), s, "roundtrip of {s}");
+        }
+    }
+
+    #[test]
+    fn display_len_counts_what_display_writes() {
+        for s in [
+            "*",
+            "/",
+            "/a?b",
+            "http://h",
+            "http://h?q=1",
+            "http://h:0/x",
+            "http://h:+80/x?q",
+            "https://h:65535/",
+        ] {
+            let u = UriRef::parse(s).unwrap();
+            assert_eq!(u.display_len(), u.to_string().len(), "{s}");
+            assert_eq!(Uri::parse(s).unwrap().view(), u, "{s}");
         }
     }
 

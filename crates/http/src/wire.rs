@@ -1,24 +1,34 @@
-//! HTTP/1.x wire codec: owned messages to bytes and back.
+//! HTTP/1.x wire codec: messages to bytes and back.
 //!
 //! Parsing reads a head through [`crate::head::Head`], the one scanner
-//! [`crate::frame`] stands on too, and decodes the body behind it with
-//! [`crate::frame::BodyDecoder`] whatever its framing: a chunked message
-//! comes back with its decoded body, no `Transfer-Encoding` and its real
-//! `Content-Length`. [`parse_request`] and [`parse_response`] take a
-//! whole message in hand, uncapped, and a body with no declared length
-//! runs to the end of the input. [`read_request`] takes the next request
-//! off a connection's read buffer under the front door's caps: the
-//! server's one call into the codec per request. (An origin's response
-//! is never an owned message there; it is relayed off its parsed head.)
+//! [`crate::frame`] stands on too. [`read_incoming`] is the front door's
+//! one call per request: it reads the next request off a connection's
+//! read buffer *in place*, under the front door's caps, into an
+//! [`Incoming`] — the [`RequestView`] the gate reads, the head it was
+//! read from and where the message ends — with the body measured and
+//! checked by [`crate::frame::BodyDecoder`] but not copied. Only a
+//! request the gate leases to the origin becomes an owned [`Request`]
+//! ([`Incoming::to_request`]), its body (a chunked one decoded) copied
+//! once. [`read_request`] and [`parse_request`] are the same read
+//! handing back the owned request at once; [`parse_response`] takes a
+//! whole response in hand. (An origin's response is never an owned
+//! message in the server; it is relayed off its parsed head.)
 //! Malformed framing is reported precisely so failure-injection tests
 //! can assert on it.
+//!
+//! Writing goes the other way: [`serialize_request_as`] sends a request
+//! on, and an answer the server or the gate makes itself is written
+//! straight into a connection's write buffer with this hop's framing and
+//! `Connection` line ([`write_response`], [`write_empty`]).
 
 use crate::error::HttpError;
 use crate::frame::{self, BodyFraming, Framing, MAX_FRAME_BYTES, MAX_HEAD_BYTES};
 use crate::head::Head;
 use crate::headers::Headers;
-use crate::request::{ClientIp, Request};
+use crate::request::{ClientIp, Request, RequestView};
 use crate::response::{Response, ResponseBuilder};
+use crate::status::StatusCode;
+use crate::uri::UriRef;
 
 /// Serializes a request to HTTP/1.x wire format.
 ///
@@ -74,16 +84,62 @@ pub fn serialize_response(resp: &Response) -> Vec<u8> {
 /// [`serialize_response`].
 pub fn serialize_response_into(resp: &Response, out: &mut Vec<u8>) {
     out.reserve(resp.wire_len());
-    out.extend_from_slice(resp.version().as_bytes());
-    out.push(b' ');
-    let mut code = [0u8; 3];
-    out.extend_from_slice(format_u16(resp.status().as_u16(), &mut code));
-    out.push(b' ');
-    out.extend_from_slice(resp.status().reason().as_bytes());
-    out.extend_from_slice(b"\r\n");
+    status_line(resp.version(), resp.status(), out);
     put_headers(out, resp.headers().iter());
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(resp.body());
+}
+
+/// Appends `response` as an answer of this hop's own making: its status
+/// line and headers under HTTP/1.1, a `Content-Length` when it declares
+/// none (so a keep-alive client knows where it ends), this connection's
+/// `Connection` line in place of any it carries, and its body.
+pub fn write_response(response: &Response, close: bool, out: &mut Vec<u8>) {
+    status_line(response.version(), response.status(), out);
+    let lines = response.headers().iter();
+    put_headers(
+        out,
+        lines.filter(|(name, _)| !name.eq_ignore_ascii_case("Connection")),
+    );
+    if !response.headers().contains("Content-Length") {
+        content_length(response.body().len(), out);
+    }
+    end_head(close, out);
+    out.extend_from_slice(response.body());
+}
+
+/// Appends a bodiless answer as fixed bytes: what [`write_response`]
+/// makes of `Response::empty(status)`, with nothing built.
+pub fn write_empty(status: StatusCode, close: bool, out: &mut Vec<u8>) {
+    status_line("HTTP/1.1", status, out);
+    out.extend_from_slice(b"Content-Length: 0\r\n");
+    end_head(close, out);
+}
+
+/// Appends `Content-Length: <len>` and its CRLF.
+pub fn content_length(len: usize, out: &mut Vec<u8>) {
+    use std::io::Write;
+    write!(out, "Content-Length: {len}\r\n").expect("a Vec takes any write");
+}
+
+/// Ends a head this hop writes: its `Connection` line (`close` ends the
+/// connection after this message) and the blank line.
+pub fn end_head(close: bool, out: &mut Vec<u8>) {
+    out.extend_from_slice(if close {
+        b"Connection: close\r\n\r\n".as_slice()
+    } else {
+        b"Connection: keep-alive\r\n\r\n".as_slice()
+    });
+}
+
+fn status_line(version: &str, status: StatusCode, out: &mut Vec<u8>) {
+    out.extend_from_slice(version.as_bytes());
+    out.push(b' ');
+    let mut code = [0u8; 3];
+    out.extend_from_slice(format_u16(status.as_u16(), &mut code));
+    out.push(b' ');
+    out.extend_from_slice(status.reason().as_bytes());
+    out.extend_from_slice(b"\r\n");
 }
 
 /// Renders a status code (always three digits) without allocating.
@@ -117,39 +173,179 @@ pub(crate) fn put_headers<'a>(buf: &mut Vec<u8>, lines: impl Iterator<Item = (&'
 /// assert_eq!(req.headers().get("Host"), Some("h"));
 /// ```
 pub fn parse_request(input: &[u8], client: ClientIp) -> Result<Request, HttpError> {
-    request(input, client, false).map(|(request, _)| request)
+    incoming(input, client, false).map(|read| read.to_request())
 }
 
 /// Takes the next request off the front of a connection's read buffer:
 /// the owned request and how many bytes it was, `Ok(None)` until it has
-/// all arrived. No declared length means no body, the head is at most
-/// [`MAX_HEAD_BYTES`] and the whole at most [`MAX_FRAME_BYTES`]; `Err`
-/// is the `400`.
+/// all arrived. [`read_incoming`] with the request made owned at once.
 pub fn read_request(buf: &[u8], client: ClientIp) -> Result<Option<(Request, usize)>, HttpError> {
-    match request(buf, client, true) {
+    let read = read_incoming(buf, client)?;
+    Ok(read.map(|read| (read.to_request(), read.len())))
+}
+
+/// Reads the next request in place off the front of a connection's read
+/// buffer, `Ok(None)` until it has all arrived. No declared length means
+/// no body, the head is at most [`MAX_HEAD_BYTES`] and the whole at most
+/// [`MAX_FRAME_BYTES`]; `Err` is the `400`. Nothing is copied: a body,
+/// chunked or not, is walked to find its end and checked, and a call on
+/// a body still arriving costs that walk and nothing else.
+pub fn read_incoming(buf: &[u8], client: ClientIp) -> Result<Option<Incoming<'_>>, HttpError> {
+    match incoming(buf, client, true) {
         // The two errors more bytes can cure: no blank line, short body.
         Err(HttpError::UnexpectedEof | HttpError::TruncatedBody { .. }) => Ok(None),
         read => read.map(Some),
     }
 }
 
-/// The request at the front of `input` and its length there, `bounded`
-/// as the front door reads one or not as [`parse_request`] does.
-fn request(input: &[u8], client: ClientIp, bounded: bool) -> Result<(Request, usize), HttpError> {
+/// A request read in place by [`read_incoming`]: what the gate reads,
+/// the head it stands on, and where in the buffer its body and the
+/// message end.
+#[derive(Debug, Clone)]
+pub struct Incoming<'a> {
+    view: RequestView<'a>,
+    head: Head<'a>,
+    /// The message: head and body as they arrived.
+    message: &'a [u8],
+    framing: BodyFraming,
+    /// `Connection` tokens: `(close, keep-alive)`.
+    connection: (bool, bool),
+}
+
+impl<'a> Incoming<'a> {
+    /// What the gate reads.
+    pub fn view(&self) -> &RequestView<'a> {
+        &self.view
+    }
+
+    /// How many bytes of the buffer the request took.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        self.message.len()
+    }
+
+    /// Whether the client wants the connection kept: HTTP/1.1 does
+    /// unless it says `Connection: close`, HTTP/1.0 only when it says
+    /// `Connection: keep-alive`.
+    pub fn keep_alive(&self) -> bool {
+        let (close, keep_alive) = self.connection;
+        !close && (self.view.version() == "HTTP/1.1" || keep_alive)
+    }
+
+    /// The owned request, built from the head already parsed: its lines
+    /// as [`Headers`] (a chunked body's `Transfer-Encoding` and
+    /// `Content-Length` left out: the body is decoded, and the real
+    /// length written), and its body copied out of the buffer once.
+    pub fn to_request(&self) -> Request {
+        let (headers, _) =
+            fields(&self.head, self.framing).expect("read_incoming walked these lines");
+        let body = match self.framing {
+            BodyFraming::Chunked => {
+                let mut body = Vec::new();
+                let copy = |_, run: &[u8]| body.extend_from_slice(run);
+                frame::extent(self.message, self.head.len, self.framing, usize::MAX, copy)
+                    .expect("read_incoming walked this body");
+                body
+            }
+            _ => self.message[self.head.len..].to_vec(),
+        };
+        let view = &self.view;
+        Request::assemble(
+            view.method(),
+            view.uri().to_uri(),
+            view.version().to_string(),
+            headers,
+            body,
+            view.client(),
+        )
+    }
+}
+
+/// The request at the front of `input`, read in place, `bounded` as the
+/// front door reads one or not, as [`parse_request`] does: no declared
+/// length means a body running to the end of the input, and nothing is
+/// capped.
+fn incoming(input: &[u8], client: ClientIp, bounded: bool) -> Result<Incoming<'_>, HttpError> {
     let (head_cap, cap, fallback) = match bounded {
         true => (MAX_HEAD_BYTES, MAX_FRAME_BYTES, BodyFraming::Length(0)),
         false => (usize::MAX, usize::MAX, BodyFraming::Close),
     };
     let head = Head::parse(input, head_cap)?.ok_or(HttpError::UnexpectedEof)?;
-    let (headers, framing) = fields(&head, fallback)?;
-    let (body, len) = body(input, head.len, framing, cap)?;
+    // The one walk of the lines: what the view holds, what the owned
+    // request's headers would weigh, and the framing.
+    let (mut user_agent, mut referer, mut host) = (None, None, None);
+    let (mut close, mut keep_alive) = (false, false);
+    let (mut fields_len, mut framing_len) = (0, 0);
+    let mut lines = head.lines();
+    for line in &mut lines {
+        let line = line?;
+        let len = line.name.len() + 2 + line.value.len() + 2;
+        fields_len += len;
+        let named = |name: &str| line.name.eq_ignore_ascii_case(name);
+        if named("User-Agent") {
+            user_agent = user_agent.or(Some(line.value));
+        } else if named("Referer") {
+            referer = referer.or(Some(line.value));
+        } else if named("Host") {
+            host = host.or(Some(line.value));
+        } else if named("Connection") {
+            close |= Headers::list_has(line.value, "close");
+            keep_alive |= Headers::list_has(line.value, "keep-alive");
+        } else if named("Transfer-Encoding") || named("Content-Length") {
+            framing_len += len;
+        }
+    }
+    let framing = lines.framing(fallback)?;
+    // The body is measured, not copied.
+    let mut body_len = 0;
+    let count = |_, run: &[u8]| body_len += run.len();
+    let end = match frame::extent(input, head.len, framing, cap, count)? {
+        Framing::Complete { len } => len,
+        Framing::Partial if framing == BodyFraming::Close => input.len(),
+        Framing::NeedsBody { len } => {
+            let (expected, actual) = (len - head.len, input.len() - head.len);
+            return Err(HttpError::TruncatedBody { expected, actual });
+        }
+        Framing::Partial => {
+            let (expected, actual) = (body_len + 1, body_len);
+            return Err(HttpError::TruncatedBody { expected, actual });
+        }
+    };
+    if framing != BodyFraming::Chunked {
+        body_len = end - head.len;
+    }
     let (method, target, version) = head.request_line()?;
-    let mut builder = Request::builder(method, target)
-        .version(version)
-        .client(client)
-        .body_bytes(body);
-    builder.headers = headers;
-    Ok((builder.build()?, len))
+    let uri = UriRef::parse(target)?;
+    // What `Request::wire_len` will say of the owned request: a chunked
+    // body's framing lines go, and a body no line declared the length of
+    // (chunked, or running to the end of the input) gets one.
+    if framing == BodyFraming::Chunked {
+        fields_len -= framing_len;
+    }
+    if body_len > 0 && !matches!(framing, BodyFraming::Length(_)) {
+        let digits = body_len.ilog10() as usize + 1;
+        fields_len += "Content-Length: ".len() + digits + 2;
+    }
+    // The token as it stands at the front of the start line.
+    let method = &head.start_line[..method.as_str().len()];
+    let line = method.len() + 1 + uri.display_len() + 1 + version.len() + 2;
+    let wire_len = line + fields_len + 2 + body_len;
+    Ok(Incoming {
+        view: RequestView {
+            client,
+            method,
+            uri,
+            version,
+            user_agent,
+            referer,
+            host,
+            wire_len,
+        },
+        head,
+        message: &input[..end],
+        framing,
+        connection: (close, keep_alive),
+    })
 }
 
 /// Parses a response from wire bytes.

@@ -46,8 +46,12 @@ pub fn path(key: BeaconKey) -> String {
 /// Only the *shape* is checked here (32 hex digits + the beacon
 /// extension); whether the key is genuine is the token table's call.
 pub fn decode(uri: &Uri) -> Option<BeaconKey> {
-    let name = uri.file_name();
-    let stem = name.strip_suffix(&format!(".{BEACON_EXT}"))?;
+    decode_name(uri.file_name())
+}
+
+/// [`decode`] over the file name alone.
+pub(crate) fn decode_name(name: &str) -> Option<BeaconKey> {
+    let stem = name.strip_suffix(BEACON_EXT)?.strip_suffix('.')?;
     BeaconKey::from_hex(stem)
 }
 

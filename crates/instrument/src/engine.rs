@@ -40,13 +40,14 @@
 
 use crate::beacon;
 use crate::jsgen::{self, GeneratedJs, JsSpec};
-use crate::probe::{AutomationReport, ProbeHit, ProbeKind};
+use crate::probe::{AutomationReport, ProbeHit, ProbeKind, ProbeObject};
 use crate::rewrite::{Classified, InstrumentConfig, ProbeManifest};
 use crate::stream::StreamingRewrite;
 use crate::token::{BeaconKey, ScriptSeed, TokenState};
-use botwall_http::{Request, Response, StatusCode, Uri};
+use botwall_http::{Request, RequestView, Response, Uri, UriRef};
 use botwall_sessions::SimTime;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Bits of MAC tag in a probe nonce.
 const TAG_BITS: u32 = 40;
@@ -227,20 +228,6 @@ fn probe_path(nonce: u64, kind: ProbeKind) -> String {
     path
 }
 
-/// A 1×1 transparent GIF (the classic 43-byte pixel).
-const TRANSPARENT_GIF: &[u8] = &[
-    0x47, 0x49, 0x46, 0x38, 0x39, 0x61, 0x01, 0x00, 0x01, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0xff, 0xff, 0xff, 0x21, 0xf9, 0x04, 0x01, 0x00, 0x00, 0x00, 0x00, 0x2c, 0x00, 0x00, 0x00, 0x00,
-    0x01, 0x00, 0x01, 0x00, 0x00, 0x02, 0x02, 0x44, 0x01, 0x00, 0x3b,
-];
-
-/// A minimal JPEG payload ("any JPEG image [works] because the picture is
-/// not used" — §2.1).
-const FAKE_JPEG: &[u8] = &[
-    0xff, 0xd8, 0xff, 0xe0, 0x00, 0x10, 0x4a, 0x46, 0x49, 0x46, 0x00, 0x01, 0x01, 0x00, 0x00, 0x01,
-    0x00, 0x01, 0x00, 0x00, 0xff, 0xd9,
-];
-
 /// The immutable page-rewriting and probe-classifying engine.
 ///
 /// # Examples
@@ -359,8 +346,17 @@ impl RewriteEngine {
     /// registry's TTL) read as ordinary traffic: a harvested probe URL
     /// stops earning browser-signal evidence.
     pub fn classify(&self, request: &Request, now: SimTime) -> Sighting {
-        let uri = request.uri();
-        if let Some(key) = beacon::decode(uri) {
+        self.sight(request.uri().view(), now)
+    }
+
+    /// [`RewriteEngine::classify`] for a request read in place.
+    pub fn classify_view(&self, request: &RequestView<'_>, now: SimTime) -> Sighting {
+        self.sight(*request.uri(), now)
+    }
+
+    /// Classification reads the target and nothing else.
+    fn sight(&self, uri: UriRef<'_>, now: SimTime) -> Sighting {
+        if let Some(key) = beacon::decode_name(uri.file_name()) {
             return Sighting::MouseBeacon(key);
         }
         let name = uri.file_name();
@@ -568,6 +564,17 @@ impl RewriteEngine {
         nonce: u64,
         request: &Request,
     ) -> Option<&'t str> {
+        self.shared_script(tokens, nonce, &request.view())
+            .map(|source| &**source)
+    }
+
+    /// [`RewriteEngine::session_script`] as the entry keeps it, shared.
+    fn shared_script<'t>(
+        &self,
+        tokens: &'t mut TokenState,
+        nonce: u64,
+        request: &RequestView<'_>,
+    ) -> Option<&'t Arc<str>> {
         tokens.script_for(nonce, |key, decoys, script| {
             self.generate_script(request.authority().as_deref(), key, decoys, script)
                 .source
@@ -590,60 +597,35 @@ impl RewriteEngine {
         self.begin_stream(page, now, rng).rewrite_whole(html)
     }
 
-    /// [`RewriteEngine::respond`] inside the session `request` arrived
-    /// in: a JS-file hit is answered with the script out of the
-    /// session's own `tokens` ([`RewriteEngine::session_script`]:
-    /// generated there by the first fetch, borrowed by every later one).
+    /// [`RewriteEngine::object_in_session`] as a [`Response`].
     pub fn respond_in_session(
         &self,
         classified: &Classified,
         tokens: &mut TokenState,
         request: &Request,
     ) -> Option<Response> {
-        let js = match classified {
+        self.object_in_session(classified, tokens, &request.view())
+            .map(|object| object.to_response())
+    }
+
+    /// The object instrumentation traffic is answered with inside the
+    /// session `request` arrived in: a JS-file hit gets the script out of
+    /// the session's own `tokens` ([`RewriteEngine::session_script`]:
+    /// generated there by the first fetch, shared by every later one),
+    /// anything else its fixed bytes. `None` for ordinary traffic.
+    pub fn object_in_session(
+        &self,
+        classified: &Classified,
+        tokens: &mut TokenState,
+        request: &RequestView<'_>,
+    ) -> Option<ProbeObject> {
+        let script = match classified {
             Classified::Probe(hit) if hit.kind == ProbeKind::JsFile => {
-                self.session_script(tokens, hit.nonce, request)
+                self.shared_script(tokens, hit.nonce, request).cloned()
             }
             _ => None,
         };
-        self.respond(classified, js)
-    }
-
-    /// Serves the response for instrumentation traffic: the generated
-    /// script for JS-file hits (taken by the caller out of the owning
-    /// session's [`TokenState`] — [`RewriteEngine::session_script`] —
-    /// and passed as `js_source`), an empty
-    /// style sheet for CSS probes, tiny images for beacons, a stub page
-    /// for hidden links.
-    ///
-    /// Returns `None` for [`Classified::Ordinary`]. Byte accounting is
-    /// the caller's job (the engine holds no counters).
-    pub fn respond(&self, classified: &Classified, js_source: Option<&str>) -> Option<Response> {
-        let (body, content_type): (Vec<u8>, &str) = match classified {
-            Classified::MouseBeacon { .. } => (FAKE_JPEG.to_vec(), "image/jpeg"),
-            Classified::Probe(hit) => match hit.kind {
-                ProbeKind::CssProbe => (Vec::new(), "text/css"),
-                ProbeKind::JsFile => (
-                    js_source.unwrap_or_default().as_bytes().to_vec(),
-                    "application/x-javascript",
-                ),
-                ProbeKind::AgentBeacon | ProbeKind::TransparentPixel => {
-                    (TRANSPARENT_GIF.to_vec(), "image/gif")
-                }
-                ProbeKind::MouseBeacon => (FAKE_JPEG.to_vec(), "image/jpeg"),
-                ProbeKind::HiddenLink => (
-                    b"<html><body>nothing to see</body></html>".to_vec(),
-                    "text/html",
-                ),
-            },
-            Classified::Ordinary => return None,
-        };
-        let mut resp = Response::builder(StatusCode::OK)
-            .header("Content-Type", content_type)
-            .body_bytes(body)
-            .build();
-        Self::mark_uncacheable(&mut resp);
-        Some(resp)
+        ProbeObject::answering(classified, script)
     }
 
     /// Marks a page response uncacheable, as §2.1 requires for rewritten
@@ -1148,11 +1130,15 @@ mod tests {
         let Sighting::Probe(hit) = e.classify(&get(&url.to_string()), SimTime::ZERO) else {
             panic!("probe expected");
         };
-        let resp = e.respond(&Classified::Probe(hit), None).unwrap();
+        let (request, mut tokens) = (get(&url.to_string()), TokenState::default());
+        let resp = e
+            .respond_in_session(&Classified::Probe(hit), &mut tokens, &request)
+            .unwrap();
         assert_eq!(resp.content_type(), Some("text/css"));
         assert!(resp.body().is_empty());
         assert!(resp.is_uncacheable());
-        assert!(e.respond(&Classified::Ordinary, None).is_none());
+        let ordinary = e.respond_in_session(&Classified::Ordinary, &mut tokens, &request);
+        assert!(ordinary.is_none());
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod token;
 
 pub use engine::{BuiltPage, IssuedPageToken, RewriteEngine, Sighting};
 pub use jsgen::Obfuscation;
-pub use probe::{AutomationReport, ProbeHit, ProbeKind};
+pub use probe::{AutomationReport, ProbeHit, ProbeKind, ProbeObject};
 pub use rewrite::{Classified, InstrumentConfig, ProbeManifest};
 pub use stream::{FinishedStream, StreamSink, StreamingRewrite, MAX_HELD_BYTES};
 pub use token::{BeaconKey, KeyOutcome, ScriptSeed, SessionTokenConfig, TokenState};

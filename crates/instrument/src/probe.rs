@@ -10,7 +10,10 @@
 //! stateful `ProbeRegistry` — a global table of issued nonces on the
 //! request path — is gone.)
 
+use crate::rewrite::Classified;
+use botwall_http::{wire, ContentClass, Response, ResponseSummary, StatusCode};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The kinds of probe objects the instrumenter plants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -76,4 +79,188 @@ pub struct ProbeHit {
     /// report, when the executing script included one. Clients running
     /// instrumentation minted before this field existed simply omit it.
     pub automation: Option<AutomationReport>,
+}
+
+/// A 1×1 transparent GIF (the classic 43-byte pixel).
+const TRANSPARENT_GIF: &[u8] = &[
+    0x47, 0x49, 0x46, 0x38, 0x39, 0x61, 0x01, 0x00, 0x01, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xff, 0xff, 0xff, 0x21, 0xf9, 0x04, 0x01, 0x00, 0x00, 0x00, 0x00, 0x2c, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x01, 0x00, 0x00, 0x02, 0x02, 0x44, 0x01, 0x00, 0x3b,
+];
+
+/// A minimal JPEG payload ("any JPEG image [works] because the picture is
+/// not used" — §2.1).
+const FAKE_JPEG: &[u8] = &[
+    0xff, 0xd8, 0xff, 0xe0, 0x00, 0x10, 0x4a, 0x46, 0x49, 0x46, 0x00, 0x01, 0x01, 0x00, 0x00, 0x01,
+    0x00, 0x01, 0x00, 0x00, 0xff, 0xd9,
+];
+
+/// The one header line every probe object carries besides its type: a
+/// probe fetched from a cache proves nothing (§2.1).
+const UNCACHEABLE: (&str, &str) = ("Cache-Control", "no-cache, no-store");
+
+/// What instrumentation traffic is answered with: a `200`, uncacheable,
+/// of one content type, whose body is fixed bytes or — for the script —
+/// the source the session generated, shared rather than copied. It is
+/// written to a connection as fixed head bytes ([`ProbeObject::write`])
+/// or built as a [`Response`] for a caller that wants one
+/// ([`ProbeObject::to_response`]); both say the same thing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProbeObject {
+    content_type: &'static str,
+    body: ProbeBody,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum ProbeBody {
+    Fixed(&'static [u8]),
+    Script(Arc<str>),
+}
+
+impl ProbeObject {
+    /// The object `classified` is answered with, `script` being the
+    /// session's source for a JS-file hit (none serves an empty one);
+    /// `None` for ordinary traffic.
+    pub fn answering(classified: &Classified, script: Option<Arc<str>>) -> Option<ProbeObject> {
+        let (content_type, body) = match classified {
+            Classified::MouseBeacon { .. } => ("image/jpeg", ProbeBody::Fixed(FAKE_JPEG)),
+            Classified::Probe(hit) => match hit.kind {
+                ProbeKind::CssProbe => ("text/css", ProbeBody::Fixed(b"")),
+                ProbeKind::JsFile => (
+                    "application/x-javascript",
+                    script.map_or(ProbeBody::Fixed(b""), ProbeBody::Script),
+                ),
+                ProbeKind::AgentBeacon | ProbeKind::TransparentPixel => {
+                    ("image/gif", ProbeBody::Fixed(TRANSPARENT_GIF))
+                }
+                ProbeKind::MouseBeacon => ("image/jpeg", ProbeBody::Fixed(FAKE_JPEG)),
+                ProbeKind::HiddenLink => (
+                    "text/html",
+                    ProbeBody::Fixed(b"<html><body>nothing to see</body></html>"),
+                ),
+            },
+            Classified::Ordinary => return None,
+        };
+        Some(ProbeObject { content_type, body })
+    }
+
+    fn body(&self) -> &[u8] {
+        match &self.body {
+            ProbeBody::Fixed(bytes) => bytes,
+            ProbeBody::Script(source) => source.as_bytes(),
+        }
+    }
+
+    /// The object as a [`Response`]: type, the length of a body that has
+    /// one, `Cache-Control`.
+    pub fn to_response(&self) -> Response {
+        let mut response = Response::builder(StatusCode::OK)
+            .header("Content-Type", self.content_type)
+            .body_bytes(self.body().to_vec())
+            .build();
+        response.headers_mut().set(UNCACHEABLE.0, UNCACHEABLE.1);
+        response
+    }
+
+    /// What a session record keeps of [`ProbeObject::to_response`],
+    /// counted without building it.
+    pub fn summary(&self) -> ResponseSummary {
+        let line = |name: &str, value: &str| name.len() + 2 + value.len() + 2;
+        let body = self.body().len();
+        let length = match body {
+            0 => 0,
+            n => line("Content-Length", "") + n.ilog10() as usize + 1,
+        };
+        let head = "HTTP/1.1 200 OK\r\n".len()
+            + line("Content-Type", self.content_type)
+            + length
+            + line(UNCACHEABLE.0, UNCACHEABLE.1);
+        ResponseSummary {
+            status: StatusCode::OK,
+            class: ContentClass::from_content_type(self.content_type),
+            wire_len: head + 2 + body,
+        }
+    }
+
+    /// Appends the object as the front door sends it: fixed head bytes,
+    /// `close` deciding its `Connection` line, and the body. What
+    /// [`wire::write_response`] makes of [`ProbeObject::to_response`],
+    /// whose body-less form has its length written last.
+    pub fn write(&self, close: bool, out: &mut Vec<u8>) {
+        let body = self.body();
+        out.extend_from_slice(b"HTTP/1.1 200 OK\r\nContent-Type: ");
+        out.extend_from_slice(self.content_type.as_bytes());
+        out.extend_from_slice(b"\r\n");
+        if !body.is_empty() {
+            wire::content_length(body.len(), out);
+        }
+        out.extend_from_slice(b"Cache-Control: no-cache, no-store\r\n");
+        if body.is_empty() {
+            wire::content_length(0, out);
+        }
+        wire::end_head(close, out);
+        out.extend_from_slice(body);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::token::{BeaconKey, KeyOutcome};
+
+    fn every_object() -> Vec<ProbeObject> {
+        let hit = |kind| {
+            Classified::Probe(ProbeHit {
+                kind,
+                nonce: 7,
+                reported_agent: None,
+                automation: None,
+            })
+        };
+        let beacon = Classified::MouseBeacon {
+            key: BeaconKey::from_raw(1),
+            outcome: KeyOutcome::Valid,
+        };
+        let script = || Some(Arc::from("function h(){}"));
+        let mut objects = vec![
+            ProbeObject::answering(&beacon, None),
+            ProbeObject::answering(&hit(ProbeKind::JsFile), script()),
+            ProbeObject::answering(&hit(ProbeKind::JsFile), None),
+            ProbeObject::answering(&hit(ProbeKind::JsFile), Some(Arc::from(""))),
+        ];
+        for kind in [
+            ProbeKind::CssProbe,
+            ProbeKind::AgentBeacon,
+            ProbeKind::MouseBeacon,
+            ProbeKind::HiddenLink,
+            ProbeKind::TransparentPixel,
+        ] {
+            objects.push(ProbeObject::answering(&hit(kind), script()));
+        }
+        assert_eq!(
+            ProbeObject::answering(&Classified::Ordinary, script()),
+            None
+        );
+        objects.into_iter().map(Option::unwrap).collect()
+    }
+
+    /// The fixed bytes are what the server made of the response before
+    /// it wrote them fixed, and the summary what a record reads of it.
+    #[test]
+    fn an_object_written_fixed_is_its_response_written_whole() {
+        for object in every_object() {
+            let response = object.to_response();
+            assert!(response.is_uncacheable());
+            assert_eq!(object.summary(), response.summary(), "{object:?}");
+            for close in [false, true] {
+                let (mut fixed, mut whole) = (Vec::new(), Vec::new());
+                object.write(close, &mut fixed);
+                wire::write_response(&response, close, &mut whole);
+                assert_eq!(
+                    String::from_utf8_lossy(&fixed),
+                    String::from_utf8_lossy(&whole)
+                );
+            }
+        }
+    }
 }

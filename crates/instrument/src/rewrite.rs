@@ -256,7 +256,10 @@ mod tests {
         let mut s = default_session();
         let css = s.page(HTML).1.css_probe.unwrap();
         let classified = s.classify(&css, SimTime::ZERO);
-        let resp = s.engine.respond(&classified, None).unwrap();
+        let resp = s
+            .engine
+            .respond_in_session(&classified, &mut s.tokens, &get(&css))
+            .unwrap();
         assert_eq!(resp.content_type(), Some("text/css"));
         assert!(resp.body().is_empty());
         assert!(resp.is_uncacheable());
@@ -268,7 +271,10 @@ mod tests {
         s.page(HTML);
         let other = "http://site.example/other.html".parse().unwrap();
         assert_eq!(s.classify(&other, SimTime::ZERO), Classified::Ordinary);
-        assert!(s.engine.respond(&Classified::Ordinary, None).is_none());
+        let answer =
+            s.engine
+                .respond_in_session(&Classified::Ordinary, &mut s.tokens, &get(&other));
+        assert!(answer.is_none());
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! **seeded**: the [`ScriptSeed`] (16 bytes) from which the source can
 //! be rebuilt, given the entry's own key and decoys. The first fetch of
 //! the script URL makes it **generated**: the ~1 KB source, built once
-//! by the caller of [`TokenState::script_for`] and kept in the entry, so
-//! a refetch is a borrow. An entry that is never asked for its script —
+//! by the caller of [`TokenState::script_for`] and kept in the entry,
+//! shared (`Arc<str>`), so a refetch is a reference count, even one that
+//! carries the source out of the session's lock to the socket. An entry that is never asked for its script —
 //! every page-only scraper's — weighs ~210 bytes (112 for the entry,
 //! then its page path and five 16-byte decoys) instead of ~1.25 KB; what
 //! clients can pin by fetching pages alone, 64 entries in each of 100k
@@ -31,6 +32,7 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A 128-bit beacon key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -116,7 +118,7 @@ enum Script {
     /// Not asked for yet.
     Seeded(ScriptSeed),
     /// Built on the first fetch (or supplied by the issuer) and kept.
-    Generated(String),
+    Generated(Arc<str>),
 }
 
 #[derive(Debug, Clone)]
@@ -174,7 +176,7 @@ impl TokenState {
         now: SimTime,
         max_entries: usize,
     ) {
-        let js = js.map(|(nonce, source)| (nonce, Script::Generated(source)));
+        let js = js.map(|(nonce, source)| (nonce, Script::Generated(source.into())));
         self.push(page.into(), key, decoys, js, now, max_entries);
     }
 
@@ -234,12 +236,12 @@ impl TokenState {
     /// The script for a JS-file probe nonce, if this session was served
     /// the page that references it. The first call for a seeded entry
     /// runs `generate` over the entry's key, decoys and seed and keeps
-    /// the source; later calls borrow it.
+    /// the source; later calls share it.
     pub fn script_for(
         &mut self,
         nonce: u64,
         generate: impl FnOnce(BeaconKey, &[BeaconKey], ScriptSeed) -> String,
-    ) -> Option<&str> {
+    ) -> Option<&Arc<str>> {
         let entry = self
             .entries
             .iter_mut()
@@ -247,7 +249,7 @@ impl TokenState {
             .find(|e| matches!(&e.js, Some((n, _)) if *n == nonce))?;
         let (_, script) = entry.js.as_mut().expect("matched on its nonce");
         if let Script::Seeded(seed) = *script {
-            *script = Script::Generated(generate(entry.key, &entry.decoys, seed));
+            *script = Script::Generated(generate(entry.key, &entry.decoys, seed).into());
         }
         let Script::Generated(source) = script else {
             unreachable!("generated just above");
@@ -265,7 +267,7 @@ impl TokenState {
                 .iter()
                 .map(|e| {
                     let script = match &e.js {
-                        Some((_, Script::Generated(source))) => source.capacity(),
+                        Some((_, Script::Generated(source))) => source.len(),
                         _ => 0,
                     };
                     e.page.capacity() + e.decoys.capacity() * 16 + script

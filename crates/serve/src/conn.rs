@@ -3,14 +3,21 @@
 //!
 //! # How a request flows
 //!
-//! A client connection reads until [`wire::read_request`], the codec's
-//! one call per request, hands back an owned request (its body decoded,
-//! chunked or not) and gives that to
-//! [`Gateway::handle_deferred`]. Decisions that need no origin
-//! ([`PendingServe::Ready`]) serialize straight back. An allowed
-//! ordinary request comes back as a [`PendingServe::AwaitingOrigin`]
-//! lease: the server opens a **second non-blocking connection** to the
-//! origin through the same reactor and parks the client. Once the
+//! A client connection reads until [`wire::read_incoming`], the codec's
+//! one call per request, finds a whole request at the front of the read
+//! buffer. It is read in place: the head parsed once, its lines walked
+//! once, a body (chunked or not) measured and checked but not copied,
+//! so a body arriving in pieces costs a walk per read and no more. The
+//! gate reads that view ([`Gateway::gate`]) and the request's bytes are
+//! consumed off the buffer. An answer the gate gives alone (a refusal,
+//! a probe object; [`Gate::Answered`]) is written into the slot's
+//! pooled write buffer as fixed head bytes and a `Connection` line, its
+//! body from static bytes or the session's script: nothing is built or
+//! re-headed on the way. Only an allowed ordinary request, which comes
+//! back as a [`Gate::Leased`] lease, becomes an owned request, built
+//! from the head already parsed with its body copied once: the server
+//! opens a **second non-blocking connection** to the origin through the
+//! same reactor and parks the client. Once the
 //! origin's response head has parsed, every response is a stream (see
 //! `origin.rs`): a page through the rewriter, anything else
 //! as it came, and the end of the body commits the exchange
@@ -42,9 +49,10 @@ use crate::origin::{upstream_request, OriginConn};
 use crate::pool::{read_available, ReadBuf, Slot};
 use crate::server::{token_of, Worker, WorkerCounters};
 use crate::stats::serve_stats_json;
-use botwall_gateway::{Origin, PendingServe};
+use botwall_gateway::{Gate, Origin, PendingOrigin};
 use botwall_http::request::ClientIp;
-use botwall_http::{wire, Request, Response, StatusCode};
+use botwall_http::wire::{self, Incoming};
+use botwall_http::{Response, StatusCode};
 use reactor::{Event, Interest, Reactor, Token};
 use std::io::{self, Write};
 use std::net::{IpAddr, SocketAddr, TcpStream};
@@ -117,12 +125,9 @@ impl Worker {
                     return;
                 }
                 ClientState::Reading => {
-                    self.set_response(
-                        slot,
-                        &mut c,
-                        Response::empty(StatusCode::REQUEST_TIMEOUT),
-                        true,
-                    );
+                    self.answer(slot, &mut c, true, |out| {
+                        wire::write_empty(StatusCode::REQUEST_TIMEOUT, true, out)
+                    });
                     if self.pump(slot, &mut c, false) {
                         self.slots[slot] = Some(Slot::Client(c));
                     } else {
@@ -179,11 +184,14 @@ impl Worker {
     pub(crate) fn pump(&mut self, slot: usize, c: &mut ClientConn, eof: bool) -> bool {
         loop {
             match &mut c.state {
-                ClientState::Reading => match wire::read_request(&c.buf, c.peer) {
-                    Ok(Some((request, len))) => {
+                ClientState::Reading => match wire::read_incoming(&c.buf, c.peer) {
+                    Ok(Some(request)) => {
                         self.shared.requests_total.fetch_add(1, Ordering::Relaxed);
+                        let len = request.len();
+                        c.out.clear();
+                        c.pos = 0;
+                        c.state = self.dispatch(slot, &request, &mut c.out);
                         c.buf.consume(len);
-                        self.dispatch(slot, c, request);
                     }
                     Ok(None) => {
                         if eof {
@@ -201,9 +209,9 @@ impl Worker {
                         );
                         return true;
                     }
-                    Err(_) => {
-                        self.set_response(slot, c, Response::empty(StatusCode::BAD_REQUEST), true)
-                    }
+                    Err(_) => self.answer(slot, c, true, |out| {
+                        wire::write_empty(StatusCode::BAD_REQUEST, true, out)
+                    }),
                 },
                 ClientState::Awaiting { .. } => return !eof,
                 ClientState::Writing { .. } | ClientState::Streaming { .. } => {
@@ -256,147 +264,145 @@ impl Worker {
         }
     }
 
-    /// Routes one parsed request: the admin plane answers directly,
-    /// everything else goes through the gateway's two-phase protocol.
-    fn dispatch(&mut self, slot: usize, c: &mut ClientConn, request: Request) {
-        let close_after = !(self.config.keep_alive && !self.draining && wants_keep_alive(&request));
-        if request.uri().path() == "/admin/stats" {
+    /// Routes one request read in place: the admin plane answers
+    /// directly, everything else goes through the gate. An answer is
+    /// staged into `out` (the slot's pooled write buffer, empty); a
+    /// lease parks the client on an origin fetch. Returns the state the
+    /// client moves to.
+    fn dispatch(&mut self, slot: usize, request: &Incoming<'_>, out: &mut Vec<u8>) -> ClientState {
+        let close_after = !(self.config.keep_alive && !self.draining && request.keep_alive());
+        let view = request.view();
+        if view.uri().path() == "/admin/stats" {
             let body = serve_stats_json(&self.gateway.stats(), &self.shared, self.config.threads);
             let resp = Response::builder(StatusCode::OK)
                 .header("Content-Type", "application/json")
                 .body_bytes(body.into_bytes())
                 .build();
-            self.set_response(slot, c, resp, close_after);
-            return;
+            wire::write_response(&resp, close_after, out);
+            return self.writing(slot, close_after);
         }
         let now = self.now();
-        match self.gateway.handle_deferred(&request, now) {
-            PendingServe::Ready(decision) => {
-                self.set_response(slot, c, decision.into_response(), close_after)
+        let lease = match self.gateway.gate(view, now) {
+            Gate::Answered { answer, .. } => {
+                answer.write(close_after, out);
+                return self.writing(slot, close_after);
             }
-            PendingServe::AwaitingOrigin(pending) => {
-                let Some(origin_addr) = self.config.origin else {
-                    let d = self.gateway.complete(pending, Origin::NotFound, now);
-                    self.set_response(slot, c, d.into_response(), close_after);
-                    return;
-                };
-                let mut out = self.take_buf();
-                upstream_request(pending.request(), &mut out);
-                // Pool first: a parked connection skips connect and
-                // register outright, and its cached READABLE interest is
-                // already what a written-out fetch wants — the common
-                // warm takeout costs one `write` and nothing else.
-                let mut reused = false;
-                let mut prepared = None;
-                if let Some((pooled_slot, mut stream, mut interest)) = self.take_pooled(origin_addr)
-                {
-                    self.shared.origin_reuses.fetch_add(1, Ordering::Relaxed);
-                    let mut pos = 0;
-                    match write_available(&mut stream, &out, &mut pos, &self.sys) {
-                        WriteStep::Dead => {
-                            // The parked socket died between the probe
-                            // and the write: retry on a fresh connection
-                            // right here — this *is* the one retry, so
-                            // the fresh fetch below is not `reused`.
-                            self.shared.origin_retries.fetch_add(1, Ordering::Relaxed);
-                            self.pending_free.push(pooled_slot);
-                            drop(stream);
-                        }
-                        step => {
-                            let want = match step {
-                                WriteStep::Done => Interest::READABLE,
-                                _ => Interest::WRITABLE,
-                            };
-                            set_interest(
-                                &mut self.reactor,
-                                &stream,
-                                token_of(pooled_slot),
-                                &mut interest,
-                                want,
-                            );
-                            reused = true;
-                            prepared = Some((pooled_slot, stream, pos, interest, true));
-                        }
-                    }
+            Gate::Leased(lease) => lease,
+        };
+        // Leased: only now is the request made owned.
+        let pending = PendingOrigin::new(lease, request.to_request());
+        let Some(origin_addr) = self.config.origin else {
+            let d = self.gateway.complete(pending, Origin::NotFound, now);
+            wire::write_response(&d.into_response(), close_after, out);
+            return self.writing(slot, close_after);
+        };
+        let mut upstream = self.take_buf();
+        upstream_request(pending.request(), &mut upstream);
+        // Pool first: a parked connection skips connect and register
+        // outright, and its cached READABLE interest is already what a
+        // written-out fetch wants — the common warm takeout costs one
+        // `write` and nothing else.
+        let mut reused = false;
+        let mut prepared = None;
+        if let Some((pooled_slot, mut stream, mut interest)) = self.take_pooled(origin_addr) {
+            self.shared.origin_reuses.fetch_add(1, Ordering::Relaxed);
+            let mut pos = 0;
+            match write_available(&mut stream, &upstream, &mut pos, &self.sys) {
+                WriteStep::Dead => {
+                    // The parked socket died between the probe and the
+                    // write: retry on a fresh connection right here —
+                    // this *is* the one retry, so the fresh fetch below
+                    // is not `reused`.
+                    self.shared.origin_retries.fetch_add(1, Ordering::Relaxed);
+                    self.pending_free.push(pooled_slot);
+                    drop(stream);
                 }
-                let (origin_slot, stream, pos, interest, connected) = match prepared {
-                    Some(prepared) => prepared,
-                    None => {
-                        let origin_slot = self.alloc_slot();
-                        let Some((stream, pos, interest, connected)) =
-                            self.connect_origin(origin_addr, origin_slot, &out)
-                        else {
-                            // Origin unreachable before the fetch even
-                            // started: complete (never drop) the lease
-                            // so enforcement's in-flight count stays
-                            // exact.
-                            self.free.push(origin_slot);
-                            self.recycle(out);
-                            let gone = Origin::Response(Response::empty(StatusCode::BAD_GATEWAY));
-                            let d = self.gateway.complete(pending, gone, now);
-                            self.set_response(slot, c, d.into_response(), close_after);
-                            return;
-                        };
-                        (origin_slot, stream, pos, interest, connected)
-                    }
-                };
-                self.reactor
-                    .deadline(token_of(origin_slot), self.config.origin_timeout);
-                let buf = self.take_read_buf();
-                self.slots[origin_slot] = Some(Slot::OriginFetch(Box::new(OriginConn {
-                    stream,
-                    out,
-                    pos,
-                    buf,
-                    client_slot: slot,
-                    close_after,
-                    pending: Some(pending),
-                    connected,
-                    interest,
-                    reused,
-                    saw_byte: false,
-                    relay: None,
-                })));
-                // Park the client with the registration it has: a
-                // hang-up is reported whatever the mask, and a client
-                // that sends nothing until it is answered (nearly all of
-                // them) never makes read interest matter. The one that
-                // pipelines loses it on the event that proves it, in
-                // `drive_client`, not here on a guess.
-                c.state = ClientState::Awaiting { origin_slot };
-                self.reactor.cancel_deadline(token_of(slot));
+                step => {
+                    let want = match step {
+                        WriteStep::Done => Interest::READABLE,
+                        _ => Interest::WRITABLE,
+                    };
+                    set_interest(
+                        &mut self.reactor,
+                        &stream,
+                        token_of(pooled_slot),
+                        &mut interest,
+                        want,
+                    );
+                    reused = true;
+                    prepared = Some((pooled_slot, stream, pos, interest, true));
+                }
             }
         }
+        let (origin_slot, stream, pos, interest, connected) = match prepared {
+            Some(prepared) => prepared,
+            None => {
+                let origin_slot = self.alloc_slot();
+                let Some((stream, pos, interest, connected)) =
+                    self.connect_origin(origin_addr, origin_slot, &upstream)
+                else {
+                    // Origin unreachable before the fetch even started:
+                    // complete (never drop) the lease so enforcement's
+                    // in-flight count stays exact.
+                    self.free.push(origin_slot);
+                    self.recycle(upstream);
+                    let gone = Origin::Response(Response::empty(StatusCode::BAD_GATEWAY));
+                    let d = self.gateway.complete(pending, gone, now);
+                    wire::write_response(&d.into_response(), close_after, out);
+                    return self.writing(slot, close_after);
+                };
+                (origin_slot, stream, pos, interest, connected)
+            }
+        };
+        self.reactor
+            .deadline(token_of(origin_slot), self.config.origin_timeout);
+        let buf = self.take_read_buf();
+        self.slots[origin_slot] = Some(Slot::OriginFetch(Box::new(OriginConn {
+            stream,
+            out: upstream,
+            pos,
+            buf,
+            client_slot: slot,
+            close_after,
+            pending: Some(pending),
+            connected,
+            interest,
+            reused,
+            saw_byte: false,
+            relay: None,
+        })));
+        // Park the client with the registration it has: a hang-up is
+        // reported whatever the mask, and a client that sends nothing
+        // until it is answered (nearly all of them) never makes read
+        // interest matter. The one that pipelines loses it on the event
+        // that proves it, in `drive_client`, not here on a guess.
+        self.reactor.cancel_deadline(token_of(slot));
+        ClientState::Awaiting { origin_slot }
     }
 
-    /// Stages a response for writing: framing made explicit so
-    /// keep-alive clients always know where the message ends, head
-    /// serialized straight into the slot's pooled write buffer with the
-    /// body behind it — one buffer, one `write` when the socket takes
-    /// it whole.
-    pub(crate) fn set_response(
+    /// The state of a client whose response is staged in its write
+    /// buffer: it is flushed under the read deadline, and the connection
+    /// closes after it when `close_after`.
+    fn writing(&mut self, slot: usize, close_after: bool) -> ClientState {
+        self.reactor
+            .deadline(token_of(slot), self.config.read_timeout);
+        ClientState::Writing { close_after }
+    }
+
+    /// Stages an answer of the server's own making: `write` puts it in
+    /// the slot's pooled write buffer (one buffer, one `write` when the
+    /// socket takes it whole) and the client turns to writing it.
+    pub(crate) fn answer(
         &mut self,
         slot: usize,
         c: &mut ClientConn,
-        mut response: Response,
         close_after: bool,
+        write: impl FnOnce(&mut Vec<u8>),
     ) {
-        if !response.headers().contains("Content-Length") {
-            let len = response.body().len();
-            response
-                .headers_mut()
-                .set("Content-Length", len.to_string());
-        }
-        response.headers_mut().set(
-            "Connection",
-            if close_after { "close" } else { "keep-alive" },
-        );
         c.out.clear();
         c.pos = 0;
-        wire::serialize_response_into(&response, &mut c.out);
-        c.state = ClientState::Writing { close_after };
-        self.reactor
-            .deadline(token_of(slot), self.config.read_timeout);
+        write(&mut c.out);
+        c.state = self.writing(slot, close_after);
     }
 
     /// Tears a client down, aborting (by *completing*) any origin fetch
@@ -429,25 +435,23 @@ impl Worker {
 }
 
 /// Maps a peer socket address to the session-key [`ClientIp`]. IPv4
-/// octets pack big-endian; loopback tests therefore share one IP and
-/// distinguish sessions by User-Agent (exactly the paper's session key).
+/// octets pack big-endian, and so does an IPv4 address an IPv6 socket
+/// reports mapped (`::ffff:a.b.c.d`): loopback tests therefore share one
+/// IP and distinguish sessions by User-Agent (exactly the paper's
+/// session key). Any other IPv6 address is folded over all sixteen of
+/// its octets with 32-bit FNV-1a, so two addresses that differ anywhere
+/// are, all but always, two clients. The key space is still 32 bits:
+/// distinct IPv6 peers can collide, as can an IPv6 peer and an IPv4 one.
 pub(crate) fn client_ip(peer: SocketAddr) -> ClientIp {
     match peer.ip() {
         IpAddr::V4(v4) => ClientIp::new(u32::from(v4)),
-        IpAddr::V6(v6) => {
-            let octets = v6.octets();
-            ClientIp::new(u32::from_be_bytes([
-                octets[12], octets[13], octets[14], octets[15],
-            ]))
-        }
+        IpAddr::V6(v6) => match v6.to_ipv4_mapped() {
+            Some(v4) => ClientIp::new(u32::from(v4)),
+            None => ClientIp::new(v6.octets().iter().fold(0x811c_9dc5, |hash, &octet| {
+                (hash ^ u32::from(octet)).wrapping_mul(0x0100_0193)
+            })),
+        },
     }
-}
-
-/// HTTP/1.1 defaults to keep-alive unless `Connection: close`; HTTP/1.0
-/// opts in with `Connection: keep-alive`.
-fn wants_keep_alive(request: &Request) -> bool {
-    let connection = |token| request.headers().has_token("Connection", token);
-    !connection("close") && (request.version() == "HTTP/1.1" || connection("keep-alive"))
 }
 
 /// Writes until done or the socket would block.
@@ -471,4 +475,32 @@ pub(crate) fn write_available(
         }
     }
     WriteStep::Done
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key_of(addr: &str) -> ClientIp {
+        client_ip(SocketAddr::new(addr.parse().unwrap(), 80))
+    }
+
+    #[test]
+    fn an_ipv6_peer_is_keyed_on_all_sixteen_octets() {
+        // IPv4, and IPv4 as an IPv6 socket reports it, key as they did.
+        assert_eq!(key_of("10.1.2.3"), ClientIp::new(0x0a01_0203));
+        assert_eq!(key_of("::ffff:10.1.2.3"), key_of("10.1.2.3"));
+        assert_eq!(key_of("::ffff:127.0.0.1"), ClientIp::new(0x7f00_0001));
+        // Two networks that share their last four octets are two keys.
+        assert_ne!(key_of("2001:db8::1"), key_of("2001:db9::1"));
+        assert_ne!(key_of("::1"), key_of("2001:db8::1"));
+        // 32-bit FNV-1a over the octets: `::1` is fifteen zeros and a one
+        // (it used to key as 0.0.0.1).
+        let octets = [[0u8; 15].as_slice(), &[1]].concat();
+        let fnv = octets.iter().fold(0x811c_9dc5_u32, |hash, &octet| {
+            (hash ^ u32::from(octet)).wrapping_mul(0x0100_0193)
+        });
+        assert_eq!(key_of("::1"), ClientIp::new(fnv));
+        assert_ne!(key_of("::1"), ClientIp::new(1));
+    }
 }

@@ -569,7 +569,10 @@ impl Worker {
         else {
             return;
         };
-        self.set_response(client_slot, &mut c, decision.into_response(), close_after);
+        let response = decision.into_response();
+        self.answer(client_slot, &mut c, close_after, |out| {
+            wire::write_response(&response, close_after, out)
+        });
         if self.pump(client_slot, &mut c, false) {
             self.slots[client_slot] = Some(Slot::Client(c));
         } else {
@@ -655,16 +658,12 @@ pub(crate) fn upstream_request(request: &Request, out: &mut Vec<u8>) {
 /// when no body follows or the close delimits it.
 fn end_head(plan: &BodyPlan, close_after: bool, out: &mut Vec<u8>) {
     if let Some(length) = plan.length {
-        write!(out, "Content-Length: {length}\r\n").expect("a Vec takes any write");
+        wire::content_length(length, out);
     }
     if plan.chunked {
         out.extend_from_slice(b"Transfer-Encoding: chunked\r\n");
     }
-    out.extend_from_slice(if close_after {
-        b"Connection: close\r\n\r\n".as_slice()
-    } else {
-        b"Connection: keep-alive\r\n\r\n".as_slice()
-    });
+    wire::end_head(close_after, out);
 }
 
 /// Appends the client-side response head for a streamed page: 200,

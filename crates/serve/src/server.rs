@@ -53,7 +53,6 @@ use crate::conn::{client_ip, ClientConn, ClientState};
 use crate::pool::{ReadBuf, Slot};
 use crate::staged::Staged;
 use botwall_gateway::Gateway;
-use botwall_http::{wire, Response, StatusCode};
 use botwall_sessions::SimTime;
 use reactor::{net, signals, Counter, Event, Interest, Reactor, ReactorCounters, Token, Waker};
 use std::io::{self, Write};
@@ -281,6 +280,10 @@ const SWEEP_TICK_MS: u64 = 50;
 /// a sweep, while one reactor still walks 100k live sessions in ~40 s
 /// (the TTLs it enforces are an hour).
 const SWEEP_BUDGET: usize = 128;
+
+/// What a connection over the cap is told before it is closed.
+const OVER_CAP: &[u8] =
+    b"HTTP/1.1 503 Service Unavailable\r\nConnection: close\r\nContent-Length: 0\r\n\r\n";
 
 /// The listener's reserved token; connection slots start at 1.
 const LISTENER: Token = Token(0);
@@ -606,12 +609,8 @@ impl Worker {
                 // Over the cap: a terse 503 and the door closes. The
                 // write is best-effort — a client that cannot even take
                 // one packet gets a bare close.
-                let resp = Response::builder(StatusCode::SERVICE_UNAVAILABLE)
-                    .header("Connection", "close")
-                    .header("Content-Length", "0")
-                    .build();
                 self.sys.writes.add(1);
-                let _ = (&stream).write(&wire::serialize_response(&resp));
+                let _ = (&stream).write(OVER_CAP);
                 continue;
             }
             let slot = self.alloc_slot();

@@ -1,7 +1,7 @@
 //! Session identity.
 
 use botwall_http::request::ClientIp;
-use botwall_http::Request;
+use botwall_http::{Request, RequestView};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -48,10 +48,13 @@ impl SessionKey {
     /// to the empty string (all UA-less traffic from one address is one
     /// session — exactly how the paper's proxy groups it).
     pub fn of(request: &Request) -> SessionKey {
-        SessionKey {
-            ip: request.client(),
-            user_agent: request.user_agent().unwrap_or("").to_string(),
-        }
+        SessionKey::new(request.client(), request.user_agent().unwrap_or(""))
+    }
+
+    /// [`SessionKey::of`] for a request read in place: the one copy a
+    /// gated request makes of its `User-Agent`.
+    pub fn of_view(request: &RequestView<'_>) -> SessionKey {
+        SessionKey::new(request.client(), request.user_agent().unwrap_or(""))
     }
 
     /// The client address.

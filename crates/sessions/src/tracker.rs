@@ -68,7 +68,7 @@ use crate::key::SessionKey;
 use crate::record::RequestRecord;
 use crate::stats::SessionCounters;
 use crate::time::SimTime;
-use botwall_http::{Request, Response};
+use botwall_http::{Request, RequestView, Response, ResponseSummary};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Deref;
@@ -192,8 +192,8 @@ impl Session {
     /// measured.
     fn observe(
         &mut self,
-        request: &Request,
-        response: Option<&Response>,
+        request: &RequestView<'_>,
+        response: Option<ResponseSummary>,
         sent: Option<u64>,
         now: SimTime,
         cap: usize,
@@ -562,10 +562,16 @@ impl<E> EntryGuard<'_, E> {
     }
 
     /// Folds the finished exchange into the session record (counters,
-    /// bounded log, `last_seen`). Call exactly once per
+    /// bounded log, `last_seen`): the request, and what a record keeps
+    /// of its response. Call exactly once per
     /// [`ShardedTracker::with_exchange`]; a callback that never records
     /// has the exchange recorded for it (responseless) on exit.
-    pub fn record(&mut self, request: &Request, response: Option<&Response>, now: SimTime) {
+    pub fn record(
+        &mut self,
+        request: &RequestView<'_>,
+        response: Option<ResponseSummary>,
+        now: SimTime,
+    ) {
         self.record_as(request, response, None, now);
     }
 
@@ -573,14 +579,20 @@ impl<E> EntryGuard<'_, E> {
     /// stream: `head` is what is left of it to look at, and `sent` what
     /// it came to on the wire, which is what the record's `bytes`
     /// counts.
-    pub fn record_streamed(&mut self, request: &Request, head: &Response, sent: u64, now: SimTime) {
+    pub fn record_streamed(
+        &mut self,
+        request: &RequestView<'_>,
+        head: ResponseSummary,
+        sent: u64,
+        now: SimTime,
+    ) {
         self.record_as(request, Some(head), Some(sent), now);
     }
 
     fn record_as(
         &mut self,
-        request: &Request,
-        response: Option<&Response>,
+        request: &RequestView<'_>,
+        response: Option<ResponseSummary>,
         sent: Option<u64>,
         now: SimTime,
     ) {
@@ -692,6 +704,11 @@ impl ExchangeLease {
     pub fn key(&self) -> &SessionKey {
         &self.key
     }
+
+    /// The shard the leased session lives in.
+    pub fn shard(&self) -> usize {
+        self.shard
+    }
 }
 
 /// What a [`ShardedTracker::begin_exchange`] gate callback decides about
@@ -792,8 +809,9 @@ impl<E: SessionExt> ShardedTracker<E> {
         now: SimTime,
         f: impl FnOnce(&Session, &mut E) -> R,
     ) -> (SessionKey, R) {
-        self.with_exchange(request, now, |entry| {
-            entry.record(request, response, now);
+        let request = request.view();
+        self.with_exchange(&request, now, |entry| {
+            entry.record(&request, response.map(Response::summary), now);
             let (session, ext) = entry.parts();
             f(session, ext)
         })
@@ -809,12 +827,12 @@ impl<E: SessionExt> ShardedTracker<E> {
     /// (responseless) when it returns.
     pub fn with_exchange<R>(
         &self,
-        request: &Request,
+        request: &RequestView<'_>,
         now: SimTime,
         f: impl FnOnce(&mut EntryGuard<'_, E>) -> R,
     ) -> (SessionKey, R) {
         match self.begin_exchange(request, now, |entry| Gate::Finish(f(entry))) {
-            (key, Begun::Finished(r)) => (key, r),
+            (key, _, Begun::Finished(r)) => (key, r),
             _ => unreachable!("Gate::Finish never leases"),
         }
     }
@@ -834,13 +852,17 @@ impl<E: SessionExt> ShardedTracker<E> {
     ///
     /// A leased gate callback must not record the exchange; recording
     /// belongs to the commit.
+    ///
+    /// The key is built here, once, with its shard hash: what comes back
+    /// is the key and the index of the shard it lives in (the lease
+    /// carries it too) beside what the gate decided.
     pub fn begin_exchange<R>(
         &self,
-        request: &Request,
+        request: &RequestView<'_>,
         now: SimTime,
         gate: impl FnOnce(&mut EntryGuard<'_, E>) -> Gate<R>,
-    ) -> (SessionKey, Begun<R>) {
-        let key = SessionKey::of(request);
+    ) -> (SessionKey, usize, Begun<R>) {
+        let key = SessionKey::of_view(request);
         let idx = self.shard_index(&key);
         // The key is resolved once, inside the critical section the
         // exchange runs in: a known key pays one lock and one hash even
@@ -939,7 +961,7 @@ impl<E: SessionExt> ShardedTracker<E> {
             shard.touch(slot);
         }
         self.gauge_apply(idx, gauge_before, gauge_after);
-        (key, begun)
+        (key, idx, begun)
     }
 
     /// A fresh incarnation of `key`, first seen `now`.
@@ -967,7 +989,7 @@ impl<E: SessionExt> ShardedTracker<E> {
     pub fn commit<R>(
         &self,
         lease: ExchangeLease,
-        request: &Request,
+        request: &RequestView<'_>,
         now: SimTime,
         fold: impl FnOnce(&mut EntryGuard<'_, E>) -> R,
         lost: impl FnOnce(Option<(&Session, &mut E)>, &mut Option<E::Carry>) -> R,
@@ -1870,15 +1892,15 @@ mod tests {
     fn with_exchange_gates_on_pre_exchange_counters() {
         let t: SessionTracker = SessionTracker::new(TrackerConfig::default());
         let r = req(12, "A", "http://h/1", None);
-        let (_, (before, after)) = t.with_exchange(&r, SimTime::ZERO, |entry| {
+        let (_, (before, after)) = t.with_exchange(&r.view(), SimTime::ZERO, |entry| {
             let before = entry.session().request_count();
-            entry.record(&r, Some(&ok()), SimTime::ZERO);
+            entry.record(&r.view(), Some(ok().summary()), SimTime::ZERO);
             let after = entry.session().request_count();
             (before, after)
         });
         assert_eq!((before, after), (0, 1));
         // A callback that never records still counts the exchange.
-        let (_, ()) = t.with_exchange(&r, SimTime::from_secs(1), |_| ());
+        let (_, ()) = t.with_exchange(&r.view(), SimTime::from_secs(1), |_| ());
         assert_eq!(t.get(&SessionKey::of(&r)).unwrap().request_count(), 2);
     }
 
@@ -1959,9 +1981,9 @@ mod tests {
 
     /// Leases out a request for `t`, asserting it was not finished fused.
     fn lease_out(t: &ShardedTracker<Tally>, r: &Request, now: SimTime) -> ExchangeLease {
-        match t.begin_exchange(r, now, |_| Gate::Lease(())) {
-            (_, Begun::Leased((), lease)) => lease,
-            (_, Begun::Finished(())) => panic!("Gate::Lease must lease"),
+        match t.begin_exchange(&r.view(), now, |_| Gate::Lease(())) {
+            (_, _, Begun::Leased((), lease)) => lease,
+            (_, _, Begun::Finished(())) => panic!("Gate::Lease must lease"),
         }
     }
 
@@ -1969,7 +1991,7 @@ mod tests {
     fn begin_then_commit_records_one_exchange() {
         let t: ShardedTracker<Tally> = ShardedTracker::new(TrackerConfig::default());
         let r = req(40, "A", "http://h/1", None);
-        let (key, begun) = t.begin_exchange(&r, SimTime::ZERO, |entry| {
+        let (key, _, begun) = t.begin_exchange(&r.view(), SimTime::ZERO, |entry| {
             assert_eq!(entry.session().request_count(), 0, "pre-exchange gate");
             entry.ext().touched += 1;
             Gate::Lease(entry.session().request_count())
@@ -1984,10 +2006,10 @@ mod tests {
         let resp = ok();
         let folded = t.commit(
             lease,
-            &r,
+            &r.view(),
             SimTime::from_secs(1),
             |entry| {
-                entry.record(&r, Some(&resp), SimTime::from_secs(1));
+                entry.record(&r.view(), Some(resp.summary()), SimTime::from_secs(1));
                 entry.ext().touched += 1;
                 true
             },
@@ -2006,7 +2028,7 @@ mod tests {
         // with_exchange: auto-recorded (responseless) on exit.
         let t: SessionTracker = SessionTracker::new(TrackerConfig::default());
         let r = req(41, "A", "http://h/1", None);
-        let (key, begun) = t.begin_exchange(&r, SimTime::ZERO, |_| Gate::Finish(7u32));
+        let (key, _, begun) = t.begin_exchange(&r.view(), SimTime::ZERO, |_| Gate::Finish(7u32));
         assert!(matches!(begun, Begun::Finished(7)));
         assert_eq!(t.get(&key).unwrap().request_count(), 1);
     }
@@ -2030,7 +2052,7 @@ mod tests {
         assert!(t.get(lease.key()).is_none(), "leased entry evicted");
         let went_lost = t.commit(
             lease,
-            &leased,
+            &leased.view(),
             SimTime::from_secs(6),
             |_| false,
             |successor, slot| {
@@ -2061,7 +2083,7 @@ mod tests {
         t.observe_with(&r, Some(&ok()), later, |_, _| ());
         let committed_into_successor = t.commit(
             lease,
-            &r,
+            &r.view(),
             later + 1,
             |_| false,
             |successor, slot| {
@@ -2100,10 +2122,10 @@ mod tests {
         for (lease, at) in [(b, SimTime::from_secs(2)), (a, SimTime::from_secs(3))] {
             let ok_path = t.commit(
                 lease,
-                &r,
+                &r.view(),
                 at,
                 |entry| {
-                    entry.record(&r, Some(&resp), at);
+                    entry.record(&r.view(), Some(resp.summary()), at);
                     true
                 },
                 |_, _| false,
@@ -2157,7 +2179,7 @@ mod tests {
         t.observe_with(&r, Some(&ok()), SimTime::from_secs(2), |_, _| ());
         let took_lost_path = t.commit(
             lease,
-            &r,
+            &r.view(),
             SimTime::from_secs(3),
             |_| false,
             |successor, _| {
@@ -2190,7 +2212,7 @@ mod tests {
         // Give B a same-key entry so a silent re-bind would be possible
         // if only incarnations were compared.
         b.observe_with(&r, Some(&ok()), SimTime::ZERO, |_, _| ());
-        b.commit(lease, &r, SimTime::from_secs(1), |_| (), |_, _| ());
+        b.commit(lease, &r.view(), SimTime::from_secs(1), |_| (), |_, _| ());
     }
 
     #[test]

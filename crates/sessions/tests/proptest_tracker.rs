@@ -287,7 +287,7 @@ proptest! {
                 }
                 // A lease: the entry is resolved, nothing is recorded.
                 10..=12 => {
-                    let (_, begun) = t.begin_exchange(&request, now, |_| Gate::Lease(()));
+                    let (_, _, begun) = t.begin_exchange(&request.view(), now, |_| Gate::Lease(()));
                     let Begun::Leased((), lease) = begun else {
                         panic!("Gate::Lease leases");
                     };
@@ -298,7 +298,7 @@ proptest! {
                     let (lease, incarnation) = leases.remove(0);
                     let key = lease.key().clone();
                     let request = model_request(key.ip().as_u32() as u8);
-                    let folded = t.commit(lease, &request, now, |_| true, |_, _| false);
+                    let folded = t.commit(lease, &request.view(), now, |_| true, |_, _| false);
                     let live = model.live.get(&key).is_some_and(|l| l.incarnation == incarnation);
                     prop_assert_eq!(folded, live, "commit took the wrong path");
                     if live {
