@@ -184,7 +184,7 @@ fn bench_carry_saturation(c: &mut Criterion) {
     let total = (per_shard * shards * 5) / 4;
     for ip in 0..total as u32 {
         let key = SessionKey::of(&req(ip, "http://cap.example.com/x.html"));
-        tracker.with_entry_and_carry(&key, |_, carry| *carry = Some(()));
+        tracker.with_entry_and_carry(&key, SimTime::ZERO, |_, carry| *carry = Some(()));
     }
     assert!(
         tracker.carry_count() >= per_shard,
@@ -202,7 +202,7 @@ fn bench_carry_saturation(c: &mut Criterion) {
             b.iter(|| {
                 ip = ip.wrapping_add(1);
                 let key = SessionKey::of(&req(black_box(ip), "http://cap.example.com/x.html"));
-                tracker.with_entry_and_carry(&key, |_, carry| *carry = Some(()));
+                tracker.with_entry_and_carry(&key, SimTime::ZERO, |_, carry| *carry = Some(()));
             })
         },
     );

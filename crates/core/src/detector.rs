@@ -49,7 +49,7 @@
 use crate::classifier::{self, Label, Reason, Verdict};
 use crate::evidence::{EvidenceKind, EvidenceKinds, EvidenceSet};
 use crate::policy::{Action, PolicyEngine, PolicyState};
-use botwall_http::{Request, RequestView, Response, ResponseSummary, UserAgent};
+use botwall_http::{RequestView, ResponseSummary, UserAgent};
 use botwall_instrument::{Classified, KeyOutcome, ProbeKind, Sighting, TokenState};
 use botwall_sessions::{
     Finalized, Session, SessionExt, SessionKey, ShardedTracker, SimTime, TrackerConfig,
@@ -63,7 +63,9 @@ pub struct DetectorConfig {
     pub tracker: TrackerConfig,
 }
 
-/// What [`Detector::observe`] reports about one exchange.
+/// What the detector made of one recorded exchange: reported by
+/// [`Detector::gate`] for an answer it gave, and by
+/// [`Detector::commit_exchange`] for an origin serve.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObserveOutcome {
     /// The session this exchange belongs to.
@@ -314,18 +316,20 @@ impl KeyState {
     }
 }
 
-/// What a [`Detector::gate`] respond callback decides about the request.
+/// What a [`Detector::gate`] respond callback decides about the request:
+/// which of the two ways the exchange reaches the session.
 #[derive(Debug)]
 pub enum GateRespond<T> {
     /// The response is produced here, inside the gate's one critical
     /// section (rejections, challenges, probe objects — everything that
-    /// needs no origin): what the session's record keeps of it, and the
-    /// caller's payload (the answer itself, in whatever form the caller
-    /// writes it).
+    /// needs no origin), and the exchange is recorded there: what the
+    /// session's record keeps of it, and the caller's payload (the
+    /// answer itself, in whatever form the caller writes it).
     Respond(ResponseSummary, T),
     /// The request needs the origin: release the shard and lease the
     /// session ([`Gated::NeedsOrigin`]); the caller fetches outside any
-    /// lock and folds the result in at [`Detector::commit_exchange`].
+    /// lock, and the exchange is recorded when it commits at
+    /// [`Detector::commit_exchange`].
     NeedsOrigin,
 }
 
@@ -356,7 +360,6 @@ pub enum Gated<T> {
 #[must_use = "a lease represents an exchange in flight; commit it via Detector::commit_exchange"]
 pub struct OriginLease {
     lease: botwall_sessions::ExchangeLease,
-    action: Action,
     classified: Classified,
     verdict: Verdict,
     request_count: u64,
@@ -366,12 +369,6 @@ impl OriginLease {
     /// The leased session's key.
     pub fn key(&self) -> &SessionKey {
         self.lease.key()
-    }
-
-    /// The policy decision that allowed the request through (always
-    /// [`Action::Allow`] — rejections never lease).
-    pub fn action(&self) -> Action {
-        self.action
     }
 
     /// The session's fast-path verdict as of the gate (pre-exchange).
@@ -398,22 +395,29 @@ impl OriginLease {
 /// # Examples
 ///
 /// ```
-/// use botwall_core::{Detector, DetectorConfig};
+/// use botwall_core::{Detector, DetectorConfig, GateRespond, Gated, PolicyConfig, PolicyEngine};
 /// use botwall_core::classifier::Verdict;
 /// use botwall_http::request::ClientIp;
 /// use botwall_http::{Method, Request, Response, StatusCode};
-/// use botwall_instrument::Classified;
+/// use botwall_instrument::Sighting;
 /// use botwall_sessions::SimTime;
 ///
 /// let det = Detector::new(DetectorConfig::default());
+/// let policy = PolicyEngine::new(PolicyConfig::default());
 /// let req = Request::builder(Method::Get, "http://h/a.html")
 ///     .header("User-Agent", "Mozilla/5.0 Firefox/1.5")
 ///     .client(ClientIp::new(1))
 ///     .build()
 ///     .unwrap();
-/// let resp = Response::empty(StatusCode::OK);
-/// let out = det.observe(&req, &resp, &Classified::Ordinary, SimTime::ZERO);
-/// assert_eq!(out.verdict, Verdict::Undecided);
+/// // Answered inside the gate's one critical section, which hands the
+/// // respond callback the session's own state, its beacon tokens too.
+/// let (now, sighting) = (SimTime::ZERO, Sighting::Ordinary);
+/// let gated = det.gate(&req.view(), &sighting, now, true, &policy, |_, _, state, _| {
+///     assert!(state.tokens.is_empty(), "no page has been minted into it yet");
+///     GateRespond::Respond(Response::empty(StatusCode::OK).summary(), ())
+/// });
+/// let Gated::Done { outcome, .. } = gated else { unreachable!("answered in the gate") };
+/// assert_eq!(outcome.verdict, Verdict::Undecided);
 /// ```
 #[derive(Debug)]
 pub struct Detector {
@@ -425,38 +429,6 @@ impl Detector {
     pub fn new(config: DetectorConfig) -> Detector {
         Detector {
             tracker: ShardedTracker::new(config.tracker),
-        }
-    }
-
-    /// Feeds one exchange plus its instrumentation classification.
-    ///
-    /// `classified` should be the same request's
-    /// [`botwall_instrument::RewriteEngine::classify`] sighting,
-    /// [resolved](Sighting::resolve) against the session's tokens.
-    ///
-    /// This is the fast path: evidence is accumulated, but only hard
-    /// evidence updates the verdict here. Soft browser-test signals are
-    /// applied in batch when the session flushes (see the module docs).
-    /// Session update and evidence fold share one shard-lock acquisition.
-    pub fn observe(
-        &self,
-        request: &Request,
-        response: &Response,
-        classified: &Classified,
-        now: SimTime,
-    ) -> ObserveOutcome {
-        let min_to_classify = self.tracker.config().min_requests_to_classify;
-        let (key, (verdict, transitioned, request_index)) =
-            self.tracker
-                .observe_with(request, Some(response), now, |session, state| {
-                    let agent = request.user_agent();
-                    fold_exchange(state, session, classified, agent, min_to_classify, now)
-                });
-        ObserveOutcome {
-            key,
-            verdict,
-            transitioned,
-            request_index,
         }
     }
 
@@ -513,11 +485,6 @@ impl Detector {
         respond: impl FnOnce(Action, &Session, &mut KeyState, &Classified) -> GateRespond<T>,
     ) -> Gated<T> {
         use botwall_sessions::{Begun, Gate};
-        /// The two payload shapes the gate's critical section produces.
-        enum Phase1<T> {
-            Done(Action, T, Verdict, bool, u32),
-            Lease(Action, Classified, Verdict, u64),
-        }
         let min_to_classify = self.tracker.config().min_requests_to_classify;
         let agent = request.user_agent();
         let (key, shard, begun) = self.tracker.begin_exchange(request, now, |entry| {
@@ -575,9 +542,9 @@ impl Detector {
                     // 4. Record the exchange and fold its evidence.
                     entry.record(request, Some(response), now);
                     let (session, state) = entry.parts();
-                    let (verdict, transitioned, index) =
+                    let folded =
                         fold_exchange(state, session, &classified, agent, min_to_classify, now);
-                    Gate::Finish(Phase1::Done(action, value, verdict, transitioned, index))
+                    Gate::Finish((action, value, folded))
                 }
                 GateRespond::NeedsOrigin => {
                     let (session, state) = entry.parts();
@@ -586,39 +553,32 @@ impl Detector {
                     // thresholds even though it commits only when the
                     // origin answers.
                     state.in_flight += 1;
-                    Gate::Lease(Phase1::Lease(
-                        action,
-                        classified,
-                        state.verdict,
-                        session.request_count(),
-                    ))
+                    Gate::Lease((classified, state.verdict, session.request_count()))
                 }
             }
         });
         match begun {
-            Begun::Finished(Phase1::Done(action, value, verdict, transitioned, index)) => {
+            Begun::Finished((action, value, (verdict, transitioned, request_index))) => {
                 Gated::Done {
                     outcome: ObserveOutcome {
                         key,
                         verdict,
                         transitioned,
-                        request_index: index,
+                        request_index,
                     },
                     action,
                     value,
                     shard,
                 }
             }
-            Begun::Leased(Phase1::Lease(action, classified, verdict, request_count), lease) => {
+            Begun::Leased((classified, verdict, request_count), lease) => {
                 Gated::NeedsOrigin(OriginLease {
                     lease,
-                    action,
                     classified,
                     verdict,
                     request_count,
                 })
             }
-            _ => unreachable!("Gate::Finish finishes and Gate::Lease leases"),
         }
     }
 
@@ -641,8 +601,8 @@ impl Detector {
     pub fn commit_exchange(
         &self,
         lease: OriginLease,
-        request: &Request,
-        head: &Response,
+        request: &RequestView<'_>,
+        head: ResponseSummary,
         sent: u64,
         now: SimTime,
     ) -> ObserveOutcome {
@@ -652,14 +612,12 @@ impl Detector {
             classified,
             verdict,
             request_count,
-            ..
         } = lease;
         let key = lease.key().clone();
-        let view = request.view();
         let agent = request.user_agent();
         let (verdict, transitioned, request_index) = self.tracker.commit(
             lease,
-            &view,
+            request,
             now,
             |entry| {
                 // The fetch is back: this lease no longer counts toward
@@ -670,7 +628,7 @@ impl Detector {
                 // underflow.
                 let state = entry.ext();
                 state.in_flight = state.in_flight.saturating_sub(1);
-                entry.record_streamed(&view, head.summary(), sent, now);
+                entry.record_streamed(request, head, sent, now);
                 let (session, state) = entry.parts();
                 fold_exchange(state, session, &classified, agent, min_to_classify, now)
             },
@@ -781,29 +739,28 @@ impl Detector {
         (tokens, challenges)
     }
 
-    /// Expires per-key instrumentation state of *live* sessions:
-    /// beacon tokens older than `token_ttl_ms` and challenge records
-    /// older than `challenge_ttl_ms` as of `now`. Dead sessions need no
-    /// pass — their state flushes with the entry. Called by the
-    /// gateway's sweep, replacing the old global token-table and
-    /// issue-table sweeps.
-    pub fn expire_key_state(&self, now: SimTime, token_ttl_ms: u64, challenge_ttl_ms: u64) {
-        self.tracker.visit_entries_mut(|_, state| {
+    /// Expires idle sessions as of `now`, applying the batch set-algebra
+    /// classification to each and finalizing their labels, and in the
+    /// same shard walk expires the per-key instrumentation state of the
+    /// sessions left live: beacon tokens older than `token_ttl_ms` and
+    /// challenge records older than `challenge_ttl_ms`. Dead sessions
+    /// need no pass — their state flushes with the entry — so no global
+    /// token or challenge table is ever swept.
+    pub fn sweep(
+        &self,
+        now: SimTime,
+        token_ttl_ms: u64,
+        challenge_ttl_ms: u64,
+    ) -> Vec<CompletedSession> {
+        let finished = self.tracker.sweep(now, |_, state| {
             state.expire(now, token_ttl_ms, challenge_ttl_ms);
         });
-    }
-
-    /// Expires idle sessions as of `now`, applying the batch set-algebra
-    /// classification to each and finalizing their labels.
-    pub fn sweep(&self, now: SimTime) -> Vec<CompletedSession> {
-        let finished = self.tracker.sweep(now);
         self.complete(finished)
     }
 
-    /// One bounded step of [`Detector::expire_key_state`] and
-    /// [`Detector::sweep`] together, on the next tracker shard in
-    /// rotation (see [`ShardedTracker::sweep_slice`]): what a serving
-    /// thread can afford between two poll batches.
+    /// One bounded step of [`Detector::sweep`], on the next tracker
+    /// shard in rotation (see [`ShardedTracker::sweep_slice`]): what a
+    /// serving thread can afford between two poll batches.
     pub fn sweep_slice(
         &self,
         now: SimTime,
@@ -898,9 +855,8 @@ fn classified_kinds(classified: &Classified, user_agent: Option<&str>) -> Eviden
 
 /// Folds one recorded exchange's evidence into the key state and updates
 /// the fast-path verdict. Runs under the session's shard lock (called
-/// from [`Detector::observe`], [`Detector::gate`] and
-/// [`Detector::commit_exchange`]);
-/// the session's counters already include the exchange. Returns
+/// from [`Detector::gate`] and [`Detector::commit_exchange`]); the
+/// session's counters already include the exchange. Returns
 /// `(verdict, transitioned, request_index)`.
 fn fold_exchange(
     state: &mut KeyState,
@@ -956,9 +912,14 @@ fn fold_exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicyConfig;
     use botwall_http::request::ClientIp;
-    use botwall_http::{Method, StatusCode};
+    use botwall_http::{Method, Request, Response, StatusCode};
     use botwall_instrument::{InstrumentConfig, ProbeManifest, RewriteEngine};
+
+    const HTML: &str = "<html><head></head><body></body></html>";
+    /// Token and challenge TTL for sweeps that are about sessions.
+    const TTL: u64 = 3_600_000;
 
     fn req(ip: u32, uri: &str, ua: &str) -> Request {
         Request::builder(Method::Get, uri)
@@ -968,59 +929,114 @@ mod tests {
             .unwrap()
     }
 
-    fn ok() -> Response {
+    fn ok() -> ResponseSummary {
         Response::builder(StatusCode::OK)
             .header("Content-Type", "text/html")
             .build()
+            .summary()
     }
 
-    /// The server side of an instrument → classify → detect loop for one
-    /// client: the engine, and the token state that client's session
-    /// holds.
-    struct Instrumented {
+    /// The server side of an instrument → classify → detect loop,
+    /// driven the way the gateway drives it: a probe or beacon fetch is
+    /// answered inside the gate, anything else is leased for the origin
+    /// and committed, and a page is minted into the session's own
+    /// tokens while its lease is out.
+    struct Pipeline {
         engine: RewriteEngine,
-        tokens: TokenState,
+        det: Detector,
+        policy: PolicyEngine,
     }
 
-    impl Instrumented {
-        /// Serves `http://h/index.html` at `now`; what was injected.
-        fn page(&mut self, now: SimTime) -> ProbeManifest {
-            let page = req(0, "http://h/index.html", "");
-            let html = "<html><head></head><body></body></html>";
-            self.engine
-                .begin_session_page(&page, &mut self.tokens, 5, now)
-                .rewrite_whole(html)
-                .manifest
+    impl Pipeline {
+        fn new(config: DetectorConfig) -> Pipeline {
+            Pipeline {
+                engine: RewriteEngine::new(InstrumentConfig::default(), 5),
+                det: Detector::new(config),
+                policy: PolicyEngine::new(PolicyConfig::default()),
+            }
         }
 
-        fn classify(&mut self, request: &Request, now: SimTime) -> Classified {
-            self.engine
-                .classify(request, now)
-                .resolve(&mut self.tokens, now)
+        /// Client `ip` fetches `uri` as `ua` at `now`; what the detector
+        /// made of it.
+        fn fetch(&self, ip: u32, uri: &str, ua: &str, now: SimTime) -> ObserveOutcome {
+            self.exchange(&req(ip, uri, ua), now, false).0
+        }
+
+        /// Client `ip` fetches the site's page as `ua` at `now`; what
+        /// was minted into its session.
+        fn page(&self, ip: u32, ua: &str, now: SimTime) -> ProbeManifest {
+            let page = req(ip, "http://h/index.html", ua);
+            self.exchange(&page, now, true).1.expect("a live lease")
+        }
+
+        fn exchange(
+            &self,
+            request: &Request,
+            now: SimTime,
+            page: bool,
+        ) -> (ObserveOutcome, Option<ProbeManifest>) {
+            let view = request.view();
+            let sighting = self.engine.classify_view(&view, now);
+            let gated = self.det.gate(
+                &view,
+                &sighting,
+                now,
+                false,
+                &self.policy,
+                |_, _, _, classified| match classified {
+                    Classified::Ordinary => GateRespond::NeedsOrigin,
+                    _ => GateRespond::Respond(ok(), ()),
+                },
+            );
+            let lease = match gated {
+                Gated::Done { outcome, .. } => return (outcome, None),
+                Gated::NeedsOrigin(lease) => lease,
+            };
+            let mint = |_: &Session, state: &mut KeyState| {
+                let rewrite = self
+                    .engine
+                    .begin_session_page(request, &mut state.tokens, 5, now);
+                rewrite.rewrite_whole(HTML).manifest
+            };
+            let manifest = page.then(|| self.det.with_lease_state(&lease, mint));
+            let outcome = self.det.commit_exchange(lease, &view, ok(), 0, now);
+            (outcome, manifest.flatten())
         }
     }
 
-    fn pipeline() -> (Instrumented, Detector) {
-        let ins = Instrumented {
-            engine: RewriteEngine::new(InstrumentConfig::default(), 5),
-            tokens: TokenState::default(),
-        };
-        (ins, Detector::new(DetectorConfig::default()))
+    fn pipeline() -> Pipeline {
+        Pipeline::new(DetectorConfig::default())
+    }
+
+    /// A pipeline whose tracker holds one session.
+    fn one_session() -> Pipeline {
+        Pipeline::new(DetectorConfig {
+            tracker: TrackerConfig {
+                max_sessions: 1,
+                ..TrackerConfig::default()
+            },
+        })
+    }
+
+    /// Gates `r` with the request leased for the origin.
+    fn lease_out(p: &Pipeline, r: &Request, sighting: &Sighting, now: SimTime) -> OriginLease {
+        leased(
+            p.det
+                .gate(&r.view(), sighting, now, false, &p.policy, |_, _, _, _| {
+                    GateRespond::<()>::NeedsOrigin
+                }),
+        )
     }
 
     #[test]
     fn mouse_beacon_yields_human_verdict() {
-        let (mut ins, det) = pipeline();
-        let manifest = ins.page(SimTime::ZERO);
-        // Page fetch.
-        let r0 = req(1, "http://h/index.html", "Mozilla/5.0 Firefox/1.5");
-        let c0 = ins.classify(&r0, SimTime::ZERO);
-        det.observe(&r0, &ok(), &c0, SimTime::ZERO);
+        let p = pipeline();
+        let ua = "Mozilla/5.0 Firefox/1.5";
+        // Page fetch: the beacon key is minted into client 1's session.
+        let manifest = p.page(1, ua, SimTime::ZERO);
         // Beacon fetch after mouse movement.
         let beacon = manifest.mouse_beacon.unwrap();
-        let r1 = req(1, &beacon.to_string(), "Mozilla/5.0 Firefox/1.5");
-        let c1 = ins.classify(&r1, SimTime::from_secs(2));
-        let out = det.observe(&r1, &ok(), &c1, SimTime::from_secs(2));
+        let out = p.fetch(1, &beacon.to_string(), ua, SimTime::from_secs(2));
         assert_eq!(out.verdict, Verdict::Human(Reason::MouseActivity));
         assert!(out.transitioned);
         assert_eq!(out.request_index, 2);
@@ -1028,109 +1044,76 @@ mod tests {
 
     #[test]
     fn decoy_fetch_yields_robot_verdict() {
-        let (mut ins, det) = pipeline();
-        let manifest = ins.page(SimTime::ZERO);
+        let p = pipeline();
+        let manifest = p.page(2, "Mozilla/5.0", SimTime::ZERO);
         let decoy = manifest.decoy_beacons[0].clone();
-        let r = req(2, &decoy.to_string(), "Mozilla/5.0");
-        let c = ins.classify(&r, SimTime::ZERO);
-        let out = det.observe(&r, &ok(), &c, SimTime::ZERO);
+        let out = p.fetch(2, &decoy.to_string(), "Mozilla/5.0", SimTime::ZERO);
         assert_eq!(out.verdict, Verdict::Robot(Reason::DecoyFetched));
     }
 
     #[test]
     fn ua_mismatch_detected_via_agent_beacon() {
-        let (mut ins, det) = pipeline();
-        let manifest = ins.page(SimTime::ZERO);
+        let p = pipeline();
         // The robot's JS engine reports its true agent, but the header
         // claims IE.
-        let agent_url = manifest.agent_beacon.unwrap();
+        let claimed = "Mozilla/4.0 (compatible; MSIE 6.0)";
+        let agent_url = p.page(3, claimed, SimTime::ZERO).agent_beacon.unwrap();
         let honest = "evilbot/1.0";
         let fetch = format!("{agent_url}?agent={}", UserAgent::canonicalize(honest));
-        let r = req(3, &fetch, "Mozilla/4.0 (compatible; MSIE 6.0)");
-        let c = ins.classify(&r, SimTime::ZERO);
-        let out = det.observe(&r, &ok(), &c, SimTime::ZERO);
+        let out = p.fetch(3, &fetch, claimed, SimTime::ZERO);
         assert_eq!(out.verdict, Verdict::Robot(Reason::BrowserTypeMismatch));
     }
 
     #[test]
     fn automation_leak_detected_via_agent_beacon() {
-        let (mut ins, det) = pipeline();
+        let p = pipeline();
         let ua = "Mozilla/5.0 (Windows) Firefox/1.5";
+        let agent = UserAgent::canonicalize(ua);
+        // Client `ip` is served the page, then reports through its beacon.
+        let report = |ip, flags: &str| {
+            let agent_url = p.page(ip, ua, SimTime::ZERO).agent_beacon.unwrap();
+            let fetch = format!("{agent_url}?agent={agent}&{flags}");
+            p.fetch(ip, &fetch, ua, SimTime::ZERO).verdict
+        };
         // Webdriver flag admitted: hard robot even with a matching agent.
-        let manifest = ins.page(SimTime::ZERO);
-        let agent_url = manifest.agent_beacon.unwrap();
-        let fetch = format!(
-            "{agent_url}?agent={}&wd=1&pl=3",
-            UserAgent::canonicalize(ua)
-        );
-        let r = req(31, &fetch, ua);
-        let c = ins.classify(&r, SimTime::ZERO);
-        let out = det.observe(&r, &ok(), &c, SimTime::ZERO);
-        assert_eq!(out.verdict, Verdict::Robot(Reason::AutomationLeak));
-
+        let leak = Verdict::Robot(Reason::AutomationLeak);
+        assert_eq!(report(31, "wd=1&pl=3"), leak);
         // Empty plugin list: the headless fingerprint also decides alone.
-        let manifest = ins.page(SimTime::ZERO);
-        let agent_url = manifest.agent_beacon.unwrap();
-        let fetch = format!(
-            "{agent_url}?agent={}&wd=0&pl=0",
-            UserAgent::canonicalize(ua)
-        );
-        let r = req(32, &fetch, ua);
-        let c = ins.classify(&r, SimTime::ZERO);
-        let out = det.observe(&r, &ok(), &c, SimTime::ZERO);
-        assert_eq!(out.verdict, Verdict::Robot(Reason::AutomationLeak));
-
+        assert_eq!(report(32, "wd=0&pl=0"), leak);
         // A clean report (webdriver off, plugins present) stays soft.
-        let manifest = ins.page(SimTime::ZERO);
-        let agent_url = manifest.agent_beacon.unwrap();
-        let fetch = format!(
-            "{agent_url}?agent={}&wd=0&pl=3",
-            UserAgent::canonicalize(ua)
-        );
-        let r = req(33, &fetch, ua);
-        let c = ins.classify(&r, SimTime::ZERO);
-        let out = det.observe(&r, &ok(), &c, SimTime::ZERO);
-        assert_eq!(out.verdict, Verdict::Undecided);
+        assert_eq!(report(33, "wd=0&pl=3"), Verdict::Undecided);
     }
 
     #[test]
     fn matching_agent_accumulates_js_without_deciding_online() {
-        let (mut ins, det) = pipeline();
+        let p = pipeline();
         let ua = "Mozilla/5.0 (Windows) Firefox/1.5";
-        let manifest = ins.page(SimTime::ZERO);
-        let agent_url = manifest.agent_beacon.unwrap();
+        let agent_url = p.page(4, ua, SimTime::ZERO).agent_beacon.unwrap();
         let fetch = format!("{agent_url}?agent={}", UserAgent::canonicalize(ua));
-        let r = req(4, &fetch, ua);
-        let c = ins.classify(&r, SimTime::ZERO);
-        let out = det.observe(&r, &ok(), &c, SimTime::ZERO);
+        let out = p.fetch(4, &fetch, ua, SimTime::ZERO);
         // JS execution is soft evidence: accumulated now, applied at the
         // batch flush. The fast path stays undecided.
         assert_eq!(out.verdict, Verdict::Undecided);
-        let e = det.evidence(&out.key).unwrap();
+        let e = p.det.evidence(&out.key).unwrap();
         assert!(e.has(EvidenceKind::ExecutedJs));
         assert!(!e.has(EvidenceKind::UaMismatch));
         // Flush: JS-without-mouse decides robot via set algebra.
-        let done = det.drain();
+        let done = p.det.drain();
         assert_eq!(done[0].label, Label::Robot);
         assert_eq!(done[0].reason, Reason::JsWithoutMouse);
     }
 
     #[test]
     fn css_probe_accumulates_and_flushes_human() {
-        let (mut ins, det) = pipeline();
-        let manifest = ins.page(SimTime::ZERO);
-        let css = manifest.css_probe.unwrap();
-        let r = req(5, &css.to_string(), "Mozilla/5.0");
-        let c = ins.classify(&r, SimTime::ZERO);
-        let out = det.observe(&r, &ok(), &c, SimTime::ZERO);
+        let p = pipeline();
+        let css = p.page(5, "Mozilla/5.0", SimTime::ZERO).css_probe.unwrap();
+        let out = p.fetch(5, &css.to_string(), "Mozilla/5.0", SimTime::ZERO);
         // Soft evidence: no online decision, but the batch pass at flush
         // applies S_H = (S_CSS ∪ S_MM) − (S_JS − S_MM) ⇒ human.
         assert_eq!(out.verdict, Verdict::Undecided);
-        assert!(det
-            .evidence(&out.key)
-            .unwrap()
-            .has(EvidenceKind::DownloadedCss));
-        let done = det.drain();
+        let evidence = p.det.evidence(&out.key).unwrap();
+        assert!(evidence.has(EvidenceKind::DownloadedCss));
+        let done = p.det.drain();
         assert_eq!(done[0].label, Label::Human);
         assert_eq!(done[0].reason, Reason::BrowserTestPassed);
     }
@@ -1140,50 +1123,45 @@ mod tests {
         // A long session whose only evidence is a CSS download must stay
         // undecided online (a no-JS human), not get promoted to
         // provisional robot.
-        let (mut ins, det) = pipeline();
-        let manifest = ins.page(SimTime::ZERO);
-        let css = manifest.css_probe.unwrap();
-        let r = req(14, &css.to_string(), "Mozilla/5.0");
-        let c = ins.classify(&r, SimTime::ZERO);
-        det.observe(&r, &ok(), &c, SimTime::ZERO);
+        let p = pipeline();
+        let css = p.page(14, "Mozilla/5.0", SimTime::ZERO).css_probe.unwrap();
+        p.fetch(14, &css.to_string(), "Mozilla/5.0", SimTime::ZERO);
         let mut last = Verdict::Undecided;
         for i in 0..20 {
-            let r = req(14, &format!("http://h/{i}.html"), "Mozilla/5.0");
-            last = det
-                .observe(&r, &ok(), &Classified::Ordinary, SimTime::from_secs(i))
+            let uri = format!("http://h/{i}.html");
+            last = p
+                .fetch(14, &uri, "Mozilla/5.0", SimTime::from_secs(i))
                 .verdict;
         }
         assert_eq!(last, Verdict::Undecided);
-        let done = det.drain();
+        let done = p.det.drain();
         assert_eq!(done[0].label, Label::Human);
     }
 
     #[test]
     fn hidden_link_is_robot() {
-        let (mut ins, det) = pipeline();
-        let manifest = ins.page(SimTime::ZERO);
-        let hidden = manifest.hidden_link.unwrap();
-        let r = req(6, &hidden.to_string(), "crawler/2.0");
-        let c = ins.classify(&r, SimTime::ZERO);
-        let out = det.observe(&r, &ok(), &c, SimTime::ZERO);
+        let p = pipeline();
+        let hidden = p.page(6, "crawler/2.0", SimTime::ZERO).hidden_link.unwrap();
+        let out = p.fetch(6, &hidden.to_string(), "crawler/2.0", SimTime::ZERO);
         assert_eq!(out.verdict, Verdict::Robot(Reason::HiddenLink));
     }
 
     #[test]
     fn captcha_pass_recorded() {
-        let det = Detector::new(DetectorConfig::default());
-        let r = req(7, "http://h/a.html", "x");
-        let out = det.observe(&r, &ok(), &Classified::Ordinary, SimTime::ZERO);
-        det.record_captcha_pass(&out.key, SimTime::from_secs(1));
-        assert_eq!(det.verdict(&out.key), Verdict::Human(Reason::CaptchaPassed));
+        let p = pipeline();
+        let out = p.fetch(7, "http://h/a.html", "x", SimTime::ZERO);
+        p.det.record_captcha_pass(&out.key, SimTime::from_secs(1));
+        assert_eq!(
+            p.det.verdict(&out.key),
+            Verdict::Human(Reason::CaptchaPassed)
+        );
         // The observation carries the session's current request index.
-        let e = det.evidence(&out.key).unwrap();
+        let e = p.det.evidence(&out.key).unwrap();
         assert_eq!(e.first(EvidenceKind::PassedCaptcha).unwrap().at_request, 1);
     }
 
     #[test]
     fn captcha_pass_for_unknown_session_is_a_no_op() {
-        use botwall_sessions::SessionKey;
         let det = Detector::new(DetectorConfig::default());
         let ghost = SessionKey::new(ClientIp::new(99), "never-seen");
         det.record_captcha_pass(&ghost, SimTime::ZERO);
@@ -1195,13 +1173,13 @@ mod tests {
 
     #[test]
     fn drain_labels_sessions() {
-        let det = Detector::new(DetectorConfig::default());
+        let p = pipeline();
         // Session with zero probe evidence across 12 requests: robot.
         for i in 0..12 {
-            let r = req(8, &format!("http://h/{i}.html"), "wget/1.0");
-            det.observe(&r, &ok(), &Classified::Ordinary, SimTime::from_secs(i));
+            let uri = format!("http://h/{i}.html");
+            p.fetch(8, &uri, "wget/1.0", SimTime::from_secs(i));
         }
-        let done = det.drain();
+        let done = p.det.drain();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].label, Label::Robot);
         assert_eq!(done[0].reason, Reason::NoBrowserSignals);
@@ -1210,10 +1188,9 @@ mod tests {
 
     #[test]
     fn short_sessions_marked_unclassifiable() {
-        let det = Detector::new(DetectorConfig::default());
-        let r = req(9, "http://h/a.html", "x");
-        det.observe(&r, &ok(), &Classified::Ordinary, SimTime::ZERO);
-        let done = det.drain();
+        let p = pipeline();
+        p.fetch(9, "http://h/a.html", "x", SimTime::ZERO);
+        let done = p.det.drain();
         assert!(!done[0].classifiable, "1 request < minimum of >10");
     }
 
@@ -1223,24 +1200,19 @@ mod tests {
         // classification waits for the flush, but past the >10-request
         // minimum the fast path must lean robot so enforcement applies
         // while the bot is live.
-        let (mut ins, det) = pipeline();
+        let p = pipeline();
         let ua = "Mozilla/5.0 Firefox/1.5";
-        let manifest = ins.page(SimTime::ZERO);
-        let agent_url = manifest.agent_beacon.unwrap();
+        let agent_url = p.page(17, ua, SimTime::ZERO).agent_beacon.unwrap();
         let fetch = format!("{agent_url}?agent={}", UserAgent::canonicalize(ua));
-        let r = req(17, &fetch, ua);
-        let c = ins.classify(&r, SimTime::ZERO);
-        let out = det.observe(&r, &ok(), &c, SimTime::ZERO);
+        let out = p.fetch(17, &fetch, ua, SimTime::ZERO);
         assert_eq!(out.verdict, Verdict::Undecided, "below the minimum");
         let mut last = Verdict::Undecided;
         for i in 0..12 {
-            let r = req(17, &format!("http://h/{i}.html"), ua);
-            last = det
-                .observe(&r, &ok(), &Classified::Ordinary, SimTime::from_secs(1 + i))
-                .verdict;
+            let uri = format!("http://h/{i}.html");
+            last = p.fetch(17, &uri, ua, SimTime::from_secs(1 + i)).verdict;
         }
         assert_eq!(last, Verdict::ProvisionalRobot(Reason::JsWithoutMouse));
-        let done = det.drain();
+        let done = p.det.drain();
         assert_eq!(done[0].label, Label::Robot);
         assert_eq!(done[0].reason, Reason::JsWithoutMouse);
     }
@@ -1251,25 +1223,20 @@ mod tests {
         // without executing it. The set algebra ignores the bare fetch,
         // so the no-signal promotion must still fire and keep the
         // crawler under robot-class enforcement while it is live.
-        let (mut ins, det) = pipeline();
-        let manifest = ins.page(SimTime::ZERO);
-        let js = manifest.js_file.unwrap();
-        let r = req(18, &js.to_string(), "crawler/1.0");
-        let c = ins.classify(&r, SimTime::ZERO);
-        let out = det.observe(&r, &ok(), &c, SimTime::ZERO);
-        assert!(det
-            .evidence(&out.key)
-            .unwrap()
-            .has(EvidenceKind::DownloadedJsFile));
+        let p = pipeline();
+        let js = p.page(18, "crawler/1.0", SimTime::ZERO).js_file.unwrap();
+        let out = p.fetch(18, &js.to_string(), "crawler/1.0", SimTime::ZERO);
+        let evidence = p.det.evidence(&out.key).unwrap();
+        assert!(evidence.has(EvidenceKind::DownloadedJsFile));
         let mut last = Verdict::Undecided;
         for i in 0..12 {
-            let r = req(18, &format!("http://h/{i}.html"), "crawler/1.0");
-            last = det
-                .observe(&r, &ok(), &Classified::Ordinary, SimTime::from_secs(1 + i))
+            let uri = format!("http://h/{i}.html");
+            last = p
+                .fetch(18, &uri, "crawler/1.0", SimTime::from_secs(1 + i))
                 .verdict;
         }
         assert_eq!(last, Verdict::ProvisionalRobot(Reason::NoBrowserSignals));
-        let done = det.drain();
+        let done = p.det.drain();
         assert_eq!(done[0].label, Label::Robot);
     }
 
@@ -1279,23 +1246,20 @@ mod tests {
         // 11+ ordinary exchanges promote the session to provisional
         // robot, but the probe download must demote it back to Undecided
         // (and the flush must label it Human).
-        let (mut ins, det) = pipeline();
-        let manifest = ins.page(SimTime::ZERO);
+        let p = pipeline();
+        let css = p.page(15, "Mozilla/5.0", SimTime::ZERO).css_probe.unwrap();
         let mut last = Verdict::Undecided;
         for i in 0..12 {
-            let r = req(15, &format!("http://h/asset{i}.png"), "Mozilla/5.0");
-            last = det
-                .observe(&r, &ok(), &Classified::Ordinary, SimTime::from_secs(i))
+            let uri = format!("http://h/asset{i}.png");
+            last = p
+                .fetch(15, &uri, "Mozilla/5.0", SimTime::from_secs(i))
                 .verdict;
         }
         assert_eq!(last, Verdict::ProvisionalRobot(Reason::NoBrowserSignals));
-        let css = manifest.css_probe.unwrap();
-        let r = req(15, &css.to_string(), "Mozilla/5.0");
-        let c = ins.classify(&r, SimTime::from_secs(20));
-        let out = det.observe(&r, &ok(), &c, SimTime::from_secs(20));
+        let out = p.fetch(15, &css.to_string(), "Mozilla/5.0", SimTime::from_secs(20));
         assert_eq!(out.verdict, Verdict::Undecided, "promotion premise gone");
         assert!(out.transitioned);
-        let done = det.drain();
+        let done = p.det.drain();
         assert_eq!(done[0].label, Label::Human);
     }
 
@@ -1305,28 +1269,27 @@ mod tests {
         // produces hard robot evidence. The old incarnation must flush
         // with *its* (empty) evidence, and the new incarnation must keep
         // the robot verdict instead of having its state stolen.
-        let (mut ins, det) = pipeline();
-        let r0 = req(16, "http://h/index.html", "Mozilla/5.0");
-        det.observe(&r0, &ok(), &Classified::Ordinary, SimTime::ZERO);
-        // Two hours later the key returns — a fresh incarnation — and
-        // fetches a decoy beacon.
+        let p = pipeline();
+        p.fetch(16, "http://h/a.html", "Mozilla/5.0", SimTime::ZERO);
+        // Two hours later the key returns — a fresh incarnation — is
+        // served the page and fetches a decoy beacon.
         let later = SimTime::from_hours(2);
-        let manifest = ins.page(later);
-        let decoy = manifest.decoy_beacons[0].clone();
-        let r1 = req(16, &decoy.to_string(), "Mozilla/5.0");
-        let c1 = ins.classify(&r1, later);
-        let out = det.observe(&r1, &ok(), &c1, later);
+        let decoy = p.page(16, "Mozilla/5.0", later).decoy_beacons[0].clone();
+        let out = p.fetch(16, &decoy.to_string(), "Mozilla/5.0", later);
         assert_eq!(out.verdict, Verdict::Robot(Reason::DecoyFetched));
         // Flush the rolled-over incarnation only: it must NOT take the
         // new incarnation's decoy evidence with it.
-        let done = det.sweep(later + 1);
+        let done = p.det.sweep(later + 1, TTL, TTL);
         assert_eq!(done.len(), 1);
         assert!(!done[0].evidence.has(EvidenceKind::FetchedDecoy));
         assert_eq!(done[0].reason, Reason::NoBrowserSignals);
         // The live incarnation still holds its hard evidence online...
-        assert_eq!(det.verdict(&out.key), Verdict::Robot(Reason::DecoyFetched));
+        assert_eq!(
+            p.det.verdict(&out.key),
+            Verdict::Robot(Reason::DecoyFetched)
+        );
         // ...and flushes Robot.
-        let done = det.drain();
+        let done = p.det.drain();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].label, Label::Robot);
         assert_eq!(done[0].reason, Reason::DecoyFetched);
@@ -1334,11 +1297,10 @@ mod tests {
 
     #[test]
     fn sweep_respects_idle_timeout() {
-        let det = Detector::new(DetectorConfig::default());
-        let r = req(10, "http://h/a.html", "x");
-        det.observe(&r, &ok(), &Classified::Ordinary, SimTime::ZERO);
-        assert!(det.sweep(SimTime::from_secs(10)).is_empty());
-        let done = det.sweep(SimTime::from_hours(2));
+        let p = pipeline();
+        p.fetch(10, "http://h/a.html", "x", SimTime::ZERO);
+        assert!(p.det.sweep(SimTime::from_secs(10), TTL, TTL).is_empty());
+        let done = p.det.sweep(SimTime::from_hours(2), TTL, TTL);
         assert_eq!(done.len(), 1);
     }
 
@@ -1365,16 +1327,14 @@ mod tests {
 
     #[test]
     fn gate_gates_on_pre_exchange_state_then_records_fused() {
-        use crate::policy::{PolicyConfig, PolicyEngine};
-        let det = Detector::new(DetectorConfig::default());
-        let policy = PolicyEngine::new(PolicyConfig::default());
+        let p = pipeline();
         let r = req(30, "http://h/a.html", "wget/1.0");
-        let gated = det.gate(
+        let gated = p.det.gate(
             &r.view(),
             &Sighting::Ordinary,
             SimTime::ZERO,
             true,
-            &policy,
+            &p.policy,
             |action, session, _state, classified| {
                 assert_eq!(
                     session.request_count(),
@@ -1383,55 +1343,53 @@ mod tests {
                 );
                 assert_eq!(action, Action::Allow, "first exchange passes");
                 assert_eq!(classified, &Classified::Ordinary);
-                GateRespond::Respond(ok().summary(), 7u32)
+                GateRespond::Respond(ok(), 7u32)
             },
         );
         let (out, action, seen) = done(gated);
         assert_eq!(seen, 7);
         assert_eq!(action, Action::Allow);
         assert_eq!(out.request_index, 1, "the exchange was recorded");
-        let recorded = det.tracker().get(&out.key).unwrap().records()[0].clone();
+        let recorded = p.det.tracker().get(&out.key).unwrap().records()[0].clone();
         assert_eq!(recorded.status_class, 2, "with what it was answered");
-        assert_eq!(det.tracker().get(&out.key).unwrap().request_count(), 1);
+        assert_eq!(p.det.tracker().get(&out.key).unwrap().request_count(), 1);
     }
 
     #[test]
     fn leased_exchange_commits_outside_the_gate() {
-        use crate::policy::{PolicyConfig, PolicyEngine};
-        let det = Detector::new(DetectorConfig::default());
-        let policy = PolicyEngine::new(PolicyConfig::default());
+        let p = pipeline();
         let r = req(40, "http://h/a.html", "Mozilla/5.0");
-        let lease = leased(det.gate(
+        let lease = leased(p.det.gate(
             &r.view(),
             &Sighting::Ordinary,
             SimTime::ZERO,
             true,
-            &policy,
+            &p.policy,
             |action, _, _, _| {
                 assert_eq!(action, Action::Allow);
                 GateRespond::<()>::NeedsOrigin
             },
         ));
-        assert_eq!(lease.action(), Action::Allow);
         assert_eq!(lease.request_count(), 0);
         assert_eq!(lease.verdict(), Verdict::Undecided);
         // Nothing recorded while the origin fetch is in flight — and the
         // shard is free: the detector is fully reentrant here, even for
         // the same key.
-        assert_eq!(det.tracker().get(lease.key()).unwrap().request_count(), 0);
-        det.observe(&r, &ok(), &Classified::Ordinary, SimTime::from_secs(1));
-        let out = det.commit_exchange(lease, &r, &ok(), 0, SimTime::from_secs(2));
+        let tracker = p.det.tracker();
+        assert_eq!(tracker.get(lease.key()).unwrap().request_count(), 0);
+        p.fetch(40, "http://h/a.html", "Mozilla/5.0", SimTime::from_secs(1));
+        let out = p
+            .det
+            .commit_exchange(lease, &r.view(), ok(), 0, SimTime::from_secs(2));
         // The live lease commits through the fold path, behind the
         // interleaved exchange.
         assert_eq!(out.request_index, 2);
-        assert_eq!(det.tracker().get(&out.key).unwrap().request_count(), 2);
+        assert_eq!(tracker.get(&out.key).unwrap().request_count(), 2);
     }
 
     #[test]
     fn concurrent_leased_burst_is_blocked_while_its_origins_hang() {
-        use crate::classifier::Reason;
-        use crate::policy::{PolicyConfig, PolicyEngine};
-        let det = Detector::new(DetectorConfig::default());
+        let p = pipeline();
         // A loose robot bucket so the token-bucket throttle cannot mask
         // the behavioural threshold under test; rate threshold at the
         // default 10 req/s.
@@ -1445,16 +1403,11 @@ mod tests {
         // threshold), then classify the session as a robot.
         let mut key = None;
         for i in 0..6u64 {
-            let out = det.observe(
-                &r,
-                &ok(),
-                &Classified::Ordinary,
-                SimTime::from_millis(i * 400),
-            );
-            key = Some(out.key);
+            let at = SimTime::from_millis(i * 400);
+            key = Some(p.fetch(44, "http://h/a.html", "wget/1.0", at).key);
         }
         let key = key.unwrap();
-        det.with_key_state(&key, |_, state| {
+        p.det.with_key_state(&key, |_, state| {
             state.verdict = Verdict::Robot(Reason::DecoyFetched);
         });
         // A concurrent burst at t=2s: every request leases (slow origin,
@@ -1465,7 +1418,7 @@ mod tests {
         let mut leases = Vec::new();
         let mut blocked_at = None;
         for i in 0..30u32 {
-            let gated = det.gate(
+            let gated = p.det.gate(
                 &r.view(),
                 &Sighting::Ordinary,
                 now,
@@ -1495,16 +1448,16 @@ mod tests {
             "behavioural blocking engages mid-burst, before any commit lands"
         );
         assert_eq!(
-            det.with_key_state(&key, |_, state| state.in_flight),
+            p.det.with_key_state(&key, |_, state| state.in_flight),
             Some(15)
         );
         // The hanging origins answer: every commit folds its lease back
         // in and the in-flight census drains to zero.
         for lease in leases {
-            det.commit_exchange(lease, &r, &ok(), 0, now + 100);
+            p.det.commit_exchange(lease, &r.view(), ok(), 0, now + 100);
         }
         assert_eq!(
-            det.with_key_state(&key, |_, state| state.in_flight),
+            p.det.with_key_state(&key, |_, state| state.in_flight),
             Some(0),
             "commits drain the in-flight census"
         );
@@ -1512,175 +1465,128 @@ mod tests {
 
     #[test]
     fn lost_commit_parks_a_carry_absorbed_by_the_next_incarnation() {
-        use crate::policy::{PolicyConfig, PolicyEngine};
-        let cfg = DetectorConfig {
-            tracker: TrackerConfig {
-                max_sessions: 1,
-                ..TrackerConfig::default()
-            },
-        };
-        let det = Detector::new(cfg);
-        let policy = PolicyEngine::new(PolicyConfig::default());
+        let p = one_session();
         let r = req(41, "http://h/a.html", "Mozilla/5.0");
-        let lease = leased(det.gate(
-            &r.view(),
-            &Sighting::Ordinary,
-            SimTime::ZERO,
-            true,
-            &policy,
-            |_, _, _, _| GateRespond::<()>::NeedsOrigin,
-        ));
+        let lease = lease_out(&p, &r, &Sighting::Ordinary, SimTime::ZERO);
         // Another key evicts the leased session while the fetch runs.
-        let other = req(42, "http://h/b.html", "Mozilla/5.0");
-        det.observe(&other, &ok(), &Classified::Ordinary, SimTime::from_secs(1));
-        let out = det.commit_exchange(lease, &r, &ok(), 0, SimTime::from_secs(2));
+        let other = p.fetch(42, "http://h/b.html", "Mozilla/5.0", SimTime::from_secs(1));
+        let out = p
+            .det
+            .commit_exchange(lease, &r.view(), ok(), 0, SimTime::from_secs(2));
         // The evicted lease folds into nobody: the stranger's record is
         // untouched...
         assert_eq!(out.verdict, Verdict::Undecided);
-        assert_eq!(
-            det.tracker()
-                .get(&SessionKey::of(&other))
-                .unwrap()
-                .request_count(),
-            1
-        );
+        let stranger = p.det.tracker().get(&other.key).unwrap();
+        assert_eq!(stranger.request_count(), 1);
         // ...and the key's next incarnation absorbs the lost exchange.
-        let next = det.observe(&r, &ok(), &Classified::Ordinary, SimTime::from_secs(3));
+        let next = p.fetch(41, "http://h/a.html", "Mozilla/5.0", SimTime::from_secs(3));
         assert_eq!(
-            det.with_key_state(&next.key, |_, state| state.lost_commits),
+            p.det
+                .with_key_state(&next.key, |_, state| state.lost_commits),
             Some(1)
         );
     }
 
-    #[test]
-    fn lost_commit_carries_hard_evidence_to_the_next_incarnation() {
-        use crate::policy::{PolicyConfig, PolicyEngine};
-        use botwall_instrument::{ProbeHit, ProbeKind};
-        let cfg = DetectorConfig {
-            tracker: TrackerConfig {
-                max_sessions: 1,
-                ..TrackerConfig::default()
-            },
-        };
-        let det = Detector::new(cfg);
-        let policy = PolicyEngine::new(PolicyConfig::default());
-        // The exchange caught mid-flight is a hidden-link follow — hard
-        // robot evidence.
-        let r = req(45, "http://h/trap.html", "Mozilla/5.0");
-        let hit = Sighting::Probe(ProbeHit {
+    /// A hidden-link follow — hard robot evidence — as the engine's
+    /// stateless sighting.
+    fn hidden_link(nonce: u64) -> Sighting {
+        use botwall_instrument::ProbeHit;
+        Sighting::Probe(ProbeHit {
             kind: ProbeKind::HiddenLink,
-            nonce: 7,
+            nonce,
             reported_agent: None,
             automation: None,
-        });
-        let lease = leased(det.gate(
-            &r.view(),
-            &hit,
-            SimTime::ZERO,
-            true,
-            &policy,
-            |_, _, _, _| GateRespond::<()>::NeedsOrigin,
-        ));
+        })
+    }
+
+    #[test]
+    fn lost_commit_carries_hard_evidence_to_the_next_incarnation() {
+        let p = one_session();
+        // The exchange caught mid-flight is a hidden-link follow.
+        let r = req(45, "http://h/trap.html", "Mozilla/5.0");
+        let lease = lease_out(&p, &r, &hidden_link(7), SimTime::ZERO);
         // Another key evicts the leased session while the fetch runs.
-        let other = req(46, "http://h/b.html", "Mozilla/5.0");
-        det.observe(&other, &ok(), &Classified::Ordinary, SimTime::from_secs(1));
-        let out = det.commit_exchange(lease, &r, &ok(), 0, SimTime::from_secs(2));
+        p.fetch(46, "http://h/b.html", "Mozilla/5.0", SimTime::from_secs(1));
+        let out = p
+            .det
+            .commit_exchange(lease, &r.view(), ok(), 0, SimTime::from_secs(2));
         assert_eq!(out.verdict, Verdict::Undecided);
         // The eviction must not launder the evidence: the key's next
         // incarnation inherits the hidden-link signal, not just a
         // lost-commit count, and is convicted on arrival.
-        let next = det.observe(&r, &ok(), &Classified::Ordinary, SimTime::from_secs(3));
+        let next = p.fetch(
+            45,
+            "http://h/trap.html",
+            "Mozilla/5.0",
+            SimTime::from_secs(3),
+        );
         assert_eq!(next.verdict, Verdict::Robot(Reason::HiddenLink));
-        det.with_key_state(&next.key, |_, state| {
-            assert_eq!(state.lost_commits, 1);
-            assert!(state.evidence.has(EvidenceKind::HiddenLinkFollowed));
-            assert_eq!(state.verdict, Verdict::Robot(Reason::HiddenLink));
-        })
-        .expect("next incarnation is live");
+        p.det
+            .with_key_state(&next.key, |_, state| {
+                assert_eq!(state.lost_commits, 1);
+                assert!(state.evidence.has(EvidenceKind::HiddenLinkFollowed));
+                assert_eq!(state.verdict, Verdict::Robot(Reason::HiddenLink));
+            })
+            .expect("next incarnation is live");
     }
 
     #[test]
     fn lost_commit_with_a_live_successor_convicts_it_immediately() {
-        use crate::policy::{PolicyConfig, PolicyEngine};
-        use botwall_instrument::{ProbeHit, ProbeKind};
-        let det = Detector::new(DetectorConfig::default());
-        let policy = PolicyEngine::new(PolicyConfig::default());
+        let p = pipeline();
         let r = req(47, "http://h/trap.html", "Mozilla/5.0");
-        let hit = Sighting::Probe(ProbeHit {
-            kind: ProbeKind::HiddenLink,
-            nonce: 9,
-            reported_agent: None,
-            automation: None,
-        });
-        let lease = leased(det.gate(
-            &r.view(),
-            &hit,
-            SimTime::ZERO,
-            true,
-            &policy,
-            |_, _, _, _| GateRespond::<()>::NeedsOrigin,
-        ));
+        let lease = lease_out(&p, &r, &hidden_link(9), SimTime::ZERO);
         // The key returns after the idle timeout mid-fetch: a successor
         // incarnation is live when the commit finally lands.
         let later = SimTime::from_hours(2);
-        let successor = det.observe(&r, &ok(), &Classified::Ordinary, later);
-        det.commit_exchange(lease, &r, &ok(), 0, later + 1);
+        let successor = p.fetch(47, "http://h/trap.html", "Mozilla/5.0", later);
+        p.det.commit_exchange(lease, &r.view(), ok(), 0, later + 1);
         // The successor takes the evidence directly at commit time — no
         // further request needed to convict it — and the rolled-over
         // lease's exchange is not folded into its record.
-        det.with_key_state(&successor.key, |session, state| {
-            assert_eq!(session.request_count(), 1);
-            assert_eq!(state.lost_commits, 1);
-            assert!(state.evidence.has(EvidenceKind::HiddenLinkFollowed));
-            assert_eq!(state.verdict, Verdict::Robot(Reason::HiddenLink));
-        })
-        .expect("successor is live");
+        p.det
+            .with_key_state(&successor.key, |session, state| {
+                assert_eq!(session.request_count(), 1);
+                assert_eq!(state.lost_commits, 1);
+                assert!(state.evidence.has(EvidenceKind::HiddenLinkFollowed));
+                assert_eq!(state.verdict, Verdict::Robot(Reason::HiddenLink));
+            })
+            .expect("successor is live");
     }
 
     #[test]
     fn lost_commit_after_rollover_lands_on_the_successor_with_its_block_intact() {
-        use crate::policy::{PolicyConfig, PolicyEngine};
-        let det = Detector::new(DetectorConfig::default());
-        let policy = PolicyEngine::new(PolicyConfig::default());
+        let p = pipeline();
         let r = req(43, "http://h/a.html", "Mozilla/5.0");
-        let out = det.observe(&r, &ok(), &Classified::Ordinary, SimTime::ZERO);
-        det.with_key_state(&out.key, |_, state| state.policy.block());
+        let out = p.fetch(43, "http://h/a.html", "Mozilla/5.0", SimTime::ZERO);
+        p.det
+            .with_key_state(&out.key, |_, state| state.policy.block());
         // Lease while blocked? No — enforcement off for the lease so the
         // gate allows it; the point is the successor's carried state.
-        let lease = leased(det.gate(
-            &r.view(),
-            &Sighting::Ordinary,
-            SimTime::from_secs(1),
-            false,
-            &policy,
-            |_, _, _, _| GateRespond::<()>::NeedsOrigin,
-        ));
+        let lease = lease_out(&p, &r, &Sighting::Ordinary, SimTime::from_secs(1));
         // The key returns after the idle timeout mid-fetch: rollover.
         let later = SimTime::from_hours(2);
-        det.observe(&r, &ok(), &Classified::Ordinary, later);
-        det.commit_exchange(lease, &r, &ok(), 0, later + 1);
+        p.fetch(43, "http://h/a.html", "Mozilla/5.0", later);
+        p.det.commit_exchange(lease, &r.view(), ok(), 0, later + 1);
         // The successor took the lost commit directly — and its
         // rollover-carried block flag is untouched.
-        det.with_key_state(&out.key, |session, state| {
-            assert_eq!(session.request_count(), 1);
-            assert_eq!(state.lost_commits, 1);
-            assert!(state.policy.is_blocked(), "carried block flag survives");
-        })
-        .expect("successor is live");
+        p.det
+            .with_key_state(&out.key, |session, state| {
+                assert_eq!(session.request_count(), 1);
+                assert_eq!(state.lost_commits, 1);
+                assert!(state.policy.is_blocked(), "carried block flag survives");
+            })
+            .expect("successor is live");
     }
 
     #[test]
     fn gate_redeems_beacons_against_session_tokens() {
-        use crate::policy::{PolicyConfig, PolicyEngine};
         use botwall_instrument::BeaconKey;
-        let det = Detector::new(DetectorConfig::default());
-        let policy = PolicyEngine::new(PolicyConfig::default());
-        let r0 = req(31, "http://h/index.html", "Mozilla/5.0");
-        let out = det.observe(&r0, &ok(), &Classified::Ordinary, SimTime::ZERO);
+        let p = pipeline();
+        let out = p.fetch(31, "http://h/index.html", "Mozilla/5.0", SimTime::ZERO);
         // A page rewrite (normally the gateway's `begin_page_stream`) parked
         // a beacon key in the session's colocated token state.
         let key = BeaconKey::from_raw(0xfeed);
-        det.with_key_state(&out.key, |_, state| {
+        p.det.with_key_state(&out.key, |_, state| {
             state
                 .tokens
                 .issue("/index.html", key, vec![], None, SimTime::ZERO, 64);
@@ -1689,12 +1595,12 @@ mod tests {
         // the fused single-lock path, never leased.
         let beacon = botwall_instrument::beacon::encode("h", key);
         let r1 = req(31, &beacon.to_string(), "Mozilla/5.0");
-        let (out, _, ()) = done(det.gate(
+        let (out, _, ()) = done(p.det.gate(
             &r1.view(),
             &Sighting::MouseBeacon(key),
             SimTime::from_secs(1),
             true,
-            &policy,
+            &p.policy,
             |_, _, _, classified| {
                 assert!(matches!(
                     classified,
@@ -1703,7 +1609,7 @@ mod tests {
                         ..
                     }
                 ));
-                GateRespond::Respond(ok().summary(), ())
+                GateRespond::Respond(ok(), ())
             },
         ));
         assert_eq!(out.verdict, Verdict::Human(Reason::MouseActivity));
@@ -1711,83 +1617,80 @@ mod tests {
 
     #[test]
     fn gate_holds_a_carried_block_on_the_rollover_request() {
-        use crate::policy::{PolicyConfig, PolicyEngine};
-        let det = Detector::new(DetectorConfig::default());
-        let policy = PolicyEngine::new(PolicyConfig::default());
+        let p = pipeline();
         let r = req(32, "http://h/a.html", "wget/1.0");
-        let out = det.observe(&r, &ok(), &Classified::Ordinary, SimTime::ZERO);
-        det.with_key_state(&out.key, |_, state| state.policy.block());
+        let out = p.fetch(32, "http://h/a.html", "wget/1.0", SimTime::ZERO);
+        p.det
+            .with_key_state(&out.key, |_, state| state.policy.block());
         // Two hours idle: the return request starts a new incarnation,
         // but the carried block must gate it immediately.
         let later = SimTime::from_hours(2);
-        let (out, action, ()) = done(det.gate(
+        let (out, action, ()) = done(p.det.gate(
             &r.view(),
             &Sighting::Ordinary,
             later,
             true,
-            &policy,
+            &p.policy,
             |action, _, _, _| {
                 assert_eq!(action, Action::Block);
                 GateRespond::Respond(Response::empty(StatusCode::FORBIDDEN).summary(), ())
             },
         ));
         assert_eq!(action, Action::Block);
-        let records = det.tracker().get(&out.key).unwrap().records().to_vec();
+        let records = p.det.tracker().get(&out.key).unwrap().records().to_vec();
         assert_eq!(records.last().unwrap().status_class, 4);
     }
 
     #[test]
     fn pending_pass_carry_reaches_the_next_incarnation() {
-        let det = Detector::new(DetectorConfig::default());
-        let r = req(33, "http://h/a.html", "Mozilla/5.0");
-        let key = SessionKey::of(&r);
+        let p = pipeline();
+        let key = SessionKey::of(&req(33, "http://h/a.html", "Mozilla/5.0"));
         // A CAPTCHA pass verified while the key has no live session
         // parks in the shard...
-        det.tracker().with_entry_and_carry(&key, |entry, slot| {
-            assert!(entry.is_none());
-            *slot = Some(KeyCarry::from(PendingCaptchaPass {
-                at: SimTime::from_secs(5),
-            }));
-        });
+        let at = SimTime::from_secs(5);
+        p.det
+            .tracker()
+            .with_entry_and_carry(&key, at, |entry, slot| {
+                assert!(entry.is_none());
+                *slot = Some(KeyCarry::from(PendingCaptchaPass { at }));
+            });
         // ...and the key's first exchange absorbs it as ground truth.
-        let out = det.observe(&r, &ok(), &Classified::Ordinary, SimTime::from_secs(6));
+        let out = p.fetch(33, "http://h/a.html", "Mozilla/5.0", SimTime::from_secs(6));
         assert_eq!(out.verdict, Verdict::Human(Reason::CaptchaPassed));
-        assert!(det
-            .evidence(&out.key)
-            .unwrap()
-            .has(EvidenceKind::PassedCaptcha));
+        let evidence = p.det.evidence(&out.key).unwrap();
+        assert!(evidence.has(EvidenceKind::PassedCaptcha));
     }
 
     #[test]
     fn expire_key_state_purges_tokens_and_stale_challenges_of_live_sessions() {
-        use botwall_instrument::BeaconKey;
-        let det = Detector::new(DetectorConfig::default());
-        let r = req(34, "http://h/a.html", "Mozilla/5.0");
-        let out = det.observe(&r, &ok(), &Classified::Ordinary, SimTime::ZERO);
-        det.with_key_state(&out.key, |_, state| {
-            state.tokens.issue(
-                "/a.html",
-                BeaconKey::from_raw(1),
-                vec![],
-                None,
-                SimTime::ZERO,
-                64,
-            );
+        const MINUTE: u64 = 60_000;
+        let p = pipeline();
+        p.page(34, "Mozilla/5.0", SimTime::ZERO);
+        let key = SessionKey::of(&req(34, "http://h/index.html", "Mozilla/5.0"));
+        p.det.with_key_state(&key, |_, state| {
             state.challenge = Some(ChallengeState::new(9, SimTime::ZERO));
         });
         // Within TTL: untouched.
-        det.expire_key_state(SimTime::from_secs(10), 3_600_000, 3_600_000);
-        det.with_key_state(&out.key, |_, state| {
-            assert_eq!(state.tokens.len(), 1);
+        assert!(p
+            .det
+            .sweep(SimTime::from_secs(10), MINUTE, MINUTE)
+            .is_empty());
+        p.det.with_key_state(&key, |_, state| {
+            assert!(!state.tokens.is_empty());
             assert!(state.challenge.is_some());
         });
-        // Past TTL: both expire, without flushing the session.
-        det.expire_key_state(SimTime::from_hours(2), 3_600_000, 3_600_000);
-        det.with_key_state(&out.key, |_, state| {
+        // Past TTL, in the same shard walk as the sweep: both expire,
+        // without flushing the session, and the gauges follow.
+        assert!(p
+            .det
+            .sweep(SimTime::from_secs(120), MINUTE, MINUTE)
+            .is_empty());
+        p.det.with_key_state(&key, |_, state| {
             assert!(state.tokens.is_empty());
             assert!(state.challenge.is_none());
         });
-        assert_eq!(det.tracker().live_count(), 1);
+        assert_eq!(p.det.tracker().live_count(), 1);
+        assert_eq!(p.det.state_gauges(), (0, 0));
     }
 
     #[test]
@@ -1798,31 +1701,27 @@ mod tests {
 
     #[test]
     fn parallel_observe_keeps_per_key_verdicts_isolated() {
-        use std::sync::Arc;
-        let det = Arc::new(Detector::new(DetectorConfig::default()));
-        let handles: Vec<_> = (0..4u32)
-            .map(|n| {
-                let det = Arc::clone(&det);
-                std::thread::spawn(move || {
+        let p = pipeline();
+        std::thread::scope(|s| {
+            for n in 0..4u32 {
+                let p = &p;
+                s.spawn(move || {
                     for i in 0..200u64 {
-                        let r = req(100 + n, &format!("http://h/{i}.html"), "wget/1.0");
-                        det.observe(&r, &ok(), &Classified::Ordinary, SimTime::from_secs(i));
+                        let uri = format!("http://h/{i}.html");
+                        p.fetch(100 + n, &uri, "wget/1.0", SimTime::from_secs(i));
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+        });
         // Every thread's key is independently promoted to no-signal robot.
         for n in 0..4u32 {
             let key = SessionKey::new(ClientIp::new(100 + n), "wget/1.0");
             assert_eq!(
-                det.verdict(&key),
+                p.det.verdict(&key),
                 Verdict::ProvisionalRobot(Reason::NoBrowserSignals)
             );
         }
-        let done = det.drain();
+        let done = p.det.drain();
         assert_eq!(done.len(), 4);
         assert_eq!(
             done.iter().map(|c| c.session.request_count()).sum::<u64>(),

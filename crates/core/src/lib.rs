@@ -29,16 +29,17 @@
 //! # Examples
 //!
 //! ```
-//! use botwall_core::{Detector, DetectorConfig};
+//! use botwall_core::{Detector, DetectorConfig, GateRespond, Gated, PolicyConfig, PolicyEngine};
 //! use botwall_core::classifier::{Reason, Verdict};
 //! use botwall_http::request::ClientIp;
 //! use botwall_http::{Method, Request, Response, StatusCode};
-//! use botwall_instrument::{InstrumentConfig, RewriteEngine, TokenState};
+//! use botwall_instrument::{InstrumentConfig, RewriteEngine};
 //! use botwall_sessions::SimTime;
 //!
 //! let engine = RewriteEngine::new(InstrumentConfig::default(), 7);
-//! let mut tokens = TokenState::default(); // client 1's session
 //! let det = Detector::new(DetectorConfig::default());
+//! let policy = PolicyEngine::new(PolicyConfig::default());
+//! let ok = Response::empty(StatusCode::OK).summary();
 //! let get = |uri: &str| {
 //!     Request::builder(Method::Get, uri)
 //!         .header("User-Agent", "Mozilla/5.0 Firefox/1.5")
@@ -47,19 +48,36 @@
 //!         .unwrap()
 //! };
 //!
-//! // Server side: instrument a page for client 1.
+//! // Server side: client 1 asks for a page. The gate leases its session
+//! // for the origin fetch, the page is instrumented into the session's
+//! // own beacon tokens, and the exchange commits.
 //! let page = get("http://site.example/index.html");
-//! let manifest = engine
-//!     .begin_session_page(&page, &mut tokens, 1, SimTime::ZERO) // 1: the session's RNG stream
-//!     .rewrite_whole("<html><head></head><body></body></html>")
-//!     .manifest;
+//! let now = SimTime::ZERO;
+//! let sighting = engine.classify_view(&page.view(), now);
+//! let gated = det.gate(&page.view(), &sighting, now, true, &policy, |_, _, _, _| {
+//!     GateRespond::<()>::NeedsOrigin
+//! });
+//! let Gated::NeedsOrigin(lease) = gated else { unreachable!("a page needs the origin") };
+//! let manifest = det
+//!     .with_lease_state(&lease, |_, state| {
+//!         engine
+//!             .begin_session_page(&page, &mut state.tokens, 1, now) // 1: the session's RNG stream
+//!             .rewrite_whole("<html><head></head><body></body></html>")
+//!             .manifest
+//!     })
+//!     .expect("the lease is live");
+//! det.commit_exchange(lease, &page.view(), ok, 0, now);
 //!
-//! // Client side: a human moves the mouse, firing the beacon.
-//! let req = get(&manifest.mouse_beacon.unwrap().to_string());
+//! // Client side: a human moves the mouse, firing the beacon. The gate
+//! // redeems its key against the session's tokens and answers it itself.
+//! let beacon = get(&manifest.mouse_beacon.unwrap().to_string());
 //! let now = SimTime::from_secs(3);
-//! let classified = engine.classify(&req, now).resolve(&mut tokens, now);
-//! let out = det.observe(&req, &Response::empty(StatusCode::OK), &classified, now);
-//! assert_eq!(out.verdict, Verdict::Human(Reason::MouseActivity));
+//! let sighting = engine.classify_view(&beacon.view(), now);
+//! let gated = det.gate(&beacon.view(), &sighting, now, true, &policy, |_, _, _, _| {
+//!     GateRespond::Respond(ok, ())
+//! });
+//! let Gated::Done { outcome, .. } = gated else { unreachable!("a beacon is answered in the gate") };
+//! assert_eq!(outcome.verdict, Verdict::Human(Reason::MouseActivity));
 //! ```
 
 #![forbid(unsafe_code)]

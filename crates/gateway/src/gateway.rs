@@ -662,9 +662,9 @@ impl Gateway {
         // The body is already with the client; live or lost, what is
         // left to record is its head (in_flight bookkeeping and the
         // recording itself happen inside commit_exchange).
-        let outcome = self
-            .detector
-            .commit_exchange(lease, request, &stream.head, sent, now);
+        let outcome =
+            self.detector
+                .commit_exchange(lease, &request.view(), stream.head.summary(), sent, now);
         cell.total_bytes
             .fetch_add(request.wire_len() as u64 + sent, Ordering::Relaxed);
         cell.served.fetch_add(1, Ordering::Relaxed);
@@ -824,14 +824,12 @@ impl Gateway {
     /// exchange — a correct answer is never silently dropped.
     pub fn verify_captcha(&self, key: &SessionKey, id: u64, answer: &str, now: SimTime) -> bool {
         let tracker = self.detector.tracker();
-        let idle_timeout = tracker.config().idle_timeout_ms;
-        tracker.with_entry_and_carry(key, |entry, carry| {
+        tracker.with_entry_and_carry(key, now, |entry, carry| {
             match entry {
-                // A session idle past the timeout is already dead — its
-                // next exchange rolls it over — so crediting it would
-                // bury the pass with the old incarnation. Only a
-                // genuinely live session takes the credit directly.
-                Some((session, state)) if now.since(session.last_seen()) <= idle_timeout => {
+                // Only a live session takes the credit directly: one idle
+                // past the timeout reads as absent (crediting it would
+                // bury the pass with the old incarnation).
+                Some((session, state)) => {
                     let passed = match state.challenge {
                         Some(outstanding) if outstanding.id == id => {
                             // The outstanding record is the single-use
@@ -872,7 +870,7 @@ impl Gateway {
                     }
                     passed
                 }
-                _ => {
+                None => {
                     // Dead key: consume-on-success only, so garbage
                     // sprayed at predictable ids can never pre-burn the
                     // pass a swept session's answer depends on. The pass
@@ -904,8 +902,7 @@ impl Gateway {
     /// anywhere.
     pub fn sweep(&self, now: SimTime) -> Vec<CompletedSession> {
         let ttl = self.config.instrument.session_tokens.entry_ttl_ms;
-        self.detector.expire_key_state(now, ttl, ttl);
-        let completed = self.detector.sweep(now);
+        let completed = self.detector.sweep(now, ttl, ttl);
         self.finish(completed)
     }
 

@@ -41,7 +41,9 @@
 //! re-arming is a store into the reactor's per-token table, and the
 //! wheel holds one entry per live descriptor, not one per arm. Time is
 //! the reactor's per-wakeup stamp, so everything one event batch does,
-//! deadlines and gateway clock alike, happens at one instant.
+//! deadlines and gateway clock alike, happens at one instant; every
+//! reactor counts from the one epoch [`Server::bind`] reads, so a key
+//! served by two reactors never sees its time step backwards.
 //! On shutdown (SIGTERM in the binary, [`ShutdownHandle`] anywhere) the
 //! first reactor to notice fans the signal out through every sibling's
 //! waker; each closes its listener, drops idle connections, and finishes
@@ -59,7 +61,7 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Tuning for one [`Server`].
 #[derive(Debug, Clone)]
@@ -369,9 +371,10 @@ impl Server {
                 listeners.push(net::tcp_listen_reuseport(local_addr)?);
             }
         }
+        let epoch = Instant::now();
         let mut reactors = Vec::with_capacity(threads);
         for listener in listeners {
-            let mut reactor = Reactor::new()?;
+            let mut reactor = Reactor::with_epoch(epoch)?;
             reactor.register(&listener, LISTENER, Interest::READABLE)?;
             reactors.push((reactor, listener));
         }

@@ -40,7 +40,9 @@
 //! **What is best-effort.** Under concurrent ingest the shards are
 //! peeked one lock at a time: a session touched between the peek and
 //! the pop survives and the shard's next-coldest goes instead, and
-//! racing inserts may briefly overshoot [`TrackerConfig::max_sessions`].
+//! racing inserts may briefly overshoot [`TrackerConfig::max_sessions`]
+//! (an insert keeps evicting until the count is back under the cap, so
+//! by about the number of inserts racing, not more with every race).
 //! Threads that hand in clocks out of step with each other get
 //! least-recently-*touched* eviction, and an expired session can sit
 //! behind a younger cold end until that one expires too (at most one
@@ -56,13 +58,16 @@
 //!
 //! # Two-phase exchanges
 //!
-//! [`ShardedTracker::begin_exchange`] runs the caller's gate inside the
-//! shard critical section and can hand back an [`ExchangeLease`]
-//! (stamped with the entry's incarnation) instead of finishing, so the
-//! caller can produce the response — e.g. fetch a slow origin — with
-//! **no lock held** and fold it back in at [`ShardedTracker::commit`].
-//! A lease whose incarnation was evicted or rolled over mid-flight
-//! commits through the deferred-carry channel instead of being dropped.
+//! An exchange reaches a session one of two ways, and nothing else
+//! records one. [`ShardedTracker::begin_exchange`] runs the caller's
+//! gate inside the shard critical section; the gate either finishes the
+//! exchange there or hands back an [`ExchangeLease`] (stamped with the
+//! entry's incarnation), so the caller can produce the response — e.g.
+//! fetch a slow origin — with **no lock held** and fold it back in at
+//! [`ShardedTracker::commit`]. A lease whose incarnation was evicted or
+//! rolled over mid-flight commits through the deferred-carry channel
+//! instead of being dropped. ([`ShardedTracker::observe`] is a gate that
+//! records a finished exchange and finishes.)
 
 use crate::key::SessionKey;
 use crate::record::RequestRecord;
@@ -85,7 +90,8 @@ pub struct TrackerConfig {
     /// Maximum live sessions; beyond this, the most idle session is
     /// finalized early to bound memory (a DoS guard the paper's design
     /// goal of low memory implies). Under concurrent ingest the bound is
-    /// enforced best-effort (racing inserts may briefly overshoot it).
+    /// enforced best-effort (racing inserts may briefly overshoot it by
+    /// about their number).
     pub max_sessions: usize,
     /// Minimum requests before a session is eligible for classification
     /// (paper: more than 10).
@@ -307,6 +313,11 @@ const NIL: u32 = u32::MAX;
 /// an eviction may cost more than a fixed number of entries there.
 const TIE_WALK_BOUND: usize = 8;
 
+/// How many sessions one insert at the cap may evict: one, plus up to
+/// four more while inserts that raced past the cap check hold the count
+/// at or over it.
+const EVICTIONS_PER_INSERT: usize = 5;
+
 /// One slab slot's occupant: the entry plus its neighbours in the
 /// shard's idle order, as slot indices.
 #[derive(Debug)]
@@ -513,25 +524,11 @@ fn nominate<E: SessionExt>(shard: &mut Shard<E>, idx: usize, idlest: &mut Idlest
     }
 }
 
-fn insert_carry_bounded<C>(
-    carries: &mut BTreeMap<SessionKey, C>,
-    key: &SessionKey,
-    carry: C,
-    bound: usize,
-) {
-    if bound == 0 {
-        return;
-    }
-    if carries.len() >= bound && !carries.contains_key(key) {
-        carries.pop_first();
-    }
-    carries.insert(key.clone(), carry);
-}
-
-/// A live entry pinned inside its shard's critical section, handed to
-/// [`ShardedTracker::with_exchange`] callbacks. The guard exposes the
-/// session and its extension state, and lets the caller decide *when* in
-/// the critical section the exchange is recorded — the enforcement gate
+/// A live entry pinned inside its shard's critical section, handed to a
+/// [`ShardedTracker::begin_exchange`] gate and a
+/// [`ShardedTracker::commit`] fold. The guard exposes the session and
+/// its extension state, and lets the caller decide *when* in the
+/// critical section the exchange is recorded — the enforcement gate
 /// reads pre-exchange counters, the response is built, and only then is
 /// the exchange folded in, all without releasing the shard lock.
 #[derive(Debug)]
@@ -563,9 +560,9 @@ impl<E> EntryGuard<'_, E> {
 
     /// Folds the finished exchange into the session record (counters,
     /// bounded log, `last_seen`): the request, and what a record keeps
-    /// of its response. Call exactly once per
-    /// [`ShardedTracker::with_exchange`]; a callback that never records
-    /// has the exchange recorded for it (responseless) on exit.
+    /// of its response. Call at most once, from a gate that finishes or
+    /// a fold; one that never records has the exchange recorded for it
+    /// (responseless) on exit.
     pub fn record(
         &mut self,
         request: &RequestView<'_>,
@@ -631,7 +628,7 @@ impl<E> EntryGuard<'_, E> {
 /// let resp = Response::empty(StatusCode::OK);
 /// t.observe(&req, &resp, SimTime::ZERO);
 /// // One hour and one millisecond later the session has expired.
-/// let done = t.sweep(SimTime::from_hours(1) + 1);
+/// let done = t.sweep(SimTime::from_hours(1) + 1, |_, _| ());
 /// assert_eq!(done.len(), 1);
 /// ```
 #[derive(Debug)]
@@ -712,28 +709,28 @@ impl ExchangeLease {
 }
 
 /// What a [`ShardedTracker::begin_exchange`] gate callback decides about
-/// the critical section it is running in.
+/// the critical section it is running in, with a payload of its own for
+/// each outcome.
 #[derive(Debug)]
-pub enum Gate<R> {
+pub enum Gate<F, L> {
     /// The exchange completes inside this critical section — recorded by
     /// the callback via [`EntryGuard::record`], or auto-recorded
-    /// (responseless) on exit, exactly like
-    /// [`ShardedTracker::with_exchange`].
-    Finish(R),
+    /// (responseless) on exit.
+    Finish(F),
     /// Release the shard and lease the session: the caller fetches the
     /// response outside any lock and records the exchange at
     /// [`ShardedTracker::commit`]. The gate callback must **not** have
     /// recorded the exchange.
-    Lease(R),
+    Lease(L),
 }
 
 /// What [`ShardedTracker::begin_exchange`] produced.
 #[derive(Debug)]
-pub enum Begun<R> {
+pub enum Begun<F, L> {
     /// The gate finished the exchange inside its one critical section.
-    Finished(R),
+    Finished(F),
     /// The session is leased; the shard mutex is already released.
-    Leased(R, ExchangeLease),
+    Leased(L, ExchangeLease),
 }
 
 /// The plain session store: a [`ShardedTracker`] with no extension state.
@@ -779,68 +776,29 @@ impl<E: SessionExt> ShardedTracker<E> {
         crate::sync::lock_shard_or_recover(&self.shards[idx])
     }
 
-    /// Feeds one exchange into the store, creating or rolling over the
-    /// session as needed, and returns its key.
+    /// Feeds one finished exchange into the store, creating or rolling
+    /// over the session as needed, and returns its key: a
+    /// [`ShardedTracker::begin_exchange`] whose gate records the
+    /// exchange and finishes.
     ///
     /// If the keyed session exists but has been idle past the timeout, it
     /// is finalized and a fresh session starts — matching the paper's
     /// definition (a returning client after an hour is a *new* session).
     pub fn observe(&self, request: &Request, response: &Response, now: SimTime) -> SessionKey {
-        self.observe_with(request, Some(response), now, |_, _| ()).0
-    }
-
-    /// Like [`ShardedTracker::observe`] but tolerates a missing response
-    /// (e.g. the proxy dropped the exchange).
-    pub fn observe_opt(
-        &self,
-        request: &Request,
-        response: Option<&Response>,
-        now: SimTime,
-    ) -> SessionKey {
-        self.observe_with(request, response, now, |_, _| ()).0
-    }
-
-    /// Feeds one exchange and runs `f` against the (just-updated) session
-    /// and its extension state under the shard lock.
-    pub fn observe_with<R>(
-        &self,
-        request: &Request,
-        response: Option<&Response>,
-        now: SimTime,
-        f: impl FnOnce(&Session, &mut E) -> R,
-    ) -> (SessionKey, R) {
-        let request = request.view();
-        self.with_exchange(&request, now, |entry| {
-            entry.record(&request, response.map(Response::summary), now);
-            let (session, ext) = entry.parts();
-            f(session, ext)
-        })
-    }
-
-    /// The one-lock request path: resolves the keyed entry (capacity
-    /// eviction, idle rollover, creation, deferred-carry absorption) and
-    /// runs `f` against it inside a single shard critical section. The
-    /// callback decides when the exchange is recorded via
-    /// [`EntryGuard::record`] — before it, the guard's session exposes
-    /// *pre-exchange* counters (what an enforcement gate wants); a
-    /// callback that never records has the exchange recorded for it
-    /// (responseless) when it returns.
-    pub fn with_exchange<R>(
-        &self,
-        request: &RequestView<'_>,
-        now: SimTime,
-        f: impl FnOnce(&mut EntryGuard<'_, E>) -> R,
-    ) -> (SessionKey, R) {
-        match self.begin_exchange(request, now, |entry| Gate::Finish(f(entry))) {
-            (key, _, Begun::Finished(r)) => (key, r),
-            _ => unreachable!("Gate::Finish never leases"),
-        }
+        let view = request.view();
+        let (key, _, _) = self.begin_exchange(&view, now, |entry| {
+            entry.record(&view, Some(response.summary()), now);
+            Gate::<(), ()>::Finish(())
+        });
+        key
     }
 
     /// Phase one of the two-phase request protocol: resolves the keyed
-    /// entry exactly like [`ShardedTracker::with_exchange`] and runs the
-    /// `gate` callback inside the shard critical section. The callback
-    /// chooses the path:
+    /// entry (capacity eviction, idle rollover, creation, deferred-carry
+    /// absorption) and runs the `gate` callback inside the shard
+    /// critical section, where the guard's session exposes
+    /// *pre-exchange* counters (what an enforcement gate wants). The
+    /// callback chooses the path:
     ///
     /// * [`Gate::Finish`] — the exchange completes here, in one lock
     ///   (recorded by the callback or auto-recorded on exit); or
@@ -856,12 +814,12 @@ impl<E: SessionExt> ShardedTracker<E> {
     /// The key is built here, once, with its shard hash: what comes back
     /// is the key and the index of the shard it lives in (the lease
     /// carries it too) beside what the gate decided.
-    pub fn begin_exchange<R>(
+    pub fn begin_exchange<F, L>(
         &self,
         request: &RequestView<'_>,
         now: SimTime,
-        gate: impl FnOnce(&mut EntryGuard<'_, E>) -> Gate<R>,
-    ) -> (SessionKey, usize, Begun<R>) {
+        gate: impl FnOnce(&mut EntryGuard<'_, E>) -> Gate<F, L>,
+    ) -> (SessionKey, usize, Begun<F, L>) {
         let key = SessionKey::of_view(request);
         let idx = self.shard_index(&key);
         // The key is resolved once, inside the critical section the
@@ -869,18 +827,25 @@ impl<E: SessionExt> ShardedTracker<E> {
         // when the store is full.
         let mut locked = self.lock_shard(idx);
         let mut found = locked.live.get(&key).copied();
-        if found.is_none() && self.live_total.load(Ordering::Relaxed) >= self.config.max_sessions {
-            // A never-seen key at the cap: let go of the shard, evict
-            // (shard locks one at a time — never two at once, so lock
-            // order cannot deadlock) and come back. Exactly one
-            // attempt, then the insert proceeds regardless: the bound
-            // is a memory guard, and a state with no evictable victim
-            // (max_sessions of 0, or every candidate racing away) must
-            // not stall ingest.
+        // A never-seen key at the cap: let go of the shard, evict (shard
+        // locks one at a time — never two at once, so lock order cannot
+        // deadlock) and come back. Inserts that raced past the check
+        // each evict again while the count is still at the cap, so the
+        // overshoot cannot ratchet up; at most `EVICTIONS_PER_INSERT`
+        // times, then the insert proceeds regardless: the bound is a
+        // memory guard, and a state with no evictable victim
+        // (max_sessions of 0, or every candidate racing away) must not
+        // stall ingest.
+        let mut evictions = 0;
+        while found.is_none()
+            && evictions < EVICTIONS_PER_INSERT
+            && self.live_total.load(Ordering::Relaxed) >= self.config.max_sessions
+        {
             let mut idlest = None;
             nominate(&mut locked, idx, &mut idlest);
             drop(locked);
             self.evict_most_idle(idx, idlest);
+            evictions += 1;
             locked = self.lock_shard(idx);
             found = locked.live.get(&key).copied();
         }
@@ -896,7 +861,7 @@ impl<E: SessionExt> ShardedTracker<E> {
             Some(slot) => {
                 let entry = &mut shard.node_mut(slot).entry;
                 gauge_before = entry.ext.gauge();
-                if now.since(entry.session.last_seen) > self.config.idle_timeout_ms {
+                if self.idle(&entry.session, now) {
                     // Idle rollover, in the predecessor's slot: it is
                     // finalized with the state it accumulated and the
                     // successor starts from its rollover carry-over.
@@ -931,21 +896,20 @@ impl<E: SessionExt> ShardedTracker<E> {
             cap: self.config.max_records_per_session,
             recorded: false,
         };
-        let gated = gate(&mut guard);
-        let begun = match gated {
-            Gate::Finish(r) => {
+        let begun = match gate(&mut guard) {
+            Gate::Finish(done) => {
                 if !guard.recorded {
                     guard.record(request, None, now);
                 }
-                Begun::Finished(r)
+                Begun::Finished(done)
             }
-            Gate::Lease(r) => {
+            Gate::Lease(leased) => {
                 debug_assert!(
                     !guard.recorded,
                     "a leased exchange is recorded at commit, not at the gate"
                 );
                 Begun::Leased(
-                    r,
+                    leased,
                     ExchangeLease {
                         tracker: self.tracker_id,
                         key: key.clone(),
@@ -971,6 +935,14 @@ impl<E: SessionExt> ShardedTracker<E> {
             ext,
             incarnation: self.next_incarnation.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// The idle rule: a session idle past the timeout as of `now` is
+    /// dead — its key's next exchange rolls it over, a sweep finalizes
+    /// it, and [`ShardedTracker::with_entry_and_carry`] reads it as
+    /// absent.
+    fn idle(&self, session: &Session, now: SimTime) -> bool {
+        now.since(session.last_seen) > self.config.idle_timeout_ms
     }
 
     /// Phase two: re-acquires the leased session's shard, re-binds the
@@ -1014,48 +986,27 @@ impl<E: SessionExt> ShardedTracker<E> {
         // One map lookup serves both paths: the leased incarnation if it
         // still holds the key, else whatever succeeded it.
         let successor = shard.live.get(&key).copied();
-        let leased = successor.filter(|&slot| shard.node(slot).entry.incarnation == incarnation);
-        let (r, gauges) = if let Some(slot) = leased {
-            let entry = &mut shard.node_mut(slot).entry;
-            let before = entry.ext.gauge();
-            let mut guard = EntryGuard {
-                session: &mut entry.session,
-                ext: &mut entry.ext,
-                cap: self.config.max_records_per_session,
-                recorded: false,
-            };
-            let r = fold(&mut guard);
-            if !guard.recorded {
-                guard.record(request, None, now);
+        match successor.filter(|&slot| shard.node(slot).entry.incarnation == incarnation) {
+            Some(slot) => {
+                let cap = self.config.max_records_per_session;
+                let r = self.bind(idx, &mut shard.node_mut(slot).entry, |entry| {
+                    let mut guard = EntryGuard {
+                        session: &mut entry.session,
+                        ext: &mut entry.ext,
+                        cap,
+                        recorded: false,
+                    };
+                    let r = fold(&mut guard);
+                    if !guard.recorded {
+                        guard.record(request, None, now);
+                    }
+                    r
+                });
+                shard.touch(slot);
+                r
             }
-            let gauges = (before, entry.ext.gauge());
-            shard.touch(slot);
-            (r, Some(gauges))
-        } else {
-            let mut parked = shard.carry.remove(&key);
-            let (r, gauges) = match successor {
-                Some(slot) => {
-                    let entry = &mut shard.node_mut(slot).entry;
-                    let before = entry.ext.gauge();
-                    let r = lost(Some((&entry.session, &mut entry.ext)), &mut parked);
-                    (r, Some((before, entry.ext.gauge())))
-                }
-                None => (lost(None, &mut parked), None),
-            };
-            if let Some(carry) = parked {
-                insert_carry_bounded(
-                    &mut shard.carry,
-                    &key,
-                    carry,
-                    self.config.max_carries_per_shard,
-                );
-            }
-            (r, gauges)
-        };
-        if let Some((before, after)) = gauges {
-            self.gauge_apply(idx, before, after);
+            None => self.with_carry(idx, shard, &key, successor, lost),
         }
-        r
     }
 
     /// Runs `f` against a leased session's entry **without consuming the
@@ -1081,14 +1032,45 @@ impl<E: SessionExt> ShardedTracker<E> {
         let mut shard = self.lock_shard(lease.shard);
         let slot = *shard.live.get(&lease.key)?;
         let entry = &mut shard.node_mut(slot).entry;
-        if entry.incarnation != lease.incarnation {
-            return None;
-        }
+        (entry.incarnation == lease.incarnation)
+            .then(|| self.bind(lease.shard, entry, |e| f(&e.session, &mut e.ext)))
+    }
+
+    /// Runs `f` against one entry of the locked shard `idx`, keeping the
+    /// shard's gauges in step with whatever `f` changes.
+    fn bind<R>(&self, idx: usize, entry: &mut Entry<E>, f: impl FnOnce(&mut Entry<E>) -> R) -> R {
         let before = entry.ext.gauge();
-        let r = f(&entry.session, &mut entry.ext);
-        let after = entry.ext.gauge();
-        self.gauge_apply(lease.shard, before, after);
-        Some(r)
+        let r = f(entry);
+        self.gauge_apply(idx, before, entry.ext.gauge());
+        r
+    }
+
+    /// Runs `f` against the entry in `slot` (if any) of the locked shard
+    /// `idx` and the deferred-carry slot of `key`, then parks whatever
+    /// carry `f` left there (subject to the per-shard bound).
+    fn with_carry<R>(
+        &self,
+        idx: usize,
+        shard: &mut Shard<E>,
+        key: &SessionKey,
+        slot: Option<u32>,
+        f: impl FnOnce(Option<(&Session, &mut E)>, &mut Option<E::Carry>) -> R,
+    ) -> R {
+        let mut parked = shard.carry.remove(key);
+        let r = match slot {
+            Some(slot) => self.bind(idx, &mut shard.node_mut(slot).entry, |e| {
+                f(Some((&e.session, &mut e.ext)), &mut parked)
+            }),
+            None => f(None, &mut parked),
+        };
+        let bound = self.config.max_carries_per_shard;
+        if let Some(carry) = parked.filter(|_| bound > 0) {
+            if shard.carry.len() >= bound && !shard.carry.contains_key(key) {
+                shard.carry.pop_first();
+            }
+            shard.carry.insert(key.clone(), carry);
+        }
+        r
     }
 
     /// Applies the census delta a critical section produced to one
@@ -1160,52 +1142,31 @@ impl<E: SessionExt> ShardedTracker<E> {
         let idx = self.shard_index(key);
         let mut shard = self.lock_shard(idx);
         let slot = *shard.live.get(key)?;
-        let entry = &mut shard.node_mut(slot).entry;
-        let before = entry.ext.gauge();
-        let r = f(&entry.session, &mut entry.ext);
-        let after = entry.ext.gauge();
-        self.gauge_apply(idx, before, after);
-        Some(r)
+        Some(self.bind(idx, &mut shard.node_mut(slot).entry, |e| {
+            f(&e.session, &mut e.ext)
+        }))
     }
 
     /// Runs `f` against the key's live entry (if any) *and* its
-    /// deferred-carry slot, under one shard lock. The slot arrives with
-    /// whatever carry is currently stashed for the key; whatever the
-    /// callback leaves in it (subject to the per-shard bound) is what
-    /// the key's next incarnation will absorb. This is how state that
-    /// shows up while a key is dead — a CAPTCHA pass answered after the
-    /// sweep — reaches the successor without any global table.
+    /// deferred-carry slot, under one shard lock. An entry idle past the
+    /// timeout as of `now` is dead (its next exchange rolls it over) and
+    /// reaches `f` as absent. The slot arrives with whatever carry is
+    /// currently stashed for the key; whatever the callback leaves in it
+    /// (subject to the per-shard bound) is what the key's next
+    /// incarnation will absorb. This is how state that shows up while a
+    /// key is dead — a CAPTCHA pass answered after the sweep — reaches
+    /// the successor without any global table.
     pub fn with_entry_and_carry<R>(
         &self,
         key: &SessionKey,
+        now: SimTime,
         f: impl FnOnce(Option<(&Session, &mut E)>, &mut Option<E::Carry>) -> R,
     ) -> R {
         let idx = self.shard_index(key);
         let mut shard = self.lock_shard(idx);
-        let shard = &mut *shard;
-        let mut parked = shard.carry.remove(key);
-        // One map lookup; gauge snapshots read off the same entry borrow.
-        let (r, gauges) = match shard.live.get(key).copied() {
-            Some(slot) => {
-                let entry = &mut shard.node_mut(slot).entry;
-                let before = entry.ext.gauge();
-                let r = f(Some((&entry.session, &mut entry.ext)), &mut parked);
-                (r, Some((before, entry.ext.gauge())))
-            }
-            None => (f(None, &mut parked), None),
-        };
-        if let Some(carry) = parked {
-            insert_carry_bounded(
-                &mut shard.carry,
-                key,
-                carry,
-                self.config.max_carries_per_shard,
-            );
-        }
-        if let Some((before, after)) = gauges {
-            self.gauge_apply(idx, before, after);
-        }
-        r
+        let live = shard.live.get(key).copied();
+        let live = live.filter(|&slot| !self.idle(&shard.node(slot).entry.session, now));
+        self.with_carry(idx, &mut shard, key, live, f)
     }
 
     /// Folds every live entry (shards in index order, one lock at a
@@ -1222,27 +1183,6 @@ impl<E: SessionExt> ShardedTracker<E> {
         acc
     }
 
-    /// Visits every live entry mutably, shards in index order and slab
-    /// slots in order within each shard — an order fixed by the
-    /// operation history, and nothing a visitor sees depends on it.
-    /// Maintenance walks — expiring per-key tokens and stale challenge
-    /// records — ride this instead of any global registry sweep.
-    pub fn visit_entries_mut(&self, mut f: impl FnMut(&Session, &mut E)) {
-        for idx in 0..self.shards.len() {
-            let mut shard = self.lock_shard(idx);
-            for node in shard.slab.iter_mut().flatten() {
-                self.visit(idx, node, &mut f);
-            }
-        }
-    }
-
-    /// One maintenance visit, with the gauges kept in step.
-    fn visit(&self, idx: usize, node: &mut Node<E>, f: &mut impl FnMut(&Session, &mut E)) {
-        let before = node.entry.ext.gauge();
-        f(&node.entry.session, &mut node.entry.ext);
-        self.gauge_apply(idx, before, node.entry.ext.gauge());
-    }
-
     /// Deferred carries currently stashed across all shards.
     pub fn carry_count(&self) -> usize {
         (0..self.shards.len())
@@ -1255,24 +1195,28 @@ impl<E: SessionExt> ShardedTracker<E> {
         self.live_total.load(Ordering::Relaxed)
     }
 
-    /// Finalizes every session idle past the timeout as of `now` and
-    /// returns all sessions finalized since the last collection
-    /// (including rollover and eviction casualties). Shards are visited
-    /// in index order — each yielding its casualties then its expired
-    /// keys in key order — so the batch is deterministically ordered.
+    /// Finalizes every session idle past the timeout as of `now`, runs
+    /// `visit` over every live session left (maintenance: expiring
+    /// per-key tokens and stale challenge records rides this instead of
+    /// any global registry sweep), and returns all sessions finalized
+    /// since the last collection (including rollover and eviction
+    /// casualties). Shards are visited in index order — each yielding
+    /// its casualties then its expired keys in key order — so the batch
+    /// is deterministically ordered.
     ///
-    /// The expired are popped off the cold end of each shard's idle
-    /// order, so a sweep that finds nothing idle costs one lock and one
-    /// comparison per shard.
-    pub fn sweep(&self, now: SimTime) -> Vec<Finalized<E>> {
+    /// Each shard takes the step [`ShardedTracker::sweep_slice`] takes,
+    /// with no budget: one lock, the expired popped off the cold end of
+    /// its idle order, and one visit per live session.
+    pub fn sweep(
+        &self,
+        now: SimTime,
+        mut visit: impl FnMut(&Session, &mut E),
+    ) -> Vec<Finalized<E>> {
         let mut out = Vec::new();
         for idx in 0..self.shards.len() {
-            let mut shard = self.lock_shard(idx);
-            out.append(&mut shard.finalized);
-            let casualties = out.len();
-            self.pop_expired(idx, &mut shard, now, usize::MAX, &mut out);
-            drop(shard);
-            out[casualties..].sort_unstable_by(|a, b| a.session.key.cmp(&b.session.key));
+            let (mut step, expired) = self.sweep_shard(idx, now, usize::MAX, &mut visit);
+            step[expired..].sort_unstable_by(|a, b| a.session.key.cmp(&b.session.key));
+            out.append(&mut step);
         }
         out
     }
@@ -1282,10 +1226,8 @@ impl<E: SessionExt> ShardedTracker<E> {
     /// collects its eviction and rollover casualties, finalizes up to
     /// `budget` sessions idle past the timeout as of `now` (idlest
     /// first), and runs `visit` over the next `budget` slab slots of the
-    /// shard's maintenance walk (the same visit
-    /// [`ShardedTracker::visit_entries_mut`] makes, resumed where the
-    /// shard's previous slice stopped). Returns the casualties, then the
-    /// expired.
+    /// shard's maintenance walk (resumed where the shard's previous step
+    /// stopped). Returns the casualties, then the expired.
     ///
     /// [`ShardedTracker::shard_count`] consecutive calls that all come
     /// back empty mean nothing is left to collect as of `now` — the
@@ -1298,42 +1240,42 @@ impl<E: SessionExt> ShardedTracker<E> {
         mut visit: impl FnMut(&Session, &mut E),
     ) -> Vec<Finalized<E>> {
         let idx = self.sweep_cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        self.sweep_shard(idx, now, budget, &mut visit).0
+    }
+
+    /// One shard's step of a sweep, under its one lock: its casualties,
+    /// then up to `budget` entries popped off the cold end while idle
+    /// past the timeout, then `visit` over the next `budget` slab slots
+    /// of its maintenance walk. Returns the finalized and where the
+    /// expired start among them.
+    fn sweep_shard(
+        &self,
+        idx: usize,
+        now: SimTime,
+        budget: usize,
+        visit: &mut impl FnMut(&Session, &mut E),
+    ) -> (Vec<Finalized<E>>, usize) {
         let mut shard = self.lock_shard(idx);
         let shard = &mut *shard;
         let mut out = std::mem::take(&mut shard.finalized);
-        self.pop_expired(idx, shard, now, budget, &mut out);
+        let expired = out.len();
+        for _ in 0..budget {
+            let slot = shard.cold;
+            if slot == NIL || !self.idle(&shard.node(slot).entry.session, now) {
+                break;
+            }
+            out.push(self.retire(idx, shard, slot));
+        }
         for _ in 0..budget.min(shard.slab.len()) {
             if shard.hand >= shard.slab.len() {
                 shard.hand = 0;
             }
             if let Some(node) = &mut shard.slab[shard.hand] {
-                self.visit(idx, node, &mut visit);
+                self.bind(idx, &mut node.entry, |e| visit(&e.session, &mut e.ext));
             }
             shard.hand += 1;
         }
-        out
-    }
-
-    /// Finalizes up to `budget` entries off the cold end of a locked
-    /// shard, stopping at the first one still inside the idle timeout.
-    fn pop_expired(
-        &self,
-        idx: usize,
-        shard: &mut Shard<E>,
-        now: SimTime,
-        budget: usize,
-        out: &mut Vec<Finalized<E>>,
-    ) {
-        for _ in 0..budget {
-            let slot = shard.cold;
-            if slot == NIL
-                || now.since(shard.node(slot).entry.session.last_seen)
-                    <= self.config.idle_timeout_ms
-            {
-                break;
-            }
-            out.push(self.retire(idx, shard, slot));
-        }
+        (out, expired)
     }
 
     /// Finalizes everything unconditionally (end of experiment) and
@@ -1479,6 +1421,22 @@ mod tests {
     use super::*;
     use botwall_http::request::ClientIp;
     use botwall_http::{Method, StatusCode};
+    use std::convert::Infallible;
+
+    /// Finishes `r`'s exchange at `now` through a gate that runs `f` on
+    /// the session's extension state first; what `f` returned.
+    fn finish<E: SessionExt, R>(
+        t: &ShardedTracker<E>,
+        r: &Request,
+        now: SimTime,
+        f: impl FnOnce(&mut E) -> R,
+    ) -> R {
+        let gate = |entry: &mut EntryGuard<'_, E>| Gate::<R, Infallible>::Finish(f(entry.ext()));
+        match t.begin_exchange(&r.view(), now, gate) {
+            (_, _, Begun::Finished(out)) => out,
+            (_, _, Begun::Leased(never, _)) => match never {},
+        }
+    }
 
     fn req(ip: u32, ua: &str, uri: &str, referer: Option<&str>) -> Request {
         let mut b = Request::builder(Method::Get, uri)
@@ -1536,7 +1494,7 @@ mod tests {
             SimTime::from_hours(2) + 1,
         );
         assert_eq!(t.get(&k).unwrap().request_count(), 1);
-        let done = t.sweep(SimTime::from_hours(2) + 2);
+        let done = t.sweep(SimTime::from_hours(2) + 2, |_, _| ());
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].request_count(), 2);
     }
@@ -1550,7 +1508,7 @@ mod tests {
             &ok(),
             SimTime::from_hours(1),
         );
-        let done = t.sweep(SimTime::from_hours(1) + 1);
+        let done = t.sweep(SimTime::from_hours(1) + 1, |_, _| ());
         assert_eq!(done.len(), 1, "only the hour-idle session expires");
         assert_eq!(t.live_count(), 1);
     }
@@ -1747,7 +1705,7 @@ mod tests {
             for ip in 0..60 {
                 t.observe(&req(ip, "A", "http://h/1", None), &ok(), SimTime::ZERO);
             }
-            t.sweep(SimTime::from_hours(2))
+            t.sweep(SimTime::from_hours(2), |_, _| ())
                 .iter()
                 .map(|s| s.key().clone())
                 .collect::<Vec<_>>()
@@ -1808,8 +1766,8 @@ mod tests {
         };
         let t: ShardedTracker<Tally> = ShardedTracker::new(cfg);
         let r = req(8, "A", "http://h/1", None);
-        t.observe_with(&r, Some(&ok()), SimTime::ZERO, |_, e| e.touched += 1);
-        t.observe_with(&r, Some(&ok()), SimTime::from_hours(2), |_, _| ());
+        finish(&t, &r, SimTime::ZERO, |e| e.touched += 1);
+        t.observe(&r, &ok(), SimTime::from_hours(2));
         let key = SessionKey::of(&r);
         assert_eq!(
             t.with_entry(&key, |_, e| (e.touched, e.carried)),
@@ -1857,9 +1815,7 @@ mod tests {
         let t: ShardedTracker<Tally> = ShardedTracker::new(TrackerConfig::default());
         let r = req(5, "A", "http://h/1", None);
         for i in 0..3 {
-            t.observe_with(&r, Some(&ok()), SimTime::from_secs(i), |_, e| {
-                e.touched += 1;
-            });
+            finish(&t, &r, SimTime::from_secs(i), |e| e.touched += 1);
         }
         let key = SessionKey::of(&r);
         assert_eq!(t.with_entry(&key, |_, e| e.touched), Some(3));
@@ -1872,17 +1828,17 @@ mod tests {
     fn rollover_finalizes_state_with_its_incarnation_and_carries_over() {
         let t: ShardedTracker<Tally> = ShardedTracker::new(TrackerConfig::default());
         let r = req(6, "A", "http://h/1", None);
-        t.observe_with(&r, Some(&ok()), SimTime::ZERO, |_, e| e.touched += 1);
+        finish(&t, &r, SimTime::ZERO, |e| e.touched += 1);
         // Past the idle timeout: the old incarnation (touched=1) is
         // finalized; the successor starts from on_rollover (carried).
         let later = SimTime::from_hours(2);
-        t.observe_with(&r, Some(&ok()), later, |_, e| e.touched += 1);
+        finish(&t, &r, later, |e| e.touched += 1);
         let key = SessionKey::of(&r);
         assert_eq!(
             t.with_entry(&key, |_, e| (e.touched, e.carried)),
             Some((1, true))
         );
-        let done = t.sweep(later + 1);
+        let done = t.sweep(later + 1, |_, _| ());
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].ext.touched, 1);
         assert!(!done[0].ext.carried);
@@ -1892,15 +1848,15 @@ mod tests {
     fn with_exchange_gates_on_pre_exchange_counters() {
         let t: SessionTracker = SessionTracker::new(TrackerConfig::default());
         let r = req(12, "A", "http://h/1", None);
-        let (_, (before, after)) = t.with_exchange(&r.view(), SimTime::ZERO, |entry| {
+        let (_, _, begun) = t.begin_exchange(&r.view(), SimTime::ZERO, |entry| {
             let before = entry.session().request_count();
             entry.record(&r.view(), Some(ok().summary()), SimTime::ZERO);
             let after = entry.session().request_count();
-            (before, after)
+            Gate::<_, ()>::Finish((before, after))
         });
-        assert_eq!((before, after), (0, 1));
-        // A callback that never records still counts the exchange.
-        let (_, ()) = t.with_exchange(&r.view(), SimTime::from_secs(1), |_| ());
+        assert!(matches!(begun, Begun::Finished((0, 1))));
+        // A gate that finishes without recording still counts the exchange.
+        finish(&t, &r, SimTime::from_secs(1), |_| ());
         assert_eq!(t.get(&SessionKey::of(&r)).unwrap().request_count(), 2);
     }
 
@@ -1910,23 +1866,31 @@ mod tests {
         let r = req(13, "A", "http://h/1", None);
         let key = SessionKey::of(&r);
         // No live session: the carry parks in the shard.
-        t.with_entry_and_carry(&key, |entry, slot| {
+        t.with_entry_and_carry(&key, SimTime::ZERO, |entry, slot| {
             assert!(entry.is_none());
             *slot = Some(41);
         });
         assert_eq!(t.carry_count(), 1);
         // First exchange absorbs it before the callback runs.
-        let (_, seen) = t.observe_with(&r, Some(&ok()), SimTime::ZERO, |_, e| e.touched);
-        assert_eq!(seen, 41);
+        assert_eq!(finish(&t, &r, SimTime::ZERO, |e| e.touched), 41);
         assert_eq!(t.carry_count(), 0, "carry is consumed, not replayed");
         // A live entry takes precedence: the slot stays untouched when
         // the callback credits the entry directly.
-        t.with_entry_and_carry(&key, |entry, slot| {
+        t.with_entry_and_carry(&key, SimTime::from_hours(1), |entry, slot| {
             let (_, e) = entry.expect("live");
             e.touched += 1;
             assert!(slot.is_none());
         });
         assert_eq!(t.with_entry(&key, |_, e| e.touched), Some(42));
+        // Idle past the timeout, the entry is dead: the credit parks for
+        // the key's next incarnation instead of dying with this one.
+        t.with_entry_and_carry(&key, SimTime::from_hours(1) + 1, |entry, slot| {
+            assert!(entry.is_none(), "an idle entry reads as absent");
+            *slot = Some(8);
+        });
+        assert_eq!(t.carry_count(), 1);
+        let later = SimTime::from_hours(2);
+        assert_eq!(finish(&t, &r, later, |e| e.touched), 8);
     }
 
     #[test]
@@ -1934,14 +1898,13 @@ mod tests {
         let t: ShardedTracker<Tally> = ShardedTracker::new(TrackerConfig::default());
         let r = req(14, "A", "http://h/1", None);
         let key = SessionKey::of(&r);
-        t.observe_with(&r, Some(&ok()), SimTime::ZERO, |_, _| ());
-        assert_eq!(t.sweep(SimTime::from_hours(2)).len(), 1);
-        t.with_entry_and_carry(&key, |_, slot| *slot = Some(7));
+        t.observe(&r, &ok(), SimTime::ZERO);
+        assert_eq!(t.sweep(SimTime::from_hours(2), |_, _| ()).len(), 1);
+        t.with_entry_and_carry(&key, SimTime::from_hours(3), |_, slot| *slot = Some(7));
         // Sweeps do not disturb parked carries.
-        assert!(t.sweep(SimTime::from_hours(4)).is_empty());
+        assert!(t.sweep(SimTime::from_hours(4), |_, _| ()).is_empty());
         assert_eq!(t.carry_count(), 1);
-        let (_, seen) = t.observe_with(&r, Some(&ok()), SimTime::from_hours(5), |_, e| e.touched);
-        assert_eq!(seen, 7);
+        assert_eq!(finish(&t, &r, SimTime::from_hours(5), |e| e.touched), 7);
     }
 
     #[test]
@@ -1994,7 +1957,7 @@ mod tests {
         let (key, _, begun) = t.begin_exchange(&r.view(), SimTime::ZERO, |entry| {
             assert_eq!(entry.session().request_count(), 0, "pre-exchange gate");
             entry.ext().touched += 1;
-            Gate::Lease(entry.session().request_count())
+            Gate::<(), _>::Lease(entry.session().request_count())
         });
         let Begun::Leased(pre_count, lease) = begun else {
             panic!("expected a lease");
@@ -2024,11 +1987,12 @@ mod tests {
 
     #[test]
     fn fused_and_leased_paths_share_entry_resolution() {
-        // A Gate::Finish from begin_exchange behaves exactly like
-        // with_exchange: auto-recorded (responseless) on exit.
+        // A Gate::Finish that records nothing is auto-recorded
+        // (responseless) on exit.
         let t: SessionTracker = SessionTracker::new(TrackerConfig::default());
         let r = req(41, "A", "http://h/1", None);
-        let (key, _, begun) = t.begin_exchange(&r.view(), SimTime::ZERO, |_| Gate::Finish(7u32));
+        let gate = |_: &mut EntryGuard<'_, ()>| Gate::<u32, ()>::Finish(7);
+        let (key, _, begun) = t.begin_exchange(&r.view(), SimTime::ZERO, gate);
         assert!(matches!(begun, Begun::Finished(7)));
         assert_eq!(t.get(&key).unwrap().request_count(), 1);
     }
@@ -2043,11 +2007,10 @@ mod tests {
         let leased = req(42, "A", "http://h/1", None);
         let lease = lease_out(&t, &leased, SimTime::ZERO);
         // Another key forces the leased session out of the store.
-        t.observe_with(
+        t.observe(
             &req(43, "A", "http://h/1", None),
-            Some(&ok()),
+            &ok(),
             SimTime::from_secs(5),
-            |_, _| (),
         );
         assert!(t.get(lease.key()).is_none(), "leased entry evicted");
         let went_lost = t.commit(
@@ -2064,23 +2027,23 @@ mod tests {
         assert!(went_lost);
         assert_eq!(t.carry_count(), 1);
         // The key's next incarnation absorbs the parked evidence.
-        let (_, seen) = t.observe_with(&leased, Some(&ok()), SimTime::from_secs(7), |_, e| {
-            e.touched
-        });
-        assert_eq!(seen, 11);
+        assert_eq!(
+            finish(&t, &leased, SimTime::from_secs(7), |e| e.touched),
+            11
+        );
     }
 
     #[test]
     fn commit_after_rollover_sees_the_live_successor() {
         let t: ShardedTracker<Tally> = ShardedTracker::new(TrackerConfig::default());
         let r = req(44, "A", "http://h/1", None);
-        t.observe_with(&r, Some(&ok()), SimTime::ZERO, |_, _| ());
+        t.observe(&r, &ok(), SimTime::ZERO);
         let lease = lease_out(&t, &r, SimTime::from_secs(1));
         // The key returns after the idle timeout while the lease is in
         // flight: the leased incarnation is finalized and a successor
         // (with the rollover carry-over) takes the key.
         let later = SimTime::from_hours(2);
-        t.observe_with(&r, Some(&ok()), later, |_, _| ());
+        t.observe(&r, &ok(), later);
         let committed_into_successor = t.commit(
             lease,
             &r.view(),
@@ -2101,7 +2064,7 @@ mod tests {
             Some((100, true))
         );
         // The finalized leased incarnation never got the exchange.
-        let done = t.sweep(SimTime::from_hours(9));
+        let done = t.sweep(SimTime::from_hours(9), |_, _| ());
         assert_eq!(done.len(), 2);
         assert_eq!(
             done[0].request_count(),
@@ -2148,7 +2111,7 @@ mod tests {
         // an ordinary sweep finalizes it like any idle session.
         assert_eq!(t.get(&key).unwrap().request_count(), 0);
         assert_eq!(t.carry_count(), 0);
-        let done = t.sweep(SimTime::from_hours(2));
+        let done = t.sweep(SimTime::from_hours(2), |_, _| ());
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].request_count(), 0);
         assert_eq!(t.live_count(), 0);
@@ -2169,14 +2132,13 @@ mod tests {
         let r = req(47, "A", "http://h/1", None);
         let lease = lease_out(&t, &r, SimTime::ZERO);
         // Evict it with another key...
-        t.observe_with(
+        t.observe(
             &req(48, "A", "http://h/1", None),
-            Some(&ok()),
+            &ok(),
             SimTime::from_secs(1),
-            |_, _| (),
         );
         // ...then revive the original key as a NEW incarnation.
-        t.observe_with(&r, Some(&ok()), SimTime::from_secs(2), |_, _| ());
+        t.observe(&r, &ok(), SimTime::from_secs(2));
         let took_lost_path = t.commit(
             lease,
             &r.view(),
@@ -2211,7 +2173,7 @@ mod tests {
         let lease = lease_out(&a, &r, SimTime::ZERO);
         // Give B a same-key entry so a silent re-bind would be possible
         // if only incarnations were compared.
-        b.observe_with(&r, Some(&ok()), SimTime::ZERO, |_, _| ());
+        b.observe(&r, &ok(), SimTime::ZERO);
         b.commit(lease, &r.view(), SimTime::from_secs(1), |_| (), |_, _| ());
     }
 
@@ -2225,23 +2187,17 @@ mod tests {
         let t: ShardedTracker<Tally> = ShardedTracker::new(cfg);
         for ip in [5u32, 3, 9] {
             let key = SessionKey::of(&req(ip, "A", "http://h/1", None));
-            t.with_entry_and_carry(&key, |_, slot| *slot = Some(u64::from(ip)));
+            t.with_entry_and_carry(&key, SimTime::ZERO, |_, slot| *slot = Some(u64::from(ip)));
         }
         // Bound 2: inserting the third dropped the smallest key (ip 3).
         assert_eq!(t.carry_count(), 2);
-        let (_, kept) = t.observe_with(
-            &req(5, "A", "http://h/1", None),
-            Some(&ok()),
-            SimTime::ZERO,
-            |_, e| e.touched,
-        );
+        let kept = finish(&t, &req(5, "A", "http://h/1", None), SimTime::ZERO, |e| {
+            e.touched
+        });
         assert_eq!(kept, 5, "surviving carry is absorbed");
-        let (_, dropped) = t.observe_with(
-            &req(3, "A", "http://h/1", None),
-            Some(&ok()),
-            SimTime::ZERO,
-            |_, e| e.touched,
-        );
+        let dropped = finish(&t, &req(3, "A", "http://h/1", None), SimTime::ZERO, |e| {
+            e.touched
+        });
         assert_eq!(dropped, 0, "smallest key lost its carry at the bound");
     }
 
@@ -2253,7 +2209,7 @@ mod tests {
         };
         let t: ShardedTracker<Tally> = ShardedTracker::new(cfg);
         let key = SessionKey::of(&req(50, "A", "http://h/1", None));
-        t.with_entry_and_carry(&key, |_, slot| *slot = Some(1));
+        t.with_entry_and_carry(&key, SimTime::ZERO, |_, slot| *slot = Some(1));
         assert_eq!(t.carry_count(), 0);
     }
 
@@ -2283,7 +2239,7 @@ mod tests {
             SimTime::from_secs(5),
         );
         assert_eq!(t.evicted_total(), 1);
-        let casualties = t.sweep(SimTime::from_secs(5));
+        let casualties = t.sweep(SimTime::from_secs(5), |_, _| ());
         assert_eq!(casualties.len(), 1);
         assert_eq!(casualties[0].key().ip(), ClientIp::new(2));
         t.census();
@@ -2307,7 +2263,7 @@ mod tests {
                 assert!(t.live_count() <= 200);
             }
             t.census();
-            t.sweep(SimTime::ZERO)
+            t.sweep(SimTime::ZERO, |_, _| ())
                 .iter()
                 .map(|c| c.key().ip())
                 .collect::<Vec<_>>()
@@ -2360,11 +2316,10 @@ mod tests {
         };
         let t: ShardedTracker<Tally> = ShardedTracker::new(cfg);
         for ip in 0..12 {
-            t.observe_with(
+            t.observe(
                 &req(ip, "A", "http://h/1", None),
-                Some(&ok()),
+                &ok(),
                 SimTime::from_secs(u64::from(ip)),
-                |_, _| (),
             );
         }
         let sizes = t.shard_sizes();
@@ -2420,12 +2375,8 @@ mod tests {
         };
         let t: ShardedTracker<Gauged> = ShardedTracker::new(cfg);
         for ip in 0..4 {
-            t.observe_with(
-                &req(ip, "A", "http://h/1", None),
-                Some(&ok()),
-                SimTime::from_secs(u64::from(ip)),
-                |_, e| e.touched = 5,
-            );
+            let r = req(ip, "A", "http://h/1", None);
+            finish(&t, &r, SimTime::from_secs(u64::from(ip)), |e| e.touched = 5);
         }
         assert_eq!(t.census().pending, 2, "two evictions wait in the shard");
         assert_eq!(t.gauge_totals(), [10, 0]);
@@ -2465,22 +2416,26 @@ mod tests {
         let t: ShardedTracker<Gauged> = ShardedTracker::new(TrackerConfig::default());
         let a = req(60, "A", "http://h/1", None);
         let b = req(61, "A", "http://h/1", None);
-        t.observe_with(&a, Some(&ok()), SimTime::ZERO, |_, e| e.touched = 3);
-        t.observe_with(&b, Some(&ok()), SimTime::ZERO, |_, e| e.touched = 4);
+        finish(&t, &a, SimTime::ZERO, |e| e.touched = 3);
+        finish(&t, &b, SimTime::ZERO, |e| e.touched = 4);
         assert_eq!(t.gauge_totals(), [7, 0]);
         // Mutation through with_entry moves the gauge.
         t.with_entry(&SessionKey::of(&a), |_, e| e.touched = 1);
         assert_eq!(t.gauge_totals(), [5, 0]);
         // Rollover: the old census leaves with the finalized entry; the
         // successor contributes its own (carried) column.
-        t.observe_with(&a, Some(&ok()), SimTime::from_hours(2), |_, e| {
-            e.touched = 10
-        });
+        finish(&t, &a, SimTime::from_hours(2), |e| e.touched = 10);
         assert_eq!(t.gauge_totals(), [14, 1]);
         // Sweep flushes the idle remainder (b) and the rollover casualty.
-        let done = t.sweep(SimTime::from_hours(2) + 1);
+        let done = t.sweep(SimTime::from_hours(2) + 1, |_, _| ());
         assert_eq!(done.len(), 2);
         assert_eq!(t.gauge_totals(), [10, 1]);
+        // What a sweep's visit changes in the live sessions moves the
+        // gauge too.
+        assert!(t
+            .sweep(SimTime::from_hours(2) + 1, |_, e| e.touched = 0)
+            .is_empty());
+        assert_eq!(t.gauge_totals(), [0, 1]);
         // Drain empties everything; the gauges return to zero.
         t.drain();
         assert_eq!(t.gauge_totals(), [0, 0]);
@@ -2496,11 +2451,11 @@ mod tests {
         let t: ShardedTracker<Gauged> = ShardedTracker::new(cfg);
         for i in 0..200u32 {
             let r = req(i % 40, "A", "http://h/1", None);
-            t.observe_with(&r, Some(&ok()), SimTime::from_secs(u64::from(i)), |_, e| {
+            finish(&t, &r, SimTime::from_secs(u64::from(i)), |e| {
                 e.touched = u64::from(i % 5)
             });
         }
-        t.sweep(SimTime::from_secs(90));
+        t.sweep(SimTime::from_secs(90), |_, _| ());
         let folded = t.fold_entries([0u64, 0], |acc, _, e| {
             let g = e.gauge();
             [acc[0] + g[0], acc[1] + g[1]]

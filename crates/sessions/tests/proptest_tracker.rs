@@ -120,7 +120,7 @@ proptest! {
     #[test]
     fn sweep_past_horizon_finalizes_all(events in arb_events()) {
         let (t, _, end) = replay(&events, TrackerConfig::default());
-        let done = t.sweep(end + 3_600_001);
+        let done = t.sweep(end + 3_600_001, |_, _| ());
         prop_assert_eq!(t.live_count(), 0);
         prop_assert!(!done.is_empty());
     }
@@ -287,7 +287,7 @@ proptest! {
                 }
                 // A lease: the entry is resolved, nothing is recorded.
                 10..=12 => {
-                    let (_, _, begun) = t.begin_exchange(&request.view(), now, |_| Gate::Lease(()));
+                    let (_, _, begun) = t.begin_exchange(&request.view(), now, |_| Gate::<(), ()>::Lease(()));
                     let Begun::Leased((), lease) = begun else {
                         panic!("Gate::Lease leases");
                     };
@@ -324,7 +324,7 @@ proptest! {
                         expired.sort();
                         expected.extend(expired);
                     }
-                    prop_assert_eq!(keys_of(&t.sweep(now)), expected);
+                    prop_assert_eq!(keys_of(&t.sweep(now, |_, _| ())), expected);
                 }
                 // A drain: every casualty, then the live by shard and key.
                 19 if ip == 0 => {

@@ -2,7 +2,8 @@
 # Counts the workspace's Rust lines: one row per crate split into src,
 # tests and benches, the workspace total (the facade's `src/`, the root
 # `tests/` and `examples/` included, shims and the standalone
-# `benchmark/` crate listed apart), and the five largest files. These
+# `benchmark/` crate listed apart), and the five `src` files with the
+# most non-test lines. These
 # are the numbers ROADMAP's aim 2 and its re-anchors quote. Plain `wc -l`
 # over `*.rs`: blank lines, comments and in-file test modules all count.
 # The `non-test` column is the part of `src` that is not an in-file test
@@ -10,7 +11,8 @@
 # it has none), so "non-test lines" is a printed number too, and the
 # front door's sum of it (`serve` + `gateway` + `instrument` + `http`,
 # the code a request through `botwall-serve` runs) is printed under the
-# totals instead of being added up by hand.
+# totals instead of being added up by hand, and so is the session layer's
+# (`sessions` + `core`).
 # Informational: nothing here fails a build.
 #
 # Usage: scripts/loc.sh
@@ -66,10 +68,11 @@ for crate in serve gateway instrument http; do
     front=$((front + $(non_test "crates/$crate/src")))
 done
 printf '%-22s %17d\n' "front door, non-test" "$front"
+printf '%-25s %14d\n' "sessions + core, non-test" \
+    $(($(non_test crates/sessions/src) + $(non_test crates/core/src)))
 
 echo
-echo "largest files (lines, non-test lines):"
-find crates src tests examples -name '*.rs' -print0 | xargs -0 wc -l | grep -v ' total$' \
-    | sort -rn | head -5 | while read -r n file; do
-        printf '%7d %7d %s\n' "$n" "$(awk "$before_tests" "$file")" "$file"
-    done
+echo "largest src files by non-test lines (non-test lines, lines):"
+find crates/*/src src -name '*.rs' -print0 | while IFS= read -r -d '' file; do
+        printf '%7d %7d %s\n' "$(awk "$before_tests" "$file")" "$(wc -l < "$file")" "$file"
+    done | sort -rn | head -5

@@ -527,8 +527,17 @@ impl fmt::Debug for Reactor {
 }
 
 impl Reactor {
-    /// Opens the epoll instance and the waker pipe.
+    /// Opens the epoll instance and the waker pipe; the reactor's clock
+    /// counts from now.
     pub fn new() -> io::Result<Reactor> {
+        Reactor::with_epoch(Instant::now())
+    }
+
+    /// [`Reactor::new`] with a clock that counts from `epoch`: reactors
+    /// built on one epoch read one clock, however far apart they were
+    /// built, so a session served by two of them never sees its time
+    /// step backwards.
+    pub fn with_epoch(epoch: Instant) -> io::Result<Reactor> {
         let epfd = unsafe { ffi::epoll_create1(ffi::EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
@@ -546,8 +555,8 @@ impl Reactor {
             epfd,
             waker_rx,
             waker_tx: Arc::new(waker_tx),
-            origin: Instant::now(),
-            now_ms: 0,
+            origin: epoch,
+            now_ms: epoch.elapsed().as_millis() as u64,
             wheel: BTreeMap::new(),
             timers: Vec::new(),
             scratch: vec![ffi::EpollEvent { events: 0, data: 0 }; 256],
@@ -561,8 +570,9 @@ impl Reactor {
         Ok(r)
     }
 
-    /// Milliseconds from this reactor's creation to its last wakeup (the
-    /// moment [`Reactor::poll`] last came back from the kernel) — the
+    /// Milliseconds from this reactor's epoch (its creation, unless it
+    /// was built [`Reactor::with_epoch`]) to its last wakeup (the moment
+    /// [`Reactor::poll`] last came back from the kernel) — the
     /// monotonic clock the timer wheel runs on, exposed so callers can
     /// stamp their own state on the same time base. It does not advance
     /// between polls: the clock is read once per wakeup, not per call.
@@ -810,6 +820,24 @@ mod tests {
 
     fn reactor() -> Reactor {
         Reactor::new().expect("epoll available")
+    }
+
+    #[test]
+    fn reactors_built_apart_on_one_epoch_read_one_clock() {
+        let epoch = Instant::now();
+        let mut early = Reactor::with_epoch(epoch).unwrap();
+        std::thread::sleep(Duration::from_millis(25));
+        let mut late = Reactor::with_epoch(epoch).unwrap();
+        let mut own = reactor();
+        let mut events = Vec::new();
+        for r in [&mut early, &mut late, &mut own] {
+            r.poll(&mut events, Some(Duration::ZERO)).unwrap();
+        }
+        let (early, late, own) = (early.now_ms(), late.now_ms(), own.now_ms());
+        assert!(early >= 25, "counts from the epoch, not its build: {early}");
+        assert!(late.abs_diff(early) <= TICK_MS, "{early} vs {late}");
+        // A reactor counting from its own build is behind by the gap.
+        assert!(late - own >= 25, "{late} vs {own}");
     }
 
     #[test]

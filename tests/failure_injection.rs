@@ -155,13 +155,15 @@ fn hostile_html_does_not_break_rewriting() {
 
 #[test]
 fn detector_tolerates_responseless_exchanges() {
-    use botwall::sessions::SessionTracker;
+    use botwall::sessions::{Gate, SessionTracker};
     let t = SessionTracker::new(TrackerConfig::default());
     let req = Request::builder(Method::Get, "http://h/x")
         .client(ClientIp::new(1))
         .build()
         .unwrap();
-    let key = t.observe_opt(&req, None, SimTime::ZERO);
+    // A gate that finishes without recording: the exchange is recorded
+    // for it, with no response.
+    let (key, _, _) = t.begin_exchange(&req.view(), SimTime::ZERO, |_| Gate::<(), ()>::Finish(()));
     let s = t.get(&key).unwrap();
     assert_eq!(s.records()[0].status_class, 0);
 }
