@@ -10,7 +10,8 @@
 //! what the front door pays now that it writes page bytes from where
 //! they were read), and a markup-dense page may cost at most 1.5x a
 //! text page per byte — the guard that fails this bench if a compiler
-//! stops vectorising `scan::find_ci`'s block loop.
+//! stops vectorising the scan's block loop (16KB writes that never hold
+//! the page's end are hunted backward through, by `scan::rfind_ci`).
 
 use botwall_http::Uri;
 use botwall_instrument::{InstrumentConfig, RewriteEngine, StreamSink, MAX_HELD_BYTES};

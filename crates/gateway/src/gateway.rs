@@ -77,6 +77,7 @@ use botwall_instrument::{ProbeManifest, RewriteEngine, StreamSink, StreamingRewr
 use botwall_sessions::{Session, SessionKey, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Salt applied to the gateway seed for the CAPTCHA generator, so the
@@ -248,8 +249,9 @@ impl PendingOrigin {
 /// An origin response on its way to the client as a stream. An HTML
 /// page goes through the rewriter: [`Gateway::begin_page_stream`] makes
 /// the stream once the origin response head turns out to be a page,
-/// origin body chunks go in via [`PageStream::write`] and rewritten
-/// bytes come out as they resolve. Anything else is a
+/// origin body bytes go in via [`PageStream::write`] (a chunk) or
+/// [`PageStream::write_runs`] (a step of runs) and rewritten bytes come
+/// out as they resolve. Anything else is a
 /// [`PageStream::relay`], whose bytes pass untouched. Either way
 /// [`Gateway::finish_page_stream`] commits the exchange when the body
 /// ends. Holds no lock and no engine borrow — it rides inside a
@@ -283,11 +285,20 @@ impl PageStream {
     }
 
     /// Feeds one origin body chunk; rewritten output goes to `out` (a
-    /// `Vec<u8>` appends it) as soon as it resolves.
+    /// `Vec<u8>` appends it) as soon as it resolves. The one-run
+    /// [`PageStream::write_runs`].
     pub fn write(&mut self, chunk: &[u8], out: &mut impl StreamSink) {
+        self.write_runs(chunk, std::slice::from_ref(&(0..chunk.len())), out);
+    }
+
+    /// Feeds one stream step: the body's next bytes are `runs` of `buf`
+    /// (the data of every chunk one read delivered, say), rewritten as
+    /// one step ([`StreamingRewrite::write_runs`]) or, for a relay,
+    /// passed on as they lie.
+    pub fn write_runs(&mut self, buf: &[u8], runs: &[Range<usize>], out: &mut impl StreamSink) {
         match &mut self.rewrite {
-            Some(rewrite) => rewrite.write(chunk, out),
-            None => out.run(chunk, 0..chunk.len()),
+            Some(rewrite) => rewrite.write_runs(buf, runs, out),
+            None => runs.iter().for_each(|run| out.run(buf, run.clone())),
         }
     }
 

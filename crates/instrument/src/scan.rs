@@ -1,26 +1,32 @@
 //! Block-at-a-time byte search: the one primitive under the streaming
-//! rewriter's anchor hunts.
+//! rewriter's anchor hunts, run in either direction.
 //!
 //! Every anchor the rewriter looks for (`</head>`, `<body`, `</body>`)
 //! opens with three bytes that almost never occur together in a page
 //! (`</h`, `<bo`, `</b`), so the search is three filters of rising cost:
 //!
-//! 1. [`find_ci`] tests the needle's first three bytes at all
-//!    [`BLOCK`] starts of a block at once, OR-ing the outcomes into one
-//!    byte. The loop is fixed-size, branch-free integer code that the
-//!    compiler turns into vector compares (no `unsafe`, no intrinsics),
-//!    so a block without a hit costs a handful of instructions however
-//!    many `<` it holds: a tag every twenty bytes scans like plain text;
+//! 1. the needle's first three bytes are tested at all [`BLOCK`] starts
+//!    of a block at once, OR-ing the outcomes into one byte. The loop is
+//!    fixed-size, branch-free integer code that the compiler turns into
+//!    vector compares (no `unsafe`, no intrinsics), so a block without a
+//!    hit costs a handful of instructions however many `<` it holds: a
+//!    tag every twenty bytes scans like plain text;
 //! 2. a block with a hit is walked start by start through the same
 //!    three-byte test;
 //! 3. only survivors pay the case-insensitive compare of the rest.
+//!
+//! [`find_ci`] takes the blocks from the front and returns the first
+//! match, [`rfind_ci`] takes them from the back and returns the last:
+//! the rewriter hunts `</head>` and `<body` forward and the last
+//! `</body>` backward from the end of what it has been handed. Both run
+//! the same block test ([`Prefix::block_hits`]).
 //!
 //! Letters match in either case by folding the ASCII case bit into the
 //! haystack byte before the test, so the filters never miss and never
 //! admit a byte the compare would not also accept in that position.
 
-/// Starts tested per step of [`find_ci`]'s block filter.
-const BLOCK: usize = 64;
+/// Starts tested per step of the block filter.
+pub(crate) const BLOCK: usize = 64;
 
 /// `0x20` when `byte` is a letter (OR-ing it in folds both cases onto
 /// the lowercase one), `0` otherwise (the byte must match exactly).
@@ -32,27 +38,39 @@ fn case_bit(byte: u8) -> u8 {
     }
 }
 
-/// ASCII-case-insensitive substring search from `from` (`needle` must
-/// be lowercase ASCII and at least three bytes, which every anchor is).
-pub(crate) fn find_ci(hay: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
-    debug_assert!(needle.len() >= 3 && !needle.iter().any(u8::is_ascii_uppercase));
-    // The last start a match could have.
-    let last = hay.len().checked_sub(needle.len())?;
-    // Scalars, not arrays: the block loop keeps them in registers.
-    let (n0, n1, n2) = (needle[0], needle[1], needle[2]);
-    let (f0, f1, f2) = (case_bit(n0), case_bit(n1), case_bit(n2));
-    let matches_at = |i: usize| {
-        if hay[i] | f0 != n0 || hay[i + 1] | f1 != n1 || hay[i + 2] | f2 != n2 {
-            return false;
+/// A needle's first three bytes and the case bits that fold a haystack
+/// byte onto them. Scalars, not arrays: the block loop keeps them in
+/// registers.
+#[derive(Clone, Copy)]
+struct Prefix {
+    n0: u8,
+    n1: u8,
+    n2: u8,
+    f0: u8,
+    f1: u8,
+    f2: u8,
+}
+
+impl Prefix {
+    fn of(needle: &[u8]) -> Prefix {
+        debug_assert!(needle.len() >= 3 && !needle.iter().any(u8::is_ascii_uppercase));
+        let (n0, n1, n2) = (needle[0], needle[1], needle[2]);
+        Prefix {
+            n0,
+            n1,
+            n2,
+            f0: case_bit(n0),
+            f1: case_bit(n1),
+            f2: case_bit(n2),
         }
+    }
+
+    /// Whether any of the [`BLOCK`] starts from `pos` passes the
+    /// three-byte filter (`hay[pos + BLOCK + 1]` must exist).
+    #[inline(always)]
+    fn block_hits(self, hay: &[u8], pos: usize) -> bool {
         #[cfg(test)]
-        FULL_COMPARES.with(|n| n.set(n.get() + 1));
-        hay[i + 3..i + needle.len()].eq_ignore_ascii_case(&needle[3..])
-    };
-    let mut pos = from;
-    // Whole blocks of starts, none past `last` (so `hay[i + 2]` exists
-    // for every start `i` in the block).
-    while pos + BLOCK <= last + 1 {
+        VISITED.with(|n| n.set(n.get() + BLOCK));
         let lane = |k: usize| -> &[u8; BLOCK] {
             hay[pos + k..pos + k + BLOCK]
                 .try_into()
@@ -61,18 +79,83 @@ pub(crate) fn find_ci(hay: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
         let (first, second, third) = (lane(0), lane(1), lane(2));
         let mut any = 0u8;
         for i in 0..BLOCK {
-            any |= u8::from(first[i] | f0 == n0)
-                & u8::from(second[i] | f1 == n1)
-                & u8::from(third[i] | f2 == n2);
+            any |= u8::from(first[i] | self.f0 == self.n0)
+                & u8::from(second[i] | self.f1 == self.n1)
+                & u8::from(third[i] | self.f2 == self.n2);
         }
-        if any != 0 {
-            if let Some(found) = (pos..pos + BLOCK).find(|&i| matches_at(i)) {
+        any != 0
+    }
+
+    /// Whether `needle` (whose prefix this is) starts at `hay[i]`.
+    #[inline(always)]
+    fn matches_at(self, hay: &[u8], i: usize, needle: &[u8]) -> bool {
+        if hay[i] | self.f0 != self.n0
+            || hay[i + 1] | self.f1 != self.n1
+            || hay[i + 2] | self.f2 != self.n2
+        {
+            return false;
+        }
+        #[cfg(test)]
+        FULL_COMPARES.with(|n| n.set(n.get() + 1));
+        hay[i + 3..i + needle.len()].eq_ignore_ascii_case(&needle[3..])
+    }
+
+    /// The starts in `starts` walked one at a time, none past the last
+    /// start a match could have.
+    fn walk<'a>(
+        self,
+        hay: &'a [u8],
+        starts: std::ops::Range<usize>,
+        needle: &'a [u8],
+    ) -> impl DoubleEndedIterator<Item = usize> + 'a {
+        #[cfg(test)]
+        VISITED.with(|n| n.set(n.get() + starts.len()));
+        starts.filter(move |&i| self.matches_at(hay, i, needle))
+    }
+}
+
+/// ASCII-case-insensitive substring search: the first match starting at
+/// or after `from` (`needle` must be lowercase ASCII and at least three
+/// bytes, which every anchor is).
+pub(crate) fn find_ci(hay: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
+    // The last start a match could have.
+    let last = hay.len().checked_sub(needle.len())?;
+    let prefix = Prefix::of(needle);
+    let mut pos = from;
+    // Whole blocks of starts, none past `last` (so `hay[i + 2]` exists
+    // for every start `i` in the block).
+    while pos + BLOCK <= last + 1 {
+        if prefix.block_hits(hay, pos) {
+            if let Some(found) = (pos..pos + BLOCK).find(|&i| prefix.matches_at(hay, i, needle)) {
                 return Some(found);
             }
         }
         pos += BLOCK;
     }
-    (pos..=last).find(|&i| matches_at(i))
+    prefix.walk(hay, pos..last + 1, needle).next()
+}
+
+/// [`find_ci`] from the other end: the last match starting at or after
+/// `from`.
+pub(crate) fn rfind_ci(hay: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
+    let last = hay.len().checked_sub(needle.len())?;
+    let prefix = Prefix::of(needle);
+    // Starts `from..end` are still to be tested, a block at a time from
+    // the end.
+    let mut end = last + 1;
+    while end >= from + BLOCK {
+        let pos = end - BLOCK;
+        if prefix.block_hits(hay, pos) {
+            if let Some(found) = (pos..end)
+                .rev()
+                .find(|&i| prefix.matches_at(hay, i, needle))
+            {
+                return Some(found);
+            }
+        }
+        end = pos;
+    }
+    prefix.walk(hay, from..end, needle).next_back()
 }
 
 /// Length of the longest *proper* prefix of `needle` that ends `hay` —
@@ -88,10 +171,14 @@ pub(crate) fn partial_suffix(hay: &[u8], needle: &[u8]) -> usize {
 
 #[cfg(test)]
 thread_local! {
-    /// How many candidates reached [`find_ci`]'s full compare on this
-    /// thread — the linearity tests' witness that a failed candidate is
-    /// never rescanned.
+    /// How many candidates reached the full compare on this thread —
+    /// the linearity tests' witness that a failed candidate is never
+    /// rescanned.
     pub(crate) static FULL_COMPARES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// How many starts the searches on this thread put through the
+    /// filter, a whole block at a time — what the rewriter's tests count
+    /// to show which bytes of a page were looked at.
+    pub(crate) static VISITED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -119,6 +206,15 @@ mod tests {
             return None;
         }
         (from..=hay.len() - needle.len())
+            .find(|&i| hay[i..i + needle.len()].eq_ignore_ascii_case(needle))
+    }
+
+    fn naive_rfind_ci(hay: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
+        if hay.len() < needle.len() {
+            return None;
+        }
+        (from..=hay.len() - needle.len())
+            .rev()
             .find(|&i| hay[i..i + needle.len()].eq_ignore_ascii_case(needle))
     }
 
@@ -174,6 +270,11 @@ mod tests {
                     naive_find_ci(&hay, from, needle),
                     "needle {:?} from {}", std::str::from_utf8(needle), from
                 );
+                prop_assert_eq!(
+                    rfind_ci(&hay, from, needle),
+                    naive_rfind_ci(&hay, from, needle),
+                    "needle {:?} back to {}", std::str::from_utf8(needle), from
+                );
                 prop_assert_eq!(partial_suffix(&hay, needle), naive_partial_suffix(&hay, needle));
             }
         }
@@ -194,6 +295,11 @@ mod tests {
                                 find_ci(&hay, from, needle),
                                 naive_find_ci(&hay, from, needle),
                                 "{planted:?} at {offset}, pad {pad}, from {from}"
+                            );
+                            assert_eq!(
+                                rfind_ci(&hay, from, needle),
+                                naive_rfind_ci(&hay, from, needle),
+                                "{planted:?} at {offset}, pad {pad}, back to {from}"
                             );
                         }
                         // Every cut through the needle leaves the right

@@ -1,12 +1,31 @@
-//! Chunk-driven streaming HTML instrumentation.
+//! Step-driven streaming HTML instrumentation.
 //!
-//! [`StreamingRewrite`] is the PR-8 restructuring of the page rewriter
-//! around an incremental scanner: origin bytes go in chunk by chunk,
+//! [`StreamingRewrite`] is the page rewriter built around an
+//! incremental scanner: origin bytes go in a step at a time,
 //! rewritten bytes come out as soon as they are resolved, and the only
 //! buffering is the *unresolved* part of the document — never the page.
-//! A caller that holds the whole page hands it over as the one chunk
+//! A step is what the caller has in hand at once: one chunk
+//! ([`StreamingRewrite::write`]), or several runs of one buffer
+//! ([`StreamingRewrite::write_runs`]: the front door hands over the data
+//! of every chunk one read delivered, framing left between them). A
+//! caller that holds the whole page hands it over as the one chunk
 //! ([`StreamingRewrite::rewrite_whole`]), so there is no buffered
 //! rewriter to drift from this one.
+//!
+//! # What is scanned
+//!
+//! `</head>` and the first `<body` are hunted forward, a run at a time.
+//! From there on only the *last* `</body>` matters, so each step is
+//! hunted for it backward, from the far end of everything the step
+//! delivered, across its runs (a candidate that straddles two runs is
+//! checked in a stitch of at most twelve bytes around the boundary).
+//! What lies before the last candidate goes out unscanned. A page whose
+//! body arrives in one step is compared only from its start to `<body`
+//! and from its last `</body>` to its end: most page bytes are never
+//! compared. A step that does not hold the page's end is hunted through.
+//! No byte is compared against an anchor twice: the scan cursors skip
+//! what earlier steps ruled out of a hold. Both directions run the same
+//! block filter (`scan.rs`).
 //!
 //! # Memory model
 //!
@@ -18,47 +37,53 @@
 //!   capped at [`MAX_HELD_BYTES`]; a page whose first 64KB contain
 //!   neither tag gets its head markup at the resolution point (start of
 //!   the unflushed stream) and flows on.
-//! * **Anchor hold** — a chunk that ends inside a possible anchor
+//! * **Anchor hold** — a step that ends inside a possible anchor
 //!   (`<bo│dy`, `</bod│y>`) parks those few bytes, fewer than the
-//!   anchor is long, for the next chunk to complete or refute.
+//!   anchor is long. The next step's first bytes complete or refute
+//!   them; only those are added to the hold, the rest is scanned where
+//!   it lies.
 //! * **Tail hold** — `body_inject` goes before the *last* `</body>`,
-//!   so from a `</body>` sighting to the next one (or EOF) the candidate
-//!   tail is held, capped like the rest.
+//!   so from the last candidate a step holds to the end of that step is
+//!   held until a later step brings a later one (or EOF), capped like
+//!   the rest.
 //!
 //! Everything else streams through; peak buffering is a small constant
 //! independent of page size ([`StreamingRewrite::peak_buffered`] is the
-//! gauge the benches and tests assert on).
+//! gauge the benches and tests assert on, and counts a step under scan
+//! on top of the bytes held before it, copied or not).
 //!
 //! A hold is the only time the injection scanner owns a copy of page
-//! bytes. With nothing held, a chunk is scanned where the caller put it
-//! (a block at a time, `scan.rs`): the resolved prefix goes to the
-//! output as runs *of the caller's slice*, and only the unresolved
-//! suffix — a few bytes of a possible anchor, or the tail from a
-//! `</body>` candidate on — is copied into the hold buffer for the next
-//! chunk to extend. The scan cursors count from the start
-//! of that unresolved window either way, so no byte is compared against
-//! an anchor twice. [`StreamingRewrite::peak_buffered`] counts a chunk
-//! under scan on top of the bytes held before it, copied or not.
+//! bytes. Everything resolved goes to the output as runs *of the
+//! caller's buffer*; only the unresolved suffix of a step — a few bytes
+//! of a possible anchor, or the tail from a `</body>` candidate on — is
+//! copied into the hold for a later step to extend.
 //!
 //! The output is a [`StreamSink`], which is told which of the two it is
-//! getting: a run of the chunk just handed in (by offset), or bytes that
-//! lie nowhere the caller can see (injected markup, a released hold). A
-//! `Vec<u8>` appends both; the front door keeps the runs as ranges of
-//! its read buffer and writes them to the client from there.
+//! getting: a run of the buffer just handed in (by offset), or bytes
+//! that lie nowhere the caller can see (injected markup, a released
+//! hold). A `Vec<u8>` appends both; the front door keeps the runs as
+//! ranges of its read buffer and writes them to the client from there.
 //!
 //! # Equivalence with the buffered path
 //!
 //! For any document that resolves its injection points within the hold
 //! cap (every realistic page, and everything under 64KB outright), the
 //! streaming output is byte-identical to the old buffered `inject()` for
-//! *every* chunking of the input — the property pinned by the
-//! `streaming_equivalence` proptest suite. Beyond the cap the streaming
-//! path degrades by injecting at the cap boundary instead of scanning
-//! the whole page; the byte-lock corpora never get there.
+//! *every* split of the input into steps and runs — the property pinned
+//! by the `stream_equivalence` proptest suite.
+//!
+//! Beyond the cap, one rule: a step behaves as one chunk does. The last
+//! `</body>` candidate in hand wins, and once the tail held from it
+//! reaches the cap the markup goes before it instead of waiting for a
+//! later one. So a page with two candidates further apart than the cap
+//! gets its markup before the later one when both arrive in one step,
+//! and before the earlier one when the cap forces it first: past the
+//! cap, output depends on how the page was cut. The byte-lock corpora
+//! never get there.
 
 use crate::engine::{BuiltPage, IssuedPageToken};
 use crate::rewrite::ProbeManifest;
-use crate::scan::{find_ci, partial_suffix};
+use crate::scan::{find_ci, partial_suffix, rfind_ci};
 use std::ops::Range;
 
 /// Cap on every hold buffer in the streaming rewriter. A document that
@@ -81,8 +106,9 @@ pub struct FinishedStream {
 /// leaves the rewriter as it came in, so a sink that can reach the
 /// caller's chunk itself need not copy those bytes.
 pub trait StreamSink {
-    /// The next output is `chunk[range]`, where `chunk` is the slice the
-    /// [`StreamingRewrite::write`] call in progress was given.
+    /// The next output is `chunk[range]`, where `chunk` is the buffer the
+    /// [`StreamingRewrite::write`] or [`StreamingRewrite::write_runs`]
+    /// call in progress was given.
     fn run(&mut self, chunk: &[u8], range: Range<usize>);
 
     /// The next output is bytes of no chunk the caller still holds:
@@ -100,12 +126,15 @@ impl StreamSink for Vec<u8> {
     }
 }
 
-/// The sink of a scan over the hold buffer: what resolves there is a
-/// run of the hold, not of the caller's chunk.
+/// The sink of a scan over the hold buffer, and where held bytes go
+/// when a hold is released: what resolves there is a run of the hold,
+/// not of the caller's buffer.
 struct Released<'a, S>(&'a mut S);
 
 impl<S: StreamSink> StreamSink for Released<'_, S> {
     fn run(&mut self, held: &[u8], range: Range<usize>) {
+        #[cfg(test)]
+        RELEASED.with(|n| n.set(n.get() + range.len()));
         self.0.bytes(&held[range]);
     }
 
@@ -114,9 +143,86 @@ impl<S: StreamSink> StreamSink for Released<'_, S> {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Held bytes released on this thread: page bytes the output got
+    /// from a copy rather than from the caller's buffer.
+    static RELEASED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 const HEAD_END: &[u8] = b"</head>";
 const BODY_OPEN: &[u8] = b"<body";
 const BODY_END: &[u8] = b"</body>";
+
+/// How far past a piece's end a `</body>` that starts in it can reach.
+const REACH: usize = BODY_END.len() - 1;
+
+/// What a step has yet to resolve of the caller's buffer: `runs` of
+/// `buf` in order, the first of them from `at` on.
+#[derive(Clone, Copy)]
+struct Runs<'a> {
+    buf: &'a [u8],
+    runs: &'a [Range<usize>],
+    at: usize,
+}
+
+impl<'a> Runs<'a> {
+    fn new(buf: &'a [u8], runs: &'a [Range<usize>]) -> Runs<'a> {
+        let at = runs.first().map_or(0, |run| run.start);
+        Runs { buf, runs, at }
+    }
+
+    /// The runs as ranges of `buf`, the first from `at` on.
+    fn ranges(self) -> impl DoubleEndedIterator<Item = Range<usize>> + 'a {
+        let at = self.at;
+        self.runs
+            .iter()
+            .enumerate()
+            .map(move |(i, run)| if i == 0 { at..run.end } else { run.clone() })
+    }
+
+    fn first(self) -> Option<Range<usize>> {
+        self.ranges().next()
+    }
+
+    fn len(self) -> usize {
+        self.ranges().map(|run| run.len()).sum()
+    }
+
+    /// Bytes `lo..hi` of the runs laid end to end, as ranges of `buf`.
+    fn slice(self, lo: usize, hi: usize) -> impl Iterator<Item = Range<usize>> + 'a {
+        self.ranges()
+            .scan(0, move |start, run| {
+                let from = *start;
+                *start += run.len();
+                (from < hi).then_some((from, run))
+            })
+            .filter_map(move |(from, run)| {
+                let (a, b) = (lo.max(from) - from, hi.min(from + run.len()) - from);
+                (a < b).then(|| run.start + a..run.start + b)
+            })
+    }
+
+    /// These runs less their first `n` bytes.
+    fn skip(mut self, mut n: usize) -> Runs<'a> {
+        while let Some(first) = self.first() {
+            if n < first.len() {
+                self.at += n;
+                break;
+            }
+            n -= first.len();
+            self = Runs::new(self.buf, &self.runs[1..]);
+        }
+        self
+    }
+}
+
+/// A share of what a step has: bytes of the hold, or of the caller's
+/// buffer.
+enum Piece {
+    Held(Range<usize>),
+    Run(Range<usize>),
+}
 
 /// Where the injection scanner stands in the document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +232,7 @@ enum Phase {
     Head,
     /// Head markup placed; hunting the first `<body` for the attribute.
     SeekBody,
-    /// Attribute spliced; hunting the first `</body>` candidate.
+    /// Attribute spliced; hunting the last `</body>`.
     SeekBodyEnd,
     /// Holding from a `</body>` candidate, watching for a later one (the
     /// buffered path injects before the *last* `</body>`).
@@ -174,38 +280,57 @@ impl Injector {
         }
     }
 
-    fn push(&mut self, data: &[u8], out: &mut impl StreamSink) {
-        if self.is_passthrough() {
-            out.run(data, 0..data.len());
+    /// One stream step: the page's next bytes are `runs` of `buf`, and
+    /// at `eof` there are no more. `</head>` and the first `<body` are
+    /// hunted forward a run at a time; from there on the step is one
+    /// window, hunted for its last `</body>` from the far end.
+    fn step(&mut self, buf: &[u8], runs: &[Range<usize>], eof: bool, out: &mut impl StreamSink) {
+        let mut rest = Runs::new(buf, runs);
+        if self.phase == Phase::Passthrough {
+            rest.ranges().for_each(|run| out.run(buf, run));
             return;
         }
-        // The gauge counts the chunk under scan on top of what was held
-        // before it, whether or not the chunk is ever copied into `held`.
-        self.peak_held = self.peak_held.max(self.held.len() + data.len());
-        if self.held.is_empty() {
-            // Nothing carried over: scan the caller's bytes where they
-            // lie and keep only the unresolved suffix.
-            let resolved = self.scan(data, out, false);
-            self.held.extend_from_slice(&data[resolved..]);
-        } else {
-            self.held.extend_from_slice(data);
-            self.scan_held(out, false);
+        // The gauge counts the step on top of what was held before it,
+        // whether or not any of it is ever copied into `held`.
+        self.peak_held = self.peak_held.max(self.held.len() + rest.len());
+        while matches!(self.phase, Phase::Head | Phase::SeekBody) {
+            let Some(run) = rest.first() else {
+                if eof {
+                    self.scan_held(out, true);
+                }
+                break;
+            };
+            if self.held.is_empty() {
+                // Nothing carried over: scan the run where it lies. Past
+                // `<body` the rest of it joins the `</body>` hunt; short
+                // of it, what stays unresolved is held.
+                let resolved = self.scan(&buf[..run.end], run.start, out, false);
+                if self.phase == Phase::SeekBodyEnd {
+                    rest = rest.skip(resolved - run.start);
+                } else {
+                    self.held.extend_from_slice(&buf[resolved..run.end]);
+                    rest = rest.skip(run.len());
+                }
+            } else if self.phase == Phase::Head {
+                self.held.extend_from_slice(&buf[run.clone()]);
+                rest = rest.skip(run.len());
+                self.scan_held(out, false);
+            } else {
+                rest = self.complete_body_open(rest, out);
+            }
         }
-    }
-
-    /// Every injection point resolved and nothing held back: `push` is
-    /// a pure hand-over.
-    fn is_passthrough(&self) -> bool {
-        self.phase == Phase::Passthrough && self.held.is_empty()
+        if matches!(self.phase, Phase::SeekBodyEnd | Phase::HoldTail) {
+            self.hunt_body_end(rest, eof, out);
+        }
     }
 
     fn finish(&mut self, out: &mut impl StreamSink) {
-        self.scan_held(out, true);
+        self.step(&[], &[], true, out);
     }
 
     fn scan_held(&mut self, out: &mut impl StreamSink, eof: bool) {
         let held = std::mem::take(&mut self.held);
-        let resolved = self.scan(&held, &mut Released(out), eof);
+        let resolved = self.scan(&held, 0, &mut Released(out), eof);
         self.held = held;
         self.held.drain(..resolved);
     }
@@ -220,14 +345,19 @@ impl Injector {
         self.injected += markup.len();
     }
 
-    /// Runs the state machine over `buf` — everything unresolved so far,
-    /// carried-over bytes first — and hands what resolves to `out` as
-    /// runs of `buf`. Returns how many leading bytes of `buf` were
-    /// resolved; the caller keeps the rest for the next call. The scan
-    /// cursors index into that unresolved window (`buf[resolved..]`),
-    /// which is what `held` will hold between calls.
-    fn scan(&mut self, buf: &[u8], out: &mut impl StreamSink, eof: bool) -> usize {
-        let mut resolved = 0;
+    /// Runs the forward hunts (`</head>`, then the first `<body`) over
+    /// `buf[resolved..]` and hands what resolves to `out` as runs of
+    /// `buf`. Returns where the unresolved part starts: just past
+    /// `<body` once the `</body>` hunt takes over, else what the caller
+    /// holds for the next bytes to extend. The scan cursors index into
+    /// that unresolved window, which is what `held` holds between calls.
+    fn scan(
+        &mut self,
+        buf: &[u8],
+        mut resolved: usize,
+        out: &mut impl StreamSink,
+        eof: bool,
+    ) -> usize {
         loop {
             let win = &buf[resolved..];
             match self.phase {
@@ -269,13 +399,12 @@ impl Injector {
                 }
                 Phase::SeekBody => {
                     if let Some(j) = find_ci(win, self.scan, BODY_OPEN) {
-                        let after = j + BODY_OPEN.len();
-                        out.run(buf, resolved..resolved + after);
+                        let after = resolved + j + BODY_OPEN.len();
+                        out.run(buf, resolved..after);
                         self.emit_injection(Which::BodyAttr, out);
-                        resolved += after;
                         self.scan = 0;
                         self.phase = Phase::SeekBodyEnd;
-                        continue;
+                        return after;
                     }
                     if eof {
                         out.run(buf, resolved..buf.len());
@@ -288,50 +417,143 @@ impl Injector {
                     self.scan = 0;
                     return resolved + flush;
                 }
-                Phase::SeekBodyEnd => {
-                    if let Some(i) = find_ci(win, self.scan, BODY_END) {
-                        out.run(buf, resolved..resolved + i);
-                        resolved += i;
-                        self.scan = 1; // the candidate itself sits at 0
-                        self.phase = Phase::HoldTail;
-                        continue;
-                    }
-                    if eof {
-                        out.run(buf, resolved..buf.len());
-                        self.emit_injection(Which::BodyEnd, out);
-                        self.phase = Phase::Passthrough;
-                        return buf.len();
-                    }
-                    let flush = win.len() - partial_suffix(win, BODY_END);
-                    out.run(buf, resolved..resolved + flush);
-                    self.scan = 0;
-                    return resolved + flush;
-                }
-                Phase::HoldTail => {
-                    if let Some(i) = find_ci(win, self.scan.max(1), BODY_END) {
-                        out.run(buf, resolved..resolved + i);
-                        resolved += i;
-                        self.scan = 1;
-                        continue; // later candidate supersedes this one
-                    }
-                    self.scan = win.len().saturating_sub(BODY_END.len() - 1).max(1);
-                    if eof || win.len() >= MAX_HELD_BYTES {
-                        // Inject before the held candidate — at EOF this
-                        // IS the last `</body>`; at the cap we stop
-                        // waiting for a later one.
-                        self.emit_injection(Which::BodyEnd, out);
-                        out.run(buf, resolved..buf.len());
-                        self.phase = Phase::Passthrough;
-                        return buf.len();
-                    }
-                    return resolved;
-                }
-                Phase::Passthrough => {
-                    out.run(buf, resolved..buf.len());
-                    return buf.len();
-                }
+                Phase::SeekBodyEnd | Phase::HoldTail | Phase::Passthrough => return resolved,
             }
         }
+    }
+
+    /// A step that opens on a held `<body` cut short: the first bytes of
+    /// `rest` complete or refute it, and only those few are looked at or
+    /// copied. Returns what is left of `rest`.
+    fn complete_body_open<'a>(&mut self, rest: Runs<'a>, out: &mut impl StreamSink) -> Runs<'a> {
+        let held = self.held.len();
+        let mut word = [0u8; BODY_OPEN.len()];
+        let n = self.gather(rest, 0, BODY_OPEN.len().min(held + rest.len()), &mut word);
+        if !word[..n].eq_ignore_ascii_case(&BODY_OPEN[..n]) {
+            // Refuted: the hold goes out, and the run is scanned where
+            // it lies.
+            self.emit(rest, 0, held, out);
+            self.held.clear();
+            return rest;
+        }
+        if n < BODY_OPEN.len() {
+            // The step ran out first.
+            self.held.extend_from_slice(&word[held..n]);
+            return rest.skip(n - held);
+        }
+        self.emit(rest, 0, n, out);
+        self.held.clear();
+        self.emit_injection(Which::BodyAttr, out);
+        self.scan = 0;
+        self.phase = Phase::SeekBodyEnd;
+        rest.skip(n - held)
+    }
+
+    /// The hunt for the last `</body>` over everything the step has: the
+    /// hold, then `rest`. What lies before the last candidate goes out
+    /// unscanned; from the candidate on is held, since a later step may
+    /// bring a later one. With no candidate, all of it goes out but a
+    /// `</body>` the next step may complete. At EOF, or once the held
+    /// candidate's tail reaches the cap, the markup goes before the
+    /// candidate in hand.
+    fn hunt_body_end(&mut self, rest: Runs, eof: bool, out: &mut impl StreamSink) {
+        let end = self.held.len() + rest.len();
+        let (keep, candidate) = match self.rfind_body_end(rest) {
+            Some(at) => (at, true),
+            // No later candidate: the held one stands.
+            None if self.phase == Phase::HoldTail => (0, true),
+            None if eof => (end, false),
+            None => {
+                let mut last = [0u8; REACH];
+                let n = self.gather(rest, end.saturating_sub(REACH), end, &mut last);
+                (end - partial_suffix(&last[..n], BODY_END), false)
+            }
+        };
+        self.emit(rest, 0, keep, out);
+        if eof || (candidate && end - keep >= MAX_HELD_BYTES) {
+            self.emit_injection(Which::BodyEnd, out);
+            self.emit(rest, keep, end, out);
+            self.held.clear();
+            self.phase = Phase::Passthrough;
+            return;
+        }
+        // Hold from `keep` on: the hold's own bytes where they are, the
+        // runs' copied behind them.
+        let held = self.held.len();
+        self.held.drain(..keep.min(held));
+        for run in rest.slice(keep.saturating_sub(held), end - held) {
+            self.held.extend_from_slice(&rest.buf[run]);
+        }
+        if candidate {
+            self.phase = Phase::HoldTail;
+            // Every later start the hold fits was ruled out; its last
+            // few may yet begin a `</body>` the next step completes.
+            self.scan = self.held.len().saturating_sub(REACH).max(1);
+        }
+    }
+
+    /// Where the last `</body>` starting at or after `scan` lies in what
+    /// the step has (the hold, then `rest`). The pieces are searched from
+    /// the last, each from its end; before a piece's own bytes, a
+    /// candidate that starts in its last few and runs on into the next
+    /// is checked in a stitch of at most `2 * REACH` bytes.
+    fn rfind_body_end(&self, rest: Runs) -> Option<usize> {
+        let total = self.held.len() + rest.len();
+        let pieces = rest.ranges().rev().map(|run| &rest.buf[run]);
+        let mut end = total;
+        for piece in pieces.chain([self.held.as_slice()]) {
+            if end <= self.scan {
+                break;
+            }
+            let start = end - piece.len();
+            let lo = end.saturating_sub(REACH).max(start).max(self.scan);
+            if end < total && lo < end {
+                let mut stitch = [0u8; 2 * REACH];
+                let n = self.gather(rest, lo, total.min(end + REACH), &mut stitch);
+                if let Some(i) = rfind_ci(&stitch[..n], 0, BODY_END) {
+                    return Some(lo + i);
+                }
+            }
+            if let Some(i) = rfind_ci(piece, self.scan.saturating_sub(start), BODY_END) {
+                return Some(start + i);
+            }
+            end = start;
+        }
+        None
+    }
+
+    /// Bytes `lo..hi` of what the step has (the hold, then `rest`),
+    /// piece by piece.
+    fn pieces<'a>(&self, rest: Runs<'a>, lo: usize, hi: usize) -> impl Iterator<Item = Piece> + 'a {
+        let held = self.held.len();
+        let from_hold = (lo < hi.min(held)).then(|| Piece::Held(lo..hi.min(held)));
+        let runs = rest.slice(lo.saturating_sub(held), hi.saturating_sub(held));
+        from_hold.into_iter().chain(runs.map(Piece::Run))
+    }
+
+    /// Sends bytes `lo..hi` of what the step has to `out`.
+    fn emit(&self, rest: Runs, lo: usize, hi: usize, out: &mut impl StreamSink) {
+        for piece in self.pieces(rest, lo, hi) {
+            match piece {
+                Piece::Held(range) => Released(&mut *out).run(&self.held, range),
+                Piece::Run(range) => out.run(rest.buf, range),
+            }
+        }
+    }
+
+    /// Copies bytes `lo..hi` of what the step has into `into`; returns
+    /// how many there were.
+    fn gather(&self, rest: Runs, lo: usize, hi: usize, into: &mut [u8]) -> usize {
+        let mut n = 0;
+        for piece in self.pieces(rest, lo, hi) {
+            let bytes = match piece {
+                Piece::Held(range) => &self.held[range],
+                Piece::Run(range) => &rest.buf[range],
+            };
+            into[n..n + bytes.len()].copy_from_slice(bytes);
+            n += bytes.len();
+        }
+        n
     }
 }
 
@@ -382,9 +604,20 @@ impl StreamingRewrite {
     }
 
     /// Feeds one origin chunk in; rewritten bytes go to `out` (a
-    /// `Vec<u8>` appends them) as soon as they are resolved.
+    /// `Vec<u8>` appends them) as soon as they are resolved. The one-run
+    /// [`StreamingRewrite::write_runs`].
     pub fn write(&mut self, chunk: &[u8], out: &mut impl StreamSink) {
-        self.injector.push(chunk, out);
+        self.write_runs(chunk, std::slice::from_ref(&(0..chunk.len())), out);
+    }
+
+    /// Feeds one stream step in: `runs` of `buf`, in order, are the
+    /// page's next bytes (a chunked body's data between its framing,
+    /// say). Rewritten bytes go to `out` as soon as they are resolved,
+    /// as runs of `buf` where they lie there. The step is hunted for its
+    /// last `</body>` from its far end, so the more of a page one step
+    /// carries, the less of it is ever compared.
+    pub fn write_runs(&mut self, buf: &[u8], runs: &[Range<usize>], out: &mut impl StreamSink) {
+        self.injector.step(buf, runs, false, out);
     }
 
     /// Bytes currently held back waiting for an unresolved injection
@@ -430,7 +663,7 @@ impl StreamingRewrite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::FULL_COMPARES;
+    use crate::scan::{BLOCK, FULL_COMPARES, VISITED};
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -445,7 +678,12 @@ mod tests {
                 break;
             }
             let (piece, tail) = rest.split_at(size.clamp(1, rest.len()));
-            inj.push(piece, &mut out);
+            inj.step(
+                piece,
+                std::slice::from_ref(&(0..piece.len())),
+                false,
+                &mut out,
+            );
             rest = tail;
         }
         inj.finish(&mut out);
@@ -510,7 +748,12 @@ mod tests {
         let mut inj = Injector::new("[H]".into(), "[A]".into(), "[B]".into());
         let mut out = Vec::new();
         for piece in html.as_bytes().chunks(4096) {
-            inj.push(piece, &mut out);
+            inj.step(
+                piece,
+                std::slice::from_ref(&(0..piece.len())),
+                false,
+                &mut out,
+            );
         }
         inj.finish(&mut out);
         assert!(inj.peak_held <= MAX_HELD_BYTES + 4096);
@@ -559,6 +802,87 @@ mod tests {
                 String::from_utf8_lossy(&whole),
                 "piece sizes {:?}", sizes
             );
+        }
+    }
+
+    #[test]
+    fn a_partial_anchor_at_a_chunk_end_releases_only_itself() {
+        // A megabyte past `<body` in 16 KB chunks that each end in
+        // `</bo`, which the next chunk's first byte refutes: only the
+        // four held bytes go out as a copy, never the chunk behind them.
+        const CHUNK: usize = 16 * 1024;
+        let mut html = b"<html><head></head><body>".to_vec();
+        while html.len() < 1 << 20 {
+            html.resize(html.len() + CHUNK - 4 - html.len() % CHUNK, b'y');
+            html.extend_from_slice(b"</bo");
+        }
+        html.extend_from_slice(b"</body></html>");
+        let (whole, _) = inject_pieces(&html, &[html.len()]);
+        RELEASED.with(|n| n.set(0));
+        let (chunked, _) = inject_pieces(&html, &[CHUNK]);
+        let released = RELEASED.with(|n| n.get());
+        assert!(chunked == whole);
+        let chunks = html.len().div_ceil(CHUNK);
+        assert!(
+            released <= 6 * chunks,
+            "{released} bytes released over {chunks} chunks"
+        );
+    }
+
+    /// A page of at most 64 KB around repeats of `item`.
+    fn page_of(item: &str) -> Vec<u8> {
+        const END: &[u8] = b"</body></html>\n";
+        let mut html = b"<html><head><title>t</title></head><body class=\"c\">".to_vec();
+        while html.len() + item.len() + END.len() <= 64 * 1024 {
+            html.extend_from_slice(item.as_bytes());
+        }
+        html.extend_from_slice(END);
+        html
+    }
+
+    #[test]
+    fn a_page_held_whole_is_scanned_at_its_head_and_its_tail() {
+        let text = format!(
+            "<p>{}</p>\n",
+            "the quick brown fox jumps over the lazy dog ".repeat(12)
+        );
+        let markup =
+            "<div class=\"c7\"><a href=\"/p/7.html\">fox</a><img src=\"/a/3.png\"></div>\n";
+        for page in [page_of(&text), page_of(markup)] {
+            let (expected, _) = inject_pieces(&page, &[page.len()]);
+            let body_open = page.windows(5).position(|w| w == b"<body").unwrap();
+            let tail = page.len() - page.windows(7).rposition(|w| w == b"</body>").unwrap();
+            let eighths: Vec<Range<usize>> = (0..page.len())
+                .step_by(8 * 1024)
+                .map(|start| start..page.len().min(start + 8 * 1024))
+                .collect();
+            // One step, as one run and as eight: the head up to `<body`
+            // and the tail from the last `</body>` are looked at, and
+            // the block each of the three searches (`</head>`, `<body`,
+            // `</body>`) found its anchor in.
+            let whole = std::iter::once(0..page.len()).collect();
+            for runs in [whole, eighths.clone()] {
+                VISITED.with(|n| n.set(0));
+                let mut inj = Injector::new("[H]".into(), "[A]".into(), "[B]".into());
+                let mut out = Vec::new();
+                inj.step(&page, &runs, false, &mut out);
+                inj.finish(&mut out);
+                let visited = VISITED.with(|n| n.get());
+                assert!(out == expected);
+                assert!(
+                    visited <= body_open + tail + 3 * BLOCK,
+                    "{} runs: {visited} of {} bytes visited, head {body_open}, tail {tail}",
+                    runs.len(),
+                    page.len()
+                );
+            }
+            // Eight steps: a step that does not hold the page's end is
+            // hunted through.
+            VISITED.with(|n| n.set(0));
+            let (out, _) = inject_pieces(&page, &[8 * 1024]);
+            let visited = VISITED.with(|n| n.get());
+            assert!(out == expected);
+            assert!(visited >= page.len() * 7 / 8, "{visited} of {}", page.len());
         }
     }
 

@@ -6,14 +6,21 @@
 //! a time never buffers more than `MAX_HELD_BYTES`. And the sink
 //! contract: a sink that keeps runs of the caller's chunk as offsets
 //! and copies only the rest sees the same bytes a `Vec<u8>` is sent.
+//! And the step contract: the page laid out as the front door hands it
+//! over, steps of runs inside one buffer with framing between them,
+//! comes out as the buffered rewrite does, for any split into steps and
+//! runs, and past the hold cap a step of many runs behaves as one chunk.
 
 use botwall_http::Uri;
-use botwall_instrument::{InstrumentConfig, RewriteEngine, StreamSink, MAX_HELD_BYTES};
+use botwall_instrument::{
+    InstrumentConfig, RewriteEngine, StreamSink, StreamingRewrite, MAX_HELD_BYTES,
+};
 use botwall_sessions::SimTime;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 fn page_uri() -> Uri {
     "http://prop.example/page.html".parse().unwrap()
@@ -94,12 +101,12 @@ proptest! {
 /// in the chunk being written (`true`) or in a side buffer of its own.
 #[derive(Default)]
 struct Ranges {
-    parts: Vec<(bool, std::ops::Range<usize>)>,
+    parts: Vec<(bool, Range<usize>)>,
     side: Vec<u8>,
 }
 
 impl StreamSink for Ranges {
-    fn run(&mut self, chunk: &[u8], range: std::ops::Range<usize>) {
+    fn run(&mut self, chunk: &[u8], range: Range<usize>) {
         assert!(range.start <= range.end && range.end <= chunk.len());
         self.parts.push((true, range));
     }
@@ -165,6 +172,129 @@ proptest! {
             prop_assert_eq!(&flat, &vec_out, "chunk size {}", size);
         }
     }
+}
+
+/// Bytes a step's buffer holds between its runs: chunk framing, and
+/// anchors and their halves, which the rewriter must never see.
+const FRAMING: [&[u8]; 7] = [
+    b"",
+    b"\r\n1a\r\n",
+    b"</body>",
+    b"<body",
+    b"</head>",
+    b"</bo",
+    b"dy>",
+];
+
+/// Writes `html` as the front door hands a body over: cut into runs of
+/// `run_sizes` (cycled), `runs_per_step` of them (cycled) laid into one
+/// buffer per step with `framing` (cycled) before each, and the step
+/// written as one [`StreamingRewrite::write_runs`]. The output is
+/// flattened from each step's buffer; a run of output is checked to lie
+/// inside a run of the page, never in the framing.
+fn write_steps(
+    stream: &mut StreamingRewrite,
+    html: &[u8],
+    run_sizes: &[usize],
+    runs_per_step: &[usize],
+    framing: &[usize],
+) -> Vec<u8> {
+    let (mut out, mut sink) = (Vec::new(), Ranges::default());
+    let mut sizes = run_sizes.iter().cycle();
+    let mut gaps = framing.iter().cycle();
+    let mut rest = html;
+    for &count in runs_per_step.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (mut buf, mut runs) = (Vec::new(), Vec::new());
+        for _ in 0..count {
+            if rest.is_empty() {
+                break;
+            }
+            let (run, tail) = rest.split_at((*sizes.next().unwrap()).min(rest.len()));
+            buf.extend_from_slice(FRAMING[gaps.next().unwrap() % FRAMING.len()]);
+            runs.push(buf.len()..buf.len() + run.len());
+            buf.extend_from_slice(run);
+            rest = tail;
+        }
+        stream.write_runs(&buf, &runs, &mut sink);
+        for (in_buf, range) in &sink.parts {
+            assert!(
+                !in_buf
+                    || runs
+                        .iter()
+                        .any(|run| run.start <= range.start && range.end <= run.end),
+                "{range:?} is not inside one of {runs:?}"
+            );
+        }
+        sink.flatten(&buf, &mut out);
+    }
+    out
+}
+
+proptest! {
+    /// Steps of runs in one buffer, framing between them and anchors
+    /// straddling both kinds of boundary, rewrite as the buffered path
+    /// does.
+    #[test]
+    fn steps_of_runs_match_buffered_for_any_split(
+        parts in vec(fragment(), 0..12),
+        run_sizes in vec(1usize..24, 1..8),
+        runs_per_step in vec(1usize..6, 1..6),
+        framing in vec(0usize..FRAMING.len(), 1..6),
+        seed in 0u64..1000,
+    ) {
+        let html: String = parts.concat();
+        let eng = engine();
+        let buffered = eng.build_page(
+            &html,
+            &page_uri(),
+            SimTime::ZERO,
+            &mut ChaCha8Rng::seed_from_u64(seed),
+        );
+        let mut stream = eng.begin_stream(&page_uri(), SimTime::ZERO, &mut ChaCha8Rng::seed_from_u64(seed));
+        let mut out = write_steps(&mut stream, html.as_bytes(), &run_sizes, &runs_per_step, &framing);
+        let finished = stream.finish(&mut out);
+        prop_assert_eq!(String::from_utf8(out).unwrap(), buffered.html);
+        prop_assert_eq!(&finished.manifest, &buffered.manifest);
+    }
+}
+
+#[test]
+fn past_the_hold_cap_a_step_of_runs_is_one_chunk() {
+    // Two `</body>` candidates further apart than the hold cap. Handed
+    // over at once, the later one wins, whether as one chunk or as one
+    // step of 8 KB runs; in 8 KB steps the cap forces the markup before
+    // the first. Past the cap, output depends on how the page was cut.
+    let mut html = String::from("<html><head></head><body>a</body>");
+    html.push_str(&"y".repeat(MAX_HELD_BYTES + 10_000));
+    html.push_str("b</body></html>");
+    let eng = engine();
+    let stream = || {
+        eng.begin_stream(
+            &page_uri(),
+            SimTime::ZERO,
+            &mut ChaCha8Rng::seed_from_u64(3),
+        )
+    };
+    let whole = stream().rewrite_whole(&html).html;
+    assert!(whole.contains("a</body>yyy") && !whole.contains("b</body>"));
+    let mut one_step = stream();
+    let mut out = write_steps(
+        &mut one_step,
+        html.as_bytes(),
+        &[8 * 1024],
+        &[usize::MAX],
+        &[1],
+    );
+    one_step.finish(&mut out);
+    assert!(String::from_utf8(out).unwrap() == whole);
+    let mut steps = stream();
+    let mut out = write_steps(&mut steps, html.as_bytes(), &[8 * 1024], &[1], &[1]);
+    steps.finish(&mut out);
+    let out = String::from_utf8(out).unwrap();
+    assert!(!out.contains("a</body>") && out.contains("b</body>"));
 }
 
 #[test]

@@ -9,9 +9,10 @@
 //! follows a response to `HEAD`, a 204 or a 304) and the client's head
 //! goes out at once. A `200` + `text/html` answers with a head of the
 //! server's own and pipes body bytes through the gateway's
-//! [`PageStream`] rewriter as they arrive; anything else answers with
-//! the origin's own status line and headers, only the hop-by-hop and
-//! framing lines replaced, and its bytes pass untouched. A length the
+//! [`PageStream`] rewriter as they arrive, the body runs of one read as
+//! one rewriter step; anything else answers with the origin's own
+//! status line and headers, only the hop-by-hop and framing lines
+//! replaced, and its bytes pass untouched. A length the
 //! origin declared is relayed under one `Content-Length`, unframed; a
 //! body whose length nobody knows yet (a page, a chunked or
 //! close-delimited origin) is chunk-encoded to an HTTP/1.1 client and
@@ -32,9 +33,9 @@ use crate::conn::{set_interest, write_available, ClientConn, ClientState, WriteS
 use crate::frame::{self, BodyDecoder, BodyFraming};
 use crate::pool::{read_available, ReadBuf, Slot};
 use crate::server::{token_of, Worker, STREAM_HIGH_WATER, STREAM_LOW_WATER};
-use crate::staged::{frame_body, push_side, write_staged, Part, Staged};
+use crate::staged::{frame_body, push_side, write_staged, Part, Staged, MAX_RUNS};
 use botwall_gateway::{Origin, PageStream, PendingOrigin};
-use botwall_http::{wire, Head, Method, Request, Response, StatusCode};
+use botwall_http::{wire, Head, HttpError, Method, Request, Response, StatusCode};
 use reactor::{net, Event, Interest, Reactor};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -364,23 +365,14 @@ impl Worker {
     }
 
     /// One step of an active stream: decode what arrived and rewrite it
-    /// where it lies. The decoder points at body runs inside the
-    /// origin's read buffer (past the `skip` bytes of response head on
-    /// the first step), a page's rewriter scans them there (a relay
-    /// names each run whole), and what resolves is staged as ranges of
-    /// that buffer plus the few hundred bytes that are not in it;
-    /// [`Worker::relay_stream`] sends that on.
+    /// where it lies ([`stream_step`]), then [`Worker::relay_stream`]
+    /// sends on what resolved.
     fn origin_stream_step(&mut self, slot: usize, mut o: OriginConn, skip: usize, eof: bool) {
         let Some(fetch) = &mut o.relay else {
             unreachable!("caller checked for the stream");
         };
         let StreamingFetch { decoder, page, .. } = &mut **fetch;
-        let staged = &mut self.staged;
-        staged.clear();
-        let decoded = decoder.decode(&o.buf[skip..], |at, run| {
-            staged.base = skip + at;
-            page.write(run, staged);
-        });
+        let decoded = stream_step(decoder, page, &o.buf, skip, &mut self.staged);
         let (consumed, end) = match decoded {
             Ok((used, done)) if done || (eof && decoder.eof_ok()) => {
                 (skip + used, StreamEnd::Clean)
@@ -579,6 +571,42 @@ impl Worker {
             self.release_client(client_slot, c);
         }
     }
+}
+
+/// Decodes what arrived in `origin` (past the `skip` bytes of response
+/// head on a stream's first step) and rewrites it as one step. The
+/// decoder names the body runs inside the read buffer, they are
+/// collected on `staged.body`, and a page's rewriter is handed them in
+/// one call and hunts them where they lie (a relay names each run
+/// whole); an origin that chunks finer than [`MAX_RUNS`] runs a read is
+/// rewritten a batch of that many at a time, each batch a step of its
+/// own. What resolves is staged as ranges of that buffer plus the few
+/// hundred bytes that are not in it. Returns what the decoder returns.
+fn stream_step(
+    decoder: &mut BodyDecoder,
+    page: &mut PageStream,
+    origin: &[u8],
+    skip: usize,
+    staged: &mut Staged,
+) -> Result<(usize, bool), HttpError> {
+    staged.clear();
+    let mut body = std::mem::take(&mut staged.body);
+    let decoded = decoder.decode(&origin[skip..], |at, run| {
+        if run.is_empty() {
+            return;
+        }
+        body.push(skip + at..skip + at + run.len());
+        if body.len() == MAX_RUNS {
+            page.write_runs(origin, &body, staged);
+            body.clear();
+        }
+    });
+    if !body.is_empty() {
+        page.write_runs(origin, &body, staged);
+        body.clear();
+    }
+    staged.body = body;
+    decoded
 }
 
 /// How one origin response's body travels, decided once, when its head
@@ -894,6 +922,66 @@ mod tests {
         let mut out = Vec::new();
         upstream_request(&request, &mut out);
         assert_eq!(out, wire::serialize_request(&request));
+    }
+
+    /// A page from an origin that sends a byte a chunk, read 4 KB at a
+    /// time: each read's runs reach the rewriter in batches of at most
+    /// [`MAX_RUNS`], the per-worker list they are collected in stops at
+    /// that cap, and the client is sent what one write of the whole page
+    /// makes of it.
+    #[test]
+    fn a_byte_a_chunk_origin_is_rewritten_in_batches_of_the_runs_cap() {
+        use botwall_gateway::{Gateway, PendingServe};
+        use botwall_sessions::SimTime;
+        let html = format!(
+            "<html><head><title>t</title></head><body class=\"b\">{}</body></html>\n",
+            "<p>a paragraph of text</p>\n".repeat(300)
+        );
+        let mut framed = Vec::new();
+        for byte in html.bytes() {
+            framed.extend_from_slice(b"1\r\n");
+            framed.push(byte);
+            framed.extend_from_slice(b"\r\n");
+        }
+        framed.extend_from_slice(b"0\r\n\r\n");
+        let request = Request::builder(Method::Get, "http://site.example/page.html")
+            .header("User-Agent", "Mozilla/5.0")
+            .build()
+            .unwrap();
+        // The same seed and request mint the same markup twice.
+        let lease = |gateway: &Gateway| match gateway.handle_deferred(&request, SimTime::ZERO) {
+            PendingServe::AwaitingOrigin(pending) => {
+                let stream = gateway.begin_page_stream(&pending, SimTime::ZERO);
+                (pending, stream)
+            }
+            other => panic!("{other:?}"),
+        };
+        let (one, two) = (
+            Gateway::builder().seed(5).build(),
+            Gateway::builder().seed(5).build(),
+        );
+        let (pending, mut whole) = lease(&one);
+        let mut expected = Vec::new();
+        whole.write(html.as_bytes(), &mut expected);
+        one.finish_page_stream(pending, whole, &mut expected, 0, SimTime::ZERO);
+
+        let (pending, mut page) = lease(&two);
+        let mut decoder = BodyDecoder::new(BodyFraming::Chunked);
+        let (mut staged, mut buf, mut sent) = (Staged::default(), Vec::new(), Vec::new());
+        let mut done = false;
+        for read in framed.chunks(4096) {
+            buf.extend_from_slice(read);
+            let (used, complete) =
+                stream_step(&mut decoder, &mut page, &buf, 0, &mut staged).unwrap();
+            assert_eq!(staged.body.capacity(), MAX_RUNS);
+            frame_body(false, &mut staged.wire, &mut staged.side, &staged.runs);
+            staged.queue(&mut sent, &buf, 0);
+            buf.drain(..used);
+            done = complete;
+        }
+        assert!(done);
+        two.finish_page_stream(pending, page, &mut sent, 0, SimTime::ZERO);
+        assert!(sent == expected, "the batched page differs");
     }
 
     /// The codec's message generator, shared with `botwall-http`'s

@@ -12,8 +12,8 @@
 //!   a stream (how a body travels, backpressure, truncation);
 //! * `pool.rs`: the connection slab, the pooled buffers and the idle
 //!   origin connections (reuse, the one retry, per-request memory);
-//! * `staged.rs`: one stream step's output held by reference for the
-//!   client's `writev`.
+//! * `staged.rs`: one stream step held by reference, the body runs the
+//!   rewriter is handed and its output for the client's `writev`.
 //!
 //! # Multi-reactor serving
 //!

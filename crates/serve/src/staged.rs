@@ -1,17 +1,19 @@
-//! One stream step's output, by reference.
+//! One stream step, by reference.
 //!
 //! Between the origin's `read` and the client's `write` a body byte is
-//! not copied at all: the body decoder hands the rewriter slices of the
-//! origin's read buffer, the rewriter scans them in place and names what
-//! it resolves by offset ([`Staged`] is its [`StreamSink`]), and the
-//! client's write is a `writev` over those ranges with the chunk framing
-//! and the injected markup (a few hundred bytes in a per-worker side
-//! buffer) between them ([`write_staged`]). Only what the client's
-//! socket refuses is copied, behind its backlog.
+//! not copied at all: the body decoder names the step's body runs as
+//! ranges of the origin's read buffer ([`Staged::body`]), the rewriter
+//! takes the step's runs in one call, hunts them where they lie and
+//! names what it resolves by offset ([`Staged`] is its [`StreamSink`]),
+//! and the client's write is a `writev` over those ranges with the
+//! chunk framing and the injected markup (a few hundred bytes in a
+//! per-worker side buffer) between them ([`write_staged`]). Only what
+//! the client's socket refuses is copied, behind its backlog.
 
 use crate::server::{WorkerCounters, STREAM_HIGH_WATER};
 use botwall_gateway::StreamSink;
 use std::io::{self, IoSlice, Write};
+use std::ops::Range;
 
 /// Offers the socket the unsent backlog `out[*pos..]` and, behind it,
 /// the staged step in one vectored write: head, chunk framing, page
@@ -49,11 +51,13 @@ pub(crate) fn write_staged(
     staged.queue(out, origin, wrote.saturating_sub(backlog));
 }
 
-/// The most pieces of output one step stages by reference (a page that
-/// arrives in one read makes five). An origin that sends one-byte
-/// chunks makes a run a byte; past the cap a step's output is copied,
-/// as all of it once was, so the list stays small whatever it does.
-const MAX_RUNS: usize = 32;
+/// The most body runs one rewriter call is handed, and the most pieces
+/// of output one step stages by reference (a page that arrives in one
+/// read makes five). An origin that sends one-byte chunks makes a run a
+/// byte: past the cap its runs go to the rewriter in batches, each a
+/// step of its own, and a step's output is copied, as all of it once
+/// was, so neither list grows whatever the origin does.
+pub(crate) const MAX_RUNS: usize = 32;
 
 /// Where a piece of a stream step's output lies: a range of the
 /// origin's read buffer, or of [`Staged::side`].
@@ -74,11 +78,15 @@ impl Part {
     }
 }
 
-/// One stream step's output, by reference: the rewriter's sink while
-/// the step is decoded, then the chunk-framed list the client's write
-/// is built from. Per worker, reused from step to step.
+/// One stream step, by reference: the body runs the decoder found, the
+/// rewriter's sink while they are rewritten, then the chunk-framed list
+/// the client's write is built from. Per worker, reused from step to
+/// step.
 #[derive(Debug, Default)]
 pub(crate) struct Staged {
+    /// The step's body runs, as ranges of the origin's read buffer: at
+    /// most [`MAX_RUNS`], handed to the rewriter in one call.
+    pub(crate) body: Vec<Range<usize>>,
     /// The rewriter's output in order, unframed.
     pub(crate) runs: Vec<Part>,
     /// What goes on the wire: the same with chunk framing around it, and
@@ -87,17 +95,16 @@ pub(crate) struct Staged {
     /// Everything that is not in the origin's read buffer: injected
     /// markup, released holds, the tail, chunk framing.
     pub(crate) side: Vec<u8>,
-    /// Where in that buffer the chunk being rewritten starts.
-    pub(crate) base: usize,
 }
 
 impl StreamSink for Staged {
-    fn run(&mut self, chunk: &[u8], range: std::ops::Range<usize>) {
+    /// `origin` is the origin's read buffer, the one the step's runs are
+    /// ranges of.
+    fn run(&mut self, origin: &[u8], range: Range<usize>) {
         if self.runs.len() >= MAX_RUNS {
-            return self.bytes(&chunk[range]);
+            return self.bytes(&origin[range]);
         }
-        let (start, end) = (self.base + range.start, self.base + range.end);
-        push_part(&mut self.runs, Part::new(true, start, end));
+        push_part(&mut self.runs, Part::new(true, range.start, range.end));
     }
 
     fn bytes(&mut self, bytes: &[u8]) {
@@ -247,17 +254,12 @@ mod tests {
     /// origin buffer's `runs` (as one-run chunks) with `markup` between
     /// them, then a tail. Returns the staged step and the flat encoding
     /// it must come to on the wire.
-    fn staged_step(
-        origin: &[u8],
-        runs: &[std::ops::Range<usize>],
-        markup: &[u8],
-    ) -> (Staged, Vec<u8>) {
+    fn staged_step(origin: &[u8], runs: &[Range<usize>], markup: &[u8]) -> (Staged, Vec<u8>) {
         let mut staged = Staged::default();
         let mut output = Vec::new();
         for run in runs {
-            // The rewriter is handed `origin[run]` and resolves all of it.
-            staged.base = run.start;
-            staged.run(&origin[run.clone()], 0..run.len());
+            // The rewriter resolves all of `origin[run]`.
+            staged.run(origin, run.clone());
             staged.bytes(markup);
             output.extend_from_slice(&origin[run.clone()]);
             output.extend_from_slice(markup);

@@ -8,8 +8,9 @@
 //! Counted per request, on a warm keep-alive connection, across the
 //! whole of read → gate → staged write → write: the four answers the
 //! benchmark's `gate_only` mix sends (a `403` to a blocked robot, and a
-//! verified human's CSS probe, pixel and script). Release CI runs it
-//! beside the system-call budget; the counts are printed either way.
+//! verified human's CSS probe, pixel and script), and a streamed 64 KB
+//! page. Release CI runs it beside the system-call budget; the counts
+//! are printed either way.
 
 mod support;
 
@@ -144,6 +145,66 @@ fn a_gate_answered_request_allocates_at_most_four_times() {
         assert!(
             per_request <= BUDGET,
             "{answer}: {per_request:.2} allocations per request, over {BUDGET}"
+        );
+    }
+}
+
+/// The server thread's tally while it streams pages.
+static STREAM: Tally = Tally::new();
+
+/// Pages measured per origin, after as many again to warm up.
+const PAGES: u64 = 128;
+
+/// What a streamed page allocated per page before a stream step became
+/// one rewriter call (the median of three runs of this test on that
+/// parent), for the two origins [`a_streamed_page_allocates_what_it_did`]
+/// holds to it, and the slack a run's timing moves the count by (a read
+/// split differently, a sweep tick).
+const BEFORE: [f64; 2] = [55.7, 65.6];
+const SLACK: f64 = 2.0;
+
+/// A verified human's 64 KB page, streamed through the rewriter from an
+/// origin that declares its length and from one that sends 8 KB chunks:
+/// no more allocations per page than before. A third origin sends a
+/// byte a chunk (fewer pages: it takes three writes a byte); its count
+/// is printed, not held to a budget: it is one vectored-write list per
+/// read of a few bytes, and the runs the rewriter is handed stay in a
+/// list capped at 32 (`origin::tests`).
+#[test]
+fn a_streamed_page_allocates_what_it_did() {
+    let fx = Fixture::start(|_| {}, || TALLY.with(|t| t.set(Some(&STREAM))));
+    let human = "Mozilla/5.0 alloc-pages";
+    let mut conn = fx.connect();
+    let probes = support::browse(&mut conn, human);
+    exchange(&mut conn, &get(&probes.mouse_beacon, human, false));
+    let origin_page = support::big_page();
+    let mut counts = Vec::new();
+    for (path, pages) in support::BIG_PATHS.into_iter().zip([PAGES, PAGES, 4]) {
+        let mut measure = || {
+            let before = STREAM.read();
+            for _ in 0..pages {
+                let page = support::page_at(&mut conn, path, human);
+                assert!(page.len() > origin_page.len() && page.contains("onmousemove"));
+            }
+            let after = STREAM.read();
+            (after.0 - before.0, after.1 - before.1)
+        };
+        measure();
+        let (allocs, bytes) = measure();
+        let per_page = allocs as f64 / pages as f64;
+        counts.push((path, per_page));
+        println!(
+            "{path}: {per_page:.2} allocations, {:.0} bytes per page",
+            bytes as f64 / pages as f64
+        );
+    }
+    drop(conn);
+    fx.finish();
+    for ((path, per_page), before) in counts.into_iter().zip(BEFORE) {
+        println!("{path}: {before:.2} allocations per page before");
+        assert!(
+            per_page <= before + SLACK,
+            "{path}: {per_page:.2} allocations per page, {before:.2} before"
         );
     }
 }

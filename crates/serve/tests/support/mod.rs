@@ -17,6 +17,20 @@ use std::thread::JoinHandle;
 pub const PAGE: &str = "<html><head><title>t</title></head>\
 <body><p>content</p><a href=\"/about.html\">about</a></body></html>";
 
+/// Where every fixture's origin serves [`big_page`]: under its
+/// `Content-Length`, in 8 KB chunks, and a byte a chunk.
+pub const BIG_PATHS: [&str; 3] = ["/big.html", "/big-chunked.html", "/big-bytes.html"];
+
+/// A 64 KB page of links and images, a tag every twenty bytes.
+pub fn big_page() -> String {
+    let item = "<div class=\"c7\"><a href=\"/page/7.html\">fox</a><img src=\"/a/3.png\"></div>\n";
+    let mut html = String::from("<html><head><title>big</title></head><body>\n");
+    while html.len() < 64 * 1024 - 16 {
+        html.push_str(item);
+    }
+    html + "</body></html>\n"
+}
+
 /// An asset every fixture's origin serves at [`ASSET_PATH`]: relayed
 /// under its `Content-Length`, so it reads back raw.
 pub const ASSET: &[u8] = b"sixteen bytes ok";
@@ -38,9 +52,15 @@ impl Fixture {
     /// applied to the server's config, and `on_thread` run first on the
     /// server's own thread (the one reactor runs there).
     pub fn start(tune: impl FnOnce(&mut ServeConfig), on_thread: fn()) -> Fixture {
+        let [whole, chunked, bytes] = BIG_PATHS;
         let origin = MockOrigin::new()
             .page("/index.html", PAGE)
             .asset(ASSET_PATH, ASSET)
+            .page(whole, big_page())
+            .page(chunked, big_page())
+            .chunked(chunked, 8 * 1024)
+            .page(bytes, big_page())
+            .chunked(bytes, 1)
             .start()
             .unwrap();
         let gateway = Arc::new(Gateway::builder().seed(42).build());
@@ -176,12 +196,17 @@ pub fn body(raw: &[u8]) -> &[u8] {
     &raw[at + 4..]
 }
 
-/// The page at `/index.html`, fetched by `ua` on `conn`. It comes back
-/// chunked, so it is read with the client that decodes chunks.
+/// The page at `/index.html`, fetched by `ua` on `conn`.
 pub fn page(conn: &mut TcpStream, ua: &str) -> String {
+    page_at(conn, "/index.html", ua)
+}
+
+/// The page at `path`, fetched by `ua` on `conn`. It comes back chunked,
+/// so it is read with the client that decodes chunks.
+pub fn page_at(conn: &mut TcpStream, path: &str, ua: &str) -> String {
     let page = botwall_serve::client::roundtrip(
         conn,
-        &botwall_http::Request::builder(botwall_http::Method::Get, "/index.html")
+        &botwall_http::Request::builder(botwall_http::Method::Get, path)
             .header("Host", "site.example")
             .header("User-Agent", ua)
             .build()
