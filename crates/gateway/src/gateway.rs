@@ -72,7 +72,7 @@ use botwall_core::{
     Action, BoundaryClassifier, ChallengeState, CompletedSession, Detector, GateRespond, Gated,
     KeyCarry, OriginLease, PendingCaptchaPass, PolicyEngine,
 };
-use botwall_http::{Request, RequestView, Response, StatusCode};
+use botwall_http::{ContentClass, Request, RequestView, Response, ResponseSummary, StatusCode};
 use botwall_instrument::{ProbeManifest, RewriteEngine, StreamSink, StreamingRewrite};
 use botwall_sessions::{Session, SessionKey, SimTime};
 use serde::{Deserialize, Serialize};
@@ -261,17 +261,18 @@ pub struct PageStream {
     /// `None` for a relay, and when the lease died before a page's
     /// stream began: the page passes through uninstrumented.
     rewrite: Option<StreamingRewrite>,
-    /// What the commit records as the response: the body is long gone
-    /// to the client by then, so this is a head.
-    head: Response,
+    /// What the commit records of the response: its status and class.
+    /// The body is long gone to the client by then, and the record
+    /// counts what went on the wire, not this summary's `wire_len`.
+    head: ResponseSummary,
 }
 
 impl PageStream {
     /// A stream that passes its bytes through and records `head` (the
-    /// origin's status and the headers evidence folding reads) when it
+    /// origin's status and the class its `Content-Type` names) when it
     /// is committed: how a caller streams an origin response that is
     /// not a page through the same [`Gateway::finish_page_stream`].
-    pub fn relay(head: Response) -> PageStream {
+    pub fn relay(head: ResponseSummary) -> PageStream {
         PageStream {
             rewrite: None,
             head,
@@ -366,9 +367,18 @@ pub struct Gateway {
     ml_overrides: AtomicU64,
 }
 
-/// The uncacheable `200 text/html` a page serve answers with: empty
-/// for the head a stream records, `body` whole for the response a
-/// caller that wants one is handed.
+/// What a page stream records: [`page_response`] of no body, summarised
+/// without building it.
+const PAGE_HEAD: ResponseSummary = ResponseSummary {
+    status: StatusCode::OK,
+    class: Some(ContentClass::Html),
+    wire_len: "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\
+        Cache-Control: no-cache, no-store\r\n\r\n"
+        .len(),
+};
+
+/// The uncacheable `200 text/html` a page serve answers with, `body`
+/// whole, for the caller that holds it so.
 fn page_response(body: Vec<u8>) -> Response {
     let mut response = Response::builder(StatusCode::OK)
         .header("Content-Type", "text/html")
@@ -556,26 +566,28 @@ impl Gateway {
         now: SimTime,
     ) -> Decision {
         let mut out = Vec::new();
-        let (stream, page) = match fetched {
+        let (stream, relayed) = match fetched {
             Origin::Page(html) => {
                 let mut stream = self.begin_stream(&lease, request, now);
                 out.reserve(html.len() + 512);
                 stream.write(html.as_bytes(), &mut out);
-                (stream, true)
+                (stream, None)
             }
-            Origin::Response(response) => (PageStream::relay(response), false),
-            Origin::NotFound => (
-                PageStream::relay(Response::empty(StatusCode::NOT_FOUND)),
-                false,
-            ),
+            Origin::Response(response) => (PageStream::relay(response.summary()), Some(response)),
+            Origin::NotFound => {
+                let response = Response::empty(StatusCode::NOT_FOUND);
+                (PageStream::relay(response.summary()), Some(response))
+            }
         };
-        let sent = (stream.head.wire_len() + out.len()) as u64;
-        let (served, head) = self.finish_stream(lease, request, stream, &mut out, sent, now);
-        let (response, body) = if page {
-            let body = String::from_utf8(out).expect("a str with ASCII markup at ASCII anchors");
-            (page_response(body.as_bytes().to_vec()), Some(body))
-        } else {
-            (head, None)
+        let sent = (stream.head.wire_len + out.len()) as u64;
+        let served = self.finish_stream(lease, request, stream, &mut out, sent, now);
+        let (response, body) = match relayed {
+            Some(response) => (response, None),
+            None => {
+                let body =
+                    String::from_utf8(out).expect("a str with ASCII markup at ASCII anchors");
+                (page_response(body.as_bytes().to_vec()), Some(body))
+            }
         };
         Decision::Serve {
             response,
@@ -618,7 +630,7 @@ impl Gateway {
         });
         PageStream {
             rewrite,
-            head: page_response(Vec::new()),
+            head: PAGE_HEAD,
         }
     }
 
@@ -630,11 +642,11 @@ impl Gateway {
     /// on top, and the sum is what the byte ledger and the session's
     /// record of the exchange both count.
     ///
-    /// The recorded response is the head the stream carries (a page's
-    /// uncacheable `200 text/html`, a relay's origin status and
-    /// `Content-Type`) — the body bytes are long gone to the client,
-    /// which is the point of streaming. Evidence folding only reads the
-    /// status line and headers, so detection is unaffected.
+    /// The recorded response is the summary the stream carries (a page's
+    /// `200 text/html`, a relay's origin status and `Content-Type`
+    /// class) — the body bytes are long gone to the client, which is the
+    /// point of streaming. Evidence folding only reads the status and
+    /// the class, so detection is unaffected.
     pub fn finish_page_stream(
         &self,
         pending: PendingOrigin,
@@ -645,11 +657,9 @@ impl Gateway {
     ) -> StreamedServe {
         let PendingOrigin { lease, request } = pending;
         self.finish_stream(lease, &request, stream, out, wire_bytes, now)
-            .0
     }
 
-    /// [`Gateway::finish_page_stream`] over a borrowed request, handing
-    /// the recorded head back as well.
+    /// [`Gateway::finish_page_stream`] over a borrowed request.
     fn finish_stream(
         &self,
         lease: OriginLease,
@@ -658,7 +668,7 @@ impl Gateway {
         out: &mut Vec<u8>,
         wire_bytes: u64,
         now: SimTime,
-    ) -> (StreamedServe, Response) {
+    ) -> StreamedServe {
         let cell = self.counters.cell(lease.shard());
         let tail_start = out.len();
         let manifest = stream.rewrite.map(|rewrite| {
@@ -673,18 +683,17 @@ impl Gateway {
         // The body is already with the client; live or lost, what is
         // left to record is its head (in_flight bookkeeping and the
         // recording itself happen inside commit_exchange).
-        let outcome =
-            self.detector
-                .commit_exchange(lease, &request.view(), stream.head.summary(), sent, now);
+        let outcome = self
+            .detector
+            .commit_exchange(lease, &request.view(), stream.head, sent, now);
         cell.total_bytes
             .fetch_add(request.wire_len() as u64 + sent, Ordering::Relaxed);
         cell.served.fetch_add(1, Ordering::Relaxed);
-        let served = StreamedServe {
+        StreamedServe {
             key: outcome.key,
             verdict: outcome.verdict,
             manifest,
-        };
-        (served, stream.head)
+        }
     }
 
     /// The instrumentation RNG stream of one session incarnation.
@@ -1102,7 +1111,7 @@ mod tests {
     ) -> (Vec<u8>, Option<ProbeManifest>) {
         let mut stream = gw.begin_page_stream(&pending, SimTime::ZERO);
         assert!(stream.instrumented());
-        let head = stream.head.wire_len();
+        let head = stream.head.wire_len;
         let mut out = Vec::new();
         let mut rest = page.as_bytes();
         while !rest.is_empty() {
@@ -1269,7 +1278,7 @@ mod tests {
         let head = Response::builder(StatusCode::NOT_FOUND)
             .header("Content-Type", "text/css")
             .build();
-        let mut stream = PageStream::relay(head);
+        let mut stream = PageStream::relay(head.summary());
         assert!(!stream.instrumented());
         let mut out = Vec::new();
         stream.write(b"<html><body>not a page to us</body></html>", &mut out);
@@ -1307,7 +1316,7 @@ mod tests {
         let head = Response::builder(StatusCode::OK)
             .header("Content-Type", "image/png")
             .build();
-        let mut stream = PageStream::relay(head.clone());
+        let mut stream = PageStream::relay(head.summary());
         let mut out = Vec::new();
         for piece in vec![7u8; 10 * 1024].chunks(1500) {
             stream.write(piece, &mut out);
@@ -1334,6 +1343,11 @@ mod tests {
             .unwrap();
         assert_eq!(held, (r.wire_len() + asset.wire_len()) as u64);
         assert_eq!(held, whole.stats().total_bytes);
+    }
+
+    #[test]
+    fn a_page_stream_records_what_the_page_response_summarises_to() {
+        assert_eq!(PAGE_HEAD, page_response(Vec::new()).summary());
     }
 
     #[test]

@@ -14,12 +14,14 @@
 //!
 //! # What is scanned
 //!
-//! `</head>` and the first `<body` are hunted forward, a run at a time.
-//! From there on only the *last* `</body>` matters, so each step is
-//! hunted for it backward, from the far end of everything the step
-//! delivered, across its runs (a candidate that straddles two runs is
-//! checked in a stitch of at most twelve bytes around the boundary).
-//! What lies before the last candidate goes out unscanned. A page whose
+//! One search, run in two directions, over one view of a step: the hold
+//! followed by the step's runs, addressed by one offset. `</head>` and
+//! the first `<body` are hunted forward from the front of it; from there
+//! on only the *last* `</body>` matters, so it is hunted backward from
+//! the far end. Either way the pieces (the hold, each run) are searched
+//! where they lie, and a candidate that straddles two of them is checked
+//! in a stitch of at most twelve bytes around the boundary. What lies
+//! before the last `</body>` candidate goes out unscanned. A page whose
 //! body arrives in one step is compared only from its start to `<body`
 //! and from its last `</body>` to its end: most page bytes are never
 //! compared. A step that does not hold the page's end is hunted through.
@@ -39,9 +41,7 @@
 //!   the unflushed stream) and flows on.
 //! * **Anchor hold** — a step that ends inside a possible anchor
 //!   (`<bo│dy`, `</bod│y>`) parks those few bytes, fewer than the
-//!   anchor is long. The next step's first bytes complete or refute
-//!   them; only those are added to the hold, the rest is scanned where
-//!   it lies.
+//!   anchor is long, for the next step to complete or refute.
 //! * **Tail hold** — `body_inject` goes before the *last* `</body>`,
 //!   so from the last candidate a step holds to the end of that step is
 //!   held until a later step brings a later one (or EOF), capped like
@@ -54,9 +54,11 @@
 //!
 //! A hold is the only time the injection scanner owns a copy of page
 //! bytes. Everything resolved goes to the output as runs *of the
-//! caller's buffer*; only the unresolved suffix of a step — a few bytes
-//! of a possible anchor, or the tail from a `</body>` candidate on — is
-//! copied into the hold for a later step to extend.
+//! caller's buffer* (bytes an earlier step left held go out as a
+//! copy); only the unresolved suffix of a step — all of it while the
+//! head hold lasts, a few bytes of a possible anchor, or the tail from
+//! a `</body>` candidate on — is copied into the hold for a later step
+//! to extend.
 //!
 //! The output is a [`StreamSink`], which is told which of the two it is
 //! getting: a run of the buffer just handed in (by offset), or bytes
@@ -72,14 +74,18 @@
 //! *every* split of the input into steps and runs — the property pinned
 //! by the `stream_equivalence` proptest suite.
 //!
-//! Beyond the cap, one rule: a step behaves as one chunk does. The last
-//! `</body>` candidate in hand wins, and once the tail held from it
-//! reaches the cap the markup goes before it instead of waiting for a
-//! later one. So a page with two candidates further apart than the cap
-//! gets its markup before the later one when both arrive in one step,
-//! and before the earlier one when the cap forces it first: past the
-//! cap, output depends on how the page was cut. The byte-lock corpora
-//! never get there.
+//! Beyond the cap, one rule for every hold: a step behaves as one chunk
+//! does. The whole step is searched before the cap is checked, so an
+//! anchor anywhere in it counts, however many runs it came in. Only then
+//! does the cap force a decision: the head markup goes at the resolution
+//! point when the head hold reaches it with no `</head>` in hand, and
+//! the body markup goes before the last `</body>` candidate in hand once
+//! the tail held from it reaches it, instead of waiting for a later
+//! one. So past the cap, output depends on how the page was cut into
+//! steps (a page with two candidates further apart than the cap gets its
+//! markup before the later one when both arrive in one step, before the
+//! earlier one when the cap forces it first), never on how a step was
+//! cut into runs. The byte-lock corpora never get there.
 
 use crate::engine::{BuiltPage, IssuedPageToken};
 use crate::rewrite::ProbeManifest;
@@ -126,23 +132,6 @@ impl StreamSink for Vec<u8> {
     }
 }
 
-/// The sink of a scan over the hold buffer, and where held bytes go
-/// when a hold is released: what resolves there is a run of the hold,
-/// not of the caller's buffer.
-struct Released<'a, S>(&'a mut S);
-
-impl<S: StreamSink> StreamSink for Released<'_, S> {
-    fn run(&mut self, held: &[u8], range: Range<usize>) {
-        #[cfg(test)]
-        RELEASED.with(|n| n.set(n.get() + range.len()));
-        self.0.bytes(&held[range]);
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        self.0.bytes(bytes);
-    }
-}
-
 #[cfg(test)]
 thread_local! {
     /// Held bytes released on this thread: page bytes the output got
@@ -154,44 +143,25 @@ const HEAD_END: &[u8] = b"</head>";
 const BODY_OPEN: &[u8] = b"<body";
 const BODY_END: &[u8] = b"</body>";
 
-/// How far past a piece's end a `</body>` that starts in it can reach.
+/// How far past a piece's end an anchor that starts in it can reach.
 const REACH: usize = BODY_END.len() - 1;
 
-/// What a step has yet to resolve of the caller's buffer: `runs` of
-/// `buf` in order, the first of them from `at` on.
+/// What a step brings past the hold: `runs` of `buf`, in order.
 #[derive(Clone, Copy)]
 struct Runs<'a> {
     buf: &'a [u8],
     runs: &'a [Range<usize>],
-    at: usize,
 }
 
 impl<'a> Runs<'a> {
-    fn new(buf: &'a [u8], runs: &'a [Range<usize>]) -> Runs<'a> {
-        let at = runs.first().map_or(0, |run| run.start);
-        Runs { buf, runs, at }
-    }
-
-    /// The runs as ranges of `buf`, the first from `at` on.
-    fn ranges(self) -> impl DoubleEndedIterator<Item = Range<usize>> + 'a {
-        let at = self.at;
-        self.runs
-            .iter()
-            .enumerate()
-            .map(move |(i, run)| if i == 0 { at..run.end } else { run.clone() })
-    }
-
-    fn first(self) -> Option<Range<usize>> {
-        self.ranges().next()
-    }
-
     fn len(self) -> usize {
-        self.ranges().map(|run| run.len()).sum()
+        self.runs.iter().map(|run| run.len()).sum()
     }
 
     /// Bytes `lo..hi` of the runs laid end to end, as ranges of `buf`.
     fn slice(self, lo: usize, hi: usize) -> impl Iterator<Item = Range<usize>> + 'a {
-        self.ranges()
+        self.runs
+            .iter()
             .scan(0, move |start, run| {
                 let from = *start;
                 *start += run.len();
@@ -201,19 +171,6 @@ impl<'a> Runs<'a> {
                 let (a, b) = (lo.max(from) - from, hi.min(from + run.len()) - from);
                 (a < b).then(|| run.start + a..run.start + b)
             })
-    }
-
-    /// These runs less their first `n` bytes.
-    fn skip(mut self, mut n: usize) -> Runs<'a> {
-        while let Some(first) = self.first() {
-            if n < first.len() {
-                self.at += n;
-                break;
-            }
-            n -= first.len();
-            self = Runs::new(self.buf, &self.runs[1..]);
-        }
-        self
     }
 }
 
@@ -251,8 +208,9 @@ struct Injector {
     body_inject: Vec<u8>,
     phase: Phase,
     held: Vec<u8>,
-    /// Incremental-scan cursors: positions of `held` already ruled out
-    /// as a match start for the phase's needle(s).
+    /// Incremental-scan cursors: offsets of the step (the hold, then the
+    /// runs) before which no match start for the phase's needle(s) is
+    /// left. Between steps they index `held`.
     head_scan: usize,
     body_scan: usize,
     scan: usize,
@@ -281,58 +239,68 @@ impl Injector {
     }
 
     /// One stream step: the page's next bytes are `runs` of `buf`, and
-    /// at `eof` there are no more. `</head>` and the first `<body` are
-    /// hunted forward a run at a time; from there on the step is one
-    /// window, hunted for its last `</body>` from the far end.
+    /// at `eof` there are no more. The step is one view, the hold
+    /// followed by the runs: `</head>` and the first `<body` are hunted
+    /// forward from its front, the last `</body>` backward from its end.
     fn step(&mut self, buf: &[u8], runs: &[Range<usize>], eof: bool, out: &mut impl StreamSink) {
-        let mut rest = Runs::new(buf, runs);
         if self.phase == Phase::Passthrough {
-            rest.ranges().for_each(|run| out.run(buf, run));
+            runs.iter().for_each(|run| out.run(buf, run.clone()));
             return;
         }
+        let rest = Runs { buf, runs };
+        let end = self.held.len() + rest.len();
         // The gauge counts the step on top of what was held before it,
         // whether or not any of it is ever copied into `held`.
-        self.peak_held = self.peak_held.max(self.held.len() + rest.len());
-        while matches!(self.phase, Phase::Head | Phase::SeekBody) {
-            let Some(run) = rest.first() else {
-                if eof {
-                    self.scan_held(out, true);
+        self.peak_held = self.peak_held.max(end);
+        // What of the step has gone out: everything before `at`.
+        let mut at = 0;
+        if self.phase == Phase::Head {
+            let found = self.find(rest, self.head_scan, HEAD_END);
+            if found.is_none() {
+                self.head_scan = end.saturating_sub(HEAD_END.len() - 1);
+                if self.body_at.is_none() {
+                    self.body_at = self.find(rest, self.body_scan, BODY_OPEN);
+                    self.body_scan = end.saturating_sub(BODY_OPEN.len() - 1);
                 }
-                break;
-            };
-            if self.held.is_empty() {
-                // Nothing carried over: scan the run where it lies. Past
-                // `<body` the rest of it joins the `</body>` hunt; short
-                // of it, what stays unresolved is held.
-                let resolved = self.scan(&buf[..run.end], run.start, out, false);
-                if self.phase == Phase::SeekBodyEnd {
-                    rest = rest.skip(resolved - run.start);
-                } else {
-                    self.held.extend_from_slice(&buf[resolved..run.end]);
-                    rest = rest.skip(run.len());
+                if !eof && end < MAX_HELD_BYTES {
+                    return self.hold(rest, 0, end); // keep holding for `</head>`
                 }
-            } else if self.phase == Phase::Head {
-                self.held.extend_from_slice(&buf[run.clone()]);
-                rest = rest.skip(run.len());
-                self.scan_held(out, false);
-            } else {
-                rest = self.complete_body_open(rest, out);
             }
+            // Before `</head>`; without one, before the first `<body`
+            // when one was seen, else at the start of the unflushed
+            // stream (document start, unless the hold cap already forced
+            // an earlier flush), the `<body` hunt resuming where the
+            // head hold left it.
+            let anchor = found.or(self.body_at);
+            (at, self.scan) = (anchor.unwrap_or(0), anchor.unwrap_or(self.body_scan));
+            self.emit(rest, 0, at, out);
+            self.emit_injection(Which::Head, out);
+            self.phase = Phase::SeekBody;
         }
-        if matches!(self.phase, Phase::SeekBodyEnd | Phase::HoldTail) {
-            self.hunt_body_end(rest, eof, out);
+        if self.phase == Phase::SeekBody {
+            let Some(j) = self.find(rest, self.scan, BODY_OPEN) else {
+                if eof {
+                    // No `<body` in the page: the body markup goes last.
+                    return self.close(rest, at, end, out);
+                }
+                // All goes out but a `<body` the next step may complete.
+                let keep = self.partial(rest, at, end, BODY_OPEN);
+                self.emit(rest, at, keep, out);
+                self.hold(rest, keep, end);
+                self.scan = 0;
+                return;
+            };
+            let after = j + BODY_OPEN.len();
+            self.emit(rest, at, after, out);
+            self.emit_injection(Which::BodyAttr, out);
+            (at, self.scan) = (after, after);
+            self.phase = Phase::SeekBodyEnd;
         }
+        self.hunt_body_end(rest, at, eof, out);
     }
 
     fn finish(&mut self, out: &mut impl StreamSink) {
         self.step(&[], &[], true, out);
-    }
-
-    fn scan_held(&mut self, out: &mut impl StreamSink, eof: bool) {
-        let held = std::mem::take(&mut self.held);
-        let resolved = self.scan(&held, 0, &mut Released(out), eof);
-        self.held = held;
-        self.held.drain(..resolved);
     }
 
     fn emit_injection(&mut self, which: Which, out: &mut impl StreamSink) {
@@ -345,145 +313,27 @@ impl Injector {
         self.injected += markup.len();
     }
 
-    /// Runs the forward hunts (`</head>`, then the first `<body`) over
-    /// `buf[resolved..]` and hands what resolves to `out` as runs of
-    /// `buf`. Returns where the unresolved part starts: just past
-    /// `<body` once the `</body>` hunt takes over, else what the caller
-    /// holds for the next bytes to extend. The scan cursors index into
-    /// that unresolved window, which is what `held` holds between calls.
-    fn scan(
-        &mut self,
-        buf: &[u8],
-        mut resolved: usize,
-        out: &mut impl StreamSink,
-        eof: bool,
-    ) -> usize {
-        loop {
-            let win = &buf[resolved..];
-            match self.phase {
-                Phase::Head => {
-                    if let Some(i) = find_ci(win, self.head_scan, HEAD_END) {
-                        out.run(buf, resolved..resolved + i);
-                        self.emit_injection(Which::Head, out);
-                        resolved += i;
-                        self.scan = 0;
-                        self.phase = Phase::SeekBody;
-                        continue;
-                    }
-                    self.head_scan = win.len().saturating_sub(HEAD_END.len() - 1);
-                    if self.body_at.is_none() {
-                        self.body_at = find_ci(win, self.body_scan, BODY_OPEN);
-                        if self.body_at.is_none() {
-                            self.body_scan = win.len().saturating_sub(BODY_OPEN.len() - 1);
-                        }
-                    }
-                    if !eof && win.len() < MAX_HELD_BYTES {
-                        return resolved; // keep holding for `</head>`
-                    }
-                    // Resolve without a `</head>`: before the first
-                    // `<body` when one was seen, else at the start of
-                    // the unflushed stream (document start, unless the
-                    // hold cap already forced an earlier flush).
-                    match self.body_at {
-                        Some(j) => {
-                            out.run(buf, resolved..resolved + j);
-                            resolved += j;
-                            self.scan = 0;
-                        }
-                        // No `<body` up to `body_scan`: the body hunt
-                        // resumes there instead of rescanning the hold.
-                        None => self.scan = self.body_scan,
-                    }
-                    self.emit_injection(Which::Head, out);
-                    self.phase = Phase::SeekBody;
-                }
-                Phase::SeekBody => {
-                    if let Some(j) = find_ci(win, self.scan, BODY_OPEN) {
-                        let after = resolved + j + BODY_OPEN.len();
-                        out.run(buf, resolved..after);
-                        self.emit_injection(Which::BodyAttr, out);
-                        self.scan = 0;
-                        self.phase = Phase::SeekBodyEnd;
-                        return after;
-                    }
-                    if eof {
-                        out.run(buf, resolved..buf.len());
-                        self.emit_injection(Which::BodyEnd, out);
-                        self.phase = Phase::Passthrough;
-                        return buf.len();
-                    }
-                    let flush = win.len() - partial_suffix(win, BODY_OPEN);
-                    out.run(buf, resolved..resolved + flush);
-                    self.scan = 0;
-                    return resolved + flush;
-                }
-                Phase::SeekBodyEnd | Phase::HoldTail | Phase::Passthrough => return resolved,
-            }
-        }
-    }
-
-    /// A step that opens on a held `<body` cut short: the first bytes of
-    /// `rest` complete or refute it, and only those few are looked at or
-    /// copied. Returns what is left of `rest`.
-    fn complete_body_open<'a>(&mut self, rest: Runs<'a>, out: &mut impl StreamSink) -> Runs<'a> {
-        let held = self.held.len();
-        let mut word = [0u8; BODY_OPEN.len()];
-        let n = self.gather(rest, 0, BODY_OPEN.len().min(held + rest.len()), &mut word);
-        if !word[..n].eq_ignore_ascii_case(&BODY_OPEN[..n]) {
-            // Refuted: the hold goes out, and the run is scanned where
-            // it lies.
-            self.emit(rest, 0, held, out);
-            self.held.clear();
-            return rest;
-        }
-        if n < BODY_OPEN.len() {
-            // The step ran out first.
-            self.held.extend_from_slice(&word[held..n]);
-            return rest.skip(n - held);
-        }
-        self.emit(rest, 0, n, out);
-        self.held.clear();
-        self.emit_injection(Which::BodyAttr, out);
-        self.scan = 0;
-        self.phase = Phase::SeekBodyEnd;
-        rest.skip(n - held)
-    }
-
-    /// The hunt for the last `</body>` over everything the step has: the
-    /// hold, then `rest`. What lies before the last candidate goes out
-    /// unscanned; from the candidate on is held, since a later step may
-    /// bring a later one. With no candidate, all of it goes out but a
-    /// `</body>` the next step may complete. At EOF, or once the held
-    /// candidate's tail reaches the cap, the markup goes before the
-    /// candidate in hand.
-    fn hunt_body_end(&mut self, rest: Runs, eof: bool, out: &mut impl StreamSink) {
+    /// The hunt for the last `</body>` over the step from `at` on. What
+    /// lies before the last candidate goes out unscanned; from the
+    /// candidate on is held, since a later step may bring a later one.
+    /// With no candidate, all of it goes out but a `</body>` the next
+    /// step may complete. At EOF, or once the held candidate's tail
+    /// reaches the cap, the markup goes before the candidate in hand.
+    fn hunt_body_end(&mut self, rest: Runs, at: usize, eof: bool, out: &mut impl StreamSink) {
         let end = self.held.len() + rest.len();
-        let (keep, candidate) = match self.rfind_body_end(rest) {
-            Some(at) => (at, true),
+        let (keep, candidate) = match self.rfind(rest, self.scan, BODY_END) {
+            Some(i) => (i, true),
             // No later candidate: the held one stands.
             None if self.phase == Phase::HoldTail => (0, true),
             None if eof => (end, false),
-            None => {
-                let mut last = [0u8; REACH];
-                let n = self.gather(rest, end.saturating_sub(REACH), end, &mut last);
-                (end - partial_suffix(&last[..n], BODY_END), false)
-            }
+            None => (self.partial(rest, at, end, BODY_END), false),
         };
-        self.emit(rest, 0, keep, out);
         if eof || (candidate && end - keep >= MAX_HELD_BYTES) {
-            self.emit_injection(Which::BodyEnd, out);
-            self.emit(rest, keep, end, out);
-            self.held.clear();
-            self.phase = Phase::Passthrough;
-            return;
+            return self.close(rest, at, keep, out);
         }
-        // Hold from `keep` on: the hold's own bytes where they are, the
-        // runs' copied behind them.
-        let held = self.held.len();
-        self.held.drain(..keep.min(held));
-        for run in rest.slice(keep.saturating_sub(held), end - held) {
-            self.held.extend_from_slice(&rest.buf[run]);
-        }
+        self.emit(rest, at, keep, out);
+        self.hold(rest, keep, end);
+        self.scan = 0;
         if candidate {
             self.phase = Phase::HoldTail;
             // Every later start the hold fits was ruled out; its last
@@ -492,34 +342,101 @@ impl Injector {
         }
     }
 
-    /// Where the last `</body>` starting at or after `scan` lies in what
-    /// the step has (the hold, then `rest`). The pieces are searched from
-    /// the last, each from its end; before a piece's own bytes, a
-    /// candidate that starts in its last few and runs on into the next
-    /// is checked in a stitch of at most `2 * REACH` bytes.
-    fn rfind_body_end(&self, rest: Runs) -> Option<usize> {
-        let total = self.held.len() + rest.len();
-        let pieces = rest.ranges().rev().map(|run| &rest.buf[run]);
-        let mut end = total;
-        for piece in pieces.chain([self.held.as_slice()]) {
-            if end <= self.scan {
+    /// Sends the step from `at` on with the body markup before `keep`:
+    /// every injection point is resolved.
+    fn close(&mut self, rest: Runs, at: usize, keep: usize, out: &mut impl StreamSink) {
+        self.emit(rest, at, keep, out);
+        self.emit_injection(Which::BodyEnd, out);
+        self.emit(rest, keep, self.held.len() + rest.len(), out);
+        self.held.clear();
+        self.phase = Phase::Passthrough;
+    }
+
+    /// Keeps bytes `keep..end` of the step for the next one: the hold's
+    /// own where they are, the runs' copied behind them.
+    fn hold(&mut self, rest: Runs, keep: usize, end: usize) {
+        let held = self.held.len();
+        self.held.drain(..keep.min(held));
+        for run in rest.slice(keep.saturating_sub(held), end - held) {
+            self.held.extend_from_slice(&rest.buf[run]);
+        }
+    }
+
+    /// Where a `needle` the next step may complete starts in `lo..end`:
+    /// `end` less the longest proper prefix of it that ends there.
+    fn partial(&self, rest: Runs, lo: usize, end: usize, needle: &[u8]) -> usize {
+        let mut last = [0u8; REACH];
+        let from = lo.max(end.saturating_sub(needle.len() - 1));
+        let n = self.gather(rest, from, end, &mut last);
+        end - partial_suffix(&last[..n], needle)
+    }
+
+    /// Where the first `needle` starting at or after `from` lies in the
+    /// step. The pieces are searched from the first, each from its
+    /// start; after a piece's own bytes, a candidate that starts in its
+    /// last few and runs on into the next ([`Injector::stitch`]).
+    fn find(&self, rest: Runs, from: usize, needle: &[u8]) -> Option<usize> {
+        let mut start = 0;
+        for piece in self.slices(rest) {
+            let end = start + piece.len();
+            if let Some(i) = find_ci(piece, from.saturating_sub(start), needle) {
+                return Some(start + i);
+            }
+            if let Some(i) = self.stitch(rest, start.max(from), end, needle, find_ci) {
+                return Some(i);
+            }
+            start = end;
+        }
+        None
+    }
+
+    /// [`Injector::find`] from the far end: the last `needle` starting
+    /// at or after `from`, a straddling candidate checked before the
+    /// bytes of the piece it starts in.
+    fn rfind(&self, rest: Runs, from: usize, needle: &[u8]) -> Option<usize> {
+        let mut end = self.held.len() + rest.len();
+        for piece in self.slices(rest).rev() {
+            if end <= from {
                 break;
             }
             let start = end - piece.len();
-            let lo = end.saturating_sub(REACH).max(start).max(self.scan);
-            if end < total && lo < end {
-                let mut stitch = [0u8; 2 * REACH];
-                let n = self.gather(rest, lo, total.min(end + REACH), &mut stitch);
-                if let Some(i) = rfind_ci(&stitch[..n], 0, BODY_END) {
-                    return Some(lo + i);
-                }
+            if let Some(i) = self.stitch(rest, start.max(from), end, needle, rfind_ci) {
+                return Some(i);
             }
-            if let Some(i) = rfind_ci(piece, self.scan.saturating_sub(start), BODY_END) {
+            if let Some(i) = rfind_ci(piece, from.saturating_sub(start), needle) {
                 return Some(start + i);
             }
             end = start;
         }
         None
+    }
+
+    /// A `needle` that starts at or after `lo` in the last few bytes
+    /// before a piece boundary at `end` and runs on past it, found by
+    /// `search` in a stitch of at most `2 * REACH` bytes around the
+    /// boundary.
+    fn stitch(
+        &self,
+        rest: Runs,
+        lo: usize,
+        end: usize,
+        needle: &[u8],
+        search: fn(&[u8], usize, &[u8]) -> Option<usize>,
+    ) -> Option<usize> {
+        let lo = lo.max(end.saturating_sub(needle.len() - 1));
+        let hi = (self.held.len() + rest.len()).min(end + needle.len() - 1);
+        if lo >= end || hi <= end {
+            return None;
+        }
+        let mut stitch = [0u8; 2 * REACH];
+        let n = self.gather(rest, lo, hi, &mut stitch);
+        search(&stitch[..n], 0, needle).map(|i| lo + i)
+    }
+
+    /// The step's pieces, whole: the hold, then each run.
+    fn slices<'a>(&'a self, rest: Runs<'a>) -> impl DoubleEndedIterator<Item = &'a [u8]> + 'a {
+        let runs = rest.runs.iter().map(move |run| &rest.buf[run.clone()]);
+        std::iter::once(self.held.as_slice()).chain(runs)
     }
 
     /// Bytes `lo..hi` of what the step has (the hold, then `rest`),
@@ -531,11 +448,16 @@ impl Injector {
         from_hold.into_iter().chain(runs.map(Piece::Run))
     }
 
-    /// Sends bytes `lo..hi` of what the step has to `out`.
+    /// Sends bytes `lo..hi` of what the step has to `out`: the runs' by
+    /// offset, the hold's as bytes of no buffer the caller can see.
     fn emit(&self, rest: Runs, lo: usize, hi: usize, out: &mut impl StreamSink) {
         for piece in self.pieces(rest, lo, hi) {
             match piece {
-                Piece::Held(range) => Released(&mut *out).run(&self.held, range),
+                Piece::Held(range) => {
+                    #[cfg(test)]
+                    RELEASED.with(|n| n.set(n.get() + range.len()));
+                    out.bytes(&self.held[range]);
+                }
                 Piece::Run(range) => out.run(rest.buf, range),
             }
         }

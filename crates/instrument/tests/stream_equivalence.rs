@@ -9,7 +9,8 @@
 //! And the step contract: the page laid out as the front door hands it
 //! over, steps of runs inside one buffer with framing between them,
 //! comes out as the buffered rewrite does, for any split into steps and
-//! runs, and past the hold cap a step of many runs behaves as one chunk.
+//! runs, and past the hold cap a step of many runs behaves as one chunk,
+//! at the head as at the tail.
 
 use botwall_http::Uri;
 use botwall_instrument::{
@@ -295,6 +296,37 @@ fn past_the_hold_cap_a_step_of_runs_is_one_chunk() {
     steps.finish(&mut out);
     let out = String::from_utf8(out).unwrap();
     assert!(!out.contains("a</body>") && out.contains("b</body>"));
+}
+
+#[test]
+fn past_the_hold_cap_a_head_in_one_step_of_runs_is_one_chunk() {
+    // A `</head>` further from the page's start than the hold cap,
+    // handed over as one step of 8 KB runs: the whole step is searched
+    // before the cap is checked, so the head markup goes before
+    // `</head>` as it does for one chunk, not at the page's start.
+    let mut html = String::from("<html><head>");
+    html.push_str(&"y".repeat(MAX_HELD_BYTES + 10_000));
+    html.push_str("</head><body>a</body></html>");
+    let eng = engine();
+    let stream = || {
+        eng.begin_stream(
+            &page_uri(),
+            SimTime::ZERO,
+            &mut ChaCha8Rng::seed_from_u64(3),
+        )
+    };
+    let whole = stream().rewrite_whole(&html).html;
+    assert!(whole.starts_with("<html><head>yyy"));
+    let mut one_step = stream();
+    let mut out = write_steps(
+        &mut one_step,
+        html.as_bytes(),
+        &[8 * 1024],
+        &[usize::MAX],
+        &[1],
+    );
+    one_step.finish(&mut out);
+    assert!(String::from_utf8(out).unwrap() == whole);
 }
 
 #[test]

@@ -420,7 +420,7 @@ impl Worker {
             if let Some(Slot::OriginFetch(o)) =
                 self.slots.get_mut(origin_slot).and_then(Option::take)
             {
-                self.abandon_origin(origin_slot, *o);
+                self.abandon_origin(origin_slot, o);
             }
         }
         self.reactor.cancel_deadline(token_of(slot));

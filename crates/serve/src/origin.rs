@@ -35,7 +35,9 @@ use crate::pool::{read_available, ReadBuf, Slot};
 use crate::server::{token_of, Worker, STREAM_HIGH_WATER, STREAM_LOW_WATER};
 use crate::staged::{frame_body, push_side, write_staged, Part, Staged, MAX_RUNS};
 use botwall_gateway::{Origin, PageStream, PendingOrigin};
-use botwall_http::{wire, Head, HttpError, Method, Request, Response, StatusCode};
+use botwall_http::{
+    wire, ContentClass, Head, HttpError, Method, Request, Response, ResponseSummary, StatusCode,
+};
 use reactor::{net, Event, Interest, Reactor};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -125,7 +127,7 @@ impl Worker {
     /// The client is gone but the lease must still be committed —
     /// dropping it would leak the session's in-flight count until
     /// rollover. A synthesized 504 records "the exchange died on us".
-    pub(crate) fn abandon_origin(&mut self, origin_slot: usize, mut o: OriginConn) {
+    pub(crate) fn abandon_origin(&mut self, origin_slot: usize, mut o: Box<OriginConn>) {
         self.reactor.cancel_deadline(token_of(origin_slot));
         self.pending_free.push(origin_slot);
         if let Some(pending) = o.pending.take() {
@@ -136,7 +138,7 @@ impl Worker {
         self.retire_origin(o);
     }
 
-    pub(crate) fn drive_origin(&mut self, slot: usize, mut o: OriginConn, ev: Event) {
+    pub(crate) fn drive_origin(&mut self, slot: usize, mut o: Box<OriginConn>, ev: Event) {
         if ev.timer {
             if o.relay.is_some() {
                 // A stalled stream cannot 504 — the head already went
@@ -233,7 +235,7 @@ impl Worker {
     /// fresh connection under the same slot and replay the request.
     /// Runs at most once per fetch — the replacement is not `reused`,
     /// so a second failure takes the ordinary 502 path.
-    fn retry_origin(&mut self, slot: usize, mut o: OriginConn) {
+    fn retry_origin(&mut self, slot: usize, mut o: Box<OriginConn>) {
         self.shared.origin_retries.fetch_add(1, Ordering::Relaxed);
         let addr = self
             .config
@@ -256,7 +258,7 @@ impl Worker {
         o.saw_byte = false;
         self.reactor
             .deadline(token_of(slot), self.config.origin_timeout);
-        self.slots[slot] = Some(Slot::OriginFetch(Box::new(o)));
+        self.slots[slot] = Some(Slot::OriginFetch(o));
     }
 
     /// An origin fetch whose response head has not parsed yet: retry if
@@ -268,7 +270,7 @@ impl Worker {
     /// `origin_timeout`. An origin that closes or sends garbage inside
     /// its head, or switches protocols (`101`: no hop here upgrades), is
     /// the `502`.
-    fn origin_head_step(&mut self, slot: usize, mut o: OriginConn, eof: bool) {
+    fn origin_head_step(&mut self, slot: usize, mut o: Box<OriginConn>, eof: bool) {
         // A reused connection the origin closed without a single
         // response byte was stale in the pool: retry once, fresh.
         if eof && o.reused && !o.saw_byte && o.buf.is_empty() {
@@ -282,7 +284,7 @@ impl Worker {
                     return self.begin_stream(slot, o, head, eof)
                 }
                 Ok(None) if !eof => {
-                    self.slots[slot] = Some(Slot::OriginFetch(Box::new(o)));
+                    self.slots[slot] = Some(Slot::OriginFetch(o));
                     return;
                 }
                 _ => return self.fail_origin(slot, o, StatusCode::BAD_GATEWAY),
@@ -300,7 +302,7 @@ impl Worker {
     fn begin_stream(
         &mut self,
         slot: usize,
-        mut o: OriginConn,
+        mut o: Box<OriginConn>,
         head: frame::ResponseHead,
         eof: bool,
     ) {
@@ -314,12 +316,16 @@ impl Worker {
         let page = if plan.page {
             self.gateway.begin_page_stream(pending, self.now())
         } else {
-            let status = StatusCode::new(head.status).expect("response_head checked the range");
-            let mut recorded = Response::builder(status);
-            if let Some(content_type) = &head.content_type {
-                recorded = recorded.header("Content-Type", content_type.as_str());
-            }
-            PageStream::relay(recorded.build())
+            // The record counts what goes on the wire, so `wire_len` is
+            // only the origin's head, not what the client is sent.
+            PageStream::relay(ResponseSummary {
+                status: StatusCode::new(head.status).expect("response_head checked the range"),
+                class: head
+                    .content_type
+                    .as_deref()
+                    .and_then(ContentClass::from_content_type),
+                wire_len: head.len,
+            })
         };
         let Some(Slot::Client(mut c)) = self.slots.get_mut(o.client_slot).and_then(Option::take)
         else {
@@ -367,7 +373,7 @@ impl Worker {
     /// One step of an active stream: decode what arrived and rewrite it
     /// where it lies ([`stream_step`]), then [`Worker::relay_stream`]
     /// sends on what resolved.
-    fn origin_stream_step(&mut self, slot: usize, mut o: OriginConn, skip: usize, eof: bool) {
+    fn origin_stream_step(&mut self, slot: usize, mut o: Box<OriginConn>, skip: usize, eof: bool) {
         let Some(fetch) = &mut o.relay else {
             unreachable!("caller checked for the stream");
         };
@@ -396,7 +402,13 @@ impl Worker {
     /// own) and commits its lease (dropping it would leak the session's
     /// in-flight count); only a clean end gets the terminal chunk, so a
     /// truncation stays visible.
-    fn relay_stream(&mut self, slot: usize, mut o: OriginConn, consumed: usize, end: StreamEnd) {
+    fn relay_stream(
+        &mut self,
+        slot: usize,
+        mut o: Box<OriginConn>,
+        consumed: usize,
+        end: StreamEnd,
+    ) {
         let Some(fetch) = &mut o.relay else {
             unreachable!("only a streaming fetch is relayed");
         };
@@ -454,13 +466,13 @@ impl Worker {
         self.reactor
             .deadline(token_of(slot), self.config.origin_timeout);
         throttle(&mut self.reactor, slot, &mut o, backlog);
-        self.slots[slot] = Some(Slot::OriginFetch(Box::new(o)));
+        self.slots[slot] = Some(Slot::OriginFetch(o));
     }
 
     /// Drops a finished origin connection, returning its buffers to the
     /// pool.
-    pub(crate) fn retire_origin(&mut self, o: OriginConn) {
-        let OriginConn { buf, out, .. } = o;
+    pub(crate) fn retire_origin(&mut self, o: Box<OriginConn>) {
+        let OriginConn { buf, out, .. } = *o;
         self.recycle_read(buf);
         self.recycle(out);
     }
@@ -544,7 +556,7 @@ impl Worker {
     /// completes with an empty `status` of the server's own making (the
     /// `502` or the `504`), the connection is retired, and the waiting
     /// client is woken with the answer.
-    fn fail_origin(&mut self, slot: usize, mut o: OriginConn, status: StatusCode) {
+    fn fail_origin(&mut self, slot: usize, mut o: Box<OriginConn>, status: StatusCode) {
         self.reactor.cancel_deadline(token_of(slot));
         let pending = o.pending.take().expect("a fetch fails once");
         let failed = Origin::Response(Response::empty(status));

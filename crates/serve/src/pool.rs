@@ -172,7 +172,7 @@ impl Worker {
     /// Parks a finished origin connection for reuse when `reusable` and
     /// the pool has room, or retires it. A connection with leftover
     /// buffered bytes or an unfinished request write is never parked.
-    pub(crate) fn park_or_free(&mut self, slot: usize, o: OriginConn, reusable: bool) {
+    pub(crate) fn park_or_free(&mut self, slot: usize, o: Box<OriginConn>, reusable: bool) {
         let addr = self.config.origin;
         let park = reusable
             && !self.draining
@@ -190,7 +190,7 @@ impl Worker {
             buf,
             mut interest,
             ..
-        } = o;
+        } = *o;
         // Parked connections stay registered readable: a FIN or stray
         // byte while idle retires them before any lease can look.
         set_interest(

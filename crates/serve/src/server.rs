@@ -585,7 +585,7 @@ impl Worker {
         };
         match taken {
             Slot::Client(c) => self.drive_client(slot, c, ev),
-            Slot::OriginFetch(o) => self.drive_origin(slot, *o, ev),
+            Slot::OriginFetch(o) => self.drive_origin(slot, o, ev),
             Slot::IdleOrigin(idle) => self.drop_idle(slot, idle),
         }
     }

@@ -33,15 +33,18 @@ pub(crate) fn write_staged(
     if backlog == 0 && staged.wire.is_empty() {
         return;
     }
-    // About a dozen buffers for a page that arrived in one read; a list
-    // past the kernel's limit is a short write like any other.
+    // About a dozen buffers for a page that arrived in one read, offered
+    // from the stack; a list past [`MAX_IOV`] is a short write like any
+    // other.
     let wire = staged.wire.iter().map(|part| staged.bytes_of(part, origin));
-    let iov: Vec<IoSlice<'_>> = std::iter::once(&out[*pos..])
-        .chain(wire)
-        .map(IoSlice::new)
-        .collect();
+    let mut iov = [IoSlice::new(&[]); MAX_IOV];
+    let n = iov
+        .iter_mut()
+        .zip(std::iter::once(&out[*pos..]).chain(wire))
+        .map(|(slot, bytes)| *slot = IoSlice::new(bytes))
+        .count();
     sys.writes.add(1);
-    let wrote = stream.write_vectored(&iov).unwrap_or_else(|e| {
+    let wrote = stream.write_vectored(&iov[..n]).unwrap_or_else(|e| {
         if e.kind() == io::ErrorKind::WouldBlock {
             sys.writes_blocked.add(1);
         }
@@ -50,6 +53,11 @@ pub(crate) fn write_staged(
     *pos += wrote.min(backlog);
     staged.queue(out, origin, wrote.saturating_sub(backlog));
 }
+
+/// The most buffers one vectored write offers the socket: the backlog
+/// and the parts of a step behind it, which [`MAX_RUNS`] keeps to a few
+/// dozen.
+const MAX_IOV: usize = 64;
 
 /// The most body runs one rewriter call is handed, and the most pieces
 /// of output one step stages by reference (a page that arrives in one
@@ -330,6 +338,29 @@ mod tests {
         for room in (0..flat.len() + 9).step_by(4093) {
             check_cut(&staged, &origin, &flat, room);
         }
+    }
+
+    #[test]
+    fn a_list_past_the_vector_cap_is_a_short_write() {
+        // A hundred parts, none adjacent to the next: a socket with room
+        // for all of them is offered the backlog and the first
+        // `MAX_IOV - 1`, and the rest waits in the backlog.
+        let origin: Vec<u8> = (0..=255u8).cycle().take(300).collect();
+        let mut staged = Staged::default();
+        for k in 0..100 {
+            push_part(&mut staged.wire, Part::new(true, 3 * k, 3 * k + 2));
+        }
+        let mut expected = b"HEAD".to_vec();
+        staged.queue(&mut expected, &origin, 0);
+        let mut socket = Takes {
+            room: usize::MAX,
+            got: Vec::new(),
+        };
+        let (mut out, mut pos) = (b"HEAD".to_vec(), 0);
+        let sys = WorkerCounters::default();
+        write_staged(&mut socket, &mut out, &mut pos, &staged, &origin, &sys);
+        assert_eq!(socket.got.len(), 4 + 2 * (MAX_IOV - 1));
+        assert!([&socket.got, &out[pos..]].concat() == expected);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! whole of read → gate → staged write → write: the four answers the
 //! benchmark's `gate_only` mix sends (a `403` to a blocked robot, and a
 //! verified human's CSS probe, pixel and script), and a streamed 64 KB
-//! page. Release CI runs it beside the system-call budget; the counts
-//! are printed either way.
+//! page from each of three origins. Release CI runs it beside the
+//! system-call budget; the counts are printed either way.
 
 mod support;
 
@@ -155,21 +155,23 @@ static STREAM: Tally = Tally::new();
 /// Pages measured per origin, after as many again to warm up.
 const PAGES: u64 = 128;
 
-/// What a streamed page allocated per page before a stream step became
-/// one rewriter call (the median of three runs of this test on that
-/// parent), for the two origins [`a_streamed_page_allocates_what_it_did`]
-/// holds to it, and the slack a run's timing moves the count by (a read
-/// split differently, a sweep tick).
-const BEFORE: [f64; 2] = [55.7, 65.6];
-const SLACK: f64 = 2.0;
+/// What a streamed page allocated per page when these budgets were last
+/// set (the median of three release runs of this test), for each origin
+/// [`a_streamed_page_allocates_what_it_did`] holds to it, and the slack
+/// a run's timing moves the count by (a read split differently or a
+/// buffer grown, a sweep tick; an unoptimised build reads up to two
+/// higher from the byte-a-chunk origin).
+const BEFORE: [f64; 3] = [46.84, 47.04, 49.0];
+const SLACK: f64 = 4.0;
 
 /// A verified human's 64 KB page, streamed through the rewriter from an
-/// origin that declares its length and from one that sends 8 KB chunks:
-/// no more allocations per page than before. A third origin sends a
-/// byte a chunk (fewer pages: it takes three writes a byte); its count
-/// is printed, not held to a budget: it is one vectored-write list per
-/// read of a few bytes, and the runs the rewriter is handed stay in a
-/// list capped at 32 (`origin::tests`).
+/// origin that declares its length, from one that sends 8 KB chunks and
+/// from one that sends a byte a chunk (fewer pages: it takes three
+/// writes a byte): no more allocations per page than before. The last
+/// costs what the others do: no origin read allocates (the fetch's box
+/// goes back into its slot, a vectored write's list is on the stack),
+/// and the runs the rewriter is handed stay in a list capped at 32
+/// (`origin::tests`).
 #[test]
 fn a_streamed_page_allocates_what_it_did() {
     let fx = Fixture::start(|_| {}, || TALLY.with(|t| t.set(Some(&STREAM))));

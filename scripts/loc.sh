@@ -7,8 +7,10 @@
 # are the numbers ROADMAP's aim 2 and its re-anchors quote. Plain `wc -l`
 # over `*.rs`: blank lines, comments and in-file test modules all count.
 # The `non-test` column is the part of `src` that is not an in-file test
-# module: each file up to its first `#[cfg(test)]` line (all of it when
-# it has none), so "non-test lines" is a printed number too, and the
+# module: each file up to the `#[cfg(test)]` line that opens its test
+# module (all of it when it has none; a `#[cfg(test)]` on a counter or a
+# helper above the module does not end the count), so "non-test lines"
+# is a printed number too, and the
 # front door's sum of it (`serve` + `gateway` + `instrument` + `http`,
 # the code a request through `botwall-serve` runs) is printed under the
 # totals instead of being added up by hand, and so is the session layer's
@@ -31,12 +33,16 @@ lines() {
     echo "$total"
 }
 
-# Counts the lines of its input files that come before each file's first
-# `#[cfg(test)]` line.
-before_tests='FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
-    !in_tests { n++ }
-    END { print n + 0 }'
+# Counts the lines of its input files that come before each file's test
+# module: a `#[cfg(test)]` line with a `mod` line next. One on anything
+# else (a test counter, a test-only method) counts like any line.
+before_tests='FNR == 1 { n += cfg; in_tests = 0; cfg = 0 }
+    in_tests { next }
+    cfg && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]/ { in_tests = 1; cfg = 0; next }
+    cfg { n++; cfg = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { cfg = 1; next }
+    { n++ }
+    END { print n + cfg }'
 
 # Non-test lines of every *.rs file under one directory.
 non_test() {
