@@ -195,10 +195,13 @@ impl ClientWorld for MockWorld {
             let stream = self
                 .engine
                 .session_stream_seed(u64::from(self.ip.as_u32()), SimTime::ZERO);
-            let built = self
-                .engine
-                .begin_session_page(&request, &mut self.tokens, stream, self.now)
-                .rewrite_whole(&html);
+            let built = self.engine.build_session_page(
+                &html,
+                &request,
+                &mut self.tokens,
+                || stream,
+                self.now,
+            );
             let (html, manifest) = (built.html, built.manifest);
             let links = page
                 .links

@@ -132,8 +132,7 @@ fn bench_page_setup(c: &mut Criterion) {
 
     let script_fetch = |tokens: &mut TokenState| {
         let manifest = engine
-            .begin_session_page(&page, tokens, 7, now)
-            .rewrite_whole("<html></html>")
+            .build_session_page("<html></html>", &page, tokens, || 7, now)
             .manifest;
         let script = manifest
             .js_file

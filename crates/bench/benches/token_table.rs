@@ -44,8 +44,7 @@ fn bench_token_table(c: &mut Criterion) {
         .build()
         .unwrap();
         let manifest = engine
-            .begin_session_page(&page, &mut tokens, 1, SimTime::ZERO)
-            .rewrite_whole("<html></html>")
+            .build_session_page("<html></html>", &page, &mut tokens, || 1, SimTime::ZERO)
             .manifest;
         let css = manifest.css_probe.unwrap();
         let req = botwall_http::Request::builder(botwall_http::Method::Get, css.to_string())

@@ -993,10 +993,9 @@ mod tests {
                 Gated::NeedsOrigin(lease) => lease,
             };
             let mint = |_: &Session, state: &mut KeyState| {
-                let rewrite = self
-                    .engine
-                    .begin_session_page(request, &mut state.tokens, 5, now);
-                rewrite.rewrite_whole(HTML).manifest
+                self.engine
+                    .build_session_page(HTML, request, &mut state.tokens, || 5, now)
+                    .manifest
             };
             let manifest = page.then(|| self.det.with_lease_state(&lease, mint));
             let outcome = self.det.commit_exchange(lease, &view, ok(), 0, now);

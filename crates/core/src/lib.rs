@@ -60,10 +60,9 @@
 //! let Gated::NeedsOrigin(lease) = gated else { unreachable!("a page needs the origin") };
 //! let manifest = det
 //!     .with_lease_state(&lease, |_, state| {
-//!         engine
-//!             .begin_session_page(&page, &mut state.tokens, 1, now) // 1: the session's RNG stream
-//!             .rewrite_whole("<html><head></head><body></body></html>")
-//!             .manifest
+//!         let html = "<html><head></head><body></body></html>";
+//!         // 1: the session's RNG stream.
+//!         engine.build_session_page(html, &page, &mut state.tokens, || 1, now).manifest
 //!     })
 //!     .expect("the lease is live");
 //! det.commit_exchange(lease, &page.view(), ok, 0, now);

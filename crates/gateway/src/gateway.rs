@@ -29,18 +29,21 @@
 //!
 //! # One commit
 //!
-//! Every origin serve is committed by [`Gateway::finish_page_stream`],
+//! Every origin serve is committed by [`Gateway::commit_page_stream`],
 //! the one caller of [`botwall_core::Detector::commit_exchange`]: an
 //! origin response is a [`PageStream`] (a page through the rewriter,
 //! anything else a [`PageStream::relay`]) and the commit records its
 //! head and what it came to on the wire when its body has ended. The
-//! TCP front door drives that directly, chunk by chunk. A caller that
-//! holds the origin's answer whole ([`Gateway::handle_with`]'s closure,
-//! [`Gateway::complete`]) goes through the same code as a stream of one
-//! chunk: [`Origin::Page`] is begin, one [`PageStream::write`], finish;
-//! [`Origin::Response`] and [`Origin::NotFound`] are relays. So an eval,
-//! an example or a test that never opens a socket commits through what
-//! the socket path commits through.
+//! TCP front door drives that directly, chunk by chunk.
+//! [`Gateway::finish_page_stream`] is the same commit with the page's
+//! [`ProbeManifest`] derived on top, for a caller that reads it. A
+//! caller that holds the origin's answer whole
+//! ([`Gateway::handle_with`]'s closure, [`Gateway::complete`]) goes
+//! through the same code as a stream of one chunk: [`Origin::Page`] is
+//! begin, one [`PageStream::write`], finish; [`Origin::Response`] and
+//! [`Origin::NotFound`] are relays. So an eval, an example or a test
+//! that never opens a socket commits through what the socket path
+//! commits through.
 //!
 //! Everything the request touches is one of three kinds:
 //!
@@ -70,10 +73,12 @@ use botwall_core::classifier::{Reason, Verdict};
 use botwall_core::staged::{Stage, StagedPipeline};
 use botwall_core::{
     Action, BoundaryClassifier, ChallengeState, CompletedSession, Detector, GateRespond, Gated,
-    KeyCarry, OriginLease, PendingCaptchaPass, PolicyEngine,
+    KeyCarry, ObserveOutcome, OriginLease, PendingCaptchaPass, PolicyEngine,
 };
 use botwall_http::{ContentClass, Request, RequestView, Response, ResponseSummary, StatusCode};
-use botwall_instrument::{ProbeManifest, RewriteEngine, StreamSink, StreamingRewrite};
+use botwall_instrument::{
+    FinishedStream, ProbeManifest, RewriteEngine, StreamSink, StreamingRewrite,
+};
 use botwall_sessions::{Session, SessionKey, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -253,7 +258,7 @@ impl PendingOrigin {
 /// [`PageStream::write_runs`] (a step of runs) and rewritten bytes come
 /// out as they resolve. Anything else is a
 /// [`PageStream::relay`], whose bytes pass untouched. Either way
-/// [`Gateway::finish_page_stream`] commits the exchange when the body
+/// [`Gateway::commit_page_stream`] commits the exchange when the body
 /// ends. Holds no lock and no engine borrow — it rides inside a
 /// connection slot across event-loop turns.
 #[derive(Debug)]
@@ -271,7 +276,7 @@ impl PageStream {
     /// A stream that passes its bytes through and records `head` (the
     /// origin's status and the class its `Content-Type` names) when it
     /// is committed: how a caller streams an origin response that is
-    /// not a page through the same [`Gateway::finish_page_stream`].
+    /// not a page through the same [`Gateway::commit_page_stream`].
     pub fn relay(head: ResponseSummary) -> PageStream {
         PageStream {
             rewrite: None,
@@ -613,7 +618,7 @@ impl Gateway {
     /// A lease whose incarnation died mid-fetch degrades to a
     /// passthrough stream: the page goes out uninstrumented (there is
     /// no session state to hold its beacon token) and the eventual
-    /// [`Gateway::finish_page_stream`] commits through the
+    /// [`Gateway::commit_page_stream`] commits through the
     /// deferred-carry channel.
     pub fn begin_page_stream(&self, pending: &PendingOrigin, now: SimTime) -> PageStream {
         self.begin_stream(&pending.lease, &pending.request, now)
@@ -624,7 +629,7 @@ impl Gateway {
             self.engine.begin_session_page(
                 request,
                 &mut state.tokens,
-                self.stream_seed(session),
+                || self.stream_seed(session),
                 now,
             )
         });
@@ -640,13 +645,31 @@ impl Gateway {
     /// `wire_bytes` is what the caller already put on the wire for this
     /// response (head + encoded chunks); the tail flushed here is added
     /// on top, and the sum is what the byte ledger and the session's
-    /// record of the exchange both count.
+    /// record of the exchange both count. Returns the session's verdict
+    /// after folding the exchange; what the page was minted with is not
+    /// spelled out ([`Gateway::finish_page_stream`] is this commit and
+    /// the manifest).
     ///
     /// The recorded response is the summary the stream carries (a page's
     /// `200 text/html`, a relay's origin status and `Content-Type`
     /// class) — the body bytes are long gone to the client, which is the
     /// point of streaming. Evidence folding only reads the status and
     /// the class, so detection is unaffected.
+    pub fn commit_page_stream(
+        &self,
+        pending: PendingOrigin,
+        stream: PageStream,
+        out: &mut Vec<u8>,
+        wire_bytes: u64,
+        now: SimTime,
+    ) -> Verdict {
+        let PendingOrigin { lease, request } = pending;
+        let (outcome, _) = self.commit_stream(lease, &request, stream, out, wire_bytes, now);
+        outcome.verdict
+    }
+
+    /// [`Gateway::commit_page_stream`], and the manifest of what the
+    /// page was minted with, for a caller that reads it.
     pub fn finish_page_stream(
         &self,
         pending: PendingOrigin,
@@ -669,15 +692,35 @@ impl Gateway {
         wire_bytes: u64,
         now: SimTime,
     ) -> StreamedServe {
+        let (outcome, finished) = self.commit_stream(lease, request, stream, out, wire_bytes, now);
+        StreamedServe {
+            key: outcome.key,
+            verdict: outcome.verdict,
+            manifest: finished
+                .map(|finished| finished.manifest(request.uri(), request.authority().as_deref())),
+        }
+    }
+
+    /// [`Gateway::commit_page_stream`] over a borrowed request, handing
+    /// back what the rewriter finished with.
+    fn commit_stream(
+        &self,
+        lease: OriginLease,
+        request: &Request,
+        stream: PageStream,
+        out: &mut Vec<u8>,
+        wire_bytes: u64,
+        now: SimTime,
+    ) -> (ObserveOutcome, Option<FinishedStream>) {
         let cell = self.counters.cell(lease.shard());
         let tail_start = out.len();
-        let manifest = stream.rewrite.map(|rewrite| {
-            let manifest = rewrite.finish(out).manifest;
+        let finished = stream.rewrite.map(|rewrite| {
+            let finished = rewrite.finish(out);
             // The page's wire bytes are tallied below; only the
             // injected share moves into the overhead column.
             cell.instrumentation_bytes
-                .fetch_add(manifest.html_overhead as u64, Ordering::Relaxed);
-            manifest
+                .fetch_add(finished.html_overhead as u64, Ordering::Relaxed);
+            finished
         });
         let sent = wire_bytes + (out.len() - tail_start) as u64;
         // The body is already with the client; live or lost, what is
@@ -689,11 +732,7 @@ impl Gateway {
         cell.total_bytes
             .fetch_add(request.wire_len() as u64 + sent, Ordering::Relaxed);
         cell.served.fetch_add(1, Ordering::Relaxed);
-        StreamedServe {
-            key: outcome.key,
-            verdict: outcome.verdict,
-            manifest,
-        }
+        (outcome, finished)
     }
 
     /// The instrumentation RNG stream of one session incarnation.
@@ -1229,6 +1268,63 @@ mod tests {
             .with_key_state(&key, |_, state| (state.lost_commits, state.in_flight))
             .unwrap();
         assert_eq!((lost, in_flight), (1, 0));
+    }
+
+    #[test]
+    fn a_lease_whose_slot_went_to_another_key_commits_through_the_lost_path() {
+        // One shard holding one session: the leased session is evicted
+        // mid-fetch by a stranger, whose entry takes the freed slab slot.
+        // The slot the lease names now holds another key's session; only
+        // the incarnation stamp tells the two apart.
+        let gw = Gateway::builder()
+            .seed(17)
+            .detector(botwall_core::DetectorConfig {
+                tracker: botwall_sessions::TrackerConfig {
+                    max_sessions: 1,
+                    shards: 1,
+                    ..Default::default()
+                },
+            })
+            .build();
+        let r = req(30, "http://site.example/index.html", "Mozilla/5.0");
+        let key = SessionKey::of(&r);
+        let PendingServe::AwaitingOrigin(pending) = gw.handle_deferred(&r, SimTime::ZERO) else {
+            panic!("ordinary request leases");
+        };
+        let stranger = req(31, "http://site.example/x", "Mozilla/5.0");
+        gw.handle(&stranger, SimTime::from_secs(1));
+        let tracker = gw.detector().tracker();
+        assert!(tracker.get(&key).is_none(), "evicted");
+        assert_eq!(tracker.census().slots, 1, "the stranger took the slot");
+        let newcomer = |gw: &Gateway| {
+            gw.detector()
+                .with_key_state(&SessionKey::of(&stranger), |session, state| {
+                    (session.request_count(), state.in_flight, state.tokens.len())
+                })
+                .expect("the stranger is live")
+        };
+        let before = newcomer(&gw);
+        // The page passes through uninstrumented: nothing is minted into
+        // the stranger's session...
+        let mut stream = gw.begin_page_stream(&pending, SimTime::from_secs(2));
+        assert!(!stream.instrumented());
+        let mut out = Vec::new();
+        stream.write(HTML.as_bytes(), &mut out);
+        assert_eq!(out, HTML.as_bytes());
+        let sent = out.len() as u64;
+        let served = gw.finish_page_stream(pending, stream, &mut out, sent, SimTime::from_secs(2));
+        assert!(served.manifest.is_none());
+        // ...nor committed into it: the exchange parks for the leased
+        // key's next incarnation.
+        assert_eq!(newcomer(&gw), before);
+        assert_eq!(tracker.carry_count(), 1);
+        assert_eq!(gw.stats().token_entries, 0);
+        gw.handle(&r, SimTime::from_secs(3));
+        let lost = gw
+            .detector()
+            .with_key_state(&key, |_, state| state.lost_commits)
+            .expect("the key is back");
+        assert_eq!(lost, 1);
     }
 
     #[test]

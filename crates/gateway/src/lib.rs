@@ -22,10 +22,12 @@
 //!   and [`Gateway::handle_deferred`] are it over an owned request.
 //! * [`Gateway::handle_deferred`] gates now and hands back a lease for
 //!   an origin fetched elsewhere; [`Gateway::begin_page_stream`],
-//!   [`PageStream`] and [`Gateway::finish_page_stream`] relay its
+//!   [`PageStream`] and [`Gateway::commit_page_stream`] relay its
 //!   response as it arrives and commit it, which is what the TCP front
-//!   door does. That is the only commit there is: `handle_with` and
-//!   [`Gateway::complete`] reach it as a stream of one chunk.
+//!   door does. That is the only commit there is:
+//!   [`Gateway::finish_page_stream`] is it with the page's manifest
+//!   derived on top, and `handle_with` and [`Gateway::complete`] reach
+//!   it as a stream of one chunk.
 //! * [`Gateway::sweep`] / [`Gateway::drain`] flush idle / all sessions,
 //!   applying the batch set-algebra classification and returning
 //!   [`CompletedSession`]s.

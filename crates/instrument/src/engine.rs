@@ -37,12 +37,20 @@
 //!   entry's own key, decoys and seed on the first fetch of the
 //!   `<script src>` URL and leaves it in the entry; a page whose script
 //!   is never fetched never pays for one, in time or in memory.
+//! * **Probe URLs are written where they are injected; the manifest is
+//!   derived for callers that read it.** The mint writes each URL
+//!   straight into the page's one markup buffer from its nonce (the
+//!   site's `http://authority`, then the 20 digits and the extension)
+//!   and keeps only the nonces and the token. A [`ProbeManifest`], with
+//!   a [`Uri`] per probe, is built from those by
+//!   [`crate::FinishedStream::manifest`], for the caller that asks: a
+//!   page the front door serves never builds one.
 
 use crate::beacon;
 use crate::jsgen::{self, GeneratedJs, JsSpec};
 use crate::probe::{AutomationReport, ProbeHit, ProbeKind, ProbeObject};
 use crate::rewrite::{Classified, InstrumentConfig, ProbeManifest};
-use crate::stream::StreamingRewrite;
+use crate::stream::{FinishedStream, StreamingRewrite};
 use crate::token::{BeaconKey, ScriptSeed, TokenState};
 use botwall_http::{Request, RequestView, Response, Uri, UriRef};
 use botwall_sessions::SimTime;
@@ -145,8 +153,9 @@ impl Sighting {
 
 /// Everything one page rewrite produced: the rewritten HTML, the probe
 /// manifest, and — when the mouse beacon is deployed — the issued token
-/// (key, decoys, script seed) for the caller to store in the session's
-/// [`TokenState`].
+/// (key, decoys, script seed), for the caller of
+/// [`RewriteEngine::build_page`] to store in the session's
+/// [`TokenState`] ([`RewriteEngine::build_session_page`] has stored it).
 #[derive(Debug, Clone)]
 pub struct BuiltPage {
     /// The rewritten HTML.
@@ -194,38 +203,102 @@ impl<'a> Site<'a> {
         }))
     }
 
+    /// How many bytes this site puts in front of every path.
+    fn prefix_len(self) -> usize {
+        self.0
+            .map_or(0, |authority| "http://".len() + authority.len())
+    }
+
+    /// Appends the URL of the probe `nonce` of `kind` names, as it goes
+    /// into markup.
+    fn push_probe(self, out: &mut String, nonce: u64, kind: ProbeKind) {
+        if let Some(authority) = self.0 {
+            out.push_str("http://");
+            out.push_str(authority);
+        }
+        push_probe_path(out, nonce, kind);
+    }
+
+    /// The [`Uri`] of the probe [`Site::push_probe`] writes.
+    fn probe(self, nonce: u64, kind: ProbeKind) -> Uri {
+        let mut path = String::with_capacity(PROBE_NAME_LEN);
+        push_probe_path(&mut path, nonce, kind);
+        self.uri(path)
+    }
+
+    /// The [`Uri`] of `key`'s mouse beacon.
+    fn beacon(self, key: BeaconKey) -> Uri {
+        self.uri(beacon::path(key))
+    }
+
     fn uri(self, path: String) -> Uri {
         match self.0 {
             Some(authority) => Uri::absolute(authority, path),
             None => path.parse().expect("probe paths are origin-form"),
         }
     }
-
-    /// Appends `uri` — one of this site's — as it goes into markup.
-    fn push_url(self, out: &mut String, uri: &Uri) {
-        if let Some(authority) = self.0 {
-            out.push_str("http://");
-            out.push_str(authority);
-        }
-        out.push_str(uri.path());
-    }
 }
 
-/// `/<nonce as 20 digits>.<ext>`, formatted on the stack.
-fn probe_path(nonce: u64, kind: ProbeKind) -> String {
+/// The longest probe path: `/`, 20 digits, `.` and a four-letter
+/// extension.
+const PROBE_NAME_LEN: usize = 26;
+
+/// Appends `/<nonce as 20 digits>.<ext>`, formatted on the stack.
+fn push_probe_path(out: &mut String, nonce: u64, kind: ProbeKind) {
     let mut digits = [b'0'; 20];
     let mut rest = nonce;
     for digit in digits.iter_mut().rev() {
         *digit = b'0' + (rest % 10) as u8;
         rest /= 10;
     }
-    let ext = kind.extension();
-    let mut path = String::with_capacity(22 + ext.len());
-    path.push('/');
-    path.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
-    path.push('.');
-    path.push_str(ext);
-    path
+    out.push('/');
+    out.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
+    out.push('.');
+    out.push_str(kind.extension());
+}
+
+/// What one mint drew for a page besides the markup it wrote: the nonce
+/// of every probe URL and the beacon token, from which
+/// [`Minted::manifest`] spells the page's URLs for a caller that reads
+/// them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Minted {
+    css: Option<u64>,
+    pub(crate) token: Option<IssuedPageToken>,
+    /// The hidden link's nonce and the pixel's.
+    trap: Option<(u64, u64)>,
+}
+
+impl Minted {
+    /// The manifest of a page `page` minted with this on `authority`'s
+    /// site, `html_overhead` bytes of markup: every URL the markup and
+    /// the script point at, as [`Uri`]s.
+    pub(crate) fn manifest(
+        &self,
+        page: &Uri,
+        authority: Option<&str>,
+        html_overhead: usize,
+    ) -> ProbeManifest {
+        let site = Site::of(authority);
+        let probe = |nonce: Option<u64>, kind| nonce.map(|nonce| site.probe(nonce, kind));
+        let token = self.token.as_ref();
+        ProbeManifest {
+            page: page.clone(),
+            js_file: probe(token.map(|t| t.js_nonce), ProbeKind::JsFile),
+            agent_beacon: probe(token.map(|t| t.script.agent_nonce), ProbeKind::AgentBeacon),
+            mouse_beacon: token.map(|t| site.beacon(t.key)),
+            decoy_beacons: token.map_or_else(Vec::new, |t| {
+                t.decoys.iter().map(|d| site.beacon(*d)).collect()
+            }),
+            css_probe: probe(self.css, ProbeKind::CssProbe),
+            hidden_link: probe(self.trap.map(|(link, _)| link), ProbeKind::HiddenLink),
+            transparent_pixel: probe(
+                self.trap.map(|(_, pixel)| pixel),
+                ProbeKind::TransparentPixel,
+            ),
+            html_overhead,
+        }
+    }
 }
 
 /// The immutable page-rewriting and probe-classifying engine.
@@ -243,9 +316,9 @@ fn probe_path(nonce: u64, kind: ProbeKind) -> String {
 ///     .build()
 ///     .unwrap();
 /// let mut tokens = TokenState::default();
-/// let built = engine
-///     .begin_session_page(&page, &mut tokens, 1234, SimTime::ZERO) // 1234: per-session stream seed
-///     .rewrite_whole("<html><head></head><body></body></html>");
+/// let html = "<html><head></head><body></body></html>";
+/// // 1234: the session's stream seed, asked for once, on its first page.
+/// let built = engine.build_session_page(html, &page, &mut tokens, || 1234, SimTime::ZERO);
 /// assert!(built.html.contains("onmousemove"));
 /// assert!(built.html.contains("href=\"http://site.example/"));
 /// assert!(built.manifest.mouse_beacon.is_some());
@@ -328,17 +401,6 @@ impl RewriteEngine {
         fresh.then_some(kind)
     }
 
-    fn probe_url<R: Rng>(
-        &self,
-        kind: ProbeKind,
-        site: Site<'_>,
-        now: SimTime,
-        rng: &mut R,
-    ) -> (Uri, u64) {
-        let nonce = self.probe_nonce(kind, now, rng);
-        (site.uri(probe_path(nonce, kind)), nonce)
-    }
-
     /// Classifies a request against the instrumentation scheme without
     /// touching any mutable state — the engine's whole contribution to
     /// the hot path happens before any lock is taken. Probe nonces
@@ -418,31 +480,34 @@ impl RewriteEngine {
     /// fast browser mid-stream already redeems. Probe URLs point at
     /// `page`'s authority (path-only when it has none).
     pub fn begin_stream<R: Rng>(&self, page: &Uri, now: SimTime, rng: &mut R) -> StreamingRewrite {
-        self.mint(page.authority().as_deref(), page, now, rng)
+        self.mint(page.authority().as_deref(), now, rng)
     }
 
     /// [`RewriteEngine::begin_stream`] for the page `request` asked for,
     /// into the session it was asked in: the randomness comes from the
-    /// session's own stream (seeded from `stream_seed` on first use), the
-    /// probe URLs point at [`Request::authority`] (a browser talking to a
-    /// reverse proxy names the site in its `Host` header, not in the
-    /// request target), and the issued token — its script still a seed —
-    /// is in `tokens` before a body byte has gone through, so a probe
-    /// fetched mid-stream already redeems. Designed to run inside the
-    /// session's shard critical section, touching nothing shared.
+    /// session's own stream (seeded from `stream_seed()` on first use:
+    /// a session's later pages never call it), the probe URLs point at
+    /// [`Request::authority`] (a browser talking to a reverse proxy names
+    /// the site in its `Host` header, not in the request target), and the
+    /// issued token — its script still a seed — is in `tokens` before a
+    /// body byte has gone through, so a probe fetched mid-stream already
+    /// redeems. Designed to run inside the session's shard critical
+    /// section, touching nothing shared.
     pub fn begin_session_page(
         &self,
         request: &Request,
         tokens: &mut TokenState,
-        stream_seed: u64,
+        stream_seed: impl FnOnce() -> u64,
         now: SimTime,
     ) -> StreamingRewrite {
         let rng = tokens.rng_seeded(stream_seed);
-        let mut stream = self.mint(request.authority().as_deref(), request.uri(), now, rng);
-        if let Some(token) = stream.take_token() {
+        let stream = self.mint(request.authority().as_deref(), now, rng);
+        // The stream keeps its own: a manifest derived later spells the
+        // decoy URLs from it.
+        if let Some(token) = stream.token() {
             tokens.issue_page(
                 request.uri().path(),
-                token,
+                token.clone(),
                 now,
                 self.config.session_tokens.max_entries,
             );
@@ -450,90 +515,70 @@ impl RewriteEngine {
         stream
     }
 
-    fn mint<R: Rng>(
-        &self,
-        authority: Option<&str>,
-        page: &Uri,
-        now: SimTime,
-        rng: &mut R,
-    ) -> StreamingRewrite {
+    /// Draws this page's probes and token from `rng` and writes the
+    /// markup that carries them, every probe URL on `authority`'s site
+    /// written in place from its nonce.
+    fn mint<R: Rng>(&self, authority: Option<&str>, now: SimTime, rng: &mut R) -> StreamingRewrite {
         let site = Site::of(authority);
-        let mut manifest = ProbeManifest {
-            page: page.clone(),
-            js_file: None,
-            agent_beacon: None,
-            mouse_beacon: None,
-            decoy_beacons: Vec::new(),
-            css_probe: None,
-            hidden_link: None,
-            transparent_pixel: None,
-            html_overhead: 0,
-        };
-        let mut token = None;
-        let mut head_inject = String::with_capacity(256);
-        let mut body_attr = String::new();
-        let mut body_inject = String::new();
-
+        let mut minted = Minted::default();
+        // Four URLs, and under 200 bytes of tags and handler name.
+        let mut markup = String::with_capacity(200 + 4 * (site.prefix_len() + PROBE_NAME_LEN));
         if self.config.css_probe {
-            let (url, _) = self.probe_url(ProbeKind::CssProbe, site, now, rng);
-            head_inject.push_str("<link rel=\"stylesheet\" type=\"text/css\" href=\"");
-            site.push_url(&mut head_inject, &url);
-            head_inject.push_str("\">\n");
-            manifest.css_probe = Some(url);
+            let nonce = self.probe_nonce(ProbeKind::CssProbe, now, rng);
+            markup.push_str("<link rel=\"stylesheet\" type=\"text/css\" href=\"");
+            site.push_probe(&mut markup, nonce, ProbeKind::CssProbe);
+            markup.push_str("\">\n");
+            minted.css = Some(nonce);
         }
         if self.config.mouse_beacon {
             let key = BeaconKey::random(rng);
             let decoys: Vec<BeaconKey> = (0..self.config.decoys)
                 .map(|_| BeaconKey::random(rng))
                 .collect();
-            let (agent_url, agent_nonce) = self.probe_url(ProbeKind::AgentBeacon, site, now, rng);
-            let (js_url, js_nonce) = self.probe_url(ProbeKind::JsFile, site, now, rng);
+            let agent_nonce = self.probe_nonce(ProbeKind::AgentBeacon, now, rng);
+            let js_nonce = self.probe_nonce(ProbeKind::JsFile, now, rng);
             // The script itself waits for its first fetch; the page only
             // needs the name of the handler it will define.
             let script = ScriptSeed {
                 seed: rng.gen(),
                 agent_nonce,
             };
-            head_inject.push_str("<script language=\"javascript\" src=\"");
-            site.push_url(&mut head_inject, &js_url);
-            head_inject.push_str("\"></script>\n");
-            body_attr = format!(
-                " onmousemove=\"return {}();\"",
-                jsgen::handler_name(script.seed, self.config.obfuscation)
-            );
-            manifest.mouse_beacon = Some(site.uri(beacon::path(key)));
-            manifest.decoy_beacons = decoys.iter().map(|d| site.uri(beacon::path(*d))).collect();
-            manifest.agent_beacon = Some(agent_url);
-            manifest.js_file = Some(js_url);
-            token = Some(IssuedPageToken {
+            markup.push_str("<script language=\"javascript\" src=\"");
+            site.push_probe(&mut markup, js_nonce, ProbeKind::JsFile);
+            markup.push_str("\"></script>\n");
+            minted.token = Some(IssuedPageToken {
                 key,
                 decoys,
                 js_nonce,
                 script,
             });
         }
-        if self.config.hidden_link {
-            let (link, _) = self.probe_url(ProbeKind::HiddenLink, site, now, rng);
-            let (pixel, _) = self.probe_url(ProbeKind::TransparentPixel, site, now, rng);
-            body_inject.reserve(160);
-            body_inject.push_str("<a href=\"");
-            site.push_url(&mut body_inject, &link);
-            body_inject.push_str("\"><img src=\"");
-            site.push_url(&mut body_inject, &pixel);
-            body_inject.push_str("\" width=\"1\" height=\"1\" border=\"0\"></a>\n");
-            manifest.hidden_link = Some(link);
-            manifest.transparent_pixel = Some(pixel);
+        let attr = markup.len();
+        if let Some(token) = &minted.token {
+            markup.push_str(" onmousemove=\"return ");
+            jsgen::handler_name(token.script.seed, self.config.obfuscation, &mut markup);
+            markup.push_str("();\"");
         }
-
-        StreamingRewrite::new(head_inject, body_attr, body_inject, manifest, token)
+        let body = markup.len();
+        if self.config.hidden_link {
+            let link = self.probe_nonce(ProbeKind::HiddenLink, now, rng);
+            let pixel = self.probe_nonce(ProbeKind::TransparentPixel, now, rng);
+            markup.push_str("<a href=\"");
+            site.push_probe(&mut markup, link, ProbeKind::HiddenLink);
+            markup.push_str("\"><img src=\"");
+            site.push_probe(&mut markup, pixel, ProbeKind::TransparentPixel);
+            markup.push_str("\" width=\"1\" height=\"1\" border=\"0\"></a>\n");
+            minted.trap = Some((link, pixel));
+        }
+        StreamingRewrite::new(markup, attr, body, minted)
     }
 
     /// Generates the script a page token stands for: the same
     /// [`jsgen::generate`] the page rewrite used to run, over the stream
     /// `script.seed` stands for, fetching this engine's URLs for `key`,
-    /// `decoys` and the agent beacon on `authority` (as
-    /// [`RewriteEngine::begin_stream`] spells them). Its handler is the
-    /// one the page's `<body onmousemove>` names.
+    /// `decoys` and the agent beacon on `authority` (as a page's
+    /// manifest spells them, [`crate::FinishedStream::manifest`]). Its
+    /// handler is the one the page's `<body onmousemove>` names.
     pub fn generate_script(
         &self,
         authority: Option<&str>,
@@ -543,9 +588,9 @@ impl RewriteEngine {
     ) -> GeneratedJs {
         let site = Site::of(authority);
         let spec = JsSpec {
-            mouse_beacon: site.uri(beacon::path(key)),
-            decoys: decoys.iter().map(|d| site.uri(beacon::path(*d))).collect(),
-            agent_beacon: site.uri(probe_path(script.agent_nonce, ProbeKind::AgentBeacon)),
+            mouse_beacon: site.beacon(key),
+            decoys: decoys.iter().map(|d| site.beacon(*d)).collect(),
+            agent_beacon: site.probe(script.agent_nonce, ProbeKind::AgentBeacon),
             obfuscation: self.config.obfuscation,
             target_size: self.config.js_target_size,
         };
@@ -585,8 +630,9 @@ impl RewriteEngine {
     /// `rng` and returning the issued token for the caller to store
     /// (`now` stamps the probe nonces' freshness window):
     /// [`RewriteEngine::begin_stream`] with `html` as its one chunk, so
-    /// the two are byte-identical by construction. A page served into a
-    /// session is the same over [`RewriteEngine::begin_session_page`].
+    /// the two are byte-identical by construction, and the manifest
+    /// derived. What tests, benches and in-process callers that hold a
+    /// page whole use.
     pub fn build_page<R: Rng>(
         &self,
         html: &str,
@@ -594,7 +640,22 @@ impl RewriteEngine {
         now: SimTime,
         rng: &mut R,
     ) -> BuiltPage {
-        self.begin_stream(page, now, rng).rewrite_whole(html)
+        let stream = self.begin_stream(page, now, rng);
+        rewrite_whole(stream, html, page, page.authority().as_deref())
+    }
+
+    /// [`RewriteEngine::build_page`] into a session: the page `request`
+    /// asked for, over [`RewriteEngine::begin_session_page`].
+    pub fn build_session_page(
+        &self,
+        html: &str,
+        request: &Request,
+        tokens: &mut TokenState,
+        stream_seed: impl FnOnce() -> u64,
+        now: SimTime,
+    ) -> BuiltPage {
+        let stream = self.begin_session_page(request, tokens, stream_seed, now);
+        rewrite_whole(stream, html, request.uri(), request.authority().as_deref())
     }
 
     /// [`RewriteEngine::object_in_session`] as a [`Response`].
@@ -637,6 +698,27 @@ impl RewriteEngine {
     }
 }
 
+/// `html` through `stream` as its one chunk, and the manifest of `page`
+/// on `authority`, the site the stream was begun on.
+fn rewrite_whole(
+    mut stream: StreamingRewrite,
+    html: &str,
+    page: &Uri,
+    authority: Option<&str>,
+) -> BuiltPage {
+    let mut out = Vec::with_capacity(html.len() + 512);
+    stream.write(html.as_bytes(), &mut out);
+    let FinishedStream {
+        html_overhead,
+        minted,
+    } = stream.finish(&mut out);
+    BuiltPage {
+        html: String::from_utf8(out).expect("the rewriter only injects ASCII at ASCII anchors"),
+        manifest: minted.manifest(page, authority, html_overhead),
+        token: minted.token,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,10 +748,22 @@ mod tests {
         stream_seed: u64,
         now: SimTime,
     ) -> (String, ProbeManifest) {
-        let built = e
-            .begin_session_page(page, tokens, stream_seed, now)
-            .rewrite_whole(html);
+        let built = e.build_session_page(html, page, tokens, || stream_seed, now);
         (built.html, built.manifest)
+    }
+
+    impl RewriteEngine {
+        /// A fresh probe URL of `kind` on `site`, and its nonce.
+        fn probe_url<R: Rng>(
+            &self,
+            kind: ProbeKind,
+            site: Site<'_>,
+            now: SimTime,
+            rng: &mut R,
+        ) -> (Uri, u64) {
+            let nonce = self.probe_nonce(kind, now, rng);
+            (site.probe(nonce, kind), nonce)
+        }
     }
 
     fn get(uri: &str) -> Request {
@@ -961,7 +1055,8 @@ mod tests {
             // a second mint from the same session stream).
             let token = e
                 .begin_stream(page.uri(), SimTime::ZERO, &mut ChaCha8Rng::seed_from_u64(stream_seed))
-                .take_token()
+                .token()
+                .cloned()
                 .unwrap();
             let spec = JsSpec {
                 mouse_beacon: m.mouse_beacon.clone().unwrap(),

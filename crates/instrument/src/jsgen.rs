@@ -17,7 +17,8 @@
 //! 2 GHz Pentium 4 and pays it on every page; here it is ~6 µs (the
 //! Criterion bench `benches/jsgen.rs` keeps us in that class) and is
 //! paid per *fetched* script. A page serve only draws a 64-bit script
-//! seed and wires [`handler_name`] of it into `<body onmousemove>`; the
+//! seed and writes the handler name of it ([`handler_name`]) into
+//! `<body onmousemove>`; the
 //! source is [`generate_seeded`] from that seed the first time the
 //! `<script src>` URL is actually requested — which, by the paper's own
 //! premise, most robots never do.
@@ -181,9 +182,9 @@ pub fn generate_seeded(spec: &JsSpec, seed: u64) -> GeneratedJs {
     generate(spec, &mut ChaCha8Rng::seed_from_u64(seed))
 }
 
-/// The entry-point name of the script [`generate_seeded`] builds from
-/// `seed` — the first identifier [`generate`] draws — without building
-/// the script.
+/// Appends to `out` the entry-point name of the script
+/// [`generate_seeded`] builds from `seed` — the first identifier
+/// [`generate`] draws — without building the script.
 ///
 /// # Examples
 ///
@@ -198,11 +199,12 @@ pub fn generate_seeded(spec: &JsSpec, seed: u64) -> GeneratedJs {
 ///     obfuscation: Obfuscation::Lexical,
 ///     target_size: 1024,
 /// };
-/// let name = handler_name(7, spec.obfuscation);
+/// let mut name = String::new();
+/// handler_name(7, spec.obfuscation, &mut name);
 /// assert_eq!(generate_seeded(&spec, 7).handler_name, name);
 /// ```
-pub fn handler_name(seed: u64, obfuscation: Obfuscation) -> String {
-    Namer::new(obfuscation).next(&mut ChaCha8Rng::seed_from_u64(seed), "f")
+pub fn handler_name(seed: u64, obfuscation: Obfuscation, out: &mut String) {
+    Namer::new(obfuscation).push_next(&mut ChaCha8Rng::seed_from_u64(seed), "f", out);
 }
 
 #[cfg(test)]
@@ -245,23 +247,30 @@ impl Namer {
     }
 
     fn next<R: Rng>(&mut self, rng: &mut R, hint: &str) -> String {
+        let mut name = String::with_capacity(12);
+        self.push_next(rng, hint, &mut name);
+        name
+    }
+
+    /// Appends the next identifier to `out`.
+    fn push_next<R: Rng>(&mut self, rng: &mut R, hint: &str, out: &mut String) {
         self.counter += 1;
         if !self.obfuscate {
-            if self.counter == 1 || hint == "do_once" || hint == "getuseragnt" {
-                return hint.to_string();
+            out.push_str(hint);
+            if !(self.counter == 1 || hint == "do_once" || hint == "getuseragnt") {
+                let _ = write!(out, "_{}", self.counter);
             }
-            return format!("{hint}_{}", self.counter);
+            return;
         }
         const SYLLABLES: [&str; 12] = [
             "ba", "ko", "ri", "ta", "zu", "me", "lo", "vi", "sa", "du", "pe", "ny",
         ];
         let n = rng.gen_range(2..4);
-        let mut s = String::from("v");
+        out.push('v');
         for _ in 0..n {
-            s.push_str(SYLLABLES[rng.gen_range(0..SYLLABLES.len())]);
+            out.push_str(SYLLABLES[rng.gen_range(0..SYLLABLES.len())]);
         }
-        s.push_str(&self.counter.to_string());
-        s
+        let _ = write!(out, "{}", self.counter);
     }
 }
 

@@ -38,9 +38,9 @@
 //! let page = Request::builder(Method::Get, "http://www.example.com/foo.html")
 //!     .build()
 //!     .unwrap();
-//! let built = engine
-//!     .begin_session_page(&page, &mut tokens, 7, SimTime::ZERO) // 7: the session's RNG stream
-//!     .rewrite_whole("<html><head></head><body></body></html>");
+//! let html = "<html><head></head><body></body></html>";
+//! // 7: the session's RNG stream, seeded on its first page.
+//! let built = engine.build_session_page(html, &page, &mut tokens, || 7, SimTime::ZERO);
 //! assert!(built.html.contains("<script"));
 //! let manifest = built.manifest;
 //! assert_eq!(manifest.decoy_beacons.len(), engine.config().decoys);

@@ -136,10 +136,14 @@ mod tests {
     impl OneSession {
         fn page(&mut self, html: &str) -> (String, ProbeManifest) {
             let request = get(&"http://site.example/index.html".parse().unwrap());
-            let built = self
-                .engine
-                .begin_session_page(&request, &mut self.tokens, self.stream_seed, SimTime::ZERO)
-                .rewrite_whole(html);
+            let seed = self.stream_seed;
+            let built = self.engine.build_session_page(
+                html,
+                &request,
+                &mut self.tokens,
+                || seed,
+                SimTime::ZERO,
+            );
             (built.html, built.manifest)
         }
 

@@ -9,8 +9,9 @@
 //! ([`StreamingRewrite::write_runs`]: the front door hands over the data
 //! of every chunk one read delivered, framing left between them). A
 //! caller that holds the whole page hands it over as the one chunk
-//! ([`StreamingRewrite::rewrite_whole`]), so there is no buffered
-//! rewriter to drift from this one.
+//! ([`crate::RewriteEngine::build_page`],
+//! [`crate::RewriteEngine::build_session_page`]), so there is no
+//! buffered rewriter to drift from this one.
 //!
 //! # What is scanned
 //!
@@ -87,9 +88,10 @@
 //! earlier one when the cap forces it first), never on how a step was
 //! cut into runs. The byte-lock corpora never get there.
 
-use crate::engine::{BuiltPage, IssuedPageToken};
+use crate::engine::{IssuedPageToken, Minted};
 use crate::rewrite::ProbeManifest;
 use crate::scan::{find_ci, partial_suffix, rfind_ci};
+use botwall_http::Uri;
 use std::ops::Range;
 
 /// Cap on every hold buffer in the streaming rewriter. A document that
@@ -98,14 +100,26 @@ use std::ops::Range;
 pub const MAX_HELD_BYTES: usize = 64 * 1024;
 
 /// What [`StreamingRewrite::finish`] yields once the last chunk is out:
-/// the completed manifest (with `html_overhead` counted at the injection
-/// sites) and the issued beacon token for the caller to store.
+/// how many bytes the markup added (counted at the injection sites), and
+/// what was minted into the page, from which a caller that reads the
+/// manifest derives it ([`FinishedStream::manifest`]).
 #[derive(Debug, Clone)]
 pub struct FinishedStream {
-    /// Manifest of everything injected into the page.
-    pub manifest: ProbeManifest,
-    /// The issued beacon token, when the mouse beacon is deployed.
-    pub token: Option<IssuedPageToken>,
+    /// Bytes the rewrite added to the page: the manifest's
+    /// `html_overhead`.
+    pub html_overhead: usize,
+    pub(crate) minted: Minted,
+}
+
+impl FinishedStream {
+    /// The manifest of what the page was minted with: `page` is the page
+    /// and `authority` the site its probe URLs were written on, as the
+    /// stream was begun ([`crate::RewriteEngine::begin_stream`]'s page
+    /// and its authority; [`crate::RewriteEngine::begin_session_page`]'s
+    /// request's target and [`botwall_http::Request::authority`]).
+    pub fn manifest(&self, page: &Uri, authority: Option<&str>) -> ProbeManifest {
+        self.minted.manifest(page, authority, self.html_overhead)
+    }
 }
 
 /// Where a [`StreamingRewrite`] puts its output. Nearly all of a page
@@ -198,14 +212,16 @@ enum Phase {
     Passthrough,
 }
 
-/// The injection scanner: places `head_inject`, `body_attr`, and
-/// `body_inject` with exactly the buffered `inject()` semantics, holding
-/// only what is still unresolved.
+/// The injection scanner: places the head markup, the `<body>`
+/// attribute and the body markup with exactly the buffered `inject()`
+/// semantics, holding only what is still unresolved.
 #[derive(Debug)]
 struct Injector {
-    head_inject: Vec<u8>,
-    body_attr: Vec<u8>,
-    body_inject: Vec<u8>,
+    /// The three pieces of markup, in that order: the attribute starts
+    /// at `attr` and the body markup at `body`.
+    markup: Vec<u8>,
+    attr: usize,
+    body: usize,
     phase: Phase,
     held: Vec<u8>,
     /// Incremental-scan cursors: offsets of the step (the hold, then the
@@ -222,11 +238,11 @@ struct Injector {
 }
 
 impl Injector {
-    fn new(head_inject: String, body_attr: String, body_inject: String) -> Injector {
+    fn new(markup: Vec<u8>, attr: usize, body: usize) -> Injector {
         Injector {
-            head_inject: head_inject.into_bytes(),
-            body_attr: body_attr.into_bytes(),
-            body_inject: body_inject.into_bytes(),
+            markup,
+            attr,
+            body,
             phase: Phase::Head,
             held: Vec::new(),
             head_scan: 0,
@@ -305,9 +321,9 @@ impl Injector {
 
     fn emit_injection(&mut self, which: Which, out: &mut impl StreamSink) {
         let markup = match which {
-            Which::Head => &self.head_inject,
-            Which::BodyAttr => &self.body_attr,
-            Which::BodyEnd => &self.body_inject,
+            Which::Head => &self.markup[..self.attr],
+            Which::BodyAttr => &self.markup[self.attr..self.body],
+            Which::BodyEnd => &self.markup[self.body..],
         };
         out.bytes(markup);
         self.injected += markup.len();
@@ -488,41 +504,34 @@ enum Which {
 
 /// One in-flight streaming page rewrite, produced by
 /// [`crate::RewriteEngine::begin_stream`]: chunk in → chunk out →
-/// [`StreamingRewrite::finish`] yields the manifest and issued token.
-/// Owns every piece of its state (no borrow of the engine), so it can
-/// ride inside a connection slot across event-loop turns.
+/// [`StreamingRewrite::finish`] yields what was injected. Owns every
+/// piece of its state (no borrow of the engine), so it can ride inside a
+/// connection slot across event-loop turns.
 #[derive(Debug)]
 pub struct StreamingRewrite {
     injector: Injector,
-    manifest: ProbeManifest,
-    token: Option<IssuedPageToken>,
+    minted: Minted,
 }
 
 impl StreamingRewrite {
+    /// A rewrite injecting `markup`: the head markup, then from `attr`
+    /// the `<body>` attribute, then from `body` the body markup.
     pub(crate) fn new(
-        head_inject: String,
-        body_attr: String,
-        body_inject: String,
-        manifest: ProbeManifest,
-        token: Option<IssuedPageToken>,
+        markup: String,
+        attr: usize,
+        body: usize,
+        minted: Minted,
     ) -> StreamingRewrite {
         StreamingRewrite {
-            injector: Injector::new(head_inject, body_attr, body_inject),
-            manifest,
-            token,
+            injector: Injector::new(markup.into_bytes(), attr, body),
+            minted,
         }
     }
 
     /// The issued beacon token (available from the start — streaming
     /// callers store it in the session before the body has streamed).
     pub fn token(&self) -> Option<&IssuedPageToken> {
-        self.token.as_ref()
-    }
-
-    /// Moves the issued token out, for a caller that stores it in the
-    /// session up front ([`StreamingRewrite::finish`] then yields none).
-    pub fn take_token(&mut self) -> Option<IssuedPageToken> {
-        self.token.take()
+        self.minted.token.as_ref()
     }
 
     /// Feeds one origin chunk in; rewritten bytes go to `out` (a
@@ -555,29 +564,13 @@ impl StreamingRewrite {
     }
 
     /// Ends the stream: emits everything still held (placing any
-    /// injection whose anchor never arrived) and yields the manifest —
-    /// with `html_overhead` counted at the injection sites — plus the
-    /// issued token.
+    /// injection whose anchor never arrived) and yields how many bytes
+    /// were injected and what was minted.
     pub fn finish(mut self, out: &mut Vec<u8>) -> FinishedStream {
         self.injector.finish(out);
-        self.manifest.html_overhead = self.injector.injected;
         FinishedStream {
-            manifest: self.manifest,
-            token: self.token,
-        }
-    }
-
-    /// The whole page at once: `html` in as the one chunk, everything
-    /// out. What tests, benches and in-process callers that hold a page
-    /// whole use; byte for byte what any chunking of `html` comes to.
-    pub fn rewrite_whole(mut self, html: &str) -> BuiltPage {
-        let mut out = Vec::with_capacity(html.len() + 512);
-        self.write(html.as_bytes(), &mut out);
-        let finished = self.finish(&mut out);
-        BuiltPage {
-            html: String::from_utf8(out).expect("the rewriter only injects ASCII at ASCII anchors"),
-            manifest: finished.manifest,
-            token: finished.token,
+            html_overhead: self.injector.injected,
+            minted: self.minted,
         }
     }
 }
@@ -592,7 +585,7 @@ mod tests {
     /// Runs the injector alone with visible markers over `html` cut
     /// into pieces of the given sizes, cycled.
     fn inject_pieces(html: &[u8], sizes: &[usize]) -> (Vec<u8>, Injector) {
-        let mut inj = Injector::new("[H]".into(), "[A]".into(), "[B]".into());
+        let mut inj = Injector::new(b"[H][A][B]".to_vec(), 3, 6);
         let mut out = Vec::new();
         let mut rest = html;
         for &size in sizes.iter().cycle() {
@@ -667,7 +660,7 @@ mod tests {
         let mut html = String::from("<head></head><body></body>");
         html.push_str(&"y".repeat(3 * MAX_HELD_BYTES));
         html.push_str("</body>");
-        let mut inj = Injector::new("[H]".into(), "[A]".into(), "[B]".into());
+        let mut inj = Injector::new(b"[H][A][B]".to_vec(), 3, 6);
         let mut out = Vec::new();
         for piece in html.as_bytes().chunks(4096) {
             inj.step(
@@ -785,7 +778,7 @@ mod tests {
             let whole = std::iter::once(0..page.len()).collect();
             for runs in [whole, eighths.clone()] {
                 VISITED.with(|n| n.set(0));
-                let mut inj = Injector::new("[H]".into(), "[A]".into(), "[B]".into());
+                let mut inj = Injector::new(b"[H][A][B]".to_vec(), 3, 6);
                 let mut out = Vec::new();
                 inj.step(&page, &runs, false, &mut out);
                 inj.finish(&mut out);

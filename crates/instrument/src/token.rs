@@ -301,12 +301,12 @@ impl TokenState {
     }
 
     /// The session's instrumentation RNG, seeded on first use from
-    /// `stream_seed` (derived by the engine from its secret and the
+    /// `stream_seed()` (derived by the engine from its secret and the
     /// session identity, so streams never collide across sessions and
-    /// identical runs draw identical streams).
-    pub fn rng_seeded(&mut self, stream_seed: u64) -> &mut ChaCha8Rng {
+    /// identical runs draw identical streams), which is not called again.
+    pub fn rng_seeded(&mut self, stream_seed: impl FnOnce() -> u64) -> &mut ChaCha8Rng {
         self.rng
-            .get_or_insert_with(|| ChaCha8Rng::seed_from_u64(stream_seed))
+            .get_or_insert_with(|| ChaCha8Rng::seed_from_u64(stream_seed()))
     }
 }
 

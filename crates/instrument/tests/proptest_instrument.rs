@@ -26,9 +26,7 @@ fn serve(
 ) -> (String, ProbeManifest) {
     let page = get("http://prop.example/page.html", client);
     let stream = engine.session_stream_seed(u64::from(client), SimTime::ZERO);
-    let built = engine
-        .begin_session_page(&page, tokens, stream, SimTime::ZERO)
-        .rewrite_whole(html);
+    let built = engine.build_session_page(html, &page, tokens, || stream, SimTime::ZERO);
     (built.html, built.manifest)
 }
 

@@ -14,7 +14,8 @@
 
 use botwall_http::Uri;
 use botwall_instrument::{
-    InstrumentConfig, RewriteEngine, StreamSink, StreamingRewrite, MAX_HELD_BYTES,
+    FinishedStream, InstrumentConfig, ProbeManifest, RewriteEngine, StreamSink, StreamingRewrite,
+    MAX_HELD_BYTES,
 };
 use botwall_sessions::SimTime;
 use proptest::collection::vec;
@@ -29,6 +30,19 @@ fn page_uri() -> Uri {
 
 fn engine() -> RewriteEngine {
     RewriteEngine::new(InstrumentConfig::default(), 77)
+}
+
+/// `html` rewritten whole on [`page_uri`], randomness from `seed`.
+fn buffered(eng: &RewriteEngine, html: &str, seed: u64) -> String {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    eng.build_page(html, &page_uri(), SimTime::ZERO, &mut rng)
+        .html
+}
+
+/// The manifest of a stream begun on [`page_uri`].
+fn manifest_of(finished: &FinishedStream) -> ProbeManifest {
+    let page = page_uri();
+    finished.manifest(&page, page.authority().as_deref())
 }
 
 /// Document fragments chosen to put chunk boundaries somewhere
@@ -86,8 +100,8 @@ proptest! {
                 buffered.html.clone(),
                 "chunk size {} diverged", size
             );
-            prop_assert_eq!(&finished.manifest, &buffered.manifest);
-            prop_assert_eq!(finished.manifest.html_overhead, out.len() - html.len());
+            prop_assert_eq!(&manifest_of(&finished), &buffered.manifest);
+            prop_assert_eq!(finished.html_overhead, out.len() - html.len());
             // The token is available before any body bytes stream,
             // and matches what the buffered path issued.
             prop_assert_eq!(
@@ -258,7 +272,7 @@ proptest! {
         let mut out = write_steps(&mut stream, html.as_bytes(), &run_sizes, &runs_per_step, &framing);
         let finished = stream.finish(&mut out);
         prop_assert_eq!(String::from_utf8(out).unwrap(), buffered.html);
-        prop_assert_eq!(&finished.manifest, &buffered.manifest);
+        prop_assert_eq!(&manifest_of(&finished), &buffered.manifest);
     }
 }
 
@@ -279,7 +293,7 @@ fn past_the_hold_cap_a_step_of_runs_is_one_chunk() {
             &mut ChaCha8Rng::seed_from_u64(3),
         )
     };
-    let whole = stream().rewrite_whole(&html).html;
+    let whole = buffered(&eng, &html, 3);
     assert!(whole.contains("a</body>yyy") && !whole.contains("b</body>"));
     let mut one_step = stream();
     let mut out = write_steps(
@@ -315,7 +329,7 @@ fn past_the_hold_cap_a_head_in_one_step_of_runs_is_one_chunk() {
             &mut ChaCha8Rng::seed_from_u64(3),
         )
     };
-    let whole = stream().rewrite_whole(&html).html;
+    let whole = buffered(&eng, &html, 3);
     assert!(whole.starts_with("<html><head>yyy"));
     let mut one_step = stream();
     let mut out = write_steps(
@@ -355,7 +369,7 @@ fn four_megabyte_page_in_one_byte_chunks_stays_under_the_hold_cap() {
         "streaming a 4MB page buffered {peak} bytes (cap {MAX_HELD_BYTES})"
     );
     assert!(out.len() > html.len());
-    assert_eq!(finished.manifest.html_overhead, out.len() - html.len());
+    assert_eq!(finished.html_overhead, out.len() - html.len());
     let text = String::from_utf8(out).unwrap();
     assert!(text.contains("<img src=\"http://cdn.example/p.png\" srcset=\"q.png 1x\">"));
     assert!(text.ends_with("</body></html>"));

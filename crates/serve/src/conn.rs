@@ -21,7 +21,7 @@
 //! origin's response head has parsed, every response is a stream (see
 //! `origin.rs`): a page through the rewriter, anything else
 //! as it came, and the end of the body commits the exchange
-//! ([`Gateway::finish_page_stream`]). Only a fetch that dies before its
+//! ([`Gateway::commit_page_stream`]). Only a fetch that dies before its
 //! head is answered by the server itself, with a `502` or `504`
 //! committed through [`Gateway::complete`]. No gateway lock and no
 //! event-loop stall spans the fetch — one slow origin delays exactly

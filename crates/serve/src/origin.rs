@@ -424,7 +424,7 @@ impl Worker {
             let start = staged.side.len();
             let (page, sent, now) = (fetch.page, fetch.wire_bytes, self.now());
             self.gateway
-                .finish_page_stream(pending, page, &mut staged.side, sent, now);
+                .commit_page_stream(pending, page, &mut staged.side, sent, now);
             let tail = [Part::new(false, start, staged.side.len())];
             frame_body(chunked, &mut staged.wire, &mut staged.side, &tail);
             self.reactor.cancel_deadline(token_of(slot));
@@ -975,7 +975,7 @@ mod tests {
         let (pending, mut whole) = lease(&one);
         let mut expected = Vec::new();
         whole.write(html.as_bytes(), &mut expected);
-        one.finish_page_stream(pending, whole, &mut expected, 0, SimTime::ZERO);
+        one.commit_page_stream(pending, whole, &mut expected, 0, SimTime::ZERO);
 
         let (pending, mut page) = lease(&two);
         let mut decoder = BodyDecoder::new(BodyFraming::Chunked);
@@ -992,7 +992,7 @@ mod tests {
             done = complete;
         }
         assert!(done);
-        two.finish_page_stream(pending, page, &mut sent, 0, SimTime::ZERO);
+        two.commit_page_stream(pending, page, &mut sent, 0, SimTime::ZERO);
         assert!(sent == expected, "the batched page differs");
     }
 

@@ -384,6 +384,15 @@ impl<E: SessionExt> Shard<E> {
             .expect("a linked slot holds an entry")
     }
 
+    /// The entry a lease was taken on, if `slot` still holds it. Stamps
+    /// are never reused, so only that entry carries `incarnation`: a
+    /// rollover in place, an eviction, or the slot gone to another key
+    /// (or the slab to a drain) all read as gone.
+    fn leased(&mut self, slot: u32, incarnation: u64) -> Option<&mut Entry<E>> {
+        let node = self.slab.get_mut(slot as usize)?.as_mut()?;
+        (node.entry.incarnation == incarnation).then_some(&mut node.entry)
+    }
+
     fn unlink(&mut self, slot: u32) {
         let Node { prev, next, .. } = *self.node(slot);
         match prev {
@@ -679,20 +688,22 @@ pub struct Census {
 static NEXT_TRACKER_ID: AtomicU64 = AtomicU64::new(0);
 
 /// A session leased out of its shard's critical section by
-/// [`ShardedTracker::begin_exchange`]: the key, its shard, and the
-/// incarnation stamp the eventual [`ShardedTracker::commit`] re-binds
-/// against (plus the minting tracker's identity — a lease is only valid
-/// against the tracker that issued it). The lease holds **no lock** —
-/// other requests for the same shard (even the same session) proceed
-/// while it is outstanding — and owns no entry state, so dropping it
-/// without committing leaks nothing: the exchange is simply never
-/// recorded, and the session stays subject to ordinary sweep/eviction.
+/// [`ShardedTracker::begin_exchange`]: the key, its shard, the slab slot
+/// its entry was in, and the incarnation stamp the eventual
+/// [`ShardedTracker::commit`] re-binds against (plus the minting
+/// tracker's identity — a lease is only valid against the tracker that
+/// issued it). The lease holds **no lock** — other requests for the
+/// same shard (even the same session) proceed while it is outstanding —
+/// and owns no entry state, so dropping it without committing leaks
+/// nothing: the exchange is simply never recorded, and the session stays
+/// subject to ordinary sweep/eviction.
 #[derive(Debug)]
 #[must_use = "a lease represents an exchange in flight; commit it (or drop it to abandon the exchange)"]
 pub struct ExchangeLease {
     tracker: u64,
     key: SessionKey,
     shard: usize,
+    slot: u32,
     incarnation: u64,
 }
 
@@ -914,6 +925,7 @@ impl<E: SessionExt> ShardedTracker<E> {
                         tracker: self.tracker_id,
                         key: key.clone(),
                         shard: idx,
+                        slot,
                         incarnation,
                     },
                 )
@@ -946,18 +958,18 @@ impl<E: SessionExt> ShardedTracker<E> {
     }
 
     /// Phase two: re-acquires the leased session's shard, re-binds the
-    /// entry **by incarnation**, and runs `fold` against it — recording
-    /// the exchange (via [`EntryGuard::record`], or auto-recorded
-    /// responseless on exit) and folding whatever the out-of-lock fetch
-    /// produced.
+    /// entry **by incarnation** in the slab slot it was leased in (no
+    /// key lookup), and runs `fold` against it — recording the exchange
+    /// (via [`EntryGuard::record`], or auto-recorded responseless on
+    /// exit) and folding whatever the out-of-lock fetch produced.
     ///
     /// When the leased incarnation is gone — evicted for capacity, or
     /// rolled over because the key returned after the idle timeout
     /// while the fetch was in flight — `lost` runs instead, under the
     /// same shard lock, with the key's live *successor* entry (if one
-    /// exists) and its deferred-carry slot: evidence the exchange
-    /// produced is folded into the successor or parked in the carry
-    /// channel for the next incarnation, never silently dropped.
+    /// exists, found by key) and its deferred-carry slot: evidence the
+    /// exchange produced is folded into the successor or parked in the
+    /// carry channel for the next incarnation, never silently dropped.
     pub fn commit<R>(
         &self,
         lease: ExchangeLease,
@@ -970,6 +982,7 @@ impl<E: SessionExt> ShardedTracker<E> {
             tracker,
             key,
             shard: idx,
+            slot,
             incarnation,
         } = lease;
         // A lease is only meaningful against the tracker that minted it:
@@ -983,30 +996,28 @@ impl<E: SessionExt> ShardedTracker<E> {
         );
         let mut shard = self.lock_shard(idx);
         let shard = &mut *shard;
-        // One map lookup serves both paths: the leased incarnation if it
-        // still holds the key, else whatever succeeded it.
-        let successor = shard.live.get(&key).copied();
-        match successor.filter(|&slot| shard.node(slot).entry.incarnation == incarnation) {
-            Some(slot) => {
-                let cap = self.config.max_records_per_session;
-                let r = self.bind(idx, &mut shard.node_mut(slot).entry, |entry| {
-                    let mut guard = EntryGuard {
-                        session: &mut entry.session,
-                        ext: &mut entry.ext,
-                        cap,
-                        recorded: false,
-                    };
-                    let r = fold(&mut guard);
-                    if !guard.recorded {
-                        guard.record(request, None, now);
-                    }
-                    r
-                });
-                shard.touch(slot);
+        if let Some(entry) = shard.leased(slot, incarnation) {
+            let cap = self.config.max_records_per_session;
+            let r = self.bind(idx, entry, |entry| {
+                let mut guard = EntryGuard {
+                    session: &mut entry.session,
+                    ext: &mut entry.ext,
+                    cap,
+                    recorded: false,
+                };
+                let r = fold(&mut guard);
+                if !guard.recorded {
+                    guard.record(request, None, now);
+                }
                 r
-            }
-            None => self.with_carry(idx, shard, &key, successor, lost),
+            });
+            shard.touch(slot);
+            return r;
         }
+        // The stamp moved: whatever holds the key now succeeded the
+        // leased incarnation.
+        let successor = shard.live.get(&key).copied();
+        self.with_carry(idx, shard, &key, successor, lost)
     }
 
     /// Runs `f` against a leased session's entry **without consuming the
@@ -1030,10 +1041,8 @@ impl<E: SessionExt> ShardedTracker<E> {
             "ExchangeLease inspected against a tracker that did not mint it"
         );
         let mut shard = self.lock_shard(lease.shard);
-        let slot = *shard.live.get(&lease.key)?;
-        let entry = &mut shard.node_mut(slot).entry;
-        (entry.incarnation == lease.incarnation)
-            .then(|| self.bind(lease.shard, entry, |e| f(&e.session, &mut e.ext)))
+        let entry = shard.leased(lease.slot, lease.incarnation)?;
+        Some(self.bind(lease.shard, entry, |e| f(&e.session, &mut e.ext)))
     }
 
     /// Runs `f` against one entry of the locked shard `idx`, keeping the

@@ -35,8 +35,12 @@ fn mint() -> (RewriteEngine, Vec<String>) {
     let engine = RewriteEngine::new(InstrumentConfig::default(), 42);
     let page: Uri = "http://site.example/index.html".parse().unwrap();
     let manifest = engine
-        .begin_stream(&page, SimTime::ZERO, &mut ChaCha8Rng::seed_from_u64(7))
-        .rewrite_whole("<html><head></head><body></body></html>")
+        .build_page(
+            "<html><head></head><body></body></html>",
+            &page,
+            SimTime::ZERO,
+            &mut ChaCha8Rng::seed_from_u64(7),
+        )
         .manifest;
     let mut urls: Vec<Uri> = manifest.decoy_beacons.clone();
     urls.extend(
