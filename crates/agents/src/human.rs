@@ -236,12 +236,16 @@ mod tests {
             eager_config(),
             1,
         );
-        assert!(world.css_probe_hits > 0, "fetched CSS probe");
-        assert!(world.js_file_hits > 0, "downloaded the script");
-        assert!(world.agent_beacon_hits > 0, "executed the script");
-        assert!(world.mouse_beacon_hits > 0, "moved the mouse");
-        assert_eq!(world.hidden_link_hits, 0, "humans cannot see hidden links");
-        assert_eq!(world.decoy_hits, 0, "humans run the real handler only");
+        assert!(world.css_probe_hits() > 0, "fetched CSS probe");
+        assert!(world.js_file_hits() > 0, "downloaded the script");
+        assert!(world.agent_beacon_hits() > 0, "executed the script");
+        assert!(world.mouse_beacon_hits() > 0, "moved the mouse");
+        assert_eq!(
+            world.hidden_link_hits(),
+            0,
+            "humans cannot see hidden links"
+        );
+        assert_eq!(world.decoy_hits(), 0, "humans run the real handler only");
     }
 
     #[test]
@@ -251,10 +255,10 @@ mod tests {
             eager_config(),
             2,
         );
-        assert!(world.css_probe_hits > 0);
-        assert_eq!(world.js_file_hits, 0);
-        assert_eq!(world.agent_beacon_hits, 0);
-        assert_eq!(world.mouse_beacon_hits, 0, "no JS, no beacon");
+        assert!(world.css_probe_hits() > 0);
+        assert_eq!(world.js_file_hits(), 0);
+        assert_eq!(world.agent_beacon_hits(), 0);
+        assert_eq!(world.mouse_beacon_hits(), 0, "no JS, no beacon");
     }
 
     #[test]
@@ -264,7 +268,7 @@ mod tests {
             eager_config(),
             3,
         );
-        assert_eq!(world.mouse_beacon_hits, 1, "do_once semantics");
+        assert_eq!(world.mouse_beacon_hits(), 1, "do_once semantics");
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! synthetic stand-in: behavioural models that issue the same request
 //! patterns against any [`ClientWorld`] (implemented by the proxy
 //! simulation in `botwall-codeen` and by [`testutil::MockWorld`] for
-//! tests).
+//! tests). Both worlds fetch through a [`botwall_gateway::Gateway`] in
+//! front of the one webgraph origin ([`origin`]), by the one adapter
+//! ([`world::fetch_through`]): an agent's unit tests run the detector
+//! the proxies deploy.
 //!
 //! * [`human`] — browser-driving humans: asset fetching per
 //!   [`browser::BrowserProfile`], think times, mouse events (at most one
@@ -19,6 +22,8 @@
 //!   acknowledged false-positive source), JS-capable smart bots (§4.1's
 //!   adversary), and DDoS zombies.
 //! * [`population`] — weighted mixes, including the Table-1 calibration.
+//! * [`world`] and [`origin`] — what an agent can do, and what the
+//!   generated sites answer.
 //!
 //! # Examples
 //!
@@ -41,6 +46,7 @@
 pub mod agent;
 pub mod browser;
 pub mod human;
+pub mod origin;
 pub mod population;
 pub mod robots;
 pub mod testutil;

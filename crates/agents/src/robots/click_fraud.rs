@@ -70,7 +70,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         bot.run_session(&mut world, &mut rng);
         assert!(world.cgi_hits >= 30);
-        assert_eq!(world.css_probe_hits, 0);
-        assert_eq!(world.mouse_beacon_hits, 0);
+        assert_eq!(world.css_probe_hits(), 0);
+        assert_eq!(world.mouse_beacon_hits(), 0);
     }
 }

@@ -112,7 +112,7 @@ mod tests {
     fn follows_hidden_links() {
         let world = run(CrawlerConfig::default(), 1);
         assert!(
-            world.hidden_link_hits > 0,
+            world.hidden_link_hits() > 0,
             "a blind crawler must trip the hidden-link trap"
         );
     }
@@ -120,10 +120,10 @@ mod tests {
     #[test]
     fn fetches_no_presentation_content() {
         let world = run(CrawlerConfig::default(), 2);
-        assert_eq!(world.css_probe_hits, 0);
-        assert_eq!(world.js_file_hits, 0);
-        assert_eq!(world.agent_beacon_hits, 0);
-        assert_eq!(world.mouse_beacon_hits, 0);
+        assert_eq!(world.css_probe_hits(), 0);
+        assert_eq!(world.js_file_hits(), 0);
+        assert_eq!(world.agent_beacon_hits(), 0);
+        assert_eq!(world.mouse_beacon_hits(), 0);
         assert_eq!(world.favicon_hits, 0);
     }
 

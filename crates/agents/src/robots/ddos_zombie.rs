@@ -63,6 +63,6 @@ mod tests {
         let mut urls = world.request_log.clone();
         urls.dedup();
         assert_eq!(urls.len(), 1);
-        assert_eq!(world.css_probe_hits, 0);
+        assert_eq!(world.css_probe_hits(), 0);
     }
 }

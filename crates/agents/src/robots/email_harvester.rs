@@ -86,10 +86,10 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         bot.run_session(&mut world, &mut rng);
         assert!(world.page_fetches > 1);
-        assert_eq!(world.css_probe_hits, 0);
-        assert_eq!(world.js_file_hits, 0);
-        assert_eq!(world.mouse_beacon_hits, 0);
-        assert_eq!(world.hidden_link_hits, 0);
+        assert_eq!(world.css_probe_hits(), 0);
+        assert_eq!(world.js_file_hits(), 0);
+        assert_eq!(world.mouse_beacon_hits(), 0);
+        assert_eq!(world.hidden_link_hits(), 0);
     }
 
     #[test]

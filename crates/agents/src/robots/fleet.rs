@@ -214,10 +214,10 @@ mod tests {
         let mut world = MockWorld::new(3);
         second.run_session(&mut world, &mut rng);
         assert!(
-            world.decoy_hits + world.unknown_beacon_hits > 0,
+            world.decoy_hits() + world.unknown_beacon_hits() > 0,
             "cross-session replays misfire: decoys={} unknown={}",
-            world.decoy_hits,
-            world.unknown_beacon_hits
+            world.decoy_hits(),
+            world.unknown_beacon_hits()
         );
     }
 

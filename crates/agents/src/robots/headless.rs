@@ -151,12 +151,12 @@ mod tests {
     #[test]
     fn redeems_the_real_mouse_beacon_without_decoy_gambles() {
         let world = run(HeadlessConfig::default(), 1);
-        assert!(world.css_probe_hits > 0);
-        assert!(world.js_file_hits > 0);
-        assert!(world.agent_beacon_hits > 0, "script executed");
-        assert!(world.mouse_beacon_hits > 0, "synthesized entropy redeems");
-        assert_eq!(world.decoy_hits, 0, "live handler never touches decoys");
-        assert_eq!(world.hidden_link_hits, 0, "renders, so sees the CSS hide");
+        assert!(world.css_probe_hits() > 0);
+        assert!(world.js_file_hits() > 0);
+        assert!(world.agent_beacon_hits() > 0, "script executed");
+        assert!(world.mouse_beacon_hits() > 0, "synthesized entropy redeems");
+        assert_eq!(world.decoy_hits(), 0, "live handler never touches decoys");
+        assert_eq!(world.hidden_link_hits(), 0, "renders, so sees the CSS hide");
     }
 
     #[test]

@@ -130,21 +130,24 @@ mod tests {
     fn never_touches_a_probe() {
         let world = run(LlmAgentConfig::default(), 1);
         assert!(world.page_fetches > 3, "traverses the site");
-        assert_eq!(world.css_probe_hits, 0);
-        assert_eq!(world.js_file_hits, 0);
-        assert_eq!(world.agent_beacon_hits, 0);
-        assert_eq!(world.mouse_beacon_hits, 0);
-        assert_eq!(world.decoy_hits, 0);
+        assert_eq!(world.css_probe_hits(), 0);
+        assert_eq!(world.js_file_hits(), 0);
+        assert_eq!(world.agent_beacon_hits(), 0);
+        assert_eq!(world.mouse_beacon_hits(), 0);
+        assert_eq!(world.decoy_hits(), 0);
     }
 
     #[test]
     fn traversal_is_systematic_and_deduplicated() {
         let world = run(LlmAgentConfig::default(), 2);
-        let pages: Vec<&String> = world
-            .request_log
-            .iter()
-            .filter(|l| l.ends_with(".html"))
-            .collect();
+        // A redirect stub answers 302, not a page: the agent tries it
+        // again instead of visiting it, so only pages count here.
+        let is_page = |line: &String| {
+            let uri: Uri = line.split_once(' ').unwrap().1.parse().unwrap();
+            let page = world.site().page_by_path(uri.path());
+            page.is_some_and(|p| p.redirect_to.is_none())
+        };
+        let pages: Vec<&String> = world.request_log.iter().filter(|l| is_page(l)).collect();
         let unique: BTreeSet<&String> = pages.iter().copied().collect();
         assert_eq!(pages.len(), unique.len(), "each page visited once");
         // Mostly-ascending order: the frontier-min policy only breaks

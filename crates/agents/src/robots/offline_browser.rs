@@ -117,22 +117,22 @@ mod tests {
     #[test]
     fn downloads_probes_but_never_executes() {
         let world = run(false, 1);
-        assert!(world.css_probe_hits > 0, "mirrors the CSS probe");
-        assert!(world.js_file_hits > 0, "mirrors the script file");
-        assert_eq!(world.agent_beacon_hits, 0, "never executes JS");
-        assert_eq!(world.mouse_beacon_hits, 0, "no human at the controls");
-        assert_eq!(world.decoy_hits, 0, "mirrors don't fetch script URLs");
+        assert!(world.css_probe_hits() > 0, "mirrors the CSS probe");
+        assert!(world.js_file_hits() > 0, "mirrors the script file");
+        assert_eq!(world.agent_beacon_hits(), 0, "never executes JS");
+        assert_eq!(world.mouse_beacon_hits(), 0, "no human at the controls");
+        assert_eq!(world.decoy_hits(), 0, "mirrors don't fetch script URLs");
     }
 
     #[test]
     fn default_config_avoids_hidden_links() {
         let world = run(false, 2);
-        assert_eq!(world.hidden_link_hits, 0);
+        assert_eq!(world.hidden_link_hits(), 0);
     }
 
     #[test]
     fn hidden_following_variant_gets_caught() {
         let world = run(true, 3);
-        assert!(world.hidden_link_hits > 0);
+        assert!(world.hidden_link_hits() > 0);
     }
 }

@@ -70,6 +70,6 @@ mod tests {
         assert_eq!(world.post_count, 40);
         assert_eq!(world.cgi_hits, 40);
         assert_eq!(world.page_fetches, 0);
-        assert_eq!(world.css_probe_hits, 0);
+        assert_eq!(world.css_probe_hits(), 0);
     }
 }

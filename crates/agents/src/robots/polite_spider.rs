@@ -87,9 +87,9 @@ mod tests {
         let mut bot = PoliteSpider::default();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         bot.run_session(&mut world, &mut rng);
-        assert_eq!(world.hidden_link_hits, 0, "parses the DOM, skips traps");
-        assert_eq!(world.css_probe_hits, 0);
-        assert_eq!(world.mouse_beacon_hits, 0);
+        assert_eq!(world.hidden_link_hits(), 0, "parses the DOM, skips traps");
+        assert_eq!(world.css_probe_hits(), 0);
+        assert_eq!(world.mouse_beacon_hits(), 0);
     }
 
     #[test]

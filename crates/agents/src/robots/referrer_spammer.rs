@@ -91,8 +91,8 @@ mod tests {
         let mut bot = ReferrerSpammer::default();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         bot.run_session(&mut world, &mut rng);
-        assert_eq!(world.css_probe_hits, 0);
-        assert_eq!(world.mouse_beacon_hits, 0);
+        assert_eq!(world.css_probe_hits(), 0);
+        assert_eq!(world.mouse_beacon_hits(), 0);
         assert_eq!(world.favicon_hits, 0);
     }
 }

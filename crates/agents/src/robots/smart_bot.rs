@@ -161,10 +161,10 @@ mod tests {
     #[test]
     fn executes_js_but_never_moves_the_mouse() {
         let world = run(SmartBotConfig::default(), 1);
-        assert!(world.css_probe_hits > 0);
-        assert!(world.js_file_hits > 0);
-        assert!(world.agent_beacon_hits > 0, "lands in S_JS");
-        assert_eq!(world.mouse_beacon_hits, 0, "never in S_MM");
+        assert!(world.css_probe_hits() > 0);
+        assert!(world.js_file_hits() > 0);
+        assert!(world.agent_beacon_hits() > 0, "lands in S_JS");
+        assert_eq!(world.mouse_beacon_hits(), 0, "never in S_MM");
     }
 
     #[test]
@@ -182,8 +182,8 @@ mod tests {
                 },
                 seed,
             );
-            decoys += world.decoy_hits;
-            valids += world.mouse_beacon_hits;
+            decoys += world.decoy_hits();
+            valids += world.mouse_beacon_hits();
         }
         let total = decoys + valids;
         assert!(total > 100, "enough gambles: {total}");

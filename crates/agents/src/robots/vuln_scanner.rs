@@ -95,7 +95,7 @@ mod tests {
         // the mock's CGI handler).
         assert!(world.not_found > 5, "not_found = {}", world.not_found);
         assert!(world.post_count > 0, "some exploit POSTs");
-        assert_eq!(world.css_probe_hits, 0);
+        assert_eq!(world.css_probe_hits(), 0);
     }
 
     #[test]

@@ -1,58 +1,42 @@
 //! A self-contained [`ClientWorld`] for unit tests and examples.
 //!
-//! `MockWorld` wires a single generated site through a real
-//! [`RewriteEngine`] and its one client's [`TokenState`], classifies
-//! every fetch the way a proxy node would, and tallies probe hits — so
-//! agent models can be tested end to end without the full network
-//! simulation.
+//! `MockWorld` puts a [`Gateway`] in front of a single generated site
+//! and fetches through it as every in-process world does
+//! ([`fetch_through`]): the gate, the rewriter, the detector and the
+//! webgraph origin the proxy nodes run, with enforcement off, so an
+//! agent is never throttled or blocked mid-test. It tallies what the
+//! agent sent, and reads what its probe fetches proved off the session's
+//! evidence — so agent models can be tested end to end without the full
+//! network simulation.
 
-use crate::world::{ClientWorld, FetchOutcome, FetchSpec, PageView};
-use botwall_captcha::{CaptchaService, Challenge, ServingPolicy};
+use crate::world::{fetch_through, ClientWorld, FetchOutcome, FetchSpec};
+use botwall_captcha::Challenge;
+use botwall_gateway::{EvidenceKind, Gateway};
 use botwall_http::request::ClientIp;
-use botwall_http::{Method, Request, StatusCode, Uri};
-use botwall_instrument::{
-    Classified, InstrumentConfig, KeyOutcome, ProbeKind, RewriteEngine, TokenState,
-};
-use botwall_sessions::SimTime;
-use botwall_webgraph::{render, Site, SiteConfig};
+use botwall_http::{Method, StatusCode, Uri};
+use botwall_sessions::{SessionKey, SimTime};
+use botwall_webgraph::{Site, SiteConfig};
+
+/// The one client's `User-Agent`.
+const USER_AGENT: &str = "mock-agent";
 
 /// A one-site world with full instrumentation and hit counters.
 #[derive(Debug)]
 pub struct MockWorld {
     site: Site,
-    engine: RewriteEngine,
-    /// The one client's session state.
-    tokens: TokenState,
-    captcha: CaptchaService,
+    gateway: Gateway,
     captcha_offered: bool,
     now: SimTime,
     ip: ClientIp,
-    /// Valid mouse-beacon redemptions.
-    pub mouse_beacon_hits: u64,
-    /// Decoy beacon fetches.
-    pub decoy_hits: u64,
-    /// Replayed beacon fetches.
-    pub replay_hits: u64,
-    /// Beacon-shaped fetches whose key was never issued here (forgeries
-    /// or cross-session theft).
-    pub unknown_beacon_hits: u64,
-    /// CSS probe fetches.
-    pub css_probe_hits: u64,
-    /// Generated-script downloads.
-    pub js_file_hits: u64,
-    /// Agent-beacon fetches (JS execution).
-    pub agent_beacon_hits: u64,
-    /// Hidden-link fetches.
-    pub hidden_link_hits: u64,
     /// Favicon fetches.
     pub favicon_hits: u64,
     /// robots.txt fetches.
     pub robots_txt_hits: u64,
-    /// HTML page fetches.
+    /// Fetches answered with an HTML page.
     pub page_fetches: u64,
-    /// HTML page fetches that carried a Referer.
+    /// Of those, the fetches that carried a Referer.
     pub page_fetches_with_referer: u64,
-    /// CGI fetches.
+    /// Fetches of a `/cgi-bin/` path.
     pub cgi_hits: u64,
     /// POST requests.
     pub post_count: u64,
@@ -71,20 +55,13 @@ impl MockWorld {
     pub fn new(seed: u64) -> MockWorld {
         MockWorld {
             site: Site::generate("mock.example.com", &SiteConfig::default(), seed),
-            engine: RewriteEngine::new(InstrumentConfig::default(), seed ^ 0x5eed),
-            tokens: TokenState::default(),
-            captcha: CaptchaService::new(ServingPolicy::OptionalWithIncentive, seed ^ 0xcafe),
+            gateway: Gateway::builder()
+                .seed(seed ^ 0x5eed)
+                .enforcement(false)
+                .build(),
             captcha_offered: false,
             now: SimTime::ZERO,
             ip: ClientIp::new(0x0A00_0001),
-            mouse_beacon_hits: 0,
-            decoy_hits: 0,
-            replay_hits: 0,
-            unknown_beacon_hits: 0,
-            css_probe_hits: 0,
-            js_file_hits: 0,
-            agent_beacon_hits: 0,
-            hidden_link_hits: 0,
             favicon_hits: 0,
             robots_txt_hits: 0,
             page_fetches: 0,
@@ -103,16 +80,54 @@ impl MockWorld {
         &self.site
     }
 
-    fn build_request(&self, spec: &FetchSpec) -> Request {
-        let mut b = Request::builder(spec.method.clone(), spec.uri.to_string())
-            .header("User-Agent", "mock-agent")
-            .client(self.ip);
-        if let Some(r) = &spec.referer {
-            b = b.header("Referer", r.clone());
-        }
-        b.body_bytes(spec.body.clone())
-            .build()
-            .expect("specs carry valid uris")
+    /// How many times the session's evidence recorded `kind`.
+    fn evidence(&self, kind: EvidenceKind) -> u64 {
+        let key = SessionKey::new(self.ip, USER_AGENT);
+        self.gateway
+            .detector()
+            .evidence(&key)
+            .map_or(0, |evidence| u64::from(evidence.count(kind)))
+    }
+
+    /// Valid mouse-beacon redemptions.
+    pub fn mouse_beacon_hits(&self) -> u64 {
+        self.evidence(EvidenceKind::MouseEvent)
+    }
+
+    /// Decoy beacon fetches.
+    pub fn decoy_hits(&self) -> u64 {
+        self.evidence(EvidenceKind::FetchedDecoy)
+    }
+
+    /// Replayed beacon fetches.
+    pub fn replay_hits(&self) -> u64 {
+        self.evidence(EvidenceKind::ReplayedBeacon)
+    }
+
+    /// Beacon-shaped fetches whose key was never issued here (forgeries
+    /// or cross-session theft).
+    pub fn unknown_beacon_hits(&self) -> u64 {
+        self.evidence(EvidenceKind::ForgedBeacon)
+    }
+
+    /// CSS probe fetches.
+    pub fn css_probe_hits(&self) -> u64 {
+        self.evidence(EvidenceKind::DownloadedCss)
+    }
+
+    /// Generated-script downloads.
+    pub fn js_file_hits(&self) -> u64 {
+        self.evidence(EvidenceKind::DownloadedJsFile)
+    }
+
+    /// Agent-beacon fetches (JS execution).
+    pub fn agent_beacon_hits(&self) -> u64 {
+        self.evidence(EvidenceKind::ExecutedJs)
+    }
+
+    /// Hidden-link fetches.
+    pub fn hidden_link_hits(&self) -> u64 {
+        self.evidence(EvidenceKind::HiddenLinkFollowed)
     }
 }
 
@@ -122,128 +137,19 @@ impl ClientWorld for MockWorld {
         self.now += 50;
         self.request_log
             .push(format!("{} {}", spec.method, spec.uri));
-        if spec.method == Method::Post {
-            self.post_count += 1;
-        }
-        let request = self.build_request(&spec);
-        // Instrumentation traffic first, exactly like a proxy node.
-        let classified = self
-            .engine
-            .classify(&request, self.now)
-            .resolve(&mut self.tokens, self.now);
-        match &classified {
-            Classified::MouseBeacon { outcome, .. } => match outcome {
-                KeyOutcome::Valid => self.mouse_beacon_hits += 1,
-                KeyOutcome::Decoy => self.decoy_hits += 1,
-                KeyOutcome::Replay => self.replay_hits += 1,
-                KeyOutcome::Unknown => self.unknown_beacon_hits += 1,
-            },
-            Classified::Probe(hit) => match hit.kind {
-                ProbeKind::CssProbe => self.css_probe_hits += 1,
-                ProbeKind::JsFile => self.js_file_hits += 1,
-                ProbeKind::AgentBeacon => self.agent_beacon_hits += 1,
-                ProbeKind::HiddenLink => self.hidden_link_hits += 1,
-                ProbeKind::TransparentPixel | ProbeKind::MouseBeacon => {}
-            },
-            Classified::Ordinary => {}
-        }
-        if let Some(resp) = self
-            .engine
-            .respond_in_session(&classified, &mut self.tokens, &request)
-        {
-            return FetchOutcome {
-                status: resp.status(),
-                page: None,
-                body_len: resp.body().len(),
-            };
-        }
-        // Origin content.
-        let path = spec.uri.path().to_string();
-        if path.eq_ignore_ascii_case("/favicon.ico") {
-            self.favicon_hits += 1;
-            return FetchOutcome {
-                status: StatusCode::OK,
-                page: None,
-                body_len: 512,
-            };
-        }
-        if path.eq_ignore_ascii_case("/robots.txt") {
-            self.robots_txt_hits += 1;
-            return FetchOutcome {
-                status: StatusCode::OK,
-                page: None,
-                body_len: 64,
-            };
-        }
-        if path.contains("/cgi-bin/") {
-            self.cgi_hits += 1;
-            return FetchOutcome {
-                status: StatusCode::OK,
-                page: None,
-                body_len: 256,
-            };
-        }
-        if let Some(page) = self.site.page_by_path(&path) {
+        let path = spec.uri.path();
+        self.post_count += u64::from(spec.method == Method::Post);
+        self.favicon_hits += u64::from(path.eq_ignore_ascii_case("/favicon.ico"));
+        self.robots_txt_hits += u64::from(path.eq_ignore_ascii_case("/robots.txt"));
+        self.cgi_hits += u64::from(path.contains("/cgi-bin/"));
+        let site = (spec.uri.host() == Some(self.site.host())).then_some(&self.site);
+        let out = fetch_through(&self.gateway, site, (self.ip, USER_AGENT), &spec, self.now);
+        if out.page.is_some() {
             self.page_fetches += 1;
-            if spec.referer.is_some() {
-                self.page_fetches_with_referer += 1;
-            }
-            let host = self.site.host().to_string();
-            let html = render::render_page(&self.site, page);
-            // One client, one session: the stream the engine derives
-            // for it at time zero.
-            let stream = self
-                .engine
-                .session_stream_seed(u64::from(self.ip.as_u32()), SimTime::ZERO);
-            let built = self.engine.build_session_page(
-                &html,
-                &request,
-                &mut self.tokens,
-                || stream,
-                self.now,
-            );
-            let (html, manifest) = (built.html, built.manifest);
-            let links = page
-                .links
-                .iter()
-                .filter_map(|id| self.site.page(*id))
-                .map(|p| Uri::absolute(&host, p.path.clone()))
-                .collect();
-            let embedded = page
-                .assets
-                .iter()
-                .map(|a| Uri::absolute(&host, a.path.clone()))
-                .collect();
-            let cgi = page
-                .cgi_endpoint
-                .as_ref()
-                .map(|c| Uri::absolute(&host, c.clone()));
-            return FetchOutcome {
-                status: StatusCode::OK,
-                body_len: html.len(),
-                page: Some(PageView {
-                    links,
-                    embedded,
-                    cgi,
-                    manifest: Some(manifest),
-                    html,
-                }),
-            };
+            self.page_fetches_with_referer += u64::from(spec.referer.is_some());
         }
-        if self.site.asset(&path).is_some() {
-            let (_, body) = render::render_asset(&self.site, &path).expect("asset exists");
-            return FetchOutcome {
-                status: StatusCode::OK,
-                page: None,
-                body_len: body.len(),
-            };
-        }
-        self.not_found += 1;
-        FetchOutcome {
-            status: StatusCode::NOT_FOUND,
-            page: None,
-            body_len: 0,
-        }
+        self.not_found += u64::from(out.status == StatusCode::NOT_FOUND);
+        out
     }
 
     fn now(&self) -> SimTime {
@@ -267,11 +173,12 @@ impl ClientWorld for MockWorld {
             return None;
         }
         self.captcha_offered = true;
-        Some(self.captcha.issue())
+        self.gateway.offer_captcha()
     }
 
     fn answer_captcha(&mut self, id: u64, answer: &str) -> bool {
-        let ok = self.captcha.verify_once(id, answer);
+        let key = SessionKey::new(self.ip, USER_AGENT);
+        let ok = self.gateway.verify_captcha(&key, id, answer, self.now);
         if ok {
             self.captcha_passes += 1;
         }
@@ -323,5 +230,56 @@ mod tests {
         let t1 = w.now();
         w.sleep(1000);
         assert_eq!(w.now() - t1, 1000);
+    }
+
+    /// Fetches `uri` `times` times, each answered `200`.
+    fn fetch_ok(w: &mut MockWorld, uri: &Uri, times: usize) {
+        for _ in 0..times {
+            assert_eq!(w.fetch(FetchSpec::get(uri.clone())).status, StatusCode::OK);
+        }
+    }
+
+    /// Each probe tally reads the one evidence kind its fetch records.
+    /// Once each (every probe of a page, a decoy, a forged beacon, and
+    /// the real mouse beacon twice: valid, then a replay) all eight read
+    /// 1; fetched a different number of times each, a tally reading
+    /// another's kind would read another's count.
+    #[test]
+    fn each_probe_tally_reads_its_evidence_kind() {
+        let mut w = MockWorld::new(5);
+        let page = w.fetch(FetchSpec::get(w.entry_point())).page.unwrap();
+        let m = page.manifest.unwrap();
+        let forged = Uri::absolute(w.site().host(), format!("/{:032x}.jpg", 0xDEAD_BEEF_u64));
+        let probes = [
+            m.css_probe.unwrap(),
+            m.js_file.unwrap(),
+            m.agent_beacon.unwrap(),
+            m.hidden_link.unwrap(),
+            m.decoy_beacons[0].clone(),
+            forged,
+        ];
+        let mouse = m.mouse_beacon.unwrap();
+        let tallies = |w: &MockWorld| {
+            [
+                w.css_probe_hits(),
+                w.js_file_hits(),
+                w.agent_beacon_hits(),
+                w.hidden_link_hits(),
+                w.decoy_hits(),
+                w.unknown_beacon_hits(),
+                w.mouse_beacon_hits(),
+                w.replay_hits(),
+            ]
+        };
+        for uri in &probes {
+            fetch_ok(&mut w, uri, 1);
+        }
+        fetch_ok(&mut w, &mouse, 2);
+        assert_eq!(tallies(&w), [1; 8]);
+        for (n, uri) in probes.iter().enumerate() {
+            fetch_ok(&mut w, uri, n + 1);
+        }
+        fetch_ok(&mut w, &mouse, 7);
+        assert_eq!(tallies(&w), [2, 3, 4, 5, 6, 7, 1, 8]);
     }
 }

@@ -1,19 +1,29 @@
 //! The client-side view of the network: what an agent can do.
 //!
-//! Agents run against a [`ClientWorld`] — implemented by the proxy
-//! simulation in `botwall-codeen` (and by a mock in tests). The world
-//! exposes exactly what a real client sees: it can fetch URLs, wait, and
-//! be offered a CAPTCHA. Crucially, a fetched page comes back in *two*
-//! forms — the raw HTML bytes (what a scanning robot greps) and a
-//! structured [`PageView`] (what a rendering browser's DOM exposes) —
-//! so human models and byte-level robots exercise genuinely different
-//! paths through the instrumentation.
+//! Agents run against a [`ClientWorld`]: the proxy simulation in
+//! `botwall-codeen`, [`crate::testutil::MockWorld`] in tests, a
+//! protected site in the examples. The world exposes exactly what a real
+//! client sees: it can fetch URLs, wait, and be offered a CAPTCHA.
+//! Crucially, a fetched page comes back in *two* forms — the raw HTML
+//! bytes (what a scanning robot greps) and a structured [`PageView`]
+//! (what a rendering browser's DOM exposes) — so human models and
+//! byte-level robots exercise genuinely different paths through the
+//! instrumentation.
+//!
+//! Every one of those worlds fetches the same way, through
+//! [`fetch_through`]: the agent's request goes through a
+//! [`Gateway`] (the gate, the rewriter and the detector `botwall-serve`
+//! runs) in front of the webgraph origin ([`resolve_origin`]), so an
+//! agent is measured against the deployed detector wherever it runs.
 
+use crate::origin::resolve_origin;
 use botwall_captcha::Challenge;
+use botwall_gateway::{Decision, Gateway};
 use botwall_http::request::ClientIp;
-use botwall_http::{Method, StatusCode, Uri};
+use botwall_http::{Method, Request, StatusCode, Uri};
 use botwall_instrument::ProbeManifest;
 use botwall_sessions::SimTime;
+use botwall_webgraph::Site;
 
 /// A fetch an agent wants to perform.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,6 +105,63 @@ impl Default for FetchOutcome {
             status: StatusCode::NOT_FOUND,
             page: None,
             body_len: 0,
+        }
+    }
+}
+
+/// One exchange through `gateway` in front of the webgraph origin, `site`
+/// being the site `spec`'s host names: the request the client
+/// `(ip, user_agent)` sends for `spec` (a body only on a `POST` that has
+/// one) goes through [`Gateway::handle_with`], and what comes back is
+/// the outcome the agent sees. A spec that makes no valid request comes
+/// back as [`FetchOutcome::default`].
+pub fn fetch_through(
+    gateway: &Gateway,
+    site: Option<&Site>,
+    (ip, user_agent): (ClientIp, &str),
+    spec: &FetchSpec,
+    now: SimTime,
+) -> FetchOutcome {
+    let mut b = Request::builder(spec.method.clone(), spec.uri.to_string())
+        .header("User-Agent", user_agent)
+        .client(ip);
+    if let Some(r) = &spec.referer {
+        b = b.header("Referer", r.clone());
+    }
+    if spec.method == Method::Post && !spec.body.is_empty() {
+        b = b.body_bytes(spec.body.clone());
+    }
+    let Ok(request) = b.build() else {
+        return FetchOutcome::default();
+    };
+    let mut view = None;
+    let decision = gateway.handle_with(&request, now, |req| {
+        let (origin, page) = resolve_origin(site, req);
+        view = page;
+        origin
+    });
+    match decision {
+        Decision::Serve {
+            response,
+            body,
+            manifest,
+            ..
+        } => FetchOutcome {
+            status: response.status(),
+            body_len: response.body().len(),
+            page: view.map(|view| PageView {
+                manifest,
+                html: body.unwrap_or_default(),
+                ..view
+            }),
+        },
+        rejected => {
+            let response = rejected.into_response();
+            FetchOutcome {
+                status: response.status(),
+                body_len: response.body().len(),
+                page: None,
+            }
         }
     }
 }

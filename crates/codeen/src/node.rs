@@ -2,25 +2,26 @@
 //! the [`Web`] origin substrate.
 //!
 //! CoDeeN nodes sit between clients and origin servers; our node does
-//! the same — every exchange goes through one `Gateway::handle_with`
-//! call, which classifies probe traffic, gates through policy, rewrites
-//! origin HTML, and feeds the detector. Since PR 5 the origin
-//! resolution below runs **between** the gateway's two critical
-//! sections with no lock held — a slow upstream stalls only its own
-//! request, never the other sessions on its shard. The node's own job
-//! shrinks to resolving origin content from the [`Web`] and adapting
-//! decisions to the agent-facing [`ClientWorld`] interface.
+//! the same. A [`NodeSession`] fetches the way every in-process world
+//! does ([`fetch_through`]): one `Gateway::handle_with` call, which
+//! classifies probe traffic, gates through policy, rewrites origin HTML
+//! and feeds the detector, in front of the webgraph origin
+//! (`botwall_agents::origin`) of the site the request's host names. That
+//! origin runs **between** the gateway's two critical sections with no
+//! lock held — a slow upstream stalls only its own request, never the
+//! other sessions on its shard. The node's own job is the deployment
+//! (which probes, enforcement, CAPTCHAs) and the per-session tallies.
 
 use crate::metrics::{BandwidthLedger, NodeStats};
-use botwall_agents::world::{ClientWorld, FetchOutcome, FetchSpec, PageView};
+use botwall_agents::world::{fetch_through, ClientWorld, FetchOutcome, FetchSpec};
 use botwall_captcha::{Challenge, ServingPolicy};
 use botwall_core::{CompletedSession, Detector};
-use botwall_gateway::{Decision, Gateway, Origin};
+use botwall_gateway::Gateway;
 use botwall_http::request::ClientIp;
-use botwall_http::{Method, Request, Response, StatusCode, Uri};
+use botwall_http::{StatusCode, Uri};
 use botwall_instrument::InstrumentConfig;
 use botwall_sessions::{SessionKey, SimTime};
-use botwall_webgraph::{render, Site, Web};
+use botwall_webgraph::Web;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -167,41 +168,6 @@ impl ProxyNode {
         self.gateway.drain()
     }
 
-    /// Serves one request end to end through the gateway — the request
-    /// path of §2 behind one call: classify, policy-gate, serve probe
-    /// objects or origin content (instrumenting pages), and observe.
-    /// Rejections, probes, and beacons finish inside one shard critical
-    /// section; origin serves lease the session, resolve the [`Web`]
-    /// content below with **no lock held**, and commit in a second
-    /// short section.
-    pub fn serve(&self, request: &Request, now: SimTime) -> (Response, Option<PageViewParts>) {
-        let web = Arc::clone(&self.web);
-        let mut meta: Option<PageMeta> = None;
-        let decision = self.gateway.handle_with(request, now, |req| {
-            let (origin, m) = resolve_origin(&web, req);
-            meta = m;
-            origin
-        });
-        match decision {
-            Decision::Serve {
-                response,
-                body,
-                manifest,
-                ..
-            } => {
-                let parts = meta.map(|m| PageViewParts {
-                    links: m.links,
-                    embedded: m.embedded,
-                    cgi: m.cgi,
-                    manifest,
-                    html: body.unwrap_or_default(),
-                });
-                (response, parts)
-            }
-            rejected => (rejected.into_response(), None),
-        }
-    }
-
     /// Offers a CAPTCHA if the deployment serves them.
     pub fn offer_captcha(&self) -> Option<Challenge> {
         self.gateway.offer_captcha()
@@ -217,114 +183,6 @@ impl ProxyNode {
     pub fn finish_session(&self) {
         self.sessions.fetch_add(1, Ordering::Relaxed);
     }
-}
-
-/// Page-graph metadata the agent-facing [`PageView`] needs but the
-/// gateway does not know about (it only sees the rendered HTML).
-struct PageMeta {
-    links: Vec<Uri>,
-    embedded: Vec<Uri>,
-    cgi: Option<Uri>,
-}
-
-/// Resolves a request against the origin web substrate: what a CoDeeN
-/// node would fetch upstream. Pages come back as [`Origin::Page`] (the
-/// gateway instruments them); everything else is a finished response.
-fn resolve_origin(web: &Web, request: &Request) -> (Origin, Option<PageMeta>) {
-    let uri = request.uri();
-    let Some(site) = web.site_for(uri) else {
-        return (
-            Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-            None,
-        );
-    };
-    let path = uri.path();
-    if path.eq_ignore_ascii_case("/favicon.ico") {
-        let resp = Response::builder(StatusCode::OK)
-            .header("Content-Type", "image/x-icon")
-            .body_bytes(vec![0u8; 318])
-            .build();
-        return (Origin::Response(resp), None);
-    }
-    if path.eq_ignore_ascii_case("/robots.txt") {
-        let resp = Response::builder(StatusCode::OK)
-            .header("Content-Type", "text/plain")
-            .body_bytes(b"User-agent: *\nDisallow: /cgi-bin/\n".to_vec())
-            .build();
-        return (Origin::Response(resp), None);
-    }
-    if let Some(page) = site.page_by_path(path) {
-        // Redirect stubs answer 302 (the RESPCODE 3XX % signal).
-        if let Some(target) = page.redirect_to {
-            if let Some(t) = site.page(target) {
-                let resp = Response::builder(StatusCode::FOUND)
-                    .header("Location", format!("http://{}{}", site.host(), t.path))
-                    .build();
-                return (Origin::Response(resp), None);
-            }
-        }
-        return (
-            Origin::Page(render::render_page(site, page)),
-            Some(page_meta(site, page)),
-        );
-    }
-    if let Some((_, body)) = render::render_asset(site, path) {
-        let resp = Response::builder(StatusCode::OK)
-            .header("Content-Type", "application/octet-stream")
-            .body_bytes(body)
-            .build();
-        return (Origin::Response(resp), None);
-    }
-    // A known CGI endpoint answers; unknown dynamic paths 404.
-    let is_known_cgi = site
-        .pages()
-        .filter_map(|p| p.cgi_endpoint.as_deref())
-        .any(|c| path.starts_with(c));
-    if is_known_cgi {
-        let resp = Response::builder(StatusCode::OK)
-            .header("Content-Type", "text/html")
-            .body_bytes(b"<html><body>ok</body></html>".to_vec())
-            .build();
-        return (Origin::Response(resp), None);
-    }
-    (Origin::NotFound, None)
-}
-
-fn page_meta(site: &Site, page: &botwall_webgraph::Page) -> PageMeta {
-    let host = site.host();
-    PageMeta {
-        links: page
-            .links
-            .iter()
-            .filter_map(|id| site.page(*id))
-            .map(|p| Uri::absolute(host, p.path.clone()))
-            .collect(),
-        embedded: page
-            .assets
-            .iter()
-            .map(|a| Uri::absolute(host, a.path.clone()))
-            .collect(),
-        cgi: page
-            .cgi_endpoint
-            .as_ref()
-            .map(|c| Uri::absolute(host, c.clone())),
-    }
-}
-
-/// The pieces a [`NodeSession`] needs to build a
-/// [`botwall_agents::world::PageView`].
-#[derive(Debug, Clone)]
-pub struct PageViewParts {
-    /// Visible links.
-    pub links: Vec<Uri>,
-    /// Origin embedded objects.
-    pub embedded: Vec<Uri>,
-    /// CGI endpoint.
-    pub cgi: Option<Uri>,
-    /// Instrumentation manifest.
-    pub manifest: Option<botwall_instrument::ProbeManifest>,
-    /// Raw HTML as served.
-    pub html: String,
 }
 
 /// A per-session [`ClientWorld`] binding an agent to a node.
@@ -390,35 +248,15 @@ impl ClientWorld for NodeSession<'_> {
     fn fetch(&mut self, spec: FetchSpec) -> FetchOutcome {
         self.now += 40; // Network round trip.
         self.requests += 1;
-        let mut b = Request::builder(spec.method.clone(), spec.uri.to_string())
-            .header("User-Agent", self.user_agent.clone())
-            .client(self.ip);
-        if let Some(r) = &spec.referer {
-            b = b.header("Referer", r.clone());
-        }
-        if spec.method == Method::Post && !spec.body.is_empty() {
-            b = b.body_bytes(spec.body.clone());
-        }
-        let Ok(request) = b.build() else {
-            return FetchOutcome::default();
-        };
-        let (response, parts) = self.node.serve(&request, self.now);
-        match response.status() {
+        let site = self.node.web.site_for(&spec.uri);
+        let client = (self.ip, self.user_agent.as_str());
+        let out = fetch_through(&self.node.gateway, site, client, &spec, self.now);
+        match out.status {
             StatusCode::TOO_MANY_REQUESTS => self.throttled += 1,
             StatusCode::FORBIDDEN => self.blocked += 1,
             _ => self.allowed += 1,
         }
-        FetchOutcome {
-            status: response.status(),
-            body_len: response.body().len(),
-            page: parts.map(|p| PageView {
-                links: p.links,
-                embedded: p.embedded,
-                cgi: p.cgi,
-                manifest: p.manifest,
-                html: p.html,
-            }),
-        }
+        out
     }
 
     fn now(&self) -> SimTime {

@@ -372,14 +372,18 @@ pub struct Gateway {
     ml_overrides: AtomicU64,
 }
 
+/// The status line and headers every page serve answers with: `200`,
+/// `text/html`, uncacheable. A front door that streams a page writes
+/// them and ends the head with its own framing and `Connection` lines.
+pub const PAGE_HEAD_LINES: &[u8] =
+    b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nCache-Control: no-cache, no-store\r\n";
+
 /// What a page stream records: [`page_response`] of no body, summarised
 /// without building it.
 const PAGE_HEAD: ResponseSummary = ResponseSummary {
     status: StatusCode::OK,
     class: Some(ContentClass::Html),
-    wire_len: "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\
-        Cache-Control: no-cache, no-store\r\n\r\n"
-        .len(),
+    wire_len: PAGE_HEAD_LINES.len() + "\r\n".len(),
 };
 
 /// The uncacheable `200 text/html` a page serve answers with, `body`

@@ -70,7 +70,7 @@ pub mod config;
 pub mod decision;
 pub mod gateway;
 
-pub use botwall_core::{BoundaryClassifier, CompletedSession};
+pub use botwall_core::{BoundaryClassifier, CompletedSession, EvidenceKind};
 /// What [`PageStream::write`] writes to; re-exported for callers that
 /// implement their own.
 pub use botwall_instrument::StreamSink;
@@ -78,4 +78,5 @@ pub use config::{GatewayBuilder, GatewayConfig};
 pub use decision::{Answer, Decision, Origin};
 pub use gateway::{
     Gate, Gateway, GatewayStats, PageStream, PendingOrigin, PendingServe, StreamedServe,
+    PAGE_HEAD_LINES,
 };

@@ -658,17 +658,6 @@ impl RewriteEngine {
         rewrite_whole(stream, html, request.uri(), request.authority().as_deref())
     }
 
-    /// [`RewriteEngine::object_in_session`] as a [`Response`].
-    pub fn respond_in_session(
-        &self,
-        classified: &Classified,
-        tokens: &mut TokenState,
-        request: &Request,
-    ) -> Option<Response> {
-        self.object_in_session(classified, tokens, &request.view())
-            .map(|object| object.to_response())
-    }
-
     /// The object instrumentation traffic is answered with inside the
     /// session `request` arrived in: a JS-file hit gets the script out of
     /// the session's own `tokens` ([`RewriteEngine::session_script`]:
@@ -1227,12 +1216,13 @@ mod tests {
         };
         let (request, mut tokens) = (get(&url.to_string()), TokenState::default());
         let resp = e
-            .respond_in_session(&Classified::Probe(hit), &mut tokens, &request)
+            .object_in_session(&Classified::Probe(hit), &mut tokens, &request.view())
+            .map(|o| o.to_response())
             .unwrap();
         assert_eq!(resp.content_type(), Some("text/css"));
         assert!(resp.body().is_empty());
         assert!(resp.is_uncacheable());
-        let ordinary = e.respond_in_session(&Classified::Ordinary, &mut tokens, &request);
+        let ordinary = e.object_in_session(&Classified::Ordinary, &mut tokens, &request.view());
         assert!(ordinary.is_none());
     }
 

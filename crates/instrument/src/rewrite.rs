@@ -247,7 +247,8 @@ mod tests {
         assert_eq!(hit.kind, ProbeKind::JsFile);
         let resp = s
             .engine
-            .respond_in_session(&classified, &mut s.tokens, &get(&js_url))
+            .object_in_session(&classified, &mut s.tokens, &get(&js_url).view())
+            .map(|o| o.to_response())
             .expect("probe response");
         assert!(resp.is_uncacheable());
         let body = String::from_utf8(resp.body().to_vec()).unwrap();
@@ -262,7 +263,8 @@ mod tests {
         let classified = s.classify(&css, SimTime::ZERO);
         let resp = s
             .engine
-            .respond_in_session(&classified, &mut s.tokens, &get(&css))
+            .object_in_session(&classified, &mut s.tokens, &get(&css).view())
+            .map(|o| o.to_response())
             .unwrap();
         assert_eq!(resp.content_type(), Some("text/css"));
         assert!(resp.body().is_empty());
@@ -277,7 +279,7 @@ mod tests {
         assert_eq!(s.classify(&other, SimTime::ZERO), Classified::Ordinary);
         let answer =
             s.engine
-                .respond_in_session(&Classified::Ordinary, &mut s.tokens, &get(&other));
+                .object_in_session(&Classified::Ordinary, &mut s.tokens, &get(&other).view());
         assert!(answer.is_none());
     }
 

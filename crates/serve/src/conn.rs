@@ -21,9 +21,10 @@
 //! origin's response head has parsed, every response is a stream (see
 //! `origin.rs`): a page through the rewriter, anything else
 //! as it came, and the end of the body commits the exchange
-//! ([`Gateway::commit_page_stream`]). Only a fetch that dies before its
-//! head is answered by the server itself, with a `502` or `504`
-//! committed through [`Gateway::complete`]. No gateway lock and no
+//! ([`Gateway::commit_page_stream`]). Only a fetch that never gets a
+//! head (no origin configured, or one that dies first) is answered by
+//! the server itself, an empty `404`, `502` or `504` committed through
+//! the same call as a relay of that head. No gateway lock and no
 //! event-loop stall spans the fetch — one slow origin delays exactly
 //! the connections waiting on *that* fetch, never their neighbors.
 //!
@@ -49,7 +50,7 @@ use crate::origin::{upstream_request, OriginConn};
 use crate::pool::{read_available, ReadBuf, Slot};
 use crate::server::{token_of, Worker, WorkerCounters};
 use crate::stats::serve_stats_json;
-use botwall_gateway::{Gate, Origin, PendingOrigin};
+use botwall_gateway::{Gate, PendingOrigin};
 use botwall_http::request::ClientIp;
 use botwall_http::wire::{self, Incoming};
 use botwall_http::{Response, StatusCode};
@@ -292,8 +293,8 @@ impl Worker {
         // Leased: only now is the request made owned.
         let pending = PendingOrigin::new(lease, request.to_request());
         let Some(origin_addr) = self.config.origin else {
-            let d = self.gateway.complete(pending, Origin::NotFound, now);
-            wire::write_response(&d.into_response(), close_after, out);
+            self.commit_empty(pending, StatusCode::NOT_FOUND, now);
+            wire::write_empty(StatusCode::NOT_FOUND, close_after, out);
             return self.writing(slot, close_after);
         };
         let mut upstream = self.take_buf();
@@ -342,13 +343,12 @@ impl Worker {
                     self.connect_origin(origin_addr, origin_slot, &upstream)
                 else {
                     // Origin unreachable before the fetch even started:
-                    // complete (never drop) the lease so enforcement's
+                    // commit (never drop) the lease so enforcement's
                     // in-flight count stays exact.
                     self.free.push(origin_slot);
                     self.recycle(upstream);
-                    let gone = Origin::Response(Response::empty(StatusCode::BAD_GATEWAY));
-                    let d = self.gateway.complete(pending, gone, now);
-                    wire::write_response(&d.into_response(), close_after, out);
+                    self.commit_empty(pending, StatusCode::BAD_GATEWAY, now);
+                    wire::write_empty(StatusCode::BAD_GATEWAY, close_after, out);
                     return self.writing(slot, close_after);
                 };
                 (origin_slot, stream, pos, interest, connected)

@@ -34,10 +34,11 @@ use crate::frame::{self, BodyDecoder, BodyFraming};
 use crate::pool::{read_available, ReadBuf, Slot};
 use crate::server::{token_of, Worker, STREAM_HIGH_WATER, STREAM_LOW_WATER};
 use crate::staged::{frame_body, push_side, write_staged, Part, Staged, MAX_RUNS};
-use botwall_gateway::{Origin, PageStream, PendingOrigin};
+use botwall_gateway::{PageStream, PendingOrigin, PAGE_HEAD_LINES};
 use botwall_http::{
-    wire, ContentClass, Head, HttpError, Method, Request, Response, ResponseSummary, StatusCode,
+    wire, ContentClass, Head, HttpError, Method, Request, ResponseSummary, StatusCode,
 };
+use botwall_sessions::SimTime;
 use reactor::{net, Event, Interest, Reactor};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -124,6 +125,21 @@ fn throttle(reactor: &mut Reactor, slot: usize, o: &mut OriginConn, backlog: usi
 }
 
 impl Worker {
+    /// Commits a lease no origin response head came back for as the
+    /// empty `status` the server answers it with itself (the `404` with
+    /// no origin configured, a `502`, a `504`): a relay of that head,
+    /// counted as the bytes of [`ResponseSummary::empty`]. Every lease
+    /// the front door takes ends in [`Gateway::commit_page_stream`].
+    ///
+    /// [`Gateway::commit_page_stream`]: botwall_gateway::Gateway::commit_page_stream
+    pub(crate) fn commit_empty(&self, pending: PendingOrigin, status: StatusCode, now: SimTime) {
+        let head = ResponseSummary::empty(status);
+        let relay = PageStream::relay(head);
+        let wire_bytes = head.wire_len as u64;
+        self.gateway
+            .commit_page_stream(pending, relay, &mut Vec::new(), wire_bytes, now);
+    }
+
     /// The client is gone but the lease must still be committed —
     /// dropping it would leak the session's in-flight count until
     /// rollover. A synthesized 504 records "the exchange died on us".
@@ -131,9 +147,7 @@ impl Worker {
         self.reactor.cancel_deadline(token_of(origin_slot));
         self.pending_free.push(origin_slot);
         if let Some(pending) = o.pending.take() {
-            let gone = Origin::Response(Response::empty(StatusCode::GATEWAY_TIMEOUT));
-            let now = self.now();
-            let _ = self.gateway.complete(pending, gone, now);
+            self.commit_empty(pending, StatusCode::GATEWAY_TIMEOUT, self.now());
         }
         self.retire_origin(o);
     }
@@ -559,23 +573,19 @@ impl Worker {
     fn fail_origin(&mut self, slot: usize, mut o: Box<OriginConn>, status: StatusCode) {
         self.reactor.cancel_deadline(token_of(slot));
         let pending = o.pending.take().expect("a fetch fails once");
-        let failed = Origin::Response(Response::empty(status));
-        let now = self.now();
-        let decision = self.gateway.complete(pending, failed, now);
+        self.commit_empty(pending, status, self.now());
         let client_slot = o.client_slot;
         let close_after = o.close_after;
         self.pending_free.push(slot);
         self.retire_origin(o);
-        // The client may have died in this same batch; its teardown
-        // already completed the lease path above, so just drop the
-        // decision if nobody is waiting.
+        // The client may have died in this same batch: the lease is
+        // committed all the same, and nobody is told.
         let Some(Slot::Client(mut c)) = self.slots.get_mut(client_slot).and_then(Option::take)
         else {
             return;
         };
-        let response = decision.into_response();
         self.answer(client_slot, &mut c, close_after, |out| {
-            wire::write_response(&response, close_after, out)
+            wire::write_empty(status, close_after, out)
         });
         if self.pump(client_slot, &mut c, false) {
             self.slots[client_slot] = Some(Slot::Client(c));
@@ -706,16 +716,13 @@ fn end_head(plan: &BodyPlan, close_after: bool, out: &mut Vec<u8>) {
     wire::end_head(close_after, out);
 }
 
-/// Appends the client-side response head for a streamed page: 200,
-/// `text/html`, uncacheable, and never a `Content-Length` (the rewriter
-/// is about to change it). The head is invariant per connection mode,
-/// so it lives as wire bytes — nothing builds or serializes a
-/// `Response` on the streaming hot path.
+/// Appends the client-side response head for a streamed page: the
+/// gateway's 200, `text/html`, uncacheable lines, and never a
+/// `Content-Length` (the rewriter is about to change it). The head is
+/// invariant per connection mode, so it lives as wire bytes — nothing
+/// builds or serializes a `Response` on the streaming hot path.
 fn streaming_head(plan: &BodyPlan, close_after: bool, out: &mut Vec<u8>) {
-    out.extend_from_slice(
-        b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\
-        Cache-Control: no-cache, no-store\r\n",
-    );
+    out.extend_from_slice(PAGE_HEAD_LINES);
     end_head(plan, close_after, out);
 }
 

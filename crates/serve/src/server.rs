@@ -445,26 +445,23 @@ impl Server {
     /// merged totals.
     pub fn run(&mut self) -> io::Result<ServeReport> {
         let mut workers = std::mem::take(&mut self.workers);
-        let result = if workers.len() == 1 {
-            workers[0].run()
-        } else {
-            let mut rest = workers.split_off(1);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = rest
-                    .iter_mut()
-                    .map(|worker| scope.spawn(move || worker.run()))
-                    .collect();
-                let mut result = workers[0].run();
-                for handle in handles {
-                    let joined = handle.join().expect("worker thread panicked");
-                    if result.is_ok() {
-                        result = joined;
-                    }
+        // The first reactor runs on this thread; with one, the scope
+        // spawns nothing.
+        let (first, rest) = workers.split_first_mut().expect("bind starts a reactor");
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = rest
+                .iter_mut()
+                .map(|worker| scope.spawn(move || worker.run()))
+                .collect();
+            let mut result = first.run();
+            for handle in handles {
+                let joined = handle.join().expect("worker thread panicked");
+                if result.is_ok() {
+                    result = joined;
                 }
-                result
-            })
-        };
-        result?;
+            }
+            result
+        })?;
         let interest_changes = workers
             .iter()
             .map(|worker| worker.reactor.interest_changes())

@@ -1,10 +1,11 @@
 //! Every answer the front door makes without the origin, pinned byte for
 //! byte as it leaves the live server: the gate's refusals and probe
-//! objects, the server's own `400`, `408` and over-cap `503`. Each
-//! expected string is what the server sent before these answers were
-//! written as fixed bytes (a `Response` built, re-headed and
-//! serialized); a script's body is the session's and only its head is
-//! pinned around it.
+//! objects, the server's own `400`, `408` and over-cap `503`, and the
+//! `404` and `502` of a lease no origin answered (with what the gateway
+//! counted of them). Each expected string is what the server sent before
+//! these answers were written as fixed bytes (a `Response` built,
+//! re-headed and serialized); a script's body is the session's and only
+//! its head is pinned around it.
 //!
 //! `PIN_DUMP=1 cargo test -p botwall-serve --test answer_bytes --
 //! --nocapture` prints what the server sends instead of checking it.
@@ -15,6 +16,7 @@ use botwall_core::classifier::{Reason, Verdict};
 use botwall_http::request::ClientIp;
 use botwall_sessions::SessionKey;
 use std::io::Write;
+use std::net::TcpListener;
 use std::time::Duration;
 use support::{exchange, get, read_raw, Fixture, ASSET_PATH};
 
@@ -191,5 +193,51 @@ fn the_servers_own_answers_are_the_bytes_they_always_were() {
         b"HTTP/1.1 503 Service Unavailable\r\nConnection: close\r\nContent-Length: 0\r\n\r\n",
     );
     drop((first, second));
+    fx.finish();
+}
+
+/// Checks what the gateway counted after one exchange against `expected`
+/// `(requests, served, total_bytes)` (or prints it, dumping).
+fn pin_stats(what: &str, fx: &Fixture, expected: (u64, u64, u64)) {
+    let stats = fx.gateway.stats();
+    let counted = (stats.requests, stats.served, stats.total_bytes);
+    if dumping() {
+        println!("{what} stats: {counted:?}");
+        return;
+    }
+    assert_eq!(counted, expected, "{what}");
+}
+
+/// A lease no origin answered is committed all the same, and the server's
+/// own empty answer is what it sends and what the gateway counts: the
+/// bytes and counts recorded on a server that committed such a lease as
+/// a whole `Origin::Response`.
+#[test]
+fn a_fetch_that_never_reached_an_origin_is_the_bytes_it_always_was() {
+    let ua = "Mozilla/5.0 pin-fetch";
+    // No origin configured.
+    let fx = Fixture::start(|c| c.origin = None, || {});
+    let raw = exchange(&mut fx.connect(), &get(ASSET_PATH, ua, false));
+    pin(
+        "404, no origin",
+        &raw,
+        b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n",
+    );
+    pin_stats("404, no origin", &fx, (1, 1, 108));
+    fx.finish();
+
+    // An origin nobody listens at.
+    let dead = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let fx = Fixture::start(move |c| c.origin = Some(dead), || {});
+    let raw = exchange(&mut fx.connect(), &get(ASSET_PATH, ua, false));
+    pin(
+        "502, dead origin",
+        &raw,
+        b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n",
+    );
+    pin_stats("502, dead origin", &fx, (1, 1, 110));
     fx.finish();
 }

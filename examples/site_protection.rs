@@ -1,37 +1,38 @@
 //! Protecting a single Web site (not a proxy): the paper argues the
 //! techniques "can be applied both to individual Web sites and to large
-//! organizations". This example puts one `Gateway` in front of one origin
-//! site and replays a human, a no-JS human, a blind crawler, and a smart
-//! bot through it — every exchange through `Gateway::handle_with`.
+//! organizations". This example puts one `Gateway` in front of one
+//! generated site's webgraph origin and replays a human, a no-JS human, a
+//! blind crawler, and a smart bot through it — every exchange through
+//! `Gateway::handle_with`, by the adapter every in-process world uses.
 //!
 //! Run with `cargo run --release --example site_protection`.
 
 use botwall::agents::robots::crawler::CrawlerConfig;
 use botwall::agents::robots::smart_bot::{SmartBot, SmartBotConfig};
 use botwall::agents::robots::CrawlerBot;
-use botwall::agents::world::{ClientWorld, FetchOutcome, FetchSpec, PageView};
+use botwall::agents::world::{fetch_through, ClientWorld, FetchOutcome, FetchSpec};
 use botwall::agents::{Agent, BrowserProfile, HumanAgent, HumanConfig};
 use botwall::captcha::Challenge;
-use botwall::gateway::{Decision, Gateway, Origin};
+use botwall::gateway::Gateway;
 use botwall::http::request::ClientIp;
-use botwall::http::{BrowserFamily, Method, Request, Response, StatusCode, Uri};
-use botwall::sessions::SimTime;
-use botwall::webgraph::{render, Site, SiteConfig, Web, WebConfig};
+use botwall::http::{BrowserFamily, StatusCode, Uri};
+use botwall::sessions::{SessionKey, SimTime};
+use botwall::webgraph::{Site, SiteConfig};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// The agent-facing world: one origin site with a gateway in front.
-/// All the world does is build requests and adapt `Decision`s — the
-/// instrumentation, detection, and policy all live inside the gateway.
-/// The `resolve` origin hook runs between the gateway's two critical
-/// sections with no lock held, so a slow site would stall only its own
-/// request, never the sessions sharing its tracker shard.
-struct ProtectedSite<'a> {
+/// One visitor of the protected site, the agent-facing world. It fetches
+/// the way every in-process world does (`fetch_through`): the request
+/// goes through the gateway, in front of the site's webgraph origin, and
+/// the instrumentation, detection and policy all live inside the
+/// gateway. The origin runs between the gateway's two critical sections
+/// with no lock held, so a slow site would stall only its own request,
+/// never the sessions sharing its tracker shard.
+struct Visitor<'a> {
     gateway: &'a Gateway,
-    web: &'a Web,
+    site: &'a Site,
     ip: ClientIp,
     user_agent: String,
-    entry: Uri,
     now: SimTime,
     captcha_offered: bool,
     served: u64,
@@ -39,95 +40,24 @@ struct ProtectedSite<'a> {
     blocked: u64,
 }
 
-impl ProtectedSite<'_> {
-    /// Resolves origin content for allowed ordinary requests: pages are
-    /// handed to the gateway as HTML (it instruments them), assets come
-    /// back whole.
-    fn resolve(web: &Web, request: &Request) -> (Origin, Vec<Uri>, Option<Uri>) {
-        let uri = request.uri();
-        let Some(site) = web.site_for(uri) else {
-            return (
-                Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-                Vec::new(),
-                None,
-            );
-        };
-        if let Some(page) = site.page_by_path(uri.path()) {
-            let links = page
-                .links
-                .iter()
-                .filter_map(|id| site.page(*id))
-                .map(|p| Uri::absolute(site.host(), p.path.clone()))
-                .collect();
-            let cgi = page
-                .cgi_endpoint
-                .as_ref()
-                .map(|c| Uri::absolute(site.host(), c.clone()));
-            return (Origin::Page(render::render_page(site, page)), links, cgi);
-        }
-        if let Some((_, body)) = render::render_asset(site, uri.path()) {
-            let resp = Response::builder(StatusCode::OK)
-                .header("Content-Type", "application/octet-stream")
-                .body_bytes(body)
-                .build();
-            return (Origin::Response(resp), Vec::new(), None);
-        }
-        (Origin::NotFound, Vec::new(), None)
+impl Visitor<'_> {
+    fn key(&self) -> SessionKey {
+        SessionKey::new(self.ip, self.user_agent.clone())
     }
 }
 
-impl ClientWorld for ProtectedSite<'_> {
+impl ClientWorld for Visitor<'_> {
     fn fetch(&mut self, spec: FetchSpec) -> FetchOutcome {
         self.now += 40;
-        let mut b = Request::builder(spec.method.clone(), spec.uri.to_string())
-            .header("User-Agent", self.user_agent.clone())
-            .client(self.ip);
-        if let Some(r) = &spec.referer {
-            b = b.header("Referer", r.clone());
+        let site = (spec.uri.host() == Some(self.site.host())).then_some(self.site);
+        let client = (self.ip, self.user_agent.as_str());
+        let out = fetch_through(self.gateway, site, client, &spec, self.now);
+        match out.status {
+            StatusCode::TOO_MANY_REQUESTS => self.throttled += 1,
+            StatusCode::FORBIDDEN => self.blocked += 1,
+            _ => self.served += 1,
         }
-        if spec.method == Method::Post && !spec.body.is_empty() {
-            b = b.body_bytes(spec.body.clone());
-        }
-        let Ok(request) = b.build() else {
-            return FetchOutcome::default();
-        };
-        let web = self.web;
-        let mut links = Vec::new();
-        let mut cgi = None;
-        let decision = self.gateway.handle_with(&request, self.now, |req| {
-            let (origin, l, c) = Self::resolve(web, req);
-            links = l;
-            cgi = c;
-            origin
-        });
-        match &decision {
-            Decision::Serve { .. } => self.served += 1,
-            Decision::Throttle => self.throttled += 1,
-            _ => self.blocked += 1,
-        }
-        match decision {
-            Decision::Serve {
-                response,
-                body,
-                manifest,
-                ..
-            } => FetchOutcome {
-                status: response.status(),
-                body_len: response.body().len(),
-                page: body.map(|html| PageView {
-                    links,
-                    embedded: Vec::new(),
-                    cgi,
-                    manifest,
-                    html,
-                }),
-            },
-            rejected => FetchOutcome {
-                status: rejected.status(),
-                body_len: 0,
-                page: None,
-            },
-        }
+        out
     }
 
     fn now(&self) -> SimTime {
@@ -143,7 +73,7 @@ impl ClientWorld for ProtectedSite<'_> {
     }
 
     fn entry_point(&self) -> Uri {
-        self.entry.clone()
+        Uri::absolute(self.site.host(), "/index.html")
     }
 
     fn offer_captcha(&mut self) -> Option<Challenge> {
@@ -155,18 +85,17 @@ impl ClientWorld for ProtectedSite<'_> {
     }
 
     fn answer_captcha(&mut self, id: u64, answer: &str) -> bool {
-        let key = botwall::sessions::SessionKey::new(self.ip, self.user_agent.clone());
-        self.gateway.verify_captcha(&key, id, answer, self.now)
+        self.gateway
+            .verify_captcha(&self.key(), id, answer, self.now)
     }
 }
 
-fn run(gateway: &Gateway, web: &Web, site: &Site, name: &str, agent: &mut dyn Agent, ip: u32) {
-    let mut world = ProtectedSite {
+fn run(gateway: &Gateway, site: &Site, name: &str, agent: &mut dyn Agent, ip: u32) {
+    let mut world = Visitor {
         gateway,
-        web,
+        site,
         ip: ClientIp::new(ip),
         user_agent: agent.user_agent(),
-        entry: Uri::absolute(site.host(), "/index.html"),
         now: SimTime::ZERO,
         captcha_offered: false,
         served: 0,
@@ -175,29 +104,22 @@ fn run(gateway: &Gateway, web: &Web, site: &Site, name: &str, agent: &mut dyn Ag
     };
     let mut rng = ChaCha8Rng::seed_from_u64(ip as u64);
     agent.run_session(&mut world, &mut rng);
-    let key = botwall::sessions::SessionKey::new(world.ip, world.user_agent.clone());
     println!(
         "{:<18} served={:<4} throttled={:<3} blocked={:<3} online verdict: {:?}",
         name,
         world.served,
         world.throttled,
         world.blocked,
-        world.gateway.verdict(&key),
+        gateway.verdict(&world.key()),
     );
 }
 
 fn main() {
-    let web = Web::generate(
-        &WebConfig {
-            sites: 1,
-            site: SiteConfig {
-                pages: 30,
-                ..SiteConfig::default()
-            },
-        },
-        2006,
-    );
-    let site = web.sites().next().expect("one site");
+    let config = SiteConfig {
+        pages: 30,
+        ..SiteConfig::default()
+    };
+    let site = Site::generate("www.protected.example", &config, 2006);
     let gateway = Gateway::builder().seed(42).build();
 
     println!("one gateway in front of http://{}/ :\n", site.host());
@@ -211,7 +133,7 @@ fn main() {
             ..HumanConfig::default()
         },
     );
-    run(&gateway, &web, site, "human/firefox", &mut human, 1);
+    run(&gateway, &site, "human/firefox", &mut human, 1);
 
     let mut no_js = HumanAgent::new(
         BrowserProfile::js_disabled(BrowserFamily::Opera),
@@ -221,16 +143,16 @@ fn main() {
             ..HumanConfig::default()
         },
     );
-    run(&gateway, &web, site, "human/no-js", &mut no_js, 2);
+    run(&gateway, &site, "human/no-js", &mut no_js, 2);
 
     let mut crawler = CrawlerBot::new(CrawlerConfig::default());
-    run(&gateway, &web, site, "blind crawler", &mut crawler, 3);
+    run(&gateway, &site, "blind crawler", &mut crawler, 3);
 
     let mut smart = SmartBot::new(SmartBotConfig {
         scan_beacons: true,
         ..SmartBotConfig::default()
     });
-    run(&gateway, &web, site, "smart bot", &mut smart, 4);
+    run(&gateway, &site, "smart bot", &mut smart, 4);
 
     // Flush every session: the batch set-algebra pass labels them.
     println!("\nfinal labels at flush:");
@@ -254,8 +176,11 @@ fn main() {
         stats.instrumentation_bytes as f64 * 100.0 / stats.total_bytes.max(1) as f64,
         stats.total_bytes,
     );
-    println!("\nreading: humans fire css+js+mouse and go Human; the no-JS human");
-    println!("stays undecided online and flushes Human via the CSS term of the");
-    println!("set algebra; crawlers and smart bots flush Robot (hidden links,");
-    println!("decoys, or JS-without-mouse).");
+    println!("\nreading: the Firefox human's browser pulls its first page's images,");
+    println!("stylesheet, script and probes 40 ms apart; eleven requests in under");
+    println!("half a second, JS run and no mouse event yet, is a provisional robot");
+    println!("over the rate threshold, so it is blocked before its mouse beacon");
+    println!("lands (which still labels it Human); the no-JS human stays undecided");
+    println!("online and flushes Human via the CSS term of the set algebra; crawlers");
+    println!("and smart bots flush Robot (hidden links, decoys, or JS-without-mouse).");
 }

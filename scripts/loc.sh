@@ -13,8 +13,9 @@
 # is a printed number too, and the
 # front door's sum of it (`serve` + `gateway` + `instrument` + `http`,
 # the code a request through `botwall-serve` runs) is printed under the
-# totals instead of being added up by hand, and so is the session layer's
-# (`sessions` + `core`).
+# totals instead of being added up by hand, and so are the session
+# layer's (`sessions` + `core`) and the in-process clients' (`agents` +
+# `codeen` + the root `examples/`).
 # Informational: nothing here fails a build.
 #
 # Usage: scripts/loc.sh
@@ -76,6 +77,8 @@ done
 printf '%-22s %17d\n' "front door, non-test" "$front"
 printf '%-25s %14d\n' "sessions + core, non-test" \
     $(($(non_test crates/sessions/src) + $(non_test crates/core/src)))
+printf '%-42s %d\n' "clients (agents + codeen + examples), non-test" \
+    $(($(non_test crates/agents/src) + $(non_test crates/codeen/src) + $(non_test examples)))
 
 echo
 echo "largest src files by non-test lines (non-test lines, lines):"
