@@ -4,12 +4,12 @@
 //! The paper evaluates on live CoDeeN traffic — humans behind real
 //! browsers and a zoo of robots abusing an open proxy. This crate is the
 //! synthetic stand-in: behavioural models that issue the same request
-//! patterns against any [`ClientWorld`] (implemented by the proxy
-//! simulation in `botwall-codeen` and by [`testutil::MockWorld`] for
-//! tests). Both worlds fetch through a [`botwall_gateway::Gateway`] in
-//! front of the one webgraph origin ([`origin`]), by the one adapter
-//! ([`world::fetch_through`]): an agent's unit tests run the detector
-//! the proxies deploy.
+//! patterns against any [`ClientWorld`]. [`world::Client`] is the one
+//! in-process world: a client of a [`botwall_gateway::Gateway`] in front
+//! of the webgraph origin ([`origin`]), with its own clock, CAPTCHA
+//! offer and status ledger. The proxy simulation in `botwall-codeen`
+//! hands each session one, and [`testutil::MockWorld`] wraps one for
+//! tests, so an agent's unit tests run the detector the proxies deploy.
 //!
 //! * [`human`] — browser-driving humans: asset fetching per
 //!   [`browser::BrowserProfile`], think times, mouse events (at most one
@@ -37,7 +37,7 @@
 //! let mut agent = population.sample(&mut rng);
 //! let mut world = MockWorld::new(1);
 //! agent.run_session(&mut world, &mut rng);
-//! assert!(world.total_fetches > 0);
+//! assert!(world.client().ledger().requests > 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,4 +56,4 @@ pub use agent::{Agent, AgentKind};
 pub use browser::BrowserProfile;
 pub use human::{HumanAgent, HumanConfig};
 pub use population::{AgentSpec, Population};
-pub use world::{ClientWorld, FetchOutcome, FetchSpec, PageView};
+pub use world::{Client, ClientWorld, FetchOutcome, FetchSpec, Ledger, PageView};

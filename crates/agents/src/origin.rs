@@ -1,7 +1,7 @@
 //! The webgraph origin: what the origin server of a generated [`Site`]
 //! answers, behind every in-process gateway the agents run against (the
 //! CoDeeN nodes, [`crate::testutil::MockWorld`], the examples; see
-//! [`crate::world::fetch_through`]).
+//! [`crate::world::Client`]).
 
 use crate::world::PageView;
 use botwall_gateway::Origin;

@@ -136,7 +136,7 @@ mod tests {
             },
             3,
         );
-        assert!(world.total_fetches <= 5);
+        assert!(world.client().ledger().requests <= 5);
     }
 
     #[test]

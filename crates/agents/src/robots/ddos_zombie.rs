@@ -58,7 +58,7 @@ mod tests {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         bot.run_session(&mut world, &mut rng);
-        assert_eq!(world.total_fetches, 50);
+        assert_eq!(world.client().ledger().requests, 50);
         // All fetches hit the same URL.
         let mut urls = world.request_log.clone();
         urls.dedup();

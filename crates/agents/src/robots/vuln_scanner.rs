@@ -107,6 +107,6 @@ mod tests {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         bot.run_session(&mut world, &mut rng);
-        assert_eq!(world.total_fetches, PROBE_PATHS.len() as u64);
+        assert_eq!(world.client().ledger().requests, PROBE_PATHS.len() as u64);
     }
 }

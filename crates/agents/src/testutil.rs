@@ -1,33 +1,26 @@
 //! A self-contained [`ClientWorld`] for unit tests and examples.
 //!
-//! `MockWorld` puts a [`Gateway`] in front of a single generated site
-//! and fetches through it as every in-process world does
-//! ([`fetch_through`]): the gate, the rewriter, the detector and the
-//! webgraph origin the proxy nodes run, with enforcement off, so an
-//! agent is never throttled or blocked mid-test. It tallies what the
-//! agent sent, and reads what its probe fetches proved off the session's
-//! evidence — so agent models can be tested end to end without the full
-//! network simulation.
+//! `MockWorld` is a [`Client`] of a [`Gateway`] in front of a single
+//! generated site: the gate, the rewriter, the detector and the webgraph
+//! origin the proxy nodes run, with enforcement off, so an agent is never
+//! throttled or blocked mid-test. Beside what the client counts it
+//! tallies the shape of what the agent sent, and reads what its probe
+//! fetches proved off the session's evidence — so agent models can be
+//! tested end to end without the full network simulation.
 
-use crate::world::{fetch_through, ClientWorld, FetchOutcome, FetchSpec};
+use crate::world::{Client, ClientWorld, FetchOutcome, FetchSpec};
 use botwall_captcha::Challenge;
 use botwall_gateway::{EvidenceKind, Gateway};
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, StatusCode, Uri};
-use botwall_sessions::{SessionKey, SimTime};
-use botwall_webgraph::{Site, SiteConfig};
-
-/// The one client's `User-Agent`.
-const USER_AGENT: &str = "mock-agent";
+use botwall_sessions::SimTime;
+use botwall_webgraph::{Site, SiteConfig, Web};
+use std::sync::Arc;
 
 /// A one-site world with full instrumentation and hit counters.
 #[derive(Debug)]
 pub struct MockWorld {
-    site: Site,
-    gateway: Gateway,
-    captcha_offered: bool,
-    now: SimTime,
-    ip: ClientIp,
+    client: Client,
     /// Favicon fetches.
     pub favicon_hits: u64,
     /// robots.txt fetches.
@@ -42,10 +35,6 @@ pub struct MockWorld {
     pub post_count: u64,
     /// 404 responses served.
     pub not_found: u64,
-    /// Total fetches.
-    pub total_fetches: u64,
-    /// CAPTCHA passes.
-    pub captcha_passes: u64,
     /// Flat log of `METHOD uri` lines, for determinism assertions.
     pub request_log: Vec<String>,
 }
@@ -53,15 +42,21 @@ pub struct MockWorld {
 impl MockWorld {
     /// Creates a world with a deterministic site and instrumentation.
     pub fn new(seed: u64) -> MockWorld {
+        let site = Site::generate("mock.example.com", &SiteConfig::default(), seed);
+        let entry = Uri::absolute(site.host(), "/index.html");
+        let gateway = Gateway::builder()
+            .seed(seed ^ 0x5eed)
+            .enforcement(false)
+            .build();
+        let client = Client::new(
+            Arc::new(gateway),
+            Arc::new(Web::from_sites(vec![site])),
+            (ClientIp::new(0x0A00_0001), "mock-agent".into()),
+            entry,
+            SimTime::ZERO,
+        );
         MockWorld {
-            site: Site::generate("mock.example.com", &SiteConfig::default(), seed),
-            gateway: Gateway::builder()
-                .seed(seed ^ 0x5eed)
-                .enforcement(false)
-                .build(),
-            captcha_offered: false,
-            now: SimTime::ZERO,
-            ip: ClientIp::new(0x0A00_0001),
+            client,
             favicon_hits: 0,
             robots_txt_hits: 0,
             page_fetches: 0,
@@ -69,23 +64,27 @@ impl MockWorld {
             cgi_hits: 0,
             post_count: 0,
             not_found: 0,
-            total_fetches: 0,
-            captcha_passes: 0,
             request_log: Vec::new(),
         }
     }
 
     /// The underlying site (for assertions).
     pub fn site(&self) -> &Site {
-        &self.site
+        self.client.web().sites().next().expect("one site")
+    }
+
+    /// The client the agent fetches as (its ledger counts every fetch
+    /// and CAPTCHA pass).
+    pub fn client(&self) -> &Client {
+        &self.client
     }
 
     /// How many times the session's evidence recorded `kind`.
     fn evidence(&self, kind: EvidenceKind) -> u64 {
-        let key = SessionKey::new(self.ip, USER_AGENT);
-        self.gateway
+        self.client
+            .gateway()
             .detector()
-            .evidence(&key)
+            .evidence(&self.client.key())
             .map_or(0, |evidence| u64::from(evidence.count(kind)))
     }
 
@@ -133,8 +132,6 @@ impl MockWorld {
 
 impl ClientWorld for MockWorld {
     fn fetch(&mut self, spec: FetchSpec) -> FetchOutcome {
-        self.total_fetches += 1;
-        self.now += 50;
         self.request_log
             .push(format!("{} {}", spec.method, spec.uri));
         let path = spec.uri.path();
@@ -142,47 +139,34 @@ impl ClientWorld for MockWorld {
         self.favicon_hits += u64::from(path.eq_ignore_ascii_case("/favicon.ico"));
         self.robots_txt_hits += u64::from(path.eq_ignore_ascii_case("/robots.txt"));
         self.cgi_hits += u64::from(path.contains("/cgi-bin/"));
-        let site = (spec.uri.host() == Some(self.site.host())).then_some(&self.site);
-        let out = fetch_through(&self.gateway, site, (self.ip, USER_AGENT), &spec, self.now);
+        let with_referer = spec.referer.is_some();
+        let out = self.client.fetch(spec);
         if out.page.is_some() {
             self.page_fetches += 1;
-            self.page_fetches_with_referer += u64::from(spec.referer.is_some());
+            self.page_fetches_with_referer += u64::from(with_referer);
         }
         self.not_found += u64::from(out.status == StatusCode::NOT_FOUND);
         out
     }
 
     fn now(&self) -> SimTime {
-        self.now
+        self.client.now()
     }
 
     fn sleep(&mut self, ms: u64) {
-        self.now += ms;
-    }
-
-    fn client_ip(&self) -> ClientIp {
-        self.ip
+        self.client.sleep(ms);
     }
 
     fn entry_point(&self) -> Uri {
-        Uri::absolute(self.site.host(), "/index.html")
+        self.client.entry_point()
     }
 
     fn offer_captcha(&mut self) -> Option<Challenge> {
-        if self.captcha_offered {
-            return None;
-        }
-        self.captcha_offered = true;
-        self.gateway.offer_captcha()
+        self.client.offer_captcha()
     }
 
     fn answer_captcha(&mut self, id: u64, answer: &str) -> bool {
-        let key = SessionKey::new(self.ip, USER_AGENT);
-        let ok = self.gateway.verify_captcha(&key, id, answer, self.now);
-        if ok {
-            self.captcha_passes += 1;
-        }
-        ok
+        self.client.answer_captcha(id, answer)
     }
 }
 
@@ -218,7 +202,7 @@ mod tests {
         assert!(w.offer_captcha().is_none(), "only one offer per session");
         let answer = ch.answer().to_string();
         assert!(w.answer_captcha(ch.id, &answer));
-        assert_eq!(w.captcha_passes, 1);
+        assert_eq!(w.client().ledger().captcha_passes, 1);
     }
 
     #[test]

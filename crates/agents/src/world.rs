@@ -1,20 +1,19 @@
 //! The client-side view of the network: what an agent can do.
 //!
-//! Agents run against a [`ClientWorld`]: the proxy simulation in
-//! `botwall-codeen`, [`crate::testutil::MockWorld`] in tests, a
-//! protected site in the examples. The world exposes exactly what a real
-//! client sees: it can fetch URLs, wait, and be offered a CAPTCHA.
+//! Agents run against a [`ClientWorld`]. The world exposes exactly what a
+//! real client sees: it can fetch URLs, wait, and be offered a CAPTCHA.
 //! Crucially, a fetched page comes back in *two* forms — the raw HTML
 //! bytes (what a scanning robot greps) and a structured [`PageView`]
 //! (what a rendering browser's DOM exposes) — so human models and
 //! byte-level robots exercise genuinely different paths through the
 //! instrumentation.
 //!
-//! Every one of those worlds fetches the same way, through
-//! [`fetch_through`]: the agent's request goes through a
-//! [`Gateway`] (the gate, the rewriter and the detector `botwall-serve`
-//! runs) in front of the webgraph origin ([`resolve_origin`]), so an
-//! agent is measured against the deployed detector wherever it runs.
+//! [`Client`] is the one world, wherever an agent runs in process (a
+//! CoDeeN node of `botwall-codeen`, the examples' protected site,
+//! [`crate::testutil::MockWorld`]): a client of a [`Gateway`] (the gate,
+//! the rewriter and the detector `botwall-serve` runs) in front of the
+//! webgraph origin ([`resolve_origin`]), so an agent is measured against
+//! the deployed detector.
 
 use crate::origin::resolve_origin;
 use botwall_captcha::Challenge;
@@ -22,8 +21,12 @@ use botwall_gateway::{Decision, Gateway};
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request, StatusCode, Uri};
 use botwall_instrument::ProbeManifest;
-use botwall_sessions::SimTime;
-use botwall_webgraph::Site;
+use botwall_sessions::{SessionKey, SimTime};
+use botwall_webgraph::Web;
+use std::sync::Arc;
+
+/// The network round trip one fetch costs a client, in ms (CoDeeN's).
+pub const ROUND_TRIP_MS: u64 = 40;
 
 /// A fetch an agent wants to perform.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,63 +112,6 @@ impl Default for FetchOutcome {
     }
 }
 
-/// One exchange through `gateway` in front of the webgraph origin, `site`
-/// being the site `spec`'s host names: the request the client
-/// `(ip, user_agent)` sends for `spec` (a body only on a `POST` that has
-/// one) goes through [`Gateway::handle_with`], and what comes back is
-/// the outcome the agent sees. A spec that makes no valid request comes
-/// back as [`FetchOutcome::default`].
-pub fn fetch_through(
-    gateway: &Gateway,
-    site: Option<&Site>,
-    (ip, user_agent): (ClientIp, &str),
-    spec: &FetchSpec,
-    now: SimTime,
-) -> FetchOutcome {
-    let mut b = Request::builder(spec.method.clone(), spec.uri.to_string())
-        .header("User-Agent", user_agent)
-        .client(ip);
-    if let Some(r) = &spec.referer {
-        b = b.header("Referer", r.clone());
-    }
-    if spec.method == Method::Post && !spec.body.is_empty() {
-        b = b.body_bytes(spec.body.clone());
-    }
-    let Ok(request) = b.build() else {
-        return FetchOutcome::default();
-    };
-    let mut view = None;
-    let decision = gateway.handle_with(&request, now, |req| {
-        let (origin, page) = resolve_origin(site, req);
-        view = page;
-        origin
-    });
-    match decision {
-        Decision::Serve {
-            response,
-            body,
-            manifest,
-            ..
-        } => FetchOutcome {
-            status: response.status(),
-            body_len: response.body().len(),
-            page: view.map(|view| PageView {
-                manifest,
-                html: body.unwrap_or_default(),
-                ..view
-            }),
-        },
-        rejected => {
-            let response = rejected.into_response();
-            FetchOutcome {
-                status: response.status(),
-                body_len: response.body().len(),
-                page: None,
-            }
-        }
-    }
-}
-
 /// Everything an agent can do to the outside world.
 pub trait ClientWorld {
     /// Performs one HTTP exchange.
@@ -177,9 +123,6 @@ pub trait ClientWorld {
     /// Advances simulated time (think time, typing, dwell).
     fn sleep(&mut self, ms: u64);
 
-    /// The agent's client address.
-    fn client_ip(&self) -> ClientIp;
-
     /// The entry-point page of the site this session targets.
     fn entry_point(&self) -> Uri;
 
@@ -189,6 +132,167 @@ pub trait ClientWorld {
 
     /// Submits a CAPTCHA answer; returns whether it passed.
     fn answer_captcha(&mut self, id: u64, answer: &str) -> bool;
+}
+
+/// What one client's requests came to, by the status each got back.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ledger {
+    /// Requests issued.
+    pub requests: u64,
+    /// Requests answered neither `429` nor `403`.
+    pub allowed: u64,
+    /// Requests throttled (`429`).
+    pub throttled: u64,
+    /// Requests blocked (`403`).
+    pub blocked: u64,
+    /// CAPTCHA answers that passed.
+    pub captcha_passes: u64,
+}
+
+/// One client, `(ip, user_agent)`, of a [`Gateway`] in front of a
+/// [`Web`]: the [`ClientWorld`] every in-process agent runs in. It keeps
+/// the client's clock (each fetch costs [`ROUND_TRIP_MS`]), its one
+/// CAPTCHA offer and its [`Ledger`]; the gateway and the web are shared,
+/// so many clients can drive one gateway.
+#[derive(Debug)]
+pub struct Client {
+    gateway: Arc<Gateway>,
+    web: Arc<Web>,
+    ip: ClientIp,
+    user_agent: String,
+    entry: Uri,
+    now: SimTime,
+    captcha_offered: bool,
+    ledger: Ledger,
+}
+
+impl Client {
+    /// A client of `gateway` in front of `web`, entering at `entry`, its
+    /// clock reading `start`.
+    pub fn new(
+        gateway: Arc<Gateway>,
+        web: Arc<Web>,
+        (ip, user_agent): (ClientIp, String),
+        entry: Uri,
+        start: SimTime,
+    ) -> Client {
+        Client {
+            gateway,
+            web,
+            ip,
+            user_agent,
+            entry,
+            now: start,
+            captcha_offered: false,
+            ledger: Ledger::default(),
+        }
+    }
+
+    /// The session key the gateway files this client under.
+    pub fn key(&self) -> SessionKey {
+        SessionKey::new(self.ip, self.user_agent.clone())
+    }
+
+    /// What the client's requests have come to so far.
+    pub fn ledger(&self) -> Ledger {
+        self.ledger
+    }
+
+    /// The gateway the client fetches through.
+    pub fn gateway(&self) -> &Gateway {
+        &self.gateway
+    }
+
+    /// The sites behind the gateway.
+    pub fn web(&self) -> &Web {
+        &self.web
+    }
+
+    /// One exchange: the request this client sends for `spec` (a body
+    /// only on a `POST` that has one) goes through the gateway's
+    /// [`Gateway::handle_with`] to the origin of the site its host
+    /// names, and comes back as the outcome the agent sees. A spec that
+    /// makes no valid request comes back as [`FetchOutcome::default`].
+    fn exchange(&self, spec: &FetchSpec) -> FetchOutcome {
+        let mut b = Request::builder(spec.method.clone(), spec.uri.to_string())
+            .header("User-Agent", self.user_agent.as_str())
+            .client(self.ip);
+        if let Some(r) = &spec.referer {
+            b = b.header("Referer", r.clone());
+        }
+        if spec.method == Method::Post && !spec.body.is_empty() {
+            b = b.body_bytes(spec.body.clone());
+        }
+        let Ok(request) = b.build() else {
+            return FetchOutcome::default();
+        };
+        let site = self.web.site_for(&spec.uri);
+        let mut view = None;
+        let decision = self.gateway.handle_with(&request, self.now, |req| {
+            let (origin, page) = resolve_origin(site, req);
+            view = page;
+            origin
+        });
+        // The origin ran, so `view` is set, only for a request the gate
+        // let through: a rejection never carries a page.
+        let (response, manifest) = match decision {
+            Decision::Serve {
+                response, manifest, ..
+            } => (response, manifest),
+            rejected => (rejected.into_response(), None),
+        };
+        FetchOutcome {
+            status: response.status(),
+            body_len: response.body().len(),
+            page: view.map(|view| PageView {
+                manifest,
+                html: String::from_utf8_lossy(response.body()).into_owned(),
+                ..view
+            }),
+        }
+    }
+}
+
+impl ClientWorld for Client {
+    fn fetch(&mut self, spec: FetchSpec) -> FetchOutcome {
+        self.now += ROUND_TRIP_MS;
+        self.ledger.requests += 1;
+        let out = self.exchange(&spec);
+        match out.status {
+            StatusCode::TOO_MANY_REQUESTS => self.ledger.throttled += 1,
+            StatusCode::FORBIDDEN => self.ledger.blocked += 1,
+            _ => self.ledger.allowed += 1,
+        }
+        out
+    }
+
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn sleep(&mut self, ms: u64) {
+        self.now += ms;
+    }
+
+    fn entry_point(&self) -> Uri {
+        self.entry.clone()
+    }
+
+    fn offer_captcha(&mut self) -> Option<Challenge> {
+        if self.captcha_offered {
+            return None;
+        }
+        self.captcha_offered = true;
+        self.gateway.offer_captcha()
+    }
+
+    fn answer_captcha(&mut self, id: u64, answer: &str) -> bool {
+        let passed = self
+            .gateway
+            .verify_captcha(&self.key(), id, answer, self.now);
+        self.ledger.captcha_passes += u64::from(passed);
+        passed
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 use botwall_agents::world::{ClientWorld, FetchSpec};
 use botwall_agents::Population;
 use botwall_codeen::network::{Network, NetworkConfig};
-use botwall_codeen::node::{Deployment, NodeSession, ProxyNode};
+use botwall_codeen::node::{Deployment, ProxyNode};
 use botwall_http::request::ClientIp;
 use botwall_http::Uri;
 use botwall_sessions::SimTime;
@@ -34,19 +34,16 @@ fn bench_request_path(c: &mut Criterion) {
         let node = ProxyNode::new(0, Arc::clone(&web), Deployment::full(), 42);
         let host = web.sites().next().unwrap().host().to_string();
         let entry = Uri::absolute(&host, "/index.html");
-        let mut clock = SimTime::ZERO;
+        let mut start = SimTime::ZERO;
         let mut ip = 1u32;
         b.iter(|| {
-            clock += 50;
             ip = ip.wrapping_add(1);
-            let mut session = NodeSession::new(
-                &node,
-                ClientIp::new(ip),
-                "bench-agent".to_string(),
-                entry.clone(),
-                clock,
-            );
-            black_box(session.fetch(FetchSpec::get(entry.clone())))
+            let visitor = (ClientIp::new(ip), "bench-agent".to_string());
+            let mut client = node.client(visitor, entry.clone(), start);
+            let out = client.fetch(FetchSpec::get(entry.clone()));
+            // The next session starts where this one's clock stopped.
+            start = client.now();
+            black_box(out)
         })
     });
     group.finish();

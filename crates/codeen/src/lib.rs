@@ -7,7 +7,8 @@
 //! * [`node`] — a proxy node with the full request path: instrumentation
 //!   (page rewriting + probe serving), detection, and §3.2 policy
 //!   enforcement, fetching origin content from the `botwall-webgraph`
-//!   substrate.
+//!   substrate; each session on it is a `botwall_agents::world::Client`
+//!   of its gateway.
 //! * [`network`] — many nodes, client/session scheduling, merged
 //!   accounting; [`network::Network::run`] executes a whole experiment.
 //! * [`abuse`] — the delivered-abuse → complaint model.
@@ -43,5 +44,5 @@ pub mod timeline;
 pub use abuse::{complaints_for, ComplaintConfig, ComplaintTally};
 pub use metrics::{BandwidthLedger, NodeStats};
 pub use network::{Network, NetworkConfig, RunReport, SessionSummary};
-pub use node::{Deployment, NodeSession, ProxyNode};
+pub use node::{Deployment, ProxyNode};
 pub use timeline::{replay, MonthRow, TimelineConfig};

@@ -1,8 +1,8 @@
 //! The proxy network: many nodes, a shared web, and the session runner.
 
 use crate::metrics::{BandwidthLedger, NodeStats};
-use crate::node::{Deployment, NodeSession, ProxyNode};
-use botwall_agents::{AgentKind, Population};
+use crate::node::{Deployment, ProxyNode};
+use botwall_agents::{AgentKind, ClientWorld, Population};
 use botwall_core::CompletedSession;
 use botwall_http::request::ClientIp;
 use botwall_http::Uri;
@@ -128,16 +128,6 @@ impl Network {
         }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The shared web substrate.
-    pub fn web(&self) -> &Web {
-        &self.web
-    }
-
     /// Runs one session from `population` on a pseudo-randomly chosen
     /// node, and returns its ground-truth summary.
     pub fn run_session(
@@ -165,21 +155,21 @@ impl Network {
         let entry = Uri::absolute(site.host(), "/index.html");
         let start = self.clock;
         let node = &self.nodes[node_idx];
-        let mut world = NodeSession::new(node, ip, agent.user_agent(), entry, start);
-        agent.run_session(&mut world, rng);
+        let mut client = node.client((ip, agent.user_agent()), entry, start);
+        agent.run_session(&mut client, rng);
+        let ledger = client.ledger();
         let summary = SessionSummary {
             node: node_idx as u32,
-            key: world.key(),
+            key: client.key(),
             kind: agent.kind(),
-            requests: world.requests,
-            allowed: world.allowed,
-            throttled: world.throttled,
-            blocked: world.blocked,
-            captcha_passed: world.captcha_passed,
+            requests: ledger.requests,
+            allowed: ledger.allowed,
+            throttled: ledger.throttled,
+            blocked: ledger.blocked,
+            captcha_passed: ledger.captcha_passes > 0,
         };
-        let end = world.clock();
         node.finish_session();
-        self.clock = end + gap_ms;
+        self.clock = client.now() + gap_ms;
         summary
     }
 
@@ -208,11 +198,7 @@ impl Network {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xA5EED);
         let mut summaries = Vec::with_capacity(config.sessions as usize);
         for _ in 0..config.sessions {
-            summaries.push(network.run_session(
-                &population.clone(),
-                &mut rng,
-                config.session_gap_ms,
-            ));
+            summaries.push(network.run_session(population, &mut rng, config.session_gap_ms));
         }
         let (completed, stats, bandwidth) = network.finish();
         RunReport {

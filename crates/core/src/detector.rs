@@ -271,9 +271,9 @@ impl KeyState {
 
     /// Records a ground-truth CAPTCHA pass directly on this state (hard
     /// human evidence; the fast-path verdict updates immediately). For
-    /// callers already holding the session's shard lock — the detector's
-    /// [`Detector::record_captcha_pass`] and the carry absorption both
-    /// route through here.
+    /// callers already holding the session's shard lock — a verified
+    /// answer (the gateway's `verify_captcha`) and the carry absorption
+    /// both route through here.
     pub fn record_captcha_pass(&mut self, index: u32, at: SimTime) {
         self.evidence.record(EvidenceKind::PassedCaptcha, index, at);
         self.verdict =
@@ -678,17 +678,6 @@ impl Detector {
         f: impl FnOnce(&Session, &mut KeyState) -> R,
     ) -> Option<R> {
         self.tracker.inspect_lease(&lease.lease, f)
-    }
-
-    /// Records a CAPTCHA pass for a session (ground-truth human).
-    ///
-    /// A key the tracker has never seen is a no-op: there is no session
-    /// to credit, and inventing one would attach ground-truth-human
-    /// evidence to a phantom record.
-    pub fn record_captcha_pass(&self, key: &SessionKey, now: SimTime) {
-        self.tracker.with_entry(key, |session, state| {
-            state.record_captcha_pass(session.request_count() as u32, now);
-        });
     }
 
     /// The current fast-path verdict for a live session.
@@ -1143,31 +1132,6 @@ mod tests {
         let hidden = p.page(6, "crawler/2.0", SimTime::ZERO).hidden_link.unwrap();
         let out = p.fetch(6, &hidden.to_string(), "crawler/2.0", SimTime::ZERO);
         assert_eq!(out.verdict, Verdict::Robot(Reason::HiddenLink));
-    }
-
-    #[test]
-    fn captcha_pass_recorded() {
-        let p = pipeline();
-        let out = p.fetch(7, "http://h/a.html", "x", SimTime::ZERO);
-        p.det.record_captcha_pass(&out.key, SimTime::from_secs(1));
-        assert_eq!(
-            p.det.verdict(&out.key),
-            Verdict::Human(Reason::CaptchaPassed)
-        );
-        // The observation carries the session's current request index.
-        let e = p.det.evidence(&out.key).unwrap();
-        assert_eq!(e.first(EvidenceKind::PassedCaptcha).unwrap().at_request, 1);
-    }
-
-    #[test]
-    fn captcha_pass_for_unknown_session_is_a_no_op() {
-        let det = Detector::new(DetectorConfig::default());
-        let ghost = SessionKey::new(ClientIp::new(99), "never-seen");
-        det.record_captcha_pass(&ghost, SimTime::ZERO);
-        // No phantom evidence, no phantom verdict, no phantom session.
-        assert!(det.evidence(&ghost).is_none());
-        assert_eq!(det.verdict(&ghost), Verdict::Undecided);
-        assert!(det.drain().is_empty());
     }
 
     #[test]

@@ -41,10 +41,6 @@ pub enum Decision {
         /// The response to put on the wire (probe object, instrumented
         /// page, origin pass-through, or 404).
         response: Response,
-        /// The rewritten HTML when the origin produced a page — the same
-        /// bytes as `response`'s body, exposed separately so embedders
-        /// can post-process without re-parsing.
-        body: Option<String>,
         /// The probe manifest when a page was instrumented.
         manifest: Option<ProbeManifest>,
         /// The session's fast-path verdict after folding this exchange.
@@ -168,7 +164,6 @@ impl Answer {
             Answer::Challenge(challenge) => Decision::Challenge(challenge),
             Answer::Probe(object) => Decision::Serve {
                 response: object.to_response(),
-                body: None,
                 manifest: None,
                 verdict,
                 key,

@@ -590,17 +590,8 @@ impl Gateway {
         };
         let sent = (stream.head.wire_len + out.len()) as u64;
         let served = self.finish_stream(lease, request, stream, &mut out, sent, now);
-        let (response, body) = match relayed {
-            Some(response) => (response, None),
-            None => {
-                let body =
-                    String::from_utf8(out).expect("a str with ASCII markup at ASCII anchors");
-                (page_response(body.as_bytes().to_vec()), Some(body))
-            }
-        };
         Decision::Serve {
-            response,
-            body,
+            response: relayed.unwrap_or_else(|| page_response(out)),
             manifest: served.manifest,
             verdict: served.verdict,
             key: served.key,
@@ -950,12 +941,6 @@ impl Gateway {
         })
     }
 
-    /// Marks a CAPTCHA pass for a session directly (harnesses with their
-    /// own verification path). Unknown sessions are a no-op.
-    pub fn record_captcha_pass(&self, key: &SessionKey, now: SimTime) {
-        self.detector.record_captcha_pass(key, now);
-    }
-
     /// Expires idle sessions as of `now`, applying the batch
     /// classification to every flushed session. Per-key instrumentation
     /// state needs no global sweep: tokens and challenge records of
@@ -1051,6 +1036,7 @@ impl Gateway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EvidenceKind;
     use botwall_captcha::ServingPolicy;
     use botwall_core::classifier::{Label, Reason};
     use botwall_http::request::ClientIp;
@@ -1082,15 +1068,12 @@ mod tests {
         let gw = Gateway::builder().seed(3).build();
         match page_decision(&gw, 1, "Mozilla/5.0", SimTime::ZERO) {
             Decision::Serve {
-                body,
                 manifest,
                 probe,
                 response,
                 ..
             } => {
-                let body = body.unwrap();
-                assert!(body.contains("onmousemove"));
-                assert_eq!(response.body(), body.as_bytes());
+                assert!(String::from_utf8_lossy(response.body()).contains("onmousemove"));
                 assert!(manifest.unwrap().mouse_beacon.is_some());
                 assert!(!probe);
             }
@@ -1179,15 +1162,8 @@ mod tests {
         let whole = observe_serve(|gw, pending| {
             match gw.complete(pending, Origin::Page(page.clone()), SimTime::ZERO) {
                 Decision::Serve {
-                    response,
-                    body,
-                    manifest,
-                    ..
-                } => {
-                    let body = body.unwrap().into_bytes();
-                    assert_eq!(response.body(), body);
-                    (body, manifest)
-                }
+                    response, manifest, ..
+                } => (response.body().to_vec(), manifest),
                 other => panic!("{other:?}"),
             }
         });
@@ -1242,12 +1218,8 @@ mod tests {
         // the origin sent it, nothing is minted...
         match gw.complete(pending, Origin::Page(HTML.into()), SimTime::from_secs(2)) {
             Decision::Serve {
-                response,
-                body,
-                manifest,
-                ..
+                response, manifest, ..
             } => {
-                assert_eq!(body.as_deref(), Some(HTML));
                 assert_eq!(response.body(), HTML.as_bytes());
                 assert!(response.is_uncacheable());
                 assert!(manifest.is_none());
@@ -1541,6 +1513,25 @@ mod tests {
     }
 
     #[test]
+    fn captcha_pass_recorded() {
+        let gw = Gateway::builder()
+            .seed(7)
+            .captcha(ServingPolicy::OptionalWithIncentive)
+            .build();
+        let r = req(7, "http://site.example/a.html", "x");
+        let d = gw.handle_with(&r, SimTime::ZERO, |_| Origin::Page(HTML.into()));
+        assert!(d.is_serve(), "{d:?}");
+        let ch = gw.offer_captcha().expect("the optional policy offers one");
+        let key = SessionKey::of(&r);
+        let answer = ch.answer().to_string();
+        assert!(gw.verify_captcha(&key, ch.id, &answer, SimTime::from_secs(1)));
+        assert_eq!(gw.verdict(&key), Verdict::Human(Reason::CaptchaPassed));
+        // The observation carries the session's current request index.
+        let e = gw.detector().evidence(&key).unwrap();
+        assert_eq!(e.first(EvidenceKind::PassedCaptcha).unwrap().at_request, 1);
+    }
+
+    #[test]
     fn mandatory_mode_challenges_until_passed() {
         let gw = Gateway::builder()
             .seed(7)
@@ -1821,13 +1812,9 @@ mod tests {
         });
         match d {
             Decision::Serve {
-                response,
-                body,
-                manifest,
-                ..
+                response, manifest, ..
             } => {
                 assert_eq!(response.body(), &[1, 2, 3]);
-                assert!(body.is_none());
                 assert!(manifest.is_none());
             }
             other => panic!("{other:?}"),
@@ -2067,8 +2054,10 @@ mod tests {
         );
         let d = gw.complete(pending, Origin::Page(HTML.into()), SimTime::from_secs(1));
         match &d {
-            Decision::Serve { manifest, body, .. } => {
-                assert!(body.as_ref().unwrap().contains("onmousemove"));
+            Decision::Serve {
+                manifest, response, ..
+            } => {
+                assert!(String::from_utf8_lossy(response.body()).contains("onmousemove"));
                 assert!(manifest.as_ref().unwrap().mouse_beacon.is_some());
             }
             other => panic!("{other:?}"),

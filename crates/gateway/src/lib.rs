@@ -55,8 +55,9 @@
 //! let html = "<html><head></head><body></body></html>";
 //! let decision = gw.handle_with(&req, SimTime::ZERO, |_| Origin::Page(html.into()));
 //! match decision {
-//!     Decision::Serve { body, manifest, .. } => {
-//!         assert!(body.unwrap().contains("onmousemove"));
+//!     Decision::Serve { response, manifest, .. } => {
+//!         let body = String::from_utf8_lossy(response.body());
+//!         assert!(body.contains("onmousemove"));
 //!         assert!(manifest.unwrap().css_probe.is_some());
 //!     }
 //!     other => panic!("expected Serve, got {other:?}"),

@@ -56,6 +56,12 @@ impl Web {
             sc.pages = (sc.pages + delta).max(2);
             sites.push(Site::generate(host, &sc, seed.wrapping_add(i as u64 + 1)));
         }
+        Web::from_sites(sites)
+    }
+
+    /// A universe of exactly `sites`, each addressable by its host (a
+    /// later site shadows an earlier one of the same host).
+    pub fn from_sites(sites: Vec<Site>) -> Web {
         let by_host = sites
             .iter()
             .enumerate()

@@ -37,11 +37,14 @@ fn main() {
 
     // Client 1 (a human) fetches the page; the gateway rewrites it in
     // flight, planting the probes.
-    let Decision::Serve { body, manifest, .. } = fetch(&gw, 1, page, ua, 0) else {
+    let Decision::Serve {
+        response, manifest, ..
+    } = fetch(&gw, 1, page, ua, 0)
+    else {
         panic!("fresh sessions are served");
     };
     let human_probes = manifest.expect("page was instrumented");
-    let rewritten = body.expect("page body");
+    let rewritten = String::from_utf8_lossy(response.body());
     println!(
         "instrumented page grew by {} bytes",
         human_probes.html_overhead

@@ -45,10 +45,11 @@
 //! let html = "<html><head></head><body><p>hello</p></body></html>";
 //! let decision = gw.handle_with(&req, SimTime::ZERO, |_| Origin::Page(html.into()));
 //!
-//! let Decision::Serve { body, manifest, .. } = decision else {
+//! let Decision::Serve { response, manifest, .. } = decision else {
 //!     panic!("fresh sessions are served");
 //! };
-//! assert!(body.unwrap().contains("onmousemove")); // mouse-beacon handler
+//! let body = String::from_utf8_lossy(response.body());
+//! assert!(body.contains("onmousemove")); // mouse-beacon handler
 //! let manifest = manifest.unwrap();
 //! assert!(manifest.css_probe.is_some()); // §2.2 standard-browser probe
 //!

@@ -169,10 +169,13 @@ fn render_gateway_script_run(seed: u64) -> Vec<u8> {
                 clock,
                 |_| Origin::Page(HTML.into()),
             );
-            let Decision::Serve { body, manifest, .. } = d else {
+            let Decision::Serve {
+                response, manifest, ..
+            } = d
+            else {
                 panic!("a fresh session's page is served");
             };
-            log.extend_from_slice(body.expect("a page body").as_bytes());
+            log.extend_from_slice(response.body());
             scripts.push((ip, manifest.expect("a manifest").js_file.expect("a script")));
         }
     }
@@ -405,3 +408,22 @@ fn sweep_slices_finalize_what_the_monolithic_sweep_did_byte_lock() {
 
 const GOLDEN_SWEEP_LEN: usize = 4513;
 const GOLDEN_SWEEP_FNV: u64 = 0x8ea6_b5e9_cf94_027e;
+
+/// The CoDeeN report at `big_config` and the escalation eval at 300
+/// sessions, each pinned to the FNV-1a digest of its `{:#?}` rendering
+/// at seed 7. Recorded before the in-process clients became one
+/// `world::Client`, which left both unchanged; a change that moves
+/// either re-records it and says why.
+#[test]
+fn report_and_eval_bytes_match_their_recorded_digests() {
+    assert_eq!(
+        fnv1a(&render(&big_config(), 7)),
+        0x94da_b954_d7f5_e698,
+        "the CoDeeN report's bytes changed"
+    );
+    assert_eq!(
+        fnv1a(&render_escalation_eval(300, 7)),
+        0x15e7_26e0_7afc_1797,
+        "the escalation eval's bytes changed"
+    );
+}

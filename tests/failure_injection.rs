@@ -24,10 +24,13 @@ fn serve_page(gw: &Gateway, client: u32, html: &str, at: SimTime) -> (String, Pr
     let page = get(client, "http://victim.example/index.html");
     match gw.handle_with(&page, at, |_| Origin::Page(html.into())) {
         Decision::Serve {
-            body: Some(body),
+            response,
             manifest: Some(manifest),
             ..
-        } => (body, manifest),
+        } => (
+            String::from_utf8_lossy(response.body()).into_owned(),
+            manifest,
+        ),
         other => panic!("expected an instrumented page, got {other:?}"),
     }
 }

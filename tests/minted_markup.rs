@@ -108,10 +108,13 @@ fn render_gateway(form: &Form) -> Vec<u8> {
         let d = gw.handle_with(&form.request(ip, &page.to_string()), clock, |_| {
             Origin::Page(HTML.into())
         });
-        let Decision::Serve { body, manifest, .. } = d else {
+        let Decision::Serve {
+            response, manifest, ..
+        } = d
+        else {
             panic!("{}: page {page} was not served", form.name);
         };
-        served.extend_from_slice(body.expect("a page body").as_bytes());
+        served.extend_from_slice(response.body());
         let script = manifest.and_then(|m| m.js_file).expect("a script URL");
         clock += 15;
         let Decision::Serve { response, .. } = gw.handle(&form.fetch(ip, &script), clock) else {

@@ -150,3 +150,23 @@ fn enforcement_reduces_abuse_vs_undefended() {
         "defended {d} vs undefended {u}"
     );
 }
+
+/// What the clients counted is what the gateways counted: each session's
+/// requests are allowed, throttled or blocked, and those tallies summed
+/// over every session are the merged node statistics.
+#[test]
+fn client_ledgers_add_up_to_the_gateways() {
+    for population in [Population::table1(), Population::escalation()] {
+        let report = Network::run(&config(150), &population, 1);
+        let mut sums = (0, 0, 0);
+        for s in &report.summaries {
+            assert_eq!(s.requests, s.allowed + s.throttled + s.blocked, "{s:?}");
+            sums.0 += s.allowed;
+            sums.1 += s.throttled;
+            sums.2 += s.blocked;
+        }
+        let stats = &report.stats;
+        assert_eq!(sums, (stats.allowed, stats.throttled, stats.blocked));
+        assert!(stats.throttled + stats.blocked > 0, "nothing was refused");
+    }
+}
