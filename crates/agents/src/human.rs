@@ -15,7 +15,7 @@ use crate::agent::{Agent, AgentKind};
 use crate::browser::BrowserProfile;
 use crate::world::{ClientWorld, FetchSpec};
 use botwall_captcha::SolverProfile;
-use botwall_http::{Method, UserAgent};
+use botwall_http::UserAgent;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -198,11 +198,6 @@ impl Agent for HumanAgent {
             let _ = page_no;
         }
     }
-}
-
-/// A quick sanity helper: the method a human never uses.
-pub fn humans_never_use_head() -> Method {
-    Method::Head
 }
 
 #[cfg(test)]

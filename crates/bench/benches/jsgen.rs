@@ -98,7 +98,7 @@ fn bench_page_setup(c: &mut Criterion) {
                     agent_nonce: n,
                 },
             };
-            tokens.issue_page(page.uri().path(), token, now, 64);
+            tokens.issue_page(token, now);
             black_box(tokens.len())
         })
     });

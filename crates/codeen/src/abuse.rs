@@ -9,7 +9,6 @@
 //! rate limiting cut delivery).
 
 use crate::network::SessionSummary;
-use botwall_agents::AgentKind;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -84,14 +83,10 @@ pub fn complaints_for<R: Rng>(
     tally
 }
 
-/// Convenience: which kinds produce complaints at all.
-pub fn complaint_capable(kind: AgentKind) -> bool {
-    kind.generates_abuse()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use botwall_agents::AgentKind;
     use botwall_http::request::ClientIp;
     use botwall_sessions::SessionKey;
     use rand_chacha::rand_core::SeedableRng;
@@ -174,11 +169,5 @@ mod tests {
         };
         let t = complaints_for(&[], &cfg, &mut rng);
         assert!(t.human == 1 || t.human == 2);
-    }
-
-    #[test]
-    fn capability_mirrors_kind() {
-        assert!(complaint_capable(AgentKind::VulnScanner));
-        assert!(!complaint_capable(AgentKind::OfflineBrowser));
     }
 }

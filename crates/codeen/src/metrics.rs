@@ -14,17 +14,6 @@ pub struct BandwidthLedger {
 }
 
 impl BandwidthLedger {
-    /// Adds ordinary traffic.
-    pub fn add_traffic(&mut self, bytes: u64) {
-        self.total_bytes += bytes;
-    }
-
-    /// Adds instrumentation overhead (also counted in the total).
-    pub fn add_overhead(&mut self, bytes: u64) {
-        self.total_bytes += bytes;
-        self.instrumentation_bytes += bytes;
-    }
-
     /// Overhead share of total traffic, in percent.
     pub fn overhead_pct(&self) -> f64 {
         if self.total_bytes == 0 {
@@ -67,10 +56,10 @@ mod tests {
 
     #[test]
     fn ledger_percentages() {
-        let mut l = BandwidthLedger::default();
-        l.add_traffic(9_970);
-        l.add_overhead(30);
-        assert_eq!(l.total_bytes, 10_000);
+        let l = BandwidthLedger {
+            total_bytes: 10_000,
+            instrumentation_bytes: 30,
+        };
         assert!((l.overhead_pct() - 0.3).abs() < 1e-9);
     }
 

@@ -16,6 +16,12 @@
 use crate::evidence::{EvidenceKind, EvidenceSet};
 use serde::{Deserialize, Serialize};
 
+/// Requests a session must exceed to be classified at all: the paper's
+/// noise rule counts only sessions of more than 10 requests (§3.1).
+/// The online fast path waits as long before it leans robot on the
+/// absence of browser signals.
+pub(crate) const MIN_REQUESTS_TO_CLASSIFY: u64 = 10;
+
 /// A final binary label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Label {
@@ -51,9 +57,6 @@ pub enum Reason {
     AutomationLeak,
     /// No positive browser/human evidence appeared at all.
     NoBrowserSignals,
-    /// A boundary classifier (the §4.1 machine-learning stage) decided,
-    /// overriding the set-algebra outcome for a boundary-case session.
-    MlBoundary,
 }
 
 /// An online verdict: confidence grows as evidence accumulates.

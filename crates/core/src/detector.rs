@@ -46,7 +46,7 @@
 //! late CAPTCHA pass, a lost leased exchange — rides the tracker's
 //! deferred-carry channel ([`KeyCarry`]) to the key's next incarnation.
 
-use crate::classifier::{self, Label, Reason, Verdict};
+use crate::classifier::{self, Label, Reason, Verdict, MIN_REQUESTS_TO_CLASSIFY};
 use crate::evidence::{EvidenceKind, EvidenceKinds, EvidenceSet};
 use crate::policy::{Action, PolicyEngine, PolicyState};
 use botwall_http::{RequestView, ResponseSummary, UserAgent};
@@ -59,7 +59,7 @@ use serde::{Deserialize, Serialize};
 /// Configuration for [`Detector`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct DetectorConfig {
-    /// Session tracking parameters (idle timeout, classification minimum).
+    /// Session tracking parameters (idle timeout, session cap, shards).
     pub tracker: TrackerConfig,
 }
 
@@ -256,14 +256,19 @@ impl SessionExt for KeyState {
     }
 }
 
+/// How long a live session's beacon tokens and challenge record
+/// outlive their issue: keys are one-shot and short-lived by design,
+/// and an hour is the paper's session idle timeout too.
+const KEY_STATE_TTL_MS: u64 = 3_600_000;
+
 impl KeyState {
-    /// Drops beacon tokens older than `token_ttl_ms` and a challenge
-    /// record older than `challenge_ttl_ms` as of `now`.
-    fn expire(&mut self, now: SimTime, token_ttl_ms: u64, challenge_ttl_ms: u64) {
-        self.tokens.sweep(now, token_ttl_ms);
+    /// Drops beacon tokens and a challenge record older than
+    /// [`KEY_STATE_TTL_MS`] as of `now`.
+    fn expire(&mut self, now: SimTime) {
+        self.tokens.sweep(now, KEY_STATE_TTL_MS);
         if self
             .challenge
-            .is_some_and(|ch| now.since(ch.issued) > challenge_ttl_ms)
+            .is_some_and(|ch| now.since(ch.issued) > KEY_STATE_TTL_MS)
         {
             self.challenge = None;
         }
@@ -485,7 +490,6 @@ impl Detector {
         respond: impl FnOnce(Action, &Session, &mut KeyState, &Classified) -> GateRespond<T>,
     ) -> Gated<T> {
         use botwall_sessions::{Begun, Gate};
-        let min_to_classify = self.tracker.config().min_requests_to_classify;
         let agent = request.user_agent();
         let (key, shard, begun) = self.tracker.begin_exchange(request, now, |entry| {
             // 1. Policy gate on pre-exchange state.
@@ -542,8 +546,7 @@ impl Detector {
                     // 4. Record the exchange and fold its evidence.
                     entry.record(request, Some(response), now);
                     let (session, state) = entry.parts();
-                    let folded =
-                        fold_exchange(state, session, &classified, agent, min_to_classify, now);
+                    let folded = fold_exchange(state, session, &classified, agent, now);
                     Gate::Finish((action, value, folded))
                 }
                 GateRespond::NeedsOrigin => {
@@ -606,7 +609,6 @@ impl Detector {
         sent: u64,
         now: SimTime,
     ) -> ObserveOutcome {
-        let min_to_classify = self.tracker.config().min_requests_to_classify;
         let OriginLease {
             lease,
             classified,
@@ -630,7 +632,7 @@ impl Detector {
                 state.in_flight = state.in_flight.saturating_sub(1);
                 entry.record_streamed(request, head, sent, now);
                 let (session, state) = entry.parts();
-                fold_exchange(state, session, &classified, agent, min_to_classify, now)
+                fold_exchange(state, session, &classified, agent, now)
             },
             |successor, slot| {
                 // The classified evidence survives the eviction: a live
@@ -731,35 +733,22 @@ impl Detector {
     /// Expires idle sessions as of `now`, applying the batch set-algebra
     /// classification to each and finalizing their labels, and in the
     /// same shard walk expires the per-key instrumentation state of the
-    /// sessions left live: beacon tokens older than `token_ttl_ms` and
-    /// challenge records older than `challenge_ttl_ms`. Dead sessions
-    /// need no pass — their state flushes with the entry — so no global
-    /// token or challenge table is ever swept.
-    pub fn sweep(
-        &self,
-        now: SimTime,
-        token_ttl_ms: u64,
-        challenge_ttl_ms: u64,
-    ) -> Vec<CompletedSession> {
-        let finished = self.tracker.sweep(now, |_, state| {
-            state.expire(now, token_ttl_ms, challenge_ttl_ms);
-        });
+    /// sessions left live: beacon tokens and challenge records older
+    /// than an hour. Dead sessions need no pass — their state flushes
+    /// with the entry — so no global token or challenge table is ever
+    /// swept.
+    pub fn sweep(&self, now: SimTime) -> Vec<CompletedSession> {
+        let finished = self.tracker.sweep(now, |_, state| state.expire(now));
         self.complete(finished)
     }
 
     /// One bounded step of [`Detector::sweep`], on the next tracker
     /// shard in rotation (see [`ShardedTracker::sweep_slice`]): what a
     /// serving thread can afford between two poll batches.
-    pub fn sweep_slice(
-        &self,
-        now: SimTime,
-        budget: usize,
-        token_ttl_ms: u64,
-        challenge_ttl_ms: u64,
-    ) -> Vec<CompletedSession> {
-        let finished = self.tracker.sweep_slice(now, budget, |_, state| {
-            state.expire(now, token_ttl_ms, challenge_ttl_ms);
-        });
+    pub fn sweep_slice(&self, now: SimTime, budget: usize) -> Vec<CompletedSession> {
+        let finished = self
+            .tracker
+            .sweep_slice(now, budget, |_, state| state.expire(now));
         self.complete(finished)
     }
 
@@ -781,13 +770,12 @@ impl Detector {
             .map(|Finalized { session, ext }| {
                 let verdict = classifier::classify_online(&ext.evidence);
                 let (label, reason) = classifier::finalize(verdict);
-                let classifiable = self.tracker.classifiable(&session);
                 CompletedSession {
+                    classifiable: session.request_count() > MIN_REQUESTS_TO_CLASSIFY,
                     session,
                     evidence: ext.evidence,
                     label,
                     reason,
-                    classifiable,
                 }
             })
             .collect()
@@ -852,7 +840,6 @@ fn fold_exchange(
     session: &Session,
     classified: &Classified,
     user_agent: Option<&str>,
-    min_to_classify: u64,
     now: SimTime,
 ) -> (Verdict, bool, u32) {
     let request_count = session.request_count();
@@ -876,7 +863,7 @@ fn fold_exchange(
         // holds. Drop back to Undecided; the batch pass at
         // flush decides.
         state.verdict = Verdict::Undecided;
-    } else if state.verdict == Verdict::Undecided && request_count > min_to_classify {
+    } else if state.verdict == Verdict::Undecided && request_count > MIN_REQUESTS_TO_CLASSIFY {
         if !state.has_browser_signals() {
             // A session past the classification minimum with no
             // browser signals at all is robot-leaning: crawlers,
@@ -907,8 +894,6 @@ mod tests {
     use botwall_instrument::{InstrumentConfig, ProbeManifest, RewriteEngine};
 
     const HTML: &str = "<html><head></head><body></body></html>";
-    /// Token and challenge TTL for sweeps that are about sessions.
-    const TTL: u64 = 3_600_000;
 
     fn req(ip: u32, uri: &str, ua: &str) -> Request {
         Request::builder(Method::Get, uri)
@@ -1150,6 +1135,24 @@ mod tests {
     }
 
     #[test]
+    fn classifiable_threshold_is_strictly_greater() {
+        // The paper classifies sessions of more than 10 requests.
+        let classifiable = |requests: u64| {
+            let p = pipeline();
+            for i in 0..requests {
+                let uri = format!("http://h/{i}.html");
+                p.fetch(12, &uri, "A", SimTime::from_secs(i));
+            }
+            p.det.drain()[0].classifiable
+        };
+        assert!(!classifiable(MIN_REQUESTS_TO_CLASSIFY), "10 is not enough");
+        assert!(
+            classifiable(MIN_REQUESTS_TO_CLASSIFY + 1),
+            "11 requests classify"
+        );
+    }
+
+    #[test]
     fn short_sessions_marked_unclassifiable() {
         let p = pipeline();
         p.fetch(9, "http://h/a.html", "x", SimTime::ZERO);
@@ -1242,7 +1245,7 @@ mod tests {
         assert_eq!(out.verdict, Verdict::Robot(Reason::DecoyFetched));
         // Flush the rolled-over incarnation only: it must NOT take the
         // new incarnation's decoy evidence with it.
-        let done = p.det.sweep(later + 1, TTL, TTL);
+        let done = p.det.sweep(later + 1);
         assert_eq!(done.len(), 1);
         assert!(!done[0].evidence.has(EvidenceKind::FetchedDecoy));
         assert_eq!(done[0].reason, Reason::NoBrowserSignals);
@@ -1262,8 +1265,8 @@ mod tests {
     fn sweep_respects_idle_timeout() {
         let p = pipeline();
         p.fetch(10, "http://h/a.html", "x", SimTime::ZERO);
-        assert!(p.det.sweep(SimTime::from_secs(10), TTL, TTL).is_empty());
-        let done = p.det.sweep(SimTime::from_hours(2), TTL, TTL);
+        assert!(p.det.sweep(SimTime::from_secs(10)).is_empty());
+        let done = p.det.sweep(SimTime::from_hours(2));
         assert_eq!(done.len(), 1);
     }
 
@@ -1626,7 +1629,6 @@ mod tests {
 
     #[test]
     fn expire_key_state_purges_tokens_and_stale_challenges_of_live_sessions() {
-        const MINUTE: u64 = 60_000;
         let p = pipeline();
         p.page(34, "Mozilla/5.0", SimTime::ZERO);
         let key = SessionKey::of(&req(34, "http://h/index.html", "Mozilla/5.0"));
@@ -1634,20 +1636,17 @@ mod tests {
             state.challenge = Some(ChallengeState::new(9, SimTime::ZERO));
         });
         // Within TTL: untouched.
-        assert!(p
-            .det
-            .sweep(SimTime::from_secs(10), MINUTE, MINUTE)
-            .is_empty());
+        assert!(p.det.sweep(SimTime::from_secs(10)).is_empty());
         p.det.with_key_state(&key, |_, state| {
             assert!(!state.tokens.is_empty());
             assert!(state.challenge.is_some());
         });
         // Past TTL, in the same shard walk as the sweep: both expire,
-        // without flushing the session, and the gauges follow.
-        assert!(p
-            .det
-            .sweep(SimTime::from_secs(120), MINUTE, MINUTE)
-            .is_empty());
+        // without flushing the session (a fetch kept it live), and the
+        // gauges follow.
+        let past_ttl = SimTime::from_millis(KEY_STATE_TTL_MS + 1);
+        p.fetch(34, "http://h/a.html", "Mozilla/5.0", SimTime::from_secs(60));
+        assert!(p.det.sweep(past_ttl).is_empty());
         p.det.with_key_state(&key, |_, state| {
             assert!(state.tokens.is_empty());
             assert!(state.challenge.is_none());

@@ -217,11 +217,6 @@ impl EvidenceSet {
             .iter()
             .any(|(k, _, _)| k.is_hard_human_evidence())
     }
-
-    /// Number of distinct evidence kinds observed.
-    pub fn distinct_kinds(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]
@@ -279,6 +274,5 @@ mod tests {
         assert!(e.any_hard_robot());
         e.record(EvidenceKind::MouseEvent, 3, SimTime::ZERO);
         assert!(e.any_hard_human());
-        assert_eq!(e.distinct_kinds(), 3);
     }
 }

@@ -11,13 +11,12 @@
 //! per session lives in a [`PolicyState`] the caller colocates with the
 //! session record (inside the tracker's shard entry), so one shard lock
 //! covers the whole enforcement decision. The engine keeps only the
-//! immutable thresholds plus atomic cross-key totals, and every method
-//! takes `&self`.
+//! immutable thresholds, and [`PolicyEngine::decide`] takes `&self`;
+//! what it decided is counted by its caller.
 
 use crate::classifier::Verdict;
 use botwall_sessions::{SessionCounters, SimTime};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What the policy engine decides for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -175,18 +174,12 @@ impl PolicyState {
 #[derive(Debug, Default)]
 pub struct PolicyEngine {
     config: PolicyConfig,
-    throttled_total: AtomicU64,
-    blocked_total: AtomicU64,
 }
 
 impl PolicyEngine {
     /// Creates an engine.
     pub fn new(config: PolicyConfig) -> PolicyEngine {
-        PolicyEngine {
-            config,
-            throttled_total: AtomicU64::new(0),
-            blocked_total: AtomicU64::new(0),
-        }
+        PolicyEngine { config }
     }
 
     /// Decides the fate of the current request given the session's
@@ -225,7 +218,6 @@ impl PolicyEngine {
             let over_rate = session_rate > self.config.rate_threshold;
             if over_cgi || over_err || over_rate {
                 state.blocked = true;
-                self.blocked_total.fetch_add(1, Ordering::Relaxed);
                 return Action::Block;
             }
         }
@@ -254,27 +246,8 @@ impl PolicyEngine {
         if entry.1.try_take(now) {
             Action::Allow
         } else {
-            self.throttled_total.fetch_add(1, Ordering::Relaxed);
             Action::Throttle
         }
-    }
-
-    /// Explicitly blocks a session (operator action).
-    pub fn block(&self, state: &mut PolicyState) {
-        if !state.blocked {
-            state.blocked = true;
-            self.blocked_total.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Total requests throttled so far.
-    pub fn throttled_total(&self) -> u64 {
-        self.throttled_total.load(Ordering::Relaxed)
-    }
-
-    /// Total sessions blocked so far.
-    pub fn blocked_total(&self) -> u64 {
-        self.blocked_total.load(Ordering::Relaxed)
     }
 }
 
@@ -322,7 +295,6 @@ mod tests {
                 Action::Allow
             );
         }
-        assert_eq!(e.throttled_total(), 0);
     }
 
     #[test]
@@ -346,7 +318,6 @@ mod tests {
         }
         // Burst of 2 allowed, the rest throttled.
         assert_eq!(throttled, 18);
-        assert_eq!(e.throttled_total(), 18);
     }
 
     #[test]
@@ -489,16 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_block_is_counted_once() {
-        let e = engine();
-        let mut s = PolicyState::default();
-        e.block(&mut s);
-        e.block(&mut s);
-        assert!(s.is_blocked());
-        assert_eq!(e.blocked_total(), 1);
-    }
-
-    #[test]
     fn carry_over_keeps_the_block_but_drops_the_bucket() {
         let e = engine();
         let mut s = PolicyState::default();
@@ -506,7 +467,7 @@ mod tests {
         // Provision a bucket, then block.
         e.decide(&mut s, Verdict::Undecided, &c, 1.0, 0, SimTime::ZERO);
         assert!(s.bucket.is_some());
-        e.block(&mut s);
+        s.block();
         let next = s.carry_over();
         assert!(next.is_blocked(), "block survives rollover");
         assert!(next.bucket.is_none(), "bucket re-provisions");

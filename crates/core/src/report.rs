@@ -186,12 +186,6 @@ impl RequestCdf {
         let count = self.sorted.partition_point(|&v| v <= x);
         count as f64 / self.sorted.len() as f64
     }
-
-    /// Samples the CDF at each of `xs`, producing `(x, fraction)` pairs —
-    /// the series a Figure-2-style plot needs.
-    pub fn series(&self, xs: impl IntoIterator<Item = u32>) -> Vec<(u32, f64)> {
-        xs.into_iter().map(|x| (x, self.fraction_at(x))).collect()
-    }
 }
 
 /// The three Figure-2 CDFs: CSS files, JavaScript files, mouse events.
@@ -404,12 +398,5 @@ mod tests {
         assert!(s.contains("30.0"));
         let f2 = Figure2Report::default();
         assert!(f2.to_string().contains("quantile"));
-    }
-
-    #[test]
-    fn series_produces_plot_points() {
-        let cdf = RequestCdf::new(vec![1, 2, 3, 4, 5]);
-        let pts = cdf.series([0, 2, 5]);
-        assert_eq!(pts, vec![(0, 0.0), (2, 0.4), (5, 1.0)]);
     }
 }

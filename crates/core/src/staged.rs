@@ -9,6 +9,13 @@
 //! Stage 2 is human-activity evidence: definitive when present.
 //! Stage 3 hands *boundary* sessions to a pluggable classifier (the
 //! AdaBoost model from `botwall-ml` implements [`BoundaryClassifier`]).
+//!
+//! Like the paper's, the pipeline runs offline: it decides completed
+//! sessions after the gateway has flushed them. Its callers are the
+//! `botwall-bench` `staged` experiment and the `ml_pipeline` example
+//! (`figure4`, `table2` and `ablate_ml` train and score the model on its
+//! own); the gateway itself decides online with the browser test and
+//! the CAPTCHA.
 
 use crate::classifier::{self, Label};
 use crate::evidence::{EvidenceKind, EvidenceSet};
@@ -92,14 +99,23 @@ impl Default for StagedConfig {
 /// use botwall_core::evidence::{EvidenceKind, EvidenceSet};
 /// use botwall_core::classifier::Label;
 /// use botwall_http::request::ClientIp;
-/// use botwall_sessions::SimTime;
+/// use botwall_http::{Method, Request, Response, StatusCode};
+/// use botwall_sessions::{SessionTracker, SimTime, TrackerConfig};
+///
+/// // A session of one request, as the tracker recorded it.
+/// let tracker = SessionTracker::new(TrackerConfig::default());
+/// let request = Request::builder(Method::Get, "http://h/index.html")
+///     .client(ClientIp::new(1))
+///     .build()
+///     .unwrap();
+/// let ok = Response::empty(StatusCode::OK);
+/// let session = tracker.get(&tracker.observe(&request, &ok, SimTime::ZERO)).unwrap();
 ///
 /// let pipeline = StagedPipeline::new(StagedConfig::default(), NoBoundary);
 /// let mut e = EvidenceSet::new();
-/// e.record(EvidenceKind::MouseEvent, 5, SimTime::ZERO);
-/// // A session object is only needed for the ML stage; hard evidence
-/// // decides without one.
-/// let d = pipeline.decide_evidence_only(&e);
+/// e.record(EvidenceKind::MouseEvent, 1, SimTime::ZERO);
+/// // Hard evidence decides before any later stage reads the session.
+/// let d = pipeline.decide(&session, &e);
 /// assert_eq!(d.label, Label::Human);
 /// assert_eq!(d.stage, Stage::HardEvidence);
 /// ```
@@ -134,20 +150,6 @@ impl<C: BoundaryClassifier> StagedPipeline<C> {
             };
         }
         // Fallback: set algebra.
-        StagedDecision {
-            label: classifier::classify_final(evidence),
-            stage: Stage::Fallback,
-        }
-    }
-
-    /// Decides from evidence alone (no ML stage possible).
-    pub fn decide_evidence_only(&self, evidence: &EvidenceSet) -> StagedDecision {
-        if let Some(d) = Self::hard_stage(evidence) {
-            return d;
-        }
-        if let Some(d) = self.browser_stage(u64::MAX, evidence) {
-            return d;
-        }
         StagedDecision {
             label: classifier::classify_final(evidence),
             stage: Stage::Fallback,
@@ -281,17 +283,5 @@ mod tests {
         assert_eq!(d.stage, Stage::Fallback);
         // Set algebra: JS without mouse ⇒ robot.
         assert_eq!(d.label, Label::Robot);
-    }
-
-    #[test]
-    fn evidence_only_decides_without_session() {
-        let p = StagedPipeline::new(StagedConfig::default(), NoBoundary);
-        let d = p.decide_evidence_only(&ev(&[EvidenceKind::DownloadedCss]));
-        assert_eq!(d.label, Label::Human);
-        // No-signal evidence-only decisions lean robot via the (infinite)
-        // window browser test.
-        let d = p.decide_evidence_only(&EvidenceSet::new());
-        assert_eq!(d.label, Label::Robot);
-        assert_eq!(d.stage, Stage::BrowserTest);
     }
 }

@@ -2,8 +2,7 @@
 
 use crate::gateway::Gateway;
 use botwall_captcha::ServingPolicy;
-use botwall_core::staged::StagedConfig;
-use botwall_core::{BoundaryClassifier, DetectorConfig, PolicyConfig};
+use botwall_core::{DetectorConfig, PolicyConfig};
 use botwall_instrument::InstrumentConfig;
 use serde::{Deserialize, Serialize};
 
@@ -11,8 +10,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// Each field mirrors one stage of the paper's deployment: page
 /// instrumentation (§2), sessionized detection (§3.1), policy
-/// enforcement (§3.2), CAPTCHA serving (§4.2), and the staged-decision
-/// tuning (§4.1).
+/// enforcement (§3.2) and CAPTCHA serving (§4.2). The §4.1 machine
+/// learning stage is not here: like the paper's, it runs offline over
+/// completed sessions (`botwall_core::staged`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GatewayConfig {
     /// Page-rewriting / probe configuration.
@@ -23,8 +23,6 @@ pub struct GatewayConfig {
     pub policy: PolicyConfig,
     /// When CAPTCHAs are offered (and whether solving is compulsory).
     pub captcha: ServingPolicy,
-    /// Staged-pipeline tuning for the optional boundary classifier.
-    pub staged: StagedConfig,
     /// Whether the policy engine gates requests at all. Off reproduces
     /// the paper's pre-deployment state: observe and classify, but
     /// never throttle or block.
@@ -35,11 +33,6 @@ pub struct GatewayConfig {
     /// the challenge, become ground-truth human, and shed the rate
     /// limit. Ignored when the CAPTCHA policy is `Disabled`.
     pub challenge_on_throttle: bool,
-    /// Wrong answers allowed against one outstanding challenge record
-    /// before it is burned (the next request re-challenges with a fresh
-    /// id). `0` is treated as `1`: every record tolerates at least the
-    /// attempt that burns it.
-    pub max_challenge_attempts: u32,
     /// Seed for the gateway's deterministic RNGs (instrumentation keys,
     /// challenge generation).
     pub seed: u64,
@@ -52,10 +45,8 @@ impl Default for GatewayConfig {
             detector: DetectorConfig::default(),
             policy: PolicyConfig::default(),
             captcha: ServingPolicy::OptionalWithIncentive,
-            staged: StagedConfig::default(),
             enforcement: true,
             challenge_on_throttle: false,
-            max_challenge_attempts: 3,
             seed: 0,
         }
     }
@@ -80,7 +71,6 @@ impl Default for GatewayConfig {
 #[derive(Default)]
 pub struct GatewayBuilder {
     config: GatewayConfig,
-    boundary: Option<Box<dyn BoundaryClassifier + Send + Sync>>,
 }
 
 impl GatewayBuilder {
@@ -119,12 +109,6 @@ impl GatewayBuilder {
         self
     }
 
-    /// Sets the staged-pipeline tuning.
-    pub fn staged(mut self, staged: StagedConfig) -> Self {
-        self.config.staged = staged;
-        self
-    }
-
     /// Turns policy enforcement on or off.
     pub fn enforcement(mut self, on: bool) -> Self {
         self.config.enforcement = on;
@@ -138,31 +122,15 @@ impl GatewayBuilder {
         self
     }
 
-    /// Sets the per-record wrong-answer budget (see
-    /// [`GatewayConfig::max_challenge_attempts`]).
-    pub fn max_challenge_attempts(mut self, attempts: u32) -> Self {
-        self.config.max_challenge_attempts = attempts;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
         self
     }
 
-    /// Installs a boundary classifier for the §4.1 staged pipeline: when
-    /// present, classifiable sessions whose evidence leaves them on the
-    /// set-algebra boundary are re-decided by it at flush time.
-    /// `Send + Sync` because the gateway itself is shared across threads.
-    pub fn boundary(mut self, boundary: impl BoundaryClassifier + Send + Sync + 'static) -> Self {
-        self.boundary = Some(Box::new(boundary));
-        self
-    }
-
     /// Builds the gateway.
     pub fn build(self) -> Gateway {
-        Gateway::from_parts(self.config, self.boundary)
+        Gateway::from_config(self.config)
     }
 }
 

@@ -51,8 +51,8 @@
 //!   (evidence, verdict, rate bucket, block flag, beacon tokens + their
 //!   scripts — generated by the first fetch, not by the page serve —
 //!   outstanding CAPTCHA challenge), all inside the one shard entry;
-//! * **immutable-shared** — the config, thresholds, the boundary model,
-//!   and the [`RewriteEngine`] (page rewriting and probe classification
+//! * **immutable-shared** — the config, thresholds, and the
+//!   [`RewriteEngine`] (page rewriting and probe classification
 //!   with no interior mutability at all — probe URLs authenticate
 //!   themselves, so classification is recomputation, not lookup);
 //! * **global-atomic** — the cache-line-padded per-shard counter cells
@@ -69,11 +69,10 @@
 use crate::config::{GatewayBuilder, GatewayConfig};
 use crate::decision::{Answer, Decision, Origin};
 use botwall_captcha::{CaptchaService, Challenge};
-use botwall_core::classifier::{Reason, Verdict};
-use botwall_core::staged::{Stage, StagedPipeline};
+use botwall_core::classifier::Verdict;
 use botwall_core::{
-    Action, BoundaryClassifier, ChallengeState, CompletedSession, Detector, GateRespond, Gated,
-    KeyCarry, ObserveOutcome, OriginLease, PendingCaptchaPass, PolicyEngine,
+    Action, ChallengeState, CompletedSession, Detector, GateRespond, Gated, KeyCarry,
+    ObserveOutcome, OriginLease, PendingCaptchaPass, PolicyEngine,
 };
 use botwall_http::{ContentClass, Request, RequestView, Response, ResponseSummary, StatusCode};
 use botwall_instrument::{
@@ -88,6 +87,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Salt applied to the gateway seed for the CAPTCHA generator, so the
 /// instrumentation and challenge RNG streams never collide.
 const CAPTCHA_SEED_SALT: u64 = 0x0c47_c4a0;
+
+/// Wrong answers one outstanding challenge record takes before it is
+/// burned: the id is consumed service-wide and the next request
+/// re-challenges with a fresh one.
+const MAX_CHALLENGE_ATTEMPTS: u32 = 3;
 
 /// A point-in-time snapshot of gateway activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -106,8 +110,6 @@ pub struct GatewayStats {
     pub probe_requests: u64,
     /// Sessions flushed through sweep/drain.
     pub completed_sessions: u64,
-    /// Flushed sessions whose label the boundary classifier overrode.
-    pub ml_overrides: u64,
     /// Live sessions at snapshot time.
     pub live_sessions: usize,
     /// Sessions finalized early to hold the tracker's `max_sessions`
@@ -366,10 +368,8 @@ pub struct Gateway {
     detector: Detector,
     policy: PolicyEngine,
     captcha: CaptchaService,
-    boundary: Option<Box<dyn BoundaryClassifier + Send + Sync>>,
     counters: ShardedCounters,
     completed_sessions: AtomicU64,
-    ml_overrides: AtomicU64,
 }
 
 /// The status line and headers every page serve answers with: `200`,
@@ -402,7 +402,6 @@ impl fmt::Debug for Gateway {
         f.debug_struct("Gateway")
             .field("config", &self.config)
             .field("stats", &self.stats())
-            .field("boundary", &self.boundary.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -413,12 +412,8 @@ impl Gateway {
         GatewayBuilder::new()
     }
 
-    /// Assembles a gateway from a config plus optional boundary
-    /// classifier (the builder's terminal step).
-    pub(crate) fn from_parts(
-        config: GatewayConfig,
-        boundary: Option<Box<dyn BoundaryClassifier + Send + Sync>>,
-    ) -> Gateway {
+    /// Assembles a gateway from its config (the builder's terminal step).
+    pub(crate) fn from_config(config: GatewayConfig) -> Gateway {
         let detector = Detector::new(config.detector.clone());
         Gateway {
             engine: RewriteEngine::new(config.instrument.clone(), config.seed),
@@ -426,9 +421,7 @@ impl Gateway {
             detector,
             policy: PolicyEngine::new(config.policy.clone()),
             captcha: CaptchaService::new(config.captcha, config.seed ^ CAPTCHA_SEED_SALT),
-            boundary,
             completed_sessions: AtomicU64::new(0),
-            ml_overrides: AtomicU64::new(0),
             config,
         }
     }
@@ -896,7 +889,7 @@ impl Gateway {
                             } else {
                                 let record = state.challenge.as_mut().expect("matched above");
                                 record.attempts += 1;
-                                if record.attempts >= self.config.max_challenge_attempts.max(1) {
+                                if record.attempts >= MAX_CHALLENGE_ATTEMPTS {
                                     // Ground out: consume the id
                                     // everywhere and drop the record so
                                     // the next request re-challenges.
@@ -949,8 +942,7 @@ impl Gateway {
     /// shard walk — so long runs cannot grow an unbounded table
     /// anywhere.
     pub fn sweep(&self, now: SimTime) -> Vec<CompletedSession> {
-        let ttl = self.config.instrument.session_tokens.entry_ttl_ms;
-        let completed = self.detector.sweep(now, ttl, ttl);
+        let completed = self.detector.sweep(now);
         self.finish(completed)
     }
 
@@ -962,8 +954,7 @@ impl Gateway {
     /// with nothing idle, so a serving thread can call it on a timer;
     /// concurrent callers take different shards.
     pub fn sweep_slice(&self, now: SimTime, budget: usize) -> Vec<CompletedSession> {
-        let ttl = self.config.instrument.session_tokens.entry_ttl_ms;
-        let completed = self.detector.sweep_slice(now, budget, ttl, ttl);
+        let completed = self.detector.sweep_slice(now, budget);
         self.finish(completed)
     }
 
@@ -973,29 +964,14 @@ impl Gateway {
         self.finish(completed)
     }
 
-    /// Post-flush bookkeeping shared by sweep and drain: boundary
-    /// re-decisions. Per-key policy state needs no cleanup — it lives in
-    /// the shard entry and is gone the moment the entry flushes, while a
-    /// still-live successor incarnation keeps its own carried state.
-    fn finish(&self, mut completed: Vec<CompletedSession>) -> Vec<CompletedSession> {
+    /// Post-flush bookkeeping shared by sweep and drain: the count of
+    /// completed sessions. Per-key policy state needs no cleanup — it
+    /// lives in the shard entry and is gone the moment the entry
+    /// flushes, while a still-live successor incarnation keeps its own
+    /// carried state.
+    fn finish(&self, completed: Vec<CompletedSession>) -> Vec<CompletedSession> {
         self.completed_sessions
             .fetch_add(completed.len() as u64, Ordering::Relaxed);
-        if let Some(boundary) = &self.boundary {
-            let pipeline = StagedPipeline::new(self.config.staged, |s: &Session| {
-                boundary.classify_session(s)
-            });
-            for cs in completed.iter_mut() {
-                if !cs.classifiable {
-                    continue;
-                }
-                let decision = pipeline.decide(&cs.session, &cs.evidence);
-                if decision.stage == Stage::MlBoundary && decision.label != cs.label {
-                    cs.label = decision.label;
-                    cs.reason = Reason::MlBoundary;
-                    self.ml_overrides.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
         completed
     }
 
@@ -1018,7 +994,6 @@ impl Gateway {
             challenged: self.counters.sum(|c| &c.challenged),
             probe_requests: self.counters.sum(|c| &c.probe_requests),
             completed_sessions: self.completed_sessions.load(Ordering::Relaxed),
-            ml_overrides: self.ml_overrides.load(Ordering::Relaxed),
             live_sessions: tracker.live_count(),
             evicted_sessions: tracker.evicted_total(),
             shard_count: tracker.shard_count(),
@@ -1753,25 +1728,23 @@ mod tests {
             panic!("challenge expected");
         };
         assert_eq!(gw.stats().pending_challenges, 1);
-        let attempts = gw.config().max_challenge_attempts;
-        for i in 0..attempts {
+        for i in 0..MAX_CHALLENGE_ATTEMPTS {
             assert!(!gw.verify_captcha(&key, ch.id, "wrong", SimTime::from_secs(1 + u64::from(i))));
         }
         // Record burned: the outstanding-challenge column drops to zero
         // without any sweep.
         assert_eq!(gw.stats().pending_challenges, 0);
-        assert_eq!(gw.stats().captcha_failed, u64::from(attempts));
+        assert_eq!(gw.stats().captcha_failed, u64::from(MAX_CHALLENGE_ATTEMPTS));
         assert_eq!(gw.verdict(&key), Verdict::Undecided);
     }
 
     #[test]
     fn challenge_attempt_budget_is_configurable() {
-        // A one-attempt deployment burns the record on the first wrong
-        // answer; the next request re-challenges with a fresh id.
+        // The last wrong answer the budget allows burns the record; the
+        // next request re-challenges with a fresh id.
         let gw = Gateway::builder()
             .seed(51)
             .captcha(ServingPolicy::MandatoryUnderAttack)
-            .max_challenge_attempts(1)
             .build();
         gw.set_under_attack(true);
         let r = req(52, "http://site.example/index.html", "Mozilla/5.0");
@@ -1780,11 +1753,14 @@ mod tests {
         else {
             panic!("challenge expected");
         };
-        assert!(!gw.verify_captcha(&key, ch.id, "wrong", SimTime::from_secs(1)));
+        for _ in 0..MAX_CHALLENGE_ATTEMPTS {
+            assert_eq!(gw.stats().pending_challenges, 1, "the record stands");
+            assert!(!gw.verify_captcha(&key, ch.id, "wrong", SimTime::from_secs(1)));
+        }
         assert_eq!(
             gw.stats().pending_challenges,
             0,
-            "single wrong answer burns the record at attempts=1"
+            "the budget's last wrong answer burns the record"
         );
         let Decision::Challenge(fresh) =
             gw.handle_with(&r, SimTime::from_secs(2), |_| Origin::NotFound)
@@ -1835,51 +1811,6 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(gw.stats().completed_sessions, 1);
         assert_eq!(gw.stats().live_sessions, 0);
-    }
-
-    #[test]
-    fn boundary_classifier_overrides_boundary_cases_at_flush() {
-        // JS-without-mouse over a long session is the boundary case the
-        // ML stage exists for; a classifier that calls everything human
-        // must override the set-algebra robot label.
-        let build = |with_ml: bool| {
-            let b = Gateway::builder().seed(10).enforcement(false);
-            let b = if with_ml {
-                b.boundary(|_: &Session| Some(Label::Human))
-            } else {
-                b
-            };
-            let gw = b.build();
-            let manifest = match page_decision(&gw, 8, "Mozilla/5.0", SimTime::ZERO) {
-                Decision::Serve { manifest, .. } => manifest.unwrap(),
-                other => panic!("{other:?}"),
-            };
-            // Execute JS (honestly) but never move the mouse.
-            let agent = manifest.agent_beacon.unwrap();
-            let fetch = format!(
-                "{agent}?agent={}",
-                botwall_http::UserAgent::canonicalize("Mozilla/5.0")
-            );
-            gw.handle(&req(8, &fetch, "Mozilla/5.0"), SimTime::from_secs(1));
-            // Burn past the classification minimum.
-            for i in 0..30 {
-                gw.handle_with(
-                    &req(8, &format!("http://site.example/{i}.html"), "Mozilla/5.0"),
-                    SimTime::from_secs(2 + i),
-                    |_| Origin::Page(HTML.into()),
-                );
-            }
-            let done = gw.drain();
-            (done[0].label, done[0].reason, gw.stats().ml_overrides)
-        };
-        let (without, reason, overrides) = build(false);
-        assert_eq!(without, Label::Robot);
-        assert_eq!(reason, Reason::JsWithoutMouse);
-        assert_eq!(overrides, 0);
-        let (with, reason, overrides) = build(true);
-        assert_eq!(with, Label::Human);
-        assert_eq!(reason, Reason::MlBoundary, "label and reason must agree");
-        assert_eq!(overrides, 1);
     }
 
     #[test]

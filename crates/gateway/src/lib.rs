@@ -34,9 +34,11 @@
 //! * [`Gateway::stats`] snapshots a [`GatewayStats`].
 //!
 //! Build one with [`Gateway::builder`]; the builder takes the
-//! instrumentation, detector, policy, and CAPTCHA-serving configuration
-//! plus an optional [`BoundaryClassifier`] that slots the §4.1 staged
-//! pipeline's machine-learning stage into session finalization.
+//! instrumentation, detector, policy, and CAPTCHA-serving configuration.
+//! The gateway decides online with the browser test and the CAPTCHA, as
+//! the paper's deployment did. The §4.1 machine-learning stage runs
+//! offline, over the [`CompletedSession`]s a sweep or drain returns
+//! (`botwall_core::staged`).
 //!
 //! # Examples
 //!
@@ -71,7 +73,7 @@ pub mod config;
 pub mod decision;
 pub mod gateway;
 
-pub use botwall_core::{BoundaryClassifier, CompletedSession, EvidenceKind};
+pub use botwall_core::{CompletedSession, EvidenceKind};
 /// What [`PageStream::write`] writes to; re-exported for callers that
 /// implement their own.
 pub use botwall_instrument::StreamSink;

@@ -135,22 +135,6 @@ impl ContentClass {
             })
     }
 
-    /// Returns `true` for classes that exist only to render a page
-    /// (CSS, images, scripts, favicon, audio).
-    ///
-    /// The paper's browser test keys on exactly this distinction:
-    /// goal-oriented robots skip presentation content.
-    pub fn is_presentation(self) -> bool {
-        matches!(
-            self,
-            ContentClass::Css
-                | ContentClass::Image
-                | ContentClass::Script
-                | ContentClass::Favicon
-                | ContentClass::Audio
-        )
-    }
-
     /// Returns `true` for embedded-object classes (anything a page pulls in
     /// automatically rather than via a followed link).
     pub fn is_embedded_object(self) -> bool {
@@ -291,10 +275,6 @@ mod tests {
 
     #[test]
     fn presentation_and_embedded_predicates() {
-        assert!(ContentClass::Css.is_presentation());
-        assert!(ContentClass::Favicon.is_presentation());
-        assert!(!ContentClass::Html.is_presentation());
-        assert!(!ContentClass::Cgi.is_presentation());
         assert!(ContentClass::Image.is_embedded_object());
         assert!(!ContentClass::Favicon.is_embedded_object());
     }

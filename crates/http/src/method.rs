@@ -65,11 +65,6 @@ impl Method {
         )
     }
 
-    /// Returns `true` for idempotent methods.
-    pub fn is_idempotent(&self) -> bool {
-        self.is_safe() || matches!(self, Method::Put | Method::Delete)
-    }
-
     /// Returns `true` if `b` is a legal HTTP token byte (RFC 7230 tchar):
     /// one load from a table built at compile time, since every byte of
     /// every header name goes through it.
@@ -179,9 +174,6 @@ mod tests {
         assert!(Method::Head.is_safe());
         assert!(!Method::Post.is_safe());
         assert!(!Method::Connect.is_safe());
-        assert!(Method::Put.is_idempotent());
-        assert!(Method::Delete.is_idempotent());
-        assert!(!Method::Post.is_idempotent());
     }
 
     #[test]

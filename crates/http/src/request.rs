@@ -118,11 +118,6 @@ impl Request {
         self.client
     }
 
-    /// Overrides the client address (used when replaying logs).
-    pub fn set_client(&mut self, ip: ClientIp) {
-        self.client = ip;
-    }
-
     /// The authority (`host[:port]`) this request was addressed to: the
     /// target's own when it is absolute-form (a proxy-style request
     /// line), else the `Host` header (what a browser talking to a

@@ -43,7 +43,7 @@ impl ResponseSummary {
 ///     .header("Location", "http://example.com/moved.html")
 ///     .build();
 /// assert!(r.status().is_redirect());
-/// assert_eq!(r.location(), Some("http://example.com/moved.html"));
+/// assert_eq!(r.headers().get("Location"), Some("http://example.com/moved.html"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Response {
@@ -94,20 +94,9 @@ impl Response {
         &self.body
     }
 
-    /// Replaces the body, updating `Content-Length`.
-    pub fn set_body(&mut self, body: Vec<u8>) {
-        self.headers.set("Content-Length", body.len().to_string());
-        self.body = body;
-    }
-
     /// The `Content-Type` header value, if present.
     pub fn content_type(&self) -> Option<&str> {
         self.headers.get("Content-Type")
-    }
-
-    /// The `Location` header value, if present (redirect target).
-    pub fn location(&self) -> Option<&str> {
-        self.headers.get("Location")
     }
 
     /// Returns `true` if the response forbids caching.
@@ -203,13 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn set_body_updates_content_length() {
-        let mut r = Response::empty(StatusCode::OK);
-        r.set_body(vec![0u8; 10]);
-        assert_eq!(r.headers().content_length(), Some(10));
-    }
-
-    #[test]
     fn uncacheable_detection() {
         let r = Response::builder(StatusCode::OK)
             .header("Cache-Control", "no-cache, no-store")
@@ -220,14 +202,6 @@ mod tests {
             .build();
         assert!(!r.is_uncacheable());
         assert!(!Response::empty(StatusCode::OK).is_uncacheable());
-    }
-
-    #[test]
-    fn location_accessor() {
-        let r = Response::builder(StatusCode::MOVED_PERMANENTLY)
-            .header("Location", "/new")
-            .build();
-        assert_eq!(r.location(), Some("/new"));
     }
 
     #[test]

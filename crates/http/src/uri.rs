@@ -296,14 +296,6 @@ impl Uri {
         self.view().authority()
     }
 
-    /// The effective port: explicit, or the scheme default.
-    pub fn effective_port(&self) -> u16 {
-        self.port.unwrap_or(match self.scheme {
-            Some(Scheme::Https) => 443,
-            _ => 80,
-        })
-    }
-
     /// The path component (always starts with `/`, or is `*`).
     pub fn path(&self) -> &str {
         self.view().path()
@@ -398,15 +390,8 @@ mod tests {
         assert_eq!(u.scheme(), Some("http"));
         assert_eq!(u.host(), Some("www.example.com"));
         assert_eq!(u.port(), None);
-        assert_eq!(u.effective_port(), 80);
         assert_eq!(u.path(), "/index.html");
         assert_eq!(u.query(), None);
-    }
-
-    #[test]
-    fn parses_https_default_port() {
-        let u: Uri = "https://secure.example.com/".parse().unwrap();
-        assert_eq!(u.effective_port(), 443);
     }
 
     #[test]

@@ -153,11 +153,6 @@ impl UserAgent {
         }
     }
 
-    /// Returns `true` if the string claims to be a standard browser.
-    pub fn claims_browser(&self) -> bool {
-        matches!(self, UserAgent::Browser(_))
-    }
-
     /// Canonicalizes an agent string the way the paper's injected
     /// JavaScript does (`navigator.userAgent.toLowerCase()` with spaces
     /// removed) so header and script-reported strings can be compared.

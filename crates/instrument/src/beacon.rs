@@ -62,20 +62,6 @@ pub fn blind_catch_probability(m: usize) -> f64 {
     m as f64 / (m as f64 + 1.0)
 }
 
-/// Probability that at least one of `fetches` independent blind fetches
-/// (without replacement) hits a decoy, i.e. 1 when more than one fetch is
-/// made (the robot cannot fetch two URLs without at least one decoy).
-pub fn blind_catch_probability_multi(m: usize, fetches: usize) -> f64 {
-    if fetches == 0 || m == 0 {
-        return 0.0;
-    }
-    if fetches > 1 {
-        // With only one real URL, any second distinct fetch is a decoy.
-        return 1.0;
-    }
-    blind_catch_probability(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,14 +105,6 @@ mod tests {
         assert!((blind_catch_probability(1) - 0.5).abs() < 1e-12);
         assert!((blind_catch_probability(4) - 0.8).abs() < 1e-12);
         assert!((blind_catch_probability(9) - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn multi_fetch_catches_almost_surely() {
-        assert_eq!(blind_catch_probability_multi(5, 0), 0.0);
-        assert!((blind_catch_probability_multi(5, 1) - 5.0 / 6.0).abs() < 1e-12);
-        assert_eq!(blind_catch_probability_multi(5, 2), 1.0);
-        assert_eq!(blind_catch_probability_multi(0, 3), 0.0);
     }
 
     #[test]

@@ -82,6 +82,9 @@ const SALT_RAND_MASK: u64 = (1 << SALT_RAND_BITS) - 1;
 const SECRET_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 const SECRET_SALT_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
 
+/// Approximate generated-script size in bytes (paper: ~1 KB).
+const JS_TARGET_SIZE: usize = 1024;
+
 /// splitmix64 finalizer: a cheap, well-mixed 64-bit bijection used as
 /// the round function of the nonce MAC and for stream-seed derivation.
 fn mix64(mut x: u64) -> u64 {
@@ -505,12 +508,7 @@ impl RewriteEngine {
         // The stream keeps its own: a manifest derived later spells the
         // decoy URLs from it.
         if let Some(token) = stream.token() {
-            tokens.issue_page(
-                request.uri().path(),
-                token.clone(),
-                now,
-                self.config.session_tokens.max_entries,
-            );
+            tokens.issue_page(token.clone(), now);
         }
         stream
     }
@@ -592,7 +590,7 @@ impl RewriteEngine {
             decoys: decoys.iter().map(|d| site.beacon(*d)).collect(),
             agent_beacon: site.probe(script.agent_nonce, ProbeKind::AgentBeacon),
             obfuscation: self.config.obfuscation,
-            target_size: self.config.js_target_size,
+            target_size: JS_TARGET_SIZE,
         };
         jsgen::generate_seeded(&spec, script.seed)
     }
@@ -1052,7 +1050,7 @@ mod tests {
                 decoys: m.decoy_beacons.clone(),
                 agent_beacon: m.agent_beacon.clone().unwrap(),
                 obfuscation,
-                target_size: e.config().js_target_size,
+                target_size: JS_TARGET_SIZE,
             };
             let eager = jsgen::generate(&spec, &mut ChaCha8Rng::seed_from_u64(token.script.seed));
 

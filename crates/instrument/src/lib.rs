@@ -74,4 +74,4 @@ pub use jsgen::Obfuscation;
 pub use probe::{AutomationReport, ProbeHit, ProbeKind, ProbeObject};
 pub use rewrite::{Classified, InstrumentConfig, ProbeManifest};
 pub use stream::{FinishedStream, StreamSink, StreamingRewrite, MAX_HELD_BYTES};
-pub use token::{BeaconKey, KeyOutcome, ScriptSeed, SessionTokenConfig, TokenState};
+pub use token::{BeaconKey, KeyOutcome, ScriptSeed, TokenState, MAX_TOKENS_PER_SESSION};

@@ -8,7 +8,7 @@
 
 use crate::jsgen::Obfuscation;
 use crate::probe::ProbeHit;
-use crate::token::{BeaconKey, KeyOutcome, SessionTokenConfig};
+use crate::token::{BeaconKey, KeyOutcome};
 use botwall_http::Uri;
 use serde::{Deserialize, Serialize};
 
@@ -20,17 +20,12 @@ pub struct InstrumentConfig {
     pub decoys: usize,
     /// Script obfuscation level.
     pub obfuscation: Obfuscation,
-    /// Approximate generated-script size in bytes (paper: ~1 KB).
-    pub js_target_size: usize,
     /// Inject the empty CSS probe (§2.2).
     pub css_probe: bool,
     /// Inject the hidden-link trap (§2.2).
     pub hidden_link: bool,
     /// Inject the mouse-event beacon machinery (§2.1).
     pub mouse_beacon: bool,
-    /// Token bounds: `max_entries` caps one session's outstanding keys;
-    /// `entry_ttl_ms` expires them at sweep.
-    pub session_tokens: SessionTokenConfig,
 }
 
 impl Default for InstrumentConfig {
@@ -38,11 +33,9 @@ impl Default for InstrumentConfig {
         InstrumentConfig {
             decoys: 5,
             obfuscation: Obfuscation::Lexical,
-            js_target_size: 1024,
             css_probe: true,
             hidden_link: true,
             mouse_beacon: true,
-            session_tokens: SessionTokenConfig::default(),
         }
     }
 }

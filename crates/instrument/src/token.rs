@@ -20,10 +20,10 @@
 //! by the caller of [`TokenState::script_for`] and kept in the entry,
 //! shared (`Arc<str>`), so a refetch is a reference count, even one that
 //! carries the source out of the session's lock to the socket. An entry that is never asked for its script —
-//! every page-only scraper's — weighs ~210 bytes (112 for the entry,
-//! then its page path and five 16-byte decoys) instead of ~1.25 KB; what
-//! clients can pin by fetching pages alone, 64 entries in each of 100k
-//! sessions, is ~1.4 GB, was ~8 GB.
+//! every page-only scraper's — weighs ~176 bytes (96 for the entry,
+//! then five 16-byte decoys) instead of ~1.25 KB; what clients can pin
+//! by fetching pages alone, 64 entries in each of 100k sessions, is
+//! ~1.1 GB, was ~8 GB.
 
 use crate::engine::IssuedPageToken;
 use botwall_sessions::SimTime;
@@ -33,6 +33,11 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
+
+/// Outstanding entries one session's [`TokenState`] holds; a page
+/// issued past it drops the oldest (the paper's table "holds multiple
+/// entries per IP").
+pub const MAX_TOKENS_PER_SESSION: usize = 64;
 
 /// A 128-bit beacon key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -47,11 +52,6 @@ impl BeaconKey {
     /// Builds a key from its raw value (tests, decoding).
     pub fn from_raw(v: u128) -> BeaconKey {
         BeaconKey(v)
-    }
-
-    /// The raw 128-bit value.
-    pub fn as_raw(self) -> u128 {
-        self.0
     }
 
     /// Renders the key as 32 lowercase hex digits (the URL form).
@@ -123,7 +123,6 @@ enum Script {
 
 #[derive(Debug, Clone)]
 struct Entry {
-    page: String,
     key: BeaconKey,
     decoys: Vec<BeaconKey>,
     issued: SimTime,
@@ -147,11 +146,12 @@ struct Entry {
 /// # Examples
 ///
 /// ```
-/// use botwall_instrument::token::{BeaconKey, KeyOutcome, TokenState};
+/// use botwall_instrument::token::{BeaconKey, KeyOutcome, TokenState, MAX_TOKENS_PER_SESSION};
 /// use botwall_sessions::SimTime;
 ///
 /// let mut state = TokenState::default();
-/// state.issue("/index.html", BeaconKey::from_raw(42), vec![], None, SimTime::ZERO, 64);
+/// let key = BeaconKey::from_raw(42);
+/// state.issue("/index.html", key, vec![], None, SimTime::ZERO, MAX_TOKENS_PER_SESSION);
 /// assert_eq!(state.redeem(BeaconKey::from_raw(42), SimTime::ZERO), KeyOutcome::Valid);
 /// assert_eq!(state.redeem(BeaconKey::from_raw(42), SimTime::ZERO), KeyOutcome::Replay);
 /// assert_eq!(state.redeem(BeaconKey::from_raw(9), SimTime::ZERO), KeyOutcome::Unknown);
@@ -163,13 +163,14 @@ pub struct TokenState {
 }
 
 impl TokenState {
-    /// Records a freshly issued `<page, key>` tuple plus the decoys (and
+    /// Records a key freshly issued for `_page` plus the decoys (and
     /// optionally an already generated script, under its URL nonce)
     /// served alongside it, dropping the oldest entry beyond
-    /// `max_entries`.
+    /// `max_entries`. The page itself is not kept: a key redeems on
+    /// its own.
     pub fn issue(
         &mut self,
-        page: impl Into<String>,
+        _page: impl Into<String>,
         key: BeaconKey,
         decoys: Vec<BeaconKey>,
         js: Option<(u64, String)>,
@@ -177,25 +178,19 @@ impl TokenState {
         max_entries: usize,
     ) {
         let js = js.map(|(nonce, source)| (nonce, Script::Generated(source.into())));
-        self.push(page.into(), key, decoys, js, now, max_entries);
+        self.push(key, decoys, js, now, max_entries);
     }
 
-    /// Records the token a page rewrite issued; its script stays a seed
+    /// Records the token a page rewrite issued, dropping the oldest
+    /// entry beyond [`MAX_TOKENS_PER_SESSION`]; its script stays a seed
     /// until [`TokenState::script_for`] is asked for it.
-    pub fn issue_page(
-        &mut self,
-        page: impl Into<String>,
-        token: IssuedPageToken,
-        now: SimTime,
-        max_entries: usize,
-    ) {
+    pub fn issue_page(&mut self, token: IssuedPageToken, now: SimTime) {
         let js = Some((token.js_nonce, Script::Seeded(token.script)));
-        self.push(page.into(), token.key, token.decoys, js, now, max_entries);
+        self.push(token.key, token.decoys, js, now, MAX_TOKENS_PER_SESSION);
     }
 
     fn push(
         &mut self,
-        page: String,
         key: BeaconKey,
         decoys: Vec<BeaconKey>,
         js: Option<(u64, Script)>,
@@ -206,7 +201,6 @@ impl TokenState {
             self.entries.remove(0);
         }
         self.entries.push(Entry {
-            page,
             key,
             decoys,
             issued,
@@ -270,17 +264,9 @@ impl TokenState {
                         Some((_, Script::Generated(source))) => source.len(),
                         _ => 0,
                     };
-                    e.page.capacity() + e.decoys.capacity() * 16 + script
+                    e.decoys.capacity() * 16 + script
                 })
                 .sum::<usize>()
-    }
-
-    /// The page associated with an outstanding key, if any (diagnostics).
-    pub fn page_for(&self, key: BeaconKey) -> Option<&str> {
-        self.entries
-            .iter()
-            .find(|e| e.key == key)
-            .map(|e| e.page.as_str())
     }
 
     /// Purges entries older than `ttl_ms`; returns how many were removed.
@@ -307,26 +293,6 @@ impl TokenState {
     pub fn rng_seeded(&mut self, stream_seed: impl FnOnce() -> u64) -> &mut ChaCha8Rng {
         self.rng
             .get_or_insert_with(|| ChaCha8Rng::seed_from_u64(stream_seed()))
-    }
-}
-
-/// Bounds on one session's [`TokenState`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SessionTokenConfig {
-    /// Maximum outstanding entries per session; the oldest is dropped
-    /// beyond this (the paper's table "holds multiple entries per IP").
-    pub max_entries: usize,
-    /// Entries older than this are purged on sweep (keys are one-shot and
-    /// short-lived by design).
-    pub entry_ttl_ms: u64,
-}
-
-impl Default for SessionTokenConfig {
-    fn default() -> Self {
-        SessionTokenConfig {
-            max_entries: 64,
-            entry_ttl_ms: 3_600_000,
-        }
     }
 }
 
@@ -399,7 +365,6 @@ mod tests {
         issue(&mut t, "/a", 1, &[], SimTime::ZERO, 64);
         issue(&mut t, "/b", 2, &[], SimTime::ZERO, 64);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.page_for(BeaconKey::from_raw(2)), Some("/b"));
         assert_eq!(redeem(&mut t, 1), KeyOutcome::Valid);
         assert_eq!(redeem(&mut t, 2), KeyOutcome::Valid);
     }

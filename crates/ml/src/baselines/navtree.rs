@@ -46,7 +46,6 @@ enum Node {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionTree {
     root: Node,
-    nodes: usize,
 }
 
 impl DecisionTree {
@@ -58,9 +57,9 @@ impl DecisionTree {
     pub fn train(samples: &[(FeatureVector, Label)], config: &TreeConfig) -> DecisionTree {
         assert!(!samples.is_empty(), "cannot train on an empty set");
         let idx: Vec<usize> = (0..samples.len()).collect();
-        let mut nodes = 0;
-        let root = build(samples, &idx, config, 0, &mut nodes);
-        DecisionTree { root, nodes }
+        DecisionTree {
+            root: build(samples, &idx, config, 0),
+        }
     }
 
     /// Classifies one feature vector.
@@ -96,11 +95,6 @@ impl DecisionTree {
             .count() as f64
             / samples.len() as f64
     }
-
-    /// Total node count (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
 }
 
 fn majority(samples: &[(FeatureVector, Label)], idx: &[usize]) -> Label {
@@ -128,9 +122,7 @@ fn build(
     idx: &[usize],
     config: &TreeConfig,
     depth: usize,
-    nodes: &mut usize,
 ) -> Node {
-    *nodes += 1;
     let robots = idx
         .iter()
         .filter(|&&i| samples[i].1 == Label::Robot)
@@ -187,8 +179,8 @@ fn build(
     Node::Split {
         attribute,
         threshold,
-        below: Box::new(build(samples, &below_idx, config, depth + 1, nodes)),
-        above: Box::new(build(samples, &above_idx, config, depth + 1, nodes)),
+        below: Box::new(build(samples, &below_idx, config, depth + 1)),
+        above: Box::new(build(samples, &above_idx, config, depth + 1)),
     }
 }
 
@@ -199,6 +191,14 @@ mod tests {
     use rand::Rng;
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// Nodes in the tree under `node`, leaves included.
+    fn node_count(node: &Node) -> usize {
+        match node {
+            Node::Leaf(_) => 1,
+            Node::Split { below, above, .. } => 1 + node_count(below) + node_count(above),
+        }
+    }
 
     fn fv(pairs: &[(Attribute, f64)]) -> FeatureVector {
         let mut x = FeatureVector::zero();
@@ -244,7 +244,7 @@ mod tests {
             .collect();
         let tree = DecisionTree::train(&samples, &TreeConfig::default());
         assert!(tree.accuracy(&samples) > 0.95);
-        assert!(tree.node_count() >= 3, "must actually split");
+        assert!(node_count(&tree.root) >= 3, "must actually split");
     }
 
     #[test]
@@ -271,7 +271,7 @@ mod tests {
             },
         );
         // Depth 1: at most one split, three nodes.
-        assert!(shallow.node_count() <= 3);
+        assert!(node_count(&shallow.root) <= 3);
     }
 
     #[test]
@@ -281,7 +281,7 @@ mod tests {
             (fv(&[(Attribute::HtmlPct, 0.2)]), Label::Human),
         ];
         let tree = DecisionTree::train(&samples, &TreeConfig::default());
-        assert_eq!(tree.node_count(), 1);
+        assert_eq!(node_count(&tree.root), 1);
         assert_eq!(
             tree.classify(&fv(&[(Attribute::HtmlPct, 0.9)])),
             Label::Human

@@ -5,7 +5,9 @@
 //! cases (e.g., AI-based techniques)". `botwall-core`'s
 //! [`botwall_core::staged::StagedPipeline`] accepts any
 //! [`botwall_core::staged::BoundaryClassifier`]; this module adapts a
-//! trained [`AdaBoostModel`] to that interface.
+//! trained [`AdaBoostModel`] to that interface. The pipeline runs offline
+//! over completed sessions: the `botwall-bench` `staged` experiment and
+//! the `ml_pipeline` example use this adapter.
 
 use crate::adaboost::AdaBoostModel;
 use crate::features;

@@ -53,7 +53,7 @@ pub fn stats_json(s: &GatewayStats) -> String {
         concat!(
             "{{\"requests\":{},\"served\":{},\"throttled\":{},\"blocked\":{},",
             "\"challenged\":{},\"probe_requests\":{},\"completed_sessions\":{},",
-            "\"ml_overrides\":{},\"live_sessions\":{},\"evicted_sessions\":{},",
+            "\"live_sessions\":{},\"evicted_sessions\":{},",
             "\"shard_count\":{},\"total_bytes\":{},\"instrumentation_bytes\":{},",
             "\"captcha_issued\":{},\"captcha_passed\":{},\"captcha_failed\":{},",
             "\"pending_challenges\":{},\"token_entries\":{}}}"
@@ -65,7 +65,6 @@ pub fn stats_json(s: &GatewayStats) -> String {
         s.challenged,
         s.probe_requests,
         s.completed_sessions,
-        s.ml_overrides,
         s.live_sessions,
         s.evicted_sessions,
         s.shard_count,
@@ -95,7 +94,6 @@ mod tests {
             challenged: 5,
             probe_requests: 6,
             completed_sessions: 7,
-            ml_overrides: 8,
             live_sessions: 9,
             evicted_sessions: 18,
             shard_count: 10,
@@ -118,7 +116,6 @@ mod tests {
             ("challenged", 5),
             ("probe_requests", 6),
             ("completed_sessions", 7),
-            ("ml_overrides", 8),
             ("live_sessions", 9),
             ("evicted_sessions", 18),
             ("shard_count", 10),

@@ -43,11 +43,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole seconds since the epoch.
-    pub fn as_secs(self) -> u64 {
-        self.0 / 1000
-    }
-
     /// Elapsed time since `earlier`, saturating at zero.
     pub fn since(self, earlier: SimTime) -> u64 {
         self.0.saturating_sub(earlier.0)

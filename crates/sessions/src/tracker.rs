@@ -79,23 +79,23 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// Records one session keeps in its log, and distinct URLs it
+/// remembers for the `Referer` check: one bound on a session's memory.
+/// Its counters keep counting past it.
+const MAX_RECORDS_PER_SESSION: usize = 512;
+
 /// Configuration for [`ShardedTracker`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrackerConfig {
     /// Idle time after which a session is finalized (paper: one hour).
     pub idle_timeout_ms: u64,
-    /// Maximum records retained per session; counters keep counting past
-    /// this bound but the record log stops growing.
-    pub max_records_per_session: usize,
     /// Maximum live sessions; beyond this, the most idle session is
     /// finalized early to bound memory (a DoS guard the paper's design
     /// goal of low memory implies). Under concurrent ingest the bound is
     /// enforced best-effort (racing inserts may briefly overshoot it by
     /// about their number).
     pub max_sessions: usize,
-    /// Minimum requests before a session is eligible for classification
-    /// (paper: more than 10).
-    pub min_requests_to_classify: u64,
     /// Number of key-hash shards the live-session map is split into.
     /// Each shard is an independent map behind its own mutex, so this is
     /// also the ingest concurrency limit. `0` is treated as `1`.
@@ -112,9 +112,7 @@ impl Default for TrackerConfig {
     fn default() -> Self {
         TrackerConfig {
             idle_timeout_ms: 3_600_000,
-            max_records_per_session: 512,
             max_sessions: 100_000,
-            min_requests_to_classify: 10,
             shards: 16,
             max_carries_per_shard: 8_192,
         }
@@ -131,6 +129,8 @@ pub struct Session {
     counters: SessionCounters,
     // BTreeSet, not HashSet: iteration (and Debug) order must be
     // deterministic so identical runs render byte-identical reports.
+    // At most `MAX_RECORDS_PER_SESSION` of them: the first distinct
+    // URLs the session asked for.
     seen_urls: BTreeSet<u64>,
 }
 
@@ -177,11 +177,6 @@ impl Session {
         &self.counters
     }
 
-    /// Whether this session has previously requested `url_hash`.
-    pub fn has_seen(&self, url_hash: u64) -> bool {
-        self.seen_urls.contains(&url_hash)
-    }
-
     /// Requests per second over the session's lifetime (0 for
     /// single-request sessions).
     pub fn request_rate(&self) -> f64 {
@@ -202,7 +197,6 @@ impl Session {
         response: Option<ResponseSummary>,
         sent: Option<u64>,
         now: SimTime,
-        cap: usize,
     ) {
         let referer_seen = request
             .referer()
@@ -213,9 +207,11 @@ impl Session {
         if let Some(sent) = sent {
             rec.bytes = request.wire_len() as u64 + sent;
         }
-        self.seen_urls.insert(rec.url_hash);
+        if self.seen_urls.len() < MAX_RECORDS_PER_SESSION {
+            self.seen_urls.insert(rec.url_hash);
+        }
         self.counters.update(&rec);
-        if self.records.len() < cap {
+        if self.records.len() < MAX_RECORDS_PER_SESSION {
             self.records.push(rec);
         }
         self.last_seen = now;
@@ -544,7 +540,6 @@ fn nominate<E: SessionExt>(shard: &mut Shard<E>, idx: usize, idlest: &mut Idlest
 pub struct EntryGuard<'a, E> {
     session: &'a mut Session,
     ext: &'a mut E,
-    cap: usize,
     recorded: bool,
 }
 
@@ -603,7 +598,7 @@ impl<E> EntryGuard<'_, E> {
         now: SimTime,
     ) {
         debug_assert!(!self.recorded, "one exchange, one record");
-        self.session.observe(request, response, sent, now, self.cap);
+        self.session.observe(request, response, sent, now);
         self.recorded = true;
     }
 }
@@ -904,7 +899,6 @@ impl<E: SessionExt> ShardedTracker<E> {
         let mut guard = EntryGuard {
             session: &mut entry.session,
             ext: &mut entry.ext,
-            cap: self.config.max_records_per_session,
             recorded: false,
         };
         let begun = match gate(&mut guard) {
@@ -997,12 +991,10 @@ impl<E: SessionExt> ShardedTracker<E> {
         let mut shard = self.lock_shard(idx);
         let shard = &mut *shard;
         if let Some(entry) = shard.leased(slot, incarnation) {
-            let cap = self.config.max_records_per_session;
             let r = self.bind(idx, entry, |entry| {
                 let mut guard = EntryGuard {
                     session: &mut entry.session,
                     ext: &mut entry.ext,
-                    cap,
                     recorded: false,
                 };
                 let r = fold(&mut guard);
@@ -1317,12 +1309,6 @@ impl<E: SessionExt> ShardedTracker<E> {
         out
     }
 
-    /// Returns `true` if `session` has enough requests to classify
-    /// (paper: strictly more than 10).
-    pub fn classifiable(&self, session: &Session) -> bool {
-        session.request_count() > self.config.min_requests_to_classify
-    }
-
     /// Makes room for one never-seen key: finalizes the session that has
     /// been idle longest across all shards (ties toward the smaller
     /// key, see [`Shard::coldest`]) as an eviction casualty.
@@ -1546,13 +1532,10 @@ mod tests {
 
     #[test]
     fn record_log_is_bounded_but_counters_continue() {
-        let cfg = TrackerConfig {
-            max_records_per_session: 5,
-            ..TrackerConfig::default()
-        };
-        let t = SessionTracker::new(cfg);
+        let t = SessionTracker::new(TrackerConfig::default());
+        let requests = MAX_RECORDS_PER_SESSION as u64 + 10;
         let mut k = None;
-        for i in 0..10 {
+        for i in 0..requests {
             let key = t.observe(
                 &req(1, "A", &format!("http://h/{i}.html"), None),
                 &ok(),
@@ -1561,8 +1544,39 @@ mod tests {
             k = Some(key);
         }
         let s = t.get(&k.unwrap()).unwrap();
-        assert_eq!(s.records().len(), 5);
-        assert_eq!(s.request_count(), 10);
+        assert_eq!(s.records().len(), MAX_RECORDS_PER_SESSION);
+        assert_eq!(s.request_count(), requests);
+    }
+
+    #[test]
+    fn remembered_urls_are_bounded_like_the_record_log() {
+        // A client that keeps asking for new URLs inside the idle
+        // timeout: the session remembers the first distinct ones only.
+        let t = SessionTracker::new(TrackerConfig::default());
+        let url = |i: u64| format!("http://h/{i}.html");
+        let at = SimTime::from_millis;
+        let mut k = None;
+        for i in 0..2_000 {
+            k = Some(t.observe(&req(1, "A", &url(i), None), &ok(), at(i)));
+        }
+        let key = k.unwrap();
+        let s = t.get(&key).unwrap();
+        assert_eq!(s.records().len(), MAX_RECORDS_PER_SESSION);
+        assert_eq!(s.seen_urls.len(), MAX_RECORDS_PER_SESSION);
+        assert_eq!(s.request_count(), 2_000);
+        // A Referer naming a remembered URL reads seen; one naming a
+        // URL past the bound reads unseen.
+        t.observe(&req(1, "A", "http://h/x", Some(&url(1))), &ok(), at(2_000));
+        assert_eq!(t.get(&key).unwrap().counters().unseen_referer, 0);
+        t.observe(
+            &req(1, "A", "http://h/y", Some(&url(1_500))),
+            &ok(),
+            at(2_001),
+        );
+        let s = t.get(&key).unwrap();
+        assert_eq!(s.counters().with_referer, 2);
+        assert_eq!(s.counters().unseen_referer, 1);
+        assert_eq!(s.seen_urls.len(), MAX_RECORDS_PER_SESSION);
     }
 
     #[test]
@@ -1590,30 +1604,6 @@ mod tests {
         assert_eq!(done.len(), 3);
         let evicted = &done[0];
         assert_eq!(evicted.key().ip(), ClientIp::new(1));
-    }
-
-    #[test]
-    fn classifiable_threshold_is_strictly_greater() {
-        let t = SessionTracker::new(TrackerConfig::default());
-        let mut k = None;
-        for i in 0..10 {
-            k = Some(t.observe(
-                &req(1, "A", &format!("http://h/{i}"), None),
-                &ok(),
-                SimTime::from_secs(i),
-            ));
-        }
-        let key = k.unwrap();
-        assert!(!t.classifiable(&t.get(&key).unwrap()), "10 is not enough");
-        t.observe(
-            &req(1, "A", "http://h/last", None),
-            &ok(),
-            SimTime::from_secs(99),
-        );
-        assert!(
-            t.classifiable(&t.get(&key).unwrap()),
-            "11 requests classify"
-        );
     }
 
     #[test]

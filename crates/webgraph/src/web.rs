@@ -85,11 +85,6 @@ impl Web {
         self.sites.iter()
     }
 
-    /// Number of sites.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
     /// Picks a deterministic pseudo-random site for an agent to start on.
     pub fn pick_site<R: Rng>(&self, rng: &mut R) -> &Site {
         let i = rng.gen_range(0..self.sites.len());
@@ -105,7 +100,7 @@ mod tests {
     fn universe_is_deterministic() {
         let a = Web::generate(&WebConfig::small(), 99);
         let b = Web::generate(&WebConfig::small(), 99);
-        assert_eq!(a.site_count(), b.site_count());
+        assert_eq!(a.sites().count(), b.sites().count());
         for (sa, sb) in a.sites().zip(b.sites()) {
             assert_eq!(sa.host(), sb.host());
             assert_eq!(sa.page_count(), sb.page_count());

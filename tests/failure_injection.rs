@@ -6,7 +6,7 @@ use botwall::detect::{DetectorConfig, EvidenceKind, Reason, Verdict};
 use botwall::gateway::{Decision, Gateway, Origin};
 use botwall::http::request::ClientIp;
 use botwall::http::{wire, HttpError, Method, Request, Uri};
-use botwall::instrument::{InstrumentConfig, ProbeManifest};
+use botwall::instrument::{ProbeManifest, MAX_TOKENS_PER_SESSION};
 use botwall::sessions::{SessionKey, SimTime, TrackerConfig};
 
 const HTML: &str = "<html><head></head><body><p>x</p></body></html>";
@@ -109,13 +109,13 @@ fn guessed_keys_never_validate() {
 }
 
 /// Far more clients and pages than the gateway is sized for: what it
-/// holds for them stays inside `max_sessions` × `max_entries`.
+/// holds for them stays inside `max_sessions` × `MAX_TOKENS_PER_SESSION`.
 #[test]
 fn token_table_pressure_stays_bounded() {
-    let mut instrument = InstrumentConfig::default();
-    instrument.session_tokens.max_entries = 4;
+    // Enforcement off: a client's burst of pages is served, not
+    // throttled, so every page issues its token.
     let gw = Gateway::builder()
-        .instrument(instrument)
+        .enforcement(false)
         .detector(DetectorConfig {
             tracker: TrackerConfig {
                 max_sessions: 100,
@@ -124,15 +124,19 @@ fn token_table_pressure_stays_bounded() {
         })
         .seed(5)
         .build();
-    // 10,000 clients × 8 pages each: far beyond capacity.
-    for c in 0..10_000u32 {
-        for _ in 0..8 {
+    // 1,000 clients × 72 pages each: past both bounds.
+    let pages = MAX_TOKENS_PER_SESSION + 8;
+    for c in 0..1_000u32 {
+        for _ in 0..pages {
             serve_page(&gw, c, HTML, SimTime::from_secs(c as u64));
         }
     }
     let stats = gw.stats();
     assert!(stats.live_sessions <= 100, "{stats:?}");
-    assert!(stats.token_entries <= 400, "{stats:?}");
+    assert!(
+        stats.token_entries <= 100 * MAX_TOKENS_PER_SESSION as u64,
+        "{stats:?}"
+    );
 }
 
 #[test]
