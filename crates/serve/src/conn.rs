@@ -46,7 +46,7 @@
 //! cost a load and a store, and `/admin/stats` serves the totals as
 //! `sys_*`.
 
-use crate::origin::{upstream_request, OriginConn};
+use crate::origin::{upstream_request, OriginConn, ORIGIN_TIMEOUT};
 use crate::pool::{read_available, ReadBuf, Slot};
 use crate::server::{token_of, Worker, WorkerCounters};
 use crate::stats::serve_stats_json;
@@ -58,10 +58,18 @@ use reactor::{Event, Interest, Reactor, Token};
 use std::io::{self, Write};
 use std::net::{IpAddr, SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
+use std::time::Duration;
+
+/// How long a client may go without progress: an idle keep-alive
+/// connection closes, a half-sent request answers `408`, a client that
+/// stops taking its response is dropped.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 pub(crate) struct ClientConn {
     pub(crate) stream: TcpStream,
     pub(crate) peer: ClientIp,
+    /// Whether the peer is this host: only then is `/admin/stats` answered.
+    pub(crate) loopback: bool,
     /// Read accumulation; survives keep-alive requests and is pooled
     /// across connections.
     pub(crate) buf: ReadBuf,
@@ -137,9 +145,9 @@ impl Worker {
                     return;
                 }
                 // A write that outlives the read timeout is a stuck
-                // client; the origin deadline covers `Awaiting`. The
-                // streaming deadline refreshes on every flushed byte, so
-                // firing here means the client stopped draining.
+                // client; the origin deadline covers `Awaiting` and a
+                // drained stream. The deadline refreshes on every flushed
+                // byte, so firing here means the client stopped draining.
                 ClientState::Writing { .. } | ClientState::Streaming { .. } => {
                     self.release_client(slot, c);
                     return;
@@ -191,7 +199,7 @@ impl Worker {
                         let len = request.len();
                         c.out.clear();
                         c.pos = 0;
-                        c.state = self.dispatch(slot, &request, &mut c.out);
+                        c.state = self.dispatch(slot, &request, c.loopback, &mut c.out);
                         c.buf.consume(len);
                     }
                     Ok(None) => {
@@ -199,8 +207,7 @@ impl Worker {
                             return false;
                         }
                         // Waiting for more bytes: refresh the idle clock.
-                        self.reactor
-                            .deadline(token_of(slot), self.config.read_timeout);
+                        self.reactor.deadline(token_of(slot), READ_TIMEOUT);
                         set_interest(
                             &mut self.reactor,
                             &c.stream,
@@ -219,8 +226,7 @@ impl Worker {
                     match write_available(&mut c.stream, &c.out, &mut c.pos, &self.sys) {
                         WriteStep::Done => {}
                         WriteStep::Blocked => {
-                            self.reactor
-                                .deadline(token_of(slot), self.config.read_timeout);
+                            self.reactor.deadline(token_of(slot), READ_TIMEOUT);
                             set_interest(
                                 &mut self.reactor,
                                 &c.stream,
@@ -244,12 +250,13 @@ impl Worker {
                         // the next complete request.
                         continue;
                     }
-                    // A stream: the origin will push more; wait for it.
-                    // The registration stays as it is unless a blocked
+                    // A stream: the origin will push more; wait for it
+                    // under the origin's deadline, which ends a stall as
+                    // a truncation committed with what was relayed. The
+                    // registration stays as it is unless a blocked
                     // write left WRITABLE armed, which a drained socket
                     // would report on every poll.
-                    self.reactor
-                        .deadline(token_of(slot), self.config.read_timeout);
+                    self.reactor.cancel_deadline(token_of(slot));
                     if c.interest == Interest::WRITABLE {
                         set_interest(
                             &mut self.reactor,
@@ -265,15 +272,21 @@ impl Worker {
         }
     }
 
-    /// Routes one request read in place: the admin plane answers
-    /// directly, everything else goes through the gate. An answer is
-    /// staged into `out` (the slot's pooled write buffer, empty); a
-    /// lease parks the client on an origin fetch. Returns the state the
-    /// client moves to.
-    fn dispatch(&mut self, slot: usize, request: &Incoming<'_>, out: &mut Vec<u8>) -> ClientState {
-        let close_after = !(self.config.keep_alive && !self.draining && request.keep_alive());
+    /// Routes one request read in place: the admin plane answers a
+    /// `loopback` peer directly, everything else goes through the gate.
+    /// An answer is staged into `out` (the slot's pooled write buffer,
+    /// empty); a lease parks the client on an origin fetch. Returns the
+    /// state the client moves to.
+    fn dispatch(
+        &mut self,
+        slot: usize,
+        request: &Incoming<'_>,
+        loopback: bool,
+        out: &mut Vec<u8>,
+    ) -> ClientState {
+        let close_after = self.draining || !request.keep_alive();
         let view = request.view();
-        if view.uri().path() == "/admin/stats" {
+        if loopback && view.uri().path() == "/admin/stats" {
             let body = serve_stats_json(&self.gateway.stats(), &self.shared, self.config.threads);
             let resp = Response::builder(StatusCode::OK)
                 .header("Content-Type", "application/json")
@@ -354,8 +367,7 @@ impl Worker {
                 (origin_slot, stream, pos, interest, connected)
             }
         };
-        self.reactor
-            .deadline(token_of(origin_slot), self.config.origin_timeout);
+        self.reactor.deadline(token_of(origin_slot), ORIGIN_TIMEOUT);
         let buf = self.take_read_buf();
         self.slots[origin_slot] = Some(Slot::OriginFetch(Box::new(OriginConn {
             stream,
@@ -384,8 +396,7 @@ impl Worker {
     /// buffer: it is flushed under the read deadline, and the connection
     /// closes after it when `close_after`.
     fn writing(&mut self, slot: usize, close_after: bool) -> ClientState {
-        self.reactor
-            .deadline(token_of(slot), self.config.read_timeout);
+        self.reactor.deadline(token_of(slot), READ_TIMEOUT);
         ClientState::Writing { close_after }
     }
 
@@ -454,6 +465,17 @@ pub(crate) fn client_ip(peer: SocketAddr) -> ClientIp {
     }
 }
 
+/// Whether `peer` is this host: `127.0.0.0/8`, `::1`, or the first mapped
+/// into IPv6. [`client_ip`] cannot tell: it hashes IPv6 peers.
+pub(crate) fn is_loopback(peer: SocketAddr) -> bool {
+    match peer.ip() {
+        IpAddr::V4(v4) => v4.is_loopback(),
+        IpAddr::V6(v6) => v6
+            .to_ipv4_mapped()
+            .map_or(v6.is_loopback(), |v4| v4.is_loopback()),
+    }
+}
+
 /// Writes until done or the socket would block.
 pub(crate) fn write_available(
     stream: &mut impl Write,
@@ -483,6 +505,33 @@ mod tests {
 
     fn key_of(addr: &str) -> ClientIp {
         client_ip(SocketAddr::new(addr.parse().unwrap(), 80))
+    }
+
+    #[test]
+    fn only_a_loopback_peer_reaches_the_admin_plane() {
+        let loopback = |addr: &str| is_loopback(SocketAddr::new(addr.parse().unwrap(), 80));
+        for addr in [
+            "127.0.0.1",
+            "127.255.0.9",
+            "::1",
+            "::ffff:127.0.0.1",
+            "::ffff:127.8.8.8",
+        ] {
+            assert!(loopback(addr), "{addr}");
+        }
+        for addr in [
+            "10.1.2.3",
+            "128.0.0.1",
+            "0.0.0.0",
+            "2001:db8::1",
+            "::",
+            "::ffff:10.1.2.3",
+            // IPv4-compatible, not mapped: a public v6 address.
+            "::127.0.0.1",
+            "fe80::1",
+        ] {
+            assert!(!loopback(addr), "{addr}");
+        }
     }
 
     #[test]

@@ -17,14 +17,18 @@
 //! the default of 1 thread behaves exactly as the single-threaded
 //! server always has.
 //!
-//! * [`Server`] — the event loop; [`ServeConfig`] tunes the connection
-//!   cap, timeouts, keep-alive, and the upstream origin address.
+//! * [`Server`] — the event loop; [`ServeConfig`] sets the connection
+//!   cap, the origin, the reactor threads and the origin pool. The
+//!   timeouts are constants ([`READ_TIMEOUT`], [`ORIGIN_TIMEOUT`],
+//!   [`ORIGIN_POOL_IDLE`]) on one clock a test moves forward
+//!   ([`ShutdownHandle::advance`]); keep-alive is always on.
+//! * `/admin/stats` — the operator plane, for a loopback peer only: one
+//!   JSON snapshot of [`botwall_gateway::GatewayStats`], rendered by
+//!   [`stats::stats_json`]. From elsewhere the path is gated like any.
 //! * [`MockOrigin`] — a deliberately blocking loopback origin with
 //!   per-path latency, for tests/benches/the binary's `--mock-origin`.
 //! * [`client`] — a minimal blocking HTTP client used by the end-to-end
 //!   tests, the loopback bench, and the binary's `--smoke` mode.
-//! * `/admin/stats` — the operator plane: one JSON snapshot of
-//!   [`botwall_gateway::GatewayStats`], rendered by [`stats::stats_json`].
 //!
 //! The `botwall-serve` binary wires a SIGTERM/SIGINT handler to the
 //! reactor's waker, so a signal turns into a clean drain: stop
@@ -45,5 +49,8 @@ pub mod stats;
 
 // Lives in `botwall-http` with the rest of the codec; found here as ever.
 pub use botwall_http::frame;
+pub use conn::READ_TIMEOUT;
 pub use mock::{MockOrigin, MockOriginHandle};
+pub use origin::ORIGIN_TIMEOUT;
+pub use pool::ORIGIN_POOL_IDLE;
 pub use server::{ServeConfig, ServeReport, Server, ShutdownHandle, SysCalls};

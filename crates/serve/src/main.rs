@@ -18,7 +18,6 @@ use botwall_serve::{client, stats, MockOrigin, ServeConfig, Server};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 struct Args {
     listen: String,
@@ -27,12 +26,8 @@ struct Args {
     smoke: bool,
     seed: u64,
     max_connections: usize,
-    read_timeout_ms: u64,
-    origin_timeout_ms: u64,
-    keep_alive: bool,
     threads: usize,
     origin_pool: usize,
-    origin_pool_idle_ms: u64,
 }
 
 impl Args {
@@ -44,78 +39,42 @@ impl Args {
             smoke: false,
             seed: 1,
             max_connections: 256,
-            read_timeout_ms: 10_000,
-            origin_timeout_ms: 10_000,
-            keep_alive: true,
             threads: 1,
             origin_pool: 8,
-            origin_pool_idle_ms: 10_000,
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
-            let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+            let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
-                "--listen" => args.listen = value("--listen")?,
-                "--origin" => args.origin = Some(value("--origin")?),
+                "--listen" => args.listen = value()?,
+                "--origin" => args.origin = Some(value()?),
                 "--mock-origin" => args.mock_origin = true,
                 "--smoke" => {
                     args.smoke = true;
                     args.mock_origin = true;
                     args.listen = "127.0.0.1:0".to_string();
                 }
-                "--seed" => {
-                    args.seed = value("--seed")?
-                        .parse()
-                        .map_err(|_| "--seed takes an integer".to_string())?
-                }
-                "--max-conns" => {
-                    args.max_connections = value("--max-conns")?
-                        .parse()
-                        .map_err(|_| "--max-conns takes an integer".to_string())?
-                }
-                "--read-timeout-ms" => {
-                    args.read_timeout_ms = value("--read-timeout-ms")?
-                        .parse()
-                        .map_err(|_| "--read-timeout-ms takes milliseconds".to_string())?
-                }
-                "--origin-timeout-ms" => {
-                    args.origin_timeout_ms = value("--origin-timeout-ms")?
-                        .parse()
-                        .map_err(|_| "--origin-timeout-ms takes milliseconds".to_string())?
-                }
-                "--no-keep-alive" => args.keep_alive = false,
-                "--origin-pool" => {
-                    args.origin_pool = value("--origin-pool")?
-                        .parse()
-                        .map_err(|_| "--origin-pool takes an integer".to_string())?
-                }
-                "--origin-pool-idle-ms" => {
-                    args.origin_pool_idle_ms = value("--origin-pool-idle-ms")?
-                        .parse()
-                        .map_err(|_| "--origin-pool-idle-ms takes milliseconds".to_string())?
-                }
+                "--seed" => args.seed = integer(&flag, value()?)?,
+                "--max-conns" => args.max_connections = integer(&flag, value()?)?,
+                "--origin-pool" => args.origin_pool = integer(&flag, value()?)?,
                 "--threads" => {
-                    args.threads = value("--threads")?
-                        .parse()
+                    args.threads = integer(&flag, value()?)
                         .ok()
                         .filter(|&n| n >= 1)
-                        .ok_or_else(|| "--threads takes an integer >= 1".to_string())?
+                        .ok_or("--threads takes an integer >= 1")?
                 }
                 "--help" | "-h" => {
                     println!(
                         "botwall-serve: HTTP front door over the botwall gateway\n\n\
-                         --listen ADDR            bind address (default 127.0.0.1:8080)\n\
-                         --origin ADDR            upstream origin to proxy\n\
-                         --mock-origin            start a built-in demo origin\n\
-                         --smoke                  one scripted request against --mock-origin, then exit\n\
-                         --seed N                 gateway seed (default 1)\n\
-                         --max-conns N            concurrent connection cap (default 256)\n\
-                         --read-timeout-ms N      client read/idle timeout (default 10000)\n\
-                         --origin-timeout-ms N    origin fetch timeout (default 10000)\n\
-                         --no-keep-alive          one request per connection\n\
-                         --origin-pool N          idle origin connections kept per reactor, 0 disables (default 8)\n\
-                         --origin-pool-idle-ms N  how long a parked origin connection may idle (default 10000)\n\
-                         --threads N              reactor threads sharing the port via SO_REUSEPORT (default 1)"
+                         --listen ADDR      bind address (default 127.0.0.1:8080)\n\
+                         --origin ADDR      upstream origin to proxy\n\
+                         --mock-origin      start a built-in demo origin\n\
+                         --smoke            one scripted request against --mock-origin, then exit\n\
+                         --seed N           gateway seed (default 1)\n\
+                         --max-conns N      concurrent connection cap (default 256)\n\
+                         --origin-pool N    idle origin connections kept per reactor, 0 disables (default 8)\n\
+                         --threads N        reactor threads sharing the port via SO_REUSEPORT (default 1)\n\n\
+                         Client reads, origin fetches and parked origin connections time out after 10 s."
                     );
                     std::process::exit(0);
                 }
@@ -127,6 +86,13 @@ impl Args {
         }
         Ok(args)
     }
+}
+
+/// `value` as the integer `flag` takes.
+fn integer<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} takes an integer"))
 }
 
 const DEMO_PAGE: &str = "<html><head><title>botwall</title></head>\
@@ -174,13 +140,9 @@ fn main() -> ExitCode {
 
     let config = ServeConfig {
         max_connections: args.max_connections,
-        read_timeout: Duration::from_millis(args.read_timeout_ms),
-        origin_timeout: Duration::from_millis(args.origin_timeout_ms),
-        keep_alive: args.keep_alive,
         origin,
         threads: args.threads,
         origin_pool: args.origin_pool,
-        origin_pool_idle: Duration::from_millis(args.origin_pool_idle_ms),
     };
     let gateway = Arc::new(Gateway::builder().seed(args.seed).build());
     let mut server = match Server::bind(&args.listen, Arc::clone(&gateway), config) {

@@ -23,13 +23,15 @@
 //! O(chunk). Backpressure is explicit: a client backlog over
 //! [`STREAM_HIGH_WATER`] parks the origin's read interest until the
 //! backlog drains below [`STREAM_LOW_WATER`]. A truncated origin
-//! (mid-body EOF, garbage chunk framing, stall past the origin timeout)
+//! (mid-body EOF, garbage chunk framing, stall past [`ORIGIN_TIMEOUT`])
 //! still commits its lease, and the client's stream ends with a close
 //! and *without* the terminal chunk, or short of the length declared —
 //! truncation stays visible, never silently reframed as a complete
 //! message.
 
-use crate::conn::{set_interest, write_available, ClientConn, ClientState, WriteStep};
+use crate::conn::{
+    set_interest, write_available, ClientConn, ClientState, WriteStep, READ_TIMEOUT,
+};
 use crate::frame::{self, BodyDecoder, BodyFraming};
 use crate::pool::{read_available, ReadBuf, Slot};
 use crate::server::{token_of, Worker, STREAM_HIGH_WATER, STREAM_LOW_WATER};
@@ -43,6 +45,12 @@ use reactor::{net, Event, Interest, Reactor};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
+use std::time::Duration;
+
+/// How long an origin fetch may go without progress: before its head,
+/// the lease completes with a synthesized `504`; after it, the stream
+/// ends truncated. Every read that moves the response re-arms it.
+pub const ORIGIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How a step leaves a response stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,8 +278,7 @@ impl Worker {
         o.connected = connected;
         o.reused = false;
         o.saw_byte = false;
-        self.reactor
-            .deadline(token_of(slot), self.config.origin_timeout);
+        self.reactor.deadline(token_of(slot), ORIGIN_TIMEOUT);
         self.slots[slot] = Some(Slot::OriginFetch(o));
     }
 
@@ -281,7 +288,7 @@ impl Worker {
     /// is not the answer (RFC 9110 §15.2; the origin may send `100
     /// Continue` because the client's `Expect` was passed on to it): it
     /// is skipped, and the final head is waited for inside the same
-    /// `origin_timeout`. An origin that closes or sends garbage inside
+    /// [`ORIGIN_TIMEOUT`]. An origin that closes or sends garbage inside
     /// its head, or switches protocols (`101`: no hop here upgrades), is
     /// the `502`.
     fn origin_head_step(&mut self, slot: usize, mut o: Box<OriginConn>, eof: bool) {
@@ -378,8 +385,7 @@ impl Worker {
         };
         // No WRITABLE interest yet: the first step's write is attempted
         // straight away, and `pump` asks for it only if that blocks.
-        self.reactor
-            .deadline(token_of(o.client_slot), self.config.read_timeout);
+        self.reactor.deadline(token_of(o.client_slot), READ_TIMEOUT);
         self.slots[o.client_slot] = Some(Slot::Client(c));
         self.origin_stream_step(slot, o, head.len, eof);
     }
@@ -477,8 +483,7 @@ impl Worker {
         };
         // Progress was made: refresh the stall deadline, then apply
         // backpressure against the client's unsent backlog.
-        self.reactor
-            .deadline(token_of(slot), self.config.origin_timeout);
+        self.reactor.deadline(token_of(slot), ORIGIN_TIMEOUT);
         throttle(&mut self.reactor, slot, &mut o, backlog);
         self.slots[slot] = Some(Slot::OriginFetch(o));
     }

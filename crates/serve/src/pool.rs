@@ -11,7 +11,7 @@
 //! readable while it fetches and while it is parked, so the cached
 //! interest never has to move. A FIN or stray byte while idle therefore
 //! retires a parked connection immediately, each carries an idle
-//! deadline on the reactor's timer wheel (one wheel entry per
+//! deadline ([`ORIGIN_POOL_IDLE`]) on the reactor's timer wheel (one wheel entry per
 //! connection however often it is parked and taken), and takeout probes
 //! liveness with one non-blocking read — the only read the server makes
 //! in order to be told `EAGAIN`, and the price of never handing a
@@ -51,6 +51,11 @@ use crate::server::{token_of, Worker, WorkerCounters};
 use reactor::Interest;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
+
+/// How long a parked origin connection may sit unused before it is
+/// closed: armed on the reactor's timer wheel each time it is parked.
+pub const ORIGIN_POOL_IDLE: Duration = Duration::from_secs(10);
 
 /// Recycled buffers above this size are dropped instead of pooled, so
 /// one multi-megabyte streamed response cannot pin its backlog buffer
@@ -200,8 +205,7 @@ impl Worker {
             &mut interest,
             Interest::READABLE,
         );
-        self.reactor
-            .deadline(token_of(slot), self.config.origin_pool_idle);
+        self.reactor.deadline(token_of(slot), ORIGIN_POOL_IDLE);
         self.recycle(out);
         self.recycle_read(buf);
         self.slots[slot] = Some(Slot::IdleOrigin(IdleOrigin {

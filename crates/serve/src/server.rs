@@ -31,9 +31,10 @@
 //!
 //! # Timeouts and shutdown
 //!
-//! Each client connection carries a read deadline (idle keep-alive
-//! connections close quietly; half-sent requests answer 408) and each
-//! origin fetch carries its own deadline that completes the lease (with
+//! Each client connection carries a read deadline ([`crate::READ_TIMEOUT`]:
+//! idle keep-alive connections close quietly, half-sent requests answer
+//! 408) and each origin fetch carries its own deadline
+//! ([`crate::ORIGIN_TIMEOUT`]) that completes the lease (with
 //! a synthesized 504 before the head, as a truncation after it) —
 //! completing rather than dropping, so the session's in-flight lease
 //! count comes back down and enforcement stays exact.
@@ -42,8 +43,10 @@
 //! wheel holds one entry per live descriptor, not one per arm. Time is
 //! the reactor's per-wakeup stamp, so everything one event batch does,
 //! deadlines and gateway clock alike, happens at one instant; every
-//! reactor counts from the one epoch [`Server::bind`] reads, so a key
-//! served by two reactors never sees its time step backwards.
+//! reactor reads the one [`reactor::Clock`] [`Server::bind`] builds, so
+//! a key served by two reactors never sees its time step backwards, and
+//! [`ShutdownHandle::advance`] moves them all at once: a test reaches an
+//! hour of session time, or a ten-second timeout, without waiting for it.
 //! On shutdown (SIGTERM in the binary, [`ShutdownHandle`] anywhere) the
 //! first reactor to notice fans the signal out through every sibling's
 //! waker; each closes its listener, drops idle connections, and finishes
@@ -51,32 +54,28 @@
 //! once, after every worker has stopped, so every observed session
 //! reaches its final classification no matter which reactor carried it.
 
-use crate::conn::{client_ip, ClientConn, ClientState};
+use crate::conn::{client_ip, is_loopback, ClientConn, ClientState, READ_TIMEOUT};
 use crate::pool::{ReadBuf, Slot};
 use crate::staged::Staged;
 use botwall_gateway::Gateway;
 use botwall_sessions::SimTime;
-use reactor::{net, signals, Counter, Event, Interest, Reactor, ReactorCounters, Token, Waker};
+use reactor::{
+    net, signals, Clock, Counter, Event, Interest, Reactor, ReactorCounters, Token, Waker,
+};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Tuning for one [`Server`].
+/// What a deployment sets on one [`Server`]. The timeouts are constants
+/// ([`crate::READ_TIMEOUT`] and its siblings) that a test reaches by
+/// advancing the server's clock ([`ShutdownHandle::advance`]).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Concurrent-connection cap across every reactor; excess accepts
     /// answer 503 and close.
     pub max_connections: usize,
-    /// How long a connection may sit without completing a request (idle
-    /// keep-alive closes quietly, a half-sent request answers 408).
-    pub read_timeout: Duration,
-    /// How long an origin fetch may run before the lease completes with
-    /// a synthesized 504.
-    pub origin_timeout: Duration,
-    /// Whether connections may carry more than one request.
-    pub keep_alive: bool,
     /// The upstream origin. `None` serves the gateway's instrumentation
     /// traffic and 404s everything ordinary.
     pub origin: Option<SocketAddr>,
@@ -88,22 +87,15 @@ pub struct ServeConfig {
     /// reuse. `0` disables pooling: every origin fetch opens (and
     /// closes) its own connection, exactly the pre-pool behavior.
     pub origin_pool: usize,
-    /// How long a parked origin connection may sit unused before it is
-    /// closed (armed on the reactor's timer wheel at park time).
-    pub origin_pool_idle: Duration,
 }
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             max_connections: 256,
-            read_timeout: Duration::from_secs(10),
-            origin_timeout: Duration::from_secs(10),
-            keep_alive: true,
             origin: None,
             threads: 1,
             origin_pool: 8,
-            origin_pool_idle: Duration::from_secs(10),
         }
     }
 }
@@ -237,19 +229,35 @@ impl SharedCounters {
 }
 
 /// Requests a running server stop: close every listener, finish
-/// in-flight exchanges, drain the gateway. Cloneable and usable from
-/// any thread.
+/// in-flight exchanges, drain the gateway; or moves its clock. Cloneable
+/// and usable from any thread.
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle {
     shared: Arc<SharedCounters>,
     wakers: Vec<Waker>,
     waker_fd: i32,
+    clock: Clock,
 }
 
 impl ShutdownHandle {
     /// Triggers the drain on every reactor.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.wake_all();
+    }
+
+    /// Moves every reactor's clock forward by `by` and wakes them all:
+    /// the next poll fires every deadline the jump passed, runs the
+    /// sweep tick, and hands the gateway the later time. A deadline
+    /// armed after the advance counts from the advanced time, so a
+    /// test advances once it has seen the server arm what it waits for
+    /// (or advances again until the answer arrives).
+    pub fn advance(&self, by: Duration) {
+        self.clock.advance(by);
+        self.wake_all();
+    }
+
+    fn wake_all(&self) {
         for waker in &self.wakers {
             waker.wake();
         }
@@ -301,9 +309,7 @@ pub struct Server {
     workers: Vec<Worker>,
     local_addr: SocketAddr,
     gateway: Arc<Gateway>,
-    shared: Arc<SharedCounters>,
-    wakers: Vec<Waker>,
-    waker_fd: i32,
+    handle: ShutdownHandle,
 }
 
 /// One reactor thread's whole world: its listener, slab, buffer pool,
@@ -315,9 +321,9 @@ pub(crate) struct Worker {
     pub(crate) gateway: Arc<Gateway>,
     pub(crate) config: ServeConfig,
     pub(crate) shared: Arc<SharedCounters>,
-    /// Every worker's waker (own included): whichever reactor notices
-    /// shutdown first fans it out so siblings drain promptly.
-    peer_wakers: Vec<Waker>,
+    /// The server's handle: whichever reactor notices shutdown first
+    /// fans it out through every waker so siblings drain promptly.
+    handle: ShutdownHandle,
     pub(crate) slots: Vec<Option<Slot>>,
     pub(crate) free: Vec<usize>,
     /// Slots freed during the current event batch; merged into `free`
@@ -371,10 +377,10 @@ impl Server {
                 listeners.push(net::tcp_listen_reuseport(local_addr)?);
             }
         }
-        let epoch = Instant::now();
+        let clock = Clock::new();
         let mut reactors = Vec::with_capacity(threads);
         for listener in listeners {
-            let mut reactor = Reactor::with_epoch(epoch)?;
+            let mut reactor = Reactor::with_clock(clock.clone())?;
             reactor.register(&listener, LISTENER, Interest::READABLE)?;
             reactors.push((reactor, listener));
         }
@@ -385,21 +391,24 @@ impl Server {
             })
         });
         let shared = Arc::new(SharedCounters::over(cells.collect()));
+        let handle = ShutdownHandle {
+            shared: Arc::clone(&shared),
+            wakers: reactors
+                .iter()
+                .map(|(reactor, _)| reactor.waker())
+                .collect(),
+            waker_fd: reactors[0].0.waker_fd(),
+            clock,
+        };
         let mut workers = Vec::with_capacity(threads);
-        let mut wakers = Vec::with_capacity(threads);
-        let mut waker_fd = -1;
         for (n, (reactor, listener)) in reactors.into_iter().enumerate() {
-            if waker_fd < 0 {
-                waker_fd = reactor.waker_fd();
-            }
-            wakers.push(reactor.waker());
             workers.push(Worker {
                 reactor,
                 listener: Some(listener),
                 gateway: Arc::clone(&gateway),
                 config: config.clone(),
                 shared: Arc::clone(&shared),
-                peer_wakers: Vec::new(),
+                handle: handle.clone(),
                 slots: Vec::new(),
                 free: Vec::new(),
                 pending_free: Vec::new(),
@@ -413,16 +422,11 @@ impl Server {
                 next_sweep_ms: SWEEP_TICK_MS,
             });
         }
-        for worker in &mut workers {
-            worker.peer_wakers = wakers.clone();
-        }
         Ok(Server {
             workers,
             local_addr,
             gateway,
-            shared,
-            wakers,
-            waker_fd,
+            handle,
         })
     }
 
@@ -431,13 +435,10 @@ impl Server {
         self.local_addr
     }
 
-    /// A handle that stops this server from another thread.
+    /// A handle that stops this server, or advances its clock, from
+    /// another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle {
-            shared: Arc::clone(&self.shared),
-            wakers: self.wakers.clone(),
-            waker_fd: self.waker_fd,
-        }
+        self.handle.clone()
     }
 
     /// Runs every event loop until shutdown completes, then drains the
@@ -467,23 +468,24 @@ impl Server {
             .map(|worker| worker.reactor.interest_changes())
             .sum();
         let drained_sessions = self.gateway.drain().len();
+        let shared = &self.handle.shared;
         Ok(ServeReport {
             interest_changes,
-            sys: self.shared.sys_calls(),
-            connections: self.shared.connections_total.load(Ordering::SeqCst),
-            requests: self.shared.requests_total.load(Ordering::SeqCst),
+            sys: shared.sys_calls(),
+            connections: shared.connections_total.load(Ordering::SeqCst),
+            requests: shared.requests_total.load(Ordering::SeqCst),
             drained_sessions,
-            origin_connects: self.shared.origin_connects.load(Ordering::SeqCst),
-            origin_reuses: self.shared.origin_reuses.load(Ordering::SeqCst),
-            origin_retries: self.shared.origin_retries.load(Ordering::SeqCst),
+            origin_connects: shared.origin_connects.load(Ordering::SeqCst),
+            origin_reuses: shared.origin_reuses.load(Ordering::SeqCst),
+            origin_retries: shared.origin_retries.load(Ordering::SeqCst),
         })
     }
 }
 
 impl Worker {
-    /// The clock of this worker's reactor as the workspace's
-    /// simulated-time type: milliseconds from the reactor's start to
-    /// its last wakeup (no clock read; one batch, one instant).
+    /// The server's clock as the workspace's simulated-time type: its
+    /// reading at this reactor's last wakeup (no clock read; one batch,
+    /// one instant).
     pub(crate) fn now(&self) -> SimTime {
         SimTime::from_millis(self.reactor.now_ms())
     }
@@ -492,10 +494,7 @@ impl Worker {
         let result = self.run_loop();
         if result.is_err() {
             // A dying reactor must not strand its siblings mid-drain.
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-            for waker in &self.peer_wakers {
-                waker.wake();
-            }
+            self.handle.shutdown();
         }
         result
     }
@@ -540,10 +539,7 @@ impl Worker {
         self.draining = true;
         // Whichever waker the signal handler (or handle) reached first,
         // every sibling reactor must notice too.
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for waker in &self.peer_wakers {
-            waker.wake();
-        }
+        self.handle.shutdown();
         // Closing the listener deregisters it and refuses new work.
         self.listener = None;
         // Parked origin connections serve nobody during a drain.
@@ -623,13 +619,13 @@ impl Worker {
                 self.free.push(slot);
                 continue;
             }
-            self.reactor
-                .deadline(token_of(slot), self.config.read_timeout);
+            self.reactor.deadline(token_of(slot), READ_TIMEOUT);
             let buf = self.take_read_buf();
             let out = self.take_buf();
             self.slots[slot] = Some(Slot::Client(ClientConn {
                 stream,
                 peer: client_ip(peer),
+                loopback: is_loopback(peer),
                 buf,
                 out,
                 pos: 0,

@@ -14,10 +14,10 @@ mod support;
 
 use botwall_core::classifier::{Reason, Verdict};
 use botwall_http::request::ClientIp;
+use botwall_serve::READ_TIMEOUT;
 use botwall_sessions::SessionKey;
 use std::io::Write;
 use std::net::TcpListener;
-use std::time::Duration;
 use support::{exchange, get, read_raw, Fixture, ASSET_PATH};
 
 const GIF: &[u8] = &[
@@ -171,10 +171,11 @@ fn the_gates_answers_are_the_bytes_they_always_were() {
 #[test]
 fn the_servers_own_answers_are_the_bytes_they_always_were() {
     // A request that never finishes arriving.
-    let fx = Fixture::start(|c| c.read_timeout = Duration::from_millis(150), || {});
+    let fx = Fixture::start(|_| {}, || {});
     let mut conn = fx.connect();
     conn.write_all(b"GET /index.html HTTP/1.1\r\nUser-Agent: slow")
         .unwrap();
+    fx.advance_until_readable(&conn, READ_TIMEOUT);
     pin(
         "408",
         &read_raw(&mut conn),

@@ -8,64 +8,16 @@ use botwall_gateway::Gateway;
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request, Response, StatusCode};
 use botwall_serve::{
-    client, frame, MockOrigin, MockOriginHandle, ServeConfig, Server, ShutdownHandle,
+    client, frame, MockOrigin, MockOriginHandle, ORIGIN_POOL_IDLE, ORIGIN_TIMEOUT, READ_TIMEOUT,
 };
 use botwall_sessions::SessionKey;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-const PAGE: &str = "<html><head><title>t</title></head>\
-<body><p>content</p><a href=\"/about.html\">about</a></body></html>";
-
-struct Fixture {
-    gateway: Arc<Gateway>,
-    addr: SocketAddr,
-    shutdown: ShutdownHandle,
-    server: JoinHandle<std::io::Result<botwall_serve::ServeReport>>,
-    _origin: Option<MockOriginHandle>,
-}
-
-impl Fixture {
-    /// Default gateway + mock origin serving `PAGE` at /index.html.
-    fn standard() -> Fixture {
-        let origin = MockOrigin::new().page("/index.html", PAGE).start().unwrap();
-        let origin_addr = origin.addr();
-        Fixture::with(
-            Gateway::builder().seed(42).build(),
-            |config| config.origin = Some(origin_addr),
-            Some(origin),
-        )
-    }
-
-    fn with(
-        gateway: Gateway,
-        tune: impl FnOnce(&mut ServeConfig),
-        origin: Option<MockOriginHandle>,
-    ) -> Fixture {
-        let gateway = Arc::new(gateway);
-        let mut config = ServeConfig::default();
-        tune(&mut config);
-        let mut server = Server::bind("127.0.0.1:0", Arc::clone(&gateway), config).unwrap();
-        let addr = server.local_addr();
-        let shutdown = server.shutdown_handle();
-        let server = std::thread::spawn(move || server.run());
-        Fixture {
-            gateway,
-            addr,
-            shutdown,
-            server,
-            _origin: origin,
-        }
-    }
-
-    fn finish(self) -> botwall_serve::ServeReport {
-        self.shutdown.shutdown();
-        self.server.join().unwrap().unwrap()
-    }
-}
+mod support;
+use support::{Fixture, PAGE};
 
 fn request(path: &str, ua: &str) -> Request {
     Request::builder(Method::Get, path)
@@ -257,6 +209,12 @@ fn pages_use_chunked_framing_on_the_wire() {
 /// so the session's in-flight count returns to zero.
 #[test]
 fn truncated_origin_stream_is_not_reframed_as_complete() {
+    for threads in [1, 2] {
+        a_truncated_origin_stream_stays_truncated(threads);
+    }
+}
+
+fn a_truncated_origin_stream_stays_truncated(threads: usize) {
     let paragraph = "<p>soon to be cut off mid sentence</p>\n";
     let mut page = String::from("<html><head></head><body>");
     while page.len() < 256 * 1024 {
@@ -272,7 +230,10 @@ fn truncated_origin_stream_is_not_reframed_as_complete() {
     let origin_addr = origin.addr();
     let fx = Fixture::with(
         Gateway::builder().seed(10).build(),
-        |config| config.origin = Some(origin_addr),
+        |config| {
+            config.origin = Some(origin_addr);
+            config.threads = threads;
+        },
         Some(origin),
     );
     let ua = "Mozilla/5.0 e2e-truncated";
@@ -290,13 +251,13 @@ fn truncated_origin_stream_is_not_reframed_as_complete() {
     fx.finish();
 
     // An asset under a `Content-Length` the origin never honours: cut
-    // by a close mid-body, or by a stall past `origin_timeout`. The
+    // by a close mid-body, or by a stall past `ORIGIN_TIMEOUT`. The
     // client reads the head as declared, fewer bytes than it declares,
     // and then a close; what it was sent is what the ledger says; and
     // the origin connection is dropped on the spot, not parked.
     const DECLARED: usize = 100_000;
     const SENT: usize = 40_000;
-    for stall in [Duration::ZERO, Duration::from_secs(3)] {
+    for stalls in [false, true] {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let origin_addr = listener.local_addr().unwrap();
         let origin = std::thread::spawn(move || {
@@ -308,18 +269,18 @@ fn truncated_origin_stream_is_not_reframed_as_complete() {
             );
             conn.write_all(head.as_bytes()).unwrap();
             conn.write_all(&[0x5A; SENT]).unwrap();
-            if stall.is_zero() {
+            if !stalls {
                 return true;
             }
             // Whether the server hangs up before the origin gives up.
-            conn.set_read_timeout(Some(stall)).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
             matches!(std::io::Read::read(&mut conn, &mut [0u8; 1]), Ok(0))
         });
         let fx = Fixture::with(
             Gateway::builder().seed(10).build(),
             |config| {
                 config.origin = Some(origin_addr);
-                config.origin_timeout = Duration::from_millis(300);
+                config.threads = threads;
             },
             None,
         );
@@ -328,7 +289,19 @@ fn truncated_origin_stream_is_not_reframed_as_complete() {
         let mut conn = TcpStream::connect(fx.addr).unwrap();
         client::send_request(&mut conn, &req).unwrap();
         let started = Instant::now();
+        // Everything the origin sent, then (a stall) time past the
+        // deadline its last byte armed.
         let mut raw = Vec::new();
+        let mut piece = [0u8; 16 * 1024];
+        while frame::response_head(&raw)
+            .unwrap()
+            .is_none_or(|head| raw.len() < head.len + SENT)
+        {
+            let n = std::io::Read::read(&mut conn, &mut piece).unwrap();
+            assert!(n > 0, "closed before what the origin sent arrived");
+            raw.extend_from_slice(&piece[..n]);
+        }
+        fx.advance_until_readable(&conn, ORIGIN_TIMEOUT);
         read_to_end(&mut conn, &mut raw);
         assert!(
             started.elapsed() < Duration::from_secs(2),
@@ -914,6 +887,12 @@ fn one_slow_origin_stalls_only_its_own_connection() {
 
 #[test]
 fn origin_timeout_answers_504_and_releases_the_lease() {
+    for threads in [1, 2] {
+        an_origin_timeout_answers_504(threads);
+    }
+}
+
+fn an_origin_timeout_answers_504(threads: usize) {
     let origin = MockOrigin::new()
         .page("/index.html", PAGE)
         .latency("/index.html", Duration::from_millis(3000))
@@ -924,13 +903,16 @@ fn origin_timeout_answers_504_and_releases_the_lease() {
         Gateway::builder().seed(4).build(),
         |config| {
             config.origin = Some(origin_addr);
-            config.origin_timeout = Duration::from_millis(300);
+            config.threads = threads;
         },
         Some(origin),
     );
     let ua = "Mozilla/5.0 e2e-504";
     let started = Instant::now();
-    let response = get(fx.addr, "/index.html", ua);
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    client::send_request(&mut conn, &request("/index.html", ua)).unwrap();
+    fx.advance_until_readable(&conn, ORIGIN_TIMEOUT);
+    let response = client::read_response(&mut conn).unwrap();
     assert_eq!(response.status(), StatusCode::GATEWAY_TIMEOUT);
     assert!(
         started.elapsed() < Duration::from_millis(2000),
@@ -995,17 +977,20 @@ fn malformed_requests_answer_400_and_close() {
 
 #[test]
 fn a_half_sent_request_times_out_with_408() {
-    let fx = Fixture::with(
-        Gateway::builder().seed(6).build(),
-        |config| config.read_timeout = Duration::from_millis(150),
-        None,
-    );
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
-    conn.write_all(b"GET /index.html HTTP/1.1\r\nUser-Agent: slow")
-        .unwrap();
-    let response = client::read_response(&mut conn).unwrap();
-    assert_eq!(response.status(), StatusCode::REQUEST_TIMEOUT);
-    fx.finish();
+    for threads in [1, 2] {
+        let fx = Fixture::with(
+            Gateway::builder().seed(6).build(),
+            |config| config.threads = threads,
+            None,
+        );
+        let mut conn = TcpStream::connect(fx.addr).unwrap();
+        conn.write_all(b"GET /index.html HTTP/1.1\r\nUser-Agent: slow")
+            .unwrap();
+        fx.advance_until_readable(&conn, READ_TIMEOUT);
+        let response = client::read_response(&mut conn).unwrap();
+        assert_eq!(response.status(), StatusCode::REQUEST_TIMEOUT);
+        fx.finish();
+    }
 }
 
 /// Sequential page fetches against a keep-alive origin ride one
@@ -1200,6 +1185,13 @@ fn garbage_on_a_parked_connection_never_bleeds_into_a_response() {
 /// live-connection gauge watches both happen.
 #[test]
 fn pool_cap_and_idle_deadline_bound_parked_connections() {
+    for threads in [1, 2] {
+        the_pool_cap_and_idle_deadline_bound(threads);
+    }
+}
+
+fn the_pool_cap_and_idle_deadline_bound(threads: usize) {
+    const POOL: usize = 2;
     let origin = MockOrigin::new()
         .page("/index.html", PAGE)
         .latency("/index.html", Duration::from_millis(200))
@@ -1212,8 +1204,8 @@ fn pool_cap_and_idle_deadline_bound_parked_connections() {
         Gateway::builder().seed(33).build(),
         |config| {
             config.origin = Some(origin_addr);
-            config.origin_pool = 2;
-            config.origin_pool_idle = Duration::from_millis(800);
+            config.origin_pool = POOL;
+            config.threads = threads;
         },
         None, // held locally so the test can watch live_conns
     );
@@ -1232,19 +1224,17 @@ fn pool_cap_and_idle_deadline_bound_parked_connections() {
     for client in clients {
         assert_eq!(client.join().unwrap().status(), StatusCode::OK);
     }
-    // Connections over the cap close as they finish; at most two stay
-    // parked. (Give the origin's threads a beat to observe the closes.)
+    // Connections over the cap close as they finish; at most two a
+    // reactor stay parked. (Give the origin's threads a beat to observe
+    // the closes.)
     std::thread::sleep(Duration::from_millis(200));
     let parked = live(&origin);
     assert!(
-        (1..=2).contains(&parked),
-        "pool cap 2 must bound parked connections, saw {parked}"
+        (1..=POOL * threads).contains(&parked),
+        "pool cap {POOL} must bound parked connections, saw {parked}"
     );
     // The idle deadline evicts the rest without any new traffic.
-    let deadline = Instant::now() + Duration::from_secs(3);
-    while live(&origin) > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    fx.advance_until(ORIGIN_POOL_IDLE, || live(&origin) == 0);
     assert_eq!(live(&origin), 0, "idle deadline evicts parked connections");
     let report = fx.finish();
     assert_eq!(report.origin_connects + report.origin_reuses, 4);
@@ -1698,7 +1688,7 @@ fn syscall_budget_the_timer_wheel_is_bounded_by_live_descriptors() {
 /// An origin that frames its page by closing the connection: the
 /// hang-up event reads to EOF in the wakeup that delivered it, whether
 /// the FIN rode with the body or came later, so the page's terminal
-/// chunk never waits for `origin_timeout`.
+/// chunk never waits for `ORIGIN_TIMEOUT`.
 #[test]
 fn a_close_delimited_origin_response_completes_at_the_fin() {
     let fin_timings = [Duration::ZERO, Duration::from_millis(150)];
@@ -1723,10 +1713,7 @@ fn a_close_delimited_origin_response_completes_at_the_fin() {
         });
         let fx = Fixture::with(
             Gateway::builder().seed(38).build(),
-            |config| {
-                config.origin = Some(origin_addr);
-                config.origin_timeout = Duration::from_secs(8);
-            },
+            |config| config.origin = Some(origin_addr),
             None,
         );
         let started = Instant::now();
@@ -1818,7 +1805,7 @@ fn read_head(conn: &mut TcpStream) -> String {
 /// whatever length it declares or fails to. Each is answered the moment
 /// its head arrives, with the origin's head; the client's connection
 /// carries the next request, and so does the origin's. (Before the relay
-/// knew this, `HEAD` for an asset waited out `origin_timeout` for five
+/// knew this, `HEAD` for an asset waited out `ORIGIN_TIMEOUT` for five
 /// bytes that were never coming and answered 504, and `HEAD` for a page
 /// minted a token and opened a chunked stream only the deadline ended.)
 /// That next request is for a page the origin does not have, and its
@@ -1874,10 +1861,7 @@ fn a_response_without_a_body_is_answered_at_once_with_the_origins_head() {
     });
     let fx = Fixture::with(
         Gateway::builder().seed(40).build(),
-        |config| {
-            config.origin = Some(origin_addr);
-            config.origin_timeout = Duration::from_secs(5);
-        },
+        |config| config.origin = Some(origin_addr),
         None,
     );
     let ua = "Mozilla/5.0 e2e-bodiless";
@@ -2331,10 +2315,11 @@ fn a_client_that_half_closes_after_its_request_is_still_answered() {
     fx.finish();
 }
 
-/// The live server sweeps: with a one-second idle timeout and a
+/// The live server sweeps: with the paper's one-hour idle timeout and a
 /// 24-session cap, forty one-request clients come and go while one
-/// client never stops asking. Nobody calls `sweep`; the reactors' own
-/// ticks must classify the evicted and the idle while traffic flows.
+/// client keeps asking. Nobody calls `sweep`; the reactors' own ticks
+/// must classify the evicted and, once the clock has moved past the
+/// hour, the idle while traffic flows.
 fn the_live_server_sweeps_under_load(threads: usize) {
     use botwall_core::DetectorConfig;
     use botwall_sessions::TrackerConfig;
@@ -2351,7 +2336,6 @@ fn the_live_server_sweeps_under_load(threads: usize) {
             .seed(16)
             .detector(DetectorConfig {
                 tracker: TrackerConfig {
-                    idle_timeout_ms: 1_000,
                     max_sessions: CAP as usize,
                     ..TrackerConfig::default()
                 },
@@ -2390,20 +2374,24 @@ fn the_live_server_sweeps_under_load(threads: usize) {
     assert_eq!(stat(&stats, "evicted_sessions"), VISITORS + 1 - CAP);
     assert!(stat(&stats, "live_sessions") <= CAP);
 
-    // The resident keeps the server busy; the visitors go idle, and the
-    // ticks finalize them, a shard a slice.
-    let deadline = Instant::now() + Duration::from_secs(20);
+    // The visitors go idle past the hour while the resident, asking
+    // every forty minutes, never does; then the ticks finalize them, a
+    // shard a slice, while the resident keeps the server busy. Its
+    // keep-alive connection does not outlive the read timeout.
     let mut seen_live = Vec::new();
-    let stats = loop {
+    for _ in 0..2 {
+        fx.advance(Duration::from_secs(40 * 60));
+        conn = TcpStream::connect(fx.addr).unwrap();
         ask(&mut conn);
-        let stats = admin_stats();
-        seen_live.push(stat(&stats, "live_sessions"));
-        if stat(&stats, "completed_sessions") == VISITORS {
-            break stats;
-        }
-        assert!(Instant::now() < deadline, "never swept: {stats}");
-        std::thread::sleep(Duration::from_millis(5));
-    };
+    }
+    let mut last = String::new();
+    fx.advance_until(Duration::from_millis(100), || {
+        ask(&mut conn);
+        last = admin_stats();
+        seen_live.push(stat(&last, "live_sessions"));
+        stat(&last, "completed_sessions") == VISITORS
+    });
+    let stats = last;
     assert_eq!(
         stat(&stats, "live_sessions"),
         1,
@@ -2447,4 +2435,163 @@ fn the_live_server_sweeps_under_load_on_one_reactor() {
 #[test]
 fn the_live_server_sweeps_under_load_on_two_reactors() {
     the_live_server_sweeps_under_load(2);
+}
+
+/// What an hour of session time does to a session that is still live:
+/// the tick's maintenance walk purges what outlived its one-hour TTL, a
+/// page's token (`challenge` false) or a challenge record the session
+/// never answered (`challenge` true), and leaves the session alone. An
+/// asset every forty minutes keeps it live and renews neither.
+fn the_tick_purges_an_hour_old_record_from_a_live_session(threads: usize, challenge: bool) {
+    const ASSET: &str = "/style.css";
+    let origin = MockOrigin::new()
+        .page("/index.html", PAGE)
+        .asset(ASSET, b"body{}")
+        .start()
+        .unwrap();
+    let origin_addr = origin.addr();
+    let fx = Fixture::with(
+        Gateway::builder()
+            .seed(50)
+            .captcha(botwall_captcha::ServingPolicy::MandatoryUnderAttack)
+            .build(),
+        |config| {
+            config.origin = Some(origin_addr);
+            config.threads = threads;
+        },
+        Some(origin),
+    );
+    let ua = "Mozilla/5.0 e2e-ttl";
+    let held = |stats: botwall_gateway::GatewayStats| {
+        if challenge {
+            stats.pending_challenges
+        } else {
+            stats.token_entries
+        }
+    };
+    // The page, or under attack the interstitial in its place.
+    fx.gateway.set_under_attack(challenge);
+    let first = get(fx.addr, "/index.html", ua).status();
+    assert_eq!(first == StatusCode::FORBIDDEN, challenge, "{first}");
+    fx.gateway.set_under_attack(false);
+    assert_eq!(held(fx.gateway.stats()), 1);
+    for _ in 0..2 {
+        fx.advance(Duration::from_secs(40 * 60));
+        assert_eq!(get(fx.addr, ASSET, ua).status(), StatusCode::OK);
+        assert_eq!(fx.gateway.stats().live_sessions, 1);
+    }
+    // Eighty minutes on: the record is past its hour, the session is not.
+    fx.advance_until(Duration::from_millis(100), || held(fx.gateway.stats()) == 0);
+    let stats = fx.gateway.stats();
+    assert_eq!((held(stats), stats.live_sessions), (0, 1));
+    assert_eq!(stats.completed_sessions, 0);
+    fx.finish();
+}
+
+#[test]
+fn the_tick_purges_an_hour_old_token_from_a_live_session_on_one_reactor() {
+    the_tick_purges_an_hour_old_record_from_a_live_session(1, false);
+}
+
+#[test]
+fn the_tick_purges_an_hour_old_token_from_a_live_session_on_two_reactors() {
+    the_tick_purges_an_hour_old_record_from_a_live_session(2, false);
+}
+
+#[test]
+fn the_tick_purges_an_hour_old_challenge_from_a_live_session_on_one_reactor() {
+    the_tick_purges_an_hour_old_record_from_a_live_session(1, true);
+}
+
+#[test]
+fn the_tick_purges_an_hour_old_challenge_from_a_live_session_on_two_reactors() {
+    the_tick_purges_an_hour_old_record_from_a_live_session(2, true);
+}
+
+/// Advances the clock past the paper's one-hour idle timeout and on
+/// until the tick has finalized one more session.
+fn idle_past_the_hour(fx: &Fixture) {
+    let before = fx.gateway.stats().completed_sessions;
+    fx.advance(Duration::from_secs(60 * 60));
+    fx.advance_until(Duration::from_millis(100), || {
+        fx.gateway.stats().completed_sessions == before + 1
+    });
+}
+
+/// A client idle past the hour is finalized by the tick, not by any
+/// request of its own; when it comes back it is a new incarnation,
+/// counting its requests from one.
+fn an_idle_client_returns_as_a_new_incarnation(threads: usize) {
+    let fx = Fixture::on_reactors(threads, 51);
+    let ua = "Mozilla/5.0 e2e-idle";
+    let key = loopback_key(ua);
+    let requests = || {
+        fx.gateway
+            .detector()
+            .with_key_state(&key, |session, _| session.request_count())
+    };
+    for _ in 0..3 {
+        assert_eq!(get(fx.addr, "/index.html", ua).status(), StatusCode::OK);
+    }
+    assert_eq!(requests(), Some(3));
+    idle_past_the_hour(&fx);
+    let stats = fx.gateway.stats();
+    assert_eq!((stats.completed_sessions, stats.live_sessions), (1, 0));
+    assert_eq!(requests(), None, "finalized, not waiting for its key");
+    assert_eq!(get(fx.addr, "/index.html", ua).status(), StatusCode::OK);
+    assert_eq!(requests(), Some(1), "the count restarts");
+    let report = fx.finish();
+    assert_eq!(report.drained_sessions, 1, "only the new incarnation");
+}
+
+#[test]
+fn an_idle_client_is_finalized_and_returns_as_a_new_incarnation_on_one_reactor() {
+    an_idle_client_returns_as_a_new_incarnation(1);
+}
+
+#[test]
+fn an_idle_client_is_finalized_and_returns_as_a_new_incarnation_on_two_reactors() {
+    an_idle_client_returns_as_a_new_incarnation(2);
+}
+
+/// What a blocked client meets when it idles past the hour: the tick
+/// finalizes its session, and a swept key starts clean, so it is served
+/// again. A block carries over a rollover (a key that returns before
+/// anything swept it: `blocked_sessions_stay_blocked_across_idle_rollover`
+/// in the gateway's tests), but on the live server the tick sweeps an
+/// idle key within a rotation of its shards, long before it could
+/// return past the hour. This pins the design as it stands.
+fn a_blocked_client_idle_past_the_hour_starts_clean(threads: usize) {
+    let fx = Fixture::on_reactors(threads, 52);
+    let ua = "scraper/1.0 e2e-blocked-idle";
+    let key = loopback_key(ua);
+    assert_eq!(get(fx.addr, "/index.html", ua).status(), StatusCode::OK);
+    fx.gateway
+        .detector()
+        .with_key_state(&key, |_, state| state.policy.block());
+    assert_eq!(
+        get(fx.addr, "/index.html", ua).status(),
+        StatusCode::FORBIDDEN
+    );
+    assert!(fx.gateway.is_blocked(&key));
+    idle_past_the_hour(&fx);
+    assert!(
+        !fx.gateway.is_blocked(&key),
+        "the sweep took the block along"
+    );
+    assert_eq!(get(fx.addr, "/index.html", ua).status(), StatusCode::OK);
+    assert!(!fx.gateway.is_blocked(&key));
+    let stats = fx.gateway.stats();
+    assert_eq!((stats.blocked, stats.completed_sessions), (1, 1));
+    fx.finish();
+}
+
+#[test]
+fn a_blocked_client_idle_past_the_hour_returns_clean_on_one_reactor() {
+    a_blocked_client_idle_past_the_hour_starts_clean(1);
+}
+
+#[test]
+fn a_blocked_client_idle_past_the_hour_returns_clean_on_two_reactors() {
+    a_blocked_client_idle_past_the_hour_starts_clean(2);
 }

@@ -10,66 +10,13 @@ use botwall_core::classifier::Verdict;
 use botwall_gateway::Gateway;
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request, Response, StatusCode};
-use botwall_serve::{client, MockOrigin, MockOriginHandle, ServeConfig, Server, ShutdownHandle};
+use botwall_serve::{client, MockOrigin};
 use botwall_sessions::SessionKey;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-const PAGE: &str = "<html><head><title>t</title></head>\
-<body><p>content</p><a href=\"/about.html\">about</a></body></html>";
-
-struct Fixture {
-    gateway: Arc<Gateway>,
-    addr: SocketAddr,
-    shutdown: ShutdownHandle,
-    server: JoinHandle<std::io::Result<botwall_serve::ServeReport>>,
-    _origin: Option<MockOriginHandle>,
-}
-
-impl Fixture {
-    /// Default gateway + mock origin serving `PAGE`, with `threads`
-    /// reactors behind one port.
-    fn standard(threads: usize, seed: u64) -> Fixture {
-        let origin = MockOrigin::new().page("/index.html", PAGE).start().unwrap();
-        let origin_addr = origin.addr();
-        Fixture::with(
-            Gateway::builder().seed(seed).build(),
-            |config| {
-                config.origin = Some(origin_addr);
-                config.threads = threads;
-            },
-            Some(origin),
-        )
-    }
-
-    fn with(
-        gateway: Gateway,
-        tune: impl FnOnce(&mut ServeConfig),
-        origin: Option<MockOriginHandle>,
-    ) -> Fixture {
-        let gateway = Arc::new(gateway);
-        let mut config = ServeConfig::default();
-        tune(&mut config);
-        let mut server = Server::bind("127.0.0.1:0", Arc::clone(&gateway), config).unwrap();
-        let addr = server.local_addr();
-        let shutdown = server.shutdown_handle();
-        let server = std::thread::spawn(move || server.run());
-        Fixture {
-            gateway,
-            addr,
-            shutdown,
-            server,
-            _origin: origin,
-        }
-    }
-
-    fn finish(self) -> botwall_serve::ServeReport {
-        self.shutdown.shutdown();
-        self.server.join().unwrap().unwrap()
-    }
-}
+mod support;
+use support::{Fixture, PAGE};
 
 fn request(path: &str, ua: &str) -> Request {
     Request::builder(Method::Get, path)
@@ -118,7 +65,7 @@ fn quoted_paths(text: &str) -> Vec<String> {
 /// state lives in the one shared gateway, not in any reactor.
 #[test]
 fn verdicts_converge_across_reactors() {
-    let fx = Fixture::standard(2, 21);
+    let fx = Fixture::on_reactors(2, 21);
     let ua = "scraper/1.0 mr-converge";
     let body = body_str(&get(fx.addr, "/index.html", ua));
     let decoy = quoted_paths(&body)
@@ -296,7 +243,7 @@ fn origin_pools_are_per_worker_and_counters_merge() {
 /// left in flight, and the merged report adds up.
 #[test]
 fn shutdown_drains_all_reactors_and_classifies_each_session_once() {
-    let fx = Fixture::standard(4, 24);
+    let fx = Fixture::on_reactors(4, 24);
     let agents = [
         "Mozilla/5.0 mr-drain-a",
         "Mozilla/5.0 mr-drain-b",

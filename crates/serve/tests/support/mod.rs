@@ -1,6 +1,7 @@
-//! What `alloc_budget.rs` and `answer_bytes.rs` share: a server on a
-//! thread of its own, raw request bytes, a response read back exactly as
-//! it was sent, and a browser's walk to every probe of a page.
+//! What the serve tests share: a server on a thread of its own whose
+//! clock the test drives, raw request bytes, a response read back
+//! exactly as it was sent, and a browser's walk to every probe of a
+//! page.
 
 #![allow(dead_code)]
 
@@ -8,10 +9,11 @@ use botwall_gateway::Gateway;
 use botwall_serve::{
     MockOrigin, MockOriginHandle, ServeConfig, ServeReport, Server, ShutdownHandle,
 };
-use std::io::{Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// The page every fixture's origin serves at `/index.html`.
 pub const PAGE: &str = "<html><head><title>t</title></head>\
@@ -38,19 +40,62 @@ pub const ASSET: &[u8] = b"sixteen bytes ok";
 /// Where [`ASSET`] is.
 pub const ASSET_PATH: &str = "/asset.bin";
 
-/// A running server, its gateway and (when it has one) its origin.
+/// A running server on a thread of its own, its gateway, the handle
+/// that stops it and drives its clock, and (when it owns one) its
+/// origin.
 pub struct Fixture {
     pub gateway: Arc<Gateway>,
     pub addr: SocketAddr,
     shutdown: ShutdownHandle,
-    server: JoinHandle<std::io::Result<ServeReport>>,
+    server: JoinHandle<io::Result<ServeReport>>,
     _origin: Option<MockOriginHandle>,
 }
 
+/// How many times [`Fixture::advance_until`] and
+/// [`Fixture::advance_until_readable`] advance before they give up.
+const ROUNDS: u32 = 500;
+
+/// How long those two wait after each advance for its effect to show:
+/// the reactors wake, and the test's own peers (a mock origin's
+/// threads) notice what the server did.
+const PACE: Duration = Duration::from_millis(10);
+
 impl Fixture {
-    /// A seed-42 gateway in front of an origin serving [`PAGE`], `tune`
-    /// applied to the server's config, and `on_thread` run first on the
-    /// server's own thread (the one reactor runs there).
+    /// `gateway` behind a server configured by `tune`, holding `origin`
+    /// (if given) until the fixture is dropped.
+    pub fn with(
+        gateway: Gateway,
+        tune: impl FnOnce(&mut ServeConfig),
+        origin: Option<MockOriginHandle>,
+    ) -> Fixture {
+        Fixture::spawn(gateway, tune, origin, || {})
+    }
+
+    /// A seed-42 gateway on one reactor in front of an origin serving
+    /// [`PAGE`] at `/index.html`.
+    pub fn standard() -> Fixture {
+        Fixture::on_reactors(1, 42)
+    }
+
+    /// A gateway seeded `seed` on `threads` reactors behind one port, in
+    /// front of an origin serving [`PAGE`] at `/index.html`.
+    pub fn on_reactors(threads: usize, seed: u64) -> Fixture {
+        let origin = MockOrigin::new().page("/index.html", PAGE).start().unwrap();
+        let origin_addr = origin.addr();
+        Fixture::with(
+            Gateway::builder().seed(seed).build(),
+            |config| {
+                config.origin = Some(origin_addr);
+                config.threads = threads;
+            },
+            Some(origin),
+        )
+    }
+
+    /// A seed-42 gateway in front of an origin serving [`PAGE`], the
+    /// [`BIG_PATHS`] and [`ASSET`], `tune` applied to the server's
+    /// config, and `on_thread` run first on the server's own thread (the
+    /// one reactor runs there).
     pub fn start(tune: impl FnOnce(&mut ServeConfig), on_thread: fn()) -> Fixture {
         let [whole, chunked, bytes] = BIG_PATHS;
         let origin = MockOrigin::new()
@@ -63,11 +108,26 @@ impl Fixture {
             .chunked(bytes, 1)
             .start()
             .unwrap();
-        let gateway = Arc::new(Gateway::builder().seed(42).build());
-        let mut config = ServeConfig {
-            origin: Some(origin.addr()),
-            ..ServeConfig::default()
-        };
+        let origin_addr = origin.addr();
+        Fixture::spawn(
+            Gateway::builder().seed(42).build(),
+            |config| {
+                config.origin = Some(origin_addr);
+                tune(config);
+            },
+            Some(origin),
+            on_thread,
+        )
+    }
+
+    fn spawn(
+        gateway: Gateway,
+        tune: impl FnOnce(&mut ServeConfig),
+        origin: Option<MockOriginHandle>,
+        on_thread: fn(),
+    ) -> Fixture {
+        let gateway = Arc::new(gateway);
+        let mut config = ServeConfig::default();
         tune(&mut config);
         let mut server = Server::bind("127.0.0.1:0", Arc::clone(&gateway), config).unwrap();
         let addr = server.local_addr();
@@ -81,12 +141,45 @@ impl Fixture {
             addr,
             shutdown,
             server,
-            _origin: Some(origin),
+            _origin: origin,
         }
     }
 
     pub fn connect(&self) -> TcpStream {
         TcpStream::connect(self.addr).unwrap()
+    }
+
+    /// Moves the server's clock forward by `by`, waking every reactor.
+    pub fn advance(&self, by: Duration) {
+        self.shutdown.advance(by);
+    }
+
+    /// Advances the clock by `step` until `done` holds: for what the
+    /// server does on its own once time has passed (a deadline, the
+    /// sweep tick's next slice). An advance that lands before the
+    /// server armed what it is waiting for moves nothing for it, so one
+    /// advance may not be enough.
+    pub fn advance_until(&self, step: Duration, mut done: impl FnMut() -> bool) {
+        for _ in 0..ROUNDS {
+            self.advance(step);
+            std::thread::sleep(PACE);
+            if done() {
+                return;
+            }
+        }
+        panic!("nothing came of {ROUNDS} advances of {step:?}");
+    }
+
+    /// Advances the clock by `step` until `conn` has something to read
+    /// (or is closed): the answer a deadline sends.
+    pub fn advance_until_readable(&self, conn: &TcpStream, step: Duration) {
+        conn.set_read_timeout(Some(PACE)).unwrap();
+        self.advance_until(step, || match conn.peek(&mut [0u8; 1]) {
+            Ok(_) => true,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => false,
+            Err(e) => panic!("{e}"),
+        });
+        conn.set_read_timeout(None).unwrap();
     }
 
     pub fn finish(self) -> ServeReport {

@@ -25,10 +25,14 @@
 //!
 //! # The clock
 //!
-//! The reactor reads the monotonic clock once per wakeup, when
-//! `epoll_wait` returns. [`Reactor::now_ms`] and [`Reactor::deadline`]
-//! use that stamp: everything done while handling one batch of events
-//! happens at the batch's instant, and a deadline counts from it.
+//! The reactor reads its [`Clock`] once per wakeup, when `epoll_wait`
+//! returns. [`Reactor::now_ms`] and [`Reactor::deadline`] use that
+//! stamp: everything done while handling one batch of events happens at
+//! the batch's instant, and a deadline counts from it. A clock is the
+//! monotonic time since its epoch plus a skew that [`Clock::advance`]
+//! moves forward: reactors built on clones of one clock read one time
+//! base, and a test that advances it (then wakes the reactors) has every
+//! deadline the jump passed fire on the next poll, with no sleeping.
 //!
 //! # Counting
 //!
@@ -480,6 +484,58 @@ impl Timer {
     };
 }
 
+/// A monotonic millisecond clock that a test can move forward: the time
+/// since an epoch plus a skew shared by every clone. A reading costs an
+/// `Instant` read and one relaxed atomic load; nothing allocates.
+///
+/// # Examples
+///
+/// ```
+/// use reactor::Clock;
+/// use std::time::Duration;
+///
+/// let clock = Clock::new();
+/// let sibling = clock.clone();
+/// clock.advance(Duration::from_secs(3600));
+/// assert!(sibling.now_ms() >= 3_600_000);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Clock {
+    epoch: Instant,
+    skew_ms: Arc<AtomicU64>,
+}
+
+impl Clock {
+    /// A clock that reads zero now and has not been advanced.
+    pub fn new() -> Clock {
+        Clock {
+            epoch: Instant::now(),
+            skew_ms: Arc::default(),
+        }
+    }
+
+    /// Milliseconds since the epoch, plus every advance so far.
+    pub fn now_ms(&self) -> u64 {
+        self.epoch.elapsed().as_millis() as u64 + self.skew_ms.load(Ordering::Relaxed)
+    }
+
+    /// Moves this clock and every clone of it forward by `by`. A reactor
+    /// blocked in [`Reactor::poll`] sees the jump when it next wakes; wake
+    /// it ([`Waker::wake`]) to have its deadlines fire at once.
+    pub fn advance(&self, by: Duration) {
+        // Relaxed: the skew publishes no other data; it only ever grows,
+        // and every later reading includes it.
+        self.skew_ms
+            .fetch_add(by.as_millis() as u64, Ordering::Relaxed);
+    }
+}
+
+impl Default for Clock {
+    fn default() -> Clock {
+        Clock::new()
+    }
+}
+
 // Not `derive(Debug)`: the scratch buffer holds raw kernel events with
 // no useful rendering (and a packed struct cannot derive Debug anyway).
 /// A minimal epoll event loop: registrations, one poll call, a coarse
@@ -505,8 +561,8 @@ pub struct Reactor {
     epfd: RawFd,
     waker_rx: UnixStream,
     waker_tx: Arc<UnixStream>,
-    origin: Instant,
-    /// Milliseconds from `origin` to the last wakeup.
+    clock: Clock,
+    /// The clock's reading at the last wakeup.
     now_ms: u64,
     /// Timer wheel: tick → tokens with an entry that tick.
     wheel: BTreeMap<u64, Vec<Token>>,
@@ -530,14 +586,14 @@ impl Reactor {
     /// Opens the epoll instance and the waker pipe; the reactor's clock
     /// counts from now.
     pub fn new() -> io::Result<Reactor> {
-        Reactor::with_epoch(Instant::now())
+        Reactor::with_clock(Clock::new())
     }
 
-    /// [`Reactor::new`] with a clock that counts from `epoch`: reactors
-    /// built on one epoch read one clock, however far apart they were
-    /// built, so a session served by two of them never sees its time
-    /// step backwards.
-    pub fn with_epoch(epoch: Instant) -> io::Result<Reactor> {
+    /// [`Reactor::new`] on `clock`: reactors built on clones of one clock
+    /// read one time base, however far apart they were built, so a
+    /// session served by two of them never sees its time step backwards,
+    /// and one [`Clock::advance`] moves them all.
+    pub fn with_clock(clock: Clock) -> io::Result<Reactor> {
         let epfd = unsafe { ffi::epoll_create1(ffi::EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
@@ -555,8 +611,8 @@ impl Reactor {
             epfd,
             waker_rx,
             waker_tx: Arc::new(waker_tx),
-            origin: epoch,
-            now_ms: epoch.elapsed().as_millis() as u64,
+            now_ms: clock.now_ms(),
+            clock,
             wheel: BTreeMap::new(),
             timers: Vec::new(),
             scratch: vec![ffi::EpollEvent { events: 0, data: 0 }; 256],
@@ -570,12 +626,12 @@ impl Reactor {
         Ok(r)
     }
 
-    /// Milliseconds from this reactor's epoch (its creation, unless it
-    /// was built [`Reactor::with_epoch`]) to its last wakeup (the moment
-    /// [`Reactor::poll`] last came back from the kernel) — the
-    /// monotonic clock the timer wheel runs on, exposed so callers can
-    /// stamp their own state on the same time base. It does not advance
-    /// between polls: the clock is read once per wakeup, not per call.
+    /// This reactor's [`Clock`] (its own since its creation, unless it
+    /// was built [`Reactor::with_clock`]) as read at its last wakeup (the
+    /// moment [`Reactor::poll`] last came back from the kernel) — the
+    /// time the timer wheel runs on, exposed so callers can stamp their
+    /// own state on the same time base. It does not advance between
+    /// polls: the clock is read once per wakeup, not per call.
     pub fn now_ms(&self) -> u64 {
         self.now_ms
     }
@@ -729,7 +785,7 @@ impl Reactor {
             )
         };
         // The one clock read of this wakeup.
-        self.now_ms = self.origin.elapsed().as_millis() as u64;
+        self.now_ms = self.clock.now_ms();
         if n < 0 {
             let err = io::Error::last_os_error();
             if err.kind() != io::ErrorKind::Interrupted {
@@ -824,10 +880,10 @@ mod tests {
 
     #[test]
     fn reactors_built_apart_on_one_epoch_read_one_clock() {
-        let epoch = Instant::now();
-        let mut early = Reactor::with_epoch(epoch).unwrap();
+        let clock = Clock::new();
+        let mut early = Reactor::with_clock(clock.clone()).unwrap();
         std::thread::sleep(Duration::from_millis(25));
-        let mut late = Reactor::with_epoch(epoch).unwrap();
+        let mut late = Reactor::with_clock(clock).unwrap();
         let mut own = reactor();
         let mut events = Vec::new();
         for r in [&mut early, &mut late, &mut own] {
@@ -838,6 +894,32 @@ mod tests {
         assert!(late.abs_diff(early) <= TICK_MS, "{early} vs {late}");
         // A reactor counting from its own build is behind by the gap.
         assert!(late - own >= 25, "{late} vs {own}");
+    }
+
+    #[test]
+    fn an_advance_fires_every_deadline_it_passes_at_the_next_wakeup() {
+        let clock = Clock::new();
+        let mut r = Reactor::with_clock(clock.clone()).unwrap();
+        r.deadline(Token(1), Duration::from_secs(10));
+        r.deadline(Token(2), Duration::from_secs(20));
+        let mut events = Vec::new();
+        let waker = r.waker();
+        clock.advance(Duration::from_secs(15));
+        waker.wake();
+        let start = Instant::now();
+        r.poll(&mut events, None).unwrap();
+        let fired: Vec<_> = events.iter().filter(|e| e.timer).map(|e| e.token).collect();
+        assert_eq!(fired, [Token(1)], "only the deadline the jump passed");
+        assert!(r.now_ms() >= 15_000, "{}", r.now_ms());
+        clock.advance(Duration::from_secs(5));
+        waker.wake();
+        r.poll(&mut events, None).unwrap();
+        let fired: Vec<_> = events.iter().filter(|e| e.timer).map(|e| e.token).collect();
+        assert_eq!(fired, [Token(2)]);
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "no poll waited for the time it was told had passed"
+        );
     }
 
     #[test]
