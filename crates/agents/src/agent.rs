@@ -3,7 +3,6 @@
 use crate::world::ClientWorld;
 use botwall_http::BrowserFamily;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Ground-truth identity of a traffic source.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// e-mail harvesters, and vulnerability testers — plus the benign-but-
 /// robotic sources (crawlers, offline browsers) and the adversarial
 /// JS-capable bot of §4.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AgentKind {
     /// A human driving the given browser family.
     Human(BrowserFamily),

@@ -6,10 +6,9 @@
 //! fetch and execute scripts, and most fetch `/favicon.ico` once.
 
 use botwall_http::BrowserFamily;
-use serde::{Deserialize, Serialize};
 
 /// The asset-fetching behaviour of one browser configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrowserProfile {
     /// Which family the browser belongs to (drives the User-Agent).
     pub family: BrowserFamily,

@@ -18,10 +18,9 @@ use botwall_captcha::SolverProfile;
 use botwall_http::UserAgent;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Tunables for the human model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HumanConfig {
     /// Pages visited per session (min, max).
     pub pages: (u32, u32),

@@ -23,10 +23,9 @@ use crate::world::{ClientWorld, FetchSpec};
 use botwall_http::{Uri, UserAgent};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`HeadlessBrowser`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeadlessConfig {
     /// Pages per session.
     pub pages: u32,

@@ -190,7 +190,7 @@ impl Client {
 
     /// The session key the gateway files this client under.
     pub fn key(&self) -> SessionKey {
-        SessionKey::new(self.ip, self.user_agent.clone())
+        SessionKey::new(self.ip, &self.user_agent)
     }
 
     /// What the client's requests have come to so far.

@@ -13,11 +13,10 @@ use crate::experiments::codeen_config;
 use botwall_agents::Population;
 use botwall_codeen::network::Network;
 use botwall_core::Label;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Per-adversary detection scores.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdversaryRow {
     /// Ground-truth kind name (`AgentKind::name`).
     pub kind: String,
@@ -32,7 +31,7 @@ pub struct AdversaryRow {
 }
 
 /// The escalation eval: one row per robot kind plus the human scores.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
     /// Sessions driven.
     pub sessions: u32,

@@ -19,7 +19,6 @@ use botwall_webgraph::{SiteConfig, WebConfig};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 
 /// The default experiment seed (the paper's collection start date,
 /// grouped as yyyy_mm_dd).
@@ -54,7 +53,7 @@ pub fn run_table1(sessions: u32, seed: u64) -> (Table1Report, RunReport) {
 /// §3.1 CAPTCHA-passer cross-statistics: of sessions that passed the
 /// CAPTCHA, which share executed JS and fetched CSS (paper: 95.8% and
 /// 99.2%).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CaptchaCrossStats {
     /// CAPTCHA-passing sessions.
     pub passers: u64,
@@ -161,7 +160,7 @@ pub fn run_table2(corpus_sessions: u32, seed: u64) -> Vec<(Attribute, f64)> {
 }
 
 /// The §3.2 overhead result.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OverheadResult {
     /// Total simulated bytes.
     pub total_bytes: u64,
@@ -182,7 +181,7 @@ pub fn run_overhead(sessions: u32, seed: u64) -> OverheadResult {
 }
 
 /// One row of the decoy-count ablation.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DecoyRow {
     /// Decoy count `m`.
     pub m: usize,
@@ -235,7 +234,7 @@ pub fn run_decoys(trials: u32, seed: u64) -> Vec<DecoyRow> {
 }
 
 /// One row of the staged-pipeline ablation.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StagedRow {
     /// Strategy name.
     pub strategy: &'static str,
@@ -305,7 +304,7 @@ pub fn run_staged(sessions: u32, seed: u64) -> Vec<StagedRow> {
 }
 
 /// One row of the ML ablation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MlAblationRow {
     /// Classifier name.
     pub name: String,

@@ -3,10 +3,9 @@
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A single challenge: a distorted rendering of a secret answer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Challenge {
     /// Unique id for correlating answers.
     pub id: u64,
@@ -19,7 +18,6 @@ pub struct Challenge {
     // Never serialized: a challenge travels to the client (e.g. inside a
     // gateway `Decision::Challenge`), and shipping the expected answer
     // alongside the puzzle would let any bot solve every challenge.
-    #[serde(skip)]
     answer: String,
 }
 

@@ -10,10 +10,9 @@
 
 use crate::challenge::Challenge;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How an agent population behaves when offered a challenge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverProfile {
     /// Probability the agent bothers to attempt an *optional* challenge.
     /// The paper's incentive (higher bandwidth) produced a 9.1% session

@@ -1,13 +1,12 @@
 //! CAPTCHA serving strategies.
 
 use crate::challenge::Challenge;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// When challenges are offered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServingPolicy {
     /// The paper's deployment: optional, incentivized with a bandwidth
     /// boost, offered at most once per session.

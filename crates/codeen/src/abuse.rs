@@ -10,10 +10,9 @@
 
 use crate::network::SessionSummary;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Complaint-model tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComplaintConfig {
     /// Probability each delivered abusive request *beyond the noise
     /// floor* draws a complaint.
@@ -39,7 +38,7 @@ impl Default for ComplaintConfig {
 }
 
 /// Complaints attributed per class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ComplaintTally {
     /// Complaints caused by robot traffic.
     pub robot: u32,

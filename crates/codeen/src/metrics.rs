@@ -1,10 +1,8 @@
 //! Bandwidth and outcome accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// Byte-level accounting for the §3.2 overhead claim (probe traffic was
 /// 0.3% of CoDeeN's total bandwidth).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BandwidthLedger {
     /// Total bytes moved (requests + responses).
     pub total_bytes: u64,
@@ -31,7 +29,7 @@ impl BandwidthLedger {
 }
 
 /// Per-node request outcome tallies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Requests served normally.
     pub allowed: u64,

@@ -11,11 +11,10 @@ use botwall_webgraph::{Web, WebConfig};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Ground-truth summary of one simulated session.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SessionSummary {
     /// Which node served it.
     pub node: u32,

@@ -21,10 +21,9 @@ use crate::node::Deployment;
 use botwall_agents::Population;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// One month of the replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonthRow {
     /// Month index: 0 = Jan 2005 … 12 = Jan 2006.
     pub month: u32,

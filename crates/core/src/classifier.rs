@@ -14,7 +14,6 @@
 //! mouse event or CAPTCHA pass short-circuits to Human.
 
 use crate::evidence::{EvidenceKind, EvidenceSet};
-use serde::{Deserialize, Serialize};
 
 /// Requests a session must exceed to be classified at all: the paper's
 /// noise rule counts only sessions of more than 10 requests (§3.1).
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 pub(crate) const MIN_REQUESTS_TO_CLASSIFY: u64 = 10;
 
 /// A final binary label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Label {
     /// Traffic judged human-originated.
     Human,
@@ -32,7 +31,7 @@ pub enum Label {
 }
 
 /// Why a verdict was reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reason {
     /// Valid mouse-event beacon: human activity detected (§2.1).
     MouseActivity,
@@ -60,7 +59,7 @@ pub enum Reason {
 }
 
 /// An online verdict: confidence grows as evidence accumulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Not enough evidence either way.
     Undecided,

@@ -54,10 +54,9 @@ use botwall_instrument::{Classified, KeyOutcome, ProbeKind, Sighting, TokenState
 use botwall_sessions::{
     Finalized, Session, SessionExt, SessionKey, ShardedTracker, SimTime, TrackerConfig,
 };
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`Detector`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DetectorConfig {
     /// Session tracking parameters (idle timeout, session cap, shards).
     pub tracker: TrackerConfig,
@@ -66,7 +65,7 @@ pub struct DetectorConfig {
 /// What the detector made of one recorded exchange: reported by
 /// [`Detector::gate`] for an answer it gave, and by
 /// [`Detector::commit_exchange`] for an origin serve.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObserveOutcome {
     /// The session this exchange belongs to.
     pub key: SessionKey,
@@ -75,14 +74,10 @@ pub struct ObserveOutcome {
     /// applied in batch at flush (see the module docs), so a session with
     /// only CSS/JS evidence reads `Undecided` here.
     pub verdict: Verdict,
-    /// Whether the verdict changed on this exchange.
-    pub transitioned: bool,
-    /// The request index within the session.
-    pub request_index: u32,
 }
 
 /// A finished session with its evidence and final label.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompletedSession {
     /// The underlying session (records + counters).
     pub session: Session,
@@ -101,7 +96,7 @@ pub struct CompletedSession {
 /// it has burned. Colocated in [`KeyState`], replacing the old global
 /// issue-table mutex — matching, clearing, and attempt counting all
 /// happen under the session's shard lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChallengeState {
     /// The outstanding challenge's id.
     pub id: u64,
@@ -345,8 +340,6 @@ pub enum Gated<T> {
     Done {
         /// The observation after folding the exchange.
         outcome: ObserveOutcome,
-        /// The policy gate's decision.
-        action: Action,
         /// The respond callback's payload.
         value: T,
         /// The tracker shard the session lives in.
@@ -358,7 +351,7 @@ pub enum Gated<T> {
 
 /// A session leased across an origin fetch: the tracker lease (key +
 /// incarnation stamp) plus the gate-phase resolution the commit needs
-/// — the classified sighting and the pre-exchange snapshot. Holds no
+/// — the classified sighting and the pre-exchange verdict. Holds no
 /// lock and no entry state; dropping it abandons the exchange (it is
 /// never recorded) without leaking anything.
 #[derive(Debug)]
@@ -367,23 +360,12 @@ pub struct OriginLease {
     lease: botwall_sessions::ExchangeLease,
     classified: Classified,
     verdict: Verdict,
-    request_count: u64,
 }
 
 impl OriginLease {
     /// The leased session's key.
     pub fn key(&self) -> &SessionKey {
         self.lease.key()
-    }
-
-    /// The session's fast-path verdict as of the gate (pre-exchange).
-    pub fn verdict(&self) -> Verdict {
-        self.verdict
-    }
-
-    /// How many requests the session had recorded when the gate ran.
-    pub fn request_count(&self) -> u64 {
-        self.request_count
     }
 
     /// The tracker shard the leased session lives in.
@@ -546,42 +528,31 @@ impl Detector {
                     // 4. Record the exchange and fold its evidence.
                     entry.record(request, Some(response), now);
                     let (session, state) = entry.parts();
-                    let folded = fold_exchange(state, session, &classified, agent, now);
-                    Gate::Finish((action, value, folded))
+                    let verdict = fold_exchange(state, session, &classified, agent, now);
+                    Gate::Finish((value, verdict))
                 }
                 GateRespond::NeedsOrigin => {
-                    let (session, state) = entry.parts();
+                    let state = entry.ext();
                     // The lease is in flight from this moment: later
                     // gates for the same key fold it into their
                     // thresholds even though it commits only when the
                     // origin answers.
                     state.in_flight += 1;
-                    Gate::Lease((classified, state.verdict, session.request_count()))
+                    Gate::Lease((classified, state.verdict))
                 }
             }
         });
         match begun {
-            Begun::Finished((action, value, (verdict, transitioned, request_index))) => {
-                Gated::Done {
-                    outcome: ObserveOutcome {
-                        key,
-                        verdict,
-                        transitioned,
-                        request_index,
-                    },
-                    action,
-                    value,
-                    shard,
-                }
-            }
-            Begun::Leased((classified, verdict, request_count), lease) => {
-                Gated::NeedsOrigin(OriginLease {
-                    lease,
-                    classified,
-                    verdict,
-                    request_count,
-                })
-            }
+            Begun::Finished((value, verdict)) => Gated::Done {
+                outcome: ObserveOutcome { key, verdict },
+                value,
+                shard,
+            },
+            Begun::Leased((classified, verdict), lease) => Gated::NeedsOrigin(OriginLease {
+                lease,
+                classified,
+                verdict,
+            }),
         }
     }
 
@@ -613,11 +584,10 @@ impl Detector {
             lease,
             classified,
             verdict,
-            request_count,
         } = lease;
         let key = lease.key().clone();
         let agent = request.user_agent();
-        let (verdict, transitioned, request_index) = self.tracker.commit(
+        let verdict = self.tracker.commit(
             lease,
             request,
             now,
@@ -653,16 +623,11 @@ impl Detector {
                         carry.lost_at = now;
                     }
                 }
-                // Best available observation: the pre-exchange snapshot.
-                (verdict, false, request_count as u32 + 1)
+                // Best available observation: the pre-exchange verdict.
+                verdict
             },
         );
-        ObserveOutcome {
-            key,
-            verdict,
-            transitioned,
-            request_index,
-        }
+        ObserveOutcome { key, verdict }
     }
 
     /// Runs `f` against a leased session's live state **without
@@ -833,18 +798,17 @@ fn classified_kinds(classified: &Classified, user_agent: Option<&str>) -> Eviden
 /// Folds one recorded exchange's evidence into the key state and updates
 /// the fast-path verdict. Runs under the session's shard lock (called
 /// from [`Detector::gate`] and [`Detector::commit_exchange`]); the
-/// session's counters already include the exchange. Returns
-/// `(verdict, transitioned, request_index)`.
+/// session's counters already include the exchange. Returns the
+/// verdict after the fold.
 fn fold_exchange(
     state: &mut KeyState,
     session: &Session,
     classified: &Classified,
     user_agent: Option<&str>,
     now: SimTime,
-) -> (Verdict, bool, u32) {
+) -> Verdict {
     let request_count = session.request_count();
     let index = request_count as u32;
-    let prev = state.verdict;
 
     let mut hard = false;
     for kind in classified_kinds(classified, user_agent).iter() {
@@ -882,7 +846,7 @@ fn fold_exchange(
             state.verdict = Verdict::ProvisionalRobot(Reason::JsWithoutMouse);
         }
     }
-    (state.verdict, prev != state.verdict, index)
+    state.verdict
 }
 
 #[cfg(test)]
@@ -1006,13 +970,14 @@ mod tests {
         let p = pipeline();
         let ua = "Mozilla/5.0 Firefox/1.5";
         // Page fetch: the beacon key is minted into client 1's session.
-        let manifest = p.page(1, ua, SimTime::ZERO);
+        let page = req(1, "http://h/index.html", ua);
+        let (before, manifest) = p.exchange(&page, SimTime::ZERO, true);
+        assert_eq!(before.verdict, Verdict::Undecided);
         // Beacon fetch after mouse movement.
-        let beacon = manifest.mouse_beacon.unwrap();
+        let beacon = manifest.unwrap().mouse_beacon.unwrap();
         let out = p.fetch(1, &beacon.to_string(), ua, SimTime::from_secs(2));
         assert_eq!(out.verdict, Verdict::Human(Reason::MouseActivity));
-        assert!(out.transitioned);
-        assert_eq!(out.request_index, 2);
+        assert_eq!(p.det.tracker().get(&out.key).unwrap().request_count(), 2);
     }
 
     #[test]
@@ -1224,7 +1189,6 @@ mod tests {
         assert_eq!(last, Verdict::ProvisionalRobot(Reason::NoBrowserSignals));
         let out = p.fetch(15, &css.to_string(), "Mozilla/5.0", SimTime::from_secs(20));
         assert_eq!(out.verdict, Verdict::Undecided, "promotion premise gone");
-        assert!(out.transitioned);
         let done = p.det.drain();
         assert_eq!(done[0].label, Label::Human);
     }
@@ -1271,14 +1235,9 @@ mod tests {
     }
 
     /// Unwraps a fused gate result.
-    fn done<T>(gated: Gated<T>) -> (ObserveOutcome, Action, T) {
+    fn done<T>(gated: Gated<T>) -> (ObserveOutcome, T) {
         match gated {
-            Gated::Done {
-                outcome,
-                action,
-                value,
-                ..
-            } => (outcome, action, value),
+            Gated::Done { outcome, value, .. } => (outcome, value),
             Gated::NeedsOrigin(lease) => panic!("unexpected lease for {:?}", lease.key()),
         }
     }
@@ -1307,18 +1266,20 @@ mod tests {
                     0,
                     "the gate must see pre-exchange counters"
                 );
-                assert_eq!(action, Action::Allow, "first exchange passes");
                 assert_eq!(classified, &Classified::Ordinary);
-                GateRespond::Respond(ok(), 7u32)
+                GateRespond::Respond(ok(), (action, 7u32))
             },
         );
-        let (out, action, seen) = done(gated);
+        let (out, (action, seen)) = done(gated);
         assert_eq!(seen, 7);
-        assert_eq!(action, Action::Allow);
-        assert_eq!(out.request_index, 1, "the exchange was recorded");
-        let recorded = p.det.tracker().get(&out.key).unwrap().records()[0].clone();
-        assert_eq!(recorded.status_class, 2, "with what it was answered");
-        assert_eq!(p.det.tracker().get(&out.key).unwrap().request_count(), 1);
+        assert_eq!(action, Action::Allow, "first exchange passes");
+        let session = p.det.tracker().get(&out.key).unwrap();
+        assert_eq!(session.request_count(), 1, "the exchange was recorded");
+        assert_eq!(
+            session.records()[0].status_class,
+            2,
+            "with what it was answered"
+        );
     }
 
     #[test]
@@ -1336,8 +1297,7 @@ mod tests {
                 GateRespond::<()>::NeedsOrigin
             },
         ));
-        assert_eq!(lease.request_count(), 0);
-        assert_eq!(lease.verdict(), Verdict::Undecided);
+        assert_eq!(p.det.verdict(lease.key()), Verdict::Undecided);
         // Nothing recorded while the origin fetch is in flight — and the
         // shard is free: the detector is fully reentrant here, even for
         // the same key.
@@ -1349,7 +1309,6 @@ mod tests {
             .commit_exchange(lease, &r.view(), ok(), 0, SimTime::from_secs(2));
         // The live lease commits through the fold path, behind the
         // interleaved exchange.
-        assert_eq!(out.request_index, 2);
         assert_eq!(tracker.get(&out.key).unwrap().request_count(), 2);
     }
 
@@ -1392,15 +1351,16 @@ mod tests {
                 &policy,
                 |action, _, _, _| {
                     if action == Action::Allow {
-                        GateRespond::<()>::NeedsOrigin
+                        GateRespond::NeedsOrigin
                     } else {
-                        GateRespond::Respond(Response::empty(StatusCode::FORBIDDEN).summary(), ())
+                        let forbidden = Response::empty(StatusCode::FORBIDDEN).summary();
+                        GateRespond::Respond(forbidden, action)
                     }
                 },
             );
             match gated {
                 Gated::NeedsOrigin(lease) => leases.push(lease),
-                Gated::Done { action, .. } => {
+                Gated::Done { value: action, .. } => {
                     assert_eq!(action, Action::Block, "burst must block, not throttle");
                     blocked_at = Some(i);
                     break;
@@ -1561,7 +1521,7 @@ mod tests {
         // the fused single-lock path, never leased.
         let beacon = botwall_instrument::beacon::encode("h", key);
         let r1 = req(31, &beacon.to_string(), "Mozilla/5.0");
-        let (out, _, ()) = done(p.det.gate(
+        let (out, ()) = done(p.det.gate(
             &r1.view(),
             &Sighting::MouseBeacon(key),
             SimTime::from_secs(1),
@@ -1591,15 +1551,14 @@ mod tests {
         // Two hours idle: the return request starts a new incarnation,
         // but the carried block must gate it immediately.
         let later = SimTime::from_hours(2);
-        let (out, action, ()) = done(p.det.gate(
+        let (out, action) = done(p.det.gate(
             &r.view(),
             &Sighting::Ordinary,
             later,
             true,
             &p.policy,
             |action, _, _, _| {
-                assert_eq!(action, Action::Block);
-                GateRespond::Respond(Response::empty(StatusCode::FORBIDDEN).summary(), ())
+                GateRespond::Respond(Response::empty(StatusCode::FORBIDDEN).summary(), action)
             },
         ));
         assert_eq!(action, Action::Block);

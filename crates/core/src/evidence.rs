@@ -6,10 +6,9 @@
 //! Figure 2 plots ("number of requests required to detect").
 
 use botwall_sessions::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A detection signal observed within a session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvidenceKind {
     /// Fetched the injected empty CSS probe (standard-browser behaviour).
     DownloadedCss,
@@ -123,7 +122,7 @@ impl EvidenceKinds {
 }
 
 /// First observation of one evidence kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Observation {
     /// 1-based request index within the session when first observed.
     pub at_request: u32,
@@ -148,7 +147,7 @@ pub struct Observation {
 /// assert_eq!(e.first(EvidenceKind::DownloadedCss).unwrap().at_request, 3);
 /// assert_eq!(e.count(EvidenceKind::DownloadedCss), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EvidenceSet {
     entries: Vec<(EvidenceKind, Observation, u32)>,
 }

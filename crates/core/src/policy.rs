@@ -16,10 +16,9 @@
 
 use crate::classifier::Verdict;
 use botwall_sessions::{SessionCounters, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// What the policy engine decides for one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// Serve normally.
     Allow,
@@ -30,7 +29,7 @@ pub enum Action {
 }
 
 /// Tunables for [`PolicyEngine`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyConfig {
     /// Sustained requests/second allowed for robot-classified sessions.
     pub robot_rate_per_sec: f64,
@@ -67,7 +66,7 @@ impl Default for PolicyConfig {
 }
 
 /// A classic token bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TokenBucket {
     capacity: f64,
     tokens: f64,

@@ -2,7 +2,6 @@
 
 use crate::detector::CompletedSession;
 use crate::evidence::EvidenceKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The Table-1 session breakdown plus the §3.1 human-set bounds.
@@ -10,7 +9,7 @@ use std::fmt;
 /// The paper reports, over 929,922 sessions: CSS 28.9%, JS 27.1%, mouse
 /// 22.3%, CAPTCHA 9.1%, hidden links 1.0%, browser-type mismatch 0.7%;
 /// `S_H` = 24.2% with lower bound 22.3% and max false-positive rate 2.4%.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Table1Report {
     /// Sessions considered (those above the >10-request noise floor).
     pub total_sessions: u64,
@@ -143,7 +142,7 @@ impl fmt::Display for Table1Report {
 }
 
 /// An empirical CDF over "requests needed to detect" values (Figure 2).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RequestCdf {
     sorted: Vec<u32>,
 }
@@ -189,7 +188,7 @@ impl RequestCdf {
 }
 
 /// The three Figure-2 CDFs: CSS files, JavaScript files, mouse events.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Figure2Report {
     /// First-detection indices for CSS probe downloads.
     pub css: RequestCdf,

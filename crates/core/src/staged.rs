@@ -20,10 +20,9 @@
 use crate::classifier::{self, Label};
 use crate::evidence::{EvidenceKind, EvidenceSet};
 use botwall_sessions::Session;
-use serde::{Deserialize, Serialize};
 
 /// Which stage produced a decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Hard evidence (mouse event, CAPTCHA, decoy, hidden link, replay,
     /// mismatch) decided immediately.
@@ -37,7 +36,7 @@ pub enum Stage {
 }
 
 /// A staged decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StagedDecision {
     /// The label assigned.
     pub label: Label,
@@ -74,7 +73,7 @@ where
 }
 
 /// Configuration for [`StagedPipeline`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StagedConfig {
     /// The browser test is trusted once a session has at least this many
     /// requests without contradicting signals (Figure 2: CSS downloads

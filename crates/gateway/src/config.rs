@@ -2,25 +2,23 @@
 
 use crate::gateway::Gateway;
 use botwall_captcha::ServingPolicy;
-use botwall_core::{DetectorConfig, PolicyConfig};
+use botwall_core::DetectorConfig;
 use botwall_instrument::InstrumentConfig;
-use serde::{Deserialize, Serialize};
 
 /// Everything a [`Gateway`] is parameterized by.
 ///
 /// Each field mirrors one stage of the paper's deployment: page
 /// instrumentation (§2), sessionized detection (§3.1), policy
-/// enforcement (§3.2) and CAPTCHA serving (§4.2). The §4.1 machine
-/// learning stage is not here: like the paper's, it runs offline over
-/// completed sessions (`botwall_core::staged`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// enforcement (§3.2) and CAPTCHA serving (§4.2). Enforcement runs on
+/// the default [`PolicyConfig`](botwall_core::PolicyConfig) thresholds.
+/// The §4.1 machine learning stage is not here: like the paper's, it
+/// runs offline over completed sessions (`botwall_core::staged`).
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatewayConfig {
     /// Page-rewriting / probe configuration.
     pub instrument: InstrumentConfig,
     /// Detection engine configuration (session tracking inside).
     pub detector: DetectorConfig,
-    /// Rate-limiting and behavioural-blocking thresholds.
-    pub policy: PolicyConfig,
     /// When CAPTCHAs are offered (and whether solving is compulsory).
     pub captcha: ServingPolicy,
     /// Whether the policy engine gates requests at all. Off reproduces
@@ -43,7 +41,6 @@ impl Default for GatewayConfig {
         GatewayConfig {
             instrument: InstrumentConfig::default(),
             detector: DetectorConfig::default(),
-            policy: PolicyConfig::default(),
             captcha: ServingPolicy::OptionalWithIncentive,
             enforcement: true,
             challenge_on_throttle: false,
@@ -58,11 +55,9 @@ impl Default for GatewayConfig {
 ///
 /// ```
 /// use botwall_captcha::ServingPolicy;
-/// use botwall_core::PolicyConfig;
 /// use botwall_gateway::Gateway;
 ///
 /// let gw = Gateway::builder()
-///     .policy(PolicyConfig::default())
 ///     .captcha(ServingPolicy::Disabled)
 ///     .seed(42)
 ///     .build();
@@ -94,12 +89,6 @@ impl GatewayBuilder {
     /// Sets the detector configuration.
     pub fn detector(mut self, detector: DetectorConfig) -> Self {
         self.config.detector = detector;
-        self
-    }
-
-    /// Sets the policy configuration.
-    pub fn policy(mut self, policy: PolicyConfig) -> Self {
-        self.config.policy = policy;
         self
     }
 

@@ -6,7 +6,6 @@ use botwall_core::classifier::Verdict;
 use botwall_http::{wire, Response, ResponseSummary, StatusCode};
 use botwall_instrument::{ProbeManifest, ProbeObject};
 use botwall_sessions::SessionKey;
-use serde::{Deserialize, Serialize};
 
 /// What the origin behind the gateway produced for a request.
 ///
@@ -29,7 +28,7 @@ pub enum Origin {
 /// The gateway's verdict-bearing answer for one request: the typed form
 /// of the paper's serve / throttle / block / challenge deployment
 /// decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 // `Serve` dwarfs the rejection variants, but a `Decision` lives for one
 // request and is moved straight to the caller — never parked in
 // collections — so boxing the payload would only add an allocation to

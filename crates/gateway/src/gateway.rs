@@ -72,14 +72,13 @@ use botwall_captcha::{CaptchaService, Challenge};
 use botwall_core::classifier::Verdict;
 use botwall_core::{
     Action, ChallengeState, CompletedSession, Detector, GateRespond, Gated, KeyCarry,
-    ObserveOutcome, OriginLease, PendingCaptchaPass, PolicyEngine,
+    ObserveOutcome, OriginLease, PendingCaptchaPass, PolicyConfig, PolicyEngine,
 };
 use botwall_http::{ContentClass, Request, RequestView, Response, ResponseSummary, StatusCode};
 use botwall_instrument::{
     FinishedStream, ProbeManifest, RewriteEngine, StreamSink, StreamingRewrite,
 };
 use botwall_sessions::{Session, SessionKey, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,7 +93,7 @@ const CAPTCHA_SEED_SALT: u64 = 0x0c47_c4a0;
 const MAX_CHALLENGE_ATTEMPTS: u32 = 3;
 
 /// A point-in-time snapshot of gateway activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GatewayStats {
     /// Exchanges handled.
     pub requests: u64,
@@ -419,7 +418,7 @@ impl Gateway {
             engine: RewriteEngine::new(config.instrument.clone(), config.seed),
             counters: ShardedCounters::new(detector.tracker().shard_count()),
             detector,
-            policy: PolicyEngine::new(config.policy.clone()),
+            policy: PolicyEngine::new(PolicyConfig::default()),
             captcha: CaptchaService::new(config.captcha, config.seed ^ CAPTCHA_SEED_SALT),
             completed_sessions: AtomicU64::new(0),
             config,
@@ -805,7 +804,6 @@ impl Gateway {
                 outcome,
                 value: (answer, answer_len),
                 shard,
-                ..
             } => {
                 // Post-section accounting: the byte ledgers are atomic
                 // cells, nothing needs the lock.

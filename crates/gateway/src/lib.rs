@@ -34,7 +34,8 @@
 //! * [`Gateway::stats`] snapshots a [`GatewayStats`].
 //!
 //! Build one with [`Gateway::builder`]; the builder takes the
-//! instrumentation, detector, policy, and CAPTCHA-serving configuration.
+//! instrumentation, detector and CAPTCHA-serving configuration, and
+//! whether the policy engine enforces.
 //! The gateway decides online with the browser test and the CAPTCHA, as
 //! the paper's deployment did. The §4.1 machine-learning stage runs
 //! offline, over the [`CompletedSession`]s a sweep or drain returns

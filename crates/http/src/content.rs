@@ -10,10 +10,9 @@
 use crate::request::{Request, RequestView};
 use crate::response::Response;
 use crate::uri::UriRef;
-use serde::{Deserialize, Serialize};
 
 /// The content class of a requested resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContentClass {
     /// An HTML page (including directory indexes).
     Html,

@@ -1,6 +1,5 @@
 //! An ordered, case-insensitive HTTP header multimap.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An ordered multimap of HTTP headers with case-insensitive name lookup.
@@ -21,7 +20,7 @@ use std::fmt;
 /// assert_eq!(h.get("content-type"), Some("text/html"));
 /// assert_eq!(h.get_all("SET-COOKIE").count(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Headers {
     // Invariant: `entries[i].0` keeps the original casing for serialization;
     // lookups compare case-insensitively.

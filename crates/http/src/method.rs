@@ -1,7 +1,6 @@
 //! HTTP request methods.
 
 use crate::error::HttpError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -19,7 +18,7 @@ use std::str::FromStr;
 /// assert!(Method::Head.is_safe());
 /// assert!(!Method::Post.is_safe());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Method {
     /// `GET` — retrieve a resource.
     Get,

@@ -5,7 +5,6 @@ use crate::error::HttpError;
 use crate::headers::Headers;
 use crate::method::Method;
 use crate::uri::{Uri, UriRef};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// An IPv4-style client address used to key sessions.
@@ -20,7 +19,7 @@ use std::borrow::Cow;
 /// let ip = ClientIp::new(0x0A000001);
 /// assert_eq!(ip.to_string(), "10.0.0.1");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClientIp(u32);
 
 impl ClientIp {
@@ -59,7 +58,7 @@ impl std::fmt::Display for ClientIp {
 /// assert_eq!(r.user_agent(), Some("crawler/1.0"));
 /// assert_eq!(r.referer(), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     method: Method,
     uri: Uri,

@@ -3,7 +3,6 @@
 use crate::content::ContentClass;
 use crate::headers::Headers;
 use crate::status::StatusCode;
-use serde::{Deserialize, Serialize};
 
 /// What a session record keeps of a response: its status, the class its
 /// `Content-Type` names, and its size as [`Response::wire_len`] counts
@@ -45,7 +44,7 @@ impl ResponseSummary {
 /// assert!(r.status().is_redirect());
 /// assert_eq!(r.headers().get("Location"), Some("http://example.com/moved.html"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     status: StatusCode,
     version: String,

@@ -1,7 +1,6 @@
 //! HTTP response status codes.
 
 use crate::error::HttpError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An HTTP status code in `100..=599`.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert!(StatusCode::NOT_FOUND.is_client_error());
 /// assert_eq!(StatusCode::new(301).unwrap().class(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StatusCode(u16);
 
 impl StatusCode {

@@ -8,14 +8,13 @@
 //! [`Uri`] is the same parts owned.
 
 use crate::error::HttpError;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
 /// The two schemes the parser accepts — an enum, so building a URI does
 /// not allocate for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Scheme {
     Http,
     Https,
@@ -213,7 +212,7 @@ impl fmt::Display for UriRef<'_> {
 /// assert_eq!(rel.host(), None);
 /// assert_eq!(rel.path(), "/index.html");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Uri {
     scheme: Option<Scheme>,
     host: Option<String>,
@@ -241,7 +240,9 @@ impl Uri {
     }
 
     /// Builds an absolute `http` URI from parts; `host` may carry a
-    /// `:port`, as a `Host` header does.
+    /// `:port`, as a `Host` header does. The URI displays `host` as
+    /// given: a port that would not read back as written (`:06`) stays
+    /// part of the host.
     ///
     /// # Examples
     ///
@@ -251,11 +252,17 @@ impl Uri {
     /// assert_eq!(u.to_string(), "http://example.com/x.css");
     /// let u = Uri::absolute("127.0.0.1:8080", "/x.css");
     /// assert_eq!((u.host(), u.port()), (Some("127.0.0.1"), Some(8080)));
+    /// let u = Uri::absolute("127.0.0.1:080", "/x.css");
+    /// assert_eq!(u.to_string(), "http://127.0.0.1:080/x.css");
     /// ```
     pub fn absolute(host: impl Into<String>, path: impl Into<String>) -> Uri {
         let mut host = host.into();
         let port = host.rfind(':').and_then(|colon| {
-            let port = host[colon + 1..].parse::<u16>().ok()?;
+            let digits = &host[colon + 1..];
+            if digits.starts_with(['+', '0']) && digits != "0" {
+                return None;
+            }
+            let port = digits.parse::<u16>().ok()?;
             host.truncate(colon);
             Some(port)
         });

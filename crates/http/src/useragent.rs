@@ -12,10 +12,8 @@
 //! 2. **Session keying**: sessions are `<IP, User-Agent>` pairs, so the raw
 //!    string participates in identity even when untrusted.
 
-use serde::{Deserialize, Serialize};
-
 /// Browser families the paper names as "typical browsers".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BrowserFamily {
     /// Microsoft Internet Explorer.
     InternetExplorer,
@@ -78,7 +76,7 @@ impl BrowserFamily {
 }
 
 /// What a `User-Agent` string *claims* to be.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UserAgent {
     /// Claims to be a standard browser.
     Browser(BrowserFamily),

@@ -28,11 +28,10 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// How aggressively to obfuscate the generated script.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Obfuscation {
     /// Readable output, as printed in the paper's Figure 1.
     None,

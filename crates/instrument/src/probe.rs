@@ -12,11 +12,10 @@
 
 use crate::rewrite::Classified;
 use botwall_http::{wire, ContentClass, Response, ResponseSummary, StatusCode};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The kinds of probe objects the instrumenter plants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProbeKind {
     /// The dynamically injected empty style sheet (§2.2). Standard
     /// browsers fetch it; goal-oriented robots do not.
@@ -57,7 +56,7 @@ impl ProbeKind {
 /// truthy and how many entries `navigator.plugins` held. Automation
 /// frameworks leak exactly these signals; real desktop browsers report
 /// `webdriver = false` and a non-empty plugin list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AutomationReport {
     /// `navigator.webdriver` as reported by the executing script.
     pub webdriver: bool,
@@ -66,7 +65,7 @@ pub struct AutomationReport {
 }
 
 /// A classified probe hit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeHit {
     /// Which probe the request touched.
     pub kind: ProbeKind,

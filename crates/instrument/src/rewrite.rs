@@ -10,10 +10,9 @@ use crate::jsgen::Obfuscation;
 use crate::probe::ProbeHit;
 use crate::token::{BeaconKey, KeyOutcome};
 use botwall_http::Uri;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the instrumentation scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstrumentConfig {
     /// Number of decoy functions `m` (§2.1); a blind fetcher is caught
     /// with probability `m/(m+1)`.
@@ -46,7 +45,7 @@ impl Default for InstrumentConfig {
 /// a browser fetches `css_probe` because the link tag is there, fires
 /// `mouse_beacon` when its user moves the mouse, and never touches
 /// `hidden_link`; a blind crawler scans the HTML bytes instead.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeManifest {
     /// The page that was instrumented.
     pub page: Uri,
@@ -69,7 +68,7 @@ pub struct ProbeManifest {
 }
 
 /// Classification of an incoming request against the instrumentation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Classified {
     /// A mouse-beacon fetch carrying `key`; `outcome` is the token-state
     /// verdict (valid/replay/decoy/unknown).

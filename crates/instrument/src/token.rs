@@ -30,7 +30,6 @@ use botwall_sessions::SimTime;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -40,7 +39,7 @@ use std::sync::Arc;
 pub const MAX_TOKENS_PER_SESSION: usize = 64;
 
 /// A 128-bit beacon key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BeaconKey(u128);
 
 impl BeaconKey {
@@ -87,7 +86,7 @@ impl fmt::Display for BeaconKey {
 }
 
 /// Outcome of checking a presented key against the table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyOutcome {
     /// The key matches an unused entry for this client: human evidence.
     Valid,

@@ -10,10 +10,9 @@
 use crate::features::{Attribute, FeatureVector, ATTRIBUTE_COUNT};
 use crate::stump::DecisionStump;
 use botwall_core::Label;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaBoostConfig {
     /// Boosting rounds (paper: 200).
     pub rounds: usize,
@@ -32,7 +31,7 @@ impl Default for AdaBoostConfig {
 }
 
 /// A trained boosted ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaBoostModel {
     stumps: Vec<(DecisionStump, f64)>,
 }

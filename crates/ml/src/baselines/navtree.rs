@@ -10,10 +10,9 @@
 
 use crate::features::{FeatureVector, ATTRIBUTE_COUNT};
 use botwall_core::Label;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for tree induction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeConfig {
     /// Maximum tree depth.
     pub max_depth: usize,
@@ -31,7 +30,7 @@ impl Default for TreeConfig {
 }
 
 /// A node of the tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf(Label),
     Split {
@@ -43,7 +42,7 @@ enum Node {
 }
 
 /// A trained decision tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     root: Node,
 }

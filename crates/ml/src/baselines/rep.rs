@@ -10,10 +10,9 @@
 
 use botwall_core::Label;
 use botwall_http::{Request, UserAgent};
-use serde::{Deserialize, Serialize};
 
 /// What the REP checker concluded about one session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepVerdict {
     /// Fetched robots.txt and/or self-identified: a declared robot.
     DeclaredRobot,
@@ -22,7 +21,7 @@ pub enum RepVerdict {
 }
 
 /// Tracks REP signals within a session.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepChecker {
     fetched_robots_txt: bool,
     declared_ua: bool,

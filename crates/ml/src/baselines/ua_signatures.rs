@@ -8,10 +8,9 @@
 //! browser string sails through.
 
 use botwall_core::Label;
-use serde::{Deserialize, Serialize};
 
 /// A User-Agent substring blacklist.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UaSignatureMatcher {
     patterns: Vec<String>,
 }

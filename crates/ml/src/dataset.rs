@@ -10,10 +10,9 @@ use botwall_core::Label;
 use botwall_sessions::RequestRecord;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One labelled session: its record stream plus ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LabelledSession {
     /// The per-request records (enough prefix for the largest checkpoint).
     pub records: Vec<RequestRecord>,
@@ -22,7 +21,7 @@ pub struct LabelledSession {
 }
 
 /// A labelled corpus of sessions.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Corpus {
     /// The sessions.
     pub sessions: Vec<LabelledSession>,

@@ -4,11 +4,10 @@ use crate::adaboost::{AdaBoostConfig, AdaBoostModel};
 use crate::dataset::Corpus;
 use crate::features::FeatureVector;
 use botwall_core::Label;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A binary confusion matrix with Robot as the positive class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// Robots classified as robots.
     pub true_positive: u64,
@@ -116,7 +115,7 @@ pub fn evaluate(model: &AdaBoostModel, samples: &[(FeatureVector, Label)]) -> Co
 }
 
 /// One point of the Figure-4 curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointResult {
     /// The request count the classifier was built at.
     pub checkpoint: usize,

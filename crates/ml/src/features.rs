@@ -21,14 +21,13 @@
 
 use botwall_http::{ContentClass, Method};
 use botwall_sessions::{RequestRecord, SessionCounters};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of attributes.
 pub const ATTRIBUTE_COUNT: usize = 12;
 
 /// One of the 12 Table-2 attributes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Attribute {
     /// Share of HEAD commands.
     HeadPct,
@@ -101,7 +100,7 @@ impl Attribute {
 }
 
 /// A 12-dimensional feature vector; each component is a share in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeatureVector(pub [f64; ATTRIBUTE_COUNT]);
 
 impl FeatureVector {

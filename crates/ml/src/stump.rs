@@ -7,10 +7,9 @@
 
 use crate::features::{FeatureVector, ATTRIBUTE_COUNT};
 use botwall_core::Label;
-use serde::{Deserialize, Serialize};
 
 /// A single-attribute threshold classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionStump {
     /// Index of the attribute tested.
     pub attribute: usize,

@@ -318,7 +318,7 @@ impl Worker {
         // `write` and nothing else.
         let mut reused = false;
         let mut prepared = None;
-        if let Some((pooled_slot, mut stream, mut interest)) = self.take_pooled(origin_addr) {
+        if let Some((pooled_slot, mut stream, mut interest)) = self.take_pooled() {
             self.shared.origin_reuses.fetch_add(1, Ordering::Relaxed);
             let mut pos = 0;
             match write_available(&mut stream, &upstream, &mut pos, &self.sys) {

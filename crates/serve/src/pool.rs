@@ -50,7 +50,7 @@ use crate::origin::OriginConn;
 use crate::server::{token_of, Worker, WorkerCounters};
 use reactor::Interest;
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// How long a parked origin connection may sit unused before it is
@@ -128,9 +128,6 @@ impl ReadBuf {
 /// reactor's timer wheel bounds how long it may wait.
 pub(crate) struct IdleOrigin {
     stream: TcpStream,
-    /// The origin this socket is connected to; a lease for a different
-    /// address never picks it up.
-    addr: SocketAddr,
     /// Cached epoll interest (READABLE while parked).
     interest: Interest,
 }
@@ -146,26 +143,25 @@ impl Worker {
         drop(idle);
     }
 
-    /// Pops the most recently parked live connection to `addr`. Each
+    /// Pops the most recently parked live origin connection (a server
+    /// has one origin, so any parked socket serves any lease). Each
     /// candidate is probed with a non-blocking read: a live idle origin
     /// has nothing to say (`WouldBlock`), while EOF, an error, or an
     /// unsolicited byte retires the socket on the spot — a poisoned
     /// connection is never handed to a lease.
-    pub(crate) fn take_pooled(&mut self, addr: SocketAddr) -> Option<(usize, TcpStream, Interest)> {
+    pub(crate) fn take_pooled(&mut self) -> Option<(usize, TcpStream, Interest)> {
         while let Some(slot) = self.idle_pool.pop() {
             let Some(Slot::IdleOrigin(mut idle)) = self.slots.get_mut(slot).and_then(Option::take)
             else {
                 continue;
             };
             self.reactor.cancel_deadline(token_of(slot));
-            if idle.addr == addr {
-                // The one read made in order to be told `EAGAIN`.
-                self.sys.reads.add(1);
-                let probe = idle.stream.read(&mut [0u8; 1]);
-                if matches!(probe, Err(ref e) if e.kind() == io::ErrorKind::WouldBlock) {
-                    self.sys.reads_eagain.add(1);
-                    return Some((slot, idle.stream, idle.interest));
-                }
+            // The one read made in order to be told `EAGAIN`.
+            self.sys.reads.add(1);
+            let probe = idle.stream.read(&mut [0u8; 1]);
+            if matches!(probe, Err(ref e) if e.kind() == io::ErrorKind::WouldBlock) {
+                self.sys.reads_eagain.add(1);
+                return Some((slot, idle.stream, idle.interest));
             }
             // Dropping the stream closes the fd (the kernel deregisters
             // it); the slot is reusable after this batch.
@@ -178,17 +174,16 @@ impl Worker {
     /// the pool has room, or retires it. A connection with leftover
     /// buffered bytes or an unfinished request write is never parked.
     pub(crate) fn park_or_free(&mut self, slot: usize, o: Box<OriginConn>, reusable: bool) {
-        let addr = self.config.origin;
         let park = reusable
             && !self.draining
             && self.idle_pool.len() < self.config.origin_pool
             && o.buf.is_empty()
             && o.pos == o.out.len();
-        let (Some(addr), true) = (addr, park) else {
+        if !park {
             self.pending_free.push(slot);
             self.retire_origin(o);
             return;
-        };
+        }
         let OriginConn {
             stream,
             out,
@@ -208,11 +203,7 @@ impl Worker {
         self.reactor.deadline(token_of(slot), ORIGIN_POOL_IDLE);
         self.recycle(out);
         self.recycle_read(buf);
-        self.slots[slot] = Some(Slot::IdleOrigin(IdleOrigin {
-            stream,
-            addr,
-            interest,
-        }));
+        self.slots[slot] = Some(Slot::IdleOrigin(IdleOrigin { stream, interest }));
         self.idle_pool.push(slot);
     }
 

@@ -1,8 +1,8 @@
 //! The `/admin/stats` rendering: [`GatewayStats`] as a JSON object.
 //!
-//! Formatted by hand because the workspace's serde is a no-op marker
-//! shim — there is no serializer to drive. The field list is pinned by a
-//! test so a new `GatewayStats` column cannot silently go missing here.
+//! Formatted by hand: the workspace has no serializer. The field list is
+//! pinned by a test so a new `GatewayStats` column cannot silently go
+//! missing here.
 
 use crate::server::SharedCounters;
 use botwall_gateway::GatewayStats;

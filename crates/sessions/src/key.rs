@@ -2,8 +2,15 @@
 
 use botwall_http::request::ClientIp;
 use botwall_http::{Request, RequestView};
-use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// The most bytes of a `User-Agent` a [`SessionKey`] keeps. A longer
+/// header is cut here (at a char boundary), so what a client can make
+/// each live session hold is bounded however long a head it sends; no
+/// browser or robot sends a `User-Agent` near this long. Evidence that
+/// reads the agent (the UA-mismatch test) reads the full header, not
+/// the key.
+pub const MAX_KEY_AGENT_BYTES: usize = 512;
 
 /// The `<client IP, User-Agent>` pair that identifies a session.
 ///
@@ -29,18 +36,25 @@ use std::fmt;
 /// assert_eq!(k.ip(), ClientIp::new(9));
 /// assert_eq!(k.user_agent(), "Opera/8.51");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionKey {
     ip: ClientIp,
     user_agent: String,
 }
 
 impl SessionKey {
-    /// Builds a key from parts.
-    pub fn new(ip: ClientIp, user_agent: impl Into<String>) -> SessionKey {
+    /// Builds a key from parts, keeping at most [`MAX_KEY_AGENT_BYTES`]
+    /// of the `User-Agent`. The value is cut before it is copied, so the
+    /// key's string never holds more than that.
+    pub fn new(ip: ClientIp, user_agent: impl AsRef<str>) -> SessionKey {
+        let user_agent = user_agent.as_ref();
+        let mut end = user_agent.len().min(MAX_KEY_AGENT_BYTES);
+        while !user_agent.is_char_boundary(end) {
+            end -= 1;
+        }
         SessionKey {
             ip,
-            user_agent: user_agent.into(),
+            user_agent: user_agent[..end].to_owned(),
         }
     }
 
@@ -62,7 +76,8 @@ impl SessionKey {
         self.ip
     }
 
-    /// The raw User-Agent string ("" when the header was absent).
+    /// The User-Agent string ("" when the header was absent), cut to
+    /// [`MAX_KEY_AGENT_BYTES`].
     pub fn user_agent(&self) -> &str {
         &self.user_agent
     }
@@ -146,6 +161,27 @@ mod tests {
         assert_ne!(
             a.shard_hash(),
             SessionKey::new(ClientIp::new(1), "B").shard_hash()
+        );
+    }
+
+    #[test]
+    fn agents_alike_in_their_first_512_bytes_are_one_key() {
+        // A two-byte char straddles the bound, so the cut falls before it.
+        let head = format!("{}é", "a".repeat(MAX_KEY_AGENT_BYTES - 1));
+        let long = |tail: &str| req(1, Some(&format!("{head}{}", tail.repeat(8000))));
+        let (b, c) = (long("b"), long("c"));
+        let key = SessionKey::of(&b);
+        assert_eq!(key, SessionKey::of(&c));
+        assert_eq!(key, SessionKey::of_view(&c.view()));
+        assert_eq!(key.user_agent(), "a".repeat(MAX_KEY_AGENT_BYTES - 1));
+        for key in [key, SessionKey::of_view(&b.view())] {
+            assert!(key.user_agent.capacity() <= MAX_KEY_AGENT_BYTES);
+        }
+        // Up to the bound an agent is kept whole.
+        let whole = "x".repeat(MAX_KEY_AGENT_BYTES);
+        assert_eq!(
+            SessionKey::new(ClientIp::new(1), &whole).user_agent(),
+            whole
         );
     }
 

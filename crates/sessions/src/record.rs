@@ -2,7 +2,6 @@
 
 use crate::time::SimTime;
 use botwall_http::{ContentClass, Method, RequestView, ResponseSummary, UriRef};
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::{self, Write};
 use std::hash::{Hash, Hasher};
@@ -14,7 +13,7 @@ use std::hash::{Hash, Hasher};
 /// decisions "without overburdening the server with excessive memory
 /// consumption", so a record is a few dozen bytes regardless of message
 /// size.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestRecord {
     /// 1-based index of this request within its session.
     pub index: u32,

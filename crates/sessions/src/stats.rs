@@ -6,10 +6,9 @@
 
 use crate::record::RequestRecord;
 use botwall_http::{ContentClass, Method};
-use serde::{Deserialize, Serialize};
 
 /// O(1)-updatable counters over a session's request stream.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionCounters {
     /// Total requests observed.
     pub total: u64,

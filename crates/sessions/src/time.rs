@@ -4,14 +4,11 @@
 //! experiments are deterministic and a simulated week costs wall-clock
 //! seconds. Resolution is one millisecond.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulated time (milliseconds since simulation start).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -74,7 +74,6 @@ use crate::record::RequestRecord;
 use crate::stats::SessionCounters;
 use crate::time::SimTime;
 use botwall_http::{Request, RequestView, Response, ResponseSummary};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -86,7 +85,7 @@ use std::sync::Mutex;
 const MAX_RECORDS_PER_SESSION: usize = 512;
 
 /// Configuration for [`ShardedTracker`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrackerConfig {
     /// Idle time after which a session is finalized (paper: one hour).
     pub idle_timeout_ms: u64,
@@ -120,7 +119,7 @@ impl Default for TrackerConfig {
 }
 
 /// One live (or finalized) session.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Session {
     key: SessionKey,
     started: SimTime,

@@ -4,6 +4,7 @@
 
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request, UserAgent};
+use botwall_sessions::key::MAX_KEY_AGENT_BYTES;
 use botwall_sessions::SessionKey;
 
 fn req(ip: u32, ua: Option<&str>) -> Request {
@@ -44,10 +45,14 @@ fn ua_comparison_is_case_sensitive_and_raw() {
 #[test]
 fn very_long_ua_is_preserved() {
     // Builder-path headers are stored verbatim (only the wire parser
-    // trims), so a pathologically long UA must survive byte for byte.
+    // trims), so a pathologically long UA survives byte for byte in the
+    // request, where evidence reads it; the session key keeps its first
+    // `MAX_KEY_AGENT_BYTES`, byte for byte.
     let long = "Mozilla/4.0 ".to_string() + &"(padding) ".repeat(500);
-    let k = SessionKey::of(&req(5, Some(long.as_str())));
-    assert_eq!(k.user_agent(), long);
+    let r = req(5, Some(long.as_str()));
+    assert_eq!(r.user_agent(), Some(long.as_str()));
+    let k = SessionKey::of(&r);
+    assert_eq!(k.user_agent(), &long[..MAX_KEY_AGENT_BYTES]);
 }
 
 #[test]

@@ -1,14 +1,13 @@
 //! Page models: links, embedded assets, forms, redirects.
 
 use botwall_http::Uri;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a page within a [`crate::Site`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u32);
 
 /// The kind of an embedded asset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AssetKind {
     /// An `<img>`-style embedded image.
     Image,
@@ -19,7 +18,7 @@ pub enum AssetKind {
 }
 
 /// An embedded asset referenced by a page.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Asset {
     /// What kind of asset this is.
     pub kind: AssetKind,
@@ -34,7 +33,7 @@ pub struct Asset {
 /// Pages are *models*, not bytes: the renderer turns one into HTML on
 /// demand, and agents that behave like browsers consume the model directly
 /// (mimicking a parsed DOM) while byte-level robots scan the rendered HTML.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Page {
     /// This page's identity within its site.
     pub id: PageId,

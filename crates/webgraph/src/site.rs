@@ -4,11 +4,10 @@ use crate::page::{Asset, AssetKind, Page, PageId};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Tunables for generating one site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteConfig {
     /// Number of HTML pages.
     pub pages: u32,
@@ -59,7 +58,7 @@ impl SiteConfig {
 }
 
 /// A generated web site: host name, page graph, asset inventory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Site {
     host: String,
     pages: Vec<Page>,

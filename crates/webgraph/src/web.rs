@@ -5,11 +5,10 @@ use botwall_http::Uri;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Tunables for generating a universe of sites.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WebConfig {
     /// Number of sites.
     pub sites: u32,
@@ -37,7 +36,7 @@ impl WebConfig {
 }
 
 /// A deterministic universe of generated web sites.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Web {
     sites: Vec<Site>,
     by_host: HashMap<String, usize>,
