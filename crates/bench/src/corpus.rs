@@ -56,7 +56,7 @@ impl Default for CorpusConfig {
 
 /// Mutates a fraction of records to model proxy observation noise.
 fn perturb(records: &mut [botwall_sessions::RequestRecord], rate: f64, rng: &mut ChaCha8Rng) {
-    use botwall_http::{ContentClass, Method};
+    use botwall_http::{ContentClass, MethodKind};
     const CLASSES: [ContentClass; 8] = [
         ContentClass::Html,
         ContentClass::Html,
@@ -81,9 +81,9 @@ fn perturb(records: &mut [botwall_sessions::RequestRecord], rate: f64, rng: &mut
             3 => rec.referer_seen = rec.has_referer && !rec.referer_seen,
             _ => {
                 rec.method = if rng.gen_bool(0.1) {
-                    Method::Head
+                    MethodKind::Head
                 } else {
-                    Method::Get
+                    MethodKind::Get
                 }
             }
         }

@@ -502,7 +502,7 @@ impl Detector {
                         if span_ms == 0 {
                             0.0
                         } else {
-                            (session.counters().total + u64::from(state.in_flight)) as f64 * 1000.0
+                            (session.request_count() + u64::from(state.in_flight)) as f64 * 1000.0
                                 / span_ms as f64
                         }
                     };

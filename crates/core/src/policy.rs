@@ -65,33 +65,29 @@ impl Default for PolicyConfig {
     }
 }
 
-/// A classic token bucket.
+/// A classic token bucket, less what never changes: the tokens left and
+/// when they were last refilled. Its capacity and refill rate are passed
+/// in by whoever holds it (the policy engine reads them from its config
+/// by rate class), so a session's bucket stores only its own state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TokenBucket {
-    capacity: f64,
     tokens: f64,
-    rate_per_ms: f64,
     last_refill: SimTime,
 }
 
 impl TokenBucket {
-    /// Creates a full bucket with `capacity` tokens refilling at
-    /// `rate_per_sec`.
-    pub fn new(capacity: f64, rate_per_sec: f64, now: SimTime) -> TokenBucket {
+    /// A full bucket of `capacity` tokens as of `now`.
+    pub fn full(capacity: f64, now: SimTime) -> TokenBucket {
         TokenBucket {
-            capacity,
             tokens: capacity,
-            rate_per_ms: rate_per_sec / 1000.0,
             last_refill: now,
         }
     }
 
-    /// Attempts to take one token; returns `false` when empty.
-    pub fn try_take(&mut self, now: SimTime) -> bool {
-        let elapsed = now.since(self.last_refill) as f64;
-        self.tokens = (self.tokens + elapsed * self.rate_per_ms).min(self.capacity);
-        self.last_refill = now;
-        if self.tokens >= 1.0 {
+    /// Attempts to take one token from a bucket of `capacity` refilling
+    /// at `rate_per_sec`; returns `false` when empty.
+    pub fn try_take(&mut self, capacity: f64, rate_per_sec: f64, now: SimTime) -> bool {
+        if self.available(capacity, rate_per_sec, now) >= 1.0 {
             self.tokens -= 1.0;
             true
         } else {
@@ -100,9 +96,10 @@ impl TokenBucket {
     }
 
     /// Current token count (after a refill to `now`).
-    pub fn available(&mut self, now: SimTime) -> f64 {
+    pub fn available(&mut self, capacity: f64, rate_per_sec: f64, now: SimTime) -> f64 {
         let elapsed = now.since(self.last_refill) as f64;
-        self.tokens = (self.tokens + elapsed * self.rate_per_ms).min(self.capacity);
+        let rate_per_ms = rate_per_sec / 1000.0;
+        self.tokens = (self.tokens + elapsed * rate_per_ms).min(capacity);
         self.last_refill = now;
         self.tokens
     }
@@ -210,7 +207,7 @@ impl PolicyEngine {
         let is_robot = matches!(verdict, Verdict::Robot(_) | Verdict::ProvisionalRobot(_));
         // Behavioural blocking thresholds apply to robot-classified
         // sessions with enough history — recorded or in flight.
-        let effective_total = counters.total + u64::from(in_flight);
+        let effective_total = u64::from(counters.total) + u64::from(in_flight);
         if is_robot && effective_total >= self.config.min_requests_for_thresholds {
             let over_cgi = counters.cgi_ratio() > self.config.cgi_ratio_threshold;
             let over_err = counters.error_ratio() > self.config.error_ratio_threshold;
@@ -236,13 +233,11 @@ impl PolicyEngine {
         };
         // A verdict change re-provisions the bucket: a session promoted to
         // robot must not keep coasting on its undecided allowance.
-        let entry = state
-            .bucket
-            .get_or_insert_with(|| (class, TokenBucket::new(burst, rate, now)));
-        if entry.0 != class {
-            *entry = (class, TokenBucket::new(burst, rate, now));
+        if !matches!(state.bucket, Some((held, _)) if held == class) {
+            state.bucket = Some((class, TokenBucket::full(burst, now)));
         }
-        if entry.1.try_take(now) {
+        let (_, bucket) = state.bucket.as_mut().expect("provisioned above");
+        if bucket.try_take(burst, rate, now) {
             Action::Allow
         } else {
             Action::Throttle
@@ -261,19 +256,20 @@ mod tests {
 
     #[test]
     fn token_bucket_drains_and_refills() {
-        let mut b = TokenBucket::new(2.0, 1.0, SimTime::ZERO);
-        assert!(b.try_take(SimTime::ZERO));
-        assert!(b.try_take(SimTime::ZERO));
-        assert!(!b.try_take(SimTime::ZERO), "burst exhausted");
+        let mut b = TokenBucket::full(2.0, SimTime::ZERO);
+        let mut take = |at| b.try_take(2.0, 1.0, at);
+        assert!(take(SimTime::ZERO));
+        assert!(take(SimTime::ZERO));
+        assert!(!take(SimTime::ZERO), "burst exhausted");
         // One second refills one token.
-        assert!(b.try_take(SimTime::from_secs(1)));
-        assert!(!b.try_take(SimTime::from_secs(1)));
+        assert!(take(SimTime::from_secs(1)));
+        assert!(!take(SimTime::from_secs(1)));
     }
 
     #[test]
     fn bucket_never_exceeds_capacity() {
-        let mut b = TokenBucket::new(3.0, 100.0, SimTime::ZERO);
-        assert!((b.available(SimTime::from_hours(5)) - 3.0).abs() < 1e-9);
+        let mut b = TokenBucket::full(3.0, SimTime::ZERO);
+        assert!((b.available(3.0, 100.0, SimTime::from_hours(5)) - 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use content::ContentClass;
 pub use error::HttpError;
 pub use head::Head;
 pub use headers::Headers;
-pub use method::Method;
+pub use method::{Method, MethodKind};
 pub use request::{Request, RequestBuilder, RequestView};
 pub use response::{Response, ResponseBuilder, ResponseSummary};
 pub use status::StatusCode;

@@ -97,6 +97,60 @@ impl Method {
     }
 }
 
+/// What a request record keeps of a [`Method`]: which of the eight
+/// standard methods it was, or that it was some extension. One byte and
+/// `Copy`, so a record never holds a client's method token, however
+/// long a token the client sent.
+///
+/// # Examples
+///
+/// ```
+/// use botwall_http::MethodKind;
+/// assert_eq!(MethodKind::of("HEAD"), MethodKind::Head);
+/// assert_eq!(MethodKind::of("PROPFIND"), MethodKind::Extension);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MethodKind {
+    /// `GET`.
+    Get,
+    /// `HEAD`.
+    Head,
+    /// `POST`.
+    Post,
+    /// `PUT`.
+    Put,
+    /// `DELETE`.
+    Delete,
+    /// `OPTIONS`.
+    Options,
+    /// `TRACE`.
+    Trace,
+    /// `CONNECT`.
+    Connect,
+    /// Any other token.
+    Extension,
+}
+
+impl MethodKind {
+    /// Classifies a method token (case-sensitive, as [`Method`] parses
+    /// it) without copying it. Any token that is not one of the eight
+    /// standard methods is a [`MethodKind::Extension`]; validating the
+    /// token is the reader's job, not this one's.
+    pub fn of(token: &str) -> MethodKind {
+        match token {
+            "GET" => MethodKind::Get,
+            "HEAD" => MethodKind::Head,
+            "POST" => MethodKind::Post,
+            "PUT" => MethodKind::Put,
+            "DELETE" => MethodKind::Delete,
+            "OPTIONS" => MethodKind::Options,
+            "TRACE" => MethodKind::Trace,
+            "CONNECT" => MethodKind::Connect,
+            _ => MethodKind::Extension,
+        }
+    }
+}
+
 impl fmt::Display for Method {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
@@ -173,6 +227,20 @@ mod tests {
         assert!(Method::Head.is_safe());
         assert!(!Method::Post.is_safe());
         assert!(!Method::Connect.is_safe());
+    }
+
+    #[test]
+    fn a_kind_classifies_a_token_as_parsing_it_would() {
+        for token in [
+            "GET", "HEAD", "POST", "PUT", "DELETE", "OPTIONS", "TRACE", "CONNECT", "get", "PATCH",
+        ] {
+            let (kind, parsed) = (MethodKind::of(token), token.parse::<Method>().unwrap());
+            match parsed {
+                Method::Extension(_) => assert_eq!(kind, MethodKind::Extension, "{token}"),
+                standard => assert_eq!(format!("{kind:?}"), format!("{standard:?}")),
+            }
+        }
+        assert_eq!(std::mem::size_of::<MethodKind>(), 1);
     }
 
     #[test]

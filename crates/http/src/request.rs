@@ -3,7 +3,7 @@
 
 use crate::error::HttpError;
 use crate::headers::Headers;
-use crate::method::Method;
+use crate::method::{Method, MethodKind};
 use crate::uri::{Uri, UriRef};
 use std::borrow::Cow;
 
@@ -238,6 +238,13 @@ impl<'a> RequestView<'a> {
         self.method
             .parse()
             .expect("a view holds a checked method token")
+    }
+
+    /// Which kind of method the request names, read from its token in
+    /// place: unlike [`RequestView::method`], an extension method's
+    /// token is not copied.
+    pub fn method_kind(&self) -> MethodKind {
+        MethodKind::of(self.method)
     }
 
     /// The request target.

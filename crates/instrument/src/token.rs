@@ -158,7 +158,9 @@ struct Entry {
 #[derive(Debug, Default)]
 pub struct TokenState {
     entries: Vec<Entry>,
-    rng: Option<ChaCha8Rng>,
+    /// Boxed: most sessions are never served a page, and an unseeded
+    /// RNG then costs one pointer, not the generator's whole state.
+    rng: Option<Box<ChaCha8Rng>>,
 }
 
 impl TokenState {
@@ -291,7 +293,7 @@ impl TokenState {
     /// identical runs draw identical streams), which is not called again.
     pub fn rng_seeded(&mut self, stream_seed: impl FnOnce() -> u64) -> &mut ChaCha8Rng {
         self.rng
-            .get_or_insert_with(|| ChaCha8Rng::seed_from_u64(stream_seed()))
+            .get_or_insert_with(|| Box::new(ChaCha8Rng::seed_from_u64(stream_seed())))
     }
 }
 

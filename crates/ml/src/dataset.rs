@@ -109,7 +109,7 @@ impl Corpus {
 mod tests {
     use super::*;
     use crate::features::make_record;
-    use botwall_http::{ContentClass, Method};
+    use botwall_http::{ContentClass, MethodKind};
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -117,14 +117,14 @@ mod tests {
         let mut c = Corpus::new();
         for i in 0..humans {
             let recs = (1..=20)
-                .map(|j| make_record(j, Method::Get, ContentClass::Image, 2, true, true))
+                .map(|j| make_record(j, MethodKind::Get, ContentClass::Image, 2, true, true))
                 .collect();
             c.push(recs, Label::Human);
             let _ = i;
         }
         for i in 0..robots {
             let recs = (1..=20)
-                .map(|j| make_record(j, Method::Get, ContentClass::Html, 2, false, false))
+                .map(|j| make_record(j, MethodKind::Get, ContentClass::Html, 2, false, false))
                 .collect();
             c.push(recs, Label::Robot);
             let _ = i;

@@ -157,7 +157,7 @@ pub fn checkpoint_sweep(
 mod tests {
     use super::*;
     use crate::features::{make_record, Attribute};
-    use botwall_http::{ContentClass, Method};
+    use botwall_http::{ContentClass, MethodKind};
     use botwall_sessions::RequestRecord;
     use rand::Rng;
     use rand_chacha::rand_core::SeedableRng;
@@ -214,9 +214,9 @@ mod tests {
                     let noise = rng.gen_bool(0.15);
                     let human_like = robot == noise;
                     if human_like {
-                        make_record(j, Method::Get, ContentClass::Image, 2, true, true)
+                        make_record(j, MethodKind::Get, ContentClass::Image, 2, true, true)
                     } else {
-                        make_record(j, Method::Get, ContentClass::Html, 2, false, false)
+                        make_record(j, MethodKind::Get, ContentClass::Html, 2, false, false)
                     }
                 })
                 .collect();

@@ -19,7 +19,7 @@
 //! checkpoint `n` computes these attributes over the session's first `n`
 //! requests only, which [`extract_prefix`] implements.
 
-use botwall_http::{ContentClass, Method};
+use botwall_http::{ContentClass, MethodKind};
 use botwall_sessions::{RequestRecord, SessionCounters};
 use std::fmt;
 
@@ -174,7 +174,7 @@ pub fn extract_from_counters(c: &SessionCounters) -> FeatureVector {
 /// Builds a synthetic record for tests and generators.
 pub fn make_record(
     index: u32,
-    method: Method,
+    method: MethodKind,
     class: ContentClass,
     status_class: u8,
     has_referer: bool,
@@ -198,11 +198,11 @@ mod tests {
     use super::*;
 
     fn html(i: u32) -> RequestRecord {
-        make_record(i, Method::Get, ContentClass::Html, 2, false, false)
+        make_record(i, MethodKind::Get, ContentClass::Html, 2, false, false)
     }
 
     fn image(i: u32) -> RequestRecord {
-        make_record(i, Method::Get, ContentClass::Image, 2, true, true)
+        make_record(i, MethodKind::Get, ContentClass::Image, 2, true, true)
     }
 
     #[test]
@@ -237,10 +237,10 @@ mod tests {
     fn shares_are_in_unit_interval_and_consistent() {
         let recs: Vec<RequestRecord> = (1..=20)
             .map(|i| match i % 4 {
-                0 => make_record(i, Method::Head, ContentClass::Html, 3, false, false),
+                0 => make_record(i, MethodKind::Head, ContentClass::Html, 3, false, false),
                 1 => html(i),
                 2 => image(i),
-                _ => make_record(i, Method::Get, ContentClass::Cgi, 4, true, false),
+                _ => make_record(i, MethodKind::Get, ContentClass::Cgi, 4, true, false),
             })
             .collect();
         let fv = extract_prefix(&recs, 20);

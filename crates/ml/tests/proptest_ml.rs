@@ -1,7 +1,7 @@
 //! Property tests for the learners.
 
 use botwall_core::Label;
-use botwall_http::{ContentClass, Method};
+use botwall_http::{ContentClass, MethodKind};
 use botwall_ml::features::{extract_prefix, make_record, Attribute, FeatureVector};
 use botwall_ml::{AdaBoostConfig, AdaBoostModel, DecisionStump};
 use proptest::prelude::*;
@@ -101,7 +101,7 @@ proptest! {
                     4 => ContentClass::Favicon,
                     _ => ContentClass::Other,
                 };
-                make_record(i as u32 + 1, Method::Get, class, 2, i % 3 == 0, i % 6 == 0)
+                make_record(i as u32 + 1, MethodKind::Get, class, 2, i % 3 == 0, i % 6 == 0)
             })
             .collect();
         let fv = extract_prefix(&records, cut);

@@ -91,11 +91,13 @@ static SERVER: Tally = Tally::new();
 /// Requests measured per answer, after as many again to warm up.
 const REQUESTS: u64 = 256;
 
-/// The most a gate-only answer may allocate, per request, on average.
-const BUDGET: f64 = 4.0;
+/// The most a gate-only answer may allocate, per request, on average:
+/// nothing. The session key is looked up by the request's borrowed
+/// parts, so a known key is not copied.
+const BUDGET: f64 = 0.0;
 
 #[test]
-fn a_gate_answered_request_allocates_at_most_four_times() {
+fn a_gate_answered_request_allocates_nothing() {
     let fx = Fixture::start(|_| {}, || TALLY.with(|t| t.set(Some(&SERVER))));
     // A verified human: page, script, mouse beacon.
     let human = "Mozilla/5.0 alloc-human";
@@ -161,9 +163,10 @@ const PAGES: u64 = 128;
 /// a run's timing moves the count by (a read split differently or a
 /// buffer grown, a sweep tick; an unoptimised build reads up to two
 /// higher from the byte-a-chunk origin). Most of what is left is the
-/// owned request a lease builds, the session key, the page's one markup
-/// buffer, its beacon token (kept by the rewriter and issued into the
-/// session as a copy) and the token entry's page path.
+/// owned request a lease builds, the page's one markup buffer, its
+/// beacon token (kept by the rewriter and issued into the session as a
+/// copy) and the token entry's page path. Since the session key stopped
+/// being copied per request, a release build reads ~16-17 per page.
 const BEFORE: [f64; 3] = [18.87, 19.02, 21.0];
 const SLACK: f64 = 4.0;
 

@@ -2,7 +2,10 @@
 
 use botwall_http::request::ClientIp;
 use botwall_http::{Request, RequestView};
+use std::borrow::Borrow;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// The most bytes of a `User-Agent` a [`SessionKey`] keeps. A longer
 /// header is cut here (at a char boundary), so what a client can make
@@ -11,6 +14,84 @@ use std::fmt;
 /// reads the agent (the UA-mismatch test) reads the full header, not
 /// the key.
 pub const MAX_KEY_AGENT_BYTES: usize = 512;
+
+/// `agent` cut to at most [`MAX_KEY_AGENT_BYTES`], at a char boundary.
+fn cut(agent: &str) -> &str {
+    let mut end = agent.len().min(MAX_KEY_AGENT_BYTES);
+    while !agent.is_char_boundary(end) {
+        end -= 1;
+    }
+    &agent[..end]
+}
+
+/// The two parts a session key is made of, however they are held: an
+/// owned [`SessionKey`], or a request's address and the borrowed head of
+/// its `User-Agent`. A tracker's index is keyed by `SessionKey` and
+/// looked up by `dyn KeyParts` (through `Borrow`), so finding a key
+/// already known copies nothing.
+pub trait KeyParts {
+    /// The client address.
+    fn ip(&self) -> ClientIp;
+    /// The `User-Agent`, cut to [`MAX_KEY_AGENT_BYTES`].
+    fn user_agent(&self) -> &str;
+}
+
+/// What `#[derive(Hash)]` on [`SessionKey`] feeds a hasher: the address,
+/// then the agent (an `Arc<str>` hashes as its `str`).
+impl Hash for dyn KeyParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.ip().hash(state);
+        self.user_agent().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.ip() == other.ip() && self.user_agent() == other.user_agent()
+    }
+}
+
+impl Eq for dyn KeyParts + '_ {}
+
+/// A request's key parts, borrowed from the request it was read from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyRef<'a> {
+    ip: ClientIp,
+    user_agent: &'a str,
+}
+
+impl<'a> KeyRef<'a> {
+    /// The key parts of a request read in place.
+    pub(crate) fn of_view(request: &RequestView<'a>) -> KeyRef<'a> {
+        KeyRef {
+            ip: request.client(),
+            user_agent: cut(request.user_agent().unwrap_or("")),
+        }
+    }
+
+    /// [`SessionKey::shard_hash`] of the key these parts make.
+    pub(crate) fn shard_hash(&self) -> u64 {
+        fnv1a(self.ip, self.user_agent)
+    }
+
+    /// The owned key: the one copy of the agent a session keeps.
+    pub(crate) fn to_key(self) -> SessionKey {
+        SessionKey {
+            ip: self.ip,
+            user_agent: Arc::from(self.user_agent),
+        }
+    }
+}
+
+impl KeyParts for KeyRef<'_> {
+    fn ip(&self) -> ClientIp {
+        self.ip
+    }
+
+    fn user_agent(&self) -> &str {
+        self.user_agent
+    }
+}
 
 /// The `<client IP, User-Agent>` pair that identifies a session.
 ///
@@ -36,10 +117,14 @@ pub const MAX_KEY_AGENT_BYTES: usize = 512;
 /// assert_eq!(k.ip(), ClientIp::new(9));
 /// assert_eq!(k.user_agent(), "Opera/8.51");
 /// ```
+///
+/// The agent is an `Arc<str>`: a tracker's index and the session it
+/// names share one allocation, and a clone copies no bytes. `Hash`,
+/// `Eq`, `Ord` and `Debug` read it as the `str` it holds.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionKey {
     ip: ClientIp,
-    user_agent: String,
+    user_agent: Arc<str>,
 }
 
 impl SessionKey {
@@ -47,15 +132,11 @@ impl SessionKey {
     /// of the `User-Agent`. The value is cut before it is copied, so the
     /// key's string never holds more than that.
     pub fn new(ip: ClientIp, user_agent: impl AsRef<str>) -> SessionKey {
-        let user_agent = user_agent.as_ref();
-        let mut end = user_agent.len().min(MAX_KEY_AGENT_BYTES);
-        while !user_agent.is_char_boundary(end) {
-            end -= 1;
-        }
-        SessionKey {
+        KeyRef {
             ip,
-            user_agent: user_agent[..end].to_owned(),
+            user_agent: cut(user_agent.as_ref()),
         }
+        .to_key()
     }
 
     /// Extracts the key from a request. A missing `User-Agent` header maps
@@ -88,20 +169,40 @@ impl SessionKey {
     /// identical across processes and runs, so shard assignment — and
     /// therefore shard iteration order — is deterministic.
     pub fn shard_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for b in self
-            .ip
-            .as_u32()
-            .to_be_bytes()
-            .iter()
-            .chain(self.user_agent.as_bytes())
-        {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        fnv1a(self.ip, &self.user_agent)
+    }
+}
+
+/// FNV-1a over the address octets and the agent's bytes.
+fn fnv1a(ip: ClientIp, user_agent: &str) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = FNV_OFFSET;
+    for b in ip
+        .as_u32()
+        .to_be_bytes()
+        .iter()
+        .chain(user_agent.as_bytes())
+    {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+impl KeyParts for SessionKey {
+    fn ip(&self) -> ClientIp {
+        self.ip
+    }
+
+    fn user_agent(&self) -> &str {
+        &self.user_agent
+    }
+}
+
+impl<'a> Borrow<dyn KeyParts + 'a> for SessionKey {
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
     }
 }
 
@@ -175,13 +276,43 @@ mod tests {
         assert_eq!(key, SessionKey::of_view(&c.view()));
         assert_eq!(key.user_agent(), "a".repeat(MAX_KEY_AGENT_BYTES - 1));
         for key in [key, SessionKey::of_view(&b.view())] {
-            assert!(key.user_agent.capacity() <= MAX_KEY_AGENT_BYTES);
+            assert!(key.user_agent.len() <= MAX_KEY_AGENT_BYTES);
         }
         // Up to the bound an agent is kept whole.
         let whole = "x".repeat(MAX_KEY_AGENT_BYTES);
         assert_eq!(
             SessionKey::new(ClientIp::new(1), &whole).user_agent(),
             whole
+        );
+    }
+
+    #[test]
+    fn a_key_is_found_by_its_borrowed_parts() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::collections::HashMap;
+        let hash = |value: &dyn Fn(&mut DefaultHasher)| {
+            let mut h = DefaultHasher::new();
+            value(&mut h);
+            h.finish()
+        };
+        let long = format!("{}é tail", "a".repeat(MAX_KEY_AGENT_BYTES - 1));
+        let mut index = HashMap::new();
+        for (n, agent) in ["", "Opera/8.51", long.as_str()].into_iter().enumerate() {
+            let r = req(7, Some(agent).filter(|a| !a.is_empty()));
+            let (key, view) = (SessionKey::of(&r), r.view());
+            let parts = KeyRef::of_view(&view);
+            let parts: &dyn KeyParts = &parts;
+            assert!(parts == &key as &dyn KeyParts);
+            assert_eq!(hash(&|h| key.hash(h)), hash(&|h| parts.hash(h)));
+            assert_eq!(KeyRef::of_view(&view).shard_hash(), key.shard_hash());
+            assert_eq!(KeyRef::of_view(&view).to_key(), key);
+            index.insert(key, n);
+            assert_eq!(index.get(parts), Some(&n));
+        }
+        let stranger = req(8, Some("Opera/8.51"));
+        assert_eq!(
+            index.get(&KeyRef::of_view(&stranger.view()) as &dyn KeyParts),
+            None
         );
     }
 

@@ -1,7 +1,7 @@
 //! Compact per-request records kept inside a session.
 
 use crate::time::SimTime;
-use botwall_http::{ContentClass, Method, RequestView, ResponseSummary, UriRef};
+use botwall_http::{ContentClass, MethodKind, RequestView, ResponseSummary, UriRef};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::{self, Write};
 use std::hash::{Hash, Hasher};
@@ -19,8 +19,9 @@ pub struct RequestRecord {
     pub index: u32,
     /// When the request was observed.
     pub time: SimTime,
-    /// The request method.
-    pub method: Method,
+    /// Which method the request used (an extension method's token is
+    /// not kept).
+    pub method: MethodKind,
     /// Content class of the target.
     pub class: ContentClass,
     /// Response status class (2, 3, 4, 5) or 0 when no response was seen.
@@ -76,7 +77,7 @@ impl RequestRecord {
         RequestRecord {
             index,
             time,
-            method: request.method(),
+            method: request.method_kind(),
             class: ContentClass::of_view(request, response.and_then(|r| r.class)),
             status_class: response.map_or(0, |r| r.status.class()),
             has_referer: request.referer().is_some(),
@@ -91,7 +92,7 @@ impl RequestRecord {
 mod tests {
     use super::*;
     use botwall_http::request::ClientIp;
-    use botwall_http::{Request, Response, StatusCode};
+    use botwall_http::{Method, Request, Response, StatusCode};
 
     fn exchange(uri: &str, referer: Option<&str>) -> (Request, Response) {
         let mut b = Request::builder(Method::Get, uri).client(ClientIp::new(1));
@@ -117,7 +118,7 @@ mod tests {
             true,
         );
         assert_eq!(rec.index, 1);
-        assert_eq!(rec.method, Method::Get);
+        assert_eq!(rec.method, MethodKind::Get);
         assert_eq!(rec.class, ContentClass::Html);
         assert_eq!(rec.status_class, 2);
         assert!(rec.has_referer);

@@ -68,13 +68,30 @@
 //! rolled over mid-flight commits through the deferred-carry channel
 //! instead of being dropped. ([`ShardedTracker::observe`] is a gate that
 //! records a finished exchange and finishes.)
+//!
+//! # What a session weighs
+//!
+//! A live session is one slab slot (its [`Session`], its extension state
+//! and two links) plus one index entry (its [`SessionKey`] and slot).
+//! Under the detection core's extension state a slot is 328 bytes on a
+//! 64-bit target: the counters are `u32`s, and state a session may never
+//! need stays behind a pointer until it does (the instrumentation RNG of
+//! a session never served a page). A stranger's first exchange leaves
+//! four heap blocks, ~340 bytes for a short `User-Agent`: the key's
+//! agent, shared by the index and the session through one `Arc<str>`;
+//! the one URL it remembers (a sorted `Vec<u64>`, not a B-tree); the
+//! core's evidence list; and the record log (40-byte records). Looking a
+//! known key up copies nothing: the index is searched by the request's
+//! borrowed parts (`dyn KeyParts`). `crates/gateway/tests/session_weight.rs`
+//! holds these counts.
 
-use crate::key::SessionKey;
+use crate::key::{KeyParts, KeyRef, SessionKey};
 use crate::record::RequestRecord;
 use crate::stats::SessionCounters;
 use crate::time::SimTime;
 use botwall_http::{Request, RequestView, Response, ResponseSummary};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -126,11 +143,36 @@ pub struct Session {
     last_seen: SimTime,
     records: Vec<RequestRecord>,
     counters: SessionCounters,
-    // BTreeSet, not HashSet: iteration (and Debug) order must be
-    // deterministic so identical runs render byte-identical reports.
-    // At most `MAX_RECORDS_PER_SESSION` of them: the first distinct
-    // URLs the session asked for.
-    seen_urls: BTreeSet<u64>,
+    seen_urls: SeenUrls,
+}
+
+/// The hashes of the first [`MAX_RECORDS_PER_SESSION`] distinct URLs a
+/// session asked for, kept sorted in one flat vector: a lookup is a
+/// binary search, and a session that asked for one URL holds one small
+/// block. Ordered, not hashed, so iteration (and `Debug`, rendered as
+/// the set a `BTreeSet` would print) is the same in every run.
+#[derive(Clone, Default, PartialEq, Eq)]
+struct SeenUrls(Vec<u64>);
+
+impl SeenUrls {
+    fn contains(&self, hash: u64) -> bool {
+        self.0.binary_search(&hash).is_ok()
+    }
+
+    /// Remembers `hash` unless the set is full.
+    fn insert(&mut self, hash: u64) {
+        if let Err(at) = self.0.binary_search(&hash) {
+            if self.0.len() < MAX_RECORDS_PER_SESSION {
+                self.0.insert(at, hash);
+            }
+        }
+    }
+}
+
+impl fmt::Debug for SeenUrls {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(&self.0).finish()
+    }
 }
 
 impl Session {
@@ -141,7 +183,7 @@ impl Session {
             last_seen: now,
             records: Vec::new(),
             counters: SessionCounters::new(),
-            seen_urls: BTreeSet::new(),
+            seen_urls: SeenUrls::default(),
         }
     }
 
@@ -163,7 +205,7 @@ impl Session {
     /// Total requests observed (counters keep counting even after the
     /// record log is full).
     pub fn request_count(&self) -> u64 {
-        self.counters.total
+        u64::from(self.counters.total)
     }
 
     /// The bounded record log.
@@ -183,7 +225,7 @@ impl Session {
         if span_ms == 0 {
             0.0
         } else {
-            self.counters.total as f64 * 1000.0 / span_ms as f64
+            f64::from(self.counters.total) * 1000.0 / span_ms as f64
         }
     }
 
@@ -199,16 +241,14 @@ impl Session {
     ) {
         let referer_seen = request
             .referer()
-            .map(|r| self.seen_urls.contains(&RequestRecord::hash_url(r)))
+            .map(|r| self.seen_urls.contains(RequestRecord::hash_url(r)))
             .unwrap_or(false);
-        let index = (self.counters.total + 1) as u32;
+        let index = self.counters.total.saturating_add(1);
         let mut rec = RequestRecord::from_exchange(index, now, request, response, referer_seen);
         if let Some(sent) = sent {
             rec.bytes = request.wire_len() as u64 + sent;
         }
-        if self.seen_urls.len() < MAX_RECORDS_PER_SESSION {
-            self.seen_urls.insert(rec.url_hash);
-        }
+        self.seen_urls.insert(rec.url_hash);
         self.counters.update(&rec);
         if self.records.len() < MAX_RECORDS_PER_SESSION {
             self.records.push(rec);
@@ -773,8 +813,8 @@ impl<E: SessionExt> ShardedTracker<E> {
             .collect()
     }
 
-    fn shard_index(&self, key: &SessionKey) -> usize {
-        (key.shard_hash() % self.shards.len() as u64) as usize
+    fn shard_index(&self, shard_hash: u64) -> usize {
+        (shard_hash % self.shards.len() as u64) as usize
     }
 
     fn lock_shard(&self, idx: usize) -> std::sync::MutexGuard<'_, Shard<E>> {
@@ -816,22 +856,25 @@ impl<E: SessionExt> ShardedTracker<E> {
     /// A leased gate callback must not record the exchange; recording
     /// belongs to the commit.
     ///
-    /// The key is built here, once, with its shard hash: what comes back
-    /// is the key and the index of the shard it lives in (the lease
-    /// carries it too) beside what the gate decided.
+    /// The key is looked up by the request's borrowed parts: a known key
+    /// comes back as a clone of the one the shard holds, and only a key
+    /// the shard inserts is built (its `User-Agent` copied once, shared
+    /// by the index and the session). What comes back is the key and the
+    /// index of the shard it lives in (the lease carries it too) beside
+    /// what the gate decided.
     pub fn begin_exchange<F, L>(
         &self,
         request: &RequestView<'_>,
         now: SimTime,
         gate: impl FnOnce(&mut EntryGuard<'_, E>) -> Gate<F, L>,
     ) -> (SessionKey, usize, Begun<F, L>) {
-        let key = SessionKey::of_view(request);
-        let idx = self.shard_index(&key);
+        let parts = KeyRef::of_view(request);
+        let idx = self.shard_index(parts.shard_hash());
         // The key is resolved once, inside the critical section the
         // exchange runs in: a known key pays one lock and one hash even
-        // when the store is full.
+        // when the store is full, and allocates nothing.
         let mut locked = self.lock_shard(idx);
-        let mut found = locked.live.get(&key).copied();
+        let mut found = locked.live.get(&parts as &dyn KeyParts).copied();
         // A never-seen key at the cap: let go of the shard, evict (shard
         // locks one at a time — never two at once, so lock order cannot
         // deadlock) and come back. Inserts that raced past the check
@@ -852,7 +895,7 @@ impl<E: SessionExt> ShardedTracker<E> {
             self.evict_most_idle(idx, idlest);
             evictions += 1;
             locked = self.lock_shard(idx);
-            found = locked.live.get(&key).copied();
+            found = locked.live.get(&parts as &dyn KeyParts).copied();
         }
         // From here the shard stays locked through rollover AND insert,
         // so a racing same-key request can never slip a fresh entry in
@@ -862,9 +905,10 @@ impl<E: SessionExt> ShardedTracker<E> {
         // Gauge census as of section entry: whatever entry is live under
         // the key right now (the one a rollover would finalize).
         let mut gauge_before = [0; EXT_GAUGES];
-        let slot = match found {
+        let (key, slot) = match found {
             Some(slot) => {
                 let entry = &mut shard.node_mut(slot).entry;
+                let key = entry.session.key.clone();
                 gauge_before = entry.ext.gauge();
                 if self.idle(&entry.session, now) {
                     // Idle rollover, in the predecessor's slot: it is
@@ -876,12 +920,14 @@ impl<E: SessionExt> ShardedTracker<E> {
                     shard.finalized.push(Finalized { session, ext });
                     shard.touch(slot);
                 }
-                slot
+                (key, slot)
             }
             None => {
                 created = true;
                 self.live_total.fetch_add(1, Ordering::Relaxed);
-                shard.insert(self.incarnate(key.clone(), now, E::default()))
+                let key = parts.to_key();
+                let slot = shard.insert(self.incarnate(key.clone(), now, E::default()));
+                (key, slot)
             }
         };
         // A deferred carry (state that arrived while the key had no live
@@ -1127,7 +1173,7 @@ impl<E: SessionExt> ShardedTracker<E> {
     /// Looks up a live session, returning a clone of its record (the
     /// original lives behind the shard lock).
     pub fn get(&self, key: &SessionKey) -> Option<Session> {
-        let shard = self.lock_shard(self.shard_index(key));
+        let shard = self.lock_shard(self.shard_index(key.shard_hash()));
         let slot = *shard.live.get(key)?;
         Some(shard.node(slot).entry.session.clone())
     }
@@ -1139,7 +1185,7 @@ impl<E: SessionExt> ShardedTracker<E> {
         key: &SessionKey,
         f: impl FnOnce(&Session, &mut E) -> R,
     ) -> Option<R> {
-        let idx = self.shard_index(key);
+        let idx = self.shard_index(key.shard_hash());
         let mut shard = self.lock_shard(idx);
         let slot = *shard.live.get(key)?;
         Some(self.bind(idx, &mut shard.node_mut(slot).entry, |e| {
@@ -1162,7 +1208,7 @@ impl<E: SessionExt> ShardedTracker<E> {
         now: SimTime,
         f: impl FnOnce(Option<(&Session, &mut E)>, &mut Option<E::Carry>) -> R,
     ) -> R {
-        let idx = self.shard_index(key);
+        let idx = self.shard_index(key.shard_hash());
         let mut shard = self.lock_shard(idx);
         let live = shard.live.get(key).copied();
         let live = live.filter(|&slot| !self.idle(&shard.node(slot).entry.session, now));
@@ -1415,6 +1461,9 @@ mod tests {
     use super::*;
     use botwall_http::request::ClientIp;
     use botwall_http::{Method, StatusCode};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
     use std::convert::Infallible;
 
     /// Finishes `r`'s exchange at `now` through a gate that runs `f` on
@@ -1561,7 +1610,7 @@ mod tests {
         let key = k.unwrap();
         let s = t.get(&key).unwrap();
         assert_eq!(s.records().len(), MAX_RECORDS_PER_SESSION);
-        assert_eq!(s.seen_urls.len(), MAX_RECORDS_PER_SESSION);
+        assert_eq!(s.seen_urls.0.len(), MAX_RECORDS_PER_SESSION);
         assert_eq!(s.request_count(), 2_000);
         // A Referer naming a remembered URL reads seen; one naming a
         // URL past the bound reads unseen.
@@ -1575,7 +1624,7 @@ mod tests {
         let s = t.get(&key).unwrap();
         assert_eq!(s.counters().with_referer, 2);
         assert_eq!(s.counters().unseen_referer, 1);
-        assert_eq!(s.seen_urls.len(), MAX_RECORDS_PER_SESSION);
+        assert_eq!(s.seen_urls.0.len(), MAX_RECORDS_PER_SESSION);
     }
 
     #[test]
@@ -2459,5 +2508,32 @@ mod tests {
             [acc[0] + g[0], acc[1] + g[1]]
         });
         assert_eq!(t.gauge_totals(), folded, "gauges must mirror the fold");
+    }
+
+    proptest! {
+        /// The flat seen-URL set answers, counts and renders as the
+        /// `BTreeSet` it replaced, kept the same way: any URL (of a
+        /// sequence long enough to fill it, with repeats) is remembered
+        /// while fewer than the cap are.
+        #[test]
+        fn the_seen_set_behaves_as_a_capped_btree_set(
+            urls in vec(prop_oneof![0u64..600, any::<u64>()], 0..1_400),
+            probes in vec(0u64..600, 1..32),
+        ) {
+            let (mut seen, mut model) = (SeenUrls::default(), BTreeSet::new());
+            for (i, &url) in urls.iter().enumerate() {
+                seen.insert(url);
+                if model.len() < MAX_RECORDS_PER_SESSION {
+                    model.insert(url);
+                }
+                let probe = probes[i % probes.len()];
+                prop_assert_eq!(seen.contains(probe), model.contains(&probe));
+                prop_assert_eq!(seen.contains(url), model.contains(&url));
+                prop_assert_eq!(seen.0.len(), model.len());
+            }
+            prop_assert!(seen.0.len() <= MAX_RECORDS_PER_SESSION);
+            prop_assert_eq!(format!("{seen:#?}"), format!("{model:#?}"));
+            prop_assert_eq!(format!("{seen:?}"), format!("{model:?}"));
+        }
     }
 }
