@@ -170,13 +170,14 @@ fn bench_sweep_slice(c: &mut Criterion) {
 }
 
 /// Carry-channel saturation: stash cost once a shard's deferred-carry
-/// bound is reached and each stash must drop the smallest key.
+/// bound (its share of `max_sessions`) is reached and each stash must
+/// drop the least recently parked.
 fn bench_carry_saturation(c: &mut Criterion) {
     let per_shard: usize = if quick() { 512 } else { 8_192 };
     let shards = 16usize;
     let tracker: SessionTracker = SessionTracker::new(TrackerConfig {
         shards,
-        max_carries_per_shard: per_shard,
+        max_sessions: per_shard * shards,
         ..TrackerConfig::default()
     });
     // Saturate every shard: all keys are dead (no session was ever
@@ -186,11 +187,8 @@ fn bench_carry_saturation(c: &mut Criterion) {
         let key = SessionKey::of(&req(ip, "http://cap.example.com/x.html"));
         tracker.with_entry_and_carry(&key, SimTime::ZERO, |_, carry| *carry = Some(()));
     }
-    assert!(
-        tracker.carry_count() >= per_shard,
-        "carry channel saturated: {}",
-        tracker.carry_count()
-    );
+    let carries = tracker.census().carries;
+    assert!(carries >= per_shard, "carry channel saturated: {carries}");
 
     let mut group = c.benchmark_group("capacity");
     group.throughput(Throughput::Elements(1));

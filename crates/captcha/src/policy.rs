@@ -1,7 +1,6 @@
 //! CAPTCHA serving strategies.
 
 use crate::challenge::Challenge;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -35,10 +34,11 @@ const DEFAULT_DIFFICULTY: f64 = 0.5;
 /// policy reads, `check`) is an atomic or immutable — never a lock.
 ///
 /// Single-use is enforced here, globally: a successfully
-/// [verified](CaptchaService::verify_once) id lands in a redeemed set (sharded by id, touched only on the rare
-/// answer-submission path, never by request handling), so one solved
-/// `(id, answer)` pair cannot be replayed — the property the old issue
-/// table provided by deleting entries.
+/// [verified](CaptchaService::verify_once) id is marked in a sliding bit
+/// window of redeemed ids (touched only on the rare answer-submission
+/// path, never by request handling), so one solved `(id, answer)` pair
+/// cannot be replayed — the property the old issue table provided by
+/// deleting entries. Marking costs the same however full the window is.
 #[derive(Debug)]
 pub struct CaptchaService {
     policy: ServingPolicy,
@@ -48,25 +48,89 @@ pub struct CaptchaService {
     issued: AtomicU64,
     passed: AtomicU64,
     failed: AtomicU64,
-    /// Ids already redeemed, sharded by id. Only the `verify_*` calls
-    /// (the human-answers-a-challenge path) ever lock a shard; the
-    /// request path never touches this.
-    redeemed: Vec<Mutex<HashSet<u64>>>,
-    /// Monotone validity floor: ids below it are rejected outright.
-    /// Raised whenever the redeemed set evicts an old id, so an evicted
-    /// id can never be replayed — eviction *retires* history instead of
-    /// forgetting it (the old issue table got the same effect by
-    /// evicting oldest outstanding entries).
+    /// Ids already redeemed. Only the `verify_*` calls and `burn` (the
+    /// human-answers-a-challenge path) ever lock it; the request path
+    /// never touches this.
+    redeemed: Mutex<Redeemed>,
+    /// Monotone validity floor, the redeemed window's: ids below it are
+    /// rejected outright. It rises as the window slides, so an id that
+    /// falls out of the window can never be replayed — sliding *retires*
+    /// history instead of forgetting it (the old issue table got the
+    /// same effect by evicting oldest outstanding entries). Read without
+    /// the lock by `check`.
     min_valid_id: AtomicU64,
-    /// Redeemed ids retained per shard before retirement kicks in.
-    redeemed_cap: usize,
 }
 
-/// Shards of the redeemed-id set.
-const REDEEMED_SHARDS: usize = 16;
-/// Redeemed ids retained per shard; beyond it the smallest (oldest) id
-/// is dropped — by then its challenge is ancient history.
-const MAX_REDEEMED_PER_SHARD: usize = 65_536;
+/// Ids the redeemed window spans: 2^20, one bit each, 128 KiB. Ids are
+/// issued in sequence, so an id this far behind the newest redeemed one
+/// belongs to a challenge that is ancient history.
+const REDEEMED_WINDOW_IDS: u64 = 1 << 20;
+
+/// Which ids of `[floor, floor + span)` were redeemed: one bit an id, in
+/// a ring of words indexed by the id modulo the span. Every id below
+/// `floor` counts as redeemed (retired).
+#[derive(Debug)]
+struct Redeemed {
+    floor: u64,
+    words: Box<[u64]>,
+}
+
+impl Redeemed {
+    /// An empty window of `span` ids (a multiple of 64) from id 1, the
+    /// first one issued.
+    fn new(span: u64) -> Redeemed {
+        assert!(span > 0 && span % 64 == 0, "a window of whole words");
+        Redeemed {
+            floor: 1,
+            words: vec![0; (span / 64) as usize].into_boxed_slice(),
+        }
+    }
+
+    fn span(&self) -> u64 {
+        self.words.len() as u64 * 64
+    }
+
+    /// The word and bit that hold `id` while it is in the window.
+    fn locate(&self, id: u64) -> (usize, u64) {
+        let bit = id % self.span();
+        ((bit / 64) as usize, 1 << (bit % 64))
+    }
+
+    /// Marks `id` redeemed; `false` if it already was, or is retired.
+    /// An id past the window slides the floor up until it fits.
+    fn mark(&mut self, id: u64) -> bool {
+        if id < self.floor {
+            return false;
+        }
+        let span = self.span();
+        if id - self.floor >= span {
+            self.slide(id + 1 - span);
+        }
+        let (word, bit) = self.locate(id);
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        fresh
+    }
+
+    /// Raises the floor to `floor`, clearing the bits of the ids it
+    /// retires so the ring can hold the ids it admits: a word at a
+    /// time, and the whole ring at most.
+    fn slide(&mut self, floor: u64) {
+        let span = self.span();
+        if floor - self.floor >= span {
+            self.words.fill(0);
+        } else {
+            let mut id = self.floor;
+            while id < floor {
+                let bit = id % span;
+                let n = (64 - bit % 64).min(floor - id);
+                self.words[(bit / 64) as usize] &= !((u64::MAX >> (64 - n)) << (bit % 64));
+                id += n;
+            }
+        }
+        self.floor = floor;
+    }
+}
 
 impl CaptchaService {
     /// Creates a service.
@@ -79,41 +143,34 @@ impl CaptchaService {
             issued: AtomicU64::new(0),
             passed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
-            redeemed: (0..REDEEMED_SHARDS)
-                .map(|_| Mutex::new(HashSet::new()))
-                .collect(),
+            redeemed: Mutex::new(Redeemed::new(REDEEMED_WINDOW_IDS)),
             min_valid_id: AtomicU64::new(1),
-            redeemed_cap: MAX_REDEEMED_PER_SHARD,
         }
     }
 
-    /// Shrinks the per-shard redeemed-id retention (tests exercise the
+    /// Shrinks the redeemed window to `span` ids (tests exercise the
     /// retirement path without a million issuances).
     #[cfg(test)]
-    fn with_redeemed_cap(mut self, cap: usize) -> CaptchaService {
-        self.redeemed_cap = cap;
+    fn with_redeemed_window(mut self, span: u64) -> CaptchaService {
+        self.redeemed = Mutex::new(Redeemed::new(span));
         self
     }
 
-    /// Marks `id` redeemed; `false` if it already was (a replay).
+    /// Marks `id` redeemed; `false` if it already was (a replay), is
+    /// retired, or was never issued.
     fn redeem_once(&self, id: u64) -> bool {
-        let shard = &self.redeemed[(id % REDEEMED_SHARDS as u64) as usize];
-        let mut set = match shard.lock() {
+        if id >= self.next_id.load(Ordering::Relaxed) {
+            return false;
+        }
+        let mut window = match self.redeemed.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        if !set.insert(id) {
-            return false;
-        }
-        if set.len() > self.redeemed_cap {
-            if let Some(&min) = set.iter().min() {
-                set.remove(&min);
-                // The evicted id is retired, not forgotten: everything
-                // at or below it stops verifying entirely.
-                self.min_valid_id.fetch_max(min + 1, Ordering::Relaxed);
-            }
-        }
-        true
+        let fresh = window.mark(id);
+        // The ids the window slid past are retired, not forgotten:
+        // they stop verifying entirely.
+        self.min_valid_id.fetch_max(window.floor, Ordering::Relaxed);
+        fresh
     }
 
     /// Sets the attack flag consulted by
@@ -236,6 +293,9 @@ impl CaptchaService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     #[test]
     fn optional_policy_always_offers() {
@@ -314,32 +374,95 @@ mod tests {
 
     #[test]
     fn redeemed_set_eviction_retires_ids_instead_of_forgetting_them() {
-        // Once the redeemed set overflows and evicts an old id, that id
-        // must stay dead forever — eviction must never re-open a solved
+        // Once the redeemed window slides past an old id, that id must
+        // stay dead forever — sliding must never re-open a solved
         // challenge for replay.
-        let s = CaptchaService::new(ServingPolicy::OptionalWithIncentive, 6).with_redeemed_cap(4);
+        let s =
+            CaptchaService::new(ServingPolicy::OptionalWithIncentive, 6).with_redeemed_window(64);
         let first = s.issue();
         let first_answer = first.answer().to_string();
         assert!(s.verify_once(first.id, &first_answer));
-        // Overflow the shard holding `first.id` until it evicts it.
-        let mut spilled = 0usize;
-        while spilled <= 4 {
-            let ch = s.issue();
-            if ch.id % REDEEMED_SHARDS as u64 == first.id % REDEEMED_SHARDS as u64 {
-                let answer = ch.answer().to_string();
-                assert!(s.verify_once(ch.id, &answer));
-                spilled += 1;
-            }
+        // Redeem an id a span and one past the first: the window slides
+        // its floor two ids up.
+        let mut ch = s.issue();
+        while ch.id < first.id + 65 {
+            ch = s.issue();
         }
-        // The evicted first id is retired: even its correct answer is
+        assert!(s.verify_once(ch.id, ch.answer()));
+        // The slid-past first id is retired: even its correct answer is
         // rejected (validity floor), not replayable.
         assert!(!s.verify_once(first.id, &first_answer));
         assert!(!s.check(first.id, &first_answer));
+        // An issued id the window slid past without redeeming is retired
+        // too; the ones still inside verify once.
+        let skipped = first.id + 1;
+        assert!(!s.check(skipped, Challenge::derive(6, skipped, 0.5).answer()));
+        let inside = ch.id - 1;
+        let answer = Challenge::derive(6, inside, 0.5).answer().to_string();
+        assert!(s.verify_once(inside, &answer));
+        assert!(!s.verify_once(inside, &answer));
+    }
+
+    #[test]
+    fn a_never_issued_id_cannot_be_burned_or_slide_the_window() {
+        let s =
+            CaptchaService::new(ServingPolicy::OptionalWithIncentive, 7).with_redeemed_window(64);
+        let ch = s.issue();
+        s.burn(ch.id + 1_000);
+        assert!(s.verify_once(ch.id, ch.answer()));
+    }
+
+    /// Whether the model counts `id` redeemed.
+    fn marked(window: &Redeemed, id: u64) -> bool {
+        let (word, bit) = window.locate(id);
+        id < window.floor || (id - window.floor < window.span() && window.words[word] & bit != 0)
+    }
+
+    proptest! {
+        /// The window marks, refuses and retires as a set of redeemed
+        /// ids with a floor below which every id is retired, the floor
+        /// raised just enough to keep the newest mark within the span:
+        /// ids behind, inside, just past and far past the window, on
+        /// spans of one to four words.
+        #[test]
+        fn the_redeemed_window_is_a_set_above_a_floor(
+            words in 1u64..5,
+            ops in vec((0u8..4, 0u64..300), 1..300),
+        ) {
+            let span = words * 64;
+            let mut window = Redeemed::new(span);
+            let (mut floor, mut set) = (1u64, HashSet::new());
+            for (kind, offset) in ops {
+                let id = match kind {
+                    0 => floor.saturating_sub(offset % 8),
+                    1 => floor + offset % span,
+                    2 => floor + span + offset % 8,
+                    _ => floor + offset * 7,
+                };
+                let expected = id >= floor && {
+                    if id - floor >= span {
+                        floor = id + 1 - span;
+                        set.retain(|&x| x >= floor);
+                    }
+                    set.insert(id)
+                };
+                prop_assert_eq!(window.mark(id), expected, "id {}", id);
+                prop_assert_eq!(window.floor, floor);
+                let near = [floor.saturating_sub(1), floor, id.saturating_sub(1), id + 1];
+                for probe in near {
+                    let want = probe < floor || set.contains(&probe);
+                    prop_assert_eq!(marked(&window, probe), want, "probe {}", probe);
+                }
+            }
+            for probe in floor.saturating_sub(2)..floor + span + 2 {
+                let want = probe < floor || set.contains(&probe);
+                prop_assert_eq!(marked(&window, probe), want, "probe {}", probe);
+            }
+        }
     }
 
     #[test]
     fn issue_is_lock_free_and_ids_stay_unique_across_threads() {
-        use std::collections::HashSet;
         use std::sync::Arc;
         let s = Arc::new(CaptchaService::new(ServingPolicy::OptionalWithIncentive, 8));
         let handles: Vec<_> = (0..4)

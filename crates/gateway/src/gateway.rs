@@ -1209,9 +1209,9 @@ mod tests {
         // ...and the exchange commits through the carry channel: parked,
         // then absorbed by the key's next incarnation, whose in-flight
         // count starts from nothing.
-        assert_eq!(gw.detector().tracker().carry_count(), 1);
+        assert_eq!(gw.detector().tracker().census().carries, 1);
         gw.handle(&r, SimTime::from_secs(3));
-        assert_eq!(gw.detector().tracker().carry_count(), 0);
+        assert_eq!(gw.detector().tracker().census().carries, 0);
         let (lost, in_flight) = gw
             .detector()
             .with_key_state(&key, |_, state| (state.lost_commits, state.in_flight))
@@ -1266,7 +1266,7 @@ mod tests {
         // ...nor committed into it: the exchange parks for the leased
         // key's next incarnation.
         assert_eq!(newcomer(&gw), before);
-        assert_eq!(tracker.carry_count(), 1);
+        assert_eq!(tracker.census().carries, 1);
         assert_eq!(gw.stats().token_entries, 0);
         gw.handle(&r, SimTime::from_secs(3));
         let lost = gw
@@ -2022,7 +2022,7 @@ mod tests {
             gw.detector().tracker().get(&key).unwrap().request_count(),
             0
         );
-        assert_eq!(gw.detector().tracker().carry_count(), 0);
+        assert_eq!(gw.detector().tracker().census().carries, 0);
         assert_eq!(gw.stats().served, 0);
         // Sweep reclaims the empty session like any idle one.
         assert_eq!(gw.sweep(SimTime::from_hours(2)).len(), 1);

@@ -34,6 +34,7 @@ pub mod key;
 pub mod record;
 pub mod stats;
 pub mod sync;
+mod table;
 pub mod time;
 pub mod tracker;
 

@@ -14,7 +14,7 @@
 //! The ledger counts shard locks, because that is what it can see:
 //! every acquisition of a tracker shard mutex goes through
 //! [`lock_shard_or_recover`] and nothing else does. A lock taken any
-//! other way (the CAPTCHA service's redeemed-id set is the one other
+//! other way (the CAPTCHA service's redeemed-id window is the one other
 //! mutex on a request path, and recovers its poison by hand) is not in
 //! it. The counter is thread-local, so a test measuring its own thread
 //! is exact even while other test threads hammer their own locks. In

@@ -11,31 +11,23 @@
 //!
 //! # One idle order per shard
 //!
-//! A shard keeps its entries in a slab (`key → slot` through one hash
-//! map) and threads them onto one doubly linked list by slot index,
-//! ordered by **last touch**: wherever an exchange is recorded (the only
-//! place `last_seen` is written) the entry is relinked to the warm end,
-//! under the shard lock that path already holds. Everything that asks
-//! "who has been idle longest" reads the cold end of that list instead
-//! of scanning:
-//!
-//! * **Capacity eviction** compares the cold ends of the shards — one
-//!   `(last_seen, key)` each, one lock at a time — and finalizes the
-//!   idlest. Within a shard a run of sessions sharing the cold end's
-//!   `last_seen` is resolved toward the smallest key by a walk of at
-//!   most eight entries (`TIE_WALK_BOUND`), cached until the run
-//!   changes.
-//! * **Idle expiry** pops cold ends until the first one still inside
-//!   the idle timeout; [`ShardedTracker::sweep_slice`] does a bounded
-//!   amount of that per call so a live server can afford to sweep.
+//! A shard keeps its live sessions in a table (the private `table`
+//! module): a slab indexed by key and linked by last touch. Recording an
+//! exchange (the only place `last_seen` is written) relinks the entry to
+//! the warm end under the lock that path already holds, so **capacity
+//! eviction** compares the shards' cold ends — one `(last_seen, key)`
+//! each, one lock at a time — and **idle expiry** pops cold ends until
+//! one is still inside the idle timeout; [`ShardedTracker::sweep_slice`]
+//! does a bounded amount of that per call so a live server can afford
+//! to sweep.
 //!
 //! **What is exact.** With a clock that never runs backwards within a
 //! shard (a reactor's clock, every simulated harness) touch order *is*
 //! `last_seen` order, so a single-threaded caller evicts exactly the
-//! globally idlest session (ties of up to `TIE_WALK_BOUND` toward the
-//! smaller key) and a sweep finalizes exactly the expired ones. The
-//! order is a function of the operation history alone, never of
-//! `HashMap` iteration, so identical runs pick identical victims.
+//! globally idlest session (ties of up to eight toward the smaller key)
+//! and a sweep finalizes exactly the expired ones. The order is a
+//! function of the operation history alone, never of `HashMap`
+//! iteration, so identical runs pick identical victims.
 //!
 //! **What is best-effort.** Under concurrent ingest the shards are
 //! peeked one lock at a time: a session touched between the peek and
@@ -55,6 +47,18 @@
 //! Its bound is the caller's: `botwall-serve` ticks
 //! [`ShardedTracker::sweep_slice`] from every reactor; a library caller
 //! that evicts but never sweeps holds every casualty until it drains.
+//!
+//! # Carries
+//!
+//! A *carry* is per-key state parked while the key has no live session
+//! (a CAPTCHA pass answered after the sweep, what a lease evicted
+//! mid-fetch produced), absorbed by the key's next incarnation. A shard
+//! parks carries in a second table of the same type as its sessions: at
+//! most `max_sessions.div_ceil(shards)` (6 250 at the defaults), the
+//! least recently parked going first at the bound, and each dead
+//! [`TrackerConfig::idle_timeout_ms`] after it was parked or last handed
+//! back — dropped by the sweep step that expires sessions, and read as
+//! absent before that.
 //!
 //! # Two-phase exchanges
 //!
@@ -88,9 +92,9 @@
 use crate::key::{KeyParts, KeyRef, SessionKey};
 use crate::record::RequestRecord;
 use crate::stats::SessionCounters;
+use crate::table::{Stamped, Table};
 use crate::time::SimTime;
 use botwall_http::{Request, RequestView, Response, ResponseSummary};
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -104,24 +108,20 @@ const MAX_RECORDS_PER_SESSION: usize = 512;
 /// Configuration for [`ShardedTracker`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrackerConfig {
-    /// Idle time after which a session is finalized (paper: one hour).
+    /// Idle time after which a session is finalized and a parked carry
+    /// expires (paper: one hour).
     pub idle_timeout_ms: u64,
     /// Maximum live sessions; beyond this, the most idle session is
     /// finalized early to bound memory (a DoS guard the paper's design
     /// goal of low memory implies). Under concurrent ingest the bound is
     /// enforced best-effort (racing inserts may briefly overshoot it by
-    /// about their number).
+    /// about their number). Each shard parks at most its share of it in
+    /// carries, `max_sessions.div_ceil(shards)`.
     pub max_sessions: usize,
     /// Number of key-hash shards the live-session map is split into.
     /// Each shard is an independent map behind its own mutex, so this is
     /// also the ingest concurrency limit. `0` is treated as `1`.
     pub shards: usize,
-    /// Bound on deferred carries held per shard (state that arrives for
-    /// a key while it has no live session, e.g. a CAPTCHA pass answered
-    /// after the sweep). Beyond it the smallest key is dropped
-    /// (deterministic, unlike arbitrary map eviction). `0` disables
-    /// carry parking entirely.
-    pub max_carries_per_shard: usize,
 }
 
 impl Default for TrackerConfig {
@@ -130,7 +130,6 @@ impl Default for TrackerConfig {
             idle_timeout_ms: 3_600_000,
             max_sessions: 100_000,
             shards: 16,
-            max_carries_per_shard: 8_192,
         }
     }
 }
@@ -339,211 +338,72 @@ struct Entry<E> {
     incarnation: u64,
 }
 
-/// "No slot": the end of a shard's idle order, or an unset link.
-const NIL: u32 = u32::MAX;
+/// A live entry is filed under its session's key and ordered by its
+/// last exchange.
+impl<E> Stamped for Entry<E> {
+    fn key(&self) -> &SessionKey {
+        &self.session.key
+    }
 
-/// How many entries an eviction may walk through a run of sessions that
-/// share the cold end's `last_seen` to find the smallest key. Simulated
-/// clocks put thousands of sessions on one instant; neither a touch nor
-/// an eviction may cost more than a fixed number of entries there.
-const TIE_WALK_BOUND: usize = 8;
+    fn stamp(&self) -> SimTime {
+        self.session.last_seen
+    }
+}
+
+/// A carry parked for a key with no live session, stamped with when it
+/// was parked or last handed back.
+#[derive(Debug)]
+struct Parked<C> {
+    key: SessionKey,
+    at: SimTime,
+    carry: C,
+}
+
+impl<C> Stamped for Parked<C> {
+    fn key(&self) -> &SessionKey {
+        &self.key
+    }
+
+    fn stamp(&self) -> SimTime {
+        self.at
+    }
+}
 
 /// How many sessions one insert at the cap may evict: one, plus up to
 /// four more while inserts that raced past the cap check hold the count
 /// at or over it.
 const EVICTIONS_PER_INSERT: usize = 5;
 
-/// One slab slot's occupant: the entry plus its neighbours in the
-/// shard's idle order, as slot indices.
-#[derive(Debug)]
-struct Node<E> {
-    entry: Entry<E>,
-    /// The next colder entry ([`NIL`] at the cold end).
-    prev: u32,
-    /// The next warmer entry ([`NIL`] at the warm end).
-    next: u32,
-}
-
-/// One shard: its live entries in a slab, indexed by key and linked in
-/// idle order (see the module docs); the finalized sessions (rollover
-/// and eviction casualties) not yet collected by a sweep or drain; and
-/// the deferred carries awaiting their key's next incarnation.
+/// One shard: its live entries and its parked carries, each a table in
+/// idle order (see the module docs), and the finalized sessions
+/// (rollover and eviction casualties) not yet collected by a sweep or
+/// drain.
 #[derive(Debug)]
 struct Shard<E: SessionExt> {
-    live: HashMap<SessionKey, u32>,
-    slab: Vec<Option<Node<E>>>,
-    /// Vacant slab slots, reused before the slab grows.
-    free: Vec<u32>,
-    /// The least recently touched entry.
-    cold: u32,
-    /// The most recently touched entry.
-    warm: u32,
-    /// The eviction victim [`Shard::coldest`] last worked out (the
-    /// smallest key of the cold end's run), or [`NIL`] once the run
-    /// changed under it.
-    victim: u32,
-    /// Where the maintenance walk of [`ShardedTracker::sweep_slice`]
-    /// resumes, in slot order.
-    hand: usize,
+    live: Table<Entry<E>>,
+    carries: Table<Parked<E::Carry>>,
     finalized: Vec<Finalized<E>>,
-    /// Ordered, so the bound's victim (the smallest key) is one step.
-    carry: BTreeMap<SessionKey, E::Carry>,
 }
 
 impl<E: SessionExt> Default for Shard<E> {
     fn default() -> Self {
         Shard {
-            live: HashMap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            cold: NIL,
-            warm: NIL,
-            victim: NIL,
-            hand: 0,
+            live: Table::default(),
+            carries: Table::default(),
             finalized: Vec::new(),
-            carry: BTreeMap::new(),
         }
     }
 }
 
 impl<E: SessionExt> Shard<E> {
-    fn node(&self, slot: u32) -> &Node<E> {
-        self.slab[slot as usize]
-            .as_ref()
-            .expect("a linked slot holds an entry")
-    }
-
-    fn node_mut(&mut self, slot: u32) -> &mut Node<E> {
-        self.slab[slot as usize]
-            .as_mut()
-            .expect("a linked slot holds an entry")
-    }
-
     /// The entry a lease was taken on, if `slot` still holds it. Stamps
     /// are never reused, so only that entry carries `incarnation`: a
     /// rollover in place, an eviction, or the slot gone to another key
     /// (or the slab to a drain) all read as gone.
     fn leased(&mut self, slot: u32, incarnation: u64) -> Option<&mut Entry<E>> {
-        let node = self.slab.get_mut(slot as usize)?.as_mut()?;
-        (node.entry.incarnation == incarnation).then_some(&mut node.entry)
-    }
-
-    fn unlink(&mut self, slot: u32) {
-        let Node { prev, next, .. } = *self.node(slot);
-        match prev {
-            NIL => self.cold = next,
-            colder => self.node_mut(colder).next = next,
-        }
-        match next {
-            NIL => self.warm = prev,
-            warmer => self.node_mut(warmer).prev = prev,
-        }
-    }
-
-    fn link_warm(&mut self, slot: u32) {
-        let colder = self.warm;
-        let node = self.node_mut(slot);
-        node.prev = colder;
-        node.next = NIL;
-        match colder {
-            NIL => self.cold = slot,
-            colder => self.node_mut(colder).next = slot,
-        }
-        self.warm = slot;
-        // Only a list this short can see its warm end inside the tie
-        // walk of its cold end.
-        if self.live.len() <= TIE_WALK_BOUND {
-            self.victim = NIL;
-        }
-    }
-
-    /// Moves an entry whose `last_seen` was just written to the warm end.
-    fn touch(&mut self, slot: u32) {
-        if self.victim == slot {
-            self.victim = NIL;
-        }
-        if self.warm != slot {
-            self.unlink(slot);
-            self.link_warm(slot);
-        }
-    }
-
-    fn insert(&mut self, entry: Entry<E>) -> u32 {
-        let key = entry.session.key.clone();
-        let node = Some(Node {
-            entry,
-            prev: NIL,
-            next: NIL,
-        });
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = node;
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len())
-                    .ok()
-                    .filter(|&slot| slot != NIL)
-                    .expect("a shard holds fewer than 2^32 - 1 entries");
-                self.slab.push(node);
-                slot
-            }
-        };
-        self.live.insert(key, slot);
-        self.link_warm(slot);
-        slot
-    }
-
-    fn remove(&mut self, slot: u32) -> Entry<E> {
-        if self.victim == slot {
-            self.victim = NIL;
-        }
-        self.unlink(slot);
-        let node = self.slab[slot as usize]
-            .take()
-            .expect("a linked slot holds an entry");
-        self.free.push(slot);
-        self.live.remove(&node.entry.session.key);
-        node.entry
-    }
-
-    /// Empties the live set and hands back its slab; the parked carries
-    /// and the uncollected casualties stay.
-    fn take_live(&mut self) -> Vec<Option<Node<E>>> {
-        let carry = std::mem::take(&mut self.carry);
-        let finalized = std::mem::take(&mut self.finalized);
-        let fresh = Shard {
-            carry,
-            finalized,
-            ..Shard::default()
-        };
-        std::mem::replace(self, fresh).slab
-    }
-
-    /// The slot capacity eviction would take from this shard: the cold
-    /// end, or the smallest key among the (at most [`TIE_WALK_BOUND`])
-    /// entries that follow it with the same `last_seen`.
-    fn coldest(&mut self) -> Option<u32> {
-        if self.victim == NIL && self.cold != NIL {
-            let mut best = self.node(self.cold);
-            let mut victim = self.cold;
-            let mut at = best.next;
-            for _ in 1..TIE_WALK_BOUND {
-                if at == NIL {
-                    break;
-                }
-                let node = self.node(at);
-                if node.entry.session.last_seen != best.entry.session.last_seen {
-                    break;
-                }
-                if node.entry.session.key < best.entry.session.key {
-                    (best, victim) = (node, at);
-                }
-                at = node.next;
-            }
-            self.victim = victim;
-        }
-        (self.victim != NIL).then_some(self.victim)
+        self.live
+            .occupant(slot)
+            .filter(|entry| entry.incarnation == incarnation)
     }
 }
 
@@ -551,14 +411,14 @@ impl<E: SessionExt> Shard<E> {
 /// shard.
 type Idlest = Option<(SimTime, SessionKey, usize)>;
 
-/// Offers a locked shard's [`Shard::coldest`] entry as the eviction
-/// victim: it replaces `idlest` if it has been idle longer (ties toward
-/// the smaller key).
+/// Offers a locked shard's coldest live entry as the eviction victim:
+/// it replaces `idlest` if it has been idle longer (ties toward the
+/// smaller key).
 fn nominate<E: SessionExt>(shard: &mut Shard<E>, idx: usize, idlest: &mut Idlest) {
-    let Some(slot) = shard.coldest() else {
+    let Some(slot) = shard.live.coldest() else {
         return;
     };
-    let session = &shard.node(slot).entry.session;
+    let session = &shard.live.get(slot).session;
     let idler = match idlest {
         None => true,
         Some((t, k, _)) => (session.last_seen, &session.key) < (*t, k),
@@ -710,7 +570,10 @@ pub struct Census {
     /// Finalized sessions (eviction and rollover casualties) waiting
     /// for a sweep or drain to collect them.
     pub pending: usize,
+    /// Carries parked for keys with no live session.
+    pub carries: usize,
 }
+
 /// Process-wide source of tracker identities: incarnation stamps are
 /// only unique *within* one tracker, so every lease also carries the
 /// identity of the tracker that minted it and
@@ -874,7 +737,7 @@ impl<E: SessionExt> ShardedTracker<E> {
         // exchange runs in: a known key pays one lock and one hash even
         // when the store is full, and allocates nothing.
         let mut locked = self.lock_shard(idx);
-        let mut found = locked.live.get(&parts as &dyn KeyParts).copied();
+        let mut found = locked.live.find(&parts as &dyn KeyParts);
         // A never-seen key at the cap: let go of the shard, evict (shard
         // locks one at a time — never two at once, so lock order cannot
         // deadlock) and come back. Inserts that raced past the check
@@ -895,7 +758,7 @@ impl<E: SessionExt> ShardedTracker<E> {
             self.evict_most_idle(idx, idlest);
             evictions += 1;
             locked = self.lock_shard(idx);
-            found = locked.live.get(&parts as &dyn KeyParts).copied();
+            found = locked.live.find(&parts as &dyn KeyParts);
         }
         // From here the shard stays locked through rollover AND insert,
         // so a racing same-key request can never slip a fresh entry in
@@ -907,10 +770,10 @@ impl<E: SessionExt> ShardedTracker<E> {
         let mut gauge_before = [0; EXT_GAUGES];
         let (key, slot) = match found {
             Some(slot) => {
-                let entry = &mut shard.node_mut(slot).entry;
+                let entry = shard.live.get_mut(slot);
                 let key = entry.session.key.clone();
                 gauge_before = entry.ext.gauge();
-                if self.idle(&entry.session, now) {
+                if self.idle(entry.session.last_seen, now) {
                     // Idle rollover, in the predecessor's slot: it is
                     // finalized with the state it accumulated and the
                     // successor starts from its rollover carry-over.
@@ -918,7 +781,7 @@ impl<E: SessionExt> ShardedTracker<E> {
                     let successor = self.incarnate(key.clone(), now, entry.ext.on_rollover());
                     let Entry { session, ext, .. } = std::mem::replace(entry, successor);
                     shard.finalized.push(Finalized { session, ext });
-                    shard.touch(slot);
+                    shard.live.touch(slot);
                 }
                 (key, slot)
             }
@@ -926,20 +789,22 @@ impl<E: SessionExt> ShardedTracker<E> {
                 created = true;
                 self.live_total.fetch_add(1, Ordering::Relaxed);
                 let key = parts.to_key();
-                let slot = shard.insert(self.incarnate(key.clone(), now, E::default()));
+                let slot = shard
+                    .live
+                    .insert(self.incarnate(key.clone(), now, E::default()));
                 (key, slot)
             }
         };
         // A deferred carry (state that arrived while the key had no live
         // session) lands in the incarnation that starts now — before the
         // callback, so gates already see its effect.
-        if created && !shard.carry.is_empty() {
-            if let Some(carry) = shard.carry.remove(&key) {
-                let entry = &mut shard.node_mut(slot).entry;
+        if created && !shard.carries.is_empty() {
+            if let Some(carry) = self.unpark(&mut shard.carries, &key, now) {
+                let entry = shard.live.get_mut(slot);
                 entry.ext.absorb(carry, &entry.session);
             }
         }
-        let entry = &mut shard.node_mut(slot).entry;
+        let entry = shard.live.get_mut(slot);
         let incarnation = entry.incarnation;
         let mut guard = EntryGuard {
             session: &mut entry.session,
@@ -973,7 +838,7 @@ impl<E: SessionExt> ShardedTracker<E> {
         let recorded = guard.recorded;
         let gauge_after = entry.ext.gauge();
         if recorded {
-            shard.touch(slot);
+            shard.live.touch(slot);
         }
         self.gauge_apply(idx, gauge_before, gauge_after);
         (key, idx, begun)
@@ -988,12 +853,31 @@ impl<E: SessionExt> ShardedTracker<E> {
         }
     }
 
-    /// The idle rule: a session idle past the timeout as of `now` is
-    /// dead — its key's next exchange rolls it over, a sweep finalizes
-    /// it, and [`ShardedTracker::with_entry_and_carry`] reads it as
-    /// absent.
-    fn idle(&self, session: &Session, now: SimTime) -> bool {
-        now.since(session.last_seen) > self.config.idle_timeout_ms
+    /// The idle rule, for a session last seen or a carry last parked at
+    /// `stamp`: idle past the timeout as of `now` it is dead. A dead
+    /// session's key rolls it over at its next exchange, a sweep
+    /// finalizes it, and [`ShardedTracker::with_entry_and_carry`] reads
+    /// it as absent; a dead carry is dropped wherever it is reached.
+    fn idle(&self, stamp: SimTime, now: SimTime) -> bool {
+        now.since(stamp) > self.config.idle_timeout_ms
+    }
+
+    /// Carries a shard parks at most: its share of
+    /// [`TrackerConfig::max_sessions`].
+    fn carry_bound(&self) -> usize {
+        self.config.max_sessions.div_ceil(self.shards.len())
+    }
+
+    /// Takes `key`'s carry out of a locked shard's table: `None` when
+    /// none is parked or the one parked is idle past the timeout.
+    fn unpark(
+        &self,
+        carries: &mut Table<Parked<E::Carry>>,
+        key: &SessionKey,
+        now: SimTime,
+    ) -> Option<E::Carry> {
+        let parked = carries.remove(carries.find(key)?);
+        (!self.idle(parked.at, now)).then_some(parked.carry)
     }
 
     /// Phase two: re-acquires the leased session's shard, re-binds the
@@ -1048,13 +932,13 @@ impl<E: SessionExt> ShardedTracker<E> {
                 }
                 r
             });
-            shard.touch(slot);
+            shard.live.touch(slot);
             return r;
         }
         // The stamp moved: whatever holds the key now succeeded the
         // leased incarnation.
-        let successor = shard.live.get(&key).copied();
-        self.with_carry(idx, shard, &key, successor, lost)
+        let successor = shard.live.find(&key);
+        self.with_carry(idx, shard, &key, successor, now, lost)
     }
 
     /// Runs `f` against a leased session's entry **without consuming the
@@ -1092,29 +976,38 @@ impl<E: SessionExt> ShardedTracker<E> {
     }
 
     /// Runs `f` against the entry in `slot` (if any) of the locked shard
-    /// `idx` and the deferred-carry slot of `key`, then parks whatever
-    /// carry `f` left there (subject to the per-shard bound).
+    /// `idx` and the deferred-carry slot of `key` (empty if the carry
+    /// parked there is dead as of `now`), then parks whatever carry `f`
+    /// left there, stamped `now`. At the shard's bound the least
+    /// recently parked carry makes room.
     fn with_carry<R>(
         &self,
         idx: usize,
         shard: &mut Shard<E>,
         key: &SessionKey,
         slot: Option<u32>,
+        now: SimTime,
         f: impl FnOnce(Option<(&Session, &mut E)>, &mut Option<E::Carry>) -> R,
     ) -> R {
-        let mut parked = shard.carry.remove(key);
+        let mut parked = self.unpark(&mut shard.carries, key, now);
         let r = match slot {
-            Some(slot) => self.bind(idx, &mut shard.node_mut(slot).entry, |e| {
+            Some(slot) => self.bind(idx, shard.live.get_mut(slot), |e| {
                 f(Some((&e.session, &mut e.ext)), &mut parked)
             }),
             None => f(None, &mut parked),
         };
-        let bound = self.config.max_carries_per_shard;
-        if let Some(carry) = parked.filter(|_| bound > 0) {
-            if shard.carry.len() >= bound && !shard.carry.contains_key(key) {
-                shard.carry.pop_first();
+        if let Some(carry) = parked {
+            let carries = &mut shard.carries;
+            if carries.len() >= self.carry_bound() {
+                if let Some(coldest) = carries.coldest() {
+                    carries.remove(coldest);
+                }
             }
-            shard.carry.insert(key.clone(), carry);
+            carries.insert(Parked {
+                key: key.clone(),
+                at: now,
+                carry,
+            });
         }
         r
     }
@@ -1174,8 +1067,8 @@ impl<E: SessionExt> ShardedTracker<E> {
     /// original lives behind the shard lock).
     pub fn get(&self, key: &SessionKey) -> Option<Session> {
         let shard = self.lock_shard(self.shard_index(key.shard_hash()));
-        let slot = *shard.live.get(key)?;
-        Some(shard.node(slot).entry.session.clone())
+        let slot = shard.live.find(key)?;
+        Some(shard.live.get(slot).session.clone())
     }
 
     /// Runs `f` against a live session and its extension state under the
@@ -1187,21 +1080,20 @@ impl<E: SessionExt> ShardedTracker<E> {
     ) -> Option<R> {
         let idx = self.shard_index(key.shard_hash());
         let mut shard = self.lock_shard(idx);
-        let slot = *shard.live.get(key)?;
-        Some(self.bind(idx, &mut shard.node_mut(slot).entry, |e| {
-            f(&e.session, &mut e.ext)
-        }))
+        let slot = shard.live.find(key)?;
+        Some(self.bind(idx, shard.live.get_mut(slot), |e| f(&e.session, &mut e.ext)))
     }
 
     /// Runs `f` against the key's live entry (if any) *and* its
     /// deferred-carry slot, under one shard lock. An entry idle past the
     /// timeout as of `now` is dead (its next exchange rolls it over) and
-    /// reaches `f` as absent. The slot arrives with whatever carry is
-    /// currently stashed for the key; whatever the callback leaves in it
-    /// (subject to the per-shard bound) is what the key's next
-    /// incarnation will absorb. This is how state that shows up while a
-    /// key is dead — a CAPTCHA pass answered after the sweep — reaches
-    /// the successor without any global table.
+    /// reaches `f` as absent; so is a carry parked longer ago than that.
+    /// The slot arrives with whatever live carry is stashed for the key;
+    /// whatever the callback leaves in it is parked again, stamped `now`
+    /// (at the shard's bound the least recently parked carry goes), and
+    /// is what the key's next incarnation will absorb. This is how state
+    /// that shows up while a key is dead — a CAPTCHA pass answered after
+    /// the sweep — reaches the successor without any global table.
     pub fn with_entry_and_carry<R>(
         &self,
         key: &SessionKey,
@@ -1210,9 +1102,9 @@ impl<E: SessionExt> ShardedTracker<E> {
     ) -> R {
         let idx = self.shard_index(key.shard_hash());
         let mut shard = self.lock_shard(idx);
-        let live = shard.live.get(key).copied();
-        let live = live.filter(|&slot| !self.idle(&shard.node(slot).entry.session, now));
-        self.with_carry(idx, &mut shard, key, live, f)
+        let live = shard.live.find(key);
+        let live = live.filter(|&slot| !self.idle(shard.live.get(slot).session.last_seen, now));
+        self.with_carry(idx, &mut shard, key, live, now, f)
     }
 
     /// Folds every live entry (shards in index order, one lock at a
@@ -1222,18 +1114,11 @@ impl<E: SessionExt> ShardedTracker<E> {
         let mut acc = init;
         for idx in 0..self.shards.len() {
             let shard = self.lock_shard(idx);
-            for node in shard.slab.iter().flatten() {
-                acc = f(acc, &node.entry.session, &node.entry.ext);
+            for entry in shard.live.values() {
+                acc = f(acc, &entry.session, &entry.ext);
             }
         }
         acc
-    }
-
-    /// Deferred carries currently stashed across all shards.
-    pub fn carry_count(&self) -> usize {
-        (0..self.shards.len())
-            .map(|idx| self.lock_shard(idx).carry.len())
-            .sum()
     }
 
     /// Number of live sessions.
@@ -1251,8 +1136,9 @@ impl<E: SessionExt> ShardedTracker<E> {
     /// is deterministically ordered.
     ///
     /// Each shard takes the step [`ShardedTracker::sweep_slice`] takes,
-    /// with no budget: one lock, the expired popped off the cold end of
-    /// its idle order, and one visit per live session.
+    /// with no budget: one lock, the expired sessions and carries popped
+    /// off the cold ends of their idle orders, and one visit per live
+    /// session.
     pub fn sweep(
         &self,
         now: SimTime,
@@ -1271,7 +1157,8 @@ impl<E: SessionExt> ShardedTracker<E> {
     /// takes the next shard in rotation and, under its one lock,
     /// collects its eviction and rollover casualties, finalizes up to
     /// `budget` sessions idle past the timeout as of `now` (idlest
-    /// first), and runs `visit` over the next `budget` slab slots of the
+    /// first), drops up to `budget` carries parked longer ago than
+    /// that, and runs `visit` over the next `budget` slab slots of the
     /// shard's maintenance walk (resumed where the shard's previous step
     /// stopped). Returns the casualties, then the expired.
     ///
@@ -1290,10 +1177,10 @@ impl<E: SessionExt> ShardedTracker<E> {
     }
 
     /// One shard's step of a sweep, under its one lock: its casualties,
-    /// then up to `budget` entries popped off the cold end while idle
-    /// past the timeout, then `visit` over the next `budget` slab slots
-    /// of its maintenance walk. Returns the finalized and where the
-    /// expired start among them.
+    /// then up to `budget` entries and up to `budget` carries popped off
+    /// the cold ends while idle past the timeout, then `visit` over the
+    /// next `budget` slab slots of its maintenance walk. Returns the
+    /// finalized and where the expired start among them.
     fn sweep_shard(
         &self,
         idx: usize,
@@ -1305,22 +1192,17 @@ impl<E: SessionExt> ShardedTracker<E> {
         let shard = &mut *shard;
         let mut out = std::mem::take(&mut shard.finalized);
         let expired = out.len();
-        for _ in 0..budget {
-            let slot = shard.cold;
-            if slot == NIL || !self.idle(&shard.node(slot).entry.session, now) {
-                break;
-            }
-            out.push(self.retire(idx, shard, slot));
-        }
-        for _ in 0..budget.min(shard.slab.len()) {
-            if shard.hand >= shard.slab.len() {
-                shard.hand = 0;
-            }
-            if let Some(node) = &mut shard.slab[shard.hand] {
-                self.bind(idx, &mut node.entry, |e| visit(&e.session, &mut e.ext));
-            }
-            shard.hand += 1;
-        }
+        shard.live.pop_expired(
+            budget,
+            |entry| self.idle(entry.session.last_seen, now),
+            |entry| out.push(self.retire(idx, entry)),
+        );
+        shard
+            .carries
+            .pop_expired(budget, |parked| self.idle(parked.at, now), drop);
+        shard.live.walk(budget, |entry| {
+            self.bind(idx, entry, |e| visit(&e.session, &mut e.ext))
+        });
         (out, expired)
     }
 
@@ -1333,13 +1215,11 @@ impl<E: SessionExt> ShardedTracker<E> {
             out.append(&mut self.lock_shard(idx).finalized);
         }
         for idx in 0..self.shards.len() {
-            let mut shard = self.lock_shard(idx);
-            let slab = shard.take_live();
-            drop(shard);
-            let mut live: Vec<Finalized<E>> = slab
-                .into_iter()
-                .flatten()
-                .map(|Node { entry, .. }| Finalized {
+            // The parked carries and the uncollected casualties stay.
+            let live = std::mem::take(&mut self.lock_shard(idx).live);
+            let mut live: Vec<Finalized<E>> = live
+                .into_values()
+                .map(|entry| Finalized {
                     session: entry.session,
                     ext: entry.ext,
                 })
@@ -1356,7 +1236,7 @@ impl<E: SessionExt> ShardedTracker<E> {
 
     /// Makes room for one never-seen key: finalizes the session that has
     /// been idle longest across all shards (ties toward the smaller
-    /// key, see [`Shard::coldest`]) as an eviction casualty.
+    /// key, see the module docs) as an eviction casualty.
     ///
     /// `idlest` arrives holding the candidate of shard `own`, nominated
     /// while the caller still held that lock for its lookup. The other
@@ -1378,28 +1258,28 @@ impl<E: SessionExt> ShardedTracker<E> {
             return;
         };
         let mut shard = self.lock_shard(idx);
-        if let Some(slot) = shard.coldest() {
-            let casualty = self.retire(idx, &mut shard, slot);
+        if let Some(slot) = shard.live.coldest() {
+            let casualty = self.retire(idx, shard.live.remove(slot));
             shard.finalized.push(casualty);
             self.cells[idx].evicted.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Takes one live entry out of a *locked* shard, finalized; the live
-    /// count and the gauges follow.
-    fn retire(&self, idx: usize, shard: &mut Shard<E>, slot: u32) -> Finalized<E> {
-        let Entry { session, ext, .. } = shard.remove(slot);
+    /// Finalizes an entry just taken out of the locked shard `idx`; the
+    /// live count and the gauges follow.
+    fn retire(&self, idx: usize, entry: Entry<E>) -> Finalized<E> {
+        let Entry { session, ext, .. } = entry;
         self.live_total.fetch_sub(1, Ordering::Relaxed);
         self.gauge_remove(idx, ext.gauge());
         Finalized { session, ext }
     }
 
     /// Counts what the tracker holds (one shard lock at a time) and
-    /// checks that each shard's structures agree: every indexed key
-    /// sits in the slot the index names, the idle order links exactly
-    /// the indexed entries, both ways, and the free list names exactly
-    /// the vacant slab slots, once each. A soak or model test calls
-    /// this after the operations it distrusts.
+    /// checks that each shard's two tables agree with themselves: every
+    /// indexed key sits in the slot the index names, the idle order
+    /// links exactly the indexed values, both ways, and the free list
+    /// names exactly the vacant slab slots, once each. A soak or model
+    /// test calls this after the operations it distrusts.
     ///
     /// # Panics
     ///
@@ -1408,32 +1288,12 @@ impl<E: SessionExt> ShardedTracker<E> {
         let mut census = Census::default();
         for idx in 0..self.shards.len() {
             let shard = self.lock_shard(idx);
-            for (key, &slot) in &shard.live {
-                assert_eq!(&shard.node(slot).entry.session.key, key, "shard {idx}");
-            }
-            let (mut linked, mut colder, mut at) = (0, NIL, shard.cold);
-            while at != NIL {
-                assert_eq!(shard.node(at).prev, colder, "shard {idx} slot {at}");
-                linked += 1;
-                assert!(linked <= shard.live.len(), "shard {idx}: a cycle");
-                (colder, at) = (at, shard.node(at).next);
-            }
-            assert_eq!(shard.warm, colder, "shard {idx}: warm end");
-            assert_eq!(linked, shard.live.len(), "shard {idx}: linked vs indexed");
-            let vacant: Vec<u32> = (0..shard.slab.len() as u32)
-                .filter(|&slot| shard.slab[slot as usize].is_none())
-                .collect();
-            let mut free = shard.free.clone();
-            free.sort_unstable();
-            assert_eq!(free, vacant, "shard {idx}: free list vs vacant slots");
-            assert_eq!(linked + vacant.len(), shard.slab.len(), "shard {idx}");
-            assert!(
-                !vacant.contains(&shard.victim),
-                "shard {idx}: a stale victim"
-            );
-            census.live += linked;
-            census.slots += shard.slab.len();
+            shard.live.check(&format!("shard {idx} live"));
+            shard.carries.check(&format!("shard {idx} carries"));
+            census.live += shard.live.len();
+            census.slots += shard.live.slots();
             census.pending += shard.finalized.len();
+            census.carries += shard.carries.len();
         }
         census
     }
@@ -1443,14 +1303,11 @@ impl<E: SessionExt> ShardedTracker<E> {
         (0..self.shards.len())
             .map(|idx| {
                 let shard = self.lock_shard(idx);
-                let mut order = Vec::with_capacity(shard.live.len());
-                let mut at = shard.cold;
-                while at != NIL {
-                    let node = shard.node(at);
-                    order.push((node.entry.session.last_seen, node.entry.session.key.clone()));
-                    at = node.next;
-                }
-                order
+                shard
+                    .live
+                    .order()
+                    .map(|entry| (entry.session.last_seen, entry.session.key.clone()))
+                    .collect()
             })
             .collect()
     }
@@ -1459,6 +1316,7 @@ impl<E: SessionExt> ShardedTracker<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::TIE_WALK_BOUND;
     use botwall_http::request::ClientIp;
     use botwall_http::{Method, StatusCode};
     use proptest::collection::vec;
@@ -1917,10 +1775,10 @@ mod tests {
             assert!(entry.is_none());
             *slot = Some(41);
         });
-        assert_eq!(t.carry_count(), 1);
+        assert_eq!(t.census().carries, 1);
         // First exchange absorbs it before the callback runs.
         assert_eq!(finish(&t, &r, SimTime::ZERO, |e| e.touched), 41);
-        assert_eq!(t.carry_count(), 0, "carry is consumed, not replayed");
+        assert_eq!(t.census().carries, 0, "carry is consumed, not replayed");
         // A live entry takes precedence: the slot stays untouched when
         // the callback credits the entry directly.
         t.with_entry_and_carry(&key, SimTime::from_hours(1), |entry, slot| {
@@ -1935,23 +1793,48 @@ mod tests {
             assert!(entry.is_none(), "an idle entry reads as absent");
             *slot = Some(8);
         });
-        assert_eq!(t.carry_count(), 1);
+        assert_eq!(t.census().carries, 1);
         let later = SimTime::from_hours(2);
         assert_eq!(finish(&t, &r, later, |e| e.touched), 8);
     }
 
     #[test]
-    fn carry_survives_sweep_until_the_key_returns() {
-        let t: ShardedTracker<Tally> = ShardedTracker::new(TrackerConfig::default());
+    fn a_carry_expires_at_the_idle_timeout_whoever_reaches_it_first() {
+        let cfg = TrackerConfig {
+            shards: 1,
+            ..TrackerConfig::default()
+        };
+        let timeout = cfg.idle_timeout_ms;
+        let t: ShardedTracker<Tally> = ShardedTracker::new(cfg);
         let r = req(14, "A", "http://h/1", None);
         let key = SessionKey::of(&r);
-        t.observe(&r, &ok(), SimTime::ZERO);
-        assert_eq!(t.sweep(SimTime::from_hours(2), |_, _| ()).len(), 1);
-        t.with_entry_and_carry(&key, SimTime::from_hours(3), |_, slot| *slot = Some(7));
-        // Sweeps do not disturb parked carries.
-        assert!(t.sweep(SimTime::from_hours(4), |_, _| ()).is_empty());
-        assert_eq!(t.carry_count(), 1);
-        assert_eq!(finish(&t, &r, SimTime::from_hours(5), |e| e.touched), 7);
+        let park = |at: SimTime| {
+            t.with_entry_and_carry(&key, at, |entry, slot| {
+                assert!(entry.is_none());
+                *slot = Some(7);
+            })
+        };
+        let parked = SimTime::from_hours(3);
+        let dead = parked + timeout + 1;
+        // The key's next exchange gets there first: the carry is dead.
+        park(parked);
+        assert_eq!(t.census().carries, 1);
+        assert_eq!(finish(&t, &r, dead, |e| e.touched), 0);
+        assert_eq!(t.census().carries, 0);
+        t.drain();
+        // A slice gets there first: at the timeout the carry is still
+        // parked, a millisecond past it the slice drops it.
+        park(parked);
+        assert!(t.sweep_slice(parked + timeout, 8, |_, _| ()).is_empty());
+        assert_eq!(t.census().carries, 1);
+        assert!(t.sweep_slice(dead, 8, |_, _| ()).is_empty());
+        assert_eq!(t.census().carries, 0);
+        assert_eq!(finish(&t, &r, dead, |e| e.touched), 0);
+        // Inside the timeout the key's return still absorbs it.
+        t.drain();
+        park(parked);
+        assert_eq!(finish(&t, &r, parked + timeout, |e| e.touched), 7);
+        assert_eq!(t.census().carries, 0);
     }
 
     #[test]
@@ -2072,7 +1955,7 @@ mod tests {
             },
         );
         assert!(went_lost);
-        assert_eq!(t.carry_count(), 1);
+        assert_eq!(t.census().carries, 1);
         // The key's next incarnation absorbs the parked evidence.
         assert_eq!(
             finish(&t, &leased, SimTime::from_secs(7), |e| e.touched),
@@ -2157,7 +2040,7 @@ mod tests {
         // state: its exchange was never recorded, carries are empty, and
         // an ordinary sweep finalizes it like any idle session.
         assert_eq!(t.get(&key).unwrap().request_count(), 0);
-        assert_eq!(t.carry_count(), 0);
+        assert_eq!(t.census().carries, 0);
         let done = t.sweep(SimTime::from_hours(2), |_, _| ());
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].request_count(), 0);
@@ -2226,38 +2109,70 @@ mod tests {
 
     #[test]
     fn carry_bound_is_configurable_and_deterministic() {
+        // One shard's share of two sessions: two carries.
         let cfg = TrackerConfig {
-            max_carries_per_shard: 2,
+            max_sessions: 2,
             shards: 1,
             ..TrackerConfig::default()
         };
         let t: ShardedTracker<Tally> = ShardedTracker::new(cfg);
+        for (ip, at) in [(5u32, 1), (3, 2), (9, 3)] {
+            let key = SessionKey::of(&req(ip, "A", "http://h/1", None));
+            t.with_entry_and_carry(&key, SimTime::from_secs(at), |_, slot| {
+                *slot = Some(u64::from(ip))
+            });
+        }
+        // Parking the third dropped the least recently parked (ip 5),
+        // not the smallest key (ip 3).
+        assert_eq!(t.census().carries, 2);
+        let at = SimTime::from_secs(4);
+        let dropped = finish(&t, &req(5, "A", "http://h/1", None), at, |e| e.touched);
+        assert_eq!(dropped, 0, "the least recently parked lost its carry");
+        let kept = finish(&t, &req(3, "A", "http://h/1", None), at, |e| e.touched);
+        assert_eq!(kept, 3, "the surviving carry is absorbed");
+        // Parked at one instant, the tie goes to the smaller key.
+        let t: ShardedTracker<Tally> = ShardedTracker::new(t.config().clone());
         for ip in [5u32, 3, 9] {
             let key = SessionKey::of(&req(ip, "A", "http://h/1", None));
             t.with_entry_and_carry(&key, SimTime::ZERO, |_, slot| *slot = Some(u64::from(ip)));
         }
-        // Bound 2: inserting the third dropped the smallest key (ip 3).
-        assert_eq!(t.carry_count(), 2);
-        let kept = finish(&t, &req(5, "A", "http://h/1", None), SimTime::ZERO, |e| {
-            e.touched
-        });
-        assert_eq!(kept, 5, "surviving carry is absorbed");
-        let dropped = finish(&t, &req(3, "A", "http://h/1", None), SimTime::ZERO, |e| {
-            e.touched
-        });
-        assert_eq!(dropped, 0, "smallest key lost its carry at the bound");
+        let dropped = finish(&t, &req(3, "A", "http://h/1", None), at, |e| e.touched);
+        assert_eq!(dropped, 0, "a tie drops the smaller key");
     }
 
     #[test]
-    fn zero_carry_bound_disables_parking() {
+    fn a_parked_conviction_outlives_a_bound_of_newer_carries() {
+        // A full shard of carries, then a conviction parked under the
+        // shard's smallest key: the flood it takes to push the
+        // conviction out is a whole bound of newer carries, whatever the
+        // keys sort like.
+        const BOUND: u32 = 16;
         let cfg = TrackerConfig {
-            max_carries_per_shard: 0,
+            max_sessions: BOUND as usize,
+            shards: 1,
             ..TrackerConfig::default()
         };
         let t: ShardedTracker<Tally> = ShardedTracker::new(cfg);
-        let key = SessionKey::of(&req(50, "A", "http://h/1", None));
-        t.with_entry_and_carry(&key, SimTime::ZERO, |_, slot| *slot = Some(1));
-        assert_eq!(t.carry_count(), 0);
+        let park = |ip: u32, at: u64, carry: u64| {
+            let key = SessionKey::of(&req(ip, "A", "http://h/1", None));
+            t.with_entry_and_carry(&key, SimTime::from_secs(at), |_, slot| *slot = Some(carry));
+        };
+        for ip in 100..100 + BOUND {
+            park(ip, u64::from(ip), 1);
+        }
+        assert_eq!(t.census().carries, BOUND as usize);
+        let conviction = SessionKey::of(&req(1, "A", "http://h/1", None));
+        park(1, 1_000, 99);
+        let parked =
+            |t: &ShardedTracker<Tally>| t.lock_shard(0).carries.find(&conviction).is_some();
+        let mut flood = 0;
+        while parked(&t) {
+            flood += 1;
+            park(1_000 + flood, 1_000 + u64::from(flood), 1);
+            assert!(flood <= BOUND, "the conviction outlived its bound");
+        }
+        assert_eq!(flood, BOUND);
+        assert_eq!(t.census().carries, BOUND as usize);
     }
 
     #[test]
@@ -2408,7 +2323,8 @@ mod tests {
             Census {
                 live: 0,
                 slots: 12,
-                pending: 0
+                pending: 0,
+                carries: 0,
             }
         );
     }

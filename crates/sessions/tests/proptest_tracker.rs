@@ -146,7 +146,6 @@ fn model_config() -> TrackerConfig {
         max_sessions: 6,
         idle_timeout_ms: 10_000,
         shards: MODEL_SHARDS,
-        ..TrackerConfig::default()
     }
 }
 
