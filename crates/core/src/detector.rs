@@ -165,6 +165,12 @@ impl From<PendingCaptchaPass> for KeyCarry {
 /// tracker shard entry: the accumulated evidence, the cached fast-path
 /// verdict, the enforcement state, the outstanding beacon tokens, and
 /// the outstanding challenge record.
+///
+/// Every live session carries one inline, so it is sized to the common
+/// case, a session that was never served a page nor challenged: 80
+/// bytes on a 64-bit target, the token state and the challenge record
+/// one pointer each until they hold something. Its counters saturate
+/// rather than wrap.
 #[derive(Debug)]
 pub struct KeyState {
     /// Evidence accumulated for the live incarnation.
@@ -177,8 +183,9 @@ pub struct KeyState {
     /// for this session.
     pub tokens: TokenState,
     /// The CAPTCHA challenge this session must answer, if one is
-    /// outstanding.
-    pub challenge: Option<ChallengeState>,
+    /// outstanding. Boxed: only a challenged session holds one, and
+    /// every other pays a pointer, not the record.
+    pub challenge: Option<Box<ChallengeState>>,
     /// Leased exchanges of this key whose entry was gone by commit time
     /// (diagnostic; absorbed from [`KeyCarry::lost_exchanges`] or bumped
     /// directly when the lost commit finds a live successor).
@@ -231,7 +238,7 @@ impl SessionExt for KeyState {
         if let Some(pass) = carry.pass {
             self.record_captcha_pass(session.request_count() as u32, pass.at);
         }
-        self.lost_commits += carry.lost_exchanges;
+        self.lost_commits = self.lost_commits.saturating_add(carry.lost_exchanges);
         self.absorb_lost_evidence(
             carry.lost_kinds,
             session.request_count() as u32,
@@ -263,6 +270,7 @@ impl KeyState {
         self.tokens.sweep(now, KEY_STATE_TTL_MS);
         if self
             .challenge
+            .as_ref()
             .is_some_and(|ch| now.since(ch.issued) > KEY_STATE_TTL_MS)
         {
             self.challenge = None;
@@ -537,7 +545,7 @@ impl Detector {
                     // gates for the same key fold it into their
                     // thresholds even though it commits only when the
                     // origin answers.
-                    state.in_flight += 1;
+                    state.in_flight = state.in_flight.saturating_add(1);
                     Gate::Lease((classified, state.verdict))
                 }
             }
@@ -613,12 +621,12 @@ impl Detector {
                 let kinds = classified_kinds(&classified, agent);
                 match successor {
                     Some((session, state)) => {
-                        state.lost_commits += 1;
+                        state.lost_commits = state.lost_commits.saturating_add(1);
                         state.absorb_lost_evidence(kinds, session.request_count() as u32, now);
                     }
                     None => {
                         let carry = slot.get_or_insert_with(KeyCarry::default);
-                        carry.lost_exchanges += 1;
+                        carry.lost_exchanges = carry.lost_exchanges.saturating_add(1);
                         carry.lost_kinds.merge(kinds);
                         carry.lost_at = now;
                     }
@@ -1592,7 +1600,7 @@ mod tests {
         p.page(34, "Mozilla/5.0", SimTime::ZERO);
         let key = SessionKey::of(&req(34, "http://h/index.html", "Mozilla/5.0"));
         p.det.with_key_state(&key, |_, state| {
-            state.challenge = Some(ChallengeState::new(9, SimTime::ZERO));
+            state.challenge = Some(Box::new(ChallengeState::new(9, SimTime::ZERO)));
         });
         // Within TTL: untouched.
         assert!(p.det.sweep(SimTime::from_secs(10)).is_empty());

@@ -158,14 +158,16 @@ impl EvidenceSet {
         EvidenceSet::default()
     }
 
-    /// Records an observation of `kind` at request `index`.
+    /// Records an observation of `kind` at request `index`. The count
+    /// saturates at `u32::MAX`.
     pub fn record(&mut self, kind: EvidenceKind, index: u32, time: SimTime) {
         for (k, _, count) in self.entries.iter_mut() {
             if *k == kind {
-                *count += 1;
+                *count = count.saturating_add(1);
                 return;
             }
         }
+        botwall_sessions::reserve_one(&mut self.entries);
         self.entries.push((
             kind,
             Observation {
@@ -231,6 +233,27 @@ mod tests {
         assert_eq!(o.at_request, 17);
         assert_eq!(o.at_time, SimTime::from_secs(5));
         assert_eq!(e.count(EvidenceKind::MouseEvent), 2);
+    }
+
+    #[test]
+    fn an_evidence_count_saturates() {
+        let mut e = EvidenceSet::new();
+        e.record(EvidenceKind::DownloadedCss, 1, SimTime::ZERO);
+        e.entries[0].2 = u32::MAX - 1;
+        for index in 2..5 {
+            e.record(EvidenceKind::DownloadedCss, index, SimTime::ZERO);
+        }
+        assert_eq!(e.count(EvidenceKind::DownloadedCss), u32::MAX);
+        assert_eq!(e.first(EvidenceKind::DownloadedCss).unwrap().at_request, 1);
+    }
+
+    #[test]
+    fn the_first_kind_takes_one_slot() {
+        let mut e = EvidenceSet::new();
+        e.record(EvidenceKind::DownloadedCss, 1, SimTime::ZERO);
+        assert_eq!(e.entries.capacity(), 1);
+        e.record(EvidenceKind::DownloadedCss, 2, SimTime::ZERO);
+        assert_eq!(e.entries.capacity(), 1, "a repeat kind adds no slot");
     }
 
     #[test]

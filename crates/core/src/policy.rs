@@ -68,8 +68,9 @@ impl Default for PolicyConfig {
 /// A classic token bucket, less what never changes: the tokens left and
 /// when they were last refilled. Its capacity and refill rate are passed
 /// in by whoever holds it (the policy engine reads them from its config
-/// by rate class), so a session's bucket stores only its own state.
-#[derive(Debug, Clone, PartialEq)]
+/// by rate class), so a session's bucket stores only its own state. The
+/// default bucket is empty as of time zero.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TokenBucket {
     tokens: f64,
     last_refill: SimTime,
@@ -112,12 +113,16 @@ enum RateClass {
     Undecided,
 }
 
-/// Per-session enforcement state: the provisioned rate bucket plus the
-/// block flag. Lives inside the session's tracker shard entry, so the
-/// enforcement decision shares the session's shard lock.
+/// Per-session enforcement state: the rate bucket, the class it was
+/// provisioned for (`None` until the first rate-limited request, when
+/// the bucket means nothing yet) and the block flag. Lives inside the
+/// session's tracker shard entry, so the enforcement decision shares
+/// the session's shard lock. The class sits beside the bucket rather
+/// than around it, so the three pack into 24 bytes.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyState {
-    bucket: Option<(RateClass, TokenBucket)>,
+    bucket: TokenBucket,
+    class: Option<RateClass>,
     blocked: bool,
 }
 
@@ -138,8 +143,8 @@ impl PolicyState {
     /// fresh incarnation's verdict.
     pub fn carry_over(&self) -> PolicyState {
         PolicyState {
-            bucket: None,
             blocked: self.blocked,
+            ..PolicyState::default()
         }
     }
 }
@@ -233,11 +238,11 @@ impl PolicyEngine {
         };
         // A verdict change re-provisions the bucket: a session promoted to
         // robot must not keep coasting on its undecided allowance.
-        if !matches!(state.bucket, Some((held, _)) if held == class) {
-            state.bucket = Some((class, TokenBucket::full(burst, now)));
+        if state.class != Some(class) {
+            state.class = Some(class);
+            state.bucket = TokenBucket::full(burst, now);
         }
-        let (_, bucket) = state.bucket.as_mut().expect("provisioned above");
-        if bucket.try_take(burst, rate, now) {
+        if state.bucket.try_take(burst, rate, now) {
             Action::Allow
         } else {
             Action::Throttle
@@ -461,11 +466,11 @@ mod tests {
         let c = SessionCounters::new();
         // Provision a bucket, then block.
         e.decide(&mut s, Verdict::Undecided, &c, 1.0, 0, SimTime::ZERO);
-        assert!(s.bucket.is_some());
+        assert_eq!(s.class, Some(RateClass::Undecided));
         s.block();
         let next = s.carry_over();
         assert!(next.is_blocked(), "block survives rollover");
-        assert!(next.bucket.is_none(), "bucket re-provisions");
+        assert_eq!(next.class, None, "bucket re-provisions");
         // An unblocked session carries over clean.
         assert!(!PolicyState::default().carry_over().is_blocked());
     }

@@ -744,7 +744,7 @@ impl Gateway {
 
         let challenge = |state: &mut botwall_core::KeyState| {
             let challenge = self.captcha.issue();
-            state.challenge = Some(ChallengeState::new(challenge.id, now));
+            state.challenge = Some(Box::new(ChallengeState::new(challenge.id, now)));
             Answer::Challenge(challenge)
         };
         let gated = self.detector.gate(
@@ -875,7 +875,7 @@ impl Gateway {
                 // past the timeout reads as absent (crediting it would
                 // bury the pass with the old incarnation).
                 Some((session, state)) => {
-                    let passed = match state.challenge {
+                    let passed = match state.challenge.as_deref() {
                         Some(outstanding) if outstanding.id == id => {
                             // The outstanding record is the single-use
                             // authority for its own id: accept on its

@@ -8,10 +8,12 @@
 //! The requests go through the gateway in process (no sockets, no
 //! reactor), so whatever a window leaves live is what the gateway kept.
 
+use botwall_core::KeyState;
 use botwall_gateway::{Decision, Gateway, Origin};
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request};
-use botwall_sessions::SimTime;
+use botwall_instrument::TokenState;
+use botwall_sessions::{Session, SessionKey, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -104,12 +106,22 @@ fn get(uri: &str, agent: &str) -> Request {
 /// record log.
 const FIRST_CONTACT_BLOCKS: i64 = 4;
 
-/// The bytes those blocks may come to: a 16-byte `Arc` header and a
-/// ~25-byte agent, a 4-slot seen set (32), a 4-slot evidence list (96)
-/// and a 4-slot record log (160), with some room. The session's slab
-/// slot and index entry are not in this: they are inline in the
-/// tracker's tables, whose growth this median does not see.
-const FIRST_CONTACT_BYTES: i64 = 384;
+/// The bytes those blocks may come to. Each list was sized to the one
+/// item it holds when the item went in (`botwall_sessions::reserve_one`):
+///
+/// - the key's agent: a 16-byte `Arc` header and a ~26-byte agent;
+/// - the seen set: one 8-byte URL hash;
+/// - the evidence list: one 24-byte entry (the CSS probe's);
+/// - the record log: one 40-byte record.
+///
+/// That is ~120 bytes. The bound leaves room for a longer agent, not
+/// for any list taking `Vec`'s four first slots (336 bytes in all).
+///
+/// The session's slab slot and index entry are not in this: they are
+/// inline in the tracker's tables, whose growth this median does not
+/// see, and their size is pinned by
+/// `a_live_sessions_inline_state_is_sized_to_its_common_case`.
+const FIRST_CONTACT_BYTES: i64 = 160;
 
 static STRANGERS: Live = Live::new();
 
@@ -185,4 +197,114 @@ fn an_extension_method_session_holds_no_copy_of_its_method() {
     assert_eq!(gw.stats().live_sessions, 1);
     println!("an extension-method session: {blocks} blocks, {bytes} bytes");
     assert!(bytes < 64 * 1024, "{bytes} bytes");
+}
+
+/// What every live session carries inline, used or not: its
+/// [`Session`] record and the detection core's [`KeyState`] (a slab
+/// slot is the two plus the table's links). Token and challenge state,
+/// which only a session served a page or challenged fills, sit behind
+/// one pointer each.
+#[test]
+fn a_live_sessions_inline_state_is_sized_to_its_common_case() {
+    use std::mem::size_of;
+    let (key_state, tokens, session) = (
+        size_of::<KeyState>(),
+        size_of::<TokenState>(),
+        size_of::<Session>(),
+    );
+    println!("inline: KeyState {key_state} B, TokenState {tokens} B, Session {session} B");
+    assert!(key_state <= 80, "KeyState is {key_state} bytes");
+    assert_eq!(tokens, 8, "TokenState is one pointer");
+    assert!(session <= 176, "Session is {session} bytes");
+}
+
+/// The live heap one session may hold at every per-session cap
+/// (~155 KB measured):
+///
+/// - the record log and the seen-URL set, 512 each: 20 480 + 4 096
+///   bytes;
+/// - 64 outstanding page tokens: the entries (96 bytes each, five
+///   16-byte decoys each) and their generated scripts, ~1.8 KB each,
+///   ~130 KB in all;
+/// - the key's agent and the evidence list, under 200 bytes.
+///
+/// Times the 100 000-session cap this is ~15.5 GB, the tracker's worst
+/// case; the scripts are three quarters of it.
+const WORST_CASE_BYTES: i64 = 160 * 1024;
+
+static WORST: Live = Live::new();
+
+/// One key driven to every per-session cap: 600 requests over 600
+/// distinct URLs, each with a `Referer` (so the record log and the seen
+/// set fill), 536 of them pages and the last 64 pages' scripts fetched
+/// (so 64 tokens are outstanding, each with its script built).
+#[test]
+fn a_session_at_every_cap_holds_a_stated_heap() {
+    const PAGES: usize = 536;
+    const SCRIPTS: usize = 64;
+    let gw = Gateway::builder().seed(38).enforcement(false).build();
+    let page = "<html><head></head><body><p>hi</p></body></html>";
+    // Other keys first, so the tracker's tables have grown before the
+    // window opens and what it sees is the one session.
+    for n in 0..2_000 {
+        let _ = gw.handle_deferred(
+            &get("http://site.example/other.css", &format!("other/{n:05}")),
+            SimTime::ZERO,
+        );
+    }
+    let agent = "Mozilla/5.0 (X11; Linux x86_64) worst-case/1.0";
+    let request = |uri: &str, referer: &str| {
+        Request::builder(Method::Get, uri)
+            .header("User-Agent", agent)
+            .header("Referer", referer)
+            .client(ClientIp::new(0x0a00_0003))
+            .build()
+            .unwrap()
+    };
+    let mut at = 0;
+    let mut tick = || {
+        at += 100;
+        SimTime::from_millis(at)
+    };
+    let (blocks, bytes) = weigh(&WORST, || {
+        let mut referer = "http://site.example/".to_string();
+        for n in 0..PAGES {
+            let uri = format!("http://site.example/p{n}.html");
+            let decision = gw.handle_with(&request(&uri, &referer), tick(), |_| {
+                Origin::Page(page.to_string())
+            });
+            let Decision::Serve { manifest, .. } = decision else {
+                panic!("page {n} is served: {decision:?}");
+            };
+            if n >= PAGES - SCRIPTS {
+                let script = manifest.unwrap().js_file.unwrap().to_string();
+                let answer = gw.handle_with(&request(&script, &uri), tick(), |_| {
+                    panic!("a script is answered by the gate")
+                });
+                assert!(matches!(answer, Decision::Serve { .. }), "{answer:?}");
+            }
+            referer = uri;
+        }
+    });
+    assert_eq!(gw.stats().live_sessions, 2_001);
+    let key = SessionKey::of(&request("http://site.example/", "x"));
+    let (requests, records, tokens) = gw
+        .detector()
+        .with_key_state(&key, |session, state| {
+            (
+                session.request_count(),
+                session.records().len(),
+                state.tokens.len(),
+            )
+        })
+        .expect("the session is live");
+    assert_eq!(
+        (requests, records, tokens),
+        ((PAGES + SCRIPTS) as u64, 512, SCRIPTS)
+    );
+    println!("a session at every cap: {blocks} blocks, {bytes} bytes");
+    assert!(
+        bytes <= WORST_CASE_BYTES,
+        "{bytes} bytes, over {WORST_CASE_BYTES}"
+    );
 }

@@ -142,6 +142,11 @@ struct Entry {
 /// deterministic RNG stream (seeded by the engine's secret and the session identity), so
 /// instrumentation randomness needs no shared generator.
 ///
+/// A session that was never issued a key nor drew from its RNG — most
+/// sessions are never served a page — holds one null pointer (8 bytes
+/// inline, nothing on the heap); the entries list and the RNG live
+/// together behind it from the first issue or draw on.
+///
 /// # Examples
 ///
 /// ```
@@ -156,11 +161,13 @@ struct Entry {
 /// assert_eq!(state.redeem(BeaconKey::from_raw(9), SimTime::ZERO), KeyOutcome::Unknown);
 /// ```
 #[derive(Debug, Default)]
-pub struct TokenState {
+pub struct TokenState(Option<Box<Tokens>>);
+
+/// What a [`TokenState`] holds once it holds anything.
+#[derive(Debug, Default)]
+struct Tokens {
     entries: Vec<Entry>,
-    /// Boxed: most sessions are never served a page, and an unseeded
-    /// RNG then costs one pointer, not the generator's whole state.
-    rng: Option<Box<ChaCha8Rng>>,
+    rng: Option<ChaCha8Rng>,
 }
 
 impl TokenState {
@@ -198,10 +205,11 @@ impl TokenState {
         issued: SimTime,
         max_entries: usize,
     ) {
-        if self.entries.len() >= max_entries.max(1) {
-            self.entries.remove(0);
+        let entries = &mut self.0.get_or_insert_with(Box::default).entries;
+        if entries.len() >= max_entries.max(1) {
+            entries.remove(0);
         }
-        self.entries.push(Entry {
+        entries.push(Entry {
             key,
             decoys,
             issued,
@@ -213,7 +221,10 @@ impl TokenState {
     /// Checks a presented key against this session's outstanding
     /// entries, marking it redeemed when valid.
     pub fn redeem(&mut self, key: BeaconKey, _now: SimTime) -> KeyOutcome {
-        for e in self.entries.iter_mut() {
+        let Some(tokens) = self.0.as_deref_mut() else {
+            return KeyOutcome::Unknown;
+        };
+        for e in tokens.entries.iter_mut() {
             if e.key == key {
                 if e.redeemed {
                     return KeyOutcome::Replay;
@@ -222,7 +233,7 @@ impl TokenState {
                 return KeyOutcome::Valid;
             }
         }
-        if self.entries.iter().any(|e| e.decoys.contains(&key)) {
+        if tokens.entries.iter().any(|e| e.decoys.contains(&key)) {
             return KeyOutcome::Decoy;
         }
         KeyOutcome::Unknown
@@ -238,6 +249,8 @@ impl TokenState {
         generate: impl FnOnce(BeaconKey, &[BeaconKey], ScriptSeed) -> String,
     ) -> Option<&Arc<str>> {
         let entry = self
+            .0
+            .as_deref_mut()?
             .entries
             .iter_mut()
             .rev()
@@ -256,8 +269,12 @@ impl TokenState {
     /// cost beyond the `TokenState` value itself.
     #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<Entry>()
-            + self
+        let Some(tokens) = self.0.as_deref() else {
+            return 0;
+        };
+        std::mem::size_of::<Tokens>()
+            + tokens.entries.capacity() * std::mem::size_of::<Entry>()
+            + tokens
                 .entries
                 .iter()
                 .map(|e| {
@@ -272,19 +289,22 @@ impl TokenState {
 
     /// Purges entries older than `ttl_ms`; returns how many were removed.
     pub fn sweep(&mut self, now: SimTime, ttl_ms: u64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| now.since(e.issued) <= ttl_ms);
-        before - self.entries.len()
+        let Some(tokens) = self.0.as_deref_mut() else {
+            return 0;
+        };
+        let before = tokens.entries.len();
+        tokens.entries.retain(|e| now.since(e.issued) <= ttl_ms);
+        before - tokens.entries.len()
     }
 
     /// Outstanding entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.0.as_ref().map_or(0, |tokens| tokens.entries.len())
     }
 
     /// Whether no entries are outstanding.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// The session's instrumentation RNG, seeded on first use from
@@ -292,8 +312,10 @@ impl TokenState {
     /// session identity, so streams never collide across sessions and
     /// identical runs draw identical streams), which is not called again.
     pub fn rng_seeded(&mut self, stream_seed: impl FnOnce() -> u64) -> &mut ChaCha8Rng {
-        self.rng
-            .get_or_insert_with(|| Box::new(ChaCha8Rng::seed_from_u64(stream_seed())))
+        self.0
+            .get_or_insert_with(Box::default)
+            .rng
+            .get_or_insert_with(|| ChaCha8Rng::seed_from_u64(stream_seed()))
     }
 }
 

@@ -46,3 +46,25 @@ pub use tracker::{
     Begun, Census, EntryGuard, ExchangeLease, Finalized, Gate, Session, SessionExt, SessionTracker,
     ShardedTracker, TrackerConfig, EXT_GAUGES,
 };
+
+/// Makes room for one more item in a per-session list. A list that has
+/// never held anything gets exactly one slot, not the four `Vec` starts
+/// with: most sessions are strangers that make one request, and their
+/// lists stay that size. From the second item on `Vec` grows as it
+/// always does (1 → 4 → 8 → …), so a long session's lists end where they
+/// did.
+///
+/// ```
+/// let mut list = Vec::new();
+/// botwall_sessions::reserve_one(&mut list);
+/// list.push(7u64);
+/// assert_eq!(list.capacity(), 1);
+/// botwall_sessions::reserve_one(&mut list);
+/// list.push(8);
+/// assert_eq!(list.capacity(), 4);
+/// ```
+pub fn reserve_one<T>(list: &mut Vec<T>) {
+    if list.capacity() == 0 {
+        list.reserve_exact(1);
+    }
+}

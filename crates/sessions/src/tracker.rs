@@ -77,17 +77,23 @@
 //!
 //! A live session is one slab slot (its [`Session`], its extension state
 //! and two links) plus one index entry (its [`SessionKey`] and slot).
-//! Under the detection core's extension state a slot is 328 bytes on a
+//! Under the detection core's extension state a slot is 272 bytes on a
 //! 64-bit target: the counters are `u32`s, and state a session may never
-//! need stays behind a pointer until it does (the instrumentation RNG of
-//! a session never served a page). A stranger's first exchange leaves
-//! four heap blocks, ~340 bytes for a short `User-Agent`: the key's
-//! agent, shared by the index and the session through one `Arc<str>`;
-//! the one URL it remembers (a sorted `Vec<u64>`, not a B-tree); the
-//! core's evidence list; and the record log (40-byte records). Looking a
-//! known key up copies nothing: the index is searched by the request's
-//! borrowed parts (`dyn KeyParts`). `crates/gateway/tests/session_weight.rs`
-//! holds these counts.
+//! need stays behind a pointer until it does (token state and its
+//! instrumentation RNG until a page is served, a challenge record until
+//! one is issued). A session's lists are sized to what it has used: the
+//! first item of each reserves exactly one slot ([`crate::reserve_one`]),
+//! and `Vec` doubles from there (1 → 4 → 8 … 512), so a long session's
+//! caps and growth are what they were. A stranger's first exchange
+//! leaves four heap blocks, ~120 bytes for a short `User-Agent`: the
+//! key's agent, shared by the index and the session through one
+//! `Arc<str>`; the one URL it remembers (a sorted `Vec<u64>`, not a
+//! B-tree); the core's evidence list; and the record log (40-byte
+//! records). At every per-session cap (512 records, 512 remembered URLs,
+//! 64 page tokens with their scripts built) a session holds ~155 KB.
+//! Looking a known key up copies nothing: the index is searched by the
+//! request's borrowed parts (`dyn KeyParts`).
+//! `crates/gateway/tests/session_weight.rs` holds these counts.
 
 use crate::key::{KeyParts, KeyRef, SessionKey};
 use crate::record::RequestRecord;
@@ -162,6 +168,7 @@ impl SeenUrls {
     fn insert(&mut self, hash: u64) {
         if let Err(at) = self.0.binary_search(&hash) {
             if self.0.len() < MAX_RECORDS_PER_SESSION {
+                crate::reserve_one(&mut self.0);
                 self.0.insert(at, hash);
             }
         }
@@ -250,6 +257,7 @@ impl Session {
         self.seen_urls.insert(rec.url_hash);
         self.counters.update(&rec);
         if self.records.len() < MAX_RECORDS_PER_SESSION {
+            crate::reserve_one(&mut self.records);
             self.records.push(rec);
         }
         self.last_seen = now;
