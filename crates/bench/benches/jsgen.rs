@@ -8,9 +8,10 @@
 //! The `page_setup` group splits what a page serve does before its
 //! first body byte: `mint_probes` (nonces, keys, manifest, markup) and
 //! `issue_token` add up to `begin_page_stream` (plus the shard lock);
-//! the script is not in there — `script_on_first_fetch` is what the
-//! first request for the `<script src>` URL pays, `script_refetch` what
-//! every later one does.
+//! the script is not in there — a token keeps its seed, and every
+//! request for the `<script src>` URL writes the script from it into
+//! the response: `script_on_first_fetch` times the first, from a fresh
+//! session, `script_refetch` a later one into a buffer already grown.
 
 use botwall_gateway::{Gateway, PendingServe};
 use botwall_http::request::ClientIp;
@@ -151,8 +152,9 @@ fn bench_page_setup(c: &mut Criterion) {
             for _ in 0..iters {
                 let mut tokens = TokenState::default();
                 let (nonce, fetch) = script_fetch(&mut tokens);
+                let mut out = Vec::new();
                 let start = Instant::now();
-                black_box(engine.session_script(&mut tokens, nonce, &fetch));
+                black_box(engine.session_script(&tokens, nonce, &fetch, &mut out));
                 busy += start.elapsed();
             }
             busy
@@ -162,13 +164,11 @@ fn bench_page_setup(c: &mut Criterion) {
     group.bench_function("script_refetch", |b| {
         let mut tokens = TokenState::default();
         let (nonce, fetch) = script_fetch(&mut tokens);
-        engine.session_script(&mut tokens, nonce, &fetch);
+        let mut out = Vec::new();
         b.iter(|| {
-            black_box(
-                engine
-                    .session_script(&mut tokens, nonce, &fetch)
-                    .map(str::len),
-            )
+            out.clear();
+            black_box(engine.session_script(&tokens, nonce, &fetch, &mut out));
+            black_box(out.len())
         })
     });
     group.finish();

@@ -98,9 +98,11 @@ impl Decision {
 
 /// An answer the gate gives without the origin, as the front door writes
 /// it: a refusal or a probe object is fixed bytes and a `Connection`
-/// line ([`Answer::write`]), nothing built. [`Answer::to_response`] is the
-/// same answer as a [`Response`], for a caller that wants one, and
-/// [`Answer::summary`] what the session's record keeps of it.
+/// line, nothing built — a probe object written as the gate answers it
+/// ([`ProbeObject::write`]), the rest by [`Answer::write`].
+/// [`Answer::to_response`] is the same answer as a [`Response`], for a
+/// caller that wants one, and [`Answer::summary`] what the session's
+/// record keeps of it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
     /// `403`: the session is blocked.
@@ -132,37 +134,46 @@ impl Answer {
         }
     }
 
-    /// Appends the answer as the front door sends it, `close` deciding
-    /// its `Connection` line: what [`wire::write_response`] makes of
-    /// [`Answer::to_response`].
+    /// Appends a refusal or the interstitial as the front door sends
+    /// it, `close` deciding its `Connection` line: what
+    /// [`wire::write_response`] makes of [`Answer::to_response`]. A probe
+    /// object was written when it was answered, so nothing more goes out
+    /// for one.
     pub fn write(&self, close: bool, out: &mut Vec<u8>) {
         match self {
             Answer::Block | Answer::Throttle => wire::write_empty(self.status(), close, out),
             Answer::Challenge(challenge) => {
                 wire::write_response(&challenge_response(challenge), close, out)
             }
-            Answer::Probe(object) => object.write(close, out),
+            Answer::Probe(_) => {}
         }
     }
 
-    /// The answer as a [`Response`].
-    pub fn to_response(&self) -> Response {
+    /// The answer as a [`Response`]; `written` ends with what the gate
+    /// wrote of it (a script's body is read from there).
+    pub fn to_response(&self, written: &[u8]) -> Response {
         match self {
             Answer::Block | Answer::Throttle => Response::empty(self.status()),
             Answer::Challenge(challenge) => challenge_response(challenge),
-            Answer::Probe(object) => object.to_response(),
+            Answer::Probe(object) => object.to_response(written),
         }
     }
 
     /// The [`Decision`] this answer is, for the session `key` whose
-    /// verdict it left at `verdict`.
-    pub(crate) fn into_decision(self, key: SessionKey, verdict: Verdict) -> Decision {
+    /// verdict it left at `verdict`; `written` as for
+    /// [`Answer::to_response`].
+    pub(crate) fn into_decision(
+        self,
+        key: SessionKey,
+        verdict: Verdict,
+        written: &[u8],
+    ) -> Decision {
         match self {
             Answer::Block => Decision::Block,
             Answer::Throttle => Decision::Throttle,
             Answer::Challenge(challenge) => Decision::Challenge(challenge),
             Answer::Probe(object) => Decision::Serve {
-                response: object.to_response(),
+                response: object.to_response(written),
                 manifest: None,
                 verdict,
                 key,
@@ -229,7 +240,7 @@ mod tests {
             Answer::Throttle,
             Answer::Challenge(challenge),
         ] {
-            let response = answer.to_response();
+            let response = answer.to_response(&[]);
             assert_eq!(answer.status(), response.status());
             assert_eq!(answer.summary(), response.summary());
             for close in [false, true] {

@@ -48,8 +48,8 @@
 //! Everything the request touches is one of three kinds:
 //!
 //! * **shard-local** — the session record and its colocated `KeyState`
-//!   (evidence, verdict, rate bucket, block flag, beacon tokens + their
-//!   scripts — generated by the first fetch, not by the page serve —
+//!   (evidence, verdict, rate bucket, block flag, beacon tokens with
+//!   the seeds their scripts are written from on each fetch,
 //!   outstanding CAPTCHA challenge), all inside the one shard entry;
 //! * **immutable-shared** — the config, thresholds, and the
 //!   [`RewriteEngine`] (page rewriting and probe classification
@@ -485,12 +485,13 @@ impl Gateway {
     where
         F: FnOnce(&Request) -> Origin,
     {
-        match self.gate(&request.view(), now) {
+        let mut written = Vec::new();
+        match self.gate(&request.view(), now, false, &mut written) {
             Gate::Answered {
                 answer,
                 key,
                 verdict,
-            } => answer.into_decision(key, verdict),
+            } => answer.into_decision(key, verdict, &written),
             Gate::Leased(lease) => {
                 // No lock is held here: a slow origin stalls only this
                 // request, never its shard.
@@ -536,12 +537,13 @@ impl Gateway {
     /// assert!(decision.is_serve());
     /// ```
     pub fn handle_deferred(&self, request: &Request, now: SimTime) -> PendingServe {
-        match self.gate(&request.view(), now) {
+        let mut written = Vec::new();
+        match self.gate(&request.view(), now, false, &mut written) {
             Gate::Answered {
                 answer,
                 key,
                 verdict,
-            } => PendingServe::Ready(answer.into_decision(key, verdict)),
+            } => PendingServe::Ready(answer.into_decision(key, verdict, &written)),
             Gate::Leased(lease) => {
                 PendingServe::AwaitingOrigin(PendingOrigin::new(lease, request.clone()))
             }
@@ -735,7 +737,17 @@ impl Gateway {
     /// through one shard critical section covering the policy gate,
     /// sighting resolution and — for every answer that needs no origin —
     /// the answer itself, recorded and counted before the lock is let go.
-    pub fn gate(&self, request: &RequestView<'_>, now: SimTime) -> Gate {
+    /// That answer is appended to `out`, `close` deciding its
+    /// `Connection` line: a probe object inside the section (a script is
+    /// written there from the session's token entry, which keeps no
+    /// source), a refusal or the interstitial once it is over.
+    pub fn gate(
+        &self,
+        request: &RequestView<'_>,
+        now: SimTime,
+        close: bool,
+        out: &mut Vec<u8>,
+    ) -> Gate {
         // Stateless pre-classification: probe URLs authenticate
         // themselves against the engine's keyed-hash scheme, beacon
         // URLs are recognized by shape. No state is touched until the
@@ -771,12 +783,15 @@ impl Gateway {
                         // gateway itself — it must flow even under
                         // mandatory-challenge mode, because it is the
                         // channel through which humans prove themselves.
-                        // A script comes out of this session's own token
-                        // state.
-                        if let Some(object) =
-                            self.engine
-                                .object_in_session(classified, &mut state.tokens, request)
-                        {
+                        // A script is written from this session's own
+                        // token state.
+                        if let Some(object) = self.engine.object_in_session(
+                            classified,
+                            &state.tokens,
+                            request,
+                            close,
+                            out,
+                        ) {
                             Answer::Probe(object)
                         } else if self.captcha.is_mandatory()
                             && !matches!(state.verdict, Verdict::Human(_))
@@ -805,8 +820,10 @@ impl Gateway {
                 value: (answer, answer_len),
                 shard,
             } => {
-                // Post-section accounting: the byte ledgers are atomic
-                // cells, nothing needs the lock.
+                // A probe object is in `out` already; the rest needs no
+                // lock to be written, and neither does the accounting:
+                // the byte ledgers are atomic cells.
+                answer.write(close, out);
                 let cell = self.counters.cell(shard);
                 cell.requests.fetch_add(1, Ordering::Relaxed);
                 let bytes = (request.wire_len() + answer_len) as u64;

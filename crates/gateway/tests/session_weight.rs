@@ -8,6 +8,7 @@
 //! The requests go through the gateway in process (no sockets, no
 //! reactor), so whatever a window leaves live is what the gateway kept.
 
+use botwall_core::classifier::Verdict;
 use botwall_core::KeyState;
 use botwall_gateway::{Decision, Gateway, Origin};
 use botwall_http::request::ClientIp;
@@ -218,26 +219,83 @@ fn a_live_sessions_inline_state_is_sized_to_its_common_case() {
     assert!(session <= 176, "Session is {session} bytes");
 }
 
+/// The bytes a verified human's session may hold once its page, its
+/// script and its mouse beacon are in (~700 measured). Its one token
+/// entry keeps the seed its script is written from on every fetch,
+/// never the ~1.85 KB source, and its token list is sized to that one
+/// entry. (The same walk left 2 784 bytes while a fetched script stayed
+/// in its entry and the list took four slots.)
+const VERIFIED_HUMAN_BYTES: i64 = 1300;
+
+static HUMAN: Live = Live::new();
+
+/// A browser's first visit: the page, its script and the mouse beacon
+/// that proves a human, in process.
+#[test]
+fn a_verified_humans_session_holds_no_script() {
+    let gw = Gateway::builder().seed(39).build();
+    let page = "<html><head></head><body><p>hi</p></body></html>";
+    for n in 0..2_000 {
+        let _ = gw.handle_deferred(
+            &get("http://site.example/other.css", &format!("other/{n:05}")),
+            SimTime::ZERO,
+        );
+    }
+    let agent = "Mozilla/5.0 (X11; Linux x86_64) human/1.0";
+    let mut verdict = None;
+    let (blocks, bytes) = weigh(&HUMAN, || {
+        let decision = gw.handle_with(
+            &get("http://site.example/index.html", agent),
+            SimTime::from_secs(1),
+            |_| Origin::Page(page.to_string()),
+        );
+        let Decision::Serve { manifest, .. } = decision else {
+            panic!("the page is served: {decision:?}");
+        };
+        let manifest = manifest.unwrap();
+        let script = manifest.js_file.unwrap().to_string();
+        let decision = gw.handle_with(&get(&script, agent), SimTime::from_secs(2), |_| {
+            panic!("a script is answered by the gate")
+        });
+        let Decision::Serve { response, .. } = decision else {
+            panic!("the script is served: {decision:?}");
+        };
+        assert!(response.body().len() > 1024, "the whole script is sent");
+        let beacon = manifest.mouse_beacon.unwrap().to_string();
+        verdict = gw
+            .handle_with(&get(&beacon, agent), SimTime::from_secs(3), |_| {
+                panic!("a beacon is answered by the gate")
+            })
+            .verdict();
+    });
+    assert!(matches!(verdict, Some(Verdict::Human(_))), "{verdict:?}");
+    println!("a verified human: {blocks} blocks, {bytes} bytes");
+    assert!(
+        bytes <= VERIFIED_HUMAN_BYTES,
+        "{bytes} bytes, over {VERIFIED_HUMAN_BYTES}"
+    );
+}
+
 /// The live heap one session may hold at every per-session cap
-/// (~155 KB measured):
+/// (~36 KB measured):
 ///
 /// - the record log and the seen-URL set, 512 each: 20 480 + 4 096
 ///   bytes;
-/// - 64 outstanding page tokens: the entries (96 bytes each, five
-///   16-byte decoys each) and their generated scripts, ~1.8 KB each,
-///   ~130 KB in all;
-/// - the key's agent and the evidence list, under 200 bytes.
+/// - 64 outstanding page tokens, every script fetched: the entries (96
+///   bytes each) and their five 16-byte decoys each, ~11 KB in all —
+///   no script is kept;
+/// - the key's agent and the evidence list, under 300 bytes.
 ///
-/// Times the 100 000-session cap this is ~15.5 GB, the tracker's worst
-/// case; the scripts are three quarters of it.
-const WORST_CASE_BYTES: i64 = 160 * 1024;
+/// Times the 100 000-session cap this is ~3.6 GB, the tracker's worst
+/// case (~15.5 GB while every fetched script stayed in its entry).
+const WORST_CASE_BYTES: i64 = 40 * 1024;
 
 static WORST: Live = Live::new();
 
 /// One key driven to every per-session cap: 600 requests over 600
 /// distinct URLs, each with a `Referer` (so the record log and the seen
 /// set fill), 536 of them pages and the last 64 pages' scripts fetched
-/// (so 64 tokens are outstanding, each with its script built).
+/// (so 64 tokens are outstanding, each with its script served).
 #[test]
 fn a_session_at_every_cap_holds_a_stated_heap() {
     const PAGES: usize = 536;

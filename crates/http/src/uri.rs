@@ -180,15 +180,20 @@ impl<'a> UriRef<'a> {
 
 impl fmt::Display for UriRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Pieces, not a format string: a script spells one URL per
+        // function this way.
         if let (Some(scheme), Some(host)) = (self.scheme, self.host) {
-            write!(f, "{}://{host}", scheme.as_str())?;
+            f.write_str(scheme.as_str())?;
+            f.write_str("://")?;
+            f.write_str(host)?;
             if let Some(p) = self.port {
                 write!(f, ":{p}")?;
             }
         }
         f.write_str(self.path)?;
         if let Some(q) = self.query {
-            write!(f, "?{q}")?;
+            f.write_str("?")?;
+            f.write_str(q)?;
         }
         Ok(())
     }

@@ -28,15 +28,17 @@
 //!   per-key detection state in its tracker shard entry. The engine
 //!   only *produces* them ([`RewriteEngine::build_page`]); the caller
 //!   stores them under whatever lock it already holds.
-//! * **Scripts are generated when fetched.** A page rewrite mints the
-//!   probe URLs and the token but not the ~1 KB obfuscated script: it
-//!   draws one 64-bit script seed from the session's stream, wires the
-//!   handler name that seed implies into `<body onmousemove>`, and the
-//!   token entry keeps the seed (a [`ScriptSeed`], 16 bytes).
-//!   [`RewriteEngine::session_script`] builds the source from the
-//!   entry's own key, decoys and seed on the first fetch of the
-//!   `<script src>` URL and leaves it in the entry; a page whose script
-//!   is never fetched never pays for one, in time or in memory.
+//! * **Scripts are written when fetched, every time.** A page rewrite
+//!   mints the probe URLs and the token but not the ~1 KB obfuscated
+//!   script: it draws one 64-bit script seed from the session's stream,
+//!   wires the handler name that seed implies into `<body onmousemove>`,
+//!   and the token entry keeps the seed (a [`ScriptSeed`], 16 bytes) and
+//!   never a source. [`RewriteEngine::object_in_session`] writes the
+//!   script from the entry's own key, decoys and seed straight into the
+//!   response on every fetch of the `<script src>` URL, allocating
+//!   nothing; a page whose script is never fetched never pays for one,
+//!   and one that is fetched costs its session no more memory than one
+//!   that is not.
 //! * **Probe URLs are written where they are injected; the manifest is
 //!   derived for callers that read it.** The mint writes each URL
 //!   straight into the page's one markup buffer from its nonce (the
@@ -47,15 +49,16 @@
 //!   page the front door serves never builds one.
 
 use crate::beacon;
-use crate::jsgen::{self, GeneratedJs, JsSpec};
+use crate::jsgen::{self, GeneratedJs, Push, ScriptUrl, ScriptUrls};
 use crate::probe::{AutomationReport, ProbeHit, ProbeKind, ProbeObject};
 use crate::rewrite::{Classified, InstrumentConfig, ProbeManifest};
 use crate::stream::{FinishedStream, StreamingRewrite};
-use crate::token::{BeaconKey, ScriptSeed, TokenState};
+use crate::token::{BeaconKey, ScriptRecipe, ScriptSeed, TokenState};
 use botwall_http::{Request, RequestView, Response, Uri, UriRef};
 use botwall_sessions::SimTime;
 use rand::Rng;
-use std::sync::Arc;
+use rand_chacha::rand_core::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// Bits of MAC tag in a probe nonce.
 const TAG_BITS: u32 = 40;
@@ -214,12 +217,25 @@ impl<'a> Site<'a> {
 
     /// Appends the URL of the probe `nonce` of `kind` names, as it goes
     /// into markup.
-    fn push_probe(self, out: &mut String, nonce: u64, kind: ProbeKind) {
+    fn push_probe(self, out: &mut impl Push, nonce: u64, kind: ProbeKind) {
+        self.push_prefix(out);
+        push_probe_path(out, nonce, kind);
+    }
+
+    /// Appends the URL of `key`'s mouse beacon, as a script fetches it.
+    fn push_beacon(self, out: &mut impl Push, key: BeaconKey) {
+        self.push_prefix(out);
+        out.push_str("/");
+        key.push_digits(out);
+        out.push_str(".");
+        out.push_str(beacon::BEACON_EXT);
+    }
+
+    fn push_prefix(self, out: &mut impl Push) {
         if let Some(authority) = self.0 {
             out.push_str("http://");
             out.push_str(authority);
         }
-        push_probe_path(out, nonce, kind);
     }
 
     /// The [`Uri`] of the probe [`Site::push_probe`] writes.
@@ -247,17 +263,41 @@ impl<'a> Site<'a> {
 const PROBE_NAME_LEN: usize = 26;
 
 /// Appends `/<nonce as 20 digits>.<ext>`, formatted on the stack.
-fn push_probe_path(out: &mut String, nonce: u64, kind: ProbeKind) {
+fn push_probe_path(out: &mut impl Push, nonce: u64, kind: ProbeKind) {
     let mut digits = [b'0'; 20];
     let mut rest = nonce;
     for digit in digits.iter_mut().rev() {
         *digit = b'0' + (rest % 10) as u8;
         rest /= 10;
     }
-    out.push('/');
-    out.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
-    out.push('.');
+    out.push_str("/");
+    out.push_ascii(&digits);
+    out.push_str(".");
     out.push_str(kind.extension());
+}
+
+/// The URLs of the script one token entry stands for, on one site:
+/// each spelled as the page's manifest spells it.
+struct RecipeUrls<'a> {
+    site: Site<'a>,
+    recipe: ScriptRecipe<'a>,
+}
+
+impl ScriptUrls for RecipeUrls<'_> {
+    fn decoys(&self) -> usize {
+        self.recipe.decoys.len()
+    }
+
+    fn push(&self, url: ScriptUrl, out: &mut impl Push) {
+        match url {
+            ScriptUrl::Mouse => self.site.push_beacon(out, self.recipe.key),
+            ScriptUrl::Decoy(i) => self.site.push_beacon(out, self.recipe.decoys[i]),
+            ScriptUrl::Agent => {
+                let nonce = self.recipe.seed.agent_nonce;
+                self.site.push_probe(out, nonce, ProbeKind::AgentBeacon)
+            }
+        }
+    }
 }
 
 /// What one mint drew for a page besides the markup it wrote: the nonce
@@ -535,8 +575,8 @@ impl RewriteEngine {
                 .collect();
             let agent_nonce = self.probe_nonce(ProbeKind::AgentBeacon, now, rng);
             let js_nonce = self.probe_nonce(ProbeKind::JsFile, now, rng);
-            // The script itself waits for its first fetch; the page only
-            // needs the name of the handler it will define.
+            // The script itself is written by each fetch of its URL;
+            // the page only needs the name of the handler it defines.
             let script = ScriptSeed {
                 seed: rng.gen(),
                 agent_nonce,
@@ -571,12 +611,12 @@ impl RewriteEngine {
         StreamingRewrite::new(markup, attr, body, minted)
     }
 
-    /// Generates the script a page token stands for: the same
-    /// [`jsgen::generate`] the page rewrite used to run, over the stream
-    /// `script.seed` stands for, fetching this engine's URLs for `key`,
+    /// Generates the script a page token stands for, as a fetch writes
+    /// it ([`RewriteEngine::session_script`]): its URLs for `key`,
     /// `decoys` and the agent beacon on `authority` (as a page's
-    /// manifest spells them, [`crate::FinishedStream::manifest`]). Its
-    /// handler is the one the page's `<body onmousemove>` names.
+    /// manifest spells them, [`crate::FinishedStream::manifest`]), drawn
+    /// from the stream `script.seed` stands for. Its handler is the one
+    /// the page's `<body onmousemove>` names.
     pub fn generate_script(
         &self,
         authority: Option<&str>,
@@ -584,44 +624,74 @@ impl RewriteEngine {
         decoys: &[BeaconKey],
         script: ScriptSeed,
     ) -> GeneratedJs {
-        let site = Site::of(authority);
-        let spec = JsSpec {
-            mouse_beacon: site.beacon(key),
-            decoys: decoys.iter().map(|d| site.beacon(*d)).collect(),
-            agent_beacon: site.probe(script.agent_nonce, ProbeKind::AgentBeacon),
-            obfuscation: self.config.obfuscation,
-            target_size: JS_TARGET_SIZE,
+        let mut source = Vec::new();
+        let recipe = ScriptRecipe {
+            key,
+            decoys,
+            seed: script,
         };
-        jsgen::generate_seeded(&spec, script.seed)
+        let handler = self.write_script(authority, recipe, &mut source);
+        GeneratedJs {
+            source: String::from_utf8(source).expect("the engine's URLs are ASCII"),
+            handler_name: handler.as_str().to_string(),
+        }
     }
 
-    /// The script behind a verified JS-file probe hit on `nonce`, out of
-    /// the session's own token state: generated on the first fetch (its
-    /// URLs on the authority `request` was addressed to — the one the
-    /// page's `<script src>` sent the browser to) and kept there, a
-    /// borrow on every later one. `None` when the session holds no token
-    /// for that nonce.
-    pub fn session_script<'t>(
+    /// Appends the script `recipe` stands for, its URLs on `authority`'s
+    /// site, to `out`; returns its handler's name.
+    fn write_script(
         &self,
-        tokens: &'t mut TokenState,
+        authority: Option<&str>,
+        recipe: ScriptRecipe<'_>,
+        out: &mut Vec<u8>,
+    ) -> jsgen::Name {
+        let urls = RecipeUrls {
+            site: Site::of(authority),
+            recipe,
+        };
+        // Room for the script and its answer's head at once, not grown
+        // piece by piece: the default one is ~1.85 KB, and each decoy
+        // adds ~250 bytes.
+        out.reserve(JS_TARGET_SIZE + 256 * (recipe.decoys.len() + 2));
+        let mut rng = ChaCha8Rng::seed_from_u64(recipe.seed.seed);
+        jsgen::write(
+            &urls,
+            self.config.obfuscation,
+            JS_TARGET_SIZE,
+            &mut rng,
+            out,
+        )
+    }
+
+    /// Appends to `out` the script behind a verified JS-file probe hit on
+    /// `nonce`, written from the session's own token entry — the same
+    /// bytes on every fetch, its URLs on the authority `request` was
+    /// addressed to (the one the page's `<script src>` sent the browser
+    /// to). `false`, with nothing written, when the session holds no
+    /// token for that nonce.
+    pub fn session_script(
+        &self,
+        tokens: &TokenState,
         nonce: u64,
         request: &Request,
-    ) -> Option<&'t str> {
-        self.shared_script(tokens, nonce, &request.view())
-            .map(|source| &**source)
+        out: &mut Vec<u8>,
+    ) -> bool {
+        self.script_into(tokens, nonce, &request.view(), out)
     }
 
-    /// [`RewriteEngine::session_script`] as the entry keeps it, shared.
-    fn shared_script<'t>(
+    /// [`RewriteEngine::session_script`] for a request read in place.
+    fn script_into(
         &self,
-        tokens: &'t mut TokenState,
+        tokens: &TokenState,
         nonce: u64,
         request: &RequestView<'_>,
-    ) -> Option<&'t Arc<str>> {
-        tokens.script_for(nonce, |key, decoys, script| {
-            self.generate_script(request.authority().as_deref(), key, decoys, script)
-                .source
-        })
+        out: &mut Vec<u8>,
+    ) -> bool {
+        let Some(recipe) = tokens.script_for(nonce) else {
+            return false;
+        };
+        self.write_script(request.authority().as_deref(), recipe, out);
+        true
     }
 
     /// Rewrites one HTML page held whole, drawing all randomness from
@@ -656,24 +726,26 @@ impl RewriteEngine {
         rewrite_whole(stream, html, request.uri(), request.authority().as_deref())
     }
 
-    /// The object instrumentation traffic is answered with inside the
-    /// session `request` arrived in: a JS-file hit gets the script out of
-    /// the session's own `tokens` ([`RewriteEngine::session_script`]:
-    /// generated there by the first fetch, shared by every later one),
-    /// anything else its fixed bytes. `None` for ordinary traffic.
+    /// Appends to `out` the answer instrumentation traffic gets inside
+    /// the session `request` arrived in, `close` deciding its
+    /// `Connection` line ([`ProbeObject::write`]): a JS-file hit's body is
+    /// the script written from the session's own `tokens`
+    /// ([`RewriteEngine::session_script`], empty when they hold no entry
+    /// for its nonce), anything else its fixed bytes. Returns what was
+    /// written; `None`, with nothing written, for ordinary traffic.
     pub fn object_in_session(
         &self,
         classified: &Classified,
-        tokens: &mut TokenState,
+        tokens: &TokenState,
         request: &RequestView<'_>,
+        close: bool,
+        out: &mut Vec<u8>,
     ) -> Option<ProbeObject> {
-        let script = match classified {
-            Classified::Probe(hit) if hit.kind == ProbeKind::JsFile => {
-                self.shared_script(tokens, hit.nonce, request).cloned()
+        ProbeObject::write(classified, close, out, |out| {
+            if let Classified::Probe(hit) = classified {
+                self.script_into(tokens, hit.nonce, request, out);
             }
-            _ => None,
-        };
-        ProbeObject::answering(classified, script)
+        })
     }
 
     /// Marks a page response uncacheable, as §2.1 requires for rewritten
@@ -709,6 +781,7 @@ fn rewrite_whole(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jsgen::JsSpec;
     use crate::Obfuscation;
     use botwall_http::request::ClientIp;
     use botwall_http::Method;
@@ -995,14 +1068,23 @@ mod tests {
         );
         // The script is retrievable by its nonce.
         let fetch = get(&m.js_file.as_ref().unwrap().to_string());
-        let src = e
-            .session_script(&mut tokens, js_nonce(&m), &fetch)
-            .expect("script seeded");
+        let src = fetched(&e, &tokens, js_nonce(&m), &fetch).expect("script seeded");
         assert!(src.contains("new Image()"));
-        assert_eq!(
-            e.session_script(&mut tokens, js_nonce(&m) ^ 1, &fetch),
-            None
-        );
+        assert_eq!(fetched(&e, &tokens, js_nonce(&m) ^ 1, &fetch), None);
+    }
+
+    /// The script a fetch of `nonce` is answered with, if the session
+    /// holds one.
+    fn fetched(
+        e: &RewriteEngine,
+        tokens: &TokenState,
+        nonce: u64,
+        fetch: &Request,
+    ) -> Option<String> {
+        let mut out = Vec::new();
+        let written = e.session_script(tokens, nonce, fetch, &mut out);
+        assert_eq!(written, !out.is_empty());
+        written.then(|| String::from_utf8(out).unwrap())
     }
 
     fn js_nonce(m: &ProbeManifest) -> u64 {
@@ -1052,10 +1134,10 @@ mod tests {
                 obfuscation,
                 target_size: JS_TARGET_SIZE,
             };
-            let eager = jsgen::generate(&spec, &mut ChaCha8Rng::seed_from_u64(token.script.seed));
+            let eager = jsgen::oracle::generate(&spec, &mut ChaCha8Rng::seed_from_u64(token.script.seed));
 
             let fetch = origin_form(m.js_file.as_ref().unwrap().path(), Some("shop.example.org"));
-            let served = e.session_script(&mut tokens, js_nonce(&m), &fetch).unwrap().to_string();
+            let served = fetched(&e, &tokens, js_nonce(&m), &fetch).unwrap();
             prop_assert_eq!(&served, &eager.source);
             // The page wired the handler this script defines.
             prop_assert!(html.contains(&format!(" onmousemove=\"return {}();\"", eager.handler_name)));
@@ -1071,59 +1153,106 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_refetch_borrows_the_script_the_first_fetch_generated() {
-        let e = engine();
-        let mut tokens = TokenState::default();
-        jsgen::GENERATED.with(|n| n.set(0));
-        let (_, m) = session_page(&e, HTML, &page_request(), &mut tokens, 3, SimTime::ZERO);
-        assert_eq!(
-            jsgen::GENERATED.with(|n| n.get()),
-            0,
-            "no script at page time"
-        );
-        let fetch = get(&m.js_file.as_ref().unwrap().to_string());
-        let first = e
-            .session_script(&mut tokens, js_nonce(&m), &fetch)
-            .unwrap()
-            .to_string();
-        assert_eq!(jsgen::GENERATED.with(|n| n.get()), 1);
-        // A refetch under another Host still gets the memo: the script's
-        // URLs were settled by the first fetch.
-        let again = origin_form(m.js_file.as_ref().unwrap().path(), Some("other.example"));
-        assert_eq!(
-            e.session_script(&mut tokens, js_nonce(&m), &again),
-            Some(first.as_str())
-        );
-        assert_eq!(
-            jsgen::GENERATED.with(|n| n.get()),
-            1,
-            "served from the entry"
-        );
+    proptest! {
+        /// The writer against the generator it replaced, kept as the
+        /// oracle: for any seed, obfuscation, decoy count, padding target
+        /// and authority a page's URLs may be on, the same bytes and the
+        /// same handler, appended after whatever the buffer held.
+        #[test]
+        fn the_script_writer_is_the_generator_it_replaced(
+            seed in any::<u64>(),
+            obfuscation in prop_oneof![
+                Just(Obfuscation::None),
+                Just(Obfuscation::Lexical),
+                Just(Obfuscation::SplitStrings),
+            ],
+            key in any::<u128>(),
+            decoys in proptest::collection::vec(any::<u128>(), 0..=20),
+            agent_nonce in any::<u64>(),
+            target_size in 0usize..=4096,
+            authority in proptest::option::of(
+                "([a-z0-9.-]{1,60}(:[0-9]{1,5})?|[a-zA-Z0-9._:\\[\\]-]{1,255})"
+            ),
+        ) {
+            let site = Site::of(authority.as_deref());
+            prop_assert_eq!(site.0, authority.as_deref(), "a plain host[:port] is kept");
+            let decoys: Vec<BeaconKey> = decoys.into_iter().map(BeaconKey::from_raw).collect();
+            let recipe = ScriptRecipe {
+                key: BeaconKey::from_raw(key),
+                decoys: &decoys,
+                seed: ScriptSeed { seed, agent_nonce },
+            };
+            let mut written = b"earlier".to_vec();
+            let handler = jsgen::write(
+                &RecipeUrls { site, recipe },
+                obfuscation,
+                target_size,
+                &mut ChaCha8Rng::seed_from_u64(seed),
+                &mut written,
+            );
+            let spec = JsSpec {
+                mouse_beacon: site.beacon(recipe.key),
+                decoys: decoys.iter().map(|d| site.beacon(*d)).collect(),
+                agent_beacon: site.probe(agent_nonce, ProbeKind::AgentBeacon),
+                obfuscation,
+                target_size,
+            };
+            let oracle = jsgen::oracle::generate(&spec, &mut ChaCha8Rng::seed_from_u64(seed));
+            prop_assert_eq!(&written[..7], b"earlier");
+            prop_assert_eq!(std::str::from_utf8(&written[7..]).unwrap(), oracle.source.as_str());
+            prop_assert_eq!(handler.as_str(), oracle.handler_name.as_str());
+        }
     }
 
     #[test]
-    fn a_session_that_fetches_no_script_holds_no_script_bytes() {
+    fn a_refetch_is_byte_identical_to_the_first_fetch() {
+        let e = engine();
+        let mut tokens = TokenState::default();
+        let (_, m) = session_page(&e, HTML, &page_request(), &mut tokens, 3, SimTime::ZERO);
+        let fetch = get(&m.js_file.as_ref().unwrap().to_string());
+        let first = fetched(&e, &tokens, js_nonce(&m), &fetch).unwrap();
+        for _ in 0..3 {
+            assert_eq!(
+                fetched(&e, &tokens, js_nonce(&m), &fetch),
+                Some(first.clone())
+            );
+        }
+        // Through the whole answer too: the same bytes behind the same head.
+        let Sighting::Probe(hit) = e.classify(&fetch, SimTime::ZERO) else {
+            panic!("the script URL is a probe");
+        };
+        let classified = Classified::Probe(hit);
+        let answer = || {
+            let mut out = Vec::new();
+            e.object_in_session(&classified, &tokens, &fetch.view(), false, &mut out)
+                .unwrap();
+            out
+        };
+        let once = answer();
+        assert!(once.ends_with(first.as_bytes()));
+        assert_eq!(answer(), once);
+    }
+
+    #[test]
+    fn an_entry_holds_no_script_bytes_after_a_fetch() {
         let e = engine();
         let mut tokens = TokenState::default();
         let page = origin_form("/catalogue/page.html", Some("shop.example.org"));
-        let mut last = None;
+        let mut pages = Vec::new();
         for i in 0..64 {
             let (_, m) = session_page(&e, HTML, &page, &mut tokens, 3, SimTime::from_secs(i));
-            last = Some(m);
+            pages.push(m);
         }
         assert_eq!(tokens.len(), 64);
         let seeded = tokens.heap_bytes();
         assert!(seeded < 16 * 1024, "64 seeded entries weigh {seeded} B");
-        // One fetch grows exactly one entry by one script.
-        let m = last.unwrap();
-        let fetch = origin_form(m.js_file.as_ref().unwrap().path(), Some("shop.example.org"));
-        let script = e
-            .session_script(&mut tokens, js_nonce(&m), &fetch)
-            .unwrap()
-            .len();
-        assert!(tokens.heap_bytes() >= seeded + script);
-        assert!(tokens.heap_bytes() < seeded + 2 * script);
+        // Every page's script fetched, twice: the entries weigh what
+        // they did.
+        for m in pages.iter().chain(&pages) {
+            let fetch = origin_form(m.js_file.as_ref().unwrap().path(), Some("shop.example.org"));
+            assert!(fetched(&e, &tokens, js_nonce(m), &fetch).unwrap().len() > JS_TARGET_SIZE);
+        }
+        assert_eq!(tokens.heap_bytes(), seeded);
     }
 
     #[test]
@@ -1161,7 +1290,7 @@ mod tests {
             m.js_file.as_ref().unwrap().path(),
             Some("shop.example.org:8080"),
         );
-        let script = e.session_script(&mut tokens, js_nonce(&m), &fetch).unwrap();
+        let script = fetched(&e, &tokens, js_nonce(&m), &fetch).unwrap();
         assert!(script.contains(&format!("'{}'", m.mouse_beacon.as_ref().unwrap())));
         assert!(!script.contains("unknown.example"));
 
@@ -1182,7 +1311,7 @@ mod tests {
                 e.classify(&fetch, SimTime::ZERO),
                 Sighting::Probe(_)
             ));
-            let script = e.session_script(&mut tokens, js_nonce(&m), &fetch).unwrap();
+            let script = fetched(&e, &tokens, js_nonce(&m), &fetch).unwrap();
             assert!(script.contains(&format!("'{}'", m.mouse_beacon.as_ref().unwrap().path())));
             assert!(!script.contains("alert(1)"));
         }
@@ -1212,16 +1341,30 @@ mod tests {
         let Sighting::Probe(hit) = e.classify(&get(&url.to_string()), SimTime::ZERO) else {
             panic!("probe expected");
         };
-        let (request, mut tokens) = (get(&url.to_string()), TokenState::default());
+        let (request, tokens) = (get(&url.to_string()), TokenState::default());
+        let mut out = Vec::new();
         let resp = e
-            .object_in_session(&Classified::Probe(hit), &mut tokens, &request.view())
-            .map(|o| o.to_response())
+            .object_in_session(
+                &Classified::Probe(hit),
+                &tokens,
+                &request.view(),
+                false,
+                &mut out,
+            )
+            .map(|o| o.to_response(&out))
             .unwrap();
         assert_eq!(resp.content_type(), Some("text/css"));
         assert!(resp.body().is_empty());
         assert!(resp.is_uncacheable());
-        let ordinary = e.object_in_session(&Classified::Ordinary, &mut tokens, &request.view());
-        assert!(ordinary.is_none());
+        out.clear();
+        let ordinary = e.object_in_session(
+            &Classified::Ordinary,
+            &tokens,
+            &request.view(),
+            false,
+            &mut out,
+        );
+        assert!(ordinary.is_none() && out.is_empty());
     }
 
     #[test]

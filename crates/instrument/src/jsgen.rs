@@ -14,14 +14,19 @@
 //! Lexical obfuscation (identifier renaming, junk statements, string
 //! noise) raises the cost of distinguishing the real function statically.
 //! The paper measures generation cost at 144 µs per ~1 KB script on a
-//! 2 GHz Pentium 4 and pays it on every page; here it is ~6 µs (the
-//! Criterion bench `benches/jsgen.rs` keeps us in that class) and is
-//! paid per *fetched* script. A page serve only draws a 64-bit script
-//! seed and writes the handler name of it ([`handler_name`]) into
-//! `<body onmousemove>`; the
-//! source is [`generate_seeded`] from that seed the first time the
-//! `<script src>` URL is actually requested — which, by the paper's own
-//! premise, most robots never do.
+//! 2 GHz Pentium 4 and pays it on every page. Here a page serve only
+//! draws a 64-bit script seed and writes the handler name of it
+//! ([`handler_name`]) into `<body onmousemove>`; the page's token entry
+//! keeps that seed, never the source. Every fetch of the `<script src>`
+//! URL — which, by the paper's own premise, most robots never make —
+//! writes the source again from the seed, straight into the response
+//! ([`crate::RewriteEngine::object_in_session`]). One writer does it:
+//! names are small stack values, each URL is pushed where it goes (and
+//! cut up there when it is split), and the functions are shuffled in a
+//! fixed array, so a script costs no allocation and ~2 µs, about half
+//! of it the ~100 draws from its ChaCha stream (the Criterion bench
+//! `benches/jsgen.rs` keeps it in that class). [`generate`] is the
+//! same writer over a [`JsSpec`]'s URLs, into a `String`.
 
 use botwall_http::Uri;
 use rand::seq::SliceRandom;
@@ -29,6 +34,9 @@ use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt::Write as _;
+
+#[cfg(test)]
+pub(crate) mod oracle;
 
 /// How aggressively to obfuscate the generated script.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,98 +106,26 @@ pub struct GeneratedJs {
 /// assert!(js.source.contains(&spec.mouse_beacon.to_string()));
 /// ```
 pub fn generate<R: Rng>(spec: &JsSpec, rng: &mut R) -> GeneratedJs {
-    #[cfg(test)]
-    GENERATED.with(|n| n.set(n.get() + 1));
-    let mut namer = Namer::new(spec.obfuscation);
-    // One function per URL; the real one is guarded by a do-once flag
-    // exactly as in Figure 1.
-    let mut functions: Vec<(String, &Uri, bool)> = Vec::with_capacity(spec.decoys.len() + 1);
-    let handler_name = namer.next(rng, "f");
-    functions.push((handler_name.clone(), &spec.mouse_beacon, true));
-    for d in &spec.decoys {
-        let name = namer.next(rng, "g");
-        functions.push((name, d, false));
-    }
-    functions.shuffle(rng);
-
-    let mut out = String::with_capacity(spec.target_size.max(512));
-    let flag = namer.next(rng, "do_once");
-    let _ = writeln!(out, "var {flag} = false;");
-    for (name, url, is_real) in &functions {
-        let img = namer.next(rng, "f_image");
-        let url_expr = url_literal(url, spec.obfuscation, rng);
-        let _ = writeln!(out, "function {name}()");
-        out.push_str("{\n");
-        if *is_real {
-            let _ = writeln!(out, "  if ({flag} == false) {{");
-            let _ = writeln!(out, "    var {img} = new Image();");
-            let _ = writeln!(out, "    {flag} = true;");
-            let _ = writeln!(out, "    {img}.src = {url_expr};");
-            out.push_str("    return true;\n  }\n  return false;\n");
-        } else {
-            // Decoys are lexically similar but fetch their own URL and use
-            // a local flag so running one never suppresses the real fetch.
-            let local = namer.next(rng, "done");
-            let _ = writeln!(out, "  var {local} = false;");
-            let _ = writeln!(out, "  if ({local} == false) {{");
-            let _ = writeln!(out, "    var {img} = new Image();");
-            let _ = writeln!(out, "    {local} = true;");
-            let _ = writeln!(out, "    {img}.src = {url_expr};");
-            out.push_str("    return true;\n  }\n  return false;\n");
-        }
-        out.push_str("}\n");
-        if spec.obfuscation != Obfuscation::None && rng.gen_bool(0.5) {
-            let junk = namer.next(rng, "tmp");
-            let v: u32 = rng.gen_range(0..100000);
-            let _ = writeln!(out, "var {junk} = {v};");
-        }
-    }
-    // Agent-string reporter (Figure 1's second script block).
-    let agent_fn = namer.next(rng, "getuseragnt");
-    let agt = namer.next(rng, "agt");
-    let _ = writeln!(out, "function {agent_fn}()");
-    out.push_str("{\n");
-    let _ = writeln!(out, "  var {agt} = navigator.userAgent.toLowerCase();");
-    let _ = writeln!(out, "  {agt} = {agt}.replace(/ /g, \"\");");
-    let _ = writeln!(out, "  return {agt};");
-    out.push_str("}\n");
-    let rep = namer.next(rng, "r_image");
-    let agent_expr = url_literal(&spec.agent_beacon, spec.obfuscation, rng);
-    let _ = writeln!(out, "var {rep} = new Image();");
-    let _ = writeln!(
-        out,
-        "{rep}.src = {agent_expr} + \"?agent=\" + {agent_fn}() + \
-         \"&wd=\" + (navigator.webdriver ? 1 : 0) + \
-         \"&pl=\" + navigator.plugins.length;"
-    );
-
-    // Pad with comment noise to the target size.
-    while spec.target_size > 0 && out.len() + 40 < spec.target_size {
-        let v: u64 = rng.gen();
-        let _ = writeln!(out, "// {v:032x}{v:016x}");
-    }
+    let mut source = Vec::with_capacity(spec.target_size.max(2048));
+    let handler = write(spec, spec.obfuscation, spec.target_size, rng, &mut source);
     GeneratedJs {
-        source: out,
-        handler_name,
+        source: String::from_utf8(source).expect("literals are cut on char boundaries"),
+        handler_name: handler.as_str().to_string(),
     }
 }
 
-/// [`generate`] over the stream a script seed stands for. A page stores
-/// the seed; whoever serves the script calls this, and gets the handler
-/// [`handler_name`] promised the page.
-pub fn generate_seeded(spec: &JsSpec, seed: u64) -> GeneratedJs {
-    generate(spec, &mut ChaCha8Rng::seed_from_u64(seed))
-}
-
-/// Appends to `out` the entry-point name of the script
-/// [`generate_seeded`] builds from `seed` — the first identifier
-/// [`generate`] draws — without building the script.
+/// Appends to `out` the entry-point name of the script [`generate`]
+/// builds over a `ChaCha8Rng` seeded with `seed` — the first identifier
+/// it draws — without building the script. A page stores the seed;
+/// whoever serves the script writes it from that seed, and it defines
+/// the handler this named.
 ///
 /// # Examples
 ///
 /// ```
 /// use botwall_http::Uri;
-/// use botwall_instrument::jsgen::{generate_seeded, handler_name, JsSpec, Obfuscation};
+/// use botwall_instrument::jsgen::{generate, handler_name, JsSpec, Obfuscation};
+/// use rand_chacha::rand_core::SeedableRng;
 ///
 /// let spec = JsSpec {
 ///     mouse_beacon: Uri::absolute("h", "/real.jpg"),
@@ -200,35 +136,299 @@ pub fn generate_seeded(spec: &JsSpec, seed: u64) -> GeneratedJs {
 /// };
 /// let mut name = String::new();
 /// handler_name(7, spec.obfuscation, &mut name);
-/// assert_eq!(generate_seeded(&spec, 7).handler_name, name);
+/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+/// assert_eq!(generate(&spec, &mut rng).handler_name, name);
 /// ```
 pub fn handler_name(seed: u64, obfuscation: Obfuscation, out: &mut String) {
-    Namer::new(obfuscation).push_next(&mut ChaCha8Rng::seed_from_u64(seed), "f", out);
+    let name = Namer::new(obfuscation).next(&mut ChaCha8Rng::seed_from_u64(seed), "f");
+    out.push_str(name.as_str());
 }
 
-#[cfg(test)]
-thread_local! {
-    /// How many scripts [`generate`] built on this thread — the lazy
-    /// script tests' witness that a refetch is served from the memo.
-    pub(crate) static GENERATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+/// Where text is appended: a page's markup, a script, a name.
+pub(crate) trait Push {
+    /// Appends `ascii`, which is ASCII.
+    fn push_ascii(&mut self, ascii: &[u8]);
+
+    /// Appends `s`.
+    fn push_str(&mut self, s: &str) {
+        self.push_ascii(s.as_bytes());
+    }
 }
 
-/// Renders a URL as a JS expression, split into concatenated fragments
-/// when [`Obfuscation::SplitStrings`] is on.
-fn url_literal<R: Rng>(url: &Uri, obf: Obfuscation, rng: &mut R) -> String {
-    let s = url.to_string();
-    if obf != Obfuscation::SplitStrings || s.len() < 8 {
-        return format!("'{s}'");
+impl Push for String {
+    fn push_ascii(&mut self, ascii: &[u8]) {
+        String::push_str(self, std::str::from_utf8(ascii).expect("ASCII"));
     }
-    let mut parts = Vec::new();
-    let mut rest = s.as_str();
-    while !rest.is_empty() {
-        let take = rng.gen_range(3..=6).min(rest.len());
-        parts.push(format!("'{}'", &rest[..take]));
-        rest = &rest[take..];
+
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
     }
-    parts.join(" + ")
 }
+
+impl Push for Vec<u8> {
+    fn push_ascii(&mut self, ascii: &[u8]) {
+        self.extend_from_slice(ascii);
+    }
+}
+
+/// What the writer appends: a fixed piece of the script, of a length
+/// known when it is compiled, or a name, copied whole and cut to its
+/// length — so neither needs a copy of a length only known at run time.
+trait Piece {
+    fn put(self, out: &mut Vec<u8>);
+}
+
+impl<const N: usize> Piece for &[u8; N] {
+    #[inline(always)]
+    fn put(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+}
+
+impl Piece for &Name {
+    #[inline(always)]
+    fn put(self, out: &mut Vec<u8>) {
+        let end = out.len() + usize::from(self.len);
+        out.extend_from_slice(&self.bytes);
+        out.truncate(end);
+    }
+}
+
+/// Appends each piece in turn.
+macro_rules! put {
+    ($out:expr, $($piece:expr),+ $(,)?) => {
+        $(Piece::put($piece, $out);)+
+    };
+}
+
+/// One identifier, spelled on the stack. The longest are a seven-byte
+/// hint, `_` and a ten-digit number, or `v`, three syllables and that
+/// number; a junk statement's number is spelled in one too.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Name {
+    bytes: [u8; 18],
+    len: u8,
+}
+
+impl Name {
+    const EMPTY: Name = Name {
+        bytes: [0; 18],
+        len: 0,
+    };
+
+    pub(crate) fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..usize::from(self.len)]).expect("ASCII")
+    }
+
+    /// Appends `n` in decimal, digit by digit in place.
+    fn push_decimal(&mut self, n: u32) {
+        let start = usize::from(self.len);
+        let end = start + n.checked_ilog10().map_or(1, |log| log as usize + 1);
+        let mut rest = n;
+        for digit in self.bytes[start..end].iter_mut().rev() {
+            *digit = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        self.len = end as u8;
+    }
+}
+
+impl Push for Name {
+    fn push_ascii(&mut self, ascii: &[u8]) {
+        let (start, end) = (usize::from(self.len), usize::from(self.len) + ascii.len());
+        self.bytes[start..end].copy_from_slice(ascii);
+        self.len = end as u8;
+    }
+}
+
+/// One of the URLs a script fetches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ScriptUrl {
+    /// The real beacon, fetched by the event handler.
+    Mouse,
+    /// The decoy beacon of that index.
+    Decoy(usize),
+    /// The agent-reporter beacon.
+    Agent,
+}
+
+/// The URLs a script is written over.
+pub(crate) trait ScriptUrls {
+    /// How many decoys the script carries.
+    fn decoys(&self) -> usize;
+
+    /// Appends `url` to `out`.
+    fn push(&self, url: ScriptUrl, out: &mut impl Push);
+}
+
+impl ScriptUrls for JsSpec {
+    fn decoys(&self) -> usize {
+        self.decoys.len()
+    }
+
+    fn push(&self, url: ScriptUrl, out: &mut impl Push) {
+        let uri = match url {
+            ScriptUrl::Mouse => &self.mouse_beacon,
+            ScriptUrl::Decoy(i) => &self.decoys[i],
+            ScriptUrl::Agent => &self.agent_beacon,
+        };
+        let _ = write!(Pushed(out), "{uri}");
+    }
+}
+
+/// A [`Push`] sink as a formatter's output.
+struct Pushed<'a, P>(&'a mut P);
+
+impl<P: Push> std::fmt::Write for Pushed<'_, P> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.push_str(s);
+        Ok(())
+    }
+}
+
+/// The functions a script's table keeps on the stack: the handler and
+/// 15 decoys. A longer table goes on the heap.
+const INLINE_FUNCTIONS: usize = 16;
+
+/// Appends to `out` the script over `urls`, drawing from `rng` in the
+/// order [`generate`] always has, so a seed stands for the same bytes
+/// whoever writes them. Returns the handler's name.
+pub(crate) fn write<R: Rng, U: ScriptUrls>(
+    urls: &U,
+    obfuscation: Obfuscation,
+    target_size: usize,
+    rng: &mut R,
+    out: &mut Vec<u8>,
+) -> Name {
+    let start = out.len();
+    let mut namer = Namer::new(obfuscation);
+    // One function per URL, named before they are shuffled; the real
+    // one is guarded by a do-once flag exactly as in Figure 1.
+    let count = urls.decoys() + 1;
+    let mut inline = [(Name::EMPTY, ScriptUrl::Mouse); INLINE_FUNCTIONS];
+    let mut spilled = Vec::new();
+    let functions = if count <= INLINE_FUNCTIONS {
+        &mut inline[..count]
+    } else {
+        spilled.resize(count, (Name::EMPTY, ScriptUrl::Mouse));
+        &mut spilled[..]
+    };
+    let handler = namer.next(rng, "f");
+    functions[0] = (handler, ScriptUrl::Mouse);
+    for (i, function) in functions[1..].iter_mut().enumerate() {
+        *function = (namer.next(rng, "g"), ScriptUrl::Decoy(i));
+    }
+    functions.shuffle(rng);
+
+    let flag = namer.next(rng, "do_once");
+    put!(out, b"var ", &flag, b" = false;\n");
+    for (name, url) in functions.iter() {
+        let img = namer.next(rng, "f_image");
+        put!(out, b"function ", name, b"()\n{\n");
+        // The URL is drawn before a decoy's own flag but written after
+        // the lines that use it: it goes in first, and they are turned
+        // in front of it.
+        let fetch = out.len();
+        put!(out, b"    ", &img, b".src = ");
+        url_literal(urls, *url, obfuscation, rng, out);
+        put!(out, b";\n");
+        let lines = out.len();
+        let done = if *url == ScriptUrl::Mouse {
+            flag
+        } else {
+            // Decoys are lexically similar but use a local flag, so
+            // running one never suppresses the real fetch.
+            let local = namer.next(rng, "done");
+            put!(out, b"  var ", &local, b" = false;\n");
+            local
+        };
+        put!(out, b"  if (", &done, b" == false) {\n    var ", &img);
+        put!(out, b" = new Image();\n    ", &done, b" = true;\n");
+        let moved = out.len() - lines;
+        out[fetch..].rotate_right(moved);
+        put!(out, b"    return true;\n  }\n  return false;\n}\n");
+        if obfuscation != Obfuscation::None && rng.gen_bool(0.5) {
+            let junk = namer.next(rng, "tmp");
+            let mut v = Name::EMPTY;
+            v.push_decimal(rng.gen_range(0..100000));
+            put!(out, b"var ", &junk, b" = ", &v, b";\n");
+        }
+    }
+    // Agent-string reporter (Figure 1's second script block).
+    let agent_fn = namer.next(rng, "getuseragnt");
+    let agt = namer.next(rng, "agt");
+    put!(out, b"function ", &agent_fn, b"()\n{\n  var ", &agt);
+    put!(
+        out,
+        b" = navigator.userAgent.toLowerCase();\n  ",
+        &agt,
+        b" = ",
+        &agt
+    );
+    put!(out, b".replace(/ /g, \"\");\n  return ", &agt, b";\n}\n");
+    let rep = namer.next(rng, "r_image");
+    put!(out, b"var ", &rep, b" = new Image();\n", &rep, b".src = ");
+    url_literal(urls, ScriptUrl::Agent, obfuscation, rng, out);
+    put!(out, b" + \"?agent=\" + ", &agent_fn, b"() + \"&wd=\" + ");
+    put!(
+        out,
+        b"(navigator.webdriver ? 1 : 0) + \"&pl=\" + navigator.plugins.length;\n"
+    );
+
+    // Pad with comment noise to the target size.
+    while target_size > 0 && out.len() - start + 40 < target_size {
+        let v = hex(rng.gen());
+        put!(out, b"// 0000000000000000", &v, &v, b"\n");
+    }
+    handler
+}
+
+/// Appends `url` as a JS expression: one literal, or under
+/// [`Obfuscation::SplitStrings`] (and eight bytes or more) concatenated
+/// fragments of three to six bytes, each stretched to end on a
+/// character boundary.
+fn url_literal<R: Rng>(
+    urls: &impl ScriptUrls,
+    url: ScriptUrl,
+    obf: Obfuscation,
+    rng: &mut R,
+    out: &mut Vec<u8>,
+) {
+    out.push(b'\'');
+    let mut at = out.len();
+    urls.push(url, out);
+    if obf == Obfuscation::SplitStrings && out.len() - at >= 8 {
+        // Cut where it was spelled, at the end of `out`.
+        loop {
+            let rest = out.len() - at;
+            let mut take = rng.gen_range(3..=6).min(rest);
+            // UTF-8 continuation bytes are 0b10xx_xxxx.
+            while take < rest && out[at + take] & 0xc0 == 0x80 {
+                take += 1;
+            }
+            at += take;
+            if at == out.len() {
+                break;
+            }
+            out.splice(at..at, *b"' + '");
+            at += 5;
+        }
+    }
+    out.push(b'\'');
+}
+
+/// `v` as 16 lowercase hex digits.
+pub(crate) fn hex(v: u64) -> [u8; 16] {
+    let mut digits = [0u8; 16];
+    for (i, digit) in digits.iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(v >> (4 * (15 - i))) as usize & 0xf];
+    }
+    digits
+}
+
+const SYLLABLES: [&[u8; 2]; 12] = [
+    b"ba", b"ko", b"ri", b"ta", b"zu", b"me", b"lo", b"vi", b"sa", b"du", b"pe", b"ny",
+];
 
 /// Identifier generator: stable descriptive names when unobfuscated,
 /// random plausible names otherwise.
@@ -245,31 +445,26 @@ impl Namer {
         }
     }
 
-    fn next<R: Rng>(&mut self, rng: &mut R, hint: &str) -> String {
-        let mut name = String::with_capacity(12);
-        self.push_next(rng, hint, &mut name);
-        name
-    }
-
-    /// Appends the next identifier to `out`.
-    fn push_next<R: Rng>(&mut self, rng: &mut R, hint: &str, out: &mut String) {
+    fn next<R: Rng>(&mut self, rng: &mut R, hint: &str) -> Name {
         self.counter += 1;
+        let mut name = Name::EMPTY;
         if !self.obfuscate {
-            out.push_str(hint);
+            name.push_str(hint);
             if !(self.counter == 1 || hint == "do_once" || hint == "getuseragnt") {
-                let _ = write!(out, "_{}", self.counter);
+                name.push_str("_");
+                name.push_decimal(self.counter);
             }
-            return;
+            return name;
         }
-        const SYLLABLES: [&str; 12] = [
-            "ba", "ko", "ri", "ta", "zu", "me", "lo", "vi", "sa", "du", "pe", "ny",
-        ];
         let n = rng.gen_range(2..4);
-        out.push('v');
-        for _ in 0..n {
-            out.push_str(SYLLABLES[rng.gen_range(0..SYLLABLES.len())]);
+        name.bytes[0] = b'v';
+        for at in (1..2 * n).step_by(2) {
+            let syllable = SYLLABLES[rng.gen_range(0..SYLLABLES.len())];
+            name.bytes[at..at + 2].copy_from_slice(syllable);
         }
-        let _ = write!(out, "{}", self.counter);
+        name.len = 1 + 2 * n as u8;
+        name.push_decimal(self.counter);
+        name
     }
 }
 
@@ -353,6 +548,49 @@ mod tests {
                 .is_none()),
             "no scannable beacon URLs under SplitStrings"
         );
+    }
+
+    /// Under `SplitStrings` a URL literal is cut on character
+    /// boundaries: a non-ASCII URL, which `generate` takes though the
+    /// engine never builds one, no longer panics the cut, and its
+    /// fragments spell it whole.
+    #[test]
+    fn split_strings_cuts_a_non_ascii_url_on_char_boundaries() {
+        let mut s = spec(2, Obfuscation::SplitStrings);
+        s.agent_beacon = Uri::absolute("h.example", "/ünïcødé/日本語/ä.gif");
+        let url = s.agent_beacon.to_string();
+        for seed in 0..64 {
+            let js = generate(&s, &mut ChaCha8Rng::seed_from_u64(seed));
+            let line = js.source.lines().find(|l| l.contains("?agent=")).unwrap();
+            let (_, expr) = line.split_once(".src = ").unwrap();
+            let (expr, _) = expr.split_once(" + \"?agent=\"").unwrap();
+            let fragments: Vec<&str> = expr.split(" + ").collect();
+            assert!(fragments.len() > 1, "{expr}");
+            let joined: String = fragments.iter().map(|f| f.trim_matches('\'')).collect();
+            assert_eq!(joined, url);
+        }
+    }
+
+    /// `generate` over a spec's own URLs — a query string included — is
+    /// the generator it replaced, at every obfuscation level.
+    #[test]
+    fn generate_is_the_generator_it_replaced() {
+        for obfuscation in [
+            Obfuscation::None,
+            Obfuscation::Lexical,
+            Obfuscation::SplitStrings,
+        ] {
+            for m in [0, 1, 5, 40] {
+                let mut s = spec(m, obfuscation);
+                s.agent_beacon = Uri::absolute("h.example:8080", "/a.gif?x=1");
+                s.target_size = 1024 * (m % 3);
+                for seed in 0..8 {
+                    let ours = generate(&s, &mut ChaCha8Rng::seed_from_u64(seed));
+                    let theirs = oracle::generate(&s, &mut ChaCha8Rng::seed_from_u64(seed));
+                    assert_eq!(ours, theirs, "{obfuscation:?}, m = {m}, seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]

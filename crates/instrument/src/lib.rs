@@ -20,9 +20,9 @@
 //! Two top-level types split the work along the mutability boundary:
 //! the immutable, freely shareable [`RewriteEngine`] (rewriting,
 //! stateless MAC-nonce probe classification, script generation) and the
-//! per-session [`TokenState`] (outstanding beacon keys + their scripts,
-//! a 16-byte seed each until first fetched), which callers colocate
-//! with their other per-session state. The engine's stateless
+//! per-session [`TokenState`] (outstanding beacon keys + the 16-byte
+//! seeds their scripts are written from on every fetch), which callers
+//! colocate with their other per-session state. The engine's stateless
 //! [`Sighting`] of a request resolves against that state into the
 //! [`Classified`] stream `botwall-core` builds the detector on.
 //!
@@ -74,4 +74,6 @@ pub use jsgen::Obfuscation;
 pub use probe::{AutomationReport, ProbeHit, ProbeKind, ProbeObject};
 pub use rewrite::{Classified, InstrumentConfig, ProbeManifest};
 pub use stream::{FinishedStream, StreamSink, StreamingRewrite, MAX_HELD_BYTES};
-pub use token::{BeaconKey, KeyOutcome, ScriptSeed, TokenState, MAX_TOKENS_PER_SESSION};
+pub use token::{
+    BeaconKey, KeyOutcome, ScriptRecipe, ScriptSeed, TokenState, MAX_TOKENS_PER_SESSION,
+};

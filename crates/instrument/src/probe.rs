@@ -12,7 +12,6 @@
 
 use crate::rewrite::Classified;
 use botwall_http::{wire, ContentClass, Response, ResponseSummary, StatusCode};
-use std::sync::Arc;
 
 /// The kinds of probe objects the instrumenter plants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,12 +97,14 @@ const FAKE_JPEG: &[u8] = &[
 /// probe fetched from a cache proves nothing (§2.1).
 const UNCACHEABLE: (&str, &str) = ("Cache-Control", "no-cache, no-store");
 
-/// What instrumentation traffic is answered with: a `200`, uncacheable,
-/// of one content type, whose body is fixed bytes or — for the script —
-/// the source the session generated, shared rather than copied. It is
-/// written to a connection as fixed head bytes ([`ProbeObject::write`])
-/// or built as a [`Response`] for a caller that wants one
-/// ([`ProbeObject::to_response`]); both say the same thing.
+/// What instrumentation traffic was answered with: a `200`,
+/// uncacheable, of one content type, whose body is fixed bytes or, for
+/// the script, what was written from the session's token into the
+/// answer. [`ProbeObject::write`] appends the answer as the front door
+/// sends it and hands back this record of it:
+/// [`ProbeObject::summary`] is what the session's record keeps, and
+/// [`ProbeObject::to_response`] the same answer as a [`Response`], for a
+/// caller that wants one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeObject {
     content_type: &'static str,
@@ -113,59 +114,104 @@ pub struct ProbeObject {
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum ProbeBody {
     Fixed(&'static [u8]),
-    Script(Arc<str>),
+    /// A script of this many bytes, written into the answer.
+    Script(usize),
 }
 
 impl ProbeObject {
-    /// The object `classified` is answered with, `script` being the
-    /// session's source for a JS-file hit (none serves an empty one);
-    /// `None` for ordinary traffic.
-    pub fn answering(classified: &Classified, script: Option<Arc<str>>) -> Option<ProbeObject> {
-        let (content_type, body) = match classified {
-            Classified::MouseBeacon { .. } => ("image/jpeg", ProbeBody::Fixed(FAKE_JPEG)),
+    /// Appends to `out` the answer `classified` gets, as the front door
+    /// sends it: fixed head bytes, `close` deciding its `Connection`
+    /// line, and the body — fixed bytes, or for a JS-file hit whatever
+    /// `script` appends (the session's script; nothing is an empty one),
+    /// written first and then turned behind the head, whose length line
+    /// needs it. `None`, with nothing written, for ordinary traffic.
+    /// What [`wire::write_response`] makes of [`ProbeObject::to_response`],
+    /// whose body-less form has its length written last.
+    pub fn write(
+        classified: &Classified,
+        close: bool,
+        out: &mut Vec<u8>,
+        script: impl FnOnce(&mut Vec<u8>),
+    ) -> Option<ProbeObject> {
+        let (content_type, fixed) = match classified {
+            Classified::MouseBeacon { .. } => ("image/jpeg", Some(FAKE_JPEG)),
             Classified::Probe(hit) => match hit.kind {
-                ProbeKind::CssProbe => ("text/css", ProbeBody::Fixed(b"")),
-                ProbeKind::JsFile => (
-                    "application/x-javascript",
-                    script.map_or(ProbeBody::Fixed(b""), ProbeBody::Script),
-                ),
+                ProbeKind::CssProbe => ("text/css", Some(&b""[..])),
+                ProbeKind::JsFile => ("application/x-javascript", None),
                 ProbeKind::AgentBeacon | ProbeKind::TransparentPixel => {
-                    ("image/gif", ProbeBody::Fixed(TRANSPARENT_GIF))
+                    ("image/gif", Some(TRANSPARENT_GIF))
                 }
-                ProbeKind::MouseBeacon => ("image/jpeg", ProbeBody::Fixed(FAKE_JPEG)),
+                ProbeKind::MouseBeacon => ("image/jpeg", Some(FAKE_JPEG)),
                 ProbeKind::HiddenLink => (
                     "text/html",
-                    ProbeBody::Fixed(b"<html><body>nothing to see</body></html>"),
+                    Some(&b"<html><body>nothing to see</body></html>"[..]),
                 ),
             },
             Classified::Ordinary => return None,
         };
-        Some(ProbeObject { content_type, body })
+        let start = out.len();
+        let body = match fixed {
+            Some(bytes) => ProbeBody::Fixed(bytes),
+            None => {
+                script(out);
+                ProbeBody::Script(out.len() - start)
+            }
+        };
+        let object = ProbeObject { content_type, body };
+        let head = out.len();
+        let len = object.body_len();
+        // One reservation for what is left: a head is under 160 bytes.
+        out.reserve(160 + fixed.map_or(0, <[u8]>::len));
+        out.extend_from_slice(b"HTTP/1.1 200 OK\r\nContent-Type: ");
+        out.extend_from_slice(content_type.as_bytes());
+        out.extend_from_slice(b"\r\n");
+        if len > 0 {
+            wire::content_length(len, out);
+        }
+        out.extend_from_slice(b"Cache-Control: no-cache, no-store\r\n");
+        if len == 0 {
+            wire::content_length(0, out);
+        }
+        wire::end_head(close, out);
+        match object.body {
+            ProbeBody::Fixed(bytes) => out.extend_from_slice(bytes),
+            ProbeBody::Script(_) => {
+                let head_len = out.len() - head;
+                out[start..].rotate_right(head_len);
+            }
+        }
+        Some(object)
     }
 
-    fn body(&self) -> &[u8] {
-        match &self.body {
-            ProbeBody::Fixed(bytes) => bytes,
-            ProbeBody::Script(source) => source.as_bytes(),
+    fn body_len(&self) -> usize {
+        match self.body {
+            ProbeBody::Fixed(bytes) => bytes.len(),
+            ProbeBody::Script(len) => len,
         }
     }
 
     /// The object as a [`Response`]: type, the length of a body that has
-    /// one, `Cache-Control`.
-    pub fn to_response(&self) -> Response {
+    /// one, `Cache-Control`. `written` ends with the answer
+    /// [`ProbeObject::write`] appended, whose tail a script's body is.
+    pub fn to_response(&self, written: &[u8]) -> Response {
+        let body = match self.body {
+            ProbeBody::Fixed(bytes) => bytes,
+            ProbeBody::Script(len) => &written[written.len() - len..],
+        };
         let mut response = Response::builder(StatusCode::OK)
             .header("Content-Type", self.content_type)
-            .body_bytes(self.body().to_vec())
+            .body_bytes(body.to_vec())
             .build();
         response.headers_mut().set(UNCACHEABLE.0, UNCACHEABLE.1);
         response
     }
 
     /// What a session record keeps of [`ProbeObject::to_response`],
-    /// counted without building it.
+    /// counted without building it: the body's length is what was
+    /// written of it.
     pub fn summary(&self) -> ResponseSummary {
         let line = |name: &str, value: &str| name.len() + 2 + value.len() + 2;
-        let body = self.body().len();
+        let body = self.body_len();
         let length = match body {
             0 => 0,
             n => line("Content-Length", "") + n.ilog10() as usize + 1,
@@ -180,26 +226,6 @@ impl ProbeObject {
             wire_len: head + 2 + body,
         }
     }
-
-    /// Appends the object as the front door sends it: fixed head bytes,
-    /// `close` deciding its `Connection` line, and the body. What
-    /// [`wire::write_response`] makes of [`ProbeObject::to_response`],
-    /// whose body-less form has its length written last.
-    pub fn write(&self, close: bool, out: &mut Vec<u8>) {
-        let body = self.body();
-        out.extend_from_slice(b"HTTP/1.1 200 OK\r\nContent-Type: ");
-        out.extend_from_slice(self.content_type.as_bytes());
-        out.extend_from_slice(b"\r\n");
-        if !body.is_empty() {
-            wire::content_length(body.len(), out);
-        }
-        out.extend_from_slice(b"Cache-Control: no-cache, no-store\r\n");
-        if body.is_empty() {
-            wire::content_length(0, out);
-        }
-        wire::end_head(close, out);
-        out.extend_from_slice(body);
-    }
 }
 
 #[cfg(test)]
@@ -207,7 +233,8 @@ mod tests {
     use super::*;
     use crate::token::{BeaconKey, KeyOutcome};
 
-    fn every_object() -> Vec<ProbeObject> {
+    /// Every object, each written once keep-alive and once closing.
+    fn every_object() -> Vec<(ProbeObject, [Vec<u8>; 2])> {
         let hit = |kind| {
             Classified::Probe(ProbeHit {
                 kind,
@@ -220,12 +247,24 @@ mod tests {
             key: BeaconKey::from_raw(1),
             outcome: KeyOutcome::Valid,
         };
-        let script = || Some(Arc::from("function h(){}"));
+        let script = |source: &'static str| {
+            move |out: &mut Vec<u8>| out.extend_from_slice(source.as_bytes())
+        };
+        let written = |classified: &Classified, source: &'static str| {
+            let mut both = [Vec::new(), Vec::new()];
+            let mut object = None;
+            for (close, out) in [false, true].into_iter().zip(&mut both) {
+                // Whatever the buffer held before stays in front.
+                out.extend_from_slice(b"earlier");
+                object = ProbeObject::write(classified, close, out, script(source));
+                out.drain(..b"earlier".len());
+            }
+            (object.unwrap(), both)
+        };
         let mut objects = vec![
-            ProbeObject::answering(&beacon, None),
-            ProbeObject::answering(&hit(ProbeKind::JsFile), script()),
-            ProbeObject::answering(&hit(ProbeKind::JsFile), None),
-            ProbeObject::answering(&hit(ProbeKind::JsFile), Some(Arc::from(""))),
+            written(&beacon, ""),
+            written(&hit(ProbeKind::JsFile), "function h(){}"),
+            written(&hit(ProbeKind::JsFile), ""),
         ];
         for kind in [
             ProbeKind::CssProbe,
@@ -234,26 +273,29 @@ mod tests {
             ProbeKind::HiddenLink,
             ProbeKind::TransparentPixel,
         ] {
-            objects.push(ProbeObject::answering(&hit(kind), script()));
+            // Only a script's body comes from the callback.
+            objects.push(written(&hit(kind), "function h(){}"));
         }
+        let mut out = Vec::new();
         assert_eq!(
-            ProbeObject::answering(&Classified::Ordinary, script()),
+            ProbeObject::write(&Classified::Ordinary, false, &mut out, script("x")),
             None
         );
-        objects.into_iter().map(Option::unwrap).collect()
+        assert!(out.is_empty());
+        objects
     }
 
-    /// The fixed bytes are what the server made of the response before
-    /// it wrote them fixed, and the summary what a record reads of it.
+    /// The bytes written are what the server made of the response
+    /// before it wrote them fixed, and the summary what a record reads
+    /// of it.
     #[test]
     fn an_object_written_fixed_is_its_response_written_whole() {
-        for object in every_object() {
-            let response = object.to_response();
-            assert!(response.is_uncacheable());
-            assert_eq!(object.summary(), response.summary(), "{object:?}");
-            for close in [false, true] {
-                let (mut fixed, mut whole) = (Vec::new(), Vec::new());
-                object.write(close, &mut fixed);
+        for (object, written) in every_object() {
+            for (close, fixed) in [false, true].into_iter().zip(written) {
+                let response = object.to_response(&fixed);
+                assert!(response.is_uncacheable());
+                assert_eq!(object.summary(), response.summary(), "{object:?}");
+                let mut whole = Vec::new();
                 wire::write_response(&response, close, &mut whole);
                 assert_eq!(
                     String::from_utf8_lossy(&fixed),

@@ -237,10 +237,17 @@ mod tests {
             panic!("expected a probe hit, got {classified:?}");
         };
         assert_eq!(hit.kind, ProbeKind::JsFile);
+        let mut out = Vec::new();
         let resp = s
             .engine
-            .object_in_session(&classified, &mut s.tokens, &get(&js_url).view())
-            .map(|o| o.to_response())
+            .object_in_session(
+                &classified,
+                &s.tokens,
+                &get(&js_url).view(),
+                false,
+                &mut out,
+            )
+            .map(|o| o.to_response(&out))
             .expect("probe response");
         assert!(resp.is_uncacheable());
         let body = String::from_utf8(resp.body().to_vec()).unwrap();
@@ -253,10 +260,11 @@ mod tests {
         let mut s = default_session();
         let css = s.page(HTML).1.css_probe.unwrap();
         let classified = s.classify(&css, SimTime::ZERO);
+        let mut out = Vec::new();
         let resp = s
             .engine
-            .object_in_session(&classified, &mut s.tokens, &get(&css).view())
-            .map(|o| o.to_response())
+            .object_in_session(&classified, &s.tokens, &get(&css).view(), false, &mut out)
+            .map(|o| o.to_response(&out))
             .unwrap();
         assert_eq!(resp.content_type(), Some("text/css"));
         assert!(resp.body().is_empty());
@@ -269,10 +277,15 @@ mod tests {
         s.page(HTML);
         let other = "http://site.example/other.html".parse().unwrap();
         assert_eq!(s.classify(&other, SimTime::ZERO), Classified::Ordinary);
-        let answer =
-            s.engine
-                .object_in_session(&Classified::Ordinary, &mut s.tokens, &get(&other).view());
-        assert!(answer.is_none());
+        let mut out = Vec::new();
+        let answer = s.engine.object_in_session(
+            &Classified::Ordinary,
+            &s.tokens,
+            &get(&other).view(),
+            false,
+            &mut out,
+        );
+        assert!(answer.is_none() && out.is_empty());
     }
 
     #[test]

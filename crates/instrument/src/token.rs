@@ -12,26 +12,25 @@
 //! shard entry, so issuing and redeeming share the session's shard lock
 //! (no global token table, no global lock).
 //!
-//! Each entry also answers for its page's `<script src>`, and that
-//! script is one value in one of two states. A page serve leaves it
-//! **seeded**: the [`ScriptSeed`] (16 bytes) from which the source can
-//! be rebuilt, given the entry's own key and decoys. The first fetch of
-//! the script URL makes it **generated**: the ~1 KB source, built once
-//! by the caller of [`TokenState::script_for`] and kept in the entry,
-//! shared (`Arc<str>`), so a refetch is a reference count, even one that
-//! carries the source out of the session's lock to the socket. An entry that is never asked for its script —
-//! every page-only scraper's — weighs ~176 bytes (96 for the entry,
-//! then five 16-byte decoys) instead of ~1.25 KB; what clients can pin
-//! by fetching pages alone, 64 entries in each of 100k sessions, is
-//! ~1.1 GB, was ~8 GB.
+//! Each entry also answers for its page's `<script src>`, and keeps only
+//! what that script is generated from: the entry's own key and decoys,
+//! and a [`ScriptSeed`] (16 bytes). The source is never kept. Every
+//! fetch of the script URL writes it again from the
+//! [`ScriptRecipe`] [`TokenState::script_for`] lends, straight into the
+//! response, under the session's lock. So an entry weighs what it did
+//! the moment its page was served, fetched or not: 96 bytes and its
+//! decoys, ~176 bytes with the default five. What one session can pin,
+//! 64 entries, is ~11 KB; across 100k sessions ~1.1 GB, however many
+//! scripts those sessions fetch (~13 GB when a fetched script's ~1.85 KB
+//! source stayed in its entry).
 
 use crate::engine::IssuedPageToken;
+use crate::jsgen::{hex, Push};
 use botwall_sessions::SimTime;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
-use std::sync::Arc;
 
 /// Outstanding entries one session's [`TokenState`] holds; a page
 /// issued past it drops the oldest (the paper's table "holds multiple
@@ -62,12 +61,13 @@ impl BeaconKey {
 
     /// Appends [`BeaconKey::to_hex`] to `out`, formatted on the stack.
     pub fn push_hex(self, out: &mut String) {
-        let mut digits = [0u8; 32];
-        for (i, digit) in digits.iter_mut().enumerate() {
-            let nibble = (self.0 >> (4 * (31 - i))) as usize & 0xf;
-            *digit = b"0123456789abcdef"[nibble];
-        }
-        out.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
+        self.push_digits(out);
+    }
+
+    /// [`BeaconKey::push_hex`] into any ASCII sink.
+    pub(crate) fn push_digits(self, out: &mut impl Push) {
+        out.push_ascii(&hex((self.0 >> 64) as u64));
+        out.push_ascii(&hex(self.0 as u64));
     }
 
     /// Parses the 32-hex-digit URL form.
@@ -104,20 +104,24 @@ pub enum KeyOutcome {
 /// the nonce of the agent-beacon URL the script reports to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScriptSeed {
-    /// Seeds the generator's stream (see
-    /// [`crate::jsgen::generate_seeded`]).
+    /// Seeds the generator's stream (see [`crate::jsgen::handler_name`]):
+    /// a fetch writes the same script from it every time.
     pub seed: u64,
     /// The nonce of the agent-beacon probe URL.
     pub agent_nonce: u64,
 }
 
-/// The script behind one entry's `<script src>` URL.
-#[derive(Debug, Clone)]
-enum Script {
-    /// Not asked for yet.
-    Seeded(ScriptSeed),
-    /// Built on the first fetch (or supplied by the issuer) and kept.
-    Generated(Arc<str>),
+/// What one entry's script is written from: its key and decoys, and
+/// its [`ScriptSeed`] — lent by [`TokenState::script_for`], spelled out
+/// by [`crate::RewriteEngine::session_script`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScriptRecipe<'a> {
+    /// The real beacon key the handler fetches.
+    pub key: BeaconKey,
+    /// The decoy keys, in the order the page issued them.
+    pub decoys: &'a [BeaconKey],
+    /// The generator's seed and the agent beacon's nonce.
+    pub seed: ScriptSeed,
 }
 
 #[derive(Debug, Clone)]
@@ -126,18 +130,19 @@ struct Entry {
     decoys: Vec<BeaconKey>,
     issued: SimTime,
     redeemed: bool,
-    /// This page's script, under the nonce of its `<script src>` URL —
-    /// stored with the session so script serving needs no global store.
-    js: Option<(u64, Script)>,
+    /// What this page's script is generated from, under the nonce of
+    /// its `<script src>` URL — stored with the session so script
+    /// serving needs no global store.
+    js: Option<(u64, ScriptSeed)>,
 }
 
-/// The outstanding beacon keys (and their scripts, seeded or generated)
-/// of one session.
+/// The outstanding beacon keys (and the seeds of their scripts) of one
+/// session.
 ///
 /// This is the per-session half of the PR-4 instrumenter split: it lives
 /// inside the session's tracker shard entry, so every operation on it —
 /// issuing keys at page-rewrite time, redeeming them when a beacon
-/// fires, generating and serving the script — happens under the shard
+/// fires, writing a fetched script from its seed — happens under the shard
 /// lock the request already holds. It also owns the session's
 /// deterministic RNG stream (seeded by the engine's secret and the session identity), so
 /// instrumentation randomness needs no shared generator.
@@ -171,29 +176,27 @@ struct Tokens {
 }
 
 impl TokenState {
-    /// Records a key freshly issued for `_page` plus the decoys (and
-    /// optionally an already generated script, under its URL nonce)
-    /// served alongside it, dropping the oldest entry beyond
-    /// `max_entries`. The page itself is not kept: a key redeems on
-    /// its own.
+    /// Records a key freshly issued for `_page` plus the decoys served
+    /// alongside it, dropping the oldest entry beyond `max_entries`.
+    /// Neither the page nor a script source `_js` is kept: a key redeems
+    /// on its own, and an entry issued here answers for no script.
     pub fn issue(
         &mut self,
         _page: impl Into<String>,
         key: BeaconKey,
         decoys: Vec<BeaconKey>,
-        js: Option<(u64, String)>,
+        _js: Option<(u64, String)>,
         now: SimTime,
         max_entries: usize,
     ) {
-        let js = js.map(|(nonce, source)| (nonce, Script::Generated(source.into())));
-        self.push(key, decoys, js, now, max_entries);
+        self.push(key, decoys, None, now, max_entries);
     }
 
     /// Records the token a page rewrite issued, dropping the oldest
-    /// entry beyond [`MAX_TOKENS_PER_SESSION`]; its script stays a seed
-    /// until [`TokenState::script_for`] is asked for it.
+    /// entry beyond [`MAX_TOKENS_PER_SESSION`]; its script is the seed
+    /// [`TokenState::script_for`] lends to every fetch.
     pub fn issue_page(&mut self, token: IssuedPageToken, now: SimTime) {
-        let js = Some((token.js_nonce, Script::Seeded(token.script)));
+        let js = Some((token.js_nonce, token.script));
         self.push(token.key, token.decoys, js, now, MAX_TOKENS_PER_SESSION);
     }
 
@@ -201,7 +204,7 @@ impl TokenState {
         &mut self,
         key: BeaconKey,
         decoys: Vec<BeaconKey>,
-        js: Option<(u64, Script)>,
+        js: Option<(u64, ScriptSeed)>,
         issued: SimTime,
         max_entries: usize,
     ) {
@@ -209,6 +212,9 @@ impl TokenState {
         if entries.len() >= max_entries.max(1) {
             entries.remove(0);
         }
+        // Most sessions are served one page: its list holds one entry
+        // until a second arrives.
+        botwall_sessions::reserve_one(entries);
         entries.push(Entry {
             key,
             decoys,
@@ -239,30 +245,22 @@ impl TokenState {
         KeyOutcome::Unknown
     }
 
-    /// The script for a JS-file probe nonce, if this session was served
-    /// the page that references it. The first call for a seeded entry
-    /// runs `generate` over the entry's key, decoys and seed and keeps
-    /// the source; later calls share it.
-    pub fn script_for(
-        &mut self,
-        nonce: u64,
-        generate: impl FnOnce(BeaconKey, &[BeaconKey], ScriptSeed) -> String,
-    ) -> Option<&Arc<str>> {
+    /// What the script behind a JS-file probe nonce is written from, if
+    /// this session was served the page that references it.
+    pub fn script_for(&self, nonce: u64) -> Option<ScriptRecipe<'_>> {
         let entry = self
             .0
-            .as_deref_mut()?
+            .as_deref()?
             .entries
-            .iter_mut()
+            .iter()
             .rev()
-            .find(|e| matches!(&e.js, Some((n, _)) if *n == nonce))?;
-        let (_, script) = entry.js.as_mut().expect("matched on its nonce");
-        if let Script::Seeded(seed) = *script {
-            *script = Script::Generated(generate(entry.key, &entry.decoys, seed).into());
-        }
-        let Script::Generated(source) = script else {
-            unreachable!("generated just above");
-        };
-        Some(source)
+            .find(|e| matches!(e.js, Some((n, _)) if n == nonce))?;
+        let (_, seed) = entry.js?;
+        Some(ScriptRecipe {
+            key: entry.key,
+            decoys: &entry.decoys,
+            seed,
+        })
     }
 
     /// Heap bytes the outstanding entries hold — what a session's tokens
@@ -277,13 +275,7 @@ impl TokenState {
             + tokens
                 .entries
                 .iter()
-                .map(|e| {
-                    let script = match &e.js {
-                        Some((_, Script::Generated(source))) => source.len(),
-                        _ => 0,
-                    };
-                    e.decoys.capacity() * 16 + script
-                })
+                .map(|e| e.decoys.capacity() * std::mem::size_of::<BeaconKey>())
                 .sum::<usize>()
     }
 

@@ -10,10 +10,11 @@
 //! so a body arriving in pieces costs a walk per read and no more. The
 //! gate reads that view ([`Gateway::gate`]) and the request's bytes are
 //! consumed off the buffer. An answer the gate gives alone (a refusal,
-//! a probe object; [`Gate::Answered`]) is written into the slot's
-//! pooled write buffer as fixed head bytes and a `Connection` line, its
-//! body from static bytes or the session's script: nothing is built or
-//! re-headed on the way. Only an allowed ordinary request, which comes
+//! a probe object; [`Gate::Answered`]) is written by the gate into the
+//! slot's pooled write buffer as fixed head bytes and a `Connection`
+//! line, its body from static bytes or, for a script, written there
+//! from the session's token entry: nothing is built, kept or re-headed
+//! on the way. Only an allowed ordinary request, which comes
 //! back as a [`Gate::Leased`] lease, becomes an owned request, built
 //! from the head already parsed with its body copied once: the server
 //! opens a **second non-blocking connection** to the origin through the
@@ -296,11 +297,8 @@ impl Worker {
             return self.writing(slot, close_after);
         }
         let now = self.now();
-        let lease = match self.gateway.gate(view, now) {
-            Gate::Answered { answer, .. } => {
-                answer.write(close_after, out);
-                return self.writing(slot, close_after);
-            }
+        let lease = match self.gateway.gate(view, now, close_after, out) {
+            Gate::Answered { .. } => return self.writing(slot, close_after),
             Gate::Leased(lease) => lease,
         };
         // Leased: only now is the request made owned.

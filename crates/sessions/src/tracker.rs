@@ -90,7 +90,8 @@
 //! `Arc<str>`; the one URL it remembers (a sorted `Vec<u64>`, not a
 //! B-tree); the core's evidence list; and the record log (40-byte
 //! records). At every per-session cap (512 records, 512 remembered URLs,
-//! 64 page tokens with their scripts built) a session holds ~155 KB.
+//! 64 page tokens, every script fetched) a session holds ~36 KB: a token
+//! keeps its script's seed, never the source.
 //! Looking a known key up copies nothing: the index is searched by the
 //! request's borrowed parts (`dyn KeyParts`).
 //! `crates/gateway/tests/session_weight.rs` holds these counts.

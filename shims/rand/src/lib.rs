@@ -79,7 +79,16 @@ macro_rules! impl_sample_uniform_int {
             fn sample_in<R: RngCore + ?Sized>(lo: $t, hi: $t, inclusive: bool, rng: &mut R) -> $t {
                 let span = (hi as i128 - lo as i128) as u128 + inclusive as u128;
                 assert!(span > 0, "cannot sample empty range");
-                (lo as i128 + (rng.next_u64() as u128 % span) as i128) as $t
+                let draw = rng.next_u64();
+                // The draw modulo the span. Only the whole of a 64-bit
+                // type spans more than `u64` holds (2^64, which leaves the
+                // draw as it is); every other span takes a native 64-bit
+                // remainder, not a 128-bit one, for the same value.
+                let offset = match u64::try_from(span) {
+                    Ok(span) => draw % span,
+                    Err(_) => draw,
+                };
+                (lo as i128 + offset as i128) as $t
             }
         }
     )*};
@@ -220,6 +229,29 @@ mod tests {
             assert!((0.25..0.75).contains(&f));
             let s = rng.gen_range(-4i64..=4);
             assert!((-4..=4).contains(&s));
+        }
+    }
+
+    /// The 64-bit remainder is the 128-bit one it replaced, for spans
+    /// that fit `u64` and for the whole of one.
+    #[test]
+    fn a_draw_is_the_remainder_it_always_was() {
+        let (mut a, mut b) = (Lcg(5), Lcg(5));
+        for span in [1u64, 2, 3, 12, 100_000, u64::MAX / 3, u64::MAX] {
+            for _ in 0..100 {
+                assert_eq!(
+                    a.gen_range(0..span),
+                    (b.next_u64() as u128 % span as u128) as u64
+                );
+            }
+        }
+        for _ in 0..100 {
+            assert_eq!(a.gen_range(0..=u64::MAX), b.next_u64());
+            let offset = b.next_u64() as u128 % (1u128 << 64);
+            assert_eq!(
+                a.gen_range(i64::MIN..=i64::MAX),
+                (i64::MIN as i128 + offset as i128) as i64
+            );
         }
     }
 
