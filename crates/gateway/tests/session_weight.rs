@@ -14,7 +14,7 @@ use botwall_gateway::{Decision, Gateway, Origin};
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request};
 use botwall_instrument::TokenState;
-use botwall_sessions::{Session, SessionKey, SimTime};
+use botwall_sessions::{RequestRecord, Session, SessionKey, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -113,16 +113,16 @@ const FIRST_CONTACT_BLOCKS: i64 = 4;
 /// - the key's agent: a 16-byte `Arc` header and a ~26-byte agent;
 /// - the seen set: one 8-byte URL hash;
 /// - the evidence list: one 24-byte entry (the CSS probe's);
-/// - the record log: one 40-byte record.
+/// - the record log: one 5-byte record.
 ///
-/// That is ~120 bytes. The bound leaves room for a longer agent, not
-/// for any list taking `Vec`'s four first slots (336 bytes in all).
+/// That is ~85 bytes. The bound leaves room for a longer agent, not
+/// for any list taking `Vec`'s four first slots (~200 bytes in all).
 ///
 /// The session's slab slot and index entry are not in this: they are
 /// inline in the tracker's tables, whose growth this median does not
 /// see, and their size is pinned by
 /// `a_live_sessions_inline_state_is_sized_to_its_common_case`.
-const FIRST_CONTACT_BYTES: i64 = 160;
+const FIRST_CONTACT_BYTES: i64 = 128;
 
 static STRANGERS: Live = Live::new();
 
@@ -219,8 +219,18 @@ fn a_live_sessions_inline_state_is_sized_to_its_common_case() {
     assert!(session <= 176, "Session is {session} bytes");
 }
 
+/// A record keeps the five facts the Table-2 attributes count (method,
+/// content class, status class, `Referer` sent, `Referer` seen) and no
+/// more: 512 of them are a full log.
+#[test]
+fn a_request_record_holds_only_what_the_features_read() {
+    use std::mem::{align_of, size_of};
+    assert_eq!(size_of::<RequestRecord>(), 5);
+    assert_eq!(align_of::<RequestRecord>(), 1);
+}
+
 /// The bytes a verified human's session may hold once its page, its
-/// script and its mouse beacon are in (~700 measured). Its one token
+/// script and its mouse beacon are in (~560 measured). Its one token
 /// entry keeps the seed its script is written from on every fetch,
 /// never the ~1.85 KB source, and its token list is sized to that one
 /// entry. (The same walk left 2 784 bytes while a fetched script stayed
@@ -277,18 +287,19 @@ fn a_verified_humans_session_holds_no_script() {
 }
 
 /// The live heap one session may hold at every per-session cap
-/// (~36 KB measured):
+/// (~18 KB measured):
 ///
-/// - the record log and the seen-URL set, 512 each: 20 480 + 4 096
-///   bytes;
+/// - the record log, 512 five-byte records: 2 560 bytes;
+/// - the seen-URL set, 512 hashes: 4 096 bytes;
 /// - 64 outstanding page tokens, every script fetched: the entries (96
 ///   bytes each) and their five 16-byte decoys each, ~11 KB in all —
 ///   no script is kept;
 /// - the key's agent and the evidence list, under 300 bytes.
 ///
-/// Times the 100 000-session cap this is ~3.6 GB, the tracker's worst
-/// case (~15.5 GB while every fetched script stayed in its entry).
-const WORST_CASE_BYTES: i64 = 40 * 1024;
+/// Times the 100 000-session cap this is ~1.8 GB, the tracker's worst
+/// case (~3.6 GB while a record was 40 bytes, ~15.5 GB while every
+/// fetched script stayed in its entry).
+const WORST_CASE_BYTES: i64 = 20 * 1024;
 
 static WORST: Live = Live::new();
 

@@ -117,14 +117,14 @@ mod tests {
         let mut c = Corpus::new();
         for i in 0..humans {
             let recs = (1..=20)
-                .map(|j| make_record(j, MethodKind::Get, ContentClass::Image, 2, true, true))
+                .map(|_| make_record(MethodKind::Get, ContentClass::Image, 2, true, true))
                 .collect();
             c.push(recs, Label::Human);
             let _ = i;
         }
         for i in 0..robots {
             let recs = (1..=20)
-                .map(|j| make_record(j, MethodKind::Get, ContentClass::Html, 2, false, false))
+                .map(|_| make_record(MethodKind::Get, ContentClass::Html, 2, false, false))
                 .collect();
             c.push(recs, Label::Robot);
             let _ = i;

@@ -210,13 +210,13 @@ mod tests {
         for _ in 0..n {
             let robot = rng.gen_bool(0.5);
             let recs: Vec<RequestRecord> = (1..=160)
-                .map(|j| {
+                .map(|_| {
                     let noise = rng.gen_bool(0.15);
                     let human_like = robot == noise;
                     if human_like {
-                        make_record(j, MethodKind::Get, ContentClass::Image, 2, true, true)
+                        make_record(MethodKind::Get, ContentClass::Image, 2, true, true)
                     } else {
-                        make_record(j, MethodKind::Get, ContentClass::Html, 2, false, false)
+                        make_record(MethodKind::Get, ContentClass::Html, 2, false, false)
                     }
                 })
                 .collect();

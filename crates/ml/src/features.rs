@@ -173,7 +173,6 @@ pub fn extract_from_counters(c: &SessionCounters) -> FeatureVector {
 
 /// Builds a synthetic record for tests and generators.
 pub fn make_record(
-    index: u32,
     method: MethodKind,
     class: ContentClass,
     status_class: u8,
@@ -181,15 +180,11 @@ pub fn make_record(
     referer_seen: bool,
 ) -> RequestRecord {
     RequestRecord {
-        index,
-        time: botwall_sessions::SimTime::from_secs(index as u64),
         method,
         class,
         status_class,
         has_referer,
         referer_seen: referer_seen && has_referer,
-        url_hash: index as u64,
-        bytes: 500,
     }
 }
 
@@ -197,12 +192,12 @@ pub fn make_record(
 mod tests {
     use super::*;
 
-    fn html(i: u32) -> RequestRecord {
-        make_record(i, MethodKind::Get, ContentClass::Html, 2, false, false)
+    fn html() -> RequestRecord {
+        make_record(MethodKind::Get, ContentClass::Html, 2, false, false)
     }
 
-    fn image(i: u32) -> RequestRecord {
-        make_record(i, MethodKind::Get, ContentClass::Image, 2, true, true)
+    fn image() -> RequestRecord {
+        make_record(MethodKind::Get, ContentClass::Image, 2, true, true)
     }
 
     #[test]
@@ -221,7 +216,7 @@ mod tests {
     #[test]
     fn extract_prefix_respects_cutoff() {
         let recs: Vec<RequestRecord> = (1..=10)
-            .map(|i| if i <= 5 { html(i) } else { image(i) })
+            .map(|i| if i <= 5 { html() } else { image() })
             .collect();
         let at5 = extract_prefix(&recs, 5);
         assert_eq!(at5.get(Attribute::HtmlPct), 1.0);
@@ -237,10 +232,10 @@ mod tests {
     fn shares_are_in_unit_interval_and_consistent() {
         let recs: Vec<RequestRecord> = (1..=20)
             .map(|i| match i % 4 {
-                0 => make_record(i, MethodKind::Head, ContentClass::Html, 3, false, false),
-                1 => html(i),
-                2 => image(i),
-                _ => make_record(i, MethodKind::Get, ContentClass::Cgi, 4, true, false),
+                0 => make_record(MethodKind::Head, ContentClass::Html, 3, false, false),
+                1 => html(),
+                2 => image(),
+                _ => make_record(MethodKind::Get, ContentClass::Cgi, 4, true, false),
             })
             .collect();
         let fv = extract_prefix(&recs, 20);

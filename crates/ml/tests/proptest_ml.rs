@@ -101,7 +101,7 @@ proptest! {
                     4 => ContentClass::Favicon,
                     _ => ContentClass::Other,
                 };
-                make_record(i as u32 + 1, MethodKind::Get, class, 2, i % 3 == 0, i % 6 == 0)
+                make_record(MethodKind::Get, class, 2, i % 3 == 0, i % 6 == 0)
             })
             .collect();
         let fv = extract_prefix(&records, cut);

@@ -1,24 +1,32 @@
-//! Compact per-request records kept inside a session.
+//! What a session keeps of each request it saw, and the URL hash its
+//! seen-URL set remembers.
+//!
+//! A [`RequestRecord`] is the five facts the paper's offline stage
+//! (§4.1, AdaBoost over the Table-2 attributes) reads of a logged
+//! request, and nothing else: `botwall_ml::features::extract_prefix`
+//! folds a prefix of a session's log through [`SessionCounters::update`],
+//! the one reader. What the session needs of a request past those five
+//! it keeps elsewhere, folded in before the record is pushed: the wire
+//! bytes in [`SessionCounters::bytes`], the URL in the seen-URL set, the
+//! time in the session's `last_seen`. A feature that reads more of a
+//! request (the parked traversal-shape attributes, say) adds back the
+//! field it reads.
+//!
+//! [`SessionCounters::update`]: crate::SessionCounters::update
+//! [`SessionCounters::bytes`]: crate::SessionCounters::bytes
 
-use crate::time::SimTime;
 use botwall_http::{ContentClass, MethodKind, RequestView, ResponseSummary, UriRef};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::{self, Write};
 use std::hash::{Hash, Hasher};
 
-/// One observed request/response exchange, reduced to the fields the
-/// detector and feature extractor need.
-///
-/// Full messages are *not* retained — the paper's design goal is to make
-/// decisions "without overburdening the server with excessive memory
-/// consumption", so a record is a few dozen bytes regardless of message
-/// size.
+/// One observed request/response exchange, reduced to what the Table-2
+/// attributes count: five bytes, whatever the size of the messages (the
+/// paper's design goal is to decide "without overburdening the server
+/// with excessive memory consumption"). Its place in the session's log
+/// is its index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestRecord {
-    /// 1-based index of this request within its session.
-    pub index: u32,
-    /// When the request was observed.
-    pub time: SimTime,
     /// Which method the request used (an extension method's token is
     /// not kept).
     pub method: MethodKind,
@@ -31,10 +39,24 @@ pub struct RequestRecord {
     /// Whether the `Referer` named a URL this session had already visited.
     /// Always `false` when `has_referer` is `false`.
     pub referer_seen: bool,
-    /// Hash of the normalized request URL (for the seen-URL set).
-    pub url_hash: u64,
-    /// Approximate bytes transferred (request + response wire size).
-    pub bytes: u64,
+}
+
+/// The hasher as a `fmt::Write`: `str`'s `Hash` is its bytes and then
+/// `0xff`, and the bytes may arrive in pieces.
+struct Pieces(DefaultHasher);
+
+impl Write for Pieces {
+    fn write_str(&mut self, piece: &str) -> fmt::Result {
+        self.0.write(piece.as_bytes());
+        Ok(())
+    }
+}
+
+impl Pieces {
+    fn finish(mut self) -> u64 {
+        self.0.write_u8(0xff);
+        self.0.finish()
+    }
 }
 
 impl RequestRecord {
@@ -48,19 +70,28 @@ impl RequestRecord {
     /// [`RequestRecord::hash_url`] of the target as it renders, fed to
     /// the hasher piece by piece instead of rendered into a `String`.
     pub fn hash_uri(uri: &UriRef<'_>) -> u64 {
-        /// The hasher as a `fmt::Write`: `str`'s `Hash` is its bytes
-        /// and then `0xff`, and the bytes may arrive in pieces.
-        struct Pieces(DefaultHasher);
-        impl Write for Pieces {
-            fn write_str(&mut self, piece: &str) -> fmt::Result {
-                self.0.write(piece.as_bytes());
-                Ok(())
-            }
-        }
         let mut pieces = Pieces(DefaultHasher::new());
         write!(pieces, "{uri}").expect("hashing cannot fail");
-        pieces.0.write_u8(0xff);
-        pieces.0.finish()
+        pieces.finish()
+    }
+
+    /// [`RequestRecord::hash_url`] of the URL a request names, as the
+    /// `Referer` of a link followed from it would spell it: an
+    /// origin-form target sent with a `Host` is `http://{host}{target}`,
+    /// any other target is [`RequestRecord::hash_uri`] of it. Nothing is
+    /// rendered into a `String`.
+    pub fn hash_target(request: &RequestView<'_>) -> u64 {
+        let uri = request.uri();
+        let mut pieces = Pieces(DefaultHasher::new());
+        if uri.host().is_none() && uri.path().starts_with('/') {
+            // With no host in the target, the authority is the `Host`
+            // header, borrowed.
+            if let Some(host) = request.authority() {
+                write!(pieces, "http://{host}").expect("hashing cannot fail");
+            }
+        }
+        write!(pieces, "{uri}").expect("hashing cannot fail");
+        pieces.finish()
     }
 
     /// Builds a record from an exchange: the request as the gate reads
@@ -68,22 +99,16 @@ impl RequestRecord {
     /// be computed by the caller against the session's seen-URL set
     /// *before* inserting the current URL.
     pub fn from_exchange(
-        index: u32,
-        time: SimTime,
         request: &RequestView<'_>,
         response: Option<ResponseSummary>,
         referer_seen: bool,
     ) -> RequestRecord {
         RequestRecord {
-            index,
-            time,
             method: request.method_kind(),
             class: ContentClass::of_view(request, response.and_then(|r| r.class)),
             status_class: response.map_or(0, |r| r.status.class()),
             has_referer: request.referer().is_some(),
             referer_seen: referer_seen && request.referer().is_some(),
-            url_hash: Self::hash_uri(request.uri()),
-            bytes: (request.wire_len() + response.map_or(0, |r| r.wire_len)) as u64,
         }
     }
 }
@@ -110,27 +135,18 @@ mod tests {
     #[test]
     fn record_captures_exchange_facts() {
         let (req, resp) = exchange("http://h/x.html", Some("http://h/"));
-        let rec = RequestRecord::from_exchange(
-            1,
-            SimTime::from_secs(5),
-            &req.view(),
-            Some(resp.summary()),
-            true,
-        );
-        assert_eq!(rec.index, 1);
+        let rec = RequestRecord::from_exchange(&req.view(), Some(resp.summary()), true);
         assert_eq!(rec.method, MethodKind::Get);
         assert_eq!(rec.class, ContentClass::Html);
         assert_eq!(rec.status_class, 2);
         assert!(rec.has_referer);
         assert!(rec.referer_seen);
-        assert!(rec.bytes > 0);
     }
 
     #[test]
     fn referer_seen_requires_referer() {
         let (req, resp) = exchange("http://h/x.html", None);
-        let rec =
-            RequestRecord::from_exchange(1, SimTime::ZERO, &req.view(), Some(resp.summary()), true);
+        let rec = RequestRecord::from_exchange(&req.view(), Some(resp.summary()), true);
         assert!(!rec.has_referer);
         assert!(!rec.referer_seen, "referer_seen implies has_referer");
     }
@@ -138,7 +154,7 @@ mod tests {
     #[test]
     fn missing_response_has_status_class_zero() {
         let (req, _) = exchange("http://h/x.html", None);
-        let rec = RequestRecord::from_exchange(1, SimTime::ZERO, &req.view(), None, false);
+        let rec = RequestRecord::from_exchange(&req.view(), None, false);
         assert_eq!(rec.status_class, 0);
     }
 
@@ -149,6 +165,28 @@ mod tests {
             let rendered = RequestRecord::hash_url(&uri.to_string());
             assert_eq!(RequestRecord::hash_uri(&uri.view()), rendered, "{uri}");
         }
+    }
+
+    #[test]
+    fn an_origin_form_target_hashes_as_the_url_its_host_names() {
+        let target = |uri: &str, host: Option<&str>| {
+            let mut b = Request::builder(Method::Get, uri);
+            if let Some(host) = host {
+                b = b.header("Host", host);
+            }
+            RequestRecord::hash_target(&b.build().unwrap().view())
+        };
+        let hash = RequestRecord::hash_url;
+        assert_eq!(
+            target("/a.html?q=1", Some("h:8080")),
+            hash("http://h:8080/a.html?q=1")
+        );
+        assert_eq!(target("/a.html", None), hash("/a.html"));
+        assert_eq!(target("*", Some("h")), hash("*"));
+        assert_eq!(
+            target("https://g/a.html", Some("h")),
+            hash("https://g/a.html")
+        );
     }
 
     #[test]

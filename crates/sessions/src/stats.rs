@@ -54,7 +54,8 @@ pub struct SessionCounters {
     pub resp_4xx: u32,
     /// 5xx responses.
     pub resp_5xx: u32,
-    /// Total bytes transferred (request + response wire sizes).
+    /// Total bytes transferred (request + response wire sizes), added
+    /// by [`SessionCounters::add_bytes`]: a record does not carry them.
     pub bytes: u64,
 }
 
@@ -64,7 +65,7 @@ impl SessionCounters {
         SessionCounters::default()
     }
 
-    /// Folds one record into the counters.
+    /// Folds one record into every counter but `bytes`.
     pub fn update(&mut self, rec: &RequestRecord) {
         fn bump(count: &mut u32) {
             *count = count.saturating_add(1);
@@ -105,7 +106,11 @@ impl SessionCounters {
             5 => bump(&mut self.resp_5xx),
             _ => {}
         }
-        self.bytes = self.bytes.saturating_add(rec.bytes);
+    }
+
+    /// Adds one exchange's wire bytes, saturating at `u64::MAX`.
+    pub fn add_bytes(&mut self, bytes: u64) {
+        self.bytes = self.bytes.saturating_add(bytes);
     }
 
     /// Share of requests satisfying a numerator, in `[0, 1]`; zero when the
@@ -132,7 +137,6 @@ impl SessionCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
 
     fn rec(
         method: MethodKind,
@@ -142,15 +146,11 @@ mod tests {
         ref_seen: bool,
     ) -> RequestRecord {
         RequestRecord {
-            index: 0,
-            time: SimTime::ZERO,
             method,
             class,
             status_class: status,
             has_referer: has_ref,
             referer_seen: ref_seen,
-            url_hash: 0,
-            bytes: 100,
         }
     }
 
@@ -174,6 +174,8 @@ mod tests {
         assert_eq!(c.resp_2xx, 2);
         assert_eq!(c.resp_3xx, 1);
         assert_eq!(c.resp_4xx, 1);
+        assert_eq!(c.bytes, 0, "a record carries no bytes");
+        c.add_bytes(400);
         assert_eq!(c.bytes, 400);
     }
 
@@ -210,6 +212,7 @@ mod tests {
         };
         for _ in 0..2 {
             c.update(&rec(MethodKind::Get, ContentClass::Html, 2, false, false));
+            c.add_bytes(100);
         }
         assert_eq!((c.total, c.get, c.html), (u32::MAX, u32::MAX, u32::MAX));
         assert_eq!(c.resp_2xx, u32::MAX);

@@ -85,12 +85,12 @@
 //! first item of each reserves exactly one slot ([`crate::reserve_one`]),
 //! and `Vec` doubles from there (1 → 4 → 8 … 512), so a long session's
 //! caps and growth are what they were. A stranger's first exchange
-//! leaves four heap blocks, ~120 bytes for a short `User-Agent`: the
+//! leaves four heap blocks, ~85 bytes for a short `User-Agent`: the
 //! key's agent, shared by the index and the session through one
 //! `Arc<str>`; the one URL it remembers (a sorted `Vec<u64>`, not a
-//! B-tree); the core's evidence list; and the record log (40-byte
+//! B-tree); the core's evidence list; and the record log (5-byte
 //! records). At every per-session cap (512 records, 512 remembered URLs,
-//! 64 page tokens, every script fetched) a session holds ~36 KB: a token
+//! 64 page tokens, every script fetched) a session holds ~18 KB: a token
 //! keeps its script's seed, never the source.
 //! Looking a known key up copies nothing: the index is searched by the
 //! request's borrowed parts (`dyn KeyParts`).
@@ -250,13 +250,12 @@ impl Session {
             .referer()
             .map(|r| self.seen_urls.contains(RequestRecord::hash_url(r)))
             .unwrap_or(false);
-        let index = self.counters.total.saturating_add(1);
-        let mut rec = RequestRecord::from_exchange(index, now, request, response, referer_seen);
-        if let Some(sent) = sent {
-            rec.bytes = request.wire_len() as u64 + sent;
-        }
-        self.seen_urls.insert(rec.url_hash);
+        let rec = RequestRecord::from_exchange(request, response, referer_seen);
+        let response_bytes = sent.unwrap_or_else(|| response.map_or(0, |r| r.wire_len as u64));
+        self.seen_urls.insert(RequestRecord::hash_target(request));
         self.counters.update(&rec);
+        self.counters
+            .add_bytes(request.wire_len() as u64 + response_bytes);
         if self.records.len() < MAX_RECORDS_PER_SESSION {
             crate::reserve_one(&mut self.records);
             self.records.push(rec);
@@ -1443,6 +1442,44 @@ mod tests {
         assert_eq!(s.counters().with_referer, 2);
         assert_eq!(s.counters().unseen_referer, 1);
         assert_eq!(s.counters().link_following, 1);
+    }
+
+    /// Over the socket a browser sends origin-form targets with a
+    /// `Host`, and the `Referer` of the next request spells the page
+    /// whole: the page it names was seen. Absolute-form targets, what a
+    /// proxy is sent, read the same.
+    #[test]
+    fn a_referer_read_off_the_wire_names_a_seen_page() {
+        for (page, next) in [
+            ("/a.html", "/b.html"),
+            ("http://site.example/a.html", "http://site.example/b.html"),
+        ] {
+            let t = SessionTracker::new(TrackerConfig::default());
+            let observe = |raw: String, now: SimTime| {
+                let read = botwall_http::wire::read_incoming(raw.as_bytes(), ClientIp::new(1))
+                    .expect("the request parses")
+                    .expect("the request is whole");
+                let view = read.view();
+                let (key, _, _) = t.begin_exchange(view, now, |entry| {
+                    entry.record(view, Some(ok().summary()), now);
+                    Gate::<(), ()>::Finish(())
+                });
+                key
+            };
+            let head = |target: &str, referer: &str| {
+                format!(
+                    "GET {target} HTTP/1.1\r\nHost: site.example\r\nUser-Agent: A\r\n{referer}\r\n"
+                )
+            };
+            observe(head(page, ""), SimTime::ZERO);
+            let k = observe(
+                head(next, "Referer: http://site.example/a.html\r\n"),
+                SimTime::from_secs(1),
+            );
+            let c = t.get(&k).unwrap().counters().clone();
+            let referers = (c.with_referer, c.unseen_referer, c.link_following);
+            assert_eq!(referers, (1, 0, 1), "{page}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request, Response, StatusCode};
-use botwall_sessions::{SessionTracker, SimTime, TrackerConfig};
+use botwall_sessions::{SessionKey, SessionTracker, SimTime, TrackerConfig};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -25,19 +25,31 @@ fn arb_events() -> impl Strategy<Value = Vec<Event>> {
     )
 }
 
+/// Each event as the tracker saw it: its request and when it was stamped.
+fn stamps(events: &[Event]) -> Vec<(Request, SimTime)> {
+    let mut now = SimTime::ZERO;
+    events
+        .iter()
+        .map(|e| {
+            now += e.gap_ms as u64;
+            let req = Request::builder(Method::Get, format!("http://h/p{}.html", e.path))
+                .header("User-Agent", format!("ua-{}", e.ua))
+                .client(ClientIp::new(e.ip as u32))
+                .build()
+                .unwrap();
+            (req, now)
+        })
+        .collect()
+}
+
 fn replay(events: &[Event], config: TrackerConfig) -> (SessionTracker, u64, SimTime) {
     let t = SessionTracker::new(config);
-    let mut now = SimTime::ZERO;
-    for e in events {
-        now += e.gap_ms as u64;
-        let req = Request::builder(Method::Get, format!("http://h/p{}.html", e.path))
-            .header("User-Agent", format!("ua-{}", e.ua))
-            .client(ClientIp::new(e.ip as u32))
-            .build()
-            .unwrap();
+    let mut end = SimTime::ZERO;
+    for (req, now) in stamps(events) {
         t.observe(&req, &Response::empty(StatusCode::OK), now);
+        end = now;
     }
-    (t, events.len() as u64, now)
+    (t, events.len() as u64, end)
 }
 
 proptest! {
@@ -51,16 +63,27 @@ proptest! {
         prop_assert_eq!(sum, total);
     }
 
-    /// Sessions never contain a gap larger than the idle timeout.
+    /// Sessions never contain a gap larger than the idle timeout: the
+    /// events of a session's key stamped within its `[started,
+    /// last_seen]` are exactly the requests it counted, and no two
+    /// consecutive ones are more than the timeout apart.
     #[test]
     fn no_internal_gap_exceeds_timeout(events in arb_events()) {
         let config = TrackerConfig { idle_timeout_ms: 10_000, ..TrackerConfig::default() };
         let timeout = config.idle_timeout_ms;
         let (t, _, _) = replay(&events, config);
+        let stamped = stamps(&events);
         for s in t.drain() {
-            let recs = s.records();
-            for pair in recs.windows(2) {
-                let gap = pair[1].time - pair[0].time;
+            let times: Vec<SimTime> = stamped
+                .iter()
+                .filter(|(req, at)| {
+                    SessionKey::of(req) == *s.key() && (s.started()..=s.last_seen()).contains(at)
+                })
+                .map(|&(_, at)| at)
+                .collect();
+            prop_assert_eq!(times.len() as u64, s.request_count());
+            for pair in times.windows(2) {
+                let gap = pair[1] - pair[0];
                 prop_assert!(
                     gap <= timeout,
                     "gap {gap} exceeds timeout inside a session"
@@ -69,14 +92,13 @@ proptest! {
         }
     }
 
-    /// Record indices are 1-based, contiguous, increasing.
+    /// A record's index is its place in the log, which holds the first
+    /// requests of the session up to its cap of 512.
     #[test]
     fn record_indices_are_contiguous(events in arb_events()) {
         let (t, _, _) = replay(&events, TrackerConfig::default());
         for s in t.drain() {
-            for (i, rec) in s.records().iter().enumerate() {
-                prop_assert_eq!(rec.index as usize, i + 1);
-            }
+            prop_assert_eq!(s.records().len() as u64, s.request_count().min(512));
         }
     }
 
@@ -98,8 +120,9 @@ proptest! {
         }
     }
 
-    /// Counters agree with a recomputation from the record log when the
-    /// log was not truncated.
+    /// Every counter but `bytes`, which no record carries, agrees with
+    /// a recomputation from the record log when the log was not
+    /// truncated.
     #[test]
     fn counters_match_records(events in arb_events()) {
         let (t, _, _) = replay(&events, TrackerConfig::default());
@@ -111,6 +134,7 @@ proptest! {
             for r in s.records() {
                 recomputed.update(r);
             }
+            recomputed.add_bytes(s.counters().bytes);
             prop_assert_eq!(&recomputed, s.counters());
         }
     }
@@ -136,7 +160,7 @@ proptest! {
 // where the tracker promises exactness; the key universe is small enough
 // that a run of equally idle sessions never outgrows the tie walk.
 
-use botwall_sessions::{Begun, ExchangeLease, Gate, SessionKey};
+use botwall_sessions::{Begun, ExchangeLease, Gate};
 use std::collections::{BTreeMap, BTreeSet};
 
 const MODEL_SHARDS: usize = 2;

@@ -411,14 +411,17 @@ const GOLDEN_SWEEP_FNV: u64 = 0x8ea6_b5e9_cf94_027e;
 
 /// The CoDeeN report at `big_config` and the escalation eval at 300
 /// sessions, each pinned to the FNV-1a digest of its `{:#?}` rendering
-/// at seed 7. Recorded before the in-process clients became one
-/// `world::Client`, which left both unchanged; a change that moves
+/// at seed 7. The eval's was recorded before the in-process clients
+/// became one `world::Client`, which left both unchanged. The report's
+/// was re-recorded when a `RequestRecord` dropped its `index`, `time`,
+/// `url_hash` and `bytes`: the rendering is the old one with those
+/// lines deleted from every record, byte for byte. A change that moves
 /// either re-records it and says why.
 #[test]
 fn report_and_eval_bytes_match_their_recorded_digests() {
     assert_eq!(
         fnv1a(&render(&big_config(), 7)),
-        0x94da_b954_d7f5_e698,
+        0x5bab_0508_f191_96e8,
         "the CoDeeN report's bytes changed"
     );
     assert_eq!(

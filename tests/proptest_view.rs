@@ -3,8 +3,9 @@
 //! path only if the two views agree, so for every request the front
 //! door accepts, the view it read and the owned request built from it
 //! must give the same session key and shard, the same size on the wire
-//! and URL hash, the same content class and instrumentation sighting,
-//! and the same method, target and body. The messages are the codec
+//! and URL hashes (the target's, and the URL a `Referer` to it spells),
+//! the same content class and instrumentation sighting, and the same
+//! method, target and body. The messages are the codec
 //! fuzzer's (`crates/http/tests/support/messages.rs`), a tenth of them
 //! with a probe URL a page actually minted spliced in as the target.
 //! CI reruns this in release at 100 000 cases.
@@ -112,6 +113,14 @@ proptest! {
             prop_assert_eq!(view.wire_len(), wire::serialize_request(&owned).len());
             let rendered = RequestRecord::hash_url(&owned.uri().to_string());
             prop_assert_eq!(RequestRecord::hash_uri(view.uri()), rendered);
+            let uri = owned.uri();
+            let named = match owned.authority() {
+                Some(host) if uri.host().is_none() && uri.path().starts_with('/') => {
+                    RequestRecord::hash_url(&format!("http://{host}{uri}"))
+                }
+                _ => rendered,
+            };
+            prop_assert_eq!(RequestRecord::hash_target(view), named);
             // What was asked for, and what the instrumentation sees in it.
             prop_assert_eq!(ContentClass::of_view(view, None), ContentClass::of(&owned, None));
             for now in [SimTime::ZERO, SimTime::from_hours(3)] {
