@@ -83,7 +83,7 @@ fn bench_occupancy(c: &mut Criterion) {
             let mut elapsed = Duration::ZERO;
             for _ in 0..iters {
                 let start = Instant::now();
-                // Nothing is idle past the timeout: the token purge and
+                // Nothing is idle past the timeout: sixteen locks and
                 // sixteen looks at a cold end.
                 black_box(gw.sweep(now));
                 elapsed += start.elapsed();
@@ -126,9 +126,10 @@ fn bench_eviction_pressure(c: &mut Criterion) {
 const TICK_BUDGET: usize = 128;
 
 /// One sweep slice at 100k live sessions: the stall a reactor takes per
-/// tick. With nothing idle it is one shard's lock, one look at its cold
-/// end and `TICK_BUDGET` token-TTL visits; with every session idle it
-/// also finalizes, classifies and frees `TICK_BUDGET` sessions.
+/// tick. With nothing idle it is one shard's lock and one look at its
+/// cold end (a slice reads nothing of a live session); with every
+/// session idle it also finalizes, classifies and frees `TICK_BUDGET`
+/// sessions.
 fn bench_sweep_slice(c: &mut Criterion) {
     let n: u32 = if quick() { 10_000 } else { 100_000 };
     let gw = gateway_with_cap(n as usize + n as usize / 8, 74);

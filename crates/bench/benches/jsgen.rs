@@ -154,7 +154,7 @@ fn bench_page_setup(c: &mut Criterion) {
                 let (nonce, fetch) = script_fetch(&mut tokens);
                 let mut out = Vec::new();
                 let start = Instant::now();
-                black_box(engine.session_script(&tokens, nonce, &fetch, &mut out));
+                black_box(engine.session_script(&tokens, nonce, &fetch, now, &mut out));
                 busy += start.elapsed();
             }
             busy
@@ -167,7 +167,7 @@ fn bench_page_setup(c: &mut Criterion) {
         let mut out = Vec::new();
         b.iter(|| {
             out.clear();
-            black_box(engine.session_script(&tokens, nonce, &fetch, &mut out));
+            black_box(engine.session_script(&tokens, nonce, &fetch, now, &mut out));
             black_box(out.len())
         })
     });

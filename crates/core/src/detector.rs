@@ -24,7 +24,10 @@
 //! verdict, the enforcement [`PolicyState`], the outstanding beacon
 //! tokens ([`TokenState`]), and the outstanding CAPTCHA challenge record
 //! — lives in a [`KeyState`] colocated with the session record inside
-//! the tracker's shard entry ([`ShardedTracker<KeyState>`]). The
+//! the tracker's shard entry ([`ShardedTracker<KeyState>`]). A token or
+//! a challenge record expires where it is read, an hour after its issue
+//! ([`TokenState::redeem`], [`KeyState::outstanding_challenge`]), like a
+//! probe nonce: no pass over live sessions purges it. The
 //! request path is a **two-phase lease/commit protocol**:
 //! [`Detector::gate`] runs policy gate → sighting resolution inside one
 //! shard critical section and, for every decision that needs no origin
@@ -182,9 +185,11 @@ pub struct KeyState {
     /// Outstanding beacon keys and their scripts (seeds until fetched)
     /// for this session.
     pub tokens: TokenState,
-    /// The CAPTCHA challenge this session must answer, if one is
-    /// outstanding. Boxed: only a challenged session holds one, and
-    /// every other pays a pointer, not the record.
+    /// The last CAPTCHA challenge record issued to this session, if it
+    /// was not answered or burned; [`KeyState::outstanding_challenge`]
+    /// reads it only while it is fresh. Boxed: only a challenged
+    /// session holds one, and every other pays a pointer, not the
+    /// record.
     pub challenge: Option<Box<ChallengeState>>,
     /// Leased exchanges of this key whose entry was gone by commit time
     /// (diagnostic; absorbed from [`KeyCarry::lost_exchanges`] or bumped
@@ -258,23 +263,20 @@ impl SessionExt for KeyState {
     }
 }
 
-/// How long a live session's beacon tokens and challenge record
-/// outlive their issue: keys are one-shot and short-lived by design,
-/// and an hour is the paper's session idle timeout too.
-const KEY_STATE_TTL_MS: u64 = 3_600_000;
+/// How long a challenge record stands after its issue: past it, the
+/// session reads as holding none (the paper's session idle timeout, an
+/// hour, as for a beacon token).
+const CHALLENGE_LIFETIME_MS: u64 = 3_600_000;
 
 impl KeyState {
-    /// Drops beacon tokens and a challenge record older than
-    /// [`KEY_STATE_TTL_MS`] as of `now`.
-    fn expire(&mut self, now: SimTime) {
-        self.tokens.sweep(now, KEY_STATE_TTL_MS);
-        if self
-            .challenge
-            .as_ref()
-            .is_some_and(|ch| now.since(ch.issued) > KEY_STATE_TTL_MS)
-        {
-            self.challenge = None;
-        }
+    /// The challenge record this session must answer as of `now`, if it
+    /// holds one issued no more than an hour before: an older record
+    /// reads as none, and is replaced by the next challenge or leaves
+    /// with the session.
+    pub fn outstanding_challenge(&mut self, now: SimTime) -> Option<&mut ChallengeState> {
+        self.challenge
+            .as_deref_mut()
+            .filter(|ch| now.since(ch.issued) <= CHALLENGE_LIFETIME_MS)
     }
 
     /// Records a ground-truth CAPTCHA pass directly on this state (hard
@@ -693,25 +695,24 @@ impl Detector {
         self.tracker.fold_entries(init, f)
     }
 
-    /// The live census of per-key instrumentation state, `(outstanding
-    /// beacon-token entries, outstanding challenge records)`, maintained
-    /// incrementally by the tracker's per-shard atomic gauges at every
-    /// issue/clear/expire/flush — an O(shards) lock-free read, where
-    /// [`Detector::fold_key_states`] walks every live entry.
+    /// The live census of per-key instrumentation state, `(beacon-token
+    /// entries, challenge records)` that live sessions hold, expired
+    /// ones included until they are rotated out, replaced or flushed;
+    /// maintained incrementally by the tracker's per-shard atomic
+    /// gauges at every issue/clear/flush — an O(shards) lock-free read,
+    /// where [`Detector::fold_key_states`] walks every live entry.
     pub fn state_gauges(&self) -> (u64, u64) {
         let [tokens, challenges] = self.tracker.gauge_totals();
         (tokens, challenges)
     }
 
     /// Expires idle sessions as of `now`, applying the batch set-algebra
-    /// classification to each and finalizing their labels, and in the
-    /// same shard walk expires the per-key instrumentation state of the
-    /// sessions left live: beacon tokens and challenge records older
-    /// than an hour. Dead sessions need no pass — their state flushes
-    /// with the entry — so no global token or challenge table is ever
-    /// swept.
+    /// classification to each and finalizing their labels. Nothing of a
+    /// live session is touched: its beacon tokens and challenge record
+    /// expire where they are read ([`TokenState::redeem`],
+    /// [`KeyState::outstanding_challenge`]), and leave with the session.
     pub fn sweep(&self, now: SimTime) -> Vec<CompletedSession> {
-        let finished = self.tracker.sweep(now, |_, state| state.expire(now));
+        let finished = self.tracker.sweep(now);
         self.complete(finished)
     }
 
@@ -719,9 +720,7 @@ impl Detector {
     /// shard in rotation (see [`ShardedTracker::sweep_slice`]): what a
     /// serving thread can afford between two poll batches.
     pub fn sweep_slice(&self, now: SimTime, budget: usize) -> Vec<CompletedSession> {
-        let finished = self
-            .tracker
-            .sweep_slice(now, budget, |_, state| state.expire(now));
+        let finished = self.tracker.sweep_slice(now, budget);
         self.complete(finished)
     }
 
@@ -736,7 +735,7 @@ impl Detector {
     /// The batch boundary: accumulated evidence is applied through the
     /// full set-algebra rule for every flushed session at once. Pairing
     /// is structural — each finalized session carries the state of its
-    /// own incarnation (tokens and challenge records expire with it).
+    /// own incarnation (tokens and challenge records leave with it).
     fn complete(&self, finished: Vec<Finalized<KeyState>>) -> Vec<CompletedSession> {
         finished
             .into_iter()
@@ -1592,34 +1591,6 @@ mod tests {
         assert_eq!(out.verdict, Verdict::Human(Reason::CaptchaPassed));
         let evidence = p.det.evidence(&out.key).unwrap();
         assert!(evidence.has(EvidenceKind::PassedCaptcha));
-    }
-
-    #[test]
-    fn expire_key_state_purges_tokens_and_stale_challenges_of_live_sessions() {
-        let p = pipeline();
-        p.page(34, "Mozilla/5.0", SimTime::ZERO);
-        let key = SessionKey::of(&req(34, "http://h/index.html", "Mozilla/5.0"));
-        p.det.with_key_state(&key, |_, state| {
-            state.challenge = Some(Box::new(ChallengeState::new(9, SimTime::ZERO)));
-        });
-        // Within TTL: untouched.
-        assert!(p.det.sweep(SimTime::from_secs(10)).is_empty());
-        p.det.with_key_state(&key, |_, state| {
-            assert!(!state.tokens.is_empty());
-            assert!(state.challenge.is_some());
-        });
-        // Past TTL, in the same shard walk as the sweep: both expire,
-        // without flushing the session (a fetch kept it live), and the
-        // gauges follow.
-        let past_ttl = SimTime::from_millis(KEY_STATE_TTL_MS + 1);
-        p.fetch(34, "http://h/a.html", "Mozilla/5.0", SimTime::from_secs(60));
-        assert!(p.det.sweep(past_ttl).is_empty());
-        p.det.with_key_state(&key, |_, state| {
-            assert!(state.tokens.is_empty());
-            assert!(state.challenge.is_none());
-        });
-        assert_eq!(p.det.tracker().live_count(), 1);
-        assert_eq!(p.det.state_gauges(), (0, 0));
     }
 
     #[test]

@@ -55,7 +55,10 @@ pub enum Decision {
     Throttle,
     /// Reject with 403: the session is blocked.
     Block,
-    /// Demand a CAPTCHA before serving (mandatory serving policy only).
+    /// Demand a CAPTCHA before serving: a session not yet proven human
+    /// under a mandatory serving policy, or a throttled one when
+    /// [`crate::GatewayConfig::challenge_on_throttle`] is set (in place
+    /// of the 429).
     Challenge(Challenge),
 }
 

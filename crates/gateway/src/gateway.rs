@@ -50,7 +50,9 @@
 //! * **shard-local** — the session record and its colocated `KeyState`
 //!   (evidence, verdict, rate bucket, block flag, beacon tokens with
 //!   the seeds their scripts are written from on each fetch,
-//!   outstanding CAPTCHA challenge), all inside the one shard entry;
+//!   outstanding CAPTCHA challenge), all inside the one shard entry; a
+//!   token or challenge record expires where the request reads it, an
+//!   hour after its issue, so a sweep never visits a live session;
 //! * **immutable-shared** — the config, thresholds, and the
 //!   [`RewriteEngine`] (page rewriting and probe classification
 //!   with no interior mutability at all — probe URLs authenticate
@@ -127,13 +129,16 @@ pub struct GatewayStats {
     pub captcha_passed: u64,
     /// Challenges failed.
     pub captcha_failed: u64,
-    /// Outstanding per-session challenge records at snapshot time,
-    /// merged across shards (the decentralized successor of the old
-    /// global issue table).
+    /// Challenge records live sessions hold at snapshot time, merged
+    /// across shards (the decentralized successor of the old global
+    /// issue table). A record past its hour still counts until the
+    /// session is challenged again or ends: it expires where it is
+    /// read, not here.
     pub pending_challenges: u64,
-    /// Outstanding per-session beacon-token entries at snapshot time,
-    /// merged across shards (the decentralized successor of the old
-    /// global token table).
+    /// Beacon-token entries live sessions hold at snapshot time, merged
+    /// across shards (the decentralized successor of the old global
+    /// token table). An entry past its hour still counts until the
+    /// session's entry bound rotates it out or the session ends.
     pub token_entries: u64,
 }
 
@@ -789,6 +794,7 @@ impl Gateway {
                             classified,
                             &state.tokens,
                             request,
+                            now,
                             close,
                             out,
                         ) {
@@ -874,16 +880,18 @@ impl Gateway {
     /// A session answering its outstanding challenge record gets a
     /// small fixed attempt budget on the record's authority (exhausting
     /// it consumes the id service-wide and drops the record, so the
-    /// next request re-challenges with a fresh one). Any other id — an
-    /// earlier challenge of the same session, or the opt-in offer flow
-    /// — is accepted if the answer is correct and the id unconsumed,
-    /// exactly as the old outstanding table accepted any live entry;
-    /// wrong answers there consume nothing, so spraying garbage at
-    /// predictable ids cannot invalidate anyone's challenge. If the
-    /// keyed session is no longer live (swept or evicted between issue
-    /// and answer), the pass parks in the key's shard as a deferred
-    /// carry and is credited to the next incarnation on its first
-    /// exchange — a correct answer is never silently dropped.
+    /// next request re-challenges with a fresh one). A record stands an
+    /// hour after its issue; an older one reads as no record at all
+    /// ([`botwall_core::KeyState::outstanding_challenge`]). Any other
+    /// id — an earlier challenge of the same session, or the opt-in
+    /// offer flow — is accepted if the answer is correct and the id
+    /// unconsumed, exactly as the old outstanding table accepted any
+    /// live entry; wrong answers there consume nothing, so spraying
+    /// garbage at predictable ids cannot invalidate anyone's challenge.
+    /// If the keyed session is no longer live (swept or evicted between
+    /// issue and answer), the pass parks in the key's shard as a
+    /// deferred carry and is credited to the next incarnation on its
+    /// first exchange — a correct answer is never silently dropped.
     pub fn verify_captcha(&self, key: &SessionKey, id: u64, answer: &str, now: SimTime) -> bool {
         let tracker = self.detector.tracker();
         tracker.with_entry_and_carry(key, now, |entry, carry| {
@@ -892,8 +900,8 @@ impl Gateway {
                 // past the timeout reads as absent (crediting it would
                 // bury the pass with the old incarnation).
                 Some((session, state)) => {
-                    let passed = match state.challenge.as_deref() {
-                        Some(outstanding) if outstanding.id == id => {
+                    let passed = match state.outstanding_challenge(now) {
+                        Some(record) if record.id == id => {
                             // The outstanding record is the single-use
                             // authority for its own id: accept on its
                             // say-so (immune to id pre-burning), within
@@ -902,7 +910,6 @@ impl Gateway {
                                 state.challenge = None;
                                 true
                             } else {
-                                let record = state.challenge.as_mut().expect("matched above");
                                 record.attempts += 1;
                                 if record.attempts >= MAX_CHALLENGE_ATTEMPTS {
                                     // Ground out: consume the id
@@ -915,11 +922,12 @@ impl Gateway {
                             }
                         }
                         _ => {
-                            // No record, or an *older* challenge of this
-                            // session (two tabs each rendered one): a
-                            // correct answer to any still-unconsumed id
-                            // proves the human, exactly as the old
-                            // outstanding table accepted any live entry.
+                            // No record, one past its lifetime, or an
+                            // *older* challenge of this session (two
+                            // tabs each rendered one): a correct answer
+                            // to any still-unconsumed id proves the
+                            // human, exactly as the old outstanding
+                            // table accepted any live entry.
                             let passed = self.captcha.verify_once(id, answer);
                             if passed {
                                 state.challenge = None;
@@ -950,12 +958,11 @@ impl Gateway {
     }
 
     /// Expires idle sessions as of `now`, applying the batch
-    /// classification to every flushed session. Per-key instrumentation
-    /// state needs no global sweep: tokens and challenge records of
-    /// flushed sessions leave *with their entries*, and live sessions'
-    /// expired tokens/challenges are purged in the same deterministic
-    /// shard walk — so long runs cannot grow an unbounded table
-    /// anywhere.
+    /// classification to every flushed session. A sweep only finalizes:
+    /// tokens and challenge records of flushed sessions leave *with
+    /// their entries*, and those of a live session expire where they
+    /// are read and are bounded by its entry cap, so long runs cannot
+    /// grow an unbounded table anywhere.
     pub fn sweep(&self, now: SimTime) -> Vec<CompletedSession> {
         let completed = self.detector.sweep(now);
         self.finish(completed)
@@ -963,8 +970,7 @@ impl Gateway {
 
     /// One bounded step of [`Gateway::sweep`]: the next tracker shard in
     /// rotation gives up its eviction and rollover casualties and up to
-    /// `budget` idle sessions, and `budget` of its live sessions have
-    /// their expired tokens and challenges purged (see
+    /// `budget` idle sessions (see
     /// [`botwall_sessions::ShardedTracker::sweep_slice`]). Microseconds
     /// with nothing idle, so a serving thread can call it on a timer;
     /// concurrent callers take different shards.
@@ -995,7 +1001,7 @@ impl Gateway {
     ///
     /// Lock-free and O(shards): the challenge/token occupancy columns
     /// are atomic gauges the tracker maintains incrementally at every
-    /// issue/clear/expire/flush, not a walk over live sessions — cheap
+    /// issue/clear/flush, not a walk over live sessions — cheap
     /// enough to poll per request if an operator wants to.
     pub fn stats(&self) -> GatewayStats {
         let (captcha_issued, captcha_passed, captcha_failed) = self.captcha.stats();
@@ -1751,6 +1757,42 @@ mod tests {
         assert_eq!(gw.stats().pending_challenges, 0);
         assert_eq!(gw.stats().captcha_failed, u64::from(MAX_CHALLENGE_ATTEMPTS));
         assert_eq!(gw.verdict(&key), Verdict::Undecided);
+    }
+
+    #[test]
+    fn an_hour_old_challenge_record_reads_as_no_record() {
+        // No sweep runs: the record expires where the answer reads it.
+        let gw = Gateway::builder()
+            .seed(24)
+            .captcha(ServingPolicy::MandatoryUnderAttack)
+            .build();
+        gw.set_under_attack(true);
+        let r = req(12, "http://site.example/index.html", "Mozilla/5.0");
+        let key = SessionKey::of(&r);
+        let Decision::Challenge(ch) = gw.handle_with(&r, SimTime::ZERO, |_| Origin::NotFound)
+        else {
+            panic!("challenge expected");
+        };
+        // A request forty minutes on keeps the session live; the attack
+        // is over, so it is served and the record stands.
+        gw.set_under_attack(false);
+        let forty = SimTime::from_secs(40 * 60);
+        assert!(matches!(
+            gw.handle_with(&r, forty, |_| Origin::NotFound),
+            Decision::Serve { .. }
+        ));
+        let past = SimTime::from_hours(1) + 1;
+        for _ in 0..=MAX_CHALLENGE_ATTEMPTS {
+            assert!(!gw.verify_captcha(&key, ch.id, "wrong", past));
+        }
+        // Not one attempt was spent on the record, nor its id burned.
+        assert_eq!(gw.stats().pending_challenges, 1);
+        assert_eq!(gw.verdict(&key), Verdict::Undecided);
+        let answer = ch.answer().to_string();
+        assert!(gw.verify_captcha(&key, ch.id, &answer, past));
+        assert_eq!(gw.verdict(&key), Verdict::Human(Reason::CaptchaPassed));
+        assert_eq!(gw.stats().pending_challenges, 0);
+        assert_eq!(gw.stats().live_sessions, 1, "the session stayed live");
     }
 
     #[test]

@@ -668,15 +668,17 @@ impl RewriteEngine {
     /// bytes on every fetch, its URLs on the authority `request` was
     /// addressed to (the one the page's `<script src>` sent the browser
     /// to). `false`, with nothing written, when the session holds no
-    /// token for that nonce.
+    /// token for that nonce live at `now`
+    /// ([`crate::token::TOKEN_LIFETIME_MS`]).
     pub fn session_script(
         &self,
         tokens: &TokenState,
         nonce: u64,
         request: &Request,
+        now: SimTime,
         out: &mut Vec<u8>,
     ) -> bool {
-        self.script_into(tokens, nonce, &request.view(), out)
+        self.script_into(tokens, nonce, &request.view(), now, out)
     }
 
     /// [`RewriteEngine::session_script`] for a request read in place.
@@ -685,9 +687,10 @@ impl RewriteEngine {
         tokens: &TokenState,
         nonce: u64,
         request: &RequestView<'_>,
+        now: SimTime,
         out: &mut Vec<u8>,
     ) -> bool {
-        let Some(recipe) = tokens.script_for(nonce) else {
+        let Some(recipe) = tokens.script_for(nonce, now) else {
             return false;
         };
         self.write_script(request.authority().as_deref(), recipe, out);
@@ -731,19 +734,21 @@ impl RewriteEngine {
     /// `Connection` line ([`ProbeObject::write`]): a JS-file hit's body is
     /// the script written from the session's own `tokens`
     /// ([`RewriteEngine::session_script`], empty when they hold no entry
-    /// for its nonce), anything else its fixed bytes. Returns what was
-    /// written; `None`, with nothing written, for ordinary traffic.
+    /// for its nonce live at `now`), anything else its fixed bytes.
+    /// Returns what was written; `None`, with nothing written, for
+    /// ordinary traffic.
     pub fn object_in_session(
         &self,
         classified: &Classified,
         tokens: &TokenState,
         request: &RequestView<'_>,
+        now: SimTime,
         close: bool,
         out: &mut Vec<u8>,
     ) -> Option<ProbeObject> {
         ProbeObject::write(classified, close, out, |out| {
             if let Classified::Probe(hit) = classified {
-                self.script_into(tokens, hit.nonce, request, out);
+                self.script_into(tokens, hit.nonce, request, now, out);
             }
         })
     }
@@ -1082,7 +1087,7 @@ mod tests {
         fetch: &Request,
     ) -> Option<String> {
         let mut out = Vec::new();
-        let written = e.session_script(tokens, nonce, fetch, &mut out);
+        let written = e.session_script(tokens, nonce, fetch, SimTime::ZERO, &mut out);
         assert_eq!(written, !out.is_empty());
         written.then(|| String::from_utf8(out).unwrap())
     }
@@ -1224,8 +1229,15 @@ mod tests {
         let classified = Classified::Probe(hit);
         let answer = || {
             let mut out = Vec::new();
-            e.object_in_session(&classified, &tokens, &fetch.view(), false, &mut out)
-                .unwrap();
+            e.object_in_session(
+                &classified,
+                &tokens,
+                &fetch.view(),
+                SimTime::ZERO,
+                false,
+                &mut out,
+            )
+            .unwrap();
             out
         };
         let once = answer();
@@ -1348,6 +1360,7 @@ mod tests {
                 &Classified::Probe(hit),
                 &tokens,
                 &request.view(),
+                SimTime::ZERO,
                 false,
                 &mut out,
             )
@@ -1361,6 +1374,7 @@ mod tests {
             &Classified::Ordinary,
             &tokens,
             &request.view(),
+            SimTime::ZERO,
             false,
             &mut out,
         );

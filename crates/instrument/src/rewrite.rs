@@ -244,6 +244,7 @@ mod tests {
                 &classified,
                 &s.tokens,
                 &get(&js_url).view(),
+                SimTime::ZERO,
                 false,
                 &mut out,
             )
@@ -263,7 +264,14 @@ mod tests {
         let mut out = Vec::new();
         let resp = s
             .engine
-            .object_in_session(&classified, &s.tokens, &get(&css).view(), false, &mut out)
+            .object_in_session(
+                &classified,
+                &s.tokens,
+                &get(&css).view(),
+                SimTime::ZERO,
+                false,
+                &mut out,
+            )
             .map(|o| o.to_response(&out))
             .unwrap();
         assert_eq!(resp.content_type(), Some("text/css"));
@@ -282,6 +290,7 @@ mod tests {
             &Classified::Ordinary,
             &s.tokens,
             &get(&other).view(),
+            SimTime::ZERO,
             false,
             &mut out,
         );

@@ -37,6 +37,13 @@ use std::fmt;
 /// entries per IP").
 pub const MAX_TOKENS_PER_SESSION: usize = 64;
 
+/// How long an entry answers after its page was issued: past it, its
+/// key, its decoys, a replay of it and its script read as never issued
+/// (the paper's session idle timeout, an hour). An expired entry is not
+/// removed; it leaves when the entry bound rotates it out or its
+/// session ends.
+pub const TOKEN_LIFETIME_MS: u64 = 3_600_000;
+
 /// A 128-bit beacon key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BeaconKey(u128);
@@ -136,6 +143,13 @@ struct Entry {
     js: Option<(u64, ScriptSeed)>,
 }
 
+impl Entry {
+    /// Whether the entry still answers as of `now`.
+    fn live(&self, now: SimTime) -> bool {
+        now.since(self.issued) <= TOKEN_LIFETIME_MS
+    }
+}
+
 /// The outstanding beacon keys (and the seeds of their scripts) of one
 /// session.
 ///
@@ -224,37 +238,42 @@ impl TokenState {
         });
     }
 
-    /// Checks a presented key against this session's outstanding
-    /// entries, marking it redeemed when valid.
-    pub fn redeem(&mut self, key: BeaconKey, _now: SimTime) -> KeyOutcome {
+    /// Checks a presented key against this session's entries still
+    /// inside [`TOKEN_LIFETIME_MS`] as of `now`, marking it redeemed
+    /// when valid.
+    pub fn redeem(&mut self, key: BeaconKey, now: SimTime) -> KeyOutcome {
         let Some(tokens) = self.0.as_deref_mut() else {
             return KeyOutcome::Unknown;
         };
-        for e in tokens.entries.iter_mut() {
-            if e.key == key {
-                if e.redeemed {
-                    return KeyOutcome::Replay;
-                }
-                e.redeemed = true;
-                return KeyOutcome::Valid;
+        let entries = &mut tokens.entries;
+        if let Some(e) = entries.iter_mut().find(|e| e.key == key && e.live(now)) {
+            if e.redeemed {
+                return KeyOutcome::Replay;
             }
+            e.redeemed = true;
+            return KeyOutcome::Valid;
         }
-        if tokens.entries.iter().any(|e| e.decoys.contains(&key)) {
+        if entries
+            .iter()
+            .any(|e| e.decoys.contains(&key) && e.live(now))
+        {
             return KeyOutcome::Decoy;
         }
         KeyOutcome::Unknown
     }
 
     /// What the script behind a JS-file probe nonce is written from, if
-    /// this session was served the page that references it.
-    pub fn script_for(&self, nonce: u64) -> Option<ScriptRecipe<'_>> {
+    /// this session was served the page that references it no longer
+    /// ago than [`TOKEN_LIFETIME_MS`] before `now`.
+    pub fn script_for(&self, nonce: u64, now: SimTime) -> Option<ScriptRecipe<'_>> {
         let entry = self
             .0
             .as_deref()?
             .entries
             .iter()
             .rev()
-            .find(|e| matches!(e.js, Some((n, _)) if n == nonce))?;
+            .find(|e| matches!(e.js, Some((n, _)) if n == nonce))
+            .filter(|e| e.live(now))?;
         let (_, seed) = entry.js?;
         Some(ScriptRecipe {
             key: entry.key,
@@ -279,17 +298,7 @@ impl TokenState {
                 .sum::<usize>()
     }
 
-    /// Purges entries older than `ttl_ms`; returns how many were removed.
-    pub fn sweep(&mut self, now: SimTime, ttl_ms: u64) -> usize {
-        let Some(tokens) = self.0.as_deref_mut() else {
-            return 0;
-        };
-        let before = tokens.entries.len();
-        tokens.entries.retain(|e| now.since(e.issued) <= ttl_ms);
-        before - tokens.entries.len()
-    }
-
-    /// Outstanding entries.
+    /// Entries held, expired ones included.
     pub fn len(&self) -> usize {
         self.0.as_ref().map_or(0, |tokens| tokens.entries.len())
     }
@@ -396,19 +405,44 @@ mod tests {
         assert_eq!(redeem(&mut t, 2), KeyOutcome::Valid);
     }
 
+    /// An entry answers through its lifetime and not a millisecond
+    /// after, with no sweep in between: its key, a decoy, a replay of
+    /// a redeemed key and its script all read as never issued.
     #[test]
-    fn sweep_purges_expired_entries() {
-        let mut t = TokenState::default();
-        issue(&mut t, "/a", 1, &[], SimTime::ZERO, 64);
-        issue(&mut t, "/b", 2, &[], SimTime::from_secs(5), 64);
-        assert_eq!(t.sweep(SimTime::from_secs(5) + 500, 1000), 1);
-        assert_eq!(t.len(), 1);
-        assert_eq!(
-            redeem(&mut t, 1),
-            KeyOutcome::Unknown,
-            "the older entry went"
-        );
-        assert_eq!(t.sweep(SimTime::from_secs(10), 1000), 1);
-        assert!(t.is_empty());
+    fn an_entry_expires_where_it_is_read() {
+        use KeyOutcome::{Decoy, Replay, Unknown, Valid};
+        const NONCE: u64 = 99;
+        let issued = SimTime::from_secs(7);
+        let seed = ScriptSeed {
+            seed: 5,
+            agent_nonce: 6,
+        };
+        for (late, [key, decoy, replay], script) in [
+            (TOKEN_LIFETIME_MS - 1, [Valid, Decoy, Replay], Some(seed)),
+            (TOKEN_LIFETIME_MS + 1, [Unknown; 3], None),
+        ] {
+            // A page (key 1, decoy 2, its script), and a second page
+            // whose key 11 is redeemed as soon as it is issued.
+            let mut t = TokenState::default();
+            let token = IssuedPageToken {
+                key: BeaconKey::from_raw(1),
+                decoys: vec![BeaconKey::from_raw(2)],
+                js_nonce: NONCE,
+                script: seed,
+            };
+            t.issue_page(token, issued);
+            issue(&mut t, "/b", 11, &[], issued, 64);
+            assert_eq!(t.redeem(BeaconKey::from_raw(11), issued), Valid);
+            let now = issued + late;
+            let recipe = t.script_for(NONCE, now).map(|r| (r.key, r.seed));
+            assert_eq!(recipe, script.map(|s| (BeaconKey::from_raw(1), s)), "{now}");
+            let mut at = |k: u128| t.redeem(BeaconKey::from_raw(k), now);
+            assert_eq!([at(1), at(2), at(11)], [key, decoy, replay], "{now}");
+            assert_eq!(
+                t.len(),
+                2,
+                "an expired entry is read as absent, not removed"
+            );
+        }
     }
 }

@@ -285,10 +285,12 @@ pub const STREAM_LOW_WATER: usize = 16 * 1024;
 /// and freed.
 const SWEEP_TICK_MS: u64 = 50;
 
-/// Sessions one slice may finalize, and live sessions it may check for
-/// expired tokens: microseconds of work, so the reactor never stalls on
-/// a sweep, while one reactor still walks 100k live sessions in ~40 s
-/// (the TTLs it enforces are an hour).
+/// Idle sessions one slice may finalize, and parked carries it may
+/// drop: a slice never stalls the reactor, even when a whole shard went
+/// quiet at once. A slice reads nothing of a session still inside the
+/// idle timeout (its tokens and challenge record expire where they are
+/// read), so with nothing idle it is one lock and one look at a cold
+/// end.
 const SWEEP_BUDGET: usize = 128;
 
 /// What a connection over the cap is told before it is closed.

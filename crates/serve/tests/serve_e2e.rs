@@ -4,13 +4,13 @@
 //! here shares 127.0.0.1, so each test scenario gets its own User-Agent.
 
 use botwall_core::classifier::{Reason, Verdict};
-use botwall_gateway::Gateway;
+use botwall_gateway::{Gateway, Origin};
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request, Response, StatusCode};
 use botwall_serve::{
     client, frame, MockOrigin, MockOriginHandle, ORIGIN_POOL_IDLE, ORIGIN_TIMEOUT, READ_TIMEOUT,
 };
-use botwall_sessions::SessionKey;
+use botwall_sessions::{SessionKey, SimTime};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::thread::JoinHandle;
@@ -2437,12 +2437,16 @@ fn the_live_server_sweeps_under_load_on_two_reactors() {
     the_live_server_sweeps_under_load(2);
 }
 
-/// What an hour of session time does to a session that is still live:
-/// the tick's maintenance walk purges what outlived its one-hour TTL, a
-/// page's token (`challenge` false) or a challenge record the session
-/// never answered (`challenge` true), and leaves the session alone. An
-/// asset every forty minutes keeps it live and renews neither.
-fn the_tick_purges_an_hour_old_record_from_a_live_session(threads: usize, challenge: bool) {
+/// A late beacon reads the same over the socket as in process: a page's
+/// token expires where the beacon redeems it, an hour after the page,
+/// whether or not the server's tick has passed the session since. A
+/// page and its script, an asset every forty minutes to keep the
+/// session live, a rotation of ticks through every shard, then the
+/// page's mouse beacon at eighty minutes: `handle_with` on a gateway of
+/// the same seed, at the same instants, answers every request with the
+/// same status and leaves the same verdict.
+fn a_late_beacon_reads_the_same_over_the_socket_as_in_process(threads: usize) {
+    const SEED: u64 = 50;
     const ASSET: &str = "/style.css";
     let origin = MockOrigin::new()
         .page("/index.html", PAGE)
@@ -2451,61 +2455,90 @@ fn the_tick_purges_an_hour_old_record_from_a_live_session(threads: usize, challe
         .unwrap();
     let origin_addr = origin.addr();
     let fx = Fixture::with(
-        Gateway::builder()
-            .seed(50)
-            .captcha(botwall_captcha::ServingPolicy::MandatoryUnderAttack)
-            .build(),
+        Gateway::builder().seed(SEED).build(),
         |config| {
             config.origin = Some(origin_addr);
             config.threads = threads;
         },
         Some(origin),
     );
-    let ua = "Mozilla/5.0 e2e-ttl";
-    let held = |stats: botwall_gateway::GatewayStats| {
-        if challenge {
-            stats.pending_challenges
-        } else {
-            stats.token_entries
-        }
+    let local = Gateway::builder().seed(SEED).build();
+    let ua = "Mozilla/5.0 e2e-late-beacon";
+    let key = loopback_key(ua);
+    // One request both ways at `now`, `paths.0` over the socket and
+    // `paths.1` in process from the same loopback client, the origin
+    // answering what the mock does. Each side asks for its own page's
+    // script and beacon: a session's stream is seeded by when it
+    // started, which the socket's clock puts a few milliseconds after
+    // the in-process zero.
+    let both = |paths: (&str, &str), now: SimTime| {
+        let socket = get(fx.addr, paths.0, ua);
+        let request = Request::builder(Method::Get, paths.1)
+            .header("User-Agent", ua)
+            .header("Host", "site.example")
+            .client(ClientIp::new(u32::from_be_bytes([127, 0, 0, 1])))
+            .build()
+            .unwrap();
+        let inproc = local
+            .handle_with(&request, now, |r| match r.uri().path() {
+                "/index.html" => Origin::Page(PAGE.to_string()),
+                ASSET => Origin::Response(
+                    Response::builder(StatusCode::OK)
+                        .body_bytes(b"body{}".to_vec())
+                        .build(),
+                ),
+                _ => Origin::NotFound,
+            })
+            .into_response();
+        assert_eq!(socket.status(), inproc.status(), "{paths:?}");
+        assert_eq!(fx.gateway.verdict(&key), local.verdict(&key), "{paths:?}");
+        (socket, inproc)
     };
-    // The page, or under attack the interstitial in its place.
-    fx.gateway.set_under_attack(challenge);
-    let first = get(fx.addr, "/index.html", ua).status();
-    assert_eq!(first == StatusCode::FORBIDDEN, challenge, "{first}");
-    fx.gateway.set_under_attack(false);
-    assert_eq!(held(fx.gateway.stats()), 1);
+    let text = |(socket, inproc): (Response, Response)| (body_str(&socket), body_str(&inproc));
+    let mut now = SimTime::ZERO;
+    let page = text(both(("/index.html", "/index.html"), now));
+    let script_of = |html: &str| {
+        quoted_paths(html, '"')
+            .into_iter()
+            .find(|p| p.ends_with(".js"))
+            .expect("instrumented page links a generated script")
+    };
+    let script = text(both((&script_of(&page.0), &script_of(&page.1)), now));
     for _ in 0..2 {
         fx.advance(Duration::from_secs(40 * 60));
-        assert_eq!(get(fx.addr, ASSET, ua).status(), StatusCode::OK);
-        assert_eq!(fx.gateway.stats().live_sessions, 1);
+        now += 40 * 60 * 1000;
+        both((ASSET, ASSET), now);
     }
-    // Eighty minutes on: the record is past its hour, the session is not.
-    fx.advance_until(Duration::from_millis(100), || held(fx.gateway.stats()) == 0);
-    let stats = fx.gateway.stats();
-    assert_eq!((held(stats), stats.live_sessions), (0, 1));
-    assert_eq!(stats.completed_sessions, 0);
+    // Every shard's turn at the tick passes before the beacon.
+    let ticks = 2 * fx.gateway.stats().shard_count;
+    let mut ticked = 0;
+    fx.advance_until(Duration::from_millis(100), || {
+        ticked += 1;
+        ticked == ticks
+    });
+    now += 100 * ticks as u64;
+    let beacons = (
+        mouse_beacon_path(&page.0, &script.0),
+        mouse_beacon_path(&page.1, &script.1),
+    );
+    both((&beacons.0, &beacons.1), now);
+    assert_eq!(fx.gateway.stats().live_sessions, 1);
+    assert_ne!(
+        local.verdict(&key),
+        Verdict::Human(Reason::MouseActivity),
+        "an eighty-minute-old key proves nothing"
+    );
     fx.finish();
 }
 
 #[test]
-fn the_tick_purges_an_hour_old_token_from_a_live_session_on_one_reactor() {
-    the_tick_purges_an_hour_old_record_from_a_live_session(1, false);
+fn a_late_beacon_reads_the_same_over_the_socket_as_in_process_on_one_reactor() {
+    a_late_beacon_reads_the_same_over_the_socket_as_in_process(1);
 }
 
 #[test]
-fn the_tick_purges_an_hour_old_token_from_a_live_session_on_two_reactors() {
-    the_tick_purges_an_hour_old_record_from_a_live_session(2, false);
-}
-
-#[test]
-fn the_tick_purges_an_hour_old_challenge_from_a_live_session_on_one_reactor() {
-    the_tick_purges_an_hour_old_record_from_a_live_session(1, true);
-}
-
-#[test]
-fn the_tick_purges_an_hour_old_challenge_from_a_live_session_on_two_reactors() {
-    the_tick_purges_an_hour_old_record_from_a_live_session(2, true);
+fn a_late_beacon_reads_the_same_over_the_socket_as_in_process_on_two_reactors() {
+    a_late_beacon_reads_the_same_over_the_socket_as_in_process(2);
 }
 
 /// Advances the clock past the paper's one-hour idle timeout and on

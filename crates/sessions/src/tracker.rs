@@ -19,7 +19,10 @@
 //! each, one lock at a time — and **idle expiry** pops cold ends until
 //! one is still inside the idle timeout; [`ShardedTracker::sweep_slice`]
 //! does a bounded amount of that per call so a live server can afford
-//! to sweep.
+//! to sweep. A sweep only finalizes: it never visits a session still
+//! inside the timeout, so what an extension keeps that goes stale
+//! sooner (the core's beacon tokens and challenge record) expires where
+//! it is read.
 //!
 //! **What is exact.** With a clock that never runs backwards within a
 //! shard (a reactor's clock, every simulated harness) touch order *is*
@@ -539,7 +542,7 @@ impl<E> EntryGuard<'_, E> {
 /// let resp = Response::empty(StatusCode::OK);
 /// t.observe(&req, &resp, SimTime::ZERO);
 /// // One hour and one millisecond later the session has expired.
-/// let done = t.sweep(SimTime::from_hours(1) + 1, |_, _| ());
+/// let done = t.sweep(SimTime::from_hours(1) + 1);
 /// assert_eq!(done.len(), 1);
 /// ```
 #[derive(Debug)]
@@ -1134,27 +1137,20 @@ impl<E: SessionExt> ShardedTracker<E> {
         self.live_total.load(Ordering::Relaxed)
     }
 
-    /// Finalizes every session idle past the timeout as of `now`, runs
-    /// `visit` over every live session left (maintenance: expiring
-    /// per-key tokens and stale challenge records rides this instead of
-    /// any global registry sweep), and returns all sessions finalized
-    /// since the last collection (including rollover and eviction
-    /// casualties). Shards are visited in index order — each yielding
-    /// its casualties then its expired keys in key order — so the batch
-    /// is deterministically ordered.
+    /// Finalizes every session idle past the timeout as of `now` and
+    /// returns all sessions finalized since the last collection
+    /// (including rollover and eviction casualties). Shards are visited
+    /// in index order — each yielding its casualties then its expired
+    /// keys in key order — so the batch is deterministically ordered.
+    /// A session still inside the timeout is left as it is.
     ///
     /// Each shard takes the step [`ShardedTracker::sweep_slice`] takes,
     /// with no budget: one lock, the expired sessions and carries popped
-    /// off the cold ends of their idle orders, and one visit per live
-    /// session.
-    pub fn sweep(
-        &self,
-        now: SimTime,
-        mut visit: impl FnMut(&Session, &mut E),
-    ) -> Vec<Finalized<E>> {
+    /// off the cold ends of their idle orders.
+    pub fn sweep(&self, now: SimTime) -> Vec<Finalized<E>> {
         let mut out = Vec::new();
         for idx in 0..self.shards.len() {
-            let (mut step, expired) = self.sweep_shard(idx, now, usize::MAX, &mut visit);
+            let (mut step, expired) = self.sweep_shard(idx, now, usize::MAX);
             step[expired..].sort_unstable_by(|a, b| a.session.key.cmp(&b.session.key));
             out.append(&mut step);
         }
@@ -1165,37 +1161,23 @@ impl<E: SessionExt> ShardedTracker<E> {
     /// takes the next shard in rotation and, under its one lock,
     /// collects its eviction and rollover casualties, finalizes up to
     /// `budget` sessions idle past the timeout as of `now` (idlest
-    /// first), drops up to `budget` carries parked longer ago than
-    /// that, and runs `visit` over the next `budget` slab slots of the
-    /// shard's maintenance walk (resumed where the shard's previous step
-    /// stopped). Returns the casualties, then the expired.
+    /// first) and drops up to `budget` carries parked longer ago than
+    /// that. Returns the casualties, then the expired.
     ///
     /// [`ShardedTracker::shard_count`] consecutive calls that all come
     /// back empty mean nothing is left to collect as of `now` — the
     /// state one [`ShardedTracker::sweep`] leaves. Concurrent callers
     /// share the rotation and land on different shards.
-    pub fn sweep_slice(
-        &self,
-        now: SimTime,
-        budget: usize,
-        mut visit: impl FnMut(&Session, &mut E),
-    ) -> Vec<Finalized<E>> {
+    pub fn sweep_slice(&self, now: SimTime, budget: usize) -> Vec<Finalized<E>> {
         let idx = self.sweep_cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.sweep_shard(idx, now, budget, &mut visit).0
+        self.sweep_shard(idx, now, budget).0
     }
 
     /// One shard's step of a sweep, under its one lock: its casualties,
     /// then up to `budget` entries and up to `budget` carries popped off
-    /// the cold ends while idle past the timeout, then `visit` over the
-    /// next `budget` slab slots of its maintenance walk. Returns the
-    /// finalized and where the expired start among them.
-    fn sweep_shard(
-        &self,
-        idx: usize,
-        now: SimTime,
-        budget: usize,
-        visit: &mut impl FnMut(&Session, &mut E),
-    ) -> (Vec<Finalized<E>>, usize) {
+    /// the cold ends while idle past the timeout. Returns the finalized
+    /// and where the expired start among them.
+    fn sweep_shard(&self, idx: usize, now: SimTime, budget: usize) -> (Vec<Finalized<E>>, usize) {
         let mut shard = self.lock_shard(idx);
         let shard = &mut *shard;
         let mut out = std::mem::take(&mut shard.finalized);
@@ -1208,9 +1190,6 @@ impl<E: SessionExt> ShardedTracker<E> {
         shard
             .carries
             .pop_expired(budget, |parked| self.idle(parked.at, now), drop);
-        shard.live.walk(budget, |entry| {
-            self.bind(idx, entry, |e| visit(&e.session, &mut e.ext))
-        });
         (out, expired)
     }
 
@@ -1403,7 +1382,7 @@ mod tests {
             SimTime::from_hours(2) + 1,
         );
         assert_eq!(t.get(&k).unwrap().request_count(), 1);
-        let done = t.sweep(SimTime::from_hours(2) + 2, |_, _| ());
+        let done = t.sweep(SimTime::from_hours(2) + 2);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].request_count(), 2);
     }
@@ -1417,7 +1396,7 @@ mod tests {
             &ok(),
             SimTime::from_hours(1),
         );
-        let done = t.sweep(SimTime::from_hours(1) + 1, |_, _| ());
+        let done = t.sweep(SimTime::from_hours(1) + 1);
         assert_eq!(done.len(), 1, "only the hour-idle session expires");
         assert_eq!(t.live_count(), 1);
     }
@@ -1656,7 +1635,7 @@ mod tests {
             for ip in 0..60 {
                 t.observe(&req(ip, "A", "http://h/1", None), &ok(), SimTime::ZERO);
             }
-            t.sweep(SimTime::from_hours(2), |_, _| ())
+            t.sweep(SimTime::from_hours(2))
                 .iter()
                 .map(|s| s.key().clone())
                 .collect::<Vec<_>>()
@@ -1789,7 +1768,7 @@ mod tests {
             t.with_entry(&key, |_, e| (e.touched, e.carried)),
             Some((1, true))
         );
-        let done = t.sweep(later + 1, |_, _| ());
+        let done = t.sweep(later + 1);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].ext.touched, 1);
         assert!(!done[0].ext.carried);
@@ -1871,9 +1850,9 @@ mod tests {
         // A slice gets there first: at the timeout the carry is still
         // parked, a millisecond past it the slice drops it.
         park(parked);
-        assert!(t.sweep_slice(parked + timeout, 8, |_, _| ()).is_empty());
+        assert!(t.sweep_slice(parked + timeout, 8).is_empty());
         assert_eq!(t.census().carries, 1);
-        assert!(t.sweep_slice(dead, 8, |_, _| ()).is_empty());
+        assert!(t.sweep_slice(dead, 8).is_empty());
         assert_eq!(t.census().carries, 0);
         assert_eq!(finish(&t, &r, dead, |e| e.touched), 0);
         // Inside the timeout the key's return still absorbs it.
@@ -2040,7 +2019,7 @@ mod tests {
             Some((100, true))
         );
         // The finalized leased incarnation never got the exchange.
-        let done = t.sweep(SimTime::from_hours(9), |_, _| ());
+        let done = t.sweep(SimTime::from_hours(9));
         assert_eq!(done.len(), 2);
         assert_eq!(
             done[0].request_count(),
@@ -2087,7 +2066,7 @@ mod tests {
         // an ordinary sweep finalizes it like any idle session.
         assert_eq!(t.get(&key).unwrap().request_count(), 0);
         assert_eq!(t.census().carries, 0);
-        let done = t.sweep(SimTime::from_hours(2), |_, _| ());
+        let done = t.sweep(SimTime::from_hours(2));
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].request_count(), 0);
         assert_eq!(t.live_count(), 0);
@@ -2247,7 +2226,7 @@ mod tests {
             SimTime::from_secs(5),
         );
         assert_eq!(t.evicted_total(), 1);
-        let casualties = t.sweep(SimTime::from_secs(5), |_, _| ());
+        let casualties = t.sweep(SimTime::from_secs(5));
         assert_eq!(casualties.len(), 1);
         assert_eq!(casualties[0].key().ip(), ClientIp::new(2));
         t.census();
@@ -2271,7 +2250,7 @@ mod tests {
                 assert!(t.live_count() <= 200);
             }
             t.census();
-            t.sweep(SimTime::ZERO, |_, _| ())
+            t.sweep(SimTime::ZERO)
                 .iter()
                 .map(|c| c.key().ip())
                 .collect::<Vec<_>>()
@@ -2331,24 +2310,15 @@ mod tests {
             );
         }
         let sizes = t.shard_sizes();
-        // Nothing idle: a slice finalizes nothing and visits `budget`
-        // live entries of one shard, resuming where the last one stopped.
-        let mut visited = 0;
+        // Nothing idle: a slice finalizes nothing.
         for _ in 0..4 {
-            let done = t.sweep_slice(SimTime::from_secs(20), 2, |_, e| {
-                e.touched += 1;
-                visited += 1;
-            });
-            assert!(done.is_empty());
+            assert!(t.sweep_slice(SimTime::from_secs(20), 2).is_empty());
         }
-        assert_eq!(visited, 8, "four slices, two visits each");
-        let once = t.fold_entries(0, |n, _, e| n + usize::from(e.touched == 1));
-        assert_eq!(once, 8, "no entry visited twice before the rest had a turn");
         // Everything idle: each slice finalizes at most `budget`, idlest
         // first, from the shard whose turn it is.
         let later = SimTime::from_hours(2);
-        let first = t.sweep_slice(later, 3, |_, _| ());
-        let second = t.sweep_slice(later, 3, |_, _| ());
+        let first = t.sweep_slice(later, 3);
+        let second = t.sweep_slice(later, 3);
         assert_eq!(first.len(), 3.min(sizes[0]));
         assert_eq!(second.len(), 3.min(sizes[1]));
         assert!(first
@@ -2358,7 +2328,7 @@ mod tests {
         assert_eq!(t.live_count(), left);
         let mut quiet = 0;
         while quiet < t.shard_count() {
-            let n = t.sweep_slice(later, 3, |_, _| ()).len();
+            let n = t.sweep_slice(later, 3).len();
             assert!(n <= 3);
             left -= n;
             quiet = if n == 0 { quiet + 1 } else { 0 };
@@ -2389,11 +2359,11 @@ mod tests {
         }
         assert_eq!(t.census().pending, 2, "two evictions wait in the shard");
         assert_eq!(t.gauge_totals(), [10, 0]);
-        // The visit is the TTL closure's stand-in: it empties the state.
-        let done = t.sweep_slice(SimTime::from_secs(4), 8, |_, e| e.touched = 0);
+        // The casualties left the gauges when they were evicted.
+        let done = t.sweep_slice(SimTime::from_secs(4), 8);
         assert_eq!(done.len(), 2);
         assert_eq!(t.census().pending, 0);
-        assert_eq!(t.gauge_totals(), [0, 0]);
+        assert_eq!(t.gauge_totals(), [10, 0]);
         assert_eq!(t.evicted_total(), 2);
     }
 
@@ -2436,15 +2406,9 @@ mod tests {
         finish(&t, &a, SimTime::from_hours(2), |e| e.touched = 10);
         assert_eq!(t.gauge_totals(), [14, 1]);
         // Sweep flushes the idle remainder (b) and the rollover casualty.
-        let done = t.sweep(SimTime::from_hours(2) + 1, |_, _| ());
+        let done = t.sweep(SimTime::from_hours(2) + 1);
         assert_eq!(done.len(), 2);
         assert_eq!(t.gauge_totals(), [10, 1]);
-        // What a sweep's visit changes in the live sessions moves the
-        // gauge too.
-        assert!(t
-            .sweep(SimTime::from_hours(2) + 1, |_, e| e.touched = 0)
-            .is_empty());
-        assert_eq!(t.gauge_totals(), [0, 1]);
         // Drain empties everything; the gauges return to zero.
         t.drain();
         assert_eq!(t.gauge_totals(), [0, 0]);
@@ -2464,7 +2428,7 @@ mod tests {
                 e.touched = u64::from(i % 5)
             });
         }
-        t.sweep(SimTime::from_secs(90), |_, _| ());
+        t.sweep(SimTime::from_secs(90));
         let folded = t.fold_entries([0u64, 0], |acc, _, e| {
             let g = e.gauge();
             [acc[0] + g[0], acc[1] + g[1]]

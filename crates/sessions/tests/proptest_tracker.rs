@@ -144,7 +144,7 @@ proptest! {
     #[test]
     fn sweep_past_horizon_finalizes_all(events in arb_events()) {
         let (t, _, end) = replay(&events, TrackerConfig::default());
-        let done = t.sweep(end + 3_600_001, |_, _| ());
+        let done = t.sweep(end + 3_600_001);
         prop_assert_eq!(t.live_count(), 0);
         prop_assert!(!done.is_empty());
     }
@@ -336,7 +336,7 @@ proptest! {
                     model.slices += 1;
                     let mut expected = std::mem::take(&mut model.pending[shard]);
                     expected.extend(model.expire(shard, now, 2));
-                    prop_assert_eq!(keys_of(&t.sweep_slice(now, 2, |_, _| ())), expected);
+                    prop_assert_eq!(keys_of(&t.sweep_slice(now, 2)), expected);
                 }
                 // A whole sweep: per shard, casualties then expired by key.
                 18 => {
@@ -347,7 +347,7 @@ proptest! {
                         expired.sort();
                         expected.extend(expired);
                     }
-                    prop_assert_eq!(keys_of(&t.sweep(now, |_, _| ())), expected);
+                    prop_assert_eq!(keys_of(&t.sweep(now)), expected);
                 }
                 // A drain: every casualty, then the live by shard and key.
                 19 if ip == 0 => {

@@ -47,17 +47,14 @@ fn exactly_at_cap_holds_everyone_one_past_cap_evicts_the_most_idle() {
 
     // A sweep with nothing idle past the timeout is a no-op.
     let now = SimTime::ZERO + CAP as u64 * 10;
-    assert!(
-        t.sweep(now, |_, _| ()).is_empty(),
-        "at-cap sweep must evict nothing"
-    );
+    assert!(t.sweep(now).is_empty(), "at-cap sweep must evict nothing");
     assert_eq!(t.live_count(), CAP);
 
     // One insert past the cap: the bound holds and the casualty is the
     // most idle session (ip 0), nothing else.
     t.observe(&req(CAP as u32, 0), &ok(), now);
     assert_eq!(t.live_count(), CAP, "the live bound holds past the cap");
-    let casualties = t.sweep(now, |_, _| ());
+    let casualties = t.sweep(now);
     assert_eq!(casualties.len(), 1, "exactly one eviction casualty");
     assert_eq!(
         casualties[0].key().ip(),
@@ -81,7 +78,7 @@ fn eviction_tie_break_is_deterministic_at_the_cap() {
         let smallest = keys.iter().min().cloned().expect("nonempty");
 
         t.observe(&req(CAP as u32, 0), &ok(), SimTime::from_secs(5));
-        let casualties = t.sweep(SimTime::from_secs(5), |_, _| ());
+        let casualties = t.sweep(SimTime::from_secs(5));
         assert_eq!(casualties.len(), 1);
         assert_eq!(
             *casualties[0].key(),
@@ -165,7 +162,7 @@ fn bounded_eviction_is_deterministic_and_targets_the_idle() {
             t.observe(&req(ip, 0), &ok(), now);
             assert_eq!(t.live_count(), CAP, "live bound holds at every insert");
         }
-        let casualties = t.sweep(now, |_, _| ());
+        let casualties = t.sweep(now);
         assert_eq!(casualties.len(), 50, "one casualty per insert past cap");
         for c in &casualties {
             assert!(

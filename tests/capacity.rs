@@ -101,8 +101,8 @@ fn million_session_occupancy_traffic_sweep_and_drain() {
     assert_eq!(stats.live_sessions, n as usize, "revisits create nothing");
     assert_eq!(stats.requests, u64::from(n) + extra);
 
-    // Sweep with nothing idle past the timeout: a full token purge that
-    // must finalize nothing and leave occupancy untouched.
+    // Sweep with nothing idle past the timeout: it must finalize
+    // nothing and leave occupancy untouched.
     let swept = gw.sweep(now);
     assert!(
         swept.is_empty(),
