@@ -5,8 +5,9 @@
 //! and nothing idle, (c) eviction pressure once the session cap is hit
 //! (each insert finalizes the idlest session first), (d) one sweep
 //! slice of the live server's tick, with nothing idle and with
-//! everything idle, and (e) carry-channel stash cost at the per-shard
-//! carry bound (the min-key drop path).
+//! everything idle, (e) carry-channel stash cost at the per-shard
+//! carry bound (the min-key drop path), and (f) one stats snapshot,
+//! which walks every live session.
 //!
 //! Passing `--quick` (the CI smoke mode) scales the populations down;
 //! the benchmark IDs carry the scale, so quick rows never collide with
@@ -143,6 +144,11 @@ fn bench_sweep_slice(c: &mut Criterion) {
         |b, _| b.iter(|| black_box(gw.sweep_slice(now, TICK_BUDGET))),
     );
     assert_eq!(gw.stats().live_sessions, n as usize, "nothing was idle");
+    // A snapshot counts tokens and challenge records by walking every
+    // live session (these hold neither: a prefill serves no page).
+    group.bench_with_input(BenchmarkId::new("stats_at_occupancy", n), &n, |b, _| {
+        b.iter(|| black_box(gw.stats()))
+    });
 
     let later = now + 2 * 3_600_000;
     group.throughput(Throughput::Elements(TICK_BUDGET as u64));
@@ -154,7 +160,7 @@ fn bench_sweep_slice(c: &mut Criterion) {
                 let mut elapsed = Duration::ZERO;
                 for _ in 0..iters {
                     // Untimed: keep every shard's cold end expired.
-                    if gw.stats().live_sessions < n as usize / 2 {
+                    if gw.detector().tracker().live_count() < n as usize / 2 {
                         botwall_bench::prefill(&gw, n, SimTime::ZERO, 60_000);
                     }
                     let start = Instant::now();

@@ -250,17 +250,6 @@ impl SessionExt for KeyState {
             carry.lost_at,
         );
     }
-
-    /// The occupancy this state reports into the tracker's per-shard
-    /// atomic gauges: `[outstanding beacon-token entries, outstanding
-    /// challenge records]` — the two columns `GatewayStats` used to fold
-    /// out of every live entry.
-    fn gauge(&self) -> [u64; botwall_sessions::EXT_GAUGES] {
-        [
-            self.tokens.len() as u64,
-            u64::from(self.challenge.is_some()),
-        ]
-    }
 }
 
 /// How long a challenge record stands after its issue: past it, the
@@ -688,22 +677,11 @@ impl Detector {
     }
 
     /// Folds every live session's colocated state (shards in index
-    /// order, one lock at a time). O(live sessions) and takes every
-    /// shard lock — kept for audits and gauge-parity checks; stats
-    /// snapshots read [`Detector::state_gauges`] instead.
+    /// order, one lock at a time, never two). O(live sessions): what a
+    /// stats snapshot counts occupancy with, so it must not run inside
+    /// a shard critical section.
     pub fn fold_key_states<A>(&self, init: A, f: impl FnMut(A, &Session, &KeyState) -> A) -> A {
         self.tracker.fold_entries(init, f)
-    }
-
-    /// The live census of per-key instrumentation state, `(beacon-token
-    /// entries, challenge records)` that live sessions hold, expired
-    /// ones included until they are rotated out, replaced or flushed;
-    /// maintained incrementally by the tracker's per-shard atomic
-    /// gauges at every issue/clear/flush — an O(shards) lock-free read,
-    /// where [`Detector::fold_key_states`] walks every live entry.
-    pub fn state_gauges(&self) -> (u64, u64) {
-        let [tokens, challenges] = self.tracker.gauge_totals();
-        (tokens, challenges)
     }
 
     /// Expires idle sessions as of `now`, applying the batch set-algebra

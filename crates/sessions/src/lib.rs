@@ -44,7 +44,7 @@ pub use stats::SessionCounters;
 pub use time::SimTime;
 pub use tracker::{
     Begun, Census, EntryGuard, ExchangeLease, Finalized, Gate, Session, SessionExt, SessionTracker,
-    ShardedTracker, TrackerConfig, EXT_GAUGES,
+    ShardedTracker, TrackerConfig,
 };
 
 /// Makes room for one more item in a per-session list. A list that has

@@ -1,26 +1,23 @@
-//! Poison-tolerant acquisition of the tracker's shard locks, plus a
-//! debug-only ledger that lets tests prove how many of them a code path
-//! takes.
+//! Poison-tolerant acquisition of the tracker's shard locks, and a
+//! debug-only ledger of them.
 //!
 //! Lock poisoning cannot leave our guarded state half-updated: every
 //! critical section in this workspace either completes or the process is
 //! already panicking its way down. Recovering the guard (instead of
 //! propagating the poison) keeps the other request threads serving
-//! during teardown. Centralized here so the poisoning policy lives in
-//! one place.
+//! during teardown.
 //!
 //! # Lock accounting (debug builds only)
 //!
-//! The ledger counts shard locks, because that is what it can see:
-//! every acquisition of a tracker shard mutex goes through
-//! [`lock_shard_or_recover`] and nothing else does. A lock taken any
-//! other way (the CAPTCHA service's redeemed-id window is the one other
-//! mutex on a request path, and recovers its poison by hand) is not in
-//! it. The counter is thread-local, so a test measuring its own thread
-//! is exact even while other test threads hammer their own locks. In
-//! release builds it compiles away.
+//! Every shard lock is taken through [`lock_shard_or_recover`], which
+//! counts it per thread (exact for a test measuring its own thread) and
+//! panics if the thread already holds one: a call made from inside a
+//! critical section (a snapshot from a gate) fails loudly instead of
+//! deadlocking. Other mutexes are not in it. In release builds it all
+//! compiles away.
 
-use std::sync::{Mutex, MutexGuard};
+use std::ops::{Deref, DerefMut};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Debug-only, thread-local shard-lock counter.
 #[cfg(debug_assertions)]
@@ -29,9 +26,11 @@ pub mod counters {
 
     thread_local! {
         static SHARD_LOCKS: Cell<u64> = const { Cell::new(0) };
+        pub(super) static HELD: Cell<bool> = const { Cell::new(false) };
     }
 
     pub(super) fn count_shard() {
+        assert!(!HELD.replace(true), "a shard lock taken while one is held");
         SHARD_LOCKS.with(|c| c.set(c.get() + 1));
     }
 
@@ -46,16 +45,37 @@ pub mod counters {
     }
 }
 
+/// A held shard lock; in debug builds its release leaves the ledger.
+pub struct ShardGuard<'a, T>(MutexGuard<'a, T>);
+
+impl<T> Deref for ShardGuard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> DerefMut for ShardGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+#[cfg(debug_assertions)]
+impl<T> Drop for ShardGuard<'_, T> {
+    fn drop(&mut self) {
+        counters::HELD.set(false);
+    }
+}
+
 /// Locks a tracker *shard* mutex, recovering the guard if a panicking
 /// thread poisoned it. In debug builds the acquisition lands in the
 /// lock ledger.
-pub fn lock_shard_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub fn lock_shard_or_recover<T>(mutex: &Mutex<T>) -> ShardGuard<'_, T> {
     #[cfg(debug_assertions)]
     counters::count_shard();
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    ShardGuard(mutex.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
 #[cfg(test)]
@@ -96,5 +116,14 @@ mod tests {
         assert_eq!(counters::snapshot(), 2);
         counters::reset();
         assert_eq!(counters::snapshot(), 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a shard lock taken while one is held")]
+    fn a_second_shard_lock_while_one_is_held_panics() {
+        let (m, n) = (Mutex::new(0), Mutex::new(0));
+        let _held = lock_shard_or_recover(&m);
+        drop(lock_shard_or_recover(&n));
     }
 }

@@ -107,7 +107,7 @@ use crate::time::SimTime;
 use botwall_http::{Request, RequestView, Response, ResponseSummary};
 use std::fmt;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Records one session keeps in its log, and distinct URLs it
@@ -297,22 +297,7 @@ pub trait SessionExt: Default {
     /// under the shard lock, before the first exchange is recorded).
     /// Defaults to discarding the carry.
     fn absorb(&mut self, _carry: Self::Carry, _session: &Session) {}
-
-    /// Occupancy this extension state contributes to the tracker's
-    /// per-shard atomic gauges ([`ShardedTracker::gauge_totals`]) —
-    /// e.g. `[outstanding tokens, outstanding challenges]` for the
-    /// detection core. Called under the shard lock around every entry
-    /// mutation and removal, so it must be cheap. Defaults to all-zero
-    /// (the gauges compile down to no-ops for stateless extensions).
-    fn gauge(&self) -> [u64; EXT_GAUGES] {
-        [0; EXT_GAUGES]
-    }
 }
-
-/// Number of occupancy columns [`SessionExt::gauge`] reports. The
-/// meaning of each column is the extension type's to define; the
-/// tracker only maintains live-census totals per shard.
-pub const EXT_GAUGES: usize = 2;
 
 impl SessionExt for () {
     type Carry = ();
@@ -386,14 +371,15 @@ impl<C> Stamped for Parked<C> {
 const EVICTIONS_PER_INSERT: usize = 5;
 
 /// One shard: its live entries and its parked carries, each a table in
-/// idle order (see the module docs), and the finalized sessions
-/// (rollover and eviction casualties) not yet collected by a sweep or
-/// drain.
+/// idle order (see the module docs), the finalized sessions (rollover
+/// and eviction casualties) not yet collected by a sweep or drain, and
+/// how many sessions it has evicted for capacity.
 #[derive(Debug)]
 struct Shard<E: SessionExt> {
     live: Table<Entry<E>>,
     carries: Table<Parked<E::Carry>>,
     finalized: Vec<Finalized<E>>,
+    evicted: u64,
 }
 
 impl<E: SessionExt> Default for Shard<E> {
@@ -402,6 +388,7 @@ impl<E: SessionExt> Default for Shard<E> {
             live: Table::default(),
             carries: Table::default(),
             finalized: Vec::new(),
+            evicted: 0,
         }
     }
 }
@@ -523,7 +510,8 @@ impl<E> EntryGuard<'_, E> {
 /// cross-shard walks — [`sweep`], [`drain`], capacity eviction — visit
 /// shards in index order and never depend on `HashMap` iteration order,
 /// keeping batch output deterministic; no call ever holds two shard
-/// locks at once, so the tracker cannot deadlock against itself.
+/// locks at once (a debug build panics if one tries), so the tracker
+/// cannot deadlock against itself.
 ///
 /// [`sweep`]: ShardedTracker::sweep
 /// [`drain`]: ShardedTracker::drain
@@ -549,24 +537,11 @@ impl<E> EntryGuard<'_, E> {
 pub struct ShardedTracker<E: SessionExt> {
     config: TrackerConfig,
     shards: Vec<Mutex<Shard<E>>>,
-    cells: Vec<ShardCell>,
     live_total: AtomicUsize,
     /// The shard the next [`ShardedTracker::sweep_slice`] call takes.
     sweep_cursor: AtomicUsize,
     tracker_id: u64,
     next_incarnation: AtomicU64,
-}
-
-/// One shard's lock-free readouts — the extension-occupancy gauge
-/// columns and the capacity-eviction count — cache-line padded like the
-/// gateway's counter cells. Updated only while the owning shard's lock
-/// is held, so each cell is internally consistent; summing across cells
-/// without locks is the usual relaxed snapshot.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct ShardCell {
-    gauges: [AtomicI64; EXT_GAUGES],
-    evicted: AtomicU64,
 }
 
 /// What [`ShardedTracker::census`] counted across all shards.
@@ -662,7 +637,6 @@ impl<E: SessionExt> ShardedTracker<E> {
         ShardedTracker {
             config,
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            cells: (0..shards).map(|_| ShardCell::default()).collect(),
             live_total: AtomicUsize::new(0),
             sweep_cursor: AtomicUsize::new(0),
             tracker_id: NEXT_TRACKER_ID.fetch_add(1, Ordering::Relaxed),
@@ -691,7 +665,7 @@ impl<E: SessionExt> ShardedTracker<E> {
         (shard_hash % self.shards.len() as u64) as usize
     }
 
-    fn lock_shard(&self, idx: usize) -> std::sync::MutexGuard<'_, Shard<E>> {
+    fn lock_shard(&self, idx: usize) -> crate::sync::ShardGuard<'_, Shard<E>> {
         crate::sync::lock_shard_or_recover(&self.shards[idx])
     }
 
@@ -776,14 +750,10 @@ impl<E: SessionExt> ShardedTracker<E> {
         // between and discard the rollover carry-over state.
         let shard = &mut *locked;
         let mut created = false;
-        // Gauge census as of section entry: whatever entry is live under
-        // the key right now (the one a rollover would finalize).
-        let mut gauge_before = [0; EXT_GAUGES];
         let (key, slot) = match found {
             Some(slot) => {
                 let entry = shard.live.get_mut(slot);
                 let key = entry.session.key.clone();
-                gauge_before = entry.ext.gauge();
                 if self.idle(entry.session.last_seen, now) {
                     // Idle rollover, in the predecessor's slot: it is
                     // finalized with the state it accumulated and the
@@ -846,12 +816,9 @@ impl<E: SessionExt> ShardedTracker<E> {
                 )
             }
         };
-        let recorded = guard.recorded;
-        let gauge_after = entry.ext.gauge();
-        if recorded {
+        if guard.recorded {
             shard.live.touch(slot);
         }
-        self.gauge_apply(idx, gauge_before, gauge_after);
         (key, idx, begun)
     }
 
@@ -931,25 +898,22 @@ impl<E: SessionExt> ShardedTracker<E> {
         let mut shard = self.lock_shard(idx);
         let shard = &mut *shard;
         if let Some(entry) = shard.leased(slot, incarnation) {
-            let r = self.bind(idx, entry, |entry| {
-                let mut guard = EntryGuard {
-                    session: &mut entry.session,
-                    ext: &mut entry.ext,
-                    recorded: false,
-                };
-                let r = fold(&mut guard);
-                if !guard.recorded {
-                    guard.record(request, None, now);
-                }
-                r
-            });
+            let mut guard = EntryGuard {
+                session: &mut entry.session,
+                ext: &mut entry.ext,
+                recorded: false,
+            };
+            let r = fold(&mut guard);
+            if !guard.recorded {
+                guard.record(request, None, now);
+            }
             shard.live.touch(slot);
             return r;
         }
         // The stamp moved: whatever holds the key now succeeded the
         // leased incarnation.
         let successor = shard.live.find(&key);
-        self.with_carry(idx, shard, &key, successor, now, lost)
+        self.with_carry(shard, &key, successor, now, lost)
     }
 
     /// Runs `f` against a leased session's entry **without consuming the
@@ -974,26 +938,16 @@ impl<E: SessionExt> ShardedTracker<E> {
         );
         let mut shard = self.lock_shard(lease.shard);
         let entry = shard.leased(lease.slot, lease.incarnation)?;
-        Some(self.bind(lease.shard, entry, |e| f(&e.session, &mut e.ext)))
+        Some(f(&entry.session, &mut entry.ext))
     }
 
-    /// Runs `f` against one entry of the locked shard `idx`, keeping the
-    /// shard's gauges in step with whatever `f` changes.
-    fn bind<R>(&self, idx: usize, entry: &mut Entry<E>, f: impl FnOnce(&mut Entry<E>) -> R) -> R {
-        let before = entry.ext.gauge();
-        let r = f(entry);
-        self.gauge_apply(idx, before, entry.ext.gauge());
-        r
-    }
-
-    /// Runs `f` against the entry in `slot` (if any) of the locked shard
-    /// `idx` and the deferred-carry slot of `key` (empty if the carry
-    /// parked there is dead as of `now`), then parks whatever carry `f`
-    /// left there, stamped `now`. At the shard's bound the least
-    /// recently parked carry makes room.
+    /// Runs `f` against the entry in `slot` (if any) of a locked shard
+    /// and the deferred-carry slot of `key` (empty if the carry parked
+    /// there is dead as of `now`), then parks whatever carry `f` left
+    /// there, stamped `now`. At the shard's bound the least recently
+    /// parked carry makes room.
     fn with_carry<R>(
         &self,
-        idx: usize,
         shard: &mut Shard<E>,
         key: &SessionKey,
         slot: Option<u32>,
@@ -1002,9 +956,10 @@ impl<E: SessionExt> ShardedTracker<E> {
     ) -> R {
         let mut parked = self.unpark(&mut shard.carries, key, now);
         let r = match slot {
-            Some(slot) => self.bind(idx, shard.live.get_mut(slot), |e| {
-                f(Some((&e.session, &mut e.ext)), &mut parked)
-            }),
+            Some(slot) => {
+                let entry = shard.live.get_mut(slot);
+                f(Some((&entry.session, &mut entry.ext)), &mut parked)
+            }
             None => f(None, &mut parked),
         };
         if let Some(carry) = parked {
@@ -1023,54 +978,12 @@ impl<E: SessionExt> ShardedTracker<E> {
         r
     }
 
-    /// Applies the census delta a critical section produced to one
-    /// shard's gauge columns (called while that shard's lock is held).
-    fn gauge_apply(&self, idx: usize, before: [u64; EXT_GAUGES], after: [u64; EXT_GAUGES]) {
-        for col in 0..EXT_GAUGES {
-            let delta = after[col] as i64 - before[col] as i64;
-            if delta != 0 {
-                self.cells[idx].gauges[col].fetch_add(delta, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Subtracts a removed entry's gauge contribution (eviction, sweep
-    /// expiry, drain; a rollover goes through [`gauge_apply`]).
-    ///
-    /// [`gauge_apply`]: ShardedTracker::gauge_apply
-    fn gauge_remove(&self, idx: usize, gauge: [u64; EXT_GAUGES]) {
-        for (col, &count) in gauge.iter().enumerate() {
-            if count != 0 {
-                self.cells[idx].gauges[col].fetch_sub(count as i64, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// The live-census totals of [`SessionExt::gauge`] across all
-    /// shards, maintained incrementally at every entry mutation and
-    /// removal — an O(shards) atomic read, where folding the same
-    /// totals out of the entries ([`ShardedTracker::fold_entries`]) is
-    /// O(live sessions) and takes every shard lock.
-    pub fn gauge_totals(&self) -> [u64; EXT_GAUGES] {
-        let mut out = [0u64; EXT_GAUGES];
-        for (col, total) in out.iter_mut().enumerate() {
-            let sum: i64 = self
-                .cells
-                .iter()
-                .map(|cell| cell.gauges[col].load(Ordering::Relaxed))
-                .sum();
-            *total = sum.max(0) as u64;
-        }
-        out
-    }
-
     /// Sessions finalized early to hold [`TrackerConfig::max_sessions`]
-    /// since the tracker was created (a lock-free sum of per-shard
-    /// counters). Moving means the cap is biting.
+    /// since the tracker was created, summed one shard lock at a time.
+    /// Moving means the cap is biting.
     pub fn evicted_total(&self) -> u64 {
-        self.cells
-            .iter()
-            .map(|cell| cell.evicted.load(Ordering::Relaxed))
+        (0..self.shards.len())
+            .map(|idx| self.lock_shard(idx).evicted)
             .sum()
     }
 
@@ -1089,10 +1002,10 @@ impl<E: SessionExt> ShardedTracker<E> {
         key: &SessionKey,
         f: impl FnOnce(&Session, &mut E) -> R,
     ) -> Option<R> {
-        let idx = self.shard_index(key.shard_hash());
-        let mut shard = self.lock_shard(idx);
+        let mut shard = self.lock_shard(self.shard_index(key.shard_hash()));
         let slot = shard.live.find(key)?;
-        Some(self.bind(idx, shard.live.get_mut(slot), |e| f(&e.session, &mut e.ext)))
+        let entry = shard.live.get_mut(slot);
+        Some(f(&entry.session, &mut entry.ext))
     }
 
     /// Runs `f` against the key's live entry (if any) *and* its
@@ -1111,11 +1024,10 @@ impl<E: SessionExt> ShardedTracker<E> {
         now: SimTime,
         f: impl FnOnce(Option<(&Session, &mut E)>, &mut Option<E::Carry>) -> R,
     ) -> R {
-        let idx = self.shard_index(key.shard_hash());
-        let mut shard = self.lock_shard(idx);
+        let mut shard = self.lock_shard(self.shard_index(key.shard_hash()));
         let live = shard.live.find(key);
         let live = live.filter(|&slot| !self.idle(shard.live.get(slot).session.last_seen, now));
-        self.with_carry(idx, &mut shard, key, live, now, f)
+        self.with_carry(&mut shard, key, live, now, f)
     }
 
     /// Folds every live entry (shards in index order, one lock at a
@@ -1185,7 +1097,7 @@ impl<E: SessionExt> ShardedTracker<E> {
         shard.live.pop_expired(
             budget,
             |entry| self.idle(entry.session.last_seen, now),
-            |entry| out.push(self.retire(idx, entry)),
+            |entry| out.push(self.retire(entry)),
         );
         shard
             .carries
@@ -1212,9 +1124,6 @@ impl<E: SessionExt> ShardedTracker<E> {
                 })
                 .collect();
             self.live_total.fetch_sub(live.len(), Ordering::Relaxed);
-            for f in &live {
-                self.gauge_remove(idx, f.ext.gauge());
-            }
             live.sort_unstable_by(|a, b| a.session.key.cmp(&b.session.key));
             out.append(&mut live);
         }
@@ -1246,18 +1155,17 @@ impl<E: SessionExt> ShardedTracker<E> {
         };
         let mut shard = self.lock_shard(idx);
         if let Some(slot) = shard.live.coldest() {
-            let casualty = self.retire(idx, shard.live.remove(slot));
+            let casualty = self.retire(shard.live.remove(slot));
             shard.finalized.push(casualty);
-            self.cells[idx].evicted.fetch_add(1, Ordering::Relaxed);
+            shard.evicted += 1;
         }
     }
 
-    /// Finalizes an entry just taken out of the locked shard `idx`; the
-    /// live count and the gauges follow.
-    fn retire(&self, idx: usize, entry: Entry<E>) -> Finalized<E> {
+    /// Finalizes an entry just taken out of a locked shard; the live
+    /// count follows.
+    fn retire(&self, entry: Entry<E>) -> Finalized<E> {
         let Entry { session, ext, .. } = entry;
         self.live_total.fetch_sub(1, Ordering::Relaxed);
-        self.gauge_remove(idx, ext.gauge());
         Finalized { session, ext }
     }
 
@@ -2346,94 +2254,22 @@ mod tests {
     }
 
     #[test]
-    fn a_slice_collects_casualties_and_keeps_the_gauges_in_step() {
+    fn a_slice_collects_the_casualties_evictions_left() {
         let cfg = TrackerConfig {
             shards: 1,
             max_sessions: 2,
             ..TrackerConfig::default()
         };
-        let t: ShardedTracker<Gauged> = ShardedTracker::new(cfg);
+        let t = SessionTracker::new(cfg);
         for ip in 0..4 {
             let r = req(ip, "A", "http://h/1", None);
-            finish(&t, &r, SimTime::from_secs(u64::from(ip)), |e| e.touched = 5);
+            t.observe(&r, &ok(), SimTime::from_secs(u64::from(ip)));
         }
         assert_eq!(t.census().pending, 2, "two evictions wait in the shard");
-        assert_eq!(t.gauge_totals(), [10, 0]);
-        // The casualties left the gauges when they were evicted.
         let done = t.sweep_slice(SimTime::from_secs(4), 8);
         assert_eq!(done.len(), 2);
         assert_eq!(t.census().pending, 0);
-        assert_eq!(t.gauge_totals(), [10, 0]);
         assert_eq!(t.evicted_total(), 2);
-    }
-
-    /// Extension whose gauge reports its `touched` count in column 0 and
-    /// whether it is a rollover successor in column 1.
-    #[derive(Debug, Default)]
-    struct Gauged {
-        touched: u64,
-        carried: bool,
-    }
-
-    impl SessionExt for Gauged {
-        type Carry = ();
-
-        fn on_rollover(&self) -> Gauged {
-            Gauged {
-                touched: 0,
-                carried: true,
-            }
-        }
-
-        fn gauge(&self) -> [u64; EXT_GAUGES] {
-            [self.touched, u64::from(self.carried)]
-        }
-    }
-
-    #[test]
-    fn gauges_track_live_census_through_mutation_rollover_and_flush() {
-        let t: ShardedTracker<Gauged> = ShardedTracker::new(TrackerConfig::default());
-        let a = req(60, "A", "http://h/1", None);
-        let b = req(61, "A", "http://h/1", None);
-        finish(&t, &a, SimTime::ZERO, |e| e.touched = 3);
-        finish(&t, &b, SimTime::ZERO, |e| e.touched = 4);
-        assert_eq!(t.gauge_totals(), [7, 0]);
-        // Mutation through with_entry moves the gauge.
-        t.with_entry(&SessionKey::of(&a), |_, e| e.touched = 1);
-        assert_eq!(t.gauge_totals(), [5, 0]);
-        // Rollover: the old census leaves with the finalized entry; the
-        // successor contributes its own (carried) column.
-        finish(&t, &a, SimTime::from_hours(2), |e| e.touched = 10);
-        assert_eq!(t.gauge_totals(), [14, 1]);
-        // Sweep flushes the idle remainder (b) and the rollover casualty.
-        let done = t.sweep(SimTime::from_hours(2) + 1);
-        assert_eq!(done.len(), 2);
-        assert_eq!(t.gauge_totals(), [10, 1]);
-        // Drain empties everything; the gauges return to zero.
-        t.drain();
-        assert_eq!(t.gauge_totals(), [0, 0]);
-    }
-
-    #[test]
-    fn gauges_match_a_full_fold_after_mixed_traffic() {
-        let cfg = TrackerConfig {
-            max_sessions: 30,
-            shards: 4,
-            ..TrackerConfig::default()
-        };
-        let t: ShardedTracker<Gauged> = ShardedTracker::new(cfg);
-        for i in 0..200u32 {
-            let r = req(i % 40, "A", "http://h/1", None);
-            finish(&t, &r, SimTime::from_secs(u64::from(i)), |e| {
-                e.touched = u64::from(i % 5)
-            });
-        }
-        t.sweep(SimTime::from_secs(90));
-        let folded = t.fold_entries([0u64, 0], |acc, _, e| {
-            let g = e.gauge();
-            [acc[0] + g[0], acc[1] + g[1]]
-        });
-        assert_eq!(t.gauge_totals(), folded, "gauges must mirror the fold");
     }
 
     proptest! {

@@ -369,3 +369,50 @@ fn under_attack_flips_while_traffic_is_in_flight() {
         "under attack: unproven sessions are challenged ({d:?})"
     );
 }
+
+#[test]
+fn a_stats_poller_never_sees_more_outcomes_than_requests() {
+    // A snapshot walks every shard lock while the handlers take them:
+    // no snapshot may show an outcome whose request it missed, and the
+    // poller and the handlers all finishing shows no deadlock.
+    let threads = 8u32;
+    let gw = Arc::new(Gateway::builder().seed(2027).build());
+    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let poller = {
+        let (gw, done) = (Arc::clone(&gw), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut polls = 0u64;
+            loop {
+                let last = done.load(std::sync::atomic::Ordering::Acquire);
+                let s = gw.stats();
+                assert!(
+                    s.served + s.throttled + s.blocked + s.challenged <= s.requests,
+                    "a snapshot shows an outcome without its request: {s:?}"
+                );
+                polls += 1;
+                if last {
+                    return polls;
+                }
+            }
+        })
+    };
+    let handles: Vec<_> = (0..threads)
+        .map(|t| {
+            let gw = Arc::clone(&gw);
+            std::thread::spawn(move || drive(&gw, t, 150))
+        })
+        .collect();
+    let issued: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    done.store(true, std::sync::atomic::Ordering::Release);
+    assert!(
+        poller.join().unwrap() > 1,
+        "the poller ran beside the handlers"
+    );
+    let stats = gw.stats();
+    assert_eq!(stats.requests, issued);
+    assert_eq!(
+        stats.requests,
+        stats.served + stats.throttled + stats.blocked + stats.challenged,
+        "{stats:?}"
+    );
+}
