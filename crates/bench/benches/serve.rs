@@ -23,7 +23,8 @@
 
 use botwall_gateway::Gateway;
 use botwall_http::{Method, Request};
-use botwall_serve::{client, MockOrigin, ServeConfig, Server};
+use botwall_serve::client::Client;
+use botwall_serve::{MockOrigin, ServeConfig, Server};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use reactor::{Interest, Reactor, Token};
 use std::hint::black_box;
@@ -64,7 +65,7 @@ fn bench_loopback_roundtrip(c: &mut Criterion) {
         let join = std::thread::spawn(move || server.run());
 
         group.bench_function(name, |b| {
-            let mut conn = TcpStream::connect(addr).unwrap();
+            let mut conn = Client::connect(addr).unwrap();
             let mut i = 0u64;
             b.iter(|| {
                 i += 1;
@@ -73,7 +74,7 @@ fn bench_loopback_roundtrip(c: &mut Criterion) {
                     .header("Host", "bench.example")
                     .build()
                     .unwrap();
-                let response = client::roundtrip(&mut conn, &request).unwrap();
+                let response = conn.roundtrip(&request).unwrap();
                 assert!(response.status().is_success());
             })
         });
@@ -120,7 +121,7 @@ fn bench_parallel_roundtrip(c: &mut Criterion) {
                         let share = iters / CLIENTS + u64::from(iters % CLIENTS > t);
                         let next_ua = &next_ua;
                         scope.spawn(move || {
-                            let mut conn = TcpStream::connect(addr).unwrap();
+                            let mut conn = Client::connect(addr).unwrap();
                             for _ in 0..share {
                                 let i = next_ua.fetch_add(1, Ordering::Relaxed);
                                 let request = Request::builder(Method::Get, "/index.html")
@@ -128,7 +129,7 @@ fn bench_parallel_roundtrip(c: &mut Criterion) {
                                     .header("Host", "bench.example")
                                     .build()
                                     .unwrap();
-                                let response = client::roundtrip(&mut conn, &request).unwrap();
+                                let response = conn.roundtrip(&request).unwrap();
                                 assert!(response.status().is_success());
                             }
                         });

@@ -33,9 +33,7 @@ impl Challenge {
     pub fn answer(&self) -> &str {
         &self.answer
     }
-}
 
-impl Challenge {
     /// Derives the challenge with identity `id` under `seed`, at the
     /// given difficulty — a pure function, so any holder of the seed can
     /// *re-derive* (and thereby verify) a challenge from its id alone,
@@ -77,48 +75,18 @@ impl Challenge {
     }
 }
 
-/// Deterministic challenge generator: a counter over
-/// [`Challenge::derive`]. Single-owner convenience for harnesses; the
-/// shared [`crate::CaptchaService`] derives challenges from an atomic
-/// counter instead.
-#[derive(Debug)]
-pub struct ChallengeGenerator {
-    seed: u64,
-    next_id: u64,
-    difficulty: f64,
-}
-
-impl ChallengeGenerator {
-    /// Creates a generator with default difficulty 0.5.
-    pub fn new(seed: u64) -> ChallengeGenerator {
-        ChallengeGenerator {
-            seed,
-            next_id: 1,
-            difficulty: 0.5,
-        }
-    }
-
-    /// Overrides the difficulty of subsequently issued challenges.
-    pub fn set_difficulty(&mut self, difficulty: f64) {
-        self.difficulty = difficulty.clamp(0.0, 1.0);
-    }
-
-    /// Issues a fresh challenge.
-    pub fn issue(&mut self) -> Challenge {
-        let id = self.next_id;
-        self.next_id += 1;
-        Challenge::derive(self.seed, id, self.difficulty)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CaptchaService, ServingPolicy};
+
+    fn service(seed: u64) -> CaptchaService {
+        CaptchaService::new(ServingPolicy::OptionalWithIncentive, seed)
+    }
 
     #[test]
     fn answers_verify_case_insensitively() {
-        let mut g = ChallengeGenerator::new(1);
-        let ch = g.issue();
+        let ch = Challenge::derive(1, 1, 0.5);
         assert!(ch.check(ch.answer()));
         assert!(ch.check(&ch.answer().to_uppercase()));
         assert!(ch.check(&format!("  {}  ", ch.answer())));
@@ -127,18 +95,17 @@ mod tests {
 
     #[test]
     fn ids_are_unique_and_increasing() {
-        let mut g = ChallengeGenerator::new(2);
-        let a = g.issue();
-        let b = g.issue();
+        let s = service(2);
+        let a = s.issue();
+        let b = s.issue();
         assert!(b.id > a.id);
     }
 
     #[test]
     fn generation_is_deterministic() {
-        let mut g1 = ChallengeGenerator::new(3);
-        let mut g2 = ChallengeGenerator::new(3);
+        let (s1, s2) = (service(3), service(3));
         for _ in 0..10 {
-            assert_eq!(g1.issue(), g2.issue());
+            assert_eq!(s1.issue(), s2.issue());
         }
     }
 
@@ -146,9 +113,9 @@ mod tests {
     fn derive_reconstructs_an_issued_challenge_from_its_id() {
         // The stateless-verification property: seed + id fully determine
         // the challenge, so a verifier needs no record of issuance.
-        let mut g = ChallengeGenerator::new(9);
+        let s = service(9);
         for _ in 0..10 {
-            let ch = g.issue();
+            let ch = s.issue();
             let again = Challenge::derive(9, ch.id, ch.difficulty);
             assert_eq!(ch, again);
             assert!(again.check(ch.answer()));
@@ -161,21 +128,15 @@ mod tests {
 
     #[test]
     fn difficulty_adds_noise() {
-        let mut g = ChallengeGenerator::new(4);
-        g.set_difficulty(1.0);
-        let ch = g.issue();
+        let ch = Challenge::derive(4, 1, 1.0);
         assert!(ch.distorted.len() >= ch.answer().len() * 2 - 1);
-        g.set_difficulty(0.0);
-        let ch = g.issue();
+        let ch = Challenge::derive(4, 2, 0.0);
         assert_eq!(ch.distorted, ch.answer());
     }
 
     #[test]
     fn difficulty_is_clamped() {
-        let mut g = ChallengeGenerator::new(5);
-        g.set_difficulty(7.5);
-        assert_eq!(g.issue().difficulty, 1.0);
-        g.set_difficulty(-1.0);
-        assert_eq!(g.issue().difficulty, 0.0);
+        assert_eq!(Challenge::derive(5, 1, 7.5).difficulty, 1.0);
+        assert_eq!(Challenge::derive(5, 2, -1.0).difficulty, 0.0);
     }
 }

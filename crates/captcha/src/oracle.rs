@@ -73,15 +73,12 @@ impl SolverProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::challenge::ChallengeGenerator;
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn rates(profile: SolverProfile, difficulty: f64, trials: u32) -> (f64, f64) {
         let mut rng = ChaCha8Rng::seed_from_u64(99);
-        let mut gen = ChallengeGenerator::new(1);
-        gen.set_difficulty(difficulty);
-        let ch = gen.issue();
+        let ch = Challenge::derive(1, 1, difficulty);
         let mut attempts = 0u32;
         let mut passes = 0u32;
         for _ in 0..trials {
@@ -102,16 +99,16 @@ mod tests {
 
     #[test]
     fn humans_mostly_pass_when_they_try() {
-        let (attempt_rate, pass_rate) = rates(SolverProfile::human_default(), 0.5, 20_000);
+        let (attempt_rate, pass_share) = rates(SolverProfile::human_default(), 0.5, 20_000);
         assert!((attempt_rate - 0.40).abs() < 0.02, "attempt {attempt_rate}");
         // Success at difficulty 0.5 ≈ 0.91, so pass ≈ 0.364.
-        assert!((pass_rate - 0.364).abs() < 0.03, "pass {pass_rate}");
+        assert!((pass_share - 0.364).abs() < 0.03, "pass {pass_share}");
     }
 
     #[test]
     fn robots_essentially_never_pass() {
-        let (_, pass_rate) = rates(SolverProfile::robot_default(), 0.5, 20_000);
-        assert!(pass_rate < 0.01, "robot pass {pass_rate}");
+        let (_, pass_share) = rates(SolverProfile::robot_default(), 0.5, 20_000);
+        assert!(pass_share < 0.01, "robot pass {pass_share}");
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! CAPTCHA serving strategies.
 
 use crate::challenge::Challenge;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// When challenges are offered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServingPolicy {
     /// The paper's deployment: optional, incentivized with a bandwidth
-    /// boost, offered at most once per session.
+    /// boost. The service offers a challenge whenever asked; "at most
+    /// once per session" is the client's rule
+    /// (`botwall_agents::world::Client::offer_captcha`), not the
+    /// service's.
     OptionalWithIncentive,
-    /// Kandula-style: served to every client while under attack
-    /// (impractical for normal operation, per §5 — "human users do not
-    /// want to solve a quiz every time they access a Web page").
-    MandatoryUnderAttack,
     /// Never serve (control).
     Disabled,
 }
@@ -22,7 +21,8 @@ pub enum ServingPolicy {
 const DEFAULT_DIFFICULTY: f64 = 0.5;
 
 /// Stateless challenge generation and verification, plus the serving
-/// policy and aggregate pass statistics.
+/// policy and aggregate pass statistics. [`CaptchaService::issue`] is
+/// the one way a challenge is minted.
 ///
 /// Since PR 4 the service keeps **no outstanding-challenge table** (the
 /// old global `IssueTable` mutex is gone): a challenge is fully derived
@@ -42,7 +42,6 @@ const DEFAULT_DIFFICULTY: f64 = 0.5;
 #[derive(Debug)]
 pub struct CaptchaService {
     policy: ServingPolicy,
-    under_attack: AtomicBool,
     seed: u64,
     next_id: AtomicU64,
     issued: AtomicU64,
@@ -137,7 +136,6 @@ impl CaptchaService {
     pub fn new(policy: ServingPolicy, seed: u64) -> CaptchaService {
         CaptchaService {
             policy,
-            under_attack: AtomicBool::new(false),
             seed,
             next_id: AtomicU64::new(1),
             issued: AtomicU64::new(0),
@@ -173,32 +171,11 @@ impl CaptchaService {
         fresh
     }
 
-    /// Sets the attack flag consulted by
-    /// [`ServingPolicy::MandatoryUnderAttack`]. Callable while traffic is
-    /// in flight — flipping it never blocks request handling.
-    pub fn set_under_attack(&self, yes: bool) {
-        self.under_attack.store(yes, Ordering::Release);
-    }
-
-    /// Whether a challenge should be offered to a session that has not
-    /// seen one yet.
-    pub fn should_offer(&self) -> bool {
-        match self.policy {
-            ServingPolicy::OptionalWithIncentive => true,
-            ServingPolicy::MandatoryUnderAttack => self.under_attack.load(Ordering::Acquire),
-            ServingPolicy::Disabled => false,
-        }
-    }
-
-    /// Whether solving is compulsory to proceed (vs. opt-in).
-    pub fn is_mandatory(&self) -> bool {
-        matches!(self.policy, ServingPolicy::MandatoryUnderAttack)
-            && self.under_attack.load(Ordering::Acquire)
-    }
-
-    /// Whether this service can issue challenges at all.
+    /// Whether this service serves challenges at all: the one serving
+    /// predicate, read by the opt-in offer and the throttle's escape
+    /// hatch alike.
     pub fn is_enabled(&self) -> bool {
-        !matches!(self.policy, ServingPolicy::Disabled)
+        self.policy == ServingPolicy::OptionalWithIncentive
     }
 
     /// Issues a challenge: an atomic id draw plus a pure derivation.
@@ -277,17 +254,6 @@ impl CaptchaService {
             self.failed.load(Ordering::Relaxed),
         )
     }
-
-    /// Pass rate over answered challenges.
-    pub fn pass_rate(&self) -> f64 {
-        let (_, passed, failed) = self.stats();
-        let answered = passed + failed;
-        if answered == 0 {
-            0.0
-        } else {
-            passed as f64 / answered as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -300,25 +266,12 @@ mod tests {
     #[test]
     fn optional_policy_always_offers() {
         let s = CaptchaService::new(ServingPolicy::OptionalWithIncentive, 1);
-        assert!(s.should_offer());
-        assert!(!s.is_mandatory());
         assert!(s.is_enabled());
-    }
-
-    #[test]
-    fn mandatory_policy_tracks_attack_state() {
-        let s = CaptchaService::new(ServingPolicy::MandatoryUnderAttack, 1);
-        assert!(!s.should_offer());
-        s.set_under_attack(true);
-        assert!(s.should_offer());
-        assert!(s.is_mandatory());
     }
 
     #[test]
     fn disabled_never_offers() {
         let s = CaptchaService::new(ServingPolicy::Disabled, 1);
-        s.set_under_attack(true);
-        assert!(!s.should_offer());
         assert!(!s.is_enabled());
     }
 
@@ -334,7 +287,6 @@ mod tests {
         let ch2 = s.issue();
         assert!(!s.verify_once(ch2.id, "nope"));
         assert_eq!(s.stats(), (2, 1, 2));
-        assert!((s.pass_rate() - 1.0 / 3.0).abs() < 1e-12);
         // `check` re-derives without moving counters or consuming ids.
         assert!(s.check(ch.id, &answer));
         assert_eq!(s.stats(), (2, 1, 2));
@@ -480,37 +432,7 @@ mod tests {
         assert_eq!(all.len(), 2000);
         // Every issued id still verifies against its derived answer.
         let some_id = *all.iter().next().unwrap();
-        let ch = Challenge::derive(8, some_id, ch_difficulty());
+        let ch = Challenge::derive(8, some_id, DEFAULT_DIFFICULTY);
         assert!(s.check(some_id, ch.answer()));
-    }
-
-    fn ch_difficulty() -> f64 {
-        0.5
-    }
-
-    #[test]
-    fn attack_flag_flips_under_concurrent_traffic() {
-        use std::sync::Arc;
-        let s = Arc::new(CaptchaService::new(ServingPolicy::MandatoryUnderAttack, 9));
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    // Must never deadlock or tear; the value itself races
-                    // by design.
-                    for _ in 0..10_000 {
-                        let _ = s.is_mandatory();
-                    }
-                })
-            })
-            .collect();
-        for i in 0..1_000 {
-            s.set_under_attack(i % 2 == 0);
-        }
-        for r in readers {
-            r.join().unwrap();
-        }
-        s.set_under_attack(true);
-        assert!(s.is_mandatory());
     }
 }

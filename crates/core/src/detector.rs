@@ -236,9 +236,9 @@ impl SessionExt for KeyState {
 
     /// A deferred carry reaches the key's next incarnation here. A
     /// CAPTCHA pass lands as ground-truth-human evidence before the
-    /// first exchange is even recorded, so mandatory-challenge gates
-    /// already see a proven human; lost leased exchanges land on the
-    /// diagnostic counter.
+    /// first exchange is even recorded, so the gate already sees a
+    /// proven human, whom it never rate limits; lost leased exchanges
+    /// land on the diagnostic counter.
     fn absorb(&mut self, carry: KeyCarry, session: &Session) {
         if let Some(pass) = carry.pass {
             self.record_captcha_pass(session.request_count() as u32, pass.at);

@@ -19,7 +19,9 @@ pub struct GatewayConfig {
     pub instrument: InstrumentConfig,
     /// Detection engine configuration (session tracking inside).
     pub detector: DetectorConfig,
-    /// When CAPTCHAs are offered (and whether solving is compulsory).
+    /// Whether CAPTCHAs are served: offered on request
+    /// ([`Gateway::offer_captcha`]) and, with
+    /// [`GatewayConfig::challenge_on_throttle`], in place of a 429.
     pub captcha: ServingPolicy,
     /// Whether the policy engine gates requests at all. Off reproduces
     /// the paper's pre-deployment state: observe and classify, but

@@ -55,8 +55,7 @@ pub enum Decision {
     Throttle,
     /// Reject with 403: the session is blocked.
     Block,
-    /// Demand a CAPTCHA before serving: a session not yet proven human
-    /// under a mandatory serving policy, or a throttled one when
+    /// Demand a CAPTCHA before serving: a throttled session when
     /// [`crate::GatewayConfig::challenge_on_throttle`] is set (in place
     /// of the 429).
     Challenge(Challenge),
@@ -205,13 +204,12 @@ pub(crate) fn challenge_response(challenge: &Challenge) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use botwall_captcha::ChallengeGenerator;
 
     #[test]
     fn status_mapping() {
         assert_eq!(Decision::Throttle.status(), StatusCode::TOO_MANY_REQUESTS);
         assert_eq!(Decision::Block.status(), StatusCode::FORBIDDEN);
-        let ch = ChallengeGenerator::new(1).issue();
+        let ch = Challenge::derive(1, 1, 0.5);
         assert_eq!(Decision::Challenge(ch).status(), StatusCode::FORBIDDEN);
     }
 
@@ -225,7 +223,7 @@ mod tests {
             Decision::Block.into_response().status(),
             StatusCode::FORBIDDEN
         );
-        let ch = ChallengeGenerator::new(2).issue();
+        let ch = Challenge::derive(2, 1, 0.5);
         let resp = Decision::Challenge(ch.clone()).into_response();
         assert_eq!(resp.status(), StatusCode::FORBIDDEN);
         let body = String::from_utf8_lossy(resp.body()).into_owned();
@@ -237,7 +235,7 @@ mod tests {
     /// summary is the response's. (Probe objects: `botwall-instrument`.)
     #[test]
     fn an_answer_written_is_its_response_written() {
-        let challenge = ChallengeGenerator::new(4).issue();
+        let challenge = Challenge::derive(4, 1, 0.5);
         for answer in [
             Answer::Block,
             Answer::Throttle,
@@ -263,7 +261,7 @@ mod tests {
 
     #[test]
     fn challenge_decisions_carry_no_verdict() {
-        let ch = ChallengeGenerator::new(3).issue();
+        let ch = Challenge::derive(3, 1, 0.5);
         assert_eq!(Decision::Challenge(ch).verdict(), None);
         assert!(!Decision::Block.is_serve());
     }

@@ -58,10 +58,9 @@
 //!   with no interior mutability at all — probe URLs authenticate
 //!   themselves, so classification is recomputation, not lookup);
 //! * **global-atomic** — the cache-line-padded per-shard counter cells
-//!   merged at [`Gateway::stats`], the CAPTCHA id counter, and the
-//!   under-attack flag. What live sessions hold (tokens, challenge
-//!   records) is counted when a snapshot asks, one shard lock at a
-//!   time, off the request path.
+//!   merged at [`Gateway::stats`] and the CAPTCHA id counter. What live
+//!   sessions hold (tokens, challenge records) is counted when a
+//!   snapshot asks, one shard lock at a time, off the request path.
 //!
 //! There is no `RwLock`, no global mutex, and no cross-shard anything on
 //! the request path; a debug-build regression test asserts the exact
@@ -459,14 +458,6 @@ impl Gateway {
             .unwrap_or(false)
     }
 
-    /// Flips the under-attack flag consulted by the
-    /// [`botwall_captcha::ServingPolicy::MandatoryUnderAttack`] policy.
-    /// Atomic and `&self`: an operator can flip it while traffic is in
-    /// flight, without pausing the request path.
-    pub fn set_under_attack(&self, yes: bool) {
-        self.captcha.set_under_attack(yes);
-    }
-
     /// Handles one exchange with no origin behind the gateway: probe and
     /// beacon traffic is answered in full; allowed ordinary paths 404.
     pub fn handle(&self, request: &Request, now: SimTime) -> Decision {
@@ -761,11 +752,6 @@ impl Gateway {
         // session's own critical section resolves the rest.
         let sighting = self.engine.classify_view(request, now);
 
-        let challenge = |state: &mut botwall_core::KeyState| {
-            let challenge = self.captcha.issue();
-            state.challenge = Some(Box::new(ChallengeState::new(challenge.id, now)));
-            Answer::Challenge(challenge)
-        };
         let gated = self.detector.gate(
             request,
             &sighting,
@@ -782,40 +768,26 @@ impl Gateway {
                     Action::Throttle
                         if self.config.challenge_on_throttle && self.captcha.is_enabled() =>
                     {
-                        challenge(state)
+                        let challenge = self.captcha.issue();
+                        state.challenge = Some(Box::new(ChallengeState::new(challenge.id, now)));
+                        Answer::Challenge(challenge)
                     }
                     Action::Throttle => Answer::Throttle,
-                    Action::Allow => {
-                        // Instrumentation traffic is answered by the
-                        // gateway itself — it must flow even under
-                        // mandatory-challenge mode, because it is the
-                        // channel through which humans prove themselves.
-                        // A script is written from this session's own
-                        // token state.
-                        if let Some(object) = self.engine.object_in_session(
-                            classified,
-                            &state.tokens,
-                            request,
-                            now,
-                            close,
-                            out,
-                        ) {
-                            Answer::Probe(object)
-                        } else if self.captcha.is_mandatory()
-                            && !matches!(state.verdict, Verdict::Human(_))
-                        {
-                            // Kandula-style mandatory challenges gate
-                            // ordinary traffic for every session not yet
-                            // proven human (a deferred pass was already
-                            // absorbed at entry creation, so it reads as
-                            // proven here).
-                            challenge(state)
-                        } else {
-                            // Ordinary allowed traffic: lease the session
-                            // and fetch the origin outside the lock.
-                            return GateRespond::NeedsOrigin;
-                        }
-                    }
+                    // Instrumentation traffic is answered by the gateway
+                    // itself, a script written from this session's own
+                    // token state; ordinary allowed traffic leases the
+                    // session and fetches the origin outside the lock.
+                    Action::Allow => match self.engine.object_in_session(
+                        classified,
+                        &state.tokens,
+                        request,
+                        now,
+                        close,
+                        out,
+                    ) {
+                        Some(object) => Answer::Probe(object),
+                        None => return GateRespond::NeedsOrigin,
+                    },
                 };
                 let summary = answer.summary();
                 GateRespond::Respond(summary, (answer, summary.wire_len))
@@ -866,10 +838,7 @@ impl Gateway {
 
     /// Offers a CAPTCHA if the serving policy says so.
     pub fn offer_captcha(&self) -> Option<Challenge> {
-        if !self.captcha.should_offer() {
-            return None;
-        }
-        Some(self.captcha.issue())
+        self.captcha.is_enabled().then(|| self.captcha.issue())
     }
 
     /// Verifies a CAPTCHA answer; on success the session is marked
@@ -1072,6 +1041,21 @@ mod tests {
         let r = req(ip, "http://site.example/index.html", ua);
         gw.handle_with(&r, at, |_| Origin::Page(HTML.into()))
     }
+
+    include!("../tests/support/robot.rs");
+
+    /// A gateway seeded `seed` that serves a throttled session a
+    /// challenge in place of the 429.
+    fn challenging(seed: u64) -> Gateway {
+        Gateway::builder()
+            .seed(seed)
+            .challenge_on_throttle(true)
+            .build()
+    }
+
+    /// A crawler that turned robot on its tenth request without a
+    /// browser signal, and has not proven anything since.
+    const CRAWLER_VERDICT: Verdict = Verdict::ProvisionalRobot(Reason::NoBrowserSignals);
 
     #[test]
     fn gateway_is_send_and_sync() {
@@ -1548,51 +1532,20 @@ mod tests {
     }
 
     #[test]
-    fn mandatory_mode_challenges_until_passed() {
-        let gw = Gateway::builder()
-            .seed(7)
-            .captcha(ServingPolicy::MandatoryUnderAttack)
-            .build();
-        gw.set_under_attack(true);
-        let r = req(5, "http://site.example/index.html", "Mozilla/5.0");
-        let d = gw.handle_with(&r, SimTime::ZERO, |_| Origin::Page(HTML.into()));
-        let Decision::Challenge(ch) = d else {
-            panic!("expected a challenge, got {d:?}");
-        };
-        // Solve it: the session becomes ground-truth human and is served.
-        let key = SessionKey::of(&r);
-        let answer = ch.answer().to_string();
-        assert!(gw.verify_captcha(&key, ch.id, &answer, SimTime::from_secs(1)));
-        assert_eq!(gw.verdict(&key), Verdict::Human(Reason::CaptchaPassed));
-        let d = gw.handle_with(&r, SimTime::from_secs(2), |_| Origin::Page(HTML.into()));
-        assert!(d.is_serve(), "{d:?}");
-        assert_eq!(gw.stats().challenged, 1);
-        assert_eq!(gw.stats().captcha_passed, 1);
-    }
-
-    #[test]
     fn captcha_pass_in_the_stale_unswept_window_credits_the_next_incarnation() {
         // The user answers correctly after the idle timeout but BEFORE
         // any sweep: the old incarnation still sits in the tracker, yet
         // it is dead — its next exchange rolls it over. The pass must
         // ride to the successor, not be buried with the corpse.
-        let gw = Gateway::builder()
-            .seed(22)
-            .captcha(ServingPolicy::MandatoryUnderAttack)
-            .build();
-        gw.set_under_attack(true);
-        let r = req(10, "http://site.example/index.html", "Mozilla/5.0");
+        let gw = challenging(22);
+        let (ch, r, at) = challenge_a_robot(&gw, 10, SimTime::ZERO);
         let key = SessionKey::of(&r);
-        let d = gw.handle_with(&r, SimTime::ZERO, |_| Origin::Page(HTML.into()));
-        let Decision::Challenge(ch) = d else {
-            panic!("{d:?}");
-        };
         // Answer lands idle_timeout + ε later; no sweep has run.
-        let late = SimTime::from_hours(1) + 1;
+        let late = at + SimTime::from_hours(1).as_millis() + 1;
         let answer = ch.answer().to_string();
         assert!(gw.verify_captcha(&key, ch.id, &answer, late));
         // The next request rolls the session over — and must be served
-        // as the proven human, not re-challenged.
+        // as the proven human.
         let d = gw.handle_with(&r, late + 1, |_| Origin::Page(HTML.into()));
         match d {
             Decision::Serve { verdict, .. } => {
@@ -1608,23 +1561,15 @@ mod tests {
         // timeout: the session is swept away before the answer arrives.
         // The pass must carry over to the key's next incarnation instead
         // of vanishing into a re-challenge loop.
-        let gw = Gateway::builder()
-            .seed(21)
-            .captcha(ServingPolicy::MandatoryUnderAttack)
-            .build();
-        gw.set_under_attack(true);
-        let r = req(9, "http://site.example/index.html", "Mozilla/5.0");
+        let gw = challenging(21);
+        let (ch, r, _) = challenge_a_robot(&gw, 9, SimTime::ZERO);
         let key = SessionKey::of(&r);
-        let d = gw.handle_with(&r, SimTime::ZERO, |_| Origin::Page(HTML.into()));
-        let Decision::Challenge(ch) = d else {
-            panic!("{d:?}");
-        };
         // The session idles out and is flushed before the answer lands.
         assert_eq!(gw.sweep(SimTime::from_hours(2)).len(), 1);
         let answer = ch.answer().to_string();
         assert!(gw.verify_captcha(&key, ch.id, &answer, SimTime::from_hours(2) + 1));
-        // The key's next exchange is served, not re-challenged, and the
-        // pending pass is credited to the new incarnation.
+        // The key's next exchange is served, and the pending pass is
+        // credited to the new incarnation.
         let d = gw.handle_with(&r, SimTime::from_hours(2) + 2, |_| {
             Origin::Page(HTML.into())
         });
@@ -1643,43 +1588,31 @@ mod tests {
         // ever succeed. (The old global issue table got this by deleting
         // the entry; the stateless service gets it from the redeemed-id
         // set.)
-        let gw = Gateway::builder()
-            .seed(24)
-            .captcha(ServingPolicy::MandatoryUnderAttack)
-            .build();
-        gw.set_under_attack(true);
-        let human = req(20, "http://site.example/index.html", "Mozilla/5.0");
-        let Decision::Challenge(ch) = gw.handle_with(&human, SimTime::ZERO, |_| Origin::NotFound)
-        else {
-            panic!("challenge expected");
-        };
+        let gw = challenging(24);
+        let (ch, human, at) = challenge_a_robot(&gw, 20, SimTime::ZERO);
         let answer = ch.answer().to_string();
-        assert!(gw.verify_captcha(
-            &SessionKey::of(&human),
-            ch.id,
-            &answer,
-            SimTime::from_secs(1)
-        ));
+        assert!(gw.verify_captcha(&SessionKey::of(&human), ch.id, &answer, at + 1));
         // Every replaying bot session fails verification, stays
         // unproven, and keeps getting challenged.
         for bot in 21..26u32 {
-            let r = req(bot, "http://site.example/index.html", "Mozilla/5.0");
-            gw.handle_with(&r, SimTime::from_secs(2), |_| Origin::NotFound);
+            let (_, r, at) = challenge_a_robot(&gw, bot, SimTime::ZERO);
             let key = SessionKey::of(&r);
             assert!(
-                !gw.verify_captcha(&key, ch.id, &answer, SimTime::from_secs(3)),
+                !gw.verify_captcha(&key, ch.id, &answer, at + 1),
                 "replayed (id, answer) must not verify"
             );
-            assert_eq!(gw.verdict(&key), Verdict::Undecided);
-            let d = gw.handle_with(&r, SimTime::from_secs(4), |_| Origin::NotFound);
+            assert_eq!(gw.verdict(&key), CRAWLER_VERDICT);
+            let d = gw.handle_with(&r, at + 2, |_| Origin::NotFound);
             assert!(matches!(d, Decision::Challenge(_)), "{d:?}");
         }
-        // And a dead-key replay parks no phantom carry either.
+        // And a dead-key replay parks no phantom carry either: the key's
+        // first request is served unproven.
         let r = req(99, "http://site.example/index.html", "Mozilla/5.0");
         let ghost = SessionKey::of(&r);
         assert!(!gw.verify_captcha(&ghost, ch.id, &answer, SimTime::from_secs(5)));
+        assert_eq!(gw.detector().tracker().census().carries, 0);
         let d = gw.handle_with(&r, SimTime::from_secs(6), |_| Origin::NotFound);
-        assert!(matches!(d, Decision::Challenge(_)), "{d:?}");
+        assert_eq!(d.verdict(), Some(Verdict::Undecided), "{d:?}");
     }
 
     #[test]
@@ -1688,24 +1621,15 @@ mod tests {
         // record holds B), and the human solves the one they rendered
         // first. A correct answer to A must still prove them — the old
         // outstanding table accepted any live entry.
-        let gw = Gateway::builder()
-            .seed(25)
-            .captcha(ServingPolicy::MandatoryUnderAttack)
-            .build();
-        gw.set_under_attack(true);
-        let r = req(27, "http://site.example/index.html", "Mozilla/5.0");
+        let gw = challenging(25);
+        let (a, r, at) = challenge_a_robot(&gw, 27, SimTime::ZERO);
         let key = SessionKey::of(&r);
-        let Decision::Challenge(a) = gw.handle_with(&r, SimTime::ZERO, |_| Origin::NotFound) else {
-            panic!("challenge expected");
-        };
-        let Decision::Challenge(b) =
-            gw.handle_with(&r, SimTime::from_secs(1), |_| Origin::NotFound)
-        else {
+        let Decision::Challenge(b) = gw.handle_with(&r, at, |_| Origin::NotFound) else {
             panic!("challenge expected");
         };
         assert_ne!(a.id, b.id);
         let answer = a.answer().to_string();
-        assert!(gw.verify_captcha(&key, a.id, &answer, SimTime::from_secs(2)));
+        assert!(gw.verify_captcha(&key, a.id, &answer, at + 1));
         assert_eq!(gw.verdict(&key), Verdict::Human(Reason::CaptchaPassed));
         assert_eq!(
             gw.stats().pending_challenges,
@@ -1719,17 +1643,9 @@ mod tests {
         // A swept session's correct answer rides the deferred-carry
         // channel; an attacker spraying wrong answers at the (sequential,
         // guessable) id beforehand must not consume it.
-        let gw = Gateway::builder()
-            .seed(26)
-            .captcha(ServingPolicy::MandatoryUnderAttack)
-            .build();
-        gw.set_under_attack(true);
-        let r = req(28, "http://site.example/index.html", "Mozilla/5.0");
+        let gw = challenging(26);
+        let (ch, r, _) = challenge_a_robot(&gw, 28, SimTime::ZERO);
         let key = SessionKey::of(&r);
-        let Decision::Challenge(ch) = gw.handle_with(&r, SimTime::ZERO, |_| Origin::NotFound)
-        else {
-            panic!("challenge expected");
-        };
         // The session is swept before the answer arrives...
         assert_eq!(gw.sweep(SimTime::from_hours(2)).len(), 1);
         // ...and an attacker grinds wrong answers at the id from a key
@@ -1757,57 +1673,40 @@ mod tests {
 
     #[test]
     fn wrong_answers_burn_attempts_then_the_record() {
-        let gw = Gateway::builder()
-            .seed(23)
-            .captcha(ServingPolicy::MandatoryUnderAttack)
-            .build();
-        gw.set_under_attack(true);
-        let r = req(11, "http://site.example/index.html", "Mozilla/5.0");
+        let gw = challenging(23);
+        let (ch, r, at) = challenge_a_robot(&gw, 11, SimTime::ZERO);
         let key = SessionKey::of(&r);
-        let Decision::Challenge(ch) = gw.handle_with(&r, SimTime::ZERO, |_| Origin::NotFound)
-        else {
-            panic!("challenge expected");
-        };
         assert_eq!(gw.stats().pending_challenges, 1);
         for i in 0..MAX_CHALLENGE_ATTEMPTS {
-            assert!(!gw.verify_captcha(&key, ch.id, "wrong", SimTime::from_secs(1 + u64::from(i))));
+            assert!(!gw.verify_captcha(&key, ch.id, "wrong", at + 1 + u64::from(i)));
         }
         // Record burned: the outstanding-challenge column drops to zero
         // without any sweep.
         assert_eq!(gw.stats().pending_challenges, 0);
         assert_eq!(gw.stats().captcha_failed, u64::from(MAX_CHALLENGE_ATTEMPTS));
-        assert_eq!(gw.verdict(&key), Verdict::Undecided);
+        assert_eq!(gw.verdict(&key), CRAWLER_VERDICT);
     }
 
     #[test]
     fn an_hour_old_challenge_record_reads_as_no_record() {
         // No sweep runs: the record expires where the answer reads it.
-        let gw = Gateway::builder()
-            .seed(24)
-            .captcha(ServingPolicy::MandatoryUnderAttack)
-            .build();
-        gw.set_under_attack(true);
-        let r = req(12, "http://site.example/index.html", "Mozilla/5.0");
+        let gw = challenging(24);
+        let (ch, r, at) = challenge_a_robot(&gw, 12, SimTime::ZERO);
         let key = SessionKey::of(&r);
-        let Decision::Challenge(ch) = gw.handle_with(&r, SimTime::ZERO, |_| Origin::NotFound)
-        else {
-            panic!("challenge expected");
-        };
-        // A request forty minutes on keeps the session live; the attack
-        // is over, so it is served and the record stands.
-        gw.set_under_attack(false);
-        let forty = SimTime::from_secs(40 * 60);
+        // A request forty minutes on keeps the session live; the bucket
+        // has refilled, so it is served and the record stands.
+        let forty = at + 40 * 60 * 1_000;
         assert!(matches!(
             gw.handle_with(&r, forty, |_| Origin::NotFound),
             Decision::Serve { .. }
         ));
-        let past = SimTime::from_hours(1) + 1;
+        let past = at + SimTime::from_hours(1).as_millis() + 1;
         for _ in 0..=MAX_CHALLENGE_ATTEMPTS {
             assert!(!gw.verify_captcha(&key, ch.id, "wrong", past));
         }
         // Not one attempt was spent on the record, nor its id burned.
         assert_eq!(gw.stats().pending_challenges, 1);
-        assert_eq!(gw.verdict(&key), Verdict::Undecided);
+        assert_eq!(gw.verdict(&key), CRAWLER_VERDICT);
         let answer = ch.answer().to_string();
         assert!(gw.verify_captcha(&key, ch.id, &answer, past));
         assert_eq!(gw.verdict(&key), Verdict::Human(Reason::CaptchaPassed));
@@ -1819,36 +1718,26 @@ mod tests {
     fn challenge_attempt_budget_is_configurable() {
         // The last wrong answer the budget allows burns the record; the
         // next request re-challenges with a fresh id.
-        let gw = Gateway::builder()
-            .seed(51)
-            .captcha(ServingPolicy::MandatoryUnderAttack)
-            .build();
-        gw.set_under_attack(true);
-        let r = req(52, "http://site.example/index.html", "Mozilla/5.0");
+        let gw = challenging(51);
+        let (ch, r, at) = challenge_a_robot(&gw, 52, SimTime::ZERO);
         let key = SessionKey::of(&r);
-        let Decision::Challenge(ch) = gw.handle_with(&r, SimTime::ZERO, |_| Origin::NotFound)
-        else {
-            panic!("challenge expected");
-        };
         for _ in 0..MAX_CHALLENGE_ATTEMPTS {
             assert_eq!(gw.stats().pending_challenges, 1, "the record stands");
-            assert!(!gw.verify_captcha(&key, ch.id, "wrong", SimTime::from_secs(1)));
+            assert!(!gw.verify_captcha(&key, ch.id, "wrong", at + 1));
         }
         assert_eq!(
             gw.stats().pending_challenges,
             0,
             "the budget's last wrong answer burns the record"
         );
-        let Decision::Challenge(fresh) =
-            gw.handle_with(&r, SimTime::from_secs(2), |_| Origin::NotFound)
-        else {
+        let Decision::Challenge(fresh) = gw.handle_with(&r, at + 2, |_| Origin::NotFound) else {
             panic!("re-challenge expected");
         };
         assert_ne!(fresh.id, ch.id, "burned id is never re-served");
         // The burned id is consumed service-wide: even the right answer
         // is worthless now.
         let answer = ch.answer().to_string();
-        assert!(!gw.verify_captcha(&key, ch.id, &answer, SimTime::from_secs(3)));
+        assert!(!gw.verify_captcha(&key, ch.id, &answer, at + 3));
     }
 
     #[test]
@@ -2025,14 +1914,10 @@ mod tests {
         assert!(d.is_serve());
         assert_eq!(counters::snapshot(), 1, "probe serve");
         // ...and challenges (the origin is never consulted).
-        let mandatory = Gateway::builder()
-            .seed(39)
-            .captcha(ServingPolicy::MandatoryUnderAttack)
-            .build();
-        mandatory.set_under_attack(true);
-        let r = req(61, "http://site.example/index.html", "Mozilla/5.0");
+        let gw = challenging(39);
+        let (_, r, at) = challenge_a_robot(&gw, 61, SimTime::ZERO);
         counters::reset();
-        let d = mandatory.handle_with(&r, SimTime::ZERO, |_| {
+        let d = gw.handle_with(&r, at, |_| {
             panic!("challenged requests must not touch the origin")
         });
         assert!(matches!(d, Decision::Challenge(_)), "{d:?}");
@@ -2129,19 +2014,15 @@ mod tests {
 
     #[test]
     fn stats_count_the_tokens_and_challenge_a_session_holds() {
-        let gw = Gateway::builder()
-            .seed(53)
-            .captcha(ServingPolicy::MandatoryUnderAttack)
-            .build();
+        let gw = challenging(53);
         // Three pages, one token entry each.
         for at in 0..3 {
-            let d = page_decision(&gw, 80, "Mozilla/5.0", SimTime::from_secs(at));
+            let d = page_decision(&gw, 80, ROBOT_UA, SimTime::from_secs(at));
             assert!(d.is_serve(), "{d:?}");
         }
-        // Under attack the fourth is a challenge, which mints no token.
-        gw.set_under_attack(true);
-        let d = page_decision(&gw, 80, "Mozilla/5.0", SimTime::from_secs(3));
-        assert!(matches!(d, Decision::Challenge(_)), "{d:?}");
+        // The same crawler goes on until a throttle challenges it; a
+        // challenge mints no token, nor does a page it never fetches.
+        challenge_a_robot(&gw, 80, SimTime::from_secs(3));
         let stats = gw.stats();
         assert_eq!((stats.token_entries, stats.pending_challenges), (3, 1));
         // Both leave with the session.
@@ -2189,45 +2070,57 @@ mod tests {
 
     #[test]
     fn throttle_escape_hatch_serves_a_challenge_instead_of_429() {
-        let gw = Gateway::builder()
-            .seed(31)
-            .challenge_on_throttle(true)
-            .build();
-        let mk = |i: u64| req(13, &format!("http://site.example/{i}.html"), "wget/1.0");
-        // Crawl as a no-signal robot (1 req/s — under the blocking rate
-        // threshold, over the robot bucket's refill) until the rate
-        // limit bites.
-        let mut challenge = None;
-        for i in 0..60 {
-            match gw.handle_with(&mk(i), SimTime::from_secs(i), |_| Origin::Page(HTML.into())) {
-                Decision::Challenge(ch) => {
-                    challenge = Some(ch);
-                    break;
-                }
-                Decision::Throttle => panic!("escape hatch must replace bare 429s"),
-                _ => {}
-            }
-        }
-        let ch = challenge.expect("robot-paced session must get challenged");
+        // A no-signal crawler at one request a second (under the
+        // blocking rate threshold, over the robot bucket's refill) is
+        // challenged where the rate limit bites, never answered 429.
+        let gw = challenging(31);
+        let (ch, r, at) = challenge_a_robot(&gw, 13, SimTime::ZERO);
         let stats = gw.stats();
-        assert_eq!(stats.throttled, 0);
-        assert!(stats.challenged > 0);
+        assert_eq!((stats.throttled, stats.challenged), (0, 1));
         assert_eq!(
             stats.requests,
             stats.served + stats.throttled + stats.blocked + stats.challenged,
             "every request lands in exactly one outcome column"
         );
         // Solving the challenge lifts the limit: ground-truth human.
-        let key = SessionKey::of(&mk(0));
+        let key = SessionKey::of(&r);
         let answer = ch.answer().to_string();
-        assert!(gw.verify_captcha(&key, ch.id, &answer, SimTime::from_secs(60)));
+        assert!(gw.verify_captcha(&key, ch.id, &answer, at + 1));
         assert_eq!(gw.verdict(&key), Verdict::Human(Reason::CaptchaPassed));
         for i in 0..20 {
-            let d = gw.handle_with(&mk(100 + i), SimTime::from_secs(61), |_| {
-                Origin::Page(HTML.into())
-            });
+            let r = req(13, &format!("http://site.example/{i}.html"), ROBOT_UA);
+            let d = gw.handle_with(&r, at + 2, |_| Origin::Page(HTML.into()));
             assert!(d.is_serve(), "proven humans are never rate limited: {d:?}");
         }
+        let stats = gw.stats();
+        assert_eq!((stats.challenged, stats.captcha_passed), (1, 1));
+    }
+
+    #[test]
+    fn throttled_robot_is_challenged_until_it_passes() {
+        // Until the session solves one, every request past the limit is
+        // answered with a fresh challenge, never with the page.
+        let gw = challenging(5);
+        let (_, r, at) = challenge_a_robot(&gw, 5, SimTime::ZERO);
+        let mut last = None;
+        for i in 1..=3u64 {
+            let d = gw.handle_with(&r, at + i, |_| Origin::Page(HTML.into()));
+            let Decision::Challenge(ch) = d else {
+                panic!("an unsolved session is challenged again, not {d:?}");
+            };
+            last = Some(ch);
+        }
+        // Solve the latest: the session becomes ground-truth human and
+        // is served.
+        let ch = last.unwrap();
+        let key = SessionKey::of(&r);
+        let answer = ch.answer().to_string();
+        assert!(gw.verify_captcha(&key, ch.id, &answer, at + 4));
+        assert_eq!(gw.verdict(&key), Verdict::Human(Reason::CaptchaPassed));
+        let d = gw.handle_with(&r, at + 5, |_| Origin::Page(HTML.into()));
+        assert!(d.is_serve(), "{d:?}");
+        let stats = gw.stats();
+        assert_eq!((stats.challenged, stats.captcha_passed), (4, 1));
     }
 
     #[test]

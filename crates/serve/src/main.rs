@@ -14,8 +14,8 @@
 
 use botwall_gateway::Gateway;
 use botwall_http::{Method, Request};
-use botwall_serve::{client, stats, MockOrigin, ServeConfig, Server};
-use std::net::TcpStream;
+use botwall_serve::client::Client;
+use botwall_serve::{stats, MockOrigin, ServeConfig, Server};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -171,8 +171,8 @@ fn main() -> ExitCode {
                 .header("Host", "localhost")
                 .build()
                 .map_err(|e| e.to_string())?;
-            let mut conn = TcpStream::connect(addr).map_err(|e| e.to_string())?;
-            let response = client::roundtrip(&mut conn, &request).map_err(|e| e.to_string())?;
+            let mut conn = Client::connect(addr).map_err(|e| e.to_string())?;
+            let response = conn.roundtrip(&request).map_err(|e| e.to_string())?;
             let outcome = if response.status().is_success() && !response.body().is_empty() {
                 Ok(())
             } else {

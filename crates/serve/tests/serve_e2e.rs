@@ -7,8 +7,9 @@ use botwall_core::classifier::{Reason, Verdict};
 use botwall_gateway::{Gateway, Origin};
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request, Response, StatusCode};
+use botwall_serve::client::Client;
 use botwall_serve::{
-    client, frame, MockOrigin, MockOriginHandle, ORIGIN_POOL_IDLE, ORIGIN_TIMEOUT, READ_TIMEOUT,
+    frame, MockOrigin, MockOriginHandle, ORIGIN_POOL_IDLE, ORIGIN_TIMEOUT, READ_TIMEOUT,
 };
 use botwall_sessions::{SessionKey, SimTime};
 use std::io::Write;
@@ -37,13 +38,12 @@ fn loopback_key(ua: &str) -> SessionKey {
     SessionKey::of(&probe)
 }
 
-fn get_on(conn: &mut TcpStream, path: &str, ua: &str) -> Response {
-    client::roundtrip(conn, &request(path, ua)).unwrap()
+fn get_on(conn: &mut Client, path: &str, ua: &str) -> Response {
+    conn.roundtrip(&request(path, ua)).unwrap()
 }
 
 fn get(addr: SocketAddr, path: &str, ua: &str) -> Response {
-    let mut conn = TcpStream::connect(addr).unwrap();
-    get_on(&mut conn, path, ua)
+    get_on(&mut Client::connect(addr).unwrap(), path, ua)
 }
 
 /// Every `quote`-delimited absolute URL in `text`, reduced to its
@@ -237,8 +237,9 @@ fn a_truncated_origin_stream_stays_truncated(threads: usize) {
         Some(origin),
     );
     let ua = "Mozilla/5.0 e2e-truncated";
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
-    let err = client::roundtrip(&mut conn, &request("/dying.html", ua))
+    let mut conn = Client::connect(fx.addr).unwrap();
+    let err = conn
+        .roundtrip(&request("/dying.html", ua))
         .expect_err("a truncated stream must not parse as a complete response");
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
     // The lease completed despite the mid-stream death.
@@ -287,7 +288,8 @@ fn a_truncated_origin_stream_stays_truncated(threads: usize) {
         let ua = "Mozilla/5.0 e2e-truncated-asset";
         let req = request("/dying.bin", ua);
         let mut conn = TcpStream::connect(fx.addr).unwrap();
-        client::send_request(&mut conn, &req).unwrap();
+        conn.write_all(&botwall_http::wire::serialize_request(&req))
+            .unwrap();
         let started = Instant::now();
         // Everything the origin sent, then (a stall) time past the
         // deadline its last byte armed.
@@ -686,7 +688,7 @@ fn human_beacon_flow_flips_the_verdict_over_the_wire() {
         .into_iter()
         .find(|p| p.ends_with(".js"))
         .expect("instrumented page links a generated script");
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
     let js = get_on(&mut conn, &js_path, ua);
     assert_eq!(js.status(), StatusCode::OK);
     let js_body = body_str(&js);
@@ -733,7 +735,7 @@ fn decoy_fetch_convicts_then_throttles_then_blocks() {
 
     // A convicted robot runs on the tight robot bucket (burst 2): a few
     // more rapid requests and the wire starts answering 429.
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
     let mut throttled = 0;
     for i in 0..6 {
         let response = get_on(&mut conn, &format!("/p{i}.html"), ua);
@@ -758,7 +760,7 @@ fn decoy_fetch_convicts_then_throttles_then_blocks() {
 fn burst_past_the_rate_threshold_draws_403s() {
     let fx = Fixture::standard();
     let ua = "wget/1.0 e2e-burst";
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
     let mut pushed_back = 0;
     for i in 0..80 {
         let response = get_on(&mut conn, &format!("/p{i}.html"), ua);
@@ -784,26 +786,39 @@ fn burst_past_the_rate_threshold_draws_403s() {
     fx.finish();
 }
 
+/// With `challenge_on_throttle` set, a crawler that outruns the robot
+/// bucket is answered with the interstitial, not a 429: one page a
+/// second on the server's clock, until the throttle bites.
 #[test]
-fn mandatory_challenge_mode_serves_the_interstitial() {
+fn a_throttled_crawler_is_served_the_interstitial() {
     let origin = MockOrigin::new().page("/index.html", PAGE).start().unwrap();
     let origin_addr = origin.addr();
     let fx = Fixture::with(
         Gateway::builder()
             .seed(7)
-            .captcha(botwall_captcha::ServingPolicy::MandatoryUnderAttack)
+            .challenge_on_throttle(true)
             .build(),
         |config| config.origin = Some(origin_addr),
         Some(origin),
     );
-    fx.gateway.set_under_attack(true);
-    let response = get(fx.addr, "/index.html", "Mozilla/5.0 e2e-challenge");
+    let mut conn = Client::connect(fx.addr).unwrap();
+    let mut pages = 0;
+    let response = loop {
+        let response = get_on(&mut conn, "/index.html", "wget/1.0 e2e-challenge");
+        if response.status() != StatusCode::OK {
+            break response;
+        }
+        pages += 1;
+        assert!(pages < 60, "a paced crawler is challenged within 60 pages");
+        fx.advance(Duration::from_secs(1));
+    };
     assert_eq!(response.status(), StatusCode::FORBIDDEN);
     assert!(
         body_str(&response).contains("solve to continue"),
         "the 403 carries the challenge interstitial"
     );
-    assert_eq!(fx.gateway.stats().challenged, 1);
+    let stats = fx.gateway.stats();
+    assert_eq!((stats.challenged, stats.throttled), (1, 0));
     fx.finish();
 }
 
@@ -811,7 +826,7 @@ fn mandatory_challenge_mode_serves_the_interstitial() {
 fn keep_alive_carries_many_requests_on_one_connection() {
     let fx = Fixture::standard();
     let ua = "Mozilla/5.0 e2e-keepalive";
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
     for _ in 0..3 {
         let response = get_on(&mut conn, "/index.html", ua);
         assert_eq!(response.status(), StatusCode::OK);
@@ -827,7 +842,7 @@ fn keep_alive_carries_many_requests_on_one_connection() {
 fn pipelined_requests_are_answered_in_order() {
     let fx = Fixture::standard();
     let ua = "Mozilla/5.0 e2e-pipeline";
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
     // Both requests in one write; responses must come back one by one.
     let mut batch = Vec::new();
     batch.extend_from_slice(&botwall_http::wire::serialize_request(&request(
@@ -838,9 +853,9 @@ fn pipelined_requests_are_answered_in_order() {
         "/missing.html",
         ua,
     )));
-    conn.write_all(&batch).unwrap();
-    let first = client::read_response(&mut conn).unwrap();
-    let second = client::read_response(&mut conn).unwrap();
+    conn.stream().write_all(&batch).unwrap();
+    let first = conn.read_response().unwrap();
+    let second = conn.read_response().unwrap();
     assert_eq!(first.status(), StatusCode::OK);
     assert_eq!(second.status(), StatusCode::NOT_FOUND);
     fx.finish();
@@ -909,10 +924,10 @@ fn an_origin_timeout_answers_504(threads: usize) {
     );
     let ua = "Mozilla/5.0 e2e-504";
     let started = Instant::now();
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
-    client::send_request(&mut conn, &request("/index.html", ua)).unwrap();
-    fx.advance_until_readable(&conn, ORIGIN_TIMEOUT);
-    let response = client::read_response(&mut conn).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
+    conn.send(&request("/index.html", ua)).unwrap();
+    fx.advance_until_readable(conn.stream(), ORIGIN_TIMEOUT);
+    let response = conn.read_response().unwrap();
     assert_eq!(response.status(), StatusCode::GATEWAY_TIMEOUT);
     assert!(
         started.elapsed() < Duration::from_millis(2000),
@@ -953,12 +968,12 @@ fn connections_over_the_cap_answer_503() {
         |config| config.max_connections = 1,
         None,
     );
-    let mut first = TcpStream::connect(fx.addr).unwrap();
+    let mut first = Client::connect(fx.addr).unwrap();
     // Complete a round trip so the first connection is fully accepted.
     let response = get_on(&mut first, "/index.html", "Mozilla/5.0 e2e-cap-a");
     assert_eq!(response.status(), StatusCode::NOT_FOUND); // no origin wired
-    let mut second = TcpStream::connect(fx.addr).unwrap();
-    let rejected = client::read_response(&mut second).unwrap();
+    let mut second = Client::connect(fx.addr).unwrap();
+    let rejected = second.read_response().unwrap();
     assert_eq!(rejected.status(), StatusCode::SERVICE_UNAVAILABLE);
     assert_eq!(rejected.headers().get("Connection"), Some("close"));
     fx.finish();
@@ -967,9 +982,11 @@ fn connections_over_the_cap_answer_503() {
 #[test]
 fn malformed_requests_answer_400_and_close() {
     let fx = Fixture::standard();
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
-    conn.write_all(b"NOT AN HTTP LINE\r\n\r\n").unwrap();
-    let response = client::read_response(&mut conn).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
+    conn.stream()
+        .write_all(b"NOT AN HTTP LINE\r\n\r\n")
+        .unwrap();
+    let response = conn.read_response().unwrap();
     assert_eq!(response.status(), StatusCode::BAD_REQUEST);
     assert_eq!(response.headers().get("Connection"), Some("close"));
     fx.finish();
@@ -983,11 +1000,12 @@ fn a_half_sent_request_times_out_with_408() {
             |config| config.threads = threads,
             None,
         );
-        let mut conn = TcpStream::connect(fx.addr).unwrap();
-        conn.write_all(b"GET /index.html HTTP/1.1\r\nUser-Agent: slow")
+        let mut conn = Client::connect(fx.addr).unwrap();
+        conn.stream()
+            .write_all(b"GET /index.html HTTP/1.1\r\nUser-Agent: slow")
             .unwrap();
-        fx.advance_until_readable(&conn, READ_TIMEOUT);
-        let response = client::read_response(&mut conn).unwrap();
+        fx.advance_until_readable(conn.stream(), READ_TIMEOUT);
+        let response = conn.read_response().unwrap();
         assert_eq!(response.status(), StatusCode::REQUEST_TIMEOUT);
         fx.finish();
     }
@@ -1044,7 +1062,7 @@ fn asset_fetches_return_their_connection_to_the_pool() {
         Some(origin),
     );
     let ua = "Mozilla/5.0 e2e-pool-assets";
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
     for _ in 0..10 {
         let response = get_on(&mut conn, "/pixel.bin", ua);
         assert_eq!(response.status(), StatusCode::OK);
@@ -1090,7 +1108,7 @@ fn bytes_past_the_frame_keep_a_connection_out_of_the_pool() {
         None,
     );
     let ua = "Mozilla/5.0 e2e-pool-surplus";
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
     for _ in 0..2 {
         let response = get_on(&mut conn, "/blob.bin", ua);
         assert_eq!(response.status(), StatusCode::OK);
@@ -1299,8 +1317,8 @@ fn shutdown_drains_every_observed_session_exactly_once() {
     let refused = TcpStream::connect_timeout(&addr, Duration::from_millis(300));
     assert!(
         refused.is_err() || {
-            let mut conn = refused.unwrap();
-            client::roundtrip(&mut conn, &request("/index.html", "late/1.0")).is_err()
+            let mut conn = Client::new(refused.unwrap());
+            conn.roundtrip(&request("/index.html", "late/1.0")).is_err()
         },
         "the drained server must not accept new work"
     );
@@ -1314,14 +1332,14 @@ fn shutdown_drains_every_observed_session_exactly_once() {
 fn probe_urls_carry_the_requests_host_and_resolve_as_probe_hits() {
     let fx = Fixture::standard();
     let ua = "Mozilla/5.0 e2e-host";
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
     let mut fetch = |target: &str| {
         let request = Request::builder(Method::Get, target)
             .header("User-Agent", ua)
             .header("Host", "shop.example.org")
             .build()
             .unwrap();
-        client::roundtrip(&mut conn, &request).unwrap()
+        conn.roundtrip(&request).unwrap()
     };
     let absolute_urls = |text: &str, quote: char| -> Vec<String> {
         text.split(quote)
@@ -1405,7 +1423,7 @@ fn a_streamed_page_changes_epoll_interest_at_most_twice() {
         Some(origin),
     );
     let ua = "Mozilla/5.0 e2e-epoll";
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
     const PAGES: u64 = 10;
     for _ in 0..PAGES {
         let response = get_on(&mut conn, "/big.html", ua);
@@ -1436,7 +1454,7 @@ fn stat(body: &str, field: &str) -> u64 {
 /// accept and no registration. Between two of them on one connection
 /// lie the first one's `write`, the second one's `read` (and wait), and
 /// whatever was sent in between.
-fn stats_on(conn: &mut TcpStream) -> String {
+fn stats_on(conn: &mut Client) -> String {
     body_str(&get_on(conn, "/admin/stats", "ops/1.0 e2e-stats"))
 }
 
@@ -1453,7 +1471,7 @@ fn moved<const N: usize>(before: &str, after: &str, fields: [&str; N]) -> [u64; 
 fn syscall_budget_a_gate_answered_request_is_one_read_and_one_write() {
     let fx = Fixture::standard();
     let ua = "scraper/1.0 e2e-budget-gate";
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
     assert_eq!(
         get_on(&mut conn, "/index.html", ua).status(),
         StatusCode::OK
@@ -1512,7 +1530,7 @@ fn syscall_budget_a_pooled_asset_fetch_is_three_reads_and_two_writes() {
         Some(origin),
     );
     let ua = "Mozilla/5.0 e2e-budget-asset";
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
     assert_eq!(get_on(&mut conn, "/pixel.bin", ua).body(), asset.as_slice());
     // Few enough that the gate never rations this session.
     const FETCHES: u64 = 8;
@@ -1564,7 +1582,7 @@ fn syscall_budget_a_streamed_page_is_one_vectored_write() {
         Some(origin),
     );
     let ua = "Mozilla/5.0 e2e-budget-page";
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
     // Warm the client connection, the pool and the buffers.
     assert!(get_on(&mut conn, "/big.html", ua).body().len() > 64 * 1024);
     const PAGES: u64 = 10;
@@ -1622,17 +1640,17 @@ fn syscall_budget_a_pipelining_client_costs_one_interest_change_down_and_one_up(
         Some(origin),
     );
     let ua = "Mozilla/5.0 e2e-budget-pipeline";
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
-    conn.set_nodelay(true).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
+    conn.stream().set_nodelay(true).unwrap();
     // Warm the client connection and park one origin connection.
     assert_eq!(get_on(&mut conn, "/fast.bin", ua).body(), b"fast");
     let before = stats_on(&mut conn);
-    client::send_request(&mut conn, &request("/slow.bin", ua)).unwrap();
+    conn.send(&request("/slow.bin", ua)).unwrap();
     // The second request lands while the first is parked on the origin.
     std::thread::sleep(Duration::from_millis(50));
-    client::send_request(&mut conn, &request("/fast.bin", ua)).unwrap();
-    assert_eq!(client::read_response(&mut conn).unwrap().body(), b"slow");
-    assert_eq!(client::read_response(&mut conn).unwrap().body(), b"fast");
+    conn.send(&request("/fast.bin", ua)).unwrap();
+    assert_eq!(conn.read_response().unwrap().body(), b"slow");
+    assert_eq!(conn.read_response().unwrap().body(), b"fast");
     let after = stats_on(&mut conn);
     let [ctls, waits, connects] = moved(
         &before,
@@ -1666,7 +1684,7 @@ fn syscall_budget_the_timer_wheel_is_bounded_by_live_descriptors() {
         Some(origin),
     );
     let ua = "Mozilla/5.0 e2e-budget-wheel";
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
     for _ in 0..10_000 {
         let response = get_on(&mut conn, "/pixel.bin", ua);
         assert!(matches!(
@@ -1875,7 +1893,8 @@ fn a_response_without_a_body_is_answered_at_once_with_the_origins_head() {
             .header("Host", "site.example")
             .build()
             .unwrap();
-        client::send_request(&mut conn, &request).unwrap();
+        conn.write_all(&botwall_http::wire::serialize_request(&request))
+            .unwrap();
         // Had the last response carried a body, or chunk framing, it
         // would be in front of this head.
         heads.push(read_head(&mut conn));
@@ -2025,12 +2044,12 @@ const PLAIN_OK: &str = "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\
 /// One request of `lines` and `body` behind a `POST /form` request line
 /// and a `Host`, on a connection of its own.
 fn post(addr: SocketAddr, ua: &str, lines: &str, body: &str) -> Response {
-    let mut conn = TcpStream::connect(addr).unwrap();
+    let mut conn = Client::connect(addr).unwrap();
     let request = format!(
         "POST /form HTTP/1.1\r\nHost: site.example\r\nUser-Agent: {ua}\r\n{lines}\r\n{body}"
     );
-    conn.write_all(request.as_bytes()).unwrap();
-    client::read_response(&mut conn).unwrap()
+    conn.stream().write_all(request.as_bytes()).unwrap();
+    conn.read_response().unwrap()
 }
 
 /// The heads `measure` → `dechunk` → `parse_request` → re-serialize
@@ -2276,17 +2295,17 @@ fn a_large_head_and_a_body_in_three_segments_parse() {
     let raw = botwall_http::wire::serialize_request(&post);
     let head_len = raw.len() - 3000;
     assert!(head_len > 8 * 1024, "the head outgrows the first read");
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
-    conn.set_nodelay(true).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
+    conn.stream().set_nodelay(true).unwrap();
     for piece in [
         &raw[..head_len + 1000],
         &raw[head_len + 1000..head_len + 2000],
         &raw[head_len + 2000..],
     ] {
-        conn.write_all(piece).unwrap();
+        conn.stream().write_all(piece).unwrap();
         std::thread::sleep(Duration::from_millis(30));
     }
-    let response = client::read_response(&mut conn).unwrap();
+    let response = conn.read_response().unwrap();
     assert_eq!(response.status(), StatusCode::OK);
     assert!(body_str(&response).contains("content"));
     assert_eq!(fx.gateway.stats().requests, 1);
@@ -2304,13 +2323,13 @@ fn a_client_that_half_closes_after_its_request_is_still_answered() {
     fx.gateway
         .detector()
         .with_key_state(&loopback_key(ua), |_, state| state.policy.block());
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
-    client::send_request(&mut conn, &request("/index.html", ua)).unwrap();
-    conn.shutdown(std::net::Shutdown::Write).unwrap();
-    let response = client::read_response(&mut conn).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
+    conn.send(&request("/index.html", ua)).unwrap();
+    conn.stream().shutdown(std::net::Shutdown::Write).unwrap();
+    let response = conn.read_response().unwrap();
     assert_eq!(response.status(), StatusCode::FORBIDDEN);
     let mut rest = Vec::new();
-    std::io::Read::read_to_end(&mut conn, &mut rest).unwrap();
+    std::io::Read::read_to_end(&mut conn.stream(), &mut rest).unwrap();
     assert!(rest.is_empty(), "then the server closes its half");
     fx.finish();
 }
@@ -2351,7 +2370,7 @@ fn the_live_server_sweeps_under_load(threads: usize) {
     let sent = std::cell::Cell::new(0u64);
     // Served at first, refused once the detector has seen enough of a
     // client that never fetches a probe: traffic and ledger either way.
-    let ask = |conn: &mut TcpStream| {
+    let ask = |conn: &mut Client| {
         get_on(conn, "/index.html", resident);
         sent.set(sent.get() + 1);
     };
@@ -2359,7 +2378,7 @@ fn the_live_server_sweeps_under_load(threads: usize) {
         sent.set(sent.get() + 1);
         body_str(&get(fx.addr, "/admin/stats", resident))
     };
-    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let mut conn = Client::connect(fx.addr).unwrap();
     ask(&mut conn);
     for n in 0..VISITORS {
         let visitor = format!("Mozilla/5.0 e2e-sweep-visitor/{n}");
@@ -2381,7 +2400,7 @@ fn the_live_server_sweeps_under_load(threads: usize) {
     let mut seen_live = Vec::new();
     for _ in 0..2 {
         fx.advance(Duration::from_secs(40 * 60));
-        conn = TcpStream::connect(fx.addr).unwrap();
+        conn = Client::connect(fx.addr).unwrap();
         ask(&mut conn);
     }
     let mut last = String::new();

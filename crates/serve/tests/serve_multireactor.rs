@@ -10,7 +10,8 @@ use botwall_core::classifier::Verdict;
 use botwall_gateway::Gateway;
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request, Response, StatusCode};
-use botwall_serve::{client, MockOrigin};
+use botwall_serve::client::Client;
+use botwall_serve::MockOrigin;
 use botwall_sessions::SessionKey;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -37,8 +38,8 @@ fn loopback_key(ua: &str) -> SessionKey {
 }
 
 fn get(addr: SocketAddr, path: &str, ua: &str) -> Response {
-    let mut conn = TcpStream::connect(addr).unwrap();
-    client::roundtrip(&mut conn, &request(path, ua)).unwrap()
+    let mut conn = Client::connect(addr).unwrap();
+    conn.roundtrip(&request(path, ua)).unwrap()
 }
 
 fn body_str(response: &Response) -> String {
@@ -125,16 +126,17 @@ fn connection_cap_is_global_across_reactors() {
         },
         None,
     );
-    let mut first = TcpStream::connect(fx.addr).unwrap();
+    let mut first = Client::connect(fx.addr).unwrap();
     // Complete a round trip so the first connection is fully accepted.
-    let response =
-        client::roundtrip(&mut first, &request("/index.html", "Mozilla/5.0 mr-cap-a")).unwrap();
+    let response = first
+        .roundtrip(&request("/index.html", "Mozilla/5.0 mr-cap-a"))
+        .unwrap();
     // No origin is wired, so the accepted connection answers 404.
     assert_eq!(response.status(), StatusCode::NOT_FOUND);
     // Repeat a few times so the rejects sample both listeners.
     for _ in 0..4 {
-        let mut second = TcpStream::connect(fx.addr).unwrap();
-        let rejected = client::read_response(&mut second).unwrap();
+        let mut second = Client::connect(fx.addr).unwrap();
+        let rejected = second.read_response().unwrap();
         assert_eq!(rejected.status(), StatusCode::SERVICE_UNAVAILABLE);
         assert_eq!(rejected.headers().get("Connection"), Some("close"));
     }
@@ -277,8 +279,8 @@ fn shutdown_drains_all_reactors_and_classifies_each_session_once() {
     let refused = TcpStream::connect_timeout(&addr, Duration::from_millis(300));
     assert!(
         refused.is_err() || {
-            let mut conn = refused.unwrap();
-            client::roundtrip(&mut conn, &request("/index.html", "late/1.0")).is_err()
+            let mut conn = Client::new(refused.unwrap());
+            conn.roundtrip(&request("/index.html", "late/1.0")).is_err()
         },
         "the drained server must not accept new work"
     );

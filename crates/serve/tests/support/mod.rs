@@ -295,17 +295,20 @@ pub fn page(conn: &mut TcpStream, ua: &str) -> String {
 }
 
 /// The page at `path`, fetched by `ua` on `conn`. It comes back chunked,
-/// so it is read with the client that decodes chunks.
+/// so it is read with the client that decodes chunks, on a clone of
+/// `conn`: one request is outstanding, so nothing follows its response
+/// for the client to keep.
 pub fn page_at(conn: &mut TcpStream, path: &str, ua: &str) -> String {
-    let page = botwall_serve::client::roundtrip(
-        conn,
-        &botwall_http::Request::builder(botwall_http::Method::Get, path)
-            .header("Host", "site.example")
-            .header("User-Agent", ua)
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
+    let mut client = botwall_serve::client::Client::new(conn.try_clone().unwrap());
+    let page = client
+        .roundtrip(
+            &botwall_http::Request::builder(botwall_http::Method::Get, path)
+                .header("Host", "site.example")
+                .header("User-Agent", ua)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
     String::from_utf8(page.body().to_vec()).unwrap()
 }
 

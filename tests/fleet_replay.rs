@@ -12,7 +12,6 @@
 //!   classifying as instrumentation after the ~1h freshness window — no
 //!   registry remembers them, the MAC itself goes stale.
 
-use botwall::captcha::ServingPolicy;
 use botwall::detect::{Label, Reason, Verdict};
 use botwall::gateway::{Decision, Gateway, Origin};
 use botwall::http::request::ClientIp;
@@ -33,6 +32,8 @@ fn req(ip: u32, uri: &str) -> Request {
 fn page(gw: &Gateway, ip: u32, uri: &str, at: SimTime) -> Decision {
     gw.handle_with(&req(ip, uri), at, |_| Origin::Page(HTML.into()))
 }
+
+include!("../crates/gateway/tests/support/robot.rs");
 
 /// One member earns a mouse beacon; the rest of the fleet replays it.
 /// The harvester stays human, every replayer accrues forged-beacon
@@ -100,32 +101,21 @@ fn cross_session_beacon_replay_reads_forged_at_fleet_scale() {
 fn shared_captcha_pair_is_single_use_service_wide() {
     let gw = Gateway::builder()
         .seed(607)
-        .captcha(ServingPolicy::MandatoryUnderAttack)
+        .challenge_on_throttle(true)
         .build();
-    gw.set_under_attack(true);
 
-    // Member 0 is challenged and solves honestly.
-    let r0 = req(0, "http://f.example/index.html");
+    // Member 0 crawls into a challenge and solves honestly.
+    let (ch, r0, at) = challenge_a_robot(&gw, 0, SimTime::ZERO);
     let key0 = SessionKey::of(&r0);
-    let d = gw.handle_with(&r0, SimTime::ZERO, |_| Origin::Page(HTML.into()));
-    let Decision::Challenge(ch) = d else {
-        panic!("mandatory mode must challenge: {d:?}");
-    };
     let answer = ch.answer().to_string();
-    assert!(gw.verify_captcha(&key0, ch.id, &answer, SimTime::from_secs(1)));
+    assert!(gw.verify_captcha(&key0, ch.id, &answer, at + 1));
     assert_eq!(gw.verdict(&key0), Verdict::Human(Reason::CaptchaPassed));
 
     // The pair goes into the fleet cache; every other member replays it.
     for ip in 1..FLEET {
-        let at = SimTime::from_secs(2) + u64::from(ip) * 500;
-        let ri = req(ip, "http://f.example/index.html");
+        // The member crawls into a challenge of its own...
+        let (_, ri, at) = challenge_a_robot(&gw, ip, SimTime::from_secs(u64::from(ip)));
         let keyi = SessionKey::of(&ri);
-        // The member is itself challenged on arrival...
-        let d = gw.handle_with(&ri, at, |_| Origin::Page(HTML.into()));
-        assert!(
-            matches!(d, Decision::Challenge(_)),
-            "unproven member {ip} must be challenged: {d:?}"
-        );
         // ...and submits the harvested pair instead of its own.
         assert!(
             !gw.verify_captcha(&keyi, ch.id, &answer, at + 100),

@@ -1,7 +1,8 @@
 //! The gateway's public API contract: value round trips of the decision
 //! and config types, and the three end-to-end flows the paper's deployment
 //! story rests on — a human proving themselves by mouse activity, a
-//! crawler walking into enforcement, and a mandatory-challenge pass.
+//! crawler walking into enforcement, and a throttled crawler's challenge
+//! pass.
 
 use botwall::captcha::ServingPolicy;
 use botwall::detect::{Label, Reason, Verdict};
@@ -24,6 +25,8 @@ fn page(gw: &mut Gateway, ip: u32, uri: &str, ua: &str, at: SimTime) -> Decision
     gw.handle_with(&req(ip, uri, ua), at, |_| Origin::Page(HTML.into()))
 }
 
+include!("../crates/gateway/tests/support/robot.rs");
+
 /// `GatewayConfig` and `Decision` clone to equal values, and a gateway
 /// built from a config hands back that config.
 #[test]
@@ -31,7 +34,8 @@ fn decision_and_config_clone_to_equal_values() {
     let config = GatewayConfig {
         seed: 1234,
         enforcement: false,
-        captcha: ServingPolicy::MandatoryUnderAttack,
+        captcha: ServingPolicy::Disabled,
+        challenge_on_throttle: true,
         ..GatewayConfig::default()
     };
     let restored = config.clone();
@@ -131,41 +135,39 @@ fn crawler_hidden_link_flow_ends_blocked() {
     assert_eq!(done[0].reason, Reason::HiddenLink);
 }
 
-/// Mandatory-challenge mode: issue → verify → `CaptchaPassed`, after
-/// which the session is served normally.
+/// The challenge flow: a throttled crawler is challenged (issue), a
+/// wrong answer unlocks nothing, and a re-issued challenge answered
+/// right makes it `CaptchaPassed`, served normally after.
 #[test]
 fn challenge_flow_issue_verify_captcha_passed() {
     let gw = Gateway::builder()
         .seed(13)
-        .captcha(ServingPolicy::MandatoryUnderAttack)
+        .challenge_on_throttle(true)
         .build();
-    gw.set_under_attack(true);
-    let ua = "Mozilla/5.0";
-    let r = req(3, "http://h.example/index.html", ua);
-    let key = SessionKey::of(&r);
 
-    // Issue: ordinary traffic from an unproven session is challenged.
-    let d = gw.handle_with(&r, SimTime::ZERO, |_| Origin::Page(HTML.into()));
-    let Decision::Challenge(challenge) = d else {
-        panic!("mandatory mode must challenge: {d:?}");
-    };
+    // Issue: the crawler's first over-limit request is challenged.
+    let (challenge, r, at) = challenge_a_robot(&gw, 3, SimTime::ZERO);
+    let key = SessionKey::of(&r);
     assert!(d_status_is_403(&challenge));
 
     // A wrong answer does not unlock anything.
-    assert!(!gw.verify_captcha(&key, challenge.id, "wrong", SimTime::from_secs(1)));
-    assert_eq!(gw.verdict(&key), Verdict::Undecided);
+    assert!(!gw.verify_captcha(&key, challenge.id, "wrong", at + 1));
+    assert_eq!(
+        gw.verdict(&key),
+        Verdict::ProvisionalRobot(Reason::NoBrowserSignals)
+    );
 
     // Challenges are single-use: re-issue, then verify the right answer.
-    let d = gw.handle_with(&r, SimTime::from_secs(2), |_| Origin::Page(HTML.into()));
+    let d = gw.handle_with(&r, at + 2, |_| Origin::Page(HTML.into()));
     let Decision::Challenge(challenge) = d else {
         panic!("still unproven: {d:?}");
     };
     let answer = challenge.answer().to_string();
-    assert!(gw.verify_captcha(&key, challenge.id, &answer, SimTime::from_secs(3)));
+    assert!(gw.verify_captcha(&key, challenge.id, &answer, at + 3));
     assert_eq!(gw.verdict(&key), Verdict::Human(Reason::CaptchaPassed));
 
     // Served from here on.
-    let d = gw.handle_with(&r, SimTime::from_secs(4), |_| Origin::Page(HTML.into()));
+    let d = gw.handle_with(&r, at + 4, |_| Origin::Page(HTML.into()));
     assert!(d.is_serve(), "{d:?}");
     let stats = gw.stats();
     assert_eq!(stats.challenged, 2);
@@ -215,36 +217,22 @@ fn throttle_escape_hatch_pass_unthrottles_the_session() {
         .challenge_on_throttle(true)
         .build();
     assert!(gw.config().challenge_on_throttle);
-    let ua = "curl/7.0";
-    let mk = |i: u64| req(8, &format!("http://h.example/{i}.html"), ua);
-    let key = SessionKey::of(&mk(0));
 
     // Crawl at 1 req/s with zero browser signals: the no-signal
     // promotion drops the session to the robot allowance, and the first
     // over-limit request comes back as a challenge, not a 429.
-    let mut challenge = None;
-    for i in 0..60 {
-        match gw.handle_with(&mk(i), SimTime::from_secs(i), |_| Origin::Page(HTML.into())) {
-            Decision::Challenge(ch) => {
-                challenge = Some(ch);
-                break;
-            }
-            Decision::Throttle => panic!("escape hatch must replace the bare 429"),
-            _ => {}
-        }
-    }
-    let ch = challenge.expect("robot-paced session must be challenged");
+    let (ch, r, at) = challenge_a_robot(&gw, 8, SimTime::ZERO);
+    let key = SessionKey::of(&r);
     assert_eq!(gw.stats().throttled, 0);
-    assert!(gw.stats().challenged > 0);
+    assert_eq!(gw.stats().challenged, 1);
 
     // Pass → ground-truth human → unthrottled from here on.
     let answer = ch.answer().to_string();
-    assert!(gw.verify_captcha(&key, ch.id, &answer, SimTime::from_secs(70)));
+    assert!(gw.verify_captcha(&key, ch.id, &answer, at + 1));
     assert_eq!(gw.verdict(&key), Verdict::Human(Reason::CaptchaPassed));
     for i in 0..30 {
-        let d = gw.handle_with(&mk(100 + i), SimTime::from_secs(71), |_| {
-            Origin::Page(HTML.into())
-        });
+        let r = req(8, &format!("http://h.example/{i}.html"), ROBOT_UA);
+        let d = gw.handle_with(&r, at + 2, |_| Origin::Page(HTML.into()));
         assert!(d.is_serve(), "passed sessions are never limited: {d:?}");
     }
     let done = gw.drain();
