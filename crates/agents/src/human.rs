@@ -13,6 +13,7 @@
 
 use crate::agent::{Agent, AgentKind};
 use crate::browser::BrowserProfile;
+use crate::walk::{get, render, Script};
 use crate::world::{ClientWorld, FetchSpec};
 use botwall_captcha::SolverProfile;
 use botwall_http::UserAgent;
@@ -74,18 +75,27 @@ impl Agent for HumanAgent {
 
     fn run_session(&mut self, world: &mut dyn ClientWorld, rng: &mut ChaCha8Rng) {
         let pages = rng.gen_range(self.config.pages.0..=self.config.pages.1);
+        // Running the script, the agent reporter fires with the *true*
+        // canonicalized agent string plus the benign environment facts
+        // every real desktop browser reports — no webdriver, a populated
+        // plugin list.
+        let query = format!(
+            "agent={}&wd=0&pl=3",
+            UserAgent::canonicalize(&self.user_agent())
+        );
+        let script = if self.profile.js_enabled {
+            Script::Run(&query)
+        } else {
+            Script::Skip
+        };
         let mut current = world.entry_point();
         let mut referer: Option<String> = None;
         let mut moved_mouse = false;
         let mut fetched_favicon = false;
         let mut captcha_offered = false;
 
-        for page_no in 0..pages {
-            let spec = match &referer {
-                Some(r) => FetchSpec::get_with_referer(current.clone(), r.clone()),
-                None => FetchSpec::get(current.clone()),
-            };
-            let outcome = world.fetch(spec);
+        for _ in 0..pages {
+            let outcome = world.fetch(get(current.clone(), referer.clone()));
             let Some(view) = outcome.page else {
                 // Redirect loops or errors: a human gives up quickly.
                 break;
@@ -109,30 +119,10 @@ impl Agent for HumanAgent {
                 }
                 world.fetch(FetchSpec::get_with_referer(asset.clone(), page_url.clone()));
             }
+            // The injected CSS probe is just another stylesheet link; the
+            // script runs when JavaScript is on.
             if let Some(manifest) = &view.manifest {
-                // The injected CSS probe is just another stylesheet link.
-                if self.profile.fetches_css {
-                    if let Some(css) = &manifest.css_probe {
-                        world.fetch(FetchSpec::get_with_referer(css.clone(), page_url.clone()));
-                    }
-                }
-                if self.profile.js_enabled {
-                    // Download the external script…
-                    if let Some(js) = &manifest.js_file {
-                        world.fetch(FetchSpec::get_with_referer(js.clone(), page_url.clone()));
-                    }
-                    // …and execute it: the agent reporter fires with the
-                    // *true* canonicalized agent string plus the benign
-                    // environment facts every real desktop browser
-                    // reports — no webdriver, a populated plugin list.
-                    if let Some(agent) = &manifest.agent_beacon {
-                        let reported = UserAgent::canonicalize(&self.user_agent());
-                        let url = format!("{agent}?agent={reported}&wd=0&pl=3");
-                        if let Ok(uri) = url.parse() {
-                            world.fetch(FetchSpec::get_with_referer(uri, page_url.clone()));
-                        }
-                    }
-                }
+                render(world, manifest, &page_url, self.profile.fetches_css, script);
             }
             if self.profile.fetches_favicon && !fetched_favicon {
                 fetched_favicon = true;
@@ -194,7 +184,6 @@ impl Agent for HumanAgent {
             let pick = next[rng.gen_range(0..next.len())].clone();
             referer = Some(page_url);
             current = pick;
-            let _ = page_no;
         }
     }
 }

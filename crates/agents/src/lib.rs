@@ -22,6 +22,13 @@
 //!   acknowledged false-positive source), JS-capable smart bots (§4.1's
 //!   adversary), and DDoS zombies.
 //! * [`population`] — weighted mixes, including the Table-1 calibration.
+//! * The shared fetch loops (private): the breadth-first *crawl* of the
+//!   crawler, spider, harvester and offline browser; the
+//!   `Referer`-chained *walk*, retrying a refused page at most twelve
+//!   times, of the smart bot, headless browsers, fleet and LLM agent;
+//!   and the *render* of a page's CSS probe, script and agent reporter.
+//!   Each species supplies only its step: what it does with a page and
+//!   where it goes next.
 //! * [`world`] and [`origin`] — what an agent can do, and what the
 //!   generated sites answer.
 //!
@@ -50,6 +57,7 @@ pub mod origin;
 pub mod population;
 pub mod robots;
 pub mod testutil;
+mod walk;
 pub mod world;
 
 pub use agent::{Agent, AgentKind};

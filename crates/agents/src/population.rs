@@ -275,6 +275,11 @@ impl Population {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::MockWorld;
+    use crate::world::{ClientWorld, FetchOutcome, FetchSpec};
+    use botwall_captcha::Challenge;
+    use botwall_http::Uri;
+    use botwall_sessions::SimTime;
     use rand_chacha::rand_core::SeedableRng;
     use std::collections::HashMap;
 
@@ -354,6 +359,128 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         p.sample(&mut rng);
     }
+
+    /// A [`MockWorld`] that folds what an agent sends into one FNV-1a
+    /// digest: each fetch's method, target, `Referer`, body and the
+    /// client clock it left at, then the clock the session ended at.
+    struct Traced {
+        world: MockWorld,
+        digest: u64,
+    }
+
+    impl Traced {
+        fn fold(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.digest = (self.digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+
+    impl ClientWorld for Traced {
+        fn fetch(&mut self, spec: FetchSpec) -> FetchOutcome {
+            let line = format!(
+                "{} {} {:?} {}\n",
+                spec.method,
+                spec.uri,
+                spec.referer,
+                self.world.now().as_millis()
+            );
+            self.fold(line.as_bytes());
+            self.fold(&spec.body);
+            self.world.fetch(spec)
+        }
+
+        fn now(&self) -> SimTime {
+            self.world.now()
+        }
+
+        fn sleep(&mut self, ms: u64) {
+            self.world.sleep(ms);
+        }
+
+        fn entry_point(&self) -> Uri {
+            self.world.entry_point()
+        }
+
+        fn offer_captcha(&mut self) -> Option<Challenge> {
+            self.world.offer_captcha()
+        }
+
+        fn answer_captcha(&mut self, id: u64, answer: &str) -> bool {
+            self.world.answer_captcha(id, answer)
+        }
+    }
+
+    /// Three sessions of the agent `build` makes, each built and run on
+    /// its own seed (1–3; a fleet's later sessions spend the loot of its
+    /// earlier ones).
+    fn traces(build: impl Fn(&mut ChaCha8Rng) -> Box<dyn Agent>) -> [u64; 3] {
+        [1, 2, 3].map(|seed| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut agent = build(&mut rng);
+            let mut traced = Traced {
+                world: MockWorld::new(seed),
+                digest: 0xcbf2_9ce4_8422_2325,
+            };
+            agent.run_session(&mut traced, &mut rng);
+            let end = traced.world.now().as_millis().to_string();
+            traced.fold(end.as_bytes());
+            traced.digest
+        })
+    }
+
+    /// Every entry of the Table-1 and escalation mixes, then a human
+    /// with JavaScript off and an offline browser that follows the
+    /// hidden link: their sessions hash to recorded digests, so a change
+    /// to the shared walk, crawl or render that moves one fetch, sleep
+    /// or RNG draw of any species fails here.
+    #[test]
+    fn every_species_sends_what_it_sent() {
+        let js_off = AgentSpec::Human {
+            families: vec![BrowserFamily::Firefox],
+            js_disabled_probability: 1.0,
+            config: HumanConfig::default(),
+        };
+        let (table1, escalation) = (Population::table1(), Population::escalation());
+        let specs = table1.entries.iter().chain(&escalation.entries);
+        let mut digests: Vec<[u64; 3]> = specs
+            .map(|(spec, _)| spec)
+            .chain([&js_off])
+            .map(|spec| traces(|rng| spec.build(rng)))
+            .collect();
+        digests.push(traces(|_| {
+            Box::new(OfflineBrowser {
+                follow_hidden: true,
+                ..OfflineBrowser::default()
+            })
+        }));
+        assert_eq!(digests, RECORDED, "{digests:#x?}");
+    }
+
+    #[rustfmt::skip]
+    const RECORDED: [[u64; 3]; 21] = [
+        [0xe785_ea71_7190_3ba8, 0x7f8c_3b2e_067c_1a6d, 0x7768_4dc1_2b3f_fbcc],
+        [0xd698_2ce7_445c_b68a, 0xb7bc_63b5_e502_2c9b, 0x1c8e_b847_8259_cb01],
+        [0x6184_1d90_9591_0a0a, 0x754e_f492_9b9c_06a5, 0x624f_ae01_f149_050b],
+        [0x771b_e527_0059_7b1a, 0x52af_3f51_3c87_14af, 0x5757_996a_3fe8_ecc1],
+        [0xdef7_9d0d_8a5f_128c, 0xaed4_9012_e4dd_6a50, 0x2253_70ba_388a_8160],
+        [0xddf8_b69f_83ec_893a, 0xe4d6_bfee_58e5_96a6, 0xee8a_1275_4608_0e3c],
+        [0x9f57_93f0_c4f4_9b39, 0x2bb6_77af_789e_d58f, 0x951a_4446_5e01_22c5],
+        [0xa09c_f153_d0a9_b1b0, 0xdf6c_1977_1572_8163, 0xc9eb_d602_30c1_b163],
+        [0x107a_7672_33c5_c1db, 0xc56a_617b_701d_29b8, 0x448a_705c_59a8_85c5],
+        [0xdd0f_d8e6_e700_4218, 0x6e22_9a13_24a7_0d0b, 0x86e3_04cd_e5d1_4615],
+        [0x92b1_3da8_d170_fcb8, 0x42d2_ab0c_33a6_9399, 0x4525_d03d_75b5_dc51],
+        [0xa71a_ca37_2ad2_9531, 0xd8e7_47fd_a911_b904, 0xa9ec_e031_68a5_2ae8],
+        [0xf3d1_0cf5_6d36_d7cb, 0xf3d1_0cf5_6d36_d7cb, 0xf3d1_0cf5_6d36_d7cb],
+        [0xe785_ea71_7190_3ba8, 0x7f8c_3b2e_067c_1a6d, 0x7768_4dc1_2b3f_fbcc],
+        [0x9f57_93f0_c4f4_9b39, 0x2bb6_77af_789e_d58f, 0x951a_4446_5e01_22c5],
+        [0x08c8_9b8d_9b8f_4e95, 0x156c_dbb8_7cc1_3f41, 0x9e78_f12b_1233_bd03],
+        [0xd994_6120_9272_9485, 0x7942_490a_e823_fb29, 0x55ca_b979_a89f_1a73],
+        [0x353f_6657_b610_a96e, 0x393d_4c35_e635_24b9, 0xd88b_8cd0_e7a9_4b43],
+        [0x8bc9_3344_29dc_6dc0, 0x84f7_19ec_6227_02ed, 0xbc00_e133_18f4_c7fb],
+        [0x4648_4e89_2dce_2fb4, 0xc929_dec3_15cb_b019, 0xefb5_d940_3cce_07e7],
+        [0xf865_fab4_778b_872f, 0xe58b_b8a9_8f00_4192, 0x9772_5790_a6f0_8c6a],
+    ];
 
     #[test]
     fn sampling_is_deterministic_per_seed() {

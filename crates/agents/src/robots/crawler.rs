@@ -4,12 +4,10 @@
 //! only; never downloads CSS, images, or scripts.
 
 use crate::agent::{Agent, AgentKind};
-use crate::world::{ClientWorld, FetchSpec};
-use botwall_http::Uri;
+use crate::walk::crawl;
+use crate::world::ClientWorld;
 use botwall_webgraph::scan;
-
 use rand_chacha::ChaCha8Rng;
-use std::collections::{HashSet, VecDeque};
 
 /// Configuration for [`CrawlerBot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,21 +58,8 @@ impl Agent for CrawlerBot {
     }
 
     fn run_session(&mut self, world: &mut dyn ClientWorld, _rng: &mut ChaCha8Rng) {
-        let mut queue: VecDeque<Uri> = VecDeque::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        queue.push_back(world.entry_point());
-        let mut fetched = 0;
-        while let Some(uri) = queue.pop_front() {
-            if fetched >= self.config.page_budget {
-                break;
-            }
-            if !seen.insert(uri.to_string()) {
-                continue;
-            }
-            let out = world.fetch(FetchSpec::get(uri.clone()));
-            fetched += 1;
-            world.sleep(self.config.delay_ms);
-            let Some(view) = out.page else { continue };
+        let (budget, delay_ms) = (self.config.page_budget, self.config.delay_ms);
+        crawl(world, budget, delay_ms, |_, frontier, uri, view| {
             // Byte-level scanning: every href found in the raw markup is
             // followed — visible or not.
             for link in scan::scan_links(&view.html) {
@@ -82,15 +67,14 @@ impl Agent for CrawlerBot {
                     continue;
                 };
                 // HTML-only: skip anything that looks like an asset.
-                if matches!(
+                if !matches!(
                     resolved.extension().as_deref(),
                     Some("css") | Some("js") | Some("jpg") | Some("gif") | Some("png")
                 ) {
-                    continue;
+                    frontier.push(resolved, None);
                 }
-                queue.push_back(resolved);
             }
-        }
+        });
     }
 }
 

@@ -4,11 +4,10 @@
 //! rendering state, and sends no referrers.
 
 use crate::agent::{Agent, AgentKind};
-use crate::world::{ClientWorld, FetchSpec};
-use botwall_http::Uri;
+use crate::walk::crawl;
+use crate::world::ClientWorld;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::{HashSet, VecDeque};
 
 /// An address-harvesting robot.
 #[derive(Debug, Clone)]
@@ -45,31 +44,18 @@ impl Agent for EmailHarvester {
         // rather than grepping bytes, which keeps them out of the
         // hidden-link trap — and is why the trap alone catches only ~1%
         // of sessions (Table 1).
-        let mut queue: VecDeque<Uri> = VecDeque::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        queue.push_back(world.entry_point());
-        let mut fetched = 0;
-        while let Some(uri) = queue.pop_front() {
-            if fetched >= self.page_budget {
-                break;
-            }
-            if !seen.insert(uri.to_string()) {
-                continue;
-            }
-            let out = world.fetch(FetchSpec::get(uri));
-            fetched += 1;
-            world.sleep(self.delay_ms);
-            let Some(view) = out.page else { continue };
+        let (budget, delay_ms) = (self.page_budget, self.delay_ms);
+        crawl(world, budget, delay_ms, |_, frontier, _, view| {
             // Shuffle order a little so sessions differ.
-            let mut links = view.links.clone();
+            let mut links = view.links;
             if links.len() > 1 {
                 let swap = rng.gen_range(0..links.len());
                 links.swap(0, swap);
             }
             for link in links {
-                queue.push_back(link);
+                frontier.push(link, None);
             }
-        }
+        });
     }
 }
 

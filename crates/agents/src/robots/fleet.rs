@@ -14,9 +14,10 @@
 //! shared answer buys nothing twice.
 
 use crate::agent::{Agent, AgentKind};
+use crate::walk::{render, walk, Script};
 use crate::world::{ClientWorld, FetchSpec};
 use botwall_http::{Uri, UserAgent};
-use rand::Rng;
+use rand::seq::SliceRandom;
 use rand_chacha::ChaCha8Rng;
 use std::sync::{Arc, Mutex};
 
@@ -111,40 +112,18 @@ impl Agent for FleetBot {
         }
 
         // Then browse and harvest like the §4.1 scanner.
-        let mut current = world.entry_point();
-        let mut referer: Option<String> = None;
-        let mut visited = 0u32;
-        let mut failures = 0u32;
-        while visited < self.config.pages && failures < 12 {
-            let spec = match &referer {
-                Some(r) => FetchSpec::get_with_referer(current.clone(), r.clone()),
-                None => FetchSpec::get(current.clone()),
-            };
-            let out = world.fetch(spec);
-            let Some(view) = out.page else {
-                failures += 1;
-                world.sleep(self.config.delay_ms * 4);
-                continue;
-            };
-            visited += 1;
-            let page_url = current.to_string();
+        let query = format!(
+            "agent={}&wd=0&pl=3",
+            UserAgent::canonicalize(&self.user_agent())
+        );
+        let (pages, delay_ms) = (self.config.pages, self.config.delay_ms);
+        walk(world, pages, delay_ms * 4, |world, page_url, view| {
             if let Some(m) = &view.manifest {
                 // Blend in: fetch the probe suite and fire the reporter
                 // with a consistent forgery (header-matching agent, clean
                 // environment) — the fleet's tell is its loot, not its
                 // fingerprint.
-                if let Some(css) = &m.css_probe {
-                    world.fetch(FetchSpec::get_with_referer(css.clone(), page_url.clone()));
-                }
-                if let Some(js) = &m.js_file {
-                    world.fetch(FetchSpec::get_with_referer(js.clone(), page_url.clone()));
-                }
-                if let Some(agent) = &m.agent_beacon {
-                    let reported = UserAgent::canonicalize(&self.user_agent());
-                    if let Ok(uri) = format!("{agent}?agent={reported}&wd=0&pl=3").parse::<Uri>() {
-                        world.fetch(FetchSpec::get_with_referer(uri, page_url.clone()));
-                    }
-                }
+                render(world, m, page_url, true, Script::Run(&query));
                 // Harvest every beacon-shaped URL the scanner can see.
                 let mut cache = self.cache.lock().expect("fleet cache");
                 for url in m.decoy_beacons.iter().chain(m.mouse_beacon.iter()).cloned() {
@@ -167,14 +146,9 @@ impl Agent for FleetBot {
                         .push((ch.id, answer));
                 }
             }
-            world.sleep(self.config.delay_ms);
-            if view.links.is_empty() {
-                break;
-            }
-            let next = view.links[rng.gen_range(0..view.links.len())].clone();
-            referer = Some(page_url);
-            current = next;
-        }
+            world.sleep(delay_ms);
+            view.links.choose(rng).cloned()
+        });
     }
 }
 

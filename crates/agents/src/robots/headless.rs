@@ -19,9 +19,10 @@
 //! detector family can and cannot catch.
 
 use crate::agent::{Agent, AgentKind};
+use crate::walk::{render, walk, Script};
 use crate::world::{ClientWorld, FetchSpec};
-use botwall_http::{Uri, UserAgent};
-use rand::Rng;
+use botwall_http::UserAgent;
+use rand::seq::SliceRandom;
 use rand_chacha::ChaCha8Rng;
 
 /// Configuration for [`HeadlessBrowser`].
@@ -76,60 +77,26 @@ impl Agent for HeadlessBrowser {
     }
 
     fn run_session(&mut self, world: &mut dyn ClientWorld, rng: &mut ChaCha8Rng) {
-        let mut current = world.entry_point();
-        let mut referer: Option<String> = None;
-        let mut visited = 0u32;
-        let mut failures = 0u32;
-        while visited < self.config.pages && failures < 12 {
-            let spec = match &referer {
-                Some(r) => FetchSpec::get_with_referer(current.clone(), r.clone()),
-                None => FetchSpec::get(current.clone()),
-            };
-            let out = world.fetch(spec);
-            let Some(view) = out.page else {
-                failures += 1;
-                world.sleep(self.config.delay_ms * 4);
-                continue;
-            };
-            visited += 1;
-            let page_url = current.to_string();
+        // The script runs for real, so the reporter ships the *true*
+        // environment — unless stealth patches it.
+        let reported = UserAgent::canonicalize(&self.user_agent());
+        let (wd, pl) = if self.config.stealth { (0, 3) } else { (1, 0) };
+        let query = format!("agent={reported}&wd={wd}&pl={pl}");
+        let (pages, delay_ms) = (self.config.pages, self.config.delay_ms);
+        walk(world, pages, delay_ms * 4, |world, page_url, view| {
             if let Some(m) = &view.manifest {
                 // A rendering engine pulls the whole probe suite.
-                if let Some(css) = &m.css_probe {
-                    world.fetch(FetchSpec::get_with_referer(css.clone(), page_url.clone()));
-                }
-                if let Some(js) = &m.js_file {
-                    world.fetch(FetchSpec::get_with_referer(js.clone(), page_url.clone()));
-                }
-                // The script runs for real, so the reporter ships the
-                // *true* environment — unless stealth patches it.
-                if let Some(agent) = &m.agent_beacon {
-                    let reported = UserAgent::canonicalize(&self.user_agent());
-                    let (wd, pl) = if self.config.stealth { (0, 3) } else { (1, 0) };
-                    if let Ok(uri) =
-                        format!("{agent}?agent={reported}&wd={wd}&pl={pl}").parse::<Uri>()
-                    {
-                        world.fetch(FetchSpec::get_with_referer(uri, page_url.clone()));
-                    }
-                }
+                render(world, m, page_url, true, Script::Run(&query));
                 // Synthesized mouse entropy dispatched through the live
                 // handler redeems the genuine keyed beacon — decoys are
                 // never touched, because the handler knows its own URL.
                 if let Some(beacon) = &m.mouse_beacon {
-                    world.fetch(FetchSpec::get_with_referer(
-                        beacon.clone(),
-                        page_url.clone(),
-                    ));
+                    world.fetch(FetchSpec::get_with_referer(beacon.clone(), page_url));
                 }
             }
-            world.sleep(self.config.delay_ms);
-            if view.links.is_empty() {
-                break;
-            }
-            let next = view.links[rng.gen_range(0..view.links.len())].clone();
-            referer = Some(page_url);
-            current = next;
-        }
+            world.sleep(delay_ms);
+            view.links.choose(rng).cloned()
+        });
     }
 }
 

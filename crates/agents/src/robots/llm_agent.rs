@@ -15,7 +15,8 @@
 //! honest negative: human rhythm alone does not beat the detector.
 
 use crate::agent::{Agent, AgentKind};
-use crate::world::{ClientWorld, FetchSpec};
+use crate::walk::walk;
+use crate::world::ClientWorld;
 use botwall_http::Uri;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -68,24 +69,9 @@ impl Agent for LlmAgent {
         // Systematic frontier: lexicographically ordered, each page once.
         let mut frontier: BTreeSet<String> = BTreeSet::new();
         let mut seen: BTreeSet<String> = BTreeSet::new();
-        let mut current = world.entry_point();
-        let mut referer: Option<String> = None;
-        let mut visited = 0u32;
-        let mut failures = 0u32;
-        while visited < self.config.pages && failures < 12 {
-            seen.insert(current.to_string());
-            let spec = match &referer {
-                Some(r) => FetchSpec::get_with_referer(current.clone(), r.clone()),
-                None => FetchSpec::get(current.clone()),
-            };
-            let out = world.fetch(spec);
-            let Some(view) = out.page else {
-                failures += 1;
-                world.sleep(self.config.think_time_ms.1);
-                continue;
-            };
-            visited += 1;
-            let page_url = current.to_string();
+        let (least, most) = self.config.think_time_ms;
+        walk(world, self.config.pages, most, |world, page_url, view| {
+            seen.insert(page_url.to_string());
             // The text layer surfaces links only; probes, stylesheets and
             // scripts never reach the model.
             for link in &view.links {
@@ -95,20 +81,11 @@ impl Agent for LlmAgent {
                 }
             }
             // "Inference": human-band pacing between steps.
-            let pause = rng.gen_range(self.config.think_time_ms.0..=self.config.think_time_ms.1);
-            world.sleep(pause);
+            world.sleep(rng.gen_range(least..=most));
             // Next step: the first unvisited link in sorted order — the
             // systematic tell no human traversal produces.
-            let Some(next) = frontier.iter().next().cloned() else {
-                break;
-            };
-            frontier.remove(&next);
-            let Ok(uri) = next.parse::<Uri>() else {
-                continue;
-            };
-            referer = Some(page_url);
-            current = uri;
-        }
+            frontier.pop_first()?.parse::<Uri>().ok()
+        });
     }
 }
 

@@ -10,10 +10,9 @@
 //! FPR) is populated by exactly these sessions.
 
 use crate::agent::{Agent, AgentKind};
+use crate::walk::{crawl, render, Script};
 use crate::world::{ClientWorld, FetchSpec};
-use botwall_http::Uri;
 use rand_chacha::ChaCha8Rng;
-use std::collections::{HashSet, VecDeque};
 
 /// A mirroring robot.
 #[derive(Debug, Clone)]
@@ -50,50 +49,28 @@ impl Agent for OfflineBrowser {
     }
 
     fn run_session(&mut self, world: &mut dyn ClientWorld, _rng: &mut ChaCha8Rng) {
-        let mut queue: VecDeque<(Uri, Option<String>)> = VecDeque::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        queue.push_back((world.entry_point(), None));
-        let mut fetched = 0;
-        while let Some((uri, referer)) = queue.pop_front() {
-            if fetched >= self.page_budget {
-                break;
-            }
-            if !seen.insert(uri.to_string()) {
-                continue;
-            }
-            let spec = match &referer {
-                Some(r) => FetchSpec::get_with_referer(uri.clone(), r.clone()),
-                None => FetchSpec::get(uri.clone()),
-            };
-            let out = world.fetch(spec);
-            fetched += 1;
-            world.sleep(self.delay_ms);
-            let Some(view) = out.page else { continue };
+        let (budget, delay_ms) = (self.page_budget, self.delay_ms);
+        crawl(world, budget, delay_ms, |world, frontier, uri, view| {
             let page_url = uri.to_string();
             // Mirror every embedded object, including the CSS probe and
             // the script file — but never run anything.
-            for asset in &view.embedded {
-                if seen.insert(asset.to_string()) {
-                    world.fetch(FetchSpec::get_with_referer(asset.clone(), page_url.clone()));
+            for asset in view.embedded {
+                if frontier.mark(&asset) {
+                    world.fetch(FetchSpec::get_with_referer(asset, page_url.clone()));
                 }
             }
             if let Some(m) = &view.manifest {
-                if let Some(css) = &m.css_probe {
-                    world.fetch(FetchSpec::get_with_referer(css.clone(), page_url.clone()));
-                }
-                if let Some(js) = &m.js_file {
-                    world.fetch(FetchSpec::get_with_referer(js.clone(), page_url.clone()));
-                }
+                render(world, m, &page_url, true, Script::Download);
                 if self.follow_hidden {
                     if let Some(hidden) = &m.hidden_link {
-                        queue.push_back((hidden.clone(), Some(page_url.clone())));
+                        frontier.push(hidden.clone(), Some(page_url.clone()));
                     }
                 }
             }
-            for link in &view.links {
-                queue.push_back((link.clone(), Some(page_url.clone())));
+            for link in view.links {
+                frontier.push(link, Some(page_url.clone()));
             }
-        }
+        });
     }
 }
 

@@ -4,10 +4,10 @@
 //! species and nothing else.
 
 use crate::agent::{Agent, AgentKind};
+use crate::walk::crawl;
 use crate::world::{ClientWorld, FetchSpec};
 use botwall_http::Uri;
 use rand_chacha::ChaCha8Rng;
-use std::collections::{HashSet, VecDeque};
 
 /// A declared, polite crawler.
 #[derive(Debug, Clone)]
@@ -37,31 +37,17 @@ impl Agent for PoliteSpider {
     }
 
     fn run_session(&mut self, world: &mut dyn ClientWorld, _rng: &mut ChaCha8Rng) {
-        let entry = world.entry_point();
         // REP: retrieve robots.txt before crawling.
-        if let Some(host) = entry.host() {
+        if let Some(host) = world.entry_point().host() {
             world.fetch(FetchSpec::get(Uri::absolute(host, "/robots.txt")));
         }
-        let mut queue: VecDeque<Uri> = VecDeque::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        queue.push_back(entry);
-        let mut fetched = 0;
-        while let Some(uri) = queue.pop_front() {
-            if fetched >= self.page_budget {
-                break;
-            }
-            if !seen.insert(uri.to_string()) {
-                continue;
-            }
-            let out = world.fetch(FetchSpec::get(uri));
-            fetched += 1;
-            world.sleep(self.delay_ms);
-            let Some(view) = out.page else { continue };
+        let (budget, delay_ms) = (self.page_budget, self.delay_ms);
+        crawl(world, budget, delay_ms, |_, frontier, _, view| {
             // Polite spiders parse properly and follow only visible links.
-            for link in &view.links {
-                queue.push_back(link.clone());
+            for link in view.links {
+                frontier.push(link, None);
             }
-        }
+        });
     }
 }
 

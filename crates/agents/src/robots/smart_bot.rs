@@ -16,8 +16,10 @@
 //!   `S_JS − S_MM`: robot.
 
 use crate::agent::{Agent, AgentKind};
+use crate::walk::{render, walk, Script};
 use crate::world::{ClientWorld, FetchSpec};
-use botwall_http::{Uri, UserAgent};
+use botwall_http::UserAgent;
+use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
@@ -79,68 +81,37 @@ impl Agent for SmartBot {
     }
 
     fn run_session(&mut self, world: &mut dyn ClientWorld, rng: &mut ChaCha8Rng) {
-        let mut current = world.entry_point();
-        let mut referer: Option<String> = None;
-        let mut visited = 0u32;
-        let mut failures = 0u32;
+        // "Executing" the script fires the agent beacon with this string.
+        let reported = if self.config.forge_consistently {
+            UserAgent::canonicalize(&self.user_agent())
+        } else {
+            UserAgent::canonicalize(self.real_engine())
+        };
+        let query = format!("agent={reported}");
+        let (pages, delay_ms) = (self.config.pages, self.config.delay_ms);
         // A bot does not give up on a 429: it backs off and retries —
         // which is exactly what keeps its session above the >10-request
         // classification floor even while throttled.
-        while visited < self.config.pages && failures < 12 {
-            let spec = match &referer {
-                Some(r) => FetchSpec::get_with_referer(current.clone(), r.clone()),
-                None => FetchSpec::get(current.clone()),
-            };
-            let out = world.fetch(spec);
-            let Some(view) = out.page else {
-                failures += 1;
-                world.sleep(self.config.delay_ms * 4);
-                continue;
-            };
-            visited += 1;
-            let page_url = current.to_string();
+        walk(world, pages, delay_ms * 4, |world, page_url, view| {
             if let Some(m) = &view.manifest {
                 // Behave like a browser for the probe suite.
-                if let Some(css) = &m.css_probe {
-                    world.fetch(FetchSpec::get_with_referer(css.clone(), page_url.clone()));
-                }
-                if let Some(js) = &m.js_file {
-                    world.fetch(FetchSpec::get_with_referer(js.clone(), page_url.clone()));
-                }
-                // "Execute" the script: fire the agent beacon.
-                if let Some(agent) = &m.agent_beacon {
-                    let reported = if self.config.forge_consistently {
-                        UserAgent::canonicalize(&self.user_agent())
-                    } else {
-                        UserAgent::canonicalize(self.real_engine())
-                    };
-                    if let Ok(uri) = format!("{agent}?agent={reported}").parse::<Uri>() {
-                        world.fetch(FetchSpec::get_with_referer(uri, page_url.clone()));
-                    }
-                }
+                render(world, m, page_url, true, Script::Run(&query));
                 // Optionally gamble on a scanned beacon URL. The bot sees
                 // the m+1 candidates via static scanning and cannot tell
                 // them apart, so it picks uniformly — the paper's
                 // m/(m+1) catch probability.
                 if self.config.scan_beacons {
                     let mut candidates = m.decoy_beacons.clone();
-                    if let Some(real) = &m.mouse_beacon {
-                        candidates.push(real.clone());
-                    }
+                    candidates.extend(m.mouse_beacon.clone());
                     if !candidates.is_empty() {
-                        let pick = candidates[rng.gen_range(0..candidates.len())].clone();
-                        world.fetch(FetchSpec::get_with_referer(pick, page_url.clone()));
+                        let pick = candidates.swap_remove(rng.gen_range(0..candidates.len()));
+                        world.fetch(FetchSpec::get_with_referer(pick, page_url));
                     }
                 }
             }
-            world.sleep(self.config.delay_ms);
-            if view.links.is_empty() {
-                break;
-            }
-            let next = view.links[rng.gen_range(0..view.links.len())].clone();
-            referer = Some(page_url);
-            current = next;
-        }
+            world.sleep(delay_ms);
+            view.links.choose(rng).cloned()
+        });
     }
 }
 

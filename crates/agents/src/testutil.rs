@@ -98,11 +98,6 @@ impl MockWorld {
         self.evidence(EvidenceKind::FetchedDecoy)
     }
 
-    /// Replayed beacon fetches.
-    pub fn replay_hits(&self) -> u64 {
-        self.evidence(EvidenceKind::ReplayedBeacon)
-    }
-
     /// Beacon-shaped fetches whose key was never issued here (forgeries
     /// or cross-session theft).
     pub fn unknown_beacon_hits(&self) -> u64 {
@@ -225,9 +220,10 @@ mod tests {
 
     /// Each probe tally reads the one evidence kind its fetch records.
     /// Once each (every probe of a page, a decoy, a forged beacon, and
-    /// the real mouse beacon twice: valid, then a replay) all eight read
-    /// 1; fetched a different number of times each, a tally reading
-    /// another's kind would read another's count.
+    /// the real mouse beacon twice: valid, then a replay) all seven and
+    /// the session's replay count read 1; fetched a different number of
+    /// times each, a tally reading another's kind would read another's
+    /// count.
     #[test]
     fn each_probe_tally_reads_its_evidence_kind() {
         let mut w = MockWorld::new(5);
@@ -252,7 +248,7 @@ mod tests {
                 w.decoy_hits(),
                 w.unknown_beacon_hits(),
                 w.mouse_beacon_hits(),
-                w.replay_hits(),
+                w.evidence(EvidenceKind::ReplayedBeacon),
             ]
         };
         for uri in &probes {

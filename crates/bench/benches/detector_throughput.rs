@@ -3,10 +3,10 @@
 //! This bench measures the full node request path — classify, detect,
 //! policy, respond — in requests per second.
 
-use botwall_agents::world::{ClientWorld, FetchSpec};
+use botwall_agents::world::{Client, ClientWorld, FetchSpec};
 use botwall_agents::Population;
 use botwall_codeen::network::{Network, NetworkConfig};
-use botwall_codeen::node::{Deployment, ProxyNode};
+use botwall_codeen::node::Deployment;
 use botwall_http::request::ClientIp;
 use botwall_http::Uri;
 use botwall_sessions::SimTime;
@@ -31,7 +31,7 @@ fn bench_request_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("request_path");
     group.throughput(Throughput::Elements(1));
     group.bench_function("page_fetch_full_deployment", |b| {
-        let node = ProxyNode::new(0, Arc::clone(&web), Deployment::full(), 42);
+        let gateway = Arc::new(Deployment::full().gateway(42));
         let host = web.sites().next().unwrap().host().to_string();
         let entry = Uri::absolute(&host, "/index.html");
         let mut start = SimTime::ZERO;
@@ -39,7 +39,8 @@ fn bench_request_path(c: &mut Criterion) {
         b.iter(|| {
             ip = ip.wrapping_add(1);
             let visitor = (ClientIp::new(ip), "bench-agent".to_string());
-            let mut client = node.client(visitor, entry.clone(), start);
+            let (gateway, web) = (Arc::clone(&gateway), Arc::clone(&web));
+            let mut client = Client::new(gateway, web, visitor, entry.clone(), start);
             let out = client.fetch(FetchSpec::get(entry.clone()));
             // The next session starts where this one's clock stopped.
             start = client.now();

@@ -4,11 +4,12 @@
 //! PlanetLab nodes handling 20M+ requests/day. This crate reproduces the
 //! pieces of it that the experiments depend on:
 //!
-//! * [`node`] — a proxy node with the full request path: instrumentation
+//! * [`node`] — what a proxy node deploys ([`Deployment`]) and the
+//!   gateway that is the node: the full request path of instrumentation
 //!   (page rewriting + probe serving), detection, and §3.2 policy
-//!   enforcement, fetching origin content from the `botwall-webgraph`
-//!   substrate; each session on it is a `botwall_agents::world::Client`
-//!   of its gateway.
+//!   enforcement, in front of the `botwall-webgraph` substrate; each
+//!   session on a node is a `botwall_agents::world::Client` of its
+//!   gateway.
 //! * [`network`] — many nodes, client/session scheduling, merged
 //!   accounting; [`network::Network::run`] executes a whole experiment.
 //! * [`abuse`] — the delivered-abuse → complaint model.
@@ -44,5 +45,5 @@ pub mod timeline;
 pub use abuse::{complaints_for, ComplaintConfig, ComplaintTally};
 pub use metrics::{BandwidthLedger, NodeStats};
 pub use network::{Network, NetworkConfig, RunReport, SessionSummary};
-pub use node::{Deployment, ProxyNode};
+pub use node::Deployment;
 pub use timeline::{replay, MonthRow, TimelineConfig};

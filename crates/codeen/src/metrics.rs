@@ -28,7 +28,7 @@ impl BandwidthLedger {
     }
 }
 
-/// Per-node request outcome tallies.
+/// Request outcome tallies, of one node or merged over a network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Requests served normally.
@@ -37,7 +37,7 @@ pub struct NodeStats {
     pub throttled: u64,
     /// Requests rejected because the session was blocked (403).
     pub blocked: u64,
-    /// Sessions completed on this node.
+    /// Sessions run.
     pub sessions: u64,
 }
 

@@ -1,9 +1,10 @@
 //! The proxy network: many nodes, a shared web, and the session runner.
 
 use crate::metrics::{BandwidthLedger, NodeStats};
-use crate::node::{Deployment, ProxyNode};
-use botwall_agents::{AgentKind, ClientWorld, Population};
+use crate::node::Deployment;
+use botwall_agents::{AgentKind, Client, ClientWorld, Population};
 use botwall_core::CompletedSession;
+use botwall_gateway::Gateway;
 use botwall_http::request::ClientIp;
 use botwall_http::Uri;
 use botwall_sessions::{SessionKey, SimTime};
@@ -96,34 +97,33 @@ impl RunReport {
     }
 }
 
-/// The CoDeeN-like proxy network.
+/// The CoDeeN-like proxy network: one gateway a node, in front of one
+/// shared web.
 #[derive(Debug)]
 pub struct Network {
-    nodes: Vec<ProxyNode>,
+    gateways: Vec<Arc<Gateway>>,
     web: Arc<Web>,
     clock: SimTime,
     next_ip: u32,
+    sessions: u64,
 }
 
 impl Network {
     /// Builds a network of `config.nodes` nodes over a fresh web.
     pub fn new(config: &NetworkConfig, seed: u64) -> Network {
         let web = Arc::new(Web::generate(&config.web, seed));
-        let nodes = (0..config.nodes)
+        let gateways = (0..config.nodes)
             .map(|i| {
-                ProxyNode::new(
-                    i,
-                    Arc::clone(&web),
-                    config.deployment,
-                    seed.wrapping_add(i as u64 * 7919),
-                )
+                let node_seed = seed.wrapping_add(u64::from(i) * 7919);
+                Arc::new(config.deployment.gateway(node_seed))
             })
             .collect();
         Network {
-            nodes,
+            gateways,
             web,
             clock: SimTime::ZERO,
             next_ip: 0x0B00_0000,
+            sessions: 0,
         }
     }
 
@@ -147,14 +147,14 @@ impl Network {
         rng: &mut ChaCha8Rng,
         gap_ms: u64,
     ) -> SessionSummary {
-        let node_idx = rng.gen_range(0..self.nodes.len());
+        let node_idx = rng.gen_range(0..self.gateways.len());
         let ip = ClientIp::new(self.next_ip);
         self.next_ip += 1;
         let site = self.web.pick_site(rng);
         let entry = Uri::absolute(site.host(), "/index.html");
-        let start = self.clock;
-        let node = &self.nodes[node_idx];
-        let mut client = node.client((ip, agent.user_agent()), entry, start);
+        let gateway = Arc::clone(&self.gateways[node_idx]);
+        let visitor = (ip, agent.user_agent());
+        let mut client = Client::new(gateway, Arc::clone(&self.web), visitor, entry, self.clock);
         agent.run_session(&mut client, rng);
         let ledger = client.ledger();
         let summary = SessionSummary {
@@ -167,25 +167,31 @@ impl Network {
             blocked: ledger.blocked,
             captcha_passed: ledger.captcha_passes > 0,
         };
-        node.finish_session();
+        self.sessions += 1;
         self.clock = client.now() + gap_ms;
         summary
     }
 
     /// Drains every node, returning all completed sessions and merged
-    /// accounting. Consumes the network.
+    /// accounting: the outcome and byte counts of every node's gateway,
+    /// and the sessions run. Consumes the network.
     pub fn finish(self) -> (Vec<CompletedSession>, NodeStats, BandwidthLedger) {
         let mut completed = Vec::new();
-        let mut stats = NodeStats::default();
+        let mut stats = NodeStats {
+            sessions: self.sessions,
+            ..NodeStats::default()
+        };
         let mut bandwidth = BandwidthLedger::default();
-        for node in &self.nodes {
-            completed.extend(node.drain());
-            let s = node.stats();
-            stats.allowed += s.allowed;
-            stats.throttled += s.throttled;
-            stats.blocked += s.blocked;
-            stats.sessions += s.sessions;
-            bandwidth.merge(&node.bandwidth());
+        for gateway in &self.gateways {
+            completed.extend(gateway.drain());
+            let g = gateway.stats();
+            stats.allowed += g.served;
+            stats.throttled += g.throttled;
+            stats.blocked += g.blocked;
+            bandwidth.merge(&BandwidthLedger {
+                total_bytes: g.total_bytes,
+                instrumentation_bytes: g.instrumentation_bytes,
+            });
         }
         (completed, stats, bandwidth)
     }

@@ -102,9 +102,7 @@ impl Decision {
 /// it: a refusal or a probe object is fixed bytes and a `Connection`
 /// line, nothing built — a probe object written as the gate answers it
 /// ([`ProbeObject::write`]), the rest by [`Answer::write`].
-/// [`Answer::to_response`] is the same answer as a [`Response`], for a
-/// caller that wants one, and [`Answer::summary`] what the session's
-/// record keeps of it.
+/// [`Answer::summary`] is what the session's record keeps of it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
     /// `403`: the session is blocked.
@@ -138,7 +136,7 @@ impl Answer {
 
     /// Appends a refusal or the interstitial as the front door sends
     /// it, `close` deciding its `Connection` line: what
-    /// [`wire::write_response`] makes of [`Answer::to_response`]. A probe
+    /// [`wire::write_response`] makes of its [`Decision`]'s response. A probe
     /// object was written when it was answered, so nothing more goes out
     /// for one.
     pub fn write(&self, close: bool, out: &mut Vec<u8>) {
@@ -151,19 +149,9 @@ impl Answer {
         }
     }
 
-    /// The answer as a [`Response`]; `written` ends with what the gate
-    /// wrote of it (a script's body is read from there).
-    pub fn to_response(&self, written: &[u8]) -> Response {
-        match self {
-            Answer::Block | Answer::Throttle => Response::empty(self.status()),
-            Answer::Challenge(challenge) => challenge_response(challenge),
-            Answer::Probe(object) => object.to_response(written),
-        }
-    }
-
     /// The [`Decision`] this answer is, for the session `key` whose
-    /// verdict it left at `verdict`; `written` as for
-    /// [`Answer::to_response`].
+    /// verdict it left at `verdict`; `written` ends with what the gate
+    /// wrote of it (a script's body is read from there).
     pub(crate) fn into_decision(
         self,
         key: SessionKey,
@@ -231,17 +219,21 @@ mod tests {
     }
 
     /// Refusals and the interstitial written as they are sent are the
-    /// responses they stand for, with this hop's framing; the record's
-    /// summary is the response's. (Probe objects: `botwall-instrument`.)
+    /// responses of the decisions they stand for, with this hop's
+    /// framing; the record's summary is the response's. (Probe objects:
+    /// `botwall-instrument`.)
     #[test]
     fn an_answer_written_is_its_response_written() {
         let challenge = Challenge::derive(4, 1, 0.5);
-        for answer in [
-            Answer::Block,
-            Answer::Throttle,
-            Answer::Challenge(challenge),
+        for (answer, decision) in [
+            (Answer::Block, Decision::Block),
+            (Answer::Throttle, Decision::Throttle),
+            (
+                Answer::Challenge(challenge.clone()),
+                Decision::Challenge(challenge),
+            ),
         ] {
-            let response = answer.to_response(&[]);
+            let response = decision.into_response();
             assert_eq!(answer.status(), response.status());
             assert_eq!(answer.summary(), response.summary());
             for close in [false, true] {
