@@ -6,7 +6,7 @@ use botwall_codeen::network::{Network, NetworkConfig, RunReport};
 use botwall_codeen::node::Deployment;
 use botwall_codeen::timeline::{self, MonthRow, TimelineConfig};
 use botwall_core::report::{Figure2Report, Table1Report};
-use botwall_core::staged::{NoBoundary, StagedConfig, StagedPipeline};
+use botwall_core::staged::{NoBoundary, StagedPipeline};
 use botwall_core::Label;
 use botwall_instrument::beacon;
 use botwall_ml::baselines::navtree::{DecisionTree, TreeConfig};
@@ -251,8 +251,8 @@ pub fn run_staged(sessions: u32, seed: u64) -> Vec<StagedRow> {
     // Train a boundary model on a separate corpus.
     let f4 = run_figure4(200, seed ^ 0x57A6ED);
     let boundary = AdaBoostBoundary::new(f4.final_model.clone(), 20);
-    let staged_ml = StagedPipeline::new(StagedConfig::default(), boundary);
-    let staged_plain = StagedPipeline::new(StagedConfig::default(), NoBoundary);
+    let staged_ml = StagedPipeline::new(boundary);
+    let staged_plain = StagedPipeline::new(NoBoundary);
 
     let mut rows = Vec::new();
     for strategy in ["browser-test-only", "set-algebra", "staged+adaboost"] {

@@ -560,10 +560,9 @@ impl Detector {
     /// exchange is recorded and its evidence folded exactly as the fused
     /// path does. `head` is the response as far as a record reads it
     /// (status and headers; a page's instrumentation was minted into
-    /// the session earlier, through [`Detector::with_lease_state`]) and
-    /// `sent` what it came to on the wire, body included: the session's
-    /// record counts that, since a body that was streamed to the client
-    /// is not in `head` to be measured.
+    /// the session earlier, through [`Detector::with_lease_state`]). What
+    /// the exchange came to on the wire is not the session's to keep: the
+    /// gateway's byte ledger counts it.
     ///
     /// If the leased incarnation is gone — evicted for capacity, or
     /// rolled over because the key returned after the idle timeout
@@ -576,7 +575,6 @@ impl Detector {
         lease: OriginLease,
         request: &RequestView<'_>,
         head: ResponseSummary,
-        sent: u64,
         now: SimTime,
     ) -> ObserveOutcome {
         let OriginLease {
@@ -599,7 +597,7 @@ impl Detector {
                 // underflow.
                 let state = entry.ext();
                 state.in_flight = state.in_flight.saturating_sub(1);
-                entry.record_streamed(request, head, sent, now);
+                entry.record(request, Some(head), now);
                 let (session, state) = entry.parts();
                 fold_exchange(state, session, &classified, agent, now)
             },
@@ -921,7 +919,7 @@ mod tests {
                     .manifest
             };
             let manifest = page.then(|| self.det.with_lease_state(&lease, mint));
-            let outcome = self.det.commit_exchange(lease, &view, ok(), 0, now);
+            let outcome = self.det.commit_exchange(lease, &view, ok(), now);
             (outcome, manifest.flatten())
         }
     }
@@ -1291,7 +1289,7 @@ mod tests {
         p.fetch(40, "http://h/a.html", "Mozilla/5.0", SimTime::from_secs(1));
         let out = p
             .det
-            .commit_exchange(lease, &r.view(), ok(), 0, SimTime::from_secs(2));
+            .commit_exchange(lease, &r.view(), ok(), SimTime::from_secs(2));
         // The live lease commits through the fold path, behind the
         // interleaved exchange.
         assert_eq!(tracker.get(&out.key).unwrap().request_count(), 2);
@@ -1365,7 +1363,7 @@ mod tests {
         // The hanging origins answer: every commit folds its lease back
         // in and the in-flight census drains to zero.
         for lease in leases {
-            p.det.commit_exchange(lease, &r.view(), ok(), 0, now + 100);
+            p.det.commit_exchange(lease, &r.view(), ok(), now + 100);
         }
         assert_eq!(
             p.det.with_key_state(&key, |_, state| state.in_flight),
@@ -1383,7 +1381,7 @@ mod tests {
         let other = p.fetch(42, "http://h/b.html", "Mozilla/5.0", SimTime::from_secs(1));
         let out = p
             .det
-            .commit_exchange(lease, &r.view(), ok(), 0, SimTime::from_secs(2));
+            .commit_exchange(lease, &r.view(), ok(), SimTime::from_secs(2));
         // The evicted lease folds into nobody: the stranger's record is
         // untouched...
         assert_eq!(out.verdict, Verdict::Undecided);
@@ -1420,7 +1418,7 @@ mod tests {
         p.fetch(46, "http://h/b.html", "Mozilla/5.0", SimTime::from_secs(1));
         let out = p
             .det
-            .commit_exchange(lease, &r.view(), ok(), 0, SimTime::from_secs(2));
+            .commit_exchange(lease, &r.view(), ok(), SimTime::from_secs(2));
         assert_eq!(out.verdict, Verdict::Undecided);
         // The eviction must not launder the evidence: the key's next
         // incarnation inherits the hidden-link signal, not just a
@@ -1450,7 +1448,7 @@ mod tests {
         // incarnation is live when the commit finally lands.
         let later = SimTime::from_hours(2);
         let successor = p.fetch(47, "http://h/trap.html", "Mozilla/5.0", later);
-        p.det.commit_exchange(lease, &r.view(), ok(), 0, later + 1);
+        p.det.commit_exchange(lease, &r.view(), ok(), later + 1);
         // The successor takes the evidence directly at commit time — no
         // further request needed to convict it — and the rolled-over
         // lease's exchange is not folded into its record.
@@ -1477,7 +1475,7 @@ mod tests {
         // The key returns after the idle timeout mid-fetch: rollover.
         let later = SimTime::from_hours(2);
         p.fetch(43, "http://h/a.html", "Mozilla/5.0", later);
-        p.det.commit_exchange(lease, &r.view(), ok(), 0, later + 1);
+        p.det.commit_exchange(lease, &r.view(), ok(), later + 1);
         // The successor took the lost commit directly — and its
         // rollover-carried block flag is untouched.
         p.det

@@ -65,7 +65,7 @@
 //!         engine.build_session_page(html, &page, &mut state.tokens, || 1, now).manifest
 //!     })
 //!     .expect("the lease is live");
-//! det.commit_exchange(lease, &page.view(), ok, 0, now);
+//! det.commit_exchange(lease, &page.view(), ok, now);
 //!
 //! // Client side: a human moves the mouse, firing the beacon. The gate
 //! // redeems its key against the session's tokens and answers it itself.
@@ -97,4 +97,4 @@ pub use detector::{
 pub use evidence::{EvidenceKind, EvidenceSet};
 pub use policy::{Action, PolicyConfig, PolicyEngine, PolicyState};
 pub use report::{Figure2Report, RequestCdf, Table1Report};
-pub use staged::{BoundaryClassifier, Stage, StagedConfig, StagedDecision, StagedPipeline};
+pub use staged::{BoundaryClassifier, Stage, StagedDecision, StagedPipeline};

@@ -72,29 +72,17 @@ where
     }
 }
 
-/// Configuration for [`StagedPipeline`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StagedConfig {
-    /// The browser test is trusted once a session has at least this many
-    /// requests without contradicting signals (Figure 2: CSS downloads
-    /// classify 95% of browser users within 19 requests).
-    pub browser_test_window: u64,
-}
-
-impl Default for StagedConfig {
-    fn default() -> Self {
-        StagedConfig {
-            browser_test_window: 19,
-        }
-    }
-}
+/// The browser test is trusted once a session has at least this many
+/// requests without contradicting signals (Figure 2: CSS downloads
+/// classify 95% of browser users within 19 requests).
+const BROWSER_TEST_WINDOW: u64 = 19;
 
 /// The staged decision pipeline.
 ///
 /// # Examples
 ///
 /// ```
-/// use botwall_core::staged::{NoBoundary, StagedConfig, StagedPipeline, Stage};
+/// use botwall_core::staged::{NoBoundary, StagedPipeline, Stage};
 /// use botwall_core::evidence::{EvidenceKind, EvidenceSet};
 /// use botwall_core::classifier::Label;
 /// use botwall_http::request::ClientIp;
@@ -110,7 +98,7 @@ impl Default for StagedConfig {
 /// let ok = Response::empty(StatusCode::OK);
 /// let session = tracker.get(&tracker.observe(&request, &ok, SimTime::ZERO)).unwrap();
 ///
-/// let pipeline = StagedPipeline::new(StagedConfig::default(), NoBoundary);
+/// let pipeline = StagedPipeline::new(NoBoundary);
 /// let mut e = EvidenceSet::new();
 /// e.record(EvidenceKind::MouseEvent, 1, SimTime::ZERO);
 /// // Hard evidence decides before any later stage reads the session.
@@ -120,14 +108,13 @@ impl Default for StagedConfig {
 /// ```
 #[derive(Debug)]
 pub struct StagedPipeline<C> {
-    config: StagedConfig,
     boundary: C,
 }
 
 impl<C: BoundaryClassifier> StagedPipeline<C> {
     /// Creates a pipeline with the given boundary classifier.
-    pub fn new(config: StagedConfig, boundary: C) -> StagedPipeline<C> {
-        StagedPipeline { config, boundary }
+    pub fn new(boundary: C) -> StagedPipeline<C> {
+        StagedPipeline { boundary }
     }
 
     /// Decides a session using evidence plus (for boundary cases) the
@@ -185,7 +172,7 @@ impl<C: BoundaryClassifier> StagedPipeline<C> {
         if !css
             && !js
             && !evidence.has(EvidenceKind::DownloadedJsFile)
-            && request_count >= self.config.browser_test_window
+            && request_count >= BROWSER_TEST_WINDOW
         {
             return Some(StagedDecision {
                 label: Label::Robot,
@@ -229,7 +216,7 @@ mod tests {
 
     #[test]
     fn hard_evidence_short_circuits() {
-        let p = StagedPipeline::new(StagedConfig::default(), NoBoundary);
+        let p = StagedPipeline::new(NoBoundary);
         let d = p.decide(&session(5), &ev(&[EvidenceKind::HiddenLinkFollowed]));
         assert_eq!(d.stage, Stage::HardEvidence);
         assert_eq!(d.label, Label::Robot);
@@ -239,7 +226,7 @@ mod tests {
 
     #[test]
     fn browser_test_decides_css_sessions() {
-        let p = StagedPipeline::new(StagedConfig::default(), NoBoundary);
+        let p = StagedPipeline::new(NoBoundary);
         let d = p.decide(&session(8), &ev(&[EvidenceKind::DownloadedCss]));
         assert_eq!(d.stage, Stage::BrowserTest);
         assert_eq!(d.label, Label::Human);
@@ -247,15 +234,24 @@ mod tests {
 
     #[test]
     fn long_signalless_sessions_are_robots_via_browser_test() {
-        let p = StagedPipeline::new(StagedConfig::default(), NoBoundary);
+        let p = StagedPipeline::new(NoBoundary);
         let d = p.decide(&session(25), &EvidenceSet::new());
         assert_eq!(d.stage, Stage::BrowserTest);
         assert_eq!(d.label, Label::Robot);
     }
 
     #[test]
+    fn the_browser_test_window_is_nineteen_requests() {
+        let p = StagedPipeline::new(NoBoundary);
+        let d = p.decide(&session(18), &EvidenceSet::new());
+        assert_eq!(d.stage, Stage::Fallback);
+        let d = p.decide(&session(19), &EvidenceSet::new());
+        assert_eq!((d.stage, d.label), (Stage::BrowserTest, Label::Robot));
+    }
+
+    #[test]
     fn short_signalless_sessions_fall_through() {
-        let p = StagedPipeline::new(StagedConfig::default(), NoBoundary);
+        let p = StagedPipeline::new(NoBoundary);
         let d = p.decide(&session(5), &EvidenceSet::new());
         assert_eq!(d.stage, Stage::Fallback);
     }
@@ -265,7 +261,7 @@ mod tests {
         // An ML stage that labels everything human, to prove it is
         // consulted for the boundary case.
         let ml = |_: &Session| Some(Label::Human);
-        let p = StagedPipeline::new(StagedConfig::default(), ml);
+        let p = StagedPipeline::new(ml);
         let d = p.decide(
             &session(30),
             &ev(&[EvidenceKind::DownloadedCss, EvidenceKind::ExecutedJs]),
@@ -276,7 +272,7 @@ mod tests {
 
     #[test]
     fn abstaining_ml_falls_back_to_set_algebra() {
-        let p = StagedPipeline::new(StagedConfig::default(), NoBoundary);
+        let p = StagedPipeline::new(NoBoundary);
         let e = ev(&[EvidenceKind::DownloadedCss, EvidenceKind::ExecutedJs]);
         let d = p.decide(&session(30), &e);
         assert_eq!(d.stage, Stage::Fallback);

@@ -32,9 +32,9 @@
 //! Every origin serve is committed by [`Gateway::commit_page_stream`],
 //! the one caller of [`botwall_core::Detector::commit_exchange`]: an
 //! origin response is a [`PageStream`] (a page through the rewriter,
-//! anything else a [`PageStream::relay`]) and the commit records its
-//! head and what it came to on the wire when its body has ended. The
-//! TCP front door drives that directly, chunk by chunk.
+//! anything else a [`PageStream::relay`]); when its body has ended the
+//! commit records its head in the session and its wire bytes in the
+//! byte ledger. The TCP front door drives that directly, chunk by chunk.
 //! [`Gateway::finish_page_stream`] is the same commit with the page's
 //! [`ProbeManifest`] derived on top, for a caller that reads it. A
 //! caller that holds the origin's answer whole
@@ -274,7 +274,7 @@ pub struct PageStream {
     /// stream began: the page passes through uninstrumented.
     rewrite: Option<StreamingRewrite>,
     /// What the commit records of the response: its status and class.
-    /// The body is long gone to the client by then, and the record
+    /// The body is long gone to the client by then, and the byte ledger
     /// counts what went on the wire, not this summary's `wire_len`.
     head: ResponseSummary,
 }
@@ -631,8 +631,8 @@ impl Gateway {
     /// tail into `out`, record the exchange, and fold its evidence.
     /// `wire_bytes` is what the caller already put on the wire for this
     /// response (head + encoded chunks); the tail flushed here is added
-    /// on top, and the sum is what the byte ledger and the session's
-    /// record of the exchange both count. Returns the session's verdict
+    /// on top, and the byte ledger counts the sum and the request. The
+    /// session keeps no byte count of its own. Returns the session's verdict
     /// after folding the exchange; what the page was minted with is not
     /// spelled out ([`Gateway::finish_page_stream`] is this commit and
     /// the manifest).
@@ -715,7 +715,7 @@ impl Gateway {
         // recording itself happen inside commit_exchange).
         let outcome = self
             .detector
-            .commit_exchange(lease, &request.view(), stream.head, sent, now);
+            .commit_exchange(lease, &request.view(), stream.head, now);
         cell.total_bytes
             .fetch_add(request.wire_len() as u64 + sent, Ordering::Relaxed);
         cell.served.fetch_add(1, Ordering::Release);
@@ -1167,15 +1167,15 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         });
-        let (body, manifest, stats, counters) = &whole;
+        let (body, manifest, stats, _) = &whole;
         let manifest = manifest.as_ref().unwrap();
         assert!(manifest.mouse_beacon.is_some());
         assert_eq!(manifest.html_overhead, body.len() - page.len());
         assert_eq!(stats.served, 1);
         assert_eq!(stats.instrumentation_bytes, manifest.html_overhead as u64);
         assert!(
-            counters.bytes >= body.len() as u64 && counters.bytes == stats.total_bytes,
-            "the record counts the body: {counters:?}"
+            stats.total_bytes >= body.len() as u64,
+            "the ledger counts the body: {stats:?}"
         );
         for size in [1, 7, 4096] {
             let streamed =
@@ -1360,14 +1360,14 @@ mod tests {
         assert!(streamed.manifest.is_none());
         // The exchange is on the session's record as the origin answered
         // it, not as a synthesized page.
-        let (errors, stylesheets, in_flight) = gw
+        let (errors, embedded, in_flight) = gw
             .detector()
             .with_key_state(&key, |session, state| {
                 let counters = session.counters();
-                (counters.resp_4xx, counters.css, state.in_flight)
+                (counters.resp_4xx, counters.embedded_obj, state.in_flight)
             })
             .unwrap();
-        assert_eq!((errors, stylesheets, in_flight), (1, 1, 0));
+        assert_eq!((errors, embedded, in_flight), (1, 1, 0));
         let stats = gw.stats();
         assert_eq!((stats.served, stats.token_entries), (1, 0));
         assert_eq!(stats.instrumentation_bytes, 0);
@@ -1375,16 +1375,15 @@ mod tests {
     }
 
     #[test]
-    fn a_relayed_assets_record_counts_its_body() {
+    fn a_relayed_asset_is_ledgered_like_the_asset_held_whole() {
         // A 10 KB asset relayed the way the front door relays one: the
-        // recorded response is a head, and the record still counts what
-        // went past on the wire.
+        // stream carries only a head, and the byte ledger still counts
+        // what went past on the wire.
         let gw = Gateway::builder().seed(15).build();
         let r = req(16, "http://site.example/logo.png", "Mozilla/5.0");
         let PendingServe::AwaitingOrigin(pending) = gw.handle_deferred(&r, SimTime::ZERO) else {
             panic!("ordinary request leases");
         };
-        let key = pending.key().clone();
         let head = Response::builder(StatusCode::OK)
             .header("Content-Type", "image/png")
             .build();
@@ -1395,13 +1394,11 @@ mod tests {
         }
         let sent = (head.wire_len() + out.len()) as u64;
         gw.finish_page_stream(pending, stream, &mut out, sent, SimTime::ZERO);
-        let recorded = gw
-            .detector()
-            .with_key_state(&key, |session, _| session.counters().bytes)
-            .unwrap();
-        assert!(recorded >= 10 * 1024, "head only: {recorded}");
-        assert_eq!(recorded, gw.stats().total_bytes);
-        // The same asset held whole records the same.
+        let streamed = gw.stats().total_bytes;
+        assert!(streamed >= 10 * 1024, "head only: {streamed}");
+        assert_eq!(streamed, r.wire_len() as u64 + sent);
+        // The same asset held whole is counted the same way: the request
+        // and the response as it went on the wire.
         let whole = Gateway::builder().seed(15).build();
         let asset = Response::builder(StatusCode::OK)
             .header("Content-Type", "image/png")
@@ -1409,12 +1406,10 @@ mod tests {
             .body_bytes(vec![7u8; 10 * 1024])
             .build();
         whole.handle_with(&r, SimTime::ZERO, |_| Origin::Response(asset.clone()));
-        let held = whole
-            .detector()
-            .with_key_state(&key, |session, _| session.counters().bytes)
-            .unwrap();
-        assert_eq!(held, (r.wire_len() + asset.wire_len()) as u64);
-        assert_eq!(held, whole.stats().total_bytes);
+        assert_eq!(
+            whole.stats().total_bytes,
+            (r.wire_len() + asset.wire_len()) as u64
+        );
     }
 
     #[test]

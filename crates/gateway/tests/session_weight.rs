@@ -216,7 +216,7 @@ fn a_live_sessions_inline_state_is_sized_to_its_common_case() {
     println!("inline: KeyState {key_state} B, TokenState {tokens} B, Session {session} B");
     assert!(key_state <= 80, "KeyState is {key_state} bytes");
     assert_eq!(tokens, 8, "TokenState is one pointer");
-    assert!(session <= 176, "Session is {session} bytes");
+    assert!(session <= 144, "Session is {session} bytes");
 }
 
 /// A record keeps the five facts the Table-2 attributes count (method,

@@ -337,8 +337,8 @@ impl Worker {
         let page = if plan.page {
             self.gateway.begin_page_stream(pending, self.now())
         } else {
-            // The record counts what goes on the wire, so `wire_len` is
-            // only the origin's head, not what the client is sent.
+            // The byte ledger counts what goes on the wire, so `wire_len`
+            // is only the origin's head, not what the client is sent.
             PageStream::relay(ResponseSummary {
                 status: StatusCode::new(head.status).expect("response_head checked the range"),
                 class: head

@@ -6,14 +6,13 @@
 //! request, and nothing else: `botwall_ml::features::extract_prefix`
 //! folds a prefix of a session's log through [`SessionCounters::update`],
 //! the one reader. What the session needs of a request past those five
-//! it keeps elsewhere, folded in before the record is pushed: the wire
-//! bytes in [`SessionCounters::bytes`], the URL in the seen-URL set, the
-//! time in the session's `last_seen`. A feature that reads more of a
-//! request (the parked traversal-shape attributes, say) adds back the
-//! field it reads.
+//! it keeps elsewhere, folded in before the record is pushed: the URL in
+//! the seen-URL set, the time in the session's `last_seen`. The wire
+//! bytes are not kept per session at all: the gateway's byte ledger
+//! counts them. A feature that reads more of a request (the parked
+//! traversal-shape attributes, say) adds back the field it reads.
 //!
 //! [`SessionCounters::update`]: crate::SessionCounters::update
-//! [`SessionCounters::bytes`]: crate::SessionCounters::bytes
 
 use botwall_http::{ContentClass, MethodKind, RequestView, ResponseSummary, UriRef};
 use std::collections::hash_map::DefaultHasher;

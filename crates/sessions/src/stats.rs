@@ -1,41 +1,35 @@
 //! Incremental per-session counters.
 //!
 //! These counters are the raw numerators behind the paper's Table-2
-//! attributes and the policy thresholds of §3.2 (CGI request rate, GET
-//! request rate, error response codes). They update in O(1) per request.
+//! attributes and the policy thresholds of §3.2 (total, CGI share, 4xx
+//! share). They update in O(1) per request.
 
 use crate::record::RequestRecord;
 use botwall_http::{ContentClass, MethodKind};
 
-/// O(1)-updatable counters over a session's request stream.
+/// O(1)-updatable counters over a session's request stream: `total` and
+/// the 12 numerators that the Table-2 features
+/// (`botwall_ml::features::extract_from_counters`) and the §3.2 policy
+/// read. A count no reader reads is not kept; a feature that reads
+/// more adds back the counter it reads.
 ///
 /// Every count is a `u32` that saturates at `u32::MAX` rather than
 /// wrapping (a session would need four billion requests inside its
-/// idle timeout to get there); `bytes` is a `u64`.
+/// idle timeout to get there).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionCounters {
     /// Total requests observed.
     pub total: u32,
     /// `HEAD` requests.
     pub head: u32,
-    /// `GET` requests.
-    pub get: u32,
-    /// `POST` requests.
-    pub post: u32,
     /// HTML page requests.
     pub html: u32,
     /// Image requests.
     pub image: u32,
-    /// CSS requests.
-    pub css: u32,
-    /// Script requests.
-    pub script: u32,
     /// CGI requests.
     pub cgi: u32,
     /// Favicon requests.
     pub favicon: u32,
-    /// Audio requests.
-    pub audio: u32,
     /// Requests carrying a `Referer`.
     pub with_referer: u32,
     /// Requests whose `Referer` named a URL not previously visited in this
@@ -52,11 +46,6 @@ pub struct SessionCounters {
     pub resp_3xx: u32,
     /// 4xx responses.
     pub resp_4xx: u32,
-    /// 5xx responses.
-    pub resp_5xx: u32,
-    /// Total bytes transferred (request + response wire sizes), added
-    /// by [`SessionCounters::add_bytes`]: a record does not carry them.
-    pub bytes: u64,
 }
 
 impl SessionCounters {
@@ -65,27 +54,21 @@ impl SessionCounters {
         SessionCounters::default()
     }
 
-    /// Folds one record into every counter but `bytes`.
+    /// Folds one record into the counters.
     pub fn update(&mut self, rec: &RequestRecord) {
         fn bump(count: &mut u32) {
             *count = count.saturating_add(1);
         }
         bump(&mut self.total);
-        match rec.method {
-            MethodKind::Head => bump(&mut self.head),
-            MethodKind::Get => bump(&mut self.get),
-            MethodKind::Post => bump(&mut self.post),
-            _ => {}
+        if rec.method == MethodKind::Head {
+            bump(&mut self.head);
         }
         match rec.class {
             ContentClass::Html => bump(&mut self.html),
             ContentClass::Image => bump(&mut self.image),
-            ContentClass::Css => bump(&mut self.css),
-            ContentClass::Script => bump(&mut self.script),
             ContentClass::Cgi => bump(&mut self.cgi),
             ContentClass::Favicon => bump(&mut self.favicon),
-            ContentClass::Audio => bump(&mut self.audio),
-            ContentClass::Other => {}
+            _ => {}
         }
         if rec.has_referer {
             bump(&mut self.with_referer);
@@ -103,14 +86,8 @@ impl SessionCounters {
             2 => bump(&mut self.resp_2xx),
             3 => bump(&mut self.resp_3xx),
             4 => bump(&mut self.resp_4xx),
-            5 => bump(&mut self.resp_5xx),
             _ => {}
         }
-    }
-
-    /// Adds one exchange's wire bytes, saturating at `u64::MAX`.
-    pub fn add_bytes(&mut self, bytes: u64) {
-        self.bytes = self.bytes.saturating_add(bytes);
     }
 
     /// Share of requests satisfying a numerator, in `[0, 1]`; zero when the
@@ -163,8 +140,6 @@ mod tests {
         c.update(&rec(MethodKind::Post, ContentClass::Cgi, 4, false, false));
         assert_eq!(c.total, 4);
         assert_eq!(c.head, 1);
-        assert_eq!(c.get, 2);
-        assert_eq!(c.post, 1);
         assert_eq!(c.html, 2);
         assert_eq!(c.image, 1);
         assert_eq!(c.cgi, 1);
@@ -174,9 +149,6 @@ mod tests {
         assert_eq!(c.resp_2xx, 2);
         assert_eq!(c.resp_3xx, 1);
         assert_eq!(c.resp_4xx, 1);
-        assert_eq!(c.bytes, 0, "a record carries no bytes");
-        c.add_bytes(400);
-        assert_eq!(c.bytes, 400);
     }
 
     #[test]
@@ -204,20 +176,16 @@ mod tests {
     fn counts_saturate_at_u32_max() {
         let mut c = SessionCounters {
             total: u32::MAX,
-            get: u32::MAX,
             html: u32::MAX,
             resp_2xx: u32::MAX - 1,
-            bytes: u64::MAX - 50,
             ..SessionCounters::new()
         };
         for _ in 0..2 {
             c.update(&rec(MethodKind::Get, ContentClass::Html, 2, false, false));
-            c.add_bytes(100);
         }
-        assert_eq!((c.total, c.get, c.html), (u32::MAX, u32::MAX, u32::MAX));
+        assert_eq!((c.total, c.html), (u32::MAX, u32::MAX));
         assert_eq!(c.resp_2xx, u32::MAX);
-        assert_eq!(c.bytes, u64::MAX);
-        assert_eq!(c.ratio(c.get), 1.0);
-        assert_eq!(std::mem::size_of::<SessionCounters>(), 88);
+        assert_eq!(c.ratio(c.html), 1.0);
+        assert_eq!(std::mem::size_of::<SessionCounters>(), 52);
     }
 }

@@ -80,8 +80,10 @@
 //!
 //! A live session is one slab slot (its [`Session`], its extension state
 //! and two links) plus one index entry (its [`SessionKey`] and slot).
-//! Under the detection core's extension state a slot is 272 bytes on a
-//! 64-bit target: the counters are `u32`s, and state a session may never
+//! Under the detection core's extension state a slot is 240 bytes on a
+//! 64-bit target, 144 of them the [`Session`]: its counters are the 13
+//! `u32`s the Table-2 features and the §3.2 policy read, and no byte
+//! tally (the gateway's ledger counts the wire). State a session may never
 //! need stays behind a pointer until it does (token state and its
 //! instrumentation RNG until a page is served, a challenge record until
 //! one is issued). A session's lists are sized to what it has used: the
@@ -239,14 +241,10 @@ impl Session {
         }
     }
 
-    /// `sent`, when given, is what the response came to on the wire:
-    /// a body that was streamed past is not in `response` to be
-    /// measured.
     fn observe(
         &mut self,
         request: &RequestView<'_>,
         response: Option<ResponseSummary>,
-        sent: Option<u64>,
         now: SimTime,
     ) {
         let referer_seen = request
@@ -254,11 +252,8 @@ impl Session {
             .map(|r| self.seen_urls.contains(RequestRecord::hash_url(r)))
             .unwrap_or(false);
         let rec = RequestRecord::from_exchange(request, response, referer_seen);
-        let response_bytes = sent.unwrap_or_else(|| response.map_or(0, |r| r.wire_len as u64));
         self.seen_urls.insert(RequestRecord::hash_target(request));
         self.counters.update(&rec);
-        self.counters
-            .add_bytes(request.wire_len() as u64 + response_bytes);
         if self.records.len() < MAX_RECORDS_PER_SESSION {
             crate::reserve_one(&mut self.records);
             self.records.push(rec);
@@ -470,32 +465,8 @@ impl<E> EntryGuard<'_, E> {
         response: Option<ResponseSummary>,
         now: SimTime,
     ) {
-        self.record_as(request, response, None, now);
-    }
-
-    /// [`EntryGuard::record`] for a response whose body went past as a
-    /// stream: `head` is what is left of it to look at, and `sent` what
-    /// it came to on the wire, which is what the record's `bytes`
-    /// counts.
-    pub fn record_streamed(
-        &mut self,
-        request: &RequestView<'_>,
-        head: ResponseSummary,
-        sent: u64,
-        now: SimTime,
-    ) {
-        self.record_as(request, Some(head), Some(sent), now);
-    }
-
-    fn record_as(
-        &mut self,
-        request: &RequestView<'_>,
-        response: Option<ResponseSummary>,
-        sent: Option<u64>,
-        now: SimTime,
-    ) {
         debug_assert!(!self.recorded, "one exchange, one record");
-        self.session.observe(request, response, sent, now);
+        self.session.observe(request, response, now);
         self.recorded = true;
     }
 }

@@ -6,7 +6,7 @@
 //! Run with `cargo run --release --example ml_pipeline`.
 
 use botwall_bench::{build_ml_corpus, CorpusConfig};
-use botwall_core::staged::{StagedConfig, StagedPipeline};
+use botwall_core::staged::StagedPipeline;
 use botwall_ml::{evaluate, AdaBoostBoundary, AdaBoostConfig, AdaBoostModel};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -33,7 +33,7 @@ fn main() {
     }
 
     // The trained model becomes the §4.1 boundary stage.
-    let pipeline = StagedPipeline::new(StagedConfig::default(), AdaBoostBoundary::new(model, 20));
+    let pipeline = StagedPipeline::new(AdaBoostBoundary::new(model, 20));
     let _ = &pipeline; // Deployed inside a node; see `staged` bench bin.
     println!("\nmodel wired into the staged pipeline (fast paths first, ML on boundary cases)");
 }

@@ -413,15 +413,27 @@ const GOLDEN_SWEEP_FNV: u64 = 0x8ea6_b5e9_cf94_027e;
 /// sessions, each pinned to the FNV-1a digest of its `{:#?}` rendering
 /// at seed 7. The eval's was recorded before the in-process clients
 /// became one `world::Client`, which left both unchanged. The report's
-/// was re-recorded when a `RequestRecord` dropped its `index`, `time`,
-/// `url_hash` and `bytes`: the rendering is the old one with those
-/// lines deleted from every record, byte for byte. A change that moves
-/// either re-records it and says why.
+/// was re-recorded twice, each time the old rendering with some lines
+/// deleted, byte for byte: when a `RequestRecord` dropped its `index`,
+/// `time`, `url_hash` and `bytes` (`0x94da_b954_d7f5_e698` before), and
+/// when `SessionCounters` dropped `get`, `post`, `css`, `script`,
+/// `audio`, `resp_5xx` and `bytes` (`0x5bab_0508_f191_96e8` before). A
+/// change that moves either re-records it and says why.
+///
+/// To show what a change did to them, write both trees' renderings with
+/// [`write_the_pinned_renderings`] (run in each tree, each into its own
+/// directory) and diff them with the dropped fields' lines masked:
+///
+/// ```text
+/// RENDER_DIR=<dir> cargo test --release --test determinism -- --ignored write_the_pinned_renderings
+/// m='^ *(get|post|css|script|audio|resp_5xx|bytes): '
+/// diff <(grep -vE "$m" <old>/report.txt) <(grep -vE "$m" <new>/report.txt)
+/// ```
 #[test]
 fn report_and_eval_bytes_match_their_recorded_digests() {
     assert_eq!(
         fnv1a(&render(&big_config(), 7)),
-        0x5bab_0508_f191_96e8,
+        0x7c58_f2e4_e5f0_dae6,
         "the CoDeeN report's bytes changed"
     );
     assert_eq!(
@@ -429,4 +441,17 @@ fn report_and_eval_bytes_match_their_recorded_digests() {
         0x15e7_26e0_7afc_1797,
         "the escalation eval's bytes changed"
     );
+}
+
+/// Writes the two renderings the test above pins into the directory
+/// `RENDER_DIR` names: `report.txt` (the CoDeeN report) and `eval.txt`
+/// (the escalation eval), at the pinned configs and seed.
+#[test]
+#[ignore = "writes files; run with RENDER_DIR set"]
+fn write_the_pinned_renderings() {
+    let dir = std::env::var_os("RENDER_DIR").expect("RENDER_DIR names the output directory");
+    let dir = std::path::Path::new(&dir);
+    std::fs::create_dir_all(dir).unwrap();
+    std::fs::write(dir.join("report.txt"), render(&big_config(), 7)).unwrap();
+    std::fs::write(dir.join("eval.txt"), render_escalation_eval(300, 7)).unwrap();
 }
