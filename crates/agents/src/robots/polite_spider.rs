@@ -1,7 +1,7 @@
 //! The Robot-Exclusion-Protocol-compliant spider: fetches `robots.txt`
 //! first, declares itself in the User-Agent with contact information, and
-//! crawls visible links slowly. The REP baseline (§5) catches exactly this
-//! species and nothing else.
+//! crawls visible links slowly. It is the one species an advisory REP
+//! check (§5) would catch.
 
 use crate::agent::{Agent, AgentKind};
 use crate::walk::crawl;

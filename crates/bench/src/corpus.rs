@@ -243,7 +243,7 @@ pub fn build_ml_corpus(config: &CorpusConfig) -> (Corpus, (usize, usize)) {
         let mut records = cs.session.records().to_vec();
         let rate = rng.gen_range(config.noise.0..config.noise.1.max(config.noise.0 + 1e-9));
         perturb(&mut records, rate, &mut rng);
-        corpus.push(records, label);
+        corpus.push(records, cs.session.key().user_agent().to_string(), label);
     }
     (corpus, (humans, robots))
 }
@@ -251,6 +251,7 @@ pub fn build_ml_corpus(config: &CorpusConfig) -> (Corpus, (usize, usize)) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use botwall_ml::baselines::ua_signatures::UaSignatureMatcher;
 
     #[test]
     fn corpus_has_both_classes_and_long_sessions() {
@@ -284,5 +285,28 @@ mod tests {
             assert_eq!(x.label, y.label);
             assert_eq!(x.records.len(), y.records.len());
         }
+    }
+
+    #[test]
+    fn each_session_keeps_its_user_agent() {
+        let (corpus, _) = build_ml_corpus(&CorpusConfig {
+            sessions: 60,
+            ..CorpusConfig::default()
+        });
+        assert!(corpus.sessions.iter().all(|s| !s.user_agent.is_empty()));
+        // Signatures catch the robots that declare themselves, never a
+        // human's browser string.
+        let matcher = UaSignatureMatcher::default();
+        let caught = |label: Label| {
+            corpus
+                .sessions
+                .iter()
+                .filter(|s| {
+                    s.label == label && matcher.classify(Some(&s.user_agent)) == Label::Robot
+                })
+                .count()
+        };
+        assert_eq!(caught(Label::Human), 0);
+        assert!(caught(Label::Robot) > 0);
     }
 }

@@ -12,7 +12,8 @@
 use crate::experiments::codeen_config;
 use botwall_agents::Population;
 use botwall_codeen::network::Network;
-use botwall_core::Label;
+use botwall_core::classifier::classify_hard;
+use botwall_core::{Label, Verdict};
 use std::collections::BTreeMap;
 
 /// Per-adversary detection scores.
@@ -76,7 +77,7 @@ pub fn run_escalation_eval(sessions: u32, seed: u64) -> EvalReport {
         if cs.label == Label::Robot {
             entry.1 += 1;
         }
-        if cs.evidence.any_hard_robot() {
+        if matches!(classify_hard(&cs.evidence), Some(Verdict::Robot(_))) {
             entry.2 += 1;
         }
     }

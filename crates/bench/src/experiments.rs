@@ -10,7 +10,6 @@ use botwall_core::staged::{NoBoundary, StagedPipeline};
 use botwall_core::Label;
 use botwall_instrument::beacon;
 use botwall_ml::baselines::navtree::{DecisionTree, TreeConfig};
-use botwall_ml::baselines::rep::RepChecker;
 use botwall_ml::baselines::ua_signatures::UaSignatureMatcher;
 use botwall_ml::{
     checkpoint_sweep, AdaBoostBoundary, AdaBoostConfig, AdaBoostModel, Attribute, CheckpointResult,
@@ -313,9 +312,9 @@ pub struct MlAblationRow {
 }
 
 /// Compares AdaBoost (at several round counts) against the baselines:
-/// the Tan&Kumar-style decision tree, UA signature matching, and REP
-/// compliance checking, all on the same corpus at the 160-request
-/// checkpoint.
+/// the Tan&Kumar-style decision tree at the 160-request checkpoint, and
+/// UA signature matching on each session's `User-Agent`, all on the same
+/// corpus split.
 pub fn run_ml_ablation(corpus_sessions: u32, seed: u64) -> Vec<MlAblationRow> {
     let (corpus, _) = build_ml_corpus(&CorpusConfig {
         sessions: corpus_sessions,
@@ -345,44 +344,18 @@ pub fn run_ml_ablation(corpus_sessions: u32, seed: u64) -> Vec<MlAblationRow> {
         name: "navtree (Tan&Kumar-style)".to_string(),
         test_accuracy_pct: tree.accuracy(&test_set) * 100.0,
     });
-    // UA signatures and REP operate on raw sessions, not features; they
-    // cannot see our synthetic UA strings per record (records do not keep
-    // them), so evaluate on the ground-truth session stream instead:
-    // every corpus robot either forges or declares, as configured.
+    // The signature matcher reads only each test session's own
+    // User-Agent: it catches the robots that declare themselves.
     let matcher = UaSignatureMatcher::default();
-    // Approximate: harvesters/crawlers/spammers forge (classified human);
-    // polite spiders declare (classified robot). Humans never match.
-    let mut right = 0usize;
-    for s in &test.sessions {
-        let predicted = match s.label {
-            // One in ~9 robot sessions is the polite spider, the only
-            // self-identifying species in the corpus generator.
-            Label::Robot => matcher.classify(Some(
-                "FriendlySpider/1.2 (+http://friendly.example/bot.html)",
-            )),
-            Label::Human => matcher.classify(Some("Mozilla/5.0 Firefox/1.5")),
-        };
-        // The matcher sees the *declared* string only for polite spiders;
-        // everything else forges. Model that 1/9 visibility here.
-        let effective = if s.label == Label::Robot {
-            // 8 of 9 robot species forge.
-            if s.records.len() % 9 == 1 {
-                predicted
-            } else {
-                Label::Human
-            }
-        } else {
-            predicted
-        };
-        if effective == s.label {
-            right += 1;
-        }
-    }
+    let right = test
+        .sessions
+        .iter()
+        .filter(|s| matcher.classify(Some(&s.user_agent)) == s.label)
+        .count();
     rows.push(MlAblationRow {
         name: "ua-signatures".to_string(),
         test_accuracy_pct: right as f64 * 100.0 / test.sessions.len().max(1) as f64,
     });
-    let _ = RepChecker::new();
     rows
 }
 
@@ -442,5 +415,20 @@ mod tests {
         let o = run_overhead(150, SEED);
         assert!(o.overhead_pct > 0.0);
         assert!(o.overhead_pct < 12.0, "overhead {}%", o.overhead_pct);
+    }
+
+    #[test]
+    fn ml_ablation_ranks_adaboost_over_signatures() {
+        let rows = run_ml_ablation(160, SEED);
+        let acc = |name: &str| {
+            rows.iter()
+                .find(|r| r.name == name)
+                .map(|r| r.test_accuracy_pct)
+                .unwrap_or_else(|| panic!("no {name} row"))
+        };
+        // Signatures catch only the robots that declare themselves; the
+        // learner sees what every robot does.
+        assert!(acc("ua-signatures") > 0.0);
+        assert!(acc("adaboost-200") > acc("ua-signatures"), "{rows:?}");
     }
 }

@@ -1,4 +1,5 @@
-//! The set-algebra classifier (§3.1).
+//! The set-algebra classifier (§3.1): the one place a session's label
+//! is decided.
 //!
 //! The paper computes the human session set as
 //!
@@ -9,9 +10,13 @@
 //! sessions that downloaded the CSS probe or produced a mouse event, minus
 //! sessions that executed JavaScript yet never produced a mouse event
 //! (those are definitely robots: the script ran, no human was at the
-//! controls). Hard evidence — decoy fetches, replays, hidden-link
-//! follows, browser-type mismatches — short-circuits to Robot; a valid
-//! mouse event or CAPTCHA pass short-circuits to Human.
+//! controls). Hard evidence short-circuits the formula. A decoy fetch, a
+//! replayed or forged beacon key, a hidden-link follow, a browser-type
+//! mismatch, and an automation leak (`navigator.webdriver` set, or a
+//! headless-shaped plugin list) each decide Robot; failing those, a valid
+//! mouse event or a CAPTCHA pass decides Human. One private table lists
+//! these kinds in that order; [`classify_hard`] and the detector both
+//! read it.
 
 use crate::evidence::{EvidenceKind, EvidenceSet};
 
@@ -76,17 +81,6 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    /// Collapses the verdict to a label, treating provisional states as
-    /// their tendency and `Undecided` as robot-leaning only when asked to
-    /// default that way.
-    pub fn label(self, undecided_default: Label) -> Label {
-        match self {
-            Verdict::Human(_) | Verdict::ProvisionalHuman(_) => Label::Human,
-            Verdict::Robot(_) | Verdict::ProvisionalRobot(_) => Label::Robot,
-            Verdict::Undecided => undecided_default,
-        }
-    }
-
     /// Whether the verdict is final (will not change with more evidence of
     /// the kinds already seen).
     pub fn is_final(self) -> bool {
@@ -94,42 +88,26 @@ impl Verdict {
     }
 }
 
-/// Applies the paper's set-algebra formula to a finished session.
-///
-/// # Examples
-///
-/// ```
-/// use botwall_core::classifier::{classify_final, Label};
-/// use botwall_core::evidence::{EvidenceKind, EvidenceSet};
-/// use botwall_sessions::SimTime;
-///
-/// // Downloaded CSS, executed JS, no mouse: S_JS − S_MM ⇒ robot.
-/// let mut e = EvidenceSet::new();
-/// e.record(EvidenceKind::DownloadedCss, 2, SimTime::ZERO);
-/// e.record(EvidenceKind::ExecutedJs, 3, SimTime::ZERO);
-/// assert_eq!(classify_final(&e), Label::Robot);
-/// ```
-pub fn classify_final(evidence: &EvidenceSet) -> Label {
-    // Hard evidence dominates in either direction; mouse events win over
-    // robot evidence only if no robot tell is present (a session that both
-    // fetched decoys and produced mouse events is a robot mimicking).
-    if evidence.any_hard_robot() {
-        return Label::Robot;
-    }
-    if evidence.any_hard_human() {
-        return Label::Human;
-    }
-    let css = evidence.has(EvidenceKind::DownloadedCss);
-    let mm = evidence.has(EvidenceKind::MouseEvent);
-    let js = evidence.has(EvidenceKind::ExecutedJs);
-    // S_H = (S_CSS ∪ S_MM) − (S_JS − S_MM).
-    let in_union = css || mm;
-    let in_subtrahend = js && !mm;
-    if in_union && !in_subtrahend {
-        Label::Human
-    } else {
-        Label::Robot
-    }
+/// The hard evidence kinds and the verdict each decides on its own, in
+/// precedence order: every robot tell before either human proof, so a
+/// session that fetched a decoy and also redeemed a mouse beacon is a
+/// robot mimicking a human. The one list of which kinds are hard.
+#[rustfmt::skip]
+const HARD: [(EvidenceKind, Verdict); 9] = [
+    (EvidenceKind::FetchedDecoy, Verdict::Robot(Reason::DecoyFetched)),
+    (EvidenceKind::ReplayedBeacon, Verdict::Robot(Reason::BeaconAbuse)),
+    (EvidenceKind::ForgedBeacon, Verdict::Robot(Reason::BeaconAbuse)),
+    (EvidenceKind::HiddenLinkFollowed, Verdict::Robot(Reason::HiddenLink)),
+    (EvidenceKind::UaMismatch, Verdict::Robot(Reason::BrowserTypeMismatch)),
+    (EvidenceKind::AutomationFlag, Verdict::Robot(Reason::AutomationLeak)),
+    (EvidenceKind::HeadlessFingerprint, Verdict::Robot(Reason::AutomationLeak)),
+    (EvidenceKind::MouseEvent, Verdict::Human(Reason::MouseActivity)),
+    (EvidenceKind::PassedCaptcha, Verdict::Human(Reason::CaptchaPassed)),
+];
+
+/// Whether `kind` decides a verdict on its own (is listed in `HARD`).
+pub(crate) fn is_hard(kind: EvidenceKind) -> bool {
+    HARD.iter().any(|&(hard, _)| hard == kind)
 }
 
 /// Folds only *hard* evidence into a verdict: the quick-decision stage a
@@ -137,31 +115,9 @@ pub fn classify_final(evidence: &EvidenceSet) -> Label {
 /// no hard evidence is present — soft signals (CSS, JS) are left for the
 /// batch set-algebra pass at session flush.
 pub fn classify_hard(evidence: &EvidenceSet) -> Option<Verdict> {
-    // Hard robot evidence is never overturned.
-    if evidence.has(EvidenceKind::FetchedDecoy) {
-        return Some(Verdict::Robot(Reason::DecoyFetched));
-    }
-    if evidence.has(EvidenceKind::ReplayedBeacon) || evidence.has(EvidenceKind::ForgedBeacon) {
-        return Some(Verdict::Robot(Reason::BeaconAbuse));
-    }
-    if evidence.has(EvidenceKind::HiddenLinkFollowed) {
-        return Some(Verdict::Robot(Reason::HiddenLink));
-    }
-    if evidence.has(EvidenceKind::UaMismatch) {
-        return Some(Verdict::Robot(Reason::BrowserTypeMismatch));
-    }
-    if evidence.has(EvidenceKind::AutomationFlag) || evidence.has(EvidenceKind::HeadlessFingerprint)
-    {
-        return Some(Verdict::Robot(Reason::AutomationLeak));
-    }
-    // Hard human evidence.
-    if evidence.has(EvidenceKind::MouseEvent) {
-        return Some(Verdict::Human(Reason::MouseActivity));
-    }
-    if evidence.has(EvidenceKind::PassedCaptcha) {
-        return Some(Verdict::Human(Reason::CaptchaPassed));
-    }
-    None
+    HARD.iter()
+        .find(|&&(kind, _)| evidence.has(kind))
+        .map(|&(_, verdict)| verdict)
 }
 
 /// Produces the full verdict for a session: hard evidence first, then the
@@ -176,15 +132,34 @@ pub fn classify_online(evidence: &EvidenceSet) -> Verdict {
     let js = evidence.has(EvidenceKind::ExecutedJs);
     match (css, js) {
         // JS ran but no mouse (yet): robot-leaning — the longer this
-        // holds, the stronger it gets; finalized by classify_final.
+        // holds, the stronger it gets; a finished session keeps it.
         (_, true) => Verdict::ProvisionalRobot(Reason::JsWithoutMouse),
         (true, false) => Verdict::ProvisionalHuman(Reason::BrowserTestPassed),
         (false, false) => Verdict::Undecided,
     }
 }
 
-/// Labels an undecided finished session: no browser signals at all means
-/// robot (crawlers fetching only HTML never trip any probe).
+/// Labels a finished session, the one collapse of a [`Verdict`] to a
+/// [`Label`]: a provisional verdict keeps its tendency, and no browser
+/// signals at all means robot (crawlers fetching only HTML never trip
+/// any probe).
+///
+/// # Examples
+///
+/// ```
+/// use botwall_core::classifier::{classify_online, finalize, Label, Reason};
+/// use botwall_core::evidence::{EvidenceKind, EvidenceSet};
+/// use botwall_sessions::SimTime;
+///
+/// // Downloaded CSS, executed JS, no mouse: S_JS − S_MM ⇒ robot.
+/// let mut e = EvidenceSet::new();
+/// e.record(EvidenceKind::DownloadedCss, 2, SimTime::ZERO);
+/// e.record(EvidenceKind::ExecutedJs, 3, SimTime::ZERO);
+/// assert_eq!(
+///     finalize(classify_online(&e)),
+///     (Label::Robot, Reason::JsWithoutMouse)
+/// );
+/// ```
 pub fn finalize(verdict: Verdict) -> (Label, Reason) {
     match verdict {
         Verdict::Human(r) => (Label::Human, r),
@@ -206,6 +181,11 @@ mod tests {
             e.record(*k, (i + 1) as u32, SimTime::ZERO);
         }
         e
+    }
+
+    /// A finished session's label.
+    fn label(e: &EvidenceSet) -> Label {
+        finalize(classify_online(e)).0
     }
 
     #[test]
@@ -233,11 +213,7 @@ mod tests {
             if js {
                 kinds.push(ExecutedJs);
             }
-            assert_eq!(
-                classify_final(&ev(&kinds)),
-                expected,
-                "css={css} mm={mm} js={js}"
-            );
+            assert_eq!(label(&ev(&kinds)), expected, "css={css} mm={mm} js={js}");
         }
     }
 
@@ -246,7 +222,7 @@ mod tests {
         use EvidenceKind::*;
         // A bot that fakes mouse events but also fetched a decoy.
         let e = ev(&[MouseEvent, FetchedDecoy]);
-        assert_eq!(classify_final(&e), Label::Robot);
+        assert_eq!(label(&e), Label::Robot);
         assert_eq!(classify_online(&e), Verdict::Robot(Reason::DecoyFetched));
     }
 
@@ -254,7 +230,7 @@ mod tests {
     fn captcha_pass_is_human() {
         use EvidenceKind::*;
         let e = ev(&[PassedCaptcha]);
-        assert_eq!(classify_final(&e), Label::Human);
+        assert_eq!(label(&e), Label::Human);
         assert_eq!(classify_online(&e), Verdict::Human(Reason::CaptchaPassed));
     }
 
@@ -289,15 +265,64 @@ mod tests {
     }
 
     #[test]
+    fn hard_evidence_partition() {
+        use EvidenceKind::*;
+        let robot = [
+            (FetchedDecoy, Reason::DecoyFetched),
+            (ReplayedBeacon, Reason::BeaconAbuse),
+            (ForgedBeacon, Reason::BeaconAbuse),
+            (HiddenLinkFollowed, Reason::HiddenLink),
+            (UaMismatch, Reason::BrowserTypeMismatch),
+            (AutomationFlag, Reason::AutomationLeak),
+            (HeadlessFingerprint, Reason::AutomationLeak),
+        ];
+        for (kind, reason) in robot {
+            assert_eq!(classify_hard(&ev(&[kind])), Some(Verdict::Robot(reason)));
+            assert!(is_hard(kind), "{kind:?}");
+        }
+        for (kind, reason) in [
+            (MouseEvent, Reason::MouseActivity),
+            (PassedCaptcha, Reason::CaptchaPassed),
+        ] {
+            assert_eq!(classify_hard(&ev(&[kind])), Some(Verdict::Human(reason)));
+            assert!(is_hard(kind), "{kind:?}");
+        }
+        // Soft signals are neither.
+        for kind in [DownloadedCss, DownloadedJsFile, ExecutedJs] {
+            assert_eq!(classify_hard(&ev(&[kind])), None, "{kind:?}");
+            assert!(!is_hard(kind), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn hard_evidence_on_a_growing_set() {
+        use EvidenceKind::*;
+        let mut e = EvidenceSet::new();
+        e.record(DownloadedCss, 1, SimTime::ZERO);
+        assert_eq!(classify_hard(&e), None);
+        e.record(MouseEvent, 2, SimTime::ZERO);
+        assert_eq!(
+            classify_hard(&e),
+            Some(Verdict::Human(Reason::MouseActivity))
+        );
+        // A robot tell recorded later still outranks the human proof.
+        e.record(FetchedDecoy, 3, SimTime::ZERO);
+        assert_eq!(
+            classify_hard(&e),
+            Some(Verdict::Robot(Reason::DecoyFetched))
+        );
+    }
+
+    #[test]
     fn automation_leak_beats_synthesized_mouse_entropy() {
         use EvidenceKind::*;
         // A headless imitator that redeems a mouse beacon but admits
         // `navigator.webdriver` is still a robot.
         let e = ev(&[DownloadedCss, ExecutedJs, MouseEvent, AutomationFlag]);
-        assert_eq!(classify_final(&e), Label::Robot);
+        assert_eq!(label(&e), Label::Robot);
         assert_eq!(classify_online(&e), Verdict::Robot(Reason::AutomationLeak));
         let e = ev(&[MouseEvent, HeadlessFingerprint]);
-        assert_eq!(classify_final(&e), Label::Robot);
+        assert_eq!(label(&e), Label::Robot);
         assert_eq!(classify_online(&e), Verdict::Robot(Reason::AutomationLeak));
     }
 
@@ -339,40 +364,60 @@ mod tests {
     #[test]
     fn online_and_final_agree_on_finished_sessions() {
         use EvidenceKind::*;
-        // For every subset of soft+hard signals, finalize(online) must
-        // equal classify_final.
-        let all = [
-            DownloadedCss,
-            DownloadedJsFile,
-            ExecutedJs,
-            MouseEvent,
+        // The paper's rule, written out as the reference: any robot tell
+        // decides Robot, else any human proof decides Human, else
+        // S_H = (S_CSS ∪ S_MM) − (S_JS − S_MM).
+        let robot_tells = [
             FetchedDecoy,
+            ReplayedBeacon,
+            ForgedBeacon,
             HiddenLinkFollowed,
             UaMismatch,
-            PassedCaptcha,
             AutomationFlag,
             HeadlessFingerprint,
         ];
-        for mask in 0u32..(1 << all.len()) {
-            let kinds: Vec<EvidenceKind> = all
+        let human_proofs = [MouseEvent, PassedCaptcha];
+        for mask in 0u32..(1 << EvidenceKind::ALL.len()) {
+            let kinds: Vec<EvidenceKind> = EvidenceKind::ALL
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| mask & (1 << i) != 0)
                 .map(|(_, k)| *k)
                 .collect();
             let e = ev(&kinds);
-            let (label, _) = finalize(classify_online(&e));
-            assert_eq!(label, classify_final(&e), "disagreement on {kinds:?}");
+            let robot_tell = robot_tells.iter().any(|&k| e.has(k));
+            let human_proof = human_proofs.iter().any(|&k| e.has(k));
+            let (css, mm, js) = (e.has(DownloadedCss), e.has(MouseEvent), e.has(ExecutedJs));
+            // Deliberately non-minimal: the shape mirrors the formula.
+            #[allow(clippy::nonminimal_bool)]
+            let in_s_h = (css || mm) && !(js && !mm);
+            let expected = if robot_tell {
+                Label::Robot
+            } else if human_proof || in_s_h {
+                Label::Human
+            } else {
+                Label::Robot
+            };
+            assert_eq!(label(&e), expected, "disagreement on {kinds:?}");
+            assert_eq!(
+                classify_hard(&e).is_some(),
+                robot_tell || human_proof,
+                "hard evidence on {kinds:?}"
+            );
         }
     }
 
     #[test]
     fn verdict_label_collapse() {
-        assert_eq!(Verdict::Undecided.label(Label::Robot), Label::Robot);
-        assert_eq!(Verdict::Undecided.label(Label::Human), Label::Human);
+        // A definite verdict keeps its label and reason, and only a
+        // definite verdict is final.
         assert_eq!(
-            Verdict::ProvisionalHuman(Reason::BrowserTestPassed).label(Label::Robot),
-            Label::Human
+            finalize(Verdict::Human(Reason::MouseActivity)),
+            (Label::Human, Reason::MouseActivity)
+        );
+        assert_eq!(
+            finalize(Verdict::Robot(Reason::HiddenLink)),
+            (Label::Robot, Reason::HiddenLink)
         );
         assert!(Verdict::Human(Reason::MouseActivity).is_final());
         assert!(!Verdict::ProvisionalRobot(Reason::JsWithoutMouse).is_final());

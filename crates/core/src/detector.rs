@@ -279,11 +279,12 @@ impl KeyState {
             classifier::classify_hard(&self.evidence).expect("captcha pass is hard evidence");
     }
 
-    /// Records one evidence observation and returns whether it was hard
-    /// (decides the verdict on its own).
+    /// Records one evidence observation and returns whether it was hard:
+    /// listed in the classifier's hard-evidence table, so the caller
+    /// re-runs [`classifier::classify_hard`] for the verdict.
     fn accumulate(&mut self, kind: EvidenceKind, index: u32, now: SimTime) -> bool {
         self.evidence.record(kind, index, now);
-        kind.is_hard_robot_evidence() || kind.is_hard_human_evidence()
+        classifier::is_hard(kind)
     }
 
     /// Folds the merged evidence kinds of lost leased exchanges into
@@ -1370,6 +1371,20 @@ mod tests {
             Some(0),
             "commits drain the in-flight census"
         );
+    }
+
+    #[test]
+    fn a_carried_kind_sets_the_verdict_only_when_hard() {
+        for kind in EvidenceKind::ALL {
+            let mut kinds = EvidenceKinds::EMPTY;
+            kinds.insert(kind);
+            let mut state = KeyState::default();
+            state.absorb_lost_evidence(kinds, 3, SimTime::ZERO);
+            assert!(state.evidence.has(kind), "{kind:?}");
+            // A soft kind waits for the batch pass; a hard one decides.
+            let expected = classifier::classify_hard(&state.evidence).unwrap_or(Verdict::Undecided);
+            assert_eq!(state.verdict, expected, "{kind:?}");
+        }
     }
 
     #[test]

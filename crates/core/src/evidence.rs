@@ -7,7 +7,8 @@
 
 use botwall_sessions::SimTime;
 
-/// A detection signal observed within a session.
+/// A detection signal observed within a session. Which kinds are hard,
+/// and what each decides, is [`crate::classifier::classify_hard`]'s table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvidenceKind {
     /// Fetched the injected empty CSS probe (standard-browser behaviour).
@@ -43,25 +44,6 @@ pub enum EvidenceKind {
 }
 
 impl EvidenceKind {
-    /// Evidence kinds that prove (or near-prove) a robot on their own.
-    pub fn is_hard_robot_evidence(self) -> bool {
-        matches!(
-            self,
-            EvidenceKind::FetchedDecoy
-                | EvidenceKind::ReplayedBeacon
-                | EvidenceKind::ForgedBeacon
-                | EvidenceKind::HiddenLinkFollowed
-                | EvidenceKind::UaMismatch
-                | EvidenceKind::AutomationFlag
-                | EvidenceKind::HeadlessFingerprint
-        )
-    }
-
-    /// Evidence kinds that prove a human on their own.
-    pub fn is_hard_human_evidence(self) -> bool {
-        matches!(self, EvidenceKind::MouseEvent | EvidenceKind::PassedCaptcha)
-    }
-
     /// Every kind, in declaration order — the bit positions of
     /// [`EvidenceKinds`] and the recording order when a carried set is
     /// folded back into an [`EvidenceSet`].
@@ -133,7 +115,8 @@ pub struct Observation {
 /// The set of evidence collected for one session.
 ///
 /// Only the *first* observation per kind is retained (Figure 2 needs
-/// first-detection indices) along with a per-kind count.
+/// first-detection indices) along with a per-kind count; the verdict it
+/// implies is [`crate::classifier`]'s to decide.
 ///
 /// # Examples
 ///
@@ -204,20 +187,6 @@ impl EvidenceSet {
     pub fn iter(&self) -> impl Iterator<Item = (EvidenceKind, Observation, u32)> + '_ {
         self.entries.iter().copied()
     }
-
-    /// Whether any hard robot evidence is present.
-    pub fn any_hard_robot(&self) -> bool {
-        self.entries
-            .iter()
-            .any(|(k, _, _)| k.is_hard_robot_evidence())
-    }
-
-    /// Whether any hard human evidence is present.
-    pub fn any_hard_human(&self) -> bool {
-        self.entries
-            .iter()
-            .any(|(k, _, _)| k.is_hard_human_evidence())
-    }
 }
 
 #[cfg(test)]
@@ -262,39 +231,5 @@ mod tests {
         assert!(!e.has(EvidenceKind::DownloadedCss));
         assert_eq!(e.first(EvidenceKind::DownloadedCss), None);
         assert_eq!(e.count(EvidenceKind::DownloadedCss), 0);
-    }
-
-    #[test]
-    fn hard_evidence_partition() {
-        assert!(EvidenceKind::MouseEvent.is_hard_human_evidence());
-        assert!(EvidenceKind::PassedCaptcha.is_hard_human_evidence());
-        assert!(EvidenceKind::FetchedDecoy.is_hard_robot_evidence());
-        assert!(EvidenceKind::HiddenLinkFollowed.is_hard_robot_evidence());
-        assert!(EvidenceKind::UaMismatch.is_hard_robot_evidence());
-        assert!(EvidenceKind::ReplayedBeacon.is_hard_robot_evidence());
-        assert!(EvidenceKind::ForgedBeacon.is_hard_robot_evidence());
-        assert!(EvidenceKind::AutomationFlag.is_hard_robot_evidence());
-        assert!(EvidenceKind::HeadlessFingerprint.is_hard_robot_evidence());
-        // Soft signals are neither.
-        for k in [
-            EvidenceKind::DownloadedCss,
-            EvidenceKind::DownloadedJsFile,
-            EvidenceKind::ExecutedJs,
-        ] {
-            assert!(!k.is_hard_robot_evidence());
-            assert!(!k.is_hard_human_evidence());
-        }
-    }
-
-    #[test]
-    fn any_hard_flags() {
-        let mut e = EvidenceSet::new();
-        e.record(EvidenceKind::DownloadedCss, 1, SimTime::ZERO);
-        assert!(!e.any_hard_robot());
-        assert!(!e.any_hard_human());
-        e.record(EvidenceKind::FetchedDecoy, 2, SimTime::ZERO);
-        assert!(e.any_hard_robot());
-        e.record(EvidenceKind::MouseEvent, 3, SimTime::ZERO);
-        assert!(e.any_hard_human());
     }
 }

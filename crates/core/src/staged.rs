@@ -5,10 +5,12 @@
 //! browser test), then perform a careful decision algorithm for boundary
 //! cases (e.g., AI-based techniques)."
 //!
-//! Stage 1 is the browser test: cheap, early, covers most sessions.
-//! Stage 2 is human-activity evidence: definitive when present.
+//! Stage 1 is hard evidence, either way: definitive when present.
+//! Stage 2 is the standard-browser test: cheap, early, covers most sessions.
 //! Stage 3 hands *boundary* sessions to a pluggable classifier (the
-//! AdaBoost model from `botwall-ml` implements [`BoundaryClassifier`]).
+//! AdaBoost model from `botwall-ml` implements [`BoundaryClassifier`]);
+//! set algebra decides what it leaves. All but stage 3 read the
+//! detector's own verdict, [`classifier::classify_online`].
 //!
 //! Like the paper's, the pipeline runs offline: it decides completed
 //! sessions after the gateway has flushed them. Its callers are the
@@ -17,15 +19,15 @@
 //! own); the gateway itself decides online with the browser test and
 //! the CAPTCHA.
 
-use crate::classifier::{self, Label};
+use crate::classifier::{self, Label, Verdict};
 use crate::evidence::{EvidenceKind, EvidenceSet};
 use botwall_sessions::Session;
 
 /// Which stage produced a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Hard evidence (mouse event, CAPTCHA, decoy, hidden link, replay,
-    /// mismatch) decided immediately.
+    /// Hard evidence (a robot tell, a mouse event or a CAPTCHA pass; see
+    /// [`classify_hard`](classifier::classify_hard)) decided immediately.
     HardEvidence,
     /// The fast standard-browser test decided.
     BrowserTest,
@@ -120,68 +122,28 @@ impl<C: BoundaryClassifier> StagedPipeline<C> {
     /// Decides a session using evidence plus (for boundary cases) the
     /// session's request history.
     pub fn decide(&self, session: &Session, evidence: &EvidenceSet) -> StagedDecision {
-        // Stage 1: hard evidence.
-        if let Some(d) = Self::hard_stage(evidence) {
-            return d;
-        }
-        // Stage 2: fast browser test.
-        if let Some(d) = self.browser_stage(session.request_count(), evidence) {
-            return d;
-        }
-        // Stage 3: ML on boundary cases.
-        if let Some(label) = self.boundary.classify_session(session) {
-            return StagedDecision {
-                label,
-                stage: Stage::MlBoundary,
-            };
-        }
-        // Fallback: set algebra.
-        StagedDecision {
-            label: classifier::classify_final(evidence),
-            stage: Stage::Fallback,
-        }
-    }
-
-    fn hard_stage(evidence: &EvidenceSet) -> Option<StagedDecision> {
-        if evidence.any_hard_robot() {
-            return Some(StagedDecision {
-                label: Label::Robot,
-                stage: Stage::HardEvidence,
-            });
-        }
-        if evidence.any_hard_human() {
-            return Some(StagedDecision {
-                label: Label::Human,
-                stage: Stage::HardEvidence,
-            });
-        }
-        None
-    }
-
-    fn browser_stage(&self, request_count: u64, evidence: &EvidenceSet) -> Option<StagedDecision> {
-        let css = evidence.has(EvidenceKind::DownloadedCss);
-        let js = evidence.has(EvidenceKind::ExecutedJs);
-        // Clean browser signal with no contradiction: human.
-        if css && !js {
-            return Some(StagedDecision {
-                label: Label::Human,
-                stage: Stage::BrowserTest,
-            });
-        }
-        // A long session that never touched any browser probe: robot.
-        if !css
-            && !js
-            && !evidence.has(EvidenceKind::DownloadedJsFile)
-            && request_count >= BROWSER_TEST_WINDOW
-        {
-            return Some(StagedDecision {
-                label: Label::Robot,
-                stage: Stage::BrowserTest,
-            });
-        }
-        // JS-without-mouse and short no-signal sessions are boundary
-        // cases: fall through to ML.
-        None
+        let verdict = classifier::classify_online(evidence);
+        let (label, stage) = match verdict {
+            Verdict::Human(_) | Verdict::Robot(_) => {
+                (classifier::finalize(verdict).0, Stage::HardEvidence)
+            }
+            // Clean browser signal with no contradiction.
+            Verdict::ProvisionalHuman(_) => (Label::Human, Stage::BrowserTest),
+            // A long session that never touched any browser probe.
+            Verdict::Undecided
+                if !evidence.has(EvidenceKind::DownloadedJsFile)
+                    && session.request_count() >= BROWSER_TEST_WINDOW =>
+            {
+                (Label::Robot, Stage::BrowserTest)
+            }
+            // JS without mouse, and a no-signal session that is short or
+            // fetched the script file, are boundary cases.
+            _ => match self.boundary.classify_session(session) {
+                Some(label) => (label, Stage::MlBoundary),
+                None => (classifier::finalize(verdict).0, Stage::Fallback),
+            },
+        };
+        StagedDecision { label, stage }
     }
 }
 
@@ -278,5 +240,17 @@ mod tests {
         assert_eq!(d.stage, Stage::Fallback);
         // Set algebra: JS without mouse ⇒ robot.
         assert_eq!(d.label, Label::Robot);
+    }
+
+    #[test]
+    fn a_script_fetch_keeps_a_long_signalless_session_a_boundary_case() {
+        // Fetching the .js file is not a browser signal, yet the browser
+        // test does not convict on its absence either: the ML stage decides.
+        let e = ev(&[EvidenceKind::DownloadedJsFile]);
+        let ml = |_: &Session| Some(Label::Human);
+        let d = StagedPipeline::new(ml).decide(&session(30), &e);
+        assert_eq!((d.stage, d.label), (Stage::MlBoundary, Label::Human));
+        let d = StagedPipeline::new(NoBoundary).decide(&session(30), &e);
+        assert_eq!((d.stage, d.label), (Stage::Fallback, Label::Robot));
     }
 }

@@ -5,9 +5,6 @@
 //! * [`navtree`] — a Tan & Kumar-style navigational-pattern decision tree:
 //!   accurate offline, but "not adequate for real-time traffic analysis
 //!   since it requires a relatively large number of requests".
-//! * [`rep`] — the Robot Exclusion Protocol: purely advisory; catches only
-//!   robots polite enough to identify themselves.
 
 pub mod navtree;
-pub mod rep;
 pub mod ua_signatures;

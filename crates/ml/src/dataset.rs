@@ -16,6 +16,9 @@ use rand::Rng;
 pub struct LabelledSession {
     /// The per-request records (enough prefix for the largest checkpoint).
     pub records: Vec<RequestRecord>,
+    /// The session's `User-Agent` ("" when the header was absent), the
+    /// one input of the UA-signature baseline.
+    pub user_agent: String,
     /// Ground-truth label (from the CAPTCHA oracle in the paper).
     pub label: Label,
 }
@@ -34,8 +37,12 @@ impl Corpus {
     }
 
     /// Adds a session.
-    pub fn push(&mut self, records: Vec<RequestRecord>, label: Label) {
-        self.sessions.push(LabelledSession { records, label });
+    pub fn push(&mut self, records: Vec<RequestRecord>, user_agent: String, label: Label) {
+        self.sessions.push(LabelledSession {
+            records,
+            user_agent,
+            label,
+        });
     }
 
     /// Number of sessions.
@@ -119,14 +126,14 @@ mod tests {
             let recs = (1..=20)
                 .map(|_| make_record(MethodKind::Get, ContentClass::Image, 2, true, true))
                 .collect();
-            c.push(recs, Label::Human);
+            c.push(recs, String::new(), Label::Human);
             let _ = i;
         }
         for i in 0..robots {
             let recs = (1..=20)
                 .map(|_| make_record(MethodKind::Get, ContentClass::Html, 2, false, false))
                 .collect();
-            c.push(recs, Label::Robot);
+            c.push(recs, String::new(), Label::Robot);
             let _ = i;
         }
         c
@@ -173,7 +180,7 @@ mod tests {
     #[test]
     fn features_at_filters_short_sessions() {
         let mut c = corpus(2, 2);
-        c.push(vec![], Label::Human); // Zero-length session.
+        c.push(vec![], String::new(), Label::Human); // Zero-length session.
         let feats = c.features_at(20, 10);
         assert_eq!(feats.len(), 4, "short session excluded");
     }

@@ -220,7 +220,11 @@ mod tests {
                     }
                 })
                 .collect();
-            c.push(recs, if robot { Label::Robot } else { Label::Human });
+            c.push(
+                recs,
+                String::new(),
+                if robot { Label::Robot } else { Label::Human },
+            );
         }
         c
     }

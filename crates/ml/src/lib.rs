@@ -14,8 +14,8 @@
 //! * [`dataset`] — corpora and the stratified half/half split
 //! * [`eval`] — confusion matrices and the Figure-4 checkpoint sweep
 //! * [`boundary`] — adapter into `botwall-core`'s staged pipeline
-//! * [`baselines`] — UA signature matching, a Tan&Kumar-style decision
-//!   tree, and Robot Exclusion Protocol compliance checking
+//! * [`baselines`] — UA signature matching and a Tan&Kumar-style decision
+//!   tree
 //!
 //! # Examples
 //!

@@ -14,8 +14,9 @@
 # front door's sum of it (`serve` + `gateway` + `instrument` + `http`,
 # the code a request through `botwall-serve` runs) is printed under the
 # totals instead of being added up by hand, and so are the session
-# layer's (`sessions` + `core`) and the in-process clients' (`agents` +
-# `codeen` + the root `examples/`).
+# layer's (`sessions` + `core`), the in-process clients' (`agents` +
+# `codeen` + the root `examples/`) and the offline study's (`ml` +
+# `bench`: the learner, the baselines and the paper's experiments).
 # Informational: nothing here fails a build.
 #
 # Usage: scripts/loc.sh
@@ -79,6 +80,8 @@ printf '%-25s %14d\n' "sessions + core, non-test" \
     $(($(non_test crates/sessions/src) + $(non_test crates/core/src)))
 printf '%-42s %d\n' "clients (agents + codeen + examples), non-test" \
     $(($(non_test crates/agents/src) + $(non_test crates/codeen/src) + $(non_test examples)))
+printf '%-34s %8d\n' "offline (ml + bench), non-test" \
+    $(($(non_test crates/ml/src) + $(non_test crates/bench/src)))
 
 echo
 echo "largest src files by non-test lines (non-test lines, lines):"

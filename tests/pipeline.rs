@@ -4,7 +4,8 @@
 use botwall::agents::Population;
 use botwall::codeen::network::{Network, NetworkConfig};
 use botwall::codeen::node::Deployment;
-use botwall::detect::{EvidenceKind, Figure2Report, Label, Table1Report};
+use botwall::detect::classifier::classify_hard;
+use botwall::detect::{Figure2Report, Label, Reason, Table1Report, Verdict};
 use botwall::webgraph::{SiteConfig, WebConfig};
 
 fn config(sessions: u32) -> NetworkConfig {
@@ -125,7 +126,8 @@ fn figure2_css_detects_faster_than_mouse() {
 fn humans_with_mouse_evidence_carry_the_right_kind() {
     let report = Network::run(&config(120), &Population::table1(), 11);
     for cs in &report.completed {
-        if cs.evidence.has(EvidenceKind::MouseEvent) && !cs.evidence.any_hard_robot() {
+        // A mouse beacon with no robot tell beside it.
+        if classify_hard(&cs.evidence) == Some(Verdict::Human(Reason::MouseActivity)) {
             assert_eq!(cs.label, Label::Human, "mouse evidence implies human label");
         }
     }

@@ -1,6 +1,6 @@
 //! Cross-crate property tests on the detection invariants.
 
-use botwall::detect::classifier::{classify_final, classify_online, finalize, Label};
+use botwall::detect::classifier::{classify_online, finalize, Label};
 use botwall::detect::report::RequestCdf;
 use botwall::detect::{EvidenceKind, EvidenceSet};
 use botwall::instrument::beacon;
@@ -26,20 +26,8 @@ fn arb_kind() -> impl Strategy<Value = EvidenceKind> {
 }
 
 proptest! {
-    /// The online classifier, finalized, always agrees with the offline
-    /// set-algebra classifier — no matter the evidence order or
-    /// multiplicity.
-    #[test]
-    fn online_finalized_equals_offline(kinds in proptest::collection::vec(arb_kind(), 0..20)) {
-        let mut e = EvidenceSet::new();
-        for (i, k) in kinds.iter().enumerate() {
-            e.record(*k, i as u32 + 1, SimTime::from_secs(i as u64));
-        }
-        let (label, _) = finalize(classify_online(&e));
-        prop_assert_eq!(label, classify_final(&e));
-    }
-
-    /// Evidence order never changes the final label (set semantics).
+    /// Evidence order never changes the verdict, reason included (set
+    /// semantics).
     #[test]
     fn evidence_order_is_irrelevant(kinds in proptest::collection::vec(arb_kind(), 0..12)) {
         let mut forward = EvidenceSet::new();
@@ -50,7 +38,7 @@ proptest! {
         for (i, k) in kinds.iter().rev().enumerate() {
             backward.record(*k, i as u32 + 1, SimTime::ZERO);
         }
-        prop_assert_eq!(classify_final(&forward), classify_final(&backward));
+        prop_assert_eq!(classify_online(&forward), classify_online(&backward));
     }
 
     /// Hard robot evidence forces Robot regardless of anything else.
@@ -61,7 +49,7 @@ proptest! {
         for (i, k) in kinds.iter().enumerate() {
             e.record(*k, i as u32 + 2, SimTime::ZERO);
         }
-        prop_assert_eq!(classify_final(&e), Label::Robot);
+        prop_assert_eq!(finalize(classify_online(&e)).0, Label::Robot);
     }
 
     /// A session's token state never validates a key it did not issue,
