@@ -1,13 +1,12 @@
 //! Population-scale capacity rows: what a gateway costs when it is
 //! *full*. Occupancy is prefilled outside every measured region; the
 //! rows then isolate (a) handle latency under Zipf traffic at
-//! million-session occupancy, (b) sweep cost with the full live set
-//! and nothing idle, (c) eviction pressure once the session cap is hit
-//! (each insert finalizes the idlest session first), (d) one sweep
-//! slice of the live server's tick, with nothing idle and with
-//! everything idle, (e) carry-channel stash cost at the per-shard
-//! carry bound (the min-key drop path), and (f) one stats snapshot,
-//! which walks every live session.
+//! million-session occupancy, (b) one sweep slice of the live server's
+//! tick, with nothing idle and with everything idle, (c) carry-channel
+//! stash cost at the per-shard carry bound (the min-key drop path), and
+//! (d) one stats snapshot, which walks every live session. A whole
+//! sweep and an insert at the session cap are `benchmark/`'s
+//! `core.detector.sweep_ms_per_100k` and `gateway.first_contact_ns`.
 //!
 //! Passing `--quick` (the CI smoke mode) scales the populations down;
 //! the benchmark IDs carry the scale, so quick rows never collide with
@@ -51,8 +50,7 @@ fn gateway_with_cap(cap: usize, seed: u64) -> Gateway {
         .build()
 }
 
-/// Occupancy rows: handle latency and sweep cost with the tracker
-/// holding `n` live sessions.
+/// Handle latency with the tracker holding `n` live sessions.
 fn bench_occupancy(c: &mut Criterion) {
     let n: u32 = if quick() { 20_000 } else { 1_000_000 };
     let gw = gateway_with_cap(n as usize + n as usize / 8, 71);
@@ -72,51 +70,6 @@ fn bench_occupancy(c: &mut Criterion) {
             b.iter(|| {
                 let client = zipf.sample(&mut rng) as u32;
                 touch(&gw, black_box(client), now);
-            })
-        },
-    );
-    group.finish();
-
-    let mut group = c.benchmark_group("capacity");
-    group.throughput(Throughput::Elements(u64::from(n)));
-    group.bench_with_input(BenchmarkId::new("sweep_at_occupancy", n), &n, |b, _| {
-        b.iter_custom(|iters| {
-            let mut elapsed = Duration::ZERO;
-            for _ in 0..iters {
-                let start = Instant::now();
-                // Nothing is idle past the timeout: sixteen locks and
-                // sixteen looks at a cold end.
-                black_box(gw.sweep(now));
-                elapsed += start.elapsed();
-            }
-            elapsed
-        })
-    });
-    group.finish();
-    assert_eq!(
-        gw.stats().live_sessions,
-        n as usize,
-        "sweep at occupancy must evict nothing"
-    );
-}
-
-/// Eviction pressure: the session cap is hit, and every further insert
-/// first finalizes the session at the cold end of the idlest shard.
-fn bench_eviction_pressure(c: &mut Criterion) {
-    let cap: u32 = if quick() { 2_000 } else { 50_000 };
-    let gw = gateway_with_cap(cap as usize, 73);
-    let now = botwall_bench::prefill(&gw, cap, SimTime::ZERO, 60_000);
-
-    let mut group = c.benchmark_group("capacity");
-    group.throughput(Throughput::Elements(1));
-    group.bench_with_input(
-        BenchmarkId::new("eviction_pressure_at_cap", cap),
-        &cap,
-        |b, &cap| {
-            let mut ip = cap;
-            b.iter(|| {
-                ip = ip.wrapping_add(1);
-                touch(&gw, black_box(ip), now);
             })
         },
     );
@@ -217,7 +170,6 @@ fn bench_carry_saturation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_occupancy,
-    bench_eviction_pressure,
     bench_sweep_slice,
     bench_carry_saturation
 );

@@ -1,35 +1,19 @@
-//! The front door on the scale: one full loopback round trip per
-//! iteration — TCP connect is amortised away by keep-alive, so the row
-//! prices accept-to-answer latency through the event loop, the HTTP
-//! framing, the gateway's deferred two-phase protocol, and the origin
-//! fetch over a second non-blocking connection.
+//! The front door under concurrency: four keep-alive client threads
+//! share the port while the server runs one, two or four reactors, and
+//! every request is a first-contact page serve through the origin. One
+//! client's round trip is `benchmark/`'s end to end (`client.serve_us_*`).
 //!
-//! Every iteration uses a fresh User-Agent, so each request creates its
-//! own session and takes the first-contact path (session insert +
-//! page instrumentation) — the worst-case row, not the warm-cache one.
-//!
-//! The serial row comes in two variants that differ only in upstream
-//! connection handling: `serve_loopback` pins `origin_pool: 0` against a
-//! close-per-request origin (a fresh TCP connect inside every
-//! iteration), and `serve_loopback_pooled` runs the pooled default
-//! against a keep-alive origin (after the first iteration every fetch
-//! rides the parked connection). The gap between the rows is the price
-//! of an origin connect on this loopback.
-//!
-//! The `reactor` group prices the event loop's own fixed costs, the
-//! part of every request that is neither kernel nor library: re-arming
-//! a deadline (a connection does it two or three times a request) and
-//! one `poll` that finds one descriptor ready.
+//! The `reactor` group prices re-arming a deadline, which a connection
+//! does two or three times a request; one `poll` is `benchmark/`'s
+//! `reactor.poll_ns`.
 
 use botwall_gateway::Gateway;
 use botwall_http::{Method, Request};
 use botwall_serve::client::Client;
 use botwall_serve::{MockOrigin, ServeConfig, Server};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use reactor::{Interest, Reactor, Token};
+use reactor::{Reactor, Token};
 use std::hint::black_box;
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,56 +21,7 @@ use std::time::{Duration, Instant};
 const PAGE: &str = "<html><head><title>bench</title></head>\
 <body><p>loopback page</p><a href=\"/about.html\">about</a></body></html>";
 
-fn bench_loopback_roundtrip(c: &mut Criterion) {
-    let mut group = c.benchmark_group("serve");
-    group.throughput(Throughput::Elements(1));
-    for (name, keep_alive_origin, origin_pool) in [
-        ("serve_loopback", false, 0usize),
-        (
-            "serve_loopback_pooled",
-            true,
-            ServeConfig::default().origin_pool,
-        ),
-    ] {
-        let mut origin = MockOrigin::new().page("/index.html", PAGE);
-        if keep_alive_origin {
-            origin = origin.keep_alive();
-        }
-        let origin = origin.start().unwrap();
-        let gateway = Arc::new(Gateway::builder().seed(91).build());
-        let config = ServeConfig {
-            origin: Some(origin.addr()),
-            origin_pool,
-            ..ServeConfig::default()
-        };
-        let mut server = Server::bind("127.0.0.1:0", Arc::clone(&gateway), config).unwrap();
-        let addr = server.local_addr();
-        let shutdown = server.shutdown_handle();
-        let join = std::thread::spawn(move || server.run());
-
-        group.bench_function(name, |b| {
-            let mut conn = Client::connect(addr).unwrap();
-            let mut i = 0u64;
-            b.iter(|| {
-                i += 1;
-                let request = Request::builder(Method::Get, "/index.html")
-                    .header("User-Agent", format!("bench/{i}"))
-                    .header("Host", "bench.example")
-                    .build()
-                    .unwrap();
-                let response = conn.roundtrip(&request).unwrap();
-                assert!(response.status().is_success());
-            })
-        });
-
-        shutdown.shutdown();
-        join.join().unwrap().unwrap();
-        drop(origin);
-    }
-    group.finish();
-}
-
-/// The same round trip under concurrency: four keep-alive client
+/// A page round trip under concurrency: four keep-alive client
 /// threads share the port, the server runs `reactors` event loops
 /// behind SO_REUSEPORT, and the row prices mean per-request latency at
 /// that offered load. On a single-core container the three rows sit
@@ -110,8 +45,8 @@ fn bench_parallel_roundtrip(c: &mut Criterion) {
         let shutdown = server.shutdown_handle();
         let join = std::thread::spawn(move || server.run());
 
-        // Fresh User-Agent per request across all samples, same as the
-        // serial row: every request is a first-contact session.
+        // Fresh User-Agent per request across all samples: every
+        // request is a first-contact session.
         let next_ua = AtomicU64::new(0);
         group.bench_with_input(BenchmarkId::new("reactors", reactors), &reactors, |b, _| {
             b.iter_custom(|iters| {
@@ -146,11 +81,9 @@ fn bench_parallel_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
-/// The event loop's fixed costs. `deadline_rearm` refreshes one live
-/// token's timeout, `deadline_rearm_1k_tokens` does the same round-robin
-/// over a thousand (the per-token table's cache behaviour), and
-/// `poll_ready` is one `poll` with one descriptor ready and one deadline
-/// armed: the `epoll_wait`, the clock read and the look at the wheel.
+/// The timer wheel's fixed cost. `deadline_rearm` refreshes one live
+/// token's timeout, and `deadline_rearm_1k_tokens` does the same
+/// round-robin over a thousand (the per-token table's cache behaviour).
 fn bench_reactor(c: &mut Criterion) {
     const TIMEOUT: Duration = Duration::from_secs(10);
     let mut group = c.benchmark_group("reactor");
@@ -167,33 +100,8 @@ fn bench_reactor(c: &mut Criterion) {
             reactor.deadline(black_box(Token(next)), black_box(TIMEOUT))
         })
     });
-    group.bench_function("poll_ready", |b| {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        server.set_nonblocking(true).unwrap();
-        let mut reactor = Reactor::new().unwrap();
-        reactor
-            .register(&server, Token(1), Interest::READABLE)
-            .unwrap();
-        reactor.deadline(Token(1), TIMEOUT);
-        // Never read: level-triggered, so every poll reports it again.
-        client.write_all(b"x").unwrap();
-        let mut events = Vec::new();
-        b.iter(|| {
-            reactor
-                .poll(&mut events, Some(Duration::from_millis(500)))
-                .unwrap();
-            assert_eq!(events.len(), 1);
-        })
-    });
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_loopback_roundtrip,
-    bench_parallel_roundtrip,
-    bench_reactor
-);
+criterion_group!(benches, bench_parallel_roundtrip, bench_reactor);
 criterion_main!(benches);

@@ -4,8 +4,8 @@
 //! [`Gateway`] with live sessions into the millions, drive
 //! Zipf-distributed traffic at it (a few clients make most requests —
 //! the empirical web shape), and measure what occupancy costs: handle
-//! latency at scale, sweep cost over the full live set, eviction
-//! pressure at the session cap, and carry-channel saturation. The bench
+//! latency at scale, one sweep slice, a stats snapshot, and
+//! carry-channel saturation. The bench
 //! targets in `benches/capacity.rs` record the numbers as
 //! `BENCH_baseline.json` rows; the root `tests/capacity.rs` integration
 //! test holds the ≥ 1M-live-sessions line.

@@ -4,6 +4,12 @@
 //! targets (`table1`, `figure2`, `figure3`, `figure4`, `table2`,
 //! `overhead`, `decoys`, `staged`, `ablate_ml`) and the integration tests.
 //! Every harness is deterministic in its seed.
+//!
+//! The criterion benches in `benches/` time what the end-to-end
+//! `benchmark/` harness holds fixed or cannot drive: thread and reactor
+//! scaling, million-session occupancy, parameter sweeps, hostile pages
+//! and the offline learner. The request path's per-layer and end-to-end
+//! numbers are `benchmark/`'s alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

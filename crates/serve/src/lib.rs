@@ -18,8 +18,9 @@
 //! server always has.
 //!
 //! * [`Server`] — the event loop; [`ServeConfig`] sets the connection
-//!   cap, the origin, the reactor threads and the origin pool. The
-//!   timeouts are constants ([`READ_TIMEOUT`], [`ORIGIN_TIMEOUT`],
+//!   cap, the origin and the reactor threads. The origin pool holds
+//!   [`ORIGIN_POOL_CAP`] idle connections per reactor, and the timeouts
+//!   are constants ([`READ_TIMEOUT`], [`ORIGIN_TIMEOUT`],
 //!   [`ORIGIN_POOL_IDLE`]) on one clock a test moves forward
 //!   ([`ShutdownHandle::advance`]); keep-alive is always on.
 //! * `/admin/stats` — the operator plane, for a loopback peer only: one
@@ -28,7 +29,7 @@
 //! * [`MockOrigin`] — a deliberately blocking loopback origin with
 //!   per-path latency, for tests/benches/the binary's `--mock-origin`.
 //! * [`client`] — a minimal blocking HTTP client used by the end-to-end
-//!   tests, the loopback bench, and the binary's `--smoke` mode.
+//!   tests, the front-door bench, and the binary's `--smoke` mode.
 //!
 //! The `botwall-serve` binary wires a SIGTERM/SIGINT handler to the
 //! reactor's waker, so a signal turns into a clean drain: stop
@@ -52,5 +53,5 @@ pub use botwall_http::frame;
 pub use conn::READ_TIMEOUT;
 pub use mock::{MockOrigin, MockOriginHandle};
 pub use origin::ORIGIN_TIMEOUT;
-pub use pool::ORIGIN_POOL_IDLE;
+pub use pool::{ORIGIN_POOL_CAP, ORIGIN_POOL_IDLE};
 pub use server::{ServeConfig, ServeReport, Server, ShutdownHandle, SysCalls};

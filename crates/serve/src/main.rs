@@ -15,7 +15,7 @@
 use botwall_gateway::Gateway;
 use botwall_http::{Method, Request};
 use botwall_serve::client::Client;
-use botwall_serve::{stats, MockOrigin, ServeConfig, Server};
+use botwall_serve::{stats, MockOrigin, ServeConfig, Server, ORIGIN_POOL_CAP};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -27,7 +27,6 @@ struct Args {
     seed: u64,
     max_connections: usize,
     threads: usize,
-    origin_pool: usize,
 }
 
 impl Args {
@@ -40,7 +39,6 @@ impl Args {
             seed: 1,
             max_connections: 256,
             threads: 1,
-            origin_pool: 8,
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -56,7 +54,6 @@ impl Args {
                 }
                 "--seed" => args.seed = integer(&flag, value()?)?,
                 "--max-conns" => args.max_connections = integer(&flag, value()?)?,
-                "--origin-pool" => args.origin_pool = integer(&flag, value()?)?,
                 "--threads" => {
                     args.threads = integer(&flag, value()?)
                         .ok()
@@ -72,8 +69,8 @@ impl Args {
                          --smoke            one scripted request against --mock-origin, then exit\n\
                          --seed N           gateway seed (default 1)\n\
                          --max-conns N      concurrent connection cap (default 256)\n\
-                         --origin-pool N    idle origin connections kept per reactor, 0 disables (default 8)\n\
                          --threads N        reactor threads sharing the port via SO_REUSEPORT (default 1)\n\n\
+                         Each reactor parks up to {ORIGIN_POOL_CAP} idle origin connections for reuse.\n\
                          Client reads, origin fetches and parked origin connections time out after 10 s."
                     );
                     std::process::exit(0);
@@ -142,7 +139,6 @@ fn main() -> ExitCode {
         max_connections: args.max_connections,
         origin,
         threads: args.threads,
-        origin_pool: args.origin_pool,
     };
     let gateway = Arc::new(Gateway::builder().seed(args.seed).build());
     let mut server = match Server::bind(&args.listen, Arc::clone(&gateway), config) {

@@ -21,9 +21,9 @@
 //! after the first byte is never retried: inside the head it is the
 //! `502`/`504`, and after the head (which has gone out by then) a
 //! truncation the client can see. The lease is committed either way, so
-//! the session's in-flight gauge returns to zero. `origin_pool: 0`
-//! disables parking and restores the one-connection-per-fetch behavior
-//! byte for byte.
+//! the session's in-flight gauge returns to zero. At most
+//! [`ORIGIN_POOL_CAP`] connections are parked per worker; a finished
+//! fetch beyond that closes its connection.
 //!
 //! # Per-request memory
 //!
@@ -56,6 +56,9 @@ use std::time::Duration;
 /// How long a parked origin connection may sit unused before it is
 /// closed: armed on the reactor's timer wheel each time it is parked.
 pub const ORIGIN_POOL_IDLE: Duration = Duration::from_secs(10);
+
+/// How many idle origin connections each worker keeps parked for reuse.
+pub const ORIGIN_POOL_CAP: usize = 8;
 
 /// Recycled buffers above this size are dropped instead of pooled, so
 /// one multi-megabyte streamed response cannot pin its backlog buffer
@@ -176,7 +179,7 @@ impl Worker {
     pub(crate) fn park_or_free(&mut self, slot: usize, o: Box<OriginConn>, reusable: bool) {
         let park = reusable
             && !self.draining
-            && self.idle_pool.len() < self.config.origin_pool
+            && self.idle_pool.len() < ORIGIN_POOL_CAP
             && o.buf.is_empty()
             && o.pos == o.out.len();
         if !park {

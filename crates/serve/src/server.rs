@@ -83,10 +83,6 @@ pub struct ServeConfig {
     /// calling thread exactly as before; more bind one `SO_REUSEPORT`
     /// listener per reactor thread.
     pub threads: usize,
-    /// How many idle origin connections each worker may keep parked for
-    /// reuse. `0` disables pooling: every origin fetch opens (and
-    /// closes) its own connection, exactly the pre-pool behavior.
-    pub origin_pool: usize,
 }
 
 impl Default for ServeConfig {
@@ -95,7 +91,6 @@ impl Default for ServeConfig {
             max_connections: 256,
             origin: None,
             threads: 1,
-            origin_pool: 8,
         }
     }
 }

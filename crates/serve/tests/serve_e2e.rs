@@ -9,7 +9,8 @@ use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request, Response, StatusCode};
 use botwall_serve::client::Client;
 use botwall_serve::{
-    frame, MockOrigin, MockOriginHandle, ORIGIN_POOL_IDLE, ORIGIN_TIMEOUT, READ_TIMEOUT,
+    frame, MockOrigin, MockOriginHandle, ORIGIN_POOL_CAP, ORIGIN_POOL_IDLE, ORIGIN_TIMEOUT,
+    READ_TIMEOUT,
 };
 use botwall_sessions::{SessionKey, SimTime};
 use std::io::Write;
@@ -1209,7 +1210,9 @@ fn pool_cap_and_idle_deadline_bound_parked_connections() {
 }
 
 fn the_pool_cap_and_idle_deadline_bound(threads: usize) {
-    const POOL: usize = 2;
+    // Twice the cap a reactor: however the kernel shards the accepts,
+    // the fetches in flight together outnumber what the pools may keep.
+    let clients = 2 * ORIGIN_POOL_CAP * threads;
     let origin = MockOrigin::new()
         .page("/index.html", PAGE)
         .latency("/index.html", Duration::from_millis(200))
@@ -1222,13 +1225,12 @@ fn the_pool_cap_and_idle_deadline_bound(threads: usize) {
         Gateway::builder().seed(33).build(),
         |config| {
             config.origin = Some(origin_addr);
-            config.origin_pool = POOL;
             config.threads = threads;
         },
         None, // held locally so the test can watch live_conns
     );
     let addr = fx.addr;
-    let clients: Vec<_> = (0..4)
+    let clients: Vec<_> = (0..clients)
         .map(|i| {
             std::thread::spawn(move || {
                 get(
@@ -1239,23 +1241,28 @@ fn the_pool_cap_and_idle_deadline_bound(threads: usize) {
             })
         })
         .collect();
+    let fetches = clients.len() as u64;
     for client in clients {
         assert_eq!(client.join().unwrap().status(), StatusCode::OK);
     }
-    // Connections over the cap close as they finish; at most two a
+    // Connections over the cap close as they finish; at most the cap a
     // reactor stay parked. (Give the origin's threads a beat to observe
     // the closes.)
     std::thread::sleep(Duration::from_millis(200));
     let parked = live(&origin);
     assert!(
-        (1..=POOL * threads).contains(&parked),
-        "pool cap {POOL} must bound parked connections, saw {parked}"
+        (1..=ORIGIN_POOL_CAP * threads).contains(&parked),
+        "pool cap {ORIGIN_POOL_CAP} must bound parked connections, saw {parked}"
     );
     // The idle deadline evicts the rest without any new traffic.
     fx.advance_until(ORIGIN_POOL_IDLE, || live(&origin) == 0);
     assert_eq!(live(&origin), 0, "idle deadline evicts parked connections");
     let report = fx.finish();
-    assert_eq!(report.origin_connects + report.origin_reuses, 4);
+    assert_eq!(report.origin_connects + report.origin_reuses, fetches);
+    assert!(
+        report.origin_connects > (ORIGIN_POOL_CAP * threads) as u64,
+        "the burst opened more connections than the pools may keep"
+    );
     drop(origin);
 }
 

@@ -6,7 +6,8 @@
 # only; every recording is also appended, as one line
 # {"commit", "date", "rows"}, to BENCH_history.jsonl, which keeps the
 # trajectory. The commit is HEAD at recording time, with "+" appended
-# when the tree has uncommitted changes (a PR records before it commits).
+# when the tree had uncommitted changes before this script wrote
+# anything (a PR records before it commits).
 #
 # Usage: scripts/record_bench_baseline.sh [extra cargo bench args...]
 set -euo pipefail
@@ -15,6 +16,12 @@ cd "$(dirname "$0")/.."
 out=BENCH_baseline.json
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
+
+# Labelled before the baseline is rewritten, which would dirty any tree.
+commit=$(git rev-parse --short HEAD)
+if [[ -n $(git status --porcelain --untracked-files=no) ]]; then
+    commit+="+"
+fi
 
 CRITERION_SHIM_JSON="$tmp" cargo bench -p botwall-bench "$@"
 
@@ -29,10 +36,6 @@ fi
     echo ']'
 } > "$out"
 
-commit=$(git rev-parse --short HEAD)
-if [[ -n $(git status --porcelain --untracked-files=no) ]]; then
-    commit+="+"
-fi
 printf '{"commit":"%s","date":"%s","rows":[%s]}\n' \
     "$commit" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$(paste -sd, "$tmp")" \
     >> BENCH_history.jsonl
