@@ -276,10 +276,13 @@ impl Population {
 mod tests {
     use super::*;
     use crate::testutil::MockWorld;
-    use crate::world::{ClientWorld, FetchOutcome, FetchSpec};
+    use crate::world::{Client, ClientWorld, FetchOutcome, FetchSpec};
     use botwall_captcha::Challenge;
+    use botwall_gateway::Gateway;
+    use botwall_http::request::ClientIp;
     use botwall_http::Uri;
-    use botwall_sessions::SimTime;
+    use botwall_sessions::{SessionCounters, SimTime};
+    use botwall_webgraph::{Site, SiteConfig, Web};
     use rand_chacha::rand_core::SeedableRng;
     use std::collections::HashMap;
 
@@ -436,25 +439,36 @@ mod tests {
     /// or RNG draw of any species fails here.
     #[test]
     fn every_species_sends_what_it_sent() {
+        let digests: Vec<[u64; 3]> = every_species().iter().map(traces).collect();
+        assert_eq!(digests, RECORDED, "{digests:#x?}");
+    }
+
+    /// What builds one species' agent from a seed's RNG.
+    type Species = Box<dyn Fn(&mut ChaCha8Rng) -> Box<dyn Agent>>;
+
+    /// Every entry of the Table-1 and escalation mixes, then a human
+    /// with JavaScript off and an offline browser that follows the
+    /// hidden link.
+    fn every_species() -> Vec<Species> {
         let js_off = AgentSpec::Human {
             families: vec![BrowserFamily::Firefox],
             js_disabled_probability: 1.0,
             config: HumanConfig::default(),
         };
         let (table1, escalation) = (Population::table1(), Population::escalation());
-        let specs = table1.entries.iter().chain(&escalation.entries);
-        let mut digests: Vec<[u64; 3]> = specs
+        let specs = table1.entries.into_iter().chain(escalation.entries);
+        let mut species: Vec<Species> = specs
             .map(|(spec, _)| spec)
-            .chain([&js_off])
-            .map(|spec| traces(|rng| spec.build(rng)))
+            .chain([js_off])
+            .map(|spec| Box::new(move |rng: &mut ChaCha8Rng| spec.build(rng)) as Species)
             .collect();
-        digests.push(traces(|_| {
+        species.push(Box::new(|_| {
             Box::new(OfflineBrowser {
                 follow_hidden: true,
                 ..OfflineBrowser::default()
             })
         }));
-        assert_eq!(digests, RECORDED, "{digests:#x?}");
+        species
     }
 
     #[rustfmt::skip]
@@ -481,6 +495,61 @@ mod tests {
         [0x4648_4e89_2dce_2fb4, 0xc929_dec3_15cb_b019, 0xefb5_d940_3cce_07e7],
         [0xf865_fab4_778b_872f, 0xe58b_b8a9_8f00_4192, 0x9772_5790_a6f0_8c6a],
     ];
+
+    /// The client's offline log and the gateway's live session are one
+    /// account of the same exchanges: for every species, with
+    /// enforcement off, on, and on with a challenge in place of each
+    /// throttle, the client's records folded through
+    /// [`SessionCounters::update`] are the counters the gateway keeps
+    /// for its key, refusals and interstitials included.
+    #[test]
+    fn a_clients_log_folds_to_the_gateways_counters() {
+        // (enforcement, challenge on throttle): refusals, challenges.
+        for (enforcement, challenge) in [(false, false), (true, false), (true, true)] {
+            let (mut refused, mut challenged) = (0, 0);
+            for (n, build) in every_species().iter().enumerate() {
+                for seed in [1, 2, 3] {
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                    let mut agent = build(&mut rng);
+                    let site = Site::generate("mock.example.com", &SiteConfig::default(), seed);
+                    let entry = Uri::absolute(site.host(), "/index.html");
+                    let gateway = Gateway::builder()
+                        .seed(seed ^ 0x5eed)
+                        .enforcement(enforcement)
+                        .challenge_on_throttle(challenge)
+                        .build();
+                    let mut client = Client::new(
+                        Arc::new(gateway),
+                        Arc::new(Web::from_sites(vec![site])),
+                        (ClientIp::new(0x0A00_0001), agent.user_agent()),
+                        entry,
+                        SimTime::ZERO,
+                    );
+                    agent.run_session(&mut client, &mut rng);
+                    let mut folded = SessionCounters::new();
+                    for record in client.records() {
+                        folded.update(record);
+                    }
+                    let live = client
+                        .gateway()
+                        .detector()
+                        .with_key_state(&client.key(), |session, _| session.counters().clone());
+                    let at = format!("species {n}, seed {seed}, {enforcement}/{challenge}");
+                    assert!(folded.total > 0, "{at}: nothing was sent");
+                    assert_eq!(Some(folded), live, "{at}");
+                    let ledger = client.ledger();
+                    refused += ledger.throttled + ledger.blocked;
+                    challenged += client.gateway().stats().challenged;
+                }
+            }
+            let seen = (refused > 0, challenged > 0);
+            assert_eq!(
+                seen,
+                (enforcement, challenge),
+                "{refused} refused, {challenged} challenged"
+            );
+        }
+    }
 
     #[test]
     fn sampling_is_deterministic_per_seed() {

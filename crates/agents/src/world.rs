@@ -13,7 +13,11 @@
 //! [`crate::testutil::MockWorld`]): a client of a [`Gateway`] (the gate,
 //! the rewriter and the detector `botwall-serve` runs) in front of the
 //! webgraph origin ([`resolve_origin`]), so an agent is measured against
-//! the deployed detector.
+//! the deployed detector. A client also keeps the log the offline study
+//! reads (§4.1: AdaBoost over logged sessions): a [`RequestRecord`] of
+//! each exchange, built from the response the gateway returned by the
+//! same [`SeenUrls::record`] step the gateway's session folds, so the
+//! live table keeps only counts and the log costs the simulation alone.
 
 use crate::origin::resolve_origin;
 use botwall_captcha::Challenge;
@@ -21,7 +25,8 @@ use botwall_gateway::{Decision, Gateway};
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request, StatusCode, Uri};
 use botwall_instrument::ProbeManifest;
-use botwall_sessions::{SessionKey, SimTime};
+use botwall_sessions::record::MAX_RECORDS_PER_SESSION;
+use botwall_sessions::{RequestRecord, SeenUrls, SessionKey, SimTime};
 use botwall_webgraph::Web;
 use std::sync::Arc;
 
@@ -152,8 +157,9 @@ pub struct Ledger {
 /// One client, `(ip, user_agent)`, of a [`Gateway`] in front of a
 /// [`Web`]: the [`ClientWorld`] every in-process agent runs in. It keeps
 /// the client's clock (each fetch costs [`ROUND_TRIP_MS`]), its one
-/// CAPTCHA offer and its [`Ledger`]; the gateway and the web are shared,
-/// so many clients can drive one gateway.
+/// CAPTCHA offer, its [`Ledger`] and the log of its first
+/// [`MAX_RECORDS_PER_SESSION`] exchanges; the gateway and the web are
+/// shared, so many clients can drive one gateway.
 #[derive(Debug)]
 pub struct Client {
     gateway: Arc<Gateway>,
@@ -164,6 +170,8 @@ pub struct Client {
     now: SimTime,
     captcha_offered: bool,
     ledger: Ledger,
+    seen: SeenUrls,
+    records: Vec<RequestRecord>,
 }
 
 impl Client {
@@ -185,6 +193,8 @@ impl Client {
             now: start,
             captcha_offered: false,
             ledger: Ledger::default(),
+            seen: SeenUrls::default(),
+            records: Vec::new(),
         }
     }
 
@@ -196,6 +206,13 @@ impl Client {
     /// What the client's requests have come to so far.
     pub fn ledger(&self) -> Ledger {
         self.ledger
+    }
+
+    /// The record of each exchange so far, in order, up to
+    /// [`MAX_RECORDS_PER_SESSION`]: what the offline study folds into a
+    /// session's features.
+    pub fn records(&self) -> &[RequestRecord] {
+        &self.records
     }
 
     /// The gateway the client fetches through.
@@ -211,9 +228,10 @@ impl Client {
     /// One exchange: the request this client sends for `spec` (a body
     /// only on a `POST` that has one) goes through the gateway's
     /// [`Gateway::handle_with`] to the origin of the site its host
-    /// names, and comes back as the outcome the agent sees. A spec that
-    /// makes no valid request comes back as [`FetchOutcome::default`].
-    fn exchange(&self, spec: &FetchSpec) -> FetchOutcome {
+    /// names, and comes back as the outcome the agent sees, its record
+    /// logged. A spec that makes no valid request comes back as
+    /// [`FetchOutcome::default`], and the gateway never saw it.
+    fn exchange(&mut self, spec: &FetchSpec) -> FetchOutcome {
         let mut b = Request::builder(spec.method.clone(), spec.uri.to_string())
             .header("User-Agent", self.user_agent.as_str())
             .client(self.ip);
@@ -241,6 +259,10 @@ impl Client {
             } => (response, manifest),
             rejected => (rejected.into_response(), None),
         };
+        let record = self.seen.record(&request.view(), Some(response.summary()));
+        if self.records.len() < MAX_RECORDS_PER_SESSION {
+            self.records.push(record);
+        }
         FetchOutcome {
             status: response.status(),
             body_len: response.body().len(),

@@ -6,7 +6,11 @@
 //! proxy in *detect-only* mode (instrumentation on, enforcement off — so
 //! robot sessions run their natural length instead of being truncated by
 //! blocking) and labelling with ground truth, which is what the CAPTCHA
-//! oracle approximated.
+//! oracle approximated. The records of a session are the ones its client
+//! logged (`SessionSummary::records`): the gateway's live sessions keep
+//! only the counters those records fold into, so the log the paper's
+//! offline stage reads is kept on the simulated side, the one place that
+//! reads it.
 
 use botwall_agents::robots::crawler::CrawlerConfig;
 use botwall_agents::robots::smart_bot::SmartBotConfig;
@@ -240,7 +244,7 @@ pub fn build_ml_corpus(config: &CorpusConfig) -> (Corpus, (usize, usize)) {
             robots += 1;
             Label::Robot
         };
-        let mut records = cs.session.records().to_vec();
+        let mut records = summary.records.clone();
         let rate = rng.gen_range(config.noise.0..config.noise.1.max(config.noise.0 + 1e-9));
         perturb(&mut records, rate, &mut rng);
         corpus.push(records, cs.session.key().user_agent().to_string(), label);

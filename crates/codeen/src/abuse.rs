@@ -101,6 +101,7 @@ mod tests {
             throttled: 0,
             blocked: 0,
             captcha_passed: false,
+            records: Vec::new(),
         }
     }
 

@@ -7,7 +7,7 @@ use botwall_core::CompletedSession;
 use botwall_gateway::Gateway;
 use botwall_http::request::ClientIp;
 use botwall_http::Uri;
-use botwall_sessions::{SessionKey, SimTime};
+use botwall_sessions::{RequestRecord, SessionKey, SimTime};
 use botwall_webgraph::{Web, WebConfig};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -33,6 +33,10 @@ pub struct SessionSummary {
     pub blocked: u64,
     /// Whether the session passed a CAPTCHA.
     pub captcha_passed: bool,
+    /// The client's log of its requests
+    /// ([`botwall_agents::Client::records`]): what the offline study
+    /// folds into the session's features.
+    pub records: Vec<RequestRecord>,
 }
 
 impl SessionSummary {
@@ -166,6 +170,7 @@ impl Network {
             throttled: ledger.throttled,
             blocked: ledger.blocked,
             captcha_passed: ledger.captcha_passes > 0,
+            records: client.records().to_vec(),
         };
         self.sessions += 1;
         self.clock = client.now() + gap_ms;

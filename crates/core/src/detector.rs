@@ -82,7 +82,7 @@ pub struct ObserveOutcome {
 /// A finished session with its evidence and final label.
 #[derive(Debug, Clone)]
 pub struct CompletedSession {
-    /// The underlying session (records + counters).
+    /// The underlying session (its counters and times).
     pub session: Session,
     /// All evidence collected.
     pub evidence: EvidenceSet,
@@ -1259,11 +1259,7 @@ mod tests {
         assert_eq!(action, Action::Allow, "first exchange passes");
         let session = p.det.tracker().get(&out.key).unwrap();
         assert_eq!(session.request_count(), 1, "the exchange was recorded");
-        assert_eq!(
-            session.records()[0].status_class,
-            2,
-            "with what it was answered"
-        );
+        assert_eq!(session.counters().resp_2xx, 1, "with what it was answered");
     }
 
     #[test]
@@ -1560,8 +1556,8 @@ mod tests {
             },
         ));
         assert_eq!(action, Action::Block);
-        let records = p.det.tracker().get(&out.key).unwrap().records().to_vec();
-        assert_eq!(records.last().unwrap().status_class, 4);
+        let counters = p.det.tracker().get(&out.key).unwrap().counters().clone();
+        assert_eq!((counters.total, counters.resp_4xx), (1, 1));
     }
 
     #[test]

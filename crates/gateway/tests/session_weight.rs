@@ -103,34 +103,33 @@ fn get(uri: &str, agent: &str) -> Request {
 
 /// The heap blocks a stranger's session may hold after its first
 /// contact: its key's `User-Agent` (one copy, shared by the tracker's
-/// index and the session), its one remembered URL, its evidence and its
-/// record log.
-const FIRST_CONTACT_BLOCKS: i64 = 4;
+/// index and the session), its one remembered URL and its evidence.
+const FIRST_CONTACT_BLOCKS: i64 = 3;
 
 /// The bytes those blocks may come to. Each list was sized to the one
 /// item it holds when the item went in (`botwall_sessions::reserve_one`):
 ///
 /// - the key's agent: a 16-byte `Arc` header and a ~26-byte agent;
 /// - the seen set: one 8-byte URL hash;
-/// - the evidence list: one 24-byte entry (the CSS probe's);
-/// - the record log: one 5-byte record.
+/// - the evidence list: one 24-byte entry (the CSS probe's).
 ///
-/// That is ~85 bytes. The bound leaves room for a longer agent, not
-/// for any list taking `Vec`'s four first slots (~200 bytes in all).
+/// That is ~80 bytes. The bound leaves 20 bytes for a longer agent, not
+/// room for either list taking `Vec`'s four first slots (the seen set's
+/// would be ~104 bytes in all, the evidence list's ~152).
 ///
 /// The session's slab slot and index entry are not in this: they are
 /// inline in the tracker's tables, whose growth this median does not
 /// see, and their size is pinned by
 /// `a_live_sessions_inline_state_is_sized_to_its_common_case`.
-const FIRST_CONTACT_BYTES: i64 = 128;
+const FIRST_CONTACT_BYTES: i64 = 100;
 
 static STRANGERS: Live = Live::new();
 
 /// A harvested CSS probe URL replayed by keys the gateway never saw
 /// (the benchmark's `first_contact` traffic): each is answered by the
-/// gate alone, and each new session holds at most four heap blocks.
+/// gate alone, and each new session holds at most three heap blocks.
 #[test]
-fn a_strangers_first_contact_holds_four_blocks() {
+fn a_strangers_first_contact_holds_three_blocks() {
     let gw = Gateway::builder().seed(36).build();
     let page = "<html><head></head><body><p>hi</p></body></html>";
     let Decision::Serve { manifest, .. } = gw.handle_with(
@@ -172,8 +171,9 @@ fn a_strangers_first_contact_holds_four_blocks() {
 static EXTENSION: Live = Live::new();
 
 /// A hostile client's session: 600 requests whose method is a
-/// 12 000-byte extension token. A record keeps which kind of method it
-/// was, never the token, so the session weighs what any other does.
+/// 12 000-byte extension token. The session counts which kind of method
+/// each was (a `HEAD` or not), never the token, so it weighs what any
+/// other does.
 #[test]
 fn an_extension_method_session_holds_no_copy_of_its_method() {
     let gw = Gateway::builder().seed(36).build();
@@ -216,12 +216,12 @@ fn a_live_sessions_inline_state_is_sized_to_its_common_case() {
     println!("inline: KeyState {key_state} B, TokenState {tokens} B, Session {session} B");
     assert!(key_state <= 80, "KeyState is {key_state} bytes");
     assert_eq!(tokens, 8, "TokenState is one pointer");
-    assert!(session <= 144, "Session is {session} bytes");
+    assert!(session <= 120, "Session is {session} bytes");
 }
 
 /// A record keeps the five facts the Table-2 attributes count (method,
 /// content class, status class, `Referer` sent, `Referer` seen) and no
-/// more: 512 of them are a full log.
+/// more: 512 of them are a full offline log.
 #[test]
 fn a_request_record_holds_only_what_the_features_read() {
     use std::mem::{align_of, size_of};
@@ -287,25 +287,25 @@ fn a_verified_humans_session_holds_no_script() {
 }
 
 /// The live heap one session may hold at every per-session cap
-/// (~18 KB measured):
+/// (15 616 bytes measured, 18 176 while it kept a log of its records):
 ///
-/// - the record log, 512 five-byte records: 2 560 bytes;
 /// - the seen-URL set, 512 hashes: 4 096 bytes;
 /// - 64 outstanding page tokens, every script fetched: the entries (96
 ///   bytes each) and their five 16-byte decoys each, ~11 KB in all —
 ///   no script is kept;
 /// - the key's agent and the evidence list, under 300 bytes.
 ///
-/// Times the 100 000-session cap this is ~1.8 GB, the tracker's worst
-/// case (~3.6 GB while a record was 40 bytes, ~15.5 GB while every
-/// fetched script stayed in its entry).
-const WORST_CASE_BYTES: i64 = 20 * 1024;
+/// Times the 100 000-session cap this is ~1.6 GB, the tracker's worst
+/// case (~1.8 GB while a session kept a log of 5-byte records, ~3.6 GB
+/// while a record was 40 bytes, ~15.5 GB while every fetched script
+/// stayed in its entry).
+const WORST_CASE_BYTES: i64 = 16 * 1024;
 
 static WORST: Live = Live::new();
 
 /// One key driven to every per-session cap: 600 requests over 600
-/// distinct URLs, each with a `Referer` (so the record log and the seen
-/// set fill), 536 of them pages and the last 64 pages' scripts fetched
+/// distinct URLs, each with a `Referer` (so the seen set fills), 536 of
+/// them pages and the last 64 pages' scripts fetched
 /// (so 64 tokens are outstanding, each with its script served).
 #[test]
 fn a_session_at_every_cap_holds_a_stated_heap() {
@@ -357,20 +357,13 @@ fn a_session_at_every_cap_holds_a_stated_heap() {
     });
     assert_eq!(gw.stats().live_sessions, 2_001);
     let key = SessionKey::of(&request("http://site.example/", "x"));
-    let (requests, records, tokens) = gw
+    let (requests, tokens) = gw
         .detector()
         .with_key_state(&key, |session, state| {
-            (
-                session.request_count(),
-                session.records().len(),
-                state.tokens.len(),
-            )
+            (session.request_count(), state.tokens.len())
         })
         .expect("the session is live");
-    assert_eq!(
-        (requests, records, tokens),
-        ((PAGES + SCRIPTS) as u64, 512, SCRIPTS)
-    );
+    assert_eq!((requests, tokens), ((PAGES + SCRIPTS) as u64, SCRIPTS));
     println!("a session at every cap: {blocks} blocks, {bytes} bytes");
     assert!(
         bytes <= WORST_CASE_BYTES,

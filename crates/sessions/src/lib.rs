@@ -39,7 +39,7 @@ pub mod time;
 pub mod tracker;
 
 pub use key::SessionKey;
-pub use record::RequestRecord;
+pub use record::{RequestRecord, SeenUrls};
 pub use stats::SessionCounters;
 pub use time::SimTime;
 pub use tracker::{

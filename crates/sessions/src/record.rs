@@ -1,29 +1,31 @@
-//! What a session keeps of each request it saw, and the URL hash its
-//! seen-URL set remembers.
+//! What a request comes to for the session features, and the seen-URL
+//! set that decides one of its facts.
 //!
 //! A [`RequestRecord`] is the five facts the paper's offline stage
 //! (§4.1, AdaBoost over the Table-2 attributes) reads of a logged
-//! request, and nothing else: `botwall_ml::features::extract_prefix`
-//! folds a prefix of a session's log through [`SessionCounters::update`],
-//! the one reader. What the session needs of a request past those five
-//! it keeps elsewhere, folded in before the record is pushed: the URL in
-//! the seen-URL set, the time in the session's `last_seen`. The wire
-//! bytes are not kept per session at all: the gateway's byte ledger
-//! counts them. A feature that reads more of a request (the parked
-//! traversal-shape attributes, say) adds back the field it reads.
+//! request, and nothing else. A live session folds each record into its
+//! [`SessionCounters`] and keeps none; the log the offline stage reads
+//! (`botwall_ml::features::extract_prefix`) is the in-process client's,
+//! built by the same [`SeenUrls::record`]. The URL goes into the
+//! seen-URL set, the time into `last_seen`, the wire bytes into the
+//! gateway's byte ledger. A feature that reads more of a request adds
+//! back the field it reads, to the offline log.
 //!
-//! [`SessionCounters::update`]: crate::SessionCounters::update
+//! [`SessionCounters`]: crate::SessionCounters
 
 use botwall_http::{ContentClass, MethodKind, RequestView, ResponseSummary, UriRef};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::{self, Write};
 use std::hash::{Hash, Hasher};
 
+/// Distinct URLs a [`SeenUrls`] remembers, and records an offline log
+/// keeps. Counters keep counting past it.
+pub const MAX_RECORDS_PER_SESSION: usize = 512;
+
 /// One observed request/response exchange, reduced to what the Table-2
 /// attributes count: five bytes, whatever the size of the messages (the
 /// paper's design goal is to decide "without overburdening the server
-/// with excessive memory consumption"). Its place in the session's log
-/// is its index.
+/// with excessive memory consumption"). Its place in a log is its index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestRecord {
     /// Which method the request used (an extension method's token is
@@ -92,23 +94,54 @@ impl RequestRecord {
         write!(pieces, "{uri}").expect("hashing cannot fail");
         pieces.finish()
     }
+}
 
-    /// Builds a record from an exchange: the request as the gate reads
-    /// it, and what a record keeps of its response. `referer_seen` must
-    /// be computed by the caller against the session's seen-URL set
-    /// *before* inserting the current URL.
-    pub fn from_exchange(
+/// The hashes of the first [`MAX_RECORDS_PER_SESSION`] distinct URLs a
+/// session asked for, kept sorted in one flat vector: a lookup is a
+/// binary search, and a session that asked for one URL holds one small
+/// block. Ordered, not hashed, so iteration (and `Debug`, rendered as
+/// the set a `BTreeSet` would print) is the same in every run.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct SeenUrls(pub(crate) Vec<u64>);
+
+impl SeenUrls {
+    pub(crate) fn contains(&self, hash: u64) -> bool {
+        self.0.binary_search(&hash).is_ok()
+    }
+
+    /// Remembers `hash` unless the set is full.
+    pub(crate) fn insert(&mut self, hash: u64) {
+        if let Err(at) = self.0.binary_search(&hash) {
+            if self.0.len() < MAX_RECORDS_PER_SESSION {
+                crate::reserve_one(&mut self.0);
+                self.0.insert(at, hash);
+            }
+        }
+    }
+
+    /// The record of one exchange: the `Referer` is looked up before the
+    /// target is remembered, so a page naming itself is not yet seen.
+    pub fn record(
+        &mut self,
         request: &RequestView<'_>,
         response: Option<ResponseSummary>,
-        referer_seen: bool,
     ) -> RequestRecord {
+        let referer = request.referer();
+        let referer_seen = referer.is_some_and(|r| self.contains(RequestRecord::hash_url(r)));
+        self.insert(RequestRecord::hash_target(request));
         RequestRecord {
             method: request.method_kind(),
             class: ContentClass::of_view(request, response.and_then(|r| r.class)),
             status_class: response.map_or(0, |r| r.status.class()),
-            has_referer: request.referer().is_some(),
-            referer_seen: referer_seen && request.referer().is_some(),
+            has_referer: referer.is_some(),
+            referer_seen,
         }
+    }
+}
+
+impl fmt::Debug for SeenUrls {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(&self.0).finish()
     }
 }
 
@@ -133,8 +166,11 @@ mod tests {
 
     #[test]
     fn record_captures_exchange_facts() {
+        let mut seen = SeenUrls::default();
+        let (home, resp) = exchange("http://h/", None);
+        seen.record(&home.view(), Some(resp.summary()));
         let (req, resp) = exchange("http://h/x.html", Some("http://h/"));
-        let rec = RequestRecord::from_exchange(&req.view(), Some(resp.summary()), true);
+        let rec = seen.record(&req.view(), Some(resp.summary()));
         assert_eq!(rec.method, MethodKind::Get);
         assert_eq!(rec.class, ContentClass::Html);
         assert_eq!(rec.status_class, 2);
@@ -144,8 +180,10 @@ mod tests {
 
     #[test]
     fn referer_seen_requires_referer() {
+        let mut seen = SeenUrls::default();
         let (req, resp) = exchange("http://h/x.html", None);
-        let rec = RequestRecord::from_exchange(&req.view(), Some(resp.summary()), true);
+        seen.record(&req.view(), Some(resp.summary()));
+        let rec = seen.record(&req.view(), Some(resp.summary()));
         assert!(!rec.has_referer);
         assert!(!rec.referer_seen, "referer_seen implies has_referer");
     }
@@ -153,8 +191,30 @@ mod tests {
     #[test]
     fn missing_response_has_status_class_zero() {
         let (req, _) = exchange("http://h/x.html", None);
-        let rec = RequestRecord::from_exchange(&req.view(), None, false);
+        let rec = SeenUrls::default().record(&req.view(), None);
         assert_eq!(rec.status_class, 0);
+    }
+
+    /// The `Referer` is checked against the URLs remembered before this
+    /// exchange, and the target is remembered after: a page that names
+    /// itself is unseen the first time, and a link from it is followed
+    /// from a seen page.
+    #[test]
+    fn a_record_reads_the_referer_before_its_target_is_remembered() {
+        let mut seen = SeenUrls::default();
+        let mut record = |uri: &str, referer: Option<&str>| {
+            let (req, resp) = exchange(uri, referer);
+            seen.record(&req.view(), Some(resp.summary()))
+        };
+        let first = record("http://h/a.html", Some("http://h/a.html"));
+        assert!(first.has_referer && !first.referer_seen);
+        let again = record("http://h/a.html", Some("http://h/a.html"));
+        assert!(again.referer_seen);
+        let link = record("http://h/b.html", Some("http://h/a.html"));
+        assert!(link.referer_seen);
+        let elsewhere = record("http://h/c.html", Some("http://h/z.html"));
+        assert!(elsewhere.has_referer && !elsewhere.referer_seen);
+        assert_eq!(seen.0.len(), 3, "a, b and c remembered, z never asked for");
     }
 
     #[test]

@@ -78,44 +78,37 @@
 //!
 //! # What a session weighs
 //!
-//! A live session is one slab slot (its [`Session`], its extension state
-//! and two links) plus one index entry (its [`SessionKey`] and slot).
-//! Under the detection core's extension state a slot is 240 bytes on a
-//! 64-bit target, 144 of them the [`Session`]: its counters are the 13
-//! `u32`s the Table-2 features and the §3.2 policy read, and no byte
-//! tally (the gateway's ledger counts the wire). State a session may never
-//! need stays behind a pointer until it does (token state and its
-//! instrumentation RNG until a page is served, a challenge record until
-//! one is issued). A session's lists are sized to what it has used: the
-//! first item of each reserves exactly one slot ([`crate::reserve_one`]),
-//! and `Vec` doubles from there (1 → 4 → 8 … 512), so a long session's
-//! caps and growth are what they were. A stranger's first exchange
-//! leaves four heap blocks, ~85 bytes for a short `User-Agent`: the
-//! key's agent, shared by the index and the session through one
-//! `Arc<str>`; the one URL it remembers (a sorted `Vec<u64>`, not a
-//! B-tree); the core's evidence list; and the record log (5-byte
-//! records). At every per-session cap (512 records, 512 remembered URLs,
-//! 64 page tokens, every script fetched) a session holds ~18 KB: a token
-//! keeps its script's seed, never the source.
-//! Looking a known key up copies nothing: the index is searched by the
-//! request's borrowed parts (`dyn KeyParts`).
+//! A live session is one slab slot (its [`Session`], its extension
+//! state and two links) plus one index entry (its [`SessionKey`] and
+//! slot). Under the detection core's extension state a slot is 216
+//! bytes on a 64-bit target, 120 of them the [`Session`]: the 13 `u32`
+//! counters the Table-2 features and the §3.2 policy read and the
+//! seen-URL set they need, never a log of records or a byte tally.
+//! State a session may never need stays behind a pointer until it does
+//! (token state and its instrumentation RNG until a page is served, a
+//! challenge record until one is issued). A session's lists are sized
+//! to what it has used: the first item of each reserves exactly one
+//! slot ([`crate::reserve_one`]), and `Vec` doubles from there (1 → 4 →
+//! 8 … 512), so a long session's caps and growth are what they were. A
+//! stranger's first exchange leaves three heap blocks, ~80 bytes for a
+//! short `User-Agent`: the key's agent, shared by the index and the
+//! session through one `Arc<str>`; the one URL it remembers (a sorted
+//! `Vec<u64>`, not a B-tree); and the core's evidence list. At every
+//! per-session cap (512 remembered URLs, 64 page tokens, every script
+//! fetched) a session holds ~15.6 KB: a token keeps its script's seed,
+//! never the source. Looking a known key up copies nothing: the index
+//! is searched by the request's borrowed parts (`dyn KeyParts`).
 //! `crates/gateway/tests/session_weight.rs` holds these counts.
 
 use crate::key::{KeyParts, KeyRef, SessionKey};
-use crate::record::RequestRecord;
+use crate::record::SeenUrls;
 use crate::stats::SessionCounters;
 use crate::table::{Stamped, Table};
 use crate::time::SimTime;
 use botwall_http::{Request, RequestView, Response, ResponseSummary};
-use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Records one session keeps in its log, and distinct URLs it
-/// remembers for the `Referer` check: one bound on a session's memory.
-/// Its counters keep counting past it.
-const MAX_RECORDS_PER_SESSION: usize = 512;
 
 /// Configuration for [`ShardedTracker`].
 #[derive(Debug, Clone, PartialEq)]
@@ -152,39 +145,8 @@ pub struct Session {
     key: SessionKey,
     started: SimTime,
     last_seen: SimTime,
-    records: Vec<RequestRecord>,
     counters: SessionCounters,
     seen_urls: SeenUrls,
-}
-
-/// The hashes of the first [`MAX_RECORDS_PER_SESSION`] distinct URLs a
-/// session asked for, kept sorted in one flat vector: a lookup is a
-/// binary search, and a session that asked for one URL holds one small
-/// block. Ordered, not hashed, so iteration (and `Debug`, rendered as
-/// the set a `BTreeSet` would print) is the same in every run.
-#[derive(Clone, Default, PartialEq, Eq)]
-struct SeenUrls(Vec<u64>);
-
-impl SeenUrls {
-    fn contains(&self, hash: u64) -> bool {
-        self.0.binary_search(&hash).is_ok()
-    }
-
-    /// Remembers `hash` unless the set is full.
-    fn insert(&mut self, hash: u64) {
-        if let Err(at) = self.0.binary_search(&hash) {
-            if self.0.len() < MAX_RECORDS_PER_SESSION {
-                crate::reserve_one(&mut self.0);
-                self.0.insert(at, hash);
-            }
-        }
-    }
-}
-
-impl fmt::Debug for SeenUrls {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(&self.0).finish()
-    }
 }
 
 impl Session {
@@ -193,7 +155,6 @@ impl Session {
             key,
             started: now,
             last_seen: now,
-            records: Vec::new(),
             counters: SessionCounters::new(),
             seen_urls: SeenUrls::default(),
         }
@@ -214,15 +175,9 @@ impl Session {
         self.last_seen
     }
 
-    /// Total requests observed (counters keep counting even after the
-    /// record log is full).
+    /// Total requests observed.
     pub fn request_count(&self) -> u64 {
         u64::from(self.counters.total)
-    }
-
-    /// The bounded record log.
-    pub fn records(&self) -> &[RequestRecord] {
-        &self.records
     }
 
     /// The incremental counters.
@@ -247,17 +202,8 @@ impl Session {
         response: Option<ResponseSummary>,
         now: SimTime,
     ) {
-        let referer_seen = request
-            .referer()
-            .map(|r| self.seen_urls.contains(RequestRecord::hash_url(r)))
-            .unwrap_or(false);
-        let rec = RequestRecord::from_exchange(request, response, referer_seen);
-        self.seen_urls.insert(RequestRecord::hash_target(request));
-        self.counters.update(&rec);
-        if self.records.len() < MAX_RECORDS_PER_SESSION {
-            crate::reserve_one(&mut self.records);
-            self.records.push(rec);
-        }
+        let record = self.seen_urls.record(request, response);
+        self.counters.update(&record);
         self.last_seen = now;
     }
 }
@@ -301,7 +247,7 @@ impl SessionExt for () {
 /// A finalized session paired with the extension state it accumulated.
 ///
 /// Derefs to [`Session`], so consumers that only care about the record
-/// (`request_count()`, `records()`, …) read through transparently.
+/// (`request_count()`, `counters()`, …) read through transparently.
 #[derive(Debug, Clone)]
 pub struct Finalized<E> {
     /// The finished session record.
@@ -455,7 +401,7 @@ impl<E> EntryGuard<'_, E> {
     }
 
     /// Folds the finished exchange into the session record (counters,
-    /// bounded log, `last_seen`): the request, and what a record keeps
+    /// seen URLs, `last_seen`): the request, and what a record keeps
     /// of its response. Call at most once, from a gate that finishes or
     /// a fold; one that never records has the exchange recorded for it
     /// (responseless) on exit.
@@ -1182,6 +1128,7 @@ impl<E: SessionExt> ShardedTracker<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::MAX_RECORDS_PER_SESSION;
     use crate::table::TIE_WALK_BOUND;
     use botwall_http::request::ClientIp;
     use botwall_http::{Method, StatusCode};
@@ -1341,7 +1288,7 @@ mod tests {
     }
 
     #[test]
-    fn record_log_is_bounded_but_counters_continue() {
+    fn remembered_urls_are_bounded_but_counters_continue() {
         let t = SessionTracker::new(TrackerConfig::default());
         let requests = MAX_RECORDS_PER_SESSION as u64 + 10;
         let mut k = None;
@@ -1354,7 +1301,7 @@ mod tests {
             k = Some(key);
         }
         let s = t.get(&k.unwrap()).unwrap();
-        assert_eq!(s.records().len(), MAX_RECORDS_PER_SESSION);
+        assert_eq!(s.seen_urls.0.len(), MAX_RECORDS_PER_SESSION);
         assert_eq!(s.request_count(), requests);
     }
 
@@ -1371,7 +1318,6 @@ mod tests {
         }
         let key = k.unwrap();
         let s = t.get(&key).unwrap();
-        assert_eq!(s.records().len(), MAX_RECORDS_PER_SESSION);
         assert_eq!(s.seen_urls.0.len(), MAX_RECORDS_PER_SESSION);
         assert_eq!(s.request_count(), 2_000);
         // A Referer naming a remembered URL reads seen; one naming a

@@ -92,16 +92,6 @@ proptest! {
         }
     }
 
-    /// A record's index is its place in the log, which holds the first
-    /// requests of the session up to its cap of 512.
-    #[test]
-    fn record_indices_are_contiguous(events in arb_events()) {
-        let (t, _, _) = replay(&events, TrackerConfig::default());
-        for s in t.drain() {
-            prop_assert_eq!(s.records().len() as u64, s.request_count().min(512));
-        }
-    }
-
     /// The live-session bound is never exceeded, no matter the stream.
     #[test]
     fn capacity_bound_holds(events in arb_events()) {
@@ -117,23 +107,6 @@ proptest! {
                 .unwrap();
             t.observe(&req, &Response::empty(StatusCode::OK), now);
             prop_assert!(t.live_count() <= 3);
-        }
-    }
-
-    /// Every counter agrees with a recomputation from the record log
-    /// when the log was not truncated.
-    #[test]
-    fn counters_match_records(events in arb_events()) {
-        let (t, _, _) = replay(&events, TrackerConfig::default());
-        for s in t.drain() {
-            if s.request_count() as usize != s.records().len() {
-                continue; // Log truncated; counters keep counting.
-            }
-            let mut recomputed = botwall_sessions::SessionCounters::new();
-            for r in s.records() {
-                recomputed.update(r);
-            }
-            prop_assert_eq!(&recomputed, s.counters());
         }
     }
 

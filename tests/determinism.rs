@@ -413,27 +413,33 @@ const GOLDEN_SWEEP_FNV: u64 = 0x8ea6_b5e9_cf94_027e;
 /// sessions, each pinned to the FNV-1a digest of its `{:#?}` rendering
 /// at seed 7. The eval's was recorded before the in-process clients
 /// became one `world::Client`, which left both unchanged. The report's
-/// was re-recorded twice, each time the old rendering with some lines
-/// deleted, byte for byte: when a `RequestRecord` dropped its `index`,
-/// `time`, `url_hash` and `bytes` (`0x94da_b954_d7f5_e698` before), and
-/// when `SessionCounters` dropped `get`, `post`, `css`, `script`,
-/// `audio`, `resp_5xx` and `bytes` (`0x5bab_0508_f191_96e8` before). A
-/// change that moves either re-records it and says why.
+/// was re-recorded three times. Twice it was the old rendering with some
+/// lines deleted, byte for byte: when a `RequestRecord` dropped its
+/// `index`, `time`, `url_hash` and `bytes` (`0x94da_b954_d7f5_e698`
+/// before), and when `SessionCounters` dropped `get`, `post`, `css`,
+/// `script`, `audio`, `resp_5xx` and `bytes` (`0x5bab_0508_f191_96e8`
+/// before). The third time the record log moved from each completed
+/// session to the client's summary (`0x7c58_f2e4_e5f0_dae6` before):
+/// with every `records: [...]` list deleted the two renderings are the
+/// same bytes, and each of the 400 summaries' lists holds the records
+/// its key's one completed session held. A change that moves either
+/// digest re-records it and says why.
 ///
 /// To show what a change did to them, write both trees' renderings with
 /// [`write_the_pinned_renderings`] (run in each tree, each into its own
-/// directory) and diff them with the dropped fields' lines masked:
+/// directory) and diff them with the dropped fields' lines masked (here
+/// the last change's `records` lists):
 ///
 /// ```text
 /// RENDER_DIR=<dir> cargo test --release --test determinism -- --ignored write_the_pinned_renderings
-/// m='^ *(get|post|css|script|audio|resp_5xx|bytes): '
-/// diff <(grep -vE "$m" <old>/report.txt) <(grep -vE "$m" <new>/report.txt)
+/// strip() { awk '/^ *records: \[/ { skip = !/\],$/; next } skip { skip = !/^ *\],$/; next } 1' "$1"; }
+/// diff <(strip <old>/report.txt) <(strip <new>/report.txt)
 /// ```
 #[test]
 fn report_and_eval_bytes_match_their_recorded_digests() {
     assert_eq!(
         fnv1a(&render(&big_config(), 7)),
-        0x7c58_f2e4_e5f0_dae6,
+        0x2e28_70d0_37e4_7d8c,
         "the CoDeeN report's bytes changed"
     );
     assert_eq!(

@@ -171,8 +171,9 @@ fn detector_tolerates_responseless_exchanges() {
     // A gate that finishes without recording: the exchange is recorded
     // for it, with no response.
     let (key, _, _) = t.begin_exchange(&req.view(), SimTime::ZERO, |_| Gate::<(), ()>::Finish(()));
-    let s = t.get(&key).unwrap();
-    assert_eq!(s.records()[0].status_class, 0);
+    // It counts, and no status class does.
+    let c = t.get(&key).unwrap().counters().clone();
+    assert_eq!((c.total, c.resp_2xx, c.resp_3xx, c.resp_4xx), (1, 0, 0, 0));
 }
 
 #[test]
