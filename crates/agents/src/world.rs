@@ -103,8 +103,6 @@ pub struct FetchOutcome {
     pub status: StatusCode,
     /// Structured page view when the response was an HTML page.
     pub page: Option<PageView>,
-    /// Response body size in bytes.
-    pub body_len: usize,
 }
 
 impl Default for FetchOutcome {
@@ -112,7 +110,6 @@ impl Default for FetchOutcome {
         FetchOutcome {
             status: StatusCode::NOT_FOUND,
             page: None,
-            body_len: 0,
         }
     }
 }
@@ -265,7 +262,6 @@ impl Client {
         }
         FetchOutcome {
             status: response.status(),
-            body_len: response.body().len(),
             page: view.map(|view| PageView {
                 manifest,
                 html: String::from_utf8_lossy(response.body()).into_owned(),

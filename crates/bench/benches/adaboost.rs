@@ -40,10 +40,7 @@ fn bench_adaboost(c: &mut Criterion) {
             b.iter(|| {
                 black_box(AdaBoostModel::train(
                     black_box(&data),
-                    &AdaBoostConfig {
-                        rounds: r,
-                        ..AdaBoostConfig::default()
-                    },
+                    &AdaBoostConfig { rounds: r },
                 ))
             })
         });
@@ -54,10 +51,7 @@ fn bench_adaboost(c: &mut Criterion) {
             b.iter(|| {
                 black_box(AdaBoostModel::train(
                     black_box(data),
-                    &AdaBoostConfig {
-                        rounds: 50,
-                        ..AdaBoostConfig::default()
-                    },
+                    &AdaBoostConfig { rounds: 50 },
                 ))
             })
         });

@@ -7,10 +7,10 @@
 //! robot sessions run their natural length instead of being truncated by
 //! blocking) and labelling with ground truth, which is what the CAPTCHA
 //! oracle approximated. The records of a session are the ones its client
-//! logged (`SessionSummary::records`): the gateway's live sessions keep
-//! only the counters those records fold into, so the log the paper's
-//! offline stage reads is kept on the simulated side, the one place that
-//! reads it.
+//! logged (`Client::records` of the client `Network::run_agent` returns):
+//! the gateway's live sessions keep only the counters those records fold
+//! into, so the log the paper's offline stage reads is kept by the
+//! simulated client, and read from it here, the one place that reads it.
 
 use botwall_agents::robots::crawler::CrawlerConfig;
 use botwall_agents::robots::smart_bot::SmartBotConfig;
@@ -30,19 +30,21 @@ use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+/// Human share (paper: 42,975 / 167,246 ≈ 0.257).
+const HUMAN_SHARE: f64 = 0.257;
+
+/// Observation-noise band: each session draws a per-record mutation
+/// rate uniformly from this range. Models what the proxy really saw —
+/// shared IPs, caches answering 304s, open tabs, half-broken clients —
+/// without which the synthetic classes separate perfectly and Figure 4
+/// flatlines at 100%.
+const NOISE: (f64, f64) = (0.45, 0.75);
+
 /// Corpus-generation tunables.
 #[derive(Debug, Clone)]
 pub struct CorpusConfig {
     /// Total sessions to generate.
     pub sessions: u32,
-    /// Human share (paper: 42,975 / 167,246 ≈ 0.257).
-    pub human_share: f64,
-    /// Observation-noise band: each session draws a per-record mutation
-    /// rate uniformly from this range. Models what the proxy really saw —
-    /// shared IPs, caches answering 304s, open tabs, half-broken clients —
-    /// without which the synthetic classes separate perfectly and Figure 4
-    /// flatlines at 100%.
-    pub noise: (f64, f64),
     /// RNG seed.
     pub seed: u64,
 }
@@ -51,8 +53,6 @@ impl Default for CorpusConfig {
     fn default() -> Self {
         CorpusConfig {
             sessions: 600,
-            human_share: 0.257,
-            noise: (0.45, 0.75),
             seed: 20060106,
         }
     }
@@ -212,9 +212,9 @@ pub fn build_ml_corpus(config: &CorpusConfig) -> (Corpus, (usize, usize)) {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0xC0FFEE);
     let mut planned: Vec<bool> = Vec::with_capacity(config.sessions as usize);
     for _ in 0..config.sessions {
-        planned.push(rng.gen_bool(config.human_share));
+        planned.push(rng.gen_bool(HUMAN_SHARE));
     }
-    let mut summaries = Vec::with_capacity(planned.len());
+    let mut clients = Vec::with_capacity(planned.len());
     for &is_human in &planned {
         let mut agent: Box<dyn Agent> = if is_human {
             long_human(&mut rng)
@@ -227,25 +227,27 @@ pub fn build_ml_corpus(config: &CorpusConfig) -> (Corpus, (usize, usize)) {
         } else {
             long_robot(&mut rng)
         };
-        summaries.push(network.run_agent(agent.as_mut(), &mut rng, 300));
+        let client = network.run_agent(agent.as_mut(), &mut rng, 300);
+        clients.push((client.key(), agent.kind(), client));
     }
     let (completed, _, _) = network.finish();
     let mut corpus = Corpus::new();
     let mut humans = 0;
     let mut robots = 0;
     for cs in completed {
-        let Some(summary) = summaries.iter().find(|s| &s.key == cs.session.key()) else {
+        let Some((_, kind, client)) = clients.iter().find(|(key, ..)| key == cs.session.key())
+        else {
             continue;
         };
-        let label = if summary.kind.is_human() {
+        let label = if kind.is_human() {
             humans += 1;
             Label::Human
         } else {
             robots += 1;
             Label::Robot
         };
-        let mut records = summary.records.clone();
-        let rate = rng.gen_range(config.noise.0..config.noise.1.max(config.noise.0 + 1e-9));
+        let mut records = client.records().to_vec();
+        let rate = rng.gen_range(NOISE.0..NOISE.1);
         perturb(&mut records, rate, &mut rng);
         corpus.push(records, cs.session.key().user_agent().to_string(), label);
     }
@@ -287,7 +289,8 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.sessions.iter().zip(&b.sessions) {
             assert_eq!(x.label, y.label);
-            assert_eq!(x.records.len(), y.records.len());
+            assert_eq!(x.user_agent, y.user_agent);
+            assert_eq!(x.records, y.records);
         }
     }
 

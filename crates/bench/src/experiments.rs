@@ -138,7 +138,6 @@ pub fn run_figure4(corpus_sessions: u32, seed: u64) -> Figure4Result {
     let (corpus, class_counts) = build_ml_corpus(&CorpusConfig {
         sessions: corpus_sessions,
         seed,
-        ..CorpusConfig::default()
     });
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xF16);
     let (train, test) = corpus.split_half(&mut rng);
@@ -319,7 +318,6 @@ pub fn run_ml_ablation(corpus_sessions: u32, seed: u64) -> Vec<MlAblationRow> {
     let (corpus, _) = build_ml_corpus(&CorpusConfig {
         sessions: corpus_sessions,
         seed,
-        ..CorpusConfig::default()
     });
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xAB1A7E);
     let (train, test) = corpus.split_half(&mut rng);
@@ -327,13 +325,7 @@ pub fn run_ml_ablation(corpus_sessions: u32, seed: u64) -> Vec<MlAblationRow> {
     let test_set = test.features_at(160, 1);
     let mut rows = Vec::new();
     for rounds in [1usize, 10, 50, 200] {
-        let model = AdaBoostModel::train(
-            &train_set,
-            &AdaBoostConfig {
-                rounds,
-                ..AdaBoostConfig::default()
-            },
-        );
+        let model = AdaBoostModel::train(&train_set, &AdaBoostConfig { rounds });
         rows.push(MlAblationRow {
             name: format!("adaboost-{rounds}"),
             test_accuracy_pct: model.accuracy(&test_set) * 100.0,

@@ -93,15 +93,12 @@ mod tests {
 
     fn summary(kind: AgentKind, allowed: u64) -> SessionSummary {
         SessionSummary {
-            node: 0,
             key: SessionKey::new(ClientIp::new(1), "x"),
             kind,
             requests: allowed,
             allowed,
             throttled: 0,
             blocked: 0,
-            captcha_passed: false,
-            records: Vec::new(),
         }
     }
 

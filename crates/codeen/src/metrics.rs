@@ -37,8 +37,6 @@ pub struct NodeStats {
     pub throttled: u64,
     /// Requests rejected because the session was blocked (403).
     pub blocked: u64,
-    /// Sessions run.
-    pub sessions: u64,
 }
 
 impl NodeStats {
@@ -87,7 +85,6 @@ mod tests {
             allowed: 5,
             throttled: 3,
             blocked: 2,
-            sessions: 1,
         };
         assert_eq!(s.total(), 10);
     }

@@ -7,7 +7,7 @@ use botwall_core::CompletedSession;
 use botwall_gateway::Gateway;
 use botwall_http::request::ClientIp;
 use botwall_http::Uri;
-use botwall_sessions::{RequestRecord, SessionKey, SimTime};
+use botwall_sessions::{SessionKey, SimTime};
 use botwall_webgraph::{Web, WebConfig};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -17,8 +17,6 @@ use std::sync::Arc;
 /// Ground-truth summary of one simulated session.
 #[derive(Debug, Clone)]
 pub struct SessionSummary {
-    /// Which node served it.
-    pub node: u32,
     /// The session key.
     pub key: SessionKey,
     /// Ground truth.
@@ -31,12 +29,6 @@ pub struct SessionSummary {
     pub throttled: u64,
     /// Requests blocked (403).
     pub blocked: u64,
-    /// Whether the session passed a CAPTCHA.
-    pub captcha_passed: bool,
-    /// The client's log of its requests
-    /// ([`botwall_agents::Client::records`]): what the offline study
-    /// folds into the session's features.
-    pub records: Vec<RequestRecord>,
 }
 
 impl SessionSummary {
@@ -109,7 +101,6 @@ pub struct Network {
     web: Arc<Web>,
     clock: SimTime,
     next_ip: u32,
-    sessions: u64,
 }
 
 impl Network {
@@ -127,7 +118,6 @@ impl Network {
             web,
             clock: SimTime::ZERO,
             next_ip: 0x0B00_0000,
-            sessions: 0,
         }
     }
 
@@ -140,17 +130,30 @@ impl Network {
         gap_ms: u64,
     ) -> SessionSummary {
         let mut agent = population.sample(rng);
-        self.run_agent(agent.as_mut(), rng, gap_ms)
+        let client = self.run_agent(agent.as_mut(), rng, gap_ms);
+        let ledger = client.ledger();
+        SessionSummary {
+            key: client.key(),
+            kind: agent.kind(),
+            requests: ledger.requests,
+            allowed: ledger.allowed,
+            throttled: ledger.throttled,
+            blocked: ledger.blocked,
+        }
     }
 
-    /// Runs one explicitly constructed agent (used by harnesses that need
-    /// custom session shapes, e.g. the long sessions of the ML corpus).
+    /// Runs one explicitly constructed agent on a pseudo-randomly chosen
+    /// node (used by harnesses that need custom session shapes, e.g. the
+    /// long sessions of the ML corpus), and returns the client it ran
+    /// in: its key, its ledger and its log of records
+    /// ([`Client::records`]), which the offline study folds into the
+    /// session's features.
     pub fn run_agent(
         &mut self,
         agent: &mut dyn botwall_agents::Agent,
         rng: &mut ChaCha8Rng,
         gap_ms: u64,
-    ) -> SessionSummary {
+    ) -> Client {
         let node_idx = rng.gen_range(0..self.gateways.len());
         let ip = ClientIp::new(self.next_ip);
         self.next_ip += 1;
@@ -160,32 +163,16 @@ impl Network {
         let visitor = (ip, agent.user_agent());
         let mut client = Client::new(gateway, Arc::clone(&self.web), visitor, entry, self.clock);
         agent.run_session(&mut client, rng);
-        let ledger = client.ledger();
-        let summary = SessionSummary {
-            node: node_idx as u32,
-            key: client.key(),
-            kind: agent.kind(),
-            requests: ledger.requests,
-            allowed: ledger.allowed,
-            throttled: ledger.throttled,
-            blocked: ledger.blocked,
-            captcha_passed: ledger.captcha_passes > 0,
-            records: client.records().to_vec(),
-        };
-        self.sessions += 1;
         self.clock = client.now() + gap_ms;
-        summary
+        client
     }
 
     /// Drains every node, returning all completed sessions and merged
-    /// accounting: the outcome and byte counts of every node's gateway,
-    /// and the sessions run. Consumes the network.
+    /// accounting: the outcome and byte counts of every node's gateway.
+    /// Consumes the network.
     pub fn finish(self) -> (Vec<CompletedSession>, NodeStats, BandwidthLedger) {
         let mut completed = Vec::new();
-        let mut stats = NodeStats {
-            sessions: self.sessions,
-            ..NodeStats::default()
-        };
+        let mut stats = NodeStats::default();
         let mut bandwidth = BandwidthLedger::default();
         for gateway in &self.gateways {
             completed.extend(gateway.drain());
@@ -246,7 +233,6 @@ mod tests {
     fn run_produces_one_summary_per_session() {
         let report = Network::run(&small_config(40), &Population::demo(), 1);
         assert_eq!(report.summaries.len(), 40);
-        assert_eq!(report.stats.sessions, 40);
         assert!(!report.completed.is_empty());
         assert!(report.stats.total() > 0);
     }

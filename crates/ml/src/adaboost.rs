@@ -11,22 +11,20 @@ use crate::features::{Attribute, FeatureVector, ATTRIBUTE_COUNT};
 use crate::stump::DecisionStump;
 use botwall_core::Label;
 
+/// Training stops early once the weighted error reaches this floor
+/// (perfect weak learner): the classifier is already consistent.
+const MIN_ERROR: f64 = 1e-10;
+
 /// Configuration for training.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaBoostConfig {
     /// Boosting rounds (paper: 200).
     pub rounds: usize,
-    /// Stop early if the weighted error reaches this floor (perfect weak
-    /// learner); the classifier is already consistent.
-    pub min_error: f64,
 }
 
 impl Default for AdaBoostConfig {
     fn default() -> Self {
-        AdaBoostConfig {
-            rounds: 200,
-            min_error: 1e-10,
-        }
+        AdaBoostConfig { rounds: 200 }
     }
 }
 
@@ -53,10 +51,10 @@ impl AdaBoostModel {
                 // No weak learner better than chance remains.
                 break;
             }
-            let err_c = err.max(config.min_error);
+            let err_c = err.max(MIN_ERROR);
             let alpha = 0.5 * ((1.0 - err_c) / err_c).ln();
             stumps.push((stump, alpha));
-            if err <= config.min_error {
+            if err <= MIN_ERROR {
                 break;
             }
             // Reweight: misclassified samples up, correct ones down.
@@ -219,13 +217,7 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for rounds in [1, 5, 20, 80, 200] {
-            let model = AdaBoostModel::train(
-                &data,
-                &AdaBoostConfig {
-                    rounds,
-                    ..AdaBoostConfig::default()
-                },
-            );
+            let model = AdaBoostModel::train(&data, &AdaBoostConfig { rounds });
             let err = 1.0 - model.accuracy(&data);
             assert!(
                 err <= prev + 0.05,

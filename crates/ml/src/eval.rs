@@ -235,15 +235,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let (train, test) = all.split_half(&mut rng);
         let cps = [20, 40, 80];
-        let results = checkpoint_sweep(
-            &train,
-            &test,
-            &cps,
-            &AdaBoostConfig {
-                rounds: 30,
-                ..AdaBoostConfig::default()
-            },
-        );
+        let results = checkpoint_sweep(&train, &test, &cps, &AdaBoostConfig { rounds: 30 });
         assert_eq!(results.len(), 3);
         for (r, cp) in results.iter().zip(cps) {
             assert_eq!(r.checkpoint, cp);
@@ -259,15 +251,7 @@ mod tests {
         let all = corpus(200, 9);
         let mut rng = ChaCha8Rng::seed_from_u64(10);
         let (train, test) = all.split_half(&mut rng);
-        let results = checkpoint_sweep(
-            &train,
-            &test,
-            &[20, 160],
-            &AdaBoostConfig {
-                rounds: 40,
-                ..AdaBoostConfig::default()
-            },
-        );
+        let results = checkpoint_sweep(&train, &test, &[20, 160], &AdaBoostConfig { rounds: 40 });
         assert!(results[1].test_accuracy_pct >= results[0].test_accuracy_pct - 2.0);
     }
 
@@ -275,13 +259,7 @@ mod tests {
     fn evaluate_agrees_with_model_accuracy() {
         let all = corpus(80, 11);
         let samples = all.features_at(40, 1);
-        let model = AdaBoostModel::train(
-            &samples,
-            &AdaBoostConfig {
-                rounds: 20,
-                ..AdaBoostConfig::default()
-            },
-        );
+        let model = AdaBoostModel::train(&samples, &AdaBoostConfig { rounds: 20 });
         let m = evaluate(&model, &samples);
         assert!((m.accuracy() - model.accuracy(&samples)).abs() < 1e-12);
         let _ = Attribute::ALL; // silence unused import paths in some cfgs

@@ -53,7 +53,7 @@ proptest! {
         let _ = stump;
         let model = AdaBoostModel::train(
             &samples,
-            &AdaBoostConfig { rounds: 50, ..AdaBoostConfig::default() },
+            &AdaBoostConfig { rounds: 50 },
         );
         let model_err = 1.0 - model.accuracy(&samples);
         prop_assert!(
@@ -67,7 +67,7 @@ proptest! {
     fn importance_is_a_distribution(samples in arb_samples()) {
         let model = AdaBoostModel::train(
             &samples,
-            &AdaBoostConfig { rounds: 20, ..AdaBoostConfig::default() },
+            &AdaBoostConfig { rounds: 20 },
         );
         let imp = model.importance();
         prop_assert_eq!(imp.len(), 12);

@@ -19,15 +19,16 @@ pub struct SiteConfig {
     pub css_probability: f64,
     /// Probability a page references a script file.
     pub script_probability: f64,
-    /// Probability a page exposes a CGI endpoint (form/search).
-    pub cgi_probability: f64,
-    /// Probability a page is a redirect stub to another page.
-    pub redirect_probability: f64,
-    /// Mean HTML body size in bytes.
-    pub mean_html_size: usize,
-    /// Mean image size in bytes.
-    pub mean_image_size: usize,
 }
+
+/// Probability a page exposes a CGI endpoint (form/search).
+const CGI_PROBABILITY: f64 = 0.15;
+/// Probability a page is a redirect stub to another page.
+const REDIRECT_PROBABILITY: f64 = 0.06;
+/// Mean HTML body size in bytes.
+const MEAN_HTML_SIZE: usize = 8 * 1024;
+/// Mean image size in bytes.
+const MEAN_IMAGE_SIZE: usize = 12 * 1024;
 
 impl Default for SiteConfig {
     fn default() -> Self {
@@ -37,10 +38,6 @@ impl Default for SiteConfig {
             images_per_page: (0, 6),
             css_probability: 0.85,
             script_probability: 0.4,
-            cgi_probability: 0.15,
-            redirect_probability: 0.06,
-            mean_html_size: 8 * 1024,
-            mean_image_size: 12 * 1024,
         }
     }
 }
@@ -104,7 +101,7 @@ impl Site {
             let n_images = rng.gen_range(config.images_per_page.0..=config.images_per_page.1);
             for j in 0..n_images {
                 let p = format!("/img/{i}_{j}.jpg");
-                let size = jitter(&mut rng, config.mean_image_size);
+                let size = jitter(&mut rng, MEAN_IMAGE_SIZE);
                 assets.insert(p.clone(), (AssetKind::Image, size));
                 page_assets.push(Asset {
                     kind: AssetKind::Image,
@@ -129,13 +126,13 @@ impl Site {
                     size,
                 });
             }
-            let cgi_endpoint = if rng.gen_bool(config.cgi_probability) {
+            let cgi_endpoint = if rng.gen_bool(CGI_PROBABILITY) {
                 Some(format!("/cgi-bin/handler_{i}"))
             } else {
                 None
             };
             // The home page is never a redirect; stubs pick a real target.
-            let redirect_to = if i > 0 && rng.gen_bool(config.redirect_probability) {
+            let redirect_to = if i > 0 && rng.gen_bool(REDIRECT_PROBABILITY) {
                 Some(PageId(rng.gen_range(0..i)))
             } else {
                 None
@@ -147,7 +144,7 @@ impl Site {
                 assets: page_assets,
                 cgi_endpoint,
                 redirect_to,
-                html_size: jitter(&mut rng, config.mean_html_size),
+                html_size: jitter(&mut rng, MEAN_HTML_SIZE),
             });
         }
         // Guarantee forward reachability from the home page: every page

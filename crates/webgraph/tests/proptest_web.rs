@@ -11,7 +11,6 @@ fn arb_site_config() -> impl Strategy<Value = SiteConfig> {
             images_per_page: (0, imgs),
             css_probability: cssp,
             script_probability: jsp,
-            ..SiteConfig::default()
         },
     )
 }
