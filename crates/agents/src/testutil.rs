@@ -197,7 +197,7 @@ mod tests {
         assert!(w.offer_captcha().is_none(), "only one offer per session");
         let answer = ch.answer().to_string();
         assert!(w.answer_captcha(ch.id, &answer));
-        assert_eq!(w.client().ledger().captcha_passes, 1);
+        assert_eq!(w.client().gateway().stats().captcha_passed, 1);
     }
 
     #[test]

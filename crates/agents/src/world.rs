@@ -147,8 +147,6 @@ pub struct Ledger {
     pub throttled: u64,
     /// Requests blocked (`403`).
     pub blocked: u64,
-    /// CAPTCHA answers that passed.
-    pub captcha_passes: u64,
 }
 
 /// One client, `(ip, user_agent)`, of a [`Gateway`] in front of a
@@ -305,11 +303,8 @@ impl ClientWorld for Client {
     }
 
     fn answer_captcha(&mut self, id: u64, answer: &str) -> bool {
-        let passed = self
-            .gateway
-            .verify_captcha(&self.key(), id, answer, self.now);
-        self.ledger.captcha_passes += u64::from(passed);
-        passed
+        self.gateway
+            .verify_captcha(&self.key(), id, answer, self.now)
     }
 }
 

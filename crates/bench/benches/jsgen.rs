@@ -8,7 +8,9 @@
 //! The `page_setup` group holds what a request for a page's
 //! `<script src>` URL costs: a token keeps its script's seed, and every
 //! fetch writes the script from it into the response.
-//! `script_on_first_fetch` times one such write from a fresh session.
+//! `script_on_first_fetch` times one such answer from a fresh session:
+//! `RewriteEngine::object_in_session`, the call the gate makes, head
+//! and script.
 //! Minting a page's probes and issuing its token are `benchmark/`'s
 //! `instrument.engine.begin_stream_us` and `instrument.token.issue_ns`.
 
@@ -77,20 +79,28 @@ fn bench_page_setup(c: &mut Criterion) {
             let mut busy = Duration::ZERO;
             for _ in 0..iters {
                 let mut tokens = TokenState::default();
-                let manifest = engine
-                    .build_session_page("<html></html>", &page, &mut tokens, || 7, now)
-                    .manifest;
+                let stream = engine.begin_session_page(&page, &mut tokens, || 7, now);
+                let manifest = stream
+                    .finish(&mut Vec::new())
+                    .manifest(page.uri(), page.authority().as_deref());
                 let script = manifest
                     .js_file
                     .expect("the default config deploys the script");
-                let nonce = script.file_name()[..20].parse().expect("a 20-digit nonce");
                 let fetch = Request::builder(Method::Get, script.path())
                     .header("Host", "site.example")
                     .build()
                     .unwrap();
+                let hit = engine.classify(&fetch, now).resolve(&mut tokens, now);
                 let mut out = Vec::new();
                 let start = Instant::now();
-                black_box(engine.session_script(&tokens, nonce, &fetch, now, &mut out));
+                black_box(engine.object_in_session(
+                    &hit,
+                    &tokens,
+                    &fetch.view(),
+                    now,
+                    false,
+                    &mut out,
+                ));
                 busy += start.elapsed();
             }
             busy

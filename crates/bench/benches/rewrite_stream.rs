@@ -1,17 +1,19 @@
-//! The streaming rewriter, against the buffered path and on its own.
-//! A sweep of page sizes from 4KB to 4MB times `build_page` (one
-//! buffered pass) against `begin_stream` fed 16KB chunks, the shape the
-//! front door delivers. Of the streaming rewriter's two costs only the
+//! The streaming rewriter, the page whole against the page in pieces,
+//! and on its own. A sweep of page sizes from 4KB to 4MB times
+//! `begin_stream` handed the whole page as one write (`buffered`: what
+//! a caller that holds a page whole pays, no manifest derived) against
+//! 16KB writes, the shape the front door delivers; both write into a
+//! reused buffer. Of the streaming rewriter's two costs only the
 //! memory one is asserted: it holds O(chunk), never the page (the
 //! peak-buffered gauge beside the MB/s rows must stay within
 //! `MAX_HELD_BYTES`). Its throughput is printed, not held to the
-//! buffered path's, and past one write it is slower: on a 2-core Xeon
-//! VM `streaming_16k` read 10.7 µs against `buffered`'s 8.5 at 64KB and
-//! 176.6 µs against 99.3 at 1MB (1.78x), level at 4MB (a 4KB page, one
-//! write, streamed in 1.9 µs against 4.9). Each 16KB write that does
-//! not hold the page's end is hunted backward whole for `</body>` by
-//! `scan::rfind_ci`, where a page held whole is hunted from its end
-//! once. And its anchor hunt runs at vector width whatever the page is
+//! one-write figure, and past one write it is slower: on a 2-core Xeon
+//! VM `streaming_16k` read 13.4 µs against `buffered`'s 4.2 at 64KB,
+//! 183.0 µs against 59.8 at 1MB (3.1x) and 848 against 393 at 4MB (a
+//! 4KB page is one write either way: 2.2 µs against 2.4). Each 16KB
+//! write that does not hold the page's end is hunted backward whole
+//! for `</body>` by `scan::rfind_ci`, where a page held whole is hunted
+//! from its end once. And its anchor hunt runs at vector width whatever the page is
 //! made of: the `scan_only` rows run the rewriter over a
 //! text-dominated, a markup-dense and a hostile 64KB page into a sink
 //! that only counts (the scan alone, what the front door pays, since it
@@ -91,14 +93,20 @@ impl StreamSink for Counted {
     }
 }
 
-/// One streamed rewrite of `html` in [`CHUNK`]-byte writes into `out`
+/// One streamed rewrite of `html` in `chunk`-byte writes into `out`
 /// (cleared first, and reused across iterations as the front door
 /// reuses its buffers — a fresh 64KB+ allocation per iteration costs as
 /// much as the scan and varies with the heap's mood).
-fn stream_once(eng: &RewriteEngine, html: &str, rng: &mut ChaCha8Rng, out: &mut Vec<u8>) -> usize {
+fn stream_once(
+    eng: &RewriteEngine,
+    html: &str,
+    chunk: usize,
+    rng: &mut ChaCha8Rng,
+    out: &mut Vec<u8>,
+) -> usize {
     out.clear();
     let mut stream = eng.begin_stream(&page_uri(), SimTime::ZERO, rng);
-    for piece in html.as_bytes().chunks(CHUNK) {
+    for piece in html.as_bytes().chunks(chunk) {
         stream.write(piece, out);
     }
     black_box(stream.finish(out));
@@ -118,14 +126,15 @@ fn scan_once(eng: &RewriteEngine, html: &str, rng: &mut ChaCha8Rng, tail: &mut V
     counted.0 + tail.len()
 }
 
-/// Best of 200 timed [`stream_once`] passes, in nanoseconds per byte.
+/// Best of 200 timed [`stream_once`] passes in [`CHUNK`]-byte writes,
+/// in nanoseconds per byte.
 fn best_ns_per_byte(eng: &RewriteEngine, html: &str) -> f64 {
     let mut rng = ChaCha8Rng::seed_from_u64(5);
     let mut out = Vec::with_capacity(html.len() + 4096);
     let best = (0..200)
         .map(|_| {
             let start = Instant::now();
-            black_box(stream_once(eng, html, &mut rng, &mut out));
+            black_box(stream_once(eng, html, CHUNK, &mut rng, &mut out));
             start.elapsed()
         })
         .min()
@@ -157,7 +166,7 @@ fn bench_rewrite_stream(c: &mut Criterion) {
         |b, html| {
             let mut rng = ChaCha8Rng::seed_from_u64(5);
             let mut out = Vec::with_capacity(html.len() + 4096);
-            b.iter(|| black_box(stream_once(&eng, html, &mut rng, &mut out)))
+            b.iter(|| black_box(stream_once(&eng, html, CHUNK, &mut rng, &mut out)))
         },
     );
     // The vectorisation guard, outside the timing loops: with the block
@@ -181,7 +190,8 @@ fn bench_rewrite_stream(c: &mut Criterion) {
         group.throughput(Throughput::Bytes(html.len() as u64));
         group.bench_with_input(BenchmarkId::new("buffered", label), &html, |b, html| {
             let mut rng = ChaCha8Rng::seed_from_u64(5);
-            b.iter(|| black_box(eng.build_page(html, &page_uri(), SimTime::ZERO, &mut rng)))
+            let mut out = Vec::with_capacity(html.len() + 4096);
+            b.iter(|| black_box(stream_once(&eng, html, html.len(), &mut rng, &mut out)))
         });
         group.bench_with_input(
             BenchmarkId::new("streaming_16k", label),
@@ -189,7 +199,7 @@ fn bench_rewrite_stream(c: &mut Criterion) {
             |b, html| {
                 let mut rng = ChaCha8Rng::seed_from_u64(5);
                 let mut out = Vec::with_capacity(html.len() + 4096);
-                b.iter(|| black_box(stream_once(&eng, html, &mut rng, &mut out)))
+                b.iter(|| black_box(stream_once(&eng, html, CHUNK, &mut rng, &mut out)))
             },
         );
         // The memory half of the claim, measured once per size outside

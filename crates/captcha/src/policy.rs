@@ -43,8 +43,9 @@ const DEFAULT_DIFFICULTY: f64 = 0.5;
 pub struct CaptchaService {
     policy: ServingPolicy,
     seed: u64,
+    /// The id the next challenge gets: ids start at 1, so every one
+    /// below it was issued.
     next_id: AtomicU64,
-    issued: AtomicU64,
     passed: AtomicU64,
     failed: AtomicU64,
     /// Ids already redeemed. Only the `verify_*` calls and `burn` (the
@@ -138,7 +139,6 @@ impl CaptchaService {
             policy,
             seed,
             next_id: AtomicU64::new(1),
-            issued: AtomicU64::new(0),
             passed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             redeemed: Mutex::new(Redeemed::new(REDEEMED_WINDOW_IDS)),
@@ -181,7 +181,6 @@ impl CaptchaService {
     /// Issues a challenge: an atomic id draw plus a pure derivation.
     pub fn issue(&self) -> Challenge {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.issued.fetch_add(1, Ordering::Relaxed);
         Challenge::derive(self.seed, id, DEFAULT_DIFFICULTY)
     }
 
@@ -249,7 +248,7 @@ impl CaptchaService {
     /// `(issued, passed, failed)` counters.
     pub fn stats(&self) -> (u64, u64, u64) {
         (
-            self.issued.load(Ordering::Relaxed),
+            self.next_id.load(Ordering::Relaxed) - 1,
             self.passed.load(Ordering::Relaxed),
             self.failed.load(Ordering::Relaxed),
         )

@@ -142,13 +142,11 @@ pub struct KeyCarry {
     /// A CAPTCHA pass awaiting the next incarnation (ground-truth human
     /// evidence, credited before the first exchange is recorded).
     pub pass: Option<PendingCaptchaPass>,
-    /// Origin exchanges whose leased entry was gone by commit time; the
-    /// successor absorbs the count into [`KeyState::lost_commits`].
-    pub lost_exchanges: u32,
-    /// The evidence kinds those lost exchanges classified, merged
-    /// across all of them. A decoy fetch or forged beacon committed
-    /// into the carry enforces on the successor exactly as if it had
-    /// been recorded live — eviction mid-fetch cannot launder evidence.
+    /// The evidence kinds classified by origin exchanges whose leased
+    /// entry was gone by commit time, merged across all of them. A decoy
+    /// fetch or forged beacon committed into the carry enforces on the
+    /// successor exactly as if it had been recorded live — eviction
+    /// mid-fetch cannot launder evidence.
     pub lost_kinds: EvidenceKinds,
     /// When the most recent evidence-bearing lost exchange committed
     /// (the observation timestamp the successor records).
@@ -170,7 +168,7 @@ impl From<PendingCaptchaPass> for KeyCarry {
 /// the outstanding challenge record.
 ///
 /// Every live session carries one inline, so it is sized to the common
-/// case, a session that was never served a page nor challenged: 80
+/// case, a session that was never served a page nor challenged: 72
 /// bytes on a 64-bit target, the token state and the challenge record
 /// one pointer each until they hold something. Its counters saturate
 /// rather than wrap.
@@ -191,10 +189,6 @@ pub struct KeyState {
     /// session holds one, and every other pays a pointer, not the
     /// record.
     pub challenge: Option<Box<ChallengeState>>,
-    /// Leased exchanges of this key whose entry was gone by commit time
-    /// (diagnostic; absorbed from [`KeyCarry::lost_exchanges`] or bumped
-    /// directly when the lost commit finds a live successor).
-    pub lost_commits: u32,
     /// Leased exchanges currently in flight (origin fetch outstanding):
     /// incremented when [`Detector::gate`] leases, decremented when
     /// [`Detector::commit_exchange`] folds the fetch back in. The gate
@@ -213,7 +207,6 @@ impl Default for KeyState {
             policy: PolicyState::default(),
             tokens: TokenState::default(),
             challenge: None,
-            lost_commits: 0,
             in_flight: 0,
         }
     }
@@ -237,13 +230,12 @@ impl SessionExt for KeyState {
     /// A deferred carry reaches the key's next incarnation here. A
     /// CAPTCHA pass lands as ground-truth-human evidence before the
     /// first exchange is even recorded, so the gate already sees a
-    /// proven human, whom it never rate limits; lost leased exchanges
-    /// land on the diagnostic counter.
+    /// proven human, whom it never rate limits; the evidence of lost
+    /// leased exchanges is folded in as if it had been recorded live.
     fn absorb(&mut self, carry: KeyCarry, session: &Session) {
         if let Some(pass) = carry.pass {
             self.record_captcha_pass(session.request_count() as u32, pass.at);
         }
-        self.lost_commits = self.lost_commits.saturating_add(carry.lost_exchanges);
         self.absorb_lost_evidence(
             carry.lost_kinds,
             session.request_count() as u32,
@@ -611,12 +603,10 @@ impl Detector {
                 let kinds = classified_kinds(&classified, agent);
                 match successor {
                     Some((session, state)) => {
-                        state.lost_commits = state.lost_commits.saturating_add(1);
                         state.absorb_lost_evidence(kinds, session.request_count() as u32, now);
                     }
                     None => {
                         let carry = slot.get_or_insert_with(KeyCarry::default);
-                        carry.lost_exchanges = carry.lost_exchanges.saturating_add(1);
                         carry.lost_kinds.merge(kinds);
                         carry.lost_at = now;
                     }
@@ -915,9 +905,13 @@ mod tests {
                 Gated::NeedsOrigin(lease) => lease,
             };
             let mint = |_: &Session, state: &mut KeyState| {
-                self.engine
-                    .build_session_page(HTML, request, &mut state.tokens, || 5, now)
-                    .manifest
+                let mut stream =
+                    self.engine
+                        .begin_session_page(request, &mut state.tokens, || 5, now);
+                let mut html = Vec::new();
+                stream.write(HTML.as_bytes(), &mut html);
+                let finished = stream.finish(&mut html);
+                finished.manifest(request.uri(), request.authority().as_deref())
             };
             let manifest = page.then(|| self.det.with_lease_state(&lease, mint));
             let outcome = self.det.commit_exchange(lease, &view, ok(), now);
@@ -1398,12 +1392,15 @@ mod tests {
         assert_eq!(out.verdict, Verdict::Undecided);
         let stranger = p.det.tracker().get(&other.key).unwrap();
         assert_eq!(stranger.request_count(), 1);
-        // ...and the key's next incarnation absorbs the lost exchange.
+        // ...the exchange parks in a carry for the key...
+        assert_eq!(p.det.tracker().census().carries, 1);
+        // ...and the key's next incarnation absorbs it, its in-flight
+        // count starting from nothing.
         let next = p.fetch(41, "http://h/a.html", "Mozilla/5.0", SimTime::from_secs(3));
+        assert_eq!(p.det.tracker().census().carries, 0);
         assert_eq!(
-            p.det
-                .with_key_state(&next.key, |_, state| state.lost_commits),
-            Some(1)
+            p.det.with_key_state(&next.key, |_, state| state.in_flight),
+            Some(0)
         );
     }
 
@@ -1432,8 +1429,8 @@ mod tests {
             .commit_exchange(lease, &r.view(), ok(), SimTime::from_secs(2));
         assert_eq!(out.verdict, Verdict::Undecided);
         // The eviction must not launder the evidence: the key's next
-        // incarnation inherits the hidden-link signal, not just a
-        // lost-commit count, and is convicted on arrival.
+        // incarnation inherits the hidden-link signal and is convicted
+        // on arrival.
         let next = p.fetch(
             45,
             "http://h/trap.html",
@@ -1443,7 +1440,6 @@ mod tests {
         assert_eq!(next.verdict, Verdict::Robot(Reason::HiddenLink));
         p.det
             .with_key_state(&next.key, |_, state| {
-                assert_eq!(state.lost_commits, 1);
                 assert!(state.evidence.has(EvidenceKind::HiddenLinkFollowed));
                 assert_eq!(state.verdict, Verdict::Robot(Reason::HiddenLink));
             })
@@ -1461,12 +1457,12 @@ mod tests {
         let successor = p.fetch(47, "http://h/trap.html", "Mozilla/5.0", later);
         p.det.commit_exchange(lease, &r.view(), ok(), later + 1);
         // The successor takes the evidence directly at commit time — no
-        // further request needed to convict it — and the rolled-over
-        // lease's exchange is not folded into its record.
+        // further request needed to convict it, nothing parked — and the
+        // rolled-over lease's exchange is not folded into its record.
+        assert_eq!(p.det.tracker().census().carries, 0);
         p.det
             .with_key_state(&successor.key, |session, state| {
                 assert_eq!(session.request_count(), 1);
-                assert_eq!(state.lost_commits, 1);
                 assert!(state.evidence.has(EvidenceKind::HiddenLinkFollowed));
                 assert_eq!(state.verdict, Verdict::Robot(Reason::HiddenLink));
             })
@@ -1487,12 +1483,13 @@ mod tests {
         let later = SimTime::from_hours(2);
         p.fetch(43, "http://h/a.html", "Mozilla/5.0", later);
         p.det.commit_exchange(lease, &r.view(), ok(), later + 1);
-        // The successor took the lost commit directly — and its
-        // rollover-carried block flag is untouched.
+        // The successor took the lost commit directly — nothing parked,
+        // its record untouched — and its rollover-carried block flag is
+        // untouched too.
+        assert_eq!(p.det.tracker().census().carries, 0);
         p.det
             .with_key_state(&out.key, |session, state| {
                 assert_eq!(session.request_count(), 1);
-                assert_eq!(state.lost_commits, 1);
                 assert!(state.policy.is_blocked(), "carried block flag survives");
             })
             .expect("successor is live");

@@ -49,8 +49,9 @@
 //! };
 //!
 //! // Server side: client 1 asks for a page. The gate leases its session
-//! // for the origin fetch, the page is instrumented into the session's
-//! // own beacon tokens, and the exchange commits.
+//! // for the origin fetch, the page's instrumentation is minted into the
+//! // session's own beacon tokens, the body streams through with no lock
+//! // held, and the exchange commits.
 //! let page = get("http://site.example/index.html");
 //! let now = SimTime::ZERO;
 //! let sighting = engine.classify_view(&page.view(), now);
@@ -58,13 +59,15 @@
 //!     GateRespond::<()>::NeedsOrigin
 //! });
 //! let Gated::NeedsOrigin(lease) = gated else { unreachable!("a page needs the origin") };
-//! let manifest = det
+//! let mut stream = det
 //!     .with_lease_state(&lease, |_, state| {
-//!         let html = "<html><head></head><body></body></html>";
 //!         // 1: the session's RNG stream.
-//!         engine.build_session_page(html, &page, &mut state.tokens, || 1, now).manifest
+//!         engine.begin_session_page(&page, &mut state.tokens, || 1, now)
 //!     })
 //!     .expect("the lease is live");
+//! let mut html = Vec::new();
+//! stream.write(b"<html><head></head><body></body></html>", &mut html);
+//! let manifest = stream.finish(&mut html).manifest(page.uri(), page.authority().as_deref());
 //! det.commit_exchange(lease, &page.view(), ok, now);
 //!
 //! // Client side: a human moves the mouse, firing the beacon. The gate

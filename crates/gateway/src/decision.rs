@@ -46,10 +46,6 @@ pub enum Decision {
         verdict: Verdict,
         /// The session the exchange belongs to.
         key: SessionKey,
-        /// Whether this request was instrumentation traffic (probe or
-        /// beacon) rather than origin traffic — feeds overhead
-        /// accounting.
-        probe: bool,
     },
     /// Reject with 429: the session is over its rate allowance.
     Throttle,
@@ -167,7 +163,6 @@ impl Answer {
                 manifest: None,
                 verdict,
                 key,
-                probe: true,
             },
         }
     }

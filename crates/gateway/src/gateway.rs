@@ -39,9 +39,11 @@
 //! [`ProbeManifest`] derived on top, for a caller that reads it. A
 //! caller that holds the origin's answer whole
 //! ([`Gateway::handle_with`]'s closure, [`Gateway::complete`]) goes
-//! through the same code as a stream of one chunk: [`Origin::Page`] is
-//! begin, one [`PageStream::write`], finish; [`Origin::Response`] and
-//! [`Origin::NotFound`] are relays. So an eval, an example or a test
+//! through the same entry points as a stream of one chunk:
+//! [`Origin::Page`] is [`Gateway::begin_page_stream`], one
+//! [`PageStream::write`], [`Gateway::finish_page_stream`];
+//! [`Origin::Response`] and [`Origin::NotFound`] are relays. So an
+//! eval, an example or a test
 //! that never opens a socket commits through what the socket path
 //! commits through.
 //!
@@ -477,24 +479,21 @@ impl Gateway {
     /// the `origin` callback runs with **no lock held** (it may block,
     /// sleep, or even reenter this gateway without stalling any other
     /// session), and what it returns is committed as a stream of one
-    /// chunk (see the module docs). To run the fetch elsewhere entirely
-    /// (thread pool, async task), use [`Gateway::handle_deferred`].
+    /// chunk (see the module docs): this is [`Gateway::handle_deferred`],
+    /// `origin` on the lease's copy of `request`, then
+    /// [`Gateway::complete`]. To run the fetch elsewhere entirely
+    /// (thread pool, async task), call those two yourself.
     pub fn handle_with<F>(&self, request: &Request, now: SimTime, origin: F) -> Decision
     where
         F: FnOnce(&Request) -> Origin,
     {
-        let mut written = Vec::new();
-        match self.gate(&request.view(), now, false, &mut written) {
-            Gate::Answered {
-                answer,
-                key,
-                verdict,
-            } => answer.into_decision(key, verdict, &written),
-            Gate::Leased(lease) => {
+        match self.handle_deferred(request, now) {
+            PendingServe::Ready(decision) => decision,
+            PendingServe::AwaitingOrigin(pending) => {
                 // No lock is held here: a slow origin stalls only this
                 // request, never its shard.
-                let fetched = origin(request);
-                self.serve_whole(lease, request, fetched, now)
+                let fetched = origin(pending.request());
+                self.complete(pending, fetched, now)
             }
         }
     }
@@ -549,27 +548,15 @@ impl Gateway {
     }
 
     /// Commits a deferred origin fetch the caller holds whole (see
-    /// [`Gateway::handle_deferred`]), as a stream of one chunk.
+    /// [`Gateway::handle_deferred`]), as a stream of one chunk: a page
+    /// is begun, written as its one chunk and finished; a response (the
+    /// 404 for no answer at all) is a relay that has nothing left to
+    /// write.
     pub fn complete(&self, pending: PendingOrigin, fetched: Origin, now: SimTime) -> Decision {
-        let PendingOrigin { lease, request } = pending;
-        self.serve_whole(lease, &request, fetched, now)
-    }
-
-    /// The adapter from an origin answer held whole to the streaming
-    /// commit: a page is begun, written as its one chunk and finished; a
-    /// response (the 404 for no answer at all) is a relay that has
-    /// nothing left to write.
-    fn serve_whole(
-        &self,
-        lease: OriginLease,
-        request: &Request,
-        fetched: Origin,
-        now: SimTime,
-    ) -> Decision {
         let mut out = Vec::new();
         let (stream, relayed) = match fetched {
             Origin::Page(html) => {
-                let mut stream = self.begin_stream(&lease, request, now);
+                let mut stream = self.begin_page_stream(&pending, now);
                 out.reserve(html.len() + 512);
                 stream.write(html.as_bytes(), &mut out);
                 (stream, None)
@@ -581,13 +568,12 @@ impl Gateway {
             }
         };
         let sent = (stream.head.wire_len + out.len()) as u64;
-        let served = self.finish_stream(lease, request, stream, &mut out, sent, now);
+        let served = self.finish_page_stream(pending, stream, &mut out, sent, now);
         Decision::Serve {
             response: relayed.unwrap_or_else(|| page_response(out)),
             manifest: served.manifest,
             verdict: served.verdict,
             key: served.key,
-            probe: false,
         }
     }
 
@@ -608,18 +594,16 @@ impl Gateway {
     /// [`Gateway::commit_page_stream`] commits through the
     /// deferred-carry channel.
     pub fn begin_page_stream(&self, pending: &PendingOrigin, now: SimTime) -> PageStream {
-        self.begin_stream(&pending.lease, &pending.request, now)
-    }
-
-    fn begin_stream(&self, lease: &OriginLease, request: &Request, now: SimTime) -> PageStream {
-        let rewrite = self.detector.with_lease_state(lease, |session, state| {
-            self.engine.begin_session_page(
-                request,
-                &mut state.tokens,
-                || self.stream_seed(session),
-                now,
-            )
-        });
+        let rewrite = self
+            .detector
+            .with_lease_state(&pending.lease, |session, state| {
+                self.engine.begin_session_page(
+                    &pending.request,
+                    &mut state.tokens,
+                    || self.stream_seed(session),
+                    now,
+                )
+            });
         PageStream {
             rewrite,
             head: PAGE_HEAD,
@@ -666,20 +650,7 @@ impl Gateway {
         now: SimTime,
     ) -> StreamedServe {
         let PendingOrigin { lease, request } = pending;
-        self.finish_stream(lease, &request, stream, out, wire_bytes, now)
-    }
-
-    /// [`Gateway::finish_page_stream`] over a borrowed request.
-    fn finish_stream(
-        &self,
-        lease: OriginLease,
-        request: &Request,
-        stream: PageStream,
-        out: &mut Vec<u8>,
-        wire_bytes: u64,
-        now: SimTime,
-    ) -> StreamedServe {
-        let (outcome, finished) = self.commit_stream(lease, request, stream, out, wire_bytes, now);
+        let (outcome, finished) = self.commit_stream(lease, &request, stream, out, wire_bytes, now);
         StreamedServe {
             key: outcome.key,
             verdict: outcome.verdict,
@@ -1068,22 +1039,51 @@ mod tests {
         let gw = Gateway::builder().seed(3).build();
         match page_decision(&gw, 1, "Mozilla/5.0", SimTime::ZERO) {
             Decision::Serve {
-                manifest,
-                probe,
-                response,
-                ..
+                manifest, response, ..
             } => {
                 assert!(String::from_utf8_lossy(response.body()).contains("onmousemove"));
                 assert!(manifest.unwrap().mouse_beacon.is_some());
-                assert!(!probe);
             }
             other => panic!("{other:?}"),
         }
         let stats = gw.stats();
         assert_eq!(stats.requests, 1);
         assert_eq!(stats.served, 1);
+        assert_eq!(stats.probe_requests, 0, "a page is origin traffic");
         assert!(stats.instrumentation_bytes > 0);
         assert!(stats.total_bytes > stats.instrumentation_bytes);
+    }
+
+    #[test]
+    fn the_origin_callback_sees_the_callers_request() {
+        // `handle_with` hands its callback the request the lease carries,
+        // a copy of the caller's: every part of it must arrive as sent.
+        let gw = Gateway::builder().seed(21).build();
+        let r = Request::builder(Method::Post, "http://site.example/cgi-bin/form?q=1")
+            .header("User-Agent", "Mozilla/5.0")
+            .header("Referer", "http://site.example/index.html")
+            .header("X-Extra", "kept")
+            .body_bytes(b"name=value".to_vec())
+            .client(ClientIp::new(40))
+            .build()
+            .unwrap();
+        let mut seen = None;
+        let d = gw.handle_with(&r, SimTime::ZERO, |asked| {
+            seen = Some(asked.clone());
+            Origin::NotFound
+        });
+        assert_eq!(d.status(), StatusCode::NOT_FOUND);
+        let seen = seen.expect("an allowed ordinary request asks the origin");
+        assert_eq!(seen.method(), &Method::Post);
+        assert_eq!(
+            seen.uri().to_string(),
+            "http://site.example/cgi-bin/form?q=1"
+        );
+        assert_eq!(seen.headers().get("X-Extra"), Some("kept"));
+        assert_eq!(seen.referer(), Some("http://site.example/index.html"));
+        assert_eq!(seen.body(), b"name=value");
+        assert_eq!(seen.client(), ClientIp::new(40));
+        assert_eq!(seen, r, "nothing else moved either");
     }
 
     /// A page big enough that a 4 096-byte chunk is not all of it, with
@@ -1239,11 +1239,11 @@ mod tests {
         assert_eq!(gw.detector().tracker().census().carries, 1);
         gw.handle(&r, SimTime::from_secs(3));
         assert_eq!(gw.detector().tracker().census().carries, 0);
-        let (lost, in_flight) = gw
+        let in_flight = gw
             .detector()
-            .with_key_state(&key, |_, state| (state.lost_commits, state.in_flight))
+            .with_key_state(&key, |_, state| state.in_flight)
             .unwrap();
-        assert_eq!((lost, in_flight), (1, 0));
+        assert_eq!(in_flight, 0);
     }
 
     #[test]
@@ -1295,12 +1295,14 @@ mod tests {
         assert_eq!(newcomer(&gw), before);
         assert_eq!(tracker.census().carries, 1);
         assert_eq!(gw.stats().token_entries, 0);
+        // The key's return absorbs the carry.
         gw.handle(&r, SimTime::from_secs(3));
-        let lost = gw
+        assert_eq!(tracker.census().carries, 0);
+        let in_flight = gw
             .detector()
-            .with_key_state(&key, |_, state| state.lost_commits)
+            .with_key_state(&key, |_, state| state.in_flight)
             .expect("the key is back");
-        assert_eq!(lost, 1);
+        assert_eq!(in_flight, 0);
     }
 
     #[test]
@@ -1329,14 +1331,10 @@ mod tests {
         // And the script URL classifies + serves as a probe afterwards.
         let probe_req = req(10, &js_uri.to_string(), "Mozilla/5.0");
         match gw.handle(&probe_req, SimTime::from_secs(1)) {
-            Decision::Serve {
-                probe, response, ..
-            } => {
-                assert!(probe);
-                assert!(!response.body().is_empty());
-            }
+            Decision::Serve { response, .. } => assert!(!response.body().is_empty()),
             other => panic!("{other:?}"),
         }
+        assert_eq!(gw.stats().probe_requests, 1);
     }
 
     #[test]
@@ -1432,10 +1430,11 @@ mod tests {
             Some(Verdict::Human(Reason::MouseActivity)),
             "{d:?}"
         );
-        match d {
-            Decision::Serve { probe, .. } => assert!(probe, "beacon is instrumentation traffic"),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(
+            gw.stats().probe_requests,
+            1,
+            "beacon is instrumentation traffic"
+        );
         let done = gw.drain();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].label, Label::Human);
@@ -1449,14 +1448,10 @@ mod tests {
             other => panic!("{other:?}"),
         };
         let css = manifest.css_probe.unwrap();
+        assert_eq!(gw.stats().probe_requests, 0);
         let d = gw.handle(&req(3, &css.to_string(), "Mozilla/5.0"), SimTime::ZERO);
         match d {
-            Decision::Serve {
-                probe, response, ..
-            } => {
-                assert!(probe);
-                assert_eq!(response.status(), StatusCode::OK);
-            }
+            Decision::Serve { response, .. } => assert_eq!(response.status(), StatusCode::OK),
             other => panic!("{other:?}"),
         }
         assert_eq!(gw.stats().probe_requests, 1);

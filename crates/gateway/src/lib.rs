@@ -18,8 +18,10 @@
 //!   off its socket buffer, or what an owned request lends through
 //!   [`botwall_http::Request::view`]) and answers it alone — a
 //!   refusal, a challenge or a probe object ([`Answer`], written as
-//!   fixed bytes) — or leases the session for the origin. `handle_with`
-//!   and [`Gateway::handle_deferred`] are it over an owned request.
+//!   fixed bytes) — or leases the session for the origin.
+//!   [`Gateway::handle_deferred`] is it over an owned request, and
+//!   `handle_with` is `handle_deferred`, its origin callback on the
+//!   lease's request, then [`Gateway::complete`].
 //! * [`Gateway::handle_deferred`] gates now and hands back a lease for
 //!   an origin fetched elsewhere; [`Gateway::begin_page_stream`],
 //!   [`PageStream`] and [`Gateway::commit_page_stream`] relay its
@@ -49,7 +51,7 @@
 //! use botwall_http::{Method, Request};
 //! use botwall_sessions::SimTime;
 //!
-//! let mut gw = Gateway::builder().seed(7).build();
+//! let gw = Gateway::builder().seed(7).build();
 //! let req = Request::builder(Method::Get, "http://site.example/index.html")
 //!     .header("User-Agent", "Mozilla/5.0 Firefox/1.5")
 //!     .client(ClientIp::new(1))

@@ -214,7 +214,7 @@ fn a_live_sessions_inline_state_is_sized_to_its_common_case() {
         size_of::<Session>(),
     );
     println!("inline: KeyState {key_state} B, TokenState {tokens} B, Session {session} B");
-    assert!(key_state <= 80, "KeyState is {key_state} bytes");
+    assert!(key_state <= 72, "KeyState is {key_state} bytes");
     assert_eq!(tokens, 8, "TokenState is one pointer");
     assert!(session <= 120, "Session is {session} bytes");
 }

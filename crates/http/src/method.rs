@@ -15,8 +15,6 @@ use std::str::FromStr;
 /// ```
 /// use botwall_http::Method;
 /// assert_eq!("GET".parse::<Method>().unwrap(), Method::Get);
-/// assert!(Method::Head.is_safe());
-/// assert!(!Method::Post.is_safe());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Method {
@@ -54,14 +52,6 @@ impl Method {
             Method::Connect => "CONNECT",
             Method::Extension(s) => s,
         }
-    }
-
-    /// Returns `true` for methods defined as safe (no server-side effects).
-    pub fn is_safe(&self) -> bool {
-        matches!(
-            self,
-            Method::Get | Method::Head | Method::Options | Method::Trace
-        )
     }
 
     /// Returns `true` if `b` is a legal HTTP token byte (RFC 7230 tchar):
@@ -219,14 +209,6 @@ mod tests {
         assert!("".parse::<Method>().is_err());
         assert!("GET\r".parse::<Method>().is_err());
         assert!("GET:".parse::<Method>().is_err());
-    }
-
-    #[test]
-    fn safety_classes() {
-        assert!(Method::Get.is_safe());
-        assert!(Method::Head.is_safe());
-        assert!(!Method::Post.is_safe());
-        assert!(!Method::Connect.is_safe());
     }
 
     #[test]

@@ -318,14 +318,6 @@ impl Uri {
         self.view().query()
     }
 
-    /// Path plus query, as it would appear in origin-form.
-    pub fn path_and_query(&self) -> String {
-        match &self.query {
-            Some(q) => format!("{}?{}", self.path, q),
-            None => self.path.clone(),
-        }
-    }
-
     /// The final path segment (after the last `/`), without the query.
     ///
     /// # Examples
@@ -411,7 +403,6 @@ mod tests {
         let u: Uri = "http://h:8080/cgi-bin/s?q=a&b=c".parse().unwrap();
         assert_eq!(u.port(), Some(8080));
         assert_eq!(u.query(), Some("q=a&b=c"));
-        assert_eq!(u.path_and_query(), "/cgi-bin/s?q=a&b=c");
     }
 
     #[test]

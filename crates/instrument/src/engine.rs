@@ -26,8 +26,9 @@
 //!   and the scripts belong to exactly one session, so they live in
 //!   that session's [`TokenState`] — colocated with the rest of the
 //!   per-key detection state in its tracker shard entry. The engine
-//!   only *produces* them ([`RewriteEngine::build_page`]); the caller
-//!   stores them under whatever lock it already holds.
+//!   only *produces* them ([`RewriteEngine::begin_session_page`] stores
+//!   a page's token into the `TokenState` its caller lends it, under
+//!   whatever lock the caller already holds).
 //! * **Scripts are written when fetched, every time.** A page rewrite
 //!   mints the probe URLs and the token but not the ~1 KB obfuscated
 //!   script: it draws one 64-bit script seed from the session's stream,
@@ -49,10 +50,10 @@
 //!   page the front door serves never builds one.
 
 use crate::beacon;
-use crate::jsgen::{self, GeneratedJs, Push, ScriptUrl, ScriptUrls};
+use crate::jsgen::{self, Push, ScriptUrl, ScriptUrls};
 use crate::probe::{AutomationReport, ProbeHit, ProbeKind, ProbeObject};
 use crate::rewrite::{Classified, InstrumentConfig, ProbeManifest};
-use crate::stream::{FinishedStream, StreamingRewrite};
+use crate::stream::StreamingRewrite;
 use crate::token::{BeaconKey, ScriptRecipe, ScriptSeed, TokenState};
 use botwall_http::{Request, RequestView, Response, Uri, UriRef};
 use botwall_sessions::SimTime;
@@ -157,21 +158,6 @@ impl Sighting {
     }
 }
 
-/// Everything one page rewrite produced: the rewritten HTML, the probe
-/// manifest, and — when the mouse beacon is deployed — the issued token
-/// (key, decoys, script seed), for the caller of
-/// [`RewriteEngine::build_page`] to store in the session's
-/// [`TokenState`] ([`RewriteEngine::build_session_page`] has stored it).
-#[derive(Debug, Clone)]
-pub struct BuiltPage {
-    /// The rewritten HTML.
-    pub html: String,
-    /// The manifest of injected probes.
-    pub manifest: ProbeManifest,
-    /// The issued beacon token, when the mouse beacon is deployed.
-    pub token: Option<IssuedPageToken>,
-}
-
 /// The per-page beacon token a rewrite issues: the real key, its decoys,
 /// and what the script that references them (served under its probe
 /// nonce) will be generated from.
@@ -184,7 +170,7 @@ pub struct IssuedPageToken {
     /// The nonce of the `<script src>` probe URL.
     pub js_nonce: u64,
     /// The seed of the script served under that nonce; see
-    /// [`RewriteEngine::generate_script`].
+    /// [`RewriteEngine::object_in_session`].
     pub script: ScriptSeed,
 }
 
@@ -359,13 +345,17 @@ impl Minted {
 ///     .build()
 ///     .unwrap();
 /// let mut tokens = TokenState::default();
-/// let html = "<html><head></head><body></body></html>";
 /// // 1234: the session's stream seed, asked for once, on its first page.
-/// let built = engine.build_session_page(html, &page, &mut tokens, || 1234, SimTime::ZERO);
-/// assert!(built.html.contains("onmousemove"));
-/// assert!(built.html.contains("href=\"http://site.example/"));
-/// assert!(built.manifest.mouse_beacon.is_some());
-/// assert_eq!(tokens.len(), 1);
+/// let mut stream = engine.begin_session_page(&page, &mut tokens, || 1234, SimTime::ZERO);
+/// assert_eq!(tokens.len(), 1, "the token is in before a body byte");
+/// let mut html = Vec::new();
+/// stream.write(b"<html><head></head><body></body></html>", &mut html);
+/// let finished = stream.finish(&mut html);
+/// let html = String::from_utf8(html).unwrap();
+/// assert!(html.contains("onmousemove"));
+/// assert!(html.contains("href=\"http://site.example/"));
+/// let manifest = finished.manifest(page.uri(), page.authority().as_deref());
+/// assert!(manifest.mouse_beacon.is_some());
 /// ```
 #[derive(Debug, Clone)]
 pub struct RewriteEngine {
@@ -515,9 +505,8 @@ impl RewriteEngine {
 
     /// Begins a streaming page rewrite: mints this page's probes, beacon
     /// token and script seed up front (drawing all randomness from
-    /// `rng`, in the same order as the buffered path always has), and
-    /// returns a [`StreamingRewrite`] to feed origin chunks through. The
-    /// issued token is available immediately via
+    /// `rng`), and returns a [`StreamingRewrite`] to feed origin chunks
+    /// through. The issued token is available immediately via
     /// [`StreamingRewrite::token`] — streaming callers store it in the
     /// session *before* the body has streamed, so a probe fetched by a
     /// fast browser mid-stream already redeems. Probe URLs point at
@@ -611,132 +600,17 @@ impl RewriteEngine {
         StreamingRewrite::new(markup, attr, body, minted)
     }
 
-    /// Generates the script a page token stands for, as a fetch writes
-    /// it ([`RewriteEngine::session_script`]): its URLs for `key`,
-    /// `decoys` and the agent beacon on `authority` (as a page's
-    /// manifest spells them, [`crate::FinishedStream::manifest`]), drawn
-    /// from the stream `script.seed` stands for. Its handler is the one
-    /// the page's `<body onmousemove>` names.
-    pub fn generate_script(
-        &self,
-        authority: Option<&str>,
-        key: BeaconKey,
-        decoys: &[BeaconKey],
-        script: ScriptSeed,
-    ) -> GeneratedJs {
-        let mut source = Vec::new();
-        let recipe = ScriptRecipe {
-            key,
-            decoys,
-            seed: script,
-        };
-        let handler = self.write_script(authority, recipe, &mut source);
-        GeneratedJs {
-            source: String::from_utf8(source).expect("the engine's URLs are ASCII"),
-            handler_name: handler.as_str().to_string(),
-        }
-    }
-
-    /// Appends the script `recipe` stands for, its URLs on `authority`'s
-    /// site, to `out`; returns its handler's name.
-    fn write_script(
-        &self,
-        authority: Option<&str>,
-        recipe: ScriptRecipe<'_>,
-        out: &mut Vec<u8>,
-    ) -> jsgen::Name {
-        let urls = RecipeUrls {
-            site: Site::of(authority),
-            recipe,
-        };
-        // Room for the script and its answer's head at once, not grown
-        // piece by piece: the default one is ~1.85 KB, and each decoy
-        // adds ~250 bytes.
-        out.reserve(JS_TARGET_SIZE + 256 * (recipe.decoys.len() + 2));
-        let mut rng = ChaCha8Rng::seed_from_u64(recipe.seed.seed);
-        jsgen::write(
-            &urls,
-            self.config.obfuscation,
-            JS_TARGET_SIZE,
-            &mut rng,
-            out,
-        )
-    }
-
-    /// Appends to `out` the script behind a verified JS-file probe hit on
-    /// `nonce`, written from the session's own token entry — the same
-    /// bytes on every fetch, its URLs on the authority `request` was
-    /// addressed to (the one the page's `<script src>` sent the browser
-    /// to). `false`, with nothing written, when the session holds no
-    /// token for that nonce live at `now`
-    /// ([`crate::token::TOKEN_LIFETIME_MS`]).
-    pub fn session_script(
-        &self,
-        tokens: &TokenState,
-        nonce: u64,
-        request: &Request,
-        now: SimTime,
-        out: &mut Vec<u8>,
-    ) -> bool {
-        self.script_into(tokens, nonce, &request.view(), now, out)
-    }
-
-    /// [`RewriteEngine::session_script`] for a request read in place.
-    fn script_into(
-        &self,
-        tokens: &TokenState,
-        nonce: u64,
-        request: &RequestView<'_>,
-        now: SimTime,
-        out: &mut Vec<u8>,
-    ) -> bool {
-        let Some(recipe) = tokens.script_for(nonce, now) else {
-            return false;
-        };
-        self.write_script(request.authority().as_deref(), recipe, out);
-        true
-    }
-
-    /// Rewrites one HTML page held whole, drawing all randomness from
-    /// `rng` and returning the issued token for the caller to store
-    /// (`now` stamps the probe nonces' freshness window):
-    /// [`RewriteEngine::begin_stream`] with `html` as its one chunk, so
-    /// the two are byte-identical by construction, and the manifest
-    /// derived. What tests, benches and in-process callers that hold a
-    /// page whole use.
-    pub fn build_page<R: Rng>(
-        &self,
-        html: &str,
-        page: &Uri,
-        now: SimTime,
-        rng: &mut R,
-    ) -> BuiltPage {
-        let stream = self.begin_stream(page, now, rng);
-        rewrite_whole(stream, html, page, page.authority().as_deref())
-    }
-
-    /// [`RewriteEngine::build_page`] into a session: the page `request`
-    /// asked for, over [`RewriteEngine::begin_session_page`].
-    pub fn build_session_page(
-        &self,
-        html: &str,
-        request: &Request,
-        tokens: &mut TokenState,
-        stream_seed: impl FnOnce() -> u64,
-        now: SimTime,
-    ) -> BuiltPage {
-        let stream = self.begin_session_page(request, tokens, stream_seed, now);
-        rewrite_whole(stream, html, request.uri(), request.authority().as_deref())
-    }
-
     /// Appends to `out` the answer instrumentation traffic gets inside
     /// the session `request` arrived in, `close` deciding its
     /// `Connection` line ([`ProbeObject::write`]): a JS-file hit's body is
-    /// the script written from the session's own `tokens`
-    /// ([`RewriteEngine::session_script`], empty when they hold no entry
-    /// for its nonce live at `now`), anything else its fixed bytes.
-    /// Returns what was written; `None`, with nothing written, for
-    /// ordinary traffic.
+    /// the script written from the session's own `tokens` entry for its
+    /// nonce — the same bytes on every fetch, its URLs on the authority
+    /// `request` was addressed to (the one the page's `<script src>`
+    /// sent the browser to); empty when they hold
+    /// no entry for the nonce live at `now`
+    /// ([`crate::token::TOKEN_LIFETIME_MS`]). Anything else gets its
+    /// fixed bytes. Returns what was written; `None`, with nothing
+    /// written, for ordinary traffic.
     pub fn object_in_session(
         &self,
         classified: &Classified,
@@ -747,9 +621,29 @@ impl RewriteEngine {
         out: &mut Vec<u8>,
     ) -> Option<ProbeObject> {
         ProbeObject::write(classified, close, out, |out| {
-            if let Classified::Probe(hit) = classified {
-                self.script_into(tokens, hit.nonce, request, now, out);
-            }
+            let Classified::Probe(hit) = classified else {
+                return;
+            };
+            let Some(recipe) = tokens.script_for(hit.nonce, now) else {
+                return;
+            };
+            let authority = request.authority();
+            let urls = RecipeUrls {
+                site: Site::of(authority.as_deref()),
+                recipe,
+            };
+            // Room for the script and its answer's head at once, not
+            // grown piece by piece: the default one is ~1.85 KB, and each
+            // decoy adds ~250 bytes.
+            out.reserve(JS_TARGET_SIZE + 256 * (recipe.decoys.len() + 2));
+            let mut rng = ChaCha8Rng::seed_from_u64(recipe.seed.seed);
+            jsgen::write(
+                &urls,
+                self.config.obfuscation,
+                JS_TARGET_SIZE,
+                &mut rng,
+                out,
+            );
         })
     }
 
@@ -759,27 +653,6 @@ impl RewriteEngine {
         response
             .headers_mut()
             .set("Cache-Control", "no-cache, no-store");
-    }
-}
-
-/// `html` through `stream` as its one chunk, and the manifest of `page`
-/// on `authority`, the site the stream was begun on.
-fn rewrite_whole(
-    mut stream: StreamingRewrite,
-    html: &str,
-    page: &Uri,
-    authority: Option<&str>,
-) -> BuiltPage {
-    let mut out = Vec::with_capacity(html.len() + 512);
-    stream.write(html.as_bytes(), &mut out);
-    let FinishedStream {
-        html_overhead,
-        minted,
-    } = stream.finish(&mut out);
-    BuiltPage {
-        html: String::from_utf8(out).expect("the rewriter only injects ASCII at ASCII anchors"),
-        manifest: minted.manifest(page, authority, html_overhead),
-        token: minted.token,
     }
 }
 
@@ -804,7 +677,8 @@ mod tests {
         get("http://site.example/index.html")
     }
 
-    /// `html`, held whole, served into the session that owns `tokens`.
+    /// `html`, held whole, served into the session that owns `tokens`
+    /// as a stream of one chunk, and the manifest derived.
     fn session_page(
         e: &RewriteEngine,
         html: &str,
@@ -813,8 +687,12 @@ mod tests {
         stream_seed: u64,
         now: SimTime,
     ) -> (String, ProbeManifest) {
-        let built = e.build_session_page(html, page, tokens, || stream_seed, now);
-        (built.html, built.manifest)
+        let mut stream = e.begin_session_page(page, tokens, || stream_seed, now);
+        let mut out = Vec::new();
+        stream.write(html.as_bytes(), &mut out);
+        let finished = stream.finish(&mut out);
+        let manifest = finished.manifest(page.uri(), page.authority().as_deref());
+        (String::from_utf8(out).unwrap(), manifest)
     }
 
     impl RewriteEngine {
@@ -1079,17 +957,25 @@ mod tests {
     }
 
     /// The script a fetch of `nonce` is answered with, if the session
-    /// holds one.
+    /// holds one: the body of the gate's answer to a JS-file hit.
     fn fetched(
         e: &RewriteEngine,
         tokens: &TokenState,
         nonce: u64,
         fetch: &Request,
     ) -> Option<String> {
+        let hit = Classified::Probe(ProbeHit {
+            kind: ProbeKind::JsFile,
+            nonce,
+            reported_agent: None,
+            automation: None,
+        });
         let mut out = Vec::new();
-        let written = e.session_script(tokens, nonce, fetch, SimTime::ZERO, &mut out);
-        assert_eq!(written, !out.is_empty());
-        written.then(|| String::from_utf8(out).unwrap())
+        let object = e
+            .object_in_session(&hit, tokens, &fetch.view(), SimTime::ZERO, false, &mut out)
+            .expect("a JS-file hit is answered");
+        let body = object.to_response(&out).body().to_vec();
+        (!body.is_empty()).then(|| String::from_utf8(body).unwrap())
     }
 
     fn js_nonce(m: &ProbeManifest) -> u64 {

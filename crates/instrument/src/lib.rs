@@ -38,11 +38,14 @@
 //! let page = Request::builder(Method::Get, "http://www.example.com/foo.html")
 //!     .build()
 //!     .unwrap();
-//! let html = "<html><head></head><body></body></html>";
-//! // 7: the session's RNG stream, seeded on its first page.
-//! let built = engine.build_session_page(html, &page, &mut tokens, || 7, SimTime::ZERO);
-//! assert!(built.html.contains("<script"));
-//! let manifest = built.manifest;
+//! // 7: the session's RNG stream, seeded on its first page. The page
+//! // goes through as the origin sends it, here in one chunk.
+//! let mut stream = engine.begin_session_page(&page, &mut tokens, || 7, SimTime::ZERO);
+//! let mut html = Vec::new();
+//! stream.write(b"<html><head></head><body></body></html>", &mut html);
+//! let finished = stream.finish(&mut html);
+//! assert!(String::from_utf8(html).unwrap().contains("<script"));
+//! let manifest = finished.manifest(page.uri(), page.authority().as_deref());
 //! assert_eq!(manifest.decoy_beacons.len(), engine.config().decoys);
 //!
 //! // The mouse moves: the beacon fetch redeems the page's key, once.
@@ -69,7 +72,7 @@ mod scan;
 pub mod stream;
 pub mod token;
 
-pub use engine::{BuiltPage, IssuedPageToken, RewriteEngine, Sighting};
+pub use engine::{IssuedPageToken, RewriteEngine, Sighting};
 pub use jsgen::Obfuscation;
 pub use probe::{AutomationReport, ProbeHit, ProbeKind, ProbeObject};
 pub use rewrite::{Classified, InstrumentConfig, ProbeManifest};

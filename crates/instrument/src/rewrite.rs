@@ -129,14 +129,14 @@ mod tests {
         fn page(&mut self, html: &str) -> (String, ProbeManifest) {
             let request = get(&"http://site.example/index.html".parse().unwrap());
             let seed = self.stream_seed;
-            let built = self.engine.build_session_page(
-                html,
-                &request,
-                &mut self.tokens,
-                || seed,
-                SimTime::ZERO,
-            );
-            (built.html, built.manifest)
+            let mut stream =
+                self.engine
+                    .begin_session_page(&request, &mut self.tokens, || seed, SimTime::ZERO);
+            let mut out = Vec::new();
+            stream.write(html.as_bytes(), &mut out);
+            let finished = stream.finish(&mut out);
+            let manifest = finished.manifest(request.uri(), request.authority().as_deref());
+            (String::from_utf8(out).unwrap(), manifest)
         }
 
         fn classify(&mut self, uri: &Uri, now: SimTime) -> Classified {

@@ -8,10 +8,8 @@
 //! ([`StreamingRewrite::write`]), or several runs of one buffer
 //! ([`StreamingRewrite::write_runs`]: the front door hands over the data
 //! of every chunk one read delivered, framing left between them). A
-//! caller that holds the whole page hands it over as the one chunk
-//! ([`crate::RewriteEngine::build_page`],
-//! [`crate::RewriteEngine::build_session_page`]), so there is no
-//! buffered rewriter to drift from this one.
+//! caller that holds the whole page hands it over as the one chunk, so
+//! there is no buffered rewriter to drift from this one.
 //!
 //! # What is scanned
 //!
@@ -67,11 +65,11 @@
 //! hold). A `Vec<u8>` appends both; the front door keeps the runs as
 //! ranges of its read buffer and writes them to the client from there.
 //!
-//! # Equivalence with the buffered path
+//! # Equivalence across splits
 //!
 //! For any document that resolves its injection points within the hold
 //! cap (every realistic page, and everything under 64KB outright), the
-//! streaming output is byte-identical to the old buffered `inject()` for
+//! output is byte-identical to the page handed over as one chunk for
 //! *every* split of the input into steps and runs — the property pinned
 //! by the `stream_equivalence` proptest suite.
 //!
@@ -206,15 +204,15 @@ enum Phase {
     /// Attribute spliced; hunting the last `</body>`.
     SeekBodyEnd,
     /// Holding from a `</body>` candidate, watching for a later one (the
-    /// buffered path injects before the *last* `</body>`).
+    /// body markup goes before the *last* `</body>`).
     HoldTail,
     /// Every injection point resolved; bytes flow straight through.
     Passthrough,
 }
 
 /// The injection scanner: places the head markup, the `<body>`
-/// attribute and the body markup with exactly the buffered `inject()`
-/// semantics, holding only what is still unresolved.
+/// attribute and the body markup where the page held whole would get
+/// them, holding only what is still unresolved.
 #[derive(Debug)]
 struct Injector {
     /// The three pieces of markup, in that order: the attribute starts

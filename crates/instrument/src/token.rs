@@ -120,7 +120,7 @@ pub struct ScriptSeed {
 
 /// What one entry's script is written from: its key and decoys, and
 /// its [`ScriptSeed`] — lent by [`TokenState::script_for`], spelled out
-/// by [`crate::RewriteEngine::session_script`].
+/// by [`crate::RewriteEngine::object_in_session`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScriptRecipe<'a> {
     /// The real beacon key the handler fetches.

@@ -25,9 +25,13 @@ fn serve(
     client: u32,
 ) -> (String, ProbeManifest) {
     let page = get("http://prop.example/page.html", client);
-    let stream = engine.session_stream_seed(u64::from(client), SimTime::ZERO);
-    let built = engine.build_session_page(html, &page, tokens, || stream, SimTime::ZERO);
-    (built.html, built.manifest)
+    let seed = engine.session_stream_seed(u64::from(client), SimTime::ZERO);
+    let mut stream = engine.begin_session_page(&page, tokens, || seed, SimTime::ZERO);
+    let mut out = Vec::new();
+    stream.write(html.as_bytes(), &mut out);
+    let finished = stream.finish(&mut out);
+    let manifest = finished.manifest(page.uri(), page.authority().as_deref());
+    (String::from_utf8(out).unwrap(), manifest)
 }
 
 proptest! {

@@ -1,21 +1,21 @@
 //! The streaming contract: for any document and ANY chunking of it, the
-//! streaming rewriter produces byte-identical output to the buffered
-//! `build_page` under the same RNG seed — chunk boundaries in anchors,
-//! tag names, attribute values, and multi-byte UTF-8 sequences
-//! included. Plus the O(chunk) memory claim: a 4MB page fed one byte at
+//! streaming rewriter produces byte-identical output to the same page
+//! handed over whole, as one chunk, under the same RNG seed — chunk
+//! boundaries in anchors, tag names, attribute values, and multi-byte
+//! UTF-8 sequences included. Plus the O(chunk) memory claim: a 4MB page fed one byte at
 //! a time never buffers more than `MAX_HELD_BYTES`. And the sink
 //! contract: a sink that keeps runs of the caller's chunk as offsets
 //! and copies only the rest sees the same bytes a `Vec<u8>` is sent.
 //! And the step contract: the page laid out as the front door hands it
 //! over, steps of runs inside one buffer with framing between them,
-//! comes out as the buffered rewrite does, for any split into steps and
-//! runs, and past the hold cap a step of many runs behaves as one chunk,
-//! at the head as at the tail.
+//! comes out as the page handed over whole does, for any split into
+//! steps and runs, and past the hold cap a step of many runs behaves as
+//! one chunk, at the head as at the tail.
 
 use botwall_http::Uri;
 use botwall_instrument::{
-    FinishedStream, InstrumentConfig, ProbeManifest, RewriteEngine, StreamSink, StreamingRewrite,
-    MAX_HELD_BYTES,
+    BeaconKey, FinishedStream, InstrumentConfig, ProbeManifest, RewriteEngine, StreamSink,
+    StreamingRewrite, MAX_HELD_BYTES,
 };
 use botwall_sessions::SimTime;
 use proptest::collection::vec;
@@ -32,11 +32,30 @@ fn engine() -> RewriteEngine {
     RewriteEngine::new(InstrumentConfig::default(), 77)
 }
 
-/// `html` rewritten whole on [`page_uri`], randomness from `seed`.
-fn buffered(eng: &RewriteEngine, html: &str, seed: u64) -> String {
+/// What one streamed page came to: the rewritten HTML, its manifest,
+/// and the key and script nonce of the token the stream held before any
+/// body byte went in.
+type Streamed = (String, ProbeManifest, Option<(BeaconKey, u64)>);
+
+/// `html` streamed on [`page_uri`] in `size`-byte chunks, randomness
+/// from `seed`.
+fn chunked(eng: &RewriteEngine, html: &str, seed: u64, size: usize) -> Streamed {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    eng.build_page(html, &page_uri(), SimTime::ZERO, &mut rng)
-        .html
+    let mut stream = eng.begin_stream(&page_uri(), SimTime::ZERO, &mut rng);
+    let token = stream.token().map(|t| (t.key, t.js_nonce));
+    let mut out = Vec::new();
+    for piece in html.as_bytes().chunks(size) {
+        stream.write(piece, &mut out);
+    }
+    let finished = stream.finish(&mut out);
+    assert_eq!(finished.html_overhead, out.len() - html.len());
+    let html = String::from_utf8(out).expect("the rewriter injects ASCII at ASCII anchors");
+    (html, manifest_of(&finished), token)
+}
+
+/// `html` handed over whole, as one chunk.
+fn whole(eng: &RewriteEngine, html: &str, seed: u64) -> Streamed {
+    chunked(eng, html, seed, html.len().max(1))
 }
 
 /// The manifest of a stream begun on [`page_uri`].
@@ -68,8 +87,8 @@ fn fragment() -> impl Strategy<Value = String> {
 }
 
 proptest! {
-    /// Streaming == buffered for every chunking; manifest, token, and
-    /// overhead accounting agree.
+    /// Streaming == the page whole for every chunking; manifest, the
+    /// token held up front, and overhead accounting agree.
     #[test]
     fn streaming_matches_buffered_for_any_chunking(
         parts in vec(fragment(), 0..12),
@@ -78,36 +97,11 @@ proptest! {
     ) {
         let html: String = parts.concat();
         let eng = engine();
-        let buffered = eng.build_page(
-            &html,
-            &page_uri(),
-            SimTime::ZERO,
-            &mut ChaCha8Rng::seed_from_u64(seed),
-        );
+        let whole = whole(&eng, &html, seed);
         // The generated chunk size, plus 1-byte chunks always.
         for size in [chunk, 1] {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut stream = eng.begin_stream(&page_uri(), SimTime::ZERO, &mut rng);
-            let token_up_front =
-                stream.token().map(|t| (t.key, t.js_nonce));
-            let mut out = Vec::new();
-            for piece in html.as_bytes().chunks(size) {
-                stream.write(piece, &mut out);
-            }
-            let finished = stream.finish(&mut out);
-            prop_assert_eq!(
-                String::from_utf8(out.clone()).unwrap(),
-                buffered.html.clone(),
-                "chunk size {} diverged", size
-            );
-            prop_assert_eq!(&manifest_of(&finished), &buffered.manifest);
-            prop_assert_eq!(finished.html_overhead, out.len() - html.len());
-            // The token is available before any body bytes stream,
-            // and matches what the buffered path issued.
-            prop_assert_eq!(
-                token_up_front,
-                buffered.token.as_ref().map(|t| (t.key, t.js_nonce))
-            );
+            let streamed = chunked(&eng, &html, seed, size);
+            prop_assert_eq!(&streamed, &whole, "chunk size {} diverged", size);
         }
     }
 }
@@ -250,8 +244,8 @@ fn write_steps(
 
 proptest! {
     /// Steps of runs in one buffer, framing between them and anchors
-    /// straddling both kinds of boundary, rewrite as the buffered path
-    /// does.
+    /// straddling both kinds of boundary, rewrite as the page handed
+    /// over whole does.
     #[test]
     fn steps_of_runs_match_buffered_for_any_split(
         parts in vec(fragment(), 0..12),
@@ -262,17 +256,12 @@ proptest! {
     ) {
         let html: String = parts.concat();
         let eng = engine();
-        let buffered = eng.build_page(
-            &html,
-            &page_uri(),
-            SimTime::ZERO,
-            &mut ChaCha8Rng::seed_from_u64(seed),
-        );
+        let (whole, manifest, _) = whole(&eng, &html, seed);
         let mut stream = eng.begin_stream(&page_uri(), SimTime::ZERO, &mut ChaCha8Rng::seed_from_u64(seed));
         let mut out = write_steps(&mut stream, html.as_bytes(), &run_sizes, &runs_per_step, &framing);
         let finished = stream.finish(&mut out);
-        prop_assert_eq!(String::from_utf8(out).unwrap(), buffered.html);
-        prop_assert_eq!(&manifest_of(&finished), &buffered.manifest);
+        prop_assert_eq!(String::from_utf8(out).unwrap(), whole);
+        prop_assert_eq!(&manifest_of(&finished), &manifest);
     }
 }
 
@@ -293,7 +282,7 @@ fn past_the_hold_cap_a_step_of_runs_is_one_chunk() {
             &mut ChaCha8Rng::seed_from_u64(3),
         )
     };
-    let whole = buffered(&eng, &html, 3);
+    let (whole, ..) = whole(&eng, &html, 3);
     assert!(whole.contains("a</body>yyy") && !whole.contains("b</body>"));
     let mut one_step = stream();
     let mut out = write_steps(
@@ -329,7 +318,7 @@ fn past_the_hold_cap_a_head_in_one_step_of_runs_is_one_chunk() {
             &mut ChaCha8Rng::seed_from_u64(3),
         )
     };
-    let whole = buffered(&eng, &html, 3);
+    let (whole, ..) = whole(&eng, &html, 3);
     assert!(whole.starts_with("<html><head>yyy"));
     let mut one_step = stream();
     let mut out = write_steps(

@@ -80,7 +80,7 @@
 //!
 //! A live session is one slab slot (its [`Session`], its extension
 //! state and two links) plus one index entry (its [`SessionKey`] and
-//! slot). Under the detection core's extension state a slot is 216
+//! slot). Under the detection core's extension state a slot is 208
 //! bytes on a 64-bit target, 120 of them the [`Session`]: the 13 `u32`
 //! counters the Table-2 features and the §3.2 policy read and the
 //! seen-URL set they need, never a log of records or a byte tally.

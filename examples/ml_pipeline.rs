@@ -34,6 +34,8 @@ fn main() {
 
     // The trained model becomes the §4.1 boundary stage.
     let pipeline = StagedPipeline::new(AdaBoostBoundary::new(model, 20));
-    let _ = &pipeline; // Deployed inside a node; see `staged` bench bin.
+    // No gateway runs it: the stage classifies completed sessions
+    // offline, as the `staged` bin's ablation does.
+    let _ = &pipeline;
     println!("\nmodel wired into the staged pipeline (fast paths first, ML on boundary cases)");
 }

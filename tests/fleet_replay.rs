@@ -154,11 +154,14 @@ fn harvested_probe_urls_stop_classifying_after_the_freshness_window() {
     let beacon = m.mouse_beacon.expect("mouse beacon");
 
     // Fresh: the CSS probe is instrumentation traffic.
+    let probes = gw.stats().probe_requests;
     let d = gw.handle(&req(0, &css.to_string()), issued_at + 1_000);
-    let Decision::Serve { probe, .. } = d else {
-        panic!("{d:?}");
-    };
-    assert!(probe, "a fresh probe URL classifies as instrumentation");
+    assert!(d.is_serve(), "{d:?}");
+    assert_eq!(
+        gw.stats().probe_requests,
+        probes + 1,
+        "a fresh probe URL classifies as instrumentation"
+    );
 
     // Two hours later (a session kept alive by steady traffic), the
     // same URLs are ordinary requests: stale-nonce MACs fail closed.
@@ -166,10 +169,12 @@ fn harvested_probe_urls_stop_classifying_after_the_freshness_window() {
     let d = gw.handle_with(&req(0, &css.to_string()), stale_at, |_| {
         Origin::Page(HTML.into())
     });
-    let Decision::Serve { probe, .. } = d else {
-        panic!("{d:?}");
-    };
-    assert!(!probe, "a stale probe URL is ordinary traffic");
+    assert!(d.is_serve(), "{d:?}");
+    assert_eq!(
+        gw.stats().probe_requests,
+        probes + 1,
+        "a stale probe URL is ordinary traffic"
+    );
 
     // The stale mouse beacon earns no human promotion either.
     let d = gw.handle_with(&req(0, &beacon.to_string()), stale_at + 1_000, |_| {

@@ -78,11 +78,16 @@ fn human_mouse_flow_ends_human() {
 
     // The user moves the mouse: the keyed beacon fires.
     let beacon = manifest.mouse_beacon.unwrap();
+    let probes = gw.stats().probe_requests;
     let d = gw.handle(&req(1, &beacon.to_string(), ua), SimTime::from_secs(3));
     match d {
-        Decision::Serve { verdict, probe, .. } => {
+        Decision::Serve { verdict, .. } => {
             assert_eq!(verdict, Verdict::Human(Reason::MouseActivity));
-            assert!(probe, "beacon fetches are instrumentation traffic");
+            assert_eq!(
+                gw.stats().probe_requests,
+                probes + 1,
+                "beacon fetches are instrumentation traffic"
+            );
         }
         other => panic!("beacon fetch must serve: {other:?}"),
     }

@@ -75,15 +75,16 @@ fn page_and_script(seed: u64, now: SimTime, host: Option<&str>) -> (String, Stri
     };
     let page = String::from_utf8(response.body().to_vec()).expect("a UTF-8 page");
     let js = manifest.and_then(|m| m.js_file).expect("a script URL");
+    let probes = gw.stats().probe_requests;
     let d = gw.handle(&read(js.path(), host), now + 1);
-    let Decision::Serve {
-        response,
-        probe: true,
-        ..
-    } = d
-    else {
+    let Decision::Serve { response, .. } = d else {
         panic!("the script is served: {d:?}");
     };
+    assert_eq!(
+        gw.stats().probe_requests,
+        probes + 1,
+        "the script is a probe"
+    );
     let script = String::from_utf8(response.body().to_vec()).expect("an ASCII script");
     (page, script)
 }
@@ -104,14 +105,16 @@ fn assert_ordinary(gw: &Gateway, d: &Decision, target: &str, now: SimTime) {
         panic!("the page was served: {d:?}");
     };
     let before = gw.detector().evidence(key);
+    let probes = gw.stats().probe_requests;
     let d = gw.handle(&read(target, None), now);
-    let Decision::Serve {
-        response, probe, ..
-    } = &d
-    else {
+    let Decision::Serve { response, .. } = &d else {
         panic!("{target}: ordinary traffic is served: {d:?}");
     };
-    assert!(!probe, "{target} was answered as a probe");
+    assert_eq!(
+        gw.stats().probe_requests,
+        probes,
+        "{target} was answered as a probe"
+    );
     assert_eq!(response.status(), StatusCode::NOT_FOUND, "{target}");
     assert_eq!(gw.detector().evidence(key), before, "{target}");
 }

@@ -7,7 +7,8 @@
 //! target, or nothing (path-only URLs, which is also what a `Host` that
 //! is not a plain `host[:port]` gets). The byte-locks serve pages
 //! through a seeded gateway on simulated time, once for each way of
-//! naming the site, and through the engine's `begin_stream`, and fold
+//! naming the site, and through the engine's `begin_stream` (each page's
+//! script generated over the URLs its manifest spells), and fold
 //! every byte served (the pages, and the scripts their `<script src>`
 //! URLs fetch, which spell out each page's beacon key and decoys) into
 //! an FNV-1a digest with a fixed golden: what a page and its token hold
@@ -16,6 +17,7 @@
 use botwall::gateway::{Decision, Gateway, Origin, PendingServe};
 use botwall::http::request::ClientIp;
 use botwall::http::{Method, Request, Uri};
+use botwall::instrument::jsgen::{self, JsSpec};
 use botwall::instrument::{InstrumentConfig, Obfuscation, ProbeManifest, RewriteEngine};
 use botwall::sessions::SimTime;
 use proptest::prelude::*;
@@ -127,7 +129,9 @@ fn render_gateway(form: &Form) -> Vec<u8> {
 
 /// Ten pages for each of three page URLs through
 /// `RewriteEngine::begin_stream`, each followed by the script its token
-/// stands for, across three issue hours.
+/// stands for (`jsgen::generate` over the finished page's manifest, on
+/// the token's script seed: the bytes a fetch of its URL is answered
+/// with), across three issue hours.
 fn render_engine() -> Vec<u8> {
     let engine = RewriteEngine::new(InstrumentConfig::default(), 29);
     let mut rng = ChaCha8Rng::seed_from_u64(29);
@@ -147,14 +151,18 @@ fn render_engine() -> Vec<u8> {
             let token = stream.token().cloned().expect("the mouse beacon is on");
             let mut out = Vec::new();
             stream.write(HTML.as_bytes(), &mut out);
-            stream.finish(&mut out);
+            let m = stream
+                .finish(&mut out)
+                .manifest(&uri, uri.authority().as_deref());
             served.extend_from_slice(&out);
-            let script = engine.generate_script(
-                uri.authority().as_deref(),
-                token.key,
-                &token.decoys,
-                token.script,
-            );
+            let spec = JsSpec {
+                mouse_beacon: m.mouse_beacon.expect("the mouse beacon is on"),
+                decoys: m.decoy_beacons,
+                agent_beacon: m.agent_beacon.expect("the agent beacon rides with it"),
+                obfuscation: engine.config().obfuscation,
+                target_size: 1024,
+            };
+            let script = jsgen::generate(&spec, &mut ChaCha8Rng::seed_from_u64(token.script.seed));
             served.extend_from_slice(script.source.as_bytes());
         }
     }
@@ -269,10 +277,11 @@ proptest! {
         prop_assert!(page.ends_with(&tail), "{} at the end of {}", tail, page);
         prop_assert!(page.contains("<body onmousemove=\"return "));
 
-        let Decision::Serve { response, probe, .. } = gw.handle(&form.fetch(3, js), now + 1) else {
+        prop_assert_eq!(gw.stats().probe_requests, 0);
+        let Decision::Serve { response, .. } = gw.handle(&form.fetch(3, js), now + 1) else {
             panic!("the script is served");
         };
-        prop_assert!(probe);
+        prop_assert_eq!(gw.stats().probe_requests, 1, "the script is instrumentation traffic");
         let script = String::from_utf8(response.body().to_vec()).expect("an ASCII script");
         prop_assert_eq!(fetched_by(&script), beacons_of(&m));
         prop_assert_eq!(m.decoy_beacons.len(), decoys);

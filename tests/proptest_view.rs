@@ -35,14 +35,12 @@ fn engine_and_probes() -> &'static (RewriteEngine, Vec<String>) {
 fn mint() -> (RewriteEngine, Vec<String>) {
     let engine = RewriteEngine::new(InstrumentConfig::default(), 42);
     let page: Uri = "http://site.example/index.html".parse().unwrap();
-    let manifest = engine
-        .build_page(
-            "<html><head></head><body></body></html>",
-            &page,
-            SimTime::ZERO,
-            &mut ChaCha8Rng::seed_from_u64(7),
-        )
-        .manifest;
+    let mut stream = engine.begin_stream(&page, SimTime::ZERO, &mut ChaCha8Rng::seed_from_u64(7));
+    let mut html = Vec::new();
+    stream.write(b"<html><head></head><body></body></html>", &mut html);
+    let manifest = stream
+        .finish(&mut html)
+        .manifest(&page, page.authority().as_deref());
     let mut urls: Vec<Uri> = manifest.decoy_beacons.clone();
     urls.extend(
         [
