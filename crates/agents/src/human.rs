@@ -13,9 +13,9 @@
 
 use crate::agent::{Agent, AgentKind};
 use crate::browser::BrowserProfile;
+use crate::oracle::SolverProfile;
 use crate::walk::{get, render, Script};
 use crate::world::{ClientWorld, FetchSpec};
-use botwall_captcha::SolverProfile;
 use botwall_http::UserAgent;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;

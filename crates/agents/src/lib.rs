@@ -22,6 +22,8 @@
 //!   acknowledged false-positive source), JS-capable smart bots (§4.1's
 //!   adversary), and DDoS zombies.
 //! * [`population`] — weighted mixes, including the Table-1 calibration.
+//! * [`oracle`] — who solves an offered CAPTCHA, and how often
+//!   ([`SolverProfile`]).
 //! * The shared fetch loops (private): the breadth-first *crawl* of the
 //!   crawler, spider, harvester and offline browser; the
 //!   `Referer`-chained *walk*, retrying a refused page at most twelve
@@ -53,6 +55,7 @@
 pub mod agent;
 pub mod browser;
 pub mod human;
+pub mod oracle;
 pub mod origin;
 pub mod population;
 pub mod robots;
@@ -63,5 +66,6 @@ pub mod world;
 pub use agent::{Agent, AgentKind};
 pub use browser::BrowserProfile;
 pub use human::{HumanAgent, HumanConfig};
+pub use oracle::SolverProfile;
 pub use population::{AgentSpec, Population};
 pub use world::{Client, ClientWorld, FetchOutcome, FetchSpec, Ledger, PageView};

@@ -1,14 +1,15 @@
-//! Per-agent solvability models.
+//! Who solves a CAPTCHA, and how often: the solver model the in-process
+//! humans draw from when the gateway offers them a challenge.
 //!
 //! The paper's footnote: "While some CAPTCHA tests can be solved by
 //! character recognition, this one was optional, and active only for a
 //! short period. We saw no abuse from clients passing the CAPTCHA test,
-//! strongly suggesting they were human." The oracle models exactly that
-//! landscape: humans attempt optionally and mostly succeed; robots rarely
-//! attempt and essentially never succeed (an OCR bot knob exists for
-//! adversarial experiments).
+//! strongly suggesting they were human." The image distortion itself is
+//! abstracted: what matters is who attempts an optional challenge and
+//! with what probability they pass. Only the human model draws from it:
+//! humans attempt optionally and mostly succeed.
 
-use crate::challenge::Challenge;
+use botwall_captcha::Challenge;
 use rand::Rng;
 
 /// How an agent population behaves when offered a challenge.
@@ -33,24 +34,6 @@ impl SolverProfile {
             attempt_probability: 0.40,
             base_success: 0.97,
             floor: 0.85,
-        }
-    }
-
-    /// A robot with no OCR capability.
-    pub fn robot_default() -> SolverProfile {
-        SolverProfile {
-            attempt_probability: 0.02,
-            base_success: 0.01,
-            floor: 0.0,
-        }
-    }
-
-    /// An OCR-equipped robot (for adversarial ablations).
-    pub fn ocr_robot() -> SolverProfile {
-        SolverProfile {
-            attempt_probability: 0.5,
-            base_success: 0.30,
-            floor: 0.05,
         }
     }
 
@@ -103,21 +86,6 @@ mod tests {
         assert!((attempt_rate - 0.40).abs() < 0.02, "attempt {attempt_rate}");
         // Success at difficulty 0.5 ≈ 0.91, so pass ≈ 0.364.
         assert!((pass_share - 0.364).abs() < 0.03, "pass {pass_share}");
-    }
-
-    #[test]
-    fn robots_essentially_never_pass() {
-        let (_, pass_share) = rates(SolverProfile::robot_default(), 0.5, 20_000);
-        assert!(pass_share < 0.01, "robot pass {pass_share}");
-    }
-
-    #[test]
-    fn ocr_robot_is_in_between() {
-        let (_, human_pass) = rates(SolverProfile::human_default(), 0.5, 20_000);
-        let (_, ocr_pass) = rates(SolverProfile::ocr_robot(), 0.5, 20_000);
-        let (_, bot_pass) = rates(SolverProfile::robot_default(), 0.5, 20_000);
-        assert!(ocr_pass > bot_pass);
-        assert!(ocr_pass < human_pass);
     }
 
     #[test]

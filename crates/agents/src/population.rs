@@ -10,6 +10,7 @@
 use crate::agent::Agent;
 use crate::browser::BrowserProfile;
 use crate::human::{HumanAgent, HumanConfig};
+use crate::oracle::SolverProfile;
 use crate::robots::crawler::CrawlerConfig;
 use crate::robots::fleet::{FleetCache, FleetConfig};
 use crate::robots::headless::HeadlessConfig;
@@ -19,7 +20,6 @@ use crate::robots::{
     ClickFraudBot, CrawlerBot, DdosZombie, EmailHarvester, FleetBot, HeadlessBrowser, LlmAgent,
     OfflineBrowser, PasswordCracker, PoliteSpider, ReferrerSpammer, SmartBot, VulnScanner,
 };
-use botwall_captcha::SolverProfile;
 use botwall_http::BrowserFamily;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;

@@ -18,8 +18,7 @@ use botwall_agents::robots::{
     ClickFraudBot, CrawlerBot, DdosZombie, EmailHarvester, OfflineBrowser, PasswordCracker,
     PoliteSpider, ReferrerSpammer, SmartBot, VulnScanner,
 };
-use botwall_agents::{Agent, BrowserProfile, HumanAgent, HumanConfig};
-use botwall_captcha::SolverProfile;
+use botwall_agents::{Agent, BrowserProfile, HumanAgent, HumanConfig, SolverProfile};
 use botwall_codeen::network::{Network, NetworkConfig};
 use botwall_codeen::node::Deployment;
 use botwall_core::Label;

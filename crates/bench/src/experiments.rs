@@ -1,18 +1,18 @@
 //! One harness per paper table/figure.
 
 use crate::corpus::{build_ml_corpus, CorpusConfig};
+use crate::report::{Figure2Report, Table1Report};
 use botwall_agents::Population;
 use botwall_codeen::network::{Network, NetworkConfig, RunReport};
 use botwall_codeen::node::Deployment;
 use botwall_codeen::timeline::{self, MonthRow, TimelineConfig};
-use botwall_core::report::{Figure2Report, Table1Report};
-use botwall_core::staged::{NoBoundary, StagedPipeline};
 use botwall_core::Label;
 use botwall_instrument::beacon;
 use botwall_ml::baselines::navtree::{DecisionTree, TreeConfig};
 use botwall_ml::baselines::ua_signatures::UaSignatureMatcher;
 use botwall_ml::{
     checkpoint_sweep, AdaBoostBoundary, AdaBoostConfig, AdaBoostModel, Attribute, CheckpointResult,
+    NoBoundary, Stage, StagedPipeline,
 };
 use botwall_webgraph::{SiteConfig, WebConfig};
 use rand::Rng;
@@ -277,11 +277,11 @@ pub fn run_staged(sessions: u32, seed: u64) -> Vec<StagedRow> {
                 }
                 "set-algebra" => {
                     let d = staged_plain.decide(&cs.session, &cs.evidence);
-                    (d.label, d.stage != botwall_core::Stage::Fallback)
+                    (d.label, d.stage != Stage::Fallback)
                 }
                 _ => {
                     let d = staged_ml.decide(&cs.session, &cs.evidence);
-                    (d.label, d.stage != botwall_core::Stage::MlBoundary)
+                    (d.label, d.stage != Stage::MlBoundary)
                 }
             };
             total += 1;

@@ -1,7 +1,6 @@
 //! Aggregate reporting: Table 1 and Figure 2 of the paper.
 
-use crate::detector::CompletedSession;
-use crate::evidence::EvidenceKind;
+use botwall_core::{CompletedSession, EvidenceKind};
 use std::fmt;
 
 /// The Table-1 session breakdown plus the §3.1 human-set bounds.
@@ -252,8 +251,7 @@ impl fmt::Display for Figure2Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classifier::{Label, Reason};
-    use crate::evidence::EvidenceSet;
+    use botwall_core::{EvidenceSet, Label, Reason};
     use botwall_http::request::ClientIp;
     use botwall_http::{Method, Request, Response, StatusCode};
     use botwall_sessions::{SessionTracker, SimTime, TrackerConfig};

@@ -11,7 +11,8 @@ pub struct Challenge {
     pub id: u64,
     /// The "distorted image", abstracted as an obfuscated string. Humans
     /// read through the noise; naive OCR trips over it. Solvability is
-    /// modelled by [`crate::oracle::SolverProfile`], not by parsing this.
+    /// modelled by the in-process clients' solver model
+    /// (`botwall_agents::SolverProfile`), not by parsing this.
     pub distorted: String,
     /// Difficulty in `[0, 1]`; raises the bar for OCR-capable robots.
     pub difficulty: f64,
@@ -27,9 +28,10 @@ impl Challenge {
         answer.trim().eq_ignore_ascii_case(&self.answer)
     }
 
-    /// The answer — exposed for the solver oracle (which *models* reading
-    /// the image) and for tests. Real deployments keep this server-side;
-    /// so does the simulation: agents never see it, only the oracle does.
+    /// The answer — exposed for the in-process clients, which *model*
+    /// reading the image (a human whose solver draw passes, a fleet
+    /// member solving honestly), and for tests. Real deployments keep
+    /// this server-side.
     pub fn answer(&self) -> &str {
         &self.answer
     }

@@ -9,33 +9,31 @@
 //! a challenge is offered, or, as an enforcement escape hatch, served
 //! in place of a throttle.
 //!
-//! The actual image distortion is abstracted: what matters to every
-//! consumer is *who can solve it with what probability*, modelled by
-//! [`oracle::SolverProfile`].
+//! The image distortion is abstracted: a [`Challenge`] is derived from
+//! its id under the service's seed, so the service verifies an answer
+//! with no issue table, and accepts each id once. Who solves a challenge,
+//! and how often, is the in-process clients' model
+//! (`botwall_agents::SolverProfile`), not this crate's.
 //!
 //! # Examples
 //!
 //! ```
-//! use botwall_captcha::{CaptchaService, ServingPolicy, SolverProfile};
-//! use rand_chacha::rand_core::SeedableRng;
+//! use botwall_captcha::{CaptchaService, ServingPolicy};
 //!
-//! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
 //! let service = CaptchaService::new(ServingPolicy::OptionalWithIncentive, 7);
 //! let ch = service.issue();
-//! let human = SolverProfile::human_default();
-//! // Opt-in is probabilistic; when attempted, humans usually pass.
-//! let _outcome: Option<bool> = human.attempt(&ch, &mut rng);
-//! // The service re-derives the challenge from its id to check an answer.
+//! // The service re-derives the challenge from its id to check an answer,
+//! // and an id is redeemed once.
+//! assert!(!service.verify_once(ch.id, "wrong"));
 //! assert!(service.verify_once(ch.id, ch.answer()));
+//! assert!(!service.verify_once(ch.id, ch.answer()));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod challenge;
-pub mod oracle;
 pub mod policy;
 
 pub use challenge::Challenge;
-pub use oracle::SolverProfile;
 pub use policy::{CaptchaService, ServingPolicy};

@@ -13,9 +13,11 @@
 //!
 //! Sessions are then classified with the set-algebra rule
 //! `S_H = (S_CSS ∪ S_MM) − (S_JS − S_MM)` and robot sessions are rate
-//! limited and blocked on behavioural thresholds (§3.2). A staged
-//! pipeline (§4.1) escalates boundary cases to a machine-learning
-//! classifier (`botwall-ml`).
+//! limited and blocked on behavioural thresholds (§3.2). This crate is
+//! what decides online; the analyses the paper runs afterwards over
+//! logged sessions live elsewhere: the §4.1 staged pipeline, which
+//! escalates boundary cases to a machine-learning classifier, in
+//! `botwall-ml`, and the Table-1 and Figure-2 reports in `botwall-bench`.
 //!
 //! # Architecture
 //!
@@ -23,8 +25,6 @@
 //! * [`classifier`] — the set-algebra rule, online and final forms
 //! * [`detector`] — the streaming engine over `<IP, User-Agent>` sessions
 //! * [`policy`] — rate limiting and behavioural blocking
-//! * [`staged`] — fast-path/boundary-case escalation
-//! * [`report`] — Table-1 and Figure-2 aggregation
 //!
 //! # Examples
 //!
@@ -89,8 +89,6 @@ pub mod classifier;
 pub mod detector;
 pub mod evidence;
 pub mod policy;
-pub mod report;
-pub mod staged;
 
 pub use classifier::{Label, Reason, Verdict};
 pub use detector::{
@@ -99,5 +97,3 @@ pub use detector::{
 };
 pub use evidence::{EvidenceKind, EvidenceSet};
 pub use policy::{Action, PolicyConfig, PolicyEngine, PolicyState};
-pub use report::{Figure2Report, RequestCdf, Table1Report};
-pub use staged::{BoundaryClassifier, Stage, StagedDecision, StagedPipeline};

@@ -12,7 +12,7 @@ use botwall_instrument::InstrumentConfig;
 /// enforcement (§3.2) and CAPTCHA serving (§4.2). Enforcement runs on
 /// the default [`PolicyConfig`](botwall_core::PolicyConfig) thresholds.
 /// The §4.1 machine learning stage is not here: like the paper's, it
-/// runs offline over completed sessions (`botwall_core::staged`).
+/// runs offline over completed sessions (`botwall_ml::staged`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatewayConfig {
     /// Page-rewriting / probe configuration.

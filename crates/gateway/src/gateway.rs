@@ -293,12 +293,6 @@ impl PageStream {
         }
     }
 
-    /// Whether this stream is actually instrumenting (false on the
-    /// lost-lease passthrough).
-    pub fn instrumented(&self) -> bool {
-        self.rewrite.is_some()
-    }
-
     /// Feeds one origin body chunk; rewritten output goes to `out` (a
     /// `Vec<u8>` appends it) as soon as it resolves. The one-run
     /// [`PageStream::write_runs`].
@@ -1136,7 +1130,7 @@ mod tests {
         mut next_len: impl FnMut() -> usize,
     ) -> (Vec<u8>, Option<ProbeManifest>) {
         let mut stream = gw.begin_page_stream(&pending, SimTime::ZERO);
-        assert!(stream.instrumented());
+        assert!(stream.rewrite.is_some());
         let head = stream.head.wire_len;
         let mut out = Vec::new();
         let mut rest = page.as_bytes();
@@ -1283,7 +1277,7 @@ mod tests {
         // The page passes through uninstrumented: nothing is minted into
         // the stranger's session...
         let mut stream = gw.begin_page_stream(&pending, SimTime::from_secs(2));
-        assert!(!stream.instrumented());
+        assert!(stream.rewrite.is_none());
         let mut out = Vec::new();
         stream.write(HTML.as_bytes(), &mut out);
         assert_eq!(out, HTML.as_bytes());
@@ -1349,7 +1343,7 @@ mod tests {
             .header("Content-Type", "text/css")
             .build();
         let mut stream = PageStream::relay(head.summary());
-        assert!(!stream.instrumented());
+        assert!(stream.rewrite.is_none());
         let mut out = Vec::new();
         stream.write(b"<html><body>not a page to us</body></html>", &mut out);
         let sent = out.len() as u64;

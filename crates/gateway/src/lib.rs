@@ -41,7 +41,7 @@
 //! The gateway decides online with the browser test and the CAPTCHA, as
 //! the paper's deployment did. The §4.1 machine-learning stage runs
 //! offline, over the [`CompletedSession`]s a sweep or drain returns
-//! (`botwall_core::staged`).
+//! (`botwall_ml::staged`).
 //!
 //! # Examples
 //!

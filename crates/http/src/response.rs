@@ -41,7 +41,7 @@ impl ResponseSummary {
 /// let r = Response::builder(StatusCode::FOUND)
 ///     .header("Location", "http://example.com/moved.html")
 ///     .build();
-/// assert!(r.status().is_redirect());
+/// assert_eq!(r.status().class(), 3);
 /// assert_eq!(r.headers().get("Location"), Some("http://example.com/moved.html"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn empty_response_has_no_content_length() {
-        let r = Response::empty(StatusCode::NO_CONTENT);
+        let r = Response::empty(StatusCode::new(204).unwrap());
         assert_eq!(r.headers().content_length(), None);
     }
 

@@ -14,8 +14,8 @@ use std::fmt;
 /// ```
 /// use botwall_http::StatusCode;
 /// assert!(StatusCode::OK.is_success());
-/// assert!(StatusCode::FOUND.is_redirect());
-/// assert!(StatusCode::NOT_FOUND.is_client_error());
+/// assert_eq!(StatusCode::FOUND.class(), 3);
+/// assert_eq!(StatusCode::NOT_FOUND.class(), 4);
 /// assert_eq!(StatusCode::new(301).unwrap().class(), 3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,18 +24,10 @@ pub struct StatusCode(u16);
 impl StatusCode {
     /// `200 OK`.
     pub const OK: StatusCode = StatusCode(200);
-    /// `204 No Content`.
-    pub const NO_CONTENT: StatusCode = StatusCode(204);
-    /// `301 Moved Permanently`.
-    pub const MOVED_PERMANENTLY: StatusCode = StatusCode(301);
     /// `302 Found` (the classic redirect).
     pub const FOUND: StatusCode = StatusCode(302);
-    /// `304 Not Modified`.
-    pub const NOT_MODIFIED: StatusCode = StatusCode(304);
     /// `400 Bad Request`.
     pub const BAD_REQUEST: StatusCode = StatusCode(400);
-    /// `401 Unauthorized`.
-    pub const UNAUTHORIZED: StatusCode = StatusCode(401);
     /// `403 Forbidden`.
     pub const FORBIDDEN: StatusCode = StatusCode(403);
     /// `404 Not Found`.
@@ -44,8 +36,6 @@ impl StatusCode {
     pub const REQUEST_TIMEOUT: StatusCode = StatusCode(408);
     /// `429 Too Many Requests` (what the rate limiter returns).
     pub const TOO_MANY_REQUESTS: StatusCode = StatusCode(429);
-    /// `500 Internal Server Error`.
-    pub const INTERNAL_SERVER_ERROR: StatusCode = StatusCode(500);
     /// `502 Bad Gateway` (proxy could not reach the origin).
     pub const BAD_GATEWAY: StatusCode = StatusCode(502);
     /// `503 Service Unavailable`.
@@ -81,29 +71,9 @@ impl StatusCode {
         (self.0 / 100) as u8
     }
 
-    /// Returns `true` for 1xx codes.
-    pub fn is_informational(self) -> bool {
-        self.class() == 1
-    }
-
     /// Returns `true` for 2xx codes.
     pub fn is_success(self) -> bool {
         self.class() == 2
-    }
-
-    /// Returns `true` for 3xx codes.
-    pub fn is_redirect(self) -> bool {
-        self.class() == 3
-    }
-
-    /// Returns `true` for 4xx codes.
-    pub fn is_client_error(self) -> bool {
-        self.class() == 4
-    }
-
-    /// Returns `true` for 5xx codes.
-    pub fn is_server_error(self) -> bool {
-        self.class() == 5
     }
 
     /// Returns the canonical reason phrase for well-known codes, or
@@ -175,24 +145,6 @@ mod tests {
         assert_eq!(StatusCode::new(99), Err(HttpError::InvalidStatus(99)));
         assert_eq!(StatusCode::new(600), Err(HttpError::InvalidStatus(600)));
         assert_eq!(StatusCode::new(0), Err(HttpError::InvalidStatus(0)));
-    }
-
-    #[test]
-    fn predicates_are_mutually_exclusive() {
-        for code in 100u16..=599 {
-            let s = StatusCode::new(code).unwrap();
-            let count = [
-                s.is_informational(),
-                s.is_success(),
-                s.is_redirect(),
-                s.is_client_error(),
-                s.is_server_error(),
-            ]
-            .iter()
-            .filter(|&&b| b)
-            .count();
-            assert_eq!(count, 1, "code {code} should be in exactly one class");
-        }
     }
 
     #[test]

@@ -143,14 +143,6 @@ impl UserAgent {
         }
     }
 
-    /// Returns the claimed browser family, if the claim is a browser.
-    pub fn browser(&self) -> Option<BrowserFamily> {
-        match self {
-            UserAgent::Browser(f) => Some(*f),
-            _ => None,
-        }
-    }
-
     /// Canonicalizes an agent string the way the paper's injected
     /// JavaScript does (`navigator.userAgent.toLowerCase()` with spaces
     /// removed) so header and script-reported strings can be compared.

@@ -92,20 +92,6 @@ proptest! {
         prop_assert_eq!(parsed, reparsed);
     }
 
-    /// Status codes land in exactly one class.
-    #[test]
-    fn status_class_partition(code in 100u16..=599) {
-        let s = StatusCode::new(code).unwrap();
-        let classes = [
-            s.is_informational(),
-            s.is_success(),
-            s.is_redirect(),
-            s.is_client_error(),
-            s.is_server_error(),
-        ];
-        prop_assert_eq!(classes.iter().filter(|&&x| x).count(), 1);
-    }
-
     /// `wire_len` is an upper bound within slack of the real serialization
     /// (exact for requests built without auto Content-Length).
     #[test]

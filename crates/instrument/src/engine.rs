@@ -835,7 +835,10 @@ mod tests {
             e.classify(&req, SimTime::from_hours(7) + 1),
             Sighting::Ordinary
         );
-        assert_eq!(e.classify(&req, SimTime::from_days(3)), Sighting::Ordinary);
+        assert_eq!(
+            e.classify(&req, SimTime::from_hours(72)),
+            Sighting::Ordinary
+        );
         // And a nonce "from the future" (clock skew / fabrication) does
         // not classify either.
         assert_eq!(e.classify(&req, SimTime::from_hours(4)), Sighting::Ordinary);

@@ -2,16 +2,16 @@
 //!
 //! §4.1 proposes "making quick decisions by fast analysis (e.g., standard
 //! browser test), then perform a careful decision algorithm for boundary
-//! cases (e.g., AI-based techniques)". `botwall-core`'s
-//! [`botwall_core::staged::StagedPipeline`] accepts any
-//! [`botwall_core::staged::BoundaryClassifier`]; this module adapts a
-//! trained [`AdaBoostModel`] to that interface. The pipeline runs offline
-//! over completed sessions: the `botwall-bench` `staged` experiment and
-//! the `ml_pipeline` example use this adapter.
+//! cases (e.g., AI-based techniques)". The pipeline,
+//! [`StagedPipeline`](crate::staged::StagedPipeline), accepts any
+//! [`BoundaryClassifier`]; this module adapts a trained [`AdaBoostModel`]
+//! to that trait. The pipeline runs offline over completed sessions: the
+//! `botwall-bench` `staged` experiment and the `ml_pipeline` example use
+//! this adapter.
 
 use crate::adaboost::AdaBoostModel;
 use crate::features;
-use botwall_core::staged::BoundaryClassifier;
+use crate::staged::BoundaryClassifier;
 use botwall_core::Label;
 use botwall_sessions::Session;
 

@@ -13,7 +13,10 @@
 //! * [`stump`] / [`adaboost`] — the learner
 //! * [`dataset`] — corpora and the stratified half/half split
 //! * [`eval`] — confusion matrices and the Figure-4 checkpoint sweep
-//! * [`boundary`] — adapter into `botwall-core`'s staged pipeline
+//! * [`staged`] — the §4.1 staged pipeline: hard evidence, the browser
+//!   test, then a boundary classifier for what they leave, run offline
+//!   over completed sessions
+//! * [`boundary`] — the AdaBoost model as that boundary classifier
 //! * [`baselines`] — UA signature matching and a Tan&Kumar-style decision
 //!   tree
 //!
@@ -45,6 +48,7 @@ pub mod boundary;
 pub mod dataset;
 pub mod eval;
 pub mod features;
+pub mod staged;
 pub mod stump;
 
 pub use adaboost::{AdaBoostConfig, AdaBoostModel};
@@ -52,4 +56,5 @@ pub use boundary::AdaBoostBoundary;
 pub use dataset::{Corpus, LabelledSession};
 pub use eval::{checkpoint_sweep, evaluate, CheckpointResult, ConfusionMatrix};
 pub use features::{Attribute, FeatureVector, ATTRIBUTE_COUNT};
+pub use staged::{BoundaryClassifier, NoBoundary, Stage, StagedDecision, StagedPipeline};
 pub use stump::DecisionStump;

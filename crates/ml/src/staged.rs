@@ -8,8 +8,8 @@
 //! Stage 1 is hard evidence, either way: definitive when present.
 //! Stage 2 is the standard-browser test: cheap, early, covers most sessions.
 //! Stage 3 hands *boundary* sessions to a pluggable classifier (the
-//! AdaBoost model from `botwall-ml` implements [`BoundaryClassifier`]);
-//! set algebra decides what it leaves. All but stage 3 read the
+//! AdaBoost model, as [`AdaBoostBoundary`](crate::AdaBoostBoundary),
+//! implements [`BoundaryClassifier`]); set algebra decides what it leaves. All but stage 3 read the
 //! detector's own verdict, [`classifier::classify_online`].
 //!
 //! Like the paper's, the pipeline runs offline: it decides completed
@@ -19,8 +19,8 @@
 //! own); the gateway itself decides online with the browser test and
 //! the CAPTCHA.
 
-use crate::classifier::{self, Label, Verdict};
-use crate::evidence::{EvidenceKind, EvidenceSet};
+use botwall_core::classifier::{self, Label, Verdict};
+use botwall_core::evidence::{EvidenceKind, EvidenceSet};
 use botwall_sessions::Session;
 
 /// Which stage produced a decision.
@@ -48,8 +48,9 @@ pub struct StagedDecision {
 
 /// A pluggable classifier consulted for boundary cases.
 ///
-/// Implemented by `botwall-ml`'s AdaBoost model; `None` means the
-/// classifier abstains and the pipeline falls back to set algebra.
+/// Implemented by [`AdaBoostBoundary`](crate::AdaBoostBoundary) and by
+/// any `Fn(&Session) -> Option<Label>`; `None` means the classifier
+/// abstains and the pipeline falls back to set algebra.
 pub trait BoundaryClassifier {
     /// Classifies a session, or abstains with `None`.
     fn classify_session(&self, session: &Session) -> Option<Label>;
@@ -84,7 +85,7 @@ const BROWSER_TEST_WINDOW: u64 = 19;
 /// # Examples
 ///
 /// ```
-/// use botwall_core::staged::{NoBoundary, StagedPipeline, Stage};
+/// use botwall_ml::staged::{NoBoundary, StagedPipeline, Stage};
 /// use botwall_core::evidence::{EvidenceKind, EvidenceSet};
 /// use botwall_core::classifier::Label;
 /// use botwall_http::request::ClientIp;

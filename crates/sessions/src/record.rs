@@ -13,7 +13,7 @@
 //!
 //! [`SessionCounters`]: crate::SessionCounters
 
-use botwall_http::{ContentClass, MethodKind, RequestView, ResponseSummary, UriRef};
+use botwall_http::{ContentClass, MethodKind, RequestView, ResponseSummary};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::{self, Write};
 use std::hash::{Hash, Hasher};
@@ -68,19 +68,11 @@ impl RequestRecord {
         h.finish()
     }
 
-    /// [`RequestRecord::hash_url`] of the target as it renders, fed to
-    /// the hasher piece by piece instead of rendered into a `String`.
-    pub fn hash_uri(uri: &UriRef<'_>) -> u64 {
-        let mut pieces = Pieces(DefaultHasher::new());
-        write!(pieces, "{uri}").expect("hashing cannot fail");
-        pieces.finish()
-    }
-
     /// [`RequestRecord::hash_url`] of the URL a request names, as the
     /// `Referer` of a link followed from it would spell it: an
     /// origin-form target sent with a `Host` is `http://{host}{target}`,
-    /// any other target is [`RequestRecord::hash_uri`] of it. Nothing is
-    /// rendered into a `String`.
+    /// any other target is the target as it renders. The pieces are fed
+    /// to the hasher one by one: nothing is rendered into a `String`.
     pub fn hash_target(request: &RequestView<'_>) -> u64 {
         let uri = request.uri();
         let mut pieces = Pieces(DefaultHasher::new());
@@ -220,9 +212,13 @@ mod tests {
     #[test]
     fn a_target_hashes_as_its_rendering_does() {
         for uri in ["/", "*", "/a?b=c", "http://h:8080/x.css?v=1", "https://h/"] {
-            let uri: botwall_http::Uri = uri.parse().unwrap();
-            let rendered = RequestRecord::hash_url(&uri.to_string());
-            assert_eq!(RequestRecord::hash_uri(&uri.view()), rendered, "{uri}");
+            let request = Request::builder(Method::Get, uri).build().unwrap();
+            let rendered = RequestRecord::hash_url(&request.uri().to_string());
+            assert_eq!(
+                RequestRecord::hash_target(&request.view()),
+                rendered,
+                "{uri}"
+            );
         }
     }
 

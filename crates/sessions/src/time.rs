@@ -30,11 +30,6 @@ impl SimTime {
         SimTime::from_secs(h * 3600)
     }
 
-    /// Creates a time from days since the epoch.
-    pub fn from_days(d: u64) -> SimTime {
-        SimTime::from_hours(d * 24)
-    }
-
     /// Milliseconds since the epoch.
     pub fn as_millis(self) -> u64 {
         self.0
@@ -90,7 +85,6 @@ mod tests {
     fn constructors_agree() {
         assert_eq!(SimTime::from_secs(1), SimTime::from_millis(1000));
         assert_eq!(SimTime::from_hours(1), SimTime::from_secs(3600));
-        assert_eq!(SimTime::from_days(1), SimTime::from_hours(24));
     }
 
     #[test]
@@ -113,7 +107,7 @@ mod tests {
 
     #[test]
     fn display_format() {
-        let t = SimTime::from_days(2) + 3 * 3_600_000 + 4 * 60_000 + 5 * 1000 + 6;
+        let t = SimTime::from_hours(48) + 3 * 3_600_000 + 4 * 60_000 + 5 * 1000 + 6;
         assert_eq!(t.to_string(), "2+03:04:05.006");
     }
 

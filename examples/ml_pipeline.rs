@@ -6,8 +6,7 @@
 //! Run with `cargo run --release --example ml_pipeline`.
 
 use botwall_bench::{build_ml_corpus, CorpusConfig};
-use botwall_core::staged::StagedPipeline;
-use botwall_ml::{evaluate, AdaBoostBoundary, AdaBoostConfig, AdaBoostModel};
+use botwall_ml::{evaluate, AdaBoostBoundary, AdaBoostConfig, AdaBoostModel, StagedPipeline};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 

@@ -6,17 +6,21 @@
 # most non-test lines. These
 # are the numbers ROADMAP's aim 2 and its re-anchors quote. Plain `wc -l`
 # over `*.rs`: blank lines, comments and in-file test modules all count.
-# The `non-test` column is the part of `src` that is not an in-file test
-# module: each file up to the `#[cfg(test)]` line that opens its test
-# module (all of it when it has none; a `#[cfg(test)]` on a counter or a
-# helper above the module does not end the count), so "non-test lines"
+# The `non-test` column is the part of `src` that is not test code: each
+# file up to the `#[cfg(test)]` line that opens its in-file test module
+# (all of it when it has none; a `#[cfg(test)]` on a counter or a helper
+# above the module does not end the count), less each out-of-line
+# `#[cfg(test)] mod x;` declaration, whose two lines and whose file
+# (`x.rs` beside or under its parent) are test code. So "non-test lines"
 # is a printed number too, and the
 # front door's sum of it (`serve` + `gateway` + `instrument` + `http`,
 # the code a request through `botwall-serve` runs) is printed under the
 # totals instead of being added up by hand, and so are the session
-# layer's (`sessions` + `core`), the in-process clients' (`agents` +
-# `codeen` + the root `examples/`) and the offline study's (`ml` +
-# `bench`: the learner, the baselines and the paper's experiments).
+# layer's (`sessions` + `core`), the serving crates' (the seven crates
+# `botwall-serve` links: the front door, the session layer and
+# `captcha`), the in-process clients' (`agents` + `codeen` + the root
+# `examples/`) and the offline study's (`ml` + `bench`: the learner, the
+# baselines and the paper's experiments).
 # Informational: nothing here fails a build.
 #
 # Usage: scripts/loc.sh
@@ -35,12 +39,16 @@ lines() {
     echo "$total"
 }
 
+source scripts/non_test.sh
+
 # Counts the lines of its input files that come before each file's test
-# module: a `#[cfg(test)]` line with a `mod` line next. One on anything
-# else (a test counter, a test-only method) counts like any line.
+# module, less each out-of-line test module's two lines. A
+# `#[cfg(test)]` on anything else (a test counter, a test-only method)
+# counts like any line.
 before_tests='FNR == 1 { n += cfg; in_tests = 0; cfg = 0 }
     in_tests { next }
-    cfg && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]/ { in_tests = 1; cfg = 0; next }
+    cfg && /'"$mod_line"'[A-Za-z0-9_]+[[:space:]]*;/ { cfg = 0; next }
+    cfg && /'"$mod_line"'/ { in_tests = 1; cfg = 0; next }
     cfg { n++; cfg = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { cfg = 1; next }
     { n++ }
@@ -48,9 +56,8 @@ before_tests='FNR == 1 { n += cfg; in_tests = 0; cfg = 0 }
 
 # Non-test lines of every *.rs file under one directory.
 non_test() {
-    [[ -d $1 ]] || { echo 0; return; }
-    find "$1" -name '*.rs' -not -path '*/target/*' -print0 \
-        | xargs -0 -r awk "$before_tests" | awk '{ sum += $1 } END { print sum + 0 }'
+    non_test_files "$1" | tr '\n' '\0' | xargs -0 -r awk "$before_tests" \
+        | awk '{ sum += $1 } END { print sum + 0 }'
 }
 
 printf '%-22s %8s %8s %8s %8s %8s\n' crate src non-test tests benches total
@@ -78,6 +85,11 @@ done
 printf '%-22s %17d\n' "front door, non-test" "$front"
 printf '%-25s %14d\n' "sessions + core, non-test" \
     $(($(non_test crates/sessions/src) + $(non_test crates/core/src)))
+serving=$front
+for crate in sessions core captcha; do
+    serving=$((serving + $(non_test "crates/$crate/src")))
+done
+printf '%-53s %d\n' "serving crates (botwall-serve's link graph), non-test" "$serving"
 printf '%-42s %d\n' "clients (agents + codeen + examples), non-test" \
     $(($(non_test crates/agents/src) + $(non_test crates/codeen/src) + $(non_test examples)))
 printf '%-34s %8d\n' "offline (ml + bench), non-test" \
@@ -85,6 +97,6 @@ printf '%-34s %8d\n' "offline (ml + bench), non-test" \
 
 echo
 echo "largest src files by non-test lines (non-test lines, lines):"
-find crates/*/src src -name '*.rs' -print0 | while IFS= read -r -d '' file; do
+non_test_files crates/*/src src | while IFS= read -r file; do
         printf '%7d %7d %s\n' "$(awk "$before_tests" "$file")" "$(wc -l < "$file")" "$file"
     done | sort -rn | head -5

@@ -17,9 +17,9 @@
 //! | [`instrument`] | `botwall-instrument` | page rewriting + probes |
 //! | [`detect`] | `botwall-core` | **the detector** (the paper's contribution) |
 //! | [`gateway`] | `botwall-gateway` | **the front door**: one request-decision API |
-//! | [`ml`] | `botwall-ml` | Table-2 features, AdaBoost, baselines |
-//! | [`captcha`] | `botwall-captcha` | CAPTCHA oracle |
-//! | [`agents`] | `botwall-agents` | human/robot workload models |
+//! | [`ml`] | `botwall-ml` | Table-2 features, AdaBoost, baselines, staged pipeline |
+//! | [`captcha`] | `botwall-captcha` | CAPTCHA challenges and policy |
+//! | [`agents`] | `botwall-agents` | human/robot workload models, CAPTCHA solvers |
 //! | [`codeen`] | `botwall-codeen` | open-proxy network simulation |
 //!
 //! # Examples

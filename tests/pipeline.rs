@@ -5,8 +5,9 @@ use botwall::agents::Population;
 use botwall::codeen::network::{Network, NetworkConfig};
 use botwall::codeen::node::Deployment;
 use botwall::detect::classifier::classify_hard;
-use botwall::detect::{Figure2Report, Label, Reason, Table1Report, Verdict};
+use botwall::detect::{Label, Reason, Verdict};
 use botwall::webgraph::{SiteConfig, WebConfig};
+use botwall_bench::{Figure2Report, Table1Report};
 
 fn config(sessions: u32) -> NetworkConfig {
     NetworkConfig {

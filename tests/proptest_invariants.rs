@@ -1,11 +1,11 @@
 //! Cross-crate property tests on the detection invariants.
 
 use botwall::detect::classifier::{classify_online, finalize, Label};
-use botwall::detect::report::RequestCdf;
 use botwall::detect::{EvidenceKind, EvidenceSet};
 use botwall::instrument::beacon;
 use botwall::instrument::token::{BeaconKey, KeyOutcome, TokenState};
 use botwall::sessions::SimTime;
+use botwall_bench::RequestCdf;
 use proptest::prelude::*;
 
 fn arb_kind() -> impl Strategy<Value = EvidenceKind> {
