@@ -6,6 +6,7 @@
 //! Figure 2 plots ("number of requests required to detect").
 
 use botwall_sessions::SimTime;
+use std::fmt;
 
 /// A detection signal observed within a session. Which kinds are hard,
 /// and what each decides, is [`crate::classifier::classify_hard`]'s table.
@@ -116,7 +117,16 @@ pub struct Observation {
 ///
 /// Only the *first* observation per kind is retained (Figure 2 needs
 /// first-detection indices) along with a per-kind count; the verdict it
-/// implies is [`crate::classifier`]'s to decide.
+/// implies is [`crate::classifier`]'s to decide. Entries keep the order
+/// their kinds were first seen in.
+///
+/// Most sessions see one kind or none (a stranger replaying a CSS
+/// probe), so the first entry is kept inline, in the 24 bytes a `Vec`
+/// takes, and a set of one kind holds no heap block. The second kind
+/// spills both into a vector, which grows as `Vec` does (4 → 8 → 16).
+/// The inline entry packs its kind into its count's top byte, so it
+/// also spills before its count would reach 2^24; a count keeps
+/// saturating at `u32::MAX`.
 ///
 /// # Examples
 ///
@@ -130,9 +140,35 @@ pub struct Observation {
 /// assert_eq!(e.first(EvidenceKind::DownloadedCss).unwrap().at_request, 3);
 /// assert_eq!(e.count(EvidenceKind::DownloadedCss), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct EvidenceSet {
-    entries: Vec<(EvidenceKind, Observation, u32)>,
+    entries: Entries,
+}
+
+/// One entry: a kind, its first observation and its count.
+type Entry = (EvidenceKind, Observation, u32);
+
+/// Bits of an inline entry's count; the kind is the byte above them.
+const COUNT_BITS: u32 = 24;
+
+/// The largest count an inline entry holds.
+const INLINE_COUNT_MAX: u32 = (1 << COUNT_BITS) - 1;
+
+/// A set's one representation: an inline entry iff the set holds one
+/// kind whose count is at most [`INLINE_COUNT_MAX`], so `==` compares
+/// values.
+#[derive(Clone, Default, PartialEq, Eq)]
+enum Entries {
+    #[default]
+    Empty,
+    /// The observation's fields, flat (an [`Observation`] has four
+    /// bytes of padding), and `kind << COUNT_BITS | count`.
+    One {
+        at_time: SimTime,
+        at_request: u32,
+        kind_count: u32,
+    },
+    Many(Vec<Entry>),
 }
 
 impl EvidenceSet {
@@ -144,54 +180,138 @@ impl EvidenceSet {
     /// Records an observation of `kind` at request `index`. The count
     /// saturates at `u32::MAX`.
     pub fn record(&mut self, kind: EvidenceKind, index: u32, time: SimTime) {
-        for (k, _, count) in self.entries.iter_mut() {
-            if *k == kind {
-                *count = count.saturating_add(1);
-                return;
+        match &mut self.entries {
+            Entries::Empty => {
+                self.entries = Entries::One {
+                    at_time: time,
+                    at_request: index,
+                    kind_count: ((kind as u32) << COUNT_BITS) | 1,
+                }
             }
-        }
-        botwall_sessions::reserve_one(&mut self.entries);
-        self.entries.push((
-            kind,
-            Observation {
-                at_request: index,
-                at_time: time,
+            Entries::One { kind_count, .. }
+                if *kind_count >> COUNT_BITS == kind as u32
+                    && *kind_count & INLINE_COUNT_MAX < INLINE_COUNT_MAX =>
+            {
+                *kind_count += 1
+            }
+            // A second kind, or a count the inline entry cannot hold:
+            // spill, then record there.
+            Entries::One { .. } => {
+                let mut entries = Vec::new();
+                entries.extend(self.iter());
+                self.entries = Entries::Many(entries);
+                self.record(kind, index, time);
+            }
+            Entries::Many(entries) => match entries.iter_mut().find(|(k, _, _)| *k == kind) {
+                Some((_, _, count)) => *count = count.saturating_add(1),
+                None => entries.push((
+                    kind,
+                    Observation {
+                        at_request: index,
+                        at_time: time,
+                    },
+                    1,
+                )),
             },
-            1,
-        ));
+        }
     }
 
     /// Whether `kind` has been observed.
     pub fn has(&self, kind: EvidenceKind) -> bool {
-        self.entries.iter().any(|(k, _, _)| *k == kind)
+        self.find(kind).is_some()
     }
 
     /// First observation of `kind`, if any.
     pub fn first(&self, kind: EvidenceKind) -> Option<Observation> {
-        self.entries
-            .iter()
-            .find(|(k, _, _)| *k == kind)
-            .map(|(_, o, _)| *o)
+        self.find(kind).map(|(_, o, _)| o)
     }
 
     /// How many times `kind` was observed.
     pub fn count(&self, kind: EvidenceKind) -> u32 {
-        self.entries
-            .iter()
-            .find(|(k, _, _)| *k == kind)
-            .map(|(_, _, c)| *c)
-            .unwrap_or(0)
+        self.find(kind).map_or(0, |(_, _, c)| c)
     }
 
-    /// Iterates `(kind, first observation, count)`.
+    /// Iterates `(kind, first observation, count)`, in the order the
+    /// kinds were first seen.
     pub fn iter(&self) -> impl Iterator<Item = (EvidenceKind, Observation, u32)> + '_ {
-        self.entries.iter().copied()
+        let (inline, spilled) = match &self.entries {
+            Entries::Empty => (None, &[][..]),
+            &Entries::One {
+                at_time,
+                at_request,
+                kind_count,
+            } => {
+                let kind = EvidenceKind::ALL[(kind_count >> COUNT_BITS) as usize];
+                let first = Observation {
+                    at_request,
+                    at_time,
+                };
+                (Some((kind, first, kind_count & INLINE_COUNT_MAX)), &[][..])
+            }
+            Entries::Many(entries) => (None, &entries[..]),
+        };
+        inline.into_iter().chain(spilled.iter().copied())
+    }
+
+    fn find(&self, kind: EvidenceKind) -> Option<Entry> {
+        self.iter().find(|(k, _, _)| *k == kind)
+    }
+}
+
+/// Renders as a `Vec` of its entries would, whichever representation
+/// holds them: the CoDeeN report's pinned digest reads this rendering.
+impl fmt::Debug for EvidenceSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EvidenceSet")
+            .field("entries", &self.iter().collect::<Vec<_>>())
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The set as it was kept before its first entry went inline: the
+    /// model the property holds it to, and the `Debug` it renders as.
+    mod old {
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct EvidenceSet {
+            pub entries: Vec<super::Entry>,
+        }
+    }
+
+    impl old::EvidenceSet {
+        fn record(&mut self, kind: EvidenceKind, index: u32, time: SimTime) {
+            match self.entries.iter_mut().find(|(k, _, _)| *k == kind) {
+                Some((_, _, count)) => *count = count.saturating_add(1),
+                None => self.entries.push((
+                    kind,
+                    Observation {
+                        at_request: index,
+                        at_time: time,
+                    },
+                    1,
+                )),
+            }
+        }
+    }
+
+    /// The one set that holds `entries`, built directly.
+    fn from_entries(entries: &[Entry]) -> EvidenceSet {
+        let entries = match *entries {
+            [] => Entries::Empty,
+            [(kind, first, count)] if count <= INLINE_COUNT_MAX => Entries::One {
+                at_time: first.at_time,
+                at_request: first.at_request,
+                kind_count: ((kind as u32) << COUNT_BITS) | count,
+            },
+            _ => Entries::Many(entries.to_vec()),
+        };
+        EvidenceSet { entries }
+    }
 
     #[test]
     fn first_occurrence_is_kept() {
@@ -206,9 +326,11 @@ mod tests {
 
     #[test]
     fn an_evidence_count_saturates() {
-        let mut e = EvidenceSet::new();
-        e.record(EvidenceKind::DownloadedCss, 1, SimTime::ZERO);
-        e.entries[0].2 = u32::MAX - 1;
+        let first = Observation {
+            at_request: 1,
+            at_time: SimTime::ZERO,
+        };
+        let mut e = from_entries(&[(EvidenceKind::DownloadedCss, first, u32::MAX - 1)]);
         for index in 2..5 {
             e.record(EvidenceKind::DownloadedCss, index, SimTime::ZERO);
         }
@@ -216,13 +338,32 @@ mod tests {
         assert_eq!(e.first(EvidenceKind::DownloadedCss).unwrap().at_request, 1);
     }
 
+    /// The first kind is the one inline slot, and a repeat of it stays
+    /// there; a second kind spills both into a vector of `Vec`'s first
+    /// size, four, so a longer list grows as `Vec` does.
     #[test]
     fn the_first_kind_takes_one_slot() {
         let mut e = EvidenceSet::new();
         e.record(EvidenceKind::DownloadedCss, 1, SimTime::ZERO);
-        assert_eq!(e.entries.capacity(), 1);
         e.record(EvidenceKind::DownloadedCss, 2, SimTime::ZERO);
-        assert_eq!(e.entries.capacity(), 1, "a repeat kind adds no slot");
+        assert!(
+            matches!(e.entries, Entries::One { .. }),
+            "a repeat kind adds no slot"
+        );
+        e.record(EvidenceKind::FetchedDecoy, 3, SimTime::ZERO);
+        let Entries::Many(entries) = &e.entries else {
+            panic!("a second kind spills: {e:?}");
+        };
+        assert_eq!((entries.len(), entries.capacity()), (2, 4));
+    }
+
+    #[test]
+    fn an_inline_kind_is_read_back_as_itself() {
+        for kind in EvidenceKind::ALL {
+            let mut e = EvidenceSet::new();
+            e.record(kind, 1, SimTime::ZERO);
+            assert_eq!(e.iter().map(|(k, _, _)| k).collect::<Vec<_>>(), [kind]);
+        }
     }
 
     #[test]
@@ -231,5 +372,59 @@ mod tests {
         assert!(!e.has(EvidenceKind::DownloadedCss));
         assert_eq!(e.first(EvidenceKind::DownloadedCss), None);
         assert_eq!(e.count(EvidenceKind::DownloadedCss), 0);
+    }
+
+    proptest! {
+        /// Any sequence of records, from empty or from one kind whose
+        /// count is small, at the inline limit or at `u32::MAX`, reads,
+        /// iterates, compares and renders as the `Vec` of entries the
+        /// set kept before: two sets are equal exactly when their models
+        /// are, whichever way each was built. Most records repeat the
+        /// starting kind, so a run crosses the inline limit before a
+        /// second kind spills the set.
+        #[test]
+        fn the_evidence_set_behaves_as_its_entry_list(
+            start in proptest::option::of(prop_oneof![
+                1u32..4,
+                INLINE_COUNT_MAX - 1..INLINE_COUNT_MAX + 2,
+                u32::MAX - 2..=u32::MAX,
+            ]),
+            records in vec(
+                (prop_oneof![Just(0usize), Just(0), 0usize..3, 0usize..12], 0u32..1_000, 0u64..10_000),
+                0..40,
+            ),
+        ) {
+            let mut model = old::EvidenceSet::default();
+            if let Some(count) = start {
+                let first = Observation { at_request: 0, at_time: SimTime::ZERO };
+                model.entries.push((EvidenceKind::ALL[0], first, count));
+            }
+            let mut set = from_entries(&model.entries);
+            let mut seen = Vec::new();
+            for step in 0..=records.len() {
+                if let Some(&(kind, index, ms)) = step.checked_sub(1).map(|at| &records[at]) {
+                    let (kind, time) = (EvidenceKind::ALL[kind], SimTime::from_millis(ms));
+                    set.record(kind, index, time);
+                    model.record(kind, index, time);
+                }
+                for kind in EvidenceKind::ALL {
+                    let entry = model.entries.iter().find(|(k, _, _)| *k == kind);
+                    prop_assert_eq!(set.has(kind), entry.is_some());
+                    prop_assert_eq!(set.first(kind), entry.map(|&(_, o, _)| o));
+                    prop_assert_eq!(set.count(kind), entry.map_or(0, |&(_, _, c)| c));
+                }
+                prop_assert_eq!(set.iter().collect::<Vec<_>>(), model.entries.clone());
+                prop_assert_eq!(format!("{set:?}"), format!("{model:?}"));
+                prop_assert_eq!(format!("{set:#?}"), format!("{model:#?}"));
+                seen.push((set.clone(), model.clone()));
+            }
+            for (a, model_a) in &seen {
+                for (b, model_b) in &seen {
+                    let same = model_a == model_b;
+                    prop_assert_eq!(a == b, same);
+                    prop_assert_eq!(*a == from_entries(&model_b.entries), same);
+                }
+            }
+        }
     }
 }

@@ -9,12 +9,12 @@
 //! reactor), so whatever a window leaves live is what the gateway kept.
 
 use botwall_core::classifier::Verdict;
-use botwall_core::KeyState;
+use botwall_core::{DetectorConfig, EvidenceSet, KeyState};
 use botwall_gateway::{Decision, Gateway, Origin};
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request};
 use botwall_instrument::TokenState;
-use botwall_sessions::{RequestRecord, Session, SessionKey, SimTime};
+use botwall_sessions::{RequestRecord, SeenUrls, Session, SessionKey, SimTime, TrackerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -103,33 +103,37 @@ fn get(uri: &str, agent: &str) -> Request {
 
 /// The heap blocks a stranger's session may hold after its first
 /// contact: its key's `User-Agent` (one copy, shared by the tracker's
-/// index and the session), its one remembered URL and its evidence.
-const FIRST_CONTACT_BLOCKS: i64 = 3;
+/// index and the session). Its one remembered URL and its one evidence
+/// entry are inline in the session and its `KeyState`.
+const FIRST_CONTACT_BLOCKS: i64 = 1;
 
-/// The bytes those blocks may come to. Each list was sized to the one
-/// item it holds when the item went in (`botwall_sessions::reserve_one`):
+/// The bytes that block may come to: a 16-byte `Arc` header and a
+/// ~26-byte agent, 48 bytes measured (the layout rounds to 8). The
+/// bound leaves room for a longer agent, not for either list taking a
+/// block of its own (the seen set's would be 56 bytes in all, the
+/// evidence list's 72).
 ///
-/// - the key's agent: a 16-byte `Arc` header and a ~26-byte agent;
-/// - the seen set: one 8-byte URL hash;
-/// - the evidence list: one 24-byte entry (the CSS probe's).
-///
-/// That is ~80 bytes. The bound leaves 20 bytes for a longer agent, not
-/// room for either list taking `Vec`'s four first slots (the seen set's
-/// would be ~104 bytes in all, the evidence list's ~152).
+/// Counted bytes are what was asked for; RSS sees malloc's chunks,
+/// none smaller than 32 bytes on a 64-bit glibc. While the seen set and
+/// the evidence list each took a block for their first item (three
+/// blocks, ~80 bytes counted), the 8-byte hash and the 24-byte entry
+/// cost a 32-byte chunk each.
 ///
 /// The session's slab slot and index entry are not in this: they are
 /// inline in the tracker's tables, whose growth this median does not
 /// see, and their size is pinned by
 /// `a_live_sessions_inline_state_is_sized_to_its_common_case`.
-const FIRST_CONTACT_BYTES: i64 = 100;
+/// `a_full_table_of_strangers_holds_a_stated_heap_per_session` counts
+/// them.
+const FIRST_CONTACT_BYTES: i64 = 64;
 
 static STRANGERS: Live = Live::new();
 
 /// A harvested CSS probe URL replayed by keys the gateway never saw
 /// (the benchmark's `first_contact` traffic): each is answered by the
-/// gate alone, and each new session holds at most three heap blocks.
+/// gate alone, and each new session holds one heap block.
 #[test]
-fn a_strangers_first_contact_holds_three_blocks() {
+fn a_strangers_first_contact_holds_one_block() {
     let gw = Gateway::builder().seed(36).build();
     let page = "<html><head></head><body><p>hi</p></body></html>";
     let Decision::Serve { manifest, .. } = gw.handle_with(
@@ -165,6 +169,91 @@ fn a_strangers_first_contact_holds_three_blocks() {
     assert!(
         bytes <= FIRST_CONTACT_BYTES,
         "{bytes} bytes, over {FIRST_CONTACT_BYTES}"
+    );
+}
+
+/// Sessions a full table holds when it is weighed whole: the 100 000
+/// the server's tracker is capped at (and the benchmark's
+/// `first_contact` fills) in release, a tenth of that under debug
+/// assertions, as `tests/capacity.rs` scales.
+fn full_table() -> usize {
+    if cfg!(debug_assertions) {
+        10_000
+    } else {
+        100_000
+    }
+}
+
+/// The live heap per session of a table filled to its cap by
+/// one-request strangers, the gateway and the tracker's tables
+/// included. 365 bytes measured in release, 456 under debug assertions:
+///
+/// - the slab slot, 208 bytes, and the index entry, its `SessionKey`
+///   and slot (32 bytes and a control byte in a `HashMap` at most
+///   seven-eighths full);
+/// - the agent, 48 bytes, its only heap block;
+/// - the slack a doubling slab and index leave, by where the cap falls:
+///   100 000 sessions over 16 shards are 6 250 a shard in 8 192 slots,
+///   10 000 are 625 in 1 024.
+///
+/// Counted bytes are not RSS: malloc rounds each block, with its 8-byte
+/// header, up to a 16-byte multiple of at least 32 bytes. While the seen set and the evidence
+/// list each took a block for their first item, a stranger held three
+/// and this read ~20 bytes more (the 8-byte hash and, for half of them,
+/// a 24-byte entry), ~48 bytes more in malloc's chunks.
+const FULL_TABLE_BYTES_PER_SESSION: i64 = 512;
+
+static FULL: Live = Live::new();
+
+/// A gateway's tracker filled to `max_sessions` by the benchmark's
+/// `first_contact` strangers: each replays the CSS probe (even ones) or
+/// the transparent pixel (odd ones) of one harvested page under an agent
+/// of its own, so half of them record evidence and none holds more than
+/// its agent. Weighed whole, from the gateway's construction on.
+#[test]
+fn a_full_table_of_strangers_holds_a_stated_heap_per_session() {
+    let cap = full_table();
+    let mut gateway = None;
+    let (blocks, bytes) = weigh(&FULL, || {
+        let gw = Gateway::builder()
+            .seed(36)
+            .detector(DetectorConfig {
+                tracker: TrackerConfig {
+                    max_sessions: cap,
+                    ..TrackerConfig::default()
+                },
+            })
+            .build();
+        let page = "<html><head></head><body><p>hi</p></body></html>";
+        let Decision::Serve { manifest, .. } = gw.handle_with(
+            &get("http://site.example/index.html", "Mozilla/5.0 harvester"),
+            SimTime::ZERO,
+            |_| Origin::Page(page.to_string()),
+        ) else {
+            panic!("a fresh session's page is served");
+        };
+        let manifest = manifest.unwrap();
+        let probes = [
+            manifest.css_probe.unwrap().to_string(),
+            manifest.transparent_pixel.unwrap().to_string(),
+        ];
+        let now = SimTime::from_secs(1);
+        for n in 1..cap {
+            let stranger = get(&probes[n % 2], &format!("Mozilla/5.0 stranger/{n:06}"));
+            drop(gw.handle_deferred(&stranger, now));
+        }
+        gateway = Some(gw);
+    });
+    let stats = gateway.expect("the gateway was built").stats();
+    assert_eq!((stats.live_sessions, stats.evicted_sessions), (cap, 0));
+    let per_session = bytes / cap as i64;
+    println!(
+        "a full table of {cap} strangers: {blocks} blocks, {bytes} bytes, \
+         {per_session} bytes a session"
+    );
+    assert!(
+        per_session <= FULL_TABLE_BYTES_PER_SESSION,
+        "{per_session} bytes a session, over {FULL_TABLE_BYTES_PER_SESSION}"
     );
 }
 
@@ -204,7 +293,8 @@ fn an_extension_method_session_holds_no_copy_of_its_method() {
 /// [`Session`] record and the detection core's [`KeyState`] (a slab
 /// slot is the two plus the table's links). Token and challenge state,
 /// which only a session served a page or challenged fills, sit behind
-/// one pointer each.
+/// one pointer each. The seen-URL set and the evidence list each take
+/// the 24 bytes of the `Vec` they spill to, their first item inline.
 #[test]
 fn a_live_sessions_inline_state_is_sized_to_its_common_case() {
     use std::mem::size_of;
@@ -213,10 +303,16 @@ fn a_live_sessions_inline_state_is_sized_to_its_common_case() {
         size_of::<TokenState>(),
         size_of::<Session>(),
     );
-    println!("inline: KeyState {key_state} B, TokenState {tokens} B, Session {session} B");
+    let (seen, evidence) = (size_of::<SeenUrls>(), size_of::<EvidenceSet>());
+    println!(
+        "inline: KeyState {key_state} B, TokenState {tokens} B, Session {session} B, \
+         SeenUrls {seen} B, EvidenceSet {evidence} B"
+    );
     assert!(key_state <= 72, "KeyState is {key_state} bytes");
     assert_eq!(tokens, 8, "TokenState is one pointer");
     assert!(session <= 120, "Session is {session} bytes");
+    assert_eq!(seen, 24, "SeenUrls is one Vec wide");
+    assert_eq!(evidence, 24, "EvidenceSet is one Vec wide");
 }
 
 /// A record keeps the five facts the Table-2 attributes count (method,
@@ -287,13 +383,15 @@ fn a_verified_humans_session_holds_no_script() {
 }
 
 /// The live heap one session may hold at every per-session cap
-/// (15 616 bytes measured, 18 176 while it kept a log of its records):
+/// (15 592 bytes measured, 15 616 while its one evidence kind took a
+/// block, 18 176 while it kept a log of its records):
 ///
 /// - the seen-URL set, 512 hashes: 4 096 bytes;
 /// - 64 outstanding page tokens, every script fetched: the entries (96
 ///   bytes each) and their five 16-byte decoys each, ~11 KB in all —
 ///   no script is kept;
-/// - the key's agent and the evidence list, under 300 bytes.
+/// - the key's agent (the one evidence kind it saw is inline), under
+///   300 bytes.
 ///
 /// Times the 100 000-session cap this is ~1.6 GB, the tracker's worst
 /// case (~1.8 GB while a session kept a log of 5-byte records, ~3.6 GB

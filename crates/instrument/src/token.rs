@@ -227,8 +227,10 @@ impl TokenState {
             entries.remove(0);
         }
         // Most sessions are served one page: its list holds one entry
-        // until a second arrives.
-        botwall_sessions::reserve_one(entries);
+        // until a second arrives, and grows as `Vec` does from there.
+        if entries.capacity() == 0 {
+            entries.reserve_exact(1);
+        }
         entries.push(Entry {
             key,
             decoys,
@@ -335,6 +337,18 @@ mod tests {
 
     fn redeem(t: &mut TokenState, key: u128) -> KeyOutcome {
         t.redeem(BeaconKey::from_raw(key), SimTime::ZERO)
+    }
+
+    /// A session served one page holds one entry's slot; a second page
+    /// grows the list as `Vec` does, to four.
+    #[test]
+    fn the_first_entry_takes_one_slot() {
+        let mut t = TokenState::default();
+        let capacity = |t: &TokenState| t.0.as_ref().map_or(0, |t| t.entries.capacity());
+        issue(&mut t, "/a", 1, &[], SimTime::ZERO, 64);
+        assert_eq!(capacity(&t), 1);
+        issue(&mut t, "/b", 2, &[], SimTime::ZERO, 64);
+        assert_eq!(capacity(&t), 4);
     }
 
     #[test]

@@ -89,26 +89,68 @@ impl RequestRecord {
 }
 
 /// The hashes of the first [`MAX_RECORDS_PER_SESSION`] distinct URLs a
-/// session asked for, kept sorted in one flat vector: a lookup is a
-/// binary search, and a session that asked for one URL holds one small
-/// block. Ordered, not hashed, so iteration (and `Debug`, rendered as
-/// the set a `BTreeSet` would print) is the same in every run.
+/// session asked for, kept sorted: a lookup is a binary search. The
+/// first hash is kept inline, so a session that asked for one URL holds
+/// no heap block for it; the second spills both into one flat vector,
+/// which grows as `Vec` does (4 → 8 → … 512). Ordered, not hashed, so
+/// iteration (and `Debug`, rendered as the set a `BTreeSet` would print)
+/// is the same in every run.
 #[derive(Clone, Default, PartialEq, Eq)]
-pub struct SeenUrls(pub(crate) Vec<u64>);
+pub struct SeenUrls(Hashes);
+
+/// A set's one representation: at most one hash is never a vector.
+#[derive(Clone, Default, PartialEq, Eq)]
+enum Hashes {
+    #[default]
+    Empty,
+    One(u64),
+    Many(Vec<u64>),
+}
 
 impl SeenUrls {
+    /// The hashes, ascending.
+    fn as_slice(&self) -> &[u64] {
+        match &self.0 {
+            Hashes::Empty => &[],
+            Hashes::One(hash) => std::slice::from_ref(hash),
+            Hashes::Many(hashes) => hashes,
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
     pub(crate) fn contains(&self, hash: u64) -> bool {
-        self.0.binary_search(&hash).is_ok()
+        self.as_slice().binary_search(&hash).is_ok()
     }
 
     /// Remembers `hash` unless the set is full.
     pub(crate) fn insert(&mut self, hash: u64) {
-        if let Err(at) = self.0.binary_search(&hash) {
-            if self.0.len() < MAX_RECORDS_PER_SESSION {
-                crate::reserve_one(&mut self.0);
-                self.0.insert(at, hash);
+        match &mut self.0 {
+            Hashes::Empty => self.0 = Hashes::One(hash),
+            // A second hash: both spill, sorted.
+            Hashes::One(first) if *first != hash => {
+                let mut hashes = Vec::new();
+                hashes.extend([hash.min(*first), hash.max(*first)]);
+                self.0 = Hashes::Many(hashes);
+            }
+            Hashes::One(_) => {}
+            Hashes::Many(hashes) => {
+                if let Err(at) = hashes.binary_search(&hash) {
+                    if hashes.len() < MAX_RECORDS_PER_SESSION {
+                        hashes.insert(at, hash);
+                    }
+                }
             }
         }
+    }
+
+    /// Whether the set holds no heap block.
+    #[cfg(test)]
+    pub(crate) fn is_inline(&self) -> bool {
+        !matches!(self.0, Hashes::Many(_))
     }
 
     /// The record of one exchange: the `Referer` is looked up before the
@@ -133,7 +175,7 @@ impl SeenUrls {
 
 impl fmt::Debug for SeenUrls {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(&self.0).finish()
+        f.debug_set().entries(self.as_slice()).finish()
     }
 }
 
@@ -206,7 +248,24 @@ mod tests {
         assert!(link.referer_seen);
         let elsewhere = record("http://h/c.html", Some("http://h/z.html"));
         assert!(elsewhere.has_referer && !elsewhere.referer_seen);
-        assert_eq!(seen.0.len(), 3, "a, b and c remembered, z never asked for");
+        assert_eq!(seen.len(), 3, "a, b and c remembered, z never asked for");
+    }
+
+    /// One hash takes no heap block; the second distinct one spills
+    /// both into a vector of `Vec`'s first size, four, so a longer list
+    /// grows as `Vec` does.
+    #[test]
+    fn the_first_hash_is_inline_and_the_second_spills() {
+        let mut seen = SeenUrls::default();
+        seen.insert(9);
+        seen.insert(9);
+        assert!(seen.is_inline(), "a repeat hash does not spill");
+        seen.insert(3);
+        let Hashes::Many(hashes) = &seen.0 else {
+            panic!("two hashes spill: {seen:?}");
+        };
+        assert_eq!((hashes.as_slice(), hashes.capacity()), (&[3, 9][..], 4));
+        assert_eq!(format!("{seen:?}"), "{3, 9}");
     }
 
     #[test]

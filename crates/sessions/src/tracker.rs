@@ -86,18 +86,18 @@
 //! seen-URL set they need, never a log of records or a byte tally.
 //! State a session may never need stays behind a pointer until it does
 //! (token state and its instrumentation RNG until a page is served, a
-//! challenge record until one is issued). A session's lists are sized
-//! to what it has used: the first item of each reserves exactly one
-//! slot ([`crate::reserve_one`]), and `Vec` doubles from there (1 → 4 →
-//! 8 … 512), so a long session's caps and growth are what they were. A
-//! stranger's first exchange leaves three heap blocks, ~80 bytes for a
-//! short `User-Agent`: the key's agent, shared by the index and the
-//! session through one `Arc<str>`; the one URL it remembers (a sorted
-//! `Vec<u64>`, not a B-tree); and the core's evidence list. At every
-//! per-session cap (512 remembered URLs, 64 page tokens, every script
-//! fetched) a session holds ~15.6 KB: a token keeps its script's seed,
-//! never the source. Looking a known key up copies nothing: the index
-//! is searched by the request's borrowed parts (`dyn KeyParts`).
+//! challenge record until one is issued). A session's two lists keep
+//! their first item inline, in the 24 bytes of the `Vec` they spill to
+//! at the second (the seen-URL set here, the core's evidence list in
+//! its extension state), and `Vec` grows from there (4 → 8 … 512), so
+//! a long session's caps and growth are what they were. A stranger's
+//! first exchange leaves one heap block, ~48 bytes for a short
+//! `User-Agent`: the key's agent, shared by the index and the session
+//! through one `Arc<str>`. At every per-session cap (512 remembered
+//! URLs, 64 page tokens, every script fetched) a session holds
+//! ~15.6 KB: a token keeps its script's seed, never the source. Looking
+//! a known key up copies nothing: the index is searched by the
+//! request's borrowed parts (`dyn KeyParts`).
 //! `crates/gateway/tests/session_weight.rs` holds these counts.
 
 use crate::key::{KeyParts, KeyRef, SessionKey};
@@ -1301,7 +1301,7 @@ mod tests {
             k = Some(key);
         }
         let s = t.get(&k.unwrap()).unwrap();
-        assert_eq!(s.seen_urls.0.len(), MAX_RECORDS_PER_SESSION);
+        assert_eq!(s.seen_urls.len(), MAX_RECORDS_PER_SESSION);
         assert_eq!(s.request_count(), requests);
     }
 
@@ -1318,7 +1318,7 @@ mod tests {
         }
         let key = k.unwrap();
         let s = t.get(&key).unwrap();
-        assert_eq!(s.seen_urls.0.len(), MAX_RECORDS_PER_SESSION);
+        assert_eq!(s.seen_urls.len(), MAX_RECORDS_PER_SESSION);
         assert_eq!(s.request_count(), 2_000);
         // A Referer naming a remembered URL reads seen; one naming a
         // URL past the bound reads unseen.
@@ -1332,7 +1332,7 @@ mod tests {
         let s = t.get(&key).unwrap();
         assert_eq!(s.counters().with_referer, 2);
         assert_eq!(s.counters().unseen_referer, 1);
-        assert_eq!(s.seen_urls.0.len(), MAX_RECORDS_PER_SESSION);
+        assert_eq!(s.seen_urls.len(), MAX_RECORDS_PER_SESSION);
     }
 
     #[test]
@@ -2193,7 +2193,9 @@ mod tests {
         /// The flat seen-URL set answers, counts and renders as the
         /// `BTreeSet` it replaced, kept the same way: any URL (of a
         /// sequence long enough to fill it, with repeats) is remembered
-        /// while fewer than the cap are.
+        /// while fewer than the cap are. It holds one hash inline and
+        /// spills at the second distinct one, and a set equals the one
+        /// rebuilt from the model, whichever way each was filled.
         #[test]
         fn the_seen_set_behaves_as_a_capped_btree_set(
             urls in vec(prop_oneof![0u64..600, any::<u64>()], 0..1_400),
@@ -2208,9 +2210,17 @@ mod tests {
                 let probe = probes[i % probes.len()];
                 prop_assert_eq!(seen.contains(probe), model.contains(&probe));
                 prop_assert_eq!(seen.contains(url), model.contains(&url));
-                prop_assert_eq!(seen.0.len(), model.len());
+                prop_assert_eq!(seen.len(), model.len());
+                prop_assert_eq!(seen.is_inline(), model.len() <= 1);
+                if model.len() <= 2 {
+                    prop_assert_eq!(format!("{seen:?}"), format!("{model:?}"));
+                    prop_assert_eq!(format!("{seen:#?}"), format!("{model:#?}"));
+                    let mut rebuilt = SeenUrls::default();
+                    model.iter().rev().for_each(|&hash| rebuilt.insert(hash));
+                    prop_assert_eq!(&seen, &rebuilt);
+                }
             }
-            prop_assert!(seen.0.len() <= MAX_RECORDS_PER_SESSION);
+            prop_assert!(seen.len() <= MAX_RECORDS_PER_SESSION);
             prop_assert_eq!(format!("{seen:#?}"), format!("{model:#?}"));
             prop_assert_eq!(format!("{seen:?}"), format!("{model:?}"));
         }
