@@ -102,9 +102,10 @@ fn get(uri: &str, agent: &str) -> Request {
 }
 
 /// The heap blocks a stranger's session may hold after its first
-/// contact: its key's `User-Agent` (one copy, shared by the tracker's
-/// index and the session). Its one remembered URL and its one evidence
-/// entry are inline in the session and its `KeyState`.
+/// contact: its key's `User-Agent` (one copy, in the session's slab
+/// slot; the tracker's index keeps the slot and a hash tag, no key).
+/// Its one remembered URL and its one evidence entry are inline in the
+/// session and its `KeyState`.
 const FIRST_CONTACT_BLOCKS: i64 = 1;
 
 /// The bytes that block may come to: a 16-byte `Arc` header and a
@@ -119,10 +120,11 @@ const FIRST_CONTACT_BLOCKS: i64 = 1;
 /// blocks, ~80 bytes counted), the 8-byte hash and the 24-byte entry
 /// cost a 32-byte chunk each.
 ///
-/// The session's slab slot and index entry are not in this: they are
+/// The session's slab slot and index bucket are not in this: they are
 /// inline in the tracker's tables, whose growth this median does not
-/// see, and their size is pinned by
-/// `a_live_sessions_inline_state_is_sized_to_its_common_case`.
+/// see; the slot's parts are pinned by
+/// `a_live_sessions_inline_state_is_sized_to_its_common_case`, the
+/// bucket at 8 bytes where the sessions crate defines it.
 /// `a_full_table_of_strangers_holds_a_stated_heap_per_session` counts
 /// them.
 const FIRST_CONTACT_BYTES: i64 = 64;
@@ -186,22 +188,28 @@ fn full_table() -> usize {
 
 /// The live heap per session of a table filled to its cap by
 /// one-request strangers, the gateway and the tracker's tables
-/// included. 365 bytes measured in release, 456 under debug assertions:
+/// included. 332 bytes measured in release, 415 under debug assertions
+/// (365 and 456 while the index was a `HashMap` that kept a copy of
+/// each key):
 ///
-/// - the slab slot, 208 bytes, and the index entry, its `SessionKey`
-///   and slot (32 bytes and a control byte in a `HashMap` at most
-///   seven-eighths full);
+/// - the slab slot, 208 bytes, and the index bucket, the slot and 32
+///   bits of the key's hash, 8 bytes in an index at most seven-eighths
+///   full (the key is stored only in the slot; a `HashMap` bucket of
+///   key and slot was 32 bytes and a control byte);
 /// - the agent, 48 bytes, its only heap block;
 /// - the slack a doubling slab and index leave, by where the cap falls:
 ///   100 000 sessions over 16 shards are 6 250 a shard in 8 192 slots,
 ///   10 000 are 625 in 1 024.
 ///
-/// Counted bytes are not RSS: malloc rounds each block, with its 8-byte
-/// header, up to a 16-byte multiple of at least 32 bytes. While the seen set and the evidence
-/// list each took a block for their first item, a stranger held three
-/// and this read ~20 bytes more (the 8-byte hash and, for half of them,
-/// a 24-byte entry), ~48 bytes more in malloc's chunks.
-const FULL_TABLE_BYTES_PER_SESSION: i64 = 512;
+/// The bound is ~5 % over the measurement and below what the `HashMap`
+/// index read, so a copy of the key back in the index fails it. Counted
+/// bytes are not RSS: malloc rounds each block,
+/// with its 8-byte header, up to a 16-byte multiple of at least 32
+/// bytes. While the seen set and the evidence list each took a block
+/// for their first item, a stranger held three and this read ~20 bytes
+/// more (the 8-byte hash and, for half of them, a 24-byte entry), ~48
+/// bytes more in malloc's chunks.
+const FULL_TABLE_BYTES_PER_SESSION: i64 = if cfg!(debug_assertions) { 436 } else { 348 };
 
 static FULL: Live = Live::new();
 
@@ -326,12 +334,14 @@ fn a_request_record_holds_only_what_the_features_read() {
 }
 
 /// The bytes a verified human's session may hold once its page, its
-/// script and its mouse beacon are in (~560 measured). Its one token
+/// script and its mouse beacon are in (400 measured). Its one token
 /// entry keeps the seed its script is written from on every fetch,
 /// never the ~1.85 KB source, and its token list is sized to that one
-/// entry. (The same walk left 2 784 bytes while a fetched script stayed
-/// in its entry and the list took four slots.)
-const VERIFIED_HUMAN_BYTES: i64 = 1300;
+/// entry; its instrumentation RNG is kept as the number of words drawn
+/// from its stream, not as a 136-byte generator. (The same walk left
+/// 536 bytes while the generator was kept, and 2 784 while a fetched
+/// script stayed in its entry and the list took four slots.)
+const VERIFIED_HUMAN_BYTES: i64 = 440;
 
 static HUMAN: Live = Live::new();
 
@@ -383,8 +393,9 @@ fn a_verified_humans_session_holds_no_script() {
 }
 
 /// The live heap one session may hold at every per-session cap
-/// (15 592 bytes measured, 15 616 while its one evidence kind took a
-/// block, 18 176 while it kept a log of its records):
+/// (15 456 bytes measured, 15 592 while it kept its RNG whole, 15 616
+/// while its one evidence kind took a block, 18 176 while it kept a log
+/// of its records):
 ///
 /// - the seen-URL set, 512 hashes: 4 096 bytes;
 /// - 64 outstanding page tokens, every script fetched: the entries (96

@@ -345,7 +345,7 @@ impl Minted {
 ///     .build()
 ///     .unwrap();
 /// let mut tokens = TokenState::default();
-/// // 1234: the session's stream seed, asked for once, on its first page.
+/// // 1234: the session's stream seed, asked for on each page.
 /// let mut stream = engine.begin_session_page(&page, &mut tokens, || 1234, SimTime::ZERO);
 /// assert_eq!(tokens.len(), 1, "the token is in before a body byte");
 /// let mut html = Vec::new();
@@ -517,8 +517,8 @@ impl RewriteEngine {
 
     /// [`RewriteEngine::begin_stream`] for the page `request` asked for,
     /// into the session it was asked in: the randomness comes from the
-    /// session's own stream (seeded from `stream_seed()` on first use:
-    /// a session's later pages never call it), the probe URLs point at
+    /// session's own stream (reseeded from `stream_seed()` and moved past
+    /// what the session's earlier pages drew), the probe URLs point at
     /// [`Request::authority`] (a browser talking to a reverse proxy names
     /// the site in its `Host` header, not in the request target), and the
     /// issued token — its script still a seed — is in `tokens` before a
@@ -532,8 +532,9 @@ impl RewriteEngine {
         stream_seed: impl FnOnce() -> u64,
         now: SimTime,
     ) -> StreamingRewrite {
-        let rng = tokens.rng_seeded(stream_seed);
-        let stream = self.mint(request.authority().as_deref(), now, rng);
+        let stream = tokens.draw(stream_seed, |rng| {
+            self.mint(request.authority().as_deref(), now, rng)
+        });
         // The stream keeps its own: a manifest derived later spells the
         // decoy URLs from it.
         if let Some(token) = stream.token() {

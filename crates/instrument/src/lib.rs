@@ -38,8 +38,9 @@
 //! let page = Request::builder(Method::Get, "http://www.example.com/foo.html")
 //!     .build()
 //!     .unwrap();
-//! // 7: the session's RNG stream, seeded on its first page. The page
-//! // goes through as the origin sends it, here in one chunk.
+//! // 7: the session's RNG stream, each page picking it up where the
+//! // last left it. The page goes through as the origin sends it, here
+//! // in one chunk.
 //! let mut stream = engine.begin_session_page(&page, &mut tokens, || 7, SimTime::ZERO);
 //! let mut html = Vec::new();
 //! stream.write(b"<html><head></head><body></body></html>", &mut html);

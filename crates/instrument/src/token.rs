@@ -157,14 +157,15 @@ impl Entry {
 /// inside the session's tracker shard entry, so every operation on it —
 /// issuing keys at page-rewrite time, redeeming them when a beacon
 /// fires, writing a fetched script from its seed — happens under the shard
-/// lock the request already holds. It also owns the session's
-/// deterministic RNG stream (seeded by the engine's secret and the session identity), so
-/// instrumentation randomness needs no shared generator.
+/// lock the request already holds. It also keeps the session's place in
+/// its deterministic RNG stream (seeded by the engine's secret and the
+/// session identity), so instrumentation randomness needs no shared
+/// generator: the words drawn so far, not the generator.
 ///
 /// A session that was never issued a key nor drew from its RNG — most
 /// sessions are never served a page — holds one null pointer (8 bytes
-/// inline, nothing on the heap); the entries list and the RNG live
-/// together behind it from the first issue or draw on.
+/// inline, nothing on the heap); the entries list and the stream
+/// position live together behind it from the first issue or draw on.
 ///
 /// # Examples
 ///
@@ -186,7 +187,8 @@ pub struct TokenState(Option<Box<Tokens>>);
 #[derive(Debug, Default)]
 struct Tokens {
     entries: Vec<Entry>,
-    rng: Option<ChaCha8Rng>,
+    /// Words drawn from the session's RNG stream.
+    drawn: u64,
 }
 
 impl TokenState {
@@ -310,22 +312,31 @@ impl TokenState {
         self.len() == 0
     }
 
-    /// The session's instrumentation RNG, seeded on first use from
-    /// `stream_seed()` (derived by the engine from its secret and the
-    /// session identity, so streams never collide across sessions and
-    /// identical runs draw identical streams), which is not called again.
-    pub fn rng_seeded(&mut self, stream_seed: impl FnOnce() -> u64) -> &mut ChaCha8Rng {
-        self.0
-            .get_or_insert_with(Box::default)
-            .rng
-            .get_or_insert_with(|| ChaCha8Rng::seed_from_u64(stream_seed()))
+    /// Runs `f` on the session's instrumentation RNG: the stream
+    /// `stream_seed()` seeds (derived by the engine from its secret and
+    /// the session identity, so streams never collide across sessions and
+    /// identical runs draw identical streams), moved past the words
+    /// earlier draws took. Only the new position is kept, so every call
+    /// reseeds, and a session's draws are the one stream's words in
+    /// order, as if one generator had made them all.
+    pub fn draw<T>(
+        &mut self,
+        stream_seed: impl FnOnce() -> u64,
+        f: impl FnOnce(&mut ChaCha8Rng) -> T,
+    ) -> T {
+        let tokens = self.0.get_or_insert_with(Box::default);
+        let mut rng = ChaCha8Rng::seed_from_u64(stream_seed());
+        rng.set_word_pos(u128::from(tokens.drawn));
+        let out = f(&mut rng);
+        tokens.drawn = u64::try_from(rng.get_word_pos()).expect("under 2^64 words drawn");
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand_chacha::rand_core::SeedableRng;
+    use rand_chacha::rand_core::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     /// Issues `<page, key>` with `decoys` at `at`, under a bound of
@@ -349,6 +360,28 @@ mod tests {
         assert_eq!(capacity(&t), 1);
         issue(&mut t, "/b", 2, &[], SimTime::ZERO, 64);
         assert_eq!(capacity(&t), 4);
+    }
+
+    /// Draws spread over calls, each call a fresh generator moved to the
+    /// kept position, are the words one generator seeded once draws in a
+    /// row, 32- and 64-bit draws mixed across block boundaries.
+    #[test]
+    fn draws_over_calls_are_one_stream() {
+        let mut t = TokenState::default();
+        let mut one = ChaCha8Rng::seed_from_u64(77);
+        let take = |rng: &mut ChaCha8Rng, n: u64| -> Vec<u64> {
+            (0..n)
+                .map(|i| match i % 3 {
+                    0 => u64::from(rng.next_u32()),
+                    _ => rng.next_u64(),
+                })
+                .collect()
+        };
+        for n in 0..40 {
+            let drawn = t.draw(|| 77, |rng| take(rng, n % 9));
+            assert_eq!(drawn, take(&mut one, n % 9), "call {n}");
+        }
+        assert_eq!(t.len(), 0, "drawing issues nothing");
     }
 
     #[test]

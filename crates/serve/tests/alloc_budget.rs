@@ -168,8 +168,9 @@ const PAGES: u64 = 128;
 /// build reads up to ~3 higher from the byte-a-chunk origin (17.25-20.00
 /// against 16.25-17.50).
 /// Most of what is left is the owned request a lease builds, the page's
-/// one markup buffer, its beacon token (kept by the rewriter and issued
-/// into the session as a copy) and the token entry's page path.
+/// one markup buffer and its beacon token with its decoy list (kept by
+/// the rewriter and issued into the session as a copy); a token entry
+/// keeps no page path.
 const BEFORE: [f64; 3] = [14.92, 15.15, 16.88];
 const SLACK: f64 = 4.0;
 

@@ -26,9 +26,10 @@ fn cut(agent: &str) -> &str {
 
 /// The two parts a session key is made of, however they are held: an
 /// owned [`SessionKey`], or a request's address and the borrowed head of
-/// its `User-Agent`. A tracker's index is keyed by `SessionKey` and
-/// looked up by `dyn KeyParts` (through `Borrow`), so finding a key
-/// already known copies nothing.
+/// its `User-Agent`. A tracker's index is looked up by `dyn KeyParts`
+/// (through `Borrow`): it hashes the parts and compares them with the
+/// `SessionKey` in the slot a bucket names, so finding a key already
+/// known copies nothing.
 pub trait KeyParts {
     /// The client address.
     fn ip(&self) -> ClientIp;
@@ -118,9 +119,10 @@ impl KeyParts for KeyRef<'_> {
 /// assert_eq!(k.user_agent(), "Opera/8.51");
 /// ```
 ///
-/// The agent is an `Arc<str>`: a tracker's index and the session it
-/// names share one allocation, and a clone copies no bytes. `Hash`,
-/// `Eq`, `Ord` and `Debug` read it as the `str` it holds.
+/// The agent is an `Arc<str>`, so a clone copies no bytes. A live
+/// session's key is stored once, in its slab slot: the tracker's index
+/// keeps only the slot and a hash of the key. `Hash`, `Eq`, `Ord` and
+/// `Debug` read the agent as the `str` it holds.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionKey {
     ip: ClientIp,

@@ -5,15 +5,19 @@
 //! smallest key among up to [`TIE_WALK_BOUND`] values sharing the cold
 //! end's stamp) and [`Table::pop_expired`] pops cold ends while they
 //! are stale. The order is a function of the operation history alone,
-//! never of `HashMap` iteration. A tracker shard keeps two: its live
-//! sessions, stamped by their last exchange, and its parked carries,
-//! stamped when parked.
+//! never of hash order. A tracker shard keeps two: its live sessions,
+//! stamped by their last exchange, and its parked carries, stamped when
+//! parked.
+//!
+//! The key is stored once, in the value in its slab slot. The index
+//! keeps only the slot and 32 bits of the key's hash (an 8-byte
+//! [`Bucket`]), and a lookup compares a candidate's key in the slab.
 
 use crate::key::SessionKey;
 use crate::time::SimTime;
 use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash};
 
 /// What a [`Table`] needs of a value: the key it is filed under and the
 /// instant its place in the idle order stands for.
@@ -33,6 +37,156 @@ const NIL: u32 = u32::MAX;
 /// may cost more than a fixed number of values there.
 pub(crate) const TIE_WALK_BOUND: usize = 8;
 
+/// One index bucket: the slab slot a key is filed in ([`NIL`] when the
+/// bucket is empty) and the low 32 bits of the key's hash, its tag. The
+/// tag's low bits name the bucket's home, so the index grows without
+/// reading a key.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    slot: u32,
+    tag: u32,
+}
+
+const EMPTY: Bucket = Bucket { slot: NIL, tag: 0 };
+
+const _: () = assert!(std::mem::size_of::<Bucket>() == 8);
+
+/// Which slot each filed key is in: buckets probed linearly from the
+/// home the key's tag names, at most seven-eighths full, emptied by
+/// backward shift (no tombstones). The hash is std's per-process keyed
+/// SipHash: a key's agent is client input, and an unkeyed hash would
+/// let a client line its keys up on one probe chain.
+#[derive(Debug)]
+struct Index<S = RandomState> {
+    /// Empty until the first key is filed, a power of two long after.
+    buckets: Vec<Bucket>,
+    /// Occupied buckets.
+    len: usize,
+    hasher: S,
+}
+
+impl<S: Default> Default for Index<S> {
+    fn default() -> Self {
+        Index {
+            buckets: Vec::new(),
+            len: 0,
+            hasher: S::default(),
+        }
+    }
+}
+
+impl<S: BuildHasher> Index<S> {
+    /// The tag `key` is filed under.
+    fn tag<Q: Hash + ?Sized>(&self, key: &Q) -> u32 {
+        self.hasher.hash_one(key) as u32
+    }
+
+    /// Where the probe from `tag`'s home first meets a bucket `hit`
+    /// holds for, if before an empty one.
+    fn position(&self, tag: u32, hit: impl Fn(Bucket) -> bool) -> Option<usize> {
+        let mask = self.buckets.len().checked_sub(1)?;
+        let mut at = tag as usize & mask;
+        loop {
+            let bucket = self.buckets[at];
+            if bucket.slot == NIL {
+                return None;
+            }
+            if hit(bucket) {
+                return Some(at);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The slot filed under `tag` whose key `is` accepts.
+    fn find(&self, tag: u32, is: impl Fn(u32) -> bool) -> Option<u32> {
+        let at = self.position(tag, |bucket| bucket.tag == tag && is(bucket.slot))?;
+        Some(self.buckets[at].slot)
+    }
+
+    /// Files `slot` under `tag`; its key is not filed yet.
+    fn insert(&mut self, tag: u32, slot: u32) {
+        if (self.len + 1) * 8 > self.buckets.len() * 7 {
+            let size = (self.buckets.len() * 2).max(4);
+            let old = std::mem::replace(&mut self.buckets, vec![EMPTY; size]);
+            for bucket in old.into_iter().filter(|bucket| bucket.slot != NIL) {
+                self.place(bucket);
+            }
+        }
+        self.place(Bucket { slot, tag });
+        self.len += 1;
+    }
+
+    /// Puts `bucket` in the first empty bucket from its home on.
+    fn place(&mut self, bucket: Bucket) {
+        let mask = self.buckets.len() - 1;
+        let mut at = bucket.tag as usize & mask;
+        while self.buckets[at].slot != NIL {
+            at = (at + 1) & mask;
+        }
+        self.buckets[at] = bucket;
+    }
+
+    /// Unfiles `slot`, filed under `tag`. Each later bucket of the run
+    /// whose probe passed the hole (its home cyclically at or before the
+    /// hole) moves back into it, leaving a new hole where it was, so
+    /// every key stays reachable from its home.
+    fn remove(&mut self, tag: u32, slot: u32) {
+        let mut hole = self
+            .position(tag, |bucket| bucket.slot == slot)
+            .expect("a filed slot is indexed");
+        let mask = self.buckets.len() - 1;
+        let mut at = hole;
+        loop {
+            at = (at + 1) & mask;
+            let bucket = self.buckets[at];
+            if bucket.slot == NIL {
+                break;
+            }
+            let home = bucket.tag as usize & mask;
+            if at.wrapping_sub(home) & mask >= at.wrapping_sub(hole) & mask {
+                self.buckets[hole] = bucket;
+                hole = at;
+            }
+        }
+        self.buckets[hole] = EMPTY;
+        self.len -= 1;
+    }
+
+    /// Checks that the index holds `len` buckets, each naming a
+    /// different slot, a slot `tag_of` says is filed under its tag, and
+    /// each reachable from its home through occupied buckets; and that
+    /// it is at most seven-eighths full, so every probe ends. `name`
+    /// labels a failure.
+    ///
+    /// # Panics
+    ///
+    /// If any of that fails.
+    fn check(&self, name: &str, tag_of: impl Fn(u32) -> Option<u32>) {
+        let mask = self.buckets.len().wrapping_sub(1);
+        let mut slots = Vec::with_capacity(self.len);
+        for (at, bucket) in self.buckets.iter().enumerate() {
+            if bucket.slot == NIL {
+                continue;
+            }
+            let slot = bucket.slot;
+            slots.push(slot);
+            assert_eq!(tag_of(slot), Some(bucket.tag), "{name}: slot {slot}'s tag");
+            let mut back = at;
+            while back != bucket.tag as usize & mask {
+                back = back.wrapping_sub(1) & mask;
+                let gap = self.buckets[back].slot == NIL;
+                assert!(!gap, "{name}: slot {slot} cut off from its home");
+            }
+        }
+        assert_eq!(slots.len(), self.len, "{name}: buckets vs len");
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots.len(), self.len, "{name}: a slot indexed twice");
+        assert!(self.len * 8 <= self.buckets.len() * 7, "{name}: overfull");
+    }
+}
+
 /// One slab slot's occupant: the value plus its neighbours in the idle
 /// order, as slot indices.
 #[derive(Debug)]
@@ -48,7 +202,7 @@ struct Node<V> {
 /// docs).
 #[derive(Debug)]
 pub(crate) struct Table<V> {
-    index: HashMap<SessionKey, u32>,
+    index: Index,
     slab: Vec<Option<Node<V>>>,
     /// Vacant slab slots, reused before the slab grows.
     free: Vec<u32>,
@@ -64,7 +218,7 @@ pub(crate) struct Table<V> {
 impl<V> Default for Table<V> {
     fn default() -> Self {
         Table {
-            index: HashMap::new(),
+            index: Index::default(),
             slab: Vec::new(),
             free: Vec::new(),
             cold: NIL,
@@ -77,11 +231,11 @@ impl<V> Default for Table<V> {
 impl<V: Stamped> Table<V> {
     /// Values filed.
     pub(crate) fn len(&self) -> usize {
-        self.index.len()
+        self.index.len
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// Slab slots ever allocated, occupied or vacant: the high-water mark
@@ -96,7 +250,10 @@ impl<V: Stamped> Table<V> {
         SessionKey: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.index.get(key).copied()
+        let tag = self.index.tag(key);
+        self.index.find(tag, |slot| {
+            <SessionKey as Borrow<Q>>::borrow(self.get(slot).key()) == key
+        })
     }
 
     fn node(&self, slot: u32) -> &Node<V> {
@@ -168,7 +325,7 @@ impl<V: Stamped> Table<V> {
 
     /// Files a value whose key is not filed yet, at the warm end.
     pub(crate) fn insert(&mut self, value: V) -> u32 {
-        let key = value.key().clone();
+        let tag = self.index.tag(value.key());
         let node = Some(Node {
             value,
             prev: NIL,
@@ -188,7 +345,7 @@ impl<V: Stamped> Table<V> {
                 slot
             }
         };
-        self.index.insert(key, slot);
+        self.index.insert(tag, slot);
         self.link_warm(slot);
         slot
     }
@@ -203,7 +360,7 @@ impl<V: Stamped> Table<V> {
             .take()
             .expect("a linked slot holds a value");
         self.free.push(slot);
-        self.index.remove(node.value.key());
+        self.index.remove(self.index.tag(node.value.key()), slot);
         node.value
     }
 
@@ -269,18 +426,21 @@ impl<V: Stamped> Table<V> {
         })
     }
 
-    /// Checks that the structures agree: every filed key sits in the slot
-    /// the index names, the idle order links exactly the filed values,
-    /// both ways, the free list names exactly the vacant slots, once
-    /// each, and the cached victim is not vacant. `name` labels a failure.
+    /// Checks that the structures agree: every index bucket names a
+    /// filed slot whose key hashes to the bucket's tag and is reachable
+    /// from its home, one bucket a filed value; the idle order links
+    /// exactly the filed values, both ways; the free list names exactly
+    /// the vacant slots, once each; and the cached victim is not vacant.
+    /// `name` labels a failure.
     ///
     /// # Panics
     ///
     /// If they disagree.
     pub(crate) fn check(&self, name: &str) {
-        for (key, &slot) in &self.index {
-            assert_eq!(self.get(slot).key(), key, "{name}");
-        }
+        self.index.check(name, |slot| {
+            let node = self.slab.get(slot as usize)?.as_ref()?;
+            Some(self.index.tag(node.value.key()))
+        });
         let (mut linked, mut colder, mut at) = (0, NIL, self.cold);
         while at != NIL {
             assert_eq!(self.node(at).prev, colder, "{name} slot {at}");
@@ -307,6 +467,8 @@ mod tests {
     use botwall_http::request::ClientIp;
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use std::collections::HashMap;
+    use std::hash::{BuildHasherDefault, Hasher};
 
     #[derive(Debug)]
     struct Item {
@@ -473,6 +635,73 @@ mod tests {
                 let order: Vec<(SimTime, SessionKey)> =
                     table.order().map(|v| (v.stamp, v.key.clone())).collect();
                 prop_assert_eq!(&order, &model.order);
+            }
+        }
+    }
+
+    /// A hash that sends every key to one of the last three buckets,
+    /// whatever the index's size: every probe chain wraps past the end,
+    /// and most tags are shared, so finding a key compares keys.
+    #[derive(Default)]
+    struct Crowded(u64);
+
+    impl Hasher for Crowded {
+        fn finish(&self) -> u64 {
+            u64::MAX - self.0 % 3
+        }
+
+        fn write(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = self.0.wrapping_mul(31).wrapping_add(u64::from(b));
+            }
+        }
+    }
+
+    proptest! {
+        /// Random files, unfiles and finds on the index alone, its keys
+        /// held by slot as a slab holds them, against a `HashMap` from
+        /// key to slot. Each step checks the index: every bucket names
+        /// a filed slot under its key's tag, reachable from its home.
+        #[test]
+        fn the_index_finds_what_a_map_finds_on_crowded_chains(
+            ops in vec((0u8..3, 0u8..48), 1..300),
+        ) {
+            let mut index: Index<BuildHasherDefault<Crowded>> = Index::default();
+            let mut keys: Vec<Option<u8>> = Vec::new();
+            let mut model: HashMap<u8, u32> = HashMap::new();
+            for (op, k) in ops {
+                let tag = index.tag(&k);
+                let found = index.find(tag, |slot| keys[slot as usize] == Some(k));
+                prop_assert_eq!(found, model.get(&k).copied());
+                match (op, found) {
+                    // File twice as often as unfile, so chains grow.
+                    (0..=1, None) => {
+                        let slot = match keys.iter().position(Option::is_none) {
+                            Some(slot) => slot,
+                            None => {
+                                keys.push(None);
+                                keys.len() - 1
+                            }
+                        };
+                        keys[slot] = Some(k);
+                        index.insert(tag, slot as u32);
+                        model.insert(k, slot as u32);
+                    }
+                    (2, Some(slot)) => {
+                        index.remove(tag, slot);
+                        keys[slot as usize] = None;
+                        model.remove(&k);
+                    }
+                    _ => {}
+                }
+                index.check("index", |slot| {
+                    keys.get(slot as usize).copied().flatten().map(|k| index.tag(&k))
+                });
+                prop_assert_eq!(index.len, model.len());
+            }
+            for (k, slot) in &model {
+                let found = index.find(index.tag(k), |s| keys[s as usize] == Some(*k));
+                prop_assert_eq!(found, Some(*slot));
             }
         }
     }

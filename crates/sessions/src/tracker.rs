@@ -79,25 +79,27 @@
 //! # What a session weighs
 //!
 //! A live session is one slab slot (its [`Session`], its extension
-//! state and two links) plus one index entry (its [`SessionKey`] and
+//! state and two links) plus one 8-byte index bucket (the slot and 32
+//! bits of its key's hash; the [`SessionKey`] is stored only in the
 //! slot). Under the detection core's extension state a slot is 208
 //! bytes on a 64-bit target, 120 of them the [`Session`]: the 13 `u32`
 //! counters the Table-2 features and the §3.2 policy read and the
 //! seen-URL set they need, never a log of records or a byte tally.
 //! State a session may never need stays behind a pointer until it does
-//! (token state and its instrumentation RNG until a page is served, a
-//! challenge record until one is issued). A session's two lists keep
-//! their first item inline, in the 24 bytes of the `Vec` they spill to
-//! at the second (the seen-URL set here, the core's evidence list in
-//! its extension state), and `Vec` grows from there (4 → 8 … 512), so
-//! a long session's caps and growth are what they were. A stranger's
-//! first exchange leaves one heap block, ~48 bytes for a short
-//! `User-Agent`: the key's agent, shared by the index and the session
-//! through one `Arc<str>`. At every per-session cap (512 remembered
-//! URLs, 64 page tokens, every script fetched) a session holds
-//! ~15.6 KB: a token keeps its script's seed, never the source. Looking
-//! a known key up copies nothing: the index is searched by the
-//! request's borrowed parts (`dyn KeyParts`).
+//! (token state and its place in its instrumentation RNG stream until a
+//! page is served, a challenge record until one is issued). A session's
+//! two lists keep their first item inline, in the 24 bytes of the `Vec`
+//! they spill to at the second (the seen-URL set here, the core's
+//! evidence list in its extension state), and `Vec` grows from there
+//! (4 → 8 … 512), so a long session's caps and growth are what they
+//! were. A stranger's first exchange leaves one heap block, ~48 bytes
+//! for a short `User-Agent`: the key's agent, one `Arc<str>`. At every
+//! per-session cap (512 remembered URLs, 64 page tokens, every script
+//! fetched) a session holds ~15.6 KB: a token keeps its script's seed,
+//! never the source. Looking a known key up copies nothing: the index
+//! is searched by the hash of the request's borrowed parts
+//! (`dyn KeyParts`), and a bucket whose tag matches is confirmed against
+//! the key in its slot.
 //! `crates/gateway/tests/session_weight.rs` holds these counts.
 
 use crate::key::{KeyParts, KeyRef, SessionKey};
@@ -1088,7 +1090,8 @@ impl<E: SessionExt> ShardedTracker<E> {
 
     /// Counts what the tracker holds (one shard lock at a time) and
     /// checks that each shard's two tables agree with themselves: every
-    /// indexed key sits in the slot the index names, the idle order
+    /// index bucket names a filed slot whose key hashes to its tag and
+    /// is reachable from its home, one bucket a value, the idle order
     /// links exactly the indexed values, both ways, and the free list
     /// names exactly the vacant slab slots, once each. A soak or model
     /// test calls this after the operations it distrusts.

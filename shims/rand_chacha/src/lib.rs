@@ -64,7 +64,8 @@ impl ChaCha8Rng {
         w
     }
 
-    /// Words consumed since seeding, for diagnostics.
+    /// Words consumed since seeding; [`ChaCha8Rng::set_word_pos`] moves
+    /// a generator back to it.
     pub fn get_word_pos(&self) -> u128 {
         // The counter is incremented when a block is *generated*; subtract
         // the words of the current block not yet handed out (a fresh RNG
@@ -72,6 +73,22 @@ impl ChaCha8Rng {
         let blocks = ((self.state[13] as u128) << 32) | self.state[12] as u128;
         (blocks * CHACHA_BLOCK_WORDS as u128 + self.idx as u128)
             .saturating_sub(CHACHA_BLOCK_WORDS as u128)
+    }
+
+    /// Moves to `pos` words from the start of the stream, the inverse of
+    /// [`ChaCha8Rng::get_word_pos`]: the next word is the one a freshly
+    /// seeded generator draws after `pos` words. Seeking into the middle
+    /// of a block generates that block.
+    pub fn set_word_pos(&mut self, pos: u128) {
+        let block = pos / CHACHA_BLOCK_WORDS as u128;
+        self.state[12] = block as u32;
+        self.state[13] = (block >> 32) as u32;
+        self.idx = CHACHA_BLOCK_WORDS;
+        let within = (pos % CHACHA_BLOCK_WORDS as u128) as usize;
+        if within != 0 {
+            self.refill();
+            self.idx = within;
+        }
     }
 }
 
@@ -202,6 +219,23 @@ mod tests {
             a.next_u32();
         }
         assert_eq!(a.get_word_pos(), 19);
+    }
+
+    /// A generator moved to any position draws what one that drew its
+    /// way there draws next, and reports that position.
+    #[test]
+    fn set_word_pos_is_the_inverse_of_get_word_pos() {
+        let mut walked = ChaCha8Rng::seed_from_u64(8);
+        for pos in 0..70u128 {
+            assert_eq!(walked.get_word_pos(), pos);
+            let mut moved = ChaCha8Rng::seed_from_u64(8);
+            moved.next_u64();
+            moved.set_word_pos(pos);
+            assert_eq!(moved.get_word_pos(), pos);
+            let mut ahead = walked.clone();
+            assert_eq!(moved.next_u64(), ahead.next_u64(), "at {pos}");
+            walked.next_u32();
+        }
     }
 
     #[test]
