@@ -334,14 +334,16 @@ fn a_request_record_holds_only_what_the_features_read() {
 }
 
 /// The bytes a verified human's session may hold once its page, its
-/// script and its mouse beacon are in (400 measured). Its one token
-/// entry keeps the seed its script is written from on every fetch,
-/// never the ~1.85 KB source, and its token list is sized to that one
-/// entry; its instrumentation RNG is kept as the number of words drawn
-/// from its stream, not as a 136-byte generator. (The same walk left
-/// 536 bytes while the generator was kept, and 2 784 while a fetched
-/// script stayed in its entry and the list took four slots.)
-const VERIFIED_HUMAN_BYTES: i64 = 440;
+/// script and its mouse beacon are in (360 measured, release and
+/// debug). Its one token entry keeps the seed its script is written
+/// from on every fetch, never the ~1.85 KB source, and its decoys
+/// inline, and its token list is sized to that one entry; its
+/// instrumentation RNG is kept as the number of words drawn from its
+/// stream, not as a 136-byte generator. (The same walk left 400 bytes
+/// while the entry's decoys took a block of their own, 536 while the
+/// generator was kept, and 2 784 while a fetched script stayed in its
+/// entry and the list took four slots.)
+const VERIFIED_HUMAN_BYTES: i64 = 384;
 
 static HUMAN: Live = Live::new();
 
@@ -393,22 +395,24 @@ fn a_verified_humans_session_holds_no_script() {
 }
 
 /// The live heap one session may hold at every per-session cap
-/// (15 456 bytes measured, 15 592 while it kept its RNG whole, 15 616
-/// while its one evidence kind took a block, 18 176 while it kept a log
-/// of its records):
+/// (12 392 bytes in 4 blocks measured, release and debug; 15 456 in 68
+/// while each token entry's decoys took a block and the entry list grew
+/// as `Vec` does, 15 592 while it kept its RNG whole, 15 616 while its
+/// one evidence kind took a block, 18 176 while it kept a log of its
+/// records):
 ///
 /// - the seen-URL set, 512 hashes: 4 096 bytes;
-/// - 64 outstanding page tokens, every script fetched: the entries (96
-///   bytes each) and their five 16-byte decoys each, ~11 KB in all —
-///   no script is kept;
+/// - 64 outstanding page tokens, every script fetched: 64 entries of
+///   128 bytes, their five 16-byte decoys inline, 8 KB in all — no
+///   script is kept;
 /// - the key's agent (the one evidence kind it saw is inline), under
 ///   300 bytes.
 ///
-/// Times the 100 000-session cap this is ~1.6 GB, the tracker's worst
-/// case (~1.8 GB while a session kept a log of 5-byte records, ~3.6 GB
-/// while a record was 40 bytes, ~15.5 GB while every fetched script
-/// stayed in its entry).
-const WORST_CASE_BYTES: i64 = 16 * 1024;
+/// Times the 100 000-session cap this is ~1.2 GB, the tracker's worst
+/// case (~1.6 GB while each entry's decoys took a block, ~1.8 GB while
+/// a session kept a log of 5-byte records, ~3.6 GB while a record was
+/// 40 bytes, ~15.5 GB while every fetched script stayed in its entry).
+const WORST_CASE_BYTES: i64 = 12_800;
 
 static WORST: Live = Live::new();
 
@@ -477,5 +481,55 @@ fn a_session_at_every_cap_holds_a_stated_heap() {
     assert!(
         bytes <= WORST_CASE_BYTES,
         "{bytes} bytes, over {WORST_CASE_BYTES}"
+    );
+}
+
+static PAGES: Live = Live::new();
+
+/// What a token entry may come to: 128 bytes measured (its key, its
+/// five decoys inline, its script's seed and nonce, and its issue time
+/// with its flags in one word).
+const ENTRY_BYTES: i64 = 144;
+
+/// Sessions served one to six pages each (what a `browse_mix` browser
+/// is served, and a little more): each session's token state, taken
+/// out of its live session and dropped inside the window, frees the
+/// same two blocks (the state's box and its entry list) whatever the
+/// count, and each page adds the same bytes, one entry's: the list
+/// holds one slot a page, no spare, and no entry owns a block.
+#[test]
+fn a_session_served_n_pages_holds_n_entries() {
+    let gw = Gateway::builder().seed(40).enforcement(false).build();
+    let page = "<html><head></head><body><p>hi</p></body></html>";
+    let mut freed = Vec::new();
+    for n in 1..=6 {
+        let agent = format!("Mozilla/5.0 pages/{n}");
+        for p in 0..n {
+            let uri = format!("http://site.example/p{p}.html");
+            let decision = gw.handle_with(&get(&uri, &agent), SimTime::from_secs(p), |_| {
+                Origin::Page(page.to_string())
+            });
+            assert!(matches!(decision, Decision::Serve { .. }), "{decision:?}");
+        }
+        let key = SessionKey::of(&get("http://site.example/", &agent));
+        let (blocks, bytes) = weigh(&PAGES, || {
+            let tokens = gw
+                .detector()
+                .with_key_state(&key, |_, state| std::mem::take(&mut state.tokens))
+                .expect("the session is live");
+            assert_eq!(tokens.len(), n as usize);
+            drop(tokens);
+        });
+        freed.push((-blocks, -bytes));
+    }
+    let entry = freed[1].1 - freed[0].1;
+    println!("a session's tokens after 1..=6 pages: {freed:?} (blocks, bytes freed), {entry} bytes a page");
+    for (n, &(blocks, bytes)) in (1..).zip(&freed) {
+        assert_eq!(blocks, 2, "{n} pages: the box and the list");
+        assert_eq!(bytes, freed[0].1 + (n - 1) * entry, "{n} pages");
+    }
+    assert!(
+        entry <= ENTRY_BYTES,
+        "{entry} bytes an entry, over {ENTRY_BYTES}"
     );
 }

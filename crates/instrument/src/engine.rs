@@ -54,7 +54,7 @@ use crate::jsgen::{self, Push, ScriptUrl, ScriptUrls};
 use crate::probe::{AutomationReport, ProbeHit, ProbeKind, ProbeObject};
 use crate::rewrite::{Classified, InstrumentConfig, ProbeManifest};
 use crate::stream::StreamingRewrite;
-use crate::token::{BeaconKey, ScriptRecipe, ScriptSeed, TokenState};
+use crate::token::{BeaconKey, ScriptRecipe, ScriptSeed, TokenState, DECOYS};
 use botwall_http::{Request, RequestView, Response, Uri, UriRef};
 use botwall_sessions::SimTime;
 use rand::Rng;
@@ -161,12 +161,13 @@ impl Sighting {
 /// The per-page beacon token a rewrite issues: the real key, its decoys,
 /// and what the script that references them (served under its probe
 /// nonce) will be generated from.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct IssuedPageToken {
     /// The real 128-bit beacon key.
     pub key: BeaconKey,
-    /// The decoy keys embedded alongside it.
-    pub decoys: Vec<BeaconKey>,
+    /// The decoy keys embedded alongside it, in the order they were
+    /// drawn.
+    pub decoys: [BeaconKey; DECOYS],
     /// The nonce of the `<script src>` probe URL.
     pub js_nonce: u64,
     /// The seed of the script served under that nonce; see
@@ -538,7 +539,7 @@ impl RewriteEngine {
         // The stream keeps its own: a manifest derived later spells the
         // decoy URLs from it.
         if let Some(token) = stream.token() {
-            tokens.issue_page(token.clone(), now);
+            tokens.issue_page(*token, now);
         }
         stream
     }
@@ -560,9 +561,8 @@ impl RewriteEngine {
         }
         if self.config.mouse_beacon {
             let key = BeaconKey::random(rng);
-            let decoys: Vec<BeaconKey> = (0..self.config.decoys)
-                .map(|_| BeaconKey::random(rng))
-                .collect();
+            // Drawn in index order, after the key.
+            let decoys: [BeaconKey; DECOYS] = std::array::from_fn(|_| BeaconKey::random(rng));
             let agent_nonce = self.probe_nonce(ProbeKind::AgentBeacon, now, rng);
             let js_nonce = self.probe_nonce(ProbeKind::JsFile, now, rng);
             // The script itself is written by each fetch of its URL;
@@ -1006,9 +1006,8 @@ mod tests {
                 Just(Obfuscation::Lexical),
                 Just(Obfuscation::SplitStrings),
             ],
-            decoys in 0usize..=8,
         ) {
-            let config = InstrumentConfig { obfuscation, decoys, ..InstrumentConfig::default() };
+            let config = InstrumentConfig { obfuscation, ..InstrumentConfig::default() };
             let e = RewriteEngine::new(config, engine_seed);
             let page = origin_form("/index.html", Some("shop.example.org"));
             let mut tokens = TokenState::default();

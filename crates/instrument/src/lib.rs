@@ -47,7 +47,7 @@
 //! let finished = stream.finish(&mut html);
 //! assert!(String::from_utf8(html).unwrap().contains("<script"));
 //! let manifest = finished.manifest(page.uri(), page.authority().as_deref());
-//! assert_eq!(manifest.decoy_beacons.len(), engine.config().decoys);
+//! assert_eq!(manifest.decoy_beacons.len(), botwall_instrument::token::DECOYS);
 //!
 //! // The mouse moves: the beacon fetch redeems the page's key, once.
 //! let beacon = Request::builder(Method::Get, manifest.mouse_beacon.unwrap().to_string())

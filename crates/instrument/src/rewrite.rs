@@ -12,11 +12,11 @@ use crate::token::{BeaconKey, KeyOutcome};
 use botwall_http::Uri;
 
 /// Configuration for the instrumentation scheme.
+///
+/// A page's script carries [`crate::token::DECOYS`] decoy functions
+/// beside the real handler, a constant: every page is minted with them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstrumentConfig {
-    /// Number of decoy functions `m` (§2.1); a blind fetcher is caught
-    /// with probability `m/(m+1)`.
-    pub decoys: usize,
     /// Script obfuscation level.
     pub obfuscation: Obfuscation,
     /// Inject the empty CSS probe (§2.2).
@@ -30,7 +30,6 @@ pub struct InstrumentConfig {
 impl Default for InstrumentConfig {
     fn default() -> Self {
         InstrumentConfig {
-            decoys: 5,
             obfuscation: Obfuscation::Lexical,
             css_probe: true,
             hidden_link: true,

@@ -18,11 +18,13 @@
 //! fetch of the script URL writes it again from the
 //! [`ScriptRecipe`] [`TokenState::script_for`] lends, straight into the
 //! response, under the session's lock. So an entry weighs what it did
-//! the moment its page was served, fetched or not: 96 bytes and its
-//! decoys, ~176 bytes with the default five. What one session can pin,
-//! 64 entries, is ~11 KB; across 100k sessions ~1.1 GB, however many
+//! the moment its page was served, fetched or not: 128 bytes, its
+//! [`DECOYS`] decoys inline, no heap block of its own, and a session's
+//! list holds one slot per entry, no spare. What one session can pin,
+//! 64 entries, is 8 KB; across 100k sessions ~0.8 GB, however many
 //! scripts those sessions fetch (~13 GB when a fetched script's ~1.85 KB
-//! source stayed in its entry).
+//! source stayed in its entry; ~1.1 GB while an entry was 96 bytes with
+//! its decoys in a block of their own, in a list grown as `Vec` does).
 
 use crate::engine::IssuedPageToken;
 use crate::jsgen::{hex, Push};
@@ -30,12 +32,20 @@ use botwall_sessions::SimTime;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Outstanding entries one session's [`TokenState`] holds; a page
 /// issued past it drops the oldest (the paper's table "holds multiple
 /// entries per IP").
 pub const MAX_TOKENS_PER_SESSION: usize = 64;
+
+/// Decoy functions `m` a page's script carries beside the real mouse
+/// handler (§2.1): a robot that fetches one of the `m + 1` beacon URLs
+/// it finds in the script blindly is caught with probability
+/// `m/(m+1)`. Every page is minted with this many; a token entry holds
+/// up to this many inline.
+pub const DECOYS: usize = 5;
 
 /// How long an entry answers after its page was issued: past it, its
 /// key, its decoys, a replay of it and its script read as never issued
@@ -131,22 +141,110 @@ pub struct ScriptRecipe<'a> {
     pub seed: ScriptSeed,
 }
 
-#[derive(Debug, Clone)]
+/// One issued page's token, held inline in its session's list: the
+/// key, the decoys, what the page's script is written from under the
+/// nonce of its `<script src>` URL (stored with the session, so script
+/// serving needs no global store), and the [`Stamp`].
+#[derive(Debug)]
 struct Entry {
     key: BeaconKey,
-    decoys: Vec<BeaconKey>,
-    issued: SimTime,
-    redeemed: bool,
-    /// What this page's script is generated from, under the nonce of
-    /// its `<script src>` URL — stored with the session so script
-    /// serving needs no global store.
-    js: Option<(u64, ScriptSeed)>,
+    /// The first [`Stamp::decoys`] slots are the decoys issued.
+    decoys: [BeaconKey; DECOYS],
+    /// Read only when [`Stamp::script`] says the entry has a script.
+    js_nonce: u64,
+    script: ScriptSeed,
+    stamp: Stamp,
 }
 
+const _: () = assert!(std::mem::size_of::<Entry>() <= 128);
+
 impl Entry {
+    /// An entry issued at `issued`, answering for the script `js`
+    /// names, if any.
+    ///
+    /// # Panics
+    ///
+    /// If more than [`DECOYS`] decoys are given.
+    fn new(
+        key: BeaconKey,
+        decoys: &[BeaconKey],
+        js: Option<(u64, ScriptSeed)>,
+        issued: SimTime,
+    ) -> Entry {
+        assert!(
+            decoys.len() <= DECOYS,
+            "{} decoys, over {DECOYS}",
+            decoys.len()
+        );
+        let mut held = [BeaconKey(0); DECOYS];
+        held[..decoys.len()].copy_from_slice(decoys);
+        let (js_nonce, script) = js.unwrap_or((
+            0,
+            ScriptSeed {
+                seed: 0,
+                agent_nonce: 0,
+            },
+        ));
+        Entry {
+            key,
+            decoys: held,
+            js_nonce,
+            script,
+            stamp: Stamp::new(issued, decoys.len(), js.is_some()),
+        }
+    }
+
+    /// The decoys issued with the key.
+    fn decoys(&self) -> &[BeaconKey] {
+        &self.decoys[..self.stamp.decoys()]
+    }
+
     /// Whether the entry still answers as of `now`.
     fn live(&self, now: SimTime) -> bool {
-        now.since(self.issued) <= TOKEN_LIFETIME_MS
+        now.since(self.stamp.issued()) <= TOKEN_LIFETIME_MS
+    }
+}
+
+/// An entry's issue time and its three small facts in one word, so the
+/// entry takes 128 bytes, not 144: the time in milliseconds above the
+/// low [`Stamp::FLAG_BITS`] bits, which hold the decoy count, whether
+/// the key was redeemed and whether the entry answers for a script. An
+/// issue time past 2^59 ms (some 18 million years of server clock)
+/// is kept as that bound.
+#[derive(Debug, Clone, Copy)]
+struct Stamp(u64);
+
+impl Stamp {
+    const FLAG_BITS: u32 = 5;
+    const COUNT: u64 = 0b111;
+    const REDEEMED: u64 = 1 << 3;
+    const SCRIPT: u64 = 1 << 4;
+
+    fn new(issued: SimTime, decoys: usize, script: bool) -> Stamp {
+        const _: () = assert!(DECOYS as u64 <= Stamp::COUNT);
+        let ms = issued.as_millis().min(u64::MAX >> Self::FLAG_BITS);
+        let script = if script { Self::SCRIPT } else { 0 };
+        Stamp((ms << Self::FLAG_BITS) | decoys as u64 | script)
+    }
+
+    fn issued(self) -> SimTime {
+        SimTime::from_millis(self.0 >> Self::FLAG_BITS)
+    }
+
+    fn decoys(self) -> usize {
+        (self.0 & Self::COUNT) as usize
+    }
+
+    fn redeemed(self) -> bool {
+        self.0 & Self::REDEEMED != 0
+    }
+
+    fn redeem(&mut self) {
+        self.0 |= Self::REDEEMED;
+    }
+
+    fn script(self) -> bool {
+        self.0 & Self::SCRIPT != 0
     }
 }
 
@@ -186,7 +284,8 @@ pub struct TokenState(Option<Box<Tokens>>);
 /// What a [`TokenState`] holds once it holds anything.
 #[derive(Debug, Default)]
 struct Tokens {
-    entries: Vec<Entry>,
+    /// Oldest first, one slot per entry.
+    entries: VecDeque<Entry>,
     /// Words drawn from the session's RNG stream.
     drawn: u64,
 }
@@ -196,6 +295,10 @@ impl TokenState {
     /// alongside it, dropping the oldest entry beyond `max_entries`.
     /// Neither the page nor a script source `_js` is kept: a key redeems
     /// on its own, and an entry issued here answers for no script.
+    ///
+    /// # Panics
+    ///
+    /// If more than [`DECOYS`] decoys are given.
     pub fn issue(
         &mut self,
         _page: impl Into<String>,
@@ -205,7 +308,7 @@ impl TokenState {
         now: SimTime,
         max_entries: usize,
     ) {
-        self.push(key, decoys, None, now, max_entries);
+        self.push(Entry::new(key, &decoys, None, now), max_entries);
     }
 
     /// Records the token a page rewrite issued, dropping the oldest
@@ -213,33 +316,20 @@ impl TokenState {
     /// [`TokenState::script_for`] lends to every fetch.
     pub fn issue_page(&mut self, token: IssuedPageToken, now: SimTime) {
         let js = Some((token.js_nonce, token.script));
-        self.push(token.key, token.decoys, js, now, MAX_TOKENS_PER_SESSION);
+        let entry = Entry::new(token.key, &token.decoys, js, now);
+        self.push(entry, MAX_TOKENS_PER_SESSION);
     }
 
-    fn push(
-        &mut self,
-        key: BeaconKey,
-        decoys: Vec<BeaconKey>,
-        js: Option<(u64, ScriptSeed)>,
-        issued: SimTime,
-        max_entries: usize,
-    ) {
+    fn push(&mut self, entry: Entry, max_entries: usize) {
         let entries = &mut self.0.get_or_insert_with(Box::default).entries;
         if entries.len() >= max_entries.max(1) {
-            entries.remove(0);
-        }
-        // Most sessions are served one page: its list holds one entry
-        // until a second arrives, and grows as `Vec` does from there.
-        if entries.capacity() == 0 {
+            entries.pop_front();
+        } else {
+            // Most sessions are served a page or two: the list grows a
+            // slot at a time, not as `VecDeque` doubles.
             entries.reserve_exact(1);
         }
-        entries.push(Entry {
-            key,
-            decoys,
-            issued,
-            redeemed: false,
-            js,
-        });
+        entries.push_back(entry);
     }
 
     /// Checks a presented key against this session's entries still
@@ -251,15 +341,15 @@ impl TokenState {
         };
         let entries = &mut tokens.entries;
         if let Some(e) = entries.iter_mut().find(|e| e.key == key && e.live(now)) {
-            if e.redeemed {
+            if e.stamp.redeemed() {
                 return KeyOutcome::Replay;
             }
-            e.redeemed = true;
+            e.stamp.redeem();
             return KeyOutcome::Valid;
         }
         if entries
             .iter()
-            .any(|e| e.decoys.contains(&key) && e.live(now))
+            .any(|e| e.decoys().contains(&key) && e.live(now))
         {
             return KeyOutcome::Decoy;
         }
@@ -276,13 +366,12 @@ impl TokenState {
             .entries
             .iter()
             .rev()
-            .find(|e| matches!(e.js, Some((n, _)) if n == nonce))
+            .find(|e| e.stamp.script() && e.js_nonce == nonce)
             .filter(|e| e.live(now))?;
-        let (_, seed) = entry.js?;
         Some(ScriptRecipe {
             key: entry.key,
-            decoys: &entry.decoys,
-            seed,
+            decoys: entry.decoys(),
+            seed: entry.script,
         })
     }
 
@@ -290,16 +379,9 @@ impl TokenState {
     /// cost beyond the `TokenState` value itself.
     #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
-        let Some(tokens) = self.0.as_deref() else {
-            return 0;
-        };
-        std::mem::size_of::<Tokens>()
-            + tokens.entries.capacity() * std::mem::size_of::<Entry>()
-            + tokens
-                .entries
-                .iter()
-                .map(|e| e.decoys.capacity() * std::mem::size_of::<BeaconKey>())
-                .sum::<usize>()
+        self.0.as_deref().map_or(0, |tokens| {
+            std::mem::size_of::<Tokens>() + tokens.entries.capacity() * std::mem::size_of::<Entry>()
+        })
     }
 
     /// Entries held, expired ones included.
@@ -336,6 +418,8 @@ impl TokenState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use rand_chacha::rand_core::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -350,16 +434,21 @@ mod tests {
         t.redeem(BeaconKey::from_raw(key), SimTime::ZERO)
     }
 
-    /// A session served one page holds one entry's slot; a second page
-    /// grows the list as `Vec` does, to four.
+    /// A session served `n` pages holds `n` entries' slots, up to the
+    /// bound, and no more after it: no spare slot, no block an entry
+    /// owns.
     #[test]
-    fn the_first_entry_takes_one_slot() {
+    fn n_pages_hold_n_slots() {
         let mut t = TokenState::default();
         let capacity = |t: &TokenState| t.0.as_ref().map_or(0, |t| t.entries.capacity());
-        issue(&mut t, "/a", 1, &[], SimTime::ZERO, 64);
-        assert_eq!(capacity(&t), 1);
-        issue(&mut t, "/b", 2, &[], SimTime::ZERO, 64);
-        assert_eq!(capacity(&t), 4);
+        let entry = std::mem::size_of::<Entry>();
+        for n in 1..=MAX_TOKENS_PER_SESSION + 3 {
+            issue(&mut t, "/p", n as u128, &[1, 2, 3, 4, 5], SimTime::ZERO, 64);
+            let held = n.min(MAX_TOKENS_PER_SESSION);
+            assert_eq!((t.len(), capacity(&t)), (held, held), "page {n}");
+            let tokens = std::mem::size_of::<Tokens>();
+            assert_eq!(t.heap_bytes(), tokens + held * entry, "page {n}");
+        }
     }
 
     /// Draws spread over calls, each call a fresh generator moved to the
@@ -473,7 +562,7 @@ mod tests {
             let mut t = TokenState::default();
             let token = IssuedPageToken {
                 key: BeaconKey::from_raw(1),
-                decoys: vec![BeaconKey::from_raw(2)],
+                decoys: [2, 3, 4, 5, 6].map(BeaconKey::from_raw),
                 js_nonce: NONCE,
                 script: seed,
             };
@@ -490,6 +579,116 @@ mod tests {
                 2,
                 "an expired entry is read as absent, not removed"
             );
+        }
+    }
+
+    /// A plain model of the table: entries in issue order, each with its
+    /// decoys in a list of their own, the oldest dropped at the bound.
+    #[derive(Default)]
+    struct Model {
+        entries: Vec<ModelEntry>,
+    }
+
+    struct ModelEntry {
+        key: BeaconKey,
+        decoys: Vec<BeaconKey>,
+        issued: SimTime,
+        redeemed: bool,
+        js: Option<(u64, ScriptSeed)>,
+    }
+
+    impl Model {
+        fn issue(&mut self, entry: ModelEntry, max: usize) {
+            if self.entries.len() >= max.max(1) {
+                self.entries.remove(0);
+            }
+            self.entries.push(entry);
+        }
+
+        fn redeem(&mut self, key: BeaconKey, now: SimTime) -> KeyOutcome {
+            let live = |e: &ModelEntry| now.since(e.issued) <= TOKEN_LIFETIME_MS;
+            let entries = &mut self.entries;
+            if let Some(e) = entries.iter_mut().find(|e| e.key == key && live(e)) {
+                let outcome = if e.redeemed {
+                    KeyOutcome::Replay
+                } else {
+                    KeyOutcome::Valid
+                };
+                e.redeemed = true;
+                return outcome;
+            }
+            if entries.iter().any(|e| e.decoys.contains(&key) && live(e)) {
+                return KeyOutcome::Decoy;
+            }
+            KeyOutcome::Unknown
+        }
+
+        fn script_for(&self, nonce: u64, now: SimTime) -> Option<ScriptRecipe<'_>> {
+            let e = self
+                .entries
+                .iter()
+                .rev()
+                .find(|e| matches!(e.js, Some((n, _)) if n == nonce))?;
+            let (_, seed) = e.js?;
+            (now.since(e.issued) <= TOKEN_LIFETIME_MS).then_some(ScriptRecipe {
+                key: e.key,
+                decoys: &e.decoys,
+                seed,
+            })
+        }
+    }
+
+    proptest! {
+        /// Random issues (of any bound and up to [`DECOYS`] decoys),
+        /// page issues, redeems, script lookups, draws and clock
+        /// advances that land on either side of an entry's lifetime,
+        /// against the plain model. Keys, decoys and nonces come from
+        /// small sets, so a key is often another entry's key or decoy
+        /// and a nonce often names two pages. Each step compares the
+        /// outcome, the length and the lent recipe, and the list holds
+        /// no spare slot.
+        #[test]
+        fn the_table_answers_as_a_list_of_what_was_issued(
+            ops in vec((0u8..7, 0u8..12, vec(0u8..12, 0..=DECOYS), 0u8..8), 1..120),
+        ) {
+            const STEPS: [u64; 6] = [0, 1, 1_000, TOKEN_LIFETIME_MS - 1, TOKEN_LIFETIME_MS, TOKEN_LIFETIME_MS + 1];
+            let key = |n: u8| BeaconKey::from_raw(u128::from(n));
+            let mut t = TokenState::default();
+            let mut model = Model::default();
+            let mut now = SimTime::ZERO;
+            for (op, a, d, b) in ops {
+                let decoys: Vec<BeaconKey> = d.iter().map(|&n| key(n)).collect();
+                match op {
+                    0 | 1 => {
+                        let max = usize::from(b);
+                        t.issue("/p", key(a), decoys.clone(), None, now, max);
+                        let entry = ModelEntry { key: key(a), decoys, issued: now, redeemed: false, js: None };
+                        model.issue(entry, max);
+                    }
+                    2 => {
+                        let mut all = [key(b); DECOYS];
+                        all[..decoys.len()].copy_from_slice(&decoys);
+                        let seed = ScriptSeed { seed: u64::from(a), agent_nonce: u64::from(b) };
+                        let js_nonce = u64::from(b % 4);
+                        t.issue_page(IssuedPageToken { key: key(a), decoys: all, js_nonce, script: seed }, now);
+                        let js = Some((js_nonce, seed));
+                        let entry = ModelEntry { key: key(a), decoys: all.to_vec(), issued: now, redeemed: false, js };
+                        model.issue(entry, MAX_TOKENS_PER_SESSION);
+                    }
+                    3 => prop_assert_eq!(t.redeem(key(a), now), model.redeem(key(a), now)),
+                    4 => {
+                        let nonce = u64::from(b % 4);
+                        prop_assert_eq!(t.script_for(nonce, now), model.script_for(nonce, now));
+                    }
+                    5 => now += STEPS[usize::from(b) % STEPS.len()],
+                    _ => {
+                        t.draw(|| u64::from(a), |rng| rng.next_u32());
+                    }
+                }
+                prop_assert_eq!(t.len(), model.entries.len());
+                let capacity = t.0.as_ref().map_or(0, |t| t.entries.capacity());
+                prop_assert_eq!(capacity, t.len(), "no spare slot");
+            }
         }
     }
 }

@@ -163,15 +163,18 @@ const PAGES: u64 = 128;
 /// a run's timing moves the count by (a read split differently or a
 /// buffer grown, a sweep tick). The slack is the widest run-to-run spread
 /// seen over thirty release and thirty unoptimised runs on a 2-CPU Xeon
-/// VM, plus one: the 8 KB-chunked origin reads either ~15.0 or ~17.9
-/// (15.00-17.93 release, 15.00-18.00 unoptimised), and an unoptimised
-/// build reads up to ~3 higher from the byte-a-chunk origin (17.25-20.00
-/// against 16.25-17.50).
-/// Most of what is left is the owned request a lease builds, the page's
-/// one markup buffer and its beacon token with its decoy list (kept by
-/// the rewriter and issued into the session as a copy); a token entry
-/// keeps no page path.
-const BEFORE: [f64; 3] = [14.92, 15.15, 16.88];
+/// VM, plus one: the 8 KB-chunked origin reads either at its median or
+/// ~2.9 above it, and an unoptimised build reads up to ~3 higher from
+/// the byte-a-chunk origin (16.50-17.25 in ten unoptimised runs against
+/// 14.50-15.75 in thirty release runs, measured with these medians).
+/// Most of what is left is the owned request a lease builds and the
+/// page's one markup buffer; the page's beacon token, its decoys
+/// inline, is copied into its session's entry list, which takes no
+/// block of its own (a token entry keeps no page path). The medians
+/// were [14.92, 15.15, 16.88] while the token kept its decoys in a
+/// list of their own, which the rewriter kept and issued into the
+/// session as a copy: two blocks a page.
+const BEFORE: [f64; 3] = [12.85, 13.04, 15.00];
 const SLACK: f64 = 4.0;
 
 /// A verified human's 64 KB page, streamed through the rewriter from an

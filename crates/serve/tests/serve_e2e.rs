@@ -1373,7 +1373,7 @@ fn probe_urls_carry_the_requests_host_and_resolve_as_probe_hits() {
         .unwrap();
     let script = body_str(&fetch(&js_path));
     let in_script = absolute_urls(&script, '\'');
-    let decoys = fx.gateway.config().instrument.decoys;
+    let decoys = botwall_instrument::token::DECOYS;
     assert_eq!(in_script.len(), decoys + 2, "real, decoys, agent: {script}");
     on_host(&in_script);
 

@@ -49,6 +49,11 @@ struct Bucket {
 
 const EMPTY: Bucket = Bucket { slot: NIL, tag: 0 };
 
+/// The 32 bits of a key's hash a [`Table`] files it under
+/// ([`Table::tag`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tag(u32);
+
 const _: () = assert!(std::mem::size_of::<Bucket>() == 8);
 
 /// Which slot each filed key is in: buckets probed linearly from the
@@ -250,8 +255,26 @@ impl<V: Stamped> Table<V> {
         SessionKey: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let tag = self.index.tag(key);
-        self.index.find(tag, |slot| {
+        self.find_tagged(self.tag(key), key)
+    }
+
+    /// The tag `key` is filed under in this table: what a caller that
+    /// looks `key` up more than once, or inserts it after a miss, hashes
+    /// it for once. The hasher is fixed for the table's life (a
+    /// [`Table::take`] keeps it), so a tag stays good across any number
+    /// of inserts and removals, and is good for no other table.
+    pub(crate) fn tag<Q: Hash + ?Sized>(&self, key: &Q) -> Tag {
+        Tag(self.index.tag(key))
+    }
+
+    /// [`Table::find`] of a key whose [`Table::tag`] the caller holds.
+    pub(crate) fn find_tagged<Q>(&self, tag: Tag, key: &Q) -> Option<u32>
+    where
+        SessionKey: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        debug_assert_eq!(tag, self.tag(key), "a tag of this table, for this key");
+        self.index.find(tag.0, |slot| {
             <SessionKey as Borrow<Q>>::borrow(self.get(slot).key()) == key
         })
     }
@@ -325,7 +348,17 @@ impl<V: Stamped> Table<V> {
 
     /// Files a value whose key is not filed yet, at the warm end.
     pub(crate) fn insert(&mut self, value: V) -> u32 {
-        let tag = self.index.tag(value.key());
+        self.insert_tagged(self.tag(value.key()), value)
+    }
+
+    /// [`Table::insert`] of a value whose key's [`Table::tag`] the
+    /// caller holds.
+    pub(crate) fn insert_tagged(&mut self, tag: Tag, value: V) -> u32 {
+        debug_assert_eq!(
+            tag,
+            self.tag(value.key()),
+            "a tag of this table, for this key"
+        );
         let node = Some(Node {
             value,
             prev: NIL,
@@ -345,9 +378,26 @@ impl<V: Stamped> Table<V> {
                 slot
             }
         };
-        self.index.insert(tag, slot);
+        self.index.insert(tag.0, slot);
         self.link_warm(slot);
         slot
+    }
+
+    /// Takes every value out as a table of its own, leaving this one
+    /// empty under the same hasher: a [`Tag`] taken before stays good.
+    pub(crate) fn take(&mut self) -> Table<V> {
+        let index = Index {
+            buckets: Vec::new(),
+            len: 0,
+            hasher: self.index.hasher.clone(),
+        };
+        std::mem::replace(
+            self,
+            Table {
+                index,
+                ..Table::default()
+            },
+        )
     }
 
     /// Takes the value in an occupied `slot` out.
@@ -704,6 +754,25 @@ mod tests {
                 prop_assert_eq!(found, Some(*slot));
             }
         }
+    }
+
+    /// A tag taken before the table was emptied by a take still files
+    /// and finds its key: the tracker hashes a stranger's key once,
+    /// then lets go of the shard (a drain may take its sessions) before
+    /// it inserts.
+    #[test]
+    fn a_tag_outlives_a_take() {
+        let mut table: Table<Item> = Table::default();
+        let item = |n| Item {
+            key: key(n),
+            stamp: SimTime::ZERO,
+        };
+        let tag = table.tag(&key(1));
+        table.insert(item(2));
+        assert_eq!(table.take().len(), 1);
+        assert!(table.is_empty());
+        let slot = table.insert_tagged(tag, item(1));
+        assert_eq!(table.find(&key(1)), Some(slot));
     }
 
     #[test]

@@ -641,7 +641,11 @@ impl<E: SessionExt> ShardedTracker<E> {
         // exchange runs in: a known key pays one lock and one hash even
         // when the store is full, and allocates nothing.
         let mut locked = self.lock_shard(idx);
-        let mut found = locked.live.find(&parts as &dyn KeyParts);
+        let lookup = &parts as &dyn KeyParts;
+        // Hashed once: a miss's re-find after an eviction and its insert
+        // reuse the tag (the shard's table outlives the unlock).
+        let tag = locked.live.tag(lookup);
+        let mut found = locked.live.find_tagged(tag, lookup);
         // A never-seen key at the cap: let go of the shard, evict (shard
         // locks one at a time — never two at once, so lock order cannot
         // deadlock) and come back. Inserts that raced past the check
@@ -662,7 +666,7 @@ impl<E: SessionExt> ShardedTracker<E> {
             self.evict_most_idle(idx, idlest);
             evictions += 1;
             locked = self.lock_shard(idx);
-            found = locked.live.find(&parts as &dyn KeyParts);
+            found = locked.live.find_tagged(tag, lookup);
         }
         // From here the shard stays locked through rollover AND insert,
         // so a racing same-key request can never slip a fresh entry in
@@ -691,7 +695,7 @@ impl<E: SessionExt> ShardedTracker<E> {
                 let key = parts.to_key();
                 let slot = shard
                     .live
-                    .insert(self.incarnate(key.clone(), now, E::default()));
+                    .insert_tagged(tag, self.incarnate(key.clone(), now, E::default()));
                 (key, slot)
             }
         };
@@ -1034,7 +1038,7 @@ impl<E: SessionExt> ShardedTracker<E> {
         }
         for idx in 0..self.shards.len() {
             // The parked carries and the uncollected casualties stay.
-            let live = std::mem::take(&mut self.lock_shard(idx).live);
+            let live = self.lock_shard(idx).live.take();
             let mut live: Vec<Finalized<E>> = live
                 .into_values()
                 .map(|entry| Finalized {

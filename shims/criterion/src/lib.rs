@@ -3,7 +3,10 @@
 //! Implements the subset the botwall benches use (`benchmark_group`,
 //! `bench_function`, `bench_with_input`, `Throughput`, `BenchmarkId`,
 //! `b.iter`) with a simple adaptive timer instead of criterion's full
-//! statistical machinery. Results print to stdout and, when
+//! statistical machinery. As criterion does, the first argument that
+//! is not a flag filters: only benchmarks whose `group/id` contains it
+//! run (`cargo bench --bench capacity -- stats_at_occupancy/100000`).
+//! Results print to stdout and, when
 //! `CRITERION_SHIM_JSON` names a file, are appended there as JSON lines —
 //! that is what `scripts/record_bench_baseline.sh` collects into
 //! `BENCH_baseline.json`.
@@ -175,6 +178,9 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let id = id.into();
+        if !self.selects(&id) {
+            return self;
+        }
         let mut b = Bencher::new();
         f(&mut b);
         self.record(id.name, b);
@@ -188,6 +194,9 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let id = id.into();
+        if !self.selects(&id) {
+            return self;
+        }
         let mut b = Bencher::new();
         f(&mut b, input);
         self.record(id.name, b);
@@ -195,6 +204,11 @@ impl BenchmarkGroup<'_> {
     }
 
     pub fn finish(self) {}
+
+    fn selects(&self, id: &BenchmarkId) -> bool {
+        self.criterion
+            .selects(&format!("{}/{}", self.name, id.name))
+    }
 
     fn record(&mut self, bench: String, b: Bencher) {
         let rec = Record {
@@ -229,12 +243,28 @@ fn report(rec: &Record) {
 }
 
 /// Entry point (subset of `criterion::Criterion`).
-#[derive(Default)]
 pub struct Criterion {
     records: Vec<Record>,
+    /// What a benchmark's `group/id` must contain to run, if anything.
+    filter: Option<String>,
+}
+
+impl Default for Criterion {
+    /// Filtered by the process's first argument that is not a flag
+    /// (`cargo bench` passes `--bench`; `--quick` is a bench's own).
+    fn default() -> Self {
+        Criterion {
+            records: Vec::new(),
+            filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
+        }
+    }
 }
 
 impl Criterion {
+    fn selects(&self, id: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| id.contains(f))
+    }
+
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             name: name.into(),
@@ -249,6 +279,9 @@ impl Criterion {
         mut f: F,
     ) -> &mut Self {
         let id = id.into();
+        if !self.selects(&id.name) {
+            return self;
+        }
         let mut b = Bencher::new();
         f(&mut b);
         let rec = Record {
@@ -341,4 +374,42 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A filter runs the benchmarks whose `group/id` contains it and
+    /// skips the rest without calling them; no filter runs them all.
+    #[test]
+    fn a_filter_runs_only_the_benchmarks_it_names() {
+        let run = |filter: Option<&str>| {
+            let mut c = Criterion {
+                records: Vec::new(),
+                filter: filter.map(str::to_string),
+            };
+            let mut called = Vec::new();
+            let mut group = c.benchmark_group("capacity");
+            for n in [1_000, 100_000] {
+                let id = BenchmarkId::new("at_occupancy", n);
+                group.bench_with_input(id, &n, |_, n| called.push(n.to_string()));
+            }
+            group.bench_function("sweep", |_| called.push("sweep".to_string()));
+            group.finish();
+            c.bench_function("alone", |_| called.push("alone".to_string()));
+            let recorded: Vec<String> = c.records.iter().map(|r| r.bench.clone()).collect();
+            (called, recorded)
+        };
+        let (called, recorded) = run(Some("at_occupancy/100000"));
+        assert_eq!(called, ["100000"]);
+        assert_eq!(recorded, ["at_occupancy/100000"]);
+        let (called, _) = run(Some("capacity/"));
+        assert_eq!(called, ["1000", "100000", "sweep"]);
+        let (called, _) = run(Some("alone"));
+        assert_eq!(called, ["alone"]);
+        let (called, recorded) = run(None);
+        assert_eq!(called, ["1000", "100000", "sweep", "alone"]);
+        assert_eq!(recorded.len(), 4);
+    }
 }

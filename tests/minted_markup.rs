@@ -18,6 +18,7 @@ use botwall::gateway::{Decision, Gateway, Origin, PendingServe};
 use botwall::http::request::ClientIp;
 use botwall::http::{Method, Request, Uri};
 use botwall::instrument::jsgen::{self, JsSpec};
+use botwall::instrument::token::DECOYS;
 use botwall::instrument::{InstrumentConfig, Obfuscation, ProbeManifest, RewriteEngine};
 use botwall::sessions::SimTime;
 use proptest::prelude::*;
@@ -239,7 +240,6 @@ proptest! {
     fn the_manifest_on_demand_matches_the_markup(
         seed in any::<u64>(),
         form in 0usize..FORMS.len(),
-        decoys in 0usize..=8,
         plain in any::<bool>(),
         hour in 0u64..48,
     ) {
@@ -247,7 +247,7 @@ proptest! {
         let obfuscation = if plain { Obfuscation::None } else { Obfuscation::Lexical };
         let gw = Gateway::builder()
             .seed(seed)
-            .instrument(InstrumentConfig { decoys, obfuscation, ..InstrumentConfig::default() })
+            .instrument(InstrumentConfig { obfuscation, ..InstrumentConfig::default() })
             .build();
         let now = SimTime::from_hours(hour) + 7;
         let PendingServe::AwaitingOrigin(pending) = gw.handle_deferred(&form.request(3, "p"), now)
@@ -284,6 +284,6 @@ proptest! {
         prop_assert_eq!(gw.stats().probe_requests, 1, "the script is instrumentation traffic");
         let script = String::from_utf8(response.body().to_vec()).expect("an ASCII script");
         prop_assert_eq!(fetched_by(&script), beacons_of(&m));
-        prop_assert_eq!(m.decoy_beacons.len(), decoys);
+        prop_assert_eq!(m.decoy_beacons.len(), DECOYS);
     }
 }
