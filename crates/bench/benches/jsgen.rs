@@ -6,8 +6,9 @@
 //! milliseconds) on any modern machine.
 //!
 //! The `page_setup` group holds what a request for a page's
-//! `<script src>` URL costs: a token keeps its script's seed, and every
-//! fetch writes the script from it into the response.
+//! `<script src>` URL costs: a token keeps where in the session's
+//! stream its page drew, and every fetch draws the key, decoys and seed
+//! again from there and writes the script from them into the response.
 //! `script_on_first_fetch` times one such answer from a fresh session:
 //! `RewriteEngine::object_in_session`, the call the gate makes, head
 //! and script.

@@ -180,8 +180,8 @@ pub struct KeyState {
     pub verdict: Verdict,
     /// Rate-bucket and block state for the policy engine.
     pub policy: PolicyState,
-    /// Outstanding beacon keys and their scripts (seeds until fetched)
-    /// for this session.
+    /// Outstanding beacon keys for this session, each with where in its
+    /// stream the page's decoys and script seed were drawn.
     pub tokens: TokenState,
     /// The last CAPTCHA challenge record issued to this session, if it
     /// was not answered or burned; [`KeyState::outstanding_challenge`]

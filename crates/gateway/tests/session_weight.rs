@@ -334,16 +334,18 @@ fn a_request_record_holds_only_what_the_features_read() {
 }
 
 /// The bytes a verified human's session may hold once its page, its
-/// script and its mouse beacon are in (360 measured, release and
-/// debug). Its one token entry keeps the seed its script is written
-/// from on every fetch, never the ~1.85 KB source, and its decoys
-/// inline, and its token list is sized to that one entry; its
-/// instrumentation RNG is kept as the number of words drawn from its
-/// stream, not as a 136-byte generator. (The same walk left 400 bytes
-/// while the entry's decoys took a block of their own, 536 while the
-/// generator was kept, and 2 784 while a fetched script stayed in its
-/// entry and the list took four slots.)
-const VERIFIED_HUMAN_BYTES: i64 = 384;
+/// script and its mouse beacon are in (288 measured, release and
+/// debug). Its one token entry keeps where in the session's stream its
+/// page's token was drawn, and the fetch draws the decoys and the seed
+/// its script is written from again, never keeping the ~1.85 KB source;
+/// its token list is sized to that one entry; its instrumentation RNG
+/// is kept as its seed and the number of words drawn from its stream,
+/// not as a 136-byte generator. (The same walk left 360 bytes while the
+/// entry kept its decoys and script seed inline, 400 while the decoys
+/// took a block of their own, 536 while the generator was kept, and
+/// 2 784 while a fetched script stayed in its entry and the list took
+/// four slots.)
+const VERIFIED_HUMAN_BYTES: i64 = 304;
 
 static HUMAN: Live = Live::new();
 
@@ -395,24 +397,26 @@ fn a_verified_humans_session_holds_no_script() {
 }
 
 /// The live heap one session may hold at every per-session cap
-/// (12 392 bytes in 4 blocks measured, release and debug; 15 456 in 68
-/// while each token entry's decoys took a block and the entry list grew
-/// as `Vec` does, 15 592 while it kept its RNG whole, 15 616 while its
-/// one evidence kind took a block, 18 176 while it kept a log of its
-/// records):
+/// (7 280 bytes in 4 blocks measured, release and debug; 12 392 while
+/// each token entry kept its five decoys and its script seed inline,
+/// 15 456 in 68 while each entry's decoys took a block and the entry
+/// list grew as `Vec` does, 15 592 while it kept its RNG whole, 15 616
+/// while its one evidence kind took a block, 18 176 while it kept a log
+/// of its records):
 ///
 /// - the seen-URL set, 512 hashes: 4 096 bytes;
 /// - 64 outstanding page tokens, every script fetched: 64 entries of
-///   128 bytes, their five 16-byte decoys inline, 8 KB in all — no
-///   script is kept;
+///   48 bytes, 3 KB in all — the decoys and the script seed are drawn
+///   again from the session's stream, and no script is kept;
 /// - the key's agent (the one evidence kind it saw is inline), under
 ///   300 bytes.
 ///
-/// Times the 100 000-session cap this is ~1.2 GB, the tracker's worst
-/// case (~1.6 GB while each entry's decoys took a block, ~1.8 GB while
-/// a session kept a log of 5-byte records, ~3.6 GB while a record was
-/// 40 bytes, ~15.5 GB while every fetched script stayed in its entry).
-const WORST_CASE_BYTES: i64 = 12_800;
+/// Times the 100 000-session cap this is ~0.75 GB, the tracker's worst
+/// case (~1.2 GB while each entry kept its decoys, ~1.6 GB while they
+/// took a block, ~1.8 GB while a session kept a log of 5-byte records,
+/// ~3.6 GB while a record was 40 bytes, ~15.5 GB while every fetched
+/// script stayed in its entry).
+const WORST_CASE_BYTES: i64 = 7_680;
 
 static WORST: Live = Live::new();
 
@@ -486,10 +490,12 @@ fn a_session_at_every_cap_holds_a_stated_heap() {
 
 static PAGES: Live = Live::new();
 
-/// What a token entry may come to: 128 bytes measured (its key, its
-/// five decoys inline, its script's seed and nonce, and its issue time
-/// with its flags in one word).
-const ENTRY_BYTES: i64 = 144;
+/// What a token entry may come to: 48 bytes measured (its key, where
+/// its page's token was drawn in the session's stream, its script's
+/// nonce, its issue time with its flags in one word, and its decoys'
+/// 12-bit tags in another; 128 while it kept its five decoys and its
+/// script's seed).
+const ENTRY_BYTES: i64 = 56;
 
 /// Sessions served one to six pages each (what a `browse_mix` browser
 /// is served, and a little more): each session's token state, taken

@@ -33,13 +33,14 @@
 //!   mints the probe URLs and the token but not the ~1 KB obfuscated
 //!   script: it draws one 64-bit script seed from the session's stream,
 //!   wires the handler name that seed implies into `<body onmousemove>`,
-//!   and the token entry keeps the seed (a [`ScriptSeed`], 16 bytes) and
-//!   never a source. [`RewriteEngine::object_in_session`] writes the
-//!   script from the entry's own key, decoys and seed straight into the
-//!   response on every fetch of the `<script src>` URL, allocating
-//!   nothing; a page whose script is never fetched never pays for one,
-//!   and one that is fetched costs its session no more memory than one
-//!   that is not.
+//!   and the token entry keeps where in the stream the page's token was
+//!   drawn and never a source. [`RewriteEngine::object_in_session`] draws
+//!   the entry's key, decoys and seed again from there, MACs the agent
+//!   beacon's nonce from its drawn bits and the issue hour, and writes
+//!   the script straight into the response on every fetch of the
+//!   `<script src>` URL, allocating nothing; a page whose script is never
+//!   fetched never pays for one, and one that is fetched costs its
+//!   session no more memory than one that is not.
 //! * **Probe URLs are written where they are injected; the manifest is
 //!   derived for callers that read it.** The mint writes each URL
 //!   straight into the page's one markup buffer from its nonce (the
@@ -54,7 +55,7 @@ use crate::jsgen::{self, Push, ScriptUrl, ScriptUrls};
 use crate::probe::{AutomationReport, ProbeHit, ProbeKind, ProbeObject};
 use crate::rewrite::{Classified, InstrumentConfig, ProbeManifest};
 use crate::stream::StreamingRewrite;
-use crate::token::{BeaconKey, ScriptRecipe, ScriptSeed, TokenState, DECOYS};
+use crate::token::{BeaconKey, ScriptSeed, TokenDraw, TokenState, DECOYS};
 use botwall_http::{Request, RequestView, Response, Uri, UriRef};
 use botwall_sessions::SimTime;
 use rand::Rng;
@@ -160,8 +161,9 @@ impl Sighting {
 
 /// The per-page beacon token a rewrite issues: the real key, its decoys,
 /// and what the script that references them (served under its probe
-/// nonce) will be generated from.
-#[derive(Debug, Clone, Copy)]
+/// nonce) will be generated from. The engine makes it from the page's
+/// [`TokenDraw`], at the mint and at every recompute.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IssuedPageToken {
     /// The real 128-bit beacon key.
     pub key: BeaconKey,
@@ -173,6 +175,8 @@ pub struct IssuedPageToken {
     /// The seed of the script served under that nonce; see
     /// [`RewriteEngine::object_in_session`].
     pub script: ScriptSeed,
+    /// Where in its stream the token was drawn ([`TokenDraw::at`]).
+    pub(crate) at: u64,
 }
 
 /// Where one page's probe URLs point: `http://authority` in front of
@@ -263,26 +267,38 @@ fn push_probe_path(out: &mut impl Push, nonce: u64, kind: ProbeKind) {
     out.push_str(kind.extension());
 }
 
-/// The URLs of the script one token entry stands for, on one site:
-/// each spelled as the page's manifest spells it.
-struct RecipeUrls<'a> {
+/// The URLs of the script one token stands for, on one site: each
+/// spelled as the page's manifest spells it.
+struct TokenUrls<'a> {
     site: Site<'a>,
-    recipe: ScriptRecipe<'a>,
+    key: BeaconKey,
+    decoys: &'a [BeaconKey],
+    agent_nonce: u64,
 }
 
-impl ScriptUrls for RecipeUrls<'_> {
+impl<'a> TokenUrls<'a> {
+    fn of(site: Site<'a>, token: &'a IssuedPageToken) -> TokenUrls<'a> {
+        TokenUrls {
+            site,
+            key: token.key,
+            decoys: &token.decoys,
+            agent_nonce: token.script.agent_nonce,
+        }
+    }
+}
+
+impl ScriptUrls for TokenUrls<'_> {
     fn decoys(&self) -> usize {
-        self.recipe.decoys.len()
+        self.decoys.len()
     }
 
     fn push(&self, url: ScriptUrl, out: &mut impl Push) {
         match url {
-            ScriptUrl::Mouse => self.site.push_beacon(out, self.recipe.key),
-            ScriptUrl::Decoy(i) => self.site.push_beacon(out, self.recipe.decoys[i]),
-            ScriptUrl::Agent => {
-                let nonce = self.recipe.seed.agent_nonce;
-                self.site.push_probe(out, nonce, ProbeKind::AgentBeacon)
-            }
+            ScriptUrl::Mouse => self.site.push_beacon(out, self.key),
+            ScriptUrl::Decoy(i) => self.site.push_beacon(out, self.decoys[i]),
+            ScriptUrl::Agent => self
+                .site
+                .push_probe(out, self.agent_nonce, ProbeKind::AgentBeacon),
         }
     }
 }
@@ -406,8 +422,14 @@ impl RewriteEngine {
     /// Mints a self-authenticating probe nonce of `kind`, stamped with
     /// the issue hour.
     fn probe_nonce<R: Rng>(&self, kind: ProbeKind, now: SimTime, rng: &mut R) -> u64 {
+        self.nonce_of(kind, now, rng.gen())
+    }
+
+    /// The probe nonce of `kind` issued at `now` whose random part is
+    /// drawn from `bits`.
+    fn nonce_of(&self, kind: ProbeKind, now: SimTime, bits: u64) -> u64 {
         let full_hour = now.as_millis() / 3_600_000;
-        let rand_bits = rng.gen::<u64>() & SALT_RAND_MASK;
+        let rand_bits = bits & SALT_RAND_MASK;
         let salt = ((full_hour & HOUR_MASK) << SALT_RAND_BITS) | rand_bits;
         let code = kind_code(kind);
         (salt << (TAG_BITS + KIND_BITS))
@@ -512,7 +534,7 @@ impl RewriteEngine {
     /// session *before* the body has streamed, so a probe fetched by a
     /// fast browser mid-stream already redeems. Probe URLs point at
     /// `page`'s authority (path-only when it has none).
-    pub fn begin_stream<R: Rng>(&self, page: &Uri, now: SimTime, rng: &mut R) -> StreamingRewrite {
+    pub fn begin_stream(&self, page: &Uri, now: SimTime, rng: &mut ChaCha8Rng) -> StreamingRewrite {
         self.mint(page.authority().as_deref(), now, rng)
     }
 
@@ -544,10 +566,32 @@ impl RewriteEngine {
         stream
     }
 
+    /// The token a page issued at `issued` drew as `draw`: its script's
+    /// and its agent beacon's nonces MACed from their drawn bits and the
+    /// issue hour. The mint makes a page's token here, and a script
+    /// fetch makes it again from the draw its entry recomputes.
+    pub(crate) fn issued_token(&self, draw: &TokenDraw, issued: SimTime) -> IssuedPageToken {
+        IssuedPageToken {
+            key: draw.key,
+            decoys: draw.decoys,
+            js_nonce: self.nonce_of(ProbeKind::JsFile, issued, draw.js_bits),
+            script: ScriptSeed {
+                seed: draw.seed,
+                agent_nonce: self.nonce_of(ProbeKind::AgentBeacon, issued, draw.agent_bits),
+            },
+            at: draw.at,
+        }
+    }
+
     /// Draws this page's probes and token from `rng` and writes the
     /// markup that carries them, every probe URL on `authority`'s site
     /// written in place from its nonce.
-    fn mint<R: Rng>(&self, authority: Option<&str>, now: SimTime, rng: &mut R) -> StreamingRewrite {
+    fn mint(
+        &self,
+        authority: Option<&str>,
+        now: SimTime,
+        rng: &mut ChaCha8Rng,
+    ) -> StreamingRewrite {
         let site = Site::of(authority);
         let mut minted = Minted::default();
         // Four URLs, and under 200 bytes of tags and handler name.
@@ -560,26 +604,13 @@ impl RewriteEngine {
             minted.css = Some(nonce);
         }
         if self.config.mouse_beacon {
-            let key = BeaconKey::random(rng);
-            // Drawn in index order, after the key.
-            let decoys: [BeaconKey; DECOYS] = std::array::from_fn(|_| BeaconKey::random(rng));
-            let agent_nonce = self.probe_nonce(ProbeKind::AgentBeacon, now, rng);
-            let js_nonce = self.probe_nonce(ProbeKind::JsFile, now, rng);
             // The script itself is written by each fetch of its URL;
             // the page only needs the name of the handler it defines.
-            let script = ScriptSeed {
-                seed: rng.gen(),
-                agent_nonce,
-            };
+            let token = self.issued_token(&TokenDraw::from_stream(rng), now);
             markup.push_str("<script language=\"javascript\" src=\"");
-            site.push_probe(&mut markup, js_nonce, ProbeKind::JsFile);
+            site.push_probe(&mut markup, token.js_nonce, ProbeKind::JsFile);
             markup.push_str("\"></script>\n");
-            minted.token = Some(IssuedPageToken {
-                key,
-                decoys,
-                js_nonce,
-                script,
-            });
+            minted.token = Some(token);
         }
         let attr = markup.len();
         if let Some(token) = &minted.token {
@@ -604,8 +635,9 @@ impl RewriteEngine {
     /// Appends to `out` the answer instrumentation traffic gets inside
     /// the session `request` arrived in, `close` deciding its
     /// `Connection` line ([`ProbeObject::write`]): a JS-file hit's body is
-    /// the script written from the session's own `tokens` entry for its
-    /// nonce — the same bytes on every fetch, its URLs on the authority
+    /// the script written from the token the session's own `tokens`
+    /// entry for its nonce draws again from the session's stream — the
+    /// same bytes on every fetch, its URLs on the authority
     /// `request` was addressed to (the one the page's `<script src>`
     /// sent the browser to); empty when they hold
     /// no entry for the nonce live at `now`
@@ -628,16 +660,18 @@ impl RewriteEngine {
             let Some(recipe) = tokens.script_for(hit.nonce, now) else {
                 return;
             };
+            let token = self.issued_token(&recipe.draw, recipe.issued);
+            debug_assert_eq!(
+                token.js_nonce, hit.nonce,
+                "the entry's nonce is the one drawn"
+            );
             let authority = request.authority();
-            let urls = RecipeUrls {
-                site: Site::of(authority.as_deref()),
-                recipe,
-            };
+            let urls = TokenUrls::of(Site::of(authority.as_deref()), &token);
             // Room for the script and its answer's head at once, not
             // grown piece by piece: the default one is ~1.85 KB, and each
             // decoy adds ~250 bytes.
-            out.reserve(JS_TARGET_SIZE + 256 * (recipe.decoys.len() + 2));
-            let mut rng = ChaCha8Rng::seed_from_u64(recipe.seed.seed);
+            out.reserve(JS_TARGET_SIZE + 256 * (DECOYS + 2));
+            let mut rng = ChaCha8Rng::seed_from_u64(token.script.seed);
             jsgen::write(
                 &urls,
                 self.config.obfuscation,
@@ -1048,6 +1082,86 @@ mod tests {
     }
 
     proptest! {
+        /// What an entry draws again from its session's stream is the
+        /// token the mint drew there: for any engine and stream seed,
+        /// probe switches, obfuscation, first issue time and 1–70 pages
+        /// (past the entry bound) up to 20 minutes apart, so that pages
+        /// straddle hour boundaries and some have expired, every held
+        /// entry's key, decoys, script nonce and [`ScriptSeed`] are the
+        /// minted token's. A lookup by nonce lends the latest live page
+        /// with that nonce, and the last page's script is the one the
+        /// writer writes from its minted token.
+        #[test]
+        fn a_recomputed_token_is_the_one_minted(
+            engine_seed in any::<u64>(),
+            stream_seed in any::<u64>(),
+            switches in 0u8..8,
+            obfuscation in prop_oneof![
+                Just(Obfuscation::None),
+                Just(Obfuscation::Lexical),
+                Just(Obfuscation::SplitStrings),
+            ],
+            start in 0u64..10_000_000_000,
+            gaps in proptest::collection::vec(0u64..=1_200_000, 1..=70),
+        ) {
+            let config = InstrumentConfig {
+                obfuscation,
+                css_probe: switches & 1 != 0,
+                hidden_link: switches & 2 != 0,
+                mouse_beacon: switches & 4 != 0,
+            };
+            let e = RewriteEngine::new(config, engine_seed);
+            let page = origin_form("/index.html", Some("shop.example.org"));
+            let mut tokens = TokenState::default();
+            let mut now = SimTime::from_millis(start);
+            let mut minted = Vec::new();
+            for gap in gaps {
+                now += gap;
+                let stream = e.begin_session_page(&page, &mut tokens, || stream_seed, now);
+                minted.extend(stream.token().map(|token| (*token, now)));
+            }
+            let held = &minted[minted.len().saturating_sub(crate::MAX_TOKENS_PER_SESSION)..];
+            let redrawn = crate::token::tests::redrawn(&tokens);
+            prop_assert_eq!(redrawn.len(), held.len());
+            for (redrawn, &(token, issued)) in redrawn.into_iter().zip(held) {
+                let (draw, at) = redrawn.expect("a page's entry is drawn");
+                prop_assert_eq!(at, issued);
+                prop_assert_eq!(e.issued_token(&draw, at), token);
+            }
+            for &(token, _) in held {
+                let latest = held.iter().rev().find(|(t, _)| t.js_nonce == token.js_nonce);
+                let live = latest.filter(|(_, at)| now.since(*at) <= crate::token::TOKEN_LIFETIME_MS);
+                let lent = tokens
+                    .script_for(token.js_nonce, now)
+                    .map(|recipe| (e.issued_token(&recipe.draw, recipe.issued), recipe.issued));
+                prop_assert_eq!(lent, live.copied());
+            }
+            if let Some((token, issued)) = minted.last() {
+                let path = Site(None).probe(token.js_nonce, ProbeKind::JsFile);
+                let fetch = origin_form(path.path(), Some("shop.example.org"));
+                let hit = Classified::Probe(ProbeHit {
+                    kind: ProbeKind::JsFile,
+                    nonce: token.js_nonce,
+                    reported_agent: None,
+                    automation: None,
+                });
+                let mut out = Vec::new();
+                let object = e.object_in_session(&hit, &tokens, &fetch.view(), *issued, false, &mut out);
+                let served = object.expect("a JS-file hit is answered").to_response(&out);
+                let mut written = Vec::new();
+                jsgen::write(
+                    &TokenUrls::of(Site(Some("shop.example.org")), token),
+                    obfuscation,
+                    JS_TARGET_SIZE,
+                    &mut ChaCha8Rng::seed_from_u64(token.script.seed),
+                    &mut written,
+                );
+                prop_assert_eq!(served.body(), &written[..]);
+            }
+        }
+    }
+
+    proptest! {
         /// The writer against the generator it replaced, kept as the
         /// oracle: for any seed, obfuscation, decoy count, padding target
         /// and authority a page's URLs may be on, the same bytes and the
@@ -1071,21 +1185,17 @@ mod tests {
             let site = Site::of(authority.as_deref());
             prop_assert_eq!(site.0, authority.as_deref(), "a plain host[:port] is kept");
             let decoys: Vec<BeaconKey> = decoys.into_iter().map(BeaconKey::from_raw).collect();
-            let recipe = ScriptRecipe {
-                key: BeaconKey::from_raw(key),
-                decoys: &decoys,
-                seed: ScriptSeed { seed, agent_nonce },
-            };
+            let key = BeaconKey::from_raw(key);
             let mut written = b"earlier".to_vec();
             let handler = jsgen::write(
-                &RecipeUrls { site, recipe },
+                &TokenUrls { site, key, decoys: &decoys, agent_nonce },
                 obfuscation,
                 target_size,
                 &mut ChaCha8Rng::seed_from_u64(seed),
                 &mut written,
             );
             let spec = JsSpec {
-                mouse_beacon: site.beacon(recipe.key),
+                mouse_beacon: site.beacon(key),
                 decoys: decoys.iter().map(|d| site.beacon(*d)).collect(),
                 agent_beacon: site.probe(agent_nonce, ProbeKind::AgentBeacon),
                 obfuscation,

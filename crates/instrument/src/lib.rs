@@ -20,8 +20,9 @@
 //! Two top-level types split the work along the mutability boundary:
 //! the immutable, freely shareable [`RewriteEngine`] (rewriting,
 //! stateless MAC-nonce probe classification, script generation) and the
-//! per-session [`TokenState`] (outstanding beacon keys + the 16-byte
-//! seeds their scripts are written from on every fetch), which callers
+//! per-session [`TokenState`] (outstanding beacon keys + where in the
+//! session's stream each page drew the decoys and seed its script is
+//! written from on every fetch), which callers
 //! colocate with their other per-session state. The engine's stateless
 //! [`Sighting`] of a request resolves against that state into the
 //! [`Classified`] stream `botwall-core` builds the detector on.

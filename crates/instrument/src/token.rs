@@ -12,19 +12,23 @@
 //! shard entry, so issuing and redeeming share the session's shard lock
 //! (no global token table, no global lock).
 //!
-//! Each entry also answers for its page's `<script src>`, and keeps only
-//! what that script is generated from: the entry's own key and decoys,
-//! and a [`ScriptSeed`] (16 bytes). The source is never kept. Every
-//! fetch of the script URL writes it again from the
-//! [`ScriptRecipe`] [`TokenState::script_for`] lends, straight into the
-//! response, under the session's lock. So an entry weighs what it did
-//! the moment its page was served, fetched or not: 128 bytes, its
-//! [`DECOYS`] decoys inline, no heap block of its own, and a session's
-//! list holds one slot per entry, no spare. What one session can pin,
-//! 64 entries, is 8 KB; across 100k sessions ~0.8 GB, however many
-//! scripts those sessions fetch (~13 GB when a fetched script's ~1.85 KB
-//! source stayed in its entry; ~1.1 GB while an entry was 96 bytes with
-//! its decoys in a block of their own, in a list grown as `Vec` does).
+//! Each entry also answers for its page's decoys and its `<script src>`,
+//! and keeps neither: the decoys and the [`ScriptSeed`] were drawn from
+//! the session's own stream, so the entry keeps the word position the
+//! page's [`TokenDraw`] began at and draws them again when asked. Every
+//! fetch of the script URL writes the script from the [`ScriptRecipe`]
+//! [`TokenState::script_for`] recomputes, straight into the response,
+//! under the session's lock; a beacon whose key is no entry's is checked
+//! against each entry's five 12-bit decoy tags first, and only a tag hit
+//! (5 in 4 096 keys an entry) draws the decoys again. So an entry weighs
+//! what it did the moment its page was served, fetched or not: 48 bytes
+//! (key, position, script nonce, issue time, decoy tags), no heap block of
+//! its own, and a session's list holds one slot per entry, no spare.
+//! What one session can pin, 64 entries, is 3 KB; across 100k sessions
+//! ~0.3 GB, however many scripts those sessions fetch (~0.8 GB while an
+//! entry kept its [`DECOYS`] decoys and script seed, 128 bytes; ~1.1 GB
+//! while it was 96 bytes with its decoys in a block of their own; ~13 GB
+//! when a fetched script's ~1.85 KB source stayed in its entry).
 
 use crate::engine::IssuedPageToken;
 use crate::jsgen::{hex, Push};
@@ -43,8 +47,7 @@ pub const MAX_TOKENS_PER_SESSION: usize = 64;
 /// Decoy functions `m` a page's script carries beside the real mouse
 /// handler (§2.1): a robot that fetches one of the `m + 1` beacon URLs
 /// it finds in the script blindly is caught with probability
-/// `m/(m+1)`. Every page is minted with this many; a token entry holds
-/// up to this many inline.
+/// `m/(m+1)`. Every page is minted with this many.
 pub const DECOYS: usize = 5;
 
 /// How long an entry answers after its page was issued: past it, its
@@ -116,9 +119,9 @@ pub enum KeyOutcome {
     Unknown,
 }
 
-/// What a page's script is generated from, besides the key and decoys
-/// its token entry already holds: the stream seed `jsgen` runs over and
-/// the nonce of the agent-beacon URL the script reports to.
+/// What a page's script is generated from, besides its key and decoys:
+/// the stream seed `jsgen` runs over and the nonce of the agent-beacon
+/// URL the script reports to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScriptSeed {
     /// Seeds the generator's stream (see [`crate::jsgen::handler_name`]):
@@ -128,111 +131,112 @@ pub struct ScriptSeed {
     pub agent_nonce: u64,
 }
 
-/// What one entry's script is written from: its key and decoys, and
-/// its [`ScriptSeed`] — lent by [`TokenState::script_for`], spelled out
-/// by [`crate::RewriteEngine::object_in_session`].
+/// What one page's token draws from its session's stream, in the order
+/// it draws it: the key, the decoys, the bits of the agent beacon's
+/// nonce, the bits of the script's nonce, and the script's seed. The
+/// mint draws it once and an entry keeps only [`TokenDraw::at`]; a
+/// lookup draws it again from there. The two nonces are the engine's to
+/// finish: it MACs their bits with the hour the page was issued in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScriptRecipe<'a> {
-    /// The real beacon key the handler fetches.
+pub struct TokenDraw {
+    /// The stream's word position before the draw's first word.
+    pub at: u64,
+    /// The real beacon key.
     pub key: BeaconKey,
-    /// The decoy keys, in the order the page issued them.
-    pub decoys: &'a [BeaconKey],
-    /// The generator's seed and the agent beacon's nonce.
-    pub seed: ScriptSeed,
+    /// The decoy keys, in the order they were drawn.
+    pub decoys: [BeaconKey; DECOYS],
+    /// The random bits of the agent beacon's probe nonce.
+    pub agent_bits: u64,
+    /// The random bits of the script's probe nonce.
+    pub js_bits: u64,
+    /// The seed the script is written from.
+    pub seed: u64,
+}
+
+impl TokenDraw {
+    /// Draws a page's token from `rng`, wherever it stands. The mint
+    /// and every recompute of an entry call this, so the draw order is
+    /// written once.
+    pub(crate) fn from_stream(rng: &mut ChaCha8Rng) -> TokenDraw {
+        let at = u64::try_from(rng.get_word_pos()).expect("under 2^64 words drawn");
+        let key = BeaconKey::random(rng);
+        // Drawn in index order, after the key.
+        let decoys = std::array::from_fn(|_| BeaconKey::random(rng));
+        let agent_bits = rng.gen();
+        let js_bits = rng.gen();
+        let seed = rng.gen();
+        TokenDraw {
+            at,
+            key,
+            decoys,
+            agent_bits,
+            js_bits,
+            seed,
+        }
+    }
+}
+
+/// What one entry's script is written from, drawn again from its
+/// session's stream by [`TokenState::script_for`]: the page's
+/// [`TokenDraw`] and the time it was issued, whose hour
+/// [`crate::RewriteEngine::object_in_session`] MACs the nonces with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScriptRecipe {
+    /// The page's token, as the mint drew it.
+    pub draw: TokenDraw,
+    /// When the page was issued.
+    pub issued: SimTime,
 }
 
 /// One issued page's token, held inline in its session's list: the
-/// key, the decoys, what the page's script is written from under the
-/// nonce of its `<script src>` URL (stored with the session, so script
-/// serving needs no global store), and the [`Stamp`].
+/// key, where the page's [`TokenDraw`] began in the session's stream,
+/// the nonce of its `<script src>` URL (stored with the session, so
+/// script serving needs no global store), the [`Stamp`], and the tags
+/// of its decoys.
 #[derive(Debug)]
 struct Entry {
     key: BeaconKey,
-    /// The first [`Stamp::decoys`] slots are the decoys issued.
-    decoys: [BeaconKey; DECOYS],
-    /// Read only when [`Stamp::script`] says the entry has a script.
+    /// Read only when [`Stamp::drawn`] says the entry was drawn.
+    at: u64,
+    /// Read only when [`Stamp::drawn`] says the entry was drawn.
     js_nonce: u64,
-    script: ScriptSeed,
     stamp: Stamp,
+    /// Read only when [`Stamp::drawn`] says the entry was drawn.
+    decoys: DecoyTags,
 }
 
-const _: () = assert!(std::mem::size_of::<Entry>() <= 128);
+const _: () = assert!(std::mem::size_of::<Entry>() <= 48);
 
 impl Entry {
-    /// An entry issued at `issued`, answering for the script `js`
-    /// names, if any.
-    ///
-    /// # Panics
-    ///
-    /// If more than [`DECOYS`] decoys are given.
-    fn new(
-        key: BeaconKey,
-        decoys: &[BeaconKey],
-        js: Option<(u64, ScriptSeed)>,
-        issued: SimTime,
-    ) -> Entry {
-        assert!(
-            decoys.len() <= DECOYS,
-            "{} decoys, over {DECOYS}",
-            decoys.len()
-        );
-        let mut held = [BeaconKey(0); DECOYS];
-        held[..decoys.len()].copy_from_slice(decoys);
-        let (js_nonce, script) = js.unwrap_or((
-            0,
-            ScriptSeed {
-                seed: 0,
-                agent_nonce: 0,
-            },
-        ));
-        Entry {
-            key,
-            decoys: held,
-            js_nonce,
-            script,
-            stamp: Stamp::new(issued, decoys.len(), js.is_some()),
-        }
-    }
-
-    /// The decoys issued with the key.
-    fn decoys(&self) -> &[BeaconKey] {
-        &self.decoys[..self.stamp.decoys()]
-    }
-
     /// Whether the entry still answers as of `now`.
     fn live(&self, now: SimTime) -> bool {
         now.since(self.stamp.issued()) <= TOKEN_LIFETIME_MS
     }
 }
 
-/// An entry's issue time and its three small facts in one word, so the
-/// entry takes 128 bytes, not 144: the time in milliseconds above the
-/// low [`Stamp::FLAG_BITS`] bits, which hold the decoy count, whether
-/// the key was redeemed and whether the entry answers for a script. An
-/// issue time past 2^59 ms (some 18 million years of server clock)
-/// is kept as that bound.
+/// An entry's issue time and its two flags in one word: the time in
+/// milliseconds above the low [`Stamp::FLAG_BITS`] bits, which say
+/// whether the key was redeemed and whether the entry was drawn from
+/// the session's stream (so it answers for decoys and a script). An
+/// issue time past 2^62 ms (some 146 million years of server clock) is
+/// kept as that bound, and a script drawn again then would MAC its
+/// nonces with the wrong hour.
 #[derive(Debug, Clone, Copy)]
 struct Stamp(u64);
 
 impl Stamp {
-    const FLAG_BITS: u32 = 5;
-    const COUNT: u64 = 0b111;
-    const REDEEMED: u64 = 1 << 3;
-    const SCRIPT: u64 = 1 << 4;
+    const FLAG_BITS: u32 = 2;
+    const REDEEMED: u64 = 1;
+    const DRAWN: u64 = 1 << 1;
 
-    fn new(issued: SimTime, decoys: usize, script: bool) -> Stamp {
-        const _: () = assert!(DECOYS as u64 <= Stamp::COUNT);
+    fn new(issued: SimTime, drawn: bool) -> Stamp {
         let ms = issued.as_millis().min(u64::MAX >> Self::FLAG_BITS);
-        let script = if script { Self::SCRIPT } else { 0 };
-        Stamp((ms << Self::FLAG_BITS) | decoys as u64 | script)
+        let drawn = if drawn { Self::DRAWN } else { 0 };
+        Stamp((ms << Self::FLAG_BITS) | drawn)
     }
 
     fn issued(self) -> SimTime {
         SimTime::from_millis(self.0 >> Self::FLAG_BITS)
-    }
-
-    fn decoys(self) -> usize {
-        (self.0 & Self::COUNT) as usize
     }
 
     fn redeemed(self) -> bool {
@@ -243,22 +247,52 @@ impl Stamp {
         self.0 |= Self::REDEEMED;
     }
 
-    fn script(self) -> bool {
-        self.0 & Self::SCRIPT != 0
+    fn drawn(self) -> bool {
+        self.0 & Self::DRAWN != 0
     }
 }
 
-/// The outstanding beacon keys (and the seeds of their scripts) of one
-/// session.
+/// The low [`DecoyTags::BITS`] bits of each of an entry's decoys, five
+/// to a word. A key whose low bits match none of them is none of the
+/// entry's decoys; one that matches has the decoys drawn again to be
+/// sure.
+#[derive(Debug, Clone, Copy)]
+struct DecoyTags(u64);
+
+impl DecoyTags {
+    const BITS: u32 = 12;
+    const MASK: u64 = (1 << Self::BITS) - 1;
+
+    fn of(decoys: &[BeaconKey; DECOYS]) -> DecoyTags {
+        const _: () = assert!(DECOYS as u32 * DecoyTags::BITS <= u64::BITS);
+        let tags = (0..).zip(decoys).fold(0, |tags, (i, decoy)| {
+            tags | Self::tag(*decoy) << (i * Self::BITS)
+        });
+        DecoyTags(tags)
+    }
+
+    fn tag(key: BeaconKey) -> u64 {
+        key.0 as u64 & Self::MASK
+    }
+
+    /// Whether `key` may be one of the decoys: its tag is among theirs.
+    fn may_hold(self, key: BeaconKey) -> bool {
+        let tag = Self::tag(key);
+        (0..DECOYS as u32).any(|i| (self.0 >> (i * Self::BITS)) & Self::MASK == tag)
+    }
+}
+
+/// The outstanding beacon keys (and where their decoys and scripts
+/// were drawn) of one session.
 ///
 /// This is the per-session half of the PR-4 instrumenter split: it lives
 /// inside the session's tracker shard entry, so every operation on it —
 /// issuing keys at page-rewrite time, redeeming them when a beacon
-/// fires, writing a fetched script from its seed — happens under the shard
-/// lock the request already holds. It also keeps the session's place in
-/// its deterministic RNG stream (seeded by the engine's secret and the
+/// fires, writing a fetched script — happens under the shard lock the
+/// request already holds. It also keeps the session's place in its
+/// deterministic RNG stream (seeded by the engine's secret and the
 /// session identity), so instrumentation randomness needs no shared
-/// generator: the words drawn so far, not the generator.
+/// generator: the seed and the words drawn so far, not the generator.
 ///
 /// A session that was never issued a key nor drew from its RNG — most
 /// sessions are never served a page — holds one null pointer (8 bytes
@@ -288,36 +322,72 @@ struct Tokens {
     entries: VecDeque<Entry>,
     /// Words drawn from the session's RNG stream.
     drawn: u64,
+    /// The session's stream seed, read at its first draw. It cannot
+    /// change while the [`TokenState`] lives: a session's next
+    /// incarnation starts a fresh one.
+    seed: u64,
+}
+
+impl Tokens {
+    /// The token `entry`'s page drew, drawn again from the session's
+    /// stream at the entry's position: a reseed, a seek and two or three
+    /// ChaCha blocks.
+    fn redraw(&self, entry: &Entry) -> TokenDraw {
+        #[cfg(test)]
+        REDRAWS.with(|n| n.set(n.get() + 1));
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
+        rng.set_word_pos(u128::from(entry.at));
+        TokenDraw::from_stream(&mut rng)
+    }
 }
 
 impl TokenState {
-    /// Records a key freshly issued for `_page` plus the decoys served
-    /// alongside it, dropping the oldest entry beyond `max_entries`.
-    /// Neither the page nor a script source `_js` is kept: a key redeems
-    /// on its own, and an entry issued here answers for no script.
-    ///
-    /// # Panics
-    ///
-    /// If more than [`DECOYS`] decoys are given.
+    /// Records a key freshly issued for `_page`, dropping the oldest
+    /// entry beyond `max_entries`. Only the key is kept: the page, the
+    /// decoys `_decoys` and a script source `_js` are not, so the key
+    /// redeems, and an entry issued here answers for no decoy and no
+    /// script (a page's decoys and script are drawn from the session's
+    /// stream, which [`crate::RewriteEngine::begin_session_page`] does).
     pub fn issue(
         &mut self,
         _page: impl Into<String>,
         key: BeaconKey,
-        decoys: Vec<BeaconKey>,
+        _decoys: Vec<BeaconKey>,
         _js: Option<(u64, String)>,
         now: SimTime,
         max_entries: usize,
     ) {
-        self.push(Entry::new(key, &decoys, None, now), max_entries);
+        let entry = Entry {
+            key,
+            at: 0,
+            js_nonce: 0,
+            stamp: Stamp::new(now, false),
+            decoys: DecoyTags(0),
+        };
+        self.push(entry, max_entries);
     }
 
-    /// Records the token a page rewrite issued, dropping the oldest
-    /// entry beyond [`MAX_TOKENS_PER_SESSION`]; its script is the seed
-    /// [`TokenState::script_for`] lends to every fetch.
-    pub fn issue_page(&mut self, token: IssuedPageToken, now: SimTime) {
-        let js = Some((token.js_nonce, token.script));
-        let entry = Entry::new(token.key, &token.decoys, js, now);
+    /// Records the token a page rewrite drew from this state's stream,
+    /// dropping the oldest entry beyond [`MAX_TOKENS_PER_SESSION`]; its
+    /// decoys and its script are drawn again where the token was.
+    pub(crate) fn issue_page(&mut self, token: IssuedPageToken, now: SimTime) {
+        let entry = Entry {
+            key: token.key,
+            at: token.at,
+            js_nonce: token.js_nonce,
+            stamp: Stamp::new(now, true),
+            decoys: DecoyTags::of(&token.decoys),
+        };
         self.push(entry, MAX_TOKENS_PER_SESSION);
+        if cfg!(debug_assertions) {
+            let tokens = self.0.as_deref().expect("just pushed");
+            let draw = tokens.redraw(tokens.entries.back().expect("just pushed"));
+            debug_assert_eq!(
+                (draw.key, draw.decoys, draw.seed),
+                (token.key, token.decoys, token.script.seed),
+                "a page's token is drawn from its session's stream"
+            );
+        }
     }
 
     fn push(&mut self, entry: Entry, max_entries: usize) {
@@ -334,7 +404,9 @@ impl TokenState {
 
     /// Checks a presented key against this session's entries still
     /// inside [`TOKEN_LIFETIME_MS`] as of `now`, marking it redeemed
-    /// when valid.
+    /// when valid. A key is compared with the entries' keys first, which
+    /// draws nothing; only an entry one of whose decoy tags the key
+    /// matches has its decoys drawn again.
     pub fn redeem(&mut self, key: BeaconKey, now: SimTime) -> KeyOutcome {
         let Some(tokens) = self.0.as_deref_mut() else {
             return KeyOutcome::Unknown;
@@ -347,31 +419,35 @@ impl TokenState {
             e.stamp.redeem();
             return KeyOutcome::Valid;
         }
-        if entries
-            .iter()
-            .any(|e| e.decoys().contains(&key) && e.live(now))
-        {
-            return KeyOutcome::Decoy;
+        let tokens = &*tokens;
+        let decoy = tokens.entries.iter().any(|e| {
+            e.stamp.drawn()
+                && e.decoys.may_hold(key)
+                && e.live(now)
+                && tokens.redraw(e).decoys.contains(&key)
+        });
+        if decoy {
+            KeyOutcome::Decoy
+        } else {
+            KeyOutcome::Unknown
         }
-        KeyOutcome::Unknown
     }
 
-    /// What the script behind a JS-file probe nonce is written from, if
-    /// this session was served the page that references it no longer
-    /// ago than [`TOKEN_LIFETIME_MS`] before `now`.
-    pub fn script_for(&self, nonce: u64, now: SimTime) -> Option<ScriptRecipe<'_>> {
-        let entry = self
-            .0
-            .as_deref()?
+    /// What the script behind a JS-file probe nonce is written from,
+    /// drawn again from the session's stream, if this session was served
+    /// the page that references it no longer ago than
+    /// [`TOKEN_LIFETIME_MS`] before `now`.
+    pub fn script_for(&self, nonce: u64, now: SimTime) -> Option<ScriptRecipe> {
+        let tokens = self.0.as_deref()?;
+        let entry = tokens
             .entries
             .iter()
             .rev()
-            .find(|e| e.stamp.script() && e.js_nonce == nonce)
+            .find(|e| e.stamp.drawn() && e.js_nonce == nonce)
             .filter(|e| e.live(now))?;
         Some(ScriptRecipe {
-            key: entry.key,
-            decoys: entry.decoys(),
-            seed: entry.script,
+            draw: tokens.redraw(entry),
+            issued: entry.stamp.issued(),
         })
     }
 
@@ -398,16 +474,22 @@ impl TokenState {
     /// `stream_seed()` seeds (derived by the engine from its secret and
     /// the session identity, so streams never collide across sessions and
     /// identical runs draw identical streams), moved past the words
-    /// earlier draws took. Only the new position is kept, so every call
-    /// reseeds, and a session's draws are the one stream's words in
-    /// order, as if one generator had made them all.
+    /// earlier draws took. Only the seed and the new position are kept,
+    /// so every call reseeds, and a session's draws are the one stream's
+    /// words in order, as if one generator had made them all.
+    /// `stream_seed` is asked only while nothing has been drawn: the
+    /// entries drawn from the stream are drawn again from the seed it
+    /// gave first.
     pub fn draw<T>(
         &mut self,
         stream_seed: impl FnOnce() -> u64,
         f: impl FnOnce(&mut ChaCha8Rng) -> T,
     ) -> T {
         let tokens = self.0.get_or_insert_with(Box::default);
-        let mut rng = ChaCha8Rng::seed_from_u64(stream_seed());
+        if tokens.drawn == 0 {
+            tokens.seed = stream_seed();
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(tokens.seed);
         rng.set_word_pos(u128::from(tokens.drawn));
         let out = f(&mut rng);
         tokens.drawn = u64::try_from(rng.get_word_pos()).expect("under 2^64 words drawn");
@@ -416,12 +498,24 @@ impl TokenState {
 }
 
 #[cfg(test)]
-mod tests {
+thread_local! {
+    /// How many entries' tokens were drawn again on this thread — the
+    /// forged-beacon test's witness that a key no entry holds is
+    /// refused without drawing, but for a tag hit.
+    pub(crate) static REDRAWS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
     use rand_chacha::rand_core::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use KeyOutcome::{Decoy, Replay, Unknown, Valid};
+
+    /// The stream seed the tests' sessions draw from.
+    const SEED: u64 = 0x5eed;
 
     /// Issues `<page, key>` with `decoys` at `at`, under a bound of
     /// `max` entries.
@@ -434,6 +528,45 @@ mod tests {
         t.redeem(BeaconKey::from_raw(key), SimTime::ZERO)
     }
 
+    /// A page's token drawn from `t`'s stream (on `seed`) as the mint
+    /// draws it, and issued at `at` under the script nonce `js_nonce`.
+    /// The agent beacon's nonce stands in as its drawn bits: the engine
+    /// MACs them, and its tests check that.
+    fn draw_page(t: &mut TokenState, seed: u64, js_nonce: u64, at: SimTime) -> TokenDraw {
+        let draw = t.draw(|| seed, TokenDraw::from_stream);
+        let script = ScriptSeed {
+            seed: draw.seed,
+            agent_nonce: draw.agent_bits,
+        };
+        let token = IssuedPageToken {
+            key: draw.key,
+            decoys: draw.decoys,
+            js_nonce,
+            script,
+            at: draw.at,
+        };
+        t.issue_page(token, at);
+        draw
+    }
+
+    /// Every entry `t` holds drawn again, oldest first, with its issue
+    /// time; `None` for an entry [`TokenState::issue`] made.
+    pub(crate) fn redrawn(t: &TokenState) -> Vec<Option<(TokenDraw, SimTime)>> {
+        t.0.as_deref().map_or_else(Vec::new, |tokens| {
+            let redrawn = |e: &Entry| (tokens.redraw(e), e.stamp.issued());
+            tokens
+                .entries
+                .iter()
+                .map(|e| e.stamp.drawn().then(|| redrawn(e)))
+                .collect()
+        })
+    }
+
+    /// A key with `key`'s decoy tag that is not `key`.
+    fn look_alike(key: BeaconKey) -> BeaconKey {
+        BeaconKey(key.0 ^ 1 << 100)
+    }
+
     /// A session served `n` pages holds `n` entries' slots, up to the
     /// bound, and no more after it: no spare slot, no block an entry
     /// owns.
@@ -442,8 +575,9 @@ mod tests {
         let mut t = TokenState::default();
         let capacity = |t: &TokenState| t.0.as_ref().map_or(0, |t| t.entries.capacity());
         let entry = std::mem::size_of::<Entry>();
+        assert_eq!(entry, 48, "key, position, script nonce, stamp, decoy tags");
         for n in 1..=MAX_TOKENS_PER_SESSION + 3 {
-            issue(&mut t, "/p", n as u128, &[1, 2, 3, 4, 5], SimTime::ZERO, 64);
+            draw_page(&mut t, SEED, n as u64, SimTime::ZERO);
             let held = n.min(MAX_TOKENS_PER_SESSION);
             assert_eq!((t.len(), capacity(&t)), (held, held), "page {n}");
             let tokens = std::mem::size_of::<Tokens>();
@@ -496,8 +630,8 @@ mod tests {
     fn valid_then_replay() {
         let mut t = TokenState::default();
         issue(&mut t, "/p", 7, &[], SimTime::ZERO, 64);
-        assert_eq!(redeem(&mut t, 7), KeyOutcome::Valid);
-        assert_eq!(redeem(&mut t, 7), KeyOutcome::Replay);
+        assert_eq!(redeem(&mut t, 7), Valid);
+        assert_eq!(redeem(&mut t, 7), Replay);
     }
 
     #[test]
@@ -507,16 +641,58 @@ mod tests {
         issue(&mut thief, "/p", 8, &[], SimTime::ZERO, 64);
         // Another session presenting the stolen key gets Unknown, and
         // the theft does not spend it.
-        assert_eq!(redeem(&mut thief, 7), KeyOutcome::Unknown);
-        assert_eq!(redeem(&mut owner, 7), KeyOutcome::Valid);
+        assert_eq!(redeem(&mut thief, 7), Unknown);
+        assert_eq!(redeem(&mut owner, 7), Valid);
     }
 
+    /// A decoy drawn with a page reads as a decoy; a key with its tag
+    /// that is not it, a key no page drew, and a decoy handed to
+    /// [`TokenState::issue`] (which keeps only the key) do not.
     #[test]
     fn decoy_detection() {
         let mut t = TokenState::default();
-        issue(&mut t, "/p", 1, &[2, 3], SimTime::ZERO, 64);
-        assert_eq!(redeem(&mut t, 3), KeyOutcome::Decoy);
-        assert_eq!(redeem(&mut t, 99), KeyOutcome::Unknown);
+        let page = draw_page(&mut t, SEED, 1, SimTime::ZERO);
+        issue(&mut t, "/q", 1, &[2, 3], SimTime::ZERO, 64);
+        assert_eq!(t.redeem(page.decoys[2], SimTime::ZERO), Decoy);
+        assert_eq!(t.redeem(look_alike(page.decoys[2]), SimTime::ZERO), Unknown);
+        assert_eq!(redeem(&mut t, 99), Unknown);
+        assert_eq!(redeem(&mut t, 3), Unknown);
+    }
+
+    /// Sixty-four pages' worth of entries against 10 000 made-up keys:
+    /// each is refused, and all of them together draw an entry again
+    /// fewer than one time in eight (a key draws only where it matches
+    /// one of an entry's five 12-bit decoy tags, 64 × 5 / 4 096 ≈ 0.08
+    /// a key). Every decoy still reads as one, and every real key
+    /// redeems, then replays, drawing nothing.
+    #[test]
+    fn a_forged_beacon_stays_cheap() {
+        const FORGED: usize = 10_000;
+        let mut t = TokenState::default();
+        let pages: Vec<TokenDraw> = (0..MAX_TOKENS_PER_SESSION as u64)
+            .map(|n| draw_page(&mut t, SEED, n, SimTime::ZERO))
+            .collect();
+        let redraws = || REDRAWS.with(std::cell::Cell::get);
+        let mut rng = ChaCha8Rng::seed_from_u64(55);
+        let before = redraws();
+        for _ in 0..FORGED {
+            let hex = format!("{:032x}", rng.gen::<u128>());
+            let key = BeaconKey::from_hex(&hex).expect("32 hex digits");
+            assert_eq!(t.redeem(key, SimTime::ZERO), Unknown, "{hex}");
+        }
+        let drawn = redraws() - before;
+        assert!(drawn * 8 <= FORGED, "{drawn} redraws for {FORGED} keys");
+        for page in &pages {
+            for decoy in page.decoys {
+                assert_eq!(t.redeem(decoy, SimTime::ZERO), Decoy);
+            }
+        }
+        let before = redraws();
+        for page in &pages {
+            assert_eq!(t.redeem(page.key, SimTime::ZERO), Valid);
+            assert_eq!(t.redeem(page.key, SimTime::ZERO), Replay);
+        }
+        assert_eq!(redraws(), before, "a real key is compared, not drawn");
     }
 
     #[test]
@@ -525,8 +701,8 @@ mod tests {
         issue(&mut t, "/a", 1, &[], SimTime::ZERO, 64);
         issue(&mut t, "/b", 2, &[], SimTime::ZERO, 64);
         assert_eq!(t.len(), 2);
-        assert_eq!(redeem(&mut t, 1), KeyOutcome::Valid);
-        assert_eq!(redeem(&mut t, 2), KeyOutcome::Valid);
+        assert_eq!(redeem(&mut t, 1), Valid);
+        assert_eq!(redeem(&mut t, 2), Valid);
     }
 
     #[test]
@@ -537,8 +713,8 @@ mod tests {
         }
         assert_eq!(t.len(), 2);
         // Key 0 was dropped.
-        assert_eq!(redeem(&mut t, 0), KeyOutcome::Unknown);
-        assert_eq!(redeem(&mut t, 2), KeyOutcome::Valid);
+        assert_eq!(redeem(&mut t, 0), Unknown);
+        assert_eq!(redeem(&mut t, 2), Valid);
     }
 
     /// An entry answers through its lifetime and not a millisecond
@@ -546,34 +722,29 @@ mod tests {
     /// a redeemed key and its script all read as never issued.
     #[test]
     fn an_entry_expires_where_it_is_read() {
-        use KeyOutcome::{Decoy, Replay, Unknown, Valid};
         const NONCE: u64 = 99;
         let issued = SimTime::from_secs(7);
-        let seed = ScriptSeed {
-            seed: 5,
-            agent_nonce: 6,
-        };
         for (late, [key, decoy, replay], script) in [
-            (TOKEN_LIFETIME_MS - 1, [Valid, Decoy, Replay], Some(seed)),
-            (TOKEN_LIFETIME_MS + 1, [Unknown; 3], None),
+            (TOKEN_LIFETIME_MS - 1, [Valid, Decoy, Replay], true),
+            (TOKEN_LIFETIME_MS + 1, [Unknown; 3], false),
         ] {
-            // A page (key 1, decoy 2, its script), and a second page
-            // whose key 11 is redeemed as soon as it is issued.
+            // A page drawn from the stream, and a second page whose
+            // key 11 is redeemed as soon as it is issued.
             let mut t = TokenState::default();
-            let token = IssuedPageToken {
-                key: BeaconKey::from_raw(1),
-                decoys: [2, 3, 4, 5, 6].map(BeaconKey::from_raw),
-                js_nonce: NONCE,
-                script: seed,
-            };
-            t.issue_page(token, issued);
+            let page = draw_page(&mut t, SEED, NONCE, issued);
             issue(&mut t, "/b", 11, &[], issued, 64);
             assert_eq!(t.redeem(BeaconKey::from_raw(11), issued), Valid);
             let now = issued + late;
-            let recipe = t.script_for(NONCE, now).map(|r| (r.key, r.seed));
-            assert_eq!(recipe, script.map(|s| (BeaconKey::from_raw(1), s)), "{now}");
-            let mut at = |k: u128| t.redeem(BeaconKey::from_raw(k), now);
-            assert_eq!([at(1), at(2), at(11)], [key, decoy, replay], "{now}");
+            let recipe = t.script_for(NONCE, now);
+            let expected = ScriptRecipe { draw: page, issued };
+            assert_eq!(recipe, script.then_some(expected), "{now}");
+            let mut at = |k: BeaconKey| t.redeem(k, now);
+            let outcomes = [
+                at(page.key),
+                at(page.decoys[0]),
+                at(BeaconKey::from_raw(11)),
+            ];
+            assert_eq!(outcomes, [key, decoy, replay], "{now}");
             assert_eq!(
                 t.len(),
                 2,
@@ -594,7 +765,8 @@ mod tests {
         decoys: Vec<BeaconKey>,
         issued: SimTime,
         redeemed: bool,
-        js: Option<(u64, ScriptSeed)>,
+        /// A page drawn from the stream: its script's nonce and its draw.
+        js: Option<(u64, TokenDraw)>,
     }
 
     impl Model {
@@ -609,80 +781,85 @@ mod tests {
             let live = |e: &ModelEntry| now.since(e.issued) <= TOKEN_LIFETIME_MS;
             let entries = &mut self.entries;
             if let Some(e) = entries.iter_mut().find(|e| e.key == key && live(e)) {
-                let outcome = if e.redeemed {
-                    KeyOutcome::Replay
-                } else {
-                    KeyOutcome::Valid
-                };
+                let outcome = if e.redeemed { Replay } else { Valid };
                 e.redeemed = true;
                 return outcome;
             }
             if entries.iter().any(|e| e.decoys.contains(&key) && live(e)) {
-                return KeyOutcome::Decoy;
+                return Decoy;
             }
-            KeyOutcome::Unknown
+            Unknown
         }
 
-        fn script_for(&self, nonce: u64, now: SimTime) -> Option<ScriptRecipe<'_>> {
+        fn script_for(&self, nonce: u64, now: SimTime) -> Option<ScriptRecipe> {
             let e = self
                 .entries
                 .iter()
                 .rev()
                 .find(|e| matches!(e.js, Some((n, _)) if n == nonce))?;
-            let (_, seed) = e.js?;
+            let (_, draw) = e.js?;
             (now.since(e.issued) <= TOKEN_LIFETIME_MS).then_some(ScriptRecipe {
-                key: e.key,
-                decoys: &e.decoys,
-                seed,
+                draw,
+                issued: e.issued,
             })
         }
     }
 
     proptest! {
-        /// Random issues (of any bound and up to [`DECOYS`] decoys),
-        /// page issues, redeems, script lookups, draws and clock
-        /// advances that land on either side of an entry's lifetime,
-        /// against the plain model. Keys, decoys and nonces come from
-        /// small sets, so a key is often another entry's key or decoy
-        /// and a nonce often names two pages. Each step compares the
-        /// outcome, the length and the lent recipe, and the list holds
-        /// no spare slot.
+        /// Random issues (of any bound, their decoys unread), pages
+        /// drawn from the session's stream, redeems, script lookups,
+        /// draws of a few words between pages and clock advances that
+        /// land on either side of an entry's lifetime, against the plain
+        /// model. A redeemed key is a small number (which issues use
+        /// too) or one a drawn page holds: its key, a decoy, or a key
+        /// with a decoy's tag that is not the decoy. Script nonces come
+        /// from a set of four, so a nonce often names two pages. Each
+        /// step compares the outcome, the length and the recomputed
+        /// recipe, and the list holds no spare slot.
         #[test]
         fn the_table_answers_as_a_list_of_what_was_issued(
-            ops in vec((0u8..7, 0u8..12, vec(0u8..12, 0..=DECOYS), 0u8..8), 1..120),
+            seed in any::<u64>(),
+            ops in vec((0u8..7, 0u8..40, 0u8..8), 1..120),
         ) {
             const STEPS: [u64; 6] = [0, 1, 1_000, TOKEN_LIFETIME_MS - 1, TOKEN_LIFETIME_MS, TOKEN_LIFETIME_MS + 1];
-            let key = |n: u8| BeaconKey::from_raw(u128::from(n));
+            let mut pool: Vec<BeaconKey> = Vec::new();
+            let pick = |pool: &[BeaconKey], n: u8| match pool.len() {
+                len if n >= 12 && len > 0 => pool[usize::from(n) % len],
+                _ => BeaconKey::from_raw(u128::from(n % 12)),
+            };
             let mut t = TokenState::default();
             let mut model = Model::default();
             let mut now = SimTime::ZERO;
-            for (op, a, d, b) in ops {
-                let decoys: Vec<BeaconKey> = d.iter().map(|&n| key(n)).collect();
+            for (op, a, b) in ops {
                 match op {
                     0 | 1 => {
                         let max = usize::from(b);
-                        t.issue("/p", key(a), decoys.clone(), None, now, max);
-                        let entry = ModelEntry { key: key(a), decoys, issued: now, redeemed: false, js: None };
+                        let unread = vec![pick(&pool, b), pick(&pool, a ^ 1)];
+                        t.issue("/p", pick(&pool, a), unread, None, now, max);
+                        let entry = ModelEntry { key: pick(&pool, a), decoys: Vec::new(), issued: now, redeemed: false, js: None };
                         model.issue(entry, max);
                     }
                     2 => {
-                        let mut all = [key(b); DECOYS];
-                        all[..decoys.len()].copy_from_slice(&decoys);
-                        let seed = ScriptSeed { seed: u64::from(a), agent_nonce: u64::from(b) };
                         let js_nonce = u64::from(b % 4);
-                        t.issue_page(IssuedPageToken { key: key(a), decoys: all, js_nonce, script: seed }, now);
-                        let js = Some((js_nonce, seed));
-                        let entry = ModelEntry { key: key(a), decoys: all.to_vec(), issued: now, redeemed: false, js };
+                        let draw = draw_page(&mut t, seed, js_nonce, now);
+                        pool.push(draw.key);
+                        pool.extend(draw.decoys);
+                        pool.extend(draw.decoys.map(look_alike));
+                        let js = Some((js_nonce, draw));
+                        let entry = ModelEntry { key: draw.key, decoys: draw.decoys.to_vec(), issued: now, redeemed: false, js };
                         model.issue(entry, MAX_TOKENS_PER_SESSION);
                     }
-                    3 => prop_assert_eq!(t.redeem(key(a), now), model.redeem(key(a), now)),
+                    3 => {
+                        let key = pick(&pool, a);
+                        prop_assert_eq!(t.redeem(key, now), model.redeem(key, now));
+                    }
                     4 => {
                         let nonce = u64::from(b % 4);
                         prop_assert_eq!(t.script_for(nonce, now), model.script_for(nonce, now));
                     }
                     5 => now += STEPS[usize::from(b) % STEPS.len()],
                     _ => {
-                        t.draw(|| u64::from(a), |rng| rng.next_u32());
+                        t.draw(|| seed, |rng| (0..a % 5).for_each(|_| { rng.next_u32(); }));
                     }
                 }
                 prop_assert_eq!(t.len(), model.entries.len());

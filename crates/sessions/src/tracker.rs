@@ -95,8 +95,10 @@
 //! were. A stranger's first exchange leaves one heap block, ~48 bytes
 //! for a short `User-Agent`: the key's agent, one `Arc<str>`. At every
 //! per-session cap (512 remembered URLs, 64 page tokens, every script
-//! fetched) a session holds ~15.6 KB: a token keeps its script's seed,
-//! never the source. Looking a known key up copies nothing: the index
+//! fetched) a session holds ~7.3 KB: a token keeps where in the
+//! session's stream its page drew, and its decoys, its script's seed
+//! and the script itself are made again when asked for, never kept.
+//! Looking a known key up copies nothing: the index
 //! is searched by the hash of the request's borrowed parts
 //! (`dyn KeyParts`), and a bucket whose tag matches is confirmed against
 //! the key in its slot.
